@@ -1,6 +1,9 @@
-"""Batched vs per-ciphertext bootstrapping (the batched-bootstrap tentpole).
+"""One B-stream bootstrap vs B one-stream bootstraps of the same code.
 
-Two stages:
+The per-ciphertext baselines below are loops of ``B = 1`` calls through
+the singular adapters (:meth:`BsgsLinearTransform.apply`,
+:meth:`Bootstrapper.bootstrap`), so both columns time one implementation
+at two batch sizes.  Two stages:
 
 * **BSGS refresh transform, N=4096 (the CI gate)** — the bootstrap DFT
   stages are BSGS linear transforms, and at real ring degrees they
@@ -19,7 +22,7 @@ Two stages:
   vs looping :meth:`Bootstrapper.bootstrap`, at the functional test
   parameters (8 levels, shallow EvalMod).  Small-N wall-clock is
   Python-overhead-bound, so this row documents the end-to-end shape and
-  the bit-parity of the full pipeline rather than carrying the gate.
+  the batch invariance of the full pipeline rather than carrying the gate.
 
 Results print as a table and are written as JSON through
 ``bench_common.write_results`` so the speedups land in the tracked perf
@@ -83,7 +86,7 @@ def bsgs_sweep():
         secret = keygen.generate_secret_key()
         encryptor = Encryptor(context, secret_key=secret)
         evaluator = Evaluator(context)
-        batched = BatchedEvaluator(context, evaluator=evaluator)
+        batched: BatchedEvaluator = evaluator.batched
         rng = np.random.default_rng(3)
         transform = BsgsLinearTransform(
             context, _band_matrix(context.slot_count, rng))
@@ -103,7 +106,7 @@ def bsgs_sweep():
             return transform.apply_many(streams, batched, encryptor,
                                         rotation_keys)
 
-        # Warm-up: build twiddle stacks and verify bit-exact parity.
+        # Warm-up: build twiddle stacks and verify batch invariance.
         reference = per_stream()
         for got, want in zip(fused(), reference):
             assert np.array_equal(got.c0.residues, want.c0.residues)

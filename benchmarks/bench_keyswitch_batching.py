@@ -1,11 +1,11 @@
-"""B-fused vs per-stream key switching (the batched key-switch tentpole).
+"""One B-stream key switch vs B one-stream key switches.
 
 Times the generalized key switch (paper Algorithm 1) — the most expensive
-CKKS primitive — two ways:
+CKKS primitive — two ways through the same code:
 
 * **per-stream loop** — one :meth:`KeySwitcher.switch` call per
-  ciphertext, the launch pattern the B-axis fusion PR replaced (each call
-  is already limb-batched, so this is the strongest sequential baseline);
+  ciphertext, i.e. ``B`` launches of :meth:`BatchedKeySwitcher.switch_many`
+  at ``B = 1`` (each already fuses the dnum and limb axes);
 * **B-fused** — one :meth:`BatchedKeySwitcher.switch_many` call: the dnum
   decomposition of every stream stacks into a ``(B, dnum, L, N)`` tensor,
   ModUp/ModDown run batched Conv GEMMs, all ``B * dnum`` NTTs are a single
@@ -14,7 +14,7 @@ CKKS primitive — two ways:
 
 The sweep runs on the bandwidth-bound matrix (Eq. 8) engine, where the
 win has the same shape as the op-batching benchmark: the per-stream loop
-re-reads the ``L' x N x N`` twiddle stack ``B * dnum`` times per batch
+re-reads the ``L' x N x N`` twiddle stack ``B`` times per batch
 while the fused launch streams it once — the paper's data-reuse argument
 applied to the key-switch inner loop.  The evaluator-level row times the
 full batched HMULT (transforms + fused key switch) through the facade.
@@ -73,8 +73,7 @@ def sweep():
         polys = [RnsPolynomial.random_uniform(ring_degree, moduli, rng)
                  for _ in range(batch)]
         sequential_switcher = KeySwitcher(context)
-        fused_switcher = BatchedKeySwitcher(
-            context, key_switcher=sequential_switcher)
+        fused_switcher: BatchedKeySwitcher = sequential_switcher.batched
 
         def per_stream():
             return [sequential_switcher.switch(poly, relin_key, level)
@@ -83,7 +82,7 @@ def sweep():
         def fused():
             return fused_switcher.switch_many(polys, relin_key, level)
 
-        # Warm-up: build twiddle stacks and verify bit-exact parity.
+        # Warm-up: build twiddle stacks and verify batch invariance.
         reference = per_stream()
         for got, want in zip(fused(), reference):
             assert np.array_equal(got[0].residues, want[0].residues)

@@ -24,9 +24,10 @@ large B.  The row is gated at parity-or-better for B >= 16 and tracked
 with a no-cliff floor at smaller batches, where the loop's cache
 residency still competes.
 
-The evaluator-level comparison runs batched CMULT streams through
-``BatchedEvaluator`` against a sequential ``Evaluator`` loop on the
-matrix engine, where transform cost dominates.
+The evaluator-level comparison runs one B-stream CMULT launch through
+``BatchedEvaluator`` against a loop of B one-stream launches of the same
+code (the singular ``Evaluator`` adapter) on the matrix engine, where
+transform cost dominates.
 
 Results print as a table and are written as JSON through
 ``bench_common.write_results`` so the speedups land in the tracked perf
@@ -62,7 +63,7 @@ FOUR_STEP_FLOOR = 0.5 * GATE_SCALE
 #: At B >= 16 the four-step float-resident fused pipeline must at least
 #: match the per-ciphertext loop (it measures ~1.2x locally).
 FOUR_STEP_GATE = 1.0 * GATE_SCALE
-#: Batched CMULT streams must beat the sequential evaluator loop.
+#: One B-stream CMULT launch must beat the loop of one-stream launches.
 CMULT_GATE = 1.5 * GATE_SCALE
 #: 20-bit primes keep every fused GEMM on the single-pass float64 BLAS
 #: path at these shapes (inner * q^2 < 2**53).
@@ -147,7 +148,7 @@ def test_op_batching_speedup(sweep):
 
 
 def test_batched_cmult_streams():
-    """Batched CMULT beats the sequential evaluator loop on the matrix engine."""
+    """One B-stream CMULT beats B one-stream CMULTs on the matrix engine."""
     parameters = CkksParameters(ring_degree=1 << 10, level_count=4, dnum=2,
                                 secret_hamming_weight=64, ntt_engine="matrix",
                                 name="bench-op-batching")
@@ -189,5 +190,5 @@ def test_batched_cmult_streams():
     })
     print("results written to %s" % path)
     assert speedup >= CMULT_GATE, (
-        "batched CMULT only %.2fx faster than the sequential loop" % speedup
+        "batched CMULT only %.2fx faster than the one-stream loop" % speedup
     )

@@ -1,11 +1,12 @@
 """Serving-layer throughput: coalesced concurrent clients vs a sequential loop.
 
 Times the encrypted-op request stream two ways at N=4096 on the blas
-backend:
+backend, through the same evaluator code at two batch sizes:
 
-* **sequential loop** — every request executed one at a time through the
-  sequential :class:`~repro.ckks.evaluator.Evaluator`, the strongest
-  per-request baseline (each call is already limb-batched);
+* **sequential loop** — every request executed one at a time, a B = 1
+  launch each, through the singular :class:`~repro.ckks.evaluator.
+  Evaluator` adapter (the strongest per-request baseline: no event loop,
+  no queueing);
 * **serving engine** — the same requests submitted by concurrent asyncio
   clients; the :class:`~repro.serving.engine.ServingEngine` coalesces
   each round into B-fused :class:`~repro.ckks.batched_evaluator.

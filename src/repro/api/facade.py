@@ -51,13 +51,15 @@ class TensorFheContext:
             self.secret_key, rotation_steps)
         self.encryptor = Encryptor(self.context, self.public_key, self.secret_key)
         self.decryptor = Decryptor(self.context, self.secret_key)
+        # One evaluator: ``batched_evaluator`` is the (B, L, N) implementation
+        # and ``evaluator`` its one-ciphertext spelling.  The singular facade
+        # methods call ``evaluator`` directly — one stream needs no batch plan.
         self.evaluator = Evaluator(self.context)
+        self.batched_evaluator: BatchedEvaluator = self.evaluator.batched
         # The scheduler sizes fused batches for the same compute backend
         # the context launches on; a sharded backend multiplies the plan
         # by its worker fan-out so serving traffic fills the whole pool.
         self.batch_scheduler = BatchScheduler(gpu, backend=backend)
-        self.batched_evaluator = BatchedEvaluator(self.context,
-                                                  evaluator=self.evaluator)
         self.bootstrap_config = bootstrap_config
         self._bootstrapper: Optional[Bootstrapper] = None
 
@@ -232,11 +234,7 @@ class TensorFheContext:
 
     def rescale_many(self, ciphertexts: Sequence[Ciphertext]) -> list:
         """Batched RESCALE over independent streams."""
-        ciphertexts = list(ciphertexts)
-        results = []
-        for start, stop in self._batch_bounds(ciphertexts):
-            results.extend(self.batched_evaluator.rescale(ciphertexts[start:stop]))
-        return results
+        return self._run_batched(self.batched_evaluator.rescale, ciphertexts)
 
     def rotate_many(self, ciphertexts: Sequence[Ciphertext],
                     steps: Union[int, Sequence[int]]) -> list:
@@ -261,23 +259,20 @@ class TensorFheContext:
         for index, step in enumerate(normalized):
             step_groups.setdefault(step, []).append(index)
         for step, indices in step_groups.items():
-            streams = [ciphertexts[i] for i in indices]
-            rotated: list = []
-            for start, stop in self._batch_bounds(streams):
-                rotated.extend(self.batched_evaluator.rotate(
-                    streams[start:stop], step, self.rotation_keys))
+            rotated = self._run_batched(
+                lambda streams: self.batched_evaluator.rotate(
+                    streams, step, self.rotation_keys),
+                [ciphertexts[i] for i in indices])
             for i, ciphertext in zip(indices, rotated):
                 results[i] = ciphertext
         return results
 
     def conjugate_many(self, ciphertexts: Sequence[Ciphertext]) -> list:
         """Batched HCONJ over independent streams (B-fused key switch)."""
-        ciphertexts = list(ciphertexts)
-        results = []
-        for start, stop in self._batch_bounds(ciphertexts):
-            results.extend(self.batched_evaluator.conjugate(
-                ciphertexts[start:stop], self.rotation_keys))
-        return results
+        return self._run_batched(
+            lambda streams: self.batched_evaluator.conjugate(
+                streams, self.rotation_keys),
+            ciphertexts)
 
     def bootstrap_many(self, ciphertexts: Sequence[Ciphertext]) -> list:
         """Batched bootstrap: the whole pipeline as fused ``B``-axis launches.
@@ -286,8 +281,8 @@ class TensorFheContext:
         EvalMod sine ladder all run through the
         :class:`~repro.ckks.batched_evaluator.BatchedEvaluator`, so every
         HMULT / CMULT / HADD / HROTATE in the pipeline is one fused
-        ``(B, ...)`` launch instead of ``B`` scalar ones.  Bit-identical to
-        looping :meth:`bootstrap`.
+        ``(B, ...)`` launch instead of ``B`` scalar ones.  Each stream's
+        result is the one :meth:`bootstrap` gives it alone.
         """
         ciphertexts = list(ciphertexts)
         if not ciphertexts:
@@ -305,14 +300,15 @@ class TensorFheContext:
                 self.encryptor, self.relinearization_key, self.rotation_keys))
         return results
 
-    def _run_batched(self, operation, lhs_streams, rhs_streams) -> list:
-        lhs_streams, rhs_streams = list(lhs_streams), list(rhs_streams)
-        if len(lhs_streams) != len(rhs_streams):
+    def _run_batched(self, operation, *operand_streams) -> list:
+        """``operation`` over equally long stream lists, one planned chunk at a time."""
+        operand_streams = [list(streams) for streams in operand_streams]
+        if len({len(streams) for streams in operand_streams}) != 1:
             raise ValueError("stream lists have different lengths")
         results = []
-        for start, stop in self._batch_bounds(lhs_streams):
-            results.extend(operation(lhs_streams[start:stop],
-                                     rhs_streams[start:stop]))
+        for start, stop in self._batch_bounds(operand_streams[0]):
+            results.extend(operation(
+                *(streams[start:stop] for streams in operand_streams)))
         return results
 
     def _batch_bounds(self, streams: Sequence[Ciphertext]):

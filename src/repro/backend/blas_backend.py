@@ -137,7 +137,10 @@ def float_matmul_limbs(lhs, rhs, column, inner, lhs_cache, rhs_cache):
                    else int(column.max()) - 1)
 
     def combine(product):
-        return np.rint(product).astype(np.int64) % column
+        # In place where the dtype allows: ``product`` is a fresh dgemm
+        # result, and these temporaries set the launch's peak memory.
+        out = np.rint(product, out=product).astype(np.int64)
+        return np.remainder(out, column, out=out)
 
     def other_float():
         if other_cache is not None:
@@ -163,7 +166,11 @@ def float_matmul_limbs(lhs, rhs, column, inner, lhs_cache, rhs_cache):
         high = combine(np.matmul(other_f, hi))
         low = combine(np.matmul(other_f, lo))
     weight = (1 << shift) % column
-    return (low + (high * weight) % column) % column
+    high *= weight
+    high %= column
+    high += low
+    high %= column
+    return high
 
 
 class BlasFloat64Backend(NumpyBackend):

@@ -407,8 +407,17 @@ def _combine_float(caches, combine, axis: int) -> DeviceBuffer:
 
 
 def stack_arrays(parts: Sequence[ArrayLike], axis: int = 0) -> ArrayLike:
-    """``np.stack`` over arrays/handles, staying device-side when possible."""
+    """``np.stack`` over arrays/handles, staying device-side when possible.
+
+    A single part is returned as a view with the new axis inserted (what
+    makes a one-stream ``(1, L, N)`` launch copy-free); like every handle
+    produced by reshaping, it shares storage with its source.
+    """
     parts = list(parts)
+    if len(parts) == 1:
+        shape = list(parts[0].shape)
+        shape.insert(axis % (len(shape) + 1), 1)
+        return parts[0].reshape(shape)
     backend = _device_group(parts)
     if backend is not None:
         native = backend.nat_stack([p._native for p in parts], axis)

@@ -1,13 +1,8 @@
-"""Operation-level batching: data layouts, batched kernels, batch-size planning."""
+"""Operation-level batching: batch-size planning for the fused launches."""
 
-from .batcher import OperationBatcher
-from .layout import BatchedData, Layout
 from .scheduler import BatchPlan, BatchScheduler
 
 __all__ = [
-    "Layout",
-    "BatchedData",
-    "OperationBatcher",
     "BatchScheduler",
     "BatchPlan",
 ]

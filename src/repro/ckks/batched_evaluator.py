@@ -1,36 +1,35 @@
-"""Batched CKKS evaluation: independent operation streams as fused launches.
+"""The CKKS evaluator: HADD, HMULT, CMULT, HROTATE, RESCALE (paper Algs. 2-6).
 
-The paper's central throughput claim (Section IV-D, Figure 9) is that *B*
-independent ciphertext operations of the same shape can execute as single
-``(L, B, N)`` tensor launches instead of ``B`` separate kernel sequences.
-:class:`BatchedEvaluator` is that execution model for the functional CKKS
-stack: it takes *streams* of independent HADD / HMULT / CMULT / RESCALE
-operands, groups them by their active prime chain, and executes each group
-with
+TensorFHE's execution model is operation-level batching (Section IV-D,
+Figure 9): an FHE operation *is* a ``(B, L, N)`` launch over ``B``
+independent streams, and a lone ciphertext is its ``B = 1`` case.
+:class:`BatchedEvaluator` is that one implementation.  Every method takes
+*streams* of operands, groups them by their active prime chain, and
+executes each group with
 
 * **one** ``forward_ops``/``inverse_ops`` engine call per transform step —
   a single batched backend GEMM covering every stream and every limb — and
 * **one** backend-funnel mat-mod launch per element-wise step over the
-  fused ``(B*L, N)`` residue matrix (tiled per-limb moduli column).
+  fused ``(B*L, N)`` residue matrix (per-limb moduli column tiled per
+  stream).
 
-Per-stream bookkeeping (scale tracking, level alignment, domain tags) is
-preserved exactly: results are bit-identical to looping the sequential
-:class:`~repro.ckks.evaluator.Evaluator` over the streams, and the kernel
-counters record the same invocations (fusion is invisible to the
-instrumentation, via :meth:`~repro.kernels.base.KernelCounter.record_batch`).
+Per-stream bookkeeping (scale tracking, level alignment) is kept exactly,
+and the kernel counters record the per-stream invocations of Table II
+(fusion is invisible to the instrumentation, via
+:meth:`~repro.kernels.base.KernelCounter.record_batch`), so a stream's
+result and its counts do not depend on which other streams share its
+launch.  The HMULT key switch and the rotation / conjugation paths run
+through :class:`~repro.ckks.batched_keyswitch.BatchedKeySwitcher`.
 
-One deliberate scope note remains: streams whose operands are not all in
-the coefficient domain take the sequential path for that stream (the fused
-NTT needs a uniform domain).  The HMULT key switch and the rotation /
-conjugation paths are fully B-fused through
-:class:`~repro.ckks.batched_keyswitch.BatchedKeySwitcher`: the dnum
-decomposition of every stream stacks into one ``(B, dnum, L, N)`` tensor
-and the whole batch mods up, transforms, inner-products and mods down in
-single launches.
+Operands are expected in the coefficient domain — the only domain the
+library produces ciphertexts and plaintexts in.  An evaluation-domain
+operand is brought there on entry with a counted INTT (exact, so nothing
+downstream changes), and every result is coefficient-domain.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -51,15 +50,18 @@ from ..numtheory.modular import (
     mat_mod_mul,
     mat_mod_reduce,
     mat_mod_sub,
+    moduli_column,
+    tiled_rows,
 )
 from ..rns.poly import PolyDomain, RnsPolynomial
 from .batched_keyswitch import BatchedKeySwitcher
 from .ciphertext import Ciphertext, Plaintext
 from .context import CkksContext
-from .evaluator import Evaluator
 from .keys import RotationKeySet, SwitchKey
 
 __all__ = ["BatchedEvaluator", "stream_signature"]
+
+_RELATIVE_SCALE_TOLERANCE = 1e-6
 
 
 def stream_signature(ciphertext: Ciphertext) -> Tuple:
@@ -68,8 +70,8 @@ def stream_signature(ciphertext: Ciphertext) -> Tuple:
     Streams sharing this tuple — active prime chain, level, scale and the
     per-component polynomial domains — can execute as one ``(B, L, N)``
     fused launch with no per-stream special-casing: the batched evaluator
-    groups by the chain internally and checks scale/domain per pair, and
-    the serving layer's request coalescer uses this same key up front so
+    groups by the chain internally and checks scales per pair, and the
+    serving layer's request coalescer uses this same key up front so
     every chunk it hands over is maximally fusable.
     """
     return (ciphertext.moduli, ciphertext.level, ciphertext.scale,
@@ -77,125 +79,128 @@ def stream_signature(ciphertext: Ciphertext) -> Tuple:
 
 
 class BatchedEvaluator:
-    """Executes independent streams of CKKS operations as fused batches."""
+    """Homomorphic operations on independent streams of CKKS ciphertexts."""
 
-    def __init__(self, context: CkksContext, *,
-                 evaluator: Optional[Evaluator] = None) -> None:
+    def __init__(self, context: CkksContext) -> None:
         self.context = context
-        #: Sequential evaluator: shared bookkeeping helpers (align, scale
-        #: checks) and the fallback for non-fusable streams.
-        self.evaluator = evaluator if evaluator is not None else Evaluator(context)
-        #: B-fused key switching; shares the sequential switcher's
-        #: ModUp/ModDown caches so no duplicate precomputation exists.
-        self.key_switcher = BatchedKeySwitcher(
-            context, key_switcher=self.evaluator.key_switcher)
+        self.key_switcher = BatchedKeySwitcher(context)
 
     # ------------------------------------------------------------------
-    # HADD: B independent additions, one Ele-Add launch per component
+    # Level bookkeeping
     # ------------------------------------------------------------------
-    def add(self, lhs_streams: Sequence[Ciphertext],
-            rhs_streams: Sequence[Ciphertext]) -> List[Ciphertext]:
-        """Batched HADD: element-wise addition of ``B`` independent pairs."""
-        pairs = []
-        for lhs, rhs in self._zipped(lhs_streams, rhs_streams):
-            lhs, rhs = self.evaluator.align(lhs, rhs)
-            self.evaluator._check_scales(lhs.scale, rhs.scale)
-            self._check_pair_domains(lhs, rhs)
-            pairs.append((lhs, rhs))
-
-        results: List[Optional[Ciphertext]] = [None] * len(pairs)
-        for moduli, indices in self._grouped(p[0].moduli for p in pairs).items():
-            batch, limbs = len(indices), len(moduli)
-            tiled = self._tiled_moduli(moduli, batch)
-            sums = []
-            for component in ("c0", "c1"):
-                left = self._stack([getattr(pairs[i][0], component) for i in indices])
-                right = self._stack([getattr(pairs[i][1], component) for i in indices])
-                fused = mat_mod_add(self._fuse(left), self._fuse(right), tiled)
-                self._record(KernelName.ELE_ADD, batch, limbs)
-                sums.append(fused.reshape(left.shape))
-            for j, i in enumerate(indices):
-                lhs = pairs[i][0]
-                results[i] = Ciphertext(
-                    c0=self._poly(moduli, sums[0][j], lhs.c0.domain),
-                    c1=self._poly(moduli, sums[1][j], lhs.c1.domain),
-                    scale=lhs.scale, level=lhs.level,
-                )
+    def drop_to_level(self, ciphertexts: Sequence[Ciphertext],
+                      level: int) -> List[Ciphertext]:
+        """Reduce every stream to ``level`` by dropping RNS limbs."""
+        results = []
+        for ciphertext in ciphertexts:
+            lowered = self._at_level(ciphertext, level)
+            results.append(lowered.copy() if lowered is ciphertext else lowered)
         return results
 
     def negate(self, ciphertexts: Sequence[Ciphertext]) -> List[Ciphertext]:
         """Negate every stream.
 
-        Negation is a pure host-side modular map with no kernel launches
-        (the sequential path records nothing either), so there is nothing
-        to fuse; the per-stream map keeps the counters and bits identical
-        by construction.
+        Negation is a pure host-side modular map with no kernel launches,
+        so there is nothing to fuse or to count.
         """
-        return [self.evaluator.negate(ciphertext) for ciphertext in ciphertexts]
+        return [
+            Ciphertext(c0=ciphertext.c0.negate(), c1=ciphertext.c1.negate(),
+                       scale=ciphertext.scale, level=ciphertext.level)
+            for ciphertext in ciphertexts
+        ]
+
+    # ------------------------------------------------------------------
+    # HADD / subtraction (Alg. 5): one Ele-Add launch per component
+    # ------------------------------------------------------------------
+    def add(self, lhs_streams: Sequence[Ciphertext],
+            rhs_streams: Sequence[Ciphertext]) -> List[Ciphertext]:
+        """HADD: element-wise addition of ``B`` independent pairs."""
+        return self._combine(lhs_streams, rhs_streams, mat_mod_add,
+                             KernelName.ELE_ADD)
+
+    def subtract(self, lhs_streams: Sequence[Ciphertext],
+                 rhs_streams: Sequence[Ciphertext]) -> List[Ciphertext]:
+        """Element-wise subtraction of ``B`` independent pairs."""
+        return self._combine(lhs_streams, rhs_streams, mat_mod_sub,
+                             KernelName.ELE_SUB)
+
+    def _combine(self, lhs_streams: Sequence[Ciphertext],
+                 rhs_streams: Sequence[Ciphertext], funnel,
+                 kernel: str) -> List[Ciphertext]:
+        pairs = []
+        for lhs, rhs in self._zipped(lhs_streams, rhs_streams):
+            self._check_scales(lhs.scale, rhs.scale)
+            pairs.append(self._aligned(lhs, rhs))
+
+        results: List[Optional[Ciphertext]] = [None] * len(pairs)
+        for moduli, indices in self._grouped(p[0].moduli for p in pairs).items():
+            batch, limbs = len(indices), len(moduli)
+            tiled = self._tiled_moduli(moduli, batch)
+            outputs = []
+            for component in ("c0", "c1"):
+                left = self._stack([getattr(pairs[i][0], component) for i in indices])
+                right = self._stack([getattr(pairs[i][1], component) for i in indices])
+                fused = funnel(self._fuse(left), self._fuse(right), tiled)
+                self._record(kernel, batch, limbs)
+                outputs.append(fused.reshape(left.shape))
+            for j, i in enumerate(indices):
+                lhs = pairs[i][0]
+                results[i] = Ciphertext(
+                    c0=self._poly(moduli, outputs[0][j]),
+                    c1=self._poly(moduli, outputs[1][j]),
+                    scale=lhs.scale, level=lhs.level,
+                )
+        return results
 
     def add_plain(self, ciphertexts: Sequence[Ciphertext],
                   plaintexts: Sequence[Plaintext]) -> List[Ciphertext]:
-        """Batched plaintext addition: one fused Ele-Add over the c0 stack."""
-        streams = list(self._zipped(ciphertexts, plaintexts))
-        results: List[Optional[Ciphertext]] = [None] * len(streams)
-        fusable: List[Tuple[int, Ciphertext, Plaintext, RnsPolynomial]] = []
-        for i, (ciphertext, plaintext) in enumerate(streams):
-            self.evaluator._check_scales(ciphertext.scale, plaintext.scale)
-            plain_poly = self.evaluator._plain_at_level(plaintext,
-                                                        ciphertext.level)
-            if ciphertext.c0.domain == plain_poly.domain:
-                fusable.append((i, ciphertext, plaintext, plain_poly))
-            else:
-                results[i] = self.evaluator.add_plain(ciphertext, plaintext)
+        """Plaintext addition: one fused Ele-Add over the c0 stack."""
+        streams = []
+        for ciphertext, plaintext in self._zipped(ciphertexts, plaintexts):
+            self._check_scales(ciphertext.scale, plaintext.scale)
+            streams.append((self._coefficient(ciphertext),
+                            self._plain_at_level(plaintext, ciphertext.level)))
 
-        for moduli, indices in self._grouped(
-                entry[1].moduli for entry in fusable).items():
-            entries = [fusable[k] for k in indices]
-            batch, limbs = len(entries), len(moduli)
+        results: List[Optional[Ciphertext]] = [None] * len(streams)
+        for moduli, indices in self._grouped(s[0].moduli for s in streams).items():
+            batch, limbs = len(indices), len(moduli)
             tiled = self._tiled_moduli(moduli, batch)
-            left = self._stack([entry[1].c0 for entry in entries])
-            right = self._stack([entry[3] for entry in entries])
+            left = self._stack([streams[i][0].c0 for i in indices])
+            right = self._stack([streams[i][1] for i in indices])
             fused = mat_mod_add(self._fuse(left), self._fuse(right), tiled)
             self._record(KernelName.ELE_ADD, batch, limbs)
             sums = fused.reshape(left.shape)
-            for j, (i, ciphertext, _, _) in enumerate(entries):
+            for j, i in enumerate(indices):
+                ciphertext = streams[i][0]
                 results[i] = Ciphertext(
-                    c0=self._poly(moduli, sums[j], ciphertext.c0.domain),
+                    c0=self._poly(moduli, sums[j]),
                     c1=ciphertext.c1.copy(),
                     scale=ciphertext.scale, level=ciphertext.level,
                 )
         return results
 
     # ------------------------------------------------------------------
-    # CMULT: B plaintext multiplications, one NTT/Hadamard/INTT step each
+    # CMULT (Alg. 3): one NTT / Hadamard / INTT step for all streams
     # ------------------------------------------------------------------
     def multiply_plain(self, ciphertexts: Sequence[Ciphertext],
                        plaintexts: Sequence[Plaintext]) -> List[Ciphertext]:
-        """Batched CMULT: multiply each stream by its encoded plaintext."""
-        streams = list(self._zipped(ciphertexts, plaintexts))
+        """CMULT: multiply each stream by its encoded plaintext."""
+        streams = [
+            (self._coefficient(ciphertext), plaintext,
+             self._plain_at_level(plaintext, ciphertext.level))
+            for ciphertext, plaintext in self._zipped(ciphertexts, plaintexts)
+        ]
         results: List[Optional[Ciphertext]] = [None] * len(streams)
-        fusable: List[Tuple[int, Ciphertext, Plaintext, RnsPolynomial]] = []
-        for i, (ciphertext, plaintext) in enumerate(streams):
-            plain_poly = self.evaluator._plain_at_level(plaintext, ciphertext.level)
-            if self._all_coefficient(ciphertext.c0, ciphertext.c1, plain_poly):
-                fusable.append((i, ciphertext, plaintext, plain_poly))
-            else:
-                # Mixed-domain stream: the sequential path skips transforms
-                # per domain tag, which a uniform fused launch cannot.
-                results[i] = self.evaluator.multiply_plain(ciphertext, plaintext)
-
-        for moduli, indices in self._grouped(
-                entry[1].moduli for entry in fusable).items():
-            entries = [fusable[k] for k in indices]
+        for moduli, indices in self._grouped(s[0].moduli for s in streams).items():
+            entries = [streams[i] for i in indices]
             batch, limbs = len(entries), len(moduli)
             tiled = self._tiled_moduli(moduli, batch)
-            stacks = concatenate_arrays([
-                self._stack([entry[1].c0 for entry in entries]),
-                self._stack([entry[1].c1 for entry in entries]),
-                self._stack([entry[3] for entry in entries]),
-            ])
             evals = self.context.planner.forward_ops(
-                self.context.ring_degree, moduli, stacks)
+                self.context.ring_degree, moduli, concatenate_arrays([
+                    self._stack([entry[0].c0 for entry in entries]),
+                    self._stack([entry[0].c1 for entry in entries]),
+                    self._stack([entry[2] for entry in entries]),
+                ]))
             self._record(KernelName.NTT, 3 * batch, limbs)
             c0_eval, c1_eval = evals[:batch], evals[batch:2 * batch]
             plain_eval = evals[2 * batch:]
@@ -205,7 +210,7 @@ class BatchedEvaluator:
             coeff = self.context.planner.inverse_ops(
                 self.context.ring_degree, moduli, concatenate_arrays([d0, d1]))
             self._record(KernelName.INTT, 2 * batch, limbs)
-            for j, (i, ciphertext, plaintext, _) in enumerate(entries):
+            for j, (i, (ciphertext, plaintext, _)) in enumerate(zip(indices, entries)):
                 results[i] = Ciphertext(
                     c0=self._poly(moduli, coeff[j]),
                     c1=self._poly(moduli, coeff[batch + j]),
@@ -215,54 +220,21 @@ class BatchedEvaluator:
         return results
 
     # ------------------------------------------------------------------
-    # HMULT: B ciphertext multiplications with relinearization
+    # HMULT (Alg. 2): B ciphertext multiplications with relinearization
     # ------------------------------------------------------------------
     def multiply(self, lhs_streams: Sequence[Ciphertext],
                  rhs_streams: Sequence[Ciphertext],
                  relinearization_key: SwitchKey) -> List[Ciphertext]:
-        """Batched HMULT: fused transforms, per-stream key switching."""
-        streams = list(self._zipped(lhs_streams, rhs_streams))
-        results: List[Optional[Ciphertext]] = [None] * len(streams)
-        fusable: List[Tuple[int, Ciphertext, Ciphertext]] = []
-        for i, (lhs, rhs) in enumerate(streams):
-            aligned_l, aligned_r = self.evaluator.align(lhs, rhs)
-            if self._all_coefficient(aligned_l.c0, aligned_l.c1,
-                                     aligned_r.c0, aligned_r.c1):
-                fusable.append((i, aligned_l, aligned_r))
-            else:
-                results[i] = self.evaluator.multiply(lhs, rhs, relinearization_key)
-
-        for moduli, indices in self._grouped(
-                entry[1].moduli for entry in fusable).items():
-            entries = [fusable[k] for k in indices]
+        """HMULT: fused transforms and one fused key switch."""
+        pairs = [self._aligned(lhs, rhs)
+                 for lhs, rhs in self._zipped(lhs_streams, rhs_streams)]
+        results: List[Optional[Ciphertext]] = [None] * len(pairs)
+        for moduli, indices in self._grouped(p[0].moduli for p in pairs).items():
+            entries = [pairs[i] for i in indices]
             batch, limbs = len(entries), len(moduli)
-            level = entries[0][1].level
+            level = entries[0][0].level
             tiled = self._tiled_moduli(moduli, batch)
-            stacks = concatenate_arrays([
-                self._stack([lhs.c0 for _, lhs, _ in entries]),
-                self._stack([lhs.c1 for _, lhs, _ in entries]),
-                self._stack([rhs.c0 for _, _, rhs in entries]),
-                self._stack([rhs.c1 for _, _, rhs in entries]),
-            ])
-            evals = self.context.planner.forward_ops(
-                self.context.ring_degree, moduli, stacks)
-            self._record(KernelName.NTT, 4 * batch, limbs)
-            a0, a1 = evals[:batch], evals[batch:2 * batch]
-            b0, b1 = evals[2 * batch:3 * batch], evals[3 * batch:]
-
-            d0 = self._fused_mul(a0, b0, tiled)
-            cross0 = self._fused_mul(a0, b1, tiled)
-            cross1 = self._fused_mul(a1, b0, tiled)
-            d2 = self._fused_mul(a1, b1, tiled)
-            self._record(KernelName.HADAMARD, 4 * batch, limbs)
-            d1 = mat_mod_add(self._fuse(cross0), self._fuse(cross1),
-                             tiled).reshape(d0.shape)
-            self._record(KernelName.ELE_ADD, batch, limbs)
-
-            coeff = self.context.planner.inverse_ops(
-                self.context.ring_degree, moduli,
-                concatenate_arrays([d0, d1, d2]))
-            self._record(KernelName.INTT, 3 * batch, limbs)
+            coeff = self._tensor_product(entries, moduli, tiled)
             # Generalized key switching, fused across the B axis: the dnum
             # decomposition of every stream stacks into one (B, dnum, L, N)
             # tensor and runs as batched ModUp / NTT / inner-product /
@@ -271,13 +243,13 @@ class BatchedEvaluator:
                 [self._poly(moduli, coeff[2 * batch + j]) for j in range(batch)],
                 relinearization_key, level)
             outputs = []
-            for slot, component in enumerate(("c0", "c1")):
+            for slot in (0, 1):
                 own = coeff[slot * batch:(slot + 1) * batch]
                 key_part = self._stack([pair[slot] for pair in switched])
                 fused = mat_mod_add(self._fuse(own), self._fuse(key_part), tiled)
                 self._record(KernelName.ELE_ADD, batch, limbs)
                 outputs.append(fused.reshape(own.shape))
-            for j, (i, lhs, rhs) in enumerate(entries):
+            for j, (i, (lhs, rhs)) in enumerate(zip(indices, entries)):
                 results[i] = Ciphertext(
                     c0=self._poly(moduli, outputs[0][j]),
                     c1=self._poly(moduli, outputs[1][j]),
@@ -285,22 +257,55 @@ class BatchedEvaluator:
                 )
         return results
 
+    def _tensor_product(self, entries, moduli, tiled):
+        """``d0 | d1 | d2`` of every aligned pair: ``(3B, L, N)``, coefficient domain.
+
+        A method of its own so the evaluation-domain operands and partial
+        products are released before the key switch allocates.
+        """
+        batch, limbs = len(entries), len(moduli)
+        evals = self.context.planner.forward_ops(
+            self.context.ring_degree, moduli, concatenate_arrays([
+                self._stack([lhs.c0 for lhs, _ in entries]),
+                self._stack([lhs.c1 for lhs, _ in entries]),
+                self._stack([rhs.c0 for _, rhs in entries]),
+                self._stack([rhs.c1 for _, rhs in entries]),
+            ]))
+        self._record(KernelName.NTT, 4 * batch, limbs)
+        a0, a1 = evals[:batch], evals[batch:2 * batch]
+        b0, b1 = evals[2 * batch:3 * batch], evals[3 * batch:]
+
+        d0 = self._fused_mul(a0, b0, tiled)
+        d1 = mat_mod_add(self._fuse(self._fused_mul(a0, b1, tiled)),
+                         self._fuse(self._fused_mul(a1, b0, tiled)),
+                         tiled).reshape(d0.shape)
+        d2 = self._fused_mul(a1, b1, tiled)
+        self._record(KernelName.HADAMARD, 4 * batch, limbs)
+        self._record(KernelName.ELE_ADD, batch, limbs)
+
+        coeff = self.context.planner.inverse_ops(
+            self.context.ring_degree, moduli,
+            concatenate_arrays([d0, d1, d2]))
+        self._record(KernelName.INTT, 3 * batch, limbs)
+        return coeff
+
     def multiply_and_rescale(self, lhs_streams: Sequence[Ciphertext],
                              rhs_streams: Sequence[Ciphertext],
                              relinearization_key: SwitchKey) -> List[Ciphertext]:
-        """Batched HMULT followed by batched RESCALE."""
+        """HMULT followed by RESCALE (the common usage pattern)."""
         return self.rescale(
             self.multiply(lhs_streams, rhs_streams, relinearization_key))
 
     # ------------------------------------------------------------------
-    # RESCALE: B level drops, three fused launches per group
+    # RESCALE (Alg. 6): B level drops, three fused launches per group
     # ------------------------------------------------------------------
     def rescale(self, ciphertexts: Sequence[Ciphertext]) -> List[Ciphertext]:
-        """Batched RESCALE: drop the last prime of every stream at once."""
+        """RESCALE: drop the last prime of every stream and divide its scale."""
         ciphertexts = list(ciphertexts)
         for ciphertext in ciphertexts:
             if ciphertext.level == 0:
                 raise ValueError("cannot rescale a level-0 ciphertext")
+        ciphertexts = [self._coefficient(ct) for ct in ciphertexts]
         results: List[Optional[Ciphertext]] = [None] * len(ciphertexts)
         for moduli, indices in self._grouped(
                 ct.moduli for ct in ciphertexts).items():
@@ -308,8 +313,8 @@ class BatchedEvaluator:
             surviving = moduli[:-1]
             last_prime = moduli[-1]
             tiled = self._tiled_moduli(surviving, 2 * batch)
-            inverse_rows = np.tile(
-                self.context.rescale_inverses(moduli), (2 * batch, 1))
+            inverse_rows = tiled_rows(
+                self.context.rescale_inverses(moduli), 2 * batch)
             polys = ([ciphertexts[i].c0 for i in indices]
                      + [ciphertexts[i].c1 for i in indices])
             stacks = self._stack(polys)                       # (2B, L, N)
@@ -318,7 +323,9 @@ class BatchedEvaluator:
             # gather (bit-identical to the historical broadcast view).
             last = stacks[:, np.full(limbs - 1, limbs - 1, dtype=np.int64), :]
             # (c_i - c_last) * q_last^{-1} mod q_i, all streams and limbs
-            # in three funnel launches over the (2B*(L-1), N) fused matrix.
+            # in three funnel launches over the (2B*(L-1), N) fused matrix;
+            # the funnel multiply stays exact for moduli whose residue
+            # products overflow int64.
             reduced_last = mat_mod_reduce(last.reshape(-1, head.shape[2]), tiled)
             diff = mat_mod_sub(self._fuse(head), reduced_last, tiled)
             scaled = mat_mod_mul(diff, inverse_rows, tiled).reshape(head.shape)
@@ -326,79 +333,68 @@ class BatchedEvaluator:
             for j, i in enumerate(indices):
                 ciphertext = ciphertexts[i]
                 results[i] = Ciphertext(
-                    c0=self._poly(surviving, scaled[j], ciphertext.c0.domain),
-                    c1=self._poly(surviving, scaled[batch + j], ciphertext.c1.domain),
+                    c0=self._poly(surviving, scaled[j]),
+                    c1=self._poly(surviving, scaled[batch + j]),
                     scale=ciphertext.scale / last_prime,
                     level=ciphertext.level - 1,
                 )
         return results
 
     # ------------------------------------------------------------------
-    # HROTATE / HCONJ: B automorphisms plus one fused key switch
+    # HROTATE (Alg. 4) / HCONJ: B automorphisms plus one fused key switch
     # ------------------------------------------------------------------
     def rotate(self, ciphertexts: Sequence[Ciphertext], steps: int,
                rotation_keys: RotationKeySet) -> List[Ciphertext]:
-        """Batched HROTATE: rotate every stream by the same ``steps``.
+        """HROTATE: cyclically rotate every stream's slots by ``steps``.
 
         The automorphism is one gather over the stacked ``(2B, L, N)``
         residues and the key switch runs B-fused; streams are grouped by
-        their active prime chain exactly like the other batched paths.
+        their active prime chain exactly like the other operations.
         """
         ciphertexts = list(ciphertexts)
         if not ciphertexts:
-            # Match the sequential loop over zero streams, which never
-            # resolves a key: empty in, empty out.
+            # Zero streams never resolve a key: empty in, empty out.
             return []
         steps %= self.context.slot_count
         if steps == 0:
             return [ciphertext.copy() for ciphertext in ciphertexts]
         galois_element = galois_element_for_rotation(
             steps, self.context.ring_degree)
-        switch_key = rotation_keys.for_steps(steps)
-        return self._apply_galois_many(
-            ciphertexts, galois_element, switch_key, KernelName.FROBENIUS,
-            lambda ct: self.evaluator.rotate(ct, steps, rotation_keys))
+        return self._apply_galois(ciphertexts, galois_element,
+                                  rotation_keys.for_steps(steps),
+                                  KernelName.FROBENIUS)
 
     def conjugate(self, ciphertexts: Sequence[Ciphertext],
                   rotation_keys: RotationKeySet) -> List[Ciphertext]:
-        """Batched HCONJ: conjugate the slot vector of every stream."""
+        """HCONJ: complex-conjugate the slot vector of every stream."""
         ciphertexts = list(ciphertexts)
         if not ciphertexts:
             return []
         if rotation_keys.conjugation_key is None:
             raise ValueError("rotation key set has no conjugation key")
-        galois_element = 2 * self.context.ring_degree - 1
-        return self._apply_galois_many(
-            ciphertexts, galois_element, rotation_keys.conjugation_key,
-            KernelName.CONJUGATE,
-            lambda ct: self.evaluator.conjugate(ct, rotation_keys))
+        return self._apply_galois(ciphertexts, 2 * self.context.ring_degree - 1,
+                                  rotation_keys.conjugation_key,
+                                  KernelName.CONJUGATE)
 
-    def _apply_galois_many(self, ciphertexts: Sequence[Ciphertext],
-                           galois_element: int, switch_key: SwitchKey,
-                           kernel: str, sequential) -> List[Ciphertext]:
+    def _apply_galois(self, ciphertexts: Sequence[Ciphertext],
+                      galois_element: int, switch_key: SwitchKey,
+                      kernel: str) -> List[Ciphertext]:
+        ciphertexts = [self._coefficient(ct) for ct in ciphertexts]
         results: List[Optional[Ciphertext]] = [None] * len(ciphertexts)
-        fusable: List[Tuple[int, Ciphertext]] = []
-        for i, ciphertext in enumerate(ciphertexts):
-            if self._all_coefficient(ciphertext.c0, ciphertext.c1):
-                fusable.append((i, ciphertext))
-            else:
-                results[i] = sequential(ciphertext)
-
         for moduli, indices in self._grouped(
-                entry[1].moduli for entry in fusable).items():
-            entries = [fusable[k] for k in indices]
+                ct.moduli for ct in ciphertexts).items():
+            entries = [ciphertexts[i] for i in indices]
             batch, limbs = len(entries), len(moduli)
-            level = entries[0][1].level
+            level = entries[0].level
             tiled = self._tiled_moduli(moduli, batch)
-            stacks = concatenate_arrays([
-                self._stack([ct.c0 for _, ct in entries]),
-                self._stack([ct.c1 for _, ct in entries]),
-            ])                                            # (2B, L, N)
-            column = np.asarray(moduli, dtype=np.int64)[:, None]
-            # The automorphism is a host-side index gather (a counted
-            # staging point for device-resident streams).
-            rotated = apply_automorphism_coeff(as_ndarray(stacks),
-                                               galois_element, column)
+            # The automorphism is a host-side index gather over the
+            # (2B, L, N) stack (a counted staging point for device-resident
+            # streams).
+            rotated = apply_automorphism_coeff(
+                as_ndarray(concatenate_arrays([
+                    self._stack([ct.c0 for ct in entries]),
+                    self._stack([ct.c1 for ct in entries]),
+                ])), galois_element, moduli_column(moduli))
             self._record(kernel, 2 * batch, limbs)
             switched = self.key_switcher.switch_many(
                 [self._poly(moduli, rotated[batch + j]) for j in range(batch)],
@@ -408,7 +404,7 @@ class BatchedEvaluator:
                                 self._fuse(key_part), tiled)
             self._record(KernelName.ELE_ADD, batch, limbs)
             summed = fused.reshape(key_part.shape)
-            for j, (i, ciphertext) in enumerate(entries):
+            for j, (i, ciphertext) in enumerate(zip(indices, entries)):
                 results[i] = Ciphertext(
                     c0=self._poly(moduli, summed[j]),
                     c1=switched[j][1],
@@ -428,6 +424,60 @@ class BatchedEvaluator:
             )
         return zip(lhs, rhs)
 
+    def _check_scales(self, lhs_scale: float, rhs_scale: float) -> None:
+        if not math.isclose(lhs_scale, rhs_scale, rel_tol=_RELATIVE_SCALE_TOLERANCE):
+            raise ValueError(
+                "scale mismatch (%.3g vs %.3g); rescale before adding" %
+                (lhs_scale, rhs_scale)
+            )
+
+    def _coefficient_poly(self, polynomial: RnsPolynomial) -> RnsPolynomial:
+        """``polynomial`` itself, or its counted INTT if it is evaluation-domain."""
+        if polynomial.domain == PolyDomain.COEFFICIENT:
+            return polynomial
+        self._record(KernelName.INTT, 1, polynomial.limb_count)
+        return polynomial.to_coefficient(self.context.planner)
+
+    def _coefficient(self, ciphertext: Ciphertext) -> Ciphertext:
+        """``ciphertext`` itself when already coefficient-domain (the usual case)."""
+        c0 = self._coefficient_poly(ciphertext.c0)
+        c1 = self._coefficient_poly(ciphertext.c1)
+        if c0 is ciphertext.c0 and c1 is ciphertext.c1:
+            return ciphertext
+        return Ciphertext(c0, c1, ciphertext.scale, ciphertext.level)
+
+    def _at_level(self, ciphertext: Ciphertext, level: int) -> Ciphertext:
+        """``ciphertext`` on the chain of ``level``; itself when already there.
+
+        The operations only read their aligned operands (every output is
+        freshly computed), so no defensive copy is taken here.
+        """
+        if level > ciphertext.level:
+            raise ValueError("cannot raise the level of a ciphertext")
+        if level == ciphertext.level:
+            return ciphertext
+        moduli = self.context.moduli_at_level(level)
+        return Ciphertext(
+            c0=ciphertext.c0.restrict_to(moduli),
+            c1=ciphertext.c1.restrict_to(moduli),
+            scale=ciphertext.scale,
+            level=level,
+        )
+
+    def _aligned(self, lhs: Ciphertext, rhs: Ciphertext):
+        """Both operands at their minimum level, in the coefficient domain."""
+        level = min(lhs.level, rhs.level)
+        return (self._coefficient(self._at_level(lhs, level)),
+                self._coefficient(self._at_level(rhs, level)))
+
+    def _plain_at_level(self, plaintext: Plaintext, level: int) -> RnsPolynomial:
+        """An encoded plaintext restricted to the ciphertext's active basis."""
+        moduli = self.context.moduli_at_level(level)
+        polynomial = plaintext.polynomial
+        if tuple(polynomial.moduli) != moduli:
+            polynomial = polynomial.restrict_to(moduli)
+        return self._coefficient_poly(polynomial)
+
     @staticmethod
     def _grouped(moduli_iter) -> Dict[Tuple[int, ...], List[int]]:
         """Stream indices grouped by active prime chain, insertion-ordered."""
@@ -443,6 +493,7 @@ class BatchedEvaluator:
         Returns a :class:`~repro.backend.residency.DeviceBuffer`: the
         gather stays on the device when every stream is resident there,
         and the fused launches downstream thread the handle end-to-end.
+        One stream stacks to a view of its own buffer.
         """
         return stack_arrays([poly.buffer for poly in polys])
 
@@ -453,29 +504,16 @@ class BatchedEvaluator:
 
     @staticmethod
     def _tiled_moduli(moduli: Tuple[int, ...], count: int) -> np.ndarray:
-        """The per-limb chain repeated per operation: ``(count*L,)`` rows."""
-        return np.tile(np.asarray(moduli, dtype=np.int64), count)
+        """The per-limb chain repeated per operation: a ``(count*L, 1)`` column."""
+        return tiled_rows(moduli_column(moduli), count)
 
     def _fused_mul(self, lhs: np.ndarray, rhs: np.ndarray,
                    tiled: np.ndarray) -> np.ndarray:
         """One Hada-Mult funnel launch over stacked ``(B, L, N)`` operands."""
         return mat_mod_mul(self._fuse(lhs), self._fuse(rhs), tiled).reshape(lhs.shape)
 
-    def _poly(self, moduli: Tuple[int, ...], residues: np.ndarray,
-              domain: str = PolyDomain.COEFFICIENT) -> RnsPolynomial:
-        return RnsPolynomial(self.context.ring_degree, moduli, residues, domain)
+    def _poly(self, moduli: Tuple[int, ...], residues) -> RnsPolynomial:
+        return RnsPolynomial(self.context.ring_degree, moduli, residues)
 
     def _record(self, kernel: str, operations: int, limbs: int) -> None:
         self.context.kernels.counter.record_batch(kernel, operations, limbs)
-
-    @staticmethod
-    def _all_coefficient(*polys: RnsPolynomial) -> bool:
-        return all(poly.domain == PolyDomain.COEFFICIENT for poly in polys)
-
-    @staticmethod
-    def _check_pair_domains(lhs: Ciphertext, rhs: Ciphertext) -> None:
-        if (lhs.c0.domain != rhs.c0.domain or lhs.c1.domain != rhs.c1.domain):
-            raise ValueError(
-                "polynomial domains differ (%s/%s vs %s/%s)"
-                % (lhs.c0.domain, lhs.c1.domain, rhs.c0.domain, rhs.c1.domain)
-            )

@@ -1,10 +1,10 @@
-"""B-fused generalized key switching (paper Algorithm 1 across streams).
+"""Generalized key switching (paper Algorithm 1) as fused ``(B, ...)`` launches.
 
-:class:`KeySwitcher` executes Algorithm 1 for one polynomial; its dnum
-decomposition loop is limb-batched but still runs once per ciphertext, so a
-batch of *B* HMULT/rotation streams pays ``B`` separate launch sequences
-for the most expensive CKKS primitive.  :class:`BatchedKeySwitcher` fuses
-the whole stream batch:
+``switch_many`` takes ``B`` polynomials ``d`` that are currently paired with
+a foreign secret (``s^2`` after multiplication, ``s(X^g)`` after an
+automorphism) and returns one ciphertext pair ``(c0, c1)`` per stream with
+``c0 + c1*s ≈ d * s_from``.  The stream axis leads every tensor, so one
+ciphertext is the ``B = 1`` case of the same launches:
 
 * **Dcomp** — the dnum restriction of every stream is one gather into a
   ``(B, dnum, L, N)`` residue tensor;
@@ -20,18 +20,14 @@ the whole stream batch:
   basis through one ``inverse_ops`` call and one batched Conv
   (:meth:`~repro.rns.moddown.ModDown.apply_batch`).
 
-Results are bit-identical to looping :meth:`KeySwitcher.switch` over the
-streams, and the kernel counters record exactly the same invocations and
-limb-vectors (via :meth:`~repro.kernels.base.KernelCounter.record_batch`).
-Degenerate batches never stack: an empty batch returns immediately and a
-single stream delegates to the sequential switcher, so no ``(B, dnum, L,
-N)`` temporaries are allocated unless at least two streams fuse.
+The kernel counters record the per-stream invocations and limb-vectors of
+Algorithm 1 (via :meth:`~repro.kernels.base.KernelCounter.record_batch`),
+so one ``B``-stream call counts exactly what ``B`` one-stream calls do.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -46,11 +42,17 @@ from ..backend.residency import (
 )
 from ..kernels.base import KernelName
 from ..numtheory.floatmod import get_barrett_chain
-from ..numtheory.modular import mat_mod_add, mat_mod_mul, mat_mod_reduce
+from ..numtheory.modular import (
+    mat_mod_add,
+    mat_mod_mul,
+    mat_mod_reduce,
+    tiled_rows,
+)
+from ..rns.moddown import ModDown
+from ..rns.modup import ModUp
 from ..rns.poly import PolyDomain, RnsPolynomial
 from .context import CkksContext
 from .keys import SwitchKey
-from .keyswitch import KeySwitcher
 
 __all__ = ["BatchedKeySwitcher"]
 
@@ -58,37 +60,22 @@ __all__ = ["BatchedKeySwitcher"]
 class BatchedKeySwitcher:
     """Key switching for a whole stream batch as fused launches."""
 
-    def __init__(self, context: CkksContext, *,
-                 key_switcher: Optional[KeySwitcher] = None) -> None:
+    def __init__(self, context: CkksContext) -> None:
         self.context = context
-        #: Sequential switcher: shares its ModUp/ModDown caches with the
-        #: fused path and executes degenerate single-stream batches.
-        self.key_switcher = (key_switcher if key_switcher is not None
-                             else KeySwitcher(context))
-        # Stacked (dnum * L', N) images of each SwitchKeyLevel's (b, a)
-        # pairs, built once per level.  Keyed by object identity; the
-        # stored reference pins the level object so its id cannot be
-        # recycled.  LRU-bounded: each entry duplicates a level's key
-        # residues, and a long-lived context can touch arbitrarily many
-        # (rotation key, level) combinations.
-        self._key_stack_cache = OrderedDict()
+        self._modup_cache = {}
+        self._moddown_cache = {}
 
     def switch_many(self, polynomials: Sequence[RnsPolynomial],
                     switch_key: SwitchKey, level: int
                     ) -> List[Tuple[RnsPolynomial, RnsPolynomial]]:
         """Key-switch ``B`` coefficient-domain polynomials at ``level``.
 
-        All polynomials must live on the level's active basis (the same
-        precondition :meth:`KeySwitcher.switch` enforces per stream).
-        Returns one ``(c0, c1)`` pair per stream, in order.
+        All polynomials must live on the level's active basis.  Returns
+        one ``(c0, c1)`` pair per stream, in order.
         """
         polynomials = list(polynomials)
         if not polynomials:
             return []
-        if len(polynomials) == 1:
-            # Degenerate batch: no stacked temporaries, same launches as
-            # the sequential path.
-            return [self.key_switcher.switch(polynomials[0], switch_key, level)]
 
         context = self.context
         counter = context.kernels.counter
@@ -103,89 +90,90 @@ class BatchedKeySwitcher:
                     "polynomial basis does not match the requested level")
         key_level = switch_key.at_level(level)
 
+        # Each stage is a method call nested in the next one's arguments,
+        # so its (B, dnum, L', N) temporaries die with it and the next
+        # stage's launches reuse their memory.
         batch = len(polynomials)
-        ring_degree = context.ring_degree
-        ext_count = len(extended)
+        accumulators = self._inner_product(
+            self._raise(polynomials, key_level.group_moduli, active, extended),
+            key_level.stacks, batch, extended)
+        # INTT + ModDown: both components of every stream at once.
+        coeff = context.planner.inverse_ops(
+            context.ring_degree, extended, accumulators)
+        counter.record_batch(KernelName.INTT, 2 * batch, len(extended))
+        counter.record_batch(KernelName.CONV, batch, 2 * len(active))
+        lowered = self._moddown_for(active).apply_batch(coeff)    # (2B, L, N)
+        return [
+            (RnsPolynomial(context.ring_degree, active, lowered[j]),
+             RnsPolynomial(context.ring_degree, active, lowered[batch + j]))
+            for j in range(batch)
+        ]
+
+    def _raise(self, polynomials, groups, active, extended):
+        """Dcomp + ModUp + NTT: ``(B * dnum, L', N)`` evaluation-domain slices."""
+        context = self.context
+        counter = context.kernels.counter
+        batch, ext_count = len(polynomials), len(extended)
         active_index = {q: i for i, q in enumerate(active)}
         # Stream gather through the residency handles: stays device-side
         # when every stream is resident on the same backend.
         stacked = stack_arrays([p.buffer for p in polynomials])  # (B, L, N)
-
-        # Dcomp + ModUp: one batched Conv per decomposition group.
-        raised_groups = []
-        for group in key_level.group_moduli:
-            rows = np.asarray([active_index[q] for q in group], dtype=np.int64)
-            modup = self.key_switcher._modup_for(group, extended)
+        # One batched Conv per decomposition group.
+        for group in groups:
             counter.record_batch(KernelName.CONV, batch,
                                  ext_count - len(group))
-            raised_groups.append(
-                modup.apply_batch(contiguous(stacked[:, rows])))
-        dnum = len(raised_groups)
-        raised = stack_arrays(raised_groups, axis=1)    # (B, dnum, ext, N)
-
-        # NTT: all B * dnum extended slices in one engine call.
+        raised = stack_arrays([
+            self._modup_for(group, extended).apply_batch(contiguous(
+                stacked[:, np.asarray([active_index[q] for q in group],
+                                      dtype=np.int64)]))
+            for group in groups
+        ], axis=1)                                      # (B, dnum, ext, N)
+        # All B * dnum extended slices in one engine call.
         evals = context.planner.forward_ops(
-            ring_degree, extended,
-            raised.reshape(batch * dnum, ext_count, ring_degree))
-        counter.record_batch(KernelName.NTT, batch * dnum, ext_count)
+            context.ring_degree, extended,
+            raised.reshape(batch * len(groups), ext_count, context.ring_degree))
+        counter.record_batch(KernelName.NTT, batch * len(groups), ext_count)
+        return evals
 
-        # Inner product: one fused Hada-Mult launch per key component,
-        # then an exact modular fold of the dnum axis.
+    def _inner_product(self, evals, key_stacks, batch: int, extended):
+        """Both key components against every slice: a ``(2B, L', N)`` stack.
+
+        One fused Hada-Mult launch per key component, then an exact
+        modular fold of the dnum axis.
+        """
+        counter = self.context.kernels.counter
+        ext_count, ring_degree = len(extended), self.context.ring_degree
+        dnum = evals.shape[0] // batch
         ext_column = np.asarray(extended, dtype=np.int64)[:, None]
-        tiled_column = np.tile(ext_column, (batch * dnum, 1))
+        tiled_column = tiled_rows(ext_column, batch * dnum)
         flat_evals = evals.reshape(batch * dnum * ext_count, ring_degree)
         accumulators = []
-        for key_stack in self._key_stacks(key_level):   # (b_j, a_j) pairs
+        for key_stack in key_stacks:                    # (b, a) components
             products = mat_mod_mul(
-                flat_evals, np.tile(key_stack, (batch, 1)), tiled_column)
+                flat_evals, tiled_rows(key_stack, batch), tiled_column)
             counter.record_batch(KernelName.HADAMARD, batch * dnum, ext_count)
             accumulators.append(self._fold_groups(
                 products.reshape(batch, dnum, ext_count, ring_degree),
                 ext_column))
             counter.record_batch(KernelName.ELE_ADD, batch * dnum, ext_count)
-
-        # INTT + ModDown: both components of every stream at once.
-        coeff = context.planner.inverse_ops(
-            ring_degree, extended, concatenate_arrays(accumulators))
-        counter.record_batch(KernelName.INTT, 2 * batch, ext_count)
-        moddown = self.key_switcher._moddown_for(active)
-        counter.record_batch(KernelName.CONV, batch, 2 * len(active))
-        lowered = moddown.apply_batch(coeff)            # (2B, L, N)
-        return [
-            (RnsPolynomial(ring_degree, active, lowered[j]),
-             RnsPolynomial(ring_degree, active, lowered[batch + j]))
-            for j in range(batch)
-        ]
+        return concatenate_arrays(accumulators)
 
     # ------------------------------------------------------------------
-    #: Most-recently-used switch-key levels whose stacked images are kept.
-    KEY_STACK_CACHE_SIZE = 16
+    def _modup_for(self, group, extended) -> ModUp:
+        key = (tuple(group), tuple(extended))
+        instance = self._modup_cache.get(key)
+        if instance is None:
+            instance = ModUp(group, extended)
+            self._modup_cache[key] = instance
+        return instance
 
-    def _key_stacks(self, key_level) -> Tuple[np.ndarray, np.ndarray]:
-        """Cached ``(dnum * L', N)`` stacks of a level's (b, a) key pairs.
-
-        The switch-key material is constant per level, so the per-group
-        residue matrices are stacked once and reused by every fused
-        inner product instead of being rebuilt per call.  The per-call
-        ``np.tile`` across the batch stays: it is transient, small next
-        to the transform GEMMs, and keeps the funnel operands 2-D (a
-        broadcast view would tie this code to per-backend chunking
-        semantics).
-        """
-        cached = self._key_stack_cache.get(id(key_level))
-        if cached is None:
-            stacks = tuple(
-                np.concatenate(
-                    [pair[component].residues for pair in key_level.pairs])
-                for component in (0, 1)
-            )
-            cached = (key_level, stacks)
-            self._key_stack_cache[id(key_level)] = cached
-            if len(self._key_stack_cache) > self.KEY_STACK_CACHE_SIZE:
-                self._key_stack_cache.popitem(last=False)
-        else:
-            self._key_stack_cache.move_to_end(id(key_level))
-        return cached[1]
+    def _moddown_for(self, active) -> ModDown:
+        key = tuple(active)
+        instance = self._moddown_cache.get(key)
+        if instance is None:
+            instance = ModDown(active, self.context.basis.special_primes)
+            self._moddown_cache[key] = instance
+        return instance
 
     @staticmethod
     def _fold_groups(products: np.ndarray, ext_column: np.ndarray) -> np.ndarray:
@@ -194,13 +182,13 @@ class BatchedKeySwitcher:
         Each entry is a reduced residue below its row's prime, so the plain
         int64 sum is exact whenever ``dnum * max(q)`` fits in int64 (always
         for word-sized primes); the fold then reduces once per row, which
-        equals the sequential chain of Ele-Add launches bit for bit.  The
-        pairwise funnel fallback covers pathological moduli.  A
-        float-resident product tensor folds entirely in float64 (the sum
-        of ``dnum`` canonical residues stays far inside the mantissa), so
-        the inner product materialises no int64 image; other residencies
-        stage on host (``as_ndarray`` — a counted crossing for
-        device-resident products).
+        equals a chain of ``dnum`` Ele-Add launches bit for bit.  That
+        chain itself — pairwise funnel adds through the residency handles
+        — folds pathological moduli and device-resident products, which
+        therefore never stage through host.  A float-resident product
+        tensor folds entirely in float64 (the sum of ``dnum`` canonical
+        residues stays far inside the mantissa), so the inner product
+        materialises no int64 image.
         """
         if (is_buffer(products) and products.host_image is None
                 and products.resident_backend is None):
@@ -212,11 +200,11 @@ class BatchedKeySwitcher:
                 folded = chain.canonical_reduce(summed, axis=1)
                 return DeviceBuffer.from_float(
                     FloatResidues(folded, chain.qmax - 1))
-        products = as_ndarray(products)
         batch, dnum, ext_count, ring_degree = products.shape
-        tiled = np.tile(ext_column, (batch, 1))
-        if dnum * int(ext_column.max()) < (1 << 63):
-            summed = products.sum(axis=1, dtype=np.int64)
+        tiled = tiled_rows(ext_column, batch)
+        on_device = is_buffer(products) and products.resident_backend is not None
+        if not on_device and dnum * int(ext_column.max()) < (1 << 63):
+            summed = as_ndarray(products).sum(axis=1, dtype=np.int64)
             return mat_mod_reduce(
                 summed.reshape(batch * ext_count, ring_degree), tiled
             ).reshape(batch, ext_count, ring_degree)

@@ -22,8 +22,8 @@ small relative to ``q0 / Delta``.
 
 :meth:`Bootstrapper.bootstrap_many` runs the whole pipeline for ``B``
 ciphertexts as fused ``(B, L, N)`` / ``(B, dnum, L, N)`` launches through
-a :class:`~repro.ckks.batched_evaluator.BatchedEvaluator` — bit-identical
-to looping :meth:`Bootstrapper.bootstrap`, with identical kernel counters.
+a :class:`~repro.ckks.batched_evaluator.BatchedEvaluator`;
+:meth:`Bootstrapper.bootstrap` is its ``B = 1`` spelling.
 """
 
 from __future__ import annotations
@@ -94,15 +94,8 @@ class Bootstrapper:
                   encryptor: Encryptor, relinearization_key: SwitchKey,
                   rotation_keys: RotationKeySet) -> Ciphertext:
         """Run the full pipeline and return a refreshed ciphertext."""
-        raised = self.mod_raise.apply(ciphertext)
-        slot_low, slot_high = self.coeff_to_slot.apply(
-            raised, evaluator, encryptor, rotation_keys)
-        reduced_low = self._eval_mod(slot_low, evaluator, encryptor,
-                                     relinearization_key, rotation_keys)
-        reduced_high = self._eval_mod(slot_high, evaluator, encryptor,
-                                      relinearization_key, rotation_keys)
-        return self.slot_to_coeff.apply(reduced_low, reduced_high,
-                                        evaluator, encryptor, rotation_keys)
+        return self.bootstrap_many([ciphertext], evaluator.batched, encryptor,
+                                   relinearization_key, rotation_keys)[0]
 
     def bootstrap_many(self, ciphertexts: Sequence[Ciphertext],
                        batched_evaluator: BatchedEvaluator,
@@ -110,20 +103,13 @@ class Bootstrapper:
                        rotation_keys: RotationKeySet) -> List[Ciphertext]:
         """Bootstrap ``B`` ciphertexts as fused batched launches.
 
-        Every stage runs the exact per-stream operation sequence of
-        :meth:`bootstrap` through the batched evaluator, so results are
-        bit-identical to the sequential loop and the kernel counters
-        record the same invocations.  A single stream delegates to the
-        sequential pipeline (no stacked temporaries), an empty batch
-        returns immediately.
+        Every stage runs its per-stream operation sequence through the
+        batched evaluator, so a stream's refreshed bits and the kernel
+        counts it adds do not depend on the batch it rode in.
         """
         ciphertexts = list(ciphertexts)
         if not ciphertexts:
             return []
-        if len(ciphertexts) == 1:
-            return [self.bootstrap(ciphertexts[0], batched_evaluator.evaluator,
-                                   encryptor, relinearization_key,
-                                   rotation_keys)]
         raised = self.mod_raise.apply_many(ciphertexts)
         slot_lows, slot_highs = self.coeff_to_slot.apply_many(
             raised, batched_evaluator, encryptor, rotation_keys)
@@ -152,9 +138,10 @@ class Bootstrapper:
                 config.taylor_degree, scale_factor),
         )
 
-    def _eval_mod(self, ciphertext: Ciphertext, evaluator: Evaluator,
-                  encryptor: Encryptor, relinearization_key: SwitchKey,
-                  rotation_keys: RotationKeySet) -> Ciphertext:
+    def _eval_mod_many(self, ciphertexts: Sequence[Ciphertext],
+                       batched_evaluator: BatchedEvaluator,
+                       encryptor: Encryptor,
+                       relinearization_key: SwitchKey) -> List[Ciphertext]:
         """Approximate ``t mod q0`` on every slot via the sine evaluation."""
         base_prime = self.context.basis.ciphertext_primes[0]
         sine = self._sine_evaluator()
@@ -162,37 +149,6 @@ class Bootstrapper:
         # exact double-angle iterations: s' = 2*s*c, c' = 1 - 2*s^2.  Each
         # iteration costs one level (the two HMULTs run side by side); the
         # doublings are plain HADDs of a ciphertext with itself.
-        sin_ct, cos_ct = sine.apply_pair(ciphertext, evaluator, encryptor,
-                                         relinearization_key)
-        for _ in range(self.config.double_angle_iterations):
-            product = evaluator.multiply_and_rescale(sin_ct, cos_ct,
-                                                     relinearization_key)
-            squared = evaluator.multiply_and_rescale(sin_ct, sin_ct,
-                                                     relinearization_key)
-            sin_ct = evaluator.add(product, product)
-            doubled = evaluator.add(squared, squared)
-            cos_ct = evaluator.negate(doubled)
-            one = encryptor.encode(
-                np.full(self.context.slot_count, 1.0), scale=cos_ct.scale,
-                level=cos_ct.level,
-            )
-            cos_ct = evaluator.add_plain(cos_ct, one)
-        # Rescale the sine value back into message units: t mod q0 ~=
-        # (q0 / 2*pi) * sin(2*pi*t/q0); the slots should end up holding m/Delta.
-        final_factor = base_prime / (2.0 * math.pi * self.context.scale)
-        plain = encryptor.encode(
-            np.full(self.context.slot_count, final_factor), scale=sin_ct.scale,
-            level=sin_ct.level,
-        )
-        return evaluator.rescale(evaluator.multiply_plain(sin_ct, plain))
-
-    def _eval_mod_many(self, ciphertexts: Sequence[Ciphertext],
-                       batched_evaluator: BatchedEvaluator,
-                       encryptor: Encryptor,
-                       relinearization_key: SwitchKey) -> List[Ciphertext]:
-        """Batched :meth:`_eval_mod`: fused sine ladder and double angles."""
-        base_prime = self.context.basis.ciphertext_primes[0]
-        sine = self._sine_evaluator()
         sin_cts, cos_cts = sine.apply_pair_many(
             ciphertexts, batched_evaluator, encryptor, relinearization_key)
         for _ in range(self.config.double_angle_iterations):
@@ -203,11 +159,14 @@ class Bootstrapper:
             sin_cts = batched_evaluator.add(products, products)
             doubled = batched_evaluator.add(squares, squares)
             cos_cts = batched_evaluator.negate(doubled)
-            ones = sine._encoded_constant_per_level(1.0, cos_cts, encryptor)
+            ones = encryptor.encode_for_streams(
+                np.full(self.context.slot_count, 1.0), cos_cts)
             cos_cts = batched_evaluator.add_plain(cos_cts, ones)
+        # Rescale the sine value back into message units: t mod q0 ~=
+        # (q0 / 2*pi) * sin(2*pi*t/q0); the slots should end up holding m/Delta.
         final_factor = base_prime / (2.0 * math.pi * self.context.scale)
-        plains = sine._encoded_constant_per_level(final_factor, sin_cts,
-                                                  encryptor)
+        plains = encryptor.encode_for_streams(
+            np.full(self.context.slot_count, final_factor), sin_cts)
         return batched_evaluator.rescale(
             batched_evaluator.multiply_plain(sin_cts, plains))
 

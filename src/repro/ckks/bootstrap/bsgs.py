@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..ciphertext import Ciphertext, Plaintext
+from ..ciphertext import Ciphertext
 from ..context import CkksContext
 from ..encryptor import Encryptor
 from ..evaluator import Evaluator
@@ -94,36 +94,8 @@ class BsgsLinearTransform:
     def apply(self, ciphertext: Ciphertext, evaluator: Evaluator,
               encryptor: Encryptor, rotation_keys: RotationKeySet) -> Ciphertext:
         """Evaluate the transform on ``ciphertext`` (one level consumed)."""
-        slot_count = self.context.slot_count
-        # Group diagonals by giant step so each baby-rotated ciphertext is reused.
-        by_giant: Dict[int, Dict[int, np.ndarray]] = {}
-        for offset, diagonal in self.diagonals.items():
-            baby = offset % self.n1
-            giant = offset - baby
-            by_giant.setdefault(giant, {})[baby] = diagonal
-
-        baby_cache: Dict[int, Ciphertext] = {0: ciphertext}
-        accumulator = None
-        for giant in sorted(by_giant):
-            inner = None
-            for baby, diagonal in sorted(by_giant[giant].items()):
-                rotated = baby_cache.get(baby)
-                if rotated is None:
-                    rotated = evaluator.rotate(ciphertext, baby, rotation_keys)
-                    baby_cache[baby] = rotated
-                # Pre-rotate the diagonal by -giant so one giant rotation at
-                # the end of the group suffices (the standard BSGS trick).
-                shifted = np.roll(diagonal, giant % slot_count)
-                plain = encryptor.encode(shifted, scale=self.scale,
-                                         level=rotated.level)
-                term = evaluator.multiply_plain(rotated, plain)
-                inner = term if inner is None else evaluator.add(inner, term)
-            if giant % slot_count:
-                inner = evaluator.rotate(inner, giant % slot_count, rotation_keys)
-            accumulator = inner if accumulator is None else evaluator.add(accumulator, inner)
-        if accumulator is None:
-            raise ValueError("the transform matrix is identically zero")
-        return evaluator.rescale(accumulator)
+        return self.apply_many([ciphertext], evaluator.batched, encryptor,
+                               rotation_keys)[0]
 
     def apply_many(self, ciphertexts: Sequence[Ciphertext],
                    batched_evaluator, encryptor: Encryptor,
@@ -136,18 +108,14 @@ class BsgsLinearTransform:
         every giant-step group's diagonal multiplies are single fused
         CMULT launches, and the giant rotations fuse the same way.  Each
         shifted diagonal is encoded once per (scale, level) — not once
-        per ciphertext — which is bit-identical to the sequential path
-        because encoding is deterministic.  A single stream delegates to
-        :meth:`apply`; results and kernel counters match the sequential
-        loop exactly.
+        per ciphertext; encoding is deterministic, so a stream's result
+        does not depend on which streams share its batch.
         """
         ciphertexts = list(ciphertexts)
         if not ciphertexts:
             return []
-        if len(ciphertexts) == 1:
-            return [self.apply(ciphertexts[0], batched_evaluator.evaluator,
-                               encryptor, rotation_keys)]
         slot_count = self.context.slot_count
+        # Group diagonals by giant step so each baby-rotated batch is reused.
         by_giant: Dict[int, Dict[int, np.ndarray]] = {}
         for offset, diagonal in self.diagonals.items():
             baby = offset % self.n1
@@ -164,8 +132,11 @@ class BsgsLinearTransform:
                     rotated = batched_evaluator.rotate(ciphertexts, baby,
                                                        rotation_keys)
                     baby_cache[baby] = rotated
+                # Pre-rotate the diagonal by -giant so one giant rotation at
+                # the end of the group suffices (the standard BSGS trick).
                 shifted = np.roll(diagonal, giant % slot_count)
-                plains = self._encode_per_level(shifted, rotated, encryptor)
+                plains = encryptor.encode_for_streams(shifted, rotated,
+                                                      scale=self.scale)
                 terms = batched_evaluator.multiply_plain(rotated, plains)
                 inner = terms if inner is None else batched_evaluator.add(
                     inner, terms)
@@ -177,21 +148,6 @@ class BsgsLinearTransform:
         if accumulator is None:
             raise ValueError("the transform matrix is identically zero")
         return batched_evaluator.rescale(accumulator)
-
-    def _encode_per_level(self, shifted: np.ndarray,
-                          ciphertexts: Sequence[Ciphertext],
-                          encryptor: Encryptor) -> List[Plaintext]:
-        """One deterministic encode per distinct stream level."""
-        cache: Dict[int, object] = {}
-        plains = []
-        for ciphertext in ciphertexts:
-            plain = cache.get(ciphertext.level)
-            if plain is None:
-                plain = encryptor.encode(shifted, scale=self.scale,
-                                         level=ciphertext.level)
-                cache[ciphertext.level] = plain
-            plains.append(plain)
-        return plains
 
     def reference(self, values: Sequence[complex]) -> np.ndarray:
         """Plaintext evaluation of the same transform (test oracle)."""

@@ -24,7 +24,6 @@ import numpy as np
 from ..ciphertext import Ciphertext
 from ..context import CkksContext
 from ..encryptor import Encryptor
-from ..evaluator import Evaluator
 from ..keys import RotationKeySet
 from .bsgs import BsgsLinearTransform
 
@@ -56,18 +55,11 @@ class SlotToCoeff:
         steps.update(self.transform1.rotation_steps())
         return sorted(steps)
 
-    def apply(self, coeff_low: Ciphertext, coeff_high: Ciphertext,
-              evaluator: Evaluator, encryptor: Encryptor,
-              rotation_keys: RotationKeySet) -> Ciphertext:
-        part0 = self.transform0.apply(coeff_low, evaluator, encryptor, rotation_keys)
-        part1 = self.transform1.apply(coeff_high, evaluator, encryptor, rotation_keys)
-        return evaluator.add(part0, part1)
-
     def apply_many(self, coeff_lows: Sequence[Ciphertext],
                    coeff_highs: Sequence[Ciphertext], batched_evaluator,
                    encryptor: Encryptor,
                    rotation_keys: RotationKeySet) -> List[Ciphertext]:
-        """Batched :meth:`apply`: two fused BSGS transforms and one HADD."""
+        """Two fused BSGS transforms and one HADD over ``B`` stream pairs."""
         part0 = self.transform0.apply_many(coeff_lows, batched_evaluator,
                                            encryptor, rotation_keys)
         part1 = self.transform1.apply_many(coeff_highs, batched_evaluator,
@@ -100,24 +92,10 @@ class CoeffToSlot:
             steps.update(transform.rotation_steps())
         return sorted(steps)
 
-    def apply(self, ciphertext: Ciphertext, evaluator: Evaluator,
-              encryptor: Encryptor,
-              rotation_keys: RotationKeySet) -> Tuple[Ciphertext, Ciphertext]:
-        conjugated = evaluator.conjugate(ciphertext, rotation_keys)
-        low = evaluator.add(
-            self.transform0_direct.apply(ciphertext, evaluator, encryptor, rotation_keys),
-            self.transform0_conj.apply(conjugated, evaluator, encryptor, rotation_keys),
-        )
-        high = evaluator.add(
-            self.transform1_direct.apply(ciphertext, evaluator, encryptor, rotation_keys),
-            self.transform1_conj.apply(conjugated, evaluator, encryptor, rotation_keys),
-        )
-        return low, high
-
     def apply_many(self, ciphertexts: Sequence[Ciphertext], batched_evaluator,
                    encryptor: Encryptor, rotation_keys: RotationKeySet
                    ) -> Tuple[List[Ciphertext], List[Ciphertext]]:
-        """Batched :meth:`apply`: one fused HCONJ, four fused BSGS stages."""
+        """One fused HCONJ and four fused BSGS stages over ``B`` streams."""
         conjugated = batched_evaluator.conjugate(ciphertexts, rotation_keys)
         lows = batched_evaluator.add(
             self.transform0_direct.apply_many(ciphertexts, batched_evaluator,

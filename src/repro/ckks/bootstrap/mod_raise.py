@@ -34,29 +34,11 @@ class ModRaise:
 
     def apply(self, ciphertext: Ciphertext) -> Ciphertext:
         """Return the same ciphertext re-embedded at ``target_level``."""
-        if ciphertext.level != 0:
-            raise ValueError("ModRaise expects a level-0 (exhausted) ciphertext")
-        if ciphertext.c0.domain != PolyDomain.COEFFICIENT:
-            raise ValueError("ModRaise expects coefficient-domain ciphertexts")
-        return Ciphertext(
-            c0=self._raise_poly(ciphertext.c0),
-            c1=self._raise_poly(ciphertext.c1),
-            scale=ciphertext.scale,
-            level=self.target_level,
-        )
+        return self.apply_many([ciphertext])[0]
 
     def apply_many(self, ciphertexts: Sequence[Ciphertext]) -> List[Ciphertext]:
-        """Raise ``B`` ciphertexts as one broadcast over the (B, L, N) stack.
-
-        The centring and re-reduction are element-wise, so the batched
-        broadcast is bit-identical to looping :meth:`apply`; a single
-        stream delegates to the sequential path (no stacked temporaries).
-        """
+        """Raise ``B`` ciphertexts as one broadcast over the (B, L, N) stack."""
         ciphertexts = list(ciphertexts)
-        if not ciphertexts:
-            return []
-        if len(ciphertexts) == 1:
-            return [self.apply(ciphertexts[0])]
         for ciphertext in ciphertexts:
             if ciphertext.level != 0:
                 raise ValueError(
@@ -64,6 +46,8 @@ class ModRaise:
             if ciphertext.c0.domain != PolyDomain.COEFFICIENT:
                 raise ValueError(
                     "ModRaise expects coefficient-domain ciphertexts")
+        if not ciphertexts:
+            return []
         target_moduli = self.context.moduli_at_level(self.target_level)
         column = moduli_column(target_moduli)
         raised_components = []
@@ -71,10 +55,12 @@ class ModRaise:
             polys = [getattr(ct, component) for ct in ciphertexts]
             base_prime = polys[0].moduli[0]
             stacked = np.stack([poly.residues[0] for poly in polys])  # (B, N)
+            # Centre the residues in (-q0/2, q0/2] before re-reducing so the
+            # implicit integer polynomial I stays small.  The re-reduction
+            # over the full chain is one broadcast against the moduli column.
             centered = np.where(stacked > base_prime // 2,
                                 stacked - base_prime, stacked)
-            raised = centered[:, None, :] % column                    # (B, L, N)
-            raised_components.append(raised)
+            raised_components.append(centered[:, None, :] % column)   # (B, L, N)
         return [
             Ciphertext(
                 c0=RnsPolynomial(ct.c0.ring_degree, target_moduli,
@@ -86,15 +72,3 @@ class ModRaise:
             )
             for j, ct in enumerate(ciphertexts)
         ]
-
-    def _raise_poly(self, polynomial: RnsPolynomial) -> RnsPolynomial:
-        base_prime = polynomial.moduli[0]
-        residues = polynomial.residues[0]
-        # Centre the residues in (-q0/2, q0/2] before re-reducing so the
-        # implicit integer polynomial I stays small.  The re-reduction over
-        # the full chain is one broadcast against the moduli column.
-        centered = np.where(residues > base_prime // 2, residues - base_prime, residues)
-        target_moduli = self.context.moduli_at_level(self.target_level)
-        raised = centered[None, :] % moduli_column(target_moduli)
-        return RnsPolynomial(polynomial.ring_degree, target_moduli,
-                             raised, PolyDomain.COEFFICIENT)

@@ -14,12 +14,12 @@ the sine and cosine polynomials over one shared square-and-multiply power
 ladder (:meth:`SineEvaluator.apply_pair`), so the cosine costs only the
 extra even-power terms, not a second ladder.
 
-Every sequential entry point has a ``*_many`` sibling that runs the same
-operation sequence through a
-:class:`~repro.ckks.batched_evaluator.BatchedEvaluator`, fusing the
-HMULT/CMULT/HADD streams of ``B`` independent ciphertexts into single
-``(B, L, N)`` launches — bit-identical to the per-stream loop, with the
-Taylor coefficients encoded once per level instead of once per stream.
+The evaluation runs through a
+:class:`~repro.ckks.batched_evaluator.BatchedEvaluator`, so the
+HMULT/CMULT/HADD streams of ``B`` independent ciphertexts are single
+``(B, L, N)`` launches and the Taylor coefficients are encoded once per
+level instead of once per stream; ``apply`` / ``apply_pair`` are the
+one-ciphertext spellings of ``apply_many`` / ``apply_pair_many``.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..batched_evaluator import BatchedEvaluator
-from ..ciphertext import Ciphertext, Plaintext
+from ..ciphertext import Ciphertext
 from ..context import CkksContext
 from ..encryptor import Encryptor
 from ..evaluator import Evaluator
@@ -98,17 +98,11 @@ class SineEvaluator:
         """Levels consumed: one per power-doubling plus one for the sum."""
         return max(1, math.ceil(math.log2(max(2, self.degree)))) + 1
 
-    # ------------------------------------------------------------------
-    # Sequential evaluation
-    # ------------------------------------------------------------------
     def apply(self, ciphertext: Ciphertext, evaluator: Evaluator,
               encryptor: Encryptor, relinearization_key: SwitchKey) -> Ciphertext:
         """Homomorphically evaluate ``p(ct)`` using cached power ciphertexts."""
-        needed = self._needed_terms(self.coefficients)
-        powers = self._build_powers(ciphertext, needed, evaluator,
-                                    relinearization_key)
-        return self._accumulate(self.coefficients, needed, powers,
-                                evaluator, encryptor)
+        return self.apply_many([ciphertext], evaluator.batched, encryptor,
+                               relinearization_key)[0]
 
     def apply_pair(self, ciphertext: Ciphertext, evaluator: Evaluator,
                    encryptor: Encryptor, relinearization_key: SwitchKey):
@@ -116,26 +110,17 @@ class SineEvaluator:
 
         Returns ``(sin_ct, cos_ct)``; requires ``cosine_coefficients``.
         """
-        if self.cosine_coefficients is None:
-            raise ValueError("apply_pair needs cosine_coefficients")
-        needed_sin = self._needed_terms(self.coefficients)
-        needed_cos = self._needed_terms(self.cosine_coefficients)
-        needed = sorted(set(needed_sin) | set(needed_cos))
-        powers = self._build_powers(ciphertext, needed, evaluator,
-                                    relinearization_key)
-        sin_ct = self._accumulate(self.coefficients, needed_sin, powers,
-                                  evaluator, encryptor)
-        cos_ct = self._accumulate(self.cosine_coefficients, needed_cos, powers,
-                                  evaluator, encryptor)
-        return sin_ct, cos_ct
+        sin_cts, cos_cts = self.apply_pair_many(
+            [ciphertext], evaluator.batched, encryptor, relinearization_key)
+        return sin_cts[0], cos_cts[0]
 
     # ------------------------------------------------------------------
-    # Batched evaluation: the same operation sequence over B fused streams
+    # The operation sequence over B fused streams
     # ------------------------------------------------------------------
     def apply_many(self, ciphertexts: Sequence[Ciphertext],
                    batched_evaluator: BatchedEvaluator, encryptor: Encryptor,
                    relinearization_key: SwitchKey) -> List[Ciphertext]:
-        """Batched :meth:`apply`: one fused HMULT/CMULT/HADD stream per step."""
+        """Evaluate ``p(ct)`` per stream: one fused HMULT/CMULT/HADD launch per step."""
         ciphertexts = list(ciphertexts)
         if not ciphertexts:
             return []
@@ -148,7 +133,7 @@ class SineEvaluator:
     def apply_pair_many(self, ciphertexts: Sequence[Ciphertext],
                         batched_evaluator: BatchedEvaluator,
                         encryptor: Encryptor, relinearization_key: SwitchKey):
-        """Batched :meth:`apply_pair`: returns ``(sin_streams, cos_streams)``."""
+        """Both series over one shared ladder: ``(sin_streams, cos_streams)``."""
         if self.cosine_coefficients is None:
             raise ValueError("apply_pair_many needs cosine_coefficients")
         ciphertexts = list(ciphertexts)
@@ -166,7 +151,7 @@ class SineEvaluator:
         return sin_cts, cos_cts
 
     # ------------------------------------------------------------------
-    # Shared internals
+    # Internals
     # ------------------------------------------------------------------
     @staticmethod
     def _needed_terms(coefficients: Sequence[float]) -> List[int]:
@@ -175,81 +160,11 @@ class SineEvaluator:
             raise ValueError("polynomial has no non-constant terms")
         return needed
 
-    def _build_powers(self, ciphertext: Ciphertext, needed: Sequence[int],
-                      evaluator: Evaluator, relinearization_key) -> Dict[int, Ciphertext]:
-        """Square-and-multiply ladder for every power in ``needed``."""
-        powers = {1: ciphertext}
-        highest = max(needed)
-        power = 1
-        while power * 2 <= highest:
-            powers[power * 2] = evaluator.multiply_and_rescale(
-                powers[power], powers[power], relinearization_key)
-            power *= 2
-        for k in needed:
-            if k not in powers:
-                self._compose_power(k, powers, evaluator, relinearization_key)
-        return powers
-
-    def _accumulate(self, coefficients: Sequence[float], needed: Sequence[int],
-                    powers: Dict[int, Ciphertext], evaluator: Evaluator,
-                    encryptor: Encryptor) -> Ciphertext:
-        accumulator = None
-        for k in needed:
-            coefficient = coefficients[k]
-            base = powers[k]
-            plain = encryptor.encode(
-                np.full(self.context.slot_count, coefficient), scale=base.scale,
-                level=base.level,
-            )
-            term = evaluator.rescale(evaluator.multiply_plain(base, plain))
-            accumulator = term if accumulator is None else self._add_aligned(
-                accumulator, term, evaluator)
-        constant = coefficients[0]
-        if constant:
-            plain = encryptor.encode(
-                np.full(self.context.slot_count, constant), scale=accumulator.scale,
-                level=accumulator.level,
-            )
-            accumulator = evaluator.add_plain(accumulator, plain)
-        return accumulator
-
-    def _compose_power(self, exponent: int, powers, evaluator: Evaluator,
-                       relinearization_key) -> Ciphertext:
-        """Build ``ct**exponent`` from already-computed power ciphertexts."""
-        remaining = exponent
-        parts = []
-        bit = 1
-        while remaining:
-            if remaining & 1:
-                parts.append(powers[bit])
-            remaining >>= 1
-            bit <<= 1
-        result = parts[0]
-        for part in parts[1:]:
-            result = evaluator.multiply_and_rescale(result, part, relinearization_key)
-        powers[exponent] = result
-        return result
-
-    def _add_aligned(self, lhs: Ciphertext, rhs: Ciphertext,
-                     evaluator: Evaluator) -> Ciphertext:
-        """Add two ciphertexts whose scales may differ slightly.
-
-        Power-of-two Taylor terms end up at marginally different scales
-        because the chain primes are only approximately equal to the
-        encoding scale; the difference is absorbed into the result scale,
-        which is the standard approximate-arithmetic treatment.
-        """
-        lhs, rhs = evaluator.align(lhs, rhs)
-        rhs = Ciphertext(rhs.c0, rhs.c1, lhs.scale, rhs.level)
-        return evaluator.add(lhs, rhs)
-
-    # ------------------------------------------------------------------
-    # Batched internals: identical per-stream op sequence, fused launches
-    # ------------------------------------------------------------------
     def _build_powers_many(self, ciphertexts: List[Ciphertext],
                            needed: Sequence[int],
                            batched_evaluator: BatchedEvaluator,
                            relinearization_key) -> Dict[int, List[Ciphertext]]:
+        """Square-and-multiply ladder for every power in ``needed``."""
         powers = {1: ciphertexts}
         highest = max(needed)
         power = 1
@@ -266,6 +181,7 @@ class SineEvaluator:
     def _compose_power_many(self, exponent: int, powers,
                             batched_evaluator: BatchedEvaluator,
                             relinearization_key) -> List[Ciphertext]:
+        """Build ``ct**exponent`` from already-computed power ciphertexts."""
         remaining = exponent
         parts = []
         bit = 1
@@ -289,48 +205,30 @@ class SineEvaluator:
         accumulator = None
         for k in needed:
             bases = powers[k]
-            plains = self._encoded_constant_per_level(
-                coefficients[k], bases, encryptor)
+            plains = encryptor.encode_for_streams(
+                np.full(self.context.slot_count, coefficients[k]), bases)
             terms = batched_evaluator.rescale(
                 batched_evaluator.multiply_plain(bases, plains))
             accumulator = terms if accumulator is None else \
                 self._add_aligned_many(accumulator, terms, batched_evaluator)
         constant = coefficients[0]
         if constant:
-            plains = self._encoded_constant_per_level(
-                constant, accumulator, encryptor)
+            plains = encryptor.encode_for_streams(
+                np.full(self.context.slot_count, constant), accumulator)
             accumulator = batched_evaluator.add_plain(accumulator, plains)
         return accumulator
-
-    def _encoded_constant_per_level(self, value: float,
-                                    ciphertexts: Sequence[Ciphertext],
-                                    encryptor: Encryptor) -> List[Plaintext]:
-        """Encode a constant once per (scale, level), not once per stream.
-
-        Encoding is deterministic, so the shared plaintext is bit-identical
-        to the per-stream encodes of the sequential path.
-        """
-        cache: Dict = {}
-        plains = []
-        for ciphertext in ciphertexts:
-            key = (ciphertext.scale, ciphertext.level)
-            plain = cache.get(key)
-            if plain is None:
-                plain = encryptor.encode(
-                    np.full(self.context.slot_count, value),
-                    scale=ciphertext.scale, level=ciphertext.level)
-                cache[key] = plain
-            plains.append(plain)
-        return plains
 
     def _add_aligned_many(self, lhs_streams: Sequence[Ciphertext],
                           rhs_streams: Sequence[Ciphertext],
                           batched_evaluator: BatchedEvaluator) -> List[Ciphertext]:
-        """Batched :meth:`_add_aligned`: absorb per-stream scale drift."""
-        evaluator = batched_evaluator.evaluator
-        aligned_lhs, aligned_rhs = [], []
-        for lhs, rhs in zip(lhs_streams, rhs_streams):
-            lhs, rhs = evaluator.align(lhs, rhs)
-            aligned_lhs.append(lhs)
-            aligned_rhs.append(Ciphertext(rhs.c0, rhs.c1, lhs.scale, rhs.level))
-        return batched_evaluator.add(aligned_lhs, aligned_rhs)
+        """Add streams whose scales may differ slightly.
+
+        Power-of-two Taylor terms end up at marginally different scales
+        because the chain primes are only approximately equal to the
+        encoding scale; the difference is absorbed into the result scale,
+        which is the standard approximate-arithmetic treatment.
+        """
+        return batched_evaluator.add(lhs_streams, [
+            Ciphertext(rhs.c0, rhs.c1, lhs.scale, rhs.level)
+            for lhs, rhs in zip(lhs_streams, rhs_streams)
+        ])

@@ -8,7 +8,7 @@ produces slightly less noise and is handy in tests.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..rns.poly import PolyDomain, RnsPolynomial
 from .ciphertext import Ciphertext, Plaintext
@@ -42,6 +42,23 @@ class Encryptor:
         polynomial = RnsPolynomial.from_integers(coefficients, moduli,
                                                  context.ring_degree)
         return Plaintext(polynomial=polynomial, scale=scale, level=level)
+
+    def encode_for_streams(self, values: Sequence[complex],
+                           ciphertexts: Sequence[Ciphertext], *,
+                           scale: Optional[float] = None) -> List[Plaintext]:
+        """``values`` encoded for every stream, once per distinct (scale, level).
+
+        ``scale=None`` takes each stream's own scale.  Encoding is
+        deterministic, so sharing a plaintext between streams changes no bit.
+        """
+        cache = {}
+        plains = []
+        for ciphertext in ciphertexts:
+            key = (ciphertext.scale if scale is None else scale, ciphertext.level)
+            if key not in cache:
+                cache[key] = self.encode(values, scale=key[0], level=key[1])
+            plains.append(cache[key])
+        return plains
 
     # ------------------------------------------------------------------
     def encrypt(self, values: Sequence[complex], *, scale: Optional[float] = None) -> Ciphertext:

@@ -1,211 +1,89 @@
-"""The CKKS evaluator: HADD, HMULT, CMULT, HROTATE, RESCALE (paper Algs. 2-6).
+"""The singular CKKS evaluator API: one ciphertext in, one ciphertext out.
 
-Every operation is composed from the seven reusable kernels of the
-hierarchical reconstruction, routed through the kernel layer so that the
-instrumentation counters reproduce the operation→kernel mapping of
-Table II of the paper.
+Every operation is the ``B = 1`` case of the fused ``(B, L, N)``
+implementation in :class:`~repro.ckks.batched_evaluator.BatchedEvaluator`:
+the methods here wrap their operands in one-element stream lists and unwrap
+the result.  No arithmetic lives in this module, so a lone ciphertext and
+a batch run the same kernels, produce the same bits and record the same
+Table II kernel counts.
 """
 
 from __future__ import annotations
 
-import math
 from typing import Optional
 
-from ..kernels import ops as kernel_ops
-from ..kernels.automorphism import galois_element_for_rotation
-from ..numtheory.modular import mat_mod_mul, mat_mod_reduce, mat_mod_sub, moduli_column
-from ..rns.poly import RnsPolynomial
+from .batched_evaluator import BatchedEvaluator
 from .ciphertext import Ciphertext, Plaintext
 from .context import CkksContext
 from .keys import RotationKeySet, SwitchKey
-from .keyswitch import KeySwitcher
 
 __all__ = ["Evaluator"]
 
-_RELATIVE_SCALE_TOLERANCE = 1e-6
-
 
 class Evaluator:
-    """Homomorphic operations on CKKS ciphertexts."""
+    """Homomorphic operations on single CKKS ciphertexts."""
 
     def __init__(self, context: CkksContext) -> None:
         self.context = context
-        self.key_switcher = KeySwitcher(context)
+        #: The stream-list implementation every method below adapts.
+        self.batched = BatchedEvaluator(context)
 
     # ------------------------------------------------------------------
     # Level and scale bookkeeping
     # ------------------------------------------------------------------
     def drop_to_level(self, ciphertext: Ciphertext, level: int) -> Ciphertext:
         """Reduce a ciphertext to a lower level by dropping RNS limbs."""
-        if level > ciphertext.level:
-            raise ValueError("cannot raise the level of a ciphertext")
-        if level == ciphertext.level:
-            return ciphertext.copy()
-        moduli = self.context.moduli_at_level(level)
-        return Ciphertext(
-            c0=ciphertext.c0.restrict_to(moduli),
-            c1=ciphertext.c1.restrict_to(moduli),
-            scale=ciphertext.scale,
-            level=level,
-        )
+        return self.batched.drop_to_level([ciphertext], level)[0]
 
     def align(self, lhs: Ciphertext, rhs: Ciphertext):
         """Bring two ciphertexts to the same (minimum) level."""
         level = min(lhs.level, rhs.level)
         return self.drop_to_level(lhs, level), self.drop_to_level(rhs, level)
 
-    def _check_scales(self, lhs_scale: float, rhs_scale: float) -> None:
-        if not math.isclose(lhs_scale, rhs_scale, rel_tol=_RELATIVE_SCALE_TOLERANCE):
-            raise ValueError(
-                "scale mismatch (%.3g vs %.3g); rescale before adding" %
-                (lhs_scale, rhs_scale)
-            )
-
     # ------------------------------------------------------------------
     # HADD / subtraction (Alg. 5)
     # ------------------------------------------------------------------
     def add(self, lhs: Ciphertext, rhs: Ciphertext) -> Ciphertext:
         """HADD: element-wise addition of two ciphertexts."""
-        lhs, rhs = self.align(lhs, rhs)
-        self._check_scales(lhs.scale, rhs.scale)
-        kernels = self.context.kernels
-        return Ciphertext(
-            c0=kernel_ops.element_add(kernels, lhs.c0, rhs.c0),
-            c1=kernel_ops.element_add(kernels, lhs.c1, rhs.c1),
-            scale=lhs.scale,
-            level=lhs.level,
-        )
+        return self.batched.add([lhs], [rhs])[0]
 
     def subtract(self, lhs: Ciphertext, rhs: Ciphertext) -> Ciphertext:
         """Element-wise subtraction of two ciphertexts."""
-        lhs, rhs = self.align(lhs, rhs)
-        self._check_scales(lhs.scale, rhs.scale)
-        kernels = self.context.kernels
-        return Ciphertext(
-            c0=kernel_ops.element_subtract(kernels, lhs.c0, rhs.c0),
-            c1=kernel_ops.element_subtract(kernels, lhs.c1, rhs.c1),
-            scale=lhs.scale,
-            level=lhs.level,
-        )
+        return self.batched.subtract([lhs], [rhs])[0]
 
     def negate(self, ciphertext: Ciphertext) -> Ciphertext:
         """Negate a ciphertext."""
-        return Ciphertext(
-            c0=ciphertext.c0.negate(),
-            c1=ciphertext.c1.negate(),
-            scale=ciphertext.scale,
-            level=ciphertext.level,
-        )
+        return self.batched.negate([ciphertext])[0]
 
     def add_plain(self, ciphertext: Ciphertext, plaintext: Plaintext) -> Ciphertext:
         """Add an encoded plaintext to a ciphertext."""
-        self._check_scales(ciphertext.scale, plaintext.scale)
-        kernels = self.context.kernels
-        plain_poly = self._plain_at_level(plaintext, ciphertext.level)
-        return Ciphertext(
-            c0=kernel_ops.element_add(kernels, ciphertext.c0, plain_poly),
-            c1=ciphertext.c1.copy(),
-            scale=ciphertext.scale,
-            level=ciphertext.level,
-        )
+        return self.batched.add_plain([ciphertext], [plaintext])[0]
 
     # ------------------------------------------------------------------
-    # CMULT (Alg. 3)
+    # CMULT (Alg. 3), HMULT (Alg. 2), RESCALE (Alg. 6)
     # ------------------------------------------------------------------
     def multiply_plain(self, ciphertext: Ciphertext, plaintext: Plaintext) -> Ciphertext:
         """CMULT: multiply a ciphertext by an encoded plaintext."""
-        kernels = self.context.kernels
-        planner = self.context.planner
-        plain_poly = self._plain_at_level(plaintext, ciphertext.level)
-        plain_eval = kernel_ops.ntt(kernels, plain_poly)
-        c0_eval = kernel_ops.ntt(kernels, ciphertext.c0)
-        c1_eval = kernel_ops.ntt(kernels, ciphertext.c1)
-        d0 = kernel_ops.hadamard_multiply(kernels, c0_eval, plain_eval)
-        d1 = kernel_ops.hadamard_multiply(kernels, c1_eval, plain_eval)
-        return Ciphertext(
-            c0=kernel_ops.intt(kernels, d0),
-            c1=kernel_ops.intt(kernels, d1),
-            scale=ciphertext.scale * plaintext.scale,
-            level=ciphertext.level,
-        )
+        return self.batched.multiply_plain([ciphertext], [plaintext])[0]
 
-    # ------------------------------------------------------------------
-    # HMULT (Alg. 2)
-    # ------------------------------------------------------------------
     def multiply(self, lhs: Ciphertext, rhs: Ciphertext,
                  relinearization_key: SwitchKey) -> Ciphertext:
         """HMULT: ciphertext-by-ciphertext multiplication with relinearization."""
-        lhs, rhs = self.align(lhs, rhs)
-        kernels = self.context.kernels
-        level = lhs.level
-
-        a0 = kernel_ops.ntt(kernels, lhs.c0)
-        a1 = kernel_ops.ntt(kernels, lhs.c1)
-        b0 = kernel_ops.ntt(kernels, rhs.c0)
-        b1 = kernel_ops.ntt(kernels, rhs.c1)
-
-        d0 = kernel_ops.hadamard_multiply(kernels, a0, b0)
-        cross0 = kernel_ops.hadamard_multiply(kernels, a0, b1)
-        cross1 = kernel_ops.hadamard_multiply(kernels, a1, b0)
-        d1 = kernel_ops.element_add(kernels, cross0, cross1)
-        d2 = kernel_ops.hadamard_multiply(kernels, a1, b1)
-
-        d2_coeff = kernel_ops.intt(kernels, d2)
-        switched0, switched1 = self.key_switcher.switch(d2_coeff,
-                                                        relinearization_key, level)
-        c0 = kernel_ops.element_add(kernels, kernel_ops.intt(kernels, d0), switched0)
-        c1 = kernel_ops.element_add(kernels, kernel_ops.intt(kernels, d1), switched1)
-        return Ciphertext(c0=c0, c1=c1, scale=lhs.scale * rhs.scale, level=level)
+        return self.batched.multiply([lhs], [rhs], relinearization_key)[0]
 
     def multiply_and_rescale(self, lhs: Ciphertext, rhs: Ciphertext,
                              relinearization_key: SwitchKey) -> Ciphertext:
         """HMULT followed by RESCALE (the common usage pattern)."""
-        return self.rescale(self.multiply(lhs, rhs, relinearization_key))
+        return self.batched.multiply_and_rescale([lhs], [rhs],
+                                                 relinearization_key)[0]
 
     def square(self, ciphertext: Ciphertext, relinearization_key: SwitchKey) -> Ciphertext:
         """Square a ciphertext (HMULT with itself)."""
         return self.multiply(ciphertext, ciphertext, relinearization_key)
 
-    # ------------------------------------------------------------------
-    # RESCALE (Alg. 6)
-    # ------------------------------------------------------------------
     def rescale(self, ciphertext: Ciphertext) -> Ciphertext:
         """RESCALE: drop the last prime and divide the scale by it."""
-        if ciphertext.level == 0:
-            raise ValueError("cannot rescale a level-0 ciphertext")
-        last_prime = ciphertext.moduli[-1]
-        new_level = ciphertext.level - 1
-        c0 = self._rescale_poly(ciphertext.c0)
-        c1 = self._rescale_poly(ciphertext.c1)
-        # Ele-Sub bookkeeping happens inside _rescale_poly; record level drop.
-        return Ciphertext(c0=c0, c1=c1, scale=ciphertext.scale / last_prime,
-                          level=new_level)
-
-    def _rescale_poly(self, polynomial: RnsPolynomial) -> RnsPolynomial:
-        """Exact rescaling ``(c_i - c_last) * q_last^{-1} mod q_i``, all limbs at once.
-
-        The per-level inverse column ``q_last^{-1} mod q_i`` is cached on
-        the context, so a rescale is three vectorised funnel launches over
-        the surviving limbs (reduce the last limb per surviving prime,
-        subtract, multiply by the inverse) — all threading the polynomial's
-        residency handle, so a device-resident ciphertext rescales without
-        a host copy.  Bit-identical to the historical host expression
-        ``(c[:-1] - c[-1] % column) % column`` times the inverse.
-        """
-        kernels = self.context.kernels
-        moduli = polynomial.moduli[:-1]
-        column = moduli_column(moduli)
-        inverse_column = self.context.rescale_inverses(polynomial.moduli)
-        buffer = polynomial.buffer
-        # (1, N) last limb reduced against every surviving prime: (L-1, N).
-        reduced_last = mat_mod_reduce(buffer[-1:], column)
-        diff = mat_mod_sub(buffer[:-1], reduced_last, column)
-        # Funnel multiply: exact even for moduli whose residue products
-        # overflow int64, matching the batched rescale bit for bit.
-        residues = mat_mod_mul(diff, inverse_column, column)
-        kernels.counter.record(kernel_ops.KernelName.ELE_SUB, len(moduli))
-        return RnsPolynomial(polynomial.ring_degree, moduli, residues,
-                             polynomial.domain)
+        return self.batched.rescale([ciphertext])[0]
 
     # ------------------------------------------------------------------
     # HROTATE (Alg. 4) and conjugation
@@ -213,39 +91,12 @@ class Evaluator:
     def rotate(self, ciphertext: Ciphertext, steps: int,
                rotation_keys: RotationKeySet) -> Ciphertext:
         """HROTATE: cyclically rotate the slot vector by ``steps`` positions."""
-        steps %= self.context.slot_count
-        if steps == 0:
-            return ciphertext.copy()
-        galois_element = galois_element_for_rotation(steps, self.context.ring_degree)
-        switch_key = rotation_keys.for_steps(steps)
-        return self._apply_galois(ciphertext, galois_element, switch_key)
+        return self.batched.rotate([ciphertext], steps, rotation_keys)[0]
 
     def conjugate(self, ciphertext: Ciphertext,
                   rotation_keys: RotationKeySet) -> Ciphertext:
         """Complex-conjugate the slot vector (HCONJ)."""
-        if rotation_keys.conjugation_key is None:
-            raise ValueError("rotation key set has no conjugation key")
-        kernels = self.context.kernels
-        rotated_c0 = kernel_ops.conjugate(kernels, ciphertext.c0)
-        rotated_c1 = kernel_ops.conjugate(kernels, ciphertext.c1)
-        return self._switch_rotated(ciphertext, rotated_c0, rotated_c1,
-                                    rotation_keys.conjugation_key)
-
-    def _apply_galois(self, ciphertext: Ciphertext, galois_element: int,
-                      switch_key: SwitchKey) -> Ciphertext:
-        kernels = self.context.kernels
-        rotated_c0 = kernel_ops.frobenius_map(kernels, ciphertext.c0, galois_element)
-        rotated_c1 = kernel_ops.frobenius_map(kernels, ciphertext.c1, galois_element)
-        return self._switch_rotated(ciphertext, rotated_c0, rotated_c1, switch_key)
-
-    def _switch_rotated(self, ciphertext: Ciphertext, rotated_c0: RnsPolynomial,
-                        rotated_c1: RnsPolynomial, switch_key: SwitchKey) -> Ciphertext:
-        kernels = self.context.kernels
-        switched0, switched1 = self.key_switcher.switch(rotated_c1, switch_key,
-                                                        ciphertext.level)
-        c0 = kernel_ops.element_add(kernels, rotated_c0, switched0)
-        return Ciphertext(c0=c0, c1=switched1, scale=ciphertext.scale,
-                          level=ciphertext.level)
+        return self.batched.conjugate([ciphertext], rotation_keys)[0]
 
     # ------------------------------------------------------------------
     # Convenience: encrypted linear algebra helpers used by the examples
@@ -267,10 +118,3 @@ class Evaluator:
             result = self.add(result, rotated)
             step *= 2
         return result
-
-    def _plain_at_level(self, plaintext: Plaintext, level: int) -> RnsPolynomial:
-        """Restrict an encoded plaintext to the ciphertext's active basis."""
-        moduli = self.context.moduli_at_level(level)
-        if tuple(plaintext.polynomial.moduli) == moduli:
-            return plaintext.polynomial
-        return plaintext.polynomial.restrict_to(moduli)

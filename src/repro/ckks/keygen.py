@@ -11,7 +11,7 @@ at once so the evaluator never needs the secret key.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -144,9 +144,12 @@ class KeyGenerator:
         s_eval = secret_key.as_polynomial(extended).to_evaluation(planner)
         source_eval = source_key_mod(extended).to_evaluation(planner)
 
-        pairs: List[Tuple[RnsPolynomial, RnsPolynomial]] = []
-        group_list: List[Tuple[int, ...]] = []
-        for group in groups:
+        # The (b, a) pairs land group after group in the two stacked
+        # matrices the key is stored as; nothing else outlives a group.
+        rows = len(extended)
+        stacks = tuple(np.empty((len(groups) * rows, n), dtype=np.int64)
+                       for _ in range(2))
+        for index, group in enumerate(groups):
             group_product = 1
             for prime in group:
                 group_product *= prime
@@ -168,9 +171,11 @@ class KeyGenerator:
             ).to_evaluation(planner)
             payload = source_eval.scalar_multiply_per_limb(factors)
             b_poly = a_poly.hadamard(s_eval).negate().add(error).add(payload)
-            pairs.append((b_poly, a_poly))
-            group_list.append(tuple(group))
-        return SwitchKeyLevel(level=level, group_moduli=group_list, pairs=pairs)
+            for stack, poly in zip(stacks, (b_poly, a_poly)):
+                stack[index * rows:(index + 1) * rows] = poly.residues
+        return SwitchKeyLevel(level=level,
+                              group_moduli=[tuple(group) for group in groups],
+                              stacks=stacks)
 
     def _square_secret(self, secret_key: SecretKey):
         """Return a callable producing ``s^2`` in any requested basis."""

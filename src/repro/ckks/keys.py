@@ -5,7 +5,7 @@ reduced into any RNS basis on demand.  Switch keys (used for
 relinearization, rotation and conjugation) follow the generalized
 key-switching of the paper: for every level they hold one ``(b_j, a_j)``
 pair per decomposition group, stored in the evaluation domain over the
-extended basis ``C_l ∪ P``.
+extended basis ``C_l ∪ P`` as two stacked residue matrices.
 """
 
 from __future__ import annotations
@@ -57,19 +57,23 @@ class PublicKey:
 
 @dataclass
 class SwitchKeyLevel:
-    """Key-switching material for one ciphertext level."""
+    """Key-switching material for one ciphertext level.
+
+    The ``(b_j, a_j)`` pairs of the ``dnum`` decomposition groups are held
+    once, concatenated group after group into the two ``(dnum * L', N)``
+    evaluation-domain residue matrices ``stacks = (b, a)`` over the
+    extended basis — the operand the fused inner product consumes.
+    """
 
     level: int
     group_moduli: List[Tuple[int, ...]]
-    pairs: List[Tuple[RnsPolynomial, RnsPolynomial]]
+    stacks: Tuple[np.ndarray, np.ndarray]
 
     def __post_init__(self) -> None:
-        if len(self.group_moduli) != len(self.pairs):
-            raise ValueError("one (b, a) pair per decomposition group is required")
-
-    @property
-    def group_count(self) -> int:
-        return len(self.pairs)
+        for stack in self.stacks:
+            if stack.ndim != 2 or stack.shape[0] % len(self.group_moduli):
+                raise ValueError(
+                    "one extended-basis slice per decomposition group is required")
 
 
 @dataclass

@@ -1,33 +1,17 @@
-"""Generalized key switching (paper Algorithm 1).
+"""Generalized key switching (paper Algorithm 1) for one polynomial.
 
-``KeySwitcher.switch`` takes a polynomial ``d`` that is currently paired
-with a foreign secret (``s^2`` after multiplication, ``s(X^g)`` after an
-automorphism) and returns a ciphertext pair ``(c0, c1)`` such that
-``c0 + c1*s ≈ d * s_from``.  The sequence of kernels matches Algorithm 1:
-
-* ``Dcomp`` — restrict ``d`` to each decomposition group;
-* ``ModUp`` — extend each slice to the basis ``C_l ∪ P`` (Conv kernel);
-* ``Inner-product`` — Hadamard-accumulate against the switch-key pairs
-  (NTT + Hada-Mult + Ele-Add kernels);
-* ``ModDown`` — divide by ``P`` and return to the ciphertext basis
-  (INTT + Conv kernels).
-
-Every step executes limb-batched: the NTT/INTT kernels are one batched
-engine call per polynomial, the Hadamard/Ele-Add inner product is a single
-2-D launch over the extended basis, and ModUp/ModDown run their Conv as a
-row-moduli GEMM.  Only the loop over the ``dnum`` decomposition groups
-remains at the Python level, matching the paper's launch structure.
+The algorithm lives in
+:class:`~repro.ckks.batched_keyswitch.BatchedKeySwitcher`; a lone
+polynomial is its ``B = 1`` case, and :class:`KeySwitcher` is the singular
+spelling of that call.
 """
 
 from __future__ import annotations
 
 from typing import Tuple
 
-from ..kernels import ops as kernel_ops
-from ..kernels.base import KernelName
-from ..rns.moddown import ModDown
-from ..rns.modup import ModUp
-from ..rns.poly import PolyDomain, RnsPolynomial
+from ..rns.poly import RnsPolynomial
+from .batched_keyswitch import BatchedKeySwitcher
 from .context import CkksContext
 from .keys import SwitchKey
 
@@ -39,56 +23,9 @@ class KeySwitcher:
 
     def __init__(self, context: CkksContext) -> None:
         self.context = context
-        self._modup_cache = {}
-        self._moddown_cache = {}
+        self.batched = BatchedKeySwitcher(context)
 
     def switch(self, polynomial: RnsPolynomial, switch_key: SwitchKey,
                level: int) -> Tuple[RnsPolynomial, RnsPolynomial]:
         """Key-switch ``polynomial`` (coefficient domain, level basis)."""
-        context = self.context
-        kernels = context.kernels
-        if polynomial.domain != PolyDomain.COEFFICIENT:
-            raise ValueError("key switching expects a coefficient-domain polynomial")
-        active = context.moduli_at_level(level)
-        if tuple(polynomial.moduli) != active:
-            raise ValueError("polynomial basis does not match the requested level")
-        extended = context.extended_moduli_at_level(level)
-        key_level = switch_key.at_level(level)
-
-        c0_acc = RnsPolynomial.zero(context.ring_degree, extended, PolyDomain.EVALUATION)
-        c1_acc = RnsPolynomial.zero(context.ring_degree, extended, PolyDomain.EVALUATION)
-        for group, (b_poly, a_poly) in zip(key_level.group_moduli, key_level.pairs):
-            slice_poly = polynomial.restrict_to(group)
-            modup = self._modup_for(group, extended)
-            kernels.counter.record(KernelName.CONV, len(extended) - len(group))
-            extended_slice = modup.apply(slice_poly)
-            slice_eval = kernel_ops.ntt(kernels, extended_slice)
-            c0_acc = kernel_ops.element_add(
-                kernels, c0_acc, kernel_ops.hadamard_multiply(kernels, slice_eval, b_poly)
-            )
-            c1_acc = kernel_ops.element_add(
-                kernels, c1_acc, kernel_ops.hadamard_multiply(kernels, slice_eval, a_poly)
-            )
-
-        c0_coeff = kernel_ops.intt(kernels, c0_acc)
-        c1_coeff = kernel_ops.intt(kernels, c1_acc)
-        moddown = self._moddown_for(active)
-        kernels.counter.record(KernelName.CONV, 2 * len(active))
-        return moddown.apply(c0_coeff), moddown.apply(c1_coeff)
-
-    # ------------------------------------------------------------------
-    def _modup_for(self, group, extended) -> ModUp:
-        key = (tuple(group), tuple(extended))
-        instance = self._modup_cache.get(key)
-        if instance is None:
-            instance = ModUp(group, extended)
-            self._modup_cache[key] = instance
-        return instance
-
-    def _moddown_for(self, active) -> ModDown:
-        key = tuple(active)
-        instance = self._moddown_cache.get(key)
-        if instance is None:
-            instance = ModDown(active, self.context.basis.special_primes)
-            self._moddown_cache[key] = instance
-        return instance
+        return self.batched.switch_many([polynomial], switch_key, level)[0]

@@ -1,4 +1,4 @@
-"""Kernel layer: the paper's seven reusable arithmetic kernels + instrumentation."""
+"""Kernel layer: the paper's kernel taxonomy, its counters and the automorphisms."""
 
 from .automorphism import (
     CONJUGATION_EXPONENT,
@@ -8,29 +8,11 @@ from .automorphism import (
     galois_element_for_rotation,
 )
 from .base import KernelContext, KernelCounter, KernelName
-from .ops import (
-    basis_convert,
-    conjugate,
-    element_add,
-    element_subtract,
-    frobenius_map,
-    hadamard_multiply,
-    intt,
-    ntt,
-)
 
 __all__ = [
     "KernelName",
     "KernelCounter",
     "KernelContext",
-    "ntt",
-    "intt",
-    "hadamard_multiply",
-    "element_add",
-    "element_subtract",
-    "frobenius_map",
-    "conjugate",
-    "basis_convert",
     "apply_automorphism_coeff",
     "apply_automorphism_eval",
     "evaluation_permutation",

@@ -1,9 +1,9 @@
 """Kernel instrumentation: names and invocation counters.
 
 The paper's hierarchical reconstruction (Table II) decomposes every CKKS
-operation into seven reusable arithmetic kernels.  The evaluator in this
-library routes all polynomial work through the functions in this package,
-and a :class:`KernelCounter` records how often each kernel ran and how many
+operation into seven reusable arithmetic kernels.  The evaluator and the
+key switcher record every kernel they launch under these names, and a
+:class:`KernelCounter` keeps how often each kernel ran and how many
 limb-vectors it touched.  The tests use the counters to verify the Table II
 composition, and the performance model uses the same kernel taxonomy.
 """
@@ -49,11 +49,6 @@ class KernelCounter:
     invocations: Counter = field(default_factory=Counter)
     limb_vectors: Counter = field(default_factory=Counter)
     transfers: Counter = field(default_factory=Counter)
-
-    def record(self, kernel: str, limbs: int = 1) -> None:
-        """Record one invocation of ``kernel`` touching ``limbs`` limb-vectors."""
-        self.invocations[kernel] += 1
-        self.limb_vectors[kernel] += limbs
 
     def record_batch(self, kernel: str, operations: int,
                      limbs_per_operation: int) -> None:

@@ -299,22 +299,23 @@ class FourStepNtt(NttEngine):
         w2 = self._stage_resident(w2)
         batch, limbs = stacks.shape[0], stacks.shape[1]
         a_mat = stacks.reshape(batch, limbs, self.n1, self.n2)
-        inner = self._gemm_limbs(
+        # One name rebound per step: each step's operand is released as
+        # soon as the next exists, so the peak is two steps wide, not four.
+        work = self._gemm_limbs(                            # inner NTTs
             w1,
             contiguous(a_mat.transpose(1, 2, 0, 3)).reshape(
                 limbs, self.n1, batch * self.n2),
             moduli_array, lhs_cache=w1_cache)
-        twisted = self._hadamard_limbs(
-            inner.reshape(limbs, self.n1, batch, self.n2),
+        work = self._hadamard_limbs(                        # twiddle correction
+            work.reshape(limbs, self.n1, batch, self.n2),
             w2[:, :, None, :], moduli_array)
-        outer = self._gemm_limbs(
-            contiguous(
-                twisted.transpose(0, 2, 1, 3)).reshape(
-                    limbs, batch * self.n1, self.n2),
-            w3, moduli_array, rhs_cache=w3_cache)
+        work = contiguous(work.transpose(0, 2, 1, 3)).reshape(
+            limbs, batch * self.n1, self.n2)
+        work = self._gemm_limbs(work, w3, moduli_array,     # outer DFTs
+                                rhs_cache=w3_cache)
         # Column-major flattening of every (N1, N2) slice, per operation.
         return contiguous(
-            outer.reshape(limbs, batch, self.n1, self.n2)
+            work.reshape(limbs, batch, self.n1, self.n2)
             .transpose(1, 0, 3, 2)).reshape(batch, limbs, self.ring_degree)
 
     # -- hooks the tensor-core engine overrides -------------------------

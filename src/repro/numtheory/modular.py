@@ -39,6 +39,7 @@ __all__ = [
     "vec_mod_mul",
     "vec_mod_neg",
     "moduli_column",
+    "tiled_rows",
     "mat_mod_reduce",
     "mat_mod_add",
     "mat_mod_sub",
@@ -261,6 +262,17 @@ def moduli_column(moduli) -> np.ndarray:
     if column.ndim == 1:
         column = column[:, None]
     return column
+
+
+def tiled_rows(matrix: np.ndarray, count: int) -> np.ndarray:
+    """``matrix`` repeated ``count`` times down the row axis.
+
+    The per-row operand (moduli column, inverse column, key stack) of a
+    fused ``(count * rows, N)`` launch.  One repeat is a read-only view of
+    ``matrix``, so a one-stream launch copies nothing.
+    """
+    return np.broadcast_to(matrix, (count,) + matrix.shape).reshape(
+        count * matrix.shape[0], matrix.shape[1])
 
 
 def mat_mod_reduce(matrix: np.ndarray, moduli) -> np.ndarray:

@@ -20,7 +20,12 @@ import numpy as np
 
 from ..backend.blas_backend import FloatOperandCache
 from ..backend.residency import DeviceBuffer, contiguous, is_buffer
-from ..numtheory.modular import mat_mod_mul, mod_inverse, moduli_column
+from ..numtheory.modular import (
+    mat_mod_mul,
+    mod_inverse,
+    moduli_column,
+    tiled_rows,
+)
 from ..ntt.gemm_utils import modular_matmul_rows
 from .poly import PolyDomain, RnsPolynomial
 
@@ -69,39 +74,18 @@ class BasisConverter:
             self.q_hat_mod_target).attach_float_cache(
                 FloatOperandCache(self.q_hat_mod_target))
 
-    def convert_residues(self, residues: np.ndarray) -> np.ndarray:
-        """Convert a ``(len(source), N)`` residue matrix to the target basis.
-
-        The conversion is two fused launches: a row-wise scaled reduction
-        ``y_i = [x_i * q_hat_inv_i]_{q_i}`` and a row-moduli GEMM
-        ``out_j = (q_hat_mod_target[j] @ y) mod p_j`` — the shape the Conv
-        kernel takes on the GPU.  Residency handles thread straight
-        through both launches (handle in → handle out).
-        """
-        resident = is_buffer(residues)
-        if not resident:
-            residues = np.asarray(residues, dtype=np.int64)
-        if residues.shape[0] != len(self.source_moduli):
-            raise ValueError("residue matrix does not match the source basis")
-        # y_i = [x_i * q_hat_inv_i]_{q_i}; the funnel keeps the product
-        # exact even for moduli at or above 2**31.
-        y = mat_mod_mul(residues, self._q_hat_inv_column, self._source_column)
-        return modular_matmul_rows(
-            self._q_hat_buffer if resident else self.q_hat_mod_target,
-            y, self._target_column[:, 0],
-            operand_bound=self._resident_bound if resident else None)
-
     def convert_residues_batch(self, stacks: np.ndarray) -> np.ndarray:
         """Convert a ``(B, len(source), N)`` residue stack in fused launches.
 
-        The whole batch shares the precomputed constants: the scaled
-        reduction runs once over the fused ``(B*S, N)`` matrix (per-row
-        moduli tiled per stream) and the row-moduli GEMM folds the batch
-        into its free dimension — ``(T, S) @ (S, B*N)`` — so the Conv of
-        *every* stream is a single backend launch.  Each output stream is
-        bit-identical to :meth:`convert_residues` on the matching slice
-        (both paths reduce fully, and the funnel keeps >= 2**31 moduli
-        exact).
+        The conversion is two launches — the shape the Conv kernel takes on
+        the GPU — and the whole batch shares the precomputed constants: the
+        scaled reduction ``y_i = [x_i * q_hat_inv_i]_{q_i}`` runs once over
+        the fused ``(B*S, N)`` matrix (per-row moduli tiled per stream) and
+        the row-moduli GEMM ``out_j = (q_hat_mod_target[j] @ y) mod p_j``
+        folds the batch into its free dimension — ``(T, S) @ (S, B*N)``.
+        Residency handles thread straight through both launches (handle in
+        → handle out), and a stream's output does not depend on the batch
+        it was converted in.
         """
         resident = is_buffer(stacks)
         if not resident:
@@ -114,12 +98,11 @@ class BasisConverter:
         batch, source_count, n = stacks.shape
         if batch == 0:
             return np.zeros((0, len(self.target_moduli), n), dtype=np.int64)
-        if batch == 1:
-            return self.convert_residues(stacks[0])[None]
-        tiled_moduli = np.tile(self._source_column, (batch, 1))
-        tiled_inverses = np.tile(self._q_hat_inv_column, (batch, 1))
+        # The funnel keeps the product exact even for moduli at or above
+        # 2**31.
         y = mat_mod_mul(stacks.reshape(batch * source_count, n),
-                        tiled_inverses, tiled_moduli)
+                        tiled_rows(self._q_hat_inv_column, batch),
+                        tiled_rows(self._source_column, batch))
         # (T, S) @ (S, B*N): stream b occupies columns [b*N, (b+1)*N).
         y_columns = contiguous(
             y.reshape(batch, source_count, n).transpose(1, 0, 2)
@@ -142,7 +125,7 @@ class BasisConverter:
             raise ValueError("basis conversion requires the coefficient domain")
         if tuple(polynomial.moduli) != self.source_moduli:
             raise ValueError("polynomial basis does not match the converter's source basis")
-        converted = self.convert_residues(polynomial.buffer)
+        converted = self.convert_residues_batch(polynomial.buffer[None])[0]
         return RnsPolynomial(polynomial.ring_degree, self.target_moduli, converted,
                              PolyDomain.COEFFICIENT)
 

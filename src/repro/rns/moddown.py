@@ -18,7 +18,13 @@ from typing import Sequence
 import numpy as np
 
 from ..backend.residency import contiguous, is_buffer
-from ..numtheory.modular import mat_mod_mul, mat_mod_sub, mod_inverse, moduli_column
+from ..numtheory.modular import (
+    mat_mod_mul,
+    mat_mod_sub,
+    mod_inverse,
+    moduli_column,
+    tiled_rows,
+)
 from .conv import BasisConverter
 from .poly import PolyDomain, RnsPolynomial
 
@@ -47,26 +53,14 @@ class ModDown:
         )[:, None]
 
     def apply(self, polynomial: RnsPolynomial) -> RnsPolynomial:
-        """Return ``round(polynomial / P)`` in the ciphertext basis.
-
-        The subtraction and the multiply by ``P^{-1}`` are single 2-D
-        launches over all ciphertext limbs; the whole step threads the
-        polynomial's residency handle (Conv included), so a device-resident
-        operand never stages through host.
-        """
+        """Return ``round(polynomial / P)`` in the ciphertext basis (``B = 1``)."""
         if polynomial.domain != PolyDomain.COEFFICIENT:
             raise ValueError("ModDown requires the coefficient domain")
         expected = self.ciphertext_moduli + self.special_moduli
         if tuple(polynomial.moduli) != expected:
             raise ValueError("polynomial basis does not match this ModDown instance")
-        ciphertext_count = len(self.ciphertext_moduli)
-        buffer = polynomial.buffer
-        folded = self._converter.convert_residues(buffer[ciphertext_count:])
-        column = self._ciphertext_column
-        diff = mat_mod_sub(buffer[:ciphertext_count], folded, column)
-        residues = mat_mod_mul(diff, self._p_inverse_column, column)
         return RnsPolynomial(polynomial.ring_degree, self.ciphertext_moduli,
-                             residues, PolyDomain.COEFFICIENT)
+                             self.apply_batch(polynomial.buffer[None])[0])
 
     def apply_batch(self, stacks: np.ndarray) -> np.ndarray:
         """ModDown a ``(B, extended, N)`` residue stack to ``(B, active, N)``.
@@ -74,9 +68,9 @@ class ModDown:
         One batched Conv folds the special limbs of every stream at once
         and the subtraction / multiply-by-``P^{-1}`` run as single funnel
         launches over the fused ``(B*active, N)`` matrix, so no per-stream
-        loop remains.  Stream ``b`` of the result is bit-identical to
-        :meth:`apply` on slice ``b`` (the funnel keeps >= 2**31 moduli
-        exact).
+        loop remains (the funnel keeps >= 2**31 moduli exact).  The whole
+        step threads the stack's residency handle, Conv included, so a
+        device-resident operand never stages through host.
         """
         if not is_buffer(stacks):
             stacks = np.asarray(stacks, dtype=np.int64)
@@ -92,8 +86,8 @@ class ModDown:
             return np.zeros((0, ciphertext_count, n), dtype=np.int64)
         folded = self._converter.convert_residues_batch(
             contiguous(stacks[:, ciphertext_count:]))
-        tiled_moduli = np.tile(self._ciphertext_column, (batch, 1))
-        tiled_inverses = np.tile(self._p_inverse_column, (batch, 1))
+        tiled_moduli = tiled_rows(self._ciphertext_column, batch)
+        tiled_inverses = tiled_rows(self._p_inverse_column, batch)
         diff = mat_mod_sub(
             stacks[:, :ciphertext_count].reshape(batch * ciphertext_count, n),
             folded.reshape(batch * ciphertext_count, n), tiled_moduli)

@@ -47,33 +47,23 @@ class ModUp:
         )
 
     def apply(self, polynomial: RnsPolynomial) -> RnsPolynomial:
-        """Return ``polynomial`` represented in the target basis.
-
-        A single Conv launch produces the missing limbs; the target matrix
-        is then one vectorised row gather over ``[group; converted]`` —
-        residency handles thread through Conv, concatenation and gather.
-        """
+        """Return ``polynomial`` represented in the target basis (``B = 1``)."""
         if polynomial.domain != PolyDomain.COEFFICIENT:
             raise ValueError("ModUp requires the coefficient domain")
         if tuple(polynomial.moduli) != self.group_moduli:
             raise ValueError("polynomial basis does not match this ModUp instance")
-        combined = polynomial.buffer
-        if self._converter is not None:
-            converted = self._converter.convert_residues(combined)
-            combined = concatenate_arrays([combined, converted])
-        out = combined[self._gather]
-        return RnsPolynomial(polynomial.ring_degree, self.target_moduli, out,
-                             PolyDomain.COEFFICIENT)
+        return RnsPolynomial(polynomial.ring_degree, self.target_moduli,
+                             self.apply_batch(polynomial.buffer[None])[0])
 
     def apply_batch(self, stacks: np.ndarray) -> np.ndarray:
         """Raise a ``(B, group, N)`` residue stack to ``(B, target, N)``.
 
-        The copy rows are one batched gather and the missing limbs come
-        from a single batched Conv
-        (:meth:`~repro.rns.conv.BasisConverter.convert_residues_batch`), so
-        the whole stream batch mods up without a per-stream loop.  Stream
-        ``b`` of the result is bit-identical to :meth:`apply` on slice
-        ``b``.
+        The missing limbs come from a single batched Conv
+        (:meth:`~repro.rns.conv.BasisConverter.convert_residues_batch`) and
+        the target tensor is then one vectorised row gather over
+        ``[group; converted]``, so the whole stream batch mods up without a
+        per-stream loop; residency handles thread through Conv,
+        concatenation and gather.
         """
         if not is_buffer(stacks):
             stacks = np.asarray(stacks, dtype=np.int64)

@@ -360,9 +360,9 @@ class TestForcedShardParity:
 @pytest.mark.parametrize("batch", (1, 2, 8))
 def test_batched_bootstrap_parity_under_sharding(bootstrap_fhe, rng, batch,
                                                  forced):
-    """bootstrap_many under the forced pool == the sequential loop, with
-    identical kernel counters and limb-vectors (the sharded mirror of
-    tests/ckks/test_batched_bootstrap.py's backend sweep)."""
+    """One B-stream bootstrap_many under the forced pool == a loop of B
+    one-stream bootstraps, with identical kernel counters and limb-vectors
+    (the sharded mirror of tests/ckks/test_batched_bootstrap.py's sweep)."""
     fhe = bootstrap_fhe
     streams = [
         fhe.evaluator.drop_to_level(

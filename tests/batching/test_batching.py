@@ -7,242 +7,14 @@ import numpy as np
 import pytest
 
 from repro.backend import available_backends, use_backend
-from repro.batching import BatchedData, BatchScheduler, Layout, OperationBatcher
+from repro.batching import BatchScheduler
 from repro.gpu import A100, V100
-from repro.kernels.base import KernelContext, KernelName
-from repro.ntt import NttPlanner, available_engines, create_engine
-from repro.numtheory import generate_ntt_prime, generate_ntt_primes
+from repro.ntt import NttPlanner, available_engines
+from repro.numtheory import generate_ntt_primes
 
 RING_DEGREE = 32
 BATCH = 6
 LIMBS = 3
-
-
-@pytest.fixture(scope="module")
-def modulus():
-    return generate_ntt_prime(24, RING_DEGREE)
-
-
-@pytest.fixture()
-def batch_data(rng, modulus):
-    operations = [rng.integers(0, modulus, (LIMBS, RING_DEGREE), dtype=np.int64)
-                  for _ in range(BATCH)]
-    return BatchedData.from_operations(operations, Layout.B_L_N), operations
-
-
-class TestLayouts:
-    def test_shapes(self, batch_data):
-        batched, _ = batch_data
-        assert (batched.batch_size, batched.limb_count, batched.ring_degree) == \
-            (BATCH, LIMBS, RING_DEGREE)
-
-    def test_layout_conversion_roundtrip(self, batch_data):
-        batched, operations = batch_data
-        converted = batched.convert(Layout.L_B_N).convert(Layout.B_L_N)
-        for i, original in enumerate(operations):
-            assert np.array_equal(converted.operation(i), original)
-
-    def test_level_pack_equivalence(self, batch_data):
-        batched, operations = batch_data
-        other = batched.convert(Layout.L_B_N)
-        for level in range(LIMBS):
-            assert np.array_equal(batched.level_pack(level), other.level_pack(level))
-            expected = np.stack([op[level] for op in operations])
-            assert np.array_equal(batched.level_pack(level), expected)
-
-    def test_contiguity_favors_lbn(self, batch_data):
-        batched, _ = batch_data
-        lbn = batched.convert(Layout.L_B_N)
-        assert lbn.contiguous_run_bytes() == batched.contiguous_run_bytes() * BATCH
-        assert batched.gather_count() == BATCH
-        assert lbn.gather_count() == 1
-
-    def test_unknown_layout_rejected(self, batch_data):
-        batched, _ = batch_data
-        with pytest.raises(ValueError):
-            batched.convert("(N,B,L)")
-        with pytest.raises(ValueError):
-            BatchedData(batched.data, "(X)")
-
-    def test_to_operations_roundtrip(self, batch_data):
-        batched, operations = batch_data
-        unpacked = batched.convert(Layout.L_B_N).to_operations()
-        for original, restored in zip(operations, unpacked):
-            assert np.array_equal(original, restored)
-
-    def test_same_layout_convert_is_zero_copy(self, batch_data):
-        batched, _ = batch_data
-        alias = batched.convert(batched.layout)
-        assert alias.data is batched.data
-        cross = batched.convert(Layout.L_B_N)
-        assert not np.shares_memory(cross.data, batched.data)
-
-    def test_level_pack_and_operation_alias_lbn(self, batch_data):
-        batched, _ = batch_data
-        lbn = batched.convert(Layout.L_B_N)
-        # Level packs are contiguous row slices in (L, B, N); per-operation
-        # views stride across levels.  Both must alias, never copy.
-        assert np.shares_memory(lbn.level_pack(1), lbn.data)
-        assert np.shares_memory(lbn.operation(2), lbn.data)
-        assert np.shares_memory(batched.level_pack(1), batched.data)
-        assert np.shares_memory(batched.operation(2), batched.data)
-
-    def test_fused_matrix_is_view(self, batch_data):
-        batched, operations = batch_data
-        lbn = batched.convert(Layout.L_B_N)
-        fused = lbn.fused_matrix()
-        assert fused.shape == (LIMBS, BATCH * RING_DEGREE)
-        assert np.shares_memory(fused, lbn.data)
-        for level in range(LIMBS):
-            expected = np.concatenate([op[level] for op in operations])
-            assert np.array_equal(fused[level], expected)
-        with pytest.raises(ValueError):
-            batched.fused_matrix()
-
-
-class TestOperationBatcher:
-    def test_batched_ntt_matches_individual(self, batch_data, modulus):
-        batched, operations = batch_data
-        engine = create_engine("four_step", RING_DEGREE, modulus)
-        batcher = OperationBatcher(engine)
-        transformed = batcher.forward_ntt(batched)
-        for i, operation in enumerate(operations):
-            expected = np.stack([engine.forward(operation[l]) for l in range(LIMBS)])
-            assert np.array_equal(transformed.operation(i), expected)
-
-    def test_forward_inverse_roundtrip(self, batch_data, modulus):
-        batched, operations = batch_data
-        batcher = OperationBatcher(create_engine("matrix", RING_DEGREE, modulus))
-        restored = batcher.inverse_ntt(batcher.forward_ntt(batched))
-        for i, operation in enumerate(operations):
-            assert np.array_equal(restored.operation(i), operation)
-
-    def test_batched_hadamard_and_add(self, batch_data, modulus, rng):
-        batched, operations = batch_data
-        batcher = OperationBatcher(create_engine("four_step", RING_DEGREE, modulus))
-        product = batcher.hadamard(batched, batched)
-        total = batcher.add(batched, batched)
-        for i, operation in enumerate(operations):
-            assert np.array_equal(product.operation(i), (operation * operation) % modulus)
-            assert np.array_equal(total.operation(i), (2 * operation) % modulus)
-
-    def test_shape_mismatch_rejected(self, batch_data, modulus, rng):
-        batched, _ = batch_data
-        other = BatchedData.from_operations(
-            [rng.integers(0, modulus, (LIMBS, RING_DEGREE)) for _ in range(BATCH - 1)])
-        batcher = OperationBatcher(create_engine("four_step", RING_DEGREE, modulus))
-        with pytest.raises(ValueError):
-            batcher.add(batched, other)
-
-    def test_forward_ntt_is_one_engine_call(self, batch_data, modulus):
-        """The batched NTT must be a single fused engine launch, not a loop."""
-        engine = create_engine("four_step", RING_DEGREE, modulus)
-        calls = {"ops": 0, "limbs": 0, "single": 0}
-        original_ops = engine.forward_ops
-        original_limbs = engine.forward_limbs
-        original_single = engine.forward
-
-        def counting_ops(stacks, moduli):
-            calls["ops"] += 1
-            return original_ops(stacks, moduli)
-
-        engine.forward_ops = counting_ops
-        engine.forward_limbs = lambda *a, **k: calls.__setitem__("limbs", calls["limbs"] + 1) or original_limbs(*a, **k)
-        engine.forward = lambda *a, **k: calls.__setitem__("single", calls["single"] + 1) or original_single(*a, **k)
-        batched, _ = batch_data
-        OperationBatcher(engine).forward_ntt(batched)
-        assert calls == {"ops": 1, "limbs": 0, "single": 0}
-
-    def test_per_limb_moduli_chain(self, rng):
-        """An RNS batch (one prime per limb) matches per-operation forward_limbs."""
-        primes = generate_ntt_primes(LIMBS, 20, RING_DEGREE)
-        planner = NttPlanner("four_step")
-        engine = planner.engine_for(RING_DEGREE, primes[0])
-        operations = [
-            np.stack([rng.integers(0, q, RING_DEGREE, dtype=np.int64) for q in primes])
-            for _ in range(BATCH)
-        ]
-        batched = BatchedData.from_operations(operations, Layout.L_B_N)
-        batcher = OperationBatcher(engine, moduli=primes)
-        transformed = batcher.forward_ntt(batched)
-        for i, operation in enumerate(operations):
-            expected = engine.forward_limbs(operation, primes)
-            assert np.array_equal(transformed.operation(i), expected)
-        restored = batcher.inverse_ntt(transformed)
-        for i, operation in enumerate(operations):
-            assert np.array_equal(restored.operation(i), operation)
-
-    def test_moduli_length_mismatch_rejected(self, batch_data, modulus):
-        batched, _ = batch_data
-        batcher = OperationBatcher(create_engine("four_step", RING_DEGREE, modulus),
-                                   moduli=(modulus,) * (LIMBS + 1))
-        with pytest.raises(ValueError):
-            batcher.forward_ntt(batched)
-
-    def test_hadamard_exact_for_large_moduli(self, rng):
-        """Products of residues >= 2**32 must not wrap int64 (the old bug)."""
-        big_prime = generate_ntt_prime(33, RING_DEGREE)
-        assert big_prime >= (1 << 32)
-        engine = create_engine("four_step", RING_DEGREE, big_prime)
-        operations = [
-            np.full((LIMBS, RING_DEGREE), big_prime - 1 - i, dtype=np.int64)
-            for i in range(BATCH)
-        ]
-        batched = BatchedData.from_operations(operations, Layout.L_B_N)
-        product = OperationBatcher(engine).hadamard(batched, batched)
-        for i in range(BATCH):
-            expected = pow(big_prime - 1 - i, 2, big_prime)
-            assert np.all(product.operation(i) == expected)
-
-    @pytest.mark.parametrize("engine_name", ["matrix", "four_step"])
-    def test_inverse_roundtrip_for_large_moduli(self, engine_name, rng):
-        """The degree-inverse multiply must not wrap int64 for big primes."""
-        big_prime = generate_ntt_prime(33, RING_DEGREE)
-        engine = create_engine(engine_name, RING_DEGREE, big_prime)
-        stacks = rng.integers(0, big_prime, (BATCH, 1, RING_DEGREE),
-                              dtype=np.int64)
-        roundtrip = engine.inverse_ops(engine.forward_ops(stacks, (big_prime,)),
-                                       (big_prime,))
-        assert np.array_equal(roundtrip, stacks)
-        limbs_roundtrip = engine.inverse_limbs(
-            engine.forward_limbs(stacks[0], (big_prime,)), (big_prime,))
-        assert np.array_equal(limbs_roundtrip, stacks[0])
-
-    def test_elementwise_reduces_out_of_range_operands(self, modulus, rng):
-        """Raw (unreduced) coefficients are reduced before the fused kernels."""
-        engine = create_engine("four_step", RING_DEGREE, modulus)
-        batcher = OperationBatcher(engine)
-        operations = [
-            rng.integers(-modulus, 3 * modulus, (LIMBS, RING_DEGREE),
-                         dtype=np.int64)
-            for _ in range(BATCH)
-        ]
-        batched = BatchedData.from_operations(operations, Layout.L_B_N)
-        total = batcher.add(batched, batched)
-        product = batcher.hadamard(batched, batched)
-        for i, operation in enumerate(operations):
-            reduced = operation % modulus
-            assert np.array_equal(total.operation(i), (2 * reduced) % modulus)
-            assert np.array_equal(product.operation(i),
-                                  (reduced * reduced) % modulus)
-
-    def test_batched_kernels_record_counters(self, batch_data, modulus):
-        """Fused execution counts exactly like a per-operation loop."""
-        kernels = KernelContext(planner=None)
-        engine = create_engine("four_step", RING_DEGREE, modulus)
-        batcher = OperationBatcher(engine, kernels=kernels)
-        batched, _ = batch_data
-        transformed = batcher.forward_ntt(batched)
-        batcher.hadamard(transformed, transformed)
-        batcher.add(transformed, transformed)
-        batcher.inverse_ntt(transformed)
-        assert kernels.counter.snapshot() == {
-            KernelName.NTT: BATCH,
-            KernelName.INTT: BATCH,
-            KernelName.HADAMARD: BATCH,
-            KernelName.ELE_ADD: BATCH,
-        }
-        assert kernels.counter.limb_vectors[KernelName.NTT] == BATCH * LIMBS
 
 
 class TestOperationBatchingBackends:
@@ -324,13 +96,10 @@ class TestAnnotationsResolve:
     """
 
     def _public_classes(self):
-        import repro.batching.batcher
-        import repro.batching.layout
         import repro.batching.scheduler
         import repro.ckks.batched_evaluator
 
-        for module in (repro.batching.batcher, repro.batching.layout,
-                       repro.batching.scheduler, repro.ckks.batched_evaluator):
+        for module in (repro.batching.scheduler, repro.ckks.batched_evaluator):
             for name in getattr(module, "__all__", []):
                 member = getattr(module, name)
                 if inspect.isclass(member):

@@ -1,11 +1,12 @@
-"""Batched bootstrapping: bit-parity, counter invariance, fewer launches.
+"""Batched bootstrapping: batch invariance, counter invariance, fewer launches.
 
-:meth:`~repro.ckks.bootstrap.Bootstrapper.bootstrap_many` must be
-*bit-identical* to looping the sequential pipeline over the streams, with
-the kernel counters recording exactly the same invocations and
-limb-vectors — while issuing strictly fewer NTT-planner launches.  The
-suite sweeps every available compute backend and B ∈ {1, 2, 8} on the
-shallow bootstrap facade, checks the B == 1 delegation and mixed-message
+:meth:`~repro.ckks.bootstrap.Bootstrapper.bootstrap_many` is the pipeline;
+:meth:`~repro.ckks.bootstrap.Bootstrapper.bootstrap` is its ``B = 1``
+spelling.  One B-stream pass must be *bit-identical* to a loop of B
+one-stream passes, with the kernel counters recording exactly the same
+invocations and limb-vectors — while issuing strictly fewer NTT-planner
+launches.  The suite sweeps every available compute backend and
+B ∈ {1, 2, 8} on the shallow bootstrap facade, checks mixed-message
 batches, and runs the accurate (degree-7, five double angles)
 configuration end-to-end once for functional correctness.
 """
@@ -15,7 +16,7 @@ import pytest
 
 from repro.api import TensorFheContext
 from repro.backend import available_backends, use_backend
-from repro.ckks.bootstrap import BootstrapConfig, Bootstrapper
+from repro.ckks.bootstrap import BootstrapConfig
 from repro.ckks.params import CkksParameters
 
 BATCH_SIZES = (1, 2, 8)
@@ -49,7 +50,7 @@ def assert_same_ciphertext(actual, expected):
 
 
 def run_both(fhe, sequential, batched):
-    """Run both execution models under fresh counters; compare everything."""
+    """Run the one-stream loop and the fused pass under fresh counters."""
     kernels = fhe.context.kernels
     with kernels.capture() as sequential_counts:
         expected = sequential()
@@ -121,22 +122,6 @@ class TestBatchedBootstrapBookkeeping:
     def test_empty_batch(self, fhe):
         assert batched_bootstrap(fhe, []) == []
         assert fhe.bootstrap_many([]) == []
-
-    def test_single_stream_delegates_to_sequential(self, fhe, rng,
-                                                   monkeypatch):
-        """B == 1 must run the sequential pipeline, not stacked launches."""
-        _, streams = exhausted_streams(fhe, rng, 1)
-        seen = []
-        original = Bootstrapper.bootstrap
-
-        def spying(self, ciphertext, evaluator, *args, **kwargs):
-            seen.append(evaluator)
-            return original(self, ciphertext, evaluator, *args, **kwargs)
-
-        monkeypatch.setattr(Bootstrapper, "bootstrap", spying)
-        [refreshed] = batched_bootstrap(fhe, streams)
-        assert seen == [fhe.evaluator]
-        assert refreshed.c0.residues.shape[0] == refreshed.level + 1
 
     def test_mixed_real_and_complex_messages(self, fhe, rng):
         """Streams carrying unrelated real/complex payloads still fuse."""

@@ -1,19 +1,28 @@
-"""Batched-vs-sequential parity for the multi-ciphertext evaluator.
+"""Batch invariance of the evaluator: one B-stream launch == B one-stream launches.
 
-``BatchedEvaluator`` must be *bit-identical* to looping the sequential
-``Evaluator`` over the streams — residues, scales, levels, domains — and
-the kernel counters must record exactly the same invocations and
-limb-vectors (fusion is invisible to the instrumentation).  The suite runs
-the fused HADD / CMULT / HMULT / RESCALE paths across every available
-compute backend, plus the mixed-level grouping and the facade chunking.
+There is one implementation of every CKKS operation, the fused ``(B, L, N)``
+path of ``BatchedEvaluator``; the singular ``Evaluator`` / facade methods
+are its ``B = 1`` case.  A stream's result — residues, scale, level, domain
+— and the kernel invocations and limb-vectors it records must not depend on
+which other streams share its launch, so every test here runs the
+operation once over the whole batch and once as a loop of one-stream calls
+and demands identical bits and identical counters.  (That the bits are the
+*right* bits is pinned separately: ``test_golden_bits.py`` holds their
+digests, ``TestTableTwoAtBatchOne`` the paper's absolute kernel counts.)
+The suite covers HADD / CMULT / HMULT / RESCALE across every available
+compute backend, mixed-level grouping, evaluation-domain operands, a
+hypothesis property over batch composition, and the facade chunking.
 """
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.api import TensorFheContext
 from repro.backend import available_backends, use_backend
-from repro.ckks import CkksParameters
+from repro.ckks import Ciphertext, CkksParameters
+from repro.kernels import KernelName
 
 BATCH = 5
 
@@ -41,7 +50,7 @@ def assert_same_ciphertext(actual, expected):
 
 
 def run_both(fhe, sequential, batched):
-    """Run both execution models under fresh counters; compare the counts."""
+    """Run the one-stream loop and the fused launch under fresh counters."""
     kernels = fhe.context.kernels
     with kernels.capture() as sequential_counts:
         expected = sequential()
@@ -119,26 +128,37 @@ class TestBookkeeping:
             lambda: fhe.batched_evaluator.add(lhs, mixed_rhs),
         )
 
-    def test_evaluation_domain_stream_falls_back(self, fhe, streams, rng):
-        """A stream with evaluation-domain operands still computes correctly."""
-        from repro.kernels import ops as kernel_ops
+    def test_batch_composition_does_not_change_a_stream(self, fhe):
+        """Random B, per-stream levels and a permutation: same bits per stream."""
+        evaluator, key = fhe.batched_evaluator, fhe.relinearization_key
+        top = fhe.context.max_level
 
-        lhs, _ = streams
-        eval_ct = lhs[0].copy()
-        eval_ct.c0 = kernel_ops.ntt(fhe.context.kernels, eval_ct.c0)
-        eval_ct.c1 = kernel_ops.ntt(fhe.context.kernels, eval_ct.c1)
-        ciphertexts = [eval_ct] + list(lhs[1:])
-        plaintexts = [
-            fhe.encryptor.encode(rng.uniform(-1, 1, fhe.slot_count),
-                                 level=ciphertext.level)
-            for ciphertext in ciphertexts
-        ]
-        run_both(
-            fhe,
-            lambda: [fhe.evaluator.multiply_plain(c, p)
-                     for c, p in zip(ciphertexts, plaintexts)],
-            lambda: fhe.batched_evaluator.multiply_plain(ciphertexts, plaintexts),
-        )
+        @settings(max_examples=12, deadline=None,
+                  suppress_health_check=[HealthCheck.function_scoped_fixture])
+        @given(st.data())
+        def check(data):
+            batch = data.draw(st.integers(1, 6), label="B")
+            levels = data.draw(st.lists(st.integers(1, top), min_size=batch,
+                                        max_size=batch), label="levels")
+            order = data.draw(st.permutations(range(batch)), label="order")
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                                  label="seed"))
+            lhs = [evaluator.drop_to_level(
+                       [fhe.encrypt(rng.uniform(-1, 1, fhe.slot_count))], level)[0]
+                   for level in levels]
+            rhs = [fhe.encrypt(rng.uniform(-1, 1, fhe.slot_count))
+                   for _ in range(batch)]
+            for operation in (
+                    evaluator.add,
+                    lambda a, b: evaluator.multiply_and_rescale(a, b, key),
+                    lambda a, b: evaluator.rotate(a, 1, fhe.rotation_keys)):
+                alone = [operation([l], [r])[0] for l, r in zip(lhs, rhs)]
+                shuffled = operation([lhs[i] for i in order],
+                                     [rhs[i] for i in order])
+                for position, i in enumerate(order):
+                    assert_same_ciphertext(shuffled[position], alone[i])
+
+        check()
 
     def test_scale_mismatch_rejected(self, fhe, streams):
         lhs, rhs = streams
@@ -162,6 +182,163 @@ class TestBookkeeping:
         assert fhe.batched_evaluator.add([], []) == []
         assert fhe.batched_evaluator.rescale([]) == []
         assert fhe.add_many([], []) == []
+
+
+def evaluation_domain(fhe, ciphertext):
+    planner = fhe.context.planner
+    return Ciphertext(ciphertext.c0.to_evaluation(planner),
+                      ciphertext.c1.to_evaluation(planner),
+                      ciphertext.scale, ciphertext.level)
+
+
+class TestEvaluationDomainOperands:
+    """An evaluation-domain stream is brought to the coefficient domain on
+    entry — one counted INTT per component — and then runs the one path."""
+
+    def check(self, fhe, operation, ciphertext, extra_intt=2):
+        kernels = fhe.context.kernels
+        with kernels.capture() as plain_counts:
+            expected = operation(ciphertext)
+        with kernels.capture() as eval_counts:
+            actual = operation(evaluation_domain(fhe, ciphertext))
+        # The transform is exact, so normalising changes no bit.
+        assert_same_ciphertext(actual, expected)
+        limbs = ciphertext.limb_count
+        want = plain_counts.snapshot()
+        want[KernelName.INTT] = want.get(KernelName.INTT, 0) + extra_intt
+        assert eval_counts.snapshot() == want
+        assert (eval_counts.limb_vectors[KernelName.INTT]
+                == plain_counts.limb_vectors[KernelName.INTT] + extra_intt * limbs)
+        return actual
+
+    def test_multiply(self, fhe, streams):
+        lhs, rhs = streams
+        product = self.check(fhe, lambda ct: fhe.multiply(ct, rhs[0]), lhs[0])
+        reference = fhe.decrypt_real(lhs[0]) * fhe.decrypt_real(rhs[0])
+        assert np.allclose(fhe.decrypt_real(product), reference, atol=1e-2)
+
+    def test_multiply_plain(self, fhe, streams, rng):
+        lhs, _ = streams
+        values = rng.uniform(-1, 1, fhe.slot_count)
+        product = self.check(fhe, lambda ct: fhe.multiply_plain(ct, values), lhs[0])
+        assert np.allclose(fhe.decrypt_real(product),
+                           fhe.decrypt_real(lhs[0]) * values, atol=1e-2)
+
+    def test_add(self, fhe, streams):
+        lhs, rhs = streams
+        total = self.check(fhe, lambda ct: fhe.add(ct, rhs[0]), lhs[0])
+        assert np.allclose(fhe.decrypt_real(total),
+                           fhe.decrypt_real(lhs[0]) + fhe.decrypt_real(rhs[0]),
+                           atol=1e-3)
+
+    def test_rotate(self, fhe, streams):
+        lhs, _ = streams
+        rotated = self.check(fhe, lambda ct: fhe.rotate(ct, 1), lhs[0])
+        assert np.allclose(fhe.decrypt_real(rotated),
+                           np.roll(fhe.decrypt_real(lhs[0]), -1), atol=2e-3)
+
+    def test_mixed_batch_normalises_only_the_evaluation_stream(self, fhe, streams, rng):
+        lhs, _ = streams
+        ciphertexts = [evaluation_domain(fhe, lhs[0])] + list(lhs[1:])
+        plaintexts = [
+            fhe.encryptor.encode(rng.uniform(-1, 1, fhe.slot_count),
+                                 level=ciphertext.level)
+            for ciphertext in ciphertexts
+        ]
+        run_both(
+            fhe,
+            lambda: [fhe.evaluator.multiply_plain(c, p)
+                     for c, p in zip(ciphertexts, plaintexts)],
+            lambda: fhe.batched_evaluator.multiply_plain(ciphertexts, plaintexts),
+        )
+
+
+class TestTableTwoAtBatchOne:
+    """One facade call records exactly the paper's Table II kernel mix.
+
+    Counts are ``{kernel: (invocations, limb-vectors)}`` written from
+    Algorithms 1-6 in terms of the level's limb count ``L``, the extended
+    basis ``E = L + K`` and the ``dnum`` decomposition groups — not read
+    back from the implementation.
+    """
+
+    @staticmethod
+    def shape(fhe, level):
+        context = fhe.context
+        limbs = len(context.moduli_at_level(level))
+        extended = len(context.extended_moduli_at_level(level))
+        groups = [len(group) for group in context.decomposition_groups(level)]
+        return limbs, extended, groups
+
+    @staticmethod
+    def key_switch(limbs, extended, groups):
+        """Algorithm 1: ModUp, NTT, inner product, INTT, ModDown."""
+        dnum = len(groups)
+        return {
+            KernelName.CONV: (dnum + 1,
+                              sum(extended - size for size in groups) + 2 * limbs),
+            KernelName.NTT: (dnum, dnum * extended),
+            KernelName.HADAMARD: (2 * dnum, 2 * dnum * extended),
+            KernelName.ELE_ADD: (2 * dnum, 2 * dnum * extended),
+            KernelName.INTT: (2, 2 * extended),
+        }
+
+    @staticmethod
+    def plus(*tables):
+        total = {}
+        for table in tables:
+            for kernel, (count, vectors) in table.items():
+                have = total.get(kernel, (0, 0))
+                total[kernel] = (have[0] + count, have[1] + vectors)
+        return total
+
+    def recorded(self, fhe, operation):
+        with fhe.context.kernels.capture() as counter:
+            operation()
+        return {kernel: (count, counter.limb_vectors[kernel])
+                for kernel, count in counter.snapshot().items()}
+
+    def test_hadd(self, fhe, streams):
+        lhs, rhs = streams
+        limbs, _, _ = self.shape(fhe, lhs[0].level)
+        assert self.recorded(fhe, lambda: fhe.add(lhs[0], rhs[0])) == {
+            KernelName.ELE_ADD: (2, 2 * limbs)}
+
+    def test_cmult(self, fhe, streams, rng):
+        lhs, _ = streams
+        limbs, _, _ = self.shape(fhe, lhs[0].level)
+        values = rng.uniform(-1, 1, fhe.slot_count)
+        got = self.recorded(
+            fhe, lambda: fhe.multiply_plain(lhs[0], values, rescale=False))
+        assert got == {KernelName.NTT: (3, 3 * limbs),
+                       KernelName.HADAMARD: (2, 2 * limbs),
+                       KernelName.INTT: (2, 2 * limbs)}
+
+    def test_rescale(self, fhe, streams):
+        lhs, _ = streams
+        limbs, _, _ = self.shape(fhe, lhs[0].level)
+        assert self.recorded(fhe, lambda: fhe.rescale(lhs[0])) == {
+            KernelName.ELE_SUB: (2, 2 * (limbs - 1))}
+
+    def test_hmult(self, fhe, streams):
+        lhs, rhs = streams
+        limbs, extended, groups = self.shape(fhe, lhs[0].level)
+        got = self.recorded(
+            fhe, lambda: fhe.multiply(lhs[0], rhs[0], rescale=False))
+        assert got == self.plus(
+            {KernelName.NTT: (4, 4 * limbs),
+             KernelName.HADAMARD: (4, 4 * limbs),
+             KernelName.ELE_ADD: (3, 3 * limbs),
+             KernelName.INTT: (3, 3 * limbs)},
+            self.key_switch(limbs, extended, groups))
+
+    def test_hrotate(self, fhe, streams):
+        lhs, _ = streams
+        limbs, extended, groups = self.shape(fhe, lhs[0].level)
+        assert self.recorded(fhe, lambda: fhe.rotate(lhs[0], 1)) == self.plus(
+            {KernelName.FROBENIUS: (2, 2 * limbs),
+             KernelName.ELE_ADD: (1, limbs)},
+            self.key_switch(limbs, extended, groups))
 
 
 class TestFacadeWiring:

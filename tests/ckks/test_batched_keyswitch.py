@@ -1,19 +1,20 @@
-"""B-fused key switching: bit-parity, counter invariance, fewer launches.
+"""B-fused key switching: batch invariance, counter invariance, fewer launches.
 
-The fused HMULT / rotation / conjugation paths must be *bit-identical* to
-looping the sequential :class:`~repro.ckks.evaluator.Evaluator` over the
-streams, with the kernel counters recording exactly the same invocations
-and limb-vectors — while issuing strictly fewer NTT-planner launches.  The
-suite sweeps every available compute backend and B ∈ {1, 2, 8}, plus mixed
-levels and the degenerate-batch guarantees (no stacked temporaries for
-B == 1, no extra keys for zero-step rotations).
+The fused HMULT / rotation / conjugation paths are the only implementation;
+a lone stream is their ``B = 1`` case.  One B-stream launch must be
+*bit-identical* to a loop of B one-stream launches through the singular
+:class:`~repro.ckks.evaluator.Evaluator` adapters, with the kernel counters
+recording exactly the same invocations and limb-vectors — while issuing
+strictly fewer NTT-planner launches.  The suite sweeps every available
+compute backend and B ∈ {1, 2, 8}, plus mixed levels and the
+degenerate-batch guarantees (empty batches, no extra keys for zero-step
+rotations).
 """
 
 import numpy as np
 import pytest
 
 from repro.backend import available_backends, use_backend
-from repro.rns.modup import ModUp
 
 BATCH_SIZES = (1, 2, 8)
 
@@ -38,7 +39,7 @@ def assert_same_ciphertext(actual, expected):
 
 
 def run_both(fhe, sequential, batched):
-    """Run both execution models under fresh counters; compare everything."""
+    """Run the one-stream loop and the fused launch under fresh counters."""
     kernels = fhe.context.kernels
     with kernels.capture() as sequential_counts:
         expected = sequential()
@@ -173,10 +174,8 @@ class TestBookkeeping:
             fhe.rotate_many(streams, [1])
 
     def test_switch_many_rejects_wrong_domain(self, fhe, rng):
-        from repro.kernels import ops as kernel_ops
-
         ciphertext = encrypt_streams(fhe, rng, 2)[0]
-        eval_poly = kernel_ops.ntt(fhe.context.kernels, ciphertext.c1)
+        eval_poly = ciphertext.c1.to_evaluation(fhe.context.planner)
         switcher = fhe.batched_evaluator.key_switcher
         with pytest.raises(ValueError, match="coefficient-domain"):
             switcher.switch_many([eval_poly, eval_poly],
@@ -203,8 +202,8 @@ class TestLaunchCounts:
         sequential_calls = spy.take()
         fhe.batched_evaluator.multiply(lhs, rhs, key)
         fused_calls = spy.take()
-        # 4 streams: sequential pays 4 transforms + per-stream key-switch
-        # launches; fused pays 2 HMULT launches + 2 key-switch launches.
+        # 4 streams: the one-stream loop pays 4 launches per stream; fused
+        # pays 2 HMULT launches + 2 key-switch launches for the whole batch.
         assert fused_calls < sequential_calls
         assert fused_calls == 4
 
@@ -233,7 +232,7 @@ class TestDegenerateBatches:
 
     def test_empty_batches_never_resolve_keys(self, fhe):
         """Zero streams return [] even when the needed key is missing,
-        matching the sequential loop (which never touches the key set).
+        matching a loop over zero streams (which never touches the key set).
 
         Uses a locally constructed empty key set — not the shared
         session context's — so no other module's key generation can
@@ -244,30 +243,6 @@ class TestDegenerateBatches:
         empty_keys = RotationKeySet()
         assert fhe.batched_evaluator.rotate([], 7, empty_keys) == []
         assert fhe.batched_evaluator.conjugate([], empty_keys) == []
-
-    def test_single_stream_takes_sequential_switch(self, fhe, rng,
-                                                   monkeypatch):
-        """B == 1 must not stack (B, dnum, L, N) temporaries."""
-        ciphertext = encrypt_streams(fhe, rng, 1)[0]
-        switcher = fhe.batched_evaluator.key_switcher
-        sequential_calls = []
-        original = switcher.key_switcher.switch
-
-        def spying_switch(*args, **kwargs):
-            sequential_calls.append(args)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(switcher.key_switcher, "switch", spying_switch)
-
-        def no_batch(self, stacks):   # pragma: no cover - must not run
-            raise AssertionError("B==1 must not reach the batched ModUp")
-
-        monkeypatch.setattr(ModUp, "apply_batch", no_batch)
-        result = switcher.switch_many([ciphertext.c1],
-                                      fhe.relinearization_key,
-                                      ciphertext.level)
-        assert len(result) == 1
-        assert len(sequential_calls) == 1
 
     def test_zero_step_rotation_copies_without_keys(self, fhe, rng):
         streams = encrypt_streams(fhe, rng, 2)

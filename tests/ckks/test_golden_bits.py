@@ -1,0 +1,178 @@
+"""Golden output bits of every CKKS operation, frozen at PR 11.
+
+The digests below were generated at commit a3faec4, while the library
+still carried a sequential implementation beside the fused one, and both
+produced these bits.  They are what proves that collapsing the two into
+one ``(B, ...)`` path changed no output bit: every operation is run once
+through the singular API (a loop of one-stream calls) and once through
+the ``*_many`` API at B = 3 with mixed levels, on ``numpy`` and ``blas``,
+and all four must hash to the recorded value.
+
+Inputs are raw uniform residues drawn from a seeded generator (not
+encryptions, so the digests do not depend on how encryption consumes its
+randomness); keys come from the seeded context.  Two chains at N = 64:
+the default 28-bit primes with a 30-bit special prime (hi/lo-split float
+reduction on ``blas``) and 20-bit primes with a 23-bit special prime
+(single-pass float Barrett).
+
+Regenerate (only when an output is *meant* to change) with
+``PYTHONPATH=src python tests/ckks/test_golden_bits.py``.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+from repro.api import TensorFheContext
+from repro.backend import use_backend
+from repro.ckks import Ciphertext, CkksParameters, KeySwitcher, Plaintext
+from repro.ckks.bootstrap import BootstrapConfig, BsgsLinearTransform, ModRaise
+from repro.rns import RnsPolynomial
+
+CHAINS = {
+    "p28": dict(),
+    "p20": dict(scale_bits=20, prime_bits=20, special_prime_bits=23),
+}
+
+GOLDEN = {
+    "p20": {
+        "add": "671339f400b2dcaddfcd69d1b75155b063b361589346217ddc69201c4d302eea",
+        "add_plain": "8dc21c27f1781783a5e5d81d9f6f34eca793af90cbea197832e749498db39cc0",
+        "multiply": "ab2dc8aed21d69c425420fb75e1a6ad9d4f41e1662ae0c58fffb3fb1aeb14b93",
+        "multiply_and_rescale": "0303760c67b79fbd72f6223f1a68060cad2116518fe85d5aba2ad2f19cd01357",
+        "multiply_plain": "b1cec4a5168e9997236b967a13ffb355f06158342262c824b2c27d597165d37b",
+        "rescale": "fa1c792c750eb2ffb93f2280ced13ab2fd8c1993cfc29cbc1dc5caffec7b4f62",
+        "rotate": "7f49e8362d12d49d3cbad938e0780e17c362d01497c91ba52ab25c668ff27619",
+        "conjugate": "857601435819ca7e0dca3a0333658076e8248176c722b21eed30d902475e6e79",
+        "switch": "cebdb2c475d9a15250e643143b7959345c00417b51a9d2cfedd75c4a3708f5b2",
+        "mod_raise": "39a11c54126c968e96a1d9cc989baf7ac32c74b6070b6a4fb783d331bc8cccb5",
+        "bsgs": "a1f058910fd4eb69660b78c3a7272d7e8d07ff8eb326c9bb717506ab36fe6f4b",
+        "bootstrap": "f822ccc55328c50e4e0360d4ccfc9238451700eccfd59ec48f6d01998841021e",
+    },
+    "p28": {
+        "add": "46c839b4e2632471301b5a641ddf77e593feb0161daae4a79447fbc459d90f73",
+        "add_plain": "1df5ed1f3503467aa1934ce42af056f18c2191ba664c0e468a2c85b60ccfd124",
+        "multiply": "ebb4abd220d59d7ded6b15ac142117215942f253a290f8e264939c6aa31fe53b",
+        "multiply_and_rescale": "0483c203bcbe0238040e3876728397378a94e7b5dcb2368e869d2752ed9de8aa",
+        "multiply_plain": "297a2fa1e4e451f5bdaaae31a529832a155a45f97261951960e49e5ca2f8e7fa",
+        "rescale": "aef6415c34ccc57394da36ef35f776c97d89144ec86556641d4f91a3f77c03db",
+        "rotate": "1189ba2670b10d488e936c2986ef715ff0cf440ff55cd5b14da6f27a97f3ca02",
+        "conjugate": "4c303854d571ccbdfc871aea8afa40399973d17a0b0237ee788fc29239080f0d",
+        "switch": "931a8e7637aa54e14fbbe82713f81b2610d9b55c79e20a004daa7bc829d85f3c",
+        "mod_raise": "b95b39017a2508b65910b4f0600de161c0605da2b3987984648d58f392babf7c",
+        "bsgs": "285a7dbc7d41a8300dd766d64501633eb7540fd6d937f92699941b38bfad671c",
+        "bootstrap": "a7e684b7ab8c8fbf9a54a62691a5e4a422643b31a36de4b7af9c071d78fb651c",
+    },
+}
+
+
+def build(chain):
+    parameters = CkksParameters(ring_degree=64, level_count=8, dnum=4,
+                                secret_hamming_weight=8, **CHAINS[chain])
+    fhe = TensorFheContext(
+        parameters, seed=1311, rotation_steps=(1, 3),
+        bootstrap_config=BootstrapConfig(taylor_degree=3,
+                                         double_angle_iterations=1))
+    fhe.ensure_rotation_keys(fhe.bootstrapper.required_rotation_steps())
+    return fhe
+
+
+def raw_poly(fhe, rng, level):
+    moduli = fhe.context.moduli_at_level(level)
+    rows = [rng.integers(0, q, fhe.context.ring_degree, dtype=np.int64)
+            for q in moduli]
+    return RnsPolynomial(fhe.context.ring_degree, moduli, np.stack(rows))
+
+
+def raw_ciphertext(fhe, rng, level):
+    return Ciphertext(raw_poly(fhe, rng, level), raw_poly(fhe, rng, level),
+                      fhe.context.scale, level)
+
+
+def digest(outputs):
+    sha = hashlib.sha256()
+    for output in outputs:
+        polys = ((output.c0, output.c1) if isinstance(output, Ciphertext)
+                 else output)
+        for poly in polys:
+            sha.update(repr((poly.moduli, poly.domain)).encode())
+            sha.update(np.ascontiguousarray(poly.residues, dtype="<i8").tobytes())
+        if isinstance(output, Ciphertext):
+            sha.update(repr((output.level, float(output.scale).hex())).encode())
+    return sha.hexdigest()
+
+
+def operations(fhe):
+    """``name -> (singular, many)``: the same work through both APIs."""
+    context = fhe.context
+    rng = np.random.default_rng([1311, context.basis.ciphertext_primes[0]])
+    top = context.max_level
+    levels = (top, top - 2, top)
+    lhs = [raw_ciphertext(fhe, rng, level) for level in levels]
+    rhs = [raw_ciphertext(fhe, rng, level) for level in reversed(levels)]
+    plains = [Plaintext(raw_poly(fhe, rng, ct.level), ct.scale, ct.level)
+              for ct in lhs]
+    flat = [raw_poly(fhe, rng, top - 1) for _ in range(3)]
+    exhausted = [raw_ciphertext(fhe, rng, 0) for _ in range(3)]
+    matrix = (rng.uniform(-1, 1, (context.slot_count,) * 2)
+              + 1j * rng.uniform(-1, 1, (context.slot_count,) * 2))
+    transform = BsgsLinearTransform(context, matrix)
+    fhe.ensure_rotation_keys(transform.rotation_steps())
+    raiser = ModRaise(context)
+    one, many = fhe.evaluator, fhe.batched_evaluator
+    relin, rotation = fhe.relinearization_key, fhe.rotation_keys
+    switcher = KeySwitcher(context)
+
+    def each(function, *streams):
+        return lambda: [function(*args) for args in zip(*streams)]
+
+    return {
+        "add": (each(one.add, lhs, rhs), lambda: many.add(lhs, rhs)),
+        "add_plain": (each(one.add_plain, lhs, plains),
+                      lambda: many.add_plain(lhs, plains)),
+        "multiply": (each(lambda a, b: one.multiply(a, b, relin), lhs, rhs),
+                     lambda: many.multiply(lhs, rhs, relin)),
+        "multiply_and_rescale": (
+            each(lambda a, b: one.multiply_and_rescale(a, b, relin), lhs, rhs),
+            lambda: many.multiply_and_rescale(lhs, rhs, relin)),
+        "multiply_plain": (each(one.multiply_plain, lhs, plains),
+                           lambda: many.multiply_plain(lhs, plains)),
+        "rescale": (each(one.rescale, lhs), lambda: many.rescale(lhs)),
+        "rotate": (each(lambda a: one.rotate(a, 3, rotation), lhs),
+                   lambda: many.rotate(lhs, 3, rotation)),
+        "conjugate": (each(lambda a: one.conjugate(a, rotation), lhs),
+                      lambda: many.conjugate(lhs, rotation)),
+        "switch": (each(lambda p: switcher.switch(p, relin, top - 1), flat),
+                   lambda: many.key_switcher.switch_many(flat, relin, top - 1)),
+        "mod_raise": (each(raiser.apply, exhausted),
+                      lambda: raiser.apply_many(exhausted)),
+        "bsgs": (each(lambda a: transform.apply(a, one, fhe.encryptor, rotation),
+                      lhs),
+                 lambda: transform.apply_many(lhs, many, fhe.encryptor,
+                                              rotation)),
+        "bootstrap": (each(fhe.bootstrap, exhausted),
+                      lambda: fhe.bootstrap_many(exhausted)),
+    }
+
+
+@pytest.fixture(scope="module", params=sorted(CHAINS))
+def chain(request):
+    return request.param, operations(build(request.param))
+
+
+@pytest.mark.parametrize("backend", ("numpy", "blas"))
+@pytest.mark.parametrize("mode", ("singular", "many"))
+def test_output_bits_are_frozen(chain, backend, mode):
+    name, ops = chain
+    with use_backend(backend):
+        got = {op: digest(pair[mode == "many"]()) for op, pair in ops.items()}
+    assert got == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    for name in sorted(CHAINS):
+        print("    %r: {" % name)
+        for op, (singular, _) in operations(build(name)).items():
+            print("        %r: %r," % (op, digest(singular())))
+        print("    },")

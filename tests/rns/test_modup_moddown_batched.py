@@ -1,10 +1,13 @@
-"""Batched ModUp / ModDown / Conv parity against the per-stream path.
+"""Batch invariance of ModUp / ModDown / Conv.
 
-Every ``(B, …)`` entry point must be bit-identical to looping its
-per-stream sibling over the batch.  The suite includes a prime chain at
-and above 2**32, where a single residue product overflows int64: the
-mat-mod funnel must route those launches through the exact object-dtype
-path (the regression class fixed twice already, in PRs 2 and 3).
+The ``(B, …)`` entry points are the implementation; ``BasisConverter.convert``
+and ``ModUp.apply`` / ``ModDown.apply`` are their one-stream spellings.
+One B-stream launch must be bit-identical to a loop of B one-stream
+launches, and both to an arbitrary-precision reference.  The suite
+includes a prime chain at and above 2**32, where a single residue product
+overflows int64: the mat-mod funnel must route those launches through the
+exact object-dtype path (the regression class fixed twice already, in
+PRs 2 and 3).
 """
 
 import numpy as np
@@ -48,8 +51,8 @@ class TestBatchedParity:
         fused = converter.convert_residues_batch(stacks)
         assert fused.shape == (batch, len(target), RING_DEGREE)
         for b in range(batch):
-            assert np.array_equal(fused[b],
-                                  converter.convert_residues(stacks[b]))
+            expected = converter.convert(as_poly(source, stacks[b]))
+            assert np.array_equal(fused[b], expected.residues)
 
     def test_modup_batch(self, rng, chain, batch):
         primes = CHAINS[chain]
@@ -138,7 +141,7 @@ class TestShapes:
                 np.zeros((2, 3, RING_DEGREE), dtype=np.int64))
 
     def test_modup_single_stream_matches_apply(self, rng):
-        """B == 1 short-circuits through the per-stream Conv yet stays exact."""
+        """A one-stream stack and the polynomial-level adapter agree."""
         source = SMALL_PRIMES[:2]
         extended = SMALL_PRIMES[:4]
         modup = ModUp(source, extended)
