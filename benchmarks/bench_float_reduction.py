@@ -5,7 +5,8 @@ raw float64 dgemm output (integer-valued, inside the 2**53 guard) must be
 reduced and multiplied by the twiddle Hadamard factors before the next
 dgemm consumes it.  Two ways:
 
-* **int64 detour** — the historical path: cast the dgemm output to
+* **int64 detour** — the form the engine's int64 fallback pipeline
+  still uses: cast the dgemm output to
   int64, reduce with hardware-divide ``%``, multiply by the int64
   twiddles, ``%`` again, cast back to float64 for the next dgemm — two
   integer divides and two dtype conversions per stage;

@@ -18,7 +18,7 @@ item (~1.8x limb-batched gain capped by twiddle streaming becomes >3x once
 the B axis is fused).  The four-step engine has only ``O(N)`` twiddles, so
 there is nothing to amortise and the fused win must come from arithmetic
 instead: the float64-resident pipeline (lazy Barrett between the two
-dgemms, no int64 ``%`` passes — see ``FourStepNtt._float_ops_pipeline``)
+dgemms, no int64 ``%`` passes — see ``FourStepNtt._float_pipeline``)
 is what pushes the fused launch past the cache-resident per-op loop at
 large B.  The row is gated at parity-or-better for B >= 16 and tracked
 with a no-cliff floor at smaller batches, where the loop's cache

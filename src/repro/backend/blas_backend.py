@@ -19,11 +19,21 @@ from .numpy_backend import NumpyBackend
 from .residency import DeviceBuffer
 
 __all__ = ["BlasFloat64Backend", "FloatOperandCache", "FloatResidues",
-           "FLOAT_EXACT_LIMIT"]
+           "FLOAT_EXACT_LIMIT", "split_shift"]
 
 #: Largest integer magnitude float64 represents exactly (2**53); products and
 #: partial sums below this bound make a BLAS dgemm bit-exact.
 FLOAT_EXACT_LIMIT = 1 << 53
+
+
+def split_shift(max_value: int) -> int:
+    """The hi/lo split point of an operand whose entries are ``<= max_value``.
+
+    Roughly half the bit-width, so ``hi = x >> shift`` and
+    ``lo = x & (2**shift - 1)`` are both about half as wide as ``x``.
+    Guards that bound a split product before the images exist use this.
+    """
+    return max(1, (int(max_value).bit_length() + 1) // 2)
 
 
 class FloatOperandCache:
@@ -54,7 +64,7 @@ class FloatOperandCache:
         too large for a single pass.
         """
         if self._split is None:
-            shift = max(1, (self.max_value.bit_length() + 1) // 2)
+            shift = split_shift(self.max_value)
             hi = (self.matrix >> shift).astype(np.float64)
             lo = (self.matrix & ((1 << shift) - 1)).astype(np.float64)
             self._split = (shift, hi, lo)
@@ -107,7 +117,7 @@ class FloatResidues(FloatOperandCache):
         stays float-resident even through split GEMM paths.
         """
         if self._split is None:
-            shift = max(1, (self.max_value.bit_length() + 1) // 2)
+            shift = split_shift(self.max_value)
             pow_f = float(1 << shift)
             hi = np.floor(self._values * (1.0 / pow_f))
             lo = self._values - hi * pow_f

@@ -21,8 +21,10 @@ import numpy as np
 from ..backend.blas_backend import FloatResidues
 from ..backend.registry import resolve_backend
 from ..backend.residency import DeviceBuffer, contiguous, is_buffer
-from ..numtheory.modular import mat_mod_mul
+from ..numtheory.floatmod import get_barrett_chain
+from ..numtheory.modular import mat_mod_mul, tiled_rows
 from .base import NttEngine
+from .four_step_plan import FourStepPlan, run_stage, slabs, stage_operand
 from .gemm_utils import (
     modular_hadamard,
     modular_hadamard_limbs,
@@ -45,9 +47,6 @@ class FourStepNtt(NttEngine):
         super().__init__(ring_degree, modulus, backend=backend)
         self.twiddles = twiddles or get_twiddle_cache(ring_degree, modulus)
         self.n1, self.n2 = self.twiddles.four_step_shapes()
-        # Shape-matched scratch for the float-resident ops pipeline (see
-        # _float_scratch); built lazily, replaced when the shape changes.
-        self._float_buffers = None
 
     # -- forward -------------------------------------------------------
     def forward(self, coefficients: np.ndarray) -> np.ndarray:
@@ -71,217 +70,196 @@ class FourStepNtt(NttEngine):
         flattened = outer.flatten(order="F")
         return (flattened * self.twiddles.degree_inverse) % self.modulus
 
-    # -- limb-batched path: the whole RNS polynomial in three launches --
-    # Residency-handle inputs pick the stack's resident operand handles
-    # and keep every reshape/transpose on the resident image, so both
-    # transform directions thread handles end-to-end.
+    # -- limb-batched path: the one-operation case of the (B, L, N) path --
     def forward_limbs(self, residues: np.ndarray,
                       moduli: Sequence[int]) -> np.ndarray:
-        """Forward NTT of all limbs via batched three-GEMM decomposition.
-
-        The per-modulus ``W1/W2/W3`` operands are stacked along the limb
-        axis (cached per ``(N, moduli)``), so each of the three steps is a
-        single 3-D ``matmul``/Hadamard launch over every limb at once.
-        """
+        """Forward NTT of all limbs of one polynomial: ``forward_ops`` at B = 1."""
         residues, moduli_array = self._validate_limbs(residues, moduli)
-        residues = self._stage_resident(residues)
-        stack = get_twiddle_stack(self.ring_degree, tuple(int(q) for q in moduli))
-        if is_buffer(residues):
-            w1, w2, w3 = stack.four_step_forward_buffers()
-        else:
-            w1, w2, w3 = stack.four_step_forward()
-        w1_cache, w3_cache = stack.four_step_forward_caches()
-        limbs = residues.shape[0]
-        a_mat = residues.reshape(limbs, self.n1, self.n2)
-        inner = self._gemm_limbs(w1, a_mat, moduli_array, lhs_cache=w1_cache)
-        twisted = self._hadamard_limbs(inner, w2, moduli_array)
-        outer = self._gemm_limbs(twisted, w3, moduli_array, rhs_cache=w3_cache)
-        # Column-major flattening of every (N1, N2) slice, as in forward().
-        return outer.transpose(0, 2, 1).reshape(limbs, self.ring_degree)
+        return self._transform_limbs(residues, moduli_array, inverse=False)
 
     def inverse_limbs(self, values: np.ndarray,
                       moduli: Sequence[int]) -> np.ndarray:
-        """Inverse NTT of all limbs via batched three-GEMM decomposition."""
+        """Inverse NTT of all limbs of one polynomial: ``inverse_ops`` at B = 1."""
         values, moduli_array = self._validate_limbs(values, moduli)
-        values = self._stage_resident(values)
-        stack = get_twiddle_stack(self.ring_degree, tuple(int(q) for q in moduli))
-        if is_buffer(values):
-            v1, v2, v3 = stack.four_step_inverse_buffers()
-        else:
-            v1, v2, v3 = stack.four_step_inverse()
-        v1_cache, v3_cache = stack.four_step_inverse_caches()
-        limbs = values.shape[0]
-        a_mat = values.reshape(limbs, self.n1, self.n2)
-        inner = self._gemm_limbs(v1, a_mat, moduli_array, lhs_cache=v1_cache)
-        twisted = self._hadamard_limbs(inner, v2, moduli_array)
-        outer = self._gemm_limbs(twisted, v3, moduli_array, rhs_cache=v3_cache)
-        flattened = outer.transpose(0, 2, 1).reshape(limbs, self.ring_degree)
-        # Funnel multiply: exact even for moduli whose residue products
-        # overflow int64 (the funnel's object-dtype path covers >= 2**31).
-        return mat_mod_mul(flattened, stack.degree_inverse_column, moduli_array)
+        return self._transform_limbs(values, moduli_array, inverse=True)
+
+    def _transform_limbs(self, residues, moduli_array, *, inverse: bool):
+        # Staged before the reshape: the ``(1, L, N)`` view is then a
+        # device-side view of the caller's handle, which uploads once and
+        # is reused by every later transform of the same polynomial.
+        residues = self._stage_resident(residues)
+        stacks = residues.reshape(1, residues.shape[0], self.ring_degree)
+        return self._transform_ops(stacks, moduli_array, inverse=inverse)[0]
 
     # -- operation-batched path: the whole (B, L, N) stack, 3 launches --
     def forward_ops(self, stacks: np.ndarray,
                     moduli: Sequence[int]) -> np.ndarray:
         """Forward NTT of a ``(B, L, N)`` stack in three fused launches.
 
-        The operation axis folds into the free dimension of each GEMM: the
-        inner NTT runs on ``(limbs, N1, B*N2)`` operands, the Hadamard
-        twiddle broadcasts across the batch (a zero-copy ``(limbs, N1, 1,
-        N2)`` view — no per-batch operand is materialised), and the outer
-        DFT folds the batch into its row dimension — so every transform
-        step is one backend launch covering all ``B`` operations and all
-        limbs.
+        On a float-capable backend the launch runs the planned float64
+        pipeline (:meth:`float_plan`) whenever the 2**53 guard admits the
+        chain.  Otherwise the operation axis folds into the free dimension
+        of each int64 modular GEMM: the inner NTT runs on ``(limbs, N1,
+        B*N2)`` operands, the Hadamard twiddle broadcasts across the batch
+        (a zero-copy ``(limbs, N1, 1, N2)`` view — no per-batch operand is
+        materialised), and the outer DFT folds the batch into its row
+        dimension — so every transform step is one backend launch covering
+        all ``B`` operations and all limbs.
         """
         stacks, moduli_array = self._validate_ops(stacks, moduli)
-        stacks = self._stage_resident(stacks)
-        stack = get_twiddle_stack(self.ring_degree, tuple(int(q) for q in moduli))
-        fused = self._float_ops_pipeline(stacks, stack, inverse=False)
-        if fused is not None:
-            return fused
-        if is_buffer(stacks):
-            w1, w2, w3 = stack.four_step_forward_buffers()
-        else:
-            w1, w2, w3 = stack.four_step_forward()
-        w1_cache, w3_cache = stack.four_step_forward_caches()
-        return self._ops_pipeline(stacks, moduli_array, w1, w2, w3,
-                                  w1_cache, w3_cache)
+        return self._transform_ops(self._stage_resident(stacks), moduli_array,
+                                   inverse=False)
 
     def inverse_ops(self, stacks: np.ndarray,
                     moduli: Sequence[int]) -> np.ndarray:
         """Inverse NTT of a ``(B, L, N)`` stack in three fused launches."""
         stacks, moduli_array = self._validate_ops(stacks, moduli)
-        if stacks.shape[0] == 0:
+        return self._transform_ops(self._stage_resident(stacks), moduli_array,
+                                   inverse=True)
+
+    def _transform_ops(self, stacks, moduli_array, *, inverse: bool):
+        """Either direction on a validated, staged ``(B, L, N)`` stack."""
+        batch, limbs = stacks.shape[0], stacks.shape[1]
+        if batch == 0:
             return stacks
-        stacks = self._stage_resident(stacks)
-        stack = get_twiddle_stack(self.ring_degree, tuple(int(q) for q in moduli))
-        fused = self._float_ops_pipeline(stacks, stack, inverse=True)
-        if fused is not None:
-            return fused
-        if is_buffer(stacks):
-            v1, v2, v3 = stack.four_step_inverse_buffers()
+        stack = get_twiddle_stack(self.ring_degree, tuple(moduli_array.tolist()))
+        plan = self._float_plan(stack, inverse)
+        if plan is not None:
+            return self._float_pipeline(stacks, stack, plan, inverse)
+        resident = is_buffer(stacks)
+        if inverse:
+            g1, g2, g3 = (stack.four_step_inverse_buffers() if resident
+                          else stack.four_step_inverse())
+            g1_cache, g3_cache = stack.four_step_inverse_caches()
         else:
-            v1, v2, v3 = stack.four_step_inverse()
-        v1_cache, v3_cache = stack.four_step_inverse_caches()
-        flattened = self._ops_pipeline(stacks, moduli_array, v1, v2, v3,
-                                       v1_cache, v3_cache)
-        batch, limbs = flattened.shape[0], flattened.shape[1]
+            g1, g2, g3 = (stack.four_step_forward_buffers() if resident
+                          else stack.four_step_forward())
+            g1_cache, g3_cache = stack.four_step_forward_caches()
+        flattened = self._ops_pipeline(stacks, moduli_array, g1, g2, g3,
+                                       g1_cache, g3_cache)
+        if not inverse:
+            return flattened
         # Funnel multiply: exact even for moduli whose residue products
         # overflow int64 (the funnel's object-dtype path covers >= 2**31).
         scaled = mat_mod_mul(
             flattened.reshape(batch * limbs, self.ring_degree),
-            np.tile(stack.degree_inverse_column, (batch, 1)),
-            np.tile(moduli_array, batch))
+            tiled_rows(stack.degree_inverse_column, batch),
+            tiled_rows(moduli_array[:, None], batch))
         return scaled.reshape(batch, limbs, self.ring_degree)
 
-    def _float_scratch(self, shape):
-        """Three reusable float64 buffers of ``shape`` (input, ping, pong).
+    # -- the planned float64 pipeline -----------------------------------
+    def float_plan(self, moduli: Sequence[int], *,
+                   inverse: bool = False) -> Optional[FourStepPlan]:
+        """Which path a transform over ``moduli`` takes on this engine.
 
-        The float pipeline's temporaries are tens of MB at production
-        shapes; faulting them in fresh per transform costs more than the
-        reduction arithmetic itself, so one shape-matched set lives on the
-        engine and is ping-ponged through.  Results that escape to the
-        caller are always fresh copies, never views of these buffers.
+        The per-stage forms of the float64 pipeline, or ``None`` when the
+        launch runs the int64 :meth:`_ops_pipeline`: this engine's GEMM or
+        Hadamard hooks are overridden (the tensor-core engine lowers them
+        to INT8 and must keep doing so), the resolved backend's
+        ``capabilities()`` do not declare ``float_residency``, or the
+        2**53 guard refuses a stage.  Both paths give the same bits.
         """
-        cached = self._float_buffers
-        if cached is None or cached[0].shape != shape:
-            cached = tuple(np.empty(shape, dtype=np.float64)
-                           for _ in range(3))
-            self._float_buffers = cached
-        return cached
+        stack = get_twiddle_stack(self.ring_degree, tuple(int(q) for q in moduli))
+        return self._float_plan(stack, inverse)
 
-    def _float_ops_pipeline(self, stacks, stack, *, inverse: bool):
-        """Float64-resident three-launch pipeline, or None when ineligible.
-
-        The perf shape of the paper's tensor-core kernel: both GEMMs run as
-        raw dgemms on the ``(B, limbs, N1, N2)`` layout (a broadcast
-        ``matmul`` — no batch transpose, no contiguous copy between steps)
-        and every intermediate modular reduction is a lazy float64 Barrett
-        pass (:mod:`repro.numtheory.floatmod`) ping-ponged between two
-        buffers, so nothing int64 is materialised until the very end — and
-        for residency-handle inputs not even then: the result is a
-        float-resident handle whose int64 image is built lazily at the
-        host boundary.
-
-        Eligibility: the resolved backend's ``capabilities()`` report
-        declares ``float_residency``, this engine's GEMM/Hadamard hooks
-        are not overridden (the tensor-core engine lowers them to INT8 and
-        must keep doing so), and the whole transform fits the 2**53
-        exactness guard.  Any miss returns None and the caller runs the
-        exact int64 pipeline — bit-identical either way.
-        """
+    def _float_plan(self, stack, inverse: bool) -> Optional[FourStepPlan]:
         if (type(self)._gemm_limbs is not FourStepNtt._gemm_limbs
                 or type(self)._hadamard_limbs is not FourStepNtt._hadamard_limbs):
             return None
         backend = resolve_backend(self.backend)
         if not backend.capabilities().get("float_residency", False):
             return None
-        chain = stack.barrett_chain
-        q = chain.qmax
-        # Largest intermediate: the inner GEMM on canonical operands, the
-        # Hadamard on lazy residues (|x| <= 2q), or the outer GEMM on lazy
-        # residues; the inverse path's degree-inverse multiply on a lazy
-        # residue is bounded by 2q*(q-1) and already covered.
-        bound = max(self.n1 * (q - 1) ** 2, 2 * self.n2 * q * (q - 1))
-        if not chain.fits(bound):
-            return None
+        return stack.four_step_plan(inverse)
+
+    def _float_pipeline(self, stacks, stack, plan: FourStepPlan,
+                        inverse: bool):
+        """The transform as float64 stages, slab by slab.
+
+        The perf shape of the paper's tensor-core kernel: the wide twiddle
+        operand is cut into narrow parts whose partial products are exact
+        (:mod:`repro.ntt.four_step_plan`), both GEMMs are raw dgemms and
+        every reduction is a lazy float64 Barrett pass, so no int64 ``%``
+        runs.  Each slab (:func:`~repro.ntt.four_step_plan.slabs`) goes
+        through all stages while it is in cache and lands in the result
+        through one merged transpose(+cast).
+
+        Plain arrays come back as int64 arrays.  A handle comes back as a
+        float-only handle where ``plan.float_result`` says the next kernel
+        is fastest on one, and as an int64 handle otherwise.
+        """
+        backend = resolve_backend(self.backend)
         batch, limbs = stacks.shape[0], stacks.shape[1]
-        if batch == 0:
-            return None
-        if inverse:
-            g1_cache, g3_cache = stack.four_step_inverse_caches()
-            g2f = stack.four_step_inverse_hadamard_cache().full()
+        resident = is_buffer(stacks)
+        cache = stacks.float_cache() if resident else None
+        if cache is not None:
+            source = cache.full()
         else:
-            g1_cache, g3_cache = stack.four_step_forward_caches()
-            g2f = stack.four_step_forward_hadamard_cache().full()
-        # Scratch reuse: three shape-matched float64 buffers live on the
-        # engine between calls.  Freshly mmapped 10s-of-MB temporaries cost
-        # more in page faults than the arithmetic they hold at these
-        # shapes, so the pipeline ping-pongs through warm buffers instead
-        # (results handed to the caller are always fresh copies below).
-        shape = (batch, limbs, self.n1, self.n2)
-        conv, work_a, work_b = self._float_scratch(shape)
-        a_f = None
-        if is_buffer(stacks):
-            cache = stacks.float_cache()
-            if cache is not None:
-                a_f = cache.full().reshape(shape)
-        if a_f is None:
-            host = (stacks.ensure_host() if is_buffer(stacks)
-                    else stacks)
-            np.copyto(conv.reshape(batch, limbs, self.ring_degree), host,
+            source = stacks.ensure_host() if resident else stacks
+        source = source.reshape(batch, limbs, self.n1, self.n2)
+        as_float = resident and plan.float_result
+        # (N2, N1) per slice: the column-major flattening of forward().
+        result = np.empty((batch, limbs, self.n2, self.n1),
+                          dtype=np.float64 if as_float else np.int64)
+
+        def gemm_left(image, x, out):
+            return backend.fmatmul(image, x, out=out)
+
+        def gemm_right(image, x, out):
+            return backend.fmatmul(x, image, out=out)
+
+        def hadamard(image, x, out):
+            # One multiply per operation: broadcasting the twiddle across
+            # the slab's operation axis would leave runs of N elements per
+            # broadcast value, numpy's slow case (BROADCAST_RUN).
+            image = image[:, 0]
+            for op in range(x.shape[1]):
+                np.multiply(x[:, op], image, out=out[:, op])
+            return out
+
+        def scale(image, x, out):
+            return np.multiply(x, image, out=out)
+
+        # Slabs are limb-major, (limbs, operations, N1, N2), so every
+        # operand image gets the operation axis to broadcast along.  The
+        # forward plan's ``scale`` is None and has no operand: zip stops.
+        stages = []
+        for form, apply, operand in zip(
+                plan, (gemm_left, hadamard, gemm_right, scale),
+                stack.four_step_operand_caches(inverse)):
+            images, weight = stage_operand(form, operand)
+            stages.append((form, apply,
+                           [image[:, None] for image in images], weight))
+        block = buffers = None
+        whole_chain = stack.barrett_chain
+        for ops, rows in slabs(batch, limbs, self.ring_degree):
+            whole = rows.stop - rows.start == limbs
+            chain = (whole_chain if whole
+                     else get_barrett_chain(stack.moduli[rows]))
+            x = source[ops, rows].transpose(1, 0, 2, 3)
+            if buffers is None or buffers[0].shape != x.shape:
+                # Four work buffers carved from one block sized by the
+                # first slab; only a short last slab carves again.
+                if block is None:
+                    block = np.empty(4 * x.size, dtype=np.float64)
+                buffers = [block[i * x.size:(i + 1) * x.size].reshape(x.shape)
+                           for i in range(4)]
+            if cache is None:
+                np.copyto(buffers[0], x)
+                x = buffers[0]
+            for form, apply, images, weight in stages:
+                if not whole:
+                    images = [image[rows] for image in images]
+                x = run_stage(form, apply, images, weight, chain, x,
+                              [b for b in buffers if b is not x])
+            spare = buffers[1] if x is buffers[0] else buffers[0]
+            x = chain.lazy_reduce(x, axis=0, out=spare)       # canonical
+            np.copyto(result[ops, rows], x.transpose(1, 0, 3, 2),
                       casting="unsafe")
-            a_f = conv
-        # GEMM 1 (inner NTTs), lazy-reduced into the ping-pong buffer.
-        backend.fmatmul(g1_cache.full()[None], a_f, out=work_a)
-        lazy = chain.lazy_reduce(work_a, axis=1, out=work_b)
-        # Hadamard twiddle on lazy residues (broadcast over the batch).
-        np.multiply(lazy, g2f[None], out=work_a)
-        lazy = chain.lazy_reduce(work_a, axis=1, out=work_b)
-        # GEMM 2 (outer DFTs) and canonicalisation.  ``conv`` is free again
-        # (the converted input is only read by GEMM 1), so it takes the
-        # outer product.
-        outer = backend.fmatmul(lazy, g3_cache.full()[None], out=conv)
-        if inverse:
-            # Fold the degree-inverse multiply into the reduction chain:
-            # one lazy pass confines the residues, the scalar multiply
-            # stays within the guard, and the canonical passes finish.
-            lazy = chain.lazy_reduce(outer, axis=1, out=work_a)
-            np.multiply(
-                lazy, stack.degree_inverse_float.reshape(1, limbs, 1, 1),
-                out=outer)
-        result = chain.canonical_reduce(outer, axis=1, out=outer,
-                                        scratch=work_a)
-        # Column-major flattening of every (N1, N2) slice, per operation.
-        flat = result.transpose(0, 1, 3, 2)
-        if is_buffer(stacks):
-            values = np.ascontiguousarray(flat).reshape(
-                batch, limbs, self.ring_degree)
-            return DeviceBuffer.from_float(FloatResidues(values, q - 1))
-        # Merged transpose + cast: one pass writes the int64 output.
-        out = np.empty(flat.shape, dtype=np.int64)
-        np.copyto(out, flat, casting="unsafe")
-        return out.reshape(batch, limbs, self.ring_degree)
+        result = result.reshape(batch, limbs, self.ring_degree)
+        if as_float:
+            return DeviceBuffer.from_float(
+                FloatResidues(result, whole_chain.qmax - 1))
+        return DeviceBuffer.wrap(result) if resident else result
 
     def _ops_pipeline(self, stacks: np.ndarray, moduli_array: np.ndarray,
                       w1: np.ndarray, w2: np.ndarray, w3: np.ndarray,

@@ -22,6 +22,7 @@ from ..numtheory.bit_ops import bit_reverse_permutation, ilog2, is_power_of_two
 from ..numtheory.floatmod import BarrettChain, get_barrett_chain
 from ..numtheory.modular import mod_inverse, mod_pow
 from ..numtheory.roots import find_negacyclic_root, root_powers
+from .four_step_plan import FourStepPlan, plan_four_step
 from .gemm_utils import FloatOperandCache
 
 __all__ = [
@@ -271,6 +272,7 @@ class TwiddleStack:
         self._stacks: Dict[str, np.ndarray] = {}
         self._float_caches: Dict[str, FloatOperandCache] = {}
         self._buffers: Dict[str, DeviceBuffer] = {}
+        self._plans: Dict[bool, Optional[FourStepPlan]] = {}
 
     @property
     def limb_count(self) -> int:
@@ -334,6 +336,46 @@ class TwiddleStack:
         self.four_step_inverse()
         return self._float("fs_v2")
 
+    def degree_inverse_cache(self) -> FloatOperandCache:
+        """Float cache of the degree inverses as a ``(limbs, 1, 1)`` column.
+
+        The float four-step pipeline's last inverse stage multiplies by
+        ``N^-1 mod q`` like the Hadamard stage multiplies by ``V2``, so it
+        takes the same cached full and hi/lo images.
+        """
+        if "degree_inverse" not in self._float_caches:
+            self._float_caches["degree_inverse"] = FloatOperandCache(
+                self.degree_inverse_column[:, :, None])
+        return self._float_caches["degree_inverse"]
+
+    def four_step_operand_caches(self, inverse: bool) -> Tuple[FloatOperandCache, ...]:
+        """Float caches of one direction's stage operands, in stage order.
+
+        ``(W1, W2, W3)`` forward; ``(V1, V2, V3, N^-1)`` inverse.
+        """
+        if inverse:
+            inner, outer = self.four_step_inverse_caches()
+            return (inner, self.four_step_inverse_hadamard_cache(), outer,
+                    self.degree_inverse_cache())
+        inner, outer = self.four_step_forward_caches()
+        return inner, self.four_step_forward_hadamard_cache(), outer
+
+    def four_step_plan(self, inverse: bool) -> Optional[FourStepPlan]:
+        """Stage forms of the float four-step transform over this chain.
+
+        ``None`` when the 2**53 guard refuses some stage (see
+        :func:`~repro.ntt.four_step_plan.plan_four_step`); decided once per
+        stack and direction.  A prefix stack plans with its parent's
+        operand maxima, which are the ones its split images were cut at.
+        """
+        if inverse not in self._plans:
+            n1, n2 = split_degree(self.ring_degree)
+            maxima = [cache.max_value
+                      for cache in self.four_step_operand_caches(inverse)]
+            self._plans[inverse] = plan_four_step(self.barrett_chain, n1, n2,
+                                                  *maxima)
+        return self._plans[inverse]
+
     # -- Barrett constants for the float-resident kernels ---------------
     @property
     def barrett_chain(self) -> BarrettChain:
@@ -349,11 +391,7 @@ class TwiddleStack:
     @property
     def degree_inverse_float(self) -> np.ndarray:
         """``degree_inverse_column`` as a reusable float64 ``(limbs, 1)`` image."""
-        cached = getattr(self, "_degree_inverse_float", None)
-        if cached is None:
-            cached = self.degree_inverse_column.astype(np.float64)
-            self._degree_inverse_float = cached
-        return cached
+        return self.degree_inverse_cache().full()[:, :, 0]
 
     # -- resident operand handles (the device images of the stacks) ----
     def forward_matrices_buffer(self) -> DeviceBuffer:

@@ -73,13 +73,31 @@ class CrtContext:
         return np.asarray(rows, dtype=np.int64)
 
     def compose_array(self, residue_matrix: np.ndarray, *, centered: bool = True) -> List[int]:
-        """Compose an ``(L, n)`` residue matrix back into ``n`` integers."""
+        """Compose an ``(L, n)`` residue matrix back into ``n`` integers.
+
+        The vectorised form of :meth:`compose` / :meth:`compose_centered`
+        (which stay as the scalar reference): the per-limb multiply by
+        ``q_hat^-1`` runs on the whole matrix, and the big-integer part is
+        one object-dtype multiply, a column sum and one reduction.
+        """
         matrix = np.asarray(residue_matrix)
         if matrix.shape[0] != len(self.moduli):
             raise ValueError("residue matrix has wrong number of rows")
-        composer = self.compose_centered if centered else self.compose
-        return [composer([int(matrix[l, i]) for l in range(matrix.shape[0])])
-                for i in range(matrix.shape[1])]
+        column = np.asarray(self.moduli, dtype=object)[:, None]
+        inverses = np.asarray(self.quotient_inverses, dtype=object)[:, None]
+        if matrix.dtype.kind == "i" and max(self.moduli) < (1 << 31):
+            # Both factors are below 2**31 once the residues are reduced,
+            # so the per-limb step stays in int64.
+            column, inverses = column.astype(np.int64), inverses.astype(np.int64)
+        else:
+            matrix = matrix.astype(object)
+        scaled = (matrix % column * inverses % column).astype(object)
+        quotients = np.asarray(self.quotients, dtype=object)[:, None]
+        total = (scaled * quotients).sum(axis=0) % self.modulus_product
+        if centered:
+            total = np.where(total > self.modulus_product // 2,
+                             total - self.modulus_product, total)
+        return total.tolist()
 
 
 def decompose(value: int, moduli: Sequence[int]) -> List[int]:

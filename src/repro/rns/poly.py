@@ -156,22 +156,27 @@ class RnsPolynomial:
         """Build a coefficient-domain polynomial from (possibly signed) integers.
 
         The whole residue matrix is produced by one broadcast reduction of
-        the coefficient vector against the ``(limbs, 1)`` moduli column.
-        Arbitrary-precision coefficients (larger than int64) take an exact
+        the coefficient vector against the ``(limbs, 1)`` moduli column; an
+        integer ndarray goes straight to it, anything else is converted in
+        one vectorised cast.  Coefficients larger than int64 take an exact
         object-dtype path.
         """
-        coefficients = [int(c) for c in coefficients]
-        ring_degree = len(coefficients) if ring_degree is None else ring_degree
-        if len(coefficients) != ring_degree:
+        values = (coefficients if isinstance(coefficients, np.ndarray)
+                  else np.asarray(list(coefficients), dtype=object))
+        ring_degree = values.size if ring_degree is None else ring_degree
+        if values.shape != (ring_degree,):
             raise ValueError("coefficient count does not match ring degree")
         moduli = tuple(int(q) for q in moduli)
         column = np.asarray(moduli, dtype=np.int64)[:, None]
-        int64_min, int64_max = -(1 << 63), (1 << 63) - 1
-        if all(int64_min <= c <= int64_max for c in coefficients):
-            residues = np.asarray(coefficients, dtype=np.int64)[None, :] % column
-        else:
-            wide = np.asarray(coefficients, dtype=object)[None, :] % column
-            residues = np.asarray(wide, dtype=np.int64)
+        if values.dtype.kind != "i":
+            # Object, float and unsigned input converts through Python
+            # ints, so a value int64 cannot hold raises instead of wrapping.
+            values = values.astype(object)
+        try:
+            values = values.astype(np.int64, copy=False)
+        except OverflowError:       # some coefficient needs more than 64 bits
+            values = np.asarray([int(c) for c in values], dtype=object)
+        residues = np.asarray(values[None, :] % column, dtype=np.int64)
         return cls(ring_degree, moduli, residues)
 
     @classmethod

@@ -360,21 +360,28 @@ class TestFourStepFloatPipeline:
         assert counter.transfer_total() == 0
         assert np.array_equal(got.ensure_host(), np.asarray(want))
 
-    def test_guard_rejection_takes_int64_path(self):
-        """27-bit primes break n1 * (q-1)**2 < 2**53 at N=1024: fallback."""
+    def test_single_pass_guard_miss_takes_the_split_forms(self):
+        """27-bit primes break n1 * (q-1)**2 < 2**53 at N=1024: split GEMMs.
+
+        The transform stays on the float pipeline; what changes is the
+        representation handed back, int64 at split product widths.
+        """
         primes, stacks = self._stacks(27)
         chain = get_barrett_chain(primes)
         n1 = int(np.sqrt(self.N))
         assert not chain.fits(n1 * (chain.qmax - 1) ** 2)
         blas = NttPlanner("four_step", backend="blas")
+        plan = blas.engine_for(self.N, primes[0]).float_plan(primes)
+        assert plan.inner.split and not plan.float_result
         reference = NttPlanner("four_step", backend="numpy")
         want = reference.forward_ops(self.N, primes, stacks)
         with use_backend("blas"):
             got = blas.forward_ops(self.N, primes, DeviceBuffer.wrap(stacks))
+        assert got.host_image is not None and got.float_cache() is None
         assert np.array_equal(as_ndarray(got), np.asarray(want))
 
     def test_results_do_not_alias_engine_scratch(self):
-        """Back-to-back launches reuse scratch but hand out fresh results."""
+        """Back-to-back launches hand out fresh results, never work buffers."""
         primes, stacks = self._stacks(20)
         planner = NttPlanner("four_step", backend="blas")
         first = np.asarray(planner.forward_ops(self.N, primes, stacks))

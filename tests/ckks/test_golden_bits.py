@@ -15,6 +15,11 @@ the default 28-bit primes with a 30-bit special prime (hi/lo-split float
 reduction on ``blas``) and 20-bit primes with a 23-bit special prime
 (single-pass float Barrett).
 
+``GOLDEN_BOUNDARY`` (generated at e8a0972) covers what raw residues never
+reach: ``Encryptor``, ``Decryptor``, the CRT recombination behind
+``to_integers`` and the ``forward_limbs`` / ``inverse_limbs`` entry points
+that encryption, decryption and key generation transform through.
+
 Regenerate (only when an output is *meant* to change) with
 ``PYTHONPATH=src python tests/ckks/test_golden_bits.py``.
 """
@@ -63,6 +68,23 @@ GOLDEN = {
         "mod_raise": "b95b39017a2508b65910b4f0600de161c0605da2b3987984648d58f392babf7c",
         "bsgs": "285a7dbc7d41a8300dd766d64501633eb7540fd6d937f92699941b38bfad671c",
         "bootstrap": "a7e684b7ab8c8fbf9a54a62691a5e4a422643b31a36de4b7af9c071d78fb651c",
+    },
+}
+
+GOLDEN_BOUNDARY = {
+    "p20": {
+        "encrypt_public": "fb59798f89c5d2a0079df7767e3a7c4fb7baf73ae517ebe1d48f27a62bee5d73",
+        "encrypt_symmetric": "35763968b06a504be01323a9758ee659a3a209a2819665b75bf26f759b13d605",
+        "decrypt": "18dc4d145e91bb932ed7a03dc88a479582347b4b6de50a4a78bdd06c2c41cd83",
+        "to_integers": "16082acc9a71022096b2b85df8cb32e0034b1b9a78d3a4950c04382ec45909b8",
+        "limbs_round_trip": "647064eba9798400e5d0aa29ea12a35ee919d029fc076ef3ac04e07af85fce4c",
+    },
+    "p28": {
+        "encrypt_public": "7d4e4d364599faec8732acaa68a1a8ab5d8ef65ca2a428989742e492020802ce",
+        "encrypt_symmetric": "02305f61eb2b80d9d3ba2431a6ed6f15f91579f66d634c2fd63ae8b784b9206d",
+        "decrypt": "c72db0511555f0d714677e4f4145e1f71fcd0653ffc1d0f08a14a91df566c626",
+        "to_integers": "b1636eb876f5e11da72cf2fc59dc2bfe4445bb15fa3be2987b6f477c94271fb0",
+        "limbs_round_trip": "56dab7e2ab930f7c77932ee01385569a4e3c607f11c0674c6ea0ff0be60f3946",
     },
 }
 
@@ -156,18 +178,56 @@ def operations(fhe):
     }
 
 
+def boundary_digests(fhe):
+    """Digests of seeded encrypt / decrypt / CRT / limb round-trip outputs.
+
+    The context's generator is re-seeded on entry, so the bits do not
+    depend on how much randomness earlier tests consumed.
+    """
+    context = fhe.context
+    context.rng = np.random.default_rng([1311, 2])
+    slot_rng = np.random.default_rng([1311, 3])
+    slots = (slot_rng.uniform(-1, 1, context.slot_count)
+             + 1j * slot_rng.uniform(-1, 1, context.slot_count))
+    public = fhe.encryptor.encrypt(slots)
+    symmetric = fhe.encryptor.encrypt_symmetric(slots)
+    plain = fhe.decryptor.decrypt(public).polynomial
+    integers = plain.to_integers(centered=True)
+    n, moduli = context.ring_degree, public.c0.moduli
+    forward = context.planner.forward_limbs(n, moduli, public.c0.residues)
+    back = context.planner.inverse_limbs(n, moduli, forward)
+    assert np.array_equal(back, public.c0.residues)
+    return {
+        "encrypt_public": digest([public]),
+        "encrypt_symmetric": digest([symmetric]),
+        "decrypt": digest([(plain,)]),
+        "to_integers": hashlib.sha256(repr(integers).encode()).hexdigest(),
+        "limbs_round_trip": hashlib.sha256(
+            np.ascontiguousarray(forward, dtype="<i8").tobytes()
+            + np.ascontiguousarray(back, dtype="<i8").tobytes()).hexdigest(),
+    }
+
+
 @pytest.fixture(scope="module", params=sorted(CHAINS))
 def chain(request):
-    return request.param, operations(build(request.param))
+    fhe = build(request.param)
+    return request.param, operations(fhe), fhe
 
 
 @pytest.mark.parametrize("backend", ("numpy", "blas"))
 @pytest.mark.parametrize("mode", ("singular", "many"))
 def test_output_bits_are_frozen(chain, backend, mode):
-    name, ops = chain
+    name, ops, _ = chain
     with use_backend(backend):
         got = {op: digest(pair[mode == "many"]()) for op, pair in ops.items()}
     assert got == GOLDEN[name]
+
+
+@pytest.mark.parametrize("backend", ("numpy", "blas"))
+def test_boundary_bits_are_frozen(chain, backend):
+    name, _, fhe = chain
+    with use_backend(backend):
+        assert boundary_digests(fhe) == GOLDEN_BOUNDARY[name]
 
 
 if __name__ == "__main__":
@@ -175,4 +235,9 @@ if __name__ == "__main__":
         print("    %r: {" % name)
         for op, (singular, _) in operations(build(name)).items():
             print("        %r: %r," % (op, digest(singular())))
+        print("    },")
+    for name in sorted(CHAINS):
+        print("    %r: {" % name)
+        for key, value in boundary_digests(build(name)).items():
+            print("        %r: %r," % (key, value))
         print("    },")

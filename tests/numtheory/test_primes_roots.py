@@ -115,6 +115,43 @@ class TestCrt:
         composed = crt.compose_array(matrix, centered=False)
         assert composed == [v % crt.modulus_product for v in values]
 
+    @pytest.mark.parametrize("moduli", [
+        (97, 193, 257),
+        (268460033, 268582913, 1073750017),          # the default 28/30-bit widths
+        ((1 << 31) + 11, (1 << 33) + 17, 193),       # no int64-safe product
+    ])
+    @pytest.mark.parametrize("as_object", [False, True])
+    def test_compose_array_equals_scalar_compose(self, moduli, as_object):
+        """The vectorised composition returns the scalar reference's ints."""
+        crt = CrtContext(moduli)
+        big, half = crt.modulus_product, crt.modulus_product // 2
+        rng = np.random.default_rng(5)
+        values = [0, 1, big - 1, half - 1, half, half + 1, half + 2]
+        values += [int(v) % big for v in rng.integers(0, 1 << 62, 25)]
+        matrix = crt.decompose_array(values)
+        # Edge residues per limb: all zero, all q - 1.
+        matrix = np.concatenate(
+            [matrix, np.zeros((len(moduli), 1), dtype=np.int64),
+             np.asarray(moduli, dtype=np.int64)[:, None] - 1], axis=1)
+        columns = [[int(r) for r in matrix[:, i]] for i in range(matrix.shape[1])]
+        if as_object:
+            matrix = matrix.astype(object)
+        for centered, scalar in ((True, crt.compose_centered), (False, crt.compose)):
+            got = crt.compose_array(matrix, centered=centered)
+            assert got == [scalar(column) for column in columns]
+            assert all(type(value) is int for value in got)
+        assert crt.compose_array(matrix, centered=False)[:7] == values[:7]
+
+    def test_compose_array_reduces_unreduced_residues(self):
+        crt = CrtContext([97, 193])
+        matrix = np.asarray([[5 + 3 * 97, -1], [7, 193 + 2]], dtype=np.int64)
+        assert crt.compose_array(matrix, centered=False) == [
+            crt.compose([5, 7]), crt.compose([96, 2])]
+
+    def test_compose_array_rejects_wrong_row_count(self):
+        with pytest.raises(ValueError):
+            CrtContext([97, 193]).compose_array(np.zeros((3, 4), dtype=np.int64))
+
     def test_duplicate_moduli_rejected(self):
         with pytest.raises(ValueError):
             CrtContext([97, 97])

@@ -84,6 +84,44 @@ class TestRnsPolynomial:
         poly = RnsPolynomial.from_integers(coefficients, basis.primes_at_level(2))
         assert poly.to_integers() == coefficients
 
+    def test_from_integers_array_inputs_match_the_list_path(self, basis, rng):
+        """int64, narrower-int, unsigned, float-object and list input agree."""
+        moduli = basis.primes_at_level(2)
+        signed = rng.integers(-(1 << 40), 1 << 40, RING_DEGREE)
+        want = np.asarray([[int(c) % q for c in signed] for q in moduli])
+        encoder_like = signed.astype(np.float64).astype(object)   # Python floats
+        for coefficients in (signed, [int(c) for c in signed], encoder_like,
+                             iter([int(c) for c in signed])):
+            poly = RnsPolynomial.from_integers(coefficients, moduli)
+            assert poly.residues.dtype == np.int64
+            assert np.array_equal(poly.residues, want)
+        small = rng.integers(-100, 100, RING_DEGREE)
+        for dtype in (np.int8, np.int32):
+            assert (RnsPolynomial.from_integers(small.astype(dtype), moduli)
+                    == RnsPolynomial.from_integers(small, moduli))
+        unsigned = np.full(RING_DEGREE, (1 << 64) - 1, dtype=np.uint64)
+        assert np.array_equal(
+            RnsPolynomial.from_integers(unsigned, moduli).residues,
+            np.asarray([[((1 << 64) - 1) % q] * RING_DEGREE for q in moduli]))
+
+    def test_from_integers_wide_coefficients_stay_exact(self, basis):
+        moduli = basis.primes_at_level(2)
+        wide = [(-1) ** i * ((1 << 90) + i) for i in range(RING_DEGREE)]
+        want = np.asarray([[c % q for c in wide] for q in moduli])
+        for coefficients in (wide, np.asarray(wide, dtype=object)):
+            poly = RnsPolynomial.from_integers(coefficients, moduli)
+            assert np.array_equal(poly.residues, want)
+        edge = [(1 << 63) - 1, -(1 << 63), 1 << 63] + [0] * (RING_DEGREE - 3)
+        assert np.array_equal(
+            RnsPolynomial.from_integers(edge, moduli).residues,
+            np.asarray([[c % q for c in edge] for q in moduli]))
+
+    def test_from_integers_rejects_a_wrong_length(self, basis):
+        moduli = basis.primes_at_level(0)
+        for coefficients in ([1, 2, 3], np.arange(3), np.zeros((2, RING_DEGREE), dtype=np.int64)):
+            with pytest.raises(ValueError, match="coefficient count"):
+                RnsPolynomial.from_integers(coefficients, moduli, RING_DEGREE)
+
     def test_add_matches_integers(self, basis, rng):
         moduli = basis.primes_at_level(2)
         crt = CrtContext(moduli)
