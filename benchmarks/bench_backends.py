@@ -9,7 +9,7 @@ whose guarded float64 dgemm replaces numpy's non-BLAS int64 matmul kernel
 (the software analogue of the paper dropping from CUDA-core modular
 arithmetic to tensor-core GEMMs).
 
-The ``multiprocess`` backend is swept for completeness: at this shape the
+The ``sharded`` backend is swept for completeness: at this shape the
 per-launch work sits below its sharding threshold, so it reports the
 inline (numpy-equal) time unless ``REPRO_BACKEND_WORKERS``/a beefier shape
 makes sharding worthwhile.

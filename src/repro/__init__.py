@@ -4,7 +4,7 @@ Encrypted Data Using GPGPU* (HPCA 2023).
 The package is layered (see DESIGN.md):
 
 * :mod:`repro.backend` — pluggable compute substrates (numpy / BLAS
-  float64 / multiprocess / torch / cupy) behind the batched-GEMM funnel;
+  float64 / sharded / torch) behind the batched-GEMM funnel;
 * :mod:`repro.numtheory`, :mod:`repro.ntt`, :mod:`repro.tcu`, :mod:`repro.rns`
   — arithmetic substrates, including the tensor-core segmented NTT;
 * :mod:`repro.kernels`, :mod:`repro.ckks` — the hierarchical CKKS

@@ -9,8 +9,6 @@ keep operands backend-native across kernel launches.
 
 from .base import ArrayBackend
 from .blas_backend import BlasFloat64Backend, FloatOperandCache
-from .cupy_backend import CupyBackend
-from .multiprocess_backend import MultiprocessBackend
 from .numpy_backend import NumpyBackend, max_safe_chunk
 from .residency import (
     DEVICE_TO_HOST,
@@ -45,13 +43,11 @@ __all__ = [
     "ArrayBackend",
     "NumpyBackend",
     "BlasFloat64Backend",
-    "MultiprocessBackend",
     "ShardedBackend",
     "ShmArena",
     "WORKERS_ENV_VAR",
     "parse_worker_count",
     "TorchBackend",
-    "CupyBackend",
     "FloatOperandCache",
     "max_safe_chunk",
     "DeviceBuffer",

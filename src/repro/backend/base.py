@@ -1,46 +1,67 @@
-"""The ``ArrayBackend`` interface: one compute substrate for the GEMM funnel.
+"""The ``ArrayBackend`` interface: one kernel surface per compute substrate.
 
-The limb-batched refactor funnelled every hot path of the library through a
-handful of array primitives — batched modular GEMMs
-(:meth:`ArrayBackend.matmul_limbs`), element-wise mat-mod kernels and the
-row-moduli GEMM of the fast basis conversion.  This module defines that
-funnel as an explicit interface so the substrate becomes pluggable: the
-engines, the RNS layer and the CKKS stack call the *active* backend and
-never name a concrete array library.
+Every hot path of the library — the batched NTT engines, the RNS basis
+conversion, the CKKS element-wise arithmetic — reaches its arithmetic through
+the funnels of :mod:`repro.ntt.gemm_utils` and :mod:`repro.numtheory.modular`,
+and the funnels call the *active* backend.  The paper's kernel layer is a small
+fixed set of kernels every operation reuses (Table II); this interface is that
+set.  Registered implementations (:mod:`repro.backend.registry`): ``numpy``
+(exact chunked int64, the default), ``blas`` (2**53-guarded float64, bit-exact),
+``sharded`` (``sharded:<delegate>:<workers>``, persistent shared-memory workers
+over a delegate) and ``torch`` (registers always, available when it imports).
 
-Implementations registered with :mod:`repro.backend.registry`:
+The modular kernels
+-------------------
+Seven kernels take :class:`~repro.backend.residency.DeviceBuffer` handles and
+return one.  Which image of an operand a kernel reads — int64 host, backend
+native, float64 — is the kernel's business: the representation is a property
+of the handle, not of the method name.  ``L`` is the limb axis; ``moduli`` is a
+host int64 array with one prime per leading row, as a vector or a broadcast
+column.
 
-* ``numpy`` — exact chunked int64 arithmetic, the zero-dependency default;
-* ``blas`` — the 2**53-guarded float64 BLAS fast path (bit-exact);
-* ``multiprocess`` — shards the limb axis of large batched GEMMs across a
-  process pool with shared-memory operands;
-* ``sharded`` — persistent shared-memory workers executing whole fused
-  kernels per shard over a pinned delegate backend (spec
-  ``sharded:<delegate>:<workers>``, e.g. ``sharded:blas:4``); the
-  multiprocess backend is its limb-axis special case;
-* ``torch`` / ``cupy`` — optional accelerator stubs that register only when
-  the library imports.
+================  ==============================  ==================================
+kernel            operands                        result
+================  ==============================  ==================================
+``matmul_limbs``  ``(L, M, K)``, ``(L, K, P)``    ``(lhs[i] @ rhs[i]) % moduli[i]``
+``matmul_rows``   ``(R, K)``, ``(K, P)``          ``(lhs[j] @ rhs) % moduli[j]``
+``mat_mul``       ``(L, ...)`` ×2, broadcasting   ``(a * b) % moduli`` (Hada-Mult)
+``mat_add``       ``(L, ...)`` ×2                 ``(a + b) % moduli`` (Ele-Add)
+``mat_sub``       ``(L, ...)`` ×2                 ``(a - b) % moduli`` (Ele-Sub)
+``mat_neg``       ``(L, ...)``                    ``(-a) % moduli``
+``mat_reduce``    ``(L, ...)``, any int64         ``a % moduli``
+================  ==============================  ==================================
 
-Contract
---------
-Every host-level method receives ``numpy.int64`` arrays whose entries are
-already reduced modulo their (row's) modulus, with every modulus below
-``2**31`` so a product of two residues fits in int64; the oversized-moduli
-object-dtype fallbacks stay in the dispatching funnels
-(:mod:`repro.ntt.gemm_utils`, :mod:`repro.numtheory.modular`).  Methods
-return reduced int64 arrays.
+Operands are reduced modulo their row's prime (``mat_reduce`` and the rhs of
+``matmul_rows`` excepted) and every modulus is below ``2**31``, so a product of
+two residues fits int64; the funnels keep the object-dtype path for wider
+moduli and never dispatch them.
 
-Residency
----------
-Each host kernel has a ``*_native`` variant that accepts and returns
-:class:`~repro.backend.residency.DeviceBuffer` handles.  The defaults here
-unwrap to host (an identity for CPU backends, a *counted* transfer for
-device backends) and re-wrap the host result, so every backend is
-residency-correct out of the box; device backends override them to operate
-on their native arrays directly, which is what keeps a fused kernel chain
-on the accelerator with zero intermediate host copies.  The ``nat_*``
-helpers are the small view/layout algebra the residency layer needs on
-native arrays (device-side views — no copies).
+*Images a backend may read.*  ``ensure_host()`` is always allowed: free on a
+host backend (``device_is_host``), a counted device→host crossing otherwise.
+A device backend reads ``ensure_device(self)`` (one counted upload per handle)
+and returns ``DeviceBuffer.from_native`` so a chain of launches never leaves
+the device.  A float-capable backend may *peek* ``float_cache()`` and use an
+attached float64 image, returning a float-only handle
+(``DeviceBuffer.from_float``); it never builds one on an operand, so transient
+intermediates pay no conversion.
+
+*Who guards exactness.*  The backend: a kernel that takes a float path checks
+the 2**53 bound itself (:class:`~repro.numtheory.floatmod.BarrettChain`
+``fits``) and falls back to exact int64 arithmetic when it fails.  Every
+backend returns the same bits.
+
+The float kernels
+-----------------
+``fmatmul`` and the five ``f*_limbs`` kernels work on raw float64 arrays
+holding exact integers.  They are the building blocks of float paths (the
+four-step engine's planned pipeline calls ``fmatmul`` directly; blas composes
+the rest inside its modular kernels).  Here the *caller* owns the guard.
+
+Transfers and views
+-------------------
+``to_device`` / ``from_device`` move an int64 array across the host boundary;
+the ``nat_*`` helpers are the view/layout algebra the residency layer applies
+to native arrays (device-side views, never copies back).
 """
 
 from __future__ import annotations
@@ -56,22 +77,16 @@ __all__ = ["ArrayBackend"]
 
 
 class ArrayBackend(abc.ABC):
-    """Compute substrate for the batched modular-GEMM funnel."""
+    """Compute substrate for the modular kernels."""
 
     #: Registry identifier (also what ``REPRO_BACKEND`` selects).
     name = "abstract"
 
     #: Whether this backend's native storage *is* host numpy memory.  CPU
     #: backends keep True: residency is the identity for them and the
-    #: transfer counters never tick.  Accelerator backends (torch, cupy)
-    #: set False so every host↔device crossing is counted.
+    #: transfer counters never tick.  Accelerator backends (torch) set
+    #: False so every host↔device crossing is counted.
     device_is_host = True
-
-    #: Deprecated alias of ``capabilities()["float_residency"]``.  Kept so
-    #: external code that still reads the bare class attribute keeps
-    #: working; new code (the funnels, the engines, test auto-skips)
-    #: queries :meth:`capabilities` instead.
-    supports_float_residency = False
 
     def capabilities(self) -> dict:
         """Structured capability report for this backend.
@@ -83,40 +98,36 @@ class ArrayBackend(abc.ABC):
         * ``device_is_host`` — whether native storage *is* host numpy
           memory (False on accelerator backends, where every host↔device
           crossing is transfer-counted);
-        * ``float_residency`` — whether the float-resident element-wise
-          kernels (``f*``) are a profitable substrate here.  The engines
-          and funnels only take a float-resident fast path when this is
-          True *and* the :class:`~repro.numtheory.floatmod.BarrettChain`
-          exactness guard accepts the operand bounds; everything else
-          keeps the int64 path.  The default kernels are plain numpy and
-          correct everywhere — the flag is about profit, not correctness;
-        * ``exact_fallback`` — whether guard-rejected launches fall back
-          to an exact path (always True for the in-tree backends).
+        * ``float_residency`` — whether float64 residue images are a
+          profitable substrate here.  The engines only plan a float
+          pipeline when this is True *and* the
+          :class:`~repro.numtheory.floatmod.BarrettChain` exactness guard
+          accepts the operand bounds.  The float kernels are plain numpy
+          and correct everywhere — the flag is about profit, not
+          correctness.
 
-        Subclasses that toggle the legacy class attributes inherit a
-        correct report automatically; backends with richer capabilities
-        may override and extend the dict (readers must tolerate extra
-        keys and use ``.get`` for optional ones).
+        Backends with richer capabilities override and extend the dict
+        (readers must tolerate extra keys and use ``.get`` for optional
+        ones).
         """
         return {
             "name": self.name,
             "device_is_host": bool(self.device_is_host),
-            "float_residency": bool(self.supports_float_residency),
-            "exact_fallback": True,
+            "float_residency": False,
         }
 
     @classmethod
     def is_available(cls) -> bool:
         """Whether this backend can run in the current process.
 
-        Optional-dependency backends (torch, cupy) override this with an
-        import probe; they register unconditionally but are only listed by
+        Optional-dependency backends (torch) override this with an import
+        probe; they register unconditionally but are only listed by
         :func:`repro.backend.registry.available_backends` when importable.
         """
         return True
 
     # ------------------------------------------------------------------
-    # Allocation / transfer hooks
+    # Transfers
     # ------------------------------------------------------------------
     def to_device(self, array: np.ndarray) -> object:
         """Move an int64 host array into this backend's native storage."""
@@ -126,87 +137,62 @@ class ArrayBackend(abc.ABC):
         """Move a native array back to an int64 host ``numpy.ndarray``."""
         return np.asarray(array, dtype=np.int64)
 
-    def empty(self, shape, dtype=np.int64) -> object:
-        """Allocate an uninitialised native array (result staging)."""
-        return np.empty(shape, dtype=dtype)
-
-    def synchronize(self) -> None:
-        """Block until queued device work is complete (no-op on CPU)."""
-
     # ------------------------------------------------------------------
-    # Batched modular GEMMs (the hot path)
+    # The modular kernels: handles in, handle out
     # ------------------------------------------------------------------
     @abc.abstractmethod
-    def matmul_limbs(self, lhs: np.ndarray, rhs: np.ndarray,
-                     moduli: np.ndarray, *,
-                     lhs_cache: Optional[object] = None,
-                     rhs_cache: Optional[object] = None) -> np.ndarray:
+    def matmul_limbs(self, lhs: DeviceBuffer, rhs: DeviceBuffer,
+                     moduli: np.ndarray) -> DeviceBuffer:
         """Batched GEMM ``out[i] = (lhs[i] @ rhs[i]) mod moduli[i]``.
 
-        ``lhs`` is ``(limbs, M, K)``, ``rhs`` is ``(limbs, K, P)``.  The
-        optional caches are :class:`~repro.backend.blas_backend.FloatOperandCache`
-        instances for a reusable operand (the twiddle stacks); backends
-        that cannot exploit them must ignore them.
+        ``lhs`` is ``(limbs, M, K)``, ``rhs`` is ``(limbs, K, P)``.
         """
 
     @abc.abstractmethod
-    def matmul(self, lhs: np.ndarray, rhs: np.ndarray, modulus: int) -> np.ndarray:
-        """Exact 2-D modular GEMM ``(lhs @ rhs) mod modulus``."""
-
-    @abc.abstractmethod
-    def matmul_rows(self, lhs: np.ndarray, rhs: np.ndarray,
+    def matmul_rows(self, lhs: DeviceBuffer, rhs: DeviceBuffer,
                     row_moduli: np.ndarray, *,
-                    operand_bound: Optional[int] = None) -> np.ndarray:
+                    operand_bound: Optional[int] = None) -> DeviceBuffer:
         """Row-moduli GEMM ``out[j] = (lhs[j] @ rhs) mod row_moduli[j]``.
 
         The fast-basis-conversion shape: operand rows may live in residue
         domains other than ``row_moduli``, so overflow bounds come from the
         operand maxima, not the moduli.  ``operand_bound`` is the caller's
-        precomputed ``max(lhs) * max(rhs)`` (the funnel already scanned the
-        operands for its own object-path guard); implementations fall back
-        to scanning when it is absent.
+        precomputed ``max(lhs) * max(rhs)`` (the funnel already has it for
+        its own object-path guard); implementations fall back to scanning
+        when it is absent.
         """
 
-    # ------------------------------------------------------------------
-    # Element-wise mat-mod kernels (one launch per (limbs, N) matrix)
-    # ------------------------------------------------------------------
     @abc.abstractmethod
-    def hadamard_limbs(self, lhs: np.ndarray, rhs: np.ndarray,
-                       moduli: np.ndarray) -> np.ndarray:
-        """Element-wise ``(lhs * rhs) mod moduli`` along the leading limb axis."""
+    def mat_mul(self, a: DeviceBuffer, b: DeviceBuffer,
+                moduli: np.ndarray) -> DeviceBuffer:
+        """Row-wise ``(a * b) mod moduli`` (Hada-Mult); ``b`` may broadcast."""
 
     @abc.abstractmethod
-    def hadamard(self, lhs: np.ndarray, rhs: np.ndarray, modulus: int) -> np.ndarray:
-        """Element-wise ``(lhs * rhs) mod modulus`` (single modulus)."""
-
-    @abc.abstractmethod
-    def mat_reduce(self, matrix: np.ndarray, moduli: np.ndarray) -> np.ndarray:
-        """Row-wise ``matrix[i] mod moduli[i]``."""
-
-    @abc.abstractmethod
-    def mat_add(self, a: np.ndarray, b: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    def mat_add(self, a: DeviceBuffer, b: DeviceBuffer,
+                moduli: np.ndarray) -> DeviceBuffer:
         """Row-wise ``(a + b) mod moduli`` for reduced operands (Ele-Add)."""
 
     @abc.abstractmethod
-    def mat_sub(self, a: np.ndarray, b: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    def mat_sub(self, a: DeviceBuffer, b: DeviceBuffer,
+                moduli: np.ndarray) -> DeviceBuffer:
         """Row-wise ``(a - b) mod moduli`` for reduced operands (Ele-Sub)."""
 
     @abc.abstractmethod
-    def mat_neg(self, a: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    def mat_neg(self, a: DeviceBuffer, moduli: np.ndarray) -> DeviceBuffer:
         """Row-wise ``(-a) mod moduli``."""
 
     @abc.abstractmethod
-    def mat_mul(self, a: np.ndarray, b: np.ndarray, moduli: np.ndarray) -> np.ndarray:
-        """Row-wise ``(a * b) mod moduli`` (Hada-Mult on matrices)."""
+    def mat_reduce(self, matrix: DeviceBuffer,
+                   moduli: np.ndarray) -> DeviceBuffer:
+        """Row-wise ``matrix[i] mod moduli[i]``."""
 
     # ------------------------------------------------------------------
-    # Float-resident element-wise kernels (Barrett reduction on the FMA
-    # units, see :mod:`repro.numtheory.floatmod`).
+    # The float kernels (Barrett reduction on the FMA units, see
+    # :mod:`repro.numtheory.floatmod`).
     #
     # Operands and results are *canonical float64 residue images*: exact
-    # integers in [0, q) stored as float64, the form the 2**53-guarded
-    # GEMM fast paths already consume and produce.  Staying in that form
-    # between launches is what removes the int64 ``%`` passes from fused
+    # integers in [0, q) stored as float64.  Staying in that form between
+    # launches is what removes the int64 ``%`` passes from fused
     # pipelines.  Callers own the exactness guard
     # (``chain.fits(operand_bound)``); these kernels assume it holds.
     # ------------------------------------------------------------------
@@ -261,15 +247,6 @@ class ArrayBackend(abc.ABC):
         np.subtract(out, q_col, out=out, where=out == q_col)
         return out
 
-    def fscalar_mul_limbs(self, a: np.ndarray, scalars: np.ndarray, chain, *,
-                          axis: int = 0) -> np.ndarray:
-        """Per-limb scalar multiply on float residue images, canonical result.
-
-        ``scalars`` is a float64 array of canonical residues broadcastable
-        against ``a`` (e.g. a ``(limbs, 1)`` column).
-        """
-        return chain.canonical_reduce(a * scalars, axis=axis)
-
     def freduce_limbs(self, values: np.ndarray, chain, *,
                       axis: int = 0) -> np.ndarray:
         """Canonical Barrett reduction of integer-valued float64 arrays.
@@ -280,79 +257,9 @@ class ArrayBackend(abc.ABC):
         return chain.canonical_reduce(values, axis=axis)
 
     # ------------------------------------------------------------------
-    # Residency-aware variants: DeviceBuffer in, DeviceBuffer out.
-    #
-    # Defaults route through the host kernels.  ``ensure_host`` is free on
-    # CPU backends (identity residency) and a *counted* D2H transfer on
-    # device backends, so an unported backend stays correct while the
-    # transfer counters expose exactly where it leaves the device.
-    # ------------------------------------------------------------------
-    def matmul_limbs_native(self, lhs: DeviceBuffer, rhs: DeviceBuffer,
-                            moduli: np.ndarray, *,
-                            lhs_cache: Optional[object] = None,
-                            rhs_cache: Optional[object] = None) -> DeviceBuffer:
-        """Residency-aware :meth:`matmul_limbs` (handles in and out)."""
-        out = self.matmul_limbs(lhs.ensure_host(), rhs.ensure_host(), moduli,
-                                lhs_cache=lhs_cache, rhs_cache=rhs_cache)
-        return DeviceBuffer.wrap(out)
-
-    def matmul_native(self, lhs: DeviceBuffer, rhs: DeviceBuffer,
-                      modulus: int) -> DeviceBuffer:
-        """Residency-aware :meth:`matmul`."""
-        return DeviceBuffer.wrap(
-            self.matmul(lhs.ensure_host(), rhs.ensure_host(), modulus))
-
-    def matmul_rows_native(self, lhs: DeviceBuffer, rhs: DeviceBuffer,
-                           row_moduli: np.ndarray, *,
-                           operand_bound: Optional[int] = None) -> DeviceBuffer:
-        """Residency-aware :meth:`matmul_rows`."""
-        return DeviceBuffer.wrap(
-            self.matmul_rows(lhs.ensure_host(), rhs.ensure_host(), row_moduli,
-                             operand_bound=operand_bound))
-
-    def hadamard_limbs_native(self, lhs: DeviceBuffer, rhs: DeviceBuffer,
-                              moduli: np.ndarray) -> DeviceBuffer:
-        """Residency-aware :meth:`hadamard_limbs`."""
-        return DeviceBuffer.wrap(
-            self.hadamard_limbs(lhs.ensure_host(), rhs.ensure_host(), moduli))
-
-    def hadamard_native(self, lhs: DeviceBuffer, rhs: DeviceBuffer,
-                        modulus: int) -> DeviceBuffer:
-        """Residency-aware :meth:`hadamard`."""
-        return DeviceBuffer.wrap(
-            self.hadamard(lhs.ensure_host(), rhs.ensure_host(), modulus))
-
-    def mat_reduce_native(self, matrix: DeviceBuffer,
-                          moduli: np.ndarray) -> DeviceBuffer:
-        """Residency-aware :meth:`mat_reduce`."""
-        return DeviceBuffer.wrap(self.mat_reduce(matrix.ensure_host(), moduli))
-
-    def mat_add_native(self, a: DeviceBuffer, b: DeviceBuffer,
-                       moduli: np.ndarray) -> DeviceBuffer:
-        """Residency-aware :meth:`mat_add`."""
-        return DeviceBuffer.wrap(
-            self.mat_add(a.ensure_host(), b.ensure_host(), moduli))
-
-    def mat_sub_native(self, a: DeviceBuffer, b: DeviceBuffer,
-                       moduli: np.ndarray) -> DeviceBuffer:
-        """Residency-aware :meth:`mat_sub`."""
-        return DeviceBuffer.wrap(
-            self.mat_sub(a.ensure_host(), b.ensure_host(), moduli))
-
-    def mat_neg_native(self, a: DeviceBuffer, moduli: np.ndarray) -> DeviceBuffer:
-        """Residency-aware :meth:`mat_neg`."""
-        return DeviceBuffer.wrap(self.mat_neg(a.ensure_host(), moduli))
-
-    def mat_mul_native(self, a: DeviceBuffer, b: DeviceBuffer,
-                       moduli: np.ndarray) -> DeviceBuffer:
-        """Residency-aware :meth:`mat_mul`."""
-        return DeviceBuffer.wrap(
-            self.mat_mul(a.ensure_host(), b.ensure_host(), moduli))
-
-    # ------------------------------------------------------------------
     # Native view/layout algebra (device-side views, never copies back).
     # Numpy semantics by default — correct for every numpy-like native
-    # array type; torch overrides the two calls whose names differ.
+    # array type; torch overrides the calls whose names differ.
     # ------------------------------------------------------------------
     def nat_reshape(self, array, shape):
         return array.reshape(shape)

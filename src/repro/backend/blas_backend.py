@@ -125,16 +125,18 @@ class FloatResidues(FloatOperandCache):
         return self._split
 
 
-def float_matmul_limbs(lhs, rhs, column, inner, lhs_cache, rhs_cache):
+def float_matmul_limbs(lhs: DeviceBuffer, rhs: DeviceBuffer, column,
+                       lhs_cache, rhs_cache):
     """Exact float64 fast path for the batched GEMM, or None if unsafe.
 
-    At least one operand side carries a :class:`FloatOperandCache` (the
-    reusable twiddle stack, or a residency handle's attached image); a
-    side without a cache is converted per call.  When *both* sides carry
-    caches — the fully resident case — no per-call conversion happens at
-    all.  Falls back to None when even the split operand would break the
-    2**53 exactness bound.
+    At least one operand side carries a :class:`FloatOperandCache` (a
+    handle's attached image, or one built for this call); a side without
+    one is converted per call.  When *both* sides carry caches — the fully
+    resident case — no per-call conversion happens and the int64 hosts are
+    never touched.  Falls back to None when even the split operand would
+    break the 2**53 exactness bound.
     """
+    inner = lhs.shape[2]
     cache = lhs_cache if lhs_cache is not None else rhs_cache
     if lhs_cache is not None:
         other, other_cache = rhs, rhs_cache
@@ -155,7 +157,7 @@ def float_matmul_limbs(lhs, rhs, column, inner, lhs_cache, rhs_cache):
     def other_float():
         if other_cache is not None:
             return other_cache.full()
-        return other.astype(np.float64)
+        return other.ensure_host().astype(np.float64)
 
     if inner * cache.max_value * other_bound < FLOAT_EXACT_LIMIT:
         other_f = other_float()
@@ -184,14 +186,24 @@ def float_matmul_limbs(lhs, rhs, column, inner, lhs_cache, rhs_cache):
 
 
 class BlasFloat64Backend(NumpyBackend):
-    """Guarded float64 BLAS substrate (bit-exact, int64 fallback)."""
+    """Guarded float64 BLAS substrate (bit-exact, int64 fallback).
+
+    The float image of an operand is this backend's residency: a kernel
+    *peeks* the handle's attached float64 image (twiddle-stack buffers,
+    the float-only outputs of earlier launches) and never builds one, so
+    transient int64 intermediates cost nothing extra.  With an image
+    present the element-wise kernels stay on the FMA units (lazy Barrett,
+    see :mod:`repro.numtheory.floatmod`) and hand back another float-only
+    handle — no int64 materialisation mid-chain.
+    """
 
     name = "blas"
-    supports_float_residency = True
 
-    # ------------------------------------------------------------------
-    # Float-residency helpers
-    # ------------------------------------------------------------------
+    def capabilities(self) -> dict:
+        report = super().capabilities()
+        report["float_residency"] = True
+        return report
+
     @staticmethod
     def _peek_float(buf: DeviceBuffer):
         """A handle's attached float64 image, or None (never builds one)."""
@@ -214,111 +226,62 @@ class BlasFloat64Backend(NumpyBackend):
             b_f = b.ensure_host().astype(np.float64)
         return a_f, b_f
 
-    def matmul_limbs(self, lhs: np.ndarray, rhs: np.ndarray,
-                     moduli: np.ndarray, *,
-                     lhs_cache: Optional[FloatOperandCache] = None,
-                     rhs_cache: Optional[FloatOperandCache] = None) -> np.ndarray:
-        column = np.asarray(moduli, dtype=np.int64).reshape(-1, 1, 1)
-        inner = lhs.shape[2]
+    @staticmethod
+    def _float_result(values: np.ndarray, chain) -> DeviceBuffer:
+        return DeviceBuffer.from_float(FloatResidues(values, chain.qmax - 1))
+
+    def matmul_limbs(self, lhs: DeviceBuffer, rhs: DeviceBuffer,
+                     moduli: np.ndarray) -> DeviceBuffer:
+        lhs_cache, rhs_cache = lhs.float_cache(), rhs.float_cache()
         if lhs_cache is None and rhs_cache is None:
             # No reusable operand: cache the (typically smaller) rhs side
             # for this call so the launch can still run on dgemm.
-            rhs_cache = FloatOperandCache(rhs)
-        result = float_matmul_limbs(lhs, rhs, column, inner,
-                                    lhs_cache, rhs_cache)
+            rhs_cache = FloatOperandCache(rhs.ensure_host())
+        column = np.asarray(moduli, dtype=np.int64).reshape(-1, 1, 1)
+        result = float_matmul_limbs(lhs, rhs, column, lhs_cache, rhs_cache)
         if result is not None:
-            return result
+            return DeviceBuffer(host=result)
         return super().matmul_limbs(lhs, rhs, moduli)
 
-    def matmul_limbs_native(self, lhs, rhs, moduli, *,
-                            lhs_cache: Optional[FloatOperandCache] = None,
-                            rhs_cache: Optional[FloatOperandCache] = None):
-        """Residency-aware batched GEMM: reuse handle-attached float images.
-
-        This is the blas backend's device residency: a handle whose
-        float64 operand image was attached once (twiddle-stack buffers,
-        long-lived benchmark operands) never pays the per-call int64 →
-        float64 conversion again.  Peek only — a cache is never *built*
-        here, so transient intermediates cost nothing extra.
-        """
-        if lhs_cache is None:
-            lhs_cache = lhs.float_cache()
-        if rhs_cache is None:
-            rhs_cache = rhs.float_cache()
-        if lhs_cache is not None and rhs_cache is not None:
-            # Fully resident launch: both operands already have float64
-            # images, so the int64 hosts are never touched at all.
-            column = np.asarray(moduli, dtype=np.int64).reshape(-1, 1, 1)
-            inner = lhs.shape[2]
-            result = float_matmul_limbs(None, None, column, inner,
-                                        lhs_cache, rhs_cache)
-            if result is not None:
-                return DeviceBuffer.wrap(result)
-        out = self.matmul_limbs(lhs.ensure_host(), rhs.ensure_host(), moduli,
-                                lhs_cache=lhs_cache, rhs_cache=rhs_cache)
-        return DeviceBuffer.wrap(out)
-
-    # ------------------------------------------------------------------
-    # Float-resident element-wise natives: when an operand already lives
-    # as a float64 residue image, multiply/add/sub stay on the FMA units
-    # (lazy Barrett, see repro.numtheory.floatmod) and hand back another
-    # float-resident handle — no int64 materialisation mid-chain.
-    # ------------------------------------------------------------------
-    def hadamard_limbs_native(self, lhs: DeviceBuffer, rhs: DeviceBuffer,
-                              moduli: np.ndarray) -> DeviceBuffer:
-        operands = self._float_operands(lhs, rhs)
-        if operands is not None:
-            chain = _barrett_chain(moduli)
-            if chain.fits_product():
-                out = self.fhadamard_limbs(operands[0], operands[1], chain)
-                return DeviceBuffer.from_float(
-                    FloatResidues(out, chain.qmax - 1))
-        return super().hadamard_limbs_native(lhs, rhs, moduli)
-
-    def mat_mul_native(self, a: DeviceBuffer, b: DeviceBuffer,
-                       moduli: np.ndarray) -> DeviceBuffer:
+    def mat_mul(self, a: DeviceBuffer, b: DeviceBuffer,
+                moduli: np.ndarray) -> DeviceBuffer:
         operands = self._float_operands(a, b)
         if operands is not None:
             chain = _barrett_chain(moduli)
             if chain.fits_product():
-                out = self.fhadamard_limbs(operands[0], operands[1], chain)
-                return DeviceBuffer.from_float(
-                    FloatResidues(out, chain.qmax - 1))
-        return super().mat_mul_native(a, b, moduli)
+                return self._float_result(
+                    self.fhadamard_limbs(operands[0], operands[1], chain), chain)
+        return super().mat_mul(a, b, moduli)
 
-    def mat_add_native(self, a: DeviceBuffer, b: DeviceBuffer,
-                       moduli: np.ndarray) -> DeviceBuffer:
+    def mat_add(self, a: DeviceBuffer, b: DeviceBuffer,
+                moduli: np.ndarray) -> DeviceBuffer:
         operands = self._float_operands(a, b)
         if operands is not None:
             chain = _barrett_chain(moduli)
             if chain.fits(2 * (chain.qmax - 1)):
-                out = self.fadd_limbs(operands[0], operands[1], chain)
-                return DeviceBuffer.from_float(
-                    FloatResidues(out, chain.qmax - 1))
-        return super().mat_add_native(a, b, moduli)
+                return self._float_result(
+                    self.fadd_limbs(operands[0], operands[1], chain), chain)
+        return super().mat_add(a, b, moduli)
 
-    def mat_sub_native(self, a: DeviceBuffer, b: DeviceBuffer,
-                       moduli: np.ndarray) -> DeviceBuffer:
+    def mat_sub(self, a: DeviceBuffer, b: DeviceBuffer,
+                moduli: np.ndarray) -> DeviceBuffer:
         operands = self._float_operands(a, b)
         if operands is not None:
             chain = _barrett_chain(moduli)
             if chain.fits(2 * (chain.qmax - 1)):
-                out = self.fsub_limbs(operands[0], operands[1], chain)
-                return DeviceBuffer.from_float(
-                    FloatResidues(out, chain.qmax - 1))
-        return super().mat_sub_native(a, b, moduli)
+                return self._float_result(
+                    self.fsub_limbs(operands[0], operands[1], chain), chain)
+        return super().mat_sub(a, b, moduli)
 
-    def mat_neg_native(self, a: DeviceBuffer,
-                       moduli: np.ndarray) -> DeviceBuffer:
+    def mat_neg(self, a: DeviceBuffer, moduli: np.ndarray) -> DeviceBuffer:
         a_f = self._peek_float(a)
         if a_f is not None:
             chain = _barrett_chain(moduli)
-            out = self.fneg_limbs(a_f, chain)
-            return DeviceBuffer.from_float(FloatResidues(out, chain.qmax - 1))
-        return super().mat_neg_native(a, moduli)
+            return self._float_result(self.fneg_limbs(a_f, chain), chain)
+        return super().mat_neg(a, moduli)
 
-    def mat_reduce_native(self, matrix: DeviceBuffer,
-                          moduli: np.ndarray) -> DeviceBuffer:
+    def mat_reduce(self, matrix: DeviceBuffer,
+                   moduli: np.ndarray) -> DeviceBuffer:
         cache = matrix.float_cache()
         if cache is not None:
             chain = _barrett_chain(moduli)
@@ -326,24 +289,22 @@ class BlasFloat64Backend(NumpyBackend):
             # rescale reduces the dropped limb against every surviving
             # prime), so the guard uses the image's own bound.
             if chain.fits(cache.max_value):
-                out = self.freduce_limbs(cache.full(), chain)
-                return DeviceBuffer.from_float(
-                    FloatResidues(out, chain.qmax - 1))
-        return super().mat_reduce_native(matrix, moduli)
+                return self._float_result(
+                    self.freduce_limbs(cache.full(), chain), chain)
+        return super().mat_reduce(matrix, moduli)
 
-    def matmul_rows_native(self, lhs: DeviceBuffer, rhs: DeviceBuffer,
-                           row_moduli: np.ndarray, *,
-                           operand_bound: Optional[int] = None) -> DeviceBuffer:
+    def matmul_rows(self, lhs: DeviceBuffer, rhs: DeviceBuffer,
+                    row_moduli: np.ndarray, *,
+                    operand_bound: Optional[int] = None) -> DeviceBuffer:
         lhs_cache, rhs_cache = lhs.float_cache(), rhs.float_cache()
         if lhs_cache is not None and rhs_cache is not None:
             chain = _barrett_chain(row_moduli)
             out = self._float_matmul_rows(lhs_cache, rhs_cache, chain,
                                           lhs.shape[-1])
             if out is not None:
-                return DeviceBuffer.from_float(
-                    FloatResidues(out, chain.qmax - 1))
-        return super().matmul_rows_native(lhs, rhs, row_moduli,
-                                          operand_bound=operand_bound)
+                return self._float_result(out, chain)
+        return super().matmul_rows(lhs, rhs, row_moduli,
+                                   operand_bound=operand_bound)
 
     def _float_matmul_rows(self, lhs_cache, rhs_cache, chain, inner: int):
         """Row-moduli dgemm on resident float images, or None if unsafe.

@@ -8,10 +8,10 @@ modulo reductions and instead reducing an accumulator occasionally is what
 makes the matrix formulation fast; here it additionally keeps the Python
 implementation exact for arbitrary 30-bit moduli.
 
-This module is also the canonical home of the vectorised mat-mod kernels:
-the public helpers in :mod:`repro.numtheory.modular` and
-:mod:`repro.ntt.gemm_utils` dispatch to the active backend, and every other
-backend inherits these int64 implementations as its exact fallback.
+The int64 arithmetic lives in module-level functions on plain arrays;
+:class:`NumpyBackend` binds each to its kernel through one hook,
+:meth:`NumpyBackend._launch`, which picks the operand images and wraps the
+result.  Every other backend inherits these kernels as its exact fallback.
 """
 
 from __future__ import annotations
@@ -21,8 +21,9 @@ from typing import Optional
 import numpy as np
 
 from .base import ArrayBackend
+from .residency import DeviceBuffer
 
-__all__ = ["NumpyBackend", "max_safe_chunk"]
+__all__ = ["NumpyBackend", "int64_matmul_limbs", "max_safe_chunk"]
 
 _SAFE_ACCUMULATOR_BITS = 62
 
@@ -44,90 +45,109 @@ def _moduli_column(moduli, ndim: int) -> np.ndarray:
     return moduli.reshape((moduli.shape[0],) + (1,) * (ndim - 1))
 
 
+def int64_matmul_limbs(lhs: np.ndarray, rhs: np.ndarray,
+                       moduli: np.ndarray) -> np.ndarray:
+    """Exact ``(lhs[i] @ rhs[i]) mod moduli[i]`` on int64 arrays."""
+    column = _moduli_column(moduli, 3)
+    inner = lhs.shape[2]
+    chunk = max_safe_chunk(int(column.max()))
+    if chunk >= inner:
+        return np.matmul(lhs, rhs) % column
+    result = np.zeros((lhs.shape[0], lhs.shape[1], rhs.shape[2]), dtype=np.int64)
+    for start in range(0, inner, chunk):
+        stop = min(start + chunk, inner)
+        partial = np.matmul(lhs[:, :, start:stop], rhs[:, start:stop, :]) % column
+        result = (result + partial) % column
+    return result
+
+
+def _matmul_rows(lhs: np.ndarray, rhs: np.ndarray, row_moduli: np.ndarray,
+                 operand_bound: Optional[int]) -> np.ndarray:
+    column = _moduli_column(row_moduli, 2)
+    inner = lhs.shape[-1]
+    # Operand entries may live in residue domains other than the output
+    # rows' primes, so the chunk bound comes from the actual maxima.
+    per_term = (operand_bound if operand_bound is not None
+                else int(lhs.max(initial=0)) * int(rhs.max(initial=0)))
+    chunk = inner if per_term == 0 else max(
+        1, (1 << _SAFE_ACCUMULATOR_BITS) // per_term)
+    if chunk >= inner:
+        return (lhs @ rhs) % column
+    result = np.zeros((lhs.shape[0], rhs.shape[1]), dtype=np.int64)
+    for start in range(0, inner, chunk):
+        stop = min(start + chunk, inner)
+        partial = (lhs[:, start:stop] @ rhs[start:stop]) % column
+        result = (result + partial) % column
+    return result
+
+
+def _mat_mul(a: np.ndarray, b: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    return (a * b) % _moduli_column(moduli, a.ndim)
+
+
+def _mat_add(a: np.ndarray, b: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    column = _moduli_column(moduli, a.ndim)
+    out = a + b
+    np.subtract(out, column, out=out, where=out >= column)
+    return out
+
+
+def _mat_sub(a: np.ndarray, b: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    column = _moduli_column(moduli, a.ndim)
+    out = a - b
+    np.add(out, column, out=out, where=out < 0)
+    return out
+
+
+def _mat_neg(a: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    column = _moduli_column(moduli, a.ndim)
+    return ((column - a) % column).astype(np.int64)
+
+
+def _mat_reduce(matrix: np.ndarray, moduli: np.ndarray) -> np.ndarray:
+    return matrix % _moduli_column(moduli, matrix.ndim)
+
+
 class NumpyBackend(ArrayBackend):
     """Pure-numpy int64 substrate, exact for all moduli below 2**31."""
 
     name = "numpy"
 
-    # ------------------------------------------------------------------
-    # Batched modular GEMMs
-    # ------------------------------------------------------------------
-    def matmul_limbs(self, lhs: np.ndarray, rhs: np.ndarray,
-                     moduli: np.ndarray, *,
-                     lhs_cache: Optional[object] = None,
-                     rhs_cache: Optional[object] = None) -> np.ndarray:
-        column = _moduli_column(moduli, 3)
-        inner = lhs.shape[2]
-        chunk = max_safe_chunk(int(column.max()))
-        if chunk >= inner:
-            return np.matmul(lhs, rhs) % column
-        result = np.zeros((lhs.shape[0], lhs.shape[1], rhs.shape[2]), dtype=np.int64)
-        for start in range(0, inner, chunk):
-            stop = min(start + chunk, inner)
-            partial = np.matmul(lhs[:, :, start:stop], rhs[:, start:stop, :]) % column
-            result = (result + partial) % column
-        return result
+    def _launch(self, kernel, operands, *args) -> DeviceBuffer:
+        """Run an int64 array ``kernel`` on the handles' host images.
 
-    def matmul(self, lhs: np.ndarray, rhs: np.ndarray, modulus: int) -> np.ndarray:
-        inner = lhs.shape[-1]
-        chunk = max_safe_chunk(modulus)
-        if chunk >= inner:
-            return (lhs @ rhs) % modulus
-        result = np.zeros(lhs.shape[:-1] + rhs.shape[1:], dtype=np.int64)
-        for start in range(0, inner, chunk):
-            stop = min(start + chunk, inner)
-            partial = (lhs[..., start:stop] @ rhs[start:stop]) % modulus
-            result = (result + partial) % modulus
-        return result
+        The one place this backend crosses between handles and arrays.  A
+        backend whose native arrays support numpy arithmetic overrides it
+        to read ``ensure_device(self)`` and return ``from_native``, and
+        inherits all seven kernels resident.
+        """
+        return DeviceBuffer(
+            host=kernel(*[op.ensure_host() for op in operands], *args))
 
-    def matmul_rows(self, lhs: np.ndarray, rhs: np.ndarray,
+    def matmul_limbs(self, lhs: DeviceBuffer, rhs: DeviceBuffer,
+                     moduli: np.ndarray) -> DeviceBuffer:
+        return self._launch(int64_matmul_limbs, (lhs, rhs), moduli)
+
+    def matmul_rows(self, lhs: DeviceBuffer, rhs: DeviceBuffer,
                     row_moduli: np.ndarray, *,
-                    operand_bound: Optional[int] = None) -> np.ndarray:
-        column = _moduli_column(row_moduli, 2)
-        inner = lhs.shape[-1]
-        # Operand entries may live in residue domains other than the output
-        # rows' primes, so the chunk bound comes from the actual maxima.
-        per_term = (operand_bound if operand_bound is not None
-                    else int(lhs.max(initial=0)) * int(rhs.max(initial=0)))
-        chunk = inner if per_term == 0 else max(
-            1, (1 << _SAFE_ACCUMULATOR_BITS) // per_term)
-        if chunk >= inner:
-            return (lhs @ rhs) % column
-        result = np.zeros((lhs.shape[0], rhs.shape[1]), dtype=np.int64)
-        for start in range(0, inner, chunk):
-            stop = min(start + chunk, inner)
-            partial = (lhs[:, start:stop] @ rhs[start:stop]) % column
-            result = (result + partial) % column
-        return result
+                    operand_bound: Optional[int] = None) -> DeviceBuffer:
+        return self._launch(_matmul_rows, (lhs, rhs), row_moduli, operand_bound)
 
-    # ------------------------------------------------------------------
-    # Element-wise mat-mod kernels
-    # ------------------------------------------------------------------
-    def hadamard_limbs(self, lhs: np.ndarray, rhs: np.ndarray,
-                       moduli: np.ndarray) -> np.ndarray:
-        return (lhs * rhs) % _moduli_column(moduli, lhs.ndim)
+    def mat_mul(self, a: DeviceBuffer, b: DeviceBuffer,
+                moduli: np.ndarray) -> DeviceBuffer:
+        return self._launch(_mat_mul, (a, b), moduli)
 
-    def hadamard(self, lhs: np.ndarray, rhs: np.ndarray, modulus: int) -> np.ndarray:
-        return (lhs * rhs) % modulus
+    def mat_add(self, a: DeviceBuffer, b: DeviceBuffer,
+                moduli: np.ndarray) -> DeviceBuffer:
+        return self._launch(_mat_add, (a, b), moduli)
 
-    def mat_reduce(self, matrix: np.ndarray, moduli: np.ndarray) -> np.ndarray:
-        return matrix % _moduli_column(moduli, matrix.ndim)
+    def mat_sub(self, a: DeviceBuffer, b: DeviceBuffer,
+                moduli: np.ndarray) -> DeviceBuffer:
+        return self._launch(_mat_sub, (a, b), moduli)
 
-    def mat_add(self, a: np.ndarray, b: np.ndarray, moduli: np.ndarray) -> np.ndarray:
-        column = _moduli_column(moduli, a.ndim)
-        out = a + b
-        np.subtract(out, column, out=out, where=out >= column)
-        return out
+    def mat_neg(self, a: DeviceBuffer, moduli: np.ndarray) -> DeviceBuffer:
+        return self._launch(_mat_neg, (a,), moduli)
 
-    def mat_sub(self, a: np.ndarray, b: np.ndarray, moduli: np.ndarray) -> np.ndarray:
-        column = _moduli_column(moduli, a.ndim)
-        out = a - b
-        np.add(out, column, out=out, where=out < 0)
-        return out
-
-    def mat_neg(self, a: np.ndarray, moduli: np.ndarray) -> np.ndarray:
-        column = _moduli_column(moduli, a.ndim)
-        return ((column - a) % column).astype(np.int64)
-
-    def mat_mul(self, a: np.ndarray, b: np.ndarray, moduli: np.ndarray) -> np.ndarray:
-        return (a * b) % _moduli_column(moduli, a.ndim)
+    def mat_reduce(self, matrix: DeviceBuffer,
+                   moduli: np.ndarray) -> DeviceBuffer:
+        return self._launch(_mat_reduce, (matrix,), moduli)

@@ -11,7 +11,7 @@ Selection precedence, highest first:
 4. the zero-dependency ``numpy`` default.
 
 Backends register a *class*; one instance per name is created lazily and
-shared process-wide (the multiprocess backend's worker pool, for example,
+shared process-wide (the sharded backend's worker pool, for example,
 is per-instance state worth sharing).
 
 The override slot itself is a :class:`contextvars.ContextVar`, not a
@@ -32,8 +32,6 @@ from typing import Dict, Iterator, Optional, Tuple, Type, Union
 
 from .base import ArrayBackend
 from .blas_backend import BlasFloat64Backend
-from .cupy_backend import CupyBackend
-from .multiprocess_backend import MultiprocessBackend
 from .numpy_backend import NumpyBackend
 from .sharded import ShardedBackend
 from .torch_backend import TorchBackend
@@ -119,9 +117,13 @@ def get_backend(name: str) -> ArrayBackend:
     try:
         backend_cls = _REGISTRY[base]
     except KeyError:
+        hint = ""
+        if base == "multiprocess":
+            # Removed: it was the sharded pool over numpy, GEMMs only.
+            hint = "; use %r" % ("sharded:numpy" + separator + spec)
         raise ValueError(
-            "unknown compute backend %r; registered: %s"
-            % (name, ", ".join(_REGISTRY))
+            "unknown compute backend %r; registered: %s%s"
+            % (name, ", ".join(_REGISTRY), hint)
         ) from None
     if not backend_cls.is_available():
         raise ValueError(
@@ -182,7 +184,5 @@ def resolve_backend(backend: BackendSpec) -> ArrayBackend:
 
 register_backend(NumpyBackend)
 register_backend(BlasFloat64Backend)
-register_backend(MultiprocessBackend)
 register_backend(ShardedBackend)
 register_backend(TorchBackend)
-register_backend(CupyBackend)

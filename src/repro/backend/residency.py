@@ -13,7 +13,7 @@ of one int64 array:
 * a **host** image — a ``numpy.int64`` ndarray, the canonical exact form
   used at the encode / decrypt / serialize boundaries;
 * a **native** image — whatever the owning
-  :class:`~repro.backend.base.ArrayBackend` stores (a torch/cupy tensor on
+  :class:`~repro.backend.base.ArrayBackend` stores (a torch tensor on
   an accelerator backend).  CPU backends declare ``device_is_host = True``
   and never materialise a separate native image, so residency is the
   identity for them and every existing call site keeps working; and
@@ -52,6 +52,7 @@ never forces a copy back to host.
 
 from __future__ import annotations
 
+import functools
 from contextlib import contextmanager
 from typing import Iterator, List, Optional, Sequence, Union
 
@@ -67,6 +68,7 @@ __all__ = [
     "as_buffer",
     "as_ndarray",
     "match_residency",
+    "on_handles",
     "stack_arrays",
     "concatenate_arrays",
     "contiguous",
@@ -359,6 +361,33 @@ def match_residency(result: np.ndarray, *operands) -> ArrayLike:
     if any(isinstance(op, DeviceBuffer) for op in operands):
         return DeviceBuffer.wrap(result)
     return result
+
+
+def on_handles(arity: int):
+    """Decorator: write a funnel once, against handles.
+
+    The decorated function receives its first ``arity`` positional
+    arguments as :class:`DeviceBuffer` handles (plain arrays are wrapped
+    as int64 host handles) and returns a handle.  Callers keep the funnel
+    convention of :func:`match_residency`: the handle comes back as is
+    when any operand was one, and as its host array otherwise.  This is
+    the single array↔handle adaptation of the funnels.
+    """
+    def decorate(funnel):
+        @functools.wraps(funnel)
+        def adapted(*args, **kwargs):
+            handles = list(args)
+            resident = False
+            for index in range(arity):
+                operand = handles[index]
+                if isinstance(operand, DeviceBuffer):
+                    resident = True
+                else:
+                    handles[index] = DeviceBuffer.wrap(operand)
+            out = funnel(*handles, **kwargs)
+            return out if resident else out.ensure_host()
+        return adapted
+    return decorate
 
 
 def _device_group(parts: Sequence[ArrayLike]):

@@ -11,8 +11,9 @@ backend (numpy or blas) and attaches *once* to a reusable shared-memory
 arena, so a launch costs one pipe round trip per shard and zero segment
 creation in steady state.
 
-What the first ``multiprocess`` backend got wrong (measured 1.09x over
-numpy, ``benchmarks/results/backends.json``) and this design fixes:
+What a per-call process pool gets wrong (the retired ``multiprocess``
+backend measured 1.09x over numpy, ``benchmarks/results/backends.json``)
+and this design fixes:
 
 * **Workers are persistent.**  Processes fork on the first sharded
   launch and serve a small command protocol over pipes until
@@ -27,11 +28,11 @@ numpy, ``benchmarks/results/backends.json``) and this design fixes:
   arena's out slot; a finalizer returns the slot to the free list when
   the result is garbage collected, instead of ``.copy()``-ing every
   launch.
-* **Workers execute whole funnel kernels.**  One command runs an entire
-  ``matmul_limbs`` / ``mat_add`` / … shard through the delegate backend,
-  so the blas delegate's guarded float64 dgemm (and its exact chunked
-  fallback) runs inside the worker unchanged — shards stay bit-identical
-  to the single-process delegate.
+* **Workers execute whole kernels.**  One command wraps its shard of the
+  operands as handles and runs the delegate's own ``matmul_limbs`` /
+  ``mat_add`` / … on them, so the blas delegate's guarded float64 dgemm
+  (and its exact chunked fallback) runs inside the worker unchanged —
+  shards stay bit-identical to the single-process delegate.
 
 Launches below the measured knee stay inline on the delegate: the
 thresholds and worker counts come from
@@ -43,6 +44,7 @@ hardcoded defaults otherwise.
 from __future__ import annotations
 
 import atexit
+import math
 import multiprocessing
 import os
 import weakref
@@ -51,6 +53,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .base import ArrayBackend
+from .residency import DeviceBuffer
 
 __all__ = ["WORKERS_ENV_VAR", "parse_worker_count", "ShmArena", "ShardedBackend"]
 
@@ -75,8 +78,8 @@ def parse_worker_count(value, *, source: str = WORKERS_ENV_VAR) -> Optional[int]
 
     ``None``/empty means "not configured" and returns ``None``; anything
     else must be a positive integer, rejected with a message naming the
-    *source* (the bare ``int()`` of the original multiprocess backend
-    produced an unattributed ``ValueError: invalid literal ...``).
+    *source* (a bare ``int()`` produces an unattributed
+    ``ValueError: invalid literal ...``).
     """
     if value is None:
         return None
@@ -201,92 +204,31 @@ class ShmArena:
 
 
 # ----------------------------------------------------------------------
-# Worker side: one handler per funnel kernel.  Each handler receives the
-# full arrays (views into the arena), the shard bounds and any small
-# pickled parameters, runs the delegate backend on its contiguous shard
-# and writes the result slice in place.
+# Worker side.  A command names one of the seven kernels (or the column-
+# sharded form of ``matmul_limbs``); the worker wraps its contiguous shard
+# of the operands (views into the arena) as handles, runs the delegate's
+# kernel and writes the result slice in place.
 # ----------------------------------------------------------------------
-def _k_matmul_limbs(backend, arrays, params):
-    lhs, rhs, out = arrays
+def _run_shard(backend, op: str, arrays, params) -> None:
+    *operands, out = arrays
     shard = slice(params["start"], params["stop"])
-    out[shard] = backend.matmul_limbs(lhs[shard], rhs[shard], params["moduli"])
-
-
-def _k_matmul_limbs_cols(backend, arrays, params):
-    lhs, rhs, out = arrays
-    shard = slice(params["start"], params["stop"])
-    out[:, :, shard] = backend.matmul_limbs(
-        lhs, np.ascontiguousarray(rhs[:, :, shard]), params["moduli"])
-
-
-def _k_matmul(backend, arrays, params):
-    lhs, rhs, out = arrays
-    shard = slice(params["start"], params["stop"])
-    out[shard] = backend.matmul(lhs[shard], rhs, params["modulus"])
-
-
-def _k_matmul_rows(backend, arrays, params):
-    lhs, rhs, out = arrays
-    shard = slice(params["start"], params["stop"])
-    out[shard] = backend.matmul_rows(lhs[shard], rhs, params["moduli"],
-                                     operand_bound=params["operand_bound"])
-
-
-def _k_hadamard(backend, arrays, params):
-    lhs, rhs, out = arrays
-    shard = slice(params["start"], params["stop"])
-    out[shard] = backend.hadamard(lhs[shard], rhs[shard], params["modulus"])
-
-
-def _k_hadamard_limbs(backend, arrays, params):
-    lhs, rhs, out = arrays
-    shard = slice(params["start"], params["stop"])
-    out[shard] = backend.hadamard_limbs(lhs[shard], rhs[shard], params["moduli"])
-
-
-def _k_mat_add(backend, arrays, params):
-    a, b, out = arrays
-    shard = slice(params["start"], params["stop"])
-    out[shard] = backend.mat_add(a[shard], b[shard], params["moduli"])
-
-
-def _k_mat_sub(backend, arrays, params):
-    a, b, out = arrays
-    shard = slice(params["start"], params["stop"])
-    out[shard] = backend.mat_sub(a[shard], b[shard], params["moduli"])
-
-
-def _k_mat_mul(backend, arrays, params):
-    a, b, out = arrays
-    shard = slice(params["start"], params["stop"])
-    out[shard] = backend.mat_mul(a[shard], b[shard], params["moduli"])
-
-
-def _k_mat_neg(backend, arrays, params):
-    a, out = arrays
-    shard = slice(params["start"], params["stop"])
-    out[shard] = backend.mat_neg(a[shard], params["moduli"])
-
-
-def _k_mat_reduce(backend, arrays, params):
-    a, out = arrays
-    shard = slice(params["start"], params["stop"])
-    out[shard] = backend.mat_reduce(a[shard], params["moduli"])
-
-
-_KERNELS = {
-    "matmul_limbs": _k_matmul_limbs,
-    "matmul_limbs_cols": _k_matmul_limbs_cols,
-    "matmul": _k_matmul,
-    "matmul_rows": _k_matmul_rows,
-    "hadamard": _k_hadamard,
-    "hadamard_limbs": _k_hadamard_limbs,
-    "mat_add": _k_mat_add,
-    "mat_sub": _k_mat_sub,
-    "mat_mul": _k_mat_mul,
-    "mat_neg": _k_mat_neg,
-    "mat_reduce": _k_mat_reduce,
-}
+    moduli = params["moduli"]
+    if op == "matmul_limbs_cols":
+        # The folded-B axis of a fused launch: shard the rhs columns.
+        lhs, rhs = operands
+        out[:, :, shard] = backend.matmul_limbs(
+            DeviceBuffer.wrap(lhs),
+            DeviceBuffer.wrap(np.ascontiguousarray(rhs[:, :, shard])),
+            moduli).ensure_host()
+    elif op == "matmul_rows":
+        lhs, rhs = operands
+        out[shard] = backend.matmul_rows(
+            DeviceBuffer.wrap(lhs[shard]), DeviceBuffer.wrap(rhs), moduli,
+            operand_bound=params["operand_bound"]).ensure_host()
+    else:
+        out[shard] = getattr(backend, op)(
+            *[DeviceBuffer.wrap(operand[shard]) for operand in operands],
+            moduli).ensure_host()
 
 
 def _worker_main(conn, delegate_name: str) -> None:
@@ -333,7 +275,7 @@ def _worker_main(conn, delegate_name: str) -> None:
                                buffer=attach(name).buf)
                     for name, shape, dtype in specs
                 ]
-                _KERNELS[op](backend, arrays, params)
+                _run_shard(backend, op, arrays, params)
                 arrays = []
                 conn.send(("ok", None))
             except Exception:  # pragma: no cover - exercised via parent raise
@@ -364,16 +306,6 @@ class ShardedBackend(ArrayBackend):
     """
 
     name = "sharded"
-    device_is_host = True
-    supports_float_residency = False
-
-    #: Whether GEMMs whose limb axis is too short may shard the rhs
-    #: columns instead (the fused B axis of ``forward_ops`` launches).
-    shard_columns = True
-    #: Whether element-wise kernels shard at all (bandwidth-bound; the
-    #: rehabilitated multiprocess backend keeps the historical GEMM-only
-    #: behaviour by disabling this).
-    shard_elementwise = True
 
     _DEFAULT_DELEGATE = "numpy"
 
@@ -464,8 +396,8 @@ class ShardedBackend(ArrayBackend):
             "delegate": self._delegate_spec,
             "shard_workers": self.workers,
             # How much wider the serving layer may size a fused batch:
-            # only column-sharding backends fan the B axis out.
-            "batch_fanout": self.workers if self.shard_columns else 1,
+            # column sharding fans the B axis out across the workers.
+            "batch_fanout": self.workers,
             "min_shard_elements": self.min_shard_elements,
         })
         return report
@@ -633,143 +565,83 @@ class ShardedBackend(ArrayBackend):
         return out
 
     # ------------------------------------------------------------------
-    # Shard planning helpers
+    # The kernels: shard the host images, or hand the handles to the
+    # delegate inline below the knee.
     # ------------------------------------------------------------------
-    def _moduli_int64(self, moduli) -> np.ndarray:
-        return np.asarray(moduli, dtype=np.int64)
+    def _sharded(self, op: str, operands, out_shape, axis_len: int,
+                 params: dict, sliced_moduli=None) -> DeviceBuffer:
+        return DeviceBuffer(host=self._run(
+            op, [operand.ensure_host() for operand in operands], out_shape,
+            axis_len, params, sliced_moduli))
 
-    def _elementwise_axis(self, a: np.ndarray, moduli: np.ndarray):
-        """Leading-axis shard length for an element-wise launch, or None."""
-        if not self.shard_elementwise or self.workers < 2:
-            return None
-        if a.ndim < 1 or a.shape[0] < 2 or a.size < self.min_elementwise_elements:
-            return None
-        return a.shape[0]
-
-    def _elementwise_moduli(self, a: np.ndarray, moduli: np.ndarray):
-        """(full_moduli, sliced_moduli): slice along the shard axis only
-        when the moduli column actually spans it."""
-        if moduli.ndim >= 1 and moduli.shape[0] == a.shape[0]:
-            return None, moduli
-        return moduli, None
-
-    # ------------------------------------------------------------------
-    # Batched modular GEMMs
-    # ------------------------------------------------------------------
-    def matmul_limbs(self, lhs: np.ndarray, rhs: np.ndarray,
-                     moduli: np.ndarray, *,
-                     lhs_cache: Optional[object] = None,
-                     rhs_cache: Optional[object] = None) -> np.ndarray:
+    def matmul_limbs(self, lhs: DeviceBuffer, rhs: DeviceBuffer,
+                     moduli: np.ndarray) -> DeviceBuffer:
         limbs, rows, inner = lhs.shape
         columns = rhs.shape[2]
         work = limbs * rows * inner * columns
-        moduli_arr = self._moduli_int64(moduli)
         if self.workers >= 2 and work >= self.min_shard_elements:
+            moduli_arr = np.asarray(moduli, dtype=np.int64)
             out_shape = (limbs, rows, columns)
             # Prefer the limb axis (contiguous shards, moduli slice with
             # them); fused forward_ops launches with few limbs but a wide
             # folded-B rhs shard the columns instead.
-            if limbs >= 2 and (limbs >= self.workers
-                               or not self.shard_columns
-                               or limbs >= columns):
-                return self._run("matmul_limbs", (lhs, rhs), out_shape,
-                                 limbs, {}, sliced_moduli=moduli_arr)
-            if self.shard_columns and columns >= 2:
-                return self._run("matmul_limbs_cols", (lhs, rhs), out_shape,
-                                 columns, {"moduli": moduli_arr})
-        return self.delegate.matmul_limbs(lhs, rhs, moduli,
-                                          lhs_cache=lhs_cache,
-                                          rhs_cache=rhs_cache)
+            if limbs >= 2 and (limbs >= self.workers or limbs >= columns):
+                return self._sharded("matmul_limbs", (lhs, rhs), out_shape,
+                                     limbs, {}, sliced_moduli=moduli_arr)
+            if columns >= 2:
+                return self._sharded("matmul_limbs_cols", (lhs, rhs),
+                                     out_shape, columns,
+                                     {"moduli": moduli_arr})
+        return self.delegate.matmul_limbs(lhs, rhs, moduli)
 
-    def matmul(self, lhs: np.ndarray, rhs: np.ndarray, modulus: int) -> np.ndarray:
-        if (self.workers >= 2 and lhs.ndim == 2 and rhs.ndim == 2
-                and lhs.shape[0] >= 2
-                and lhs.shape[0] * lhs.shape[1] * rhs.shape[1]
-                >= self.min_shard_elements):
-            out_shape = (lhs.shape[0], rhs.shape[1])
-            return self._run("matmul", (lhs, rhs), out_shape, lhs.shape[0],
-                             {"modulus": int(modulus)})
-        return self.delegate.matmul(lhs, rhs, modulus)
-
-    def matmul_rows(self, lhs: np.ndarray, rhs: np.ndarray,
+    def matmul_rows(self, lhs: DeviceBuffer, rhs: DeviceBuffer,
                     row_moduli: np.ndarray, *,
-                    operand_bound: Optional[int] = None) -> np.ndarray:
+                    operand_bound: Optional[int] = None) -> DeviceBuffer:
         rows, inner = lhs.shape
         columns = rhs.shape[1]
         if (self.workers >= 2 and rows >= 2
                 and rows * inner * columns >= self.min_shard_elements):
-            moduli_arr = self._moduli_int64(row_moduli)
             if operand_bound is None:
                 # One scan in the parent instead of one per worker; the
                 # chunked reduction is exact for any bound ≥ the true max.
-                operand_bound = int(lhs.max(initial=0)) * int(rhs.max(initial=0))
-            return self._run("matmul_rows", (lhs, rhs), (rows, columns), rows,
-                             {"operand_bound": int(operand_bound)},
-                             sliced_moduli=moduli_arr)
+                operand_bound = (int(lhs.ensure_host().max(initial=0))
+                                 * int(rhs.ensure_host().max(initial=0)))
+            return self._sharded(
+                "matmul_rows", (lhs, rhs), (rows, columns), rows,
+                {"operand_bound": int(operand_bound)},
+                sliced_moduli=np.asarray(row_moduli, dtype=np.int64))
         return self.delegate.matmul_rows(lhs, rhs, row_moduli,
                                          operand_bound=operand_bound)
 
-    # ------------------------------------------------------------------
-    # Element-wise mat-mod kernels
-    # ------------------------------------------------------------------
-    def _elementwise_binary(self, op: str, a: np.ndarray, b: np.ndarray,
-                            moduli, fallback) -> np.ndarray:
-        moduli_arr = self._moduli_int64(moduli)
-        axis_len = self._elementwise_axis(a, moduli_arr)
-        if axis_len is None or a.shape != b.shape:
-            return fallback()
-        full, sliced = self._elementwise_moduli(a, moduli_arr)
-        params = {} if full is None else {"moduli": full}
-        return self._run(op, (a, b), a.shape, axis_len, params,
-                         sliced_moduli=sliced)
+    def _elementwise(self, op: str, operands, moduli) -> DeviceBuffer:
+        """Shard an element-wise launch along its leading axis, or inline."""
+        a = operands[0]
+        if (self.workers < 2 or a.ndim < 1 or a.shape[0] < 2
+                or any(operand.shape != a.shape for operand in operands)
+                or math.prod(a.shape) < self.min_elementwise_elements):
+            return getattr(self.delegate, op)(*operands, moduli)
+        moduli_arr = np.asarray(moduli, dtype=np.int64)
+        # Slice the moduli with the shards only when they span that axis.
+        spans = moduli_arr.ndim >= 1 and moduli_arr.shape[0] == a.shape[0]
+        return self._sharded(op, operands, a.shape, a.shape[0],
+                             {} if spans else {"moduli": moduli_arr},
+                             sliced_moduli=moduli_arr if spans else None)
 
-    def _elementwise_unary(self, op: str, a: np.ndarray, moduli,
-                           fallback) -> np.ndarray:
-        moduli_arr = self._moduli_int64(moduli)
-        axis_len = self._elementwise_axis(a, moduli_arr)
-        if axis_len is None:
-            return fallback()
-        full, sliced = self._elementwise_moduli(a, moduli_arr)
-        params = {} if full is None else {"moduli": full}
-        return self._run(op, (a,), a.shape, axis_len, params,
-                         sliced_moduli=sliced)
+    def mat_mul(self, a: DeviceBuffer, b: DeviceBuffer,
+                moduli: np.ndarray) -> DeviceBuffer:
+        return self._elementwise("mat_mul", (a, b), moduli)
 
-    def hadamard_limbs(self, lhs: np.ndarray, rhs: np.ndarray,
-                       moduli: np.ndarray) -> np.ndarray:
-        return self._elementwise_binary(
-            "hadamard_limbs", lhs, rhs, moduli,
-            lambda: self.delegate.hadamard_limbs(lhs, rhs, moduli))
+    def mat_add(self, a: DeviceBuffer, b: DeviceBuffer,
+                moduli: np.ndarray) -> DeviceBuffer:
+        return self._elementwise("mat_add", (a, b), moduli)
 
-    def hadamard(self, lhs: np.ndarray, rhs: np.ndarray, modulus: int) -> np.ndarray:
-        if (self.shard_elementwise and self.workers >= 2
-                and lhs.shape == rhs.shape and lhs.ndim >= 1
-                and lhs.shape[0] >= 2
-                and lhs.size >= self.min_elementwise_elements):
-            return self._run("hadamard", (lhs, rhs), lhs.shape, lhs.shape[0],
-                             {"modulus": int(modulus)})
-        return self.delegate.hadamard(lhs, rhs, modulus)
+    def mat_sub(self, a: DeviceBuffer, b: DeviceBuffer,
+                moduli: np.ndarray) -> DeviceBuffer:
+        return self._elementwise("mat_sub", (a, b), moduli)
 
-    def mat_reduce(self, matrix: np.ndarray, moduli: np.ndarray) -> np.ndarray:
-        return self._elementwise_unary(
-            "mat_reduce", matrix, moduli,
-            lambda: self.delegate.mat_reduce(matrix, moduli))
+    def mat_neg(self, a: DeviceBuffer, moduli: np.ndarray) -> DeviceBuffer:
+        return self._elementwise("mat_neg", (a,), moduli)
 
-    def mat_add(self, a: np.ndarray, b: np.ndarray, moduli: np.ndarray) -> np.ndarray:
-        return self._elementwise_binary(
-            "mat_add", a, b, moduli,
-            lambda: self.delegate.mat_add(a, b, moduli))
-
-    def mat_sub(self, a: np.ndarray, b: np.ndarray, moduli: np.ndarray) -> np.ndarray:
-        return self._elementwise_binary(
-            "mat_sub", a, b, moduli,
-            lambda: self.delegate.mat_sub(a, b, moduli))
-
-    def mat_neg(self, a: np.ndarray, moduli: np.ndarray) -> np.ndarray:
-        return self._elementwise_unary(
-            "mat_neg", a, moduli,
-            lambda: self.delegate.mat_neg(a, moduli))
-
-    def mat_mul(self, a: np.ndarray, b: np.ndarray, moduli: np.ndarray) -> np.ndarray:
-        return self._elementwise_binary(
-            "mat_mul", a, b, moduli,
-            lambda: self.delegate.mat_mul(a, b, moduli))
+    def mat_reduce(self, matrix: DeviceBuffer,
+                   moduli: np.ndarray) -> DeviceBuffer:
+        return self._elementwise("mat_reduce", (matrix,), moduli)

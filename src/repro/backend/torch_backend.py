@@ -8,9 +8,9 @@ build, passing ``device="cuda"`` stages the operands on the GPU.
 Residency: the backend is ``device_is_host = False`` — its native storage
 is a ``torch.Tensor`` — so :class:`~repro.backend.residency.DeviceBuffer`
 handles keep tensors live across launches and every numpy↔tensor crossing
-is counted by the transfer instrumentation.  The ``*_native`` overrides
-below run entirely on tensors: a fused chain of funnel calls through
-handles performs zero intermediate conversions.
+is counted by the transfer instrumentation.  The kernel overrides below
+run entirely on tensors: a fused chain of funnel calls through handles
+performs zero intermediate conversions.
 
 Float64-split fallback: consumer GPUs (and several mobile-class devices)
 have no int64 matmul.  When the probe detects that — or ``use_float64``
@@ -31,7 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .blas_backend import FLOAT_EXACT_LIMIT
-from .numpy_backend import NumpyBackend, max_safe_chunk
+from .numpy_backend import NumpyBackend, int64_matmul_limbs, max_safe_chunk
 from .residency import DeviceBuffer
 
 __all__ = ["TorchBackend"]
@@ -46,9 +46,9 @@ class TorchBackend(NumpyBackend):
     """Batched modular GEMMs on torch int64 tensors (CPU by default).
 
     ``use_float64=True`` forces the float64-split GEMM path (the default
-    is a probe: int64 matmul support is detected per device).  Element-wise
-    mat-mod kernels run on torch tensors in the ``*_native`` variants and
-    on the inherited numpy implementations at the host level.
+    is a probe: int64 matmul support is detected per device).  Every
+    kernel but ``matmul_rows`` runs on torch tensors; that one inherits the
+    numpy implementation (a counted device→host crossing).
     """
 
     name = "torch"
@@ -105,10 +105,6 @@ class TorchBackend(NumpyBackend):
             return array.cpu().numpy()
         return np.asarray(array, dtype=np.int64)
 
-    def synchronize(self) -> None:
-        if self.device.type == "cuda":  # pragma: no cover - CUDA only
-            torch.cuda.synchronize(self.device)
-
     # ------------------------------------------------------------------
     # Native view algebra (torch names differ from numpy for two calls)
     # ------------------------------------------------------------------
@@ -138,7 +134,7 @@ class TorchBackend(NumpyBackend):
         return torch.cat(list(arrays), dim=axis)
 
     # ------------------------------------------------------------------
-    # Tensor-level kernels shared by the host and native entry points
+    # Tensor-level arithmetic behind the kernels
     # ------------------------------------------------------------------
     def _matmul_limbs_t(self, lhs_t, rhs_t, moduli: np.ndarray):  # pragma: no cover
         column = self.to_device(np.asarray(moduli, dtype=np.int64)).reshape(-1, 1, 1)
@@ -152,8 +148,8 @@ class TorchBackend(NumpyBackend):
             # The float guard declined and this device has no int64
             # matmul: stage through host numpy for the exact chunked path
             # (slow but correct — the last-resort promised by the guard).
-            out = NumpyBackend.matmul_limbs(self, self.from_device(lhs_t),
-                                            self.from_device(rhs_t), moduli)
+            out = int64_matmul_limbs(self.from_device(lhs_t),
+                                     self.from_device(rhs_t), moduli)
             return self.to_device(out)
         chunk = max_safe_chunk(qmax)
         if chunk >= inner:
@@ -176,10 +172,7 @@ class TorchBackend(NumpyBackend):
         hi/lo split of the lhs operand halves the bit-width per partial
         GEMM (covers >27-bit primes at production N); None when even the
         split partials could round — the caller then falls back to the
-        exact chunked-int64 path.  ``column`` is the broadcast moduli
-        tensor for limb stacks or a plain int for the single-modulus
-        kernel (torch's ``%`` broadcasts both the same way), so this is
-        the single home of the guard logic.
+        exact chunked-int64 path.
         """
         bound = qmax - 1
 
@@ -238,105 +231,42 @@ class TorchBackend(NumpyBackend):
         return column.reshape((column.shape[0],) + (1,) * (tensor_like.dim() - 1))
 
     # ------------------------------------------------------------------
-    # Host-level kernels (stage through tensors, return numpy)
+    # The modular kernels: tensors in, tensors out, zero host copies
     # ------------------------------------------------------------------
-    def matmul_limbs(self, lhs: np.ndarray, rhs: np.ndarray,
-                     moduli: np.ndarray, *,
-                     lhs_cache: Optional[object] = None,
-                     rhs_cache: Optional[object] = None) -> np.ndarray:  # pragma: no cover
-        out = self._matmul_limbs_t(self.to_device(lhs), self.to_device(rhs), moduli)
-        return self.from_device(out)
-
-    def _matmul_t(self, lhs_t, rhs_t, modulus: int):  # pragma: no cover - needs torch
-        inner = lhs_t.shape[-1]
-        if self.use_float64:
-            # torch's % broadcasts ints and tensors alike, so the scalar
-            # modulus reuses the guarded limb-column helper unchanged.
-            out = self._float_matmul_limbs_t(lhs_t, rhs_t, modulus, inner,
-                                             modulus)
-            if out is not None:
-                return out
-        if not self._int64_matmul:
-            out = NumpyBackend.matmul(self, self.from_device(lhs_t),
-                                      self.from_device(rhs_t), modulus)
-            return self.to_device(out)
-        chunk = max_safe_chunk(modulus)
-        if chunk >= inner:
-            return torch.matmul(lhs_t, rhs_t) % modulus
-        out = torch.zeros(tuple(lhs_t.shape[:-1]) + tuple(rhs_t.shape[1:]),
-                          dtype=torch.int64, device=self.device)
-        for start in range(0, inner, chunk):
-            stop = min(start + chunk, inner)
-            partial = torch.matmul(lhs_t[..., start:stop],
-                                   rhs_t[start:stop]) % modulus
-            out = (out + partial) % modulus
-        return out
-
-    def matmul(self, lhs: np.ndarray, rhs: np.ndarray,
-               modulus: int) -> np.ndarray:  # pragma: no cover - needs torch
-        out = self._matmul_t(self.to_device(np.asarray(lhs, dtype=np.int64)),
-                             self.to_device(np.asarray(rhs, dtype=np.int64)),
-                             modulus)
-        return self.from_device(out)
-
-    # ------------------------------------------------------------------
-    # Residency-aware kernels: tensors in, tensors out, zero host copies
-    # ------------------------------------------------------------------
-    def matmul_limbs_native(self, lhs: DeviceBuffer, rhs: DeviceBuffer,
-                            moduli: np.ndarray, *,
-                            lhs_cache: Optional[object] = None,
-                            rhs_cache: Optional[object] = None) -> DeviceBuffer:  # pragma: no cover
+    def matmul_limbs(self, lhs: DeviceBuffer, rhs: DeviceBuffer,
+                     moduli: np.ndarray) -> DeviceBuffer:  # pragma: no cover
         out = self._matmul_limbs_t(lhs.ensure_device(self),
                                    rhs.ensure_device(self), moduli)
         return DeviceBuffer.from_native(out, self)
 
-    def matmul_native(self, lhs: DeviceBuffer, rhs: DeviceBuffer,
-                      modulus: int) -> DeviceBuffer:  # pragma: no cover - needs torch
-        out = self._matmul_t(lhs.ensure_device(self), rhs.ensure_device(self),
-                             modulus)
-        return DeviceBuffer.from_native(out, self)
-
-    def hadamard_limbs_native(self, lhs: DeviceBuffer, rhs: DeviceBuffer,
-                              moduli: np.ndarray) -> DeviceBuffer:  # pragma: no cover
-        lhs_t = lhs.ensure_device(self)
-        rhs_t = rhs.ensure_device(self)
-        column = self._column_t(lhs_t, moduli)
-        if self.use_float64:
-            out = self._float_hadamard_limbs_t(
-                lhs_t, rhs_t, column, int(np.asarray(moduli).max()))
-            if out is not None:
-                return DeviceBuffer.from_native(out, self)
-        out = (lhs_t * rhs_t) % column
-        return DeviceBuffer.from_native(out, self)
-
-    def mat_reduce_native(self, matrix: DeviceBuffer,
-                          moduli: np.ndarray) -> DeviceBuffer:  # pragma: no cover
+    def mat_reduce(self, matrix: DeviceBuffer,
+                   moduli: np.ndarray) -> DeviceBuffer:  # pragma: no cover
         matrix_t = matrix.ensure_device(self)
         out = matrix_t % self._column_t(matrix_t, moduli)
         return DeviceBuffer.from_native(out, self)
 
-    def mat_add_native(self, a: DeviceBuffer, b: DeviceBuffer,
-                       moduli: np.ndarray) -> DeviceBuffer:  # pragma: no cover
+    def mat_add(self, a: DeviceBuffer, b: DeviceBuffer,
+                moduli: np.ndarray) -> DeviceBuffer:  # pragma: no cover
         a_t = a.ensure_device(self)
         column = self._column_t(a_t, moduli)
         out = a_t + b.ensure_device(self)
         return DeviceBuffer.from_native(torch.where(out >= column, out - column, out), self)
 
-    def mat_sub_native(self, a: DeviceBuffer, b: DeviceBuffer,
-                       moduli: np.ndarray) -> DeviceBuffer:  # pragma: no cover
+    def mat_sub(self, a: DeviceBuffer, b: DeviceBuffer,
+                moduli: np.ndarray) -> DeviceBuffer:  # pragma: no cover
         a_t = a.ensure_device(self)
         column = self._column_t(a_t, moduli)
         out = a_t - b.ensure_device(self)
         return DeviceBuffer.from_native(torch.where(out < 0, out + column, out), self)
 
-    def mat_neg_native(self, a: DeviceBuffer,
-                       moduli: np.ndarray) -> DeviceBuffer:  # pragma: no cover
+    def mat_neg(self, a: DeviceBuffer,
+                moduli: np.ndarray) -> DeviceBuffer:  # pragma: no cover
         a_t = a.ensure_device(self)
         column = self._column_t(a_t, moduli)
         return DeviceBuffer.from_native((column - a_t) % column, self)
 
-    def mat_mul_native(self, a: DeviceBuffer, b: DeviceBuffer,
-                       moduli: np.ndarray) -> DeviceBuffer:  # pragma: no cover
+    def mat_mul(self, a: DeviceBuffer, b: DeviceBuffer,
+                moduli: np.ndarray) -> DeviceBuffer:  # pragma: no cover
         a_t = a.ensure_device(self)
         b_t = b.ensure_device(self)
         column = self._column_t(a_t, moduli)

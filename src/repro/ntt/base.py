@@ -19,14 +19,15 @@ batching (Section IV-C):
   stack of whole RNS polynomials, the paper's full multi-ciphertext
   batched execution.
 
-``forward_limbs`` is the primary path of the CKKS stack: a whole
-``(limbs, N)`` residue matrix is transformed in one engine call.  The GEMM
-engines implement it natively by stacking the per-modulus twiddle operands
-into 3-D batched ``matmul`` launches, and extend the same launches to
-``forward_ops`` by folding the operation axis into the GEMM's free
-dimension — one backend launch per transform step covers every operation
-and every limb.  This base class provides generic fallbacks (per-limb and
-per-operation dispatch) for the butterfly and reference engines.
+Two kinds of engine implement it from opposite ends.  The scalar engines
+(butterfly, reference) implement ``forward`` / ``inverse`` on one vector
+and inherit :class:`NttEngine`'s generic fallbacks, which loop per limb and
+per operation.  The GEMM engines (:class:`GemmNttEngine`) implement the
+fused ``(B, L, N)`` launch — per-modulus twiddle operands stacked into 3-D
+batched ``matmul`` launches, the operation axis folded into the GEMM's free
+dimension, so one backend launch per transform step covers every operation
+and every limb — and every narrower entry point is that launch at B = 1
+and/or L = 1.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 from ..backend.registry import resolve_backend
 from ..backend.residency import as_ndarray, is_buffer, match_residency, stack_arrays
 
-__all__ = ["NttEngine"]
+__all__ = ["NttEngine", "GemmNttEngine"]
 
 
 class NttEngine(abc.ABC):
@@ -284,3 +285,79 @@ class NttEngine(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "%s(N=%d, q=%d)" % (type(self).__name__, self.ring_degree, self.modulus)
+
+
+class GemmNttEngine(NttEngine):
+    """An engine whose one primitive is the fused ``(B, L, N)`` launch.
+
+    Subclasses implement :meth:`_transform_ops`.  ``forward_ops`` /
+    ``inverse_ops`` validate and call it; ``forward_limbs`` is its B = 1
+    case, ``forward_batch`` its L = 1 case and ``forward`` both — shape
+    adapters with no GEMM or Hadamard call of their own, so keygen, the
+    scalar callers and the evaluator all run the same pipeline.
+    """
+
+    @abc.abstractmethod
+    def _transform_ops(self, stacks, moduli_array: np.ndarray, *,
+                       inverse: bool):
+        """Either direction on a validated, staged, non-empty stack.
+
+        ``stacks`` is a ``(B, L, N)`` array or handle; the result is of the
+        same kind.
+        """
+
+    def _ops(self, stacks, moduli, inverse: bool):
+        stacks, moduli_array = self._validate_ops(stacks, moduli)
+        if stacks.shape[0] == 0:
+            return stacks
+        return self._transform_ops(self._stage_resident(stacks), moduli_array,
+                                   inverse=inverse)
+
+    def _limbs(self, residues, moduli, inverse: bool):
+        residues, moduli_array = self._validate_limbs(residues, moduli)
+        # Staged before the reshape: the ``(1, L, N)`` view is then a
+        # device-side view of the caller's handle, which uploads once and
+        # is reused by every later transform of the same polynomial.
+        residues = self._stage_resident(residues)
+        stacks = residues.reshape(1, residues.shape[0], self.ring_degree)
+        return self._transform_ops(stacks, moduli_array, inverse=inverse)[0]
+
+    def _vector(self, vector, inverse: bool):
+        return self._limbs(self._validate(vector)[None], (self.modulus,),
+                           inverse)[0]
+
+    def _batch(self, rows, inverse: bool):
+        rows = np.asarray(rows, dtype=np.int64)
+        if rows.ndim == 1:
+            return self._vector(rows, inverse)
+        return self._ops(rows[:, None, :], (self.modulus,), inverse)[:, 0]
+
+    def forward_ops(self, stacks, moduli: Sequence[int]):
+        """Forward NTT of a ``(B, L, N)`` stack as fused launches."""
+        return self._ops(stacks, moduli, False)
+
+    def inverse_ops(self, stacks, moduli: Sequence[int]):
+        """Inverse NTT of a ``(B, L, N)`` stack as fused launches."""
+        return self._ops(stacks, moduli, True)
+
+    def forward_limbs(self, residues, moduli: Sequence[int]):
+        """Forward NTT of all limbs of one polynomial: ``forward_ops`` at B = 1."""
+        return self._limbs(residues, moduli, False)
+
+    def inverse_limbs(self, values, moduli: Sequence[int]):
+        """Inverse NTT of all limbs of one polynomial: ``inverse_ops`` at B = 1."""
+        return self._limbs(values, moduli, True)
+
+    def forward_batch(self, coefficient_rows: np.ndarray) -> np.ndarray:
+        """Forward NTT of rows sharing this engine's modulus: ``forward_ops`` at L = 1."""
+        return self._batch(coefficient_rows, False)
+
+    def inverse_batch(self, value_rows: np.ndarray) -> np.ndarray:
+        """Inverse NTT of rows sharing this engine's modulus: ``inverse_ops`` at L = 1."""
+        return self._batch(value_rows, True)
+
+    def forward(self, coefficients: np.ndarray) -> np.ndarray:
+        return self._vector(coefficients, False)
+
+    def inverse(self, values: np.ndarray) -> np.ndarray:
+        return self._vector(values, True)

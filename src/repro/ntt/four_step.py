@@ -20,23 +20,18 @@ import numpy as np
 
 from ..backend.blas_backend import FloatResidues
 from ..backend.registry import resolve_backend
-from ..backend.residency import DeviceBuffer, contiguous, is_buffer
+from ..backend.residency import DeviceBuffer, as_buffer, contiguous, is_buffer
 from ..numtheory.floatmod import get_barrett_chain
 from ..numtheory.modular import mat_mod_mul, tiled_rows
-from .base import NttEngine
+from .base import GemmNttEngine
 from .four_step_plan import FourStepPlan, run_stage, slabs, stage_operand
-from .gemm_utils import (
-    modular_hadamard,
-    modular_hadamard_limbs,
-    modular_matmul,
-    modular_matmul_limbs,
-)
+from .gemm_utils import modular_hadamard_limbs, modular_matmul_limbs
 from .twiddle import TwiddleCache, get_twiddle_cache, get_twiddle_stack
 
 __all__ = ["FourStepNtt"]
 
 
-class FourStepNtt(NttEngine):
+class FourStepNtt(GemmNttEngine):
     """Three-GEMM decomposition of the negacyclic NTT (Eq. 9)."""
 
     name = "four_step"
@@ -48,53 +43,9 @@ class FourStepNtt(NttEngine):
         self.twiddles = twiddles or get_twiddle_cache(ring_degree, modulus)
         self.n1, self.n2 = self.twiddles.four_step_shapes()
 
-    # -- forward -------------------------------------------------------
-    def forward(self, coefficients: np.ndarray) -> np.ndarray:
-        coefficients = self._validate(coefficients)
-        a_mat = coefficients.reshape(self.n1, self.n2)
-        w1, w2, w3 = self.twiddles.four_step_forward()
-        inner = self._gemm(w1, a_mat)
-        twisted = self._hadamard(inner, w2)
-        outer = self._gemm(twisted, w3)
-        # Output index is k1 + N1*k2, i.e. column-major flattening.
-        return outer.flatten(order="F")
-
-    # -- inverse -------------------------------------------------------
-    def inverse(self, values: np.ndarray) -> np.ndarray:
-        values = self._validate(values)
-        a_mat = values.reshape(self.n1, self.n2)
-        v1, v2, v3 = self.twiddles.four_step_inverse()
-        inner = self._gemm(v1, a_mat)
-        twisted = self._hadamard(inner, v2)
-        outer = self._gemm(twisted, v3)
-        flattened = outer.flatten(order="F")
-        return (flattened * self.twiddles.degree_inverse) % self.modulus
-
-    # -- limb-batched path: the one-operation case of the (B, L, N) path --
-    def forward_limbs(self, residues: np.ndarray,
-                      moduli: Sequence[int]) -> np.ndarray:
-        """Forward NTT of all limbs of one polynomial: ``forward_ops`` at B = 1."""
-        residues, moduli_array = self._validate_limbs(residues, moduli)
-        return self._transform_limbs(residues, moduli_array, inverse=False)
-
-    def inverse_limbs(self, values: np.ndarray,
-                      moduli: Sequence[int]) -> np.ndarray:
-        """Inverse NTT of all limbs of one polynomial: ``inverse_ops`` at B = 1."""
-        values, moduli_array = self._validate_limbs(values, moduli)
-        return self._transform_limbs(values, moduli_array, inverse=True)
-
-    def _transform_limbs(self, residues, moduli_array, *, inverse: bool):
-        # Staged before the reshape: the ``(1, L, N)`` view is then a
-        # device-side view of the caller's handle, which uploads once and
-        # is reused by every later transform of the same polynomial.
-        residues = self._stage_resident(residues)
-        stacks = residues.reshape(1, residues.shape[0], self.ring_degree)
-        return self._transform_ops(stacks, moduli_array, inverse=inverse)[0]
-
-    # -- operation-batched path: the whole (B, L, N) stack, 3 launches --
-    def forward_ops(self, stacks: np.ndarray,
-                    moduli: Sequence[int]) -> np.ndarray:
-        """Forward NTT of a ``(B, L, N)`` stack in three fused launches.
+    # -- the whole (B, L, N) stack, 3 launches ---------------------------
+    def _transform_ops(self, stacks, moduli_array, *, inverse: bool):
+        """Either direction on a validated, staged ``(B, L, N)`` stack.
 
         On a float-capable backend the launch runs the planned float64
         pipeline (:meth:`float_plan`) whenever the 2**53 guard admits the
@@ -106,46 +57,26 @@ class FourStepNtt(NttEngine):
         dimension — so every transform step is one backend launch covering
         all ``B`` operations and all limbs.
         """
-        stacks, moduli_array = self._validate_ops(stacks, moduli)
-        return self._transform_ops(self._stage_resident(stacks), moduli_array,
-                                   inverse=False)
-
-    def inverse_ops(self, stacks: np.ndarray,
-                    moduli: Sequence[int]) -> np.ndarray:
-        """Inverse NTT of a ``(B, L, N)`` stack in three fused launches."""
-        stacks, moduli_array = self._validate_ops(stacks, moduli)
-        return self._transform_ops(self._stage_resident(stacks), moduli_array,
-                                   inverse=True)
-
-    def _transform_ops(self, stacks, moduli_array, *, inverse: bool):
-        """Either direction on a validated, staged ``(B, L, N)`` stack."""
-        batch, limbs = stacks.shape[0], stacks.shape[1]
-        if batch == 0:
-            return stacks
         stack = get_twiddle_stack(self.ring_degree, tuple(moduli_array.tolist()))
         plan = self._float_plan(stack, inverse)
         if plan is not None:
             return self._float_pipeline(stacks, stack, plan, inverse)
-        resident = is_buffer(stacks)
+        batch, limbs = stacks.shape[0], stacks.shape[1]
+        # The twiddle operands are the stack's shared handles (device image
+        # cached, float image attached), so the launches run on handles.
+        out = self._ops_pipeline(
+            as_buffer(stacks), moduli_array,
+            *(stack.four_step_inverse_buffers() if inverse
+              else stack.four_step_forward_buffers()))
         if inverse:
-            g1, g2, g3 = (stack.four_step_inverse_buffers() if resident
-                          else stack.four_step_inverse())
-            g1_cache, g3_cache = stack.four_step_inverse_caches()
-        else:
-            g1, g2, g3 = (stack.four_step_forward_buffers() if resident
-                          else stack.four_step_forward())
-            g1_cache, g3_cache = stack.four_step_forward_caches()
-        flattened = self._ops_pipeline(stacks, moduli_array, g1, g2, g3,
-                                       g1_cache, g3_cache)
-        if not inverse:
-            return flattened
-        # Funnel multiply: exact even for moduli whose residue products
-        # overflow int64 (the funnel's object-dtype path covers >= 2**31).
-        scaled = mat_mod_mul(
-            flattened.reshape(batch * limbs, self.ring_degree),
-            tiled_rows(stack.degree_inverse_column, batch),
-            tiled_rows(moduli_array[:, None], batch))
-        return scaled.reshape(batch, limbs, self.ring_degree)
+            # Funnel multiply: exact even for moduli whose residue products
+            # overflow int64 (the funnel's object-dtype path covers >= 2**31).
+            out = mat_mod_mul(
+                out.reshape(batch * limbs, self.ring_degree),
+                tiled_rows(stack.degree_inverse_column, batch),
+                tiled_rows(moduli_array[:, None], batch)
+            ).reshape(batch, limbs, self.ring_degree)
+        return out if is_buffer(stacks) else out.ensure_host()
 
     # -- the planned float64 pipeline -----------------------------------
     def float_plan(self, moduli: Sequence[int], *,
@@ -261,14 +192,13 @@ class FourStepNtt(NttEngine):
                 FloatResidues(result, whole_chain.qmax - 1))
         return DeviceBuffer.wrap(result) if resident else result
 
-    def _ops_pipeline(self, stacks: np.ndarray, moduli_array: np.ndarray,
-                      w1: np.ndarray, w2: np.ndarray, w3: np.ndarray,
-                      w1_cache, w3_cache) -> np.ndarray:
+    def _ops_pipeline(self, stacks: DeviceBuffer, moduli_array: np.ndarray,
+                      w1: DeviceBuffer, w2: DeviceBuffer,
+                      w3: DeviceBuffer) -> DeviceBuffer:
         """The three fused launches shared by both transform directions.
 
-        Works uniformly on host arrays and residency handles: every
-        reshape/transpose is a resident-image view, so a handle batch
-        flows through all three launches without a host copy.
+        Every reshape/transpose is a resident-image view, so a handle
+        batch flows through all three launches without a host copy.
         """
         # Stage the shared Hadamard-twiddle handle before slicing it: the
         # broadcast view below is a fresh handle per call, so the upload
@@ -283,37 +213,25 @@ class FourStepNtt(NttEngine):
             w1,
             contiguous(a_mat.transpose(1, 2, 0, 3)).reshape(
                 limbs, self.n1, batch * self.n2),
-            moduli_array, lhs_cache=w1_cache)
+            moduli_array)
         work = self._hadamard_limbs(                        # twiddle correction
             work.reshape(limbs, self.n1, batch, self.n2),
             w2[:, :, None, :], moduli_array)
         work = contiguous(work.transpose(0, 2, 1, 3)).reshape(
             limbs, batch * self.n1, self.n2)
-        work = self._gemm_limbs(work, w3, moduli_array,     # outer DFTs
-                                rhs_cache=w3_cache)
+        work = self._gemm_limbs(work, w3, moduli_array)     # outer DFTs
         # Column-major flattening of every (N1, N2) slice, per operation.
         return contiguous(
             work.reshape(limbs, batch, self.n1, self.n2)
             .transpose(1, 0, 3, 2)).reshape(batch, limbs, self.ring_degree)
 
-    # -- hooks the tensor-core engine overrides -------------------------
-    def _gemm(self, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Modular GEMM on the "CUDA cores" (active backend)."""
-        return modular_matmul(lhs, rhs, self.modulus, backend=self.backend)
-
-    def _hadamard(self, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Modular Hadamard product on the CUDA cores."""
-        return modular_hadamard(lhs, rhs, self.modulus, backend=self.backend)
-
-    def _gemm_limbs(self, lhs: np.ndarray, rhs: np.ndarray,
-                    moduli: np.ndarray, *, lhs_cache=None,
-                    rhs_cache=None) -> np.ndarray:
+    # -- hooks the tensor-core engine overrides (handles in, handle out) --
+    def _gemm_limbs(self, lhs: DeviceBuffer, rhs: DeviceBuffer,
+                    moduli: np.ndarray) -> DeviceBuffer:
         """Limb-batched modular GEMM (one 3-D launch on the active backend)."""
-        return modular_matmul_limbs(lhs, rhs, moduli,
-                                    lhs_cache=lhs_cache, rhs_cache=rhs_cache,
-                                    backend=self.backend)
+        return modular_matmul_limbs(lhs, rhs, moduli, backend=self.backend)
 
-    def _hadamard_limbs(self, lhs: np.ndarray, rhs: np.ndarray,
-                        moduli: np.ndarray) -> np.ndarray:
+    def _hadamard_limbs(self, lhs: DeviceBuffer, rhs: DeviceBuffer,
+                        moduli: np.ndarray) -> DeviceBuffer:
         """Limb-batched modular Hadamard product."""
         return modular_hadamard_limbs(lhs, rhs, moduli, backend=self.backend)

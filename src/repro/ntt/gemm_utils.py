@@ -1,38 +1,25 @@
 """The modular-GEMM funnel: validation, exactness guards, backend dispatch.
 
 Every GEMM-shaped launch of the library — the batched NTT engines, the fast
-basis conversion, the per-modulus matrix products — passes through the
-helpers in this module.  They own the *semantic* layer: shape validation
-and the object-dtype fallbacks for moduli at or above 2**31 (where a single
-product of two residues no longer fits int64).  The arithmetic itself is
-delegated to the active :class:`~repro.backend.base.ArrayBackend`, which is
-how the same engines run on chunked int64 numpy, exact float64 BLAS, a
-multiprocess pool or an accelerator library — selected per call
-(``backend=``), per planner, or process-wide (``REPRO_BACKEND``).
+basis conversion — passes through the helpers in this module.  They own the
+*semantic* layer: shape validation and the object-dtype fallbacks for moduli
+at or above 2**31 (where a single product of two residues no longer fits
+int64).  The arithmetic itself is delegated to the active
+:class:`~repro.backend.base.ArrayBackend`, which is how the same engines run
+on chunked int64 numpy, exact float64 BLAS, a sharded worker pool or an
+accelerator library — selected per call (``backend=``), per planner, or
+process-wide (``REPRO_BACKEND``).
 
 Residency: each funnel accepts either host ``numpy`` arrays or
-:class:`~repro.backend.residency.DeviceBuffer` handles.  The convention is
-*handle in → handle out*: when any operand is a handle the launch dispatches
-to the backend's ``*_native`` kernel (which keeps device-resident operands
-on the device) and the result comes back as a handle, so a chain of funnel
-calls performs zero intermediate host copies.  Plain-array call sites are
-untouched — they keep the exact historical code path.  Handles are trusted
+:class:`~repro.backend.residency.DeviceBuffer` handles, and
+:func:`~repro.backend.residency.on_handles` is the one place the two meet —
+the bodies below see handles only and call the backend's handle-in /
+handle-out kernels.  *Handle in → handle out*: a chain of funnel calls
+through handles performs zero intermediate host copies, and what image of
+an operand a launch reads (device-native, an attached float64 image) is the
+backend's choice.  *Plain arrays in → plain array out.*  Handles are trusted
 to hold reduced residues; only the oversized-moduli exact path materialises
 them on host (a counted transfer on device backends).
-
-Float residency: on backends whose ``capabilities()`` report declares
-``float_residency`` (i.e. blas), a handle operand that carries a float64
-residue image — a
-twiddle-stack buffer, or the :class:`~repro.backend.blas_backend.
-FloatResidues` output of a previous float-resident launch — dispatches
-:func:`modular_hadamard_limbs` and the batched GEMM to lazy-Barrett float64
-kernels (:mod:`repro.numtheory.floatmod`) and hands back another
-float-resident handle, so chained funnel calls materialise no int64
-intermediates at all.  The dispatch lives in the backend's ``*_native``
-overrides; the funnels themselves stay semantics-only.
-
-``FloatOperandCache`` and ``max_safe_chunk`` are re-exported from their new
-homes under :mod:`repro.backend` for backward compatibility.
 """
 
 from __future__ import annotations
@@ -41,139 +28,65 @@ from typing import Optional
 
 import numpy as np
 
-from ..backend.blas_backend import FloatOperandCache
-from ..backend.numpy_backend import max_safe_chunk
 from ..backend.registry import resolve_backend
-from ..backend.residency import as_buffer, is_buffer
+from ..backend.residency import DeviceBuffer, on_handles
+from ..numtheory.modular import INT64_SAFE_MODULUS, object_mat_mul
 
 __all__ = [
-    "modular_matmul",
-    "modular_hadamard",
-    "max_safe_chunk",
-    "FloatOperandCache",
     "modular_matmul_limbs",
     "modular_hadamard_limbs",
     "modular_matmul_rows",
 ]
 
-#: Above this bound a single residue product can overflow int64 and the
-#: funnels take the exact object-dtype path instead of dispatching.
-_INT64_SAFE_MODULUS = 1 << 31
+
+def _object_matmul(lhs: DeviceBuffer, rhs: DeviceBuffer,
+                   column: np.ndarray) -> DeviceBuffer:
+    """Exact ``(lhs @ rhs) mod column`` in Python integers."""
+    product = np.matmul(lhs.ensure_host().astype(object),
+                        rhs.ensure_host().astype(object))
+    return DeviceBuffer(host=np.asarray(product % column, dtype=np.int64))
 
 
-def _shape(operand):
-    """Shape of an array-or-handle without materialising a host image."""
-    if is_buffer(operand):
-        return operand.shape
-    return np.asarray(operand).shape
-
-
-def modular_matmul(lhs: np.ndarray, rhs: np.ndarray, modulus: int, *,
-                   backend=None) -> np.ndarray:
-    """Return ``(lhs @ rhs) mod modulus`` exactly on the active backend."""
-    resident = is_buffer(lhs) or is_buffer(rhs)
-    if not resident:
-        lhs = np.asarray(lhs, dtype=np.int64)
-        rhs = np.asarray(rhs, dtype=np.int64)
-    if _shape(lhs)[-1] != _shape(rhs)[0]:
-        raise ValueError(
-            "inner dimensions do not match: %s @ %s" % (_shape(lhs), _shape(rhs))
-        )
-    if resident:
-        return resolve_backend(backend).matmul_native(
-            as_buffer(lhs), as_buffer(rhs), modulus)
-    return resolve_backend(backend).matmul(lhs, rhs, modulus)
-
-
-def modular_hadamard(lhs: np.ndarray, rhs: np.ndarray, modulus: int, *,
-                     backend=None) -> np.ndarray:
-    """Element-wise ``(lhs * rhs) mod modulus`` on int64 arrays."""
-    resident = is_buffer(lhs) or is_buffer(rhs)
-    if not resident:
-        lhs = np.asarray(lhs, dtype=np.int64)
-        rhs = np.asarray(rhs, dtype=np.int64)
-    if modulus >= _INT64_SAFE_MODULUS:
-        product = (np.asarray(lhs, dtype=np.int64).astype(object)
-                   * np.asarray(rhs, dtype=np.int64).astype(object))
-        out = np.asarray(product % modulus, dtype=np.int64)
-        return as_buffer(out) if resident else out
-    if resident:
-        return resolve_backend(backend).hadamard_native(
-            as_buffer(lhs), as_buffer(rhs), modulus)
-    return resolve_backend(backend).hadamard(lhs, rhs, modulus)
-
-
-def modular_matmul_limbs(lhs: np.ndarray, rhs: np.ndarray, moduli, *,
-                         lhs_cache: Optional[FloatOperandCache] = None,
-                         rhs_cache: Optional[FloatOperandCache] = None,
-                         backend=None) -> np.ndarray:
+@on_handles(2)
+def modular_matmul_limbs(lhs, rhs, moduli, *, backend=None):
     """Batched modular GEMM: ``out[i] = (lhs[i] @ rhs[i]) mod moduli[i]``.
 
     ``lhs`` has shape ``(limbs, M, K)`` and ``rhs`` ``(limbs, K, P)``; both
     must already be reduced modulo their row's prime.  The whole stack is
-    one backend launch; ``lhs_cache``/``rhs_cache`` pass a reusable
-    operand's cached float64 image to backends that exploit it (blas).
-    Handles may carry their own attached float images, which the blas
-    backend picks up when no explicit cache is given.
+    one backend launch.  A reusable operand (a twiddle stack) is passed as
+    a handle with its float64 image attached, which the blas backend picks
+    up instead of converting per call.
     """
-    resident = is_buffer(lhs) or is_buffer(rhs)
-    if not resident:
-        lhs = np.asarray(lhs, dtype=np.int64)
-        rhs = np.asarray(rhs, dtype=np.int64)
-    lhs_shape, rhs_shape = _shape(lhs), _shape(rhs)
-    if len(lhs_shape) != 3 or len(rhs_shape) != 3:
+    if lhs.ndim != 3 or rhs.ndim != 3:
         raise ValueError(
-            "expected 3-D limb stacks, got %s @ %s" % (lhs_shape, rhs_shape)
+            "expected 3-D limb stacks, got %s @ %s" % (lhs.shape, rhs.shape)
         )
-    if lhs_shape[0] != rhs_shape[0] or lhs_shape[2] != rhs_shape[1]:
+    if lhs.shape[0] != rhs.shape[0] or lhs.shape[2] != rhs.shape[1]:
         raise ValueError(
-            "limb stacks do not align: %s @ %s" % (lhs_shape, rhs_shape)
+            "limb stacks do not align: %s @ %s" % (lhs.shape, rhs.shape)
         )
     moduli = np.asarray(moduli, dtype=np.int64)
-    if int(moduli.max()) >= _INT64_SAFE_MODULUS:
-        # A single product of two reduced residues can overflow int64;
-        # take the exact (slow) object-dtype path, as mat_mod_mul does.
-        column = moduli.reshape(-1, 1, 1)
-        product = np.matmul(np.asarray(lhs, dtype=np.int64).astype(object),
-                            np.asarray(rhs, dtype=np.int64).astype(object))
-        out = np.asarray(product % column, dtype=np.int64)
-        return as_buffer(out) if resident else out
-    if resident:
-        return resolve_backend(backend).matmul_limbs_native(
-            as_buffer(lhs), as_buffer(rhs), moduli,
-            lhs_cache=lhs_cache, rhs_cache=rhs_cache)
-    return resolve_backend(backend).matmul_limbs(
-        lhs, rhs, moduli, lhs_cache=lhs_cache, rhs_cache=rhs_cache)
+    if int(moduli.max()) >= INT64_SAFE_MODULUS:
+        return _object_matmul(lhs, rhs, moduli.reshape(-1, 1, 1))
+    return resolve_backend(backend).matmul_limbs(lhs, rhs, moduli)
 
 
-def modular_hadamard_limbs(lhs: np.ndarray, rhs: np.ndarray, moduli, *,
-                           backend=None) -> np.ndarray:
+@on_handles(2)
+def modular_hadamard_limbs(lhs, rhs, moduli, *, backend=None):
     """Element-wise ``(lhs * rhs) mod moduli`` with per-limb moduli.
 
     The leading axis of both operands is the limb axis; ``moduli[i]``
     reduces slice ``i``.
     """
-    resident = is_buffer(lhs) or is_buffer(rhs)
-    if not resident:
-        lhs = np.asarray(lhs, dtype=np.int64)
-        rhs = np.asarray(rhs, dtype=np.int64)
     moduli = np.asarray(moduli, dtype=np.int64)
-    if int(moduli.max()) >= _INT64_SAFE_MODULUS:
-        lhs_host = np.asarray(lhs, dtype=np.int64)
-        rhs_host = np.asarray(rhs, dtype=np.int64)
-        column = moduli.reshape((moduli.shape[0],) + (1,) * (lhs_host.ndim - 1))
-        product = lhs_host.astype(object) * rhs_host.astype(object)
-        out = np.asarray(product % column, dtype=np.int64)
-        return as_buffer(out) if resident else out
-    if resident:
-        return resolve_backend(backend).hadamard_limbs_native(
-            as_buffer(lhs), as_buffer(rhs), moduli)
-    return resolve_backend(backend).hadamard_limbs(lhs, rhs, moduli)
+    if int(moduli.max()) >= INT64_SAFE_MODULUS:
+        return object_mat_mul(lhs, rhs, moduli)
+    return resolve_backend(backend).mat_mul(lhs, rhs, moduli)
 
 
-def modular_matmul_rows(lhs: np.ndarray, rhs: np.ndarray, row_moduli, *,
-                        operand_bound: Optional[int] = None,
-                        backend=None) -> np.ndarray:
+@on_handles(2)
+def modular_matmul_rows(lhs, rhs, row_moduli, *,
+                        operand_bound: Optional[int] = None, backend=None):
     """Row-moduli GEMM: ``out[j] = (lhs[j] @ rhs) mod row_moduli[j]``.
 
     Used by the fast basis conversion, where every *output* row has its own
@@ -183,30 +96,16 @@ def modular_matmul_rows(lhs: np.ndarray, rhs: np.ndarray, row_moduli, *,
     ``max(lhs) * max(rhs)``) so the funnel never has to materialise a
     device operand just to scan it.
     """
-    resident = is_buffer(lhs) or is_buffer(rhs)
-    if not resident:
-        lhs = np.asarray(lhs, dtype=np.int64)
-        rhs = np.asarray(rhs, dtype=np.int64)
-    if _shape(lhs)[-1] != _shape(rhs)[0]:
+    if lhs.shape[-1] != rhs.shape[0]:
         raise ValueError(
-            "inner dimensions do not match: %s @ %s" % (_shape(lhs), _shape(rhs))
+            "inner dimensions do not match: %s @ %s" % (lhs.shape, rhs.shape)
         )
     row_moduli = np.asarray(row_moduli, dtype=np.int64)
     if operand_bound is None:
-        lhs_host = np.asarray(lhs, dtype=np.int64)
-        rhs_host = np.asarray(rhs, dtype=np.int64)
-        operand_bound = int(lhs_host.max(initial=0)) * int(rhs_host.max(initial=0))
-    per_term = operand_bound
-    if per_term >= (1 << 63):
+        operand_bound = (int(lhs.ensure_host().max(initial=0))
+                         * int(rhs.ensure_host().max(initial=0)))
+    if operand_bound >= (1 << 63):
         # Even a chunk of one row would overflow int64: exact object path.
-        column = row_moduli.reshape(-1, 1)
-        product = (np.asarray(lhs, dtype=np.int64).astype(object)
-                   @ np.asarray(rhs, dtype=np.int64).astype(object))
-        out = np.asarray(product % column, dtype=np.int64)
-        return as_buffer(out) if resident else out
-    if resident:
-        return resolve_backend(backend).matmul_rows_native(
-            as_buffer(lhs), as_buffer(rhs), row_moduli,
-            operand_bound=per_term)
+        return _object_matmul(lhs, rhs, row_moduli.reshape(-1, 1))
     return resolve_backend(backend).matmul_rows(lhs, rhs, row_moduli,
-                                                operand_bound=per_term)
+                                                operand_bound=operand_bound)

@@ -1,30 +1,28 @@
-"""Single-GEMM NTT (Eq. 8 of the paper).
+"""Single-GEMM NTT (Eq. 8 of the paper) — a test oracle beside ``reference``.
 
 The butterfly network is replaced by one matrix–vector product
 ``A = (W @ a) mod q`` with ``W[k, n] = psi^(2nk+n)``.  Only one modulo
 reduction per output coefficient is needed, and the twiddle matrix is
 precomputed once per CKKS instance.  The quadratic work is the price the
-paper pays for removing the RAW dependencies between butterfly stages.
+paper pays for removing the RAW dependencies between butterfly stages — and
+why nothing is benchmarked on this engine: it stays as the simplest exact
+GEMM formulation the faster engines are compared against.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
-import numpy as np
-
-from ..backend.blas_backend import FloatResidues
-from ..backend.registry import resolve_backend
-from ..backend.residency import DeviceBuffer, contiguous, is_buffer
+from ..backend.residency import as_buffer, contiguous, is_buffer
 from ..numtheory.modular import mat_mod_mul
-from .base import NttEngine
-from .gemm_utils import modular_matmul, modular_matmul_limbs
+from .base import GemmNttEngine
+from .gemm_utils import modular_matmul_limbs
 from .twiddle import TwiddleCache, get_twiddle_cache, get_twiddle_stack
 
 __all__ = ["MatrixNtt"]
 
 
-class MatrixNtt(NttEngine):
+class MatrixNtt(GemmNttEngine):
     """Full ``N x N`` matrix formulation of the negacyclic NTT."""
 
     name = "matrix"
@@ -34,198 +32,28 @@ class MatrixNtt(NttEngine):
                  backend=None) -> None:
         super().__init__(ring_degree, modulus, backend=backend)
         self.twiddles = twiddles or get_twiddle_cache(ring_degree, modulus)
-        # Shape-matched scratch for the float-resident ops pipeline (see
-        # _float_scratch); built lazily, replaced when the shape changes.
-        self._float_buffers = None
 
-    def forward(self, coefficients: np.ndarray) -> np.ndarray:
-        coefficients = self._validate(coefficients)
-        weight = self.twiddles.forward_matrix()
-        return modular_matmul(weight, coefficients[:, None], self.modulus,
-                              backend=self.backend)[:, 0]
-
-    def inverse(self, values: np.ndarray) -> np.ndarray:
-        values = self._validate(values)
-        weight = self.twiddles.inverse_matrix()
-        raw = modular_matmul(weight, values[:, None], self.modulus,
-                             backend=self.backend)[:, 0]
-        return (raw * self.twiddles.degree_inverse) % self.modulus
-
-    def forward_batch(self, coefficient_rows: np.ndarray) -> np.ndarray:
-        """Batched forward transform: one GEMM for the whole batch.
-
-        This is exactly the operation-level batching argument of the paper:
-        with ``B`` operations sharing the twiddle matrix, the matrix–vector
-        products become a single matrix–matrix product.
-        """
-        rows = np.asarray(coefficient_rows, dtype=np.int64)
-        if rows.ndim == 1:
-            return self.forward(rows)
-        weight = self.twiddles.forward_matrix()
-        return modular_matmul(weight, rows.T % self.modulus, self.modulus,
-                              backend=self.backend).T
-
-    def inverse_batch(self, value_rows: np.ndarray) -> np.ndarray:
-        rows = np.asarray(value_rows, dtype=np.int64)
-        if rows.ndim == 1:
-            return self.inverse(rows)
-        weight = self.twiddles.inverse_matrix()
-        raw = modular_matmul(weight, rows.T % self.modulus, self.modulus,
-                             backend=self.backend).T
-        return (raw * self.twiddles.degree_inverse) % self.modulus
-
-    # -- limb-batched path (one 3-D GEMM per whole RNS polynomial) ------
-    # Residency-handle inputs select the stack's resident operand handle
-    # (device image cached, float image attached) and every shape op runs
-    # on the resident image, so the transform threads handles end-to-end:
-    # handle in → handle out with zero intermediate host copies.
-    def forward_limbs(self, residues: np.ndarray,
-                      moduli: Sequence[int]) -> np.ndarray:
-        """Forward NTT of all limbs as one batched matmul over stacked ``W``."""
-        residues, moduli_array = self._validate_limbs(residues, moduli)
-        residues = self._stage_resident(residues)
-        stack = get_twiddle_stack(self.ring_degree, tuple(int(q) for q in moduli))
-        weights = (stack.forward_matrices_buffer() if is_buffer(residues)
-                   else stack.forward_matrices())
-        return modular_matmul_limbs(
-            weights, residues[:, :, None], moduli_array,
-            lhs_cache=stack.forward_matrices_cache(),
-            backend=self.backend)[:, :, 0]
-
-    def inverse_limbs(self, values: np.ndarray,
-                      moduli: Sequence[int]) -> np.ndarray:
-        """Inverse NTT of all limbs as one batched matmul over stacked ``V``."""
-        values, moduli_array = self._validate_limbs(values, moduli)
-        values = self._stage_resident(values)
-        stack = get_twiddle_stack(self.ring_degree, tuple(int(q) for q in moduli))
-        weights = (stack.inverse_matrices_buffer() if is_buffer(values)
-                   else stack.inverse_matrices())
-        raw = modular_matmul_limbs(
-            weights, values[:, :, None], moduli_array,
-            lhs_cache=stack.inverse_matrices_cache(),
-            backend=self.backend)[:, :, 0]
-        # Funnel multiply: exact even for moduli whose residue products
-        # overflow int64 (the funnel's object-dtype path covers >= 2**31).
-        return mat_mod_mul(raw, stack.degree_inverse_column, moduli_array)
-
-    # -- operation-batched path: the whole (B, L, N) stack in one GEMM --
-    def forward_ops(self, stacks: np.ndarray,
-                    moduli: Sequence[int]) -> np.ndarray:
-        """Forward NTT of every limb of every operation as one 3-D GEMM.
+    def _transform_ops(self, stacks, moduli_array, *, inverse: bool):
+        """Every limb of every operation as one 3-D GEMM.
 
         The operation axis folds into the free (column) dimension of the
         limb-batched matmul: ``out[l] = W[l] @ x[l]`` with ``x[l]`` the
         ``(N, B)`` matrix of limb ``l`` across the whole batch, so the
-        entire ``(B, L, N)`` stack is a single backend launch.
+        entire ``(B, L, N)`` stack is a single backend launch — exactly the
+        operation-level batching argument of the paper.  The weights are
+        the stack's shared handle (device image cached, float image
+        attached) and every shape op runs on the resident image.
         """
-        stacks, moduli_array = self._validate_ops(stacks, moduli)
-        stacks = self._stage_resident(stacks)
-        stack = get_twiddle_stack(self.ring_degree, tuple(int(q) for q in moduli))
-        fused = self._float_ops_pipeline(stacks, stack, inverse=False)
-        if fused is not None:
-            return fused
-        weights = (stack.forward_matrices_buffer() if is_buffer(stacks)
-                   else stack.forward_matrices())
-        rhs = contiguous(stacks.transpose(1, 2, 0))                 # (L, N, B)
-        out = modular_matmul_limbs(
-            weights, rhs, moduli_array,
-            lhs_cache=stack.forward_matrices_cache(),
-            backend=self.backend)
-        return contiguous(out.transpose(2, 0, 1))                   # (B, L, N)
-
-    def inverse_ops(self, stacks: np.ndarray,
-                    moduli: Sequence[int]) -> np.ndarray:
-        """Inverse NTT of a whole ``(B, L, N)`` stack as one 3-D GEMM."""
-        stacks, moduli_array = self._validate_ops(stacks, moduli)
-        stacks = self._stage_resident(stacks)
-        stack = get_twiddle_stack(self.ring_degree, tuple(int(q) for q in moduli))
-        fused = self._float_ops_pipeline(stacks, stack, inverse=True)
-        if fused is not None:
-            return fused
-        weights = (stack.inverse_matrices_buffer() if is_buffer(stacks)
-                   else stack.inverse_matrices())
-        rhs = contiguous(stacks.transpose(1, 2, 0))                 # (L, N, B)
-        raw = modular_matmul_limbs(
-            weights, rhs, moduli_array,
-            lhs_cache=stack.inverse_matrices_cache(),
-            backend=self.backend)
-        raw = mat_mod_mul(raw, stack.degree_inverse_column[:, :, None],
-                          moduli_array[:, None, None])
-        return contiguous(raw.transpose(2, 0, 1))                   # (B, L, N)
-
-    # -- float-resident ops pipeline ------------------------------------
-    def _float_scratch(self, shape):
-        """Three reusable float64 buffers of ``shape`` (input, ping, pong).
-
-        Same rationale as the four-step engine's scratch set: the
-        pipeline's temporaries dominate page-fault cost at production
-        shapes, so one shape-matched set lives on the engine.  Results
-        handed to callers are always fresh copies, never views of these.
-        """
-        cached = self._float_buffers
-        if cached is None or cached[0].shape != shape:
-            cached = tuple(np.empty(shape, dtype=np.float64)
-                           for _ in range(3))
-            self._float_buffers = cached
-        return cached
-
-    def _float_ops_pipeline(self, stacks, stack, *, inverse: bool):
-        """Float64-resident single-GEMM pipeline, or None when ineligible.
-
-        The matrix engine's whole ops transform is one ``(L, N, N) @
-        (L, N, B)`` GEMM, so the float path is a raw dgemm over the cached
-        float64 twiddle stack followed by a lazy float64 Barrett chain —
-        the inverse direction folds the degree-inverse multiply into the
-        reduction passes, exactly like the four-step pipeline.  For
-        residency-handle inputs the result is a float-resident handle;
-        int64 only ever exists for plain-array callers.
-
-        Eligibility mirrors four_step: the resolved backend reports
-        ``float_residency`` and the full-length accumulation fits the
-        2**53 guard (``N * (q-1)**2`` — tighter than the four-step bound,
-        which is the quadratic-GEMM price this engine pays).  A miss
-        returns None and the caller runs the exact int64 path.
-        """
-        backend = resolve_backend(self.backend)
-        if not backend.capabilities().get("float_residency", False):
-            return None
-        chain = stack.barrett_chain
-        q = chain.qmax
-        n = self.ring_degree
-        bound = max(n * (q - 1) ** 2, 2 * q * (q - 1))
-        if not chain.fits(bound):
-            return None
-        batch, limbs = stacks.shape[0], stacks.shape[1]
-        if batch == 0:
-            return None
-        weights_f = (stack.inverse_matrices_cache() if inverse
-                     else stack.forward_matrices_cache()).full()
-        shape = (limbs, n, batch)
-        conv, work_a, work_b = self._float_scratch(shape)
-        a_f = None
-        if is_buffer(stacks):
-            cache = stacks.float_cache()
-            if cache is not None:
-                a_f = cache.full().transpose(1, 2, 0)           # (L, N, B)
-        if a_f is None:
-            host = stacks.ensure_host() if is_buffer(stacks) else stacks
-            np.copyto(conv, host.transpose(1, 2, 0), casting="unsafe")
-            a_f = conv
-        raw = backend.fmatmul(weights_f, a_f, out=work_a)
+        stack = get_twiddle_stack(self.ring_degree, tuple(moduli_array.tolist()))
+        weights = (stack.inverse_matrices_buffer() if inverse
+                   else stack.forward_matrices_buffer())
+        rhs = contiguous(as_buffer(stacks).transpose(1, 2, 0))      # (L, N, B)
+        out = modular_matmul_limbs(weights, rhs, moduli_array,
+                                   backend=self.backend)
         if inverse:
-            # One lazy pass confines the residues to (-q, 2q); the scalar
-            # multiply then stays within the guard, and the canonical
-            # passes finish the fold.
-            lazy = chain.lazy_reduce(raw, axis=0, out=work_b)
-            np.multiply(lazy,
-                        stack.degree_inverse_float.reshape(limbs, 1, 1),
-                        out=raw)
-        result = chain.canonical_reduce(raw, axis=0, out=raw,
-                                        scratch=work_b)
-        flat = result.transpose(2, 0, 1)                        # (B, L, N)
-        if is_buffer(stacks):
-            return DeviceBuffer.from_float(
-                FloatResidues(np.ascontiguousarray(flat), q - 1))
-        out = np.empty(flat.shape, dtype=np.int64)
-        np.copyto(out, flat, casting="unsafe")
-        return out
+            # Funnel multiply: exact even for moduli whose residue products
+            # overflow int64 (the funnel's object-dtype path covers >= 2**31).
+            out = mat_mod_mul(out, stack.degree_inverse_column[:, :, None],
+                              moduli_array[:, None, None])
+        out = contiguous(out.transpose(2, 0, 1))                    # (B, L, N)
+        return out if is_buffer(stacks) else out.ensure_host()

@@ -24,14 +24,12 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..backend.residency import as_ndarray
+from ..backend.residency import DeviceBuffer
 from ..numtheory.bit_ops import SEGMENT_COUNT, segment_u32
-from ..tcu.fusion import fuse_partial_products, fuse_partial_products_limbs
+from ..tcu.fusion import fuse_partial_products_limbs
 from ..tcu.gemm import TcuStats, TensorCoreGemm
-from ..tcu.segmentation import segment_matrix
 from ..tcu.streams import StreamScheduler, StreamTask
 from .four_step import FourStepNtt
-from .gemm_utils import modular_hadamard
 from .twiddle import TwiddleCache
 
 __all__ = ["TensorCoreNtt"]
@@ -60,52 +58,24 @@ class TensorCoreNtt(FourStepNtt):
         self.tcu.stats.reset()
 
     # ------------------------------------------------------------------
-    def _gemm(self, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Lower a modular GEMM to segmented INT8 tensor-core GEMMs.
-
-        Both operands are segmented into u8 limb matrices; every pair of
-        non-zero limbs produces one INT8 GEMM with s32 accumulation, and
-        the partial products are fused modulo ``q``.
-        """
-        lhs_segments = segment_matrix(np.asarray(lhs, dtype=np.int64))
-        rhs_segments = segment_matrix(np.asarray(rhs, dtype=np.int64))
-        partials: Dict[Tuple[int, int], np.ndarray] = {}
-        tasks = []
-        inner = np.asarray(lhs).shape[1]
-        for limb_left in lhs_segments.nonzero_limbs():
-            for limb_right in rhs_segments.nonzero_limbs():
-                partial = self.tcu.multiply(lhs_segments.limb(limb_left),
-                                            rhs_segments.limb(limb_right))
-                partials[(limb_left, limb_right)] = partial
-                tasks.append(StreamTask(
-                    name="gemm_%d_%d" % (limb_left, limb_right),
-                    cost=float(partial.shape[0] * partial.shape[1] * inner),
-                ))
-        self.last_schedule = self.stream_scheduler.schedule(tasks)
-        return fuse_partial_products(partials, self.modulus)
-
-    def _hadamard(self, lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-        """Hadamard products stay on the CUDA cores, as in the paper."""
-        return modular_hadamard(lhs, rhs, self.modulus, backend=self.backend)
-
-    def _gemm_limbs(self, lhs: np.ndarray, rhs: np.ndarray,
-                    moduli: np.ndarray, *, lhs_cache=None,
-                    rhs_cache=None) -> np.ndarray:
+    def _gemm_limbs(self, lhs: DeviceBuffer, rhs: DeviceBuffer,
+                    moduli: np.ndarray) -> DeviceBuffer:
         """Limb-batched segmented GEMM on the simulated tensor cores.
 
         Both 3-D operand stacks (RNS limb axis leading) are segmented into
         u8 byte planes in one shot; every pair of non-zero byte planes then
         issues a *single* batched TCU GEMM covering all RNS limbs — the
         CUTLASS batched-GEMM launch of the paper — and the partial products
-        are fused with per-limb moduli.
+        are fused with per-limb moduli.  Hadamard products stay on the
+        CUDA cores (the inherited hook), as in the paper.
 
         Residency boundary: the u8 segmentation is a host-side simulation
-        step, so handle operands are staged to host here (``as_ndarray``
+        step, so the operands are staged to host here (``ensure_host``
         counts the crossing on device backends) — the analogue of the
         paper's explicit INT8 re-quantisation before a tensor-core launch.
         """
-        lhs = as_ndarray(lhs)
-        rhs = as_ndarray(rhs)
+        lhs = lhs.ensure_host()
+        rhs = rhs.ensure_host()
         lhs_segments = segment_u32(lhs)
         rhs_segments = segment_u32(rhs)
         lhs_active = [s for s in range(SEGMENT_COUNT) if lhs_segments[s].any()]
@@ -114,7 +84,8 @@ class TensorCoreNtt(FourStepNtt):
         inner = lhs.shape[2]
         if not lhs_active or not rhs_active:
             self.last_schedule = self.stream_scheduler.schedule([])
-            return np.zeros((limbs, lhs.shape[1], rhs.shape[2]), dtype=np.int64)
+            return DeviceBuffer(host=np.zeros(
+                (limbs, lhs.shape[1], rhs.shape[2]), dtype=np.int64))
         partials: Dict[Tuple[int, int], np.ndarray] = {}
         tasks = []
         for seg_left in lhs_active:
@@ -127,4 +98,4 @@ class TensorCoreNtt(FourStepNtt):
                     cost=float(limbs * partial.shape[1] * partial.shape[2] * inner),
                 ))
         self.last_schedule = self.stream_scheduler.schedule(tasks)
-        return fuse_partial_products_limbs(partials, moduli)
+        return DeviceBuffer(host=fuse_partial_products_limbs(partials, moduli))

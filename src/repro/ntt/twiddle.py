@@ -17,13 +17,13 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
+from ..backend.blas_backend import FloatOperandCache
 from ..backend.residency import DeviceBuffer
 from ..numtheory.bit_ops import bit_reverse_permutation, ilog2, is_power_of_two
 from ..numtheory.floatmod import BarrettChain, get_barrett_chain
 from ..numtheory.modular import mod_inverse, mod_pow
 from ..numtheory.roots import find_negacyclic_root, root_powers
 from .four_step_plan import FourStepPlan, plan_four_step
-from .gemm_utils import FloatOperandCache
 
 __all__ = [
     "TwiddleCache",
@@ -305,12 +305,6 @@ class TwiddleStack:
         )
 
     # -- float64 images for the BLAS fast path -------------------------
-    def forward_matrices_cache(self) -> FloatOperandCache:
-        return self._float("W_forward", self.forward_matrices)
-
-    def inverse_matrices_cache(self) -> FloatOperandCache:
-        return self._float("W_inverse", self.inverse_matrices)
-
     def four_step_forward_caches(self) -> Tuple[FloatOperandCache, FloatOperandCache]:
         """Float caches for ``(W1, W3)`` (the GEMM operands)."""
         self.four_step_forward()
@@ -388,11 +382,6 @@ class TwiddleStack:
         """
         return get_barrett_chain(self.moduli)
 
-    @property
-    def degree_inverse_float(self) -> np.ndarray:
-        """``degree_inverse_column`` as a reusable float64 ``(limbs, 1)`` image."""
-        return self.degree_inverse_cache().full()[:, :, 0]
-
     # -- resident operand handles (the device images of the stacks) ----
     def forward_matrices_buffer(self) -> DeviceBuffer:
         """Resident handle onto :meth:`forward_matrices` (float image attached)."""
@@ -445,10 +434,8 @@ class TwiddleStack:
                 self._stacks[key] = np.stack([extract(cache) for cache in self.caches])
         return self._stacks[key]
 
-    def _float(self, key: str, build=None) -> FloatOperandCache:
+    def _float(self, key: str) -> FloatOperandCache:
         if key not in self._float_caches:
-            if build is not None:
-                build()
             if self._parent is not None:
                 self._float_caches[key] = _PrefixFloatCache(
                     self._parent._float(key), self.limb_count)

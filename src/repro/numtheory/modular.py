@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..backend.registry import resolve_backend
-from ..backend.residency import as_buffer, is_buffer
+from ..backend.residency import DeviceBuffer, on_handles
 
 __all__ = [
     "mod_add",
@@ -243,17 +243,15 @@ def vec_mod_mul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 # these wrappers own input coercion and the oversized-moduli exact path.
 #
 # Residency: like the GEMM funnels, every helper accepts host arrays *or*
-# :class:`~repro.backend.residency.DeviceBuffer` handles.  Handle in →
-# handle out: resident operands dispatch to the backend's ``*_native``
-# kernel and never stage through host, which is what lets a chain of
-# element-wise launches stay on the device between transforms.
+# :class:`~repro.backend.residency.DeviceBuffer` handles through
+# :func:`~repro.backend.residency.on_handles` — handle in → handle out, so a
+# chain of element-wise launches stays on the device between transforms;
+# plain arrays in → plain array out.
 # ----------------------------------------------------------------------
 
-def _coerce(operand):
-    """Pass handles through untouched, coerce everything else to int64."""
-    if is_buffer(operand):
-        return operand
-    return _as_int64(operand)
+#: From this bound up a single residue product can overflow int64 and the
+#: funnels take the exact object-dtype path instead of dispatching.
+INT64_SAFE_MODULUS = 1 << 31
 
 
 def moduli_column(moduli) -> np.ndarray:
@@ -275,60 +273,49 @@ def tiled_rows(matrix: np.ndarray, count: int) -> np.ndarray:
         count * matrix.shape[0], matrix.shape[1])
 
 
-def mat_mod_reduce(matrix: np.ndarray, moduli) -> np.ndarray:
+def object_mat_mul(a: DeviceBuffer, b: DeviceBuffer,
+                   moduli: np.ndarray) -> DeviceBuffer:
+    """Exact row-wise ``(a * b) mod moduli`` in Python integers."""
+    column = moduli.reshape((-1,) + (1,) * (a.ndim - 1))
+    product = a.ensure_host().astype(object) * b.ensure_host().astype(object)
+    return DeviceBuffer(host=np.asarray(product % column, dtype=np.int64))
+
+
+@on_handles(1)
+def mat_mod_reduce(matrix, moduli):
     """Row-wise ``matrix[i] mod moduli[i]`` on a ``(limbs, N)`` matrix."""
-    matrix = _coerce(matrix)
-    if is_buffer(matrix):
-        return resolve_backend(None).mat_reduce_native(matrix,
-                                                       moduli_column(moduli))
     return resolve_backend(None).mat_reduce(matrix, moduli_column(moduli))
 
 
-def mat_mod_add(a: np.ndarray, b: np.ndarray, moduli) -> np.ndarray:
+@on_handles(2)
+def mat_mod_add(a, b, moduli):
     """Row-wise ``(a + b) mod moduli`` without overflow (reduced inputs)."""
-    a, b = _coerce(a), _coerce(b)
-    if is_buffer(a) or is_buffer(b):
-        return resolve_backend(None).mat_add_native(
-            as_buffer(a), as_buffer(b), moduli_column(moduli))
     return resolve_backend(None).mat_add(a, b, moduli_column(moduli))
 
 
-def mat_mod_sub(a: np.ndarray, b: np.ndarray, moduli) -> np.ndarray:
+@on_handles(2)
+def mat_mod_sub(a, b, moduli):
     """Row-wise ``(a - b) mod moduli`` without overflow (reduced inputs)."""
-    a, b = _coerce(a), _coerce(b)
-    if is_buffer(a) or is_buffer(b):
-        return resolve_backend(None).mat_sub_native(
-            as_buffer(a), as_buffer(b), moduli_column(moduli))
     return resolve_backend(None).mat_sub(a, b, moduli_column(moduli))
 
 
-def mat_mod_neg(a: np.ndarray, moduli) -> np.ndarray:
+@on_handles(1)
+def mat_mod_neg(a, moduli):
     """Row-wise ``(-a) mod moduli``."""
-    a = _coerce(a)
-    if is_buffer(a):
-        return resolve_backend(None).mat_neg_native(a, moduli_column(moduli))
     return resolve_backend(None).mat_neg(a, moduli_column(moduli))
 
 
-def mat_mod_mul(a: np.ndarray, b: np.ndarray, moduli) -> np.ndarray:
+@on_handles(2)
+def mat_mod_mul(a, b, moduli):
     """Row-wise ``(a * b) mod moduli``.
 
     Requires every modulus below 2**31 so products fit in int64 (all moduli
     from :mod:`repro.numtheory.primes` qualify); larger moduli fall back to
     exact object arithmetic.
     """
-    a = _coerce(a)
-    b = _coerce(b)
     column = moduli_column(moduli)
-    resident = is_buffer(a) or is_buffer(b)
-    if int(column.max()) >= (1 << 31):
-        product = (np.asarray(a, dtype=np.int64).astype(object)
-                   * np.asarray(b, dtype=np.int64).astype(object))
-        out = np.asarray(product % column, dtype=np.int64)
-        return as_buffer(out) if resident else out
-    if resident:
-        return resolve_backend(None).mat_mul_native(
-            as_buffer(a), as_buffer(b), column)
+    if int(column.max()) >= INT64_SAFE_MODULUS:
+        return object_mat_mul(a, b, column)
     return resolve_backend(None).mat_mul(a, b, column)
 
 
@@ -339,7 +326,6 @@ def mat_mod_scalar_mul(a: np.ndarray, scalars, moduli) -> np.ndarray:
     one scalar per limb; scalars may be arbitrary Python integers — they
     are reduced into the int64-safe range before the broadcast multiply.
     """
-    a = _coerce(a)
     column = moduli_column(moduli)
     scalar_array = np.asarray(scalars, dtype=object)
     if scalar_array.ndim == 0:

@@ -14,7 +14,9 @@ import pytest
 from repro.api import TensorFheContext
 from repro.backend import (
     DEFAULT_BACKEND,
-    MultiprocessBackend,
+    ArrayBackend,
+    DeviceBuffer,
+    FloatOperandCache,
     NumpyBackend,
     available_backends,
     get_active_backend,
@@ -24,11 +26,18 @@ from repro.backend import (
     set_active_backend,
     use_backend,
 )
-from repro.backend.registry import BACKEND_ENV_VAR
+from repro.backend.registry import _REGISTRY, BACKEND_ENV_VAR
 from repro.ckks.params import get_preset
 from repro.ntt import NttPlanner, available_engines
-from repro.ntt.gemm_utils import modular_matmul_limbs
+from repro.ntt.gemm_utils import modular_matmul_limbs, modular_matmul_rows
 from repro.numtheory import generate_ntt_primes
+from repro.numtheory.modular import (
+    mat_mod_add,
+    mat_mod_mul,
+    mat_mod_neg,
+    mat_mod_reduce,
+    mat_mod_sub,
+)
 from repro.rns import RnsPolynomial
 
 BACKENDS = list(available_backends())
@@ -54,8 +63,7 @@ class TestSelection:
     def test_numpy_is_default(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
         assert DEFAULT_BACKEND == "numpy"
-        assert isinstance(get_active_backend(), NumpyBackend)
-        assert not isinstance(get_active_backend(), MultiprocessBackend)
+        assert type(get_active_backend()) is NumpyBackend
 
     def test_env_var_selects_backend(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "blas")
@@ -63,8 +71,8 @@ class TestSelection:
 
     def test_override_beats_env(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "blas")
-        set_active_backend("multiprocess")
-        assert get_active_backend().name == "multiprocess"
+        set_active_backend("sharded")
+        assert get_active_backend().name == "sharded"
         set_active_backend(None)
         assert get_active_backend().name == "blas"
 
@@ -82,10 +90,9 @@ class TestSelection:
             NttPlanner("four_step", backend="cuda9000")
 
     def test_optional_backends_register_but_gate_on_import(self):
-        # torch/cupy always appear in the registry; they are only *available*
+        # torch always appears in the registry; it is only *available*
         # (and thus swept by this suite) when the library imports.
-        assert "torch" in registered_backends()
-        assert "cupy" in registered_backends()
+        assert registered_backends() == ("numpy", "blas", "sharded", "torch")
         for name in registered_backends():
             if name not in BACKENDS:
                 with pytest.raises(ValueError, match="unavailable"):
@@ -99,6 +106,134 @@ class TestSelection:
 
     def test_shared_instances(self):
         assert get_backend("blas") is get_backend("blas")
+
+
+# ----------------------------------------------------------------------
+# The kernel surface: one family, the same bits from every backend
+# ----------------------------------------------------------------------
+#: The seven modular kernels (handles in, handle out).
+KERNELS = ("matmul_limbs", "matmul_rows", "mat_mul", "mat_add", "mat_sub",
+           "mat_neg", "mat_reduce")
+#: The whole documented surface of ``repro.backend.base``.
+SURFACE = set(KERNELS) | {
+    "fmatmul", "fhadamard_limbs", "fadd_limbs", "fsub_limbs", "fneg_limbs",
+    "freduce_limbs", "to_device", "from_device", "nat_reshape",
+    "nat_transpose", "nat_getitem", "nat_contiguous", "nat_copy",
+    "nat_stack", "nat_concat"}
+LIFECYCLE = {"capabilities", "is_available", "from_spec", "close",
+             "arena_stats"}
+
+
+def _public_callables(cls):
+    return {name for name, member in vars(cls).items()
+            if not name.startswith("_") and callable(getattr(cls, name))}
+
+
+class TestKernelSurface:
+    def test_array_backend_is_the_documented_22(self):
+        assert len(SURFACE) == 22
+        assert _public_callables(ArrayBackend) - LIFECYCLE == SURFACE
+
+    @pytest.mark.parametrize("name", sorted(_REGISTRY))
+    def test_no_backend_grows_a_second_family(self, name):
+        for cls in _REGISTRY[name].__mro__:
+            if cls.__module__.startswith("repro."):
+                public = {n for n in vars(cls) if not n.startswith("_")}
+                assert not [n for n in public if n.endswith("_native")]
+                assert _public_callables(cls) - LIFECYCLE <= SURFACE, cls
+                for gone in ("matmul", "hadamard", "hadamard_limbs", "empty",
+                             "synchronize", "fscalar_mul_limbs",
+                             "supports_float_residency"):
+                    assert not hasattr(cls, gone), (cls, gone)
+
+
+def _kernel_cases(rng, primes):
+    """``funnel, operands`` per kernel over the chain ``primes``."""
+    column = np.asarray(primes, dtype=np.int64)[:, None]
+    limbs = len(primes)
+    a = rng.integers(0, column, (limbs, 48), dtype=np.int64)
+    b = rng.integers(0, column, (limbs, 48), dtype=np.int64)
+    lhs = rng.integers(0, column[:, :, None], (limbs, 6, 16), dtype=np.int64)
+    rhs = rng.integers(0, column[:, :, None], (limbs, 16, 5), dtype=np.int64)
+    return {
+        "matmul_limbs": (modular_matmul_limbs, (lhs, rhs)),
+        # Rows of the lhs pair with the output moduli; the rhs is shared.
+        "matmul_rows": (modular_matmul_rows, (a[:, :16], rhs[0])),
+        "mat_mul": (mat_mod_mul, (a, b)),
+        "mat_add": (mat_mod_add, (a, b)),
+        "mat_sub": (mat_mod_sub, (a, b)),
+        "mat_neg": (mat_mod_neg, (a,)),
+        "mat_reduce": (mat_mod_reduce, (a * 3 + 1,)),
+    }
+
+
+def _python_reference(kernel, operands, primes):
+    """The kernel in Python integers — no backend, no int64."""
+    wide = [np.asarray(x).astype(object) for x in operands]
+    q = np.asarray(primes, dtype=object)
+    if kernel == "matmul_limbs":
+        out = np.stack([(wide[0][i] @ wide[1][i]) % q[i] for i in range(len(q))])
+    elif kernel == "matmul_rows":
+        out = (wide[0] @ wide[1]) % q[:, None]
+    else:
+        value = {"mat_mul": lambda: wide[0] * wide[1],
+                 "mat_add": lambda: wide[0] + wide[1],
+                 "mat_sub": lambda: wide[0] - wide[1],
+                 "mat_neg": lambda: -wide[0],
+                 "mat_reduce": lambda: wide[0]}[kernel]()
+        out = value % q[:, None]
+    return np.asarray(out, dtype=np.int64)
+
+
+class TestKernelParity:
+    """Seven kernels × every backend × every operand image, one answer."""
+
+    #: ``generate_ntt_primes`` bit sizes: primes just above 2**24 (blas
+    #: single pass), just above 2**30 — a 31-bit chain, past blas's
+    #: single-pass bound (hi/lo split or int64 fallback, per kernel) — and
+    #: just above 2**31 (the funnels' object path; no backend is entered).
+    CHAINS = (24, 30, 31)
+
+    @pytest.fixture(scope="class")
+    def chains(self):
+        return {bits: generate_ntt_primes(3, bits, 64) for bits in self.CHAINS}
+
+    @pytest.mark.parametrize("bits", CHAINS)
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("backend_name", BACKENDS)
+    def test_array_in_and_handle_in(self, backend_name, kernel, bits, chains, rng):
+        primes = chains[bits]
+        assert (min(primes) >= 1 << 31) == (bits == 31)
+        funnel, operands = _kernel_cases(rng, primes)[kernel]
+        want = _python_reference(kernel, operands, primes)
+        with use_backend(backend_name):
+            got = funnel(*operands, primes)
+            assert isinstance(got, np.ndarray) and got.dtype == np.int64
+            assert np.array_equal(got, want)
+            handle = funnel(*[DeviceBuffer.wrap(x) for x in operands], primes)
+            assert isinstance(handle, DeviceBuffer)
+            assert np.array_equal(handle.ensure_host(), want)
+            # One handle among arrays is enough for a handle back.
+            mixed = funnel(DeviceBuffer.wrap(operands[0]), *operands[1:], primes)
+            assert isinstance(mixed, DeviceBuffer)
+            assert np.array_equal(mixed.ensure_host(), want)
+
+    @pytest.mark.parametrize("bits", [24, 30])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_float_image_in_on_blas(self, kernel, bits, chains, rng):
+        """An attached float64 image is read instead of the host image."""
+        primes = chains[bits]
+        funnel, operands = _kernel_cases(rng, primes)[kernel]
+        want = _python_reference(kernel, operands, primes)
+        carried = [DeviceBuffer.wrap(x).attach_float_cache(FloatOperandCache(x))
+                   for x in operands]
+        with use_backend("blas"):
+            got = funnel(*carried, primes)
+        # The element-wise kernels answer in kind on the single-pass chain:
+        # a float-only handle, no int64 built until someone asks.
+        if bits == 24 and kernel.startswith("mat_"):
+            assert got.host_image is None
+        assert np.array_equal(got.ensure_host(), want)
 
 
 # ----------------------------------------------------------------------
@@ -138,19 +273,6 @@ class TestEngineParity:
             candidate = run()
         for got, expected in zip(candidate, reference):
             assert np.array_equal(got, expected)
-
-    def test_multiprocess_sharded_path_is_exact(self, rng):
-        """Force the shared-memory pool path (default threshold skips it)."""
-        backend = MultiprocessBackend(workers=2, min_shard_elements=1)
-        try:
-            primes = generate_ntt_primes(4, 30, 64)
-            lhs = np.stack([rng.integers(0, q, (16, 48), dtype=np.int64) for q in primes])
-            rhs = np.stack([rng.integers(0, q, (48, 12), dtype=np.int64) for q in primes])
-            got = modular_matmul_limbs(lhs, rhs, primes, backend=backend)
-            expected = modular_matmul_limbs(lhs, rhs, primes, backend="numpy")
-            assert np.array_equal(got, expected)
-        finally:
-            backend.close()
 
     def test_blas_falls_back_when_guard_fails(self, rng):
         """30-bit primes at a large inner dim break the single-pass 2**53

@@ -87,13 +87,9 @@ class TestFloatKernels:
         assert np.all(add >= 0) and np.all(add < q_col)
         assert np.all(sub >= 0) and np.all(sub < q_col)
 
-    def test_fscalar_mul_and_freduce_parity(self, backend, rng):
+    def test_freduce_parity(self, backend, rng):
         chain = _chain(20)
         q_col = chain.moduli_array[:, None]
-        a_int, a_f = _residues(rng, chain)
-        scalars = rng.integers(1, q_col, size=(chain.limb_count, 1))
-        got = backend.fscalar_mul_limbs(a_f, scalars.astype(np.float64), chain)
-        assert np.array_equal(got.astype(np.int64), (a_int * scalars) % q_col)
         raw = rng.integers(0, chain.qmax ** 2, size=(chain.limb_count, 64))
         reduced = backend.freduce_limbs(raw.astype(np.float64), chain)
         assert np.array_equal(reduced.astype(np.int64), raw % q_col)
@@ -128,28 +124,18 @@ class TestFloatResidues:
 
 
 class TestCapabilitiesReport:
-    """The structured ``capabilities()`` report and its deprecated alias."""
+    """The structured ``capabilities()`` report."""
 
     def test_blas_reports_float_residency(self):
         report = get_backend("blas").capabilities()
         assert report["name"] == "blas"
         assert report["float_residency"] is True
-        assert report["exact_fallback"] is True
         assert report["device_is_host"] is True
 
     def test_numpy_reports_no_float_residency(self):
         report = get_backend("numpy").capabilities()
         assert report["name"] == "numpy"
         assert report["float_residency"] is False
-        assert report["exact_fallback"] is True
-
-    @pytest.mark.parametrize("name", ["numpy", "blas"])
-    def test_deprecated_alias_matches_report(self, name):
-        # ``supports_float_residency`` stays as a read-only alias until
-        # external callers migrate; it must never drift from the report.
-        backend = get_backend(name)
-        assert backend.capabilities()["float_residency"] == bool(
-            backend.supports_float_residency)
 
     def test_report_is_fresh_per_call(self):
         # Callers may scribble on the returned dict (feature probing);
@@ -404,90 +390,42 @@ class TestFourStepFloatPipeline:
         assert blas_counter.transfer_total() == ref_counter.transfer_total() == 0
 
 
-@requires_float_residency
-class TestMatrixNttFloatPipeline:
-    """The dense-matrix engine joins the fused float pipeline.
+class TestMatrixNttOnBlas:
+    """The dense-matrix oracle has no float pipeline of its own.
 
-    Same contract as the four-step pipeline: plain arrays keep the
-    historical int64 results bit-for-bit, handles come back float-resident
-    with zero transfers, and chains whose ``N * (q-1)**2`` bound crosses
-    2**53 fall back to the int64 path.
+    Its one int64 GEMM runs through ``matmul_limbs`` on every backend, so
+    blas must match numpy bit-for-bit on both sides of the single-pass
+    ``N * (q-1)**2 < 2**53`` bound, for arrays and for handles.
     """
 
     N = 256
     LIMBS = 4
     BATCH = 4
 
-    def _stacks(self, bits, seed=23):
+    @pytest.mark.parametrize("bits", [20, 27])
+    def test_parity_roundtrip_and_handles(self, bits):
         primes = generate_ntt_primes(self.LIMBS, bits, self.N)
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(23)
         stacks = np.stack([
             np.stack([rng.integers(0, q, self.N, dtype=np.int64)
                       for q in primes])
             for _ in range(self.BATCH)
         ])
-        return primes, stacks
-
-    def test_forward_parity_and_roundtrip(self):
-        primes, stacks = self._stacks(20)
-        blas = NttPlanner("matrix", backend="blas")
-        reference = NttPlanner("matrix", backend="numpy")
-        got = blas.forward_ops(self.N, primes, stacks)
-        want = reference.forward_ops(self.N, primes, stacks)
-        assert isinstance(got, np.ndarray) and got.dtype == np.int64
-        assert np.array_equal(got, np.asarray(want))
-        back = blas.inverse_ops(self.N, primes, got)
-        assert np.array_equal(np.asarray(back), stacks)
-
-    def test_handle_in_float_handle_out_zero_transfers(self):
-        primes, stacks = self._stacks(20)
-        planner = NttPlanner("matrix", backend="blas")
-        want = planner.forward_ops(self.N, primes, stacks)
-        counter = KernelCounter()
-        with use_backend("blas"), track_transfers(counter):
-            got = planner.forward_ops(self.N, primes, DeviceBuffer.wrap(stacks))
-        assert isinstance(got, DeviceBuffer)
-        assert got.host_image is None
-        assert isinstance(got.float_cache(), FloatResidues)
-        assert counter.transfer_total() == 0
-        assert np.array_equal(got.ensure_host(), np.asarray(want))
-
-    def test_inverse_consumes_float_handle_stays_resident(self):
-        # Forward output feeds inverse directly: the degree-inverse fold
-        # runs in float64 and the roundtrip never materialises int64.
-        primes, stacks = self._stacks(20)
-        planner = NttPlanner("matrix", backend="blas")
-        counter = KernelCounter()
-        with use_backend("blas"), track_transfers(counter):
-            forward = planner.forward_ops(self.N, primes,
-                                          DeviceBuffer.wrap(stacks))
-            back = planner.inverse_ops(self.N, primes, forward)
-        assert back.host_image is None
-        assert counter.transfer_total() == 0
-        assert np.array_equal(back.ensure_host(), stacks)
-
-    def test_guard_rejection_takes_int64_path(self):
-        """27-bit primes break N * (q-1)**2 < 2**53 at N=256: fallback."""
-        primes, stacks = self._stacks(27)
         chain = get_barrett_chain(primes)
-        assert not chain.fits(self.N * (chain.qmax - 1) ** 2)
+        assert chain.fits(self.N * (chain.qmax - 1) ** 2) == (bits == 20)
         blas = NttPlanner("matrix", backend="blas")
-        reference = NttPlanner("matrix", backend="numpy")
-        want = reference.forward_ops(self.N, primes, stacks)
-        with use_backend("blas"):
-            got = blas.forward_ops(self.N, primes, DeviceBuffer.wrap(stacks))
-        assert np.array_equal(as_ndarray(got), np.asarray(want))
-
-    def test_scratch_reuse_does_not_alias_results(self):
-        """Back-to-back launches reuse the cached ``out=`` scratch."""
-        primes, stacks = self._stacks(20)
-        planner = NttPlanner("matrix", backend="blas")
-        first = np.asarray(planner.forward_ops(self.N, primes, stacks))
-        snapshot = first.copy()
-        second = np.asarray(planner.forward_ops(self.N, primes, stacks))
-        assert not np.shares_memory(first, second)
-        assert np.array_equal(first, snapshot)
-        assert np.array_equal(first, second)
+        want = NttPlanner("matrix", backend="numpy").forward_ops(
+            self.N, primes, stacks)
+        got = blas.forward_ops(self.N, primes, stacks)
+        assert isinstance(got, np.ndarray) and got.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert np.array_equal(blas.inverse_ops(self.N, primes, got), stacks)
+        counter = KernelCounter()
+        with use_backend("blas"), track_transfers(counter):
+            handle = blas.forward_ops(self.N, primes, DeviceBuffer.wrap(stacks))
+        assert isinstance(handle, DeviceBuffer)
+        assert counter.transfer_total() == 0
+        assert np.array_equal(handle.ensure_host(), want)
 
 
 @requires_float_residency

@@ -96,43 +96,10 @@ class FakeDeviceBackend(NumpyBackend):
     def nat_concat(self, arrays, axis=0):
         return _StubArray(np.concatenate([a.array for a in arrays], axis=axis))
 
-    # -- native kernels: unwrap stubs, compute, rewrap (no crossings) --
-    def _run(self, host_kernel, buffers, *args, **kwargs):
-        arrays = [b.ensure_device(self).array for b in buffers]
-        out = host_kernel(*arrays, *args, **kwargs)
-        return DeviceBuffer.from_native(_StubArray(out), self)
-
-    def matmul_limbs_native(self, lhs, rhs, moduli, *, lhs_cache=None,
-                            rhs_cache=None):
-        return self._run(super().matmul_limbs, [lhs, rhs], moduli)
-
-    def matmul_native(self, lhs, rhs, modulus):
-        return self._run(super().matmul, [lhs, rhs], modulus)
-
-    def matmul_rows_native(self, lhs, rhs, row_moduli, *, operand_bound=None):
-        return self._run(super().matmul_rows, [lhs, rhs], row_moduli,
-                         operand_bound=operand_bound)
-
-    def hadamard_limbs_native(self, lhs, rhs, moduli):
-        return self._run(super().hadamard_limbs, [lhs, rhs], moduli)
-
-    def hadamard_native(self, lhs, rhs, modulus):
-        return self._run(super().hadamard, [lhs, rhs], modulus)
-
-    def mat_reduce_native(self, matrix, moduli):
-        return self._run(super().mat_reduce, [matrix], moduli)
-
-    def mat_add_native(self, a, b, moduli):
-        return self._run(super().mat_add, [a, b], moduli)
-
-    def mat_sub_native(self, a, b, moduli):
-        return self._run(super().mat_sub, [a, b], moduli)
-
-    def mat_neg_native(self, a, moduli):
-        return self._run(super().mat_neg, [a], moduli)
-
-    def mat_mul_native(self, a, b, moduli):
-        return self._run(super().mat_mul, [a, b], moduli)
+    # -- the one launch hook: unwrap stubs, compute, rewrap (no crossings) --
+    def _launch(self, kernel, operands, *args):
+        arrays = [op.ensure_device(self).array for op in operands]
+        return DeviceBuffer.from_native(_StubArray(kernel(*arrays, *args)), self)
 
 
 @pytest.fixture()
@@ -320,28 +287,8 @@ class TestFunnelThreading:
                                              DeviceBuffer.wrap(rhs), moduli)
             assert np.array_equal(as_ndarray(had_buf), had_host)
 
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_two_d_funnels(self, rng, backend):
-        from repro.ntt.gemm_utils import modular_hadamard, modular_matmul
-
-        modulus = 97
-        lhs = rng.integers(0, modulus, (8, 8), dtype=np.int64)
-        rhs = rng.integers(0, modulus, (8, 3), dtype=np.int64)
-        with use_backend(backend):
-            want = modular_matmul(lhs, rhs, modulus)
-            got = modular_matmul(DeviceBuffer.wrap(lhs),
-                                 DeviceBuffer.wrap(rhs), modulus)
-            assert isinstance(got, DeviceBuffer)
-            assert np.array_equal(as_ndarray(got), want)
-            want_h = modular_hadamard(lhs, lhs, modulus)
-            got_h = modular_hadamard(DeviceBuffer.wrap(lhs),
-                                     DeviceBuffer.wrap(lhs), modulus)
-            assert np.array_equal(as_ndarray(got_h), want_h)
-
     def test_oversized_moduli_object_paths_accept_handles(self, rng):
         """>= 2**31 moduli stage through the exact object path, handle out."""
-        from repro.ntt.gemm_utils import modular_hadamard
-
         big = (1 << 33) - 9
         moduli = np.asarray([big], dtype=np.int64)
         lhs = rng.integers(0, big, (1, 4, 4), dtype=np.int64)
@@ -351,10 +298,11 @@ class TestFunnelThreading:
                                    DeviceBuffer.wrap(rhs), moduli)
         assert isinstance(got, DeviceBuffer)
         assert np.array_equal(as_ndarray(got), want)
-        vec_a, vec_b = lhs[0, :, 0], rhs[0, 0, :]
-        want_h = modular_hadamard(vec_a[:2], vec_b, big)
-        got_h = modular_hadamard(DeviceBuffer.wrap(vec_a[:2]),
-                                 DeviceBuffer.wrap(vec_b), big)
+        want_h = modular_hadamard_limbs(rhs, rhs, moduli)
+        assert np.array_equal(
+            want_h, np.asarray((rhs.astype(object) ** 2) % big, dtype=np.int64))
+        got_h = modular_hadamard_limbs(DeviceBuffer.wrap(rhs),
+                                       DeviceBuffer.wrap(rhs), moduli)
         assert isinstance(got_h, DeviceBuffer)
         assert np.array_equal(as_ndarray(got_h), want_h)
 

@@ -26,7 +26,7 @@ import pytest
 
 from repro.api import TensorFheContext
 from repro.backend import (
-    MultiprocessBackend,
+    DeviceBuffer,
     ShardedBackend,
     ShmArena,
     WORKERS_ENV_VAR,
@@ -35,7 +35,7 @@ from repro.backend import (
     parse_worker_count,
     use_backend,
 )
-from repro.backend.sharded import _KERNELS, _worker_main
+from repro.backend.sharded import _run_shard, _worker_main
 from repro.batching.scheduler import BatchScheduler
 from repro.ckks.params import get_preset
 from repro.gpu import A100
@@ -115,20 +115,16 @@ class TestSpecParsing:
         with pytest.raises(ValueError, match="does not take a parameterised"):
             get_backend("blas:4")
 
-    def test_multiprocess_spec_is_a_worker_count(self):
-        assert get_backend("multiprocess:3").workers == 3
-        with pytest.raises(ValueError, match="positive integer worker count"):
-            get_backend("multiprocess:0")
+    @pytest.mark.parametrize("spec,successor", [
+        ("multiprocess", "sharded:numpy"), ("multiprocess:3", "sharded:numpy:3")])
+    def test_removed_multiprocess_names_its_successor(self, spec, successor):
+        with pytest.raises(ValueError, match="unknown compute backend.*'%s'"
+                           % successor):
+            get_backend(spec)
 
     def test_sharded_delegate_must_be_single_process(self):
         with pytest.raises(ValueError, match="single-process"):
             ShardedBackend(get_backend("sharded"))
-
-    def test_multiprocess_keeps_limb_only_contract(self):
-        backend = MultiprocessBackend(workers=2)
-        assert not backend.shard_columns and not backend.shard_elementwise
-        assert backend.delegate.name == "numpy"
-        assert backend.capabilities()["batch_fanout"] == 1
 
 
 # ----------------------------------------------------------------------
@@ -150,18 +146,15 @@ class TestWorkerEnvVar:
         with pytest.raises(ValueError, match=WORKERS_ENV_VAR):
             parse_worker_count("banana")
 
-    @pytest.mark.parametrize("backend_cls", [ShardedBackend,
-                                             MultiprocessBackend])
-    def test_garbage_env_var_is_attributed(self, monkeypatch, backend_cls):
-        """The original backend died with a bare ``int()`` ValueError."""
+    def test_garbage_env_var_is_attributed(self, monkeypatch):
+        """Not a bare ``int()`` ValueError."""
         monkeypatch.setenv(WORKERS_ENV_VAR, "banana")
         with pytest.raises(ValueError, match=WORKERS_ENV_VAR):
-            backend_cls()
+            ShardedBackend()
 
     def test_env_var_sets_default_worker_count(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV_VAR, "3")
         assert ShardedBackend().workers == 3
-        assert MultiprocessBackend().workers == 3
         # An explicit count still wins over the environment.
         assert ShardedBackend(workers=5).workers == 5
 
@@ -316,24 +309,18 @@ class TestForcedShardParity:
         primes = np.asarray(generate_ntt_primes(4, 30, 64), dtype=np.int64)
         a = np.stack([rng.integers(0, q, 64, dtype=np.int64) for q in primes])
         b = np.stack([rng.integers(0, q, 64, dtype=np.int64) for q in primes])
-        square = rng.integers(0, primes[0], (8, 8), dtype=np.int64)
-        for name, launch in [
-            ("matmul", lambda backend: backend.matmul(square, square,
-                                                      int(primes[0]))),
-            ("matmul_rows", lambda backend: backend.matmul_rows(
-                a[:, :16], b[:16].T[:16], primes)),
-            ("hadamard", lambda backend: backend.hadamard(a[0], b[0],
-                                                          int(primes[0]))),
-            ("hadamard_limbs", lambda backend: backend.hadamard_limbs(a, b,
-                                                                      primes)),
-            ("mat_add", lambda backend: backend.mat_add(a, b, primes)),
-            ("mat_sub", lambda backend: backend.mat_sub(a, b, primes)),
-            ("mat_mul", lambda backend: backend.mat_mul(a, b, primes)),
-            ("mat_neg", lambda backend: backend.mat_neg(a, primes)),
-            ("mat_reduce", lambda backend: backend.mat_reduce(a + primes[:, None],
-                                                              primes)),
+        for name, operands in [
+            ("matmul_rows", (a[:, :16], b[:16].T[:16])),
+            ("mat_add", (a, b)), ("mat_sub", (a, b)), ("mat_mul", (a, b)),
+            ("mat_neg", (a,)), ("mat_reduce", (a + primes[:, None],)),
         ]:
-            assert np.array_equal(launch(forced), launch(numpy)), name
+            got, want = (
+                getattr(backend, name)(
+                    *[DeviceBuffer.wrap(x) for x in operands], primes
+                ).ensure_host() for backend in (forced, numpy))
+            assert np.array_equal(got, want), name
+            # Sharded for real: the result is a view over an arena slab.
+            assert not got.flags["OWNDATA"], name
 
     def test_full_scheme_chain_bit_identical_with_counters(self, forced):
         """HMULT→relinearize→rescale→rotate: residues, decrypt, counters."""
@@ -357,12 +344,14 @@ class TestForcedShardParity:
         assert counters == ref_counters
 
 
-@pytest.mark.parametrize("batch", (1, 2, 8))
+@pytest.mark.parametrize("batch", (1, 3))
 def test_batched_bootstrap_parity_under_sharding(bootstrap_fhe, rng, batch,
                                                  forced):
-    """One B-stream bootstrap_many under the forced pool == a loop of B
-    one-stream bootstraps, with identical kernel counters and limb-vectors
-    (the sharded mirror of tests/ckks/test_batched_bootstrap.py's sweep)."""
+    """One B-stream bootstrap_many under the forced pool == the same launch
+    on the plain numpy delegate, with identical kernel counters and
+    limb-vectors.  (That the launch equals a loop of B one-stream
+    bootstraps is tests/ckks/test_batched_bootstrap.py's sweep; the
+    singular ``bootstrap`` is its B = 1 adapter.)"""
     fhe = bootstrap_fhe
     streams = [
         fhe.evaluator.drop_to_level(
@@ -370,27 +359,24 @@ def test_batched_bootstrap_parity_under_sharding(bootstrap_fhe, rng, batch,
         for _ in range(batch)
     ]
     kernels = fhe.context.kernels
-    with use_backend(forced):
-        with kernels.capture() as sequential_counts:
-            expected = [
-                fhe.bootstrapper.bootstrap(ciphertext, fhe.evaluator,
-                                           fhe.encryptor,
-                                           fhe.relinearization_key,
-                                           fhe.rotation_keys)
-                for ciphertext in streams
-            ]
-        with kernels.capture() as batched_counts:
-            actual = fhe.bootstrapper.bootstrap_many(
+
+    def launch(backend):
+        with use_backend(backend), kernels.capture() as counts:
+            refreshed = fhe.bootstrapper.bootstrap_many(
                 streams, fhe.batched_evaluator, fhe.encryptor,
                 fhe.relinearization_key, fhe.rotation_keys)
-    assert len(actual) == len(expected)
+        return refreshed, counts
+
+    expected, delegate_counts = launch("numpy")
+    actual, sharded_counts = launch(forced)
+    assert len(actual) == len(expected) == batch
     for got, want in zip(actual, expected):
         assert np.array_equal(got.c0.residues, want.c0.residues)
         assert np.array_equal(got.c1.residues, want.c1.residues)
         assert got.scale == want.scale and got.level == want.level
-    assert batched_counts.snapshot() == sequential_counts.snapshot()
-    assert dict(batched_counts.limb_vectors) == \
-        dict(sequential_counts.limb_vectors)
+    assert sharded_counts.snapshot() == delegate_counts.snapshot()
+    assert dict(sharded_counts.limb_vectors) == \
+        dict(delegate_counts.limb_vectors)
 
 
 # ----------------------------------------------------------------------
@@ -427,9 +413,10 @@ class TestArenaSteadyState:
     def test_results_are_zero_copy_arena_views(self, forced, rng):
         primes = generate_ntt_primes(4, 20, 64)
         lhs, rhs = _limb_operands(rng, primes)
-        out = forced.matmul_limbs(lhs, rhs, np.asarray(primes, dtype=np.int64))
+        out = forced.matmul_limbs(DeviceBuffer.wrap(lhs), DeviceBuffer.wrap(rhs),
+                                  np.asarray(primes, dtype=np.int64))
         # A view over the shared slab, not an owning copy.
-        assert not out.flags["OWNDATA"]
+        assert not out.ensure_host().flags["OWNDATA"]
 
 
 # ----------------------------------------------------------------------
@@ -498,8 +485,8 @@ class TestLifecycle:
     def test_worker_kernel_failure_is_reported(self, forced):
         # Shapes the parent-side planner accepts but whose inner
         # dimensions cannot contract — the delegate fails in the worker.
-        lhs = np.zeros((4, 8, 8), dtype=np.int64)
-        rhs = np.zeros((4, 9, 8), dtype=np.int64)
+        lhs = DeviceBuffer.wrap(np.zeros((4, 8, 8), dtype=np.int64))
+        rhs = DeviceBuffer.wrap(np.zeros((4, 9, 8), dtype=np.int64))
         with pytest.raises(RuntimeError, match="failed in a worker"):
             forced.matmul_limbs(lhs, rhs, np.asarray([17] * 4))
 
@@ -552,16 +539,10 @@ class TestWorkerProtocol:
             arena.close()
         assert not worker.is_alive()
 
-    def test_kernel_table_covers_every_sharded_op(self):
-        assert set(_KERNELS) == {
-            "matmul_limbs", "matmul_limbs_cols", "matmul", "matmul_rows",
-            "hadamard", "hadamard_limbs", "mat_add", "mat_sub", "mat_mul",
-            "mat_neg", "mat_reduce"}
+    def test_every_op_writes_its_shard_in_place(self, rng):
+        """Each sharded op == the delegate kernel on the sharded slice.
 
-    def test_every_handler_writes_its_shard_in_place(self, rng):
-        """Each handler == the delegate kernel on the sharded slice.
-
-        Driven in-process (workers fork, so handler bodies only show up
+        Driven in-process (workers fork, so the handler body only shows up
         in coverage when called here) against the numpy delegate.
         """
         numpy = get_backend("numpy")
@@ -572,50 +553,32 @@ class TestWorkerProtocol:
                         for q in primes])
         a = np.stack([rng.integers(0, q, 64, dtype=np.int64) for q in primes])
         b = np.stack([rng.integers(0, q, 64, dtype=np.int64) for q in primes])
-        flat = rng.integers(0, primes[0], (6, 6), dtype=np.int64)
         row_moduli = np.concatenate([primes, primes[:2]])   # one per lhs row
         bound = {"start": 1, "stop": 3}
+        sliced = dict(bound, moduli=primes[1:3])
         cases = {
-            "matmul_limbs": ((lhs, rhs), dict(bound, moduli=primes[1:3]),
-                             lambda: numpy.matmul_limbs(lhs, rhs, primes)),
-            "matmul_limbs_cols": ((lhs, rhs), dict(bound, moduli=primes),
-                                  lambda: numpy.matmul_limbs(lhs, rhs, primes)),
-            "matmul": ((flat, flat), dict(bound, modulus=int(primes[0])),
-                       lambda: numpy.matmul(flat, flat, int(primes[0]))),
+            "matmul_limbs": ((lhs, rhs), sliced, primes),
+            "matmul_limbs_cols": ((lhs, rhs), dict(bound, moduli=primes), primes),
             "matmul_rows": ((lhs[0], rhs[0]),
                             dict(bound, moduli=row_moduli[1:3],
-                                 operand_bound=None),
-                            lambda: numpy.matmul_rows(lhs[0], rhs[0],
-                                                      row_moduli)),
-            "hadamard": ((a[0], b[0]), dict(bound, modulus=int(primes[0])),
-                         lambda: numpy.hadamard(a[0], b[0], int(primes[0]))),
-            "hadamard_limbs": ((a, b), dict(bound, moduli=primes[1:3]),
-                               lambda: numpy.hadamard_limbs(a, b, primes)),
-            "mat_add": ((a, b), dict(bound, moduli=primes[1:3]),
-                        lambda: numpy.mat_add(a, b, primes)),
-            "mat_sub": ((a, b), dict(bound, moduli=primes[1:3]),
-                        lambda: numpy.mat_sub(a, b, primes)),
-            "mat_mul": ((a, b), dict(bound, moduli=primes[1:3]),
-                        lambda: numpy.mat_mul(a, b, primes)),
-            "mat_neg": ((a,), dict(bound, moduli=primes[1:3]),
-                        lambda: numpy.mat_neg(a, primes)),
-            "mat_reduce": ((a + primes[:, None],),
-                           dict(bound, moduli=primes[1:3]),
-                           lambda: numpy.mat_reduce(a + primes[:, None],
-                                                    primes)),
+                                 operand_bound=None), row_moduli),
+            "mat_add": ((a, b), sliced, primes),
+            "mat_sub": ((a, b), sliced, primes),
+            "mat_mul": ((a, b), sliced, primes),
+            "mat_neg": ((a,), sliced, primes),
+            "mat_reduce": ((a + primes[:, None],), sliced, primes),
         }
-        assert set(cases) == set(_KERNELS)
-        for op, (operands, params, reference) in cases.items():
-            expected = reference()
+        for op, (operands, params, moduli) in cases.items():
+            kernel = getattr(numpy, op.replace("_cols", ""))
+            expected = kernel(*[DeviceBuffer.wrap(x) for x in operands],
+                              moduli).ensure_host()
             out = np.zeros_like(expected)
-            _KERNELS[op](numpy, tuple(operands) + (out,), params)
-            if op == "matmul_limbs_cols":
-                shard = out[:, :, params["start"]:params["stop"]]
-                want = expected[:, :, params["start"]:params["stop"]]
-            else:
-                shard = out[params["start"]:params["stop"]]
-                want = expected[params["start"]:params["stop"]]
-            assert np.array_equal(shard, want), op
+            _run_shard(numpy, op, tuple(operands) + (out,), params)
+            window = ((slice(None), slice(None), slice(1, 3))
+                      if op == "matmul_limbs_cols" else slice(1, 3))
+            assert np.array_equal(out[window], expected[window]), op
+            out[window] = 0
+            assert not out.any(), op          # nothing outside the shard
 
 
 # ----------------------------------------------------------------------
@@ -645,11 +608,6 @@ class TestSchedulerFanout:
         assert plan.batch_size == base.batch_size * forced.workers
         # ``requested`` still caps the fanned-out target.
         assert fanned.plan(4096, 9, requested=4).batch_size == 4
-
-    def test_limb_only_multiprocess_does_not_fan_out(self):
-        backend = MultiprocessBackend(workers=4)
-        scheduler = BatchScheduler(A100, backend=backend)
-        assert scheduler.batch_fanout() == 1
 
     def test_unresolvable_backend_degrades_to_one(self):
         scheduler = BatchScheduler(A100, backend="definitely-not-a-backend")

@@ -34,6 +34,12 @@ def reference():
     return NumpyBackend()
 
 
+def _gemm(backend, lhs, rhs, moduli):
+    """``matmul_limbs`` on host arrays: wrap in, read the host image out."""
+    return backend.matmul_limbs(DeviceBuffer.wrap(lhs), DeviceBuffer.wrap(rhs),
+                                moduli).ensure_host()
+
+
 def _random_gemm(rng, limbs, m, k, p, moduli):
     column = np.asarray(moduli, dtype=np.int64).reshape(-1, 1, 1)
     lhs = rng.integers(0, 1 << 62, (limbs, m, k), dtype=np.int64) % column
@@ -50,8 +56,8 @@ class TestFloat64Split:
         inner = lhs.shape[2]
         bound = int(moduli.max()) - 1
         assert inner * bound * bound < (1 << 53)   # the single-pass regime
-        got = forced.matmul_limbs(lhs, rhs, moduli)
-        want = reference.matmul_limbs(lhs, rhs, moduli)
+        got = _gemm(forced, lhs, rhs, moduli)
+        want = _gemm(reference, lhs, rhs, moduli)
         assert np.array_equal(got, want)
 
     def test_split_path_28_bit_primes(self, forced, reference):
@@ -64,8 +70,8 @@ class TestFloat64Split:
         shift = max(1, (bound.bit_length() + 1) // 2)
         assert inner * bound * bound >= (1 << 53)          # not single-pass
         assert inner * max(1, bound >> shift) * bound < (1 << 53)  # split fits
-        got = forced.matmul_limbs(lhs, rhs, moduli)
-        want = reference.matmul_limbs(lhs, rhs, moduli)
+        got = _gemm(forced, lhs, rhs, moduli)
+        want = _gemm(reference, lhs, rhs, moduli)
         assert np.array_equal(got, want)
 
     def test_guard_rejects_and_falls_back_exact(self, forced, reference):
@@ -77,18 +83,8 @@ class TestFloat64Split:
         bound = int(moduli.max()) - 1
         shift = max(1, (bound.bit_length() + 1) // 2)
         assert inner * max(1, bound >> shift) * bound >= (1 << 53)
-        got = forced.matmul_limbs(lhs, rhs, moduli)
-        want = reference.matmul_limbs(lhs, rhs, moduli)
-        assert np.array_equal(got, want)
-
-    def test_single_modulus_matmul_split(self, forced, reference):
-        """The 2-D kernel shares the float64-split path."""
-        rng = np.random.default_rng(5)
-        modulus = (1 << 28) - 57
-        lhs = rng.integers(0, modulus, (8, 16), dtype=np.int64)
-        rhs = rng.integers(0, modulus, (16, 4), dtype=np.int64)
-        got = forced.matmul(lhs, rhs, modulus)
-        want = reference.matmul(lhs, rhs, modulus)
+        got = _gemm(forced, lhs, rhs, moduli)
+        want = _gemm(reference, lhs, rhs, moduli)
         assert np.array_equal(got, want)
 
     def test_no_int64_matmul_falls_back_to_host(self, reference):
@@ -104,12 +100,9 @@ class TestFloat64Split:
         moduli = np.asarray([(1 << 30) - 35], dtype=np.int64)
         lhs = rng.integers(0, moduli[0], (1, 4, 512), dtype=np.int64)
         rhs = rng.integers(0, moduli[0], (1, 512, 3), dtype=np.int64)
-        got = backend.matmul_limbs(lhs, rhs, moduli)
-        want = reference.matmul_limbs(lhs, rhs, moduli)
+        got = _gemm(backend, lhs, rhs, moduli)
+        want = _gemm(reference, lhs, rhs, moduli)
         assert np.array_equal(got, want)
-        got_2d = backend.matmul(lhs[0], rhs[0], int(moduli[0]))
-        assert np.array_equal(got_2d, reference.matmul(lhs[0], rhs[0],
-                                                       int(moduli[0])))
 
     def test_ntt_parity_through_forced_backend(self, forced):
         """Whole limb-batched NTT on the forced float64 path, bit-exact."""
@@ -127,7 +120,7 @@ class TestFloat64Split:
 
 
 class TestTorchResidency:
-    def test_chain_stays_on_tensor(self, forced):
+    def test_chain_stays_on_tensor(self, forced, reference):
         """A funnel chain through handles never converts back to numpy."""
         rng = np.random.default_rng(4)
         moduli = np.asarray([(1 << 17) - 131, (1 << 17) - 365], dtype=np.int64)
@@ -135,13 +128,12 @@ class TestTorchResidency:
         counter = KernelCounter()
         a, b = DeviceBuffer.wrap(lhs), DeviceBuffer.wrap(rhs)
         with track_transfers(counter):
-            first = forced.matmul_limbs_native(a, b, moduli)
-            second = forced.matmul_limbs_native(first, b, moduli)
+            first = forced.matmul_limbs(a, b, moduli)
+            second = forced.matmul_limbs(first, b, moduli)
         assert counter.transfers["host_to_device"] == 2    # a and b only
         assert counter.transfers["device_to_host"] == 0
         assert second.resident_backend is forced
-        want = forced.matmul_limbs(forced.matmul_limbs(lhs, rhs, moduli),
-                                   rhs, moduli)
+        want = _gemm(reference, _gemm(reference, lhs, rhs, moduli), rhs, moduli)
         with track_transfers(counter):
             assert np.array_equal(second.ensure_host(), want)
         assert counter.transfers["device_to_host"] == 1

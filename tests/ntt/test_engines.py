@@ -163,6 +163,35 @@ class TestBatching:
         assert np.array_equal(engine.inverse_batch(engine.forward_batch(rows)), rows)
 
 
+class TestScalarEntriesAreShapeAdapters:
+    """``forward`` / ``forward_batch`` on a GEMM engine are ``forward_ops``
+    at L = 1 (and B = 1): one pipeline, whatever the entry point."""
+
+    @pytest.mark.parametrize("engine_name", ["four_step", "tensorcore", "matrix"])
+    @pytest.mark.parametrize("bits", [28, 31])
+    def test_scalar_and_batch_equal_the_ops_launch(self, engine_name, bits, rng):
+        ring_degree = 32
+        q = generate_ntt_prime(bits, ring_degree)
+        assert (q >= 1 << 31) == (bits == 31)     # 31: the object path
+        engine = create_engine(engine_name, ring_degree, q)
+        reference = create_engine("reference", ring_degree, q)
+        rows = rng.integers(0, q, (3, ring_degree), dtype=np.int64)
+        for single, batch, ops, oracle in [
+            (engine.forward, engine.forward_batch, engine.forward_ops,
+             reference.forward),
+            (engine.inverse, engine.inverse_batch, engine.inverse_ops,
+             reference.inverse),
+        ]:
+            fused = ops(rows[:, None, :], [q])
+            assert np.array_equal(batch(rows), fused[:, 0])
+            for i, row in enumerate(rows):
+                assert np.array_equal(single(row), ops(row[None, None], [q])[0, 0])
+                assert np.array_equal(single(row), fused[i, 0])
+                assert np.array_equal(single(row), oracle(row))
+        with pytest.raises(ValueError):
+            engine.forward(rows)                   # a vector, not a batch
+
+
 class TestPlanner:
     def test_default_engine_registered(self):
         assert DEFAULT_ENGINE in ENGINE_REGISTRY

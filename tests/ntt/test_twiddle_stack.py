@@ -43,8 +43,8 @@ def test_prefix_stacks_are_views_of_the_full_chain():
 def test_prefix_float_caches_share_parent_images():
     full = get_twiddle_stack(RING_DEGREE, CHAIN)
     prefix = get_twiddle_stack(RING_DEGREE, CHAIN[:3])
-    full_cache = full.forward_matrices_cache()
-    prefix_cache = prefix.forward_matrices_cache()
+    full_cache = full.forward_matrices_buffer().float_cache()
+    prefix_cache = prefix.forward_matrices_buffer().float_cache()
     assert np.shares_memory(prefix_cache.full(), full_cache.full())
     assert np.array_equal(prefix_cache.full(), full_cache.full()[:3])
     shift, hi, lo = prefix_cache.split()
