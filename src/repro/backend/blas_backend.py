@@ -15,11 +15,12 @@ from typing import Optional
 
 import numpy as np
 
+from .base import _planned
 from .numpy_backend import NumpyBackend
 from .residency import DeviceBuffer
 
 __all__ = ["BlasFloat64Backend", "FloatOperandCache", "FloatResidues",
-           "FLOAT_EXACT_LIMIT", "split_shift"]
+           "FLOAT_EXACT_LIMIT", "split_shift", "static_operand"]
 
 #: Largest integer magnitude float64 represents exactly (2**53); products and
 #: partial sums below this bound make a BLAS dgemm bit-exact.
@@ -69,6 +70,17 @@ class FloatOperandCache:
             lo = (self.matrix & ((1 << shift) - 1)).astype(np.float64)
             self._split = (shift, hi, lo)
         return self._split
+
+
+def static_operand(matrix: np.ndarray) -> DeviceBuffer:
+    """A reusable int64 operand as a handle with its float cache attached.
+
+    Twiddles, switch keys and the RNS conversion constants are multiplied
+    into every launch of their kind, so their float64 images (full and
+    hi/lo) are built once, on first float use, and found here afterwards.
+    """
+    return DeviceBuffer.wrap(matrix).attach_float_cache(
+        FloatOperandCache(matrix))
 
 
 def _barrett_chain(moduli):
@@ -189,12 +201,13 @@ class BlasFloat64Backend(NumpyBackend):
     """Guarded float64 BLAS substrate (bit-exact, int64 fallback).
 
     The float image of an operand is this backend's residency: a kernel
-    *peeks* the handle's attached float64 image (twiddle-stack buffers,
-    the float-only outputs of earlier launches) and never builds one, so
-    transient int64 intermediates cost nothing extra.  With an image
-    present the element-wise kernels stay on the FMA units (lazy Barrett,
-    see :mod:`repro.numtheory.floatmod`) and hand back another float-only
-    handle — no int64 materialisation mid-chain.
+    reads the float64 images its handles carry (twiddle-stack and
+    switch-key buffers, the float-only outputs of earlier launches), runs
+    the planned float kernels of :mod:`repro.numtheory.planned` on them —
+    lazy Barrett on the FMA units, slab by slab — and hands back another
+    float-only handle: no int64 materialisation mid-chain.  A launch none
+    of whose operands carries an image, or one the 2**53 guard refuses,
+    takes the inherited int64 kernel; both give the same bits.
     """
 
     name = "blas"
@@ -205,26 +218,29 @@ class BlasFloat64Backend(NumpyBackend):
         return report
 
     @staticmethod
-    def _peek_float(buf: DeviceBuffer):
-        """A handle's attached float64 image, or None (never builds one)."""
-        cache = buf.float_cache()
-        return None if cache is None else cache.full()
+    def _images(operands):
+        """The operands' float caches, or None when no operand carries one.
 
-    def _float_operands(self, a: DeviceBuffer, b: DeviceBuffer):
-        """Float images for a binary kernel, or None when not worthwhile.
-
-        At least one side must already carry a float image (otherwise the
-        int64 path is at least as cheap as paying two conversions); the
-        other side is converted per call.
+        An operand without an image next to one that has it is converted
+        for this call; when none has one the int64 kernel is at least as
+        cheap as the conversions.
         """
-        a_f, b_f = self._peek_float(a), self._peek_float(b)
-        if a_f is None and b_f is None:
+        caches = [operand.float_cache() for operand in operands]
+        if all(cache is None for cache in caches) or not all(operands[0].shape):
             return None
-        if a_f is None:
-            a_f = a.ensure_host().astype(np.float64)
-        if b_f is None:
-            b_f = b.ensure_host().astype(np.float64)
-        return a_f, b_f
+        return [FloatOperandCache(operand.ensure_host()) if cache is None
+                else cache for cache, operand in zip(caches, operands)]
+
+    def _float_launch(self, kernel, operands, moduli):
+        """``kernel(*images, chain)`` on canonical operands, or None."""
+        caches = self._images(operands)
+        if caches is None:
+            return None
+        chain = _barrett_chain(moduli)
+        if not chain.fits(2 * (chain.qmax - 1)):
+            return None
+        return self._float_result(
+            kernel(*[cache.full() for cache in caches], chain), chain)
 
     @staticmethod
     def _float_result(values: np.ndarray, chain) -> DeviceBuffer:
@@ -244,46 +260,40 @@ class BlasFloat64Backend(NumpyBackend):
         return super().matmul_limbs(lhs, rhs, moduli)
 
     def mat_mul(self, a: DeviceBuffer, b: DeviceBuffer,
-                moduli: np.ndarray) -> DeviceBuffer:
-        operands = self._float_operands(a, b)
-        if operands is not None:
+                moduli: np.ndarray, *, terms: int = 1) -> DeviceBuffer:
+        caches = self._images((a, b))
+        if caches is not None:
             chain = _barrett_chain(moduli)
-            if chain.fits_product():
-                return self._float_result(
-                    self.fhadamard_limbs(operands[0], operands[1], chain), chain)
-        return super().mat_mul(a, b, moduli)
+            x, operand = caches
+            if isinstance(operand, FloatResidues) and not isinstance(x, FloatResidues):
+                x, operand = operand, x
+            # The split side is a static operand where there is one (its
+            # hi/lo images are cached); a transient image is split in cache.
+            out = self.fhadamard_limbs(
+                *[side.full() if isinstance(side, FloatResidues) else side
+                  for side in (x, operand)], chain, terms=terms)
+            if out is not None:
+                return self._float_result(out, chain)
+        return super().mat_mul(a, b, moduli, terms=terms)
 
     def mat_add(self, a: DeviceBuffer, b: DeviceBuffer,
                 moduli: np.ndarray) -> DeviceBuffer:
-        operands = self._float_operands(a, b)
-        if operands is not None:
-            chain = _barrett_chain(moduli)
-            if chain.fits(2 * (chain.qmax - 1)):
-                return self._float_result(
-                    self.fadd_limbs(operands[0], operands[1], chain), chain)
-        return super().mat_add(a, b, moduli)
+        out = self._float_launch(self.fadd_limbs, (a, b), moduli)
+        return out if out is not None else super().mat_add(a, b, moduli)
 
     def mat_sub(self, a: DeviceBuffer, b: DeviceBuffer,
                 moduli: np.ndarray) -> DeviceBuffer:
-        operands = self._float_operands(a, b)
-        if operands is not None:
-            chain = _barrett_chain(moduli)
-            if chain.fits(2 * (chain.qmax - 1)):
-                return self._float_result(
-                    self.fsub_limbs(operands[0], operands[1], chain), chain)
-        return super().mat_sub(a, b, moduli)
+        out = self._float_launch(self.fsub_limbs, (a, b), moduli)
+        return out if out is not None else super().mat_sub(a, b, moduli)
 
     def mat_neg(self, a: DeviceBuffer, moduli: np.ndarray) -> DeviceBuffer:
-        a_f = self._peek_float(a)
-        if a_f is not None:
-            chain = _barrett_chain(moduli)
-            return self._float_result(self.fneg_limbs(a_f, chain), chain)
-        return super().mat_neg(a, moduli)
+        out = self._float_launch(self.fneg_limbs, (a,), moduli)
+        return out if out is not None else super().mat_neg(a, moduli)
 
     def mat_reduce(self, matrix: DeviceBuffer,
                    moduli: np.ndarray) -> DeviceBuffer:
         cache = matrix.float_cache()
-        if cache is not None:
+        if cache is not None and all(matrix.shape):
             chain = _barrett_chain(moduli)
             # The operand may hold residues of a *different* basis (the
             # rescale reduces the dropped limb against every surviving
@@ -296,45 +306,18 @@ class BlasFloat64Backend(NumpyBackend):
     def matmul_rows(self, lhs: DeviceBuffer, rhs: DeviceBuffer,
                     row_moduli: np.ndarray, *,
                     operand_bound: Optional[int] = None) -> DeviceBuffer:
+        """The row-moduli GEMM as a planned product on resident images.
+
+        The fast-basis-conversion shape: the lhs rows (precomputed
+        ``q_hat mod p_j`` constants, images cached) pair with the output
+        moduli, the rhs (float-resident source residues) is shared.
+        """
         lhs_cache, rhs_cache = lhs.float_cache(), rhs.float_cache()
-        if lhs_cache is not None and rhs_cache is not None:
+        if lhs_cache is not None and rhs_cache is not None and rhs.shape[1]:
             chain = _barrett_chain(row_moduli)
-            out = self._float_matmul_rows(lhs_cache, rhs_cache, chain,
-                                          lhs.shape[-1])
+            out = _planned().row_gemm(chain, lhs_cache, rhs_cache.full(),
+                                      rhs_cache.max_value, self.fmatmul)
             if out is not None:
                 return self._float_result(out, chain)
         return super().matmul_rows(lhs, rhs, row_moduli,
                                    operand_bound=operand_bound)
-
-    def _float_matmul_rows(self, lhs_cache, rhs_cache, chain, inner: int):
-        """Row-moduli dgemm on resident float images, or None if unsafe.
-
-        The fast-basis-conversion shape: lhs rows (the precomputed
-        ``q_hat mod p_j`` constants) pair with output row moduli, the rhs
-        (float-resident source residues) is shared.  A single dgemm when
-        the accumulation bound fits the mantissa; otherwise the lhs hi/lo
-        split halves the per-partial bit-width and the partials are
-        recombined entirely in float via
-        :meth:`~repro.numtheory.floatmod.BarrettChain.product_reduce`
-        against the per-row residues of ``2**shift`` — no int64 exists at
-        any point.
-        """
-        bound = inner * lhs_cache.max_value * rhs_cache.max_value
-        if chain.fits(bound):
-            raw = np.matmul(lhs_cache.full(), rhs_cache.full())
-            return chain.canonical_reduce(raw)
-        shift, hi, lo = lhs_cache.split()
-        hi_max = max(1, lhs_cache.max_value >> shift)
-        lo_max = (1 << shift) - 1
-        rhs_max = rhs_cache.max_value
-        if not (chain.fits(inner * hi_max * rhs_max)
-                and chain.fits(inner * lo_max * rhs_max)
-                and chain.fits_product()):
-            return None
-        rhs_f = rhs_cache.full()
-        high = chain.canonical_reduce(np.matmul(hi, rhs_f))
-        low = chain.canonical_reduce(np.matmul(lo, rhs_f))
-        weight_col = ((1 << shift) % chain.moduli_array
-                      ).astype(np.float64)[:, None]
-        weighted = chain.product_reduce(high, weight_col)
-        return self.fadd_limbs(weighted, low, chain)

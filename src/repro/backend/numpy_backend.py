@@ -81,27 +81,42 @@ def _matmul_rows(lhs: np.ndarray, rhs: np.ndarray, row_moduli: np.ndarray,
     return result
 
 
-def _mat_mul(a: np.ndarray, b: np.ndarray, moduli: np.ndarray) -> np.ndarray:
-    return (a * b) % _moduli_column(moduli, a.ndim)
+def _mat_mul(a: np.ndarray, b: np.ndarray, moduli: np.ndarray,
+             terms: int = 1) -> np.ndarray:
+    column = _moduli_column(moduli, max(a.ndim, b.ndim))
+    out = (a * b) % column
+    if terms > 1:
+        # Reduced products: terms * q fits int64 for every word-sized q.
+        out = out.sum(axis=1) % column[:, 0]
+    return out
+
+
+def _fold(out: np.ndarray, wrapped: np.ndarray) -> np.ndarray:
+    """Whichever of ``out`` / ``wrapped`` is in ``[0, q)``, into ``out``.
+
+    One of the two is negative, i.e. huge when read as unsigned, so the
+    unsigned minimum picks the other: no ``where=`` mask, which costs
+    numpy's slow loop (2.4 ms against 0.6 ms per ``(8, 8, 4096)``).
+    """
+    np.minimum(out.view(np.uint64), wrapped.view(np.uint64),
+               out=out.view(np.uint64))
+    return out
 
 
 def _mat_add(a: np.ndarray, b: np.ndarray, moduli: np.ndarray) -> np.ndarray:
-    column = _moduli_column(moduli, a.ndim)
     out = a + b
-    np.subtract(out, column, out=out, where=out >= column)
-    return out
+    return _fold(out, out - _moduli_column(moduli, out.ndim))
 
 
 def _mat_sub(a: np.ndarray, b: np.ndarray, moduli: np.ndarray) -> np.ndarray:
-    column = _moduli_column(moduli, a.ndim)
     out = a - b
-    np.add(out, column, out=out, where=out < 0)
-    return out
+    return _fold(out, out + _moduli_column(moduli, out.ndim))
 
 
 def _mat_neg(a: np.ndarray, moduli: np.ndarray) -> np.ndarray:
-    column = _moduli_column(moduli, a.ndim)
-    return ((column - a) % column).astype(np.int64)
+    # -a is in (-q, 0] and q - a in (0, q]: zero is the one non-negative -a.
+    out = np.negative(a)
+    return _fold(out, out + _moduli_column(moduli, out.ndim))
 
 
 def _mat_reduce(matrix: np.ndarray, moduli: np.ndarray) -> np.ndarray:
@@ -134,8 +149,8 @@ class NumpyBackend(ArrayBackend):
         return self._launch(_matmul_rows, (lhs, rhs), row_moduli, operand_bound)
 
     def mat_mul(self, a: DeviceBuffer, b: DeviceBuffer,
-                moduli: np.ndarray) -> DeviceBuffer:
-        return self._launch(_mat_mul, (a, b), moduli)
+                moduli: np.ndarray, *, terms: int = 1) -> DeviceBuffer:
+        return self._launch(_mat_mul, (a, b), moduli, terms)
 
     def mat_add(self, a: DeviceBuffer, b: DeviceBuffer,
                 moduli: np.ndarray) -> DeviceBuffer:

@@ -628,7 +628,9 @@ class ShardedBackend(ArrayBackend):
                              sliced_moduli=moduli_arr if spans else None)
 
     def mat_mul(self, a: DeviceBuffer, b: DeviceBuffer,
-                moduli: np.ndarray) -> DeviceBuffer:
+                moduli: np.ndarray, *, terms: int = 1) -> DeviceBuffer:
+        if terms > 1:       # folds an axis away: not a per-row shard
+            return self.delegate.mat_mul(a, b, moduli, terms=terms)
         return self._elementwise("mat_mul", (a, b), moduli)
 
     def mat_add(self, a: DeviceBuffer, b: DeviceBuffer,

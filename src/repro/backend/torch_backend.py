@@ -265,15 +265,17 @@ class TorchBackend(NumpyBackend):
         column = self._column_t(a_t, moduli)
         return DeviceBuffer.from_native((column - a_t) % column, self)
 
-    def mat_mul(self, a: DeviceBuffer, b: DeviceBuffer,
-                moduli: np.ndarray) -> DeviceBuffer:  # pragma: no cover
+    def mat_mul(self, a: DeviceBuffer, b: DeviceBuffer, moduli: np.ndarray,
+                *, terms: int = 1) -> DeviceBuffer:  # pragma: no cover
         a_t = a.ensure_device(self)
         b_t = b.ensure_device(self)
         column = self._column_t(a_t, moduli)
+        out = None
         if self.use_float64:
             out = self._float_hadamard_limbs_t(
                 a_t, b_t, column, int(np.asarray(moduli).max()))
-            if out is not None:
-                return DeviceBuffer.from_native(out, self)
-        out = (a_t * b_t) % column
+        if out is None:
+            out = (a_t * b_t) % column
+        if terms > 1:
+            out = out.sum(dim=1) % column[:, 0]
         return DeviceBuffer.from_native(out, self)

@@ -10,8 +10,7 @@ executes each group with
 * **one** ``forward_ops``/``inverse_ops`` engine call per transform step —
   a single batched backend GEMM covering every stream and every limb — and
 * **one** backend-funnel mat-mod launch per element-wise step over the
-  fused ``(B*L, N)`` residue matrix (per-limb moduli column tiled per
-  stream).
+  limb-major ``(L, B, N)`` view of the stack (one prime per leading row).
 
 Per-stream bookkeeping (scale tracking, level alignment) is kept exactly,
 and the kernel counters record the per-stream invocations of Table II
@@ -37,7 +36,6 @@ import numpy as np
 from ..backend.residency import (
     as_ndarray,
     concatenate_arrays,
-    contiguous,
     stack_arrays,
 )
 from ..kernels.automorphism import (
@@ -51,12 +49,11 @@ from ..numtheory.modular import (
     mat_mod_reduce,
     mat_mod_sub,
     moduli_column,
-    tiled_rows,
 )
 from ..rns.poly import PolyDomain, RnsPolynomial
 from .batched_keyswitch import BatchedKeySwitcher
 from .ciphertext import Ciphertext, Plaintext
-from .context import CkksContext
+from .context import CkksContext, pinned
 from .keys import RotationKeySet, SwitchKey
 
 __all__ = ["BatchedEvaluator", "stream_signature"]
@@ -97,6 +94,7 @@ class BatchedEvaluator:
             results.append(lowered.copy() if lowered is ciphertext else lowered)
         return results
 
+    @pinned
     def negate(self, ciphertexts: Sequence[Ciphertext]) -> List[Ciphertext]:
         """Negate every stream.
 
@@ -112,12 +110,14 @@ class BatchedEvaluator:
     # ------------------------------------------------------------------
     # HADD / subtraction (Alg. 5): one Ele-Add launch per component
     # ------------------------------------------------------------------
+    @pinned
     def add(self, lhs_streams: Sequence[Ciphertext],
             rhs_streams: Sequence[Ciphertext]) -> List[Ciphertext]:
         """HADD: element-wise addition of ``B`` independent pairs."""
         return self._combine(lhs_streams, rhs_streams, mat_mod_add,
                              KernelName.ELE_ADD)
 
+    @pinned
     def subtract(self, lhs_streams: Sequence[Ciphertext],
                  rhs_streams: Sequence[Ciphertext]) -> List[Ciphertext]:
         """Element-wise subtraction of ``B`` independent pairs."""
@@ -135,14 +135,12 @@ class BatchedEvaluator:
         results: List[Optional[Ciphertext]] = [None] * len(pairs)
         for moduli, indices in self._grouped(p[0].moduli for p in pairs).items():
             batch, limbs = len(indices), len(moduli)
-            tiled = self._tiled_moduli(moduli, batch)
             outputs = []
             for component in ("c0", "c1"):
                 left = self._stack([getattr(pairs[i][0], component) for i in indices])
                 right = self._stack([getattr(pairs[i][1], component) for i in indices])
-                fused = funnel(self._fuse(left), self._fuse(right), tiled)
+                outputs.append(self._fused(funnel, left, right, moduli))
                 self._record(kernel, batch, limbs)
-                outputs.append(fused.reshape(left.shape))
             for j, i in enumerate(indices):
                 lhs = pairs[i][0]
                 results[i] = Ciphertext(
@@ -152,6 +150,7 @@ class BatchedEvaluator:
                 )
         return results
 
+    @pinned
     def add_plain(self, ciphertexts: Sequence[Ciphertext],
                   plaintexts: Sequence[Plaintext]) -> List[Ciphertext]:
         """Plaintext addition: one fused Ele-Add over the c0 stack."""
@@ -164,12 +163,10 @@ class BatchedEvaluator:
         results: List[Optional[Ciphertext]] = [None] * len(streams)
         for moduli, indices in self._grouped(s[0].moduli for s in streams).items():
             batch, limbs = len(indices), len(moduli)
-            tiled = self._tiled_moduli(moduli, batch)
             left = self._stack([streams[i][0].c0 for i in indices])
             right = self._stack([streams[i][1] for i in indices])
-            fused = mat_mod_add(self._fuse(left), self._fuse(right), tiled)
+            sums = self._fused(mat_mod_add, left, right, moduli)
             self._record(KernelName.ELE_ADD, batch, limbs)
-            sums = fused.reshape(left.shape)
             for j, i in enumerate(indices):
                 ciphertext = streams[i][0]
                 results[i] = Ciphertext(
@@ -182,6 +179,7 @@ class BatchedEvaluator:
     # ------------------------------------------------------------------
     # CMULT (Alg. 3): one NTT / Hadamard / INTT step for all streams
     # ------------------------------------------------------------------
+    @pinned
     def multiply_plain(self, ciphertexts: Sequence[Ciphertext],
                        plaintexts: Sequence[Plaintext]) -> List[Ciphertext]:
         """CMULT: multiply each stream by its encoded plaintext."""
@@ -194,18 +192,16 @@ class BatchedEvaluator:
         for moduli, indices in self._grouped(s[0].moduli for s in streams).items():
             entries = [streams[i] for i in indices]
             batch, limbs = len(entries), len(moduli)
-            tiled = self._tiled_moduli(moduli, batch)
             evals = self.context.planner.forward_ops(
-                self.context.ring_degree, moduli, concatenate_arrays([
-                    self._stack([entry[0].c0 for entry in entries]),
-                    self._stack([entry[0].c1 for entry in entries]),
-                    self._stack([entry[2] for entry in entries]),
-                ]))
+                self.context.ring_degree, moduli, self._stack(
+                    [entry[0].c0 for entry in entries]
+                    + [entry[0].c1 for entry in entries]
+                    + [entry[2] for entry in entries]))
             self._record(KernelName.NTT, 3 * batch, limbs)
-            c0_eval, c1_eval = evals[:batch], evals[batch:2 * batch]
             plain_eval = evals[2 * batch:]
-            d0 = self._fused_mul(c0_eval, plain_eval, tiled)
-            d1 = self._fused_mul(c1_eval, plain_eval, tiled)
+            d0 = self._fused(mat_mod_mul, evals[:batch], plain_eval, moduli)
+            d1 = self._fused(mat_mod_mul, evals[batch:2 * batch], plain_eval,
+                             moduli)
             self._record(KernelName.HADAMARD, 2 * batch, limbs)
             coeff = self.context.planner.inverse_ops(
                 self.context.ring_degree, moduli, concatenate_arrays([d0, d1]))
@@ -222,6 +218,7 @@ class BatchedEvaluator:
     # ------------------------------------------------------------------
     # HMULT (Alg. 2): B ciphertext multiplications with relinearization
     # ------------------------------------------------------------------
+    @pinned
     def multiply(self, lhs_streams: Sequence[Ciphertext],
                  rhs_streams: Sequence[Ciphertext],
                  relinearization_key: SwitchKey) -> List[Ciphertext]:
@@ -233,22 +230,19 @@ class BatchedEvaluator:
             entries = [pairs[i] for i in indices]
             batch, limbs = len(entries), len(moduli)
             level = entries[0][0].level
-            tiled = self._tiled_moduli(moduli, batch)
-            coeff = self._tensor_product(entries, moduli, tiled)
+            coeff = self._tensor_product(entries, moduli)   # d0 | d2 | d1
             # Generalized key switching, fused across the B axis: the dnum
             # decomposition of every stream stacks into one (B, dnum, L, N)
             # tensor and runs as batched ModUp / NTT / inner-product /
             # ModDown launches.
             switched = self.key_switcher.switch_many(
-                [self._poly(moduli, coeff[2 * batch + j]) for j in range(batch)],
+                [self._poly(moduli, coeff[batch + j]) for j in range(batch)],
                 relinearization_key, level)
             outputs = []
-            for slot in (0, 1):
-                own = coeff[slot * batch:(slot + 1) * batch]
+            for slot, own in ((0, coeff[:batch]), (1, coeff[2 * batch:])):
                 key_part = self._stack([pair[slot] for pair in switched])
-                fused = mat_mod_add(self._fuse(own), self._fuse(key_part), tiled)
+                outputs.append(self._fused(mat_mod_add, own, key_part, moduli))
                 self._record(KernelName.ELE_ADD, batch, limbs)
-                outputs.append(fused.reshape(own.shape))
             for j, (i, (lhs, rhs)) in enumerate(zip(indices, entries)):
                 results[i] = Ciphertext(
                     c0=self._poly(moduli, outputs[0][j]),
@@ -257,35 +251,35 @@ class BatchedEvaluator:
                 )
         return results
 
-    def _tensor_product(self, entries, moduli, tiled):
-        """``d0 | d1 | d2`` of every aligned pair: ``(3B, L, N)``, coefficient domain.
+    def _tensor_product(self, entries, moduli):
+        """``d0 | d2 | d1`` of every aligned pair: ``(3B, L, N)``, coefficient domain.
 
-        A method of its own so the evaluation-domain operands and partial
-        products are released before the key switch allocates.
+        Two launches on the limb-major views of the transformed operands:
+        ``a0 ⊙ b0 | a1 ⊙ b1`` as one product over the ``2B`` axis, and ``d1
+        = a0 ⊙ b1 + a1 ⊙ b0`` as one multiply-accumulate over the pair axis
+        — summed before it is reduced, which equals the two Hada-Mult and
+        one Ele-Add launches it is counted as bit for bit.  A method of its
+        own so the evaluation-domain operands and partial products are
+        released before the key switch allocates.
         """
         batch, limbs = len(entries), len(moduli)
         evals = self.context.planner.forward_ops(
-            self.context.ring_degree, moduli, concatenate_arrays([
-                self._stack([lhs.c0 for lhs, _ in entries]),
-                self._stack([lhs.c1 for lhs, _ in entries]),
-                self._stack([rhs.c0 for _, rhs in entries]),
-                self._stack([rhs.c1 for _, rhs in entries]),
-            ]))
+            self.context.ring_degree, moduli, self._stack(
+                [lhs.c0 for lhs, _ in entries] + [lhs.c1 for lhs, _ in entries]
+                + [rhs.c0 for _, rhs in entries] + [rhs.c1 for _, rhs in entries]))
         self._record(KernelName.NTT, 4 * batch, limbs)
-        a0, a1 = evals[:batch], evals[batch:2 * batch]
-        b0, b1 = evals[2 * batch:3 * batch], evals[3 * batch:]
-
-        d0 = self._fused_mul(a0, b0, tiled)
-        d1 = mat_mod_add(self._fuse(self._fused_mul(a0, b1, tiled)),
-                         self._fuse(self._fused_mul(a1, b0, tiled)),
-                         tiled).reshape(d0.shape)
-        d2 = self._fused_mul(a1, b1, tiled)
+        lhs = self._limb_major(evals[:2 * batch])           # a0 | a1
+        rhs = self._limb_major(evals[2 * batch:])           # b0 | b1
+        pairs = (limbs, 2, batch, self.context.ring_degree)
+        outer = mat_mod_mul(lhs, rhs, moduli)
+        cross = mat_mod_mul(lhs.reshape(pairs), rhs.reshape(pairs)[:, ::-1],
+                            moduli, terms=2)
         self._record(KernelName.HADAMARD, 4 * batch, limbs)
         self._record(KernelName.ELE_ADD, batch, limbs)
 
         coeff = self.context.planner.inverse_ops(
-            self.context.ring_degree, moduli,
-            concatenate_arrays([d0, d1, d2]))
+            self.context.ring_degree, moduli, concatenate_arrays(
+                [self._limb_major(outer), self._limb_major(cross)]))
         self._record(KernelName.INTT, 3 * batch, limbs)
         return coeff
 
@@ -299,6 +293,7 @@ class BatchedEvaluator:
     # ------------------------------------------------------------------
     # RESCALE (Alg. 6): B level drops, three fused launches per group
     # ------------------------------------------------------------------
+    @pinned
     def rescale(self, ciphertexts: Sequence[Ciphertext]) -> List[Ciphertext]:
         """RESCALE: drop the last prime of every stream and divide its scale."""
         ciphertexts = list(ciphertexts)
@@ -312,23 +307,18 @@ class BatchedEvaluator:
             batch, limbs = len(indices), len(moduli)
             surviving = moduli[:-1]
             last_prime = moduli[-1]
-            tiled = self._tiled_moduli(surviving, 2 * batch)
-            inverse_rows = tiled_rows(
-                self.context.rescale_inverses(moduli), 2 * batch)
             polys = ([ciphertexts[i].c0 for i in indices]
                      + [ciphertexts[i].c1 for i in indices])
-            stacks = self._stack(polys)                       # (2B, L, N)
-            head = contiguous(stacks[:, :-1, :])              # (2B, L-1, N)
-            # Last limb repeated per surviving limb — a resident-image row
-            # gather (bit-identical to the historical broadcast view).
-            last = stacks[:, np.full(limbs - 1, limbs - 1, dtype=np.int64), :]
+            stacks = self._limb_major(self._stack(polys))     # (L, 2B, N)
             # (c_i - c_last) * q_last^{-1} mod q_i, all streams and limbs
-            # in three funnel launches over the (2B*(L-1), N) fused matrix;
-            # the funnel multiply stays exact for moduli whose residue
-            # products overflow int64.
-            reduced_last = mat_mod_reduce(last.reshape(-1, head.shape[2]), tiled)
-            diff = mat_mod_sub(self._fuse(head), reduced_last, tiled)
-            scaled = mat_mod_mul(diff, inverse_rows, tiled).reshape(head.shape)
+            # in three funnel launches over the (L-1, 2B, N) view — the
+            # last limb broadcasts down the surviving ones; the funnel
+            # multiply stays exact for moduli whose residue products
+            # overflow int64.
+            diff = mat_mod_sub(stacks[:-1],
+                               mat_mod_reduce(stacks[-1:], surviving), surviving)
+            scaled = self._limb_major(mat_mod_mul(
+                diff, self.context.rescale_inverses(moduli), surviving))
             self._record(KernelName.ELE_SUB, 2 * batch, limbs - 1)
             for j, i in enumerate(indices):
                 ciphertext = ciphertexts[i]
@@ -343,6 +333,7 @@ class BatchedEvaluator:
     # ------------------------------------------------------------------
     # HROTATE (Alg. 4) / HCONJ: B automorphisms plus one fused key switch
     # ------------------------------------------------------------------
+    @pinned
     def rotate(self, ciphertexts: Sequence[Ciphertext], steps: int,
                rotation_keys: RotationKeySet) -> List[Ciphertext]:
         """HROTATE: cyclically rotate every stream's slots by ``steps``.
@@ -364,6 +355,7 @@ class BatchedEvaluator:
                                   rotation_keys.for_steps(steps),
                                   KernelName.FROBENIUS)
 
+    @pinned
     def conjugate(self, ciphertexts: Sequence[Ciphertext],
                   rotation_keys: RotationKeySet) -> List[Ciphertext]:
         """HCONJ: complex-conjugate the slot vector of every stream."""
@@ -386,7 +378,6 @@ class BatchedEvaluator:
             entries = [ciphertexts[i] for i in indices]
             batch, limbs = len(entries), len(moduli)
             level = entries[0].level
-            tiled = self._tiled_moduli(moduli, batch)
             # The automorphism is a host-side index gather over the
             # (2B, L, N) stack (a counted staging point for device-resident
             # streams).
@@ -400,10 +391,8 @@ class BatchedEvaluator:
                 [self._poly(moduli, rotated[batch + j]) for j in range(batch)],
                 switch_key, level)
             key_part = self._stack([pair[0] for pair in switched])
-            fused = mat_mod_add(self._fuse(rotated[:batch]),
-                                self._fuse(key_part), tiled)
+            summed = self._fused(mat_mod_add, rotated[:batch], key_part, moduli)
             self._record(KernelName.ELE_ADD, batch, limbs)
-            summed = fused.reshape(key_part.shape)
             for j, (i, ciphertext) in enumerate(zip(indices, entries)):
                 results[i] = Ciphertext(
                     c0=self._poly(moduli, summed[j]),
@@ -498,19 +487,18 @@ class BatchedEvaluator:
         return stack_arrays([poly.buffer for poly in polys])
 
     @staticmethod
-    def _fuse(stack):
-        """Reshape ``(B, L, N)`` to the ``(B*L, N)`` fused funnel matrix."""
-        return stack.reshape(-1, stack.shape[2])
+    def _limb_major(stack):
+        """The ``(L, B, N)`` view of a ``(B, L, N)`` stack, or the way back.
 
-    @staticmethod
-    def _tiled_moduli(moduli: Tuple[int, ...], count: int) -> np.ndarray:
-        """The per-limb chain repeated per operation: a ``(count*L, 1)`` column."""
-        return tiled_rows(moduli_column(moduli), count)
+        The mat-mod funnels take one prime per leading row, and a float
+        backend tiles a launch along exactly these two axes.
+        """
+        return stack.transpose(1, 0, 2)
 
-    def _fused_mul(self, lhs: np.ndarray, rhs: np.ndarray,
-                   tiled: np.ndarray) -> np.ndarray:
-        """One Hada-Mult funnel launch over stacked ``(B, L, N)`` operands."""
-        return mat_mod_mul(self._fuse(lhs), self._fuse(rhs), tiled).reshape(lhs.shape)
+    def _fused(self, funnel, lhs, rhs, moduli: Tuple[int, ...]):
+        """One funnel launch over two stacked ``(B, L, N)`` operands."""
+        return self._limb_major(funnel(
+            self._limb_major(lhs), self._limb_major(rhs), moduli))
 
     def _poly(self, moduli: Tuple[int, ...], residues) -> RnsPolynomial:
         return RnsPolynomial(self.context.ring_degree, moduli, residues)

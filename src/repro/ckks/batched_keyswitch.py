@@ -13,9 +13,9 @@ ciphertext is the ``B = 1`` case of the same launches:
   row-moduli GEMM's free dimension;
 * **NTT** — a single :meth:`~repro.ntt.planner.NttPlanner.forward_ops`
   engine call transforms all ``B * dnum`` extended slices at once;
-* **Inner-product** — one fused Hada-Mult funnel launch per ``(b, a)``
-  component over the ``(B*dnum*L', N)`` stack, with the dnum axis folded by
-  an exact modular reduction;
+* **Inner-product** — one fused multiply-accumulate launch per ``(b, a)``
+  component, ``sum_j d_j ⊙ key_j`` over the dnum axis of the limb-major
+  ``(L', dnum, B, N)`` view, reduced once;
 * **ModDown** — both accumulators of every stream return to the ciphertext
   basis through one ``inverse_ops`` call and one batched Conv
   (:meth:`~repro.rns.moddown.ModDown.apply_batch`).
@@ -29,29 +29,13 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-import numpy as np
-
-from ..backend.blas_backend import FloatResidues
-from ..backend.residency import (
-    DeviceBuffer,
-    as_ndarray,
-    concatenate_arrays,
-    contiguous,
-    is_buffer,
-    stack_arrays,
-)
+from ..backend.residency import concatenate_arrays, stack_arrays
 from ..kernels.base import KernelName
-from ..numtheory.floatmod import get_barrett_chain
-from ..numtheory.modular import (
-    mat_mod_add,
-    mat_mod_mul,
-    mat_mod_reduce,
-    tiled_rows,
-)
+from ..numtheory.modular import mat_mod_mul
 from ..rns.moddown import ModDown
 from ..rns.modup import ModUp
 from ..rns.poly import PolyDomain, RnsPolynomial
-from .context import CkksContext
+from .context import CkksContext, pinned
 from .keys import SwitchKey
 
 __all__ = ["BatchedKeySwitcher"]
@@ -65,6 +49,7 @@ class BatchedKeySwitcher:
         self._modup_cache = {}
         self._moddown_cache = {}
 
+    @pinned
     def switch_many(self, polynomials: Sequence[RnsPolynomial],
                     switch_key: SwitchKey, level: int
                     ) -> List[Tuple[RnsPolynomial, RnsPolynomial]]:
@@ -96,7 +81,7 @@ class BatchedKeySwitcher:
         batch = len(polynomials)
         accumulators = self._inner_product(
             self._raise(polynomials, key_level.group_moduli, active, extended),
-            key_level.stacks, batch, extended)
+            key_level, batch, extended)
         # INTT + ModDown: both components of every stream at once.
         coeff = context.planner.inverse_ops(
             context.ring_degree, extended, accumulators)
@@ -114,20 +99,19 @@ class BatchedKeySwitcher:
         context = self.context
         counter = context.kernels.counter
         batch, ext_count = len(polynomials), len(extended)
-        active_index = {q: i for i, q in enumerate(active)}
         # Stream gather through the residency handles: stays device-side
         # when every stream is resident on the same backend.
         stacked = stack_arrays([p.buffer for p in polynomials])  # (B, L, N)
-        # One batched Conv per decomposition group.
+        # One batched Conv per decomposition group; the groups are
+        # consecutive limb ranges of the active chain, so Dcomp is a view.
+        raised, start = [], 0
         for group in groups:
             counter.record_batch(KernelName.CONV, batch,
                                  ext_count - len(group))
-        raised = stack_arrays([
-            self._modup_for(group, extended).apply_batch(contiguous(
-                stacked[:, np.asarray([active_index[q] for q in group],
-                                      dtype=np.int64)]))
-            for group in groups
-        ], axis=1)                                      # (B, dnum, ext, N)
+            raised.append(self._modup_for(group, extended).apply_batch(
+                stacked[:, start:start + len(group)]))
+            start += len(group)
+        raised = stack_arrays(raised, axis=1)           # (B, dnum, ext, N)
         # All B * dnum extended slices in one engine call.
         evals = context.planner.forward_ops(
             context.ring_degree, extended,
@@ -135,26 +119,28 @@ class BatchedKeySwitcher:
         counter.record_batch(KernelName.NTT, batch * len(groups), ext_count)
         return evals
 
-    def _inner_product(self, evals, key_stacks, batch: int, extended):
+    def _inner_product(self, evals, key_level, batch: int, extended):
         """Both key components against every slice: a ``(2B, L', N)`` stack.
 
-        One fused Hada-Mult launch per key component, then an exact
-        modular fold of the dnum axis.
+        One fused launch per key component: the multiply-accumulate
+        ``sum_j d_j ⊙ key_j`` over the dnum axis, which equals dnum
+        Hada-Mult launches folded by a chain of Ele-Add launches bit for
+        bit (and is counted as them).  The key side is the level's static
+        operand, so a float backend reuses its cached hi/lo images.
         """
         counter = self.context.kernels.counter
-        ext_count, ring_degree = len(extended), self.context.ring_degree
+        ext_count = len(extended)
         dnum = evals.shape[0] // batch
-        ext_column = np.asarray(extended, dtype=np.int64)[:, None]
-        tiled_column = tiled_rows(ext_column, batch * dnum)
-        flat_evals = evals.reshape(batch * dnum * ext_count, ring_degree)
+        # (L', dnum, B, N): limb-major, the accumulated axis second.
+        slices = evals.reshape(batch, dnum, ext_count,
+                               evals.shape[2]).transpose(2, 1, 0, 3)
         accumulators = []
-        for key_stack in key_stacks:                    # (b, a) components
-            products = mat_mod_mul(
-                flat_evals, tiled_rows(key_stack, batch), tiled_column)
+        for operand in key_level.operands:              # (b, a) components
+            # One group leaves its (unsummed) axis in place: fold it away.
+            accumulators.append(mat_mod_mul(
+                slices, operand, extended, terms=dnum
+            ).reshape(ext_count, batch, -1).transpose(1, 0, 2))
             counter.record_batch(KernelName.HADAMARD, batch * dnum, ext_count)
-            accumulators.append(self._fold_groups(
-                products.reshape(batch, dnum, ext_count, ring_degree),
-                ext_column))
             counter.record_batch(KernelName.ELE_ADD, batch * dnum, ext_count)
         return concatenate_arrays(accumulators)
 
@@ -174,43 +160,3 @@ class BatchedKeySwitcher:
             instance = ModDown(active, self.context.basis.special_primes)
             self._moddown_cache[key] = instance
         return instance
-
-    @staticmethod
-    def _fold_groups(products: np.ndarray, ext_column: np.ndarray) -> np.ndarray:
-        """Sum a ``(B, dnum, ext, N)`` product tensor over the dnum axis.
-
-        Each entry is a reduced residue below its row's prime, so the plain
-        int64 sum is exact whenever ``dnum * max(q)`` fits in int64 (always
-        for word-sized primes); the fold then reduces once per row, which
-        equals a chain of ``dnum`` Ele-Add launches bit for bit.  That
-        chain itself — pairwise funnel adds through the residency handles
-        — folds pathological moduli and device-resident products, which
-        therefore never stage through host.  A float-resident product
-        tensor folds entirely in float64 (the sum of ``dnum`` canonical
-        residues stays far inside the mantissa), so the inner product
-        materialises no int64 image.
-        """
-        if (is_buffer(products) and products.host_image is None
-                and products.resident_backend is None):
-            cache = products.float_cache()
-            chain = get_barrett_chain(ext_column)
-            if cache is not None and chain.fits(
-                    products.shape[1] * int(cache.max_value)):
-                summed = cache.full().sum(axis=1)
-                folded = chain.canonical_reduce(summed, axis=1)
-                return DeviceBuffer.from_float(
-                    FloatResidues(folded, chain.qmax - 1))
-        batch, dnum, ext_count, ring_degree = products.shape
-        tiled = tiled_rows(ext_column, batch)
-        on_device = is_buffer(products) and products.resident_backend is not None
-        if not on_device and dnum * int(ext_column.max()) < (1 << 63):
-            summed = as_ndarray(products).sum(axis=1, dtype=np.int64)
-            return mat_mod_reduce(
-                summed.reshape(batch * ext_count, ring_degree), tiled
-            ).reshape(batch, ext_count, ring_degree)
-        accumulator = products[:, 0].reshape(batch * ext_count, ring_degree)
-        for j in range(1, dnum):
-            accumulator = mat_mod_add(
-                accumulator,
-                products[:, j].reshape(batch * ext_count, ring_degree), tiled)
-        return accumulator.reshape(batch, ext_count, ring_degree)

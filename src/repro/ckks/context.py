@@ -8,11 +8,14 @@ bootstrapper) receives the context instead of re-deriving parameters.
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..backend.registry import resolve_backend
+from ..backend.blas_backend import static_operand
+from ..backend.registry import resolve_backend, use_backend
+from ..backend.residency import DeviceBuffer
 from ..kernels.base import KernelContext
 from ..numtheory.floatmod import get_barrett_chain
 from ..numtheory.modular import mod_inverse
@@ -21,7 +24,26 @@ from ..rns.basis import RnsBasis, build_default_basis
 from .encoder import CkksEncoder
 from .params import CkksParameters, get_preset
 
-__all__ = ["CkksContext"]
+__all__ = ["CkksContext", "pinned"]
+
+
+def pinned(method):
+    """Run a method of a context-holding object on the context's backend.
+
+    A context constructed with ``backend=`` pins every launch made on its
+    behalf — NTT GEMMs, element-wise kernels, Conv, the inner product — not
+    only the ones that are handed the pin: the funnels resolve the active
+    backend, and this scope makes the pin the active one for the call.
+    Unpinned contexts follow the process-wide selection untouched.
+    """
+    @functools.wraps(method)
+    def scoped(self, *args, **kwargs):
+        backend = self.context.planner.backend
+        if backend is None:
+            return method(self, *args, **kwargs)
+        with use_backend(backend):
+            return method(self, *args, **kwargs)
+    return scoped
 
 
 class CkksContext:
@@ -41,18 +63,20 @@ class CkksContext:
             special_count=special_count,
             special_bits=parameters.special_prime_bits,
         )
-        # ``backend`` pins the compute substrate for this instance's NTT
-        # engines (name / ArrayBackend instance / None for the process-wide
-        # active backend selected by REPRO_BACKEND).  The pin covers the
-        # engine GEMM launches; element-wise mat-mod kernels and the Conv
-        # GEMM always follow the process-wide active backend.
+        # ``backend`` pins the compute substrate of this instance (name /
+        # ArrayBackend instance / None for the process-wide active backend
+        # selected by REPRO_BACKEND).  The engines launch their GEMMs on it
+        # directly, and every operation of the instance's encryptor,
+        # decryptor, evaluator, key generator and bootstrapper runs inside
+        # a :func:`pinned` scope, so element-wise kernels, Conv and the
+        # inner product take it too.
         self.planner = NttPlanner(parameters.ntt_engine, backend=backend)
         self.kernels = KernelContext(self.planner)
         self.encoder = CkksEncoder(parameters)
         self.rng = np.random.default_rng(seed)
         # Per-level q_last^{-1} mod q_i columns used by RESCALE, built once
         # per basis tuple so the evaluator never recomputes mod_inverse.
-        self._rescale_inverse_cache: Dict[Tuple[int, ...], np.ndarray] = {}
+        self._rescale_inverse_cache: Dict[Tuple[int, ...], DeviceBuffer] = {}
 
     # ------------------------------------------------------------------
     @classmethod
@@ -94,12 +118,13 @@ class CkksContext:
         """dnum decomposition groups of the active chain at ``level``."""
         return self.basis.decomposition_groups(level, self.parameters.dnum)
 
-    def rescale_inverses(self, moduli: Sequence[int]) -> np.ndarray:
-        """Cached ``(limbs-1, 1)`` column of ``q_last^{-1} mod q_i``.
+    def rescale_inverses(self, moduli: Sequence[int]) -> DeviceBuffer:
+        """Cached ``(limbs-1, 1, 1)`` column of ``q_last^{-1} mod q_i``.
 
         ``moduli`` is the basis *before* the rescale (its last prime is the
-        one being dropped).  The column feeds the evaluator's vectorised
-        RESCALE; building it is one-time precomputation per level.
+        one being dropped).  The column is the static operand of the
+        evaluator's limb-major RESCALE launch; building it is one-time
+        precomputation per level.
         """
         key = tuple(int(q) for q in moduli)
         if len(key) < 2:
@@ -107,9 +132,9 @@ class CkksContext:
         column = self._rescale_inverse_cache.get(key)
         if column is None:
             last = key[-1]
-            column = np.asarray(
+            column = static_operand(np.asarray(
                 [mod_inverse(last % q, q) for q in key[:-1]], dtype=np.int64
-            )[:, None]
+            )[:, None, None])
             self._rescale_inverse_cache[key] = column
         return column
 

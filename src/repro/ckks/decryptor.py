@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .ciphertext import Ciphertext, Plaintext
-from .context import CkksContext
+from .context import CkksContext, pinned
 from .keys import SecretKey
 
 __all__ = ["Decryptor"]
@@ -24,6 +24,7 @@ class Decryptor:
         self.context = context
         self.secret_key = secret_key
 
+    @pinned
     def decrypt(self, ciphertext: Ciphertext) -> Plaintext:
         """Return the underlying plaintext polynomial ``c0 + c1*s``."""
         planner = self.context.planner

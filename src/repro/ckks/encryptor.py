@@ -12,7 +12,7 @@ from typing import List, Optional, Sequence
 
 from ..rns.poly import PolyDomain, RnsPolynomial
 from .ciphertext import Ciphertext, Plaintext
-from .context import CkksContext
+from .context import CkksContext, pinned
 from .keys import PublicKey, SecretKey
 
 __all__ = ["Encryptor"]
@@ -66,12 +66,14 @@ class Encryptor:
         plaintext = self.encode(values, scale=scale)
         return self.encrypt_plaintext(plaintext)
 
+    @pinned
     def encrypt_plaintext(self, plaintext: Plaintext) -> Ciphertext:
         """Encrypt an already-encoded plaintext."""
         if self.public_key is not None:
             return self._encrypt_public(plaintext)
         return self._encrypt_symmetric(plaintext)
 
+    @pinned
     def encrypt_symmetric(self, values: Sequence[complex], *, scale: Optional[float] = None) -> Ciphertext:
         """Encode and encrypt under the secret key."""
         if self.secret_key is None:

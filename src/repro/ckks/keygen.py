@@ -19,7 +19,7 @@ from ..kernels.automorphism import apply_automorphism_coeff, galois_element_for_
 from ..numtheory.crt import CrtContext
 from ..numtheory.modular import mod_inverse
 from ..rns.poly import PolyDomain, RnsPolynomial
-from .context import CkksContext
+from .context import CkksContext, pinned
 from .keys import PublicKey, RotationKeySet, SecretKey, SwitchKey, SwitchKeyLevel
 
 __all__ = ["KeyGenerator"]
@@ -49,6 +49,7 @@ class KeyGenerator:
             coefficients[positions] = self._rng.choice([-1, 1], size=weight)
         return SecretKey(coefficients)
 
+    @pinned
     def generate_public_key(self, secret_key: SecretKey) -> PublicKey:
         """Encryption key ``(b, a) = (-a*s + e, a)`` over the full chain."""
         moduli = self.context.moduli_at_level(self.context.max_level)
@@ -109,6 +110,7 @@ class KeyGenerator:
             key_set.add(step, self.generate_rotation_key(secret_key, step))
 
     # ------------------------------------------------------------------
+    @pinned
     def create_switch_key(self, source_key_mod: "SecretLike", secret_key: SecretKey,
                           *, description: str = "switch") -> SwitchKey:
         """Create a switch key re-encrypting ``source`` under ``secret_key``.

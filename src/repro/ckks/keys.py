@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..backend.blas_backend import static_operand
 from ..rns.poly import RnsPolynomial
 
 __all__ = ["SecretKey", "PublicKey", "SwitchKey", "SwitchKeyLevel", "RotationKeySet"]
@@ -62,7 +63,10 @@ class SwitchKeyLevel:
     The ``(b_j, a_j)`` pairs of the ``dnum`` decomposition groups are held
     once, concatenated group after group into the two ``(dnum * L', N)``
     evaluation-domain residue matrices ``stacks = (b, a)`` over the
-    extended basis — the operand the fused inner product consumes.
+    extended basis.  The fused inner product consumes them as ``operands``:
+    the same memory viewed limb-major, ``(L', dnum, 1, N)``, as static
+    operand handles (a float backend caches its images of a level there
+    the first time the level is used).
     """
 
     level: int
@@ -70,10 +74,15 @@ class SwitchKeyLevel:
     stacks: Tuple[np.ndarray, np.ndarray]
 
     def __post_init__(self) -> None:
+        dnum = len(self.group_moduli)
         for stack in self.stacks:
-            if stack.ndim != 2 or stack.shape[0] % len(self.group_moduli):
+            if stack.ndim != 2 or stack.shape[0] % dnum:
                 raise ValueError(
                     "one extended-basis slice per decomposition group is required")
+        self.operands = tuple(
+            static_operand(stack.reshape(dnum, -1, stack.shape[1])
+                           .transpose(1, 0, 2)[:, :, None])
+            for stack in self.stacks)
 
 
 @dataclass

@@ -21,10 +21,15 @@ import numpy as np
 from ..backend.blas_backend import FloatResidues
 from ..backend.registry import resolve_backend
 from ..backend.residency import DeviceBuffer, as_buffer, contiguous, is_buffer
-from ..numtheory.floatmod import get_barrett_chain
-from ..numtheory.modular import mat_mod_mul, tiled_rows
+from ..numtheory.planned import (
+    hadamard,
+    run_stage,
+    slabs,
+    stage_operand,
+    work_buffers,
+)
 from .base import GemmNttEngine
-from .four_step_plan import FourStepPlan, run_stage, slabs, stage_operand
+from .four_step_plan import FourStepPlan
 from .gemm_utils import modular_hadamard_limbs, modular_matmul_limbs
 from .twiddle import TwiddleCache, get_twiddle_cache, get_twiddle_stack
 
@@ -55,27 +60,19 @@ class FourStepNtt(GemmNttEngine):
         (a zero-copy ``(limbs, N1, 1, N2)`` view — no per-batch operand is
         materialised), and the outer DFT folds the batch into its row
         dimension — so every transform step is one backend launch covering
-        all ``B`` operations and all limbs.
+        all ``B`` operations and all limbs.  The inverse twiddle carries
+        ``N^-1``, so both directions are the same three steps.
         """
         stack = get_twiddle_stack(self.ring_degree, tuple(moduli_array.tolist()))
         plan = self._float_plan(stack, inverse)
         if plan is not None:
             return self._float_pipeline(stacks, stack, plan, inverse)
-        batch, limbs = stacks.shape[0], stacks.shape[1]
         # The twiddle operands are the stack's shared handles (device image
         # cached, float image attached), so the launches run on handles.
         out = self._ops_pipeline(
             as_buffer(stacks), moduli_array,
             *(stack.four_step_inverse_buffers() if inverse
               else stack.four_step_forward_buffers()))
-        if inverse:
-            # Funnel multiply: exact even for moduli whose residue products
-            # overflow int64 (the funnel's object-dtype path covers >= 2**31).
-            out = mat_mod_mul(
-                out.reshape(batch * limbs, self.ring_degree),
-                tiled_rows(stack.degree_inverse_column, batch),
-                tiled_rows(moduli_array[:, None], batch)
-            ).reshape(batch, limbs, self.ring_degree)
         return out if is_buffer(stacks) else out.ensure_host()
 
     # -- the planned float64 pipeline -----------------------------------
@@ -108,15 +105,14 @@ class FourStepNtt(GemmNttEngine):
 
         The perf shape of the paper's tensor-core kernel: the wide twiddle
         operand is cut into narrow parts whose partial products are exact
-        (:mod:`repro.ntt.four_step_plan`), both GEMMs are raw dgemms and
+        (:mod:`repro.numtheory.planned`), both GEMMs are raw dgemms and
         every reduction is a lazy float64 Barrett pass, so no int64 ``%``
-        runs.  Each slab (:func:`~repro.ntt.four_step_plan.slabs`) goes
-        through all stages while it is in cache and lands in the result
-        through one merged transpose(+cast).
+        runs.  Each slab goes through all stages while it is in cache and
+        lands in the result through one merged transpose(+cast).
 
-        Plain arrays come back as int64 arrays.  A handle comes back as a
-        float-only handle where ``plan.float_result`` says the next kernel
-        is fastest on one, and as an int64 handle otherwise.
+        Plain arrays come back as int64 arrays; a handle comes back as a
+        float-only handle, at every width, and a float-only handle in is
+        read as it is — no staging copy, no int64 anywhere in a chain.
         """
         backend = resolve_backend(self.backend)
         batch, limbs = stacks.shape[0], stacks.shape[1]
@@ -127,10 +123,9 @@ class FourStepNtt(GemmNttEngine):
         else:
             source = stacks.ensure_host() if resident else stacks
         source = source.reshape(batch, limbs, self.n1, self.n2)
-        as_float = resident and plan.float_result
         # (N2, N1) per slice: the column-major flattening of forward().
         result = np.empty((batch, limbs, self.n2, self.n1),
-                          dtype=np.float64 if as_float else np.int64)
+                          dtype=np.float64 if resident else np.int64)
 
         def gemm_left(image, x, out):
             return backend.fmatmul(image, x, out=out)
@@ -138,47 +133,24 @@ class FourStepNtt(GemmNttEngine):
         def gemm_right(image, x, out):
             return backend.fmatmul(x, image, out=out)
 
-        def hadamard(image, x, out):
-            # One multiply per operation: broadcasting the twiddle across
-            # the slab's operation axis would leave runs of N elements per
-            # broadcast value, numpy's slow case (BROADCAST_RUN).
-            image = image[:, 0]
-            for op in range(x.shape[1]):
-                np.multiply(x[:, op], image, out=out[:, op])
-            return out
-
-        def scale(image, x, out):
-            return np.multiply(x, image, out=out)
-
         # Slabs are limb-major, (limbs, operations, N1, N2), so every
-        # operand image gets the operation axis to broadcast along.  The
-        # forward plan's ``scale`` is None and has no operand: zip stops.
+        # operand image gets the operation axis to broadcast along.
         stages = []
         for form, apply, operand in zip(
-                plan, (gemm_left, hadamard, gemm_right, scale),
+                plan, (gemm_left, hadamard, gemm_right),
                 stack.four_step_operand_caches(inverse)):
             images, weight = stage_operand(form, operand)
             stages.append((form, apply,
                            [image[:, None] for image in images], weight))
-        block = buffers = None
-        whole_chain = stack.barrett_chain
         for ops, rows in slabs(batch, limbs, self.ring_degree):
-            whole = rows.stop - rows.start == limbs
-            chain = (whole_chain if whole
-                     else get_barrett_chain(stack.moduli[rows]))
+            chain = stack.barrett_chain.rows(rows)
             x = source[ops, rows].transpose(1, 0, 2, 3)
-            if buffers is None or buffers[0].shape != x.shape:
-                # Four work buffers carved from one block sized by the
-                # first slab; only a short last slab carves again.
-                if block is None:
-                    block = np.empty(4 * x.size, dtype=np.float64)
-                buffers = [block[i * x.size:(i + 1) * x.size].reshape(x.shape)
-                           for i in range(4)]
+            buffers = work_buffers(4, x.shape)
             if cache is None:
                 np.copyto(buffers[0], x)
                 x = buffers[0]
             for form, apply, images, weight in stages:
-                if not whole:
+                if len(chain.moduli) < limbs:
                     images = [image[rows] for image in images]
                 x = run_stage(form, apply, images, weight, chain, x,
                               [b for b in buffers if b is not x])
@@ -187,10 +159,10 @@ class FourStepNtt(GemmNttEngine):
             np.copyto(result[ops, rows], x.transpose(1, 0, 3, 2),
                       casting="unsafe")
         result = result.reshape(batch, limbs, self.ring_degree)
-        if as_float:
+        if resident:
             return DeviceBuffer.from_float(
-                FloatResidues(result, whole_chain.qmax - 1))
-        return DeviceBuffer.wrap(result) if resident else result
+                FloatResidues(result, stack.barrett_chain.qmax - 1))
+        return result
 
     def _ops_pipeline(self, stacks: DeviceBuffer, moduli_array: np.ndarray,
                       w1: DeviceBuffer, w2: DeviceBuffer,

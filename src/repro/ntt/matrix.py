@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Optional
 
 from ..backend.residency import as_buffer, contiguous, is_buffer
-from ..numtheory.modular import mat_mod_mul
 from .base import GemmNttEngine
 from .gemm_utils import modular_matmul_limbs
 from .twiddle import TwiddleCache, get_twiddle_cache, get_twiddle_stack
@@ -42,7 +41,8 @@ class MatrixNtt(GemmNttEngine):
         entire ``(B, L, N)`` stack is a single backend launch — exactly the
         operation-level batching argument of the paper.  The weights are
         the stack's shared handle (device image cached, float image
-        attached) and every shape op runs on the resident image.
+        attached; the inverse stack carries ``N^-1``) and every shape op
+        runs on the resident image.
         """
         stack = get_twiddle_stack(self.ring_degree, tuple(moduli_array.tolist()))
         weights = (stack.inverse_matrices_buffer() if inverse
@@ -50,10 +50,5 @@ class MatrixNtt(GemmNttEngine):
         rhs = contiguous(as_buffer(stacks).transpose(1, 2, 0))      # (L, N, B)
         out = modular_matmul_limbs(weights, rhs, moduli_array,
                                    backend=self.backend)
-        if inverse:
-            # Funnel multiply: exact even for moduli whose residue products
-            # overflow int64 (the funnel's object-dtype path covers >= 2**31).
-            out = mat_mod_mul(out, stack.degree_inverse_column[:, :, None],
-                              moduli_array[:, None, None])
         out = contiguous(out.transpose(2, 0, 1))                    # (B, L, N)
         return out if is_buffer(stacks) else out.ensure_host()

@@ -207,6 +207,20 @@ def get_twiddle_cache(ring_degree: int, modulus: int) -> TwiddleCache:
     return TwiddleCache(ring_degree, modulus)
 
 
+def _degree_scaled(matrix: np.ndarray, cache: TwiddleCache) -> np.ndarray:
+    """``matrix * N^-1 mod q``: the inverse transform's scaling, folded in.
+
+    Multiplying one inverse operand by the degree inverse once, here, is
+    the whole ``N^-1`` step of every inverse transform (same bits: the
+    scaling commutes with the remaining stages).
+    """
+    q = cache.modulus
+    if q < (1 << 31):
+        return (matrix * cache.degree_inverse) % q
+    return np.asarray((matrix.astype(object) * cache.degree_inverse) % q,
+                      dtype=np.int64)
+
+
 class _PrefixFloatCache(FloatOperandCache):
     """Zero-copy prefix view of a parent stack's :class:`FloatOperandCache`.
 
@@ -266,9 +280,6 @@ class TwiddleStack:
         self._parent = parent
         self.caches = tuple(get_twiddle_cache(ring_degree, q) for q in self.moduli)
         self.moduli_array = np.asarray(self.moduli, dtype=np.int64)
-        self.degree_inverse_column = np.asarray(
-            [cache.degree_inverse for cache in self.caches], dtype=np.int64
-        )[:, None]
         self._stacks: Dict[str, np.ndarray] = {}
         self._float_caches: Dict[str, FloatOperandCache] = {}
         self._buffers: Dict[str, DeviceBuffer] = {}
@@ -284,8 +295,9 @@ class TwiddleStack:
         return self._stacked("W_forward", lambda cache: cache.forward_matrix())
 
     def inverse_matrices(self) -> np.ndarray:
-        """``(limbs, N, N)`` stack of the full inverse twiddle matrices."""
-        return self._stacked("W_inverse", lambda cache: cache.inverse_matrix())
+        """``(limbs, N, N)`` stack of the inverse twiddle matrices times ``N^-1``."""
+        return self._stacked("W_inverse", lambda cache: _degree_scaled(
+            cache.inverse_matrix(), cache))
 
     # -- Eq. 9 (four-step) stacks --------------------------------------
     def four_step_forward(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -297,10 +309,11 @@ class TwiddleStack:
         )
 
     def four_step_inverse(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(V1, V2, V3)`` stacks for the inverse four-step pass."""
+        """``(V1, V2 * N^-1, V3)`` stacks for the inverse four-step pass."""
         return (
             self._stacked("fs_v1", lambda cache: cache.four_step_inverse()[0]),
-            self._stacked("fs_v2", lambda cache: cache.four_step_inverse()[1]),
+            self._stacked("fs_v2", lambda cache: _degree_scaled(
+                cache.four_step_inverse()[1], cache)),
             self._stacked("fs_v3", lambda cache: cache.four_step_inverse()[2]),
         )
 
@@ -330,27 +343,14 @@ class TwiddleStack:
         self.four_step_inverse()
         return self._float("fs_v2")
 
-    def degree_inverse_cache(self) -> FloatOperandCache:
-        """Float cache of the degree inverses as a ``(limbs, 1, 1)`` column.
-
-        The float four-step pipeline's last inverse stage multiplies by
-        ``N^-1 mod q`` like the Hadamard stage multiplies by ``V2``, so it
-        takes the same cached full and hi/lo images.
-        """
-        if "degree_inverse" not in self._float_caches:
-            self._float_caches["degree_inverse"] = FloatOperandCache(
-                self.degree_inverse_column[:, :, None])
-        return self._float_caches["degree_inverse"]
-
     def four_step_operand_caches(self, inverse: bool) -> Tuple[FloatOperandCache, ...]:
         """Float caches of one direction's stage operands, in stage order.
 
-        ``(W1, W2, W3)`` forward; ``(V1, V2, V3, N^-1)`` inverse.
+        ``(W1, W2, W3)`` forward; ``(V1, V2 * N^-1, V3)`` inverse.
         """
         if inverse:
             inner, outer = self.four_step_inverse_caches()
-            return (inner, self.four_step_inverse_hadamard_cache(), outer,
-                    self.degree_inverse_cache())
+            return inner, self.four_step_inverse_hadamard_cache(), outer
         inner, outer = self.four_step_forward_caches()
         return inner, self.four_step_forward_hadamard_cache(), outer
 

@@ -39,6 +39,7 @@ implementations the tests pin this module against.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
@@ -47,6 +48,7 @@ import numpy as np
 
 __all__ = [
     "FLOAT_EXACT_LIMIT",
+    "BROADCAST_RUN",
     "barrett_inverse",
     "BarrettChain",
     "get_barrett_chain",
@@ -55,6 +57,17 @@ __all__ = [
 #: Largest integer magnitude float64 represents exactly (2**53); every
 #: intermediate of a float-resident kernel chain must stay below it.
 FLOAT_EXACT_LIMIT = 1 << 53
+
+#: numpy runs a ufunc with a broadcast operand through its buffered
+#: iterator when the contiguous run per broadcast value is at most half
+#: its buffer (8192 elements by default), 2.5-3.5x slower per pass than
+#: the same multiply by a scalar (measured, numpy 2.4: ``(8, 4096) *
+#: (8, 1)`` 23 us, ``(8, 4097) * (8, 1)`` 7 us).  The slabs of
+#: :mod:`repro.numtheory.planned` are laid out limb-major so that the
+#: Barrett constants of one limb span ``operations * N`` elements, and
+#: where even that run is too short (one operation of ``N <= 4096``)
+#: :meth:`BarrettChain.columns` lays the constants out full-width instead.
+BROADCAST_RUN = np.getbufsize() // 2
 
 
 def barrett_inverse(modulus: int) -> float:
@@ -95,28 +108,42 @@ class BarrettChain:
         self.qmax = int(self.moduli_array.max())
         self.qf = self.moduli_array.astype(np.float64)
         self.inv = np.asarray([barrett_inverse(q) for q in self.moduli])
-        self._columns: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray]] = {}
-        self._split_shift: Optional[int] = None
+        self._columns: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
 
     @property
     def limb_count(self) -> int:
         return len(self.moduli)
 
     # ------------------------------------------------------------------
-    def columns(self, ndim: int, axis: int = 0) -> Tuple[np.ndarray, np.ndarray]:
-        """``(q, inv)`` reshaped to broadcast with the limb axis at ``axis``.
+    def columns(self, shape: Tuple[int, ...], axis: int = 0
+                ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(q, inv)`` laid out for arrays of ``shape``, limb axis at ``axis``.
 
-        Cached per ``(ndim, axis)``: reshaping is cheap but the hot reduce
-        kernels call this per pass.
+        Broadcast columns, or — where one limb's run of elements is at most
+        :data:`BROADCAST_RUN` — full-width arrays, which keep numpy off its
+        buffered iterator (``(8, 1, 64, 64)`` pass: 53.8 us broadcast,
+        35.4 us full-width).  Cached per layout: the hot reduce kernels ask
+        per pass.
         """
-        key = (ndim, axis)
+        wide = 1 < math.prod(shape[axis + 1:]) <= BROADCAST_RUN
+        key = (shape if wide else len(shape), axis)
         cols = self._columns.get(key)
         if cols is None:
-            shape = [1] * ndim
-            shape[axis] = self.limb_count
-            cols = (self.qf.reshape(shape), self.inv.reshape(shape))
+            column = [1] * len(shape)
+            column[axis] = self.limb_count
+            cols = (self.qf.reshape(column), self.inv.reshape(column))
+            if wide:
+                full = column[:axis + 1] + list(shape[axis + 1:])
+                cols = tuple(np.ascontiguousarray(np.broadcast_to(col, full))
+                             for col in cols)
             self._columns[key] = cols
         return cols
+
+    def rows(self, rows: slice) -> "BarrettChain":
+        """The (shared) chain of the limb range ``rows``; itself for all of them."""
+        if rows == slice(0, self.limb_count):
+            return self
+        return get_barrett_chain(self.moduli[rows])
 
     def fits(self, operand_bound: int) -> bool:
         """Whether a lazy reduce of magnitudes ``<= operand_bound`` is exact.
@@ -137,7 +164,7 @@ class BarrettChain:
         :meth:`fits`).  ``out``, when given, must not alias ``values``;
         ``values`` itself is left untouched.
         """
-        q_col, inv_col = self.columns(values.ndim, axis)
+        q_col, inv_col = self.columns(values.shape, axis)
         if out is None:
             out = np.empty_like(values)
         np.multiply(values, inv_col, out=out)
@@ -145,70 +172,6 @@ class BarrettChain:
         out *= q_col
         np.subtract(values, out, out=out)
         return out
-
-    # ------------------------------------------------------------------
-    # Hi/lo split products: exact element-wise multiply past ~26 bits.
-    #
-    # A single-pass product of canonical residues needs (q-1)**2 + q in
-    # the mantissa, which caps the chain at ~26-bit primes.  Splitting one
-    # operand as ``a = a_hi * 2**s + a_lo`` (both parts exact in float64)
-    # rewrites the product as
-    #
-    #     (a * b) mod q = (a_hi * [(2**s * b) mod q] + a_lo * b) mod q
-    #
-    # where every intermediate is bounded by roughly ``q**1.5`` — inside
-    # 2**53 for every modulus the int64 funnels dispatch to backends
-    # (they keep >= 2**31 on object paths) and well past it.  This is the
-    # float-resident analogue of the torch backend's hi/lo split GEMM.
-    # ------------------------------------------------------------------
-    @property
-    def split_shift(self) -> int:
-        """The hi/lo split point ``s`` (roughly half the residue width)."""
-        if self._split_shift is None:
-            self._split_shift = max(1, ((self.qmax - 1).bit_length() + 1) // 2)
-        return self._split_shift
-
-    def fits_product(self) -> bool:
-        """Whether ``(a * b) mod q`` on canonical residues is float-exact.
-
-        True when the single-pass product fits the mantissa, or when the
-        hi/lo split restores exactness (every intermediate of the split
-        identity above passes :meth:`fits` — which holds for every
-        production prime width; the guard only rejects around 36-bit
-        moduli).  Moduli at or beyond 2**31 never reach a float kernel
-        anyway: the dispatching funnels keep them on their exact
-        object-dtype paths because a single int64 residue product would
-        overflow there.
-        """
-        m = self.qmax - 1
-        if self.fits(m * m):
-            return True
-        shift = self.split_shift
-        hi_max = m >> shift
-        lo_max = (1 << shift) - 1
-        return self.fits(m << shift) and self.fits((hi_max + lo_max) * m)
-
-    def product_reduce(self, a: np.ndarray, b: np.ndarray, *,
-                       axis: int = 0) -> np.ndarray:
-        """Canonical ``(a * b) mod q`` for canonical float residue images.
-
-        Single float64 pass when ``(qmax-1)**2`` fits the mantissa; the
-        hi/lo split otherwise.  Callers own the :meth:`fits_product`
-        guard — operands must be canonical residues of this chain.
-        """
-        m = self.qmax - 1
-        if self.fits(m * m):
-            return self.canonical_reduce(a * b, axis=axis)
-        shift = self.split_shift
-        pow_f = float(1 << shift)
-        # (2**s * b) mod q: bounded by (q-1) << s, exact under the guard.
-        b_weighted = self.canonical_reduce(b * pow_f, axis=axis)
-        # Exact float64 split of ``a``: scaling by a power of two only
-        # touches the exponent, so floor/subtract reconstruct hi/lo bit
-        # for bit.
-        a_hi = np.floor(a * (1.0 / pow_f))
-        a_lo = a - a_hi * pow_f
-        return self.canonical_reduce(a_hi * b_weighted + a_lo * b, axis=axis)
 
     def canonical_reduce(self, values: np.ndarray, *, axis: int = 0,
                          out: Optional[np.ndarray] = None,
@@ -242,4 +205,6 @@ def get_barrett_chain(moduli) -> BarrettChain:
     chain, so every funnel call and every engine launch share one set per
     chain instead of recomputing reciprocals per call.
     """
-    return _cached_chain(tuple(int(q) for q in np.asarray(moduli).reshape(-1)))
+    if not isinstance(moduli, tuple):
+        moduli = tuple(int(q) for q in np.asarray(moduli).reshape(-1))
+    return _cached_chain(moduli)

@@ -39,7 +39,6 @@ __all__ = [
     "vec_mod_mul",
     "vec_mod_neg",
     "moduli_column",
-    "tiled_rows",
     "mat_mod_reduce",
     "mat_mod_add",
     "mat_mod_sub",
@@ -232,15 +231,16 @@ def vec_mod_mul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# Matrix-modular helpers: whole-polynomial (limbs, N) arithmetic.
+# Matrix-modular helpers: whole-polynomial (limbs, ...) arithmetic.
 #
 # The RNS layer stores a polynomial as a ``(limbs, N)`` residue matrix with
-# one prime per row.  Broadcasting the moduli as a ``(limbs, 1)`` column
-# turns every element-wise kernel (Ele-Add, Ele-Sub, Hada-Mult, ...) into a
-# single 2-D launch — the operation-level batching the paper's Figure 9/14
-# argue for, with the limb dimension fused into the launch.  The launches
-# themselves run on the active compute backend (see :mod:`repro.backend`);
-# these wrappers own input coercion and the oversized-moduli exact path.
+# one prime per row, and a batch of them limb-major as ``(limbs, B, N)``.
+# With the moduli broadcast down the leading axis every element-wise kernel
+# (Ele-Add, Ele-Sub, Hada-Mult, ...) is a single launch — the
+# operation-level batching the paper's Figure 9/14 argue for, with the limb
+# dimension fused into the launch.  The launches themselves run on the
+# active compute backend (see :mod:`repro.backend`); these wrappers own
+# input coercion and the oversized-moduli exact path.
 #
 # Residency: like the GEMM funnels, every helper accepts host arrays *or*
 # :class:`~repro.backend.residency.DeviceBuffer` handles through
@@ -262,61 +262,63 @@ def moduli_column(moduli) -> np.ndarray:
     return column
 
 
-def tiled_rows(matrix: np.ndarray, count: int) -> np.ndarray:
-    """``matrix`` repeated ``count`` times down the row axis.
+def _launch_moduli(moduli):
+    """``moduli`` as the kernels take them.
 
-    The per-row operand (moduli column, inverse column, key stack) of a
-    fused ``(count * rows, N)`` launch.  One repeat is a read-only view of
-    ``matrix``, so a one-stream launch copies nothing.
+    A tuple of primes goes through as it is — it is the key the float
+    kernels find their cached Barrett chain under — anything else becomes
+    an int64 column.
     """
-    return np.broadcast_to(matrix, (count,) + matrix.shape).reshape(
-        count * matrix.shape[0], matrix.shape[1])
+    return moduli if isinstance(moduli, tuple) else moduli_column(moduli)
 
 
-def object_mat_mul(a: DeviceBuffer, b: DeviceBuffer,
-                   moduli: np.ndarray) -> DeviceBuffer:
+def object_mat_mul(a: DeviceBuffer, b: DeviceBuffer, moduli,
+                   terms: int = 1) -> DeviceBuffer:
     """Exact row-wise ``(a * b) mod moduli`` in Python integers."""
-    column = moduli.reshape((-1,) + (1,) * (a.ndim - 1))
+    column = np.asarray(moduli, dtype=np.int64).reshape(
+        (-1,) + (1,) * (max(a.ndim, b.ndim) - 1))
     product = a.ensure_host().astype(object) * b.ensure_host().astype(object)
+    if terms > 1:
+        product, column = product.sum(axis=1), column[:, 0]
     return DeviceBuffer(host=np.asarray(product % column, dtype=np.int64))
 
 
 @on_handles(1)
 def mat_mod_reduce(matrix, moduli):
-    """Row-wise ``matrix[i] mod moduli[i]`` on a ``(limbs, N)`` matrix."""
-    return resolve_backend(None).mat_reduce(matrix, moduli_column(moduli))
+    """Row-wise ``matrix[i] mod moduli[i]``; a one-row matrix broadcasts."""
+    return resolve_backend(None).mat_reduce(matrix, _launch_moduli(moduli))
 
 
 @on_handles(2)
 def mat_mod_add(a, b, moduli):
     """Row-wise ``(a + b) mod moduli`` without overflow (reduced inputs)."""
-    return resolve_backend(None).mat_add(a, b, moduli_column(moduli))
+    return resolve_backend(None).mat_add(a, b, _launch_moduli(moduli))
 
 
 @on_handles(2)
 def mat_mod_sub(a, b, moduli):
     """Row-wise ``(a - b) mod moduli`` without overflow (reduced inputs)."""
-    return resolve_backend(None).mat_sub(a, b, moduli_column(moduli))
+    return resolve_backend(None).mat_sub(a, b, _launch_moduli(moduli))
 
 
 @on_handles(1)
 def mat_mod_neg(a, moduli):
     """Row-wise ``(-a) mod moduli``."""
-    return resolve_backend(None).mat_neg(a, moduli_column(moduli))
+    return resolve_backend(None).mat_neg(a, _launch_moduli(moduli))
 
 
 @on_handles(2)
-def mat_mod_mul(a, b, moduli):
-    """Row-wise ``(a * b) mod moduli``.
+def mat_mod_mul(a, b, moduli, *, terms: int = 1):
+    """Row-wise ``(a * b) mod moduli``, summed over ``terms`` (axis 1) first.
 
     Requires every modulus below 2**31 so products fit in int64 (all moduli
     from :mod:`repro.numtheory.primes` qualify); larger moduli fall back to
     exact object arithmetic.
     """
-    column = moduli_column(moduli)
-    if int(column.max()) >= INT64_SAFE_MODULUS:
-        return object_mat_mul(a, b, column)
-    return resolve_backend(None).mat_mul(a, b, column)
+    moduli = _launch_moduli(moduli)
+    if int(np.max(moduli)) >= INT64_SAFE_MODULUS:
+        return object_mat_mul(a, b, moduli, terms)
+    return resolve_backend(None).mat_mul(a, b, moduli, terms=terms)
 
 
 def mat_mod_scalar_mul(a: np.ndarray, scalars, moduli) -> np.ndarray:

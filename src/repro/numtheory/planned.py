@@ -1,0 +1,428 @@
+"""Planned exact float64 products: the one kernel inside and between transforms.
+
+Every float launch of the library multiplies residues by one operand and
+ends in a lazy Barrett pass: the GEMM and twiddle stages of the four-step
+NTT (:mod:`repro.ntt.four_step`), and between transforms the Hadamard
+products, the key-switch inner product and the basis-conversion GEMM of the
+blas backend.  A *stage* can do so in several *forms* that trade passes over
+the data for headroom under the 2**53 mantissa guard:
+
+=====  ======================================================  ===========
+rung   what the stage does                                     extra cost
+=====  ======================================================  ===========
+1      ``lazy(T . x)``                                         --
+2      ``x`` canonicalised first                               1 pass
+3      ``lazy(lazy(T_hi . x) * 2**s + T_lo . x)``              1 product,
+                                                               1.5 passes
+4      rung 3 on a canonicalised ``x``                         + 1 pass
+5      rung 4 with ``T_lo . x`` reduced before the add         + 1 pass
+=====  ======================================================  ===========
+
+:func:`form_ladder` checks every rung's real bound with
+:meth:`~repro.numtheory.floatmod.BarrettChain.fits`, :func:`choose_form`
+returns the first exact one (``None``: the launch belongs to int64), and
+:func:`run_stage` is the kernel all stages and forms share.  ``T . x`` is
+the stage's ``apply``: a dgemm from either side, :func:`hadamard`, or a
+multiply-accumulate over ``terms`` (:func:`accumulate`).
+
+Launches run limb-major, ``(limbs, operations, N)``, slab by slab
+(:func:`slabs`) through per-thread work buffers, so the ~20 passes of one
+product stay in cache; :func:`launch` is that loop for the element-wise
+kernels and :func:`product` / :func:`row_gemm` are the two planned
+products the float kernels of :mod:`repro.backend.base` are made of.
+"""
+
+from __future__ import annotations
+
+import math
+import threading
+from functools import lru_cache
+from typing import Iterator, List, NamedTuple, Optional, Tuple
+
+import numpy as np
+
+from ..backend.blas_backend import split_shift
+from .floatmod import BROADCAST_RUN, BarrettChain
+
+__all__ = [
+    "SLAB_DOUBLES",
+    "BROADCAST_RUN",
+    "StageForm",
+    "DIRECT",
+    "SPLIT",
+    "SPLIT_BOTH",
+    "canonical",
+    "form_ladder",
+    "choose_form",
+    "stage_operand",
+    "run_stage",
+    "slabs",
+    "work_buffers",
+    "hadamard",
+    "accumulate",
+    "launch",
+    "product",
+    "row_gemm",
+    "elementwise",
+]
+
+#: float64 elements per work buffer of one slab.  A product makes ~20-40
+#: element-wise passes over four such buffers, and ``np.matmul`` on a
+#: ``(..., n1, n2)`` stack is a loop of independent small dgemms, so a
+#: launch gains nothing from holding all of ``(B, L, N)`` at once and
+#: loses the cache.  Measured on ``forward_ops`` at ``(32, 8, 4096)``,
+#: 29-bit primes, 2 cores (2 MB L2 each), one session, best of 24:
+#: 16 K 27.2 ms, 32 K 25.0, 64 K 25.8, 128 K 32.0, untiled 36.8; with the
+#: 10-limb extended basis 34.6, 35.6, 35.3, 41.2, 52.3.  64 K is the
+#: largest of the flat range: it holds one whole 10- to 16-limb operation.
+SLAB_DOUBLES = 1 << 16
+
+
+class StageForm(NamedTuple):
+    """How one stage multiplies by its operand (see the module table)."""
+
+    #: One extra lazy pass first: a lazy ``(-q, 2q)`` input becomes ``[0, q)``.
+    canonicalise: bool
+    #: The operand as ``hi * 2**shift + lo``: two products, each half as wide.
+    split: bool
+    #: The low product is reduced as well before the weighted add.
+    reduce_low: bool
+
+
+DIRECT = StageForm(False, False, False)
+SPLIT = StageForm(False, True, False)
+SPLIT_BOTH = StageForm(False, True, True)
+
+
+def canonical(form: StageForm) -> StageForm:
+    """``form`` preceded by the pass that canonicalises its input."""
+    return form._replace(canonicalise=True)
+
+
+@lru_cache(maxsize=1024)
+def _ladder(qmax: int, terms: int, operand_max: int, lazy_input: bool,
+            input_max: int) -> Tuple[Tuple[StageForm, bool], ...]:
+    lazy_max = 2 * qmax - 1
+    shift = split_shift(operand_max)
+    hi_max, lo_max = operand_max >> shift, (1 << shift) - 1
+    weighted = lazy_max << shift
+
+    def fits(bound: int) -> bool:
+        return bound + qmax < (1 << 53)
+
+    def single(x_max: int) -> bool:
+        return fits(terms * operand_max * x_max)
+
+    def split(x_max: int) -> bool:
+        return (fits(terms * hi_max * x_max)
+                and fits(weighted + terms * lo_max * x_max))
+
+    def split_both(x_max: int) -> bool:
+        return (fits(terms * hi_max * x_max) and fits(terms * lo_max * x_max)
+                and fits(weighted + lazy_max))
+
+    if not lazy_input:
+        return ((DIRECT, single(input_max)), (SPLIT, split(input_max)),
+                (SPLIT_BOTH, split_both(input_max)))
+    return ((DIRECT, single(lazy_max)),
+            (canonical(DIRECT), single(input_max)),
+            (SPLIT, split(lazy_max)),
+            (canonical(SPLIT), split(input_max)),
+            (canonical(SPLIT_BOTH), split_both(input_max)))
+
+
+def form_ladder(chain: BarrettChain, terms: int, operand_max: int, *,
+                lazy_input: bool, input_max: Optional[int] = None
+                ) -> List[Tuple[StageForm, bool]]:
+    """Every rung for one stage, cheapest first, with whether it is exact.
+
+    ``operand_max`` bounds the operand's entries, ``terms`` is the length
+    of the accumulation (1 for an element-wise stage) and ``lazy_input``
+    says whether ``x`` arrives in the lazy window ``(-q, 2q)`` or already
+    canonical (then there is nothing to canonicalise and three rungs are
+    left).  ``input_max`` bounds a canonical ``x`` that holds residues of
+    another basis (default ``qmax - 1``).  A rung is exact when every
+    intermediate it forms passes ``chain.fits``; the answer is memoised on
+    the bounds, so a repeated launch plans with one dictionary lookup.
+    """
+    if input_max is None:
+        input_max = chain.qmax - 1
+    return list(_ladder(chain.qmax, int(terms), int(operand_max),
+                        bool(lazy_input), int(input_max)))
+
+
+def choose_form(chain: BarrettChain, terms: int, operand_max: int, *,
+                lazy_input: bool, input_max: Optional[int] = None
+                ) -> Optional[StageForm]:
+    """The cheapest exact rung of :func:`form_ladder`, or ``None``."""
+    ladder = form_ladder(chain, terms, operand_max, lazy_input=lazy_input,
+                         input_max=input_max)
+    return next((form for form, exact in ladder if exact), None)
+
+
+def stage_operand(form: StageForm, cache) -> Tuple[Tuple[np.ndarray, ...], float]:
+    """``(images, weight)`` of a cached operand as ``form`` consumes it.
+
+    One full float64 image, or the ``(hi, lo)`` pair with the weight
+    ``2**shift`` of the high part.
+    """
+    if not form.split:
+        return (cache.full(),), 1.0
+    shift, hi, lo = cache.split()
+    return (hi, lo), float(1 << shift)
+
+
+def run_stage(form: StageForm, apply, images, weight: float,
+              chain: BarrettChain, x: np.ndarray, scratch) -> np.ndarray:
+    """One stage on one slab: the lazy residues of ``operand . x``.
+
+    ``apply(image, x, out)`` is the stage's product, ``images`` / ``weight``
+    come from :func:`stage_operand`, and the slab's limb axis is axis 0.
+    ``scratch`` holds three buffers of the result's shape, none of them
+    ``x``; the result is one of them and ``x`` is left untouched.
+    """
+    p, q, r = scratch[:3]
+    reduce = chain.lazy_reduce
+    if form.canonicalise:
+        x = reduce(x, axis=0, out=p)
+    if not form.split:
+        return reduce(apply(images[0], x, q), axis=0, out=r)
+    high = apply(images[0], x, q)
+    low = apply(images[1], x, r)
+    # ``x`` is dead from here on, so ``p`` is free whether or not it held it.
+    high = reduce(high, axis=0, out=p)
+    out = q
+    if form.reduce_low:
+        low, out = reduce(low, axis=0, out=q), r
+    high *= weight
+    high += low
+    return reduce(high, axis=0, out=out)
+
+
+def slabs(batch: int, limbs: int, ring_degree: int) -> Iterator[Tuple[slice, slice]]:
+    """``(operations, limbs)`` slice pairs tiling a ``(B, L, N)`` stack.
+
+    Every slab holds about :data:`SLAB_DOUBLES` elements at most: as many
+    whole operations as fit, and never fewer operations than it takes for
+    one limb's rows to exceed :data:`BROADCAST_RUN` while the batch has
+    them — the slab is then cut along the limb axis instead, into ranges
+    of equal width.
+    """
+    rows = max(1, SLAB_DOUBLES // ring_degree)
+    ops = min(batch, max(rows // limbs, BROADCAST_RUN // ring_degree + 1))
+    width = min(limbs, max(1, rows // ops))
+    width = -(-limbs // -(-limbs // width))
+    for op in range(0, batch, ops):
+        for limb in range(0, limbs, width):
+            yield (slice(op, min(op + ops, batch)),
+                   slice(limb, min(limb + width, limbs)))
+
+
+class _Workspace(threading.local):
+    """One block of scratch memory per thread, carved per slab shape."""
+
+    def __init__(self) -> None:
+        self.block = np.empty(0)
+        self.views = {}
+
+
+_WORKSPACE = _Workspace()
+
+
+def work_buffers(count: int, shape) -> List[np.ndarray]:
+    """``count`` float64 work buffers of ``shape`` from this thread's block.
+
+    Contents are garbage and the next call hands the same memory out
+    again, so nothing returned to a caller may alias them.
+    """
+    views = _WORKSPACE.views.get((count, shape))
+    if views is None:
+        size = math.prod(shape)
+        if count * size > _WORKSPACE.block.size:
+            _WORKSPACE.block = np.empty(count * size)
+            _WORKSPACE.views = {}
+        block = _WORKSPACE.block
+        views = _WORKSPACE.views[count, shape] = [
+            block[i * size:(i + 1) * size].reshape(shape) for i in range(count)]
+    return views
+
+
+
+
+def hadamard(image: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out = image * x`` on a limb-major slab (operation axis 1).
+
+    An image shared by the slab's operations is multiplied in one
+    operation at a time: broadcasting it would leave runs of ``N`` elements
+    per broadcast value, numpy's slow case (:data:`BROADCAST_RUN`).
+    """
+    if image.shape[1] == 1 < x.shape[1] and image.shape[-1] > 1:
+        for op in range(x.shape[1]):
+            np.multiply(x[:, op], image[:, 0], out=out[:, op])
+        return out
+    return np.multiply(x, image, out=out)
+
+
+def accumulate(spare: np.ndarray):
+    """The ``apply`` of a multiply-accumulate ``sum_t images[t] * xs[t]``."""
+    def apply(images, xs, out):
+        hadamard(images[0], xs[0], out)
+        for image, x in zip(images[1:], xs[1:]):
+            out += hadamard(image, x, spare)
+        return out
+    return apply
+
+
+def launch(chain: BarrettChain, result: np.ndarray, body, buffers: int,
+           width: int = 1) -> np.ndarray:
+    """Fill the limb-major ``(limbs, operations, N)`` ``result`` slab by slab.
+
+    ``body(rows, ops, chain, scratch)`` returns one slab's values in the
+    lazy window ``(-q, 2q)``, in one of its ``buffers`` scratch arrays;
+    they are canonicalised on the way into ``result``.  ``width`` scales
+    the slab down for bodies that use more than the usual four buffers.
+    """
+    limbs, batch, degree = result.shape
+    pieces = list(slabs(batch, limbs, degree * width))
+    for ops, rows in pieces:
+        part = chain.rows(rows)
+        dest = result[rows, ops]
+        scratch = work_buffers(buffers + 1, dest.shape)
+        lazy = body(rows, ops, part, scratch[1:])
+        if len(pieces) == 1:
+            part.lazy_reduce(lazy, axis=0, out=dest)
+        else:
+            np.copyto(dest, part.lazy_reduce(lazy, axis=0, out=scratch[0]))
+    return result
+
+
+def _terms_view(values: np.ndarray, shape, terms: int) -> np.ndarray:
+    """``values`` as a ``(l, terms, m, n)`` view broadcasting against ``shape``.
+
+    ``shape`` is the launch's ``(L, [terms,] *middle, N)``; the middle axes
+    fold into one operation axis (``m`` is their product, or 1 where
+    ``values`` broadcasts along all of them).
+    """
+    if terms == 1:
+        values, shape = values[:, None], shape[:1] + (1,) + shape[1:]
+    middle = values.shape[2:-1]
+    if middle != shape[2:-1] and any(extent != 1 for extent in middle):
+        middle = shape[2:-1]
+    values = np.broadcast_to(
+        values, values.shape[:1] + (terms,) + middle + values.shape[-1:])
+    return values.reshape(values.shape[0], terms, -1, values.shape[-1])
+
+
+def _part(view: np.ndarray, rows: slice, ops: slice) -> np.ndarray:
+    """The slab ``(rows, ops)`` of a limb-major view that may broadcast."""
+    return view[rows if view.shape[0] > 1 else slice(None),
+                ops if view.shape[1] > 1 else slice(None)]
+
+
+def _like(shape, views) -> np.ndarray:
+    """An empty ``shape`` result in the memory layout of the first full view."""
+    for view in views:
+        if view.shape == shape:
+            return np.empty_like(view)
+    return np.empty(shape)
+
+
+def product(chain: BarrettChain, x: np.ndarray, x_max: int, operand,
+            operand_max: int, terms: int = 1) -> Optional[np.ndarray]:
+    """Canonical ``sum_t operand[:, t] * x[:, t] mod q``, or ``None`` if inexact.
+
+    ``x`` holds canonical residues up to ``x_max``, limb axis leading and
+    the ``terms`` axis second when ``terms > 1``.  ``operand`` is a float64
+    array, split per slab, or a cached static operand (``full()`` /
+    ``split()``) whose images are reused; either side may broadcast
+    against the other.  The result has the layout of the full-shape side.
+    """
+    form = choose_form(chain, terms, operand_max, lazy_input=False,
+                       input_max=x_max)
+    static = not isinstance(operand, np.ndarray)
+    values = operand.full() if static else operand
+    if form is None or values.ndim != x.ndim:
+        return None
+    shape = np.broadcast_shapes(x.shape, values.shape)
+    if static:
+        images, weight = stage_operand(form, operand)
+    elif form.split:
+        images, weight = (), float(1 << split_shift(operand_max))
+    else:
+        images, weight = (values,), 1.0
+    xs = _terms_view(x, shape, terms)
+    images = [_terms_view(image, shape, terms) for image in images]
+    values = _terms_view(values, shape, terms)
+    result = _like((shape[0], xs.shape[2] * max(1, values.shape[2] // xs.shape[2]),
+                    shape[-1]), (xs[:, 0], values[:, 0]))
+
+    def body(rows, ops, part, scratch):
+        slab_images = [[_part(image[:, t], rows, ops) for t in range(terms)]
+                       for image in images]
+        if not slab_images:
+            # A dynamic operand is split here, in cache: hi, lo per term.
+            slab_images = [scratch[4:4 + terms], scratch[4 + terms:]]
+            for t, (hi, lo) in enumerate(zip(*slab_images)):
+                piece = _part(values[:, t], rows, ops)
+                np.multiply(piece, 1.0 / weight, out=hi)
+                np.floor(hi, out=hi)
+                np.multiply(hi, weight, out=lo)
+                np.subtract(piece, lo, out=lo)
+        return run_stage(form, accumulate(scratch[3]), slab_images, weight,
+                         part, [_part(xs[:, t], rows, ops) for t in range(terms)],
+                         scratch)
+
+    dynamic_split = not images
+    launch(chain, result, body, 4 + 2 * terms * dynamic_split,
+           width=1 + terms * dynamic_split)
+    return result.reshape(shape[:1] + shape[2:] if terms > 1 else shape)
+
+
+def row_gemm(chain: BarrettChain, lhs, rhs: np.ndarray, rhs_max: int,
+             matmul=np.matmul) -> Optional[np.ndarray]:
+    """Canonical ``(lhs[j] @ rhs) mod q_j``, or ``None`` if inexact.
+
+    The fast-basis-conversion shape: ``lhs`` is a cached static ``(R, K)``
+    operand whose rows pair with the chain, ``rhs`` a float64 ``(K, P)``
+    image of residues up to ``rhs_max`` (any basis).  The columns run in
+    slabs; ``matmul(a, b, out=)`` is the dgemm hook.
+    """
+    form = choose_form(chain, rhs.shape[0], lhs.max_value, lazy_input=False,
+                       input_max=rhs_max)
+    if form is None:
+        return None
+    images, weight = stage_operand(form, lhs)
+    result = np.empty((images[0].shape[0], rhs.shape[1]))
+    step = max(1, SLAB_DOUBLES // result.shape[0])
+
+    def apply(image, x, out):
+        return matmul(image, x, out=out)
+
+    for start in range(0, result.shape[1], step):
+        dest = result[:, start:start + step]
+        scratch = work_buffers(4, dest.shape)
+        lazy = run_stage(form, apply, images, weight, chain,
+                         rhs[:, start:start + step], scratch[1:])
+        np.copyto(dest, chain.lazy_reduce(lazy, axis=0, out=scratch[0]))
+    return result
+
+
+def elementwise(chain: BarrettChain, operands, combine) -> np.ndarray:
+    """Canonical ``combine(*operands) mod q`` on limb-major float images.
+
+    ``combine(chain, *slabs, out=)`` must land in the lazy window
+    ``(-q, 2q)``: a sum or difference of canonical residues, a negation,
+    or one lazy pass over wider values.
+    """
+    shape = np.broadcast_shapes(
+        (chain.limb_count,) + (1,) * (operands[0].ndim - 1),
+        *[operand.shape for operand in operands])
+    views = [_terms_view(operand, shape, 1)[:, 0] for operand in operands]
+    result = _like((shape[0], max(view.shape[1] for view in views), shape[-1]),
+                   views)
+
+    def body(rows, ops, part, scratch):
+        return combine(part, *[_part(view, rows, ops) for view in views],
+                       out=scratch[0])
+
+    return launch(chain, result, body, 1).reshape(shape)

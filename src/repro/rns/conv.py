@@ -18,14 +18,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..backend.blas_backend import FloatOperandCache
-from ..backend.residency import DeviceBuffer, contiguous, is_buffer
-from ..numtheory.modular import (
-    mat_mod_mul,
-    mod_inverse,
-    moduli_column,
-    tiled_rows,
-)
+from ..backend.blas_backend import static_operand
+from ..backend.residency import as_buffer, contiguous, is_buffer
+from ..numtheory.modular import mat_mod_mul, mod_inverse
 from ..ntt.gemm_utils import modular_matmul_rows
 from .poly import PolyDomain, RnsPolynomial
 
@@ -54,10 +49,6 @@ class BasisConverter:
         self.q_hat_mod_target = np.asarray(
             [[h % p for h in self.q_hat] for p in self.target_moduli], dtype=np.int64
         )
-        # Vectorised-operand forms of the precomputed constants.
-        self._source_column = moduli_column(self.source_moduli)
-        self._target_column = moduli_column(self.target_moduli)
-        self._q_hat_inv_column = np.asarray(self.q_hat_inv, dtype=np.int64)[:, None]
         # Conservative row-GEMM operand bound for resident inputs: the lhs
         # rows hold ``q_hat mod p_j`` (< max target prime) and the rhs holds
         # source residues (< max source prime).  A looser bound only shrinks
@@ -66,13 +57,12 @@ class BasisConverter:
         # operand.
         self._resident_bound = ((max(self.target_moduli) - 1)
                                 * (max(self.source_moduli) - 1))
-        # Residency handle for the GEMM constants with the float64 operand
-        # image pre-attached: float-resident inputs then hit the blas
-        # backend's fully-float row GEMM (both caches present) instead of
-        # rebuilding the lhs image per launch.
-        self._q_hat_buffer = DeviceBuffer.wrap(
-            self.q_hat_mod_target).attach_float_cache(
-                FloatOperandCache(self.q_hat_mod_target))
+        # The constants as static operands (float images cached on first
+        # float use): ``q_hat_inv`` down the limb-major launch, ``q_hat mod
+        # p_j`` as the row-GEMM's lhs.
+        self._q_hat_inv = static_operand(
+            np.asarray(self.q_hat_inv, dtype=np.int64)[:, None, None])
+        self._q_hat_buffer = static_operand(self.q_hat_mod_target)
 
     def convert_residues_batch(self, stacks: np.ndarray) -> np.ndarray:
         """Convert a ``(B, len(source), N)`` residue stack in fused launches.
@@ -80,12 +70,12 @@ class BasisConverter:
         The conversion is two launches — the shape the Conv kernel takes on
         the GPU — and the whole batch shares the precomputed constants: the
         scaled reduction ``y_i = [x_i * q_hat_inv_i]_{q_i}`` runs once over
-        the fused ``(B*S, N)`` matrix (per-row moduli tiled per stream) and
-        the row-moduli GEMM ``out_j = (q_hat_mod_target[j] @ y) mod p_j``
-        folds the batch into its free dimension — ``(T, S) @ (S, B*N)``.
-        Residency handles thread straight through both launches (handle in
-        → handle out), and a stream's output does not depend on the batch
-        it was converted in.
+        the limb-major ``(S, B, N)`` view and the row-moduli GEMM ``out_j =
+        (q_hat_mod_target[j] @ y) mod p_j`` folds the batch into its free
+        dimension — ``(T, S) @ (S, B*N)``.  Its ``(T, B, N)`` result is
+        handed back as the ``(B, T, N)`` view, uncopied.  Residency handles
+        thread straight through both launches (handle in → handle out), and
+        a stream's output does not depend on the batch it was converted in.
         """
         resident = is_buffer(stacks)
         if not resident:
@@ -99,21 +89,15 @@ class BasisConverter:
         if batch == 0:
             return np.zeros((0, len(self.target_moduli), n), dtype=np.int64)
         # The funnel keeps the product exact even for moduli at or above
-        # 2**31.
-        y = mat_mod_mul(stacks.reshape(batch * source_count, n),
-                        tiled_rows(self._q_hat_inv_column, batch),
-                        tiled_rows(self._source_column, batch))
-        # (T, S) @ (S, B*N): stream b occupies columns [b*N, (b+1)*N).
-        y_columns = contiguous(
-            y.reshape(batch, source_count, n).transpose(1, 0, 2)
-        ).reshape(source_count, batch * n)
+        # 2**31.  (S, B, N): stream b occupies columns [b*N, (b+1)*N).
+        y = mat_mod_mul(as_buffer(stacks).transpose(1, 0, 2), self._q_hat_inv,
+                        self.source_moduli)
         converted = modular_matmul_rows(
-            self._q_hat_buffer if resident else self.q_hat_mod_target,
-            y_columns, self._target_column[:, 0],
-            operand_bound=self._resident_bound if resident else None)
-        return contiguous(
-            converted.reshape(len(self.target_moduli), batch, n).transpose(1, 0, 2)
-        )
+            self._q_hat_buffer, contiguous(y).reshape(source_count, batch * n),
+            self.target_moduli, operand_bound=self._resident_bound)
+        converted = converted.reshape(
+            len(self.target_moduli), batch, n).transpose(1, 0, 2)
+        return converted if resident else converted.ensure_host()
 
     def convert(self, polynomial: RnsPolynomial) -> RnsPolynomial:
         """Convert an :class:`RnsPolynomial` to the target basis.

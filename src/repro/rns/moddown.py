@@ -17,14 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..backend.residency import contiguous, is_buffer
-from ..numtheory.modular import (
-    mat_mod_mul,
-    mat_mod_sub,
-    mod_inverse,
-    moduli_column,
-    tiled_rows,
-)
+from ..backend.blas_backend import static_operand
+from ..backend.residency import as_buffer, is_buffer
+from ..numtheory.modular import mat_mod_mul, mat_mod_sub, mod_inverse
 from .conv import BasisConverter
 from .poly import PolyDomain, RnsPolynomial
 
@@ -47,10 +42,9 @@ class ModDown:
         self._p_inverse = {
             q: mod_inverse(special_product % q, q) for q in self.ciphertext_moduli
         }
-        self._ciphertext_column = moduli_column(self.ciphertext_moduli)
-        self._p_inverse_column = np.asarray(
+        self._p_inverse_column = static_operand(np.asarray(
             [self._p_inverse[q] for q in self.ciphertext_moduli], dtype=np.int64
-        )[:, None]
+        )[:, None, None])
 
     def apply(self, polynomial: RnsPolynomial) -> RnsPolynomial:
         """Return ``round(polynomial / P)`` in the ciphertext basis (``B = 1``)."""
@@ -67,12 +61,13 @@ class ModDown:
 
         One batched Conv folds the special limbs of every stream at once
         and the subtraction / multiply-by-``P^{-1}`` run as single funnel
-        launches over the fused ``(B*active, N)`` matrix, so no per-stream
-        loop remains (the funnel keeps >= 2**31 moduli exact).  The whole
-        step threads the stack's residency handle, Conv included, so a
-        device-resident operand never stages through host.
+        launches over the limb-major ``(active, B, N)`` view, so no
+        per-stream loop remains (the funnel keeps >= 2**31 moduli exact).
+        The whole step threads the stack's residency handle, Conv included,
+        so a device-resident operand never stages through host.
         """
-        if not is_buffer(stacks):
+        resident = is_buffer(stacks)
+        if not resident:
             stacks = np.asarray(stacks, dtype=np.int64)
         expected_limbs = len(self.ciphertext_moduli) + len(self.special_moduli)
         if len(stacks.shape) != 3 or stacks.shape[1] != expected_limbs:
@@ -80,16 +75,13 @@ class ModDown:
                 "expected a (B, %d, N) residue stack, got shape %s"
                 % (expected_limbs, stacks.shape)
             )
-        batch, _, n = stacks.shape
-        ciphertext_count = len(self.ciphertext_moduli)
-        if batch == 0:
-            return np.zeros((0, ciphertext_count, n), dtype=np.int64)
-        folded = self._converter.convert_residues_batch(
-            contiguous(stacks[:, ciphertext_count:]))
-        tiled_moduli = tiled_rows(self._ciphertext_column, batch)
-        tiled_inverses = tiled_rows(self._p_inverse_column, batch)
-        diff = mat_mod_sub(
-            stacks[:, :ciphertext_count].reshape(batch * ciphertext_count, n),
-            folded.reshape(batch * ciphertext_count, n), tiled_moduli)
-        residues = mat_mod_mul(diff, tiled_inverses, tiled_moduli)
-        return residues.reshape(batch, ciphertext_count, n)
+        count = len(self.ciphertext_moduli)
+        if stacks.shape[0] == 0:
+            return np.zeros((0, count, stacks.shape[2]), dtype=np.int64)
+        stacks = as_buffer(stacks)
+        folded = self._converter.convert_residues_batch(stacks[:, count:])
+        diff = mat_mod_sub(stacks[:, :count].transpose(1, 0, 2),
+                           folded.transpose(1, 0, 2), self.ciphertext_moduli)
+        residues = mat_mod_mul(diff, self._p_inverse_column,
+                               self.ciphertext_moduli).transpose(1, 0, 2)
+        return residues if resident else residues.ensure_host()

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..backend.residency import concatenate_arrays, is_buffer
+from ..backend.residency import is_buffer, stack_arrays
 from .conv import BasisConverter
 from .poly import PolyDomain, RnsPolynomial
 
@@ -31,20 +31,14 @@ class ModUp:
         self._converter = (
             BasisConverter(self.group_moduli, self._missing) if missing else None
         )
-        # Precomputed gather map: the target matrix is one row gather out
-        # of the group rows concatenated with the Conv output rows (target
-        # row j comes from group row ``_gather[j]`` when present there, and
-        # from converted row ``_gather[j] - len(group)`` otherwise).  A
-        # single gather keeps the assembly a resident-image operation — no
-        # host-side scatter is needed for device-resident operands.
+        # Precomputed gather map over the group rows followed by the Conv
+        # output rows: target row j is row ``_gather[j]`` of that list.
         group_index = {q: i for i, q in enumerate(self.group_moduli)}
         missing_index = {q: i for i, q in enumerate(self._missing)}
-        self._gather = np.asarray(
-            [group_index[q] if q in group_index
-             else len(self.group_moduli) + missing_index[q]
-             for q in self.target_moduli],
-            dtype=np.int64,
-        )
+        self._gather = [
+            group_index[q] if q in group_index
+            else len(self.group_moduli) + missing_index[q]
+            for q in self.target_moduli]
 
     def apply(self, polynomial: RnsPolynomial) -> RnsPolynomial:
         """Return ``polynomial`` represented in the target basis (``B = 1``)."""
@@ -60,10 +54,10 @@ class ModUp:
 
         The missing limbs come from a single batched Conv
         (:meth:`~repro.rns.conv.BasisConverter.convert_residues_batch`) and
-        the target tensor is then one vectorised row gather over
-        ``[group; converted]``, so the whole stream batch mods up without a
-        per-stream loop; residency handles thread through Conv,
-        concatenation and gather.
+        the target tensor is then assembled in one copy from ``(B, N)`` row
+        views of ``[group; converted]``, so the whole stream batch mods up
+        without a per-stream loop; residency handles thread through Conv
+        and the assembly.
         """
         if not is_buffer(stacks):
             stacks = np.asarray(stacks, dtype=np.int64)
@@ -72,12 +66,11 @@ class ModUp:
                 "expected a (B, %d, N) residue stack, got shape %s"
                 % (len(self.group_moduli), stacks.shape)
             )
-        batch = stacks.shape[0]
-        if batch == 0:
+        if stacks.shape[0] == 0:
             return np.zeros((0, len(self.target_moduli), stacks.shape[2]),
                             dtype=np.int64)
-        combined = stacks
+        rows = [stacks[:, i] for i in range(len(self.group_moduli))]
         if self._converter is not None:
             converted = self._converter.convert_residues_batch(stacks)
-            combined = concatenate_arrays([stacks, converted], axis=1)
-        return combined[:, self._gather]
+            rows += [converted[:, i] for i in range(len(self._missing))]
+        return stack_arrays([rows[i] for i in self._gather], axis=1)

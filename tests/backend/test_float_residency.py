@@ -209,7 +209,6 @@ class TestBlasFloatNatives:
         """
         chain = _chain(30)
         assert not chain.fits((chain.qmax - 1) ** 2)   # single pass unsafe
-        assert chain.fits_product()                    # split restores it
         a_int, _ = _residues(rng, chain)
         b_int, _ = _residues(rng, chain)
         want = modular_hadamard_limbs(a_int, b_int, chain.moduli_array)
@@ -349,8 +348,8 @@ class TestFourStepFloatPipeline:
     def test_single_pass_guard_miss_takes_the_split_forms(self):
         """27-bit primes break n1 * (q-1)**2 < 2**53 at N=1024: split GEMMs.
 
-        The transform stays on the float pipeline; what changes is the
-        representation handed back, int64 at split product widths.
+        The transform stays on the float pipeline and, like at every width
+        the plan admits, a handle in is a float-only handle out.
         """
         primes, stacks = self._stacks(27)
         chain = get_barrett_chain(primes)
@@ -358,12 +357,13 @@ class TestFourStepFloatPipeline:
         assert not chain.fits(n1 * (chain.qmax - 1) ** 2)
         blas = NttPlanner("four_step", backend="blas")
         plan = blas.engine_for(self.N, primes[0]).float_plan(primes)
-        assert plan.inner.split and not plan.float_result
+        assert plan.inner.split
         reference = NttPlanner("four_step", backend="numpy")
         want = reference.forward_ops(self.N, primes, stacks)
         with use_backend("blas"):
             got = blas.forward_ops(self.N, primes, DeviceBuffer.wrap(stacks))
-        assert got.host_image is not None and got.float_cache() is None
+        assert got.host_image is None
+        assert isinstance(got.float_cache(), FloatResidues)
         assert np.array_equal(as_ndarray(got), np.asarray(want))
 
     def test_results_do_not_alias_engine_scratch(self):

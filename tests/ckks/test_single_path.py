@@ -4,8 +4,7 @@ The fused ``(B, L, N)`` code is the only implementation of every CKKS
 operation; the singular API adapts it.  These tests pin the shape of that
 arrangement (adapters hold no arithmetic, the fused classes hold no twin,
 each switch-key level is stored once) and the glue costs a lone stream is
-spared: no stack copy, no tiled-column copy, no defensive operand copy and
-no batch plan.
+spared: no stack copy, no defensive operand copy and no batch plan.
 """
 
 import inspect
@@ -19,7 +18,7 @@ from repro.ckks import keyswitch as keyswitch_module
 from repro.ckks.batched_evaluator import BatchedEvaluator
 from repro.ckks.batched_keyswitch import BatchedKeySwitcher
 from repro.ckks.keys import SwitchKeyLevel
-from repro.numtheory import moduli_column, tiled_rows
+from repro.numtheory import moduli_column
 
 ARITHMETIC_LAYERS = ("repro.numtheory", "repro.kernels", "repro.ntt",
                      "repro.backend", "repro.rns")
@@ -89,15 +88,21 @@ class TestSwitchKeyStoredOnce:
         seen = []
         original = BatchedKeySwitcher._inner_product
 
-        def spying(self, evals, key_stacks, batch, extended):
-            seen.append(key_stacks)
-            return original(self, evals, key_stacks, batch, extended)
+        def spying(self, evals, key_level, batch, extended):
+            seen.append(key_level)
+            return original(self, evals, key_level, batch, extended)
 
         monkeypatch.setattr(BatchedKeySwitcher, "_inner_product", spying)
         lhs, rhs = pair
         fhe.multiply(lhs, rhs, rescale=False)
-        [key_stacks] = seen
-        assert key_stacks is fhe.relinearization_key.at_level(lhs.level).stacks
+        [key_level] = seen
+        assert key_level is fhe.relinearization_key.at_level(lhs.level)
+        # The launch operands are limb-major views of the stored arrays.
+        for operand, stack in zip(key_level.operands, key_level.stacks):
+            assert np.shares_memory(as_ndarray(operand), stack)
+            assert np.array_equal(
+                as_ndarray(operand)[:, :, 0].transpose(1, 0, 2).reshape(
+                    stack.shape), stack)
 
     def test_misshapen_stack_rejected(self):
         flat = np.zeros(8, dtype=np.int64)
@@ -112,8 +117,13 @@ class TestBatchOneGlue:
     def test_one_stream_stack_is_a_view(self, pair):
         poly = pair[0].c0
         stacked = BatchedEvaluator._stack([poly])
-        assert stacked.shape == (1,) + poly.residues.shape
-        assert np.shares_memory(as_ndarray(stacked), poly.residues)
+        assert stacked.shape == (1,) + poly.buffer.shape
+
+        def resident(buffer):   # int64, or float-only on a float backend
+            return (buffer.float_cache().full() if buffer.host_image is None
+                    else buffer.host_image)
+
+        assert np.shares_memory(resident(stacked), resident(poly.buffer))
 
     @pytest.mark.parametrize("axis", (0, 1, -1))
     def test_single_part_stack_matches_numpy(self, rng, axis):
@@ -121,12 +131,6 @@ class TestBatchOneGlue:
         stacked = stack_arrays([part], axis=axis)
         assert np.array_equal(stacked, np.stack([part], axis=axis))
         assert np.shares_memory(stacked, part)
-
-    def test_tiled_rows(self):
-        column = moduli_column((97, 193, 257))
-        once = tiled_rows(column, 1)
-        assert np.shares_memory(once, column) and not once.flags.writeable
-        assert np.array_equal(tiled_rows(column, 4), np.tile(column, (4, 1)))
 
     def test_operations_take_no_defensive_copy(self, fhe, pair, rng,
                                                monkeypatch):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.ntt.four_step_plan as plan_module
+import repro.numtheory.planned as plan_module
 from repro.backend import DeviceBuffer, as_ndarray, use_backend
 from repro.backend.blas_backend import FloatOperandCache, FloatResidues
 from repro.ntt import (
@@ -18,21 +18,20 @@ from repro.ntt import (
     get_twiddle_stack,
 )
 from repro.ntt.four_step import FourStepNtt
-from repro.ntt.four_step_plan import (
+from repro.ntt.four_step_plan import FourStepPlan, plan_four_step
+from repro.numtheory import generate_ntt_primes, is_prime
+from repro.numtheory.floatmod import BarrettChain
+from repro.numtheory.planned import (
     DIRECT,
     SPLIT,
     SPLIT_BOTH,
-    FourStepPlan,
     canonical,
     choose_form,
     form_ladder,
-    plan_four_step,
     run_stage,
     slabs,
     stage_operand,
 )
-from repro.numtheory import generate_ntt_primes, is_prime
-from repro.numtheory.floatmod import BarrettChain
 
 BACKEND = "blas"
 C = canonical
@@ -57,37 +56,38 @@ def random_stack(rng, batch, primes, ring_degree):
 # ----------------------------------------------------------------------
 # (a) the plan table
 # ----------------------------------------------------------------------
-#: ``(N, prime_bits) -> (inner, twiddle, outer forward, outer inverse, scale,
-#: float_result)``; ``generate_ntt_primes(2, bits, N)`` puts the primes just
-#: above ``2**bits``.  The outer form can differ by direction because the
-#: plan reads each operand's real maximum: the 64 distinct entries of an
-#: inverse ``V3`` may all sit below the bit that forces the wider split.
+#: ``(N, prime_bits) -> (inner, twiddle, outer forward, outer inverse)``;
+#: ``generate_ntt_primes(2, bits, N)`` puts the primes just above
+#: ``2**bits``.  The outer form can differ by direction because the plan
+#: reads each operand's real maximum: the 64 distinct entries of an inverse
+#: ``V3`` may all sit below the bit that forces the wider split.  The
+#: inverse twiddle is ``V2 * N^-1``: there is no scale stage to plan.
 PLAN_TABLE = {
-    (64, 20): (DIRECT, DIRECT, DIRECT, DIRECT, DIRECT, True),
-    (64, 23): (DIRECT, DIRECT, DIRECT, DIRECT, DIRECT, True),
-    (64, 24): (DIRECT, DIRECT, DIRECT, DIRECT, DIRECT, True),
-    (64, 26): (SPLIT, DIRECT, SPLIT, SPLIT, DIRECT, True),
-    (64, 28): (SPLIT, SPLIT, SPLIT, SPLIT, SPLIT, False),
-    (64, 29): (SPLIT, SPLIT, SPLIT, SPLIT, SPLIT, False),
-    (64, 30): (SPLIT, SPLIT, SPLIT, SPLIT, SPLIT, False),
-    (64, 31): (SPLIT, SPLIT, SPLIT, SPLIT, SPLIT, False),
+    (64, 20): (DIRECT, DIRECT, DIRECT, DIRECT),
+    (64, 23): (DIRECT, DIRECT, DIRECT, DIRECT),
+    (64, 24): (DIRECT, DIRECT, DIRECT, DIRECT),
+    (64, 26): (SPLIT, DIRECT, SPLIT, SPLIT),
+    (64, 28): (SPLIT, SPLIT, SPLIT, SPLIT),
+    (64, 29): (SPLIT, SPLIT, SPLIT, SPLIT),
+    (64, 30): (SPLIT, SPLIT, SPLIT, SPLIT),
+    (64, 31): (SPLIT, SPLIT, SPLIT, SPLIT),
     # At N = 64 the guard still admits 33-bit primes, on the last rung.
-    (64, 33): (SPLIT_BOTH, SPLIT, C(SPLIT_BOTH), C(SPLIT_BOTH), SPLIT, False),
-    (4096, 20): (DIRECT, DIRECT, DIRECT, DIRECT, DIRECT, True),
-    (4096, 23): (DIRECT, DIRECT, C(DIRECT), C(DIRECT), DIRECT, True),
-    (4096, 24): (SPLIT, DIRECT, SPLIT, SPLIT, DIRECT, True),
-    (4096, 26): (SPLIT, C(DIRECT), SPLIT, SPLIT, C(DIRECT), True),
-    (4096, 28): (SPLIT, SPLIT, SPLIT, SPLIT, SPLIT, False),
-    (4096, 29): (SPLIT, SPLIT, SPLIT, SPLIT, SPLIT, False),
-    (4096, 30): (SPLIT, SPLIT, C(SPLIT), SPLIT, SPLIT, False),
+    (64, 33): (SPLIT_BOTH, SPLIT, C(SPLIT_BOTH), C(SPLIT_BOTH)),
+    (4096, 20): (DIRECT, DIRECT, DIRECT, DIRECT),
+    (4096, 23): (DIRECT, DIRECT, C(DIRECT), C(DIRECT)),
+    (4096, 24): (SPLIT, DIRECT, SPLIT, SPLIT),
+    (4096, 26): (SPLIT, C(DIRECT), SPLIT, SPLIT),
+    (4096, 28): (SPLIT, SPLIT, SPLIT, SPLIT),
+    (4096, 29): (SPLIT, SPLIT, SPLIT, SPLIT),
+    (4096, 30): (SPLIT, SPLIT, C(SPLIT), SPLIT),
     (4096, 31): None,
     (4096, 33): None,
-    (16384, 20): (DIRECT, DIRECT, DIRECT, DIRECT, DIRECT, True),
-    (16384, 23): (SPLIT, DIRECT, SPLIT, SPLIT, DIRECT, True),
-    (16384, 24): (SPLIT, DIRECT, SPLIT, SPLIT, DIRECT, True),
-    (16384, 26): (SPLIT, C(DIRECT), SPLIT, SPLIT, C(DIRECT), True),
-    (16384, 28): (SPLIT, SPLIT, SPLIT, SPLIT, SPLIT, False),
-    (16384, 29): (SPLIT, SPLIT, SPLIT, SPLIT, SPLIT, False),
+    (16384, 20): (DIRECT, DIRECT, DIRECT, DIRECT),
+    (16384, 23): (SPLIT, DIRECT, SPLIT, SPLIT),
+    (16384, 24): (SPLIT, DIRECT, SPLIT, SPLIT),
+    (16384, 26): (SPLIT, C(DIRECT), SPLIT, SPLIT),
+    (16384, 28): (SPLIT, SPLIT, SPLIT, SPLIT),
+    (16384, 29): (SPLIT, SPLIT, SPLIT, SPLIT),
     (16384, 30): None,
     (16384, 31): None,
     (16384, 33): None,
@@ -97,9 +97,9 @@ PLAN_TABLE = {
 def expected_plans(row):
     if row is None:
         return None, None
-    inner, twiddle, outer_forward, outer_inverse, scale, float_result = row
-    return (FourStepPlan(inner, twiddle, outer_forward, None, float_result),
-            FourStepPlan(inner, twiddle, outer_inverse, scale, float_result))
+    inner, twiddle, outer_forward, outer_inverse = row
+    return (FourStepPlan(inner, twiddle, outer_forward),
+            FourStepPlan(inner, twiddle, outer_inverse))
 
 
 class TestPlanTable:
@@ -112,8 +112,8 @@ class TestPlanTable:
         assert engine.float_plan(primes, inverse=True) == inverse
 
     @pytest.mark.parametrize("ring_degree,row", [
-        (64, (SPLIT, SPLIT, SPLIT, SPLIT, SPLIT, False)),
-        (4096, (SPLIT, SPLIT, C(SPLIT), SPLIT, SPLIT, False)),
+        (64, (SPLIT, SPLIT, SPLIT, SPLIT)),
+        (4096, (SPLIT, SPLIT, C(SPLIT), SPLIT)),
         (16384, None),
     ])
     def test_default_extended_basis(self, ring_degree, row):
@@ -138,8 +138,7 @@ class TestPlanTable:
         chain = BarrettChain([(1 << 28) + 1])
         top = (1 << 28) - 1
         assert plan_four_step(chain, 64, 64, top, top, top) == FourStepPlan(
-            SPLIT, SPLIT, SPLIT, None, False)
-        assert plan_four_step(chain, 64, 64, top, top, top, top).scale == SPLIT
+            SPLIT, SPLIT, SPLIT)
         # One stage without an exact form refuses the whole transform.
         assert plan_four_step(chain, 1 << 12, 64, top, top, top) is None
         assert plan_four_step(chain, 64, 1 << 12, top, top, top) is None
@@ -362,21 +361,16 @@ class TestParity:
         assert np.array_equal(engine.inverse_ops(forward, primes), stack)
 
     @pytest.mark.parametrize("chain", sorted(CHAINS))
-    def test_handles_come_back_in_the_planned_representation(self, chain,
-                                                             slab_budget):
+    def test_a_handle_in_is_a_float_only_handle_out(self, chain, slab_budget):
         primes = CHAINS[chain](self.N)
         stack = random_stack(np.random.default_rng(4), 3, primes, self.N)
         engine = engine_for(self.N, primes)
         want = NttPlanner("reference").forward_ops(self.N, primes, stack)
         with use_backend(BACKEND):
             got = engine.forward_ops(DeviceBuffer.wrap(stack), primes)
-            assert isinstance(got, DeviceBuffer)
-            if engine.float_plan(primes).float_result:
-                assert got.host_image is None
-                assert isinstance(got.float_cache(), FloatResidues)
-            else:
-                # Split widths hand back int64 and attach no float image.
-                assert got.host_image is not None and got.float_cache() is None
+            # At every width the plan admits, split widths included.
+            assert isinstance(got, DeviceBuffer) and got.host_image is None
+            assert isinstance(got.float_cache(), FloatResidues)
             assert np.array_equal(got.ensure_host(), want)
             # A float-only handle is consumed as it is.
             back = engine.inverse_ops(got, primes)

@@ -15,6 +15,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from repro.backend import get_backend
+from repro.backend.blas_backend import split_shift
 from repro.numtheory import generate_ntt_primes
 from repro.numtheory.floatmod import (
     FLOAT_EXACT_LIMIT,
@@ -22,6 +24,7 @@ from repro.numtheory.floatmod import (
     barrett_inverse,
     get_barrett_chain,
 )
+from repro.numtheory.planned import DIRECT, SPLIT, choose_form, product
 
 N = 4096  # ring degree constraining the NTT primes (q = 1 mod 2N)
 
@@ -141,41 +144,52 @@ class TestCanonicalParity:
         assert np.array_equal(np.moveaxis(by_axis1, 1, 0), by_axis0)
 
 
+def float_product(chain, a, b, **kwargs):
+    """``(a * b) mod q`` through the planned float kernel (canonical bounds)."""
+    top = chain.qmax - 1
+    return product(chain, a.astype(np.float64), top, b.astype(np.float64), top,
+                   **kwargs)
+
+
 class TestSplitProduct:
     """Hi/lo split products: exact ``(a * b) mod q`` past the single-pass cap.
 
-    The split identity ``(a*b) mod q = (a_hi * [(2**s * b) mod q] + a_lo * b)
-    mod q`` bounds every intermediate by roughly ``q**1.5``, extending the
-    float-exact product range from ~26-bit to ~36-bit moduli — covering the
-    30-bit production chains that previously fell back to int64.
+    Splitting one operand as ``hi * 2**s + lo`` bounds every intermediate by
+    roughly ``q**1.5``, extending the float-exact product range from ~26-bit
+    to ~34-bit moduli — covering the 30-bit production chains.  The form is
+    the planned kernel's choice (:mod:`repro.numtheory.planned`).
     """
 
     def test_split_shift_is_half_the_residue_width(self):
         chain = chain_for(30)
         width = (chain.qmax - 1).bit_length()
-        assert chain.split_shift == (width + 1) // 2
+        assert split_shift(chain.qmax - 1) == (width + 1) // 2
 
-    def test_fits_product_boundaries(self):
+    def test_product_form_boundaries(self):
         # 20-bit: the single float64 pass already fits.
         twenty = chain_for(20)
-        assert twenty.fits((twenty.qmax - 1) ** 2)
-        assert twenty.fits_product()
+        top = twenty.qmax - 1
+        assert twenty.fits(top ** 2)
+        assert choose_form(twenty, 1, top, lazy_input=False) == DIRECT
         # 30-bit: single pass overflows 2**53; the split restores exactness.
         thirty = chain_for(30)
-        assert not thirty.fits((thirty.qmax - 1) ** 2)
-        assert thirty.fits_product()
-        # ~q**1.5 crosses the mantissa around 37-bit moduli: split rejected.
+        top = thirty.qmax - 1
+        assert not thirty.fits(top ** 2)
+        assert choose_form(thirty, 1, top, lazy_input=False) == SPLIT
+        # ~q**1.5 crosses the mantissa around 35-bit moduli: no form left.
         oversized = get_barrett_chain([(1 << 37) + 9])
-        assert not oversized.fits_product()
+        assert choose_form(oversized, 1, 1 << 37, lazy_input=False) is None
+        wide = np.ones((1, 4))
+        assert product(oversized, wide, 1 << 37, wide, 1 << 37) is None
 
     @pytest.mark.parametrize("bits", [20, 27, 30])
     def test_product_parity_randomized(self, bits, rng):
-        # 20-bit exercises the single-pass branch, 27/30 the split branch.
+        # 20-bit exercises the single-pass form, 27/30 the split form.
         chain = chain_for(bits)
         q_col = chain.moduli_array[:, None]
         a = rng.integers(0, q_col, size=(chain.limb_count, 512))
         b = rng.integers(0, q_col, size=(chain.limb_count, 512))
-        got = chain.product_reduce(a.astype(np.float64), b.astype(np.float64))
+        got = float_product(chain, a, b)
         assert np.array_equal(got.astype(np.int64), (a * b) % q_col)
 
     @pytest.mark.parametrize("bits", [27, 30])
@@ -188,7 +202,7 @@ class TestSplitProduct:
                         for q in chain.moduli], dtype=np.int64)
         b = np.asarray([[q - 1, q - 1, q - 1, 1, 2, q - 2, 0]
                         for q in chain.moduli], dtype=np.int64)
-        got = chain.product_reduce(a.astype(np.float64), b.astype(np.float64))
+        got = float_product(chain, a, b)
         assert np.array_equal(got.astype(np.int64),
                               (a * b) % chain.moduli_array[:, None])
 
@@ -198,23 +212,22 @@ class TestSplitProduct:
         # exact, pinned against an object-arithmetic reference.
         chain = get_barrett_chain(generate_ntt_primes(2, 33, 64))
         assert not chain.fits((chain.qmax - 1) ** 2)
-        assert chain.fits_product()
         q_col = chain.moduli_array[:, None]
         a = rng.integers(0, q_col, size=(2, 128))
         b = rng.integers(0, q_col, size=(2, 128))
         want = np.asarray((a.astype(object) * b.astype(object)) % q_col,
                           dtype=np.int64)
-        got = chain.product_reduce(a.astype(np.float64), b.astype(np.float64))
+        got = float_product(chain, a, b)
         assert np.array_equal(got.astype(np.int64), want)
 
     def test_product_limb_axis_one(self, rng):
-        # The batched funnels reduce (B, L, N) stacks along axis=1.
+        # The f* kernels take (B, L, N) stacks with the limb axis at 1.
         chain = chain_for(30, limbs=4)
         q_col = chain.moduli_array[None, :, None]
         a = rng.integers(0, q_col, size=(3, 4, 32))
         b = rng.integers(0, q_col, size=(3, 4, 32))
-        got = chain.product_reduce(a.astype(np.float64),
-                                   b.astype(np.float64), axis=1)
+        got = get_backend("blas").fhadamard_limbs(
+            a.astype(np.float64), b.astype(np.float64), chain, axis=1)
         assert np.array_equal(got.astype(np.int64), (a * b) % q_col)
 
 
