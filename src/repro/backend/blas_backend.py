@@ -45,9 +45,14 @@ class FloatOperandCache:
     exactness) is built once and cached here.
     """
 
-    def __init__(self, matrix: np.ndarray) -> None:
+    #: Whether the operand is a precomputed constant (:func:`static_operand`).
+    #: A launch goes float for the residues it carries, not for a constant.
+    static = False
+
+    def __init__(self, matrix: np.ndarray, *, static: bool = False) -> None:
         self.matrix = np.asarray(matrix, dtype=np.int64)
         self.max_value = int(self.matrix.max(initial=0))
+        self.static = static
         self._full = None
         self._split = None
 
@@ -80,7 +85,7 @@ def static_operand(matrix: np.ndarray) -> DeviceBuffer:
     hi/lo) are built once, on first float use, and found here afterwards.
     """
     return DeviceBuffer.wrap(matrix).attach_float_cache(
-        FloatOperandCache(matrix))
+        FloatOperandCache(matrix, static=True))
 
 
 def _barrett_chain(moduli):
@@ -219,14 +224,15 @@ class BlasFloat64Backend(NumpyBackend):
 
     @staticmethod
     def _images(operands):
-        """The operands' float caches, or None when no operand carries one.
+        """The operands' float caches, or None when no residues carry one.
 
         An operand without an image next to one that has it is converted
-        for this call; when none has one the int64 kernel is at least as
-        cheap as the conversions.
+        for this call; when only constants have one (or nothing has) the
+        int64 kernel is at least as cheap as the conversions.
         """
         caches = [operand.float_cache() for operand in operands]
-        if all(cache is None for cache in caches) or not all(operands[0].shape):
+        if (all(cache is None or cache.static for cache in caches)
+                or not all(operands[0].shape)):
             return None
         return [FloatOperandCache(operand.ensure_host()) if cache is None
                 else cache for cache, operand in zip(caches, operands)]

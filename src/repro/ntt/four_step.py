@@ -21,6 +21,7 @@ import numpy as np
 from ..backend.blas_backend import FloatResidues
 from ..backend.registry import resolve_backend
 from ..backend.residency import DeviceBuffer, as_buffer, contiguous, is_buffer
+from ..numtheory import planned
 from ..numtheory.planned import (
     hadamard,
     run_stage,
@@ -113,6 +114,9 @@ class FourStepNtt(GemmNttEngine):
         Plain arrays come back as int64 arrays; a handle comes back as a
         float-only handle, at every width, and a float-only handle in is
         read as it is — no staging copy, no int64 anywhere in a chain.
+        Only a launch too small for that to pay
+        (:data:`~repro.numtheory.planned.RESIDENT_DOUBLES`) hands int64
+        back.
         """
         backend = resolve_backend(self.backend)
         batch, limbs = stacks.shape[0], stacks.shape[1]
@@ -123,9 +127,10 @@ class FourStepNtt(GemmNttEngine):
         else:
             source = stacks.ensure_host() if resident else stacks
         source = source.reshape(batch, limbs, self.n1, self.n2)
+        as_float = resident and source.size > planned.RESIDENT_DOUBLES
         # (N2, N1) per slice: the column-major flattening of forward().
         result = np.empty((batch, limbs, self.n2, self.n1),
-                          dtype=np.float64 if resident else np.int64)
+                          dtype=np.float64 if as_float else np.int64)
 
         def gemm_left(image, x, out):
             return backend.fmatmul(image, x, out=out)
@@ -159,10 +164,10 @@ class FourStepNtt(GemmNttEngine):
             np.copyto(result[ops, rows], x.transpose(1, 0, 3, 2),
                       casting="unsafe")
         result = result.reshape(batch, limbs, self.ring_degree)
-        if resident:
+        if as_float:
             return DeviceBuffer.from_float(
                 FloatResidues(result, stack.barrett_chain.qmax - 1))
-        return result
+        return DeviceBuffer.wrap(result) if resident else result
 
     def _ops_pipeline(self, stacks: DeviceBuffer, moduli_array: np.ndarray,
                       w1: DeviceBuffer, w2: DeviceBuffer,

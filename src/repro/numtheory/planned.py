@@ -46,6 +46,7 @@ from .floatmod import BROADCAST_RUN, BarrettChain
 
 __all__ = [
     "SLAB_DOUBLES",
+    "RESIDENT_DOUBLES",
     "BROADCAST_RUN",
     "StageForm",
     "DIRECT",
@@ -76,6 +77,12 @@ __all__ = [
 #: 10-limb extended basis 34.6, 35.6, 35.3, 41.2, 52.3.  64 K is the
 #: largest of the flat range: it holds one whole 10- to 16-limb operation.
 SLAB_DOUBLES = 1 << 16
+
+#: Residues in a ``(B, L, N)`` launch from which a transform hands a handle
+#: back float-only.  Below it the launches between transforms are bound by
+#: the interpreter, not by memory, and there an int64 ``%`` kernel is two
+#: numpy calls where an exact float product is sixteen.
+RESIDENT_DOUBLES = SLAB_DOUBLES // 4
 
 
 class StageForm(NamedTuple):

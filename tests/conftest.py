@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.api import TensorFheContext
+from repro.numtheory import planned
 from repro.ckks.bootstrap import BootstrapConfig
 from repro.ckks import (
     CkksContext,
@@ -27,6 +28,19 @@ from repro.ckks import (
     Evaluator,
     KeyGenerator,
 )
+
+
+@pytest.fixture(autouse=True, scope="session")
+def float_resident_at_toy_sizes():
+    """Keep the float-resident chains under test at the suite's ring degrees.
+
+    A transform hands back float-only handles from
+    ``planned.RESIDENT_DOUBLES`` residues up, which no toy instance
+    reaches; the rule itself is pinned in ``tests/ntt/test_four_step_plan``.
+    """
+    saved, planned.RESIDENT_DOUBLES = planned.RESIDENT_DOUBLES, 0
+    yield
+    planned.RESIDENT_DOUBLES = saved
 
 
 class CkksBundle:
