@@ -114,9 +114,8 @@ class FourStepNtt(GemmNttEngine):
         Plain arrays come back as int64 arrays; a handle comes back as a
         float-only handle, at every width, and a float-only handle in is
         read as it is — no staging copy, no int64 anywhere in a chain.
-        Only a launch too small for that to pay
-        (:data:`~repro.numtheory.planned.RESIDENT_DOUBLES`) hands int64
-        back.
+        Only polynomials too small for that to pay
+        (:data:`~repro.numtheory.planned.RESIDENT_DOUBLES`) come back int64.
         """
         backend = resolve_backend(self.backend)
         batch, limbs = stacks.shape[0], stacks.shape[1]
@@ -127,7 +126,7 @@ class FourStepNtt(GemmNttEngine):
         else:
             source = stacks.ensure_host() if resident else stacks
         source = source.reshape(batch, limbs, self.n1, self.n2)
-        as_float = resident and source.size > planned.RESIDENT_DOUBLES
+        as_float = resident and limbs * self.ring_degree > planned.RESIDENT_DOUBLES
         # (N2, N1) per slice: the column-major flattening of forward().
         result = np.empty((batch, limbs, self.n2, self.n1),
                           dtype=np.float64 if as_float else np.int64)

@@ -109,6 +109,7 @@ class BarrettChain:
         self.qf = self.moduli_array.astype(np.float64)
         self.inv = np.asarray([barrett_inverse(q) for q in self.moduli])
         self._columns: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
+        self._wide: tuple = (None, None)
 
     @property
     def limb_count(self) -> int:
@@ -122,22 +123,28 @@ class BarrettChain:
         Broadcast columns, or — where one limb's run of elements is at most
         :data:`BROADCAST_RUN` — full-width arrays, which keep numpy off its
         buffered iterator (``(8, 1, 64, 64)`` pass: 53.8 us broadcast,
-        35.4 us full-width).  Cached per layout: the hot reduce kernels ask
-        per pass.
+        35.4 us full-width).  Cached, because the hot reduce kernels ask
+        per pass: every broadcast layout, and the one full-width layout
+        asked for last (the slab shape of the launch in flight; a chain
+        that kept them all held 15 MB across one bootstrap).
         """
-        wide = 1 < math.prod(shape[axis + 1:]) <= BROADCAST_RUN
-        key = (shape if wide else len(shape), axis)
+        key = (shape, axis)
         cols = self._columns.get(key)
         if cols is None:
             column = [1] * len(shape)
             column[axis] = self.limb_count
             cols = (self.qf.reshape(column), self.inv.reshape(column))
-            if wide:
-                full = column[:axis + 1] + list(shape[axis + 1:])
-                cols = tuple(np.ascontiguousarray(np.broadcast_to(col, full))
-                             for col in cols)
+            if 1 < math.prod(shape[axis + 1:]) <= BROADCAST_RUN:
+                # Remember the full-width shape; the arrays come and go.
+                cols += (column[:axis + 1] + list(shape[axis + 1:]),)
             self._columns[key] = cols
-        return cols
+        if len(cols) == 2:
+            return cols
+        if self._wide[0] != key:
+            self._wide = (key, tuple(
+                np.ascontiguousarray(np.broadcast_to(col, cols[2]))
+                for col in cols[:2]))
+        return self._wide[1]
 
     def rows(self, rows: slice) -> "BarrettChain":
         """The (shared) chain of the limb range ``rows``; itself for all of them."""

@@ -78,10 +78,13 @@ __all__ = [
 #: largest of the flat range: it holds one whole 10- to 16-limb operation.
 SLAB_DOUBLES = 1 << 16
 
-#: Residues in a ``(B, L, N)`` launch from which a transform hands a handle
-#: back float-only.  Below it the launches between transforms are bound by
-#: the interpreter, not by memory, and there an int64 ``%`` kernel is two
-#: numpy calls where an exact float product is sixteen.
+#: Residues per polynomial (``limbs * N``) above which a transform hands a
+#: handle back float-only.  Smaller polynomials make launches that are
+#: bound by the interpreter, not by memory, and there an int64 ``%`` kernel
+#: is two numpy calls where an exact float product is sixteen: at ``N =
+#: 128`` (batched bootstrap) float residency cost HROTATE 28 %, at ``N =
+#: 1024, L = 4`` 13 %, and from ``N = 4096, L = 8`` up it wins at every
+#: batch size, one stream included.
 RESIDENT_DOUBLES = SLAB_DOUBLES // 4
 
 
@@ -347,7 +350,7 @@ def product(chain: BarrettChain, x: np.ndarray, x_max: int, operand,
     form = choose_form(chain, terms, operand_max, lazy_input=False,
                        input_max=x_max)
     static = not isinstance(operand, np.ndarray)
-    values = operand.full() if static else operand
+    values = operand.matrix if static else operand
     if form is None or values.ndim != x.ndim:
         return None
     shape = np.broadcast_shapes(x.shape, values.shape)
