@@ -279,6 +279,21 @@ class DeviceBuffer:
                 float_cache=type(cache)(host_op(cache.full()), cache.max_value))
         return DeviceBuffer(host=host_op(self.ensure_host()))
 
+    def map_host(self, function) -> "DeviceBuffer":
+        """``function`` applied to the host-side image, kept in its kind.
+
+        For host work that is indifferent to the residue dtype (an index
+        gather, a sign flip): a float-only handle maps its float64 image
+        and stays float-only, anything else maps the int64 host image (a
+        counted staging point for a device-resident handle).  ``function``
+        must return a fresh array of reduced residues.
+        """
+        if self._host is None and self._native is None:
+            cache = self._float_cache
+            return DeviceBuffer(float_cache=type(cache)(
+                function(cache.full()), cache.max_value))
+        return DeviceBuffer(host=function(self.ensure_host()))
+
     def reshape(self, *shape) -> "DeviceBuffer":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
@@ -403,36 +418,34 @@ def _device_group(parts: Sequence[ArrayLike]):
     return backend
 
 
-def _float_group(parts: Sequence[ArrayLike]):
-    """The float64 images when combining them loses no residency.
+def _combine_float(parts: Sequence[ArrayLike], combine, axis: int):
+    """``combine`` over float64 images, or None when that loses residency.
 
-    Returns the per-part float caches iff every part is a non-device
-    handle carrying a float image and at least one of them is
-    *float-only* (no host image): combining in float64 then keeps the
-    whole group int64-free, whereas casting a float-only part to int64
-    just to join host siblings would break the residency chain the
-    float-native kernels built.  When every part already has a host
-    image, the host combine is the cheaper exact path.
+    The parts are combined in float64 iff some part is *float-only* (no
+    host image) and none lives on a device: casting a float-only part to
+    int64 just to join host siblings would break the residency chain the
+    float kernels built, so the host siblings (an encoded plaintext next
+    to ciphertext limbs) are converted instead.  When every part already
+    has a host image, the host combine is the cheaper exact path.
     """
-    caches = []
-    float_only = False
-    for part in parts:
-        if not isinstance(part, DeviceBuffer) or part._on_device():
-            return None
-        cache = part._float_cache
-        if cache is None:
-            return None
-        caches.append(cache)
-        if part._host is None and part._native is None:
-            float_only = True
-    return caches if float_only else None
-
-
-def _combine_float(caches, combine, axis: int) -> DeviceBuffer:
     from .blas_backend import FloatResidues  # local: avoids import cycle
-    values = combine([c.full() for c in caches], axis=axis)
-    bound = max(int(c.max_value) for c in caches)
-    return DeviceBuffer.from_float(FloatResidues(values, bound))
+    handles = [part for part in parts if isinstance(part, DeviceBuffer)]
+    if (any(part._on_device() for part in handles)
+            or all(part._host is not None or part._native is not None
+                   for part in handles)):
+        return None
+    images, bound = [], 0
+    for part in parts:
+        cache = part._float_cache if isinstance(part, DeviceBuffer) else None
+        if cache is None:
+            host = as_ndarray(part)
+            images.append(host.astype(np.float64))
+            bound = max(bound, int(host.max(initial=0)))
+        else:
+            images.append(cache.full())
+            bound = max(bound, int(cache.max_value))
+    return DeviceBuffer.from_float(
+        FloatResidues(combine(images, axis=axis), bound))
 
 
 def stack_arrays(parts: Sequence[ArrayLike], axis: int = 0) -> ArrayLike:
@@ -451,9 +464,9 @@ def stack_arrays(parts: Sequence[ArrayLike], axis: int = 0) -> ArrayLike:
     if backend is not None:
         native = backend.nat_stack([p._native for p in parts], axis)
         return DeviceBuffer(native=native, backend=backend)
-    caches = _float_group(parts)
-    if caches is not None:
-        return _combine_float(caches, np.stack, axis)
+    combined = _combine_float(parts, np.stack, axis)
+    if combined is not None:
+        return combined
     result = np.stack([as_ndarray(p) for p in parts], axis=axis)
     return match_residency(result, *parts)
 
@@ -465,9 +478,9 @@ def concatenate_arrays(parts: Sequence[ArrayLike], axis: int = 0) -> ArrayLike:
     if backend is not None:
         native = backend.nat_concat([p._native for p in parts], axis)
         return DeviceBuffer(native=native, backend=backend)
-    caches = _float_group(parts)
-    if caches is not None:
-        return _combine_float(caches, np.concatenate, axis)
+    combined = _combine_float(parts, np.concatenate, axis)
+    if combined is not None:
+        return combined
     result = np.concatenate([as_ndarray(p) for p in parts], axis=axis)
     return match_residency(result, *parts)
 

@@ -379,13 +379,13 @@ class BatchedEvaluator:
             batch, limbs = len(entries), len(moduli)
             level = entries[0].level
             # The automorphism is a host-side index gather over the
-            # (2B, L, N) stack (a counted staging point for device-resident
-            # streams).
-            rotated = apply_automorphism_coeff(
-                as_ndarray(concatenate_arrays([
-                    self._stack([ct.c0 for ct in entries]),
-                    self._stack([ct.c1 for ct in entries]),
-                ])), galois_element, moduli_column(moduli))
+            # (2B, L, N) stack, in whatever image it is resident in (a
+            # counted staging point for device-resident streams).
+            column = moduli_column(moduli)
+            rotated = self._stack(
+                [ct.c0 for ct in entries] + [ct.c1 for ct in entries]
+            ).map_host(lambda image: apply_automorphism_coeff(
+                image, galois_element, column))
             self._record(kernel, 2 * batch, limbs)
             switched = self.key_switcher.switch_many(
                 [self._poly(moduli, rotated[batch + j]) for j in range(batch)],

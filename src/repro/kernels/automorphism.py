@@ -33,7 +33,7 @@ def galois_element_for_rotation(steps: int, ring_degree: int) -> int:
 
 @lru_cache(maxsize=256)
 def _coefficient_permutation(ring_degree: int, galois_element: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Precompute target indices and sign flips for a coefficient automorphism."""
+    """Precompute target indices and wrap-around flags for a coefficient automorphism."""
     if galois_element % 2 == 0:
         raise ValueError("Galois elements must be odd")
     galois_element %= 2 * ring_degree
@@ -41,8 +41,7 @@ def _coefficient_permutation(ring_degree: int, galois_element: int) -> Tuple[np.
     raw_targets = (indices * galois_element) % (2 * ring_degree)
     wraps = raw_targets >= ring_degree
     targets = np.where(wraps, raw_targets - ring_degree, raw_targets)
-    signs = np.where(wraps, -1, 1).astype(np.int64)
-    return targets, signs
+    return targets, wraps
 
 
 def apply_automorphism_coeff(coefficients: np.ndarray, galois_element: int,
@@ -52,13 +51,19 @@ def apply_automorphism_coeff(coefficients: np.ndarray, galois_element: int,
     ``coefficients`` may carry leading batch axes (the RNS limb axis of a
     whole polynomial); ``modulus`` is then an array broadcastable against
     it — e.g. a ``(limbs, 1)`` column of per-limb primes — so the entire
-    residue matrix is permuted and reduced in one launch.
+    residue matrix is permuted and negated in one launch.  Reduced
+    residues in, reduced residues out, in the dtype they came in: a
+    float64 residue image stays one (a coefficient that wraps past ``X^N``
+    becomes ``q - c``, zero stays zero; nothing is multiplied or divided).
     """
-    coefficients = np.asarray(coefficients, dtype=np.int64)
+    coefficients = np.asarray(coefficients)
+    if coefficients.dtype != np.float64:
+        coefficients = coefficients.astype(np.int64, copy=False)
     ring_degree = coefficients.shape[-1]
-    targets, signs = _coefficient_permutation(ring_degree, galois_element % (2 * ring_degree))
-    out = np.zeros_like(coefficients)
-    out[..., targets] = (coefficients * signs) % modulus
+    targets, wraps = _coefficient_permutation(ring_degree, galois_element % (2 * ring_degree))
+    out = np.empty_like(coefficients)
+    out[..., targets] = np.where(wraps & (coefficients != 0),
+                                 modulus - coefficients, coefficients)
     return out
 
 

@@ -27,6 +27,7 @@ from ..numtheory.planned import (
     run_stage,
     slabs,
     stage_operand,
+    wide_columns,
     work_buffers,
 )
 from .base import GemmNttEngine
@@ -150,6 +151,9 @@ class FourStepNtt(GemmNttEngine):
             chain = stack.barrett_chain.rows(rows)
             x = source[ops, rows].transpose(1, 0, 2, 3)
             buffers = work_buffers(4, x.shape)
+            # One operation per slab leaves the Barrett constants a run of
+            # N: laid out full-width, every pass gets numpy's fast loop.
+            columns = wide_columns(chain, x.shape)
             if cache is None:
                 np.copyto(buffers[0], x)
                 x = buffers[0]
@@ -157,9 +161,10 @@ class FourStepNtt(GemmNttEngine):
                 if len(chain.moduli) < limbs:
                     images = [image[rows] for image in images]
                 x = run_stage(form, apply, images, weight, chain, x,
-                              [b for b in buffers if b is not x])
+                              [b for b in buffers if b is not x], columns)
             spare = buffers[1] if x is buffers[0] else buffers[0]
-            x = chain.lazy_reduce(x, axis=0, out=spare)       # canonical
+            x = chain.lazy_reduce(x, axis=0, out=spare,       # canonical
+                                  columns=columns)
             np.copyto(result[ops, rows], x.transpose(1, 0, 3, 2),
                       casting="unsafe")
         result = result.reshape(batch, limbs, self.ring_degree)

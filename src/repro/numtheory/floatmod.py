@@ -65,8 +65,9 @@ FLOAT_EXACT_LIMIT = 1 << 53
 #: (8, 1)`` 23 us, ``(8, 4097) * (8, 1)`` 7 us).  The slabs of
 #: :mod:`repro.numtheory.planned` are laid out limb-major so that the
 #: Barrett constants of one limb span ``operations * N`` elements, and
-#: where even that run is too short (one operation of ``N <= 4096``)
-#: :meth:`BarrettChain.columns` lays the constants out full-width instead.
+#: where even that run is too short (one operation of ``N <= 4096``) the
+#: transforms lay the constants out full-width instead
+#: (:meth:`BarrettChain.wide_columns`).
 BROADCAST_RUN = np.getbufsize() // 2
 
 
@@ -109,42 +110,42 @@ class BarrettChain:
         self.qf = self.moduli_array.astype(np.float64)
         self.inv = np.asarray([barrett_inverse(q) for q in self.moduli])
         self._columns: Dict[tuple, Tuple[np.ndarray, np.ndarray]] = {}
-        self._wide: tuple = (None, None)
 
     @property
     def limb_count(self) -> int:
         return len(self.moduli)
 
     # ------------------------------------------------------------------
-    def columns(self, shape: Tuple[int, ...], axis: int = 0
-                ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(q, inv)`` laid out for arrays of ``shape``, limb axis at ``axis``.
+    def columns(self, ndim: int, axis: int = 0) -> Tuple[np.ndarray, np.ndarray]:
+        """``(q, inv)`` reshaped to broadcast with the limb axis at ``axis``.
 
-        Broadcast columns, or — where one limb's run of elements is at most
-        :data:`BROADCAST_RUN` — full-width arrays, which keep numpy off its
-        buffered iterator (``(8, 1, 64, 64)`` pass: 53.8 us broadcast,
-        35.4 us full-width).  Cached, because the hot reduce kernels ask
-        per pass: every broadcast layout, and the one full-width layout
-        asked for last (the slab shape of the launch in flight; a chain
-        that kept them all held 15 MB across one bootstrap).
+        Cached per ``(ndim, axis)``: reshaping is cheap but the hot reduce
+        kernels call this per pass.
         """
-        key = (shape, axis)
+        key = (ndim, axis)
         cols = self._columns.get(key)
         if cols is None:
-            column = [1] * len(shape)
-            column[axis] = self.limb_count
-            cols = (self.qf.reshape(column), self.inv.reshape(column))
-            if 1 < math.prod(shape[axis + 1:]) <= BROADCAST_RUN:
-                # Remember the full-width shape; the arrays come and go.
-                cols += (column[:axis + 1] + list(shape[axis + 1:]),)
+            shape = [1] * ndim
+            shape[axis] = self.limb_count
+            cols = (self.qf.reshape(shape), self.inv.reshape(shape))
             self._columns[key] = cols
-        if len(cols) == 2:
-            return cols
-        if self._wide[0] != key:
-            self._wide = (key, tuple(
-                np.ascontiguousarray(np.broadcast_to(col, cols[2]))
-                for col in cols[:2]))
-        return self._wide[1]
+        return cols
+
+    def wide_columns(self, shape: Tuple[int, ...]
+                     ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Fresh full-width ``(q, inv)`` for limb-major arrays of ``shape``.
+
+        ``None`` unless one limb's run of elements is at most
+        :data:`BROADCAST_RUN`: there the broadcast columns put every pass
+        on numpy's buffered iterator (``(8, 1, 64, 64)`` pass: 53.8 us
+        broadcast, 35.4 us full-width), and a launch that makes many
+        passes lays the constants out once and hands them to
+        :meth:`lazy_reduce`.
+        """
+        if not 1 < math.prod(shape[1:]) <= BROADCAST_RUN:
+            return None
+        return tuple(np.ascontiguousarray(np.broadcast_to(col, shape))
+                     for col in self.columns(len(shape)))
 
     def rows(self, rows: slice) -> "BarrettChain":
         """The (shared) chain of the limb range ``rows``; itself for all of them."""
@@ -164,14 +165,17 @@ class BarrettChain:
 
     # ------------------------------------------------------------------
     def lazy_reduce(self, values: np.ndarray, *, axis: int = 0,
-                    out: Optional[np.ndarray] = None) -> np.ndarray:
+                    out: Optional[np.ndarray] = None,
+                    columns=None) -> np.ndarray:
         """One Barrett pass: integer-valued result in ``(-q, 2q)``.
 
         ``values`` must hold exact integers with ``|x| + q < 2**53`` (see
         :meth:`fits`).  ``out``, when given, must not alias ``values``;
-        ``values`` itself is left untouched.
+        ``values`` itself is left untouched.  ``columns`` are the constants
+        laid out by :meth:`wide_columns` for this shape, if the caller has
+        them.
         """
-        q_col, inv_col = self.columns(values.shape, axis)
+        q_col, inv_col = columns or self.columns(values.ndim, axis)
         if out is None:
             out = np.empty_like(values)
         np.multiply(values, inv_col, out=out)

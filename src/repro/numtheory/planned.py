@@ -59,6 +59,7 @@ __all__ = [
     "run_stage",
     "slabs",
     "work_buffers",
+    "wide_columns",
     "hadamard",
     "accumulate",
     "launch",
@@ -183,30 +184,35 @@ def stage_operand(form: StageForm, cache) -> Tuple[Tuple[np.ndarray, ...], float
 
 
 def run_stage(form: StageForm, apply, images, weight: float,
-              chain: BarrettChain, x: np.ndarray, scratch) -> np.ndarray:
+              chain: BarrettChain, x: np.ndarray, scratch,
+              columns=None) -> np.ndarray:
     """One stage on one slab: the lazy residues of ``operand . x``.
 
     ``apply(image, x, out)`` is the stage's product, ``images`` / ``weight``
     come from :func:`stage_operand`, and the slab's limb axis is axis 0.
     ``scratch`` holds three buffers of the result's shape, none of them
     ``x``; the result is one of them and ``x`` is left untouched.
+    ``columns`` are the slab's full-width Barrett constants, if laid out.
     """
     p, q, r = scratch[:3]
-    reduce = chain.lazy_reduce
+
+    def reduce(values, out):
+        return chain.lazy_reduce(values, axis=0, out=out, columns=columns)
+
     if form.canonicalise:
-        x = reduce(x, axis=0, out=p)
+        x = reduce(x, p)
     if not form.split:
-        return reduce(apply(images[0], x, q), axis=0, out=r)
+        return reduce(apply(images[0], x, q), r)
     high = apply(images[0], x, q)
     low = apply(images[1], x, r)
     # ``x`` is dead from here on, so ``p`` is free whether or not it held it.
-    high = reduce(high, axis=0, out=p)
+    high = reduce(high, p)
     out = q
     if form.reduce_low:
-        low, out = reduce(low, axis=0, out=q), r
+        low, out = reduce(low, q), r
     high *= weight
     high += low
-    return reduce(high, axis=0, out=out)
+    return reduce(high, out)
 
 
 def slabs(batch: int, limbs: int, ring_degree: int) -> Iterator[Tuple[slice, slice]]:
@@ -234,6 +240,8 @@ class _Workspace(threading.local):
     def __init__(self) -> None:
         self.block = np.empty(0)
         self.views = {}
+        #: ``(chain, shape) -> wide columns`` of the last few slab shapes.
+        self.wide = {}
 
 
 _WORKSPACE = _Workspace()
@@ -257,6 +265,27 @@ def work_buffers(count: int, shape) -> List[np.ndarray]:
     return views
 
 
+
+
+def wide_columns(chain: BarrettChain, shape):
+    """``chain.wide_columns(shape)``, remembered for the launches in flight.
+
+    A transform makes ~10 lazy passes per slab and its forward / inverse
+    launches alternate between a few ``(chain, slab shape)`` pairs, so the
+    last :data:`_WIDE_LAYOUTS` layouts are kept per thread (a chain that
+    kept every layout it ever laid out held 15 MB across one bootstrap).
+    """
+    wide = _WORKSPACE.wide
+    key = (chain, shape)
+    if key not in wide:
+        if len(wide) >= _WIDE_LAYOUTS:
+            del wide[next(iter(wide))]
+        wide[key] = chain.wide_columns(shape)
+    return wide[key]
+
+
+#: Full-width constant layouts kept per thread (see :func:`wide_columns`).
+_WIDE_LAYOUTS = 4
 
 
 def hadamard(image: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
