@@ -215,16 +215,18 @@ def run_stage(form: StageForm, apply, images, weight: float,
     return reduce(high, out)
 
 
-def slabs(batch: int, limbs: int, ring_degree: int) -> Iterator[Tuple[slice, slice]]:
+def slabs(batch: int, limbs: int, ring_degree: int,
+          share: int = 1) -> Iterator[Tuple[slice, slice]]:
     """``(operations, limbs)`` slice pairs tiling a ``(B, L, N)`` stack.
 
-    Every slab holds about :data:`SLAB_DOUBLES` elements at most: as many
-    whole operations as fit, and never fewer operations than it takes for
-    one limb's rows to exceed :data:`BROADCAST_RUN` while the batch has
-    them — the slab is then cut along the limb axis instead, into ranges
-    of equal width.
+    Every slab holds about :data:`SLAB_DOUBLES` elements at most (a
+    ``share``-th of that for kernels that hold more than the usual four
+    buffers): as many whole operations as fit, and never fewer operations
+    than it takes for one limb's rows to exceed :data:`BROADCAST_RUN`
+    while the batch has them — the slab is then cut along the limb axis
+    instead, into ranges of equal width.
     """
-    rows = max(1, SLAB_DOUBLES // ring_degree)
+    rows = max(1, SLAB_DOUBLES // share // ring_degree)
     ops = min(batch, max(rows // limbs, BROADCAST_RUN // ring_degree + 1))
     width = min(limbs, max(1, rows // ops))
     width = -(-limbs // -(-limbs // width))
@@ -247,24 +249,23 @@ class _Workspace(threading.local):
 _WORKSPACE = _Workspace()
 
 
-def work_buffers(count: int, shape) -> List[np.ndarray]:
-    """``count`` float64 work buffers of ``shape`` from this thread's block.
+def work_buffers(*shapes) -> List[np.ndarray]:
+    """One float64 work buffer per shape, carved from this thread's block.
 
     Contents are garbage and the next call hands the same memory out
     again, so nothing returned to a caller may alias them.
     """
-    views = _WORKSPACE.views.get((count, shape))
+    views = _WORKSPACE.views.get(shapes)
     if views is None:
-        size = math.prod(shape)
-        if count * size > _WORKSPACE.block.size:
-            _WORKSPACE.block = np.empty(count * size)
+        sizes = [math.prod(shape) for shape in shapes]
+        if sum(sizes) > _WORKSPACE.block.size:
+            _WORKSPACE.block = np.empty(sum(sizes))
             _WORKSPACE.views = {}
-        block = _WORKSPACE.block
-        views = _WORKSPACE.views[count, shape] = [
-            block[i * size:(i + 1) * size].reshape(shape) for i in range(count)]
+        ends = np.cumsum(sizes)
+        views = _WORKSPACE.views[shapes] = [
+            _WORKSPACE.block[end - size:end].reshape(shape)
+            for end, size, shape in zip(ends, sizes, shapes)]
     return views
-
-
 
 
 def wide_columns(chain: BarrettChain, shape):
@@ -303,35 +304,45 @@ def hadamard(image: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def accumulate(spare: np.ndarray):
-    """The ``apply`` of a multiply-accumulate ``sum_t images[t] * xs[t]``."""
-    def apply(images, xs, out):
-        hadamard(images[0], xs[0], out)
-        for image, x in zip(images[1:], xs[1:]):
-            out += hadamard(image, x, spare)
+    """The ``apply`` of ``sum_t image[:, t] * x[:, t]`` (terms on axis 1).
+
+    An image that spans limbs and coefficients (a switch key, a split
+    residue image) is multiplied and summed in one ``einsum`` pass per
+    operation; any order of summation is exact under the stage's bound.
+    """
+    def apply(image, x, out):
+        terms = x.shape[1]
+        if (terms > 1 and image.shape[0] == x.shape[0] == out.shape[0]
+                and image.shape[3] == x.shape[3] and x.shape[2] == out.shape[1]):
+            for op in range(x.shape[2]):
+                np.einsum("ltn,ltn->ln", x[:, :, op],
+                          image[:, :, op if image.shape[2] > 1 else 0],
+                          out=out[:, op])
+            return out
+        hadamard(image[:, 0], x[:, 0], out)
+        for term in range(1, terms):
+            out += hadamard(image[:, term], x[:, term], spare)
         return out
     return apply
 
 
 def launch(chain: BarrettChain, result: np.ndarray, body, buffers: int,
-           width: int = 1) -> np.ndarray:
+           extra=None, share: int = 1) -> np.ndarray:
     """Fill the limb-major ``(limbs, operations, N)`` ``result`` slab by slab.
 
     ``body(rows, ops, chain, scratch)`` returns one slab's values in the
-    lazy window ``(-q, 2q)``, in one of its ``buffers`` scratch arrays;
-    they are canonicalised on the way into ``result``.  ``width`` scales
-    the slab down for bodies that use more than the usual four buffers.
+    lazy window ``(-q, 2q)``, in one of its scratch arrays — ``buffers`` of
+    the slab's shape, then one per shape ``extra(slab shape)`` names; they
+    are canonicalised on the way into ``result``.
     """
     limbs, batch, degree = result.shape
-    pieces = list(slabs(batch, limbs, degree * width))
-    for ops, rows in pieces:
+    for ops, rows in slabs(batch, limbs, degree, share):
         part = chain.rows(rows)
         dest = result[rows, ops]
-        scratch = work_buffers(buffers + 1, dest.shape)
-        lazy = body(rows, ops, part, scratch[1:])
-        if len(pieces) == 1:
-            part.lazy_reduce(lazy, axis=0, out=dest)
-        else:
-            np.copyto(dest, part.lazy_reduce(lazy, axis=0, out=scratch[0]))
+        scratch = work_buffers(*(dest.shape,) * (buffers + 1),
+                               *(extra(dest.shape) if extra else ()))
+        np.copyto(dest, part.lazy_reduce(
+            body(rows, ops, part, scratch[1:]), axis=0, out=scratch[0]))
     return result
 
 
@@ -353,9 +364,10 @@ def _terms_view(values: np.ndarray, shape, terms: int) -> np.ndarray:
 
 
 def _part(view: np.ndarray, rows: slice, ops: slice) -> np.ndarray:
-    """The slab ``(rows, ops)`` of a limb-major view that may broadcast."""
-    return view[rows if view.shape[0] > 1 else slice(None),
-                ops if view.shape[1] > 1 else slice(None)]
+    """The slab ``(rows, ..., ops)`` of a limb-major view that may broadcast."""
+    if view.shape[0] > 1:
+        view = view[rows]
+    return view[..., ops, :] if view.shape[-2] > 1 else view
 
 
 def _like(shape, views) -> np.ndarray:
@@ -380,7 +392,7 @@ def product(chain: BarrettChain, x: np.ndarray, x_max: int, operand,
                        input_max=x_max)
     static = not isinstance(operand, np.ndarray)
     values = operand.matrix if static else operand
-    if form is None or values.ndim != x.ndim:
+    if form is None or values.ndim != x.ndim or x.ndim < 2 + (terms > 1):
         return None
     shape = np.broadcast_shapes(x.shape, values.shape)
     if static:
@@ -389,31 +401,30 @@ def product(chain: BarrettChain, x: np.ndarray, x_max: int, operand,
         images, weight = (), float(1 << split_shift(operand_max))
     else:
         images, weight = (values,), 1.0
-    xs = _terms_view(x, shape, terms)
+    x = _terms_view(x, shape, terms)
     images = [_terms_view(image, shape, terms) for image in images]
     values = _terms_view(values, shape, terms)
-    result = _like((shape[0], xs.shape[2] * max(1, values.shape[2] // xs.shape[2]),
-                    shape[-1]), (xs[:, 0], values[:, 0]))
+    result = _like((shape[0], max(x.shape[2], values.shape[2]), shape[-1]),
+                   (x[:, 0], values[:, 0]))
 
     def body(rows, ops, part, scratch):
-        slab_images = [[_part(image[:, t], rows, ops) for t in range(terms)]
-                       for image in images]
+        slab_images = [_part(image, rows, ops) for image in images]
         if not slab_images:
-            # A dynamic operand is split here, in cache: hi, lo per term.
-            slab_images = [scratch[4:4 + terms], scratch[4 + terms:]]
-            for t, (hi, lo) in enumerate(zip(*slab_images)):
-                piece = _part(values[:, t], rows, ops)
-                np.multiply(piece, 1.0 / weight, out=hi)
-                np.floor(hi, out=hi)
-                np.multiply(hi, weight, out=lo)
-                np.subtract(piece, lo, out=lo)
+            # A transient operand is split here, in cache.
+            piece = _part(values, rows, ops)
+            hi, lo = slab_images = scratch[4:]
+            np.multiply(piece, 1.0 / weight, out=hi)
+            np.floor(hi, out=hi)
+            np.multiply(hi, weight, out=lo)
+            np.subtract(piece, lo, out=lo)
         return run_stage(form, accumulate(scratch[3]), slab_images, weight,
-                         part, [_part(xs[:, t], rows, ops) for t in range(terms)],
-                         scratch)
+                         part, _part(x, rows, ops), scratch)
 
-    dynamic_split = not images
-    launch(chain, result, body, 4 + 2 * terms * dynamic_split,
-           width=1 + terms * dynamic_split)
+    if images:
+        launch(chain, result, body, 4)
+    else:
+        launch(chain, result, body, 4, share=1 + terms, extra=lambda slab: (
+            (slab[0], terms) + slab[1:],) * 2)
     return result.reshape(shape[:1] + shape[2:] if terms > 1 else shape)
 
 
@@ -439,10 +450,10 @@ def row_gemm(chain: BarrettChain, lhs, rhs: np.ndarray, rhs_max: int,
 
     for start in range(0, result.shape[1], step):
         dest = result[:, start:start + step]
-        scratch = work_buffers(4, dest.shape)
+        scratch = work_buffers(*(dest.shape,) * 4)
         lazy = run_stage(form, apply, images, weight, chain,
                          rhs[:, start:start + step], scratch[1:])
-        np.copyto(dest, chain.lazy_reduce(lazy, axis=0, out=scratch[0]))
+        chain.lazy_reduce(lazy, axis=0, out=scratch[0], into=dest)
     return result
 
 

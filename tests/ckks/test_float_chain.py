@@ -8,7 +8,8 @@ float64 Barrett kernels end to end.  Proven here at full strength:
 * **zero intermediate int64 images** — a counter patched into
   ``FloatResidues.matrix`` records every float→int64 materialisation, and
   the fused chain performs none (the cast happens only at the
-  decrypt/decode boundary, after the chain returns);
+  decrypt/decode boundary, after the chain returns), at 20-bit primes and
+  at the default 28/30-bit split widths alike;
 * **zero recorded transfers** — the residency layer never stages through
   host mid-chain;
 * **bit-identical outputs** — against both the sequential evaluator and
@@ -70,9 +71,15 @@ def _assert_ciphertexts_equal(got, want):
         assert g.scale == w.scale and g.level == w.level
 
 
-@pytest.fixture(scope="module")
-def fhe():
-    context = _context()
+#: The single-pass chain, and the default 28/30-bit widths: every product
+#: between the transforms takes the hi/lo split forms there.
+WIDTHS = {"p20": dict(), "p28": dict(prime_bits=28, special_bits=30,
+                                     scale_bits=28, name="float-chain-28")}
+
+
+@pytest.fixture(scope="module", params=sorted(WIDTHS))
+def fhe(request):
+    context = _context(**WIDTHS[request.param])
     secret, relin, lhs, rhs = _instance(context, BATCH)
     return context, secret, relin, lhs, rhs
 

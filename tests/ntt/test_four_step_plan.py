@@ -380,6 +380,21 @@ class TestParity:
             assert np.array_equal(
                 as_ndarray(engine.forward_ops(floats, primes)), want)
 
+    def test_polynomials_too_small_to_pay_come_back_int64(self, monkeypatch):
+        """Residency follows the size of one polynomial, not of the batch."""
+        primes = CHAINS["p28"](self.N)
+        stack = random_stack(np.random.default_rng(5), 8, primes, self.N)
+        engine = engine_for(self.N, primes)
+        want = NttPlanner("reference").forward_ops(self.N, primes, stack)
+        assert plan_module.RESIDENT_DOUBLES == 0        # the suite's fixture
+        for threshold, resident in ((len(primes) * self.N, False),
+                                    (len(primes) * self.N - 1, True)):
+            monkeypatch.setattr(plan_module, "RESIDENT_DOUBLES", threshold)
+            with use_backend(BACKEND):
+                got = engine.forward_ops(DeviceBuffer.wrap(stack), primes)
+            assert (got.host_image is None) == resident
+            assert np.array_equal(got.ensure_host(), want)
+
     @pytest.mark.parametrize("chain", sorted(CHAINS))
     def test_out_of_range_input_is_reduced_by_the_range_scan_first(self, chain):
         primes = CHAINS[chain](self.N)

@@ -157,12 +157,13 @@ class TestWorkBuffers:
         blas.mat_mul(float_handle(a, max(primes) - 1),
                      float_handle(a, max(primes) - 1), primes)
         assert np.array_equal(first.float_cache().full(), kept)
-        for buffer in planned.work_buffers(2, (4, 4)):
+        for buffer in planned.work_buffers((4, 4), (4, 4)):
             assert not np.shares_memory(buffer, first.float_cache().full())
 
     @pytest.mark.parametrize("shape", [(3, 5), (2, 3, 4)])
     def test_buffers_are_distinct_views_of_one_block(self, shape):
-        buffers = planned.work_buffers(3, shape)
-        assert all(buffer.shape == shape for buffer in buffers)
-        assert not np.shares_memory(buffers[0], buffers[1])
-        assert planned.work_buffers(3, shape) is buffers
+        buffers = planned.work_buffers(shape, shape, (2,) + shape)
+        assert [buffer.shape for buffer in buffers] == [shape, shape, (2,) + shape]
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(buffers)
+                       for b in buffers[i + 1:])
+        assert planned.work_buffers(shape, shape, (2,) + shape) is buffers
