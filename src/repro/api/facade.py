@@ -88,14 +88,15 @@ class TensorFheContext:
 
     @property
     def compute_backend(self) -> str:
-        """Name of the backend this context's NTT-engine GEMMs launch on.
+        """Name of the backend every launch of this context runs on.
 
-        An explicit ``backend=`` pin covers the engine GEMM launches (the
-        dominant cost); element-wise mat-mod kernels and the basis-
-        conversion GEMM always follow the *process-wide* active backend.
-        To route every launch, select the backend process-wide instead
-        (``REPRO_BACKEND`` or :func:`repro.set_active_backend`) — with no
-        pin, this property reports exactly that backend.
+        An explicit ``backend=`` pin covers all of them — the NTT-engine
+        GEMMs, the element-wise mat-mod kernels, the basis-conversion GEMM
+        and the key-switch inner product (see
+        :func:`repro.ckks.context.pinned`) — whatever the process-wide
+        selection is.  With no pin this reports the process-wide active
+        backend (``REPRO_BACKEND`` or :func:`repro.set_active_backend`),
+        which is then what the context follows.
         """
         return resolve_backend(self.context.planner.backend).name
 

@@ -85,19 +85,6 @@ def _planned():
     return planned
 
 
-def _elementwise(chain, operands, axis: int, combine) -> np.ndarray:
-    """A mask-free sum / difference / reduction: one deferred lazy pass.
-
-    ``combine`` lands in the lazy window ``(-q, 2q)``, from where a single
-    Barrett pass is canonical — no ``where=`` masks, which cost numpy's
-    slow loop (2.3 ms against 0.8 ms per ``(8, 8, 4096)``).
-    """
-    if axis:
-        operands = [np.moveaxis(operand, axis, 0) for operand in operands]
-    out = _planned().elementwise(chain, operands, combine)
-    return np.moveaxis(out, 0, axis) if axis else out
-
-
 class ArrayBackend(abc.ABC):
     """Compute substrate for the modular kernels."""
 
@@ -217,10 +204,10 @@ class ArrayBackend(abc.ABC):
     # The float kernels (Barrett reduction on the FMA units, see
     # :mod:`repro.numtheory.floatmod`).
     #
-    # Operands and results are *canonical float64 residue images*: exact
-    # integers in [0, q) stored as float64.  Staying in that form between
-    # launches is what removes the int64 ``%`` passes from fused
-    # pipelines.  Callers own the exactness guard
+    # Operands and results are *canonical float64 residue images*, limb
+    # axis leading: exact integers in [0, q) stored as float64.  Staying
+    # in that form between launches is what removes the int64 ``%`` passes
+    # from fused pipelines.  Callers own the exactness guard
     # (``chain.fits(operand_bound)``); these kernels assume it holds
     # (``fhadamard_limbs`` returns None where no product form is exact).
     # ------------------------------------------------------------------
@@ -236,7 +223,7 @@ class ArrayBackend(abc.ABC):
         """
         return np.matmul(lhs, rhs, out=out)
 
-    def fhadamard_limbs(self, lhs, rhs, chain, *, axis: int = 0,
+    def fhadamard_limbs(self, lhs, rhs, chain, *,
                         terms: int = 1) -> Optional[np.ndarray]:
         """Canonical ``sum_t lhs[t] * rhs[t] mod q`` of float residue images.
 
@@ -248,43 +235,38 @@ class ArrayBackend(abc.ABC):
         bound, whose split images are then reused.  ``terms > 1`` sums over
         the axis after the limb axis before reducing.
         """
-        x_max = getattr(lhs, "max_value", chain.qmax - 1)
-        operand_max = getattr(rhs, "max_value", chain.qmax - 1)
-        x = lhs if isinstance(lhs, np.ndarray) else lhs.full()
-        if axis:
-            x = np.moveaxis(x, axis, 0)
-            rhs = np.moveaxis(
-                rhs if isinstance(rhs, np.ndarray) else rhs.full(), axis, 0)
-        out = _planned().product(chain, x, x_max, rhs, operand_max, terms)
-        return out if out is None or not axis else np.moveaxis(out, 0, axis)
+        return _planned().product(
+            chain, lhs if isinstance(lhs, np.ndarray) else lhs.full(),
+            getattr(lhs, "max_value", chain.qmax - 1), rhs,
+            getattr(rhs, "max_value", chain.qmax - 1), terms)
 
-    def fadd_limbs(self, a: np.ndarray, b: np.ndarray, chain, *,
-                   axis: int = 0) -> np.ndarray:
+    # Mask-free sum / difference / negation / reduction: the combination
+    # lands in the lazy window (-q, 2q), from where one deferred Barrett
+    # pass is canonical — no ``where=`` masks, which cost numpy's slow loop
+    # (2.3 ms against 0.8 ms per (8, 8, 4096)).
+    def fadd_limbs(self, a: np.ndarray, b: np.ndarray, chain) -> np.ndarray:
         """Element-wise ``(a + b) mod q`` on canonical float residue images."""
-        return _elementwise(chain, (a, b), axis,
-                            lambda part, a, b, out: np.add(a, b, out=out))
+        return _planned().elementwise(
+            chain, (a, b), lambda part, a, b, out: np.add(a, b, out=out))
 
-    def fsub_limbs(self, a: np.ndarray, b: np.ndarray, chain, *,
-                   axis: int = 0) -> np.ndarray:
+    def fsub_limbs(self, a: np.ndarray, b: np.ndarray, chain) -> np.ndarray:
         """Element-wise ``(a - b) mod q`` on canonical float residue images."""
-        return _elementwise(chain, (a, b), axis,
-                            lambda part, a, b, out: np.subtract(a, b, out=out))
+        return _planned().elementwise(
+            chain, (a, b), lambda part, a, b, out: np.subtract(a, b, out=out))
 
-    def fneg_limbs(self, a: np.ndarray, chain, *,
-                   axis: int = 0) -> np.ndarray:
+    def fneg_limbs(self, a: np.ndarray, chain) -> np.ndarray:
         """Element-wise ``(-a) mod q`` on canonical float residue images."""
-        return _elementwise(chain, (a,), axis,
-                            lambda part, a, out: np.negative(a, out=out))
+        return _planned().elementwise(
+            chain, (a,), lambda part, a, out: np.negative(a, out=out))
 
-    def freduce_limbs(self, values: np.ndarray, chain, *,
-                      axis: int = 0) -> np.ndarray:
+    def freduce_limbs(self, values: np.ndarray, chain) -> np.ndarray:
         """Canonical Barrett reduction of integer-valued float64 arrays.
 
         Exact whenever ``chain.fits(max |values|)`` — the float-resident
         analogue of :meth:`mat_reduce` for bounded intermediates.
         """
-        return _elementwise(
-            chain, (values,), axis,
+        return _planned().elementwise(
+            chain, (values,),
             lambda part, x, out: part.lazy_reduce(x, axis=0, out=out))
 
     # ------------------------------------------------------------------

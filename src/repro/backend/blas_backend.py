@@ -142,66 +142,6 @@ class FloatResidues(FloatOperandCache):
         return self._split
 
 
-def float_matmul_limbs(lhs: DeviceBuffer, rhs: DeviceBuffer, column,
-                       lhs_cache, rhs_cache):
-    """Exact float64 fast path for the batched GEMM, or None if unsafe.
-
-    At least one operand side carries a :class:`FloatOperandCache` (a
-    handle's attached image, or one built for this call); a side without
-    one is converted per call.  When *both* sides carry caches — the fully
-    resident case — no per-call conversion happens and the int64 hosts are
-    never touched.  Falls back to None when even the split operand would
-    break the 2**53 exactness bound.
-    """
-    inner = lhs.shape[2]
-    cache = lhs_cache if lhs_cache is not None else rhs_cache
-    if lhs_cache is not None:
-        other, other_cache = rhs, rhs_cache
-    else:
-        other, other_cache = lhs, None
-    # The conversion-free side's bound comes from its cached scan; a raw
-    # side keeps the conservative modulus bound (matching the historical
-    # guard, which never scans the transient operand).
-    other_bound = (other_cache.max_value if other_cache is not None
-                   else int(column.max()) - 1)
-
-    def combine(product):
-        # In place where the dtype allows: ``product`` is a fresh dgemm
-        # result, and these temporaries set the launch's peak memory.
-        out = np.rint(product, out=product).astype(np.int64)
-        return np.remainder(out, column, out=out)
-
-    def other_float():
-        if other_cache is not None:
-            return other_cache.full()
-        return other.ensure_host().astype(np.float64)
-
-    if inner * cache.max_value * other_bound < FLOAT_EXACT_LIMIT:
-        other_f = other_float()
-        if lhs_cache is not None:
-            return combine(np.matmul(cache.full(), other_f))
-        return combine(np.matmul(other_f, cache.full()))
-
-    shift, hi, lo = cache.split()
-    hi_max = max(1, cache.max_value >> shift)
-    lo_max = (1 << shift) - 1
-    if inner * max(hi_max, lo_max) * other_bound >= FLOAT_EXACT_LIMIT:
-        return None
-    other_f = other_float()
-    if lhs_cache is not None:
-        high = combine(np.matmul(hi, other_f))
-        low = combine(np.matmul(lo, other_f))
-    else:
-        high = combine(np.matmul(other_f, hi))
-        low = combine(np.matmul(other_f, lo))
-    weight = (1 << shift) % column
-    high *= weight
-    high %= column
-    high += low
-    high %= column
-    return high
-
-
 class BlasFloat64Backend(NumpyBackend):
     """Guarded float64 BLAS substrate (bit-exact, int64 fallback).
 
@@ -254,15 +194,28 @@ class BlasFloat64Backend(NumpyBackend):
 
     def matmul_limbs(self, lhs: DeviceBuffer, rhs: DeviceBuffer,
                      moduli: np.ndarray) -> DeviceBuffer:
+        """The batched GEMM as a planned product against the cached side.
+
+        A twiddle stack (or a float-only earlier result) on either side is
+        the operand whose hi/lo images are reused; the other side's image
+        is read, or converted for this call.  With no cache at all the
+        (typically smaller) rhs gets one for the call.
+        """
         lhs_cache, rhs_cache = lhs.float_cache(), rhs.float_cache()
         if lhs_cache is None and rhs_cache is None:
-            # No reusable operand: cache the (typically smaller) rhs side
-            # for this call so the launch can still run on dgemm.
             rhs_cache = FloatOperandCache(rhs.ensure_host())
-        column = np.asarray(moduli, dtype=np.int64).reshape(-1, 1, 1)
-        result = float_matmul_limbs(lhs, rhs, column, lhs_cache, rhs_cache)
-        if result is not None:
-            return DeviceBuffer(host=result)
+        left = lhs_cache is not None
+        other, other_cache = (rhs, rhs_cache) if left else (lhs, None)
+        chain = _barrett_chain(moduli)
+        if other_cache is None:
+            # A raw side keeps the conservative modulus bound.
+            x, x_max = other.ensure_host().astype(np.float64), chain.qmax - 1
+        else:
+            x, x_max = other_cache.full(), other_cache.max_value
+        out = _planned().gemm(chain, lhs_cache if left else rhs_cache, x, x_max,
+                              self.fmatmul, left)
+        if out is not None:
+            return self._float_result(out, chain)
         return super().matmul_limbs(lhs, rhs, moduli)
 
     def mat_mul(self, a: DeviceBuffer, b: DeviceBuffer,
@@ -321,8 +274,8 @@ class BlasFloat64Backend(NumpyBackend):
         lhs_cache, rhs_cache = lhs.float_cache(), rhs.float_cache()
         if lhs_cache is not None and rhs_cache is not None and rhs.shape[1]:
             chain = _barrett_chain(row_moduli)
-            out = _planned().row_gemm(chain, lhs_cache, rhs_cache.full(),
-                                      rhs_cache.max_value, self.fmatmul)
+            out = _planned().gemm(chain, lhs_cache, rhs_cache.full(),
+                                  rhs_cache.max_value, self.fmatmul)
             if out is not None:
                 return self._float_result(out, chain)
         return super().matmul_rows(lhs, rhs, row_moduli,

@@ -31,13 +31,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from ..backend.residency import (
-    as_ndarray,
-    concatenate_arrays,
-    stack_arrays,
-)
+from ..backend.residency import concatenate_arrays, stack_arrays
 from ..kernels.automorphism import (
     apply_automorphism_coeff,
     galois_element_for_rotation,

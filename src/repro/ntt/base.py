@@ -198,47 +198,20 @@ class NttEngine(abc.ABC):
                         moduli: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
         """Check/reduce a ``(limbs, N)`` residue matrix against its moduli.
 
-        Residency handles with a host image (every user-constructed handle
-        has one) get the same range scan/reduction as plain arrays — the
-        historical contract for out-of-range residues.  Only device-only
-        handles are trusted as reduced: their values were produced by the
-        library's own kernels, and scanning them would force a host copy.
+        The one-operation case of :meth:`_validate_ops`, which owns the
+        range scan and its trust rules.
         """
-        moduli_array = np.asarray([int(q) for q in moduli], dtype=np.int64)
-        if is_buffer(residues):
-            shape = residues.shape
-            if len(shape) != 2 or shape[1] != self.ring_degree:
-                raise ValueError(
-                    "expected a (limbs, %d) residue matrix, got shape %s"
-                    % (self.ring_degree, shape)
-                )
-            if moduli_array.shape[0] != shape[0]:
-                raise ValueError(
-                    "got %d moduli for %d limbs"
-                    % (moduli_array.shape[0], shape[0])
-                )
-            host = residues.host_image
-            if host is not None:
-                column = moduli_array[:, None]
-                if np.any(host < 0) or np.any(host >= column):
-                    # A stale device image would hold the unreduced values.
-                    residues = type(residues).wrap(host % column)
-            return residues, moduli_array
-        array = np.asarray(residues, dtype=np.int64)
-        if array.ndim != 2 or array.shape[1] != self.ring_degree:
+        if not is_buffer(residues):
+            residues = np.asarray(residues, dtype=np.int64)
+        if len(residues.shape) != 2 or residues.shape[1] != self.ring_degree:
             raise ValueError(
                 "expected a (limbs, %d) residue matrix, got shape %s"
-                % (self.ring_degree, array.shape)
+                % (self.ring_degree, tuple(residues.shape))
             )
-        if moduli_array.shape[0] != array.shape[0]:
-            raise ValueError(
-                "got %d moduli for %d limbs"
-                % (moduli_array.shape[0], array.shape[0])
-            )
-        column = moduli_array[:, None]
-        if np.any(array < 0) or np.any(array >= column):
-            array = array % column
-        return array, moduli_array
+        view = residues[None]
+        stacks, moduli_array = self._validate_ops(view, moduli)
+        # Untouched: hand back the caller's own handle (its device image).
+        return (residues if stacks is view else stacks[0]), moduli_array
 
     def _check_ops_shape(self, stacks: np.ndarray) -> np.ndarray:
         """Shape-check a ``(B, limbs, N)`` stack (no range scan)."""
@@ -262,8 +235,12 @@ class NttEngine(abc.ABC):
                       moduli: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
         """Check/reduce a ``(B, limbs, N)`` stack against its shared moduli.
 
-        Handles with a host image get the same scan/reduction as plain
-        arrays; device-only handles are trusted (see :meth:`_validate_limbs`).
+        Residency handles with a host image (every user-constructed handle
+        has one) get the same range scan/reduction as plain arrays — the
+        historical contract for out-of-range residues.  Only device- and
+        float-only handles are trusted as reduced: their values were
+        produced by the library's own kernels, and scanning them would
+        force a host copy.
         """
         array = self._check_ops_shape(stacks)
         moduli_array = np.asarray([int(q) for q in moduli], dtype=np.int64)

@@ -163,12 +163,10 @@ class FourStepNtt(GemmNttEngine):
                 x = run_stage(form, apply, images, weight, chain, x,
                               [b for b in buffers if b is not x], columns)
             spare = buffers[1] if x is buffers[0] else buffers[0]
-            landing = result[ops, rows].transpose(1, 0, 3, 2)
-            # The canonical pass; a float result takes its last step direct.
-            x = chain.lazy_reduce(x, axis=0, out=spare, columns=columns,
-                                  into=landing if as_float else None)
-            if not as_float:
-                np.copyto(landing, x, casting="unsafe")
+            x = chain.lazy_reduce(x, axis=0, out=spare,       # canonical
+                                  columns=columns)
+            np.copyto(result[ops, rows], x.transpose(1, 0, 3, 2),
+                      casting="unsafe")
         result = result.reshape(batch, limbs, self.ring_degree)
         if as_float:
             return DeviceBuffer.from_float(

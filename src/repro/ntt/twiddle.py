@@ -318,41 +318,18 @@ class TwiddleStack:
         )
 
     # -- float64 images for the BLAS fast path -------------------------
-    def four_step_forward_caches(self) -> Tuple[FloatOperandCache, FloatOperandCache]:
-        """Float caches for ``(W1, W3)`` (the GEMM operands)."""
-        self.four_step_forward()
-        return self._float("fs_w1"), self._float("fs_w3")
-
-    def four_step_inverse_caches(self) -> Tuple[FloatOperandCache, FloatOperandCache]:
-        """Float caches for ``(V1, V3)``."""
-        self.four_step_inverse()
-        return self._float("fs_v1"), self._float("fs_v3")
-
-    def four_step_forward_hadamard_cache(self) -> FloatOperandCache:
-        """Float cache for the forward Hadamard twiddle ``W2``.
-
-        The float-resident four-step pipeline multiplies lazy residues by
-        ``W2`` directly on the FMA units, so the Hadamard operand needs a
-        reusable float64 image just like the GEMM operands.
-        """
-        self.four_step_forward()
-        return self._float("fs_w2")
-
-    def four_step_inverse_hadamard_cache(self) -> FloatOperandCache:
-        """Float cache for the inverse Hadamard twiddle ``V2``."""
-        self.four_step_inverse()
-        return self._float("fs_v2")
-
     def four_step_operand_caches(self, inverse: bool) -> Tuple[FloatOperandCache, ...]:
         """Float caches of one direction's stage operands, in stage order.
 
-        ``(W1, W2, W3)`` forward; ``(V1, V2 * N^-1, V3)`` inverse.
+        ``(W1, W2, W3)`` forward; ``(V1, V2 * N^-1, V3)`` inverse: the GEMM
+        operands and the Hadamard twiddle alike get a reusable float64
+        image (full and hi/lo), built on first use.
         """
         if inverse:
-            inner, outer = self.four_step_inverse_caches()
-            return inner, self.four_step_inverse_hadamard_cache(), outer
-        inner, outer = self.four_step_forward_caches()
-        return inner, self.four_step_forward_hadamard_cache(), outer
+            self.four_step_inverse()
+            return tuple(self._float(key) for key in ("fs_v1", "fs_v2", "fs_v3"))
+        self.four_step_forward()
+        return tuple(self._float(key) for key in ("fs_w1", "fs_w2", "fs_w3"))
 
     def four_step_plan(self, inverse: bool) -> Optional[FourStepPlan]:
         """Stage forms of the float four-step transform over this chain.

@@ -165,17 +165,15 @@ class BarrettChain:
 
     # ------------------------------------------------------------------
     def lazy_reduce(self, values: np.ndarray, *, axis: int = 0,
-                    out: Optional[np.ndarray] = None, columns=None,
-                    into: Optional[np.ndarray] = None) -> np.ndarray:
+                    out: Optional[np.ndarray] = None,
+                    columns=None) -> np.ndarray:
         """One Barrett pass: integer-valued result in ``(-q, 2q)``.
 
         ``values`` must hold exact integers with ``|x| + q < 2**53`` (see
         :meth:`fits`).  ``out``, when given, must not alias ``values``;
         ``values`` itself is left untouched.  ``columns`` are the constants
         laid out by :meth:`wide_columns` for this shape, if the caller has
-        them.  ``into`` receives the result instead of ``out`` (which then
-        only holds the quotient): the last pass of a slab lands in the
-        launch's result without a copy of its own.
+        them.
         """
         q_col, inv_col = columns or self.columns(values.ndim, axis)
         if out is None:
@@ -183,7 +181,8 @@ class BarrettChain:
         np.multiply(values, inv_col, out=out)
         np.floor(out, out=out)
         out *= q_col
-        return np.subtract(values, out, out=out if into is None else into)
+        np.subtract(values, out, out=out)
+        return out
 
     def canonical_reduce(self, values: np.ndarray, *, axis: int = 0,
                          out: Optional[np.ndarray] = None,

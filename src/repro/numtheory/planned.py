@@ -28,8 +28,8 @@ multiply-accumulate over ``terms`` (:func:`accumulate`).
 Launches run limb-major, ``(limbs, operations, N)``, slab by slab
 (:func:`slabs`) through per-thread work buffers, so the ~20 passes of one
 product stay in cache; :func:`launch` is that loop for the element-wise
-kernels and :func:`product` / :func:`row_gemm` are the two planned
-products the float kernels of :mod:`repro.backend.base` are made of.
+kernels and :func:`product` / :func:`gemm` are the two planned products
+the float paths of the blas backend are made of.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ __all__ = [
     "accumulate",
     "launch",
     "product",
-    "row_gemm",
+    "gemm",
     "elementwise",
 ]
 
@@ -111,40 +111,9 @@ def canonical(form: StageForm) -> StageForm:
 
 
 @lru_cache(maxsize=1024)
-def _ladder(qmax: int, terms: int, operand_max: int, lazy_input: bool,
-            input_max: int) -> Tuple[Tuple[StageForm, bool], ...]:
-    lazy_max = 2 * qmax - 1
-    shift = split_shift(operand_max)
-    hi_max, lo_max = operand_max >> shift, (1 << shift) - 1
-    weighted = lazy_max << shift
-
-    def fits(bound: int) -> bool:
-        return bound + qmax < (1 << 53)
-
-    def single(x_max: int) -> bool:
-        return fits(terms * operand_max * x_max)
-
-    def split(x_max: int) -> bool:
-        return (fits(terms * hi_max * x_max)
-                and fits(weighted + terms * lo_max * x_max))
-
-    def split_both(x_max: int) -> bool:
-        return (fits(terms * hi_max * x_max) and fits(terms * lo_max * x_max)
-                and fits(weighted + lazy_max))
-
-    if not lazy_input:
-        return ((DIRECT, single(input_max)), (SPLIT, split(input_max)),
-                (SPLIT_BOTH, split_both(input_max)))
-    return ((DIRECT, single(lazy_max)),
-            (canonical(DIRECT), single(input_max)),
-            (SPLIT, split(lazy_max)),
-            (canonical(SPLIT), split(input_max)),
-            (canonical(SPLIT_BOTH), split_both(input_max)))
-
-
 def form_ladder(chain: BarrettChain, terms: int, operand_max: int, *,
                 lazy_input: bool, input_max: Optional[int] = None
-                ) -> List[Tuple[StageForm, bool]]:
+                ) -> Tuple[Tuple[StageForm, bool], ...]:
     """Every rung for one stage, cheapest first, with whether it is exact.
 
     ``operand_max`` bounds the operand's entries, ``terms`` is the length
@@ -153,13 +122,36 @@ def form_ladder(chain: BarrettChain, terms: int, operand_max: int, *,
     canonical (then there is nothing to canonicalise and three rungs are
     left).  ``input_max`` bounds a canonical ``x`` that holds residues of
     another basis (default ``qmax - 1``).  A rung is exact when every
-    intermediate it forms passes ``chain.fits``; the answer is memoised on
-    the bounds, so a repeated launch plans with one dictionary lookup.
+    intermediate it forms passes ``chain.fits``; the answer is memoised,
+    so a repeated launch plans with one dictionary lookup.
     """
-    if input_max is None:
-        input_max = chain.qmax - 1
-    return list(_ladder(chain.qmax, int(terms), int(operand_max),
-                        bool(lazy_input), int(input_max)))
+    q = chain.qmax
+    lazy_max = 2 * q - 1
+    canonical_max = q - 1 if input_max is None else input_max
+    shift = split_shift(operand_max)
+    hi_max, lo_max = operand_max >> shift, (1 << shift) - 1
+    weighted = lazy_max << shift
+
+    def single(x_max: int) -> bool:
+        return chain.fits(terms * operand_max * x_max)
+
+    def split(x_max: int) -> bool:
+        return (chain.fits(terms * hi_max * x_max)
+                and chain.fits(weighted + terms * lo_max * x_max))
+
+    def split_both(x_max: int) -> bool:
+        return (chain.fits(terms * hi_max * x_max)
+                and chain.fits(terms * lo_max * x_max)
+                and chain.fits(weighted + lazy_max))
+
+    if not lazy_input:
+        return ((DIRECT, single(canonical_max)), (SPLIT, split(canonical_max)),
+                (SPLIT_BOTH, split_both(canonical_max)))
+    return ((DIRECT, single(lazy_max)),
+            (canonical(DIRECT), single(canonical_max)),
+            (SPLIT, split(lazy_max)),
+            (canonical(SPLIT), split(canonical_max)),
+            (canonical(SPLIT_BOTH), split_both(canonical_max)))
 
 
 def choose_form(chain: BarrettChain, terms: int, operand_max: int, *,
@@ -428,33 +420,38 @@ def product(chain: BarrettChain, x: np.ndarray, x_max: int, operand,
     return result.reshape(shape[:1] + shape[2:] if terms > 1 else shape)
 
 
-def row_gemm(chain: BarrettChain, lhs, rhs: np.ndarray, rhs_max: int,
-             matmul=np.matmul) -> Optional[np.ndarray]:
-    """Canonical ``(lhs[j] @ rhs) mod q_j``, or ``None`` if inexact.
+def gemm(chain: BarrettChain, operand, x: np.ndarray, x_max: int,
+         matmul=np.matmul, left: bool = True) -> Optional[np.ndarray]:
+    """Canonical ``operand @ x`` (``x @ operand`` if not ``left``) mod q.
 
-    The fast-basis-conversion shape: ``lhs`` is a cached static ``(R, K)``
-    operand whose rows pair with the chain, ``rhs`` a float64 ``(K, P)``
-    image of residues up to ``rhs_max`` (any basis).  The columns run in
-    slabs; ``matmul(a, b, out=)`` is the dgemm hook.
+    The limb axis leads: a ``(L, M, K)`` stack against ``(L, K, P)``, or —
+    the fast-basis-conversion shape — one ``(R, K)`` matrix whose rows pair
+    with the chain against a shared ``(K, P)``.  ``operand`` is the cached
+    side, ``x`` a float64 image of residues up to ``x_max`` (any basis);
+    the free axis of ``x`` runs in slabs and ``matmul(a, b, out=)`` is the
+    dgemm hook.  ``None`` when no form is exact.
     """
-    form = choose_form(chain, rhs.shape[0], lhs.max_value, lazy_input=False,
-                       input_max=rhs_max)
+    form = choose_form(chain, x.shape[-2 if left else -1], operand.max_value,
+                       lazy_input=False, input_max=x_max)
     if form is None:
         return None
-    images, weight = stage_operand(form, lhs)
-    result = np.empty((images[0].shape[0], rhs.shape[1]))
-    step = max(1, SLAB_DOUBLES // result.shape[0])
+    images, weight = stage_operand(form, operand)
+    if not left:        # x @ T is (T' @ x')': the same launch on the views
+        images = [image.swapaxes(-1, -2) for image in images]
+        x = x.swapaxes(-1, -2)
+    result = np.empty(images[0].shape[:-1] + x.shape[-1:])
+    step = max(1, SLAB_DOUBLES // math.prod(result.shape[:-1]))
 
     def apply(image, x, out):
         return matmul(image, x, out=out)
 
-    for start in range(0, result.shape[1], step):
-        dest = result[:, start:start + step]
+    for start in range(0, result.shape[-1], step):
+        dest = result[..., start:start + step]
         scratch = work_buffers(*(dest.shape,) * 4)
         lazy = run_stage(form, apply, images, weight, chain,
-                         rhs[:, start:start + step], scratch[1:])
-        chain.lazy_reduce(lazy, axis=0, out=scratch[0], into=dest)
-    return result
+                         x[..., start:start + step], scratch[1:])
+        np.copyto(dest, chain.lazy_reduce(lazy, axis=0, out=scratch[0]))
+    return result if left else result.swapaxes(-1, -2)
 
 
 def elementwise(chain: BarrettChain, operands, combine) -> np.ndarray:

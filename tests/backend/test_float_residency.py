@@ -102,13 +102,14 @@ class TestFloatKernels:
         assert got is out
         assert np.array_equal(got, np.matmul(lhs, rhs))
 
-    def test_limb_axis_one(self, backend, rng):
-        """(B, L, N) stacks reduce along axis=1, matching the fused layout."""
+    def test_a_batch_is_the_limb_major_view_of_the_stack(self, backend, rng):
+        """(B, L, N) stacks go in as their (L, B, N) view, copy-free."""
         chain = _chain(20)
         q_col = chain.moduli_array[None, :, None]
         ints = rng.integers(0, q_col, size=(2, chain.limb_count, 16))
-        got = backend.fhadamard_limbs(ints.astype(np.float64),
-                                      ints.astype(np.float64), chain, axis=1)
+        floats = ints.astype(np.float64).transpose(1, 0, 2)
+        got = backend.fhadamard_limbs(floats, floats, chain).transpose(1, 0, 2)
+        assert got.flags.c_contiguous           # the stack's own layout back
         assert np.array_equal(got.astype(np.int64), (ints * ints) % q_col)
 
 

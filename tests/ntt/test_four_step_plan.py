@@ -129,9 +129,9 @@ class TestPlanTable:
         clear_twiddle_stacks()
         get_twiddle_stack(64, primes).four_step_plan(False)     # the parent first
         prefix = get_twiddle_stack(64, primes[:3])
-        inner, _ = prefix.four_step_forward_caches()
+        inner = prefix.four_step_operand_caches(False)[0]
         assert inner.max_value == get_twiddle_stack(
-            64, primes).four_step_forward_caches()[0].max_value
+            64, primes).four_step_operand_caches(False)[0].max_value
         assert prefix.four_step_plan(False) is not None
 
     def test_plan_is_a_pure_function_of_bounds(self):

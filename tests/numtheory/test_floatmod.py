@@ -15,7 +15,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from repro.backend import get_backend
 from repro.backend.blas_backend import split_shift
 from repro.numtheory import generate_ntt_primes
 from repro.numtheory.floatmod import (
@@ -220,15 +219,15 @@ class TestSplitProduct:
         got = float_product(chain, a, b)
         assert np.array_equal(got.astype(np.int64), want)
 
-    def test_product_limb_axis_one(self, rng):
-        # The f* kernels take (B, L, N) stacks with the limb axis at 1.
+    def test_product_of_a_limb_major_view(self, rng):
+        # The batched callers pass the (L, B, N) view of a (B, L, N) stack.
         chain = chain_for(30, limbs=4)
         q_col = chain.moduli_array[None, :, None]
         a = rng.integers(0, q_col, size=(3, 4, 32))
         b = rng.integers(0, q_col, size=(3, 4, 32))
-        got = get_backend("blas").fhadamard_limbs(
-            a.astype(np.float64), b.astype(np.float64), chain, axis=1)
-        assert np.array_equal(got.astype(np.int64), (a * b) % q_col)
+        got = float_product(chain, a.transpose(1, 0, 2), b.transpose(1, 0, 2))
+        assert np.array_equal(got.transpose(1, 0, 2).astype(np.int64),
+                              (a * b) % q_col)
 
 
 class TestGuard:
