@@ -288,11 +288,9 @@ class DeviceBuffer:
         counted staging point for a device-resident handle).  ``function``
         must return a fresh array of reduced residues.
         """
-        if self._host is None and self._native is None:
-            cache = self._float_cache
-            return DeviceBuffer(float_cache=type(cache)(
-                function(cache.full()), cache.max_value))
-        return DeviceBuffer(host=function(self.ensure_host()))
+        if self._on_device():
+            return DeviceBuffer(host=function(self.ensure_host()))
+        return self._apply(function, None)
 
     def reshape(self, *shape) -> "DeviceBuffer":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):

@@ -98,8 +98,6 @@ class RnsPolynomial:
             )
         if self.domain not in (PolyDomain.COEFFICIENT, PolyDomain.EVALUATION):
             raise ValueError("unknown polynomial domain %r" % self.domain)
-        # Broadcast column reused by every vectorised arithmetic helper.
-        self._moduli_column = np.asarray(self.moduli, dtype=np.int64)[:, None]
 
     # ------------------------------------------------------------------
     # Residency
@@ -246,17 +244,17 @@ class RnsPolynomial:
     def add(self, other: "RnsPolynomial") -> "RnsPolynomial":
         """Element-wise modular addition (the Ele-Add kernel)."""
         self._check_compatible(other)
-        residues = mat_mod_add(self._buffer, other._buffer, self._moduli_column)
+        residues = mat_mod_add(self._buffer, other._buffer, self.moduli)
         return RnsPolynomial(self.ring_degree, self.moduli, residues, self.domain)
 
     def subtract(self, other: "RnsPolynomial") -> "RnsPolynomial":
         """Element-wise modular subtraction (the Ele-Sub kernel)."""
         self._check_compatible(other)
-        residues = mat_mod_sub(self._buffer, other._buffer, self._moduli_column)
+        residues = mat_mod_sub(self._buffer, other._buffer, self.moduli)
         return RnsPolynomial(self.ring_degree, self.moduli, residues, self.domain)
 
     def negate(self) -> "RnsPolynomial":
-        residues = mat_mod_neg(self._buffer, self._moduli_column)
+        residues = mat_mod_neg(self._buffer, self.moduli)
         return RnsPolynomial(self.ring_degree, self.moduli, residues, self.domain)
 
     def hadamard(self, other: "RnsPolynomial") -> "RnsPolynomial":
@@ -267,12 +265,12 @@ class RnsPolynomial:
         polynomials should go through the kernel layer or an NTT engine.
         """
         self._check_compatible(other)
-        residues = mat_mod_mul(self._buffer, other._buffer, self._moduli_column)
+        residues = mat_mod_mul(self._buffer, other._buffer, self.moduli)
         return RnsPolynomial(self.ring_degree, self.moduli, residues, self.domain)
 
     def scalar_multiply(self, scalar: int) -> "RnsPolynomial":
         """Multiply every residue by an integer scalar."""
-        residues = mat_mod_scalar_mul(self._buffer, int(scalar), self._moduli_column)
+        residues = mat_mod_scalar_mul(self._buffer, int(scalar), self.moduli)
         return RnsPolynomial(self.ring_degree, self.moduli, residues, self.domain)
 
     def scalar_multiply_per_limb(self, scalars: Sequence[int]) -> "RnsPolynomial":
@@ -284,7 +282,7 @@ class RnsPolynomial:
         if len(scalars) != self.limb_count:
             raise ValueError("need one scalar per limb")
         residues = mat_mod_scalar_mul(self._buffer, [int(s) for s in scalars],
-                                      self._moduli_column)
+                                      self.moduli)
         return RnsPolynomial(self.ring_degree, self.moduli, residues, self.domain)
 
     # ------------------------------------------------------------------
