@@ -196,16 +196,17 @@ class BlasFloat64Backend(NumpyBackend):
                      moduli: np.ndarray) -> DeviceBuffer:
         """The batched GEMM as a planned product against the cached side.
 
-        A twiddle stack (or a float-only earlier result) on either side is
-        the operand whose hi/lo images are reused; the other side's image
-        is read, or converted for this call.  With no cache at all the
-        (typically smaller) rhs gets one for the call.
+        A twiddle stack on either side is the operand whose hi/lo images
+        are reused (a float-only earlier result only when nothing else is
+        cached); the other side's image is read, or converted for this
+        call.  With no cache at all the (typically smaller) rhs gets one.
         """
         lhs_cache, rhs_cache = lhs.float_cache(), rhs.float_cache()
         if lhs_cache is None and rhs_cache is None:
             rhs_cache = FloatOperandCache(rhs.ensure_host())
-        left = lhs_cache is not None
-        other, other_cache = (rhs, rhs_cache) if left else (lhs, None)
+        left = rhs_cache is None or (lhs_cache is not None
+                                     and isinstance(rhs_cache, FloatResidues))
+        other, other_cache = (rhs, rhs_cache) if left else (lhs, lhs_cache)
         chain = _barrett_chain(moduli)
         if other_cache is None:
             # A raw side keeps the conservative modulus bound.

@@ -17,7 +17,6 @@ from ..backend.blas_backend import static_operand
 from ..backend.registry import resolve_backend, use_backend
 from ..backend.residency import DeviceBuffer
 from ..kernels.base import KernelContext
-from ..numtheory.floatmod import get_barrett_chain
 from ..numtheory.modular import mod_inverse
 from ..ntt.planner import NttPlanner
 from ..rns.basis import RnsBasis, build_default_basis
@@ -137,17 +136,6 @@ class CkksContext:
             )[:, None, None])
             self._rescale_inverse_cache[key] = column
         return column
-
-    def barrett_chain(self, moduli: Sequence[int]):
-        """Float64 Barrett constants for ``moduli`` (process-wide cached).
-
-        One :class:`~repro.numtheory.floatmod.BarrettChain` per prime
-        chain, shared with the NTT twiddle stacks: the float-resident
-        element-wise kernels (rescale / ModDown chains, Hadamard products)
-        reduce with these precomputed round-up reciprocals instead of
-        int64 ``%``.
-        """
-        return get_barrett_chain(moduli)
 
     # ------------------------------------------------------------------
     def describe(self) -> dict:
