@@ -20,10 +20,19 @@ result and its counts do not depend on which other streams share its
 launch.  The HMULT key switch and the rotation / conjugation paths run
 through :class:`~repro.ckks.batched_keyswitch.BatchedKeySwitcher`.
 
-Operands are expected in the coefficient domain — the only domain the
-library produces ciphertexts and plaintexts in.  An evaluation-domain
-operand is brought there on entry with a counted INTT (exact, so nothing
-downstream changes), and every result is coefficient-domain.
+Domains.  Ciphertexts rest in the coefficient domain: encryption produces
+it, every operation above returns it, and an evaluation-domain operand is
+brought there on entry with a counted INTT (exact, so nothing downstream
+changes).  The evaluation domain is where a caller *holds* operands it
+will multiply many times: :meth:`BatchedEvaluator.to_evaluation` /
+:meth:`~BatchedEvaluator.to_coefficient` move whole stream lists across in
+one fused transform each, and :meth:`~BatchedEvaluator.multiply_plain_sum`
+is the plaintext inner product ``sum_k ct_k ⊙ pt_k`` on evaluation-domain
+streams against a cached NTT-form operand, with an evaluation-domain
+result.  The BSGS linear transforms of the bootstrap are built from these
+three, so a diagonal costs two Hadamard products instead of CMULT's
+3 NTT + 2 INTT (NTT and INTT are exact and linear mod q: the residues are
+the ones the per-diagonal CMULT + HADD chain produces).
 """
 
 from __future__ import annotations
@@ -210,6 +219,76 @@ class BatchedEvaluator:
         return results
 
     # ------------------------------------------------------------------
+    # Evaluation-domain residency: fused domain moves and the plaintext
+    # inner product between them
+    # ------------------------------------------------------------------
+    @pinned
+    def to_evaluation(self, ciphertexts: Sequence[Ciphertext]) -> List[Ciphertext]:
+        """Every stream in the evaluation domain: one fused NTT per chain.
+
+        Components already there are passed through; the results are views
+        of the one transformed stack.
+        """
+        return self._in_domain(ciphertexts, PolyDomain.EVALUATION)
+
+    @pinned
+    def to_coefficient(self, ciphertexts: Sequence[Ciphertext]) -> List[Ciphertext]:
+        """Every stream in the coefficient domain: one fused INTT per chain."""
+        return self._in_domain(ciphertexts, PolyDomain.COEFFICIENT)
+
+    @pinned
+    def multiply_plain_sum(self, term_streams: Sequence[Sequence[Ciphertext]],
+                           operand_at, scale: float) -> List[Ciphertext]:
+        """The plaintext inner product ``sum_k ct_k ⊙ pt_k`` of ``B`` streams.
+
+        ``term_streams[k][b]`` is term ``k`` of stream ``b``, in the
+        evaluation domain; the terms of one stream share its level and
+        scale.  ``operand_at(level)`` is the static ``(L, k, 1, N)``
+        evaluation-domain image of the ``k`` plaintexts on the chain of
+        ``level``, encoded at ``scale``.  Per chain this is one fused
+        multiply-accumulate launch over ``c0 | c1`` of every stream, summed
+        before it is reduced — bit for bit the ``2k`` Hada-Mult and
+        ``2(k - 1)`` Ele-Add launches per stream it is counted as.  Results
+        stay in the evaluation domain.
+        """
+        term_streams = [list(streams) for streams in term_streams]
+        if not term_streams:
+            raise ValueError("an inner product needs at least one term")
+        terms, first = len(term_streams), term_streams[0]
+        for streams in term_streams:
+            for head, ciphertext in self._zipped(first, streams):
+                if (ciphertext.c0.domain != PolyDomain.EVALUATION
+                        or ciphertext.c1.domain != PolyDomain.EVALUATION):
+                    raise ValueError(
+                        "the inner product takes evaluation-domain streams")
+                if ciphertext.level != head.level:
+                    raise ValueError("the terms of a stream must share its level")
+                self._check_scales(ciphertext.scale, head.scale)
+
+        results: List[Optional[Ciphertext]] = [None] * len(first)
+        for moduli, indices in self._grouped(ct.moduli for ct in first).items():
+            batch, limbs = len(indices), len(moduli)
+            level = first[indices[0]].level
+            # (k * 2B, L, N) → (L, k, 2B, N): limb-major, the summed axis second.
+            stacked = self._stack(
+                [getattr(streams[i], component) for streams in term_streams
+                 for component in ("c0", "c1") for i in indices]
+            ).reshape(terms, 2 * batch, limbs, -1).transpose(2, 0, 1, 3)
+            # One term leaves its (unsummed) axis in place: fold it away.
+            sums = self._limb_major(mat_mod_mul(
+                stacked, operand_at(level), moduli, terms=terms
+            ).reshape(limbs, 2 * batch, -1))
+            self._record(KernelName.HADAMARD, 2 * terms * batch, limbs)
+            self._record(KernelName.ELE_ADD, 2 * (terms - 1) * batch, limbs)
+            for j, i in enumerate(indices):
+                results[i] = Ciphertext(
+                    c0=self._poly(moduli, sums[j], PolyDomain.EVALUATION),
+                    c1=self._poly(moduli, sums[batch + j], PolyDomain.EVALUATION),
+                    scale=first[i].scale * scale, level=level,
+                )
+        return results
+
+    # ------------------------------------------------------------------
     # HMULT (Alg. 2): B ciphertext multiplications with relinearization
     # ------------------------------------------------------------------
     @pinned
@@ -294,7 +373,7 @@ class BatchedEvaluator:
         for ciphertext in ciphertexts:
             if ciphertext.level == 0:
                 raise ValueError("cannot rescale a level-0 ciphertext")
-        ciphertexts = [self._coefficient(ct) for ct in ciphertexts]
+        ciphertexts = self._in_domain(ciphertexts, PolyDomain.COEFFICIENT)
         results: List[Optional[Ciphertext]] = [None] * len(ciphertexts)
         for moduli, indices in self._grouped(
                 ct.moduli for ct in ciphertexts).items():
@@ -365,7 +444,7 @@ class BatchedEvaluator:
     def _apply_galois(self, ciphertexts: Sequence[Ciphertext],
                       galois_element: int, switch_key: SwitchKey,
                       kernel: str) -> List[Ciphertext]:
-        ciphertexts = [self._coefficient(ct) for ct in ciphertexts]
+        ciphertexts = self._in_domain(ciphertexts, PolyDomain.COEFFICIENT)
         results: List[Optional[Ciphertext]] = [None] * len(ciphertexts)
         for moduli, indices in self._grouped(
                 ct.moduli for ct in ciphertexts).items():
@@ -414,20 +493,43 @@ class BatchedEvaluator:
                 (lhs_scale, rhs_scale)
             )
 
-    def _coefficient_poly(self, polynomial: RnsPolynomial) -> RnsPolynomial:
-        """``polynomial`` itself, or its counted INTT if it is evaluation-domain."""
-        if polynomial.domain == PolyDomain.COEFFICIENT:
-            return polynomial
-        self._record(KernelName.INTT, 1, polynomial.limb_count)
-        return polynomial.to_coefficient(self.context.planner)
+    def _in_domain(self, ciphertexts: Sequence[Ciphertext],
+                   domain: str) -> List[Ciphertext]:
+        """``ciphertexts`` with every component in ``domain``.
+
+        The components that are not are transformed in one counted engine
+        call per prime chain; a stream already there comes back as itself
+        (the usual case for the coefficient domain).
+        """
+        ciphertexts = list(ciphertexts)
+        polys = [poly for ct in ciphertexts for poly in (ct.c0, ct.c1)]
+        pending = [i for i, poly in enumerate(polys) if poly.domain != domain]
+        if not pending:
+            return ciphertexts
+        planner = self.context.planner
+        transform, kernel = (
+            (planner.forward_ops, KernelName.NTT)
+            if domain == PolyDomain.EVALUATION
+            else (planner.inverse_ops, KernelName.INTT))
+        for moduli, members in self._grouped(
+                polys[i].moduli for i in pending).items():
+            indices = [pending[member] for member in members]
+            moved = transform(self.context.ring_degree, moduli,
+                              self._stack([polys[i] for i in indices]))
+            self._record(kernel, len(indices), len(moduli))
+            for j, i in enumerate(indices):
+                polys[i] = self._poly(moduli, moved[j], domain)
+        return [
+            ct if polys[2 * i] is ct.c0 and polys[2 * i + 1] is ct.c1
+            else Ciphertext(polys[2 * i], polys[2 * i + 1], ct.scale, ct.level)
+            for i, ct in enumerate(ciphertexts)
+        ]
 
     def _coefficient(self, ciphertext: Ciphertext) -> Ciphertext:
         """``ciphertext`` itself when already coefficient-domain (the usual case)."""
-        c0 = self._coefficient_poly(ciphertext.c0)
-        c1 = self._coefficient_poly(ciphertext.c1)
-        if c0 is ciphertext.c0 and c1 is ciphertext.c1:
-            return ciphertext
-        return Ciphertext(c0, c1, ciphertext.scale, ciphertext.level)
+        if ciphertext.c0.domain == ciphertext.c1.domain == PolyDomain.COEFFICIENT:
+            return ciphertext       # per stream of every op: keep it two compares
+        return self._in_domain([ciphertext], PolyDomain.COEFFICIENT)[0]
 
     def _at_level(self, ciphertext: Ciphertext, level: int) -> Ciphertext:
         """``ciphertext`` on the chain of ``level``; itself when already there.
@@ -459,7 +561,10 @@ class BatchedEvaluator:
         polynomial = plaintext.polynomial
         if tuple(polynomial.moduli) != moduli:
             polynomial = polynomial.restrict_to(moduli)
-        return self._coefficient_poly(polynomial)
+        if polynomial.domain == PolyDomain.COEFFICIENT:
+            return polynomial
+        self._record(KernelName.INTT, 1, polynomial.limb_count)
+        return polynomial.to_coefficient(self.context.planner)
 
     @staticmethod
     def _grouped(moduli_iter) -> Dict[Tuple[int, ...], List[int]]:
@@ -494,8 +599,9 @@ class BatchedEvaluator:
         return self._limb_major(funnel(
             self._limb_major(lhs), self._limb_major(rhs), moduli))
 
-    def _poly(self, moduli: Tuple[int, ...], residues) -> RnsPolynomial:
-        return RnsPolynomial(self.context.ring_degree, moduli, residues)
+    def _poly(self, moduli: Tuple[int, ...], residues,
+              domain: str = PolyDomain.COEFFICIENT) -> RnsPolynomial:
+        return RnsPolynomial(self.context.ring_degree, moduli, residues, domain)
 
     def _record(self, kernel: str, operations: int, limbs: int) -> None:
         self.context.kernels.counter.record_batch(kernel, operations, limbs)

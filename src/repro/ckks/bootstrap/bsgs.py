@@ -10,22 +10,45 @@ the Baby-Step Giant-Step (BSGS) algorithm groups the ``n`` diagonals into
 ``n1`` baby steps and ``n2`` giant steps so that only ``n1 + n2`` distinct
 rotations (instead of ``n``) are required — exactly the optimisation the
 paper cites for the homomorphic DFT [14, 59].
+
+Execution contract.  The diagonal products run in the evaluation domain:
+
+* the input is rotated by the baby steps once and all ``n1`` rotations of
+  all ``B`` streams are transformed in one fused NTT
+  (:func:`baby_rotations`; transforms of the same input share the result);
+* the matrix is a constructor constant, so its diagonals are *cached static
+  operands*: pre-rotated, encoded, transformed in one fused NTT and stacked
+  per giant step the first time a ``(level, scale)`` is seen, like a switch
+  key's per-level operands (precomputation, not in the kernel counters).
+  The cache holds one int64 residue per (diagonal, limb, coefficient) —
+  ``n * L * N * 8`` bytes per level used — plus the float images a float
+  backend attaches on first use;
+* a giant step is one
+  :meth:`~repro.ckks.batched_evaluator.BatchedEvaluator.multiply_plain_sum`
+  launch against its stack, and one fused INTT brings every giant group
+  back before the giant rotations, the adds and the rescale.
+
+NTT and INTT are exact and linear mod q, so every output residue is the one
+the diagonal-by-diagonal CMULT + HADD evaluation produces.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ...backend.blas_backend import static_operand
+from ...backend.residency import DeviceBuffer, stack_arrays
 from ..ciphertext import Ciphertext
 from ..context import CkksContext
 from ..encryptor import Encryptor
 from ..evaluator import Evaluator
 from ..keys import RotationKeySet
 
-__all__ = ["matrix_diagonals", "bsgs_step_counts", "required_rotations", "BsgsLinearTransform"]
+__all__ = ["matrix_diagonals", "bsgs_step_counts", "required_rotations",
+           "baby_rotations", "BsgsLinearTransform"]
 
 
 def matrix_diagonals(matrix: np.ndarray) -> Dict[int, np.ndarray]:
@@ -61,6 +84,31 @@ def required_rotations(dimension: int) -> List[int]:
     return sorted(steps)
 
 
+def baby_rotations(ciphertexts: Sequence[Ciphertext], steps: Iterable[int],
+                   batched_evaluator,
+                   rotation_keys: RotationKeySet) -> Dict[int, List[Ciphertext]]:
+    """The streams rotated by every baby step, in the evaluation domain.
+
+    One fused HROTATE per non-zero step and one fused NTT over all
+    ``len(steps) * B`` rotated streams.  The result feeds
+    :meth:`BsgsLinearTransform.apply_many` as ``babies=``; transforms of the
+    same input pass the union of their :attr:`~BsgsLinearTransform.baby_steps`
+    and share it.
+    """
+    ciphertexts = list(ciphertexts)
+    steps = sorted(set(steps))
+    rotated = [
+        batched_evaluator.rotate(ciphertexts, step, rotation_keys) if step
+        else ciphertexts
+        for step in steps
+    ]
+    evals = batched_evaluator.to_evaluation(
+        [ciphertext for streams in rotated for ciphertext in streams])
+    batch = len(ciphertexts)
+    return {step: evals[index * batch:(index + 1) * batch]
+            for index, step in enumerate(steps)}
+
+
 class BsgsLinearTransform:
     """Homomorphic evaluation of ``ct -> Enc(M @ v)`` with BSGS rotations."""
 
@@ -76,20 +124,27 @@ class BsgsLinearTransform:
         self.scale = context.scale if scale is None else scale
         self.diagonals = matrix_diagonals(self.matrix)
         self.n1, self.n2 = bsgs_step_counts(context.slot_count)
+        #: Baby steps of the non-zero diagonals of each giant step, both in
+        #: ascending order.
+        self.groups: Dict[int, List[int]] = {}
+        for offset in sorted(self.diagonals):
+            baby = offset % self.n1
+            self.groups.setdefault(offset - baby, []).append(baby)
+        #: Per ``(level, scale)``: the NTT-form diagonal stack of each giant step.
+        self._operands: Dict[Tuple[int, float], Dict[int, DeviceBuffer]] = {}
 
     # ------------------------------------------------------------------
     def rotation_steps(self) -> List[int]:
         """Rotations required to evaluate this particular matrix."""
-        steps = set()
-        slot_count = self.context.slot_count
-        for offset in self.diagonals:
-            baby = offset % self.n1
-            giant = offset - baby
-            if baby:
-                steps.add(baby)
-            if giant:
-                steps.add(giant % slot_count)
+        steps = set(self.baby_steps)
+        steps.update(giant % self.context.slot_count for giant in self.groups)
+        steps.discard(0)
         return sorted(steps)
+
+    @property
+    def baby_steps(self) -> List[int]:
+        """The distinct baby steps of the non-zero diagonals (0 included)."""
+        return sorted({baby for babies in self.groups.values() for baby in babies})
 
     def apply(self, ciphertext: Ciphertext, evaluator: Evaluator,
               encryptor: Encryptor, rotation_keys: RotationKeySet) -> Ciphertext:
@@ -99,55 +154,83 @@ class BsgsLinearTransform:
 
     def apply_many(self, ciphertexts: Sequence[Ciphertext],
                    batched_evaluator, encryptor: Encryptor,
-                   rotation_keys: RotationKeySet) -> List[Ciphertext]:
+                   rotation_keys: RotationKeySet, *,
+                   babies: Optional[Dict[int, List[Ciphertext]]] = None
+                   ) -> List[Ciphertext]:
         """Evaluate the transform on ``B`` streams as fused launches.
 
-        The baby-step rotations run through
-        :meth:`~repro.ckks.batched_evaluator.BatchedEvaluator.rotate`
-        (one automorphism gather plus one B-fused key switch per step),
-        every giant-step group's diagonal multiplies are single fused
-        CMULT launches, and the giant rotations fuse the same way.  Each
-        shifted diagonal is encoded once per (scale, level) — not once
-        per ciphertext; encoding is deterministic, so a stream's result
-        does not depend on which streams share its batch.
+        ``babies`` is :func:`baby_rotations` of ``ciphertexts`` over (at
+        least) :attr:`baby_steps`, for callers that apply several
+        transforms to one input; by default it is computed here.  Each
+        giant step is then one fused multiply-accumulate against its
+        cached diagonal stack, all giant groups return to the coefficient
+        domain in one INTT, and the giant rotations, the adds and the
+        rescale run B-fused.  A stream's result does not depend on which
+        streams share its batch.
         """
         ciphertexts = list(ciphertexts)
         if not ciphertexts:
             return []
-        slot_count = self.context.slot_count
-        # Group diagonals by giant step so each baby-rotated batch is reused.
-        by_giant: Dict[int, Dict[int, np.ndarray]] = {}
-        for offset, diagonal in self.diagonals.items():
-            baby = offset % self.n1
-            giant = offset - baby
-            by_giant.setdefault(giant, {})[baby] = diagonal
-
-        baby_cache: Dict[int, List[Ciphertext]] = {0: ciphertexts}
-        accumulator = None
-        for giant in sorted(by_giant):
-            inner = None
-            for baby, diagonal in sorted(by_giant[giant].items()):
-                rotated = baby_cache.get(baby)
-                if rotated is None:
-                    rotated = batched_evaluator.rotate(ciphertexts, baby,
-                                                       rotation_keys)
-                    baby_cache[baby] = rotated
-                # Pre-rotate the diagonal by -giant so one giant rotation at
-                # the end of the group suffices (the standard BSGS trick).
-                shifted = np.roll(diagonal, giant % slot_count)
-                plains = encryptor.encode_for_streams(shifted, rotated,
-                                                      scale=self.scale)
-                terms = batched_evaluator.multiply_plain(rotated, plains)
-                inner = terms if inner is None else batched_evaluator.add(
-                    inner, terms)
-            if giant % slot_count:
-                inner = batched_evaluator.rotate(inner, giant % slot_count,
-                                                 rotation_keys)
-            accumulator = inner if accumulator is None else \
-                batched_evaluator.add(accumulator, inner)
-        if accumulator is None:
+        if not self.groups:
             raise ValueError("the transform matrix is identically zero")
+        if babies is None:
+            babies = baby_rotations(ciphertexts, self.baby_steps,
+                                    batched_evaluator, rotation_keys)
+        inner = batched_evaluator.to_coefficient([
+            ciphertext for giant in self.groups
+            for ciphertext in batched_evaluator.multiply_plain_sum(
+                [babies[baby] for baby in self.groups[giant]],
+                lambda level, giant=giant: self._diagonal_operands(
+                    level, encryptor)[giant],
+                self.scale)
+        ])
+        slot_count, batch = self.context.slot_count, len(ciphertexts)
+        accumulator = None
+        for index, giant in enumerate(self.groups):
+            group = inner[index * batch:(index + 1) * batch]
+            if giant % slot_count:
+                group = batched_evaluator.rotate(group, giant % slot_count,
+                                                 rotation_keys)
+            accumulator = group if accumulator is None else \
+                batched_evaluator.add(accumulator, group)
         return batched_evaluator.rescale(accumulator)
+
+    def _diagonal_operands(self, level: int,
+                           encryptor: Encryptor) -> Dict[int, DeviceBuffer]:
+        """The ``(L, k, 1, N)`` NTT-form diagonal stack of every giant step.
+
+        Built the first time ``(level, scale)`` is seen: every diagonal is
+        pre-rotated by its giant step (so one giant rotation at the end of
+        the group suffices — the standard BSGS trick), encoded, and all of
+        them are transformed in one fused NTT.  This is precomputation on
+        a constant, like key generation: it is not part of any stream's
+        kernel counts, which therefore do not depend on whether a stream
+        came first.  Runs inside the evaluator's launch, on the backend
+        that launch is pinned to.
+        """
+        key = (level, self.scale)
+        operands = self._operands.get(key)
+        if operands is None:
+            context = self.context
+            moduli = context.moduli_at_level(level)
+            slots = [(giant, baby) for giant, babies in self.groups.items()
+                     for baby in babies]
+            evals = context.planner.forward_ops(
+                context.ring_degree, moduli, stack_arrays([
+                    encryptor.encode(
+                        np.roll(self.diagonals[giant + baby],
+                                giant % context.slot_count),
+                        scale=self.scale, level=level).polynomial.buffer
+                    for giant, baby in slots])).ensure_host()
+            # Each giant step's operand is a limb-major view of the one stack.
+            operands, start = {}, 0
+            for giant, babies in self.groups.items():
+                stop = start + len(babies)
+                operands[giant] = static_operand(
+                    evals[start:stop].transpose(1, 0, 2)[:, :, None])
+                start = stop
+            self._operands[key] = operands
+        return operands
 
     def reference(self, values: Sequence[complex]) -> np.ndarray:
         """Plaintext evaluation of the same transform (test oracle)."""

@@ -9,7 +9,9 @@ square halves ``E0 | E1``:
   (the decoded view of the polynomial) — two BSGS transforms and one add;
 * **CoeffToSlot** is the inverse: using ``t = (1/N)(conj(E)^T z + E^T
   conj(z))`` it produces the two coefficient-half ciphertexts from one
-  ciphertext, with four BSGS transforms and one conjugation.
+  ciphertext, with four BSGS transforms and one conjugation.  The two
+  transforms of each input (the ciphertext, its conjugate) share one set
+  of evaluation-domain baby rotations.
 
 Both stages are exactly the BSGS-based homomorphic DFT the paper invokes
 for its Bootstrap workflow (Figure 6).
@@ -25,7 +27,7 @@ from ..ciphertext import Ciphertext
 from ..context import CkksContext
 from ..encryptor import Encryptor
 from ..keys import RotationKeySet
-from .bsgs import BsgsLinearTransform
+from .bsgs import BsgsLinearTransform, baby_rotations
 
 __all__ = ["embedding_matrix", "CoeffToSlot", "SlotToCoeff"]
 
@@ -97,18 +99,23 @@ class CoeffToSlot:
                    ) -> Tuple[List[Ciphertext], List[Ciphertext]]:
         """One fused HCONJ and four fused BSGS stages over ``B`` streams."""
         conjugated = batched_evaluator.conjugate(ciphertexts, rotation_keys)
-        lows = batched_evaluator.add(
-            self.transform0_direct.apply_many(ciphertexts, batched_evaluator,
-                                              encryptor, rotation_keys),
-            self.transform0_conj.apply_many(conjugated, batched_evaluator,
-                                            encryptor, rotation_keys),
-        )
-        highs = batched_evaluator.add(
-            self.transform1_direct.apply_many(ciphertexts, batched_evaluator,
-                                              encryptor, rotation_keys),
-            self.transform1_conj.apply_many(conjugated, batched_evaluator,
-                                            encryptor, rotation_keys),
-        )
+
+        def transformed(streams, transforms):
+            # Both transforms of an input read one set of baby rotations.
+            babies = baby_rotations(
+                streams, {step for transform in transforms
+                          for step in transform.baby_steps},
+                batched_evaluator, rotation_keys)
+            return [transform.apply_many(streams, batched_evaluator, encryptor,
+                                         rotation_keys, babies=babies)
+                    for transform in transforms]
+
+        low_direct, high_direct = transformed(
+            ciphertexts, (self.transform0_direct, self.transform1_direct))
+        low_conj, high_conj = transformed(
+            conjugated, (self.transform0_conj, self.transform1_conj))
+        lows = batched_evaluator.add(low_direct, low_conj)
+        highs = batched_evaluator.add(high_direct, high_conj)
         return lows, highs
 
     def reference(self, slots: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

@@ -29,7 +29,7 @@ class Decryptor:
         """Return the underlying plaintext polynomial ``c0 + c1*s``."""
         planner = self.context.planner
         moduli = ciphertext.moduli
-        secret_eval = self.secret_key.as_polynomial(moduli).to_evaluation(planner)
+        secret_eval = self.secret_key.evaluation(self.context, moduli)
         c1_eval = ciphertext.c1.to_evaluation(planner)
         product = c1_eval.hadamard(secret_eval).to_coefficient(planner)
         message = ciphertext.c0.add(product)

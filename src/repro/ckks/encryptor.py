@@ -96,16 +96,13 @@ class Encryptor:
         ephemeral = RnsPolynomial.random_ternary(n, moduli, rng).to_evaluation(planner)
         error0 = RnsPolynomial.random_gaussian(n, moduli, rng, stddev=stddev)
         error1 = RnsPolynomial.random_gaussian(n, moduli, rng, stddev=stddev)
-        message_eval = plaintext.polynomial.to_evaluation(planner)
-
-        c0 = ephemeral.hadamard(pk_b).add(error0.to_evaluation(planner)).add(message_eval)
-        c1 = ephemeral.hadamard(pk_a).add(error1.to_evaluation(planner))
-        return Ciphertext(
-            c0=c0.to_coefficient(planner),
-            c1=c1.to_coefficient(planner),
-            scale=plaintext.scale,
-            level=level,
-        )
+        # Only the products need the evaluation domain: the errors and the
+        # message are added after the INTT (it is linear), so one encryption
+        # is three transforms, not six.
+        message = plaintext.polynomial.to_coefficient(planner)
+        c0 = ephemeral.hadamard(pk_b).to_coefficient(planner).add(error0).add(message)
+        c1 = ephemeral.hadamard(pk_a).to_coefficient(planner).add(error1)
+        return Ciphertext(c0=c0, c1=c1, scale=plaintext.scale, level=level)
 
     def _encrypt_symmetric(self, plaintext: Plaintext) -> Ciphertext:
         if self.secret_key is None:
@@ -118,14 +115,14 @@ class Encryptor:
         n = context.ring_degree
 
         mask = RnsPolynomial.random_uniform(n, moduli, rng, domain=PolyDomain.EVALUATION)
-        secret_eval = self.secret_key.as_polynomial(moduli).to_evaluation(planner)
+        secret_eval = self.secret_key.evaluation(context, moduli)
         error = RnsPolynomial.random_gaussian(
-            n, moduli, rng, stddev=context.parameters.error_std
-        ).to_evaluation(planner)
-        message_eval = plaintext.polynomial.to_evaluation(planner)
-        c0 = mask.hadamard(secret_eval).negate().add(error).add(message_eval)
+            n, moduli, rng, stddev=context.parameters.error_std)
+        message = plaintext.polynomial.to_coefficient(planner)
+        c0 = (mask.hadamard(secret_eval).negate().to_coefficient(planner)
+              .add(error).add(message))
         return Ciphertext(
-            c0=c0.to_coefficient(planner),
+            c0=c0,
             c1=mask.to_coefficient(planner),
             scale=plaintext.scale,
             level=level,

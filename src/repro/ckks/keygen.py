@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ..backend.residency import stack_arrays
 from ..kernels.automorphism import apply_automorphism_coeff, galois_element_for_rotation
 from ..numtheory.crt import CrtContext
 from ..numtheory.modular import mod_inverse
@@ -57,7 +58,7 @@ class KeyGenerator:
         n = self.context.ring_degree
         a = RnsPolynomial.random_uniform(n, moduli, self._rng,
                                          domain=PolyDomain.EVALUATION)
-        s_eval = secret_key.as_polynomial(moduli).to_evaluation(planner)
+        s_eval = secret_key.evaluation(self.context, moduli)
         error = RnsPolynomial.random_gaussian(
             n, moduli, self._rng, stddev=self.context.parameters.error_std
         ).to_evaluation(planner)
@@ -116,23 +117,29 @@ class KeyGenerator:
         """Create a switch key re-encrypting ``source`` under ``secret_key``.
 
         ``source_key_mod`` is a callable mapping a prime basis to the RNS
-        polynomial of the source secret (this lets ``s^2`` be computed per
-        basis without ever leaving RNS).
+        polynomial of the source secret, in either domain (this lets ``s^2``
+        be computed per basis without ever leaving RNS).
         """
+        context = self.context
+        # One transform of the source key over the whole extended chain; a
+        # level's image is a restriction of it (the NTT is per limb).
+        source_eval = source_key_mod(
+            context.extended_moduli_at_level(context.max_level)
+        ).to_evaluation(context.planner)
         switch_key = SwitchKey(description=description)
-        for level in range(self.context.max_level + 1):
+        for level in range(context.max_level + 1):
             switch_key.levels[level] = self._switch_key_for_level(
-                source_key_mod, secret_key, level
+                source_eval, secret_key, level
             )
         return switch_key
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _switch_key_for_level(self, source_key_mod, secret_key: SecretKey,
+    def _switch_key_for_level(self, source_eval: RnsPolynomial,
+                              secret_key: SecretKey,
                               level: int) -> SwitchKeyLevel:
         context = self.context
-        planner = context.planner
         n = context.ring_degree
         active = context.moduli_at_level(level)
         extended = context.extended_moduli_at_level(level)
@@ -143,11 +150,22 @@ class KeyGenerator:
         for prime in active:
             active_product *= prime
 
-        s_eval = secret_key.as_polynomial(extended).to_evaluation(planner)
-        source_eval = source_key_mod(extended).to_evaluation(planner)
+        s_eval = secret_key.evaluation(context, extended)
+        source_eval = source_eval.restrict_to(extended)
+
+        # Draw group by group — mask, then error — and send the errors of
+        # all groups through one transform launch.
+        masks, errors = [], []
+        for _ in groups:
+            masks.append(RnsPolynomial.random_uniform(
+                n, extended, self._rng, domain=PolyDomain.EVALUATION))
+            errors.append(RnsPolynomial.random_gaussian(
+                n, extended, self._rng, stddev=context.parameters.error_std))
+        error_evals = context.planner.forward_ops(
+            n, extended, stack_arrays([error.buffer for error in errors]))
 
         # The (b, a) pairs land group after group in the two stacked
-        # matrices the key is stored as; nothing else outlives a group.
+        # matrices the key is stored as.
         rows = len(extended)
         stacks = tuple(np.empty((len(groups) * rows, n), dtype=np.int64)
                        for _ in range(2))
@@ -166,11 +184,9 @@ class KeyGenerator:
                 factor = factor * (t_value % prime) % prime
                 factors.append(factor)
 
-            a_poly = RnsPolynomial.random_uniform(n, extended, self._rng,
-                                                  domain=PolyDomain.EVALUATION)
-            error = RnsPolynomial.random_gaussian(
-                n, extended, self._rng, stddev=context.parameters.error_std
-            ).to_evaluation(planner)
+            a_poly = masks[index]
+            error = RnsPolynomial(n, extended, error_evals[index],
+                                  PolyDomain.EVALUATION)
             payload = source_eval.scalar_multiply_per_limb(factors)
             b_poly = a_poly.hadamard(s_eval).negate().add(error).add(payload)
             for stack, poly in zip(stacks, (b_poly, a_poly)):
@@ -184,9 +200,8 @@ class KeyGenerator:
         context = self.context
 
         def build(moduli: Sequence[int]) -> RnsPolynomial:
-            planner = context.planner
-            s_eval = secret_key.as_polynomial(moduli).to_evaluation(planner)
-            return s_eval.hadamard(s_eval).to_coefficient(planner)
+            s_eval = secret_key.evaluation(context, moduli)
+            return s_eval.hadamard(s_eval)
 
         return build
 

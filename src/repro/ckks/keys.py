@@ -1,11 +1,13 @@
 """Key material: secret, public, relinearization, rotation and conjugation keys.
 
 The secret key is kept as a signed ternary coefficient vector so it can be
-reduced into any RNS basis on demand.  Switch keys (used for
-relinearization, rotation and conjugation) follow the generalized
-key-switching of the paper: for every level they hold one ``(b_j, a_j)``
-pair per decomposition group, stored in the evaluation domain over the
-extended basis ``C_l ∪ P`` as two stacked residue matrices.
+reduced into any RNS basis on demand; its NTT image, which decryption,
+symmetric encryption and key generation all multiply by, is computed once
+over a context's whole extended chain and restricted from there.  Switch
+keys (used for relinearization, rotation and conjugation) follow the
+generalized key-switching of the paper: for every level they hold one
+``(b_j, a_j)`` pair per decomposition group, stored in the evaluation domain
+over the extended basis ``C_l ∪ P`` as two stacked residue matrices.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ class SecretKey:
 
     def __post_init__(self) -> None:
         self.coefficients = np.asarray(self.coefficients, dtype=np.int64)
+        self._evaluation: Optional[RnsPolynomial] = None
 
     @property
     def ring_degree(self) -> int:
@@ -37,6 +40,20 @@ class SecretKey:
     def as_polynomial(self, moduli: Sequence[int]) -> RnsPolynomial:
         """Reduce the signed coefficients into the given RNS basis."""
         return RnsPolynomial.from_integers(self.coefficients, moduli, self.ring_degree)
+
+    def evaluation(self, context, moduli: Sequence[int]) -> RnsPolynomial:
+        """The evaluation-domain image of ``s`` over ``moduli``.
+
+        The image over ``context``'s full extended chain is computed on first
+        use and kept; the NTT is per limb, so the image over any sub-chain is
+        a restriction of it.  Treat :attr:`coefficients` as immutable once a
+        key is in use.
+        """
+        full = context.extended_moduli_at_level(context.max_level)
+        if self._evaluation is None or self._evaluation.moduli != full:
+            self._evaluation = self.as_polynomial(full).to_evaluation(
+                context.planner)
+        return self._evaluation.restrict_to(moduli)
 
     @property
     def hamming_weight(self) -> int:

@@ -28,7 +28,10 @@ the caller can shed or retry on, never silent queue growth.
 N *consecutive* executor failures (request-scoped errors — unknown
 tenant, bad operands, a level-0 rescale — fail their own future and
 never count), a single probe request is admitted while gated, and the
-first success restores availability.  :meth:`ServingEngine.diagnostics`
+first success restores availability.  A request whose future is already
+done when its batch flushes — a client that cancelled — is dropped before
+grouping: it takes no launch slot, counts as ``cancelled_before_launch``
+and is no health outcome.  :meth:`ServingEngine.diagnostics`
 exports queue depths, the executed-batch-size histogram, the coalesce
 ratio, ops/sec and the kernel/transfer counters.
 
@@ -349,8 +352,19 @@ class ServingEngine:
             return
         requests = list(self._queue)
         self._queue.clear()
+        live = [request for request in requests if not request.future.done()]
+        if len(live) < len(requests):
+            # Cancelled while queued: no launch slot, no health outcome.  A
+            # gate left without a live request will see none either, so the
+            # probe slot a cancelled request may have booked comes back.
+            self._stats.cancelled_before_launch += len(requests) - len(live)
+            if not live:
+                self._health.release_probe()
+            for tenant in ({request.tenant for request in requests}
+                           - {request.tenant for request in live}):
+                self._gate_for(tenant).release_probe()
         groups: Dict[tuple, List[OpRequest]] = {}
-        for request in requests:
+        for request in live:
             groups.setdefault(request.coalesce_key(), []).append(request)
         for members in groups.values():
             size = self._chunk_size(members[0])
@@ -475,6 +489,7 @@ class ServingEngine:
                 "rejected": stats.rejected,
                 "request_errors": stats.request_errors,
                 "executor_failures": stats.executor_failures,
+                "cancelled_before_launch": stats.cancelled_before_launch,
             },
             "batches": {
                 "executed": stats.batches,
@@ -502,6 +517,7 @@ class _ServingStats:
     rejected: int = 0
     request_errors: int = 0
     executor_failures: int = 0
+    cancelled_before_launch: int = 0
     batches: int = 0
     batch_sizes: Counter = field(default_factory=Counter)
     per_op: Counter = field(default_factory=Counter)

@@ -137,6 +137,35 @@ class TestEngineGating:
         assert diag["requests"]["executor_failures"] == 3
         assert diag["health"]["engine"]["available"] is True
 
+    async def test_cancelled_probe_returns_its_slot(self, fhe, rng):
+        flaky = _FlakyExecutor(failures=1)
+        engine = ServingEngine(fhe, executor=flaky,
+                               config=ServingConfig(failure_threshold=1,
+                                                    max_linger=60.0))
+        flaky.engine = engine
+        engine.registry.register("alice")
+        lhs, rhs = _fresh_pair(fhe, engine.registry, "alice", rng)
+        await engine.start()
+        failing = engine.submit_nowait("alice", OpName.ADD, lhs, rhs)
+        engine._flush()
+        with pytest.raises(RuntimeError):
+            failing.result()
+        assert not engine.health.available
+
+        # The probe's client gives up before the flush: nothing launches,
+        # the gate stays shut, and the next probe is admissible.
+        engine.submit_nowait("alice", OpName.ADD, lhs, rhs).cancel()
+        with pytest.raises(ServiceUnavailable):
+            engine.submit_nowait("alice", OpName.ADD, lhs, rhs)
+        engine._flush()
+        assert not engine.health.available
+        assert engine.health.snapshot()["total_failures"] == 1
+        probe = engine.submit_nowait("alice", OpName.ADD, lhs, rhs)
+        await engine.stop(drain=True)
+        assert probe.exception() is None
+        assert engine.health.available
+        assert engine.diagnostics()["requests"]["cancelled_before_launch"] == 1
+
     async def test_interleaved_success_prevents_gating(self, fhe, rng):
         calls = {"n": 0}
 

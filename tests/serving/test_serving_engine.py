@@ -212,6 +212,39 @@ class TestLifecycle:
         with pytest.raises(EngineStopped):
             future.result()
 
+    async def test_cancelled_requests_take_no_launch_slot(self, fhe, serve, rng):
+        launched = []
+
+        def recording(op, chunk):
+            launched.append(len(chunk))
+            return engine._run_op(op, chunk)
+
+        engine = serve(executor=recording, max_linger=60.0)
+        registry = engine.registry
+        registry.register("alice")
+        lhs = _encrypt(registry, "alice", rng.uniform(-1, 1, fhe.slot_count))
+        rhs = _encrypt(registry, "alice", rng.uniform(-1, 1, fhe.slot_count))
+        await engine.start()
+        futures = [engine.submit_nowait("alice", OpName.ADD, lhs, rhs)
+                   for _ in range(8)]
+        for future in futures[1:6:2]:              # a client gave up on 3 of 8
+            future.cancel()
+        await engine.stop(drain=True)
+        await asyncio.sleep(0)                     # let the done callbacks run
+        assert launched == [5]
+        for index, future in enumerate(futures):
+            assert future.cancelled() == (index in (1, 3, 5))
+            assert future.cancelled() or future.exception() is None
+        diag = engine.diagnostics()
+        assert diag["requests"]["cancelled_before_launch"] == 3
+        assert diag["requests"]["completed"] == 5
+        assert diag["batches"]["histogram"] == {5: 1}
+        assert diag["inflight"] == {}
+        # Cancelling is not an executor outcome: one success, no failure.
+        assert diag["health"]["engine"]["total_successes"] == 1
+        assert diag["health"]["engine"]["total_failures"] == 0
+        assert engine.health.available
+
     async def test_facade_builds_engines(self, fhe, rng):
         engine = fhe.create_serving_engine()
         registry = engine.registry
