@@ -10,13 +10,21 @@ sized by the :class:`~repro.batching.scheduler.BatchScheduler`, and
 resolves each request's future with its result.  This is the dynamic-
 batching pattern GPU inference servers use, applied to FHE operations.
 
-**Flush policy.**  The worker wakes on the first queued request and
-gathers until one of three things happens: the queue reaches the
-scheduler's planned batch size; the oldest request has lingered
-``max_linger`` seconds of event-loop time; or no new request arrived
-within a quiet window (a quarter of the linger) — concurrent clients all
-enqueue within one event-loop pass, so a quiet queue means the batch is
-as big as current traffic makes it and waiting longer only adds latency.
+**Flush policy.**  The worker is *work-conserving*: it never holds a free
+executor on a timer while a request is queued.  It wakes on the first
+queued request and yields one event-loop pass per round of new arrivals —
+concurrent clients whose futures resolved together all enqueue within
+that pass — then launches what is there, as soon as a pass brings nobody
+new (``idle``) or the queue reaches the scheduler's planned batch size
+(``full``).  What coalesces is therefore exactly what arrived in the same
+pass or while the previous launch was running: a busy executor collects
+company for free, an idle one gains nothing by waiting for it (a fused
+launch is ~1.3x cheaper per stream than a lone one on this substrate, a
+linger costs its whole length on every request).  ``max_linger`` is the
+one opt-in exception, for deployments whose remote clients arrive with
+known jitter: when positive, a partial batch also waits for a quiet
+window (a quarter of the linger) without arrivals, at most ``max_linger``
+seconds in all (``linger``).  The default path schedules no timer.
 
 **Backpressure.**  Admission is bounded: a full queue raises
 :class:`~repro.serving.errors.QueueFull`, a tenant at its in-flight cap
@@ -33,7 +41,8 @@ done when its batch flushes — a client that cancelled — is dropped before
 grouping: it takes no launch slot, counts as ``cancelled_before_launch``
 and is no health outcome.  :meth:`ServingEngine.diagnostics`
 exports queue depths, the executed-batch-size histogram, the coalesce
-ratio, ops/sec and the kernel/transfer counters.
+ratio, why each gather flushed, per-operation queue-wait and execute
+latencies, ops/sec and the kernel/transfer counters.
 
 **Backend task-safety.**  The worker task snapshots the contextvars
 context active at :meth:`start`, so the backend override selected by the
@@ -47,7 +56,7 @@ import asyncio
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Callable, Deque, Dict, List, Optional,
-                    Sequence, Set)
+                    Sequence, Set, Tuple)
 
 from ..batching.scheduler import BatchScheduler
 from ..ckks.ciphertext import Ciphertext
@@ -72,6 +81,14 @@ __all__ = ["ServingConfig", "ServingEngine"]
 #: futures but say nothing about executor health.
 _REQUEST_ERRORS = (ValueError, KeyError, TypeError)
 
+#: Why a gather ended (the keys of ``diagnostics()["flush_reasons"]``): the
+#: planned batch size was reached; an event-loop pass brought no new
+#: request; the opt-in linger's quiet window or bound ran out.
+FLUSH_FULL, FLUSH_IDLE, FLUSH_LINGER = "full", "idle", "linger"
+
+#: Requests whose latencies the diagnostics percentiles are taken over.
+_LATENCY_WINDOW = 1024
+
 
 @dataclass
 class ServingConfig:
@@ -82,8 +99,12 @@ class ServingConfig:
     #: Cap on the fused batch size; None defers to the scheduler's plan
     #: (which itself prefers the measured knee when calibrated).
     max_batch: Optional[int] = None
-    #: Maximum event-loop seconds the oldest request waits for company.
-    max_linger: float = 0.002
+    #: Opt-in bound, in event-loop seconds, on how long a partial batch
+    #: waits for company.  0 (the default) is the work-conserving rule of
+    #: the module docstring: no timer, launch when a loop pass brings no
+    #: new request.  Set it only where remote clients arrive with known
+    #: jitter; every request then pays up to a quarter of it in latency.
+    max_linger: float = 0.0
     #: Per-tenant cap on requests admitted but not yet resolved;
     #: None disables the cap.
     tenant_inflight_limit: Optional[int] = 64
@@ -98,7 +119,7 @@ class ServingConfig:
 
     @property
     def quiet_window(self) -> float:
-        """Idle time after which a partial batch flushes early."""
+        """Arrival-free time after which a lingering batch flushes early."""
         return self.max_linger / 4.0
 
 
@@ -128,6 +149,9 @@ class ServingEngine:
         self._health = HealthGate(self.config.failure_threshold)
         self._tenant_health: Dict[str, HealthGate] = {}
         self._stats = _ServingStats()
+        #: Planned batch size by limb count; parameters, scheduler and
+        #: ``max_batch`` are fixed for the engine's lifetime.
+        self._planned: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -304,47 +328,46 @@ class ServingEngine:
             if not self._queue:
                 self._work.clear()
                 await self._work.wait()
-            await self._gather()
+            self._stats.flush_reasons[await self._gather()] += 1
             self._flush()
 
-    async def _gather(self) -> None:
-        """Linger until the batch is full, quiet, or out of time."""
-        loop = self._loop
-        config = self.config
-        deadline = loop.time() + config.max_linger
-        target = self._flush_target()
-        previous = -1
-        while len(self._queue) < target:
-            if len(self._queue) != previous:
+    async def _gather(self) -> str:
+        """Let the batch form; returns why it is launched now."""
+        queue = self._queue
+        target = self._planned_batch(self.fhe.context.max_level + 1)
+        linger = self.config.max_linger
+        deadline = self._loop.time() + linger
+        seen = -1
+        while len(queue) < target:
+            if len(queue) != seen:
                 # New arrivals: one event-loop pass lets every runnable
                 # client coroutine enqueue before we look again.
-                previous = len(self._queue)
+                seen = len(queue)
                 await asyncio.sleep(0)
                 continue
-            remaining = deadline - loop.time()
+            if not linger:
+                return FLUSH_IDLE
+            remaining = deadline - self._loop.time()
             if remaining <= 0:
-                break
+                return FLUSH_LINGER
             self._work.clear()
             try:
                 await asyncio.wait_for(
                     self._work.wait(),
-                    timeout=min(config.quiet_window, remaining) or remaining)
+                    timeout=min(self.config.quiet_window, remaining))
             except asyncio.TimeoutError:
-                break        # nothing new within the quiet window: flush
+                return FLUSH_LINGER     # nothing new within the quiet window
+        return FLUSH_FULL
 
-    def _flush_target(self) -> int:
-        requested = self.config.max_batch or self.fhe.parameters.batch_size
-        plan = self.scheduler.plan(self.fhe.context.ring_degree,
-                                   self.fhe.context.max_level + 1,
-                                   requested=requested)
-        return max(1, plan.batch_size)
-
-    def _chunk_size(self, request: OpRequest) -> int:
-        requested = self.config.max_batch or self.fhe.parameters.batch_size
-        plan = self.scheduler.plan(self.fhe.context.ring_degree,
-                                   request.ciphertext.level + 1,
-                                   requested=requested)
-        return max(1, plan.batch_size)
+    def _planned_batch(self, limb_count: int) -> int:
+        """The scheduler's batch size for ``limb_count`` limbs, planned once."""
+        size = self._planned.get(limb_count)
+        if size is None:
+            plan = self.scheduler.plan(
+                self.fhe.context.ring_degree, limb_count,
+                requested=self.config.max_batch or self.fhe.parameters.batch_size)
+            size = self._planned[limb_count] = max(1, plan.batch_size)
+        return size
 
     def _flush(self) -> None:
         """Drain the queue into coalesced, scheduler-sized fused launches."""
@@ -367,13 +390,15 @@ class ServingEngine:
         for request in live:
             groups.setdefault(request.coalesce_key(), []).append(request)
         for members in groups.values():
-            size = self._chunk_size(members[0])
+            size = self._planned_batch(members[0].ciphertext.level + 1)
             for start in range(0, len(members), size):
                 self._execute(members[start:start + size])
 
     def _execute(self, chunk: List[OpRequest]) -> None:
         """Run one coalesced chunk and settle its futures and health."""
         tenants = {request.tenant for request in chunk}
+        clock = chunk[0].future.get_loop().time     # what stamped enqueued_at
+        started = clock()
         try:
             results = self._executor(chunk[0].op, chunk)
         except _REQUEST_ERRORS as exc:
@@ -391,7 +416,10 @@ class ServingEngine:
         else:
             self._record_health(tenants, ok=True)
             self._stats.record_batch(chunk[0].op, len(chunk))
+            executed = clock() - started
             for request, result in zip(chunk, results):
+                self._stats.latency.append(
+                    (request.op, started - request.enqueued_at, executed))
                 if not request.future.done():
                     request.future.set_result(result)
 
@@ -474,7 +502,7 @@ class ServingEngine:
             "running": self.running,
             "backend": self.fhe.compute_backend,
             "queue_depth": len(self._queue),
-            "flush_target": self._flush_target(),
+            "flush_target": self._planned_batch(self.fhe.context.max_level + 1),
             "inflight": {tenant: count for tenant, count
                          in self._inflight.items() if count},
             "tenants": len(self.registry),
@@ -498,6 +526,8 @@ class ServingEngine:
                 "mean_size": stats.mean_batch_size,
                 "coalesce_ratio": stats.coalesce_ratio,
             },
+            "flush_reasons": dict(stats.flush_reasons),
+            "latency": stats.latency_summary(),
             "throughput": {
                 "uptime_s": elapsed,
                 "ops_per_second": (stats.completed / elapsed
@@ -521,12 +551,34 @@ class _ServingStats:
     batches: int = 0
     batch_sizes: Counter = field(default_factory=Counter)
     per_op: Counter = field(default_factory=Counter)
+    #: Gathers by the reason they ended (a drain at ``stop`` is no gather).
+    flush_reasons: Dict[str, int] = field(default_factory=lambda: {
+        FLUSH_FULL: 0, FLUSH_IDLE: 0, FLUSH_LINGER: 0})
+    #: ``(op, queue-wait s, execute s)`` of the last completed requests.
+    latency: Deque[Tuple[str, float, float]] = field(
+        default_factory=lambda: deque(maxlen=_LATENCY_WINDOW))
 
     def record_batch(self, op: str, size: int) -> None:
         self.batches += 1
         self.batch_sizes[size] += 1
         self.per_op[op] += size
         self.completed += size
+
+    def latency_summary(self) -> Dict[str, Dict[str, object]]:
+        """Per op over the window: count, queue-wait and execute p50/p95/max.
+
+        Queue wait is launch start minus ``enqueued_at``; execute is the
+        fused launch the request rode in, both on the event-loop clock.
+        """
+        samples: Dict[str, Tuple[List[float], List[float]]] = {}
+        for op, waited, executed in self.latency:
+            waits, executes = samples.setdefault(op, ([], []))
+            waits.append(waited)
+            executes.append(executed)
+        return {op: {"count": len(waits),
+                     "queue_wait_s": _percentiles(waits),
+                     "execute_s": _percentiles(executes)}
+                for op, (waits, executes) in samples.items()}
 
     @property
     def mean_batch_size(self) -> float:
@@ -536,3 +588,12 @@ class _ServingStats:
     def coalesce_ratio(self) -> float:
         """Requests executed per fused flush (1.0 = no coalescing won)."""
         return self.mean_batch_size
+
+
+def _percentiles(values: List[float]) -> Dict[str, float]:
+    """Nearest-rank p50 / p95 and the maximum of a non-empty sample."""
+    ordered = sorted(values)
+    count = len(ordered)
+    return {"p50": ordered[(50 * count + 99) // 100 - 1],
+            "p95": ordered[(95 * count + 99) // 100 - 1],
+            "max": ordered[-1]}

@@ -7,9 +7,10 @@ This module re-expresses that workload as *many concurrent clients* of a
 mean/variance pipeline — square via HMULT, rotate-and-sum via
 HROTATE/HADD rounds, the final ``1/n`` scaling via CMULT — awaiting each
 intermediate result, and the engine fills the B axis from the traffic
-itself.  Clients advance in loose lockstep (every client's round-``k``
-rotation lands within one linger window of the others), so each round
-coalesces into a fused ``(B, L, N)`` launch without any pre-built batch
+itself.  Clients advance in lockstep (the futures of one fused launch
+resolve together, so every client's round-``k`` rotation is enqueued in
+the same event-loop pass as the others'), so each round coalesces into a
+fused ``(B, L, N)`` launch without a linger timer or any pre-built batch
 list — the point the serving layer exists to prove.
 """
 

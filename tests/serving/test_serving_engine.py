@@ -278,6 +278,13 @@ class TestDiagnostics:
         assert sum(size * count for size, count
                    in diag["batches"]["histogram"].items()) == 4
         assert diag["batches"]["coalesce_ratio"] >= 1.0
+        assert set(diag["flush_reasons"]) == {"full", "idle", "linger"}
+        assert sum(diag["flush_reasons"].values()) == diag["batches"]["executed"]
+        added = diag["latency"][OpName.ADD]
+        assert added["count"] == 4
+        for series in ("queue_wait_s", "execute_s"):
+            assert set(added[series]) == {"p50", "p95", "max"}
+            assert 0.0 <= added[series]["p50"] <= added[series]["max"]
         assert diag["throughput"]["ops_per_second"] > 0
         assert isinstance(diag["kernels"], dict)
         assert isinstance(diag["transfers"], dict)
