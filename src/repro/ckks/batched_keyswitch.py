@@ -104,15 +104,14 @@ class BatchedKeySwitcher:
         stacked = stack_arrays([p.buffer for p in polynomials])  # (B, L, N)
         # One batched Conv per decomposition group; the groups are
         # consecutive limb ranges of the active chain, so Dcomp is a view.
-        # Every group's extended (B, N) rows are laid out in one copy.
-        rows, start = [], 0
+        raised, start = [], 0
         for group in groups:
             counter.record_batch(KernelName.CONV, batch,
                                  ext_count - len(group))
-            rows += self._modup_for(group, extended).apply_batch(
-                stacked[:, start:start + len(group)], assemble=False)
+            raised.append(self._modup_for(group, extended).apply_batch(
+                stacked[:, start:start + len(group)]))
             start += len(group)
-        raised = stack_arrays(rows, axis=1)             # (B, dnum * ext, N)
+        raised = stack_arrays(raised, axis=1)           # (B, dnum, ext, N)
         # All B * dnum extended slices in one engine call.
         evals = context.planner.forward_ops(
             context.ring_degree, extended,

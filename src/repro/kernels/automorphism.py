@@ -33,21 +33,15 @@ def galois_element_for_rotation(steps: int, ring_degree: int) -> int:
 
 @lru_cache(maxsize=256)
 def _coefficient_permutation(ring_degree: int, galois_element: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Precompute source indices and wrap-around flags for a coefficient automorphism.
-
-    Output coefficient ``j`` is input coefficient ``source[j]``, negated
-    where ``wrapped[j]`` (its exponent ``source[j] * g`` passed ``X^N`` an
-    odd number of times).
-    """
+    """Precompute target indices and wrap-around flags for a coefficient automorphism."""
     if galois_element % 2 == 0:
         raise ValueError("Galois elements must be odd")
     galois_element %= 2 * ring_degree
     indices = np.arange(ring_degree, dtype=np.int64)
     raw_targets = (indices * galois_element) % (2 * ring_degree)
     wraps = raw_targets >= ring_degree
-    source = np.empty_like(indices)
-    source[np.where(wraps, raw_targets - ring_degree, raw_targets)] = indices
-    return source, wraps[source]
+    targets = np.where(wraps, raw_targets - ring_degree, raw_targets)
+    return targets, wraps
 
 
 def apply_automorphism_coeff(coefficients: np.ndarray, galois_element: int,
@@ -66,12 +60,10 @@ def apply_automorphism_coeff(coefficients: np.ndarray, galois_element: int,
     if coefficients.dtype != np.float64:
         coefficients = coefficients.astype(np.int64, copy=False)
     ring_degree = coefficients.shape[-1]
-    source, wrapped = _coefficient_permutation(ring_degree, galois_element % (2 * ring_degree))
-    # One gather, then one subtraction on the wrapped non-zero positions only.
-    out = np.take(coefficients, source, axis=-1)
-    negate = out != 0
-    negate &= wrapped
-    np.subtract(modulus, out, out=out, where=negate)
+    targets, wraps = _coefficient_permutation(ring_degree, galois_element % (2 * ring_degree))
+    out = np.empty_like(coefficients)
+    out[..., targets] = np.where(wraps & (coefficients != 0),
+                                 modulus - coefficients, coefficients)
     return out
 
 

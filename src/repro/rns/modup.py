@@ -49,7 +49,7 @@ class ModUp:
         return RnsPolynomial(polynomial.ring_degree, self.target_moduli,
                              self.apply_batch(polynomial.buffer[None])[0])
 
-    def apply_batch(self, stacks: np.ndarray, *, assemble: bool = True):
+    def apply_batch(self, stacks: np.ndarray) -> np.ndarray:
         """Raise a ``(B, group, N)`` residue stack to ``(B, target, N)``.
 
         The missing limbs come from a single batched Conv
@@ -57,10 +57,7 @@ class ModUp:
         the target tensor is then assembled in one copy from ``(B, N)`` row
         views of ``[group; converted]``, so the whole stream batch mods up
         without a per-stream loop; residency handles thread through Conv
-        and the assembly.  With ``assemble=False`` the target rows come
-        back as that list of ``(B, N)`` views, uncopied, for a caller that
-        lays the rows of several groups out in one tensor itself (key
-        switching: one copy instead of one per group and one over all).
+        and the assembly.
         """
         if not is_buffer(stacks):
             stacks = np.asarray(stacks, dtype=np.int64)
@@ -69,9 +66,11 @@ class ModUp:
                 "expected a (B, %d, N) residue stack, got shape %s"
                 % (len(self.group_moduli), stacks.shape)
             )
+        if stacks.shape[0] == 0:
+            return np.zeros((0, len(self.target_moduli), stacks.shape[2]),
+                            dtype=np.int64)
         rows = [stacks[:, i] for i in range(len(self.group_moduli))]
         if self._converter is not None:
             converted = self._converter.convert_residues_batch(stacks)
             rows += [converted[:, i] for i in range(len(self._missing))]
-        rows = [rows[i] for i in self._gather]
-        return stack_arrays(rows, axis=1) if assemble else rows
+        return stack_arrays([rows[i] for i in self._gather], axis=1)

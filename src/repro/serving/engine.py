@@ -20,11 +20,8 @@ new (``idle``) or the queue reaches the scheduler's planned batch size
 pass or while the previous launch was running: a busy executor collects
 company for free, an idle one gains nothing by waiting for it (a fused
 launch is ~1.3x cheaper per stream than a lone one on this substrate, a
-linger costs its whole length on every request).  ``max_linger`` is the
-one opt-in exception, for deployments whose remote clients arrive with
-known jitter: when positive, a partial batch also waits for a quiet
-window (a quarter of the linger) without arrivals, at most ``max_linger``
-seconds in all (``linger``).  The default path schedules no timer.
+linger costs its whole length on every request).  The worker schedules
+no timer.
 
 **Backpressure.**  Admission is bounded: a full queue raises
 :class:`~repro.serving.errors.QueueFull`, a tenant at its in-flight cap
@@ -82,9 +79,8 @@ __all__ = ["ServingConfig", "ServingEngine"]
 _REQUEST_ERRORS = (ValueError, KeyError, TypeError)
 
 #: Why a gather ended (the keys of ``diagnostics()["flush_reasons"]``): the
-#: planned batch size was reached; an event-loop pass brought no new
-#: request; the opt-in linger's quiet window or bound ran out.
-FLUSH_FULL, FLUSH_IDLE, FLUSH_LINGER = "full", "idle", "linger"
+#: planned batch size was reached; an event-loop pass brought no new request.
+FLUSH_FULL, FLUSH_IDLE = "full", "idle"
 
 #: Requests whose latencies the diagnostics percentiles are taken over.
 _LATENCY_WINDOW = 1024
@@ -99,12 +95,6 @@ class ServingConfig:
     #: Cap on the fused batch size; None defers to the scheduler's plan
     #: (which itself prefers the measured knee when calibrated).
     max_batch: Optional[int] = None
-    #: Opt-in bound, in event-loop seconds, on how long a partial batch
-    #: waits for company.  0 (the default) is the work-conserving rule of
-    #: the module docstring: no timer, launch when a loop pass brings no
-    #: new request.  Set it only where remote clients arrive with known
-    #: jitter; every request then pays up to a quarter of it in latency.
-    max_linger: float = 0.0
     #: Per-tenant cap on requests admitted but not yet resolved;
     #: None disables the cap.
     tenant_inflight_limit: Optional[int] = 64
@@ -114,13 +104,6 @@ class ServingConfig:
     def __post_init__(self) -> None:
         if self.max_queue_depth < 1:
             raise ValueError("max_queue_depth must be at least 1")
-        if self.max_linger < 0:
-            raise ValueError("max_linger must be non-negative")
-
-    @property
-    def quiet_window(self) -> float:
-        """Arrival-free time after which a lingering batch flushes early."""
-        return self.max_linger / 4.0
 
 
 class ServingEngine:
@@ -149,8 +132,9 @@ class ServingEngine:
         self._health = HealthGate(self.config.failure_threshold)
         self._tenant_health: Dict[str, HealthGate] = {}
         self._stats = _ServingStats()
-        #: Planned batch size by limb count; parameters, scheduler and
-        #: ``max_batch`` are fixed for the engine's lifetime.
+        #: Planned batch size by limb count, filled only on the launch path
+        #: (the worker's context fixes the backend the plan sizes for);
+        #: parameters, scheduler and ``max_batch`` are fixed once it runs.
         self._planned: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
@@ -335,38 +319,28 @@ class ServingEngine:
         """Let the batch form; returns why it is launched now."""
         queue = self._queue
         target = self._planned_batch(self.fhe.context.max_level + 1)
-        linger = self.config.max_linger
-        deadline = self._loop.time() + linger
         seen = -1
         while len(queue) < target:
-            if len(queue) != seen:
-                # New arrivals: one event-loop pass lets every runnable
-                # client coroutine enqueue before we look again.
-                seen = len(queue)
-                await asyncio.sleep(0)
-                continue
-            if not linger:
+            if len(queue) == seen:
                 return FLUSH_IDLE
-            remaining = deadline - self._loop.time()
-            if remaining <= 0:
-                return FLUSH_LINGER
-            self._work.clear()
-            try:
-                await asyncio.wait_for(
-                    self._work.wait(),
-                    timeout=min(self.config.quiet_window, remaining))
-            except asyncio.TimeoutError:
-                return FLUSH_LINGER     # nothing new within the quiet window
+            # New arrivals: one event-loop pass lets every runnable client
+            # coroutine enqueue before we look again.
+            seen = len(queue)
+            await asyncio.sleep(0)
         return FLUSH_FULL
 
+    def _plan_batch(self, limb_count: int) -> int:
+        """The scheduler's batch size for ``limb_count`` limbs."""
+        plan = self.scheduler.plan(
+            self.fhe.context.ring_degree, limb_count,
+            requested=self.config.max_batch or self.fhe.parameters.batch_size)
+        return max(1, plan.batch_size)
+
     def _planned_batch(self, limb_count: int) -> int:
-        """The scheduler's batch size for ``limb_count`` limbs, planned once."""
+        """:meth:`_plan_batch`, planned once per limb count (worker side)."""
         size = self._planned.get(limb_count)
         if size is None:
-            plan = self.scheduler.plan(
-                self.fhe.context.ring_degree, limb_count,
-                requested=self.config.max_batch or self.fhe.parameters.batch_size)
-            size = self._planned[limb_count] = max(1, plan.batch_size)
+            size = self._planned[limb_count] = self._plan_batch(limb_count)
         return size
 
     def _flush(self) -> None:
@@ -495,6 +469,7 @@ class ServingEngine:
         """One snapshot of every operational signal the engine tracks."""
         stats = self._stats
         counter = self.fhe.kernel_counter
+        full_limbs = self.fhe.context.max_level + 1
         elapsed = None
         if self._started_at is not None and self._loop is not None:
             elapsed = max(self._loop.time() - self._started_at, 1e-9)
@@ -502,7 +477,10 @@ class ServingEngine:
             "running": self.running,
             "backend": self.fhe.compute_backend,
             "queue_depth": len(self._queue),
-            "flush_target": self._planned_batch(self.fhe.context.max_level + 1),
+            # The worker's memo once it has planned; never written from
+            # here, where the caller's backend context may differ.
+            "flush_target": (self._planned.get(full_limbs)
+                             or self._plan_batch(full_limbs)),
             "inflight": {tenant: count for tenant, count
                          in self._inflight.items() if count},
             "tenants": len(self.registry),
@@ -553,7 +531,7 @@ class _ServingStats:
     per_op: Counter = field(default_factory=Counter)
     #: Gathers by the reason they ended (a drain at ``stop`` is no gather).
     flush_reasons: Dict[str, int] = field(default_factory=lambda: {
-        FLUSH_FULL: 0, FLUSH_IDLE: 0, FLUSH_LINGER: 0})
+        FLUSH_FULL: 0, FLUSH_IDLE: 0})
     #: ``(op, queue-wait s, execute s)`` of the last completed requests.
     latency: Deque[Tuple[str, float, float]] = field(
         default_factory=lambda: deque(maxlen=_LATENCY_WINDOW))

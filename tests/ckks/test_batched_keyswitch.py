@@ -219,51 +219,6 @@ class TestLaunchCounts:
         assert fused_calls == 2          # one forward_ops + one inverse_ops
 
 
-@pytest.mark.parametrize("backend", available_backends())
-@pytest.mark.parametrize("image", ["int64", "float64"])
-def test_raise_in_one_copy_equals_the_two_copy_assembly(fhe, rng, backend, image):
-    """Dcomp + ModUp + NTT against its former assembly, residue for residue.
-
-    The raised ``(B, dnum, L', N)`` tensor used to be built group by group
-    and the groups stacked again; ``_raise`` lays every group's rows out
-    once.  Inputs are host int64 images and float-only handles (what a
-    float kernel chain feeds key switching mid-program).
-    """
-    from repro.backend.blas_backend import FloatResidues
-    from repro.backend.residency import as_ndarray, stack_arrays
-    from repro.rns import RnsPolynomial
-
-    context = fhe.context
-    level = context.max_level
-    active = context.moduli_at_level(level)
-    extended = context.extended_moduli_at_level(level)
-    groups = fhe.relinearization_key.at_level(level).group_moduli
-    switcher = fhe.batched_evaluator.key_switcher
-
-    def polynomials():
-        for ciphertext in streams:
-            residues = ciphertext.c1.residues
-            if image == "float64":
-                residues = FloatResidues(residues.astype(np.float64),
-                                         max(active) - 1)
-            yield RnsPolynomial(context.ring_degree, active, residues)
-
-    streams = encrypt_streams(fhe, rng, 3)
-    with use_backend(backend):
-        stacked = stack_arrays([p.buffer for p in polynomials()])
-        raised, start = [], 0
-        for group in groups:
-            raised.append(switcher._modup_for(group, extended).apply_batch(
-                stacked[:, start:start + len(group)]))
-            start += len(group)
-        expected = context.planner.forward_ops(
-            context.ring_degree, extended,
-            stack_arrays(raised, axis=1).reshape(
-                3 * len(groups), len(extended), context.ring_degree))
-        got = switcher._raise(list(polynomials()), groups, active, extended)
-    assert np.array_equal(as_ndarray(got), as_ndarray(expected))
-
-
 class TestDegenerateBatches:
     def test_empty_batches(self, fhe):
         key = fhe.relinearization_key

@@ -69,32 +69,6 @@ class TestAutomorphism:
         rhs = apply_automorphism_eval(engine.forward(a), g)
         assert np.array_equal(lhs, rhs)
 
-    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
-    @pytest.mark.parametrize("g", [5, 25, 2 * RING_DEGREE - 1])
-    def test_gather_form_equals_the_scatter_form(self, rng, dtype, g):
-        """The kernel against the scatter it replaced, over a (B, L, N) image.
-
-        Zeros sit in wrapped positions (they must stay ``0``, not become
-        ``q`` or ``-0.0``) and the dtype the image came in is kept.
-        """
-        primes = [generate_ntt_prime(bits, RING_DEGREE) for bits in (20, 24, 28)]
-        column = np.asarray(primes, dtype=np.int64)[:, None]
-        image = rng.integers(0, column, (4, len(primes), RING_DEGREE))
-        image[rng.random(image.shape) < 0.3] = 0
-        image = image.astype(dtype)
-
-        raw = (np.arange(RING_DEGREE) * g) % (2 * RING_DEGREE)
-        wraps = raw >= RING_DEGREE
-        expected = np.empty_like(image)
-        expected[..., raw % RING_DEGREE] = np.where(
-            wraps & (image != 0), column - image, image)
-
-        got = apply_automorphism_coeff(image, g, column)
-        assert got.dtype == image.dtype
-        assert np.array_equal(got, expected)
-        assert (image == 0)[..., wraps].any()        # the case being pinned
-        assert not np.signbit(got).any()
-
     def test_evaluation_permutation_is_bijection(self):
         perm = evaluation_permutation(RING_DEGREE, 5)
         assert sorted(perm.tolist()) == list(range(RING_DEGREE))

@@ -65,16 +65,6 @@ class TestBatchedParity:
             expected = modup.apply(as_poly(group, stacks[b]))
             assert np.array_equal(fused[b], expected.residues)
 
-    def test_modup_rows_are_the_assembled_tensor(self, rng, chain, batch):
-        """``assemble=False`` hands back the rows ``apply_batch`` stacks."""
-        primes = CHAINS[chain]
-        group, extended = primes[2:4], primes
-        modup = ModUp(group, extended)
-        stacks = random_stack(rng, group, batch)
-        rows = modup.apply_batch(stacks, assemble=False)
-        assert len(rows) == len(extended)
-        assert np.array_equal(np.stack(rows, axis=1), modup.apply_batch(stacks))
-
     def test_moddown_batch(self, rng, chain, batch):
         primes = CHAINS[chain]
         active, special = primes[:4], primes[4:]

@@ -12,7 +12,7 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.serving import KeyRegistry, OpName, ServingConfig, ServingEngine
+from repro.serving import KeyRegistry, OpName, ServingEngine
 
 
 @pytest.fixture()
@@ -59,8 +59,7 @@ async def test_concurrent_refreshes_fuse_into_one_launch(bfhe,
     streams = exhausted_streams(bfhe, rng, 4)
     expected = bfhe.bootstrap_many(streams)
     tenants = ("owner", "session-a", "owner", "session-b")
-    engine = ServingEngine(bfhe, config=ServingConfig(max_linger=0.05),
-                           registry=bootstrap_registry)
+    engine = ServingEngine(bfhe, registry=bootstrap_registry)
     async with engine:
         results = await asyncio.gather(*[
             engine.bootstrap(tenant, ciphertext)
@@ -82,8 +81,7 @@ async def test_distinct_key_bundles_do_not_fuse(bfhe, bootstrap_registry,
     stranger_ct = bootstrap_registry.get("stranger").encryptor.encrypt(
         rng.uniform(-0.05, 0.05, bfhe.slot_count))
     stranger_ct = bfhe.evaluator.drop_to_level(stranger_ct, 0)
-    engine = ServingEngine(bfhe, config=ServingConfig(max_linger=0.05),
-                           registry=bootstrap_registry)
+    engine = ServingEngine(bfhe, registry=bootstrap_registry)
     async with engine:
         await asyncio.gather(
             engine.bootstrap("owner", streams[0]),

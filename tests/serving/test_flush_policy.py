@@ -1,16 +1,16 @@
-"""The work-conserving flush rule, and the opt-in linger beside it.
+"""The work-conserving flush rule.
 
-Default config: the worker never holds a free executor on a timer while a
-request is queued — what coalesces is what arrived in the same event-loop
-pass or while the previous launch ran.  ``max_linger > 0`` is the one
-opt-in path that waits on the clock.
+The worker never holds a free executor on a timer while a request is
+queued — what coalesces is what arrived in the same event-loop pass or
+while the previous launch ran.
 """
 
 import asyncio
 
 import pytest
 
-from repro.serving import OpName, ServingConfig
+from repro.backend import get_active_backend, use_backend
+from repro.serving import OpName
 
 
 def _encrypt(registry, tenant, values):
@@ -42,10 +42,6 @@ def _recorded(serve, **config):
     return engine, launched
 
 
-def test_the_default_is_work_conserving():
-    assert ServingConfig().max_linger == 0.0
-
-
 async def test_lone_request_resolves_without_any_timer(serve, operands, monkeypatch):
     engine = serve()
     lhs, rhs = operands(engine)
@@ -65,7 +61,7 @@ async def test_lone_request_resolves_without_any_timer(serve, operands, monkeypa
         monkeypatch.undo()
     assert request.result().level == lhs.level
     diag = engine.diagnostics()
-    assert diag["flush_reasons"] == {"full": 0, "idle": 1, "linger": 0}
+    assert diag["flush_reasons"] == {"full": 0, "idle": 1}
     assert diag["batches"]["histogram"] == {1: 1}
 
 
@@ -83,7 +79,7 @@ async def test_lockstep_clients_fill_the_batch_every_round(serve, operands):
         await asyncio.gather(*[client() for _ in range(8)])
     assert launched == [8] * 5
     reasons = engine.diagnostics()["flush_reasons"]
-    assert reasons["linger"] == 0 and reasons["full"] + reasons["idle"] == 5
+    assert reasons["full"] + reasons["idle"] == 5
 
 
 async def test_arrivals_during_a_launch_coalesce_into_the_next(serve, operands):
@@ -105,19 +101,7 @@ async def test_arrivals_during_a_launch_coalesce_into_the_next(serve, operands):
     assert launched == [1, 3]
 
 
-async def test_opt_in_linger_fuses_requests_apart_in_time(serve, operands):
-    engine, launched = _recorded(serve, max_linger=0.05)
-    lhs, rhs = operands(engine)
-    async with engine:
-        first = engine.submit_nowait("alice", OpName.ADD, lhs, rhs)
-        await asyncio.sleep(0.01)           # inside the 12.5 ms quiet window
-        second = engine.submit_nowait("alice", OpName.ADD, lhs, rhs)
-        await asyncio.gather(first, second)
-    assert launched == [2]
-    assert engine.diagnostics()["flush_reasons"]["linger"] == 1
-
-
-async def test_default_does_not_wait_for_a_request_apart_in_time(serve, operands):
+async def test_a_request_apart_in_time_is_not_waited_for(serve, operands):
     engine, launched = _recorded(serve)
     lhs, rhs = operands(engine)
     async with engine:
@@ -148,6 +132,33 @@ async def test_plan_memo_matches_the_scheduler_at_every_level(fhe, serve):
     finally:
         del engine.scheduler.plan
     assert len(calls) == fhe.context.max_level + 1      # once per limb count
+
+
+async def test_diagnostics_never_fills_the_plan_memo(fhe, serve, operands):
+    """The plan follows the worker's backend, not an earlier reader's."""
+    engine, launched = _recorded(serve)
+    lhs, rhs = operands(engine)
+    plan = engine.scheduler.plan
+    other = "numpy" if get_active_backend().name == "blas" else "blas"
+
+    def by_backend(*args, **kwargs):
+        planned = plan(*args, **kwargs)
+        planned.batch_size = 2 if get_active_backend().name == other else 4
+        return planned
+
+    engine.scheduler.plan = by_backend
+    try:
+        with use_backend(other):
+            assert engine.diagnostics()["flush_target"] == 2
+        assert engine._planned == {}
+        async with engine:                  # the worker's context is ours
+            await asyncio.gather(*[engine.add("alice", lhs, rhs)
+                                   for _ in range(4)])
+            with use_backend(other):
+                assert engine.diagnostics()["flush_target"] == 4
+    finally:
+        del engine.scheduler.plan
+    assert launched == [4]
 
 
 async def test_latency_is_reported_per_op_over_a_bounded_window(serve, operands):

@@ -109,8 +109,7 @@ class TestEngineGating:
     async def test_gates_after_consecutive_failures_and_recovers(self, fhe, rng):
         flaky = _FlakyExecutor(failures=3)
         engine = ServingEngine(fhe, executor=flaky,
-                               config=ServingConfig(failure_threshold=3,
-                                                    max_linger=0.0))
+                               config=ServingConfig(failure_threshold=3))
         flaky.engine = engine
         registry = engine.registry
         registry.register("alice")
@@ -140,8 +139,7 @@ class TestEngineGating:
     async def test_cancelled_probe_returns_its_slot(self, fhe, rng):
         flaky = _FlakyExecutor(failures=1)
         engine = ServingEngine(fhe, executor=flaky,
-                               config=ServingConfig(failure_threshold=1,
-                                                    max_linger=60.0))
+                               config=ServingConfig(failure_threshold=1))
         flaky.engine = engine
         engine.registry.register("alice")
         lhs, rhs = _fresh_pair(fhe, engine.registry, "alice", rng)
@@ -176,8 +174,7 @@ class TestEngineGating:
             return engine._run_op(op, chunk)
 
         engine = ServingEngine(fhe, executor=alternating,
-                               config=ServingConfig(failure_threshold=2,
-                                                    max_linger=0.0))
+                               config=ServingConfig(failure_threshold=2))
         engine.registry.register("alice")
         lhs, rhs = _fresh_pair(fhe, engine.registry, "alice", rng)
         async with engine:
@@ -190,8 +187,7 @@ class TestEngineGating:
                 assert engine.health.available
 
     async def test_request_scoped_errors_never_trip_the_gate(self, fhe, rng):
-        engine = ServingEngine(fhe, config=ServingConfig(failure_threshold=1,
-                                                         max_linger=0.0))
+        engine = ServingEngine(fhe, config=ServingConfig(failure_threshold=1))
         registry = engine.registry
         registry.register("alice")
         encryptor = registry.get("alice").encryptor
@@ -215,8 +211,7 @@ class TestEngineGating:
     async def test_failures_attribute_to_the_involved_tenants_only(self, fhe, rng):
         flaky = _FlakyExecutor(failures=1)
         engine = ServingEngine(fhe, executor=flaky,
-                               config=ServingConfig(failure_threshold=1,
-                                                    max_linger=0.0))
+                               config=ServingConfig(failure_threshold=1))
         flaky.engine = engine
         registry = engine.registry
         registry.register("alice")

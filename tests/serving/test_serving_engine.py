@@ -100,7 +100,7 @@ class TestConcurrentCoalescing:
 
 class TestBackpressure:
     async def test_queue_full_is_an_explicit_rejection(self, fhe, serve, rng):
-        engine = serve(max_queue_depth=2, max_linger=0.0)
+        engine = serve(max_queue_depth=2)
         registry = engine.registry
         registry.register("alice")
         lhs = _encrypt(registry, "alice", rng.uniform(-1, 1, fhe.slot_count))
@@ -116,7 +116,7 @@ class TestBackpressure:
         assert engine.diagnostics()["requests"]["rejected"] == 1
 
     async def test_tenant_inflight_cap(self, fhe, serve, rng):
-        engine = serve(tenant_inflight_limit=1, max_linger=0.0)
+        engine = serve(tenant_inflight_limit=1)
         registry = engine.registry
         registry.register("alice")
         registry.register("bob")
@@ -186,7 +186,7 @@ class TestRequestValidation:
 
 class TestLifecycle:
     async def test_stop_drains_queued_work(self, fhe, serve, rng):
-        engine = serve(max_linger=60.0)           # worker would linger forever
+        engine = serve()      # no await before stop: the worker never runs
         registry = engine.registry
         registry.register("alice")
         lhs = _encrypt(registry, "alice", rng.uniform(-1, 1, fhe.slot_count))
@@ -201,7 +201,7 @@ class TestLifecycle:
             engine.submit_nowait("alice", OpName.ADD, lhs, rhs)
 
     async def test_stop_without_drain_fails_pending_futures(self, fhe, serve, rng):
-        engine = serve(max_linger=60.0)
+        engine = serve()
         registry = engine.registry
         registry.register("alice")
         lhs = _encrypt(registry, "alice", rng.uniform(-1, 1, fhe.slot_count))
@@ -219,7 +219,7 @@ class TestLifecycle:
             launched.append(len(chunk))
             return engine._run_op(op, chunk)
 
-        engine = serve(executor=recording, max_linger=60.0)
+        engine = serve(executor=recording)
         registry = engine.registry
         registry.register("alice")
         lhs = _encrypt(registry, "alice", rng.uniform(-1, 1, fhe.slot_count))
@@ -278,7 +278,7 @@ class TestDiagnostics:
         assert sum(size * count for size, count
                    in diag["batches"]["histogram"].items()) == 4
         assert diag["batches"]["coalesce_ratio"] >= 1.0
-        assert set(diag["flush_reasons"]) == {"full", "idle", "linger"}
+        assert set(diag["flush_reasons"]) == {"full", "idle"}
         assert sum(diag["flush_reasons"].values()) == diag["batches"]["executed"]
         added = diag["latency"][OpName.ADD]
         assert added["count"] == 4
