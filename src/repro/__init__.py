@@ -1,20 +1,22 @@
 """repro — a reproduction of *TensorFHE: Achieving Practical Computation on
 Encrypted Data Using GPGPU* (HPCA 2023).
 
-The package is layered (see DESIGN.md):
+The package is two halves (the README's "Architecture map" walks them):
 
-* :mod:`repro.backend` — pluggable compute substrates (numpy / BLAS
-  float64 / sharded / torch) behind the batched-GEMM funnel;
-* :mod:`repro.numtheory`, :mod:`repro.ntt`, :mod:`repro.tcu`, :mod:`repro.rns`
-  — arithmetic substrates, including the tensor-core segmented NTT;
-* :mod:`repro.kernels`, :mod:`repro.ckks` — the hierarchical CKKS
-  reconstruction and the full FHE scheme (keys, evaluator, bootstrap);
-* :mod:`repro.batching`, :mod:`repro.gpu`, :mod:`repro.perf`,
-  :mod:`repro.workloads` — operation-level batching and the GPU performance
-  model that reproduces the paper's evaluation;
-* :mod:`repro.api` — the high-level facade (:class:`~repro.api.TensorFheContext`);
-* :mod:`repro.serving` — the async multi-tenant serving layer that fills
-  the fused (B, L, N) substrate from concurrent request traffic.
+* the **runtime**, what a launch executes — :mod:`repro.backend` (compute
+  substrates behind the batched-GEMM funnel), :mod:`repro.numtheory`,
+  :mod:`repro.ntt`, :mod:`repro.tcu`, :mod:`repro.rns` (arithmetic, the
+  tensor-core segmented NTT included), :mod:`repro.kernels`,
+  :mod:`repro.ckks` (the scheme), :mod:`repro.batching` (batch sizes from a
+  two-number device budget), :mod:`repro.api` (the facade) and
+  :mod:`repro.serving` (async multi-tenant dynamic batching);
+* the **paper model** — :mod:`repro.gpu` and :mod:`repro.perf`, the
+  analytical cost model behind the paper's tables and figures, pricing the
+  operation counts of :mod:`repro.workloads`.
+
+The model may import the runtime; the runtime never imports the model
+(``tests/test_import_boundary.py``), so ``import repro`` loads neither
+:mod:`repro.gpu` nor :mod:`repro.perf` — import them by their own path.
 """
 
 from .api import TensorFheContext
@@ -36,9 +38,7 @@ from .ckks import (
     get_preset,
 )
 from .ntt import available_engines, create_engine
-from .perf import ModelParameters, NttVariant, OperationModel, WorkloadModel
 from .serving import KeyRegistry, ServingConfig, ServingEngine
-from .workloads import WORKLOADS, get_workload
 
 __version__ = "1.0.0"
 
@@ -59,14 +59,8 @@ __all__ = [
     "get_active_backend",
     "set_active_backend",
     "use_backend",
-    "OperationModel",
-    "ModelParameters",
-    "WorkloadModel",
-    "NttVariant",
     "ServingEngine",
     "ServingConfig",
     "KeyRegistry",
-    "WORKLOADS",
-    "get_workload",
     "__version__",
 ]

@@ -26,7 +26,6 @@ from ..ckks.encryptor import Encryptor
 from ..ckks.evaluator import Evaluator
 from ..ckks.keygen import KeyGenerator
 from ..ckks.params import CkksParameters, get_preset
-from ..gpu.spec import A100, GpuSpec
 
 if TYPE_CHECKING:
     from ..serving import ServingEngine
@@ -38,11 +37,10 @@ class TensorFheContext:
     """One-stop facade over key generation, encryption and evaluation."""
 
     def __init__(self, parameters: CkksParameters, *, seed: Optional[int] = None,
-                 rotation_steps: Iterable[int] = (), gpu: GpuSpec = A100,
+                 rotation_steps: Iterable[int] = (),
                  backend: Union[None, str, "ArrayBackend"] = None,
                  bootstrap_config: Optional[BootstrapConfig] = None) -> None:
         self.context = CkksContext(parameters, seed=seed, backend=backend)
-        self.gpu = gpu
         self._keygen = KeyGenerator(self.context)
         self.secret_key = self._keygen.generate_secret_key()
         self.public_key = self._keygen.generate_public_key(self.secret_key)
@@ -59,7 +57,7 @@ class TensorFheContext:
         # The scheduler sizes fused batches for the same compute backend
         # the context launches on; a sharded backend multiplies the plan
         # by its worker fan-out so serving traffic fills the whole pool.
-        self.batch_scheduler = BatchScheduler(gpu, backend=backend)
+        self.batch_scheduler = BatchScheduler(backend=backend)
         self.bootstrap_config = bootstrap_config
         self._bootstrapper: Optional[Bootstrapper] = None
 

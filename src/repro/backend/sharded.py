@@ -12,8 +12,7 @@ arena, so a launch costs one pipe round trip per shard and zero segment
 creation in steady state.
 
 What a per-call process pool gets wrong (the retired ``multiprocess``
-backend measured 1.09x over numpy, ``benchmarks/results/backends.json``)
-and this design fixes:
+backend measured 1.09x over numpy) and this design fixes:
 
 * **Workers are persistent.**  Processes fork on the first sharded
   launch and serve a small command protocol over pipes until
@@ -34,11 +33,11 @@ and this design fixes:
   (and its exact chunked fallback) runs inside the worker unchanged —
   shards stay bit-identical to the single-process delegate.
 
-Launches below the measured knee stay inline on the delegate: the
-thresholds and worker counts come from
-:func:`repro.perf.calibration.sharding_calibration` (the committed
-``benchmarks/results/sharded.json``) when available, with conservative
-hardcoded defaults otherwise.
+Launches too small to repay a pipe round trip stay inline on the
+delegate.  The two thresholds are the module constants below unless the
+constructor is given ``min_shard_elements`` / ``min_elementwise_elements``;
+the worker count is the ``workers`` argument (or registry spec segment),
+else ``REPRO_BACKEND_WORKERS``, else ``max(2, os.cpu_count())``.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ WORKERS_ENV_VAR = "REPRO_BACKEND_WORKERS"
 
 #: Below this many multiply-accumulates a GEMM stays inline: the pipe
 #: round trip plus the operand copy into the arena costs more than the
-#: arithmetic.  Overridden by the measured knee when a calibration exists.
+#: arithmetic.
 _DEFAULT_MIN_SHARD_ELEMENTS = 1 << 22
 #: Element-wise kernels are bandwidth-bound, so sharding pays off far
 #: later than for GEMMs; below this many elements they stay inline.
@@ -310,9 +309,9 @@ class ShardedBackend(ArrayBackend):
     _DEFAULT_DELEGATE = "numpy"
 
     def __init__(self, delegate=None, *, workers: Optional[int] = None,
-                 min_shard_elements: Optional[int] = None,
-                 min_elementwise_elements: Optional[int] = None,
-                 calibration=None) -> None:
+                 min_shard_elements: int = _DEFAULT_MIN_SHARD_ELEMENTS,
+                 min_elementwise_elements: int = _DEFAULT_MIN_ELEMENTWISE_ELEMENTS,
+                 ) -> None:
         from .registry import get_backend  # lazy: registry registers us
 
         if delegate is None:
@@ -326,28 +325,15 @@ class ShardedBackend(ArrayBackend):
         self.delegate: ArrayBackend = delegate
         self._delegate_spec: str = delegate.name
 
-        if calibration is None:
-            calibration = self._load_calibration()
         if workers is None:
             workers = parse_worker_count(os.environ.get(WORKERS_ENV_VAR))
-        if workers is None and calibration is not None \
-                and calibration.applies_to_host():
-            workers = calibration.workers
         if workers is None:
             # Floored at 2 so sharding exists even on small hosts; an
             # explicit count (argument, env var, spec) is honoured as-is.
             workers = max(2, os.cpu_count() or 2)
         self.workers = max(1, int(workers))
 
-        if min_shard_elements is None and calibration is not None:
-            min_shard_elements = calibration.min_shard_elements
-        if min_shard_elements is None:
-            min_shard_elements = _DEFAULT_MIN_SHARD_ELEMENTS
         self.min_shard_elements = int(min_shard_elements)
-        if min_elementwise_elements is None and calibration is not None:
-            min_elementwise_elements = calibration.min_elementwise_elements
-        if min_elementwise_elements is None:
-            min_elementwise_elements = _DEFAULT_MIN_ELEMENTWISE_ELEMENTS
         self.min_elementwise_elements = int(min_elementwise_elements)
 
         self._procs: List[Tuple[object, object]] = []
@@ -362,14 +348,6 @@ class ShardedBackend(ArrayBackend):
     # ------------------------------------------------------------------
     # Configuration / lifecycle
     # ------------------------------------------------------------------
-    @staticmethod
-    def _load_calibration():
-        try:
-            from ..perf.calibration import sharding_calibration
-            return sharding_calibration()
-        except Exception:  # pragma: no cover - calibration is optional
-            return None
-
     @classmethod
     def from_spec(cls, spec: str) -> "ShardedBackend":
         """Build from the registry spec suffix ``[delegate][:workers]``."""

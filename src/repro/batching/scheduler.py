@@ -7,13 +7,12 @@ and there is little benefit in exceeding the batch size that already
 saturates the GPU's resident threads.  :class:`BatchScheduler` encodes both
 limits.
 
-When a :class:`~repro.perf.calibration.MeasuredThroughput` calibration is
-supplied, the *measured* knee of the fused-speedup curve (from the
-benchmark JSONs committed under ``benchmarks/results/``) replaces the
-datasheet-derived saturation estimate: the scheduler then recommends the
-batch size that was actually observed to maximise fused throughput on
-this substrate, which is what the serving layer's flush policy sizes its
-launches with.
+The device budget is two numbers, ``vram_bytes`` and
+``max_resident_threads``.  They default to the paper's A100 figures, kept
+here as constants so the runtime never imports the analytical model
+(:mod:`repro.gpu`, :mod:`repro.perf`); any object carrying those two
+attributes — a :class:`repro.gpu.GpuSpec`, say — sizes plans for another
+device.
 """
 
 from __future__ import annotations
@@ -21,14 +20,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from ..gpu.spec import GpuSpec
-# Imported for real (not TYPE_CHECKING): the batching layer's public
-# annotations must resolve under typing.get_type_hints, and calibration
-# is stdlib-only so no import cycle is possible.
-from ..perf.calibration import MeasuredThroughput
-
 __all__ = ["BatchPlan", "BatchScheduler"]
 
+#: NVIDIA A100-SXM-40GB, the paper's evaluation device (the figures of
+#: ``repro.gpu.A100``; a test pins the two against it).
+A100_VRAM_BYTES = 40 * (1 << 30)
+A100_MAX_RESIDENT_THREADS = 108 * 2048
+
+#: Share of the VRAM the batched working set may occupy.
+_VRAM_UTILISATION = 0.85
 _WORD_BYTES = 4
 #: Working-set multiplier: operands, twiddles, limb-pair partial products
 #: and double-buffered intermediates, relative to one ciphertext copy.
@@ -43,9 +43,6 @@ class BatchPlan:
     vram_limited_batch: int
     saturation_batch: int
     working_set_bytes_per_op: float
-    #: The measured fused-speedup knee that drove the choice, when the
-    #: scheduler was built with a calibration (None = static model).
-    measured_batch: Optional[int] = None
     #: How many shard workers the compute backend fans the batch axis
     #: out to (1 = single-process backend).
     batch_fanout: int = 1
@@ -54,21 +51,17 @@ class BatchPlan:
     def limited_by_vram(self) -> bool:
         return self.vram_limited_batch <= self.saturation_batch
 
-    @property
-    def measured(self) -> bool:
-        return self.measured_batch is not None
-
 
 class BatchScheduler:
-    """Chooses operation-level batch sizes for a GPU and CKKS parameter set."""
+    """Chooses operation-level batch sizes for a device and CKKS parameter set."""
 
-    def __init__(self, gpu: GpuSpec, *, vram_utilisation: float = 0.85,
-                 measured: Optional["MeasuredThroughput"] = None,
-                 backend=None) -> None:
-        self.gpu = gpu
-        self.vram_utilisation = vram_utilisation
-        #: Optional measured calibration; see the module docstring.
-        self.measured = measured if measured else None
+    def __init__(self, device=None, *, backend=None) -> None:
+        #: The device budget: ``device.vram_bytes`` and
+        #: ``device.max_resident_threads``, or the A100's with no device.
+        self.vram_bytes = (A100_VRAM_BYTES if device is None
+                           else device.vram_bytes)
+        self.max_resident_threads = (A100_MAX_RESIDENT_THREADS if device is None
+                                     else device.max_resident_threads)
         #: Compute backend the plans size for: a registered name, an
         #: :class:`~repro.backend.base.ArrayBackend` instance, or ``None``
         #: to follow the process-wide active backend at plan time.
@@ -78,7 +71,7 @@ class BatchScheduler:
         """How many workers the backend shards the batch axis across.
 
         A sharded backend splits the fused B axis over its worker pool,
-        so saturating the pool needs ``workers × per-shard knee``
+        so saturating the pool needs ``workers × per-shard saturation``
         operations in flight; single-process backends report 1.  Backends
         advertise the fan-out through ``capabilities()['batch_fanout']``;
         resolution failures (an unavailable ``REPRO_BACKEND``, say)
@@ -101,7 +94,7 @@ class BatchScheduler:
         """Batch size beyond which the GPU's thread slots are already full."""
         elements_per_op = limb_count * ring_degree
         threads_per_op = max(1.0, elements_per_op / 8.0)
-        return max(1, int(self.gpu.max_resident_threads * 4 // threads_per_op))
+        return max(1, int(self.max_resident_threads * 4 // threads_per_op))
 
     def plan(self, ring_degree: int, limb_count: int, *, components: int = 2,
              requested: Optional[int] = None) -> BatchPlan:
@@ -111,24 +104,17 @@ class BatchScheduler:
         result; power-of-two sizes are preferred because the workloads pack
         power-of-two many ciphertexts.
 
-        With a measured calibration, the observed fused-speedup knee
-        replaces the saturation estimate (VRAM and ``requested`` still
-        cap the result).  A batch-sharding backend multiplies the target
-        by its worker fan-out — the knee is a *per-shard* quantity, so a
-        pool of W workers saturates at W knees' worth of operations.
+        A batch-sharding backend multiplies the saturation target by its
+        worker fan-out — saturation is a *per-shard* quantity, so a pool of
+        W workers saturates at W shards' worth of operations (VRAM and
+        ``requested`` still cap the result).
         """
         per_op = self.working_set_per_operation(ring_degree, limb_count, components)
-        usable = self.gpu.vram_bytes * self.vram_utilisation
+        usable = self.vram_bytes * _VRAM_UTILISATION
         vram_limit = max(1, int(usable // per_op))
         saturation = self.saturation_batch(ring_degree, limb_count)
-        measured_batch = None
-        if self.measured is not None:
-            measured_batch = self.measured.preferred_batch(
-                ring_degree, source="op_batching")
         fanout = self.batch_fanout()
-        target = saturation if measured_batch is None else measured_batch
-        target *= fanout
-        batch = min(vram_limit, max(target, 1))
+        batch = min(vram_limit, saturation * fanout)
         if requested is not None:
             batch = min(batch, requested)
         batch = max(1, 1 << (batch.bit_length() - 1))
@@ -137,6 +123,5 @@ class BatchScheduler:
             vram_limited_batch=vram_limit,
             saturation_batch=saturation,
             working_set_bytes_per_op=per_op,
-            measured_batch=measured_batch,
             batch_fanout=fanout,
         )

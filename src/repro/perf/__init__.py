@@ -1,6 +1,5 @@
 """Performance and energy models plus the literature baselines."""
 
-from .calibration import MeasuredPoint, MeasuredThroughput, default_results_dir
 from .cost_model import CostModelConfig, GpuCostModel
 from .energy import EnergyModel
 from .kernel_workloads import (
@@ -18,9 +17,6 @@ from .workload_model import WorkloadModel, WorkloadTimings
 from . import literature
 
 __all__ = [
-    "MeasuredPoint",
-    "MeasuredThroughput",
-    "default_results_dir",
     "KernelWorkload",
     "NttVariant",
     "ntt_workload",

@@ -13,16 +13,12 @@ reused for every experiment, GPU and parameter set.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
-
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Optional
 
 from ..gpu.memory import MemoryTrafficModel
 from ..gpu.spec import GpuSpec
 from .kernel_workloads import KernelWorkload
-
-if TYPE_CHECKING:
-    from .calibration import MeasuredThroughput
 
 __all__ = ["CostModelConfig", "GpuCostModel"]
 
@@ -55,43 +51,6 @@ class CostModelConfig:
     launch_overhead_s: float = 4.0e-6
     #: Batch size beyond which kernels count as fully batched.
     batching_threshold: int = 16
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_measurements(cls, measured: "MeasuredThroughput",
-                          **overrides) -> "CostModelConfig":
-        """A config recalibrated against measured fused-launch speedups.
-
-        The one quantity the committed benchmark JSONs observe directly is
-        the ratio between fused (operation-batched) and looped execution of
-        the same kernels.  The model encodes that ratio as
-        ``cuda_efficiency_batched / cuda_efficiency_unbatched``, so the
-        recalibration keeps the batched efficiency (fitted against the
-        paper's Table VI) and rederives the *unbatched* efficiency from the
-        measured geometric-mean speedup of the op-batching and key-switch
-        sweeps.  The measured batching knee also replaces the default
-        batching threshold when the sweeps observed one.
-
-        With an empty calibration the default constants are returned
-        unchanged; explicit ``overrides`` win over both.
-        """
-        base = cls()
-        updates = {}
-        speedup = measured.mean_batched_speedup(source="op_batching")
-        if speedup <= 1.0:
-            # The sharded scale-out sweep measures multi-process fan-out,
-            # not per-kernel occupancy, so it is excluded from the
-            # fallback aggregate that rederives the unbatched efficiency.
-            speedup = measured.mean_batched_speedup(
-                exclude_sources=("sharded",))
-        if speedup > 1.0:
-            updates["cuda_efficiency_unbatched"] = (
-                base.cuda_efficiency_batched / speedup)
-        knee = measured.preferred_batch(1 << 12, source="op_batching")
-        if knee is not None:
-            updates["batching_threshold"] = knee
-        updates.update(overrides)
-        return replace(base, **updates)
 
 
 class GpuCostModel:

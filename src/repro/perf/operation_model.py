@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..gpu.spec import A100, GpuSpec
-from .calibration import MeasuredThroughput
 from .cost_model import CostModelConfig, GpuCostModel
 from .kernel_workloads import (
     KernelWorkload,
@@ -62,27 +61,12 @@ class OperationModel:
     def __init__(self, parameters: ModelParameters, *, gpu: GpuSpec = A100,
                  variant: str = NttVariant.GEMM_TCU,
                  cost_config: Optional[CostModelConfig] = None,
-                 batched: bool = True,
-                 measured: Optional[MeasuredThroughput] = None) -> None:
+                 batched: bool = True) -> None:
         self.parameters = parameters
         self.gpu = gpu
         self.variant = variant
         self.batched = batched
-        # A measured calibration recalibrates the cost constants (the
-        # batched/unbatched efficiency ratio and the batching knee) unless
-        # an explicit config pins them; see CostModelConfig.from_measurements.
-        if cost_config is None and measured is not None and measured:
-            cost_config = CostModelConfig.from_measurements(measured)
-        self.measured = measured
         self.cost_model = GpuCostModel(gpu, cost_config)
-
-    @classmethod
-    def calibrated(cls, parameters: ModelParameters,
-                   results_dir: Optional[str] = None,
-                   **kwargs) -> "OperationModel":
-        """A model recalibrated against the committed benchmark JSONs."""
-        measured = MeasuredThroughput.from_results_dir(results_dir)
-        return cls(parameters, measured=measured, **kwargs)
 
     # ------------------------------------------------------------------
     # Kernel composition of each operation (per single operation)

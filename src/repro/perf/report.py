@@ -1,8 +1,7 @@
 """Plain-text table formatting for the benchmark harness.
 
 The benchmarks print the paper's rows next to the modelled/measured rows;
-these helpers keep the formatting consistent and compute the ratio columns
-so EXPERIMENTS.md can quote them directly.
+these helpers keep the formatting consistent and compute the ratio columns.
 """
 
 from __future__ import annotations

@@ -92,8 +92,7 @@ class ServingConfig:
 
     #: Bounded admission queue depth; beyond it submissions raise QueueFull.
     max_queue_depth: int = 256
-    #: Cap on the fused batch size; None defers to the scheduler's plan
-    #: (which itself prefers the measured knee when calibrated).
+    #: Cap on the fused batch size; None defers to the scheduler's plan.
     max_batch: Optional[int] = None
     #: Per-tenant cap on requests admitted but not yet resolved;
     #: None disables the cap.

@@ -5,7 +5,7 @@ cores, the true product matrix is ``sum_ij O_ij << 8*(i+j)``.  The paper
 fuses the partial products with the modified Booth accumulation; here we
 fuse modulo ``q`` so the result is exact for arbitrary 30-bit moduli (the
 paper relies on its parameter choice to keep the fused value inside 32/64
-bits — see DESIGN.md).
+bits).
 """
 
 from __future__ import annotations

@@ -9,14 +9,12 @@ checks the three properties the backend promises:
   bootstrapping, with *identical* kernel counters;
 * **steady-state memory**: after warmup a repeated fused launch creates
   zero new arena slabs and republishes zero operands;
-* **configuration hygiene**: registry specs, the ``REPRO_BACKEND_WORKERS``
-  env var and the committed calibration all parse with attributable
-  errors, and teardown/relaunch cycles neither leak workers nor stack
-  atexit handlers.
+* **configuration hygiene**: registry specs and the
+  ``REPRO_BACKEND_WORKERS`` env var parse with attributable errors, and
+  teardown/relaunch cycles neither leak workers nor stack atexit handlers.
 """
 
 import atexit
-import json
 import multiprocessing
 import os
 import threading
@@ -41,17 +39,14 @@ from repro.ckks.params import get_preset
 from repro.gpu import A100
 from repro.ntt.gemm_utils import modular_matmul_limbs
 from repro.numtheory import generate_ntt_primes
-from repro.perf.calibration import ShardingCalibration, sharding_calibration
 
 PRIME_BITS = (20, 30, 33)
 
 
 @pytest.fixture(autouse=True)
 def _no_ambient_worker_config(monkeypatch):
-    """Default-resolution tests must not see the host's env/calibration."""
+    """Default-resolution tests must not see the host's env."""
     monkeypatch.delenv(WORKERS_ENV_VAR, raising=False)
-    monkeypatch.setattr(ShardedBackend, "_load_calibration",
-                        staticmethod(lambda: None))
 
 
 @pytest.fixture(scope="module")
@@ -157,58 +152,6 @@ class TestWorkerEnvVar:
         assert ShardedBackend().workers == 3
         # An explicit count still wins over the environment.
         assert ShardedBackend(workers=5).workers == 5
-
-
-# ----------------------------------------------------------------------
-# Calibration loading and wiring
-# ----------------------------------------------------------------------
-class TestCalibration:
-    def test_loader_reads_the_calibration_block(self, tmp_path):
-        (tmp_path / "sharded.json").write_text(json.dumps({
-            "calibration": {"min_shard_elements": 1 << 20,
-                            "min_elementwise_elements": 1 << 23,
-                            "workers": 4, "cpu_count": 8},
-        }))
-        calibration = sharding_calibration(str(tmp_path))
-        assert calibration == ShardingCalibration(
-            min_shard_elements=1 << 20, min_elementwise_elements=1 << 23,
-            workers=4, cpu_count=8)
-
-    def test_loader_tolerates_missing_and_malformed(self, tmp_path):
-        assert sharding_calibration(str(tmp_path / "absent")) is None
-        (tmp_path / "sharded.json").write_text("{not json")
-        assert sharding_calibration(str(tmp_path)) is None
-        (tmp_path / "sharded.json").write_text(json.dumps({"results": {}}))
-        assert sharding_calibration(str(tmp_path)) is None
-        # Garbage field values degrade to None, not to a crash.
-        (tmp_path / "sharded.json").write_text(json.dumps({
-            "calibration": {"min_shard_elements": -5, "workers": True,
-                            "cpu_count": "eight"}}))
-        assert sharding_calibration(str(tmp_path)) == ShardingCalibration()
-
-    def test_worker_count_transfers_only_to_matching_hosts(self):
-        assert ShardingCalibration().applies_to_host()
-        local = os.cpu_count() or 0
-        assert ShardingCalibration(cpu_count=local).applies_to_host()
-        assert not ShardingCalibration(cpu_count=local + 1).applies_to_host()
-
-    def test_backend_consumes_matching_calibration(self):
-        calibration = ShardingCalibration(
-            min_shard_elements=123, min_elementwise_elements=456,
-            workers=5, cpu_count=os.cpu_count() or 0)
-        backend = ShardedBackend(calibration=calibration)
-        assert backend.workers == 5
-        assert backend.min_shard_elements == 123
-        assert backend.min_elementwise_elements == 456
-
-    def test_foreign_host_keeps_knees_but_not_workers(self):
-        """Knees are work-per-round-trip ratios; worker counts are not."""
-        calibration = ShardingCalibration(
-            min_shard_elements=123, workers=7,
-            cpu_count=(os.cpu_count() or 0) + 1)
-        backend = ShardedBackend(calibration=calibration)
-        assert backend.min_shard_elements == 123
-        assert backend.workers == max(2, os.cpu_count() or 2)
 
 
 # ----------------------------------------------------------------------

@@ -85,6 +85,21 @@ class TestBatchScheduler:
         plan = BatchScheduler(A100).plan(1 << 16, 45, requested=1)
         assert plan.batch_size == 1
 
+    #: Today's planned sizes with no ``requested`` cap (single-process backend).
+    PINNED_SIZES = {(4096, 9): 128, (1024, 15): 256, (128, 15): 2048,
+                    (65536, 45): 2}
+
+    @pytest.mark.parametrize("limbs", [1, 9, 15, 45])
+    @pytest.mark.parametrize("ring_degree", [64, 128, 1024, 4096, 65536])
+    def test_default_device_is_the_a100(self, ring_degree, limbs):
+        """The scheduler's two constants are ``gpu/spec.py``'s A100 figures."""
+        # BatchPlan is a dataclass: equality is field by field.
+        assert (BatchScheduler().plan(ring_degree, limbs)
+                == BatchScheduler(A100).plan(ring_degree, limbs))
+        if (ring_degree, limbs) in self.PINNED_SIZES:
+            pinned = BatchScheduler(backend="numpy").plan(ring_degree, limbs)
+            assert pinned.batch_size == self.PINNED_SIZES[ring_degree, limbs]
+
 
 class TestAnnotationsResolve:
     """Regression for the missing ``Optional`` import in the scheduler.
