@@ -16,9 +16,13 @@ Per-stream bookkeeping (scale tracking, level alignment) is kept exactly,
 and the kernel counters record the per-stream invocations of Table II
 (fusion is invisible to the instrumentation, via
 :meth:`~repro.kernels.base.KernelCounter.record_batch`), so a stream's
-result and its counts do not depend on which other streams share its
-launch.  The HMULT key switch and the rotation / conjugation paths run
-through :class:`~repro.ckks.batched_keyswitch.BatchedKeySwitcher`.
+result does not depend on which other streams share its launch, and
+neither do its counts, with one rule: an operand shared by streams of one
+launch is transformed, and counted, once (HMULT's squares and partners
+that are another stream's operand).  The HMULT key switch and the
+rotation / conjugation paths run through
+:class:`~repro.ckks.batched_keyswitch.BatchedKeySwitcher`; HMULT hands it
+the evaluation-domain image of ``d2`` its tensor product already holds.
 
 Domains.  Ciphertexts rest in the coefficient domain: encryption produces
 it, every operation above returns it, and an evaluation-domain operand is
@@ -40,7 +44,9 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..backend.residency import concatenate_arrays, stack_arrays
+import numpy as np
+
+from ..backend.residency import concatenate_arrays, contiguous, stack_arrays
 from ..kernels.automorphism import (
     apply_automorphism_coeff,
     galois_element_for_rotation,
@@ -303,14 +309,14 @@ class BatchedEvaluator:
             entries = [pairs[i] for i in indices]
             batch, limbs = len(entries), len(moduli)
             level = entries[0][0].level
-            coeff = self._tensor_product(entries, moduli)   # d0 | d2 | d1
+            coeff, d2 = self._tensor_product(entries, moduli)   # d0 | d2 | d1
             # Generalized key switching, fused across the B axis: the dnum
-            # decomposition of every stream stacks into one (B, dnum, L, N)
-            # tensor and runs as batched ModUp / NTT / inner-product /
-            # ModDown launches.
+            # decomposition of every stream runs as batched ModUp / NTT /
+            # inner-product / ModDown launches, and ModUp's copies of d2's
+            # own limbs take their transforms from d2's evaluation image.
             switched = self.key_switcher.switch_many(
                 [self._poly(moduli, coeff[batch + j]) for j in range(batch)],
-                relinearization_key, level)
+                relinearization_key, level, evaluations=d2)
             outputs = []
             for slot, own in ((0, coeff[:batch]), (1, coeff[2 * batch:])):
                 key_part = self._stack([pair[slot] for pair in switched])
@@ -325,24 +331,35 @@ class BatchedEvaluator:
         return results
 
     def _tensor_product(self, entries, moduli):
-        """``d0 | d2 | d1`` of every aligned pair: ``(3B, L, N)``, coefficient domain.
+        """``d0 | d2 | d1`` of every aligned pair, and ``d2``'s evaluation image.
 
-        Two launches on the limb-major views of the transformed operands:
-        ``a0 ⊙ b0 | a1 ⊙ b1`` as one product over the ``2B`` axis, and ``d1
-        = a0 ⊙ b1 + a1 ⊙ b0`` as one multiply-accumulate over the pair axis
-        — summed before it is reduced, which equals the two Hada-Mult and
-        one Ele-Add launches it is counted as bit for bit.  A method of its
-        own so the evaluation-domain operands and partial products are
-        released before the key switch allocates.
+        Each distinct operand polynomial is transformed, and counted, once:
+        a square, or a ciphertext that is an operand of two streams, is one
+        set of rows of the transformed stack, and ``a0 | a1`` / ``b0 | b1``
+        are gathers of it (views when the rows are in order).  Then two
+        launches on their limb-major views: ``a0 ⊙ b0 | a1 ⊙ b1`` as one
+        product over the ``2B`` axis, and ``d1 = a0 ⊙ b1 + a1 ⊙ b0`` as one
+        multiply-accumulate over the pair axis — summed before it is
+        reduced, which equals the two Hada-Mult and one Ele-Add launches it
+        is counted as bit for bit.  Returns the ``(3B, L, N)`` coefficient
+        stack and the limb-major ``(L, B, N)`` image of ``d2 = a1 ⊙ b1``.
+        A method of its own so the other evaluation-domain operands and
+        partial products are released before the key switch allocates.
         """
         batch, limbs = len(entries), len(moduli)
+        operands = ([lhs.c0 for lhs, _ in entries] + [lhs.c1 for lhs, _ in entries]
+                    + [rhs.c0 for _, rhs in entries] + [rhs.c1 for _, rhs in entries])
+        row_of, distinct = {}, []
+        for poly in operands:
+            if id(poly) not in row_of:
+                row_of[id(poly)] = len(distinct)
+                distinct.append(poly)
+        rows = [row_of[id(poly)] for poly in operands]
         evals = self.context.planner.forward_ops(
-            self.context.ring_degree, moduli, self._stack(
-                [lhs.c0 for lhs, _ in entries] + [lhs.c1 for lhs, _ in entries]
-                + [rhs.c0 for _, rhs in entries] + [rhs.c1 for _, rhs in entries]))
-        self._record(KernelName.NTT, 4 * batch, limbs)
-        lhs = self._limb_major(evals[:2 * batch])           # a0 | a1
-        rhs = self._limb_major(evals[2 * batch:])           # b0 | b1
+            self.context.ring_degree, moduli, self._stack(distinct))
+        self._record(KernelName.NTT, len(distinct), limbs)
+        lhs = self._limb_major(self._rows(evals, rows[:2 * batch]))   # a0 | a1
+        rhs = self._limb_major(self._rows(evals, rows[2 * batch:]))   # b0 | b1
         pairs = (limbs, 2, batch, self.context.ring_degree)
         outer = mat_mod_mul(lhs, rhs, moduli)
         cross = mat_mod_mul(lhs.reshape(pairs), rhs.reshape(pairs)[:, ::-1],
@@ -354,7 +371,7 @@ class BatchedEvaluator:
             self.context.ring_degree, moduli, concatenate_arrays(
                 [self._limb_major(outer), self._limb_major(cross)]))
         self._record(KernelName.INTT, 3 * batch, limbs)
-        return coeff
+        return coeff, contiguous(outer[:, batch:])    # outer dies here
 
     def multiply_and_rescale(self, lhs_streams: Sequence[Ciphertext],
                              rhs_streams: Sequence[Ciphertext],
@@ -584,6 +601,14 @@ class BatchedEvaluator:
         One stream stacks to a view of its own buffer.
         """
         return stack_arrays([poly.buffer for poly in polys])
+
+    @staticmethod
+    def _rows(stack, rows: List[int]):
+        """``stack[rows]``: a view when the rows are consecutive, else a gather."""
+        first = rows[0]
+        if rows == list(range(first, first + len(rows))):
+            return stack[first:first + len(rows)]
+        return stack[np.asarray(rows)]
 
     @staticmethod
     def _limb_major(stack):

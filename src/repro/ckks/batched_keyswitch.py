@@ -6,23 +6,34 @@ automorphism) and returns one ciphertext pair ``(c0, c1)`` per stream with
 ``c0 + c1*s ≈ d * s_from``.  The stream axis leads every tensor, so one
 ciphertext is the ``B = 1`` case of the same launches:
 
-* **Dcomp** — the dnum restriction of every stream is one gather into a
-  ``(B, dnum, L, N)`` residue tensor;
-* **ModUp** — one batched Conv per decomposition group
-  (:meth:`~repro.rns.modup.ModUp.apply_batch`), the batch folded into the
-  row-moduli GEMM's free dimension;
+* **Dcomp** — the dnum restriction of every stream is a view of the
+  ``(B, L, N)`` stack (the groups ``G_j`` are consecutive limb ranges);
+* **ModUp** — one batched Conv per decomposition group produces the
+  complement ``M_j = E \\ G_j`` of the group in the extended basis ``E``
+  (:meth:`~repro.rns.modup.ModUp.rows`), the batch folded into the
+  row-moduli GEMM's free dimension; the group's own limbs are copies of
+  ``d``;
 * **NTT** — a single :meth:`~repro.ntt.planner.NttPlanner.forward_ops`
-  engine call transforms all ``B * dnum`` extended slices at once;
+  engine call transforms every row the caller does not already hold in
+  the evaluation domain, laid out in one copy: HMULT hands in the image
+  of ``d`` its tensor product computed, so only the complements are
+  transformed (Han–Ki's hybrid key switching needs no more),
+  ``(B, dnum * E - L, N)`` over their concatenated chain
+  ``M_0 ‖ … ‖ M_{dnum-1}`` (one more cached twiddle stack per level); a
+  rotation or conjugation holds nothing and transforms all ``B * dnum``
+  extended slices over ``E``;
 * **Inner-product** — one fused multiply-accumulate launch per ``(b, a)``
   component, ``sum_j d_j ⊙ key_j`` over the dnum axis of the limb-major
-  ``(L', dnum, B, N)`` view, reduced once;
+  ``(L', dnum, B, N)`` operand, reduced once;
 * **ModDown** — both accumulators of every stream return to the ciphertext
   basis through one ``inverse_ops`` call and one batched Conv
   (:meth:`~repro.rns.moddown.ModDown.apply_batch`).
 
 The kernel counters record the per-stream invocations and limb-vectors of
 Algorithm 1 (via :meth:`~repro.kernels.base.KernelCounter.record_batch`),
-so one ``B``-stream call counts exactly what ``B`` one-stream calls do.
+so one ``B``-stream call counts exactly what ``B`` one-stream calls do;
+the NTT records the rows actually transformed, ``dnum * E - L`` limb-vectors
+per stream when the image of ``d`` is supplied.
 """
 
 from __future__ import annotations
@@ -51,12 +62,17 @@ class BatchedKeySwitcher:
 
     @pinned
     def switch_many(self, polynomials: Sequence[RnsPolynomial],
-                    switch_key: SwitchKey, level: int
+                    switch_key: SwitchKey, level: int, *,
+                    evaluations=None
                     ) -> List[Tuple[RnsPolynomial, RnsPolynomial]]:
         """Key-switch ``B`` coefficient-domain polynomials at ``level``.
 
         All polynomials must live on the level's active basis.  Returns
-        one ``(c0, c1)`` pair per stream, in order.
+        one ``(c0, c1)`` pair per stream, in order.  ``evaluations`` is
+        the caller's evaluation-domain image of the same polynomials,
+        limb-major ``(L, B, N)``, when it holds one (HMULT's tensor
+        product does): ModUp copies each group's own limbs, and their
+        transforms are then copied from it instead of recomputed.
         """
         polynomials = list(polynomials)
         if not polynomials:
@@ -73,18 +89,21 @@ class BatchedKeySwitcher:
             if tuple(polynomial.moduli) != active:
                 raise ValueError(
                     "polynomial basis does not match the requested level")
+        batch = len(polynomials)
+        if evaluations is not None and tuple(evaluations.shape) != (
+                len(active), batch, context.ring_degree):
+            raise ValueError("the evaluation image must be (L, B, N)")
         key_level = switch_key.at_level(level)
 
         # Each stage is a method call nested in the next one's arguments,
-        # so its (B, dnum, L', N) temporaries die with it and the next
-        # stage's launches reuse their memory.
-        batch = len(polynomials)
-        accumulators = self._inner_product(
-            self._raise(polynomials, key_level.group_moduli, active, extended),
-            key_level, batch, extended)
-        # INTT + ModDown: both components of every stream at once.
+        # so its temporaries die with it and the next stage's launches
+        # reuse their memory.  INTT + ModDown: both components of every
+        # stream at once.
         coeff = context.planner.inverse_ops(
-            context.ring_degree, extended, accumulators)
+            context.ring_degree, extended, self._inner_product(
+                self._raise(polynomials, key_level.group_moduli, extended,
+                            evaluations),
+                key_level, extended))
         counter.record_batch(KernelName.INTT, 2 * batch, len(extended))
         counter.record_batch(KernelName.CONV, batch, 2 * len(active))
         lowered = self._moddown_for(active).apply_batch(coeff)    # (2B, L, N)
@@ -94,46 +113,93 @@ class BatchedKeySwitcher:
             for j in range(batch)
         ]
 
-    def _raise(self, polynomials, groups, active, extended):
-        """Dcomp + ModUp + NTT: ``(B * dnum, L', N)`` evaluation-domain slices."""
+    def _raise(self, polynomials, groups, extended, evaluations):
+        """Dcomp + ModUp + NTT: the ``(L', dnum, B, N)`` inner-product operand.
+
+        Slice ``[e, j]`` is limb ``e`` of group ``j``'s raised polynomial
+        in the evaluation domain.  ModUp copies the group's own limbs
+        ``G_j`` and converts the complement ``M_j = E \\ G_j``; when the
+        caller holds ``evaluations``, an own limb's image is one of its
+        limbs, so the one forward launch transforms only the complements,
+        ``dnum * E - L`` rows per stream over the concatenated chain ``M_0
+        ‖ … ‖ M_{dnum-1}``.  Without an image every row is transformed,
+        ``(B * dnum, E, N)`` over the extended chain.  Each step rebinds
+        one name, so its operand dies as soon as the next exists.
+        """
         context = self.context
-        counter = context.kernels.counter
-        batch, ext_count = len(polynomials), len(extended)
+        batch, dnum, ring_degree = len(polynomials), len(groups), context.ring_degree
+        rows, chain, layout = self._mod_up(polynomials, groups, extended,
+                                           evaluations)
+        width = len(chain) // dnum
+        if chain == chain[:width] * dnum:   # nothing held: E, dnum times
+            chain, shape = chain[:width], (batch * dnum, width, ring_degree)
+        else:
+            shape = (batch, len(chain), ring_degree)
+        rows = stack_arrays(rows, axis=1).reshape(shape)    # the one copy
+        rows = context.planner.forward_ops(ring_degree, chain, rows).reshape(
+            batch, -1, ring_degree)
+        if evaluations is None:
+            # Every row transformed, group after group: the stack is the layout.
+            return rows.reshape(batch, dnum, -1, ring_degree).transpose(2, 1, 0, 3)
+        return stack_arrays([
+            rows[:, row] if isinstance(row, int) else row
+            for row in layout
+        ]).reshape(len(extended), dnum, batch, ring_degree)
+
+    def _mod_up(self, polynomials, groups, extended, evaluations):
+        """Dcomp + ModUp: the rows to transform, their chain, the layout.
+
+        ``rows`` are ``(B, N)`` views of the groups' own limbs and Conv
+        outputs, group after group, without the own limbs the caller
+        holds: their chain is ``E`` repeated ``dnum`` times, or the
+        complements ``M_0 ‖ … ‖ M_{dnum-1}``.  ``layout`` names the source
+        of every ``(e, j)`` slice, limb-major: the position of its row, or
+        the caller's evaluation-domain limb.
+        """
+        counter = self.context.kernels.counter
+        batch = len(polynomials)
         # Stream gather through the residency handles: stays device-side
         # when every stream is resident on the same backend.
         stacked = stack_arrays([p.buffer for p in polynomials])  # (B, L, N)
         # One batched Conv per decomposition group; the groups are
-        # consecutive limb ranges of the active chain, so Dcomp is a view.
-        raised, start = [], 0
+        # consecutive limb ranges of the active chain, so Dcomp is a view
+        # and the group's own limbs are extended limbs start … start + |G_j|.
+        rows, chain, sources, start = [], [], [], 0
         for group in groups:
             counter.record_batch(KernelName.CONV, batch,
-                                 ext_count - len(group))
-            raised.append(self._modup_for(group, extended).apply_batch(
-                stacked[:, start:start + len(group)]))
+                                 len(extended) - len(group))
+            held = (range(start, start + len(group)) if evaluations is not None
+                    else range(0))
+            source = []
+            for limb, row in enumerate(self._modup_for(group, extended).rows(
+                    stacked[:, start:start + len(group)])):
+                if limb in held:
+                    source.append(evaluations[limb])
+                else:
+                    source.append(len(rows))
+                    rows.append(row)
+                    chain.append(extended[limb])
+            counter.record_batch(KernelName.NTT, batch,
+                                 len(extended) - len(held))
+            sources.append(source)
             start += len(group)
-        raised = stack_arrays(raised, axis=1)           # (B, dnum, ext, N)
-        # All B * dnum extended slices in one engine call.
-        evals = context.planner.forward_ops(
-            context.ring_degree, extended,
-            raised.reshape(batch * len(groups), ext_count, context.ring_degree))
-        counter.record_batch(KernelName.NTT, batch * len(groups), ext_count)
-        return evals
+        layout = [source[limb] for limb in range(len(extended))
+                  for source in sources]
+        return rows, tuple(chain), layout
 
-    def _inner_product(self, evals, key_level, batch: int, extended):
+    def _inner_product(self, slices, key_level, extended):
         """Both key components against every slice: a ``(2B, L', N)`` stack.
 
-        One fused launch per key component: the multiply-accumulate
-        ``sum_j d_j ⊙ key_j`` over the dnum axis, which equals dnum
-        Hada-Mult launches folded by a chain of Ele-Add launches bit for
-        bit (and is counted as them).  The key side is the level's static
-        operand, so a float backend reuses its cached hi/lo images.
+        ``slices`` is the limb-major ``(L', dnum, B, N)`` operand, the
+        accumulated axis second.  One fused launch per key component: the
+        multiply-accumulate ``sum_j d_j ⊙ key_j`` over the dnum axis,
+        which equals dnum Hada-Mult launches folded by a chain of Ele-Add
+        launches bit for bit (and is counted as them).  The key side is
+        the level's static operand, so a float backend reuses its cached
+        hi/lo images.
         """
         counter = self.context.kernels.counter
-        ext_count = len(extended)
-        dnum = evals.shape[0] // batch
-        # (L', dnum, B, N): limb-major, the accumulated axis second.
-        slices = evals.reshape(batch, dnum, ext_count,
-                               evals.shape[2]).transpose(2, 1, 0, 3)
+        ext_count, dnum, batch = slices.shape[:3]
         accumulators = []
         for operand in key_level.operands:              # (b, a) components
             # One group leaves its (unsummed) axis in place: fold it away.

@@ -147,15 +147,16 @@ class Bootstrapper:
         sine = self._sine_evaluator()
         # Both series at the reduced argument a = 2*pi*t/(q0*2^r), then r
         # exact double-angle iterations: s' = 2*s*c, c' = 1 - 2*s^2.  Each
-        # iteration costs one level (the two HMULTs run side by side); the
-        # doublings are plain HADDs of a ciphertext with itself.
+        # iteration costs one level: s*c and s*s are one HMULT over 2B
+        # streams, so every s is transformed once; the doublings are plain
+        # HADDs of a ciphertext with itself.
         sin_cts, cos_cts = sine.apply_pair_many(
             ciphertexts, batched_evaluator, encryptor, relinearization_key)
+        batch = len(sin_cts)
         for _ in range(self.config.double_angle_iterations):
-            products = batched_evaluator.multiply_and_rescale(
-                sin_cts, cos_cts, relinearization_key)
-            squares = batched_evaluator.multiply_and_rescale(
-                sin_cts, sin_cts, relinearization_key)
+            both = batched_evaluator.multiply_and_rescale(
+                sin_cts + sin_cts, cos_cts + sin_cts, relinearization_key)
+            products, squares = both[:batch], both[batch:]
             sin_cts = batched_evaluator.add(products, products)
             doubled = batched_evaluator.add(squares, squares)
             cos_cts = batched_evaluator.negate(doubled)

@@ -8,6 +8,8 @@ them back into complex slot values.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .ciphertext import Ciphertext, Plaintext
@@ -46,15 +48,12 @@ class Decryptor:
         """Decrypt and return the real parts of the slots."""
         return self.decrypt_to_slots(ciphertext).real
 
-    def invariant_noise_budget_bits(self, ciphertext: Ciphertext,
-                                    expected_slots: np.ndarray = None) -> float:
+    def invariant_noise_budget_bits(self, ciphertext: Ciphertext) -> float:
         """A crude noise estimate: ``log2(Q_level) - log2(max |coefficient|)``.
 
         Not a formal noise bound, but useful in tests and examples to
         observe the level/noise budget shrinking as operations are applied.
         """
-        import math
-
         plaintext = self.decrypt(ciphertext)
         coefficients = plaintext.polynomial.to_integers(centered=True)
         magnitude = max(abs(int(c)) for c in coefficients) or 1

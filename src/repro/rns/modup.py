@@ -9,7 +9,7 @@ the missing primes and plain copying for the primes already present.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -52,12 +52,21 @@ class ModUp:
     def apply_batch(self, stacks: np.ndarray) -> np.ndarray:
         """Raise a ``(B, group, N)`` residue stack to ``(B, target, N)``.
 
-        The missing limbs come from a single batched Conv
-        (:meth:`~repro.rns.conv.BasisConverter.convert_residues_batch`) and
-        the target tensor is then assembled in one copy from ``(B, N)`` row
-        views of ``[group; converted]``, so the whole stream batch mods up
-        without a per-stream loop; residency handles thread through Conv
-        and the assembly.
+        The target tensor is :meth:`rows` assembled in one copy, so the
+        whole stream batch mods up without a per-stream loop; residency
+        handles thread through Conv and the assembly.
+        """
+        return stack_arrays(self.rows(stacks), axis=1)
+
+    def rows(self, stacks) -> List:
+        """The target rows of a ``(B, group, N)`` stack, uncopied.
+
+        Row ``i`` is the ``(B, N)`` residues of every stream modulo
+        ``target_moduli[i]``: a view of the input for a group prime, a view
+        of the one batched Conv result
+        (:meth:`~repro.rns.conv.BasisConverter.convert_residues_batch`) for
+        a missing one.  A caller laying out the rows of several groups, or
+        only some rows, assembles them itself in one copy.
         """
         if not is_buffer(stacks):
             stacks = np.asarray(stacks, dtype=np.int64)
@@ -66,11 +75,8 @@ class ModUp:
                 "expected a (B, %d, N) residue stack, got shape %s"
                 % (len(self.group_moduli), stacks.shape)
             )
-        if stacks.shape[0] == 0:
-            return np.zeros((0, len(self.target_moduli), stacks.shape[2]),
-                            dtype=np.int64)
         rows = [stacks[:, i] for i in range(len(self.group_moduli))]
         if self._converter is not None:
             converted = self._converter.convert_residues_batch(stacks)
             rows += [converted[:, i] for i in range(len(self._missing))]
-        return stack_arrays([rows[i] for i in self._gather], axis=1)
+        return [rows[i] for i in self._gather]

@@ -3,15 +3,18 @@
 There is one implementation of every CKKS operation, the fused ``(B, L, N)``
 path of ``BatchedEvaluator``; the singular ``Evaluator`` / facade methods
 are its ``B = 1`` case.  A stream's result — residues, scale, level, domain
-— and the kernel invocations and limb-vectors it records must not depend on
-which other streams share its launch, so every test here runs the
-operation once over the whole batch and once as a loop of one-stream calls
-and demands identical bits and identical counters.  (That the bits are the
-*right* bits is pinned separately: ``test_golden_bits.py`` holds their
-digests, ``TestTableTwoAtBatchOne`` the paper's absolute kernel counts.)
-The suite covers HADD / CMULT / HMULT / RESCALE across every available
-compute backend, mixed-level grouping, evaluation-domain operands, a
-hypothesis property over batch composition, and the facade chunking.
+— must not depend on which other streams share its launch, and neither
+may the kernel invocations and limb-vectors it records, with one rule: an
+operand shared by streams of one launch is transformed, and counted, once
+(``TestSharedOperands``).  Every other test here runs the operation once
+over the whole batch and once as a loop of one-stream calls on unshared
+operands and demands identical bits and identical counters.  (That the
+bits are the *right* bits is pinned separately: ``test_golden_bits.py``
+holds their digests, ``TestTableTwoAtBatchOne`` the paper's absolute
+kernel counts.)  The suite covers HADD / CMULT / HMULT / RESCALE across
+every available compute backend, mixed-level grouping, evaluation-domain
+operands, shared operands, a hypothesis property over batch composition,
+and the facade chunking.
 """
 
 import numpy as np
@@ -253,6 +256,45 @@ class TestEvaluationDomainOperands:
         )
 
 
+class TestSharedOperands:
+    """An operand shared by streams of one launch is transformed, and
+    counted, once; the bits are those of the same streams on copies."""
+
+    def test_square_equals_product_with_a_copy(self, fhe, streams):
+        lhs, _ = streams
+        ciphertext, key = lhs[0], fhe.relinearization_key
+        kernels = fhe.context.kernels
+        with kernels.capture() as square_counts:
+            square = fhe.batched_evaluator.multiply([ciphertext], [ciphertext], key)
+        with kernels.capture() as copy_counts:
+            product = fhe.batched_evaluator.multiply(
+                [ciphertext], [ciphertext.copy()], key)
+        assert_same_ciphertext(square[0], product[0])
+        limbs = ciphertext.limb_count
+        want = square_counts.snapshot()
+        want[KernelName.NTT] += 2
+        assert copy_counts.snapshot() == want
+        vectors = dict(square_counts.limb_vectors)
+        vectors[KernelName.NTT] += 2 * limbs
+        assert dict(copy_counts.limb_vectors) == vectors
+
+    def test_rotated_partners_equal_per_stream_calls_on_copies(self, fhe, streams):
+        lhs, _ = streams
+        partners = lhs[1:] + lhs[:1]
+        key = fhe.relinearization_key
+        kernels = fhe.context.kernels
+        with kernels.capture() as counts:
+            got = fhe.batched_evaluator.multiply(lhs, partners, key)
+        for product, left, right in zip(got, lhs, partners):
+            assert_same_ciphertext(
+                product, fhe.evaluator.multiply(left.copy(), right.copy(), key))
+        # The partner list holds no new ciphertext: 2 NTTs per stream, not 4.
+        limbs, extended, groups = TestTableTwoAtBatchOne.shape(fhe, lhs[0].level)
+        assert counts.snapshot()[KernelName.NTT] == BATCH * (2 + len(groups))
+        assert counts.limb_vectors[KernelName.NTT] == BATCH * (
+            2 * limbs + len(groups) * extended - limbs)
+
+
 class TestTableTwoAtBatchOne:
     """One facade call records exactly the paper's Table II kernel mix.
 
@@ -271,13 +313,18 @@ class TestTableTwoAtBatchOne:
         return limbs, extended, groups
 
     @staticmethod
-    def key_switch(limbs, extended, groups):
-        """Algorithm 1: ModUp, NTT, inner product, INTT, ModDown."""
+    def key_switch(limbs, extended, groups, held=0):
+        """Algorithm 1: ModUp, NTT, inner product, INTT, ModDown.
+
+        ModUp copies each group's own limbs; ``held`` of the input's limbs
+        arrive with their evaluation image, and their copies are not
+        transformed again.
+        """
         dnum = len(groups)
         return {
             KernelName.CONV: (dnum + 1,
                               sum(extended - size for size in groups) + 2 * limbs),
-            KernelName.NTT: (dnum, dnum * extended),
+            KernelName.NTT: (dnum, dnum * extended - held),
             KernelName.HADAMARD: (2 * dnum, 2 * dnum * extended),
             KernelName.ELE_ADD: (2 * dnum, 2 * dnum * extended),
             KernelName.INTT: (2, 2 * extended),
@@ -320,17 +367,36 @@ class TestTableTwoAtBatchOne:
         assert self.recorded(fhe, lambda: fhe.rescale(lhs[0])) == {
             KernelName.ELE_SUB: (2, 2 * (limbs - 1))}
 
+    @staticmethod
+    def tensor_product(limbs, operands):
+        """Algorithm 2 around the key switch: NTT of each distinct operand
+        polynomial, four Hada-Mults, INTT of ``d0, d1, d2``, the Ele-Add of
+        ``d1`` and the two that add the switched pair."""
+        return {KernelName.NTT: (operands, operands * limbs),
+                KernelName.HADAMARD: (4, 4 * limbs),
+                KernelName.ELE_ADD: (3, 3 * limbs),
+                KernelName.INTT: (3, 3 * limbs)}
+
     def test_hmult(self, fhe, streams):
+        """The tensor product holds d2's evaluation image: the key switch
+        transforms the ``dnum * E - L`` limbs ModUp does not copy from d2."""
         lhs, rhs = streams
         limbs, extended, groups = self.shape(fhe, lhs[0].level)
         got = self.recorded(
             fhe, lambda: fhe.multiply(lhs[0], rhs[0], rescale=False))
         assert got == self.plus(
-            {KernelName.NTT: (4, 4 * limbs),
-             KernelName.HADAMARD: (4, 4 * limbs),
-             KernelName.ELE_ADD: (3, 3 * limbs),
-             KernelName.INTT: (3, 3 * limbs)},
-            self.key_switch(limbs, extended, groups))
+            self.tensor_product(limbs, 4),
+            self.key_switch(limbs, extended, groups, held=limbs))
+
+    def test_square(self, fhe, streams):
+        """A square transforms its two operand polynomials once."""
+        lhs, _ = streams
+        limbs, extended, groups = self.shape(fhe, lhs[0].level)
+        got = self.recorded(
+            fhe, lambda: fhe.multiply(lhs[0], lhs[0], rescale=False))
+        assert got == self.plus(
+            self.tensor_product(limbs, 2),
+            self.key_switch(limbs, extended, groups, held=limbs))
 
     def test_hrotate(self, fhe, streams):
         lhs, _ = streams

@@ -15,6 +15,12 @@ import numpy as np
 import pytest
 
 from repro.backend import available_backends, use_backend
+from repro.backend.residency import stack_arrays
+from repro.ckks import CkksContext, CkksParameters, KeyGenerator
+from repro.ckks.batched_keyswitch import BatchedKeySwitcher
+from repro.kernels import KernelName
+from repro.numtheory import planned
+from repro.rns import RnsPolynomial
 
 BATCH_SIZES = (1, 2, 8)
 
@@ -217,6 +223,82 @@ class TestLaunchCounts:
         fused_calls = spy.take()
         assert fused_calls < sequential_calls
         assert fused_calls == 2          # one forward_ops + one inverse_ops
+
+
+#: 20-bit single-pass, the default 28/30-bit split widths, and 33-bit
+#: primes, where every funnel takes its exact object-dtype path.
+CHAINS = {
+    "p20": dict(prime_bits=20, special_prime_bits=23, scale_bits=20),
+    "p28": dict(),
+    "p33": dict(prime_bits=33, special_prime_bits=33, scale_bits=33),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CHAINS))
+def chain(request):
+    parameters = CkksParameters(ring_degree=64, level_count=3, dnum=3,
+                                secret_hamming_weight=8, name=request.param,
+                                **CHAINS[request.param])
+    context = CkksContext(parameters, seed=17)
+    keygen = KeyGenerator(context)
+    return context, keygen.generate_relinearization_key(
+        keygen.generate_secret_key())
+
+
+@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("batch", BATCH_SIZES)
+@pytest.mark.parametrize("residency", ["float", "int64"])
+def test_own_limb_reuse_is_bit_identical(chain, rng, backend, batch, residency,
+                                         monkeypatch):
+    """Own limbs copied from the evaluation image == own limbs transformed.
+
+    At every level (one to three decomposition groups, unequal sizes
+    included) ``switch_many(..., evaluations=)`` gives the bits of the
+    call without an image and records ``L`` fewer NTT limb-vectors per
+    stream, nothing else.  ``residency`` says whether the image and the
+    transforms are float-only handles or int64 (float-only needs a
+    float-capable backend; elsewhere both spellings run the int64 path).
+    """
+    context, relin = chain
+    if residency == "int64":
+        monkeypatch.setattr(planned, "RESIDENT_DOUBLES", 1 << 40)
+    switcher = BatchedKeySwitcher(context)
+    degree, kernels = context.ring_degree, context.kernels
+    for level in range(context.max_level + 1):
+        moduli = context.moduli_at_level(level)
+        polynomials = [
+            RnsPolynomial(degree, moduli, np.stack(
+                [rng.integers(0, q, degree, dtype=np.int64) for q in moduli]))
+            for _ in range(batch)]
+        with use_backend(backend):
+            image = context.planner.forward_ops(
+                degree, moduli, stack_arrays([p.buffer for p in polynomials])
+            ).transpose(1, 0, 2)                                  # (L, B, N)
+            float_path = context.planner.engine_for(
+                degree, moduli[0]).float_plan(moduli) is not None
+            assert (image.host_image is None) == (
+                float_path and residency == "float")
+            with kernels.capture() as plain_counts:
+                expected = switcher.switch_many(polynomials, relin, level)
+            with kernels.capture() as reuse_counts:
+                got = switcher.switch_many(polynomials, relin, level,
+                                           evaluations=image)
+        for pair, want in zip(got, expected):
+            for poly, reference in zip(pair, want):
+                assert np.array_equal(poly.residues, reference.residues)
+        assert reuse_counts.snapshot() == plain_counts.snapshot()
+        vectors = dict(plain_counts.limb_vectors)
+        vectors[KernelName.NTT] -= batch * len(moduli)
+        assert dict(reuse_counts.limb_vectors) == vectors
+
+
+def test_switch_many_rejects_a_misshapen_image(fhe, rng):
+    ciphertext = encrypt_streams(fhe, rng, 1)[0]
+    switcher = fhe.batched_evaluator.key_switcher
+    with pytest.raises(ValueError, match="evaluation image"):
+        switcher.switch_many([ciphertext.c1, ciphertext.c1],
+                             fhe.relinearization_key, ciphertext.level,
+                             evaluations=ciphertext.c1.residues[:, None])
 
 
 class TestDegenerateBatches:

@@ -88,9 +88,9 @@ class TestSwitchKeyStoredOnce:
         seen = []
         original = BatchedKeySwitcher._inner_product
 
-        def spying(self, evals, key_level, batch, extended):
+        def spying(self, slices, key_level, extended):
             seen.append(key_level)
-            return original(self, evals, key_level, batch, extended)
+            return original(self, slices, key_level, extended)
 
         monkeypatch.setattr(BatchedKeySwitcher, "_inner_product", spying)
         lhs, rhs = pair
