@@ -2,8 +2,12 @@
 
 ``Decryptor.decrypt`` computes ``c0 + c1*s`` over the ciphertext's active
 basis and returns a coefficient-domain plaintext; ``decrypt_to_slots``
-additionally CRT-recombines the residues into centred integers and decodes
-them back into complex slot values.
+additionally CRT-recombines the residues into the float64 values of the
+centred coefficients (:meth:`~repro.numtheory.crt.CrtContext.compose_float`:
+int64 on the chain's two smallest primes, checked against the other limbs,
+Python integers only for columns too large for that pair) and decodes them
+back into complex slot values.  The result is bit for bit
+``decode(poly.to_integers())``.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ import math
 
 import numpy as np
 
+from ..numtheory.crt import get_crt_context
 from .ciphertext import Ciphertext, Plaintext
 from .context import CkksContext, pinned
 from .keys import SecretKey
@@ -41,7 +46,9 @@ class Decryptor:
     def decrypt_to_slots(self, ciphertext: Ciphertext) -> np.ndarray:
         """Decrypt and decode into a complex slot vector."""
         plaintext = self.decrypt(ciphertext)
-        coefficients = plaintext.polynomial.to_integers(centered=True)
+        polynomial = plaintext.polynomial
+        coefficients = get_crt_context(polynomial.moduli).compose_float(
+            polynomial.residues)
         return self.context.encoder.decode(coefficients, plaintext.scale)
 
     def decrypt_real(self, ciphertext: Ciphertext) -> np.ndarray:

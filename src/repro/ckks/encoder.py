@@ -6,6 +6,11 @@ at the primitive ``2N``-th roots of unity ``zeta^(5^j)`` equal ``Delta*z_j``
 (the remaining conjugate roots carry the conjugate values, which keeps the
 coefficients real).  The transform and its inverse are computed with a
 length-``2N`` FFT, so encoding is ``O(N log N)``.
+
+The codec hands the RNS layer machine integers where it can: ``encode``
+returns int64 coefficients (Python ints only above ``2^62``) for
+:meth:`~repro.rns.poly.RnsPolynomial.from_integers`' int64 path, and
+``decode`` takes the float64 coefficients decryption composes as they are.
 """
 
 from __future__ import annotations
@@ -17,6 +22,9 @@ import numpy as np
 from .params import CkksParameters
 
 __all__ = ["CkksEncoder"]
+
+#: Rounded coefficients below this magnitude are returned as int64.
+INT64_COEFFICIENT_LIMIT = 2.0 ** 62
 
 
 class CkksEncoder:
@@ -40,9 +48,11 @@ class CkksEncoder:
     def encode(self, values: Sequence[complex], scale: Optional[float] = None) -> np.ndarray:
         """Encode a slot vector into scaled integer coefficients.
 
-        Shorter inputs are zero-padded; longer inputs are rejected.  The
-        returned array contains signed integers (the caller reduces them
-        into whatever RNS basis it needs).
+        Shorter inputs are zero-padded; longer inputs are rejected, and so
+        are values whose scaled coefficients are not finite.  The returned
+        array contains signed integers (the caller reduces them into
+        whatever RNS basis it needs): int64 when every coefficient is below
+        ``2^62`` in magnitude, otherwise an object array of Python ints.
         """
         scale = self.parameters.scale if scale is None else float(scale)
         slots = np.zeros(self.slot_count, dtype=np.complex128)
@@ -55,16 +65,27 @@ class CkksEncoder:
         # Spread the slot values (and conjugates) over the odd spectrum of a
         # length-2N transform, then one FFT gives the coefficients.
         spectrum = np.zeros(2 * self.ring_degree, dtype=np.complex128)
-        spectrum[self.root_exponents] = slots * scale
-        spectrum[self.conjugate_exponents] = np.conj(slots) * scale
-        # m_k = (1/N) * sum_a spectrum[a] * exp(-2*pi*i*a*k / 2N)
-        coefficients = np.fft.fft(spectrum)[: self.ring_degree] / self.ring_degree
-        return np.round(coefficients.real).astype(object)
+        with np.errstate(over="ignore", invalid="ignore"):
+            spectrum[self.root_exponents] = slots * scale
+            spectrum[self.conjugate_exponents] = np.conj(slots) * scale
+            # m_k = (1/N) * sum_a spectrum[a] * exp(-2*pi*i*a*k / 2N)
+            coefficients = np.fft.fft(spectrum)[: self.ring_degree] / self.ring_degree
+            rounded = np.round(coefficients.real)
+        if not np.isfinite(rounded).all():
+            raise ValueError("values must be finite")
+        if np.abs(rounded).max() < INT64_COEFFICIENT_LIMIT:
+            return rounded.astype(np.int64)
+        return np.asarray([int(c) for c in rounded], dtype=object)
 
     def decode(self, coefficients: Sequence[int], scale: Optional[float] = None) -> np.ndarray:
-        """Decode integer coefficients back into a complex slot vector."""
+        """Decode integer coefficients back into a complex slot vector.
+
+        A float64 array (what decryption composes) is used as it is; any
+        other sequence is converted value by value with ``float()``.
+        """
         scale = self.parameters.scale if scale is None else float(scale)
-        coefficients = np.asarray([float(c) for c in coefficients], dtype=np.float64)
+        if not (isinstance(coefficients, np.ndarray) and coefficients.dtype == np.float64):
+            coefficients = np.asarray([float(c) for c in coefficients], dtype=np.float64)
         if coefficients.size != self.ring_degree:
             raise ValueError(
                 "expected %d coefficients, got %d" % (self.ring_degree, coefficients.size)

@@ -36,7 +36,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from ..backend.residency import DeviceBuffer
-from ..numtheory.crt import CrtContext
+from ..numtheory.crt import get_crt_context
 from ..numtheory.modular import (
     mat_mod_add,
     mat_mod_mul,
@@ -235,8 +235,8 @@ class RnsPolynomial:
     def to_integers(self, *, centered: bool = True) -> list:
         """CRT-recombine into big-integer coefficients (coefficient domain only)."""
         self._require_domain(PolyDomain.COEFFICIENT)
-        crt = CrtContext(self.moduli)
-        return crt.compose_array(self.residues, centered=centered)
+        return get_crt_context(self.moduli).compose_array(self.residues,
+                                                          centered=centered)
 
     # ------------------------------------------------------------------
     # Arithmetic (domain- and basis-checked, single 2-D launches)

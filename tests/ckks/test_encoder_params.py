@@ -1,5 +1,7 @@
 """Tests for CKKS parameters, presets and the canonical-embedding encoder."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,8 @@ from hypothesis import strategies as st
 
 from repro.ckks import CkksParameters, FUNCTIONAL_PARAMETERS, PAPER_PARAMETERS, get_preset
 from repro.ckks.encoder import CkksEncoder
+from repro.numtheory import generate_ntt_primes
+from repro.rns import RnsPolynomial
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +71,36 @@ class TestEncoder:
     def test_coefficients_are_integers(self, encoder):
         encoded = encoder.encode([1.5, -2.25, 3.0])
         assert all(float(c).is_integer() for c in encoded)
+
+    @pytest.mark.parametrize("scale_bits", [40, 70])
+    def test_encode_returns_int64_below_2_62_and_python_ints_above(self, encoder, rng,
+                                                                  scale_bits):
+        encoded = encoder.encode(rng.uniform(-1, 1, encoder.slot_count),
+                                 scale=2.0 ** scale_bits)
+        if scale_bits < 62:
+            assert encoded.dtype == np.int64
+        else:
+            assert encoded.dtype == object
+            assert all(type(c) is int for c in encoded)
+            assert max(abs(c) for c in encoded) >= 1 << 62
+        # Same residues as the object array of rounded floats encode used to return.
+        legacy = np.asarray([float(c) for c in encoded], dtype=object)
+        moduli = generate_ntt_primes(3, 28, encoder.ring_degree)
+        assert np.array_equal(RnsPolynomial.from_integers(encoded, moduli).residues,
+                              RnsPolynomial.from_integers(legacy, moduli).residues)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300])
+    def test_encode_rejects_non_finite_values(self, encoder, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="values must be finite"):
+                encoder.encode([1.0, bad, 2.0])
+
+    def test_decode_takes_float64_arrays_and_lists_alike(self, encoder, rng):
+        encoded = encoder.encode(rng.uniform(-1, 1, encoder.slot_count))
+        as_floats = encoder.decode(encoded.astype(np.float64))
+        assert np.array_equal(as_floats, encoder.decode(list(encoded)))
+        assert np.array_equal(as_floats, encoder.decode([int(c) for c in encoded]))
 
     def test_short_input_zero_padded(self, encoder):
         decoded = encoder.decode(encoder.encode([1.0, 2.0]))

@@ -17,6 +17,7 @@ from repro.numtheory import (
     fuse_segments,
     generate_ntt_prime,
     generate_ntt_primes,
+    get_crt_context,
     ilog2,
     is_power_of_two,
     is_prime,
@@ -26,6 +27,18 @@ from repro.numtheory import (
     root_powers,
     segment_u32,
 )
+
+#: Chains for the float composition: one limb, two limbs, eight 20-bit and
+#: eight default 28-bit (bit length 29) primes, a chain the big-integer path
+#: composes as objects, and one whose two smallest primes are too wide.
+FLOAT_CHAINS = {
+    "one_limb": (268460033,),
+    "two_limbs": tuple(generate_ntt_primes(2, 28, 64)),
+    "p20_x8": tuple(generate_ntt_primes(8, 20, 64)),
+    "default_x8": tuple(generate_ntt_primes(8, 28, 4096)),
+    "object_path": ((1 << 31) + 11, (1 << 33) + 17, 193),
+    "wide_pair": ((1 << 31) + 11, (1 << 33) + 17),
+}
 
 
 class TestPrimes:
@@ -155,6 +168,53 @@ class TestCrt:
     def test_duplicate_moduli_rejected(self):
         with pytest.raises(ValueError):
             CrtContext([97, 97])
+
+    @pytest.mark.parametrize("name", sorted(FLOAT_CHAINS))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_compose_float_is_float_of_compose_array(self, name, data):
+        """Bit for bit ``float()`` of the centred big-integer composition."""
+        moduli = FLOAT_CHAINS[name]
+        crt = CrtContext(moduli)
+        half = crt.modulus_product // 2
+        qb, qa = sorted(moduli)[:2] if len(moduli) > 1 else (moduli[0], 1)
+        pair_half = qa * qb // 2
+        edges = [0]
+        for sign in (1, -1):
+            edges += [sign * pair_half + d for d in (-1, 0, 1, 2)]
+            edges += [sign * half + d for d in (-2, -1, 0, 1)]
+        values = data.draw(st.lists(st.one_of(
+            st.sampled_from(edges),
+            st.integers(-pair_half, pair_half),
+            st.integers(-half, half)), min_size=1, max_size=24))
+        matrix = np.concatenate(
+            [crt.decompose_array(values), np.zeros((len(moduli), 1), dtype=np.int64),
+             np.asarray(moduli, dtype=np.int64)[:, None] - 1], axis=1)
+        expected = np.asarray([float(v) for v in crt.compose_array(matrix)])
+        got = crt.compose_float(matrix)
+        assert got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
+        assert crt.compose_float(matrix.astype(object)).tobytes() == expected.tobytes()
+
+    def test_compose_float_unreduced_residues_fall_back(self):
+        crt = CrtContext(FLOAT_CHAINS["p20_x8"])
+        rng = np.random.default_rng(9)
+        matrix = crt.decompose_array([int(v) for v in rng.integers(-1000, 1000, 16)])
+        matrix[3, ::2] += crt.moduli[3]
+        expected = [float(v) for v in crt.compose_array(matrix)]
+        assert crt.compose_float(matrix).tolist() == expected
+
+    def test_compose_float_takes_int64_on_narrow_pairs_only(self):
+        assert CrtContext(FLOAT_CHAINS["object_path"]).garner is not None
+        assert CrtContext(FLOAT_CHAINS["wide_pair"]).garner is None
+
+    def test_get_crt_context_is_shared_per_chain(self):
+        moduli = FLOAT_CHAINS["default_x8"]
+        crt = get_crt_context(moduli)
+        assert get_crt_context(list(moduli)) is crt
+        assert get_crt_context(np.asarray(moduli)) is crt
+        assert get_crt_context(moduli[:4]) is not crt
+        assert crt.moduli == list(moduli)
 
     @given(st.integers(min_value=0, max_value=97 * 193 * 257 - 1))
     @settings(max_examples=100, deadline=None)
