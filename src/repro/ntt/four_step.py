@@ -24,6 +24,7 @@ from ..backend.residency import DeviceBuffer, as_buffer, contiguous, is_buffer
 from ..numtheory import planned
 from ..numtheory.planned import (
     hadamard,
+    run_slabs,
     run_stage,
     slabs,
     stage_operand,
@@ -110,7 +111,8 @@ class FourStepNtt(GemmNttEngine):
         (:mod:`repro.numtheory.planned`), both GEMMs are raw dgemms and
         every reduction is a lazy float64 Barrett pass, so no int64 ``%``
         runs.  Each slab goes through all stages while it is in cache and
-        lands in the result through one merged transpose(+cast).
+        lands in the result through one merged transpose(+cast); the slabs
+        run on every core (:func:`~repro.numtheory.planned.run_slabs`).
 
         Plain arrays come back as int64 arrays; a handle comes back as a
         float-only handle, at every width, and a float-only handle in is
@@ -147,7 +149,9 @@ class FourStepNtt(GemmNttEngine):
             images, weight = stage_operand(form, operand)
             stages.append((form, apply,
                            [image[:, None] for image in images], weight))
-        for ops, rows in slabs(batch, limbs, self.ring_degree):
+
+        def slab(piece) -> None:
+            ops, rows = piece
             chain = stack.barrett_chain.rows(rows)
             x = source[ops, rows].transpose(1, 0, 2, 3)
             buffers = work_buffers(*(x.shape,) * 4)
@@ -167,6 +171,8 @@ class FourStepNtt(GemmNttEngine):
                                   columns=columns)
             np.copyto(result[ops, rows], x.transpose(1, 0, 3, 2),
                       casting="unsafe")
+
+        run_slabs(slab, slabs(batch, limbs, self.ring_degree))
         result = result.reshape(batch, limbs, self.ring_degree)
         if as_float:
             return DeviceBuffer.from_float(

@@ -25,19 +25,29 @@ returns the first exact one (``None``: the launch belongs to int64), and
 the stage's ``apply``: a dgemm from either side, :func:`hadamard`, or a
 multiply-accumulate over ``terms`` (:func:`accumulate`).
 
-Launches run limb-major, ``(limbs, operations, N)``, slab by slab
-(:func:`slabs`) through per-thread work buffers, so the ~20 passes of one
-product stay in cache; :func:`launch` is that loop for the element-wise
-kernels and :func:`product` / :func:`gemm` are the two planned products
-the float paths of the blas backend are made of.
+Launches run limb-major, ``(limbs, operations, N)``, cut into independent
+slabs (:func:`slabs`) that go through per-thread work buffers, so the ~20
+passes of one product stay in cache.  :func:`run_slabs` is the one slab
+loop: it hands a launch's slabs to the calling thread and a process-wide
+pool of :data:`WORKERS` threads, one per further core in the affinity
+mask.  A slab writes its own part of the result from operand images built
+before the dispatch, so the bits do not depend on which thread ran it.
+:func:`launch` fills a ``(limbs, operations, N)`` result this way for the
+element-wise kernels and :func:`product`, :func:`gemm` cuts the free axis
+of its dgemm, and the four-step NTT hands its stage pipeline to
+:func:`run_slabs`; :func:`product` / :func:`gemm` are the two planned
+products the float paths of the blas backend are made of.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import threading
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
-from typing import Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -58,6 +68,8 @@ __all__ = [
     "stage_operand",
     "run_stage",
     "slabs",
+    "WORKERS",
+    "run_slabs",
     "work_buffers",
     "wide_columns",
     "hadamard",
@@ -236,9 +248,98 @@ class _Workspace(threading.local):
         self.views = {}
         #: ``(chain, shape) -> wide columns`` of the last few slab shapes.
         self.wide = {}
+        #: This thread belongs to the slab pool (set by its initializer).
+        self.pooled = False
 
 
 _WORKSPACE = _Workspace()
+
+
+def _cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+#: Pool threads that run slabs beside the calling thread: one per core in
+#: this process's affinity mask, less the caller's own (``taskset -c 0``
+#: leaves none, and every launch runs inline).  BLAS keeps one thread per
+#: dgemm; the slabs are the parallel axis.
+WORKERS = _cores() - 1
+
+_POOL_LOCK = threading.Lock()
+#: ``(workers, executor)``, started by the first launch that needs it.
+_POOL: Optional[Tuple[int, ThreadPoolExecutor]] = None
+
+
+def _enter_pool() -> None:
+    _WORKSPACE.pooled = True
+
+
+def _pool() -> ThreadPoolExecutor:
+    """The process-wide slab pool, (re)started at :data:`WORKERS` threads."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None or _POOL[0] != WORKERS:
+            if _POOL is not None:
+                _POOL[1].shutdown(wait=False)
+            _POOL = (WORKERS, ThreadPoolExecutor(
+                WORKERS, thread_name_prefix="repro-slabs",
+                initializer=_enter_pool))
+        return _POOL[1]
+
+
+def _drop_pool() -> None:
+    """Forget the pool in a forked child: its threads stayed in the parent."""
+    global _POOL, _POOL_LOCK
+    _POOL, _POOL_LOCK = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_drop_pool)
+
+
+def run_slabs(body: Callable, pieces: Iterable) -> None:
+    """``body(piece)`` for every slab of one launch, on every core.
+
+    The calling thread and up to :data:`WORKERS` pool threads pop the next
+    piece from one shared queue until it is empty, so a core the host is
+    using elsewhere simply takes fewer slabs.  Bodies must write disjoint
+    parts of the result and take scratch from :func:`work_buffers` only;
+    operand images they read are built before the call.  A launch of one
+    slab, a launch made on a pool thread and a process with one core run
+    every body inline.  The first exception a body raises is raised here,
+    after every slab has stopped.
+    """
+    pieces = deque(pieces)
+    helpers = min(WORKERS, len(pieces) - 1)
+    if helpers <= 0 or _WORKSPACE.pooled:
+        for piece in pieces:
+            body(piece)
+        return
+    errors: List[BaseException] = []
+
+    def drain() -> None:
+        while not errors:
+            try:
+                piece = pieces.popleft()
+            except IndexError:
+                return
+            try:
+                body(piece)
+            except BaseException as error:      # raised by the caller below
+                errors.append(error)
+
+    pool = _pool()
+    futures = [pool.submit(drain) for _ in range(helpers)]
+    drain()
+    for future in futures:
+        # A helper still queued behind another launch has nothing left.
+        if not future.cancel():
+            future.result()
+    if errors:
+        raise errors[0]
 
 
 def work_buffers(*shapes) -> List[np.ndarray]:
@@ -325,16 +426,21 @@ def launch(chain: BarrettChain, result: np.ndarray, body, buffers: int,
     ``body(rows, ops, chain, scratch)`` returns one slab's values in the
     lazy window ``(-q, 2q)``, in one of its scratch arrays — ``buffers`` of
     the slab's shape, then one per shape ``extra(slab shape)`` names; they
-    are canonicalised on the way into ``result``.
+    are canonicalised on the way into ``result``.  Slabs run through
+    :func:`run_slabs`.
     """
     limbs, batch, degree = result.shape
-    for ops, rows in slabs(batch, limbs, degree, share):
+
+    def slab(piece) -> None:
+        ops, rows = piece
         part = chain.rows(rows)
         dest = result[rows, ops]
         scratch = work_buffers(*(dest.shape,) * (buffers + 1),
                                *(extra(dest.shape) if extra else ()))
         np.copyto(dest, part.lazy_reduce(
             body(rows, ops, part, scratch[1:]), axis=0, out=scratch[0]))
+
+    run_slabs(slab, slabs(batch, limbs, degree, share))
     return result
 
 
@@ -445,12 +551,14 @@ def gemm(chain: BarrettChain, operand, x: np.ndarray, x_max: int,
     def apply(image, x, out):
         return matmul(image, x, out=out)
 
-    for start in range(0, result.shape[-1], step):
+    def slab(start: int) -> None:
         dest = result[..., start:start + step]
         scratch = work_buffers(*(dest.shape,) * 4)
         lazy = run_stage(form, apply, images, weight, chain,
                          x[..., start:start + step], scratch[1:])
         np.copyto(dest, chain.lazy_reduce(lazy, axis=0, out=scratch[0]))
+
+    run_slabs(slab, range(0, result.shape[-1], step))
     return result if left else result.swapaxes(-1, -2)
 
 

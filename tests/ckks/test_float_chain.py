@@ -20,6 +20,7 @@ float64 Barrett kernels end to end.  Proven here at full strength:
 import numpy as np
 import pytest
 
+from repro.api import TensorFheContext
 from repro.backend import track_transfers, use_backend
 from repro.backend.blas_backend import FloatResidues
 from repro.ckks import (
@@ -32,6 +33,7 @@ from repro.ckks import (
     KeyGenerator,
 )
 from repro.kernels.base import KernelCounter
+from repro.ntt.four_step import FourStepNtt
 
 #: 20-bit primes keep every stage of the chain inside the 2**53 guard at
 #: toy ring degree; the chain includes 21/22-bit extended moduli, which
@@ -159,3 +161,40 @@ class TestFloatChainAcceptance:
         # Nothing in the 33-bit chain may claim float residency.
         for ciphertext in fused:
             assert ciphertext.c0.float_image is None
+
+
+#: The benchmarked shapes, N = 4096, L = 8, dnum = 4: default widths and the
+#: 20-bit chain with its 23-bit special primes.
+DEFAULT_SHAPES = {"p28": dict(),
+                  "p20": dict(scale_bits=20, prime_bits=20, special_prime_bits=23)}
+
+
+class TestDefaultShapesStayOnTheFloatPipeline:
+    """No transform of a B=8 HMULT / RESCALE / HROTATE falls back to int64.
+
+    The int64 ``_ops_pipeline`` runs on the calling thread only, outside
+    the slab pool, so a silent fallback there costs about twice the
+    transform, not the fifth it cost before.  N = 2**13 and 2**14 with the
+    default 30-bit special primes still fall back (ROADMAP item 4).
+    """
+
+    @pytest.mark.parametrize("shape", sorted(DEFAULT_SHAPES))
+    def test_no_int64_transform(self, shape, monkeypatch):
+        parameters = CkksParameters(ring_degree=4096, level_count=8, dnum=4,
+                                    **DEFAULT_SHAPES[shape])
+        fhe = TensorFheContext(parameters, seed=7, rotation_steps=(1,),
+                               backend="blas")
+        values = np.random.default_rng(7).uniform(-1, 1, (BATCH, fhe.slot_count))
+        cts = [fhe.encrypt(x) for x in values]
+        calls = []
+        pipeline = FourStepNtt._ops_pipeline
+
+        def spy(self, *args):
+            calls.append(self.ring_degree)
+            return pipeline(self, *args)
+
+        monkeypatch.setattr(FourStepNtt, "_ops_pipeline", spy)
+        products = fhe.multiply_many(cts, cts[1:] + cts[:1], rescale=False)
+        fhe.rescale_many(products)
+        fhe.rotate_many(cts, 1)
+        assert calls == []
