@@ -54,10 +54,9 @@ class TensorFheContext:
         # methods call ``evaluator`` directly — one stream needs no batch plan.
         self.evaluator = Evaluator(self.context)
         self.batched_evaluator: BatchedEvaluator = self.evaluator.batched
-        # The scheduler sizes fused batches for the same compute backend
-        # the context launches on; a sharded backend multiplies the plan
-        # by its worker fan-out so serving traffic fills the whole pool.
-        self.batch_scheduler = BatchScheduler(backend=backend)
+        # The scheduler sizes fused batches from the device budget alone:
+        # every backend fills one device, so the plan is backend-free.
+        self.batch_scheduler = BatchScheduler()
         self.bootstrap_config = bootstrap_config
         self._bootstrapper: Optional[Bootstrapper] = None
 

@@ -6,15 +6,14 @@ the funnels of :mod:`repro.ntt.gemm_utils` and :mod:`repro.numtheory.modular`,
 and the funnels call the *active* backend.  The paper's kernel layer is a small
 fixed set of kernels every operation reuses (Table II); this interface is that
 set.  Registered implementations (:mod:`repro.backend.registry`): ``numpy``
-(exact chunked int64, the default), ``blas`` (2**53-guarded float64, bit-exact),
-``sharded`` (``sharded:<delegate>:<workers>``, persistent shared-memory workers
-over a delegate) and ``torch`` (registers always, available when it imports).
+(exact chunked int64, the default and the test oracle) and ``blas``
+(2**53-guarded float64, bit-exact, the fast path).
 
 The modular kernels
 -------------------
 Seven kernels take :class:`~repro.backend.residency.DeviceBuffer` handles and
-return one.  Which image of an operand a kernel reads — int64 host, backend
-native, float64 — is the kernel's business: the representation is a property
+return one.  Which image of an operand a kernel reads — int64 host or
+float64 — is the kernel's business: the representation is a property
 of the handle, not of the method name.  ``L`` is the limb axis; ``moduli`` is a
 host int64 array with one prime per leading row, as a vector or a broadcast
 column.
@@ -36,14 +35,11 @@ Operands are reduced modulo their row's prime (``mat_reduce`` and the rhs of
 two residues fits int64; the funnels keep the object-dtype path for wider
 moduli and never dispatch them.
 
-*Images a backend may read.*  ``ensure_host()`` is always allowed: free on a
-host backend (``device_is_host``), a counted device→host crossing otherwise.
-A device backend reads ``ensure_device(self)`` (one counted upload per handle)
-and returns ``DeviceBuffer.from_native`` so a chain of launches never leaves
-the device.  A float-capable backend may *peek* ``float_cache()`` and use an
-attached float64 image, returning a float-only handle
-(``DeviceBuffer.from_float``); it never builds one on an operand, so transient
-intermediates pay no conversion.
+*Images a backend may read.*  ``ensure_host()`` is always allowed (a cast
+for a float-only handle).  A float-capable backend may *peek*
+``float_cache()`` and use an attached float64 image, returning a float-only
+handle (``DeviceBuffer.from_float``); it never builds one on an operand, so
+transient intermediates pay no conversion.
 
 *Who guards exactness.*  The backend: a kernel that takes a float path checks
 the 2**53 bound itself (:class:`~repro.numtheory.floatmod.BarrettChain`
@@ -59,11 +55,9 @@ paths (the four-step engine's planned pipeline calls ``fmatmul`` directly;
 blas composes the rest inside its modular kernels).  Here the *caller* owns
 the guard, except that ``fhadamard_limbs`` plans its own form and says so.
 
-Transfers and views
--------------------
-``to_device`` / ``from_device`` move an int64 array across the host boundary;
-the ``nat_*`` helpers are the view/layout algebra the residency layer applies
-to native arrays (device-side views, never copies back).
+``to_device`` / ``from_device`` are identities on int64 host arrays.  No
+kernel calls them: they are what ``benchmarks/e2e/trace.py`` wraps for its
+``backend.copy`` layer.
 """
 
 from __future__ import annotations
@@ -91,12 +85,6 @@ class ArrayBackend(abc.ABC):
     #: Registry identifier (also what ``REPRO_BACKEND`` selects).
     name = "abstract"
 
-    #: Whether this backend's native storage *is* host numpy memory.  CPU
-    #: backends keep True: residency is the identity for them and the
-    #: transfer counters never tick.  Accelerator backends (torch) set
-    #: False so every host↔device crossing is counted.
-    device_is_host = True
-
     def capabilities(self) -> dict:
         """Structured capability report for this backend.
 
@@ -104,9 +92,6 @@ class ArrayBackend(abc.ABC):
         which fast path a backend supports:
 
         * ``name`` — the registry identifier;
-        * ``device_is_host`` — whether native storage *is* host numpy
-          memory (False on accelerator backends, where every host↔device
-          crossing is transfer-counted);
         * ``float_residency`` — whether float64 residue images are a
           profitable substrate here.  The engines only plan a float
           pipeline when this is True *and* the
@@ -121,29 +106,16 @@ class ArrayBackend(abc.ABC):
         """
         return {
             "name": self.name,
-            "device_is_host": bool(self.device_is_host),
             "float_residency": False,
         }
 
-    @classmethod
-    def is_available(cls) -> bool:
-        """Whether this backend can run in the current process.
-
-        Optional-dependency backends (torch) override this with an import
-        probe; they register unconditionally but are only listed by
-        :func:`repro.backend.registry.available_backends` when importable.
-        """
-        return True
-
-    # ------------------------------------------------------------------
-    # Transfers
-    # ------------------------------------------------------------------
-    def to_device(self, array: np.ndarray) -> object:
-        """Move an int64 host array into this backend's native storage."""
+    # The benchmark's hook: trace.py's ``backend.copy`` layer wraps these two.
+    def to_device(self, array: np.ndarray) -> np.ndarray:
+        """``array`` as an int64 host array."""
         return np.asarray(array, dtype=np.int64)
 
-    def from_device(self, array: object) -> np.ndarray:
-        """Move a native array back to an int64 host ``numpy.ndarray``."""
+    def from_device(self, array: np.ndarray) -> np.ndarray:
+        """``array`` as an int64 host array."""
         return np.asarray(array, dtype=np.int64)
 
     # ------------------------------------------------------------------
@@ -268,32 +240,6 @@ class ArrayBackend(abc.ABC):
         return _planned().elementwise(
             chain, (values,),
             lambda part, x, out: part.lazy_reduce(x, axis=0, out=out))
-
-    # ------------------------------------------------------------------
-    # Native view/layout algebra (device-side views, never copies back).
-    # Numpy semantics by default — correct for every numpy-like native
-    # array type; torch overrides the calls whose names differ.
-    # ------------------------------------------------------------------
-    def nat_reshape(self, array, shape):
-        return array.reshape(shape)
-
-    def nat_transpose(self, array, axes):
-        return array.transpose(axes)
-
-    def nat_getitem(self, array, key):
-        return array[key]
-
-    def nat_contiguous(self, array):
-        return np.ascontiguousarray(array)
-
-    def nat_copy(self, array):
-        return array.copy()
-
-    def nat_stack(self, arrays, axis: int = 0):
-        return np.stack(arrays, axis=axis)
-
-    def nat_concat(self, arrays, axis: int = 0):
-        return np.concatenate(arrays, axis=axis)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "%s(name=%r)" % (type(self).__name__, self.name)

@@ -131,10 +131,9 @@ class NumpyBackend(ArrayBackend):
     def _launch(self, kernel, operands, *args) -> DeviceBuffer:
         """Run an int64 array ``kernel`` on the handles' host images.
 
-        The one place this backend crosses between handles and arrays.  A
-        backend whose native arrays support numpy arithmetic overrides it
-        to read ``ensure_device(self)`` and return ``from_native``, and
-        inherits all seven kernels resident.
+        The one place this backend crosses between handles and arrays: the
+        result is a host-only handle.  blas inherits it as the exact int64
+        fallback of every kernel its float guard refuses.
         """
         return DeviceBuffer(
             host=kernel(*[op.ensure_host() for op in operands], *args))

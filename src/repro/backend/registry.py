@@ -11,8 +11,9 @@ Selection precedence, highest first:
 4. the zero-dependency ``numpy`` default.
 
 Backends register a *class*; one instance per name is created lazily and
-shared process-wide (the sharded backend's worker pool, for example,
-is per-instance state worth sharing).
+shared process-wide.  Two are registered, ``numpy`` (the int64 oracle)
+and ``blas`` (the float64 fast path); any other name is a ``ValueError``
+that lists them.
 
 The override slot itself is a :class:`contextvars.ContextVar`, not a
 module global: concurrent ``asyncio`` tasks (the serving layer's worker
@@ -33,15 +34,12 @@ from typing import Dict, Iterator, Optional, Tuple, Type, Union
 from .base import ArrayBackend
 from .blas_backend import BlasFloat64Backend
 from .numpy_backend import NumpyBackend
-from .sharded import ShardedBackend
-from .torch_backend import TorchBackend
 
 __all__ = [
     "BACKEND_ENV_VAR",
     "DEFAULT_BACKEND",
     "register_backend",
     "available_backends",
-    "registered_backends",
     "get_backend",
     "resolve_backend",
     "get_active_backend",
@@ -66,80 +64,38 @@ _ACTIVE: ContextVar[Optional[ArrayBackend]] = ContextVar(
 
 
 def register_backend(backend_cls: Type[ArrayBackend]) -> Type[ArrayBackend]:
-    """Register a backend class under its ``name`` (usable as a decorator).
-
-    Optional-dependency backends register unconditionally; availability is
-    checked at lookup time via ``is_available`` so that merely listing
-    backends never imports a heavy library.
-    """
+    """Register a backend class under its ``name`` (usable as a decorator)."""
     name = backend_cls.name
     if not name or name == ArrayBackend.name:
         raise ValueError("backend class %r needs a concrete name" % backend_cls)
-    if ":" in name:
-        raise ValueError("backend name %r may not contain ':' (reserved "
-                         "for parameterised specs)" % name)
     _REGISTRY[name] = backend_cls
-    for key in [key for key in _INSTANCES
-                if key == name or key.startswith(name + ":")]:
-        _INSTANCES.pop(key, None)
+    _INSTANCES.pop(name, None)
     return backend_cls
 
 
-def registered_backends() -> Tuple[str, ...]:
-    """Names of all registered backends, available or not."""
-    return tuple(_REGISTRY)
-
-
 def available_backends() -> Tuple[str, ...]:
-    """Names of the backends that can run in this process."""
-    return tuple(name for name, cls in _REGISTRY.items() if cls.is_available())
+    """Names of the registered backends, in registration order."""
+    return tuple(_REGISTRY)
 
 
 def get_backend(name: str) -> ArrayBackend:
     """Return the shared instance of backend ``name``.
 
-    A ``:`` in the name separates the registered backend from a
-    parameter spec the class parses itself via its ``from_spec``
-    classmethod — e.g. ``sharded:blas:4`` is the sharded backend over
-    blas delegates with four workers.  One instance is cached per *full*
-    spec string, so ``sharded:blas:2`` and ``sharded:blas:4`` coexist.
-
     Raises
     ------
     ValueError
-        If the name is unregistered, its optional dependency is missing,
-        or the spec suffix does not parse.
+        If the name is not registered.
     """
     instance = _INSTANCES.get(name)
-    if instance is not None:
-        return instance
-    base, separator, spec = name.partition(":")
-    try:
-        backend_cls = _REGISTRY[base]
-    except KeyError:
-        hint = ""
-        if base == "multiprocess":
-            # Removed: it was the sharded pool over numpy, GEMMs only.
-            hint = "; use %r" % ("sharded:numpy" + separator + spec)
-        raise ValueError(
-            "unknown compute backend %r; registered: %s%s"
-            % (name, ", ".join(_REGISTRY), hint)
-        ) from None
-    if not backend_cls.is_available():
-        raise ValueError(
-            "compute backend %r is registered but unavailable "
-            "(optional dependency not installed)" % base
-        )
-    if separator:
-        factory = getattr(backend_cls, "from_spec", None)
-        if factory is None:
+    if instance is None:
+        try:
+            backend_cls = _REGISTRY[name]
+        except KeyError:
             raise ValueError(
-                "compute backend %r does not take a parameterised spec "
-                "(got %r)" % (base, name))
-        instance = factory(spec)
-    else:
-        instance = backend_cls()
-    _INSTANCES[name] = instance
+                "unknown compute backend %r; registered: %s"
+                % (name, ", ".join(_REGISTRY))
+            ) from None
+        instance = _INSTANCES[name] = backend_cls()
     return instance
 
 
@@ -184,5 +140,3 @@ def resolve_backend(backend: BackendSpec) -> ArrayBackend:
 
 register_backend(NumpyBackend)
 register_backend(BlasFloat64Backend)
-register_backend(ShardedBackend)
-register_backend(TorchBackend)

@@ -43,9 +43,6 @@ class BatchPlan:
     vram_limited_batch: int
     saturation_batch: int
     working_set_bytes_per_op: float
-    #: How many shard workers the compute backend fans the batch axis
-    #: out to (1 = single-process backend).
-    batch_fanout: int = 1
 
     @property
     def limited_by_vram(self) -> bool:
@@ -55,34 +52,13 @@ class BatchPlan:
 class BatchScheduler:
     """Chooses operation-level batch sizes for a device and CKKS parameter set."""
 
-    def __init__(self, device=None, *, backend=None) -> None:
+    def __init__(self, device=None) -> None:
         #: The device budget: ``device.vram_bytes`` and
         #: ``device.max_resident_threads``, or the A100's with no device.
         self.vram_bytes = (A100_VRAM_BYTES if device is None
                            else device.vram_bytes)
         self.max_resident_threads = (A100_MAX_RESIDENT_THREADS if device is None
                                      else device.max_resident_threads)
-        #: Compute backend the plans size for: a registered name, an
-        #: :class:`~repro.backend.base.ArrayBackend` instance, or ``None``
-        #: to follow the process-wide active backend at plan time.
-        self.backend = backend
-
-    def batch_fanout(self) -> int:
-        """How many workers the backend shards the batch axis across.
-
-        A sharded backend splits the fused B axis over its worker pool,
-        so saturating the pool needs ``workers × per-shard saturation``
-        operations in flight; single-process backends report 1.  Backends
-        advertise the fan-out through ``capabilities()['batch_fanout']``;
-        resolution failures (an unavailable ``REPRO_BACKEND``, say)
-        degrade to 1 rather than breaking planning.
-        """
-        try:
-            from ..backend.registry import resolve_backend
-            capabilities = resolve_backend(self.backend).capabilities()
-            return max(1, int(capabilities.get("batch_fanout", 1)))
-        except Exception:
-            return 1
 
     def working_set_per_operation(self, ring_degree: int, limb_count: int,
                                   components: int = 2) -> float:
@@ -103,18 +79,12 @@ class BatchScheduler:
         ``requested`` (e.g. the paper's Table V batch sizes) caps the
         result; power-of-two sizes are preferred because the workloads pack
         power-of-two many ciphertexts.
-
-        A batch-sharding backend multiplies the saturation target by its
-        worker fan-out — saturation is a *per-shard* quantity, so a pool of
-        W workers saturates at W shards' worth of operations (VRAM and
-        ``requested`` still cap the result).
         """
         per_op = self.working_set_per_operation(ring_degree, limb_count, components)
         usable = self.vram_bytes * _VRAM_UTILISATION
         vram_limit = max(1, int(usable // per_op))
         saturation = self.saturation_batch(ring_degree, limb_count)
-        fanout = self.batch_fanout()
-        batch = min(vram_limit, saturation * fanout)
+        batch = min(vram_limit, saturation)
         if requested is not None:
             batch = min(batch, requested)
         batch = max(1, 1 << (batch.bit_length() - 1))
@@ -123,5 +93,4 @@ class BatchScheduler:
             vram_limited_batch=vram_limit,
             saturation_batch=saturation,
             working_set_bytes_per_op=per_op,
-            batch_fanout=fanout,
         )

@@ -469,8 +469,7 @@ class BatchedEvaluator:
             batch, limbs = len(entries), len(moduli)
             level = entries[0].level
             # The automorphism is a host-side index gather over the
-            # (2B, L, N) stack, in whatever image it is resident in (a
-            # counted staging point for device-resident streams).
+            # (2B, L, N) stack, in whatever image it is resident in.
             column = moduli_column(moduli)
             rotated = self._stack(
                 [ct.c0 for ct in entries] + [ct.c1 for ct in entries]
@@ -596,8 +595,8 @@ class BatchedEvaluator:
         """Stack per-stream residency handles into a ``(B, L, N)`` batch.
 
         Returns a :class:`~repro.backend.residency.DeviceBuffer`: the
-        gather stays on the device when every stream is resident there,
-        and the fused launches downstream thread the handle end-to-end.
+        gather stays float-resident when a stream is float-only, and the
+        fused launches downstream thread the handle end-to-end.
         One stream stacks to a view of its own buffer.
         """
         return stack_arrays([poly.buffer for poly in polys])

@@ -158,8 +158,8 @@ class BatchedKeySwitcher:
         """
         counter = self.context.kernels.counter
         batch = len(polynomials)
-        # Stream gather through the residency handles: stays device-side
-        # when every stream is resident on the same backend.
+        # Stream gather through the residency handles: stays float-resident
+        # when a stream is float-only.
         stacked = stack_arrays([p.buffer for p in polynomials])  # (B, L, N)
         # One batched Conv per decomposition group; the groups are
         # consecutive limb ranges of the active chain, so Dcomp is a view

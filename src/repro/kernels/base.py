@@ -15,8 +15,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, Optional
 
-from ..backend.residency import track_transfers
-
 __all__ = ["KernelName", "KernelCounter", "KernelContext"]
 
 
@@ -37,17 +35,11 @@ class KernelName:
 
 @dataclass
 class KernelCounter:
-    """Counts kernel invocations, limb-vectors and host↔device transfers.
-
-    The ``transfers`` counter records residency-layer crossings (keys
-    ``"host_to_device"`` / ``"device_to_host"``, see
-    :mod:`repro.backend.residency`): a fused chain that keeps its operands
-    device-resident shows zero intermediate transfers here, which is how
-    the tests pin the paper's stay-on-device execution model.
-    """
+    """Counts kernel invocations and the limb-vectors they touched."""
 
     invocations: Counter = field(default_factory=Counter)
     limb_vectors: Counter = field(default_factory=Counter)
+    #: The benchmark's hook (``kernels.transfers.count``); nothing records here.
     transfers: Counter = field(default_factory=Counter)
 
     def record_batch(self, kernel: str, operations: int,
@@ -62,12 +54,8 @@ class KernelCounter:
         self.invocations[kernel] += operations
         self.limb_vectors[kernel] += operations * limbs_per_operation
 
-    def record_transfer(self, direction: str, count: int = 1) -> None:
-        """Record ``count`` host↔device crossings (a transfer sink hook)."""
-        self.transfers[direction] += count
-
     def transfer_total(self) -> int:
-        """Total crossings in both directions (0 == fully resident)."""
+        """The benchmark's hook: the sum of :attr:`transfers`, always 0."""
         return sum(self.transfers.values())
 
     def reset(self) -> None:
@@ -100,10 +88,7 @@ class KernelContext:
         """Capture the kernels executed inside the ``with`` block.
 
         The captured counts are *also* accumulated into the context's main
-        counter, mirroring a profiler attached to the kernel layer.  The
-        block additionally registers the fresh counter as a residency
-        transfer sink, so ``fresh.transfers`` reports exactly the
-        host↔device crossings the block performed.
+        counter, mirroring a profiler attached to the kernel layer.
         """
         fresh = KernelCounter()
         previous = self.counter
@@ -111,8 +96,7 @@ class KernelContext:
         merged.merge(previous)
         self.counter = fresh
         try:
-            with track_transfers(fresh):
-                yield fresh
+            yield fresh
         finally:
             merged.merge(fresh)
             self.counter = merged

@@ -38,7 +38,6 @@ import abc
 
 import numpy as np
 
-from ..backend.registry import resolve_backend
 from ..backend.residency import as_ndarray, is_buffer, match_residency, stack_arrays
 
 __all__ = ["NttEngine", "GemmNttEngine"]
@@ -100,8 +99,7 @@ class NttEngine(abc.ABC):
         """Forward-transform row ``i`` of ``residues`` modulo ``moduli[i]``.
 
         Generic fallback: dispatch each limb to a cached sibling engine of
-        the same class (a host-level loop — resident inputs are staged to
-        host with the transfer counted).  The GEMM engines override this
+        the same class (a host-level loop on the int64 host image).  The GEMM engines override this
         with a single batched launch over the stacked twiddle operands.
         """
         validated, moduli = self._validate_limbs(residues, moduli)
@@ -159,20 +157,6 @@ class NttEngine(abc.ABC):
         return stack_arrays([self.inverse_limbs(stacks[b], moduli)
                              for b in range(stacks.shape[0])])
 
-    def _stage_resident(self, operand):
-        """Promote a handle input onto this engine's device before slicing.
-
-        The transform paths carve views out of the input (``[:, :, None]``,
-        reshapes); staging the *parent* handle first means those views are
-        device-side and the upload happens exactly once per handle instead
-        of once per derived view.  A no-op for host arrays/backends.
-        """
-        if is_buffer(operand):
-            backend = resolve_backend(self.backend)
-            if not backend.device_is_host:
-                operand.ensure_device(backend)
-        return operand
-
     def _engine_for_modulus(self, modulus: int) -> "NttEngine":
         """Return a same-class engine for ``(N, modulus)`` (cached)."""
         if modulus == self.modulus:
@@ -210,7 +194,7 @@ class NttEngine(abc.ABC):
             )
         view = residues[None]
         stacks, moduli_array = self._validate_ops(view, moduli)
-        # Untouched: hand back the caller's own handle (its device image).
+        # Untouched: hand back the caller's own handle (its float image).
         return (residues if stacks is view else stacks[0]), moduli_array
 
     def _check_ops_shape(self, stacks: np.ndarray) -> np.ndarray:
@@ -237,10 +221,9 @@ class NttEngine(abc.ABC):
 
         Residency handles with a host image (every user-constructed handle
         has one) get the same range scan/reduction as plain arrays — the
-        historical contract for out-of-range residues.  Only device- and
-        float-only handles are trusted as reduced: their values were
-        produced by the library's own kernels, and scanning them would
-        force a host copy.
+        historical contract for out-of-range residues.  Only float-only
+        handles are trusted as reduced: their values were produced by the
+        library's own kernels, and scanning them would force an int64 cast.
         """
         array = self._check_ops_shape(stacks)
         moduli_array = np.asarray([int(q) for q in moduli], dtype=np.int64)
@@ -277,7 +260,7 @@ class GemmNttEngine(NttEngine):
     @abc.abstractmethod
     def _transform_ops(self, stacks, moduli_array: np.ndarray, *,
                        inverse: bool):
-        """Either direction on a validated, staged, non-empty stack.
+        """Either direction on a validated, non-empty stack.
 
         ``stacks`` is a ``(B, L, N)`` array or handle; the result is of the
         same kind.
@@ -287,15 +270,10 @@ class GemmNttEngine(NttEngine):
         stacks, moduli_array = self._validate_ops(stacks, moduli)
         if stacks.shape[0] == 0:
             return stacks
-        return self._transform_ops(self._stage_resident(stacks), moduli_array,
-                                   inverse=inverse)
+        return self._transform_ops(stacks, moduli_array, inverse=inverse)
 
     def _limbs(self, residues, moduli, inverse: bool):
         residues, moduli_array = self._validate_limbs(residues, moduli)
-        # Staged before the reshape: the ``(1, L, N)`` view is then a
-        # device-side view of the caller's handle, which uploads once and
-        # is reused by every later transform of the same polynomial.
-        residues = self._stage_resident(residues)
         stacks = residues.reshape(1, residues.shape[0], self.ring_degree)
         return self._transform_ops(stacks, moduli_array, inverse=inverse)[0]
 

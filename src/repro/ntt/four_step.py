@@ -70,8 +70,8 @@ class FourStepNtt(GemmNttEngine):
         plan = self._float_plan(stack, inverse)
         if plan is not None:
             return self._float_pipeline(stacks, stack, plan, inverse)
-        # The twiddle operands are the stack's shared handles (device image
-        # cached, float image attached), so the launches run on handles.
+        # The twiddle operands are the stack's shared handles (float image
+        # attached), so the launches run on handles.
         out = self._ops_pipeline(
             as_buffer(stacks), moduli_array,
             *(stack.four_step_inverse_buffers() if inverse
@@ -187,11 +187,6 @@ class FourStepNtt(GemmNttEngine):
         Every reshape/transpose is a resident-image view, so a handle
         batch flows through all three launches without a host copy.
         """
-        # Stage the shared Hadamard-twiddle handle before slicing it: the
-        # broadcast view below is a fresh handle per call, so the upload
-        # must land on the cached parent (w1/w3 go through the funnel
-        # whole and stage themselves).
-        w2 = self._stage_resident(w2)
         batch, limbs = stacks.shape[0], stacks.shape[1]
         a_mat = stacks.reshape(batch, limbs, self.n1, self.n2)
         # One name rebound per step: each step's operand is released as

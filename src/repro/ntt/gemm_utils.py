@@ -6,9 +6,8 @@ basis conversion — passes through the helpers in this module.  They own the
 at or above 2**31 (where a single product of two residues no longer fits
 int64).  The arithmetic itself is delegated to the active
 :class:`~repro.backend.base.ArrayBackend`, which is how the same engines run
-on chunked int64 numpy, exact float64 BLAS, a sharded worker pool or an
-accelerator library — selected per call (``backend=``), per planner, or
-process-wide (``REPRO_BACKEND``).
+on chunked int64 numpy or exact float64 BLAS — selected per call
+(``backend=``), per planner, or process-wide (``REPRO_BACKEND``).
 
 Residency: each funnel accepts either host ``numpy`` arrays or
 :class:`~repro.backend.residency.DeviceBuffer` handles, and
@@ -16,10 +15,10 @@ Residency: each funnel accepts either host ``numpy`` arrays or
 the bodies below see handles only and call the backend's handle-in /
 handle-out kernels.  *Handle in → handle out*: a chain of funnel calls
 through handles performs zero intermediate host copies, and what image of
-an operand a launch reads (device-native, an attached float64 image) is the
+an operand a launch reads (int64 host, an attached float64 image) is the
 backend's choice.  *Plain arrays in → plain array out.*  Handles are trusted
 to hold reduced residues; only the oversized-moduli exact path materialises
-them on host (a counted transfer on device backends).
+their int64 host images.
 """
 
 from __future__ import annotations
@@ -94,7 +93,7 @@ def modular_matmul_rows(lhs, rhs, row_moduli, *,
     overflow bound comes from the actual operand maxima instead of the
     moduli; resident callers pass ``operand_bound`` (any upper bound on
     ``max(lhs) * max(rhs)``) so the funnel never has to materialise a
-    device operand just to scan it.
+    float-only operand just to scan it.
     """
     if lhs.shape[-1] != rhs.shape[0]:
         raise ValueError(

@@ -40,8 +40,8 @@ class MatrixNtt(GemmNttEngine):
         ``(N, B)`` matrix of limb ``l`` across the whole batch, so the
         entire ``(B, L, N)`` stack is a single backend launch — exactly the
         operation-level batching argument of the paper.  The weights are
-        the stack's shared handle (device image cached, float image
-        attached; the inverse stack carries ``N^-1``) and every shape op
+        the stack's shared handle (float image attached; the inverse
+        stack carries ``N^-1``) and every shape op
         runs on the resident image.
         """
         stack = get_twiddle_stack(self.ring_degree, tuple(moduli_array.tolist()))

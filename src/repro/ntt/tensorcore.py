@@ -70,9 +70,9 @@ class TensorCoreNtt(FourStepNtt):
         CUDA cores (the inherited hook), as in the paper.
 
         Residency boundary: the u8 segmentation is a host-side simulation
-        step, so the operands are staged to host here (``ensure_host``
-        counts the crossing on device backends) — the analogue of the
-        paper's explicit INT8 re-quantisation before a tensor-core launch.
+        step, so the operands are read as int64 host images here — the
+        analogue of the paper's explicit INT8 re-quantisation before a
+        tensor-core launch.
         """
         lhs = lhs.ensure_host()
         rhs = rhs.ensure_host()

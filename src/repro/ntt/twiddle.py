@@ -359,7 +359,7 @@ class TwiddleStack:
         """
         return get_barrett_chain(self.moduli)
 
-    # -- resident operand handles (the device images of the stacks) ----
+    # -- resident operand handles (the float images of the stacks) -----
     def forward_matrices_buffer(self) -> DeviceBuffer:
         """Resident handle onto :meth:`forward_matrices` (float image attached)."""
         return self._buffer("W_forward", self.forward_matrices)
@@ -384,9 +384,8 @@ class TwiddleStack:
     def _buffer(self, key: str, build=None) -> DeviceBuffer:
         """The shared :class:`DeviceBuffer` wrapping stacked operand ``key``.
 
-        One handle per stack and per process: a device backend uploads the
-        operand once and every later transform reuses the native image,
-        and the blas backend finds the float64 image pre-attached.  Every
+        One handle per stack and per process: the blas backend finds the
+        float64 image pre-attached.  Every
         stacked operand attaches its float cache — the GEMM stacks feed
         the dgemm fast paths, and the Hadamard twiddles (``fs_w2`` /
         ``fs_v2``) feed the float-resident element-wise kernels.  Twiddles

@@ -245,7 +245,7 @@ def vec_mod_mul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 # Residency: like the GEMM funnels, every helper accepts host arrays *or*
 # :class:`~repro.backend.residency.DeviceBuffer` handles through
 # :func:`~repro.backend.residency.on_handles` — handle in → handle out, so a
-# chain of element-wise launches stays on the device between transforms;
+# chain of element-wise launches stays float-resident between transforms;
 # plain arrays in → plain array out.
 # ----------------------------------------------------------------------
 

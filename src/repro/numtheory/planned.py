@@ -291,7 +291,12 @@ def _pool() -> ThreadPoolExecutor:
 
 
 def _drop_pool() -> None:
-    """Forget the pool in a forked child: its threads stayed in the parent."""
+    """Forget the pool in a forked child: its threads stayed in the parent.
+
+    The library never forks; user code does (``multiprocessing``'s fork
+    start method), and without this its children hang on their first
+    multi-slab launch.
+    """
     global _POOL, _POOL_LOCK
     _POOL, _POOL_LOCK = None, threading.Lock()
 

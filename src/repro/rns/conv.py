@@ -53,8 +53,8 @@ class BasisConverter:
         # rows hold ``q_hat mod p_j`` (< max target prime) and the rhs holds
         # source residues (< max source prime).  A looser bound only shrinks
         # the exact accumulation chunks — values are unchanged — and it
-        # spares the funnel a host materialisation just to scan a device
-        # operand.
+        # spares the funnel an int64 materialisation just to scan a
+        # float-only operand.
         self._resident_bound = ((max(self.target_moduli) - 1)
                                 * (max(self.source_moduli) - 1))
         # The constants as static operands (float images cached on first

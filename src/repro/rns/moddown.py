@@ -64,7 +64,7 @@ class ModDown:
         launches over the limb-major ``(active, B, N)`` view, so no
         per-stream loop remains (the funnel keeps >= 2**31 moduli exact).
         The whole step threads the stack's residency handle, Conv included,
-        so a device-resident operand never stages through host.
+        so a float-resident operand never materialises int64.
         """
         resident = is_buffer(stacks)
         if not resident:

@@ -21,9 +21,9 @@ Residency
 The residue matrix lives behind a
 :class:`~repro.backend.residency.DeviceBuffer` handle (:attr:`buffer`):
 arithmetic and domain conversions thread the handle through the funnels,
-so on a device backend a chain of kernels keeps the polynomial
-device-resident and only :attr:`residues` (the host image, used at the
-encode / decrypt / serialize boundaries) forces a counted copy back.  The
+so on the blas backend a chain of kernels keeps the polynomial
+float-resident and only :attr:`residues` (the host image, used at the
+encode / decrypt / serialize boundaries) forces an int64 cast.  The
 host image is authoritative — code that mutates ``poly.residues`` in
 place must call :meth:`invalidate_resident` before the next kernel uses
 the polynomial (the library itself never mutates residues in place).
@@ -128,8 +128,7 @@ class RnsPolynomial:
 
         The invalidation contract: ``poly.residues`` returns the live host
         array, so in-place writes are visible immediately on host — but a
-        device image (or float64 operand image) built *before* the write
-        would be stale.  Callers that mutate in place must invalidate; all
+        float64 operand image built *before* the write would be stale.  Callers that mutate in place must invalidate; all
         library kernels allocate fresh outputs and never need to.
         """
         self._buffer.invalidate_device()

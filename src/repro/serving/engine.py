@@ -39,7 +39,7 @@ grouping: it takes no launch slot, counts as ``cancelled_before_launch``
 and is no health outcome.  :meth:`ServingEngine.diagnostics`
 exports queue depths, the executed-batch-size histogram, the coalesce
 ratio, why each gather flushed, per-operation queue-wait and execute
-latencies, ops/sec and the kernel/transfer counters.
+latencies, ops/sec and the kernel counters.
 
 **Backend task-safety.**  The worker task snapshots the contextvars
 context active at :meth:`start`, so the backend override selected by the
@@ -511,7 +511,6 @@ class ServingEngine:
                                    if elapsed else None),
             },
             "kernels": counter.snapshot(),
-            "transfers": dict(counter.transfers),
         }
 
 

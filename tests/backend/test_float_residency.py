@@ -7,13 +7,16 @@ Three layers of coverage for the float64 Barrett pipeline:
   ``fmatmul``;
 * the blas float-resident natives — a handle carrying a float64 image in
   produces a *float-only* handle out (``host_image`` is None, no int64
-  anywhere mid-chain, zero recorded transfers), bit-identical to the host
+  anywhere mid-chain), bit-identical to the host
   funnel path, with the 2**53 guard falling back to int64 exactly where
   it must;
 * the four-step engine pipeline — fused ``forward_ops``/``inverse_ops``
   on blas match the numpy engine bit-for-bit, keep handle outputs
   float-resident, and reject out-of-guard chains onto the historical
   int64 path.
+
+The engine and ModDown residency cases also run with their launches cut
+into slabs on the slab pool (the ``backend`` fixture's ``blas-slabbed``).
 """
 
 import numpy as np
@@ -24,11 +27,9 @@ from repro.backend import (
     FloatOperandCache,
     as_ndarray,
     get_backend,
-    track_transfers,
     use_backend,
 )
 from repro.backend.blas_backend import FloatResidues
-from repro.kernels.base import KernelCounter
 from repro.ntt import NttPlanner
 from repro.ntt.gemm_utils import modular_hadamard_limbs, modular_matmul_limbs
 from repro.numtheory import generate_ntt_primes
@@ -131,7 +132,6 @@ class TestCapabilitiesReport:
         report = get_backend("blas").capabilities()
         assert report["name"] == "blas"
         assert report["float_residency"] is True
-        assert report["device_is_host"] is True
 
     def test_numpy_reports_no_float_residency(self):
         report = get_backend("numpy").capabilities()
@@ -168,15 +168,13 @@ class TestBlasFloatNatives:
         chain, a_int, b_int = data
         column = chain.moduli_array[:, None]
         want = fn(a_int, b_int, column)
-        counter = KernelCounter()
-        with use_backend("blas"), track_transfers(counter):
+        with use_backend("blas"):
             got = fn(self._float_handle(a_int), self._float_handle(b_int),
                      column)
             assert isinstance(got, DeviceBuffer)
             # Float-only output: no int64 image exists until the boundary.
             assert got.host_image is None
             assert isinstance(got.float_cache(), FloatResidues)
-        assert counter.transfer_total() == 0
         assert np.array_equal(got.ensure_host(), want)
 
     def test_hadamard_funnel_one_float_side(self, data):
@@ -288,13 +286,11 @@ class TestFloatHandleViews:
         assert np.array_equal(view.ensure_host(),
                               expected.astype(np.int64))
 
-    def test_ensure_host_records_no_transfer(self):
-        counter = KernelCounter()
+    def test_ensure_host_casts_once(self):
         buf = DeviceBuffer.from_float(
             FloatResidues(np.asarray([[5.0, 6.0]]), 6))
-        with track_transfers(counter):
-            host = buf.ensure_host()
-        assert counter.transfer_total() == 0        # host-side cast only
+        host = buf.ensure_host()
+        assert buf.ensure_host() is host and buf.host_image is host
         assert host.dtype == np.int64
         assert np.array_equal(host, [[5, 6]])
 
@@ -333,20 +329,20 @@ class TestFourStepFloatPipeline:
         back = planner.inverse_ops(self.N, primes, forward)
         assert np.array_equal(np.asarray(back), stacks)
 
-    def test_handle_in_float_handle_out_zero_transfers(self):
+    @pytest.mark.parametrize("backend", ["blas", "blas-slabbed"], indirect=True)
+    def test_handle_in_float_handle_out(self, backend):
         primes, stacks = self._stacks(20)
         planner = NttPlanner("four_step", backend="blas")
         want = planner.forward_ops(self.N, primes, stacks)
-        counter = KernelCounter()
-        with use_backend("blas"), track_transfers(counter):
+        with use_backend(backend):
             got = planner.forward_ops(self.N, primes, DeviceBuffer.wrap(stacks))
         assert isinstance(got, DeviceBuffer)
         assert got.host_image is None              # float-resident output
         assert isinstance(got.float_cache(), FloatResidues)
-        assert counter.transfer_total() == 0
         assert np.array_equal(got.ensure_host(), np.asarray(want))
 
-    def test_single_pass_guard_miss_takes_the_split_forms(self):
+    @pytest.mark.parametrize("backend", ["blas", "blas-slabbed"], indirect=True)
+    def test_single_pass_guard_miss_takes_the_split_forms(self, backend):
         """27-bit primes break n1 * (q-1)**2 < 2**53 at N=1024: split GEMMs.
 
         The transform stays on the float pipeline and, like at every width
@@ -361,7 +357,7 @@ class TestFourStepFloatPipeline:
         assert plan.inner.split
         reference = NttPlanner("four_step", backend="numpy")
         want = reference.forward_ops(self.N, primes, stacks)
-        with use_backend("blas"):
+        with use_backend(backend):
             got = blas.forward_ops(self.N, primes, DeviceBuffer.wrap(stacks))
         assert got.host_image is None
         assert isinstance(got.float_cache(), FloatResidues)
@@ -377,18 +373,6 @@ class TestFourStepFloatPipeline:
         assert not np.shares_memory(first, second)
         assert np.array_equal(first, snapshot)     # untouched by relaunch
         assert np.array_equal(first, second)
-
-    def test_kernel_counter_parity_between_paths(self):
-        """Engine-internal float residency is invisible to instrumentation."""
-        primes, stacks = self._stacks(20)
-        blas = NttPlanner("four_step", backend="blas")
-        reference = NttPlanner("four_step", backend="numpy")
-        blas_counter, ref_counter = KernelCounter(), KernelCounter()
-        with track_transfers(blas_counter):
-            blas.forward_ops(self.N, primes, stacks)
-        with track_transfers(ref_counter):
-            reference.forward_ops(self.N, primes, stacks)
-        assert blas_counter.transfer_total() == ref_counter.transfer_total() == 0
 
 
 class TestMatrixNttOnBlas:
@@ -421,11 +405,9 @@ class TestMatrixNttOnBlas:
         assert isinstance(got, np.ndarray) and got.dtype == np.int64
         assert np.array_equal(got, want)
         assert np.array_equal(blas.inverse_ops(self.N, primes, got), stacks)
-        counter = KernelCounter()
-        with use_backend("blas"), track_transfers(counter):
+        with use_backend("blas"):
             handle = blas.forward_ops(self.N, primes, DeviceBuffer.wrap(stacks))
         assert isinstance(handle, DeviceBuffer)
-        assert counter.transfer_total() == 0
         assert np.array_equal(handle.ensure_host(), want)
 
 
@@ -460,16 +442,15 @@ class TestModDownFloatResident:
         return moddown, stacks, handle
 
     @pytest.mark.parametrize("bits", [20, 30])
-    def test_batch_float_resident_parity(self, bits):
+    @pytest.mark.parametrize("backend", ["blas", "blas-slabbed"], indirect=True)
+    def test_batch_float_resident_parity(self, bits, backend):
         moddown, stacks, handle = self._setup(bits)
         want = moddown.apply_batch(stacks)
-        counter = KernelCounter()
-        with use_backend("blas"), track_transfers(counter):
+        with use_backend(backend):
             got = moddown.apply_batch(handle)
         assert isinstance(got, DeviceBuffer)
         assert got.host_image is None
         assert isinstance(got.float_cache(), FloatResidues)
-        assert counter.transfer_total() == 0
         assert np.array_equal(got.ensure_host(), np.asarray(want))
 
     def test_guard_boundary_falls_back_bit_identical(self):

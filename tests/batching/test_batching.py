@@ -85,7 +85,7 @@ class TestBatchScheduler:
         plan = BatchScheduler(A100).plan(1 << 16, 45, requested=1)
         assert plan.batch_size == 1
 
-    #: Today's planned sizes with no ``requested`` cap (single-process backend).
+    #: Today's planned sizes with no ``requested`` cap.
     PINNED_SIZES = {(4096, 9): 128, (1024, 15): 256, (128, 15): 2048,
                     (65536, 45): 2}
 
@@ -97,7 +97,7 @@ class TestBatchScheduler:
         assert (BatchScheduler().plan(ring_degree, limbs)
                 == BatchScheduler(A100).plan(ring_degree, limbs))
         if (ring_degree, limbs) in self.PINNED_SIZES:
-            pinned = BatchScheduler(backend="numpy").plan(ring_degree, limbs)
+            pinned = BatchScheduler().plan(ring_degree, limbs)
             assert pinned.batch_size == self.PINNED_SIZES[ring_degree, limbs]
 
 

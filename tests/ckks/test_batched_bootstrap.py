@@ -5,8 +5,10 @@
 spelling.  One B-stream pass must be *bit-identical* to a loop of B
 one-stream passes, with the kernel counters recording exactly the same
 invocations and limb-vectors — while issuing strictly fewer NTT-planner
-launches.  The suite sweeps every available compute backend and
-B ∈ {1, 2, 8} on the shallow bootstrap facade, checks mixed-message
+launches.  The suite sweeps every available compute backend (and blas
+with its launches cut into slabs, the ``backend`` fixture's
+``blas-slabbed`` run) and B ∈ {1, 2, 8} on the shallow bootstrap facade,
+checks mixed-message
 batches, and runs the accurate (degree-7, five double angles)
 configuration end-to-end once for functional correctness.
 """
@@ -15,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.api import TensorFheContext
-from repro.backend import available_backends, use_backend
+from repro.backend import use_backend
 from repro.ckks.bootstrap import BootstrapConfig
 from repro.ckks.params import CkksParameters
 
@@ -100,7 +102,6 @@ def batched_bootstrap(fhe, streams):
         fhe.relinearization_key, fhe.rotation_keys)
 
 
-@pytest.mark.parametrize("backend", available_backends())
 @pytest.mark.parametrize("batch", BATCH_SIZES)
 class TestFusedBootstrapParity:
     def test_bit_identical_with_identical_counters(self, fhe, rng, backend,

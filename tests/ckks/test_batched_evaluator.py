@@ -12,7 +12,8 @@ operands and demands identical bits and identical counters.  (That the
 bits are the *right* bits is pinned separately: ``test_golden_bits.py``
 holds their digests, ``TestTableTwoAtBatchOne`` the paper's absolute
 kernel counts.)  The suite covers HADD / CMULT / HMULT / RESCALE across
-every available compute backend, mixed-level grouping, evaluation-domain
+every available compute backend (CMULT and HMULT also with blas launches
+cut into slabs), mixed-level grouping, evaluation-domain
 operands, shared operands, a hypothesis property over batch composition,
 and the facade chunking.
 """
@@ -66,8 +67,8 @@ def run_both(fhe, sequential, batched):
     return actual
 
 
-@pytest.mark.parametrize("backend", available_backends())
 class TestFusedParity:
+    @pytest.mark.parametrize("backend", available_backends())
     def test_add(self, fhe, streams, backend):
         lhs, rhs = streams
         with use_backend(backend):
@@ -107,6 +108,7 @@ class TestFusedParity:
         reference = fhe.decrypt_real(lhs[0]) * fhe.decrypt_real(rhs[0])
         assert np.allclose(decrypted, reference, atol=1e-2)
 
+    @pytest.mark.parametrize("backend", available_backends())
     def test_rescale(self, fhe, streams, backend):
         lhs, rhs = streams
         key = fhe.relinearization_key

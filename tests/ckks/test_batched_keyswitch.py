@@ -6,7 +6,9 @@ a lone stream is their ``B = 1`` case.  One B-stream launch must be
 :class:`~repro.ckks.evaluator.Evaluator` adapters, with the kernel counters
 recording exactly the same invocations and limb-vectors — while issuing
 strictly fewer NTT-planner launches.  The suite sweeps every available
-compute backend and B ∈ {1, 2, 8}, plus mixed levels and the
+compute backend (and blas with its launches cut into slabs, the
+``backend`` fixture's ``blas-slabbed`` run) and B ∈ {1, 2, 8}, plus
+mixed levels and the
 degenerate-batch guarantees (empty batches, no extra keys for zero-step
 rotations).
 """
@@ -14,7 +16,7 @@ rotations).
 import numpy as np
 import pytest
 
-from repro.backend import available_backends, use_backend
+from repro.backend import use_backend
 from repro.backend.residency import stack_arrays
 from repro.ckks import CkksContext, CkksParameters, KeyGenerator
 from repro.ckks.batched_keyswitch import BatchedKeySwitcher
@@ -80,7 +82,6 @@ class PlannerSpy:
         return calls
 
 
-@pytest.mark.parametrize("backend", available_backends())
 @pytest.mark.parametrize("batch", BATCH_SIZES)
 class TestFusedParity:
     def test_multiply(self, fhe, rng, backend, batch):
@@ -245,7 +246,6 @@ def chain(request):
         keygen.generate_secret_key())
 
 
-@pytest.mark.parametrize("backend", available_backends())
 @pytest.mark.parametrize("batch", BATCH_SIZES)
 @pytest.mark.parametrize("residency", ["float", "int64"])
 def test_own_limb_reuse_is_bit_identical(chain, rng, backend, batch, residency,

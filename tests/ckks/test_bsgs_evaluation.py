@@ -297,7 +297,6 @@ class TestEvaluatorPieces:
         assert many.to_evaluation([]) == []
 
     @pytest.mark.parametrize("terms", (1, 3))
-    @pytest.mark.parametrize("backend", ("numpy", "blas"))
     def test_inner_product_is_the_cmult_hadd_chain(self, fhe, rng, backend, terms):
         """``multiply_plain_sum`` == ``multiply_plain`` + ``add``: bits and counts."""
         context, many = fhe.context, fhe.batched_evaluator

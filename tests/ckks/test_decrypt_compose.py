@@ -52,7 +52,6 @@ def pair_overflow(fhe, ciphertext):
     return sum(abs(v) > qa * qb // 2 for v in values)
 
 
-@pytest.mark.parametrize("backend", ("numpy", "blas"))
 def test_decrypt_to_slots_is_decode_of_big_integers(fhe, backend):
     with use_backend(backend):
         for name, ciphertext in ciphertexts(fhe).items():

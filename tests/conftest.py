@@ -10,6 +10,10 @@ validate them.
 :class:`~repro.api.TensorFheContext` (full key material including rotation
 and conjugation keys) shared by the api and batched-evaluation suites,
 which previously each built their own module-scoped instance.
+
+``backend`` parametrises a parity sweep over the registered backends and
+``blas-slabbed``, the blas backend with its toy launches cut into slabs
+on the slab pool.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.api import TensorFheContext
+from repro.backend import available_backends
 from repro.numtheory import planned
 from repro.ckks.bootstrap import BootstrapConfig
 from repro.ckks import (
@@ -28,6 +33,37 @@ from repro.ckks import (
     Evaluator,
     KeyGenerator,
 )
+
+
+#: The slab budget of a ``blas-slabbed`` run: ten rows of a degree-64
+#: polynomial, so a toy launch of several operations is cut into slabs.
+TOY_SLAB_DOUBLES = 10 * 64
+
+
+@pytest.fixture(params=available_backends() + ("blas-slabbed",))
+def backend(request, monkeypatch):
+    """The backend a parity sweep selects, by name.
+
+    Every registered backend, plus ``blas-slabbed``: blas with a slab
+    budget that cuts the suite's toy launches into several slabs, run on
+    the caller and a pool of at least two threads.  At the real budget a
+    toy launch is one slab run inline, so without this run no scheme-level
+    sweep would take the multi-slab path that real ring degrees take.  A
+    ``blas-slabbed`` test fails unless some launch of it reached the pool;
+    a sweep whose launches never leave the int64 kernels parametrises
+    ``backend`` over :func:`available_backends` itself.
+    """
+    if request.param != "blas-slabbed":
+        yield request.param
+        return
+    monkeypatch.setattr(planned, "SLAB_DOUBLES", TOY_SLAB_DOUBLES)
+    monkeypatch.setattr(planned, "BROADCAST_RUN", 0)
+    monkeypatch.setattr(planned, "WORKERS", max(2, planned.WORKERS))
+    trips = []
+    pool = planned._pool
+    monkeypatch.setattr(planned, "_pool", lambda: trips.append(1) or pool())
+    yield "blas"
+    assert trips, "no launch of this blas-slabbed run was cut into slabs"
 
 
 @pytest.fixture(autouse=True, scope="session")

@@ -6,8 +6,13 @@ worker count (one per core in the affinity mask, less the caller) and with
 the constant patched to 1, 2 and 3, under a slab budget that cuts the toy
 launches into several slabs with a short last one.  Every result is
 compared with the same launch run inline (``WORKERS = 0``) and with the
-int64 kernels of the numpy backend.  CI runs this module a second time
-under ``taskset -c 0``, where the host's count is zero.
+int64 kernels of the numpy backend: four-step transforms, products, GEMMs
+sliced along rows, columns or converted rows, and the element-wise
+kernels.  The rest pins the pool itself: each thread carves its slabs'
+scratch from one block of its own, the pool restarts when the worker
+count changes and is sized from the affinity mask, errors stop the whole
+launch, and a forked child gets a pool of its own.  CI runs this module
+a second time under ``taskset -c 0``, where the host's count is zero.
 """
 
 import os
@@ -24,6 +29,7 @@ import repro.numtheory.planned as planned
 from repro.backend import DeviceBuffer, get_backend, use_backend
 from repro.backend.blas_backend import FloatResidues, static_operand
 from repro.ntt import NttPlanner
+from repro.ntt.gemm_utils import modular_matmul_limbs
 from repro.numtheory import generate_ntt_primes
 from repro.numtheory.floatmod import get_barrett_chain
 from repro.numtheory.planned import choose_form, slabs
@@ -38,6 +44,8 @@ CHAINS = {
 #: Two operations of up to five limbs a slab: a batch of seven is four
 #: slabs, the last of one operation.
 SLAB = 10 * N
+#: GEMM prime widths: the single-pass form, and two that take the split forms.
+GEMM_BITS = (20, 26, 30)
 
 
 def residues(rng, primes, *shape):
@@ -143,6 +151,47 @@ class TestParity:
         check(lambda: get_backend("blas").matmul_limbs(
             *handles, primes).ensure_host(), want.ensure_host(), pool_calls)
 
+    @pytest.mark.parametrize("bits", GEMM_BITS)
+    def test_limb_axis_gemm(self, bits, workers, pool_calls):
+        """``(L, M, K) @ (L, K, P)`` from host arrays: slabs of lhs rows."""
+        primes = generate_ntt_primes(4, bits, N)
+        rng = np.random.default_rng(bits)
+        # 16 rows in slabs of 13 (SLAB / (4 limbs * 12 columns)).
+        lhs, rhs = residues(rng, primes, 16, 24), residues(rng, primes, 24, 12)
+        want = get_backend("numpy").matmul_limbs(
+            DeviceBuffer.wrap(lhs), DeviceBuffer.wrap(rhs), primes)
+        check(lambda: modular_matmul_limbs(lhs, rhs, primes, backend="blas"),
+              want.ensure_host(), pool_calls)
+
+    @pytest.mark.parametrize("batch", [1, 2, 8])
+    @pytest.mark.parametrize("bits", GEMM_BITS)
+    def test_column_axis_gemm(self, bits, batch, workers, pool_calls):
+        """One limb, a cached matrix against ``batch`` folded polynomials."""
+        primes = generate_ntt_primes(1, bits, N)
+        rng = np.random.default_rng(batch * bits)
+        # 64 * batch columns in slabs of 40 (SLAB / 16 rows), the last short.
+        matrix, x = residues(rng, primes, 16, 24), residues(rng, primes, 24, N * batch)
+        want = get_backend("numpy").matmul_limbs(
+            DeviceBuffer.wrap(matrix), DeviceBuffer.wrap(x), primes)
+        check(lambda: get_backend("blas").matmul_limbs(
+            static_operand(matrix), float_handle(x, max(primes) - 1),
+            primes).ensure_host(), want.ensure_host(), pool_calls)
+
+    def test_matmul_rows(self, workers, pool_calls):
+        """The basis conversion: constant rows pair with the output moduli."""
+        source, target = CHAINS["p28"][:3], CHAINS["q-p"]
+        rng = np.random.default_rng(9)
+        column = np.asarray(target, dtype=np.int64)[:, None]
+        constants = rng.integers(0, column, (len(target), len(source)))
+        # 448 columns in slabs of 128 (SLAB / 5 rows), the last short.
+        x = residues(rng, source, BATCH * N)
+        want = get_backend("numpy").matmul_rows(
+            DeviceBuffer.wrap(constants), DeviceBuffer.wrap(x), target)
+        check(lambda: get_backend("blas").matmul_rows(
+            static_operand(constants), float_handle(x, max(source) - 1),
+            np.asarray(target, dtype=np.int64)).ensure_host(),
+            want.ensure_host(), pool_calls)
+
     @pytest.mark.parametrize("kernel", ["mat_add", "mat_sub", "mat_neg", "mat_reduce"])
     def test_elementwise(self, kernel, workers, pool_calls):
         primes = CHAINS["q-p"]
@@ -193,6 +242,81 @@ class TestInline:
         assert ident != threading.get_ident()
         assert seen == [ident] * 8
         assert len(pool_calls) == 1         # the submit above, no dispatch
+
+
+class TestWorkspace:
+    """Slab scratch comes from one block per thread, allocated once."""
+
+    @pytest.fixture()
+    def blocks(self, monkeypatch):
+        """``(thread, block)`` of every ``work_buffers`` call of a launch.
+
+        The block is the array owning the memory the call handed out.
+        """
+        seen = []
+        work_buffers = planned.work_buffers
+
+        def spy(*shapes):
+            views = work_buffers(*shapes)
+            blocks = {id(view.base): view.base for view in views}
+            assert len(blocks) == 1
+            seen.append((threading.get_ident(), *blocks.values()))
+            return views
+
+        monkeypatch.setattr(planned, "work_buffers", spy)
+        return seen
+
+    def _launches(self, count):
+        """``count`` products of eight operations: four equal slabs each."""
+        primes = CHAINS["q-p"]
+        rng = np.random.default_rng(4)
+        x = float_handle(residues(rng, primes, 8, N), max(primes) - 1)
+        key = static_operand(residues(rng, primes, 1, N))
+        want = get_backend("numpy").mat_mul(
+            DeviceBuffer.wrap(x.ensure_host()), key, primes).ensure_host()
+        for _ in range(count):
+            got = get_backend("blas").mat_mul(x, key, primes)
+            assert np.array_equal(got.ensure_host(), want)
+
+    def test_repeated_launches_allocate_no_new_block(self, workers, pool_calls,
+                                                     blocks):
+        self._launches(6)
+        assert len(blocks) == 6 * 4
+        per_thread = {}
+        for thread, block in blocks:
+            per_thread.setdefault(thread, set()).add(id(block))
+        assert all(len(ids) == 1 for ids in per_thread.values())
+
+    def test_no_two_threads_share_a_block(self, workers, pool_calls, blocks):
+        self._launches(6)
+        owners = {}
+        for thread, block in blocks:
+            assert owners.setdefault(id(block), thread) == thread
+
+
+def test_the_pool_restarts_at_a_new_worker_count(pool_calls, monkeypatch):
+    primes = CHAINS["p28"]
+    stack = stack_of(3, primes)
+    engine = NttPlanner("four_step", backend="blas").engine_for(N, primes[0])
+    want = inline(lambda: engine.forward_ops(stack, primes))
+    executors = []
+    for count in (1, 2, 2):
+        monkeypatch.setattr(planned, "WORKERS", count)
+        assert np.array_equal(engine.forward_ops(stack, primes), want)
+        assert planned._POOL[0] == count
+        executors.append(planned._POOL[1])
+    first, second, third = executors
+    assert second is not first and third is second
+    assert first._shutdown and not second._shutdown
+
+
+def test_the_pool_width_is_the_affinity_mask(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                        raising=False)
+    assert planned._cores() == 3
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 6)
+    assert planned._cores() == 6
 
 
 class TestFailures:
