@@ -51,6 +51,7 @@ __all__ = [
     "on_handles",
     "stack_arrays",
     "concatenate_arrays",
+    "block_arrays",
     "contiguous",
 ]
 
@@ -326,6 +327,37 @@ def concatenate_arrays(parts: Sequence[ArrayLike], axis: int = 0) -> ArrayLike:
         return combined
     result = np.concatenate([as_ndarray(p) for p in parts], axis=axis)
     return match_residency(result, *parts)
+
+
+def block_arrays(grid: Sequence[Sequence[ArrayLike]]) -> ArrayLike:
+    """A grid of 3-D arrays/handles joined in one copy, float-resident when
+    possible: a row's parts along axis 1, the rows along axis 0.
+
+    What two nested :func:`concatenate_arrays` calls compute, without the
+    inner copies: each row is concatenated straight into its rows of the
+    result.
+    """
+    grid = [list(row) for row in grid]
+    parts = [part for row in grid for part in row]
+
+    def combine(images, axis=None):
+        images = iter(images)
+        rows = [[next(images) for _ in row] for row in grid]
+        first = rows[0]
+        out = np.empty((sum(row[0].shape[0] for row in rows),
+                        sum(part.shape[1] for part in first)) + first[0].shape[2:],
+                       dtype=first[0].dtype)
+        start = 0
+        for row in rows:
+            stop = start + row[0].shape[0]
+            np.concatenate(row, axis=1, out=out[start:stop])
+            start = stop
+        return out
+
+    combined = _combine_float(parts, combine, None)
+    if combined is not None:
+        return combined
+    return match_residency(combine([as_ndarray(p) for p in parts]), *parts)
 
 
 def contiguous(value: ArrayLike) -> ArrayLike:

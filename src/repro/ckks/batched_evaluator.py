@@ -21,8 +21,16 @@ neither do its counts, with one rule: an operand shared by streams of one
 launch is transformed, and counted, once (HMULT's squares and partners
 that are another stream's operand).  The HMULT key switch and the
 rotation / conjugation paths run through
-:class:`~repro.ckks.batched_keyswitch.BatchedKeySwitcher`; HMULT hands it
-the evaluation-domain image of ``d2`` its tensor product already holds.
+:class:`~repro.ckks.batched_keyswitch.BatchedKeySwitcher`.  HMULT hands it
+the evaluation-domain image of ``d2`` its tensor product already holds,
+and ``d0``, ``d1`` as an addend: they join the key-switch accumulators in
+the evaluation domain, before their INTT (``ModDown(acc + P·d) =
+ModDown(acc) + d``; the switch keys carry ``P^{-1}`` in their
+ciphertext-prime limbs, and every step is exact mod ``q_i``), so the
+tensor product inverts only ``d2`` and the switched pair is the product.
+Counted: INTT ``(B, L)`` in the tensor product and ``(2B,
+E)`` in the key switch; the two adds are still Ele-Adds of ``(B, L)``,
+made before that INTT.
 
 Domains.  Ciphertexts rest in the coefficient domain: encryption produces
 it, every operation above returns it, and an evaluation-domain operand is
@@ -46,7 +54,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..backend.residency import concatenate_arrays, contiguous, stack_arrays
+from ..backend.residency import concatenate_arrays, stack_arrays
 from ..kernels.automorphism import (
     apply_automorphism_coeff,
     galois_element_for_rotation,
@@ -307,31 +315,25 @@ class BatchedEvaluator:
         results: List[Optional[Ciphertext]] = [None] * len(pairs)
         for moduli, indices in self._grouped(p[0].moduli for p in pairs).items():
             entries = [pairs[i] for i in indices]
-            batch, limbs = len(entries), len(moduli)
+            batch = len(entries)
             level = entries[0][0].level
-            coeff, d2 = self._tensor_product(entries, moduli)   # d0 | d2 | d1
+            d2_coeff, d2, d0_d1 = self._tensor_product(entries, moduli)
             # Generalized key switching, fused across the B axis: the dnum
             # decomposition of every stream runs as batched ModUp / NTT /
-            # inner-product / ModDown launches, and ModUp's copies of d2's
-            # own limbs take their transforms from d2's evaluation image.
+            # inner-product / ModDown launches, ModUp's copies of d2's own
+            # limbs take their transforms from d2's evaluation image, and
+            # d0 | d1 join the accumulators before their INTT: the switched
+            # pair is the product.
             switched = self.key_switcher.switch_many(
-                [self._poly(moduli, coeff[batch + j]) for j in range(batch)],
-                relinearization_key, level, evaluations=d2)
-            outputs = []
-            for slot, own in ((0, coeff[:batch]), (1, coeff[2 * batch:])):
-                key_part = self._stack([pair[slot] for pair in switched])
-                outputs.append(self._fused(mat_mod_add, own, key_part, moduli))
-                self._record(KernelName.ELE_ADD, batch, limbs)
-            for j, (i, (lhs, rhs)) in enumerate(zip(indices, entries)):
-                results[i] = Ciphertext(
-                    c0=self._poly(moduli, outputs[0][j]),
-                    c1=self._poly(moduli, outputs[1][j]),
-                    scale=lhs.scale * rhs.scale, level=level,
-                )
+                [self._poly(moduli, d2_coeff[j]) for j in range(batch)],
+                relinearization_key, level, evaluations=d2, addend=d0_d1)
+            for (i, (lhs, rhs)), (c0, c1) in zip(zip(indices, entries), switched):
+                results[i] = Ciphertext(c0=c0, c1=c1,
+                                        scale=lhs.scale * rhs.scale, level=level)
         return results
 
     def _tensor_product(self, entries, moduli):
-        """``d0 | d2 | d1`` of every aligned pair, and ``d2``'s evaluation image.
+        """``d2`` of every aligned pair in both domains, and ``d0``, ``d1``.
 
         Each distinct operand polynomial is transformed, and counted, once:
         a square, or a ciphertext that is an operand of two streams, is one
@@ -341,10 +343,12 @@ class BatchedEvaluator:
         product over the ``2B`` axis, and ``d1 = a0 ⊙ b1 + a1 ⊙ b0`` as one
         multiply-accumulate over the pair axis — summed before it is
         reduced, which equals the two Hada-Mult and one Ele-Add launches it
-        is counted as bit for bit.  Returns the ``(3B, L, N)`` coefficient
-        stack and the limb-major ``(L, B, N)`` image of ``d2 = a1 ⊙ b1``.
-        A method of its own so the other evaluation-domain operands and
-        partial products are released before the key switch allocates.
+        is counted as bit for bit.  Only ``d2 = a1 ⊙ b1`` is inverted
+        (``B·L`` rows): returns its ``(B, L, N)`` coefficient stack, its
+        limb-major ``(L, B, N)`` image, and the limb-major images of ``d0``
+        and ``d1``, which the key switch adds in the evaluation domain.
+        A method of its own so the operand images are released before the
+        key switch allocates.
         """
         batch, limbs = len(entries), len(moduli)
         operands = ([lhs.c0 for lhs, _ in entries] + [lhs.c1 for lhs, _ in entries]
@@ -367,11 +371,11 @@ class BatchedEvaluator:
         self._record(KernelName.HADAMARD, 4 * batch, limbs)
         self._record(KernelName.ELE_ADD, batch, limbs)
 
+        d2 = outer[:, batch:]
         coeff = self.context.planner.inverse_ops(
-            self.context.ring_degree, moduli, concatenate_arrays(
-                [self._limb_major(outer), self._limb_major(cross)]))
-        self._record(KernelName.INTT, 3 * batch, limbs)
-        return coeff, contiguous(outer[:, batch:])    # outer dies here
+            self.context.ring_degree, moduli, self._limb_major(d2))
+        self._record(KernelName.INTT, batch, limbs)
+        return coeff, d2, (outer[:, :batch], cross)
 
     def multiply_and_rescale(self, lhs_streams: Sequence[Ciphertext],
                              rhs_streams: Sequence[Ciphertext],

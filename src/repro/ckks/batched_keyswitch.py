@@ -24,25 +24,34 @@ ciphertext is the ``B = 1`` case of the same launches:
   extended slices over ``E``;
 * **Inner-product** — one fused multiply-accumulate launch per ``(b, a)``
   component, ``sum_j d_j ⊙ key_j`` over the dnum axis of the limb-major
-  ``(L', dnum, B, N)`` operand, reduced once;
+  ``(L', dnum, B, N)`` operand, reduced once.  The switch keys store their
+  ciphertext-prime limbs times ``P^{-1}`` (:mod:`repro.ckks.keys`), so
+  the accumulators' Q rows come out already scaled for ModDown.  A
+  caller's evaluation-domain ``addend`` (HMULT's ``d0 | d1``) joins those
+  Q rows here, one Ele-Add launch per component: ``ModDown(acc + P·d) =
+  ModDown(acc) + d``, so the terms are never inverse-transformed on their
+  own (the QP accumulation of Bossuat et al.'s double hoisting, EUROCRYPT
+  2021).  The ``(2B, L', N)`` stack is assembled in one copy;
 * **ModDown** — both accumulators of every stream return to the ciphertext
-  basis through one ``inverse_ops`` call and one batched Conv
-  (:meth:`~repro.rns.moddown.ModDown.apply_batch`).
+  basis through one ``inverse_ops`` call and ModDown's tail, one batched
+  Conv with ``P^{-1}`` folded into its constants and one subtraction
+  (:meth:`~repro.rns.moddown.ModDown.apply_scaled`).
 
 The kernel counters record the per-stream invocations and limb-vectors of
 Algorithm 1 (via :meth:`~repro.kernels.base.KernelCounter.record_batch`),
 so one ``B``-stream call counts exactly what ``B`` one-stream calls do;
 the NTT records the rows actually transformed, ``dnum * E - L`` limb-vectors
-per stream when the image of ``d`` is supplied.
+per stream when the image of ``d`` is supplied, and an addend's two adds
+are the Ele-Adds of ``(B, L)`` that add the switched pair.
 """
 
 from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from ..backend.residency import concatenate_arrays, stack_arrays
+from ..backend.residency import block_arrays, stack_arrays
 from ..kernels.base import KernelName
-from ..numtheory.modular import mat_mod_mul
+from ..numtheory.modular import mat_mod_add, mat_mod_mul
 from ..rns.moddown import ModDown
 from ..rns.modup import ModUp
 from ..rns.poly import PolyDomain, RnsPolynomial
@@ -63,7 +72,7 @@ class BatchedKeySwitcher:
     @pinned
     def switch_many(self, polynomials: Sequence[RnsPolynomial],
                     switch_key: SwitchKey, level: int, *,
-                    evaluations=None
+                    evaluations=None, addend=None
                     ) -> List[Tuple[RnsPolynomial, RnsPolynomial]]:
         """Key-switch ``B`` coefficient-domain polynomials at ``level``.
 
@@ -73,6 +82,11 @@ class BatchedKeySwitcher:
         limb-major ``(L, B, N)``, when it holds one (HMULT's tensor
         product does): ModUp copies each group's own limbs, and their
         transforms are then copied from it instead of recomputed.
+        ``addend`` is a pair ``(t0, t1)`` of evaluation-domain images on
+        the active basis, each limb-major ``(L, B, N)``, that the caller
+        wants added to the switched pair (HMULT's ``d0``, ``d1``): stream
+        ``j`` then returns ``(t0_j + c0_j, t1_j + c1_j)``, the terms added
+        to the accumulators before their one INTT.
         """
         polynomials = list(polynomials)
         if not polynomials:
@@ -90,9 +104,11 @@ class BatchedKeySwitcher:
                 raise ValueError(
                     "polynomial basis does not match the requested level")
         batch = len(polynomials)
-        if evaluations is not None and tuple(evaluations.shape) != (
-                len(active), batch, context.ring_degree):
+        image = (len(active), batch, context.ring_degree)
+        if evaluations is not None and tuple(evaluations.shape) != image:
             raise ValueError("the evaluation image must be (L, B, N)")
+        if addend is not None and [tuple(t.shape) for t in addend] != [image] * 2:
+            raise ValueError("the addend must be two (L, B, N) images")
         key_level = switch_key.at_level(level)
 
         # Each stage is a method call nested in the next one's arguments,
@@ -103,10 +119,10 @@ class BatchedKeySwitcher:
             context.ring_degree, extended, self._inner_product(
                 self._raise(polynomials, key_level.group_moduli, extended,
                             evaluations),
-                key_level, extended))
+                key_level, extended, addend))
         counter.record_batch(KernelName.INTT, 2 * batch, len(extended))
         counter.record_batch(KernelName.CONV, batch, 2 * len(active))
-        lowered = self._moddown_for(active).apply_batch(coeff)    # (2B, L, N)
+        lowered = self._moddown_for(active).apply_scaled(coeff)  # (2B, L, N)
         return [
             (RnsPolynomial(context.ring_degree, active, lowered[j]),
              RnsPolynomial(context.ring_degree, active, lowered[batch + j]))
@@ -187,7 +203,7 @@ class BatchedKeySwitcher:
                   for source in sources]
         return rows, tuple(chain), layout
 
-    def _inner_product(self, slices, key_level, extended):
+    def _inner_product(self, slices, key_level, extended, addend):
         """Both key components against every slice: a ``(2B, L', N)`` stack.
 
         ``slices`` is the limb-major ``(L', dnum, B, N)`` operand, the
@@ -196,19 +212,29 @@ class BatchedKeySwitcher:
         which equals dnum Hada-Mult launches folded by a chain of Ele-Add
         launches bit for bit (and is counted as them).  The key side is
         the level's static operand, so a float backend reuses its cached
-        hi/lo images.
+        hi/lo images.  ``addend``'s term for the component, when given,
+        is added to the accumulator's ciphertext-prime rows, and the
+        stack is assembled from the row blocks in one copy.
         """
         counter = self.context.kernels.counter
         ext_count, dnum, batch = slices.shape[:3]
-        accumulators = []
-        for operand in key_level.operands:              # (b, a) components
+        grid = []
+        for component, operand in enumerate(key_level.operands):   # (b, a)
             # One group leaves its (unsummed) axis in place: fold it away.
-            accumulators.append(mat_mod_mul(
+            accumulator = mat_mod_mul(
                 slices, operand, extended, terms=dnum
-            ).reshape(ext_count, batch, -1).transpose(1, 0, 2))
+            ).reshape(ext_count, batch, -1)
             counter.record_batch(KernelName.HADAMARD, batch * dnum, ext_count)
             counter.record_batch(KernelName.ELE_ADD, batch * dnum, ext_count)
-        return concatenate_arrays(accumulators)
+            blocks = [accumulator]
+            if addend is not None:
+                term = addend[component]
+                count = term.shape[0]
+                blocks = [mat_mod_add(accumulator[:count], term, extended[:count]),
+                          accumulator[count:]]
+                counter.record_batch(KernelName.ELE_ADD, batch, count)
+            grid.append([block.transpose(1, 0, 2) for block in blocks])
+        return block_arrays(grid)
 
     # ------------------------------------------------------------------
     def _modup_for(self, group, extended) -> ModUp:

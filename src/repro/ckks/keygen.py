@@ -6,7 +6,8 @@ group ``j`` the key holds an encryption of ``P * g_j * s_from`` under ``s``
 over the extended basis ``C_l ∪ P``, where ``g_j`` is the CRT
 reconstruction factor of the group (``g_j ≡ 1`` mod the group's primes and
 ``≡ 0`` mod the other active primes).  Keys are generated for every level
-at once so the evaluator never needs the secret key.
+at once so the evaluator never needs the secret key, and stored with their
+ciphertext-prime limbs times ``P^{-1}`` (:mod:`repro.ckks.keys`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from ..backend.residency import stack_arrays
 from ..kernels.automorphism import apply_automorphism_coeff, galois_element_for_rotation
 from ..numtheory.crt import CrtContext
-from ..numtheory.modular import mod_inverse
+from ..numtheory.modular import mat_mod_mul, mod_inverse, moduli_column
 from ..rns.poly import PolyDomain, RnsPolynomial
 from .context import CkksContext, pinned
 from .keys import PublicKey, RotationKeySet, SecretKey, SwitchKey, SwitchKeyLevel
@@ -191,9 +192,27 @@ class KeyGenerator:
             b_poly = a_poly.hadamard(s_eval).negate().add(error).add(payload)
             for stack, poly in zip(stacks, (b_poly, a_poly)):
                 stack[index * rows:(index + 1) * rows] = poly.residues
+        self._fold_p_inverse(stacks, active, rows)
         return SwitchKeyLevel(level=level,
                               group_moduli=[tuple(group) for group in groups],
                               stacks=stacks)
+
+    def _fold_p_inverse(self, stacks, active, rows: int) -> None:
+        """Multiply the ciphertext-prime rows of every group by ``P^{-1}``.
+
+        The stored form of a switch key (:mod:`repro.ckks.keys`): the inner
+        product then hands ModDown limbs that already carry ``P^{-1}``.
+        One exact funnel pass per component (>= 2**31 moduli take the
+        object path), written back into the stacks of ``rows`` extended
+        limbs per group.
+        """
+        special_product = self.context.basis.special_product
+        inverses = np.asarray([mod_inverse(special_product % q, q) for q in active],
+                              dtype=np.int64)[:, None, None]
+        for stack in stacks:
+            limbs = stack.reshape(-1, rows, stack.shape[1])[:, :len(active)]
+            limbs[...] = mat_mod_mul(limbs.transpose(1, 0, 2), inverses,
+                                     active).transpose(1, 0, 2)
 
     def _square_secret(self, secret_key: SecretKey):
         """Return a callable producing ``s^2`` in any requested basis."""
@@ -210,11 +229,11 @@ class KeyGenerator:
         coefficients = secret_key.coefficients
 
         def build(moduli: Sequence[int]) -> RnsPolynomial:
-            rows = []
-            for q in moduli:
-                reduced = np.asarray([c % q for c in coefficients], dtype=np.int64)
-                rows.append(apply_automorphism_coeff(reduced, galois_element, q))
-            return RnsPolynomial(len(coefficients), moduli, np.stack(rows),
-                                 PolyDomain.COEFFICIENT)
+            column = moduli_column(moduli)
+            return RnsPolynomial(
+                len(coefficients), moduli,
+                apply_automorphism_coeff(np.mod(coefficients, column),
+                                         galois_element, column),
+                PolyDomain.COEFFICIENT)
 
         return build

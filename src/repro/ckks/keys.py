@@ -7,7 +7,12 @@ over a context's whole extended chain and restricted from there.  Switch
 keys (used for relinearization, rotation and conjugation) follow the
 generalized key-switching of the paper: for every level they hold one
 ``(b_j, a_j)`` pair per decomposition group, stored in the evaluation domain
-over the extended basis ``C_l ∪ P`` as two stacked residue matrices.
+over the extended basis ``C_l ∪ P`` as two stacked residue matrices, with
+their ciphertext-prime limbs (``C_l``) multiplied by ``P^{-1} mod q_i``:
+the key-switch inner product then hands ModDown limbs that already carry
+``P^{-1}`` (:meth:`~repro.rns.moddown.ModDown.apply_scaled`), and HMULT can
+add ``d0``, ``d1`` to the accumulators before their INTT.  The special
+limbs are stored as they are.
 """
 
 from __future__ import annotations
@@ -80,7 +85,9 @@ class SwitchKeyLevel:
     The ``(b_j, a_j)`` pairs of the ``dnum`` decomposition groups are held
     once, concatenated group after group into the two ``(dnum * L', N)``
     evaluation-domain residue matrices ``stacks = (b, a)`` over the
-    extended basis.  The fused inner product consumes them as ``operands``:
+    extended basis, each group's ciphertext-prime rows times ``P^{-1}``
+    (the key generator stores them so, in place: there is no unscaled
+    copy).  The fused inner product consumes them as ``operands``:
     the same memory viewed limb-major, ``(L', dnum, 1, N)``, as static
     operand handles (a float backend caches its images of a level there
     the first time the level is used).

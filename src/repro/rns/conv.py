@@ -14,7 +14,7 @@ It is the building block of ModUp, ModDown and the RNS decomposition
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -30,7 +30,11 @@ __all__ = ["BasisConverter", "convert_basis"]
 class BasisConverter:
     """Precomputed constants for converting from one prime basis to another."""
 
-    def __init__(self, source_moduli: Sequence[int], target_moduli: Sequence[int]) -> None:
+    def __init__(self, source_moduli: Sequence[int], target_moduli: Sequence[int],
+                 *, factors: Optional[Sequence[int]] = None) -> None:
+        """``factors`` (one integer per target prime) fold into the constants:
+        the converter then returns ``[Conv(x)_j * factors[j]]_{p_j}`` at the
+        cost of the plain conversion (ModDown folds ``P^{-1}`` this way)."""
         self.source_moduli = tuple(int(q) for q in source_moduli)
         self.target_moduli = tuple(int(p) for p in target_moduli)
         if not self.source_moduli:
@@ -45,9 +49,14 @@ class BasisConverter:
         # q_hat_i = Q / q_i ; q_hat_inv_i = (Q/q_i)^-1 mod q_i
         self.q_hat = [source_product // q for q in self.source_moduli]
         self.q_hat_inv = [mod_inverse(h % q, q) for h, q in zip(self.q_hat, self.source_moduli)]
-        # q_hat_i mod p_j, precomputed per target prime.
+        if factors is None:
+            factors = [1] * len(self.target_moduli)
+        if len(factors) != len(self.target_moduli):
+            raise ValueError("need one factor per target prime")
+        # q_hat_i * factor_j mod p_j, precomputed per target prime.
         self.q_hat_mod_target = np.asarray(
-            [[h % p for h in self.q_hat] for p in self.target_moduli], dtype=np.int64
+            [[h % p * int(f) % p for h in self.q_hat]
+             for p, f in zip(self.target_moduli, factors)], dtype=np.int64
         )
         # Conservative row-GEMM operand bound for resident inputs: the lhs
         # rows hold ``q_hat mod p_j`` (< max target prime) and the rhs holds

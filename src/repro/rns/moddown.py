@@ -5,10 +5,19 @@ The inner product of the key switch produces values of the form
 ``P`` factor (with rounding) and returns to the ciphertext basis:
 
     ModDown(x)_i = [(x_i - Conv([x]_P)_i) * P^{-1}]_{q_i}
+                 = [x_i * P^{-1} - Conv'([x]_P)_i]_{q_i}
 
 where ``Conv`` is the fast basis conversion from the special basis to the
-ciphertext basis.  The result equals ``round(x / P)`` up to the small
-rounding term inherent in the approximate conversion.
+ciphertext basis and ``Conv'`` is the same conversion with ``P^{-1}``
+folded into its constants (``q̂_k * P^{-1} mod q_i``).  The second form is
+the one computed: after the ciphertext limbs are scaled by ``P^{-1}``,
+the tail is one Conv and one subtraction.  A caller whose ciphertext limbs
+already carry ``P^{-1}`` runs the tail alone (:meth:`ModDown.apply_scaled`):
+the key switch does, because switch keys store their ciphertext-prime
+limbs times ``P^{-1}`` (:mod:`repro.ckks.keys`).  Every step is exact
+arithmetic mod ``q_i``, so both forms give the same bits.  The result
+equals ``round(x / P)`` up to the small rounding term inherent in the
+approximate conversion.
 """
 
 from __future__ import annotations
@@ -38,13 +47,12 @@ class ModDown:
         for p in self.special_moduli:
             special_product *= p
         self.special_product = special_product
-        self._converter = BasisConverter(self.special_moduli, self.ciphertext_moduli)
-        self._p_inverse = {
-            q: mod_inverse(special_product % q, q) for q in self.ciphertext_moduli
-        }
+        p_inverses = [mod_inverse(special_product % q, q)
+                      for q in self.ciphertext_moduli]
+        self._converter = BasisConverter(self.special_moduli, self.ciphertext_moduli,
+                                         factors=p_inverses)
         self._p_inverse_column = static_operand(np.asarray(
-            [self._p_inverse[q] for q in self.ciphertext_moduli], dtype=np.int64
-        )[:, None, None])
+            p_inverses, dtype=np.int64)[:, None, None])
 
     def apply(self, polynomial: RnsPolynomial) -> RnsPolynomial:
         """Return ``round(polynomial / P)`` in the ciphertext basis (``B = 1``)."""
@@ -59,13 +67,32 @@ class ModDown:
     def apply_batch(self, stacks: np.ndarray) -> np.ndarray:
         """ModDown a ``(B, extended, N)`` residue stack to ``(B, active, N)``.
 
-        One batched Conv folds the special limbs of every stream at once
-        and the subtraction / multiply-by-``P^{-1}`` run as single funnel
-        launches over the limb-major ``(active, B, N)`` view, so no
-        per-stream loop remains (the funnel keeps >= 2**31 moduli exact).
-        The whole step threads the stack's residency handle, Conv included,
-        so a float-resident operand never materialises int64.
+        The ciphertext limbs of every stream are scaled by ``P^{-1}`` in
+        one funnel launch over their limb-major ``(active, B, N)`` view
+        (the funnel keeps >= 2**31 moduli exact); the rest is the tail of
+        :meth:`apply_scaled`, so no per-stream loop remains.
         """
+        stacks, resident = self._checked(stacks)
+        count = len(self.ciphertext_moduli)
+        scaled = mat_mod_mul(stacks[:, :count].transpose(1, 0, 2),
+                             self._p_inverse_column, self.ciphertext_moduli)
+        return self._tail(scaled, stacks[:, count:], resident)
+
+    def apply_scaled(self, stacks: np.ndarray) -> np.ndarray:
+        """ModDown a stack whose ciphertext limbs already carry ``P^{-1}``.
+
+        ``[x_i * P^{-1} - Conv'([x]_P)_i]_{q_i}`` for a ``(B, extended, N)``
+        stack holding ``x_i * P^{-1}`` in its ciphertext limbs and ``x``
+        in its special limbs: one batched Conv and one subtraction.  The
+        key switch's accumulators arrive in this form.
+        """
+        stacks, resident = self._checked(stacks)
+        count = len(self.ciphertext_moduli)
+        return self._tail(stacks[:, :count].transpose(1, 0, 2),
+                          stacks[:, count:], resident)
+
+    def _checked(self, stacks):
+        """``stacks`` as a handle, and whether the caller passed one."""
         resident = is_buffer(stacks)
         if not resident:
             stacks = np.asarray(stacks, dtype=np.int64)
@@ -75,13 +102,21 @@ class ModDown:
                 "expected a (B, %d, N) residue stack, got shape %s"
                 % (expected_limbs, stacks.shape)
             )
-        count = len(self.ciphertext_moduli)
-        if stacks.shape[0] == 0:
-            return np.zeros((0, count, stacks.shape[2]), dtype=np.int64)
-        stacks = as_buffer(stacks)
-        folded = self._converter.convert_residues_batch(stacks[:, count:])
-        diff = mat_mod_sub(stacks[:, :count].transpose(1, 0, 2),
-                           folded.transpose(1, 0, 2), self.ciphertext_moduli)
-        residues = mat_mod_mul(diff, self._p_inverse_column,
+        return as_buffer(stacks), resident
+
+    def _tail(self, scaled, special, resident: bool):
+        """``scaled - Conv'(special)``: the limb-major ``(active, B, N)``
+        scaled limbs against the ``(B, K, N)`` special limbs.
+
+        One batched Conv folds the special limbs of every stream at once
+        and the subtraction is one funnel launch.  The whole step threads
+        the stack's residency handle, Conv included, so a float-resident
+        operand never materialises int64.
+        """
+        if special.shape[0] == 0:
+            return np.zeros((0, len(self.ciphertext_moduli), special.shape[2]),
+                            dtype=np.int64)
+        folded = self._converter.convert_residues_batch(special)
+        residues = mat_mod_sub(scaled, folded.transpose(1, 0, 2),
                                self.ciphertext_moduli).transpose(1, 0, 2)
         return residues if resident else residues.ensure_host()

@@ -25,7 +25,7 @@ from repro.backend import (
     use_backend,
 )
 from repro.backend.blas_backend import FloatResidues
-from repro.backend.residency import concatenate_arrays, stack_arrays
+from repro.backend.residency import block_arrays, concatenate_arrays, stack_arrays
 from repro.ckks import CkksParameters
 from repro.ntt import NttPlanner
 from repro.numtheory import generate_ntt_primes
@@ -182,6 +182,26 @@ class TestJoins:
         assert (joined.host_image is None) == (kind != "host")
         if joined.host_image is None:
             assert joined.float_cache().max_value >= want.max()
+        assert np.array_equal(joined.ensure_host(), want)
+
+    @pytest.mark.parametrize("kind", ["arrays", "host", "float", "mixed"])
+    def test_block_matches_nested_concatenation(self, kind):
+        """Rows joined along axis 0, a row's parts along axis 1, one copy."""
+        shapes = [[(2, 1, 3), (2, 2, 3)], [(1, 1, 3), (1, 2, 3)]]
+        arrays = [[np.arange(int(np.prod(s)), dtype=np.int64).reshape(s) + 10 * (2 * r + c)
+                   for c, s in enumerate(row)] for r, row in enumerate(shapes)]
+        wrap = {"arrays": lambda a: a, "host": DeviceBuffer.wrap,
+                "float": _float_only, "mixed": DeviceBuffer.wrap}[kind]
+        grid = [[wrap(a) for a in row] for row in arrays]
+        if kind == "mixed":
+            grid[1][0] = _float_only(arrays[1][0])
+        joined = block_arrays(grid)
+        want = np.concatenate([np.concatenate(row, axis=1) for row in arrays])
+        if kind == "arrays":
+            assert isinstance(joined, np.ndarray)
+            assert np.array_equal(joined, want)
+            return
+        assert (joined.host_image is None) == (kind != "host")
         assert np.array_equal(joined.ensure_host(), want)
 
     @pytest.mark.parametrize("kind", ["host", "float"])

@@ -11,7 +11,10 @@ over the whole batch and once as a loop of one-stream calls on unshared
 operands and demands identical bits and identical counters.  (That the
 bits are the *right* bits is pinned separately: ``test_golden_bits.py``
 holds their digests, ``TestTableTwoAtBatchOne`` the paper's absolute
-kernel counts.)  The suite covers HADD / CMULT / HMULT / RESCALE across
+kernel counts.  HMULT's follow from its QP accumulation: the tensor
+product inverts ``(B, L)``, the key switch ``(2B, E)``, and the
+``d0 + KS0`` / ``d1 + KS1`` adds are still Ele-Adds, now made before that
+INTT.)  The suite covers HADD / CMULT / HMULT / RESCALE across
 every available compute backend (CMULT and HMULT also with blas launches
 cut into slabs), mixed-level grouping, evaluation-domain
 operands, shared operands, a hypothesis property over batch composition,
@@ -372,16 +375,19 @@ class TestTableTwoAtBatchOne:
     @staticmethod
     def tensor_product(limbs, operands):
         """Algorithm 2 around the key switch: NTT of each distinct operand
-        polynomial, four Hada-Mults, INTT of ``d0, d1, d2``, the Ele-Add of
-        ``d1`` and the two that add the switched pair."""
+        polynomial, four Hada-Mults, the Ele-Add of ``d1``, INTT of ``d2``
+        alone, and the two Ele-Adds of ``d0 + KS0`` / ``d1 + KS1`` — made
+        in the evaluation domain, on the key-switch accumulators before
+        their INTT, so ``d0`` and ``d1`` are never inverted."""
         return {KernelName.NTT: (operands, operands * limbs),
                 KernelName.HADAMARD: (4, 4 * limbs),
                 KernelName.ELE_ADD: (3, 3 * limbs),
-                KernelName.INTT: (3, 3 * limbs)}
+                KernelName.INTT: (1, limbs)}
 
     def test_hmult(self, fhe, streams):
         """The tensor product holds d2's evaluation image: the key switch
-        transforms the ``dnum * E - L`` limbs ModUp does not copy from d2."""
+        transforms the ``dnum * E - L`` limbs ModUp does not copy from d2,
+        and inverts ``(2, E)`` for the product, which ``d0 | d1`` joined."""
         lhs, rhs = streams
         limbs, extended, groups = self.shape(fhe, lhs[0].level)
         got = self.recorded(

@@ -301,6 +301,16 @@ def test_switch_many_rejects_a_misshapen_image(fhe, rng):
                              evaluations=ciphertext.c1.residues[:, None])
 
 
+def test_switch_many_rejects_a_misshapen_addend(fhe, rng):
+    ciphertext = encrypt_streams(fhe, rng, 1)[0]
+    switcher = fhe.batched_evaluator.key_switcher
+    image = ciphertext.c1.residues[:, None]                       # (L, 1, N)
+    for addend in ([image], [image, image[:-1]]):
+        with pytest.raises(ValueError, match="addend"):
+            switcher.switch_many([ciphertext.c1], fhe.relinearization_key,
+                                 ciphertext.level, addend=addend)
+
+
 class TestDegenerateBatches:
     def test_empty_batches(self, fhe):
         key = fhe.relinearization_key

@@ -1,0 +1,187 @@
+"""HMULT's QP accumulation: ``P^{-1}`` folded into the keys and ModDown's Conv.
+
+Switch keys store their ciphertext-prime limbs times ``P^{-1}``, ModDown's
+tail is ``x_Q * P^{-1} - Conv'(x_P)`` with ``Conv'``'s constants ``q̂_k *
+P^{-1} mod q_i``, and HMULT adds its evaluation-domain ``d0``, ``d1`` to the
+key-switch accumulators before their INTT (``ModDown(acc + P·d) =
+ModDown(acc) + d``).  Every step is exact arithmetic mod ``q_i``, so the
+folded path must give the bits of the classic one: an unscaled key,
+``ModDown.apply_batch`` (Conv, subtract, multiply by ``P^{-1}``) and
+coefficient-domain adds, computed here per stream from the RNS
+primitives.  The classic keys come from the same seed with the fold
+turned off.  Swept: HMULT, square, HROTATE and HCONJ at every level, on
+every backend, the 20-, 28- and 33-bit chains (the last on the exact
+object-dtype funnel) and B in {1, 2, 8}.
+"""
+
+import numpy as np
+import pytest
+
+from repro.backend import use_backend
+from repro.ckks import Ciphertext, CkksContext, CkksParameters, KeyGenerator
+from repro.ckks.batched_evaluator import BatchedEvaluator
+from repro.kernels.automorphism import (
+    apply_automorphism_coeff,
+    galois_element_for_rotation,
+)
+from repro.numtheory.modular import moduli_column
+from repro.rns import ModDown, ModUp, RnsPolynomial
+from repro.rns.poly import PolyDomain
+
+BATCH_SIZES = (1, 2, 8)
+STEPS = 3
+
+#: 20-bit single-pass, the default 28/30-bit split widths, and 33-bit
+#: primes, where every funnel takes its exact object-dtype path.
+CHAINS = {
+    "p20": dict(prime_bits=20, special_prime_bits=23, scale_bits=20),
+    "p28": dict(),
+    "p33": dict(prime_bits=33, special_prime_bits=33, scale_bits=33),
+}
+
+
+class KeyMaterial:
+    """One chain's context with relinearization, rotation and conjugation keys."""
+
+    def __init__(self, chain):
+        parameters = CkksParameters(ring_degree=64, level_count=3, dnum=3,
+                                    secret_hamming_weight=8, name=chain,
+                                    **CHAINS[chain])
+        self.context = CkksContext(parameters, seed=17)
+        keygen = KeyGenerator(self.context)
+        secret = keygen.generate_secret_key()
+        self.relin = keygen.generate_relinearization_key(secret)
+        self.rotation = keygen.generate_rotation_keys(secret, [STEPS])
+
+    def switch_keys(self):
+        return [self.relin, self.rotation.for_steps(STEPS),
+                self.rotation.conjugation_key]
+
+
+def classic_switch(context, key, level, polynomial):
+    """Algorithm 1 for one stream with an unscaled key: ModUp per group,
+    NTT, inner product, INTT, then ``ModDown.apply`` (Conv, subtract,
+    multiply by ``P^{-1}``)."""
+    planner, degree = context.planner, context.ring_degree
+    extended = context.extended_moduli_at_level(level)
+    key_level = key.at_level(level)
+    rows = len(extended)
+    sums = [None, None]
+    for j, group in enumerate(key_level.group_moduli):
+        raised = ModUp(group, extended).apply(
+            polynomial.restrict_to(group)).to_evaluation(planner)
+        for c, stack in enumerate(key_level.stacks):
+            term = raised.hadamard(RnsPolynomial(
+                degree, extended, stack[j * rows:(j + 1) * rows],
+                PolyDomain.EVALUATION))
+            sums[c] = term if sums[c] is None else sums[c].add(term)
+    moddown = ModDown(context.moduli_at_level(level), context.basis.special_primes)
+    return [moddown.apply(total.to_coefficient(planner)) for total in sums]
+
+
+def classic_multiply(context, key, lhs, rhs):
+    """HMULT with every tensor term inverted and added in the coefficient domain."""
+    planner = context.planner
+    a0, a1, b0, b1 = (poly.to_evaluation(planner)
+                      for poly in (lhs.c0, lhs.c1, rhs.c0, rhs.c1))
+    d0 = a0.hadamard(b0).to_coefficient(planner)
+    d1 = a0.hadamard(b1).add(a1.hadamard(b0)).to_coefficient(planner)
+    d2 = a1.hadamard(b1).to_coefficient(planner)
+    ks0, ks1 = classic_switch(context, key, lhs.level, d2)
+    return d0.add(ks0), d1.add(ks1)
+
+
+def classic_galois(context, key, galois_element, ciphertext):
+    """HROTATE / HCONJ: the automorphism, the switch, one coefficient add."""
+    moduli = ciphertext.c0.moduli
+    c0, c1 = (RnsPolynomial(context.ring_degree, moduli, apply_automorphism_coeff(
+        poly.residues, galois_element, moduli_column(moduli)))
+        for poly in (ciphertext.c0, ciphertext.c1))
+    ks0, ks1 = classic_switch(context, key, ciphertext.level, c1)
+    return c0.add(ks0), ks1
+
+
+def random_ciphertexts(context, rng, level, count):
+    moduli = context.moduli_at_level(level)
+
+    def poly():
+        return RnsPolynomial(context.ring_degree, moduli, np.stack(
+            [rng.integers(0, q, context.ring_degree, dtype=np.int64)
+             for q in moduli]))
+
+    return [Ciphertext(c0=poly(), c1=poly(), scale=context.scale, level=level)
+            for _ in range(count)]
+
+
+@pytest.fixture(scope="module", params=sorted(CHAINS))
+def chain(request):
+    """Folded keys, the classic keys of the same seed, and per level eight
+    stream pairs with their classic HMULT / square / HROTATE / HCONJ."""
+    folded = KeyMaterial(request.param)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(KeyGenerator, "_fold_p_inverse",
+                      lambda self, stacks, active, rows: None)
+        classic = KeyMaterial(request.param)
+    context = folded.context
+    rng = np.random.default_rng(29)
+    rotation = galois_element_for_rotation(STEPS, context.ring_degree)
+    conjugation = 2 * context.ring_degree - 1
+    cases = {}
+    for level in range(context.max_level + 1):
+        lhs = random_ciphertexts(context, rng, level, max(BATCH_SIZES))
+        rhs = random_ciphertexts(context, rng, level, max(BATCH_SIZES))
+        cases[level] = lhs, rhs, {
+            "multiply": [classic_multiply(context, classic.relin, l, r)
+                         for l, r in zip(lhs, rhs)],
+            "square": [classic_multiply(context, classic.relin, l, l)
+                       for l in lhs],
+            "rotate": [classic_galois(context, classic.rotation.for_steps(STEPS),
+                                      rotation, l) for l in lhs],
+            "conjugate": [classic_galois(context, classic.rotation.conjugation_key,
+                                         conjugation, l) for l in lhs],
+        }
+    return folded, classic, cases
+
+
+def test_keys_store_their_q_limbs_times_p_inverse(chain):
+    """Stored Q limbs = P^{-1} x the classic key, special limbs untouched.
+
+    The reference is Python-integer arithmetic: on the 33-bit chain a
+    wrapping int64 product would not match.
+    """
+    folded, classic, _ = chain
+    context = folded.context
+    special_product = context.basis.special_product
+    for new, old in zip(folded.switch_keys(), classic.switch_keys()):
+        for level, key_level in new.levels.items():
+            active = context.moduli_at_level(level)
+            count, rows = len(active), len(context.extended_moduli_at_level(level))
+            column = np.asarray(active, dtype=object)[:, None]
+            inverses = np.asarray([pow(special_product, -1, q) for q in active],
+                                  dtype=object)[:, None]
+            for stored, plain in zip(key_level.stacks, old.at_level(level).stacks):
+                stored = stored.reshape(-1, rows, context.ring_degree)
+                plain = plain.reshape(-1, rows, context.ring_degree)
+                expected = plain[:, :count].astype(object) * inverses % column
+                assert np.array_equal(stored[:, :count], expected.astype(np.int64))
+                assert np.array_equal(stored[:, count:], plain[:, count:])
+                assert not np.array_equal(stored[:, :count], plain[:, :count])
+
+
+@pytest.mark.parametrize("batch", BATCH_SIZES)
+def test_folded_path_equals_the_classic_one(chain, backend, batch):
+    folded, _, cases = chain
+    evaluator = BatchedEvaluator(folded.context)
+    for level, (lhs, rhs, want) in cases.items():
+        lhs, rhs = lhs[:batch], rhs[:batch]
+        with use_backend(backend):
+            got = {
+                "multiply": evaluator.multiply(lhs, rhs, folded.relin),
+                "square": evaluator.multiply(lhs, lhs, folded.relin),
+                "rotate": evaluator.rotate(lhs, STEPS, folded.rotation),
+                "conjugate": evaluator.conjugate(lhs, folded.rotation),
+            }
+        for name, results in got.items():
+            for result, (c0, c1) in zip(results, want[name]):
+                assert np.array_equal(result.c0.residues, c0.residues), (name, level)
+                assert np.array_equal(result.c1.residues, c1.residues), (name, level)

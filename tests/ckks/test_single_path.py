@@ -88,9 +88,9 @@ class TestSwitchKeyStoredOnce:
         seen = []
         original = BatchedKeySwitcher._inner_product
 
-        def spying(self, slices, key_level, extended):
+        def spying(self, slices, key_level, extended, addend):
             seen.append(key_level)
-            return original(self, slices, key_level, extended)
+            return original(self, slices, key_level, extended, addend)
 
         monkeypatch.setattr(BatchedKeySwitcher, "_inner_product", spying)
         lhs, rhs = pair

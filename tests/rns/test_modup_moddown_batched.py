@@ -99,6 +99,48 @@ class TestExactness:
                     ) % p
                     assert int(fused[b, j, n]) == reference
 
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    def test_conv_factors_fold_into_the_constants(self, rng, chain):
+        """``factors=`` returns ``[Conv(x)_j * f_j]_{p_j}`` exactly."""
+        primes = CHAINS[chain]
+        source, target = primes[:3], primes[3:]
+        factors = [int(rng.integers(1, p)) for p in target]
+        stacks = random_stack(rng, source, 2)
+        plain = BasisConverter(source, target).convert_residues_batch(stacks)
+        folded = BasisConverter(source, target, factors=factors
+                                ).convert_residues_batch(stacks)
+        column = np.asarray(target, dtype=object)[:, None]
+        expected = (plain.astype(object)
+                    * np.asarray(factors, dtype=object)[:, None] % column)
+        assert np.array_equal(folded, expected.astype(np.int64))
+        with pytest.raises(ValueError, match="one factor per target prime"):
+            BasisConverter(source, target, factors=factors[:-1])
+
+    @pytest.mark.parametrize("chain", sorted(CHAINS))
+    def test_moddown_matches_bigint_formula(self, rng, chain):
+        """Prescale plus tail is ``[(x_i - Conv(x_P)_i) * P^{-1}]_{q_i}``,
+        and ``apply_scaled`` of the prescaled stack gives the same bits."""
+        primes = CHAINS[chain]
+        active, special = primes[:4], primes[4:]
+        moddown = ModDown(active, special)
+        conv = BasisConverter(special, active)
+        inverses = [pow(moddown.special_product, -1, q) for q in active]
+        stacks = random_stack(rng, active + special, 2)
+        fused = moddown.apply_batch(stacks)
+        for b in range(2):
+            for n in range(RING_DEGREE):
+                y = [(int(stacks[b, 4 + k, n]) * conv.q_hat_inv[k]) % p
+                     for k, p in enumerate(special)]
+                for i, q in enumerate(active):
+                    folded = sum(y_k * (h % q) for y_k, h in zip(y, conv.q_hat)) % q
+                    want = (int(stacks[b, i, n]) - folded) * inverses[i] % q
+                    assert int(fused[b, i, n]) == want
+        scaled = stacks.copy()
+        scaled[:, :4] = (stacks[:, :4].astype(object)
+                         * np.asarray(inverses, dtype=object)[:, None]
+                         % np.asarray(active, dtype=object)[:, None])
+        assert np.array_equal(moddown.apply_scaled(scaled), fused)
+
     def test_wide_moddown_divides_exactly(self):
         """ModDown on a wide chain still computes round(x / P) in batch."""
         active, special = WIDE_PRIMES[:2], WIDE_PRIMES[2:4]
@@ -125,6 +167,8 @@ class TestShapes:
         moddown = ModDown(source, target)
         empty_extended = np.zeros((0, 4, RING_DEGREE), dtype=np.int64)
         assert moddown.apply_batch(empty_extended).shape == (
+            0, 2, RING_DEGREE)
+        assert moddown.apply_scaled(empty_extended).shape == (
             0, 2, RING_DEGREE)
 
     def test_wrong_shapes_rejected(self, rng):
