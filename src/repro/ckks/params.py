@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..ntt.planner import DEFAULT_ENGINE
+from ..ntt.planner import DEFAULT_ENGINE, check_engine
 
 __all__ = ["CkksParameters", "PAPER_PARAMETERS", "FUNCTIONAL_PARAMETERS", "get_preset"]
 
@@ -76,6 +76,7 @@ class CkksParameters:
             raise ValueError("level_count must be at least 1")
         if self.dnum < 1:
             raise ValueError("dnum must be at least 1")
+        check_engine(self.ntt_engine)
 
     # ------------------------------------------------------------------
     @property

@@ -1,9 +1,8 @@
-"""NTT engines: reference, butterfly, single-GEMM, four-step and tensor-core."""
+"""NTT engines: the Eq. 4 reference oracle, the four-step GEMM fast path and
+the tensor-core kernel of the paper's Fig. 8."""
 
 from .base import NttEngine
-from .butterfly import ButterflyNtt
 from .four_step import FourStepNtt
-from .matrix import MatrixNtt
 from .negacyclic import (
     negacyclic_multiply,
     pointwise_multiply,
@@ -30,8 +29,6 @@ from .twiddle import (
 __all__ = [
     "NttEngine",
     "ReferenceNtt",
-    "ButterflyNtt",
-    "MatrixNtt",
     "FourStepNtt",
     "TensorCoreNtt",
     "TwiddleCache",

@@ -31,25 +31,23 @@ from ..numtheory.planned import (
     wide_columns,
     work_buffers,
 )
-from .base import GemmNttEngine
+from .base import NttEngine
 from .four_step_plan import FourStepPlan
 from .gemm_utils import modular_hadamard_limbs, modular_matmul_limbs
-from .twiddle import TwiddleCache, get_twiddle_cache, get_twiddle_stack
+from .twiddle import get_twiddle_stack, split_degree
 
 __all__ = ["FourStepNtt"]
 
 
-class FourStepNtt(GemmNttEngine):
+class FourStepNtt(NttEngine):
     """Three-GEMM decomposition of the negacyclic NTT (Eq. 9)."""
 
     name = "four_step"
 
-    def __init__(self, ring_degree: int, modulus: int,
-                 twiddles: Optional[TwiddleCache] = None, *,
+    def __init__(self, ring_degree: int, modulus: int, *,
                  backend=None) -> None:
         super().__init__(ring_degree, modulus, backend=backend)
-        self.twiddles = twiddles or get_twiddle_cache(ring_degree, modulus)
-        self.n1, self.n2 = self.twiddles.four_step_shapes()
+        self.n1, self.n2 = split_degree(ring_degree)
 
     # -- the whole (B, L, N) stack, 3 launches ---------------------------
     def _transform_ops(self, stacks, moduli_array, *, inverse: bool):

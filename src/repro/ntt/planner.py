@@ -1,10 +1,10 @@
 """NTT engine registry and planner.
 
 The planner is the software analogue of the paper's API layer picking which
-NTT kernel to launch: it instantiates the requested engine (butterfly /
-matrix / four-step / tensor-core / reference), caches engines per
-``(engine, N, q)`` so their twiddle tables are reused, and exposes a
-``default_engine`` that the CKKS stack uses.
+NTT kernel to launch: it instantiates the requested engine (the
+``reference`` oracle, the ``four_step`` fast path or the ``tensorcore``
+kernel), caches engines per ``(N, q)`` so their twiddle tables are reused,
+and exposes a ``default_engine`` that the CKKS stack uses.
 
 The planner also fronts the limb-batched execution model: the CKKS stack
 transforms whole RNS polynomials through :meth:`NttPlanner.forward_limbs` /
@@ -20,15 +20,13 @@ out), so a resident polynomial transforms without ever touching host.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple, Type
+from typing import Dict, Sequence, Tuple, Type
 
 import numpy as np
 
 from ..backend.registry import get_backend
 from .base import NttEngine
-from .butterfly import ButterflyNtt
 from .four_step import FourStepNtt
-from .matrix import MatrixNtt
 from .reference import ReferenceNtt
 from .tensorcore import TensorCoreNtt
 
@@ -36,8 +34,6 @@ __all__ = ["ENGINE_REGISTRY", "available_engines", "create_engine", "NttPlanner"
 
 ENGINE_REGISTRY: Dict[str, Type[NttEngine]] = {
     ReferenceNtt.name: ReferenceNtt,
-    ButterflyNtt.name: ButterflyNtt,
-    MatrixNtt.name: MatrixNtt,
     FourStepNtt.name: FourStepNtt,
     TensorCoreNtt.name: TensorCoreNtt,
 }
@@ -53,19 +49,23 @@ def available_engines() -> Tuple[str, ...]:
     return tuple(ENGINE_REGISTRY)
 
 
+def check_engine(name: str) -> None:
+    """Raise ``ValueError`` unless ``name`` is a registered engine."""
+    if name not in ENGINE_REGISTRY:
+        raise ValueError(
+            "unknown NTT engine %r; available: %s"
+            % (name, ", ".join(available_engines()))
+        )
+
+
 def create_engine(name: str, ring_degree: int, modulus: int, **kwargs) -> NttEngine:
     """Instantiate engine ``name`` for the given ring degree and modulus."""
-    try:
-        engine_cls = ENGINE_REGISTRY[name]
-    except KeyError:
-        raise ValueError(
-            "unknown NTT engine %r; available: %s" % (name, ", ".join(ENGINE_REGISTRY))
-        ) from None
-    return engine_cls(ring_degree, modulus, **kwargs)
+    check_engine(name)
+    return ENGINE_REGISTRY[name](ring_degree, modulus, **kwargs)
 
 
 class NttPlanner:
-    """Caches NTT engines per ``(engine_name, N, q)`` triple.
+    """Caches one engine per ``(N, q)`` pair.
 
     ``backend`` pins the compute substrate every cached engine launches
     its GEMMs on: a registered backend name, an
@@ -75,23 +75,20 @@ class NttPlanner:
 
     def __init__(self, engine_name: str = DEFAULT_ENGINE, *,
                  backend=None) -> None:
-        if engine_name not in ENGINE_REGISTRY:
-            raise ValueError("unknown NTT engine %r" % engine_name)
+        check_engine(engine_name)
         self.engine_name = engine_name
         if isinstance(backend, str):
             # Fail fast on typos instead of at the first transform.
             backend = get_backend(backend)
         self.backend = backend
-        self._engines: Dict[Tuple[str, int, int], NttEngine] = {}
+        self._engines: Dict[Tuple[int, int], NttEngine] = {}
 
-    def engine_for(self, ring_degree: int, modulus: int, *,
-                   name: Optional[str] = None) -> NttEngine:
+    def engine_for(self, ring_degree: int, modulus: int) -> NttEngine:
         """Return (and cache) an engine for ``(N, q)``."""
-        engine_name = name or self.engine_name
-        key = (engine_name, ring_degree, modulus)
+        key = (ring_degree, modulus)
         engine = self._engines.get(key)
         if engine is None:
-            engine = create_engine(engine_name, ring_degree, modulus,
+            engine = create_engine(self.engine_name, ring_degree, modulus,
                                    backend=self.backend)
             self._engines[key] = engine
         return engine
@@ -100,45 +97,39 @@ class NttPlanner:
     # Limb-batched transforms: one engine call per RNS polynomial.
     # ------------------------------------------------------------------
     def forward_limbs(self, ring_degree: int, moduli: Sequence[int],
-                      residues: np.ndarray, *,
-                      name: Optional[str] = None) -> np.ndarray:
+                      residues: np.ndarray) -> np.ndarray:
         """Forward-NTT a whole ``(limbs, N)`` residue matrix in one call.
 
-        The engine cached for ``(N, moduli[0])`` executes the batch; GEMM
-        engines fuse the limb axis into 3-D batched matmuls, the butterfly
-        and reference engines fall back to per-limb sibling dispatch.
+        The engine cached for ``(N, moduli[0])`` executes the batch as
+        one ``(1, limbs, N)`` launch.
         """
-        engine = self.engine_for(ring_degree, int(moduli[0]), name=name)
+        engine = self.engine_for(ring_degree, int(moduli[0]))
         return engine.forward_limbs(residues, moduli)
 
     def inverse_limbs(self, ring_degree: int, moduli: Sequence[int],
-                      values: np.ndarray, *,
-                      name: Optional[str] = None) -> np.ndarray:
+                      values: np.ndarray) -> np.ndarray:
         """Inverse-NTT a whole ``(limbs, N)`` value matrix in one call."""
-        engine = self.engine_for(ring_degree, int(moduli[0]), name=name)
+        engine = self.engine_for(ring_degree, int(moduli[0]))
         return engine.inverse_limbs(values, moduli)
 
     # ------------------------------------------------------------------
     # Operation-batched transforms: one engine call per (B, L, N) stack.
     # ------------------------------------------------------------------
     def forward_ops(self, ring_degree: int, moduli: Sequence[int],
-                    stacks: np.ndarray, *,
-                    name: Optional[str] = None) -> np.ndarray:
+                    stacks: np.ndarray) -> np.ndarray:
         """Forward-NTT a whole ``(B, limbs, N)`` stack in one call.
 
-        Every operation shares the prime chain ``moduli``; GEMM engines
-        fuse both the operation and the limb axis into single batched
-        launches per transform step, the butterfly and reference engines
-        fall back to per-operation dispatch.
+        Every operation shares the prime chain ``moduli``; the GEMM
+        engines fuse both the operation and the limb axis into single
+        batched launches per transform step.
         """
-        engine = self.engine_for(ring_degree, int(moduli[0]), name=name)
+        engine = self.engine_for(ring_degree, int(moduli[0]))
         return engine.forward_ops(stacks, moduli)
 
     def inverse_ops(self, ring_degree: int, moduli: Sequence[int],
-                    stacks: np.ndarray, *,
-                    name: Optional[str] = None) -> np.ndarray:
+                    stacks: np.ndarray) -> np.ndarray:
         """Inverse-NTT a whole ``(B, limbs, N)`` stack in one call."""
-        engine = self.engine_for(ring_degree, int(moduli[0]), name=name)
+        engine = self.engine_for(ring_degree, int(moduli[0]))
         return engine.inverse_ops(stacks, moduli)
 
     def clear(self) -> None:

@@ -6,13 +6,14 @@ engine is tested against this one.  It is deliberately simple and slow.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
+from ..backend.residency import as_ndarray, match_residency
 from ..numtheory.modular import mod_inverse
 from .base import NttEngine
-from .twiddle import TwiddleCache, get_twiddle_cache
+from .twiddle import get_twiddle_cache
 
 __all__ = ["ReferenceNtt", "reference_forward", "reference_inverse"]
 
@@ -54,18 +55,13 @@ class ReferenceNtt(NttEngine):
 
     name = "reference"
 
-    def __init__(self, ring_degree: int, modulus: int,
-                 twiddles: Optional[TwiddleCache] = None, *,
-                 backend=None) -> None:
-        super().__init__(ring_degree, modulus, backend=backend)
-        self.twiddles = twiddles or get_twiddle_cache(ring_degree, modulus)
-
-    def forward(self, coefficients: np.ndarray) -> np.ndarray:
-        coefficients = self._validate(coefficients)
-        return reference_forward(coefficients, self.ring_degree, self.modulus,
-                                 self.twiddles.psi)
-
-    def inverse(self, values: np.ndarray) -> np.ndarray:
-        values = self._validate(values)
-        return reference_inverse(values, self.ring_degree, self.modulus,
-                                 self.twiddles.psi)
+    def _transform_ops(self, stacks, moduli_array, *, inverse: bool):
+        """Every row on its own, each with its limb's ``psi``."""
+        transform = reference_inverse if inverse else reference_forward
+        rows = as_ndarray(stacks)
+        out = np.empty_like(rows)
+        for i, q in enumerate(moduli_array.tolist()):
+            psi = get_twiddle_cache(self.ring_degree, q).psi
+            for b in range(rows.shape[0]):
+                out[b, i] = transform(rows[b, i].tolist(), self.ring_degree, q, psi)
+        return match_residency(out, stacks)

@@ -20,7 +20,7 @@ core utilisation.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -30,9 +30,11 @@ from ..tcu.fusion import fuse_partial_products_limbs
 from ..tcu.gemm import TcuStats, TensorCoreGemm
 from ..tcu.streams import StreamScheduler, StreamTask
 from .four_step import FourStepNtt
-from .twiddle import TwiddleCache
 
 __all__ = ["TensorCoreNtt"]
+
+#: Concurrent CUDA streams the limb-pair GEMMs are scheduled on (Stage 2).
+STREAM_COUNT = 16
 
 
 class TensorCoreNtt(FourStepNtt):
@@ -40,12 +42,11 @@ class TensorCoreNtt(FourStepNtt):
 
     name = "tensorcore"
 
-    def __init__(self, ring_degree: int, modulus: int,
-                 twiddles: Optional[TwiddleCache] = None, *,
-                 stream_count: int = 16, backend=None) -> None:
-        super().__init__(ring_degree, modulus, twiddles, backend=backend)
+    def __init__(self, ring_degree: int, modulus: int, *,
+                 backend=None) -> None:
+        super().__init__(ring_degree, modulus, backend=backend)
         self.tcu = TensorCoreGemm()
-        self.stream_scheduler = StreamScheduler(stream_count)
+        self.stream_scheduler = StreamScheduler(STREAM_COUNT)
         self.last_schedule = None
 
     # ------------------------------------------------------------------

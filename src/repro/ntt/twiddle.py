@@ -3,10 +3,11 @@
 One of the paper's key observations (Section IV-B) is that the twiddle
 factor matrices depend only on the CKKS instance parameters ``(N, q)`` and
 can therefore be precomputed once and reused by every NTT in the workload.
-:class:`TwiddleCache` is that precomputation: powers of the negacyclic root
-``psi`` for the butterfly engine, the full ``W`` matrix of Eq. 8 and the
-``W1/W2/W3`` matrices of Eq. 9 for the GEMM engines, all cached per
-``(N, q)`` pair.
+:class:`TwiddleCache` is that precomputation: the negacyclic root ``psi``
+(the reference engine's one table) and the ``W1/W2/W3`` matrices of Eq. 9
+for the four-step and tensor-core engines, cached per ``(N, q)`` pair.
+:class:`TwiddleStack` stacks those matrices per prime chain for the
+limb-batched launches.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from ..backend.blas_backend import FloatOperandCache
 from ..backend.residency import DeviceBuffer
-from ..numtheory.bit_ops import bit_reverse_permutation, ilog2, is_power_of_two
+from ..numtheory.bit_ops import ilog2, is_power_of_two
 from ..numtheory.floatmod import BarrettChain, get_barrett_chain
 from ..numtheory.modular import mod_inverse, mod_pow
 from ..numtheory.roots import find_negacyclic_root, root_powers
@@ -76,62 +77,8 @@ class TwiddleCache:
         self._cache: Dict[str, np.ndarray] = {}
 
     # ------------------------------------------------------------------
-    # Butterfly-engine tables
-    # ------------------------------------------------------------------
-    def psi_powers_bitrev(self) -> np.ndarray:
-        """Powers of psi in bit-reversed order (forward butterfly table)."""
-        return self._cached("psi_brv", self._build_psi_powers_bitrev)
-
-    def psi_inv_powers_bitrev(self) -> np.ndarray:
-        """Powers of psi^-1 in bit-reversed order (inverse butterfly table)."""
-        return self._cached("psi_inv_brv", self._build_psi_inv_powers_bitrev)
-
-    def _build_psi_powers_bitrev(self) -> np.ndarray:
-        powers = root_powers(self.psi, self.ring_degree, self.modulus)
-        perm = bit_reverse_permutation(self.ring_degree)
-        return np.asarray(powers, dtype=np.int64)[perm]
-
-    def _build_psi_inv_powers_bitrev(self) -> np.ndarray:
-        powers = root_powers(self.psi_inv, self.ring_degree, self.modulus)
-        perm = bit_reverse_permutation(self.ring_degree)
-        return np.asarray(powers, dtype=np.int64)[perm]
-
-    # ------------------------------------------------------------------
-    # Single-GEMM (Eq. 8) tables
-    # ------------------------------------------------------------------
-    def forward_matrix(self) -> np.ndarray:
-        """The full ``N x N`` forward twiddle matrix ``W[k, n] = psi^(2nk+n)``."""
-        return self._cached("W_forward", self._build_forward_matrix)
-
-    def inverse_matrix(self) -> np.ndarray:
-        """The full inverse matrix ``V[n, k] = psi^-(2nk+n)`` (without 1/N)."""
-        return self._cached("W_inverse", self._build_inverse_matrix)
-
-    def _build_forward_matrix(self) -> np.ndarray:
-        n = self.ring_degree
-        q = self.modulus
-        psi_powers = np.asarray(root_powers(self.psi, 2 * n, q), dtype=np.int64)
-        k = np.arange(n, dtype=np.int64)[:, None]
-        idx = np.arange(n, dtype=np.int64)[None, :]
-        exponents = (2 * idx * k + idx) % (2 * n)
-        return psi_powers[exponents]
-
-    def _build_inverse_matrix(self) -> np.ndarray:
-        n = self.ring_degree
-        q = self.modulus
-        psi_inv_powers = np.asarray(root_powers(self.psi_inv, 2 * n, q), dtype=np.int64)
-        out = np.arange(n, dtype=np.int64)[:, None]
-        k = np.arange(n, dtype=np.int64)[None, :]
-        exponents = (2 * out * k + out) % (2 * n)
-        return psi_inv_powers[exponents]
-
-    # ------------------------------------------------------------------
     # Four-step (Eq. 9) tables
     # ------------------------------------------------------------------
-    def four_step_shapes(self) -> Tuple[int, int]:
-        """Return the ``(N1, N2)`` split used by the GEMM decomposition."""
-        return split_degree(self.ring_degree)
-
     def four_step_forward(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Return ``(W1, W2, W3)`` of Eq. 9 for the forward transform.
 
@@ -289,16 +236,6 @@ class TwiddleStack:
     def limb_count(self) -> int:
         return len(self.moduli)
 
-    # -- Eq. 8 (single-GEMM) stacks ------------------------------------
-    def forward_matrices(self) -> np.ndarray:
-        """``(limbs, N, N)`` stack of the full forward twiddle matrices."""
-        return self._stacked("W_forward", lambda cache: cache.forward_matrix())
-
-    def inverse_matrices(self) -> np.ndarray:
-        """``(limbs, N, N)`` stack of the inverse twiddle matrices times ``N^-1``."""
-        return self._stacked("W_inverse", lambda cache: _degree_scaled(
-            cache.inverse_matrix(), cache))
-
     # -- Eq. 9 (four-step) stacks --------------------------------------
     def four_step_forward(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(W1, W2, W3)`` stacks, each ``(limbs, ...)``, for the forward pass."""
@@ -360,14 +297,6 @@ class TwiddleStack:
         return get_barrett_chain(self.moduli)
 
     # -- resident operand handles (the float images of the stacks) -----
-    def forward_matrices_buffer(self) -> DeviceBuffer:
-        """Resident handle onto :meth:`forward_matrices` (float image attached)."""
-        return self._buffer("W_forward", self.forward_matrices)
-
-    def inverse_matrices_buffer(self) -> DeviceBuffer:
-        """Resident handle onto :meth:`inverse_matrices`."""
-        return self._buffer("W_inverse", self.inverse_matrices)
-
     def four_step_forward_buffers(self) -> Tuple[DeviceBuffer, DeviceBuffer, DeviceBuffer]:
         """Resident handles onto the ``(W1, W2, W3)`` stacks."""
         self.four_step_forward()
@@ -381,7 +310,7 @@ class TwiddleStack:
                 self._buffer("fs_v3"))
 
     # ------------------------------------------------------------------
-    def _buffer(self, key: str, build=None) -> DeviceBuffer:
+    def _buffer(self, key: str) -> DeviceBuffer:
         """The shared :class:`DeviceBuffer` wrapping stacked operand ``key``.
 
         One handle per stack and per process: the blas backend finds the
@@ -394,8 +323,6 @@ class TwiddleStack:
         """
         buf = self._buffers.get(key)
         if buf is None:
-            if build is not None:
-                build()
             buf = DeviceBuffer.wrap(self._stacks[key])
             buf.attach_float_cache(self._float(key))
             self._buffers[key] = buf

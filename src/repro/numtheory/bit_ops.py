@@ -1,9 +1,8 @@
-"""Bit-level utilities: bit reversal permutations and limb segmentation.
+"""Bit-level utilities: power-of-two checks and limb segmentation.
 
-``bit_reverse`` / ``bit_reverse_permutation`` support the in-place radix-2
-butterfly NTT.  ``segment_u32`` / ``fuse_segments`` implement the 32-bit →
-4 × 8-bit split of Figure 7 of the paper, which is what lets the NTT GEMMs
-run on INT8 tensor cores without losing precision.
+``segment_u32`` / ``fuse_segments`` implement the 32-bit → 4 × 8-bit split
+of Figure 7 of the paper, which is what lets the NTT GEMMs run on INT8
+tensor cores without losing precision.
 """
 
 from __future__ import annotations
@@ -13,9 +12,6 @@ import numpy as np
 __all__ = [
     "is_power_of_two",
     "ilog2",
-    "bit_reverse",
-    "bit_reverse_permutation",
-    "bit_reverse_vector",
     "segment_u32",
     "fuse_segments",
 ]
@@ -34,32 +30,6 @@ def ilog2(n: int) -> int:
     if not is_power_of_two(n):
         raise ValueError("%d is not a power of two" % n)
     return n.bit_length() - 1
-
-
-def bit_reverse(value: int, bits: int) -> int:
-    """Reverse the lowest ``bits`` bits of ``value``."""
-    result = 0
-    for _ in range(bits):
-        result = (result << 1) | (value & 1)
-        value >>= 1
-    return result
-
-
-def bit_reverse_permutation(n: int) -> np.ndarray:
-    """Return the length-``n`` bit-reversal permutation as an index array."""
-    bits = ilog2(n)
-    indices = np.arange(n, dtype=np.int64)
-    reversed_indices = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        reversed_indices[i] = bit_reverse(int(indices[i]), bits)
-    return reversed_indices
-
-
-def bit_reverse_vector(values: np.ndarray) -> np.ndarray:
-    """Return ``values`` permuted into bit-reversed order."""
-    values = np.asarray(values)
-    perm = bit_reverse_permutation(values.shape[-1])
-    return values[..., perm]
 
 
 def segment_u32(matrix: np.ndarray) -> np.ndarray:

@@ -375,38 +375,34 @@ class TestFourStepFloatPipeline:
         assert np.array_equal(first, second)
 
 
-class TestMatrixNttOnBlas:
-    """The dense-matrix oracle has no float pipeline of its own.
+class TestLimbGemmOnBlas:
+    """blas ``matmul_limbs`` matches numpy on both sides of the 2**53 bound.
 
-    Its one int64 GEMM runs through ``matmul_limbs`` on every backend, so
-    blas must match numpy bit-for-bit on both sides of the single-pass
-    ``N * (q-1)**2 < 2**53`` bound, for arrays and for handles.
+    The four-step engine's int64 fallback runs its GEMMs through
+    ``modular_matmul_limbs``.  With an inner dimension of ``K = 256`` the
+    single-pass form holds at 20-bit primes (``K * (q-1)**2 < 2**53``) and
+    not at 27: blas must give numpy's bits either way, plain arrays in
+    giving an int64 array out and handles in a handle out.
     """
 
-    N = 256
+    K = 256
     LIMBS = 4
-    BATCH = 4
 
     @pytest.mark.parametrize("bits", [20, 27])
-    def test_parity_roundtrip_and_handles(self, bits):
-        primes = generate_ntt_primes(self.LIMBS, bits, self.N)
-        rng = np.random.default_rng(23)
-        stacks = np.stack([
-            np.stack([rng.integers(0, q, self.N, dtype=np.int64)
-                      for q in primes])
-            for _ in range(self.BATCH)
-        ])
+    def test_parity_for_arrays_and_handles(self, bits):
+        primes = generate_ntt_primes(self.LIMBS, bits, self.K)
         chain = get_barrett_chain(primes)
-        assert chain.fits(self.N * (chain.qmax - 1) ** 2) == (bits == 20)
-        blas = NttPlanner("matrix", backend="blas")
-        want = NttPlanner("matrix", backend="numpy").forward_ops(
-            self.N, primes, stacks)
-        got = blas.forward_ops(self.N, primes, stacks)
+        assert chain.fits(self.K * (chain.qmax - 1) ** 2) == (bits == 20)
+        rng = np.random.default_rng(23)
+        column = np.asarray(primes, dtype=np.int64)[:, None, None]
+        lhs = rng.integers(0, column, (self.LIMBS, 16, self.K))
+        rhs = rng.integers(0, column, (self.LIMBS, self.K, 8))
+        want = modular_matmul_limbs(lhs, rhs, primes, backend="numpy")
+        got = modular_matmul_limbs(lhs, rhs, primes, backend="blas")
         assert isinstance(got, np.ndarray) and got.dtype == np.int64
         assert np.array_equal(got, want)
-        assert np.array_equal(blas.inverse_ops(self.N, primes, got), stacks)
-        with use_backend("blas"):
-            handle = blas.forward_ops(self.N, primes, DeviceBuffer.wrap(stacks))
+        handle = modular_matmul_limbs(DeviceBuffer.wrap(lhs), DeviceBuffer.wrap(rhs),
+                                      primes, backend="blas")
         assert isinstance(handle, DeviceBuffer)
         assert np.array_equal(handle.ensure_host(), want)
 

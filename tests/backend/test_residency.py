@@ -27,7 +27,7 @@ from repro.backend import (
 from repro.backend.blas_backend import FloatResidues
 from repro.backend.residency import block_arrays, concatenate_arrays, stack_arrays
 from repro.ckks import CkksParameters
-from repro.ntt import NttPlanner
+from repro.ntt import NttPlanner, available_engines
 from repro.numtheory import generate_ntt_primes
 from repro.numtheory.modular import (
     mat_mod_add,
@@ -278,8 +278,7 @@ class TestFunnelThreading:
         assert np.array_equal(as_ndarray(got_h), want_h)
 
 
-@pytest.mark.parametrize("engine", ["matrix", "four_step", "tensorcore",
-                                    "butterfly"])
+@pytest.mark.parametrize("engine", available_engines())
 class TestEngineThreading:
     """Engines follow the funnel convention across all transform entries."""
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.ckks import CkksParameters, FUNCTIONAL_PARAMETERS, PAPER_PARAMETERS, get_preset
 from repro.ckks.encoder import CkksEncoder
+from repro.ntt import available_engines
 from repro.numtheory import generate_ntt_primes
 from repro.rns import RnsPolynomial
 
@@ -50,6 +51,17 @@ class TestParameters:
             CkksParameters(ring_degree=64, level_count=0)
         with pytest.raises(ValueError):
             CkksParameters(ring_degree=64, level_count=3, dnum=0)
+
+    @pytest.mark.parametrize("engine", available_engines())
+    def test_every_engine_accepted(self, engine):
+        params = CkksParameters(ring_degree=64, level_count=3, ntt_engine=engine)
+        assert params.ntt_engine == engine
+
+    @pytest.mark.parametrize("engine", ["butterfly", "matrix", "nope"])
+    def test_unknown_ntt_engine_rejected(self, engine):
+        """Caught at construction, not when a context builds its planner."""
+        with pytest.raises(ValueError, match=", ".join(available_engines())):
+            CkksParameters(ring_degree=64, level_count=3, ntt_engine=engine)
 
     def test_describe_contains_key_fields(self):
         info = get_preset("toy").describe()

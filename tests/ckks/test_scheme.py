@@ -1,10 +1,14 @@
 """End-to-end tests of the CKKS scheme: encryption, evaluation, key switching."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 
-from repro.ckks import Ciphertext
+from repro.api import TensorFheContext
+from repro.ckks import Ciphertext, CkksParameters
 from repro.kernels import KernelName
+from repro.ntt import DEFAULT_ENGINE, available_engines
 
 TOLERANCE = 1e-3
 
@@ -275,3 +279,31 @@ class TestKeySwitching:
         rotated = small_bundle.evaluator.rotate(ct, 1, small_bundle.rotation_keys)
         assert np.allclose(small_bundle.decryptor.decrypt_real(rotated),
                            np.roll(x, -1), atol=TOLERANCE)
+
+
+@lru_cache(maxsize=None)
+def _pipeline_on(engine: str):
+    """encrypt -> multiply_and_rescale -> rotate -> decrypt on one engine.
+
+    Every context draws from the same seed, so the engines see the same
+    keys, messages and noise and must hand back the same bits.
+    """
+    parameters = CkksParameters(ring_degree=64, level_count=4, prime_bits=28,
+                                secret_hamming_weight=8, ntt_engine=engine)
+    fhe = TensorFheContext(parameters, seed=7, rotation_steps=(1,))
+    x = np.random.default_rng(3).uniform(-1, 1, fhe.slot_count)
+    ct = fhe.encrypt(x)
+    ct = fhe.evaluator.multiply_and_rescale(ct, ct, fhe.relinearization_key)
+    ct = fhe.rotate(ct, 1)
+    return x, ct, fhe.decrypt(ct)
+
+
+@pytest.mark.parametrize("engine", available_engines())
+def test_scheme_is_bit_identical_on_every_engine(engine):
+    x, ct, slots = _pipeline_on(engine)
+    _, want, want_slots = _pipeline_on(DEFAULT_ENGINE)
+    assert np.allclose(slots, np.roll(x * x, -1), atol=TOLERANCE)
+    assert ct.level == want.level
+    assert np.array_equal(ct.c0.residues, want.c0.residues)
+    assert np.array_equal(ct.c1.residues, want.c1.residues)
+    assert np.max(np.abs(slots - want_slots)) <= 1e-9

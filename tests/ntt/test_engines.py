@@ -1,14 +1,15 @@
-"""Tests for all NTT engines: correctness, agreement, batching, planning."""
+"""Tests for all NTT engines: correctness, agreement, shape adapters, planning."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.numtheory import generate_ntt_prime
+from repro.numtheory import generate_ntt_prime, generate_ntt_primes
 from repro.ntt import (
     DEFAULT_ENGINE,
     ENGINE_REGISTRY,
+    NttEngine,
     NttPlanner,
     available_engines,
     create_engine,
@@ -17,6 +18,7 @@ from repro.ntt import (
     schoolbook_negacyclic_multiply,
     split_degree,
 )
+from repro.ntt.reference import reference_forward, reference_inverse
 
 ENGINES = list(available_engines())
 
@@ -44,18 +46,18 @@ class TestTwiddleCache:
         q = generate_ntt_prime(20, 64)
         assert get_twiddle_cache(64, q) is get_twiddle_cache(64, q)
 
-    def test_forward_matrix_shape_and_first_column(self):
-        q = generate_ntt_prime(20, 16)
-        cache = get_twiddle_cache(16, q)
-        matrix = cache.forward_matrix()
-        assert matrix.shape == (16, 16)
-        # Column n=0 has exponent 2*0*k + 0 = 0 -> all ones.
-        assert np.all(matrix[:, 0] == 1)
+    def test_four_step_tables_shapes_and_first_column(self):
+        q = generate_ntt_prime(20, 32)
+        n1, n2 = split_degree(32)
+        w1, w2, w3 = get_twiddle_cache(32, q).four_step_forward()
+        assert (w1.shape, w2.shape, w3.shape) == ((n1, n1), (n1, n2), (n2, n2))
+        # Column n2=0 of the Hadamard twiddle has exponent 0 -> all ones.
+        assert np.all(w2[:, 0] == 1)
 
 
 class TestEngineCorrectness:
     @pytest.mark.parametrize("engine_name", ENGINES)
-    @pytest.mark.parametrize("ring_degree", [8, 32, 128])
+    @pytest.mark.parametrize("ring_degree", [8, 16, 32, 64, 128, 256])
     def test_roundtrip(self, engine_name, ring_degree, rng):
         q = generate_ntt_prime(24, ring_degree)
         engine = create_engine(engine_name, ring_degree, q)
@@ -63,7 +65,7 @@ class TestEngineCorrectness:
         assert np.array_equal(engine.inverse(engine.forward(poly)), poly)
 
     @pytest.mark.parametrize("engine_name", [e for e in ENGINES if e != "reference"])
-    @pytest.mark.parametrize("ring_degree", [16, 64])
+    @pytest.mark.parametrize("ring_degree", [8, 16, 32, 64, 128])
     def test_matches_reference(self, engine_name, ring_degree, rng):
         q = generate_ntt_prime(26, ring_degree)
         reference = create_engine("reference", ring_degree, q)
@@ -84,6 +86,21 @@ class TestEngineCorrectness:
         assert np.all(engine.forward(delta) == 1)
 
     @pytest.mark.parametrize("engine_name", ENGINES)
+    @pytest.mark.parametrize("power", [1, 16, 31])
+    def test_forward_of_monomial_is_psi_powers(self, engine_name, power):
+        """NTT of X^j is ``psi^((2k+1) j)`` at slot k: the twist by psi."""
+        ring_degree = 32
+        q = generate_ntt_prime(24, ring_degree)
+        engine = create_engine(engine_name, ring_degree, q)
+        psi = engine.twiddles.psi
+        monomial = np.zeros(ring_degree, dtype=np.int64)
+        monomial[power] = 1
+        want = [pow(psi, (2 * k + 1) * power, q) for k in range(ring_degree)]
+        assert engine.forward(monomial).tolist() == want
+        assert np.array_equal(engine.inverse(np.asarray(want, dtype=np.int64)),
+                              monomial)
+
+    @pytest.mark.parametrize("engine_name", ENGINES)
     def test_linearity(self, engine_name, rng):
         ring_degree = 64
         q = generate_ntt_prime(24, ring_degree)
@@ -94,17 +111,20 @@ class TestEngineCorrectness:
         rhs = (engine.forward(a) + engine.forward(b)) % q
         assert np.array_equal(lhs, rhs)
 
-    def test_input_reduction(self, rng):
+    @pytest.mark.parametrize("engine_name", ENGINES)
+    def test_input_reduction(self, engine_name, rng):
         """Engines accept unreduced/negative inputs and reduce them."""
         ring_degree = 16
         q = generate_ntt_prime(20, ring_degree)
-        engine = create_engine("four_step", ring_degree, q)
-        poly = rng.integers(-q, q, ring_degree, dtype=np.int64)
+        engine = create_engine(engine_name, ring_degree, q)
+        poly = rng.integers(-q, 2 * q, ring_degree, dtype=np.int64)
         assert np.array_equal(engine.forward(poly), engine.forward(poly % q))
+        assert np.array_equal(engine.inverse(poly), engine.inverse(poly % q))
 
-    def test_wrong_length_rejected(self):
+    @pytest.mark.parametrize("engine_name", ENGINES)
+    def test_wrong_length_rejected(self, engine_name):
         q = generate_ntt_prime(20, 16)
-        engine = create_engine("butterfly", 16, q)
+        engine = create_engine(engine_name, 16, q)
         with pytest.raises(ValueError):
             engine.forward(np.zeros(15, dtype=np.int64))
 
@@ -121,7 +141,7 @@ class TestEngineCorrectness:
 
 
 class TestPolynomialMultiplication:
-    @pytest.mark.parametrize("engine_name", [e for e in ENGINES if e != "reference"])
+    @pytest.mark.parametrize("engine_name", ENGINES)
     def test_negacyclic_multiply_matches_schoolbook(self, engine_name, rng):
         ring_degree = 32
         q = generate_ntt_prime(24, ring_degree)
@@ -131,11 +151,12 @@ class TestPolynomialMultiplication:
         expected = schoolbook_negacyclic_multiply(a, b, ring_degree, q)
         assert np.array_equal(negacyclic_multiply(a, b, engine), expected)
 
-    def test_x_to_n_wraps_negatively(self):
+    @pytest.mark.parametrize("engine_name", ENGINES)
+    def test_x_to_n_wraps_negatively(self, engine_name):
         """X^(N/2) * X^(N/2) = X^N = -1 in the negacyclic ring."""
         ring_degree = 16
         q = generate_ntt_prime(20, ring_degree)
-        engine = create_engine("four_step", ring_degree, q)
+        engine = create_engine(engine_name, ring_degree, q)
         half = np.zeros(ring_degree, dtype=np.int64)
         half[ring_degree // 2] = 1
         product = negacyclic_multiply(half, half, engine)
@@ -144,46 +165,24 @@ class TestPolynomialMultiplication:
         assert np.array_equal(product, expected)
 
 
-class TestBatching:
-    @pytest.mark.parametrize("engine_name", ["butterfly", "matrix", "four_step", "tensorcore"])
-    def test_forward_batch_matches_loop(self, engine_name, rng):
-        ring_degree = 32
-        q = generate_ntt_prime(24, ring_degree)
-        engine = create_engine(engine_name, ring_degree, q)
-        rows = rng.integers(0, q, (5, ring_degree), dtype=np.int64)
-        batched = engine.forward_batch(rows)
-        for i in range(rows.shape[0]):
-            assert np.array_equal(batched[i], engine.forward(rows[i]))
-
-    def test_inverse_batch_roundtrip(self, rng):
-        ring_degree = 32
-        q = generate_ntt_prime(24, ring_degree)
-        engine = create_engine("matrix", ring_degree, q)
-        rows = rng.integers(0, q, (4, ring_degree), dtype=np.int64)
-        assert np.array_equal(engine.inverse_batch(engine.forward_batch(rows)), rows)
-
-
 class TestScalarEntriesAreShapeAdapters:
-    """``forward`` / ``forward_batch`` on a GEMM engine are ``forward_ops``
-    at L = 1 (and B = 1): one pipeline, whatever the entry point."""
+    """``forward`` on any engine is ``forward_ops`` at B = 1 and L = 1:
+    one primitive, whatever the entry point."""
 
-    @pytest.mark.parametrize("engine_name", ["four_step", "tensorcore", "matrix"])
+    @pytest.mark.parametrize("engine_name", ENGINES)
     @pytest.mark.parametrize("bits", [28, 31])
-    def test_scalar_and_batch_equal_the_ops_launch(self, engine_name, bits, rng):
+    def test_scalar_equals_the_ops_launch(self, engine_name, bits, rng):
         ring_degree = 32
         q = generate_ntt_prime(bits, ring_degree)
         assert (q >= 1 << 31) == (bits == 31)     # 31: the object path
         engine = create_engine(engine_name, ring_degree, q)
         reference = create_engine("reference", ring_degree, q)
         rows = rng.integers(0, q, (3, ring_degree), dtype=np.int64)
-        for single, batch, ops, oracle in [
-            (engine.forward, engine.forward_batch, engine.forward_ops,
-             reference.forward),
-            (engine.inverse, engine.inverse_batch, engine.inverse_ops,
-             reference.inverse),
+        for single, ops, oracle in [
+            (engine.forward, engine.forward_ops, reference.forward),
+            (engine.inverse, engine.inverse_ops, reference.inverse),
         ]:
             fused = ops(rows[:, None, :], [q])
-            assert np.array_equal(batch(rows), fused[:, 0])
             for i, row in enumerate(rows):
                 assert np.array_equal(single(row), ops(row[None, None], [q])[0, 0])
                 assert np.array_equal(single(row), fused[i, 0])
@@ -192,9 +191,109 @@ class TestScalarEntriesAreShapeAdapters:
             engine.forward(rows)                   # a vector, not a batch
 
 
+def _oracle(rows, moduli, inverse):
+    """Eq. 4 on every row of a ``(B, L, N)`` stack, limb ``i`` with its own psi."""
+    transform = reference_inverse if inverse else reference_forward
+    ring_degree = rows.shape[-1]
+    out = np.empty_like(rows)
+    for i, q in enumerate(moduli):
+        psi = get_twiddle_cache(ring_degree, q).psi
+        for b in range(rows.shape[0]):
+            out[b, i] = transform(rows[b, i].tolist(), ring_degree, q, psi)
+    return out
+
+
+class TestOnePrimitive:
+    """Every entry point is a shape adapter over ``_transform_ops``: each
+    call reaches the primitive exactly once, as a ``(B, L, N)`` stack."""
+
+    RING_DEGREE = 16
+    CHAIN = tuple(generate_ntt_primes(3, 24, 16))
+
+    # entry point -> (B, L) of the stack it hands the primitive, or None
+    # for the scalar entries, which carry the engine's own prime.
+    ENTRIES = {
+        "forward": (None, False),
+        "inverse": (None, True),
+        "forward_limbs": ((1, 3), False),
+        "inverse_limbs": ((1, 3), True),
+        "forward_ops": ((2, 3), False),
+        "inverse_ops": ((2, 3), True),
+    }
+
+    def test_one_abstract_primitive(self):
+        assert NttEngine.__abstractmethods__ == frozenset({"_transform_ops"})
+
+    @pytest.mark.parametrize("engine_name", ENGINES)
+    @pytest.mark.parametrize("entry", list(ENTRIES))
+    def test_entry_is_one_primitive_call(self, engine_name, entry, rng):
+        n, chain = self.RING_DEGREE, self.CHAIN
+        engine = create_engine(engine_name, n, chain[0])
+        primitive, calls = engine._transform_ops, []
+
+        def spy(stacks, moduli_array, *, inverse):
+            calls.append((tuple(stacks.shape), moduli_array.tolist(), inverse))
+            return primitive(stacks, moduli_array, inverse=inverse)
+
+        engine._transform_ops = spy
+        shape, inverse = self.ENTRIES[entry]
+        moduli = chain if shape else chain[:1]
+        batch, limbs = shape or (1, 1)
+        column = np.asarray(moduli, dtype=np.int64)[None, :, None]
+        rows = rng.integers(0, column, (batch, limbs, n))
+        if shape is None:
+            got = getattr(engine, entry)(rows[0, 0])[None, None]
+        elif entry.endswith("_limbs"):
+            got = getattr(engine, entry)(rows[0], moduli)[None]
+        else:
+            got = getattr(engine, entry)(rows, moduli)
+        assert calls == [((batch, limbs, n), list(moduli), inverse)]
+        assert np.array_equal(got, _oracle(rows, moduli, inverse))
+
+    def test_primitive_alone_makes_an_engine(self, rng):
+        """A subclass defining only the primitive serves every entry point,
+        and an empty operation batch never reaches it."""
+        calls = []
+
+        class Negate(NttEngine):
+            name = "negate"
+
+            def _transform_ops(self, stacks, moduli_array, *, inverse):
+                calls.append(inverse)
+                return (-stacks) % moduli_array[None, :, None]
+
+        q = generate_ntt_prime(20, 8)
+        engine = Negate(8, q)
+        row = rng.integers(1, q, 8)
+        assert np.array_equal(engine.forward(row), q - row)
+        assert np.array_equal(engine.inverse_limbs(row[None], [q]), q - row[None])
+        assert np.array_equal(engine.forward_ops(row[None, None], [q]),
+                              q - row[None, None])
+        assert engine.inverse_ops(np.zeros((0, 1, 8), dtype=np.int64), [q]).shape \
+            == (0, 1, 8)
+        assert calls == [False, True, False]
+
+
+class TestTensorCoreStreams:
+    def test_limb_pair_gemms_run_on_sixteen_streams(self, rng):
+        ring_degree = 32
+        primes = generate_ntt_primes(3, 24, ring_degree)
+        engine = create_engine("tensorcore", ring_degree, primes[0])
+        residues = np.stack([rng.integers(0, q, ring_degree) for q in primes])
+        engine.forward_limbs(residues, primes)
+        schedule = engine.last_schedule
+        assert engine.stream_scheduler.stream_count == 16
+        assert len(schedule.per_stream) == len(schedule.assignments) == 16
+        assert sum(len(names) for names in schedule.assignments) > 1
+
+
 class TestPlanner:
     def test_default_engine_registered(self):
         assert DEFAULT_ENGINE in ENGINE_REGISTRY
+
+    def test_three_engines_each_with_a_role(self):
+        # The Eq. 4 oracle, the fast path and the paper's Fig. 8 kernel.
+        assert available_engines() == ("reference", "four_step", "tensorcore")
 
     def test_engine_cached(self):
         q = generate_ntt_prime(20, 32)
@@ -202,17 +301,12 @@ class TestPlanner:
         assert planner.engine_for(32, q) is planner.engine_for(32, q)
         assert len(planner) == 1
 
-    def test_override_engine_name(self):
-        q = generate_ntt_prime(20, 32)
-        planner = NttPlanner("four_step")
-        engine = planner.engine_for(32, q, name="butterfly")
-        assert engine.name == "butterfly"
-
-    def test_unknown_engine_rejected(self):
+    @pytest.mark.parametrize("name", ["does-not-exist", "butterfly", "matrix"])
+    def test_unknown_engine_rejected(self, name):
         with pytest.raises(ValueError):
-            NttPlanner("does-not-exist")
+            NttPlanner(name)
         with pytest.raises(ValueError):
-            create_engine("does-not-exist", 32, generate_ntt_prime(20, 32))
+            create_engine(name, 32, generate_ntt_prime(20, 32))
 
     def test_clear(self):
         q = generate_ntt_prime(20, 32)

@@ -120,10 +120,11 @@ class TestPlannerLimbBatching:
         poly.to_evaluation(planner)
         assert calls == [limbs]
 
-    def test_planner_roundtrip(self, rng):
+    @pytest.mark.parametrize("engine_name", ENGINES)
+    def test_planner_roundtrip(self, engine_name, rng):
         ring_degree, limbs = 32, 3
         primes = generate_ntt_primes(limbs, 24, ring_degree)
-        planner = NttPlanner("matrix")
+        planner = NttPlanner(engine_name)
         residues = _residue_matrix(rng, primes, ring_degree)
         values = planner.forward_limbs(ring_degree, primes, residues)
         assert np.array_equal(planner.inverse_limbs(ring_degree, primes, values),

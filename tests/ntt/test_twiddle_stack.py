@@ -25,17 +25,14 @@ def _fresh_stack_cache():
     clear_twiddle_stacks()
 
 
-def test_prefix_stacks_are_views_of_the_full_chain():
+@pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
+def test_prefix_stacks_are_views_of_the_full_chain(inverse):
     full = get_twiddle_stack(RING_DEGREE, CHAIN)
-    full_w = full.forward_matrices()
+    owners = full.four_step_inverse() if inverse else full.four_step_forward()
     for depth in (1, 2, 4):
         prefix = get_twiddle_stack(RING_DEGREE, CHAIN[:depth])
-        prefix_w = prefix.forward_matrices()
-        assert np.array_equal(prefix_w, full_w[:depth])
-        assert np.shares_memory(prefix_w, full_w)
-        w1, w2, w3 = prefix.four_step_forward()
-        f1, f2, f3 = full.four_step_forward()
-        for view, owner in ((w1, f1), (w2, f2), (w3, f3)):
+        views = prefix.four_step_inverse() if inverse else prefix.four_step_forward()
+        for view, owner in zip(views, owners):
             assert np.array_equal(view, owner[:depth])
             assert np.shares_memory(view, owner)
 
@@ -43,22 +40,26 @@ def test_prefix_stacks_are_views_of_the_full_chain():
 def test_prefix_float_caches_share_parent_images():
     full = get_twiddle_stack(RING_DEGREE, CHAIN)
     prefix = get_twiddle_stack(RING_DEGREE, CHAIN[:3])
-    full_cache = full.forward_matrices_buffer().float_cache()
-    prefix_cache = prefix.forward_matrices_buffer().float_cache()
-    assert np.shares_memory(prefix_cache.full(), full_cache.full())
-    assert np.array_equal(prefix_cache.full(), full_cache.full()[:3])
-    shift, hi, lo = prefix_cache.split()
-    full_shift, full_hi, full_lo = full_cache.split()
-    assert shift == full_shift
-    assert np.shares_memory(hi, full_hi) and np.shares_memory(lo, full_lo)
+    for prefix_buf, full_buf in zip(prefix.four_step_forward_buffers(),
+                                    full.four_step_forward_buffers()):
+        full_cache = full_buf.float_cache()
+        prefix_cache = prefix_buf.float_cache()
+        assert np.shares_memory(prefix_cache.full(), full_cache.full())
+        assert np.array_equal(prefix_cache.full(), full_cache.full()[:3])
+        shift, hi, lo = prefix_cache.split()
+        full_shift, full_hi, full_lo = full_cache.split()
+        assert shift == full_shift
+        assert np.shares_memory(hi, full_hi) and np.shares_memory(lo, full_lo)
+        assert np.array_equal(hi, full_hi[:3]) and np.array_equal(lo, full_lo[:3])
 
 
 def test_prefix_built_before_full_chain_is_standalone():
     prefix = get_twiddle_stack(RING_DEGREE, CHAIN[:2])
-    early = prefix.forward_matrices()
-    full = get_twiddle_stack(RING_DEGREE, CHAIN)
-    assert not np.shares_memory(early, full.forward_matrices())
-    assert np.array_equal(early, full.forward_matrices()[:2])
+    early = prefix.four_step_forward()
+    full = get_twiddle_stack(RING_DEGREE, CHAIN).four_step_forward()
+    for view, owner in zip(early, full):
+        assert not np.shares_memory(view, owner)
+        assert np.array_equal(view, owner[:2])
 
 
 def test_mismatched_parent_rejected():

@@ -7,9 +7,6 @@ from hypothesis import strategies as st
 
 from repro.numtheory import (
     CrtContext,
-    bit_reverse,
-    bit_reverse_permutation,
-    bit_reverse_vector,
     factorize,
     find_negacyclic_root,
     find_primitive_root,
@@ -232,18 +229,6 @@ class TestBitOps:
         assert ilog2(1) == 0 and ilog2(4096) == 12
         with pytest.raises(ValueError):
             ilog2(12)
-
-    def test_bit_reverse_scalar(self):
-        assert bit_reverse(0b0011, 4) == 0b1100
-        assert bit_reverse(1, 3) == 4
-
-    def test_bit_reverse_permutation_is_involution(self):
-        perm = bit_reverse_permutation(64)
-        assert np.array_equal(perm[perm], np.arange(64))
-
-    def test_bit_reverse_vector(self, rng):
-        data = rng.integers(0, 100, 32)
-        assert np.array_equal(bit_reverse_vector(bit_reverse_vector(data)), data)
 
     def test_segment_fuse_roundtrip(self, rng):
         matrix = rng.integers(0, 1 << 32, (8, 8), dtype=np.uint64)
