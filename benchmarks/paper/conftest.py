@@ -1,4 +1,5 @@
-"""Make bench_common importable when pytest is invoked from the repo root."""
+"""Make the paper model (``model``) importable when pytest is invoked from
+the repo root."""
 
 import os
 import sys

@@ -12,15 +12,13 @@ from .pipeline import (
     PipelineStallModel,
     StallCategory,
 )
-from .spec import A100, GPU_SPECS, GTX1080TI, V100, GpuSpec, get_gpu
+from .spec import A100, GTX1080TI, V100, GpuSpec
 
 __all__ = [
     "GpuSpec",
     "A100",
     "V100",
     "GTX1080TI",
-    "GPU_SPECS",
-    "get_gpu",
     "PipelineStallModel",
     "AlgorithmProfile",
     "StallCategory",

@@ -10,9 +10,7 @@ values are the public datasheet figures.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
-
-__all__ = ["GpuSpec", "A100", "V100", "GTX1080TI", "GPU_SPECS", "get_gpu"]
+__all__ = ["GpuSpec", "A100", "V100", "GTX1080TI"]
 
 
 @dataclass(frozen=True)
@@ -111,13 +109,3 @@ GTX1080TI = GpuSpec(
     int8_macs_per_tensor_core_per_cycle=0.0,
     tdp_watts=250.0,
 )
-
-GPU_SPECS: Dict[str, GpuSpec] = {spec.name: spec for spec in (A100, V100, GTX1080TI)}
-
-
-def get_gpu(name: str) -> GpuSpec:
-    """Look up a GPU spec by name (case-insensitive)."""
-    for key, spec in GPU_SPECS.items():
-        if key.lower() == name.lower():
-            return spec
-    raise KeyError("unknown GPU %r; available: %s" % (name, sorted(GPU_SPECS)))

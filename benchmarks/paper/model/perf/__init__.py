@@ -12,7 +12,7 @@ from .kernel_workloads import (
     ntt_workload,
 )
 from .operation_model import OPERATIONS, ModelParameters, OperationModel
-from .report import format_breakdown, format_comparison, format_table, ratio
+from .report import format_comparison, format_table, ratio
 from .workload_model import WorkloadModel, WorkloadTimings
 from . import literature
 
@@ -35,6 +35,5 @@ __all__ = [
     "literature",
     "format_table",
     "format_comparison",
-    "format_breakdown",
     "ratio",
 ]

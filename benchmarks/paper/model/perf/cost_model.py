@@ -94,8 +94,3 @@ class GpuCostModel:
 
         overhead = workload.launches * config.launch_overhead_s
         return max(compute_time, memory_time) + overhead
-
-    # ------------------------------------------------------------------
-    def vram_fits(self, bytes_required: float) -> bool:
-        """Check whether a working set fits in the GPU's VRAM."""
-        return bytes_required <= self.gpu.vram_bytes

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..ntt.twiddle import split_degree
+from repro.ntt.twiddle import split_degree
 
 __all__ = ["NttVariant", "KernelWorkload", "ntt_workload", "hadamard_workload",
            "elementwise_workload", "automorphism_workload", "conv_workload"]
@@ -54,16 +54,6 @@ class KernelWorkload:
             bytes_moved=self.bytes_moved * factor,
             launches=max(1, int(round(self.launches * factor))),
             stall_bound=self.stall_bound,
-        )
-
-    def merged_with(self, other: "KernelWorkload") -> "KernelWorkload":
-        return KernelWorkload(
-            kernel=self.kernel,
-            cuda_int_ops=self.cuda_int_ops + other.cuda_int_ops,
-            tcu_macs=self.tcu_macs + other.tcu_macs,
-            bytes_moved=self.bytes_moved + other.bytes_moved,
-            launches=self.launches + other.launches,
-            stall_bound=self.stall_bound or other.stall_bound,
         )
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence
 
-__all__ = ["format_table", "format_comparison", "ratio", "format_breakdown"]
+__all__ = ["format_table", "format_comparison", "ratio"]
 
 
 def ratio(paper_value: Optional[float], measured_value: Optional[float]) -> Optional[float]:
@@ -59,10 +59,3 @@ def format_comparison(paper: Dict[str, float], measured: Dict[str, float],
         rows.append([key, paper.get(key), measured_value,
                      ratio(paper.get(key), measured_value)])
     return format_table(headers, rows, title=title)
-
-
-def format_breakdown(breakdown: Dict[str, float], title: Optional[str] = None) -> str:
-    """Render a fraction breakdown (e.g. kernel shares) as percentages."""
-    rows = [[name, 100.0 * share] for name, share in
-            sorted(breakdown.items(), key=lambda item: -item[1])]
-    return format_table(["component", "percent"], rows, title=title)

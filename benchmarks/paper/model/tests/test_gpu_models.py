@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.gpu import (
+from repro.batching import BatchScheduler
+
+from model.gpu import (
     A100,
     BUILTIN_PROFILES,
     BUTTERFLY_NTT,
@@ -15,16 +17,10 @@ from repro.gpu import (
     PipelineStallModel,
     StallCategory,
     V100,
-    get_gpu,
 )
 
 
 class TestGpuSpecs:
-    def test_lookup(self):
-        assert get_gpu("a100") is A100
-        with pytest.raises(KeyError):
-            get_gpu("H100")
-
     def test_a100_peaks(self):
         # 108 SMs x 64 cores x 1.41 GHz ~ 9.7 TOPS INT32.
         assert 9e12 < A100.peak_int32_ops_per_second < 11e12
@@ -138,3 +134,22 @@ class TestMemoryModel:
             128 * model.layout_run_length("(B,L,N)", 128, 1 << 16)
         with pytest.raises(ValueError):
             model.layout_run_length("bogus", 2, 64)
+
+
+class TestBatchScheduler:
+    """The runtime's default device budget is the model's A100."""
+
+    #: Today's planned sizes with no ``requested`` cap.
+    PINNED_SIZES = {(4096, 9): 128, (1024, 15): 256, (128, 15): 2048,
+                    (65536, 45): 2}
+
+    @pytest.mark.parametrize("limbs", [1, 9, 15, 45])
+    @pytest.mark.parametrize("ring_degree", [64, 128, 1024, 4096, 65536])
+    def test_default_device_is_the_a100(self, ring_degree, limbs):
+        """``batching/scheduler.py``'s two constants are ``gpu/spec.py``'s A100 figures."""
+        # BatchPlan is a dataclass: equality is field by field.
+        assert (BatchScheduler().plan(ring_degree, limbs)
+                == BatchScheduler(A100).plan(ring_degree, limbs))
+        if (ring_degree, limbs) in self.PINNED_SIZES:
+            pinned = BatchScheduler().plan(ring_degree, limbs)
+            assert pinned.batch_size == self.PINNED_SIZES[ring_degree, limbs]

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.gpu import A100, GTX1080TI, V100
-from repro.perf import (
+from model.gpu import A100, GTX1080TI, V100
+from model.perf import (
     CostModelConfig,
     EnergyModel,
     GpuCostModel,
@@ -15,7 +15,6 @@ from repro.perf import (
     WorkloadModel,
     conv_workload,
     elementwise_workload,
-    format_breakdown,
     format_comparison,
     format_table,
     hadamard_workload,
@@ -23,7 +22,7 @@ from repro.perf import (
     ntt_workload,
     ratio,
 )
-from repro.workloads import WORKLOADS
+from model.workloads import WORKLOADS
 
 DEFAULT = ModelParameters(ring_degree=1 << 16, level_count=45, dnum=5, batch_size=128)
 
@@ -44,12 +43,10 @@ class TestKernelWorkloads:
         with pytest.raises(ValueError):
             ntt_workload(1 << 10, 1, 1, "systolic")
 
-    def test_scaled_and_merged(self):
+    def test_scaled(self):
         workload = hadamard_workload(1 << 10, 4, 2)
         doubled = workload.scaled(2)
         assert doubled.cuda_int_ops == 2 * workload.cuda_int_ops
-        merged = workload.merged_with(doubled)
-        assert merged.cuda_int_ops == 3 * workload.cuda_int_ops
 
     def test_conv_workload_scales_with_both_bases(self):
         small = conv_workload(1 << 10, 2, 4, 1)
@@ -85,11 +82,6 @@ class TestCostModel:
         workload = KernelWorkload("Ele-Add", cuda_int_ops=1.0, bytes_moved=1e9)
         elapsed = model.kernel_time(workload, batch_size=128)
         assert elapsed >= 1e9 / A100.memory_bandwidth_bytes_per_second
-
-    def test_vram_fits(self):
-        model = GpuCostModel(A100)
-        assert model.vram_fits(1 << 30)
-        assert not model.vram_fits(1 << 50)
 
 
 class TestOperationModel:
@@ -243,7 +235,3 @@ class TestReportHelpers:
     def test_format_comparison(self):
         text = format_comparison({"HMULT": 851.0}, {"HMULT": 900.0}, unit="us")
         assert "HMULT" in text and "1.06" in text
-
-    def test_format_breakdown_sorted(self):
-        text = format_breakdown({"NTT": 0.7, "Conv": 0.3})
-        assert text.index("NTT") < text.index("Conv")

@@ -1,13 +1,10 @@
 """Tests for the workload catalogue and operation-count containers."""
 
-import pytest
-
-from repro.workloads import (
+from model.workloads import (
     BOOTSTRAP_OPERATIONS,
     OperationCounts,
     WORKLOADS,
     WorkloadSpec,
-    get_workload,
 )
 
 
@@ -21,10 +18,6 @@ class TestOperationCounts:
     def test_scaled(self):
         counts = OperationCounts(hmult=2, hadd=3).scaled(4)
         assert counts.hmult == 8 and counts.hadd == 12
-
-    def test_merged(self):
-        merged = OperationCounts(hmult=1).merged(OperationCounts(hmult=2, cmult=5))
-        assert merged.hmult == 3 and merged.cmult == 5
 
 
 class TestCatalog:
@@ -56,14 +49,6 @@ class TestCatalog:
         workload = WORKLOADS["lr"]
         totals = workload.total_operations()
         assert totals.hrotate == workload.operations_per_iteration.hrotate * 14
-
-    def test_describe(self):
-        info = WORKLOADS["resnet20"].describe()
-        assert info["name"] == "resnet20" and info["HMULT"] > 0
-
-    def test_get_workload_unknown(self):
-        with pytest.raises(KeyError):
-            get_workload("mnist")
 
     def test_custom_spec(self):
         spec = WorkloadSpec(name="tiny", ring_degree=1 << 12, level_count=5,

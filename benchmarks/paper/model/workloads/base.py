@@ -48,15 +48,6 @@ class OperationCounts:
             cmult=self.cmult * factor,
         )
 
-    def merged(self, other: "OperationCounts") -> "OperationCounts":
-        return OperationCounts(
-            hmult=self.hmult + other.hmult,
-            hrotate=self.hrotate + other.hrotate,
-            rescale=self.rescale + other.rescale,
-            hadd=self.hadd + other.hadd,
-            cmult=self.cmult + other.cmult,
-        )
-
 
 @dataclass
 class WorkloadSpec:
@@ -78,16 +69,3 @@ class WorkloadSpec:
     def total_operations(self) -> OperationCounts:
         """Operation counts of one full run (excluding bootstraps)."""
         return self.operations_per_iteration.scaled(self.iterations)
-
-    def describe(self) -> Dict[str, object]:
-        info: Dict[str, object] = {
-            "name": self.name,
-            "N": self.ring_degree,
-            "L": self.level_count - 1,
-            "batch_size": self.batch_size,
-            "iterations": self.iterations,
-            "bootstraps": self.bootstraps_per_run,
-            "packed_inputs": self.packed_inputs,
-        }
-        info.update(self.total_operations().as_dict())
-        return info

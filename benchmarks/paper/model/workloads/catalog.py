@@ -28,7 +28,7 @@ from typing import Dict
 from .base import OperationCounts, WorkloadSpec
 
 __all__ = ["RESNET20", "LOGISTIC_REGRESSION", "LSTM", "PACKED_BOOTSTRAPPING",
-           "WORKLOADS", "get_workload", "BOOTSTRAP_OPERATIONS"]
+           "WORKLOADS", "BOOTSTRAP_OPERATIONS"]
 
 
 #: Operation mix of ONE bootstrap of a fully packed ciphertext (N=2^16,
@@ -108,13 +108,3 @@ WORKLOADS: Dict[str, WorkloadSpec] = {
     spec.name: spec
     for spec in (RESNET20, LOGISTIC_REGRESSION, LSTM, PACKED_BOOTSTRAPPING)
 }
-
-
-def get_workload(name: str) -> WorkloadSpec:
-    """Look up a workload spec by its Table X name."""
-    try:
-        return WORKLOADS[name]
-    except KeyError:
-        raise KeyError(
-            "unknown workload %r; available: %s" % (name, sorted(WORKLOADS))
-        ) from None

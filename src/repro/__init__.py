@@ -1,22 +1,18 @@
 """repro — a reproduction of *TensorFHE: Achieving Practical Computation on
 Encrypted Data Using GPGPU* (HPCA 2023).
 
-The package is two halves (the README's "Architecture map" walks them):
+The package is the **runtime**, what a launch executes (the README's
+"Architecture map" walks it): :mod:`repro.backend` (compute substrates
+behind the batched-GEMM funnel), :mod:`repro.numtheory`, :mod:`repro.ntt`
+(the tensor-core segmented NTT included), :mod:`repro.rns`,
+:mod:`repro.kernels`, :mod:`repro.ckks` (the scheme), :mod:`repro.batching`
+(batch sizes from a two-number device budget), :mod:`repro.api` (the
+facade), :mod:`repro.serving` (async multi-tenant dynamic batching) and
+:mod:`repro.workloads` (serving traffic).
 
-* the **runtime**, what a launch executes — :mod:`repro.backend` (compute
-  substrates behind the batched-GEMM funnel), :mod:`repro.numtheory`,
-  :mod:`repro.ntt`, :mod:`repro.tcu`, :mod:`repro.rns` (arithmetic, the
-  tensor-core segmented NTT included), :mod:`repro.kernels`,
-  :mod:`repro.ckks` (the scheme), :mod:`repro.batching` (batch sizes from a
-  two-number device budget), :mod:`repro.api` (the facade) and
-  :mod:`repro.serving` (async multi-tenant dynamic batching);
-* the **paper model** — :mod:`repro.gpu` and :mod:`repro.perf`, the
-  analytical cost model behind the paper's tables and figures, pricing the
-  operation counts of :mod:`repro.workloads`.
-
-The model may import the runtime; the runtime never imports the model
-(``tests/test_import_boundary.py``), so ``import repro`` loads neither
-:mod:`repro.gpu` nor :mod:`repro.perf` — import them by their own path.
+The analytical cost model behind the paper's tables and figures is not in
+the package: it lives in ``benchmarks/paper/model`` and imports the
+runtime, never the other way round.
 """
 
 from .api import TensorFheContext

@@ -169,10 +169,10 @@ class TensorFheContext:
         """Sum the first ``count`` (power-of-two) slots into every slot.
 
         ``count == 1`` is a no-op sum and needs no rotation keys at all;
-        larger counts need the powers of two strictly below ``count``.
+        larger counts need the powers of two strictly below ``count``.  A
+        count outside ``1 … slot_count`` raises before any key is made.
         """
-        count = self.slot_count if count is None else count
-        self.ensure_rotation_keys([1 << i for i in range(count.bit_length() - 1)])
+        self.ensure_rotation_keys(self.evaluator.sum_steps(count))
         return self.evaluator.rotate_and_sum(ciphertext, self.rotation_keys, count)
 
     def bootstrap(self, ciphertext: Ciphertext) -> Ciphertext:

@@ -9,10 +9,9 @@ limits.
 
 The device budget is two numbers, ``vram_bytes`` and
 ``max_resident_threads``.  They default to the paper's A100 figures, kept
-here as constants so the runtime never imports the analytical model
-(:mod:`repro.gpu`, :mod:`repro.perf`); any object carrying those two
-attributes — a :class:`repro.gpu.GpuSpec`, say — sizes plans for another
-device.
+here as constants; any object carrying those two attributes — a
+``GpuSpec`` of the paper model in ``benchmarks/paper/model``, say — sizes
+plans for another device.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ from typing import Optional
 
 __all__ = ["BatchPlan", "BatchScheduler"]
 
-#: NVIDIA A100-SXM-40GB, the paper's evaluation device (the figures of
-#: ``repro.gpu.A100``; a test pins the two against it).
+#: NVIDIA A100-SXM-40GB, the paper's evaluation device (the paper model's
+#: ``A100`` figures; a test of the model pins the two against it).
 A100_VRAM_BYTES = 40 * (1 << 30)
 A100_MAX_RESIDENT_THREADS = 108 * 2048
 

@@ -10,7 +10,7 @@ Table II kernel counts.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional
 
 from .batched_evaluator import BatchedEvaluator
 from .ciphertext import Ciphertext, Plaintext
@@ -101,20 +101,27 @@ class Evaluator:
     # ------------------------------------------------------------------
     # Convenience: encrypted linear algebra helpers used by the examples
     # ------------------------------------------------------------------
+    def sum_steps(self, count: Optional[int] = None) -> List[int]:
+        """The rotations :meth:`rotate_and_sum` makes: the powers of two
+        below ``count``, a power of two in ``1 … slot_count`` (default all).
+
+        Any other count raises ``ValueError``: ``count = 2 * slot_count``
+        would rotate by ``slot_count`` (an identity) and double the sum.
+        """
+        slot_count = self.context.slot_count
+        count = slot_count if count is None else count
+        if not 1 <= count <= slot_count or count & (count - 1):
+            raise ValueError("slot sum needs a power-of-two count in 1..%d, got %r"
+                             % (slot_count, count))
+        return [1 << i for i in range(count.bit_length() - 1)]
+
     def rotate_and_sum(self, ciphertext: Ciphertext, rotation_keys: RotationKeySet,
                        count: Optional[int] = None) -> Ciphertext:
         """Sum the first ``count`` slots into every slot via log-depth rotations.
 
-        Requires rotation keys for the powers of two below ``count``.
+        Requires rotation keys for every step of :meth:`sum_steps`.
         """
-        slot_count = self.context.slot_count
-        count = slot_count if count is None else count
-        if count & (count - 1):
-            raise ValueError("rotate_and_sum requires a power-of-two slot count")
         result = ciphertext
-        step = 1
-        while step < count:
-            rotated = self.rotate(result, step, rotation_keys)
-            result = self.add(result, rotated)
-            step *= 2
+        for step in self.sum_steps(count):
+            result = self.add(result, self.rotate(result, step, rotation_keys))
         return result

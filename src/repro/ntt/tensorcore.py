@@ -1,102 +1,71 @@
 """Tensor-core NTT (the full *TensorFHE* kernel, paper Figure 8).
 
 Same three-GEMM decomposition as :class:`~repro.ntt.four_step.FourStepNtt`,
-but every GEMM is lowered to the simulated Tensor Core Units:
+but every GEMM is lowered to INT8 tensor-core arithmetic:
 
-* **Stage 1** — segment the input matrix into four u8 limb matrices
-  (:func:`repro.tcu.segmentation.segment_matrix`);
-* **Stage 2** — run the limb-pair GEMMs ``O_ij = W1_i @ T_j`` on the
-  TCU simulator, one CUDA stream each (up to 16 concurrent GEMMs);
-* **Stage 3** — fuse the partial products (Booth accumulation), Hadamard-
-  multiply with ``W2`` and re-segment;
-* **Stage 4** — limb-pair GEMMs with ``W3`` on the TCUs;
-* **Stage 5** — fuse and reduce modulo ``q`` (plus the ``N^-1`` factor for
-  the inverse transform).
+* **Stage 1** — segment each 32-bit operand into four u8 byte planes
+  (Figure 7, :func:`repro.numtheory.bit_ops.segment_u32`);
+* **Stage 2** — one u8 x u8 GEMM with an s32 accumulator per pair of
+  non-zero byte planes, batched over every RNS limb;
+* **Stage 3** — fuse the partial products (Booth accumulation) modulo
+  each limb's prime; the Hadamard twiddle stays on the CUDA cores;
+* **Stages 4–5** — the same for the outer GEMM with ``W3`` (the inverse
+  twiddle carries ``N^-1``).
 
-The class keeps the :class:`~repro.tcu.gemm.TcuStats` counters of all GEMMs
-it issued so the performance model and the benchmarks can report tensor-
-core utilisation.
+The u8 GEMMs are exact on float64 BLAS (every s32 partial sum is far below
+2**53), so the engine is bit-identical to ``four_step``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
-
 import numpy as np
 
 from ..backend.residency import DeviceBuffer
-from ..numtheory.bit_ops import SEGMENT_COUNT, segment_u32
-from ..tcu.fusion import fuse_partial_products_limbs
-from ..tcu.gemm import TcuStats, TensorCoreGemm
-from ..tcu.streams import StreamScheduler, StreamTask
+from ..numtheory.bit_ops import SEGMENT_BITS, segment_u32
 from .four_step import FourStepNtt
 
 __all__ = ["TensorCoreNtt"]
 
-#: Concurrent CUDA streams the limb-pair GEMMs are scheduled on (Stage 2).
-STREAM_COUNT = 16
+#: Longest u8 x u8 dot product an s32 accumulator holds: 33 025 * 255**2
+#: is just below 2**31.
+MAX_INNER = ((1 << 31) - 1) // (0xFF * 0xFF)
 
 
 class TensorCoreNtt(FourStepNtt):
-    """Four-step NTT whose GEMMs run on the simulated INT8 tensor cores."""
+    """Four-step NTT whose GEMMs run as segmented INT8 tensor-core GEMMs."""
 
     name = "tensorcore"
 
-    def __init__(self, ring_degree: int, modulus: int, *,
-                 backend=None) -> None:
-        super().__init__(ring_degree, modulus, backend=backend)
-        self.tcu = TensorCoreGemm()
-        self.stream_scheduler = StreamScheduler(STREAM_COUNT)
-        self.last_schedule = None
-
-    # ------------------------------------------------------------------
-    @property
-    def stats(self) -> TcuStats:
-        """Tensor-core work counters accumulated since construction."""
-        return self.tcu.stats
-
-    def reset_stats(self) -> None:
-        self.tcu.stats.reset()
-
-    # ------------------------------------------------------------------
     def _gemm_limbs(self, lhs: DeviceBuffer, rhs: DeviceBuffer,
                     moduli: np.ndarray) -> DeviceBuffer:
-        """Limb-batched segmented GEMM on the simulated tensor cores.
+        """Limb-batched segmented GEMM ``(lhs[l] @ rhs[l]) mod moduli[l]``.
 
         Both 3-D operand stacks (RNS limb axis leading) are segmented into
-        u8 byte planes in one shot; every pair of non-zero byte planes then
-        issues a *single* batched TCU GEMM covering all RNS limbs — the
-        CUTLASS batched-GEMM launch of the paper — and the partial products
-        are fused with per-limb moduli.  Hadamard products stay on the
-        CUDA cores (the inherited hook), as in the paper.
+        u8 byte planes in one shot; every pair of non-zero planes issues a
+        *single* batched GEMM covering all RNS limbs — the CUTLASS
+        batched-GEMM launch of the paper — and its partial product is fused
+        with weight ``2**(8*(i+j))`` per limb modulus.
 
-        Residency boundary: the u8 segmentation is a host-side simulation
-        step, so the operands are read as int64 host images here — the
-        analogue of the paper's explicit INT8 re-quantisation before a
-        tensor-core launch.
+        Residency boundary: segmentation reads the operands as int64 host
+        images — the analogue of the paper's explicit INT8 re-quantisation
+        before a tensor-core launch.
         """
         lhs = lhs.ensure_host()
         rhs = rhs.ensure_host()
-        lhs_segments = segment_u32(lhs)
-        rhs_segments = segment_u32(rhs)
-        lhs_active = [s for s in range(SEGMENT_COUNT) if lhs_segments[s].any()]
-        rhs_active = [s for s in range(SEGMENT_COUNT) if rhs_segments[s].any()]
-        limbs = lhs.shape[0]
-        inner = lhs.shape[2]
-        if not lhs_active or not rhs_active:
-            self.last_schedule = self.stream_scheduler.schedule([])
-            return DeviceBuffer(host=np.zeros(
-                (limbs, lhs.shape[1], rhs.shape[2]), dtype=np.int64))
-        partials: Dict[Tuple[int, int], np.ndarray] = {}
-        tasks = []
-        for seg_left in lhs_active:
-            for seg_right in rhs_active:
-                partial = self.tcu.multiply_batch(lhs_segments[seg_left],
-                                                  rhs_segments[seg_right])
-                partials[(seg_left, seg_right)] = partial
-                tasks.append(StreamTask(
-                    name="gemm_%d_%d" % (seg_left, seg_right),
-                    cost=float(limbs * partial.shape[1] * partial.shape[2] * inner),
-                ))
-        self.last_schedule = self.stream_scheduler.schedule(tasks)
-        return DeviceBuffer(host=fuse_partial_products_limbs(partials, moduli))
+        if lhs.shape[2] > MAX_INNER:
+            raise OverflowError(
+                "s32 accumulator overflow: inner dimension %d exceeds %d "
+                "for u8 operands" % (lhs.shape[2], MAX_INNER))
+        column = np.asarray(moduli, dtype=np.int64).reshape(-1, 1, 1)
+        lhs_planes = [(i, plane.astype(np.float64))
+                      for i, plane in enumerate(segment_u32(lhs)) if plane.any()]
+        rhs_planes = [(j, plane.astype(np.float64))
+                      for j, plane in enumerate(segment_u32(rhs)) if plane.any()]
+        fused = np.zeros((lhs.shape[0], lhs.shape[1], rhs.shape[2]),
+                         dtype=np.int64)
+        for i, left in lhs_planes:
+            for j, right in rhs_planes:
+                partial = np.matmul(left, right).astype(np.int64)
+                weight = np.int64(1 << (SEGMENT_BITS * (i + j))) % column
+                fused = (fused + partial % column * weight) % column
+        return DeviceBuffer(host=fused)

@@ -1,32 +1,12 @@
-"""Workload models (ResNet-20, logistic regression, LSTM, packed
-bootstrapping) plus the executable serving-layer statistics workload."""
+"""The executable serving-layer statistics workload (runtime traffic)."""
 
-from .base import OperationCounts, WorkloadSpec
 from .serving_statistics import (
     ClientStatistics,
     ServingStatisticsReport,
     run_serving_statistics,
 )
-from .catalog import (
-    BOOTSTRAP_OPERATIONS,
-    LOGISTIC_REGRESSION,
-    LSTM,
-    PACKED_BOOTSTRAPPING,
-    RESNET20,
-    WORKLOADS,
-    get_workload,
-)
 
 __all__ = [
-    "OperationCounts",
-    "WorkloadSpec",
-    "RESNET20",
-    "LOGISTIC_REGRESSION",
-    "LSTM",
-    "PACKED_BOOTSTRAPPING",
-    "BOOTSTRAP_OPERATIONS",
-    "WORKLOADS",
-    "get_workload",
     "ClientStatistics",
     "ServingStatisticsReport",
     "run_serving_statistics",

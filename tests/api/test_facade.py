@@ -58,6 +58,23 @@ class TestFacade:
         summed = fhe.inner_sum(fhe.encrypt(x))
         assert np.allclose(fhe.decrypt_real(summed)[0], np.sum(x), atol=5e-2)
 
+    @pytest.mark.parametrize("count", ["zero", "twice", "three"])
+    def test_inner_sum_rejects_bad_count_before_keygen(self, fhe, rng, monkeypatch,
+                                                       count):
+        """``2 * slot_count`` used to double the sum (its last step rotates by
+        ``slot_count``, an identity) and 0 to return the input unchanged."""
+        count = {"zero": 0, "twice": 2 * fhe.slot_count, "three": 3}[count]
+        ct = fhe.encrypt(rng.uniform(-1, 1, fhe.slot_count))
+
+        def no_keygen(steps):
+            raise AssertionError("rotation keys requested for %r" % list(steps))
+
+        monkeypatch.setattr(fhe, "ensure_rotation_keys", no_keygen)
+        with pytest.raises(ValueError, match="power-of-two count"):
+            fhe.inner_sum(ct, count)
+        with pytest.raises(ValueError, match="power-of-two count"):
+            fhe.evaluator.rotate_and_sum(ct, fhe.rotation_keys, count)
+
     def test_kernel_counter_accumulates(self, fhe, rng):
         before = sum(fhe.kernel_counter.invocations.values())
         x = rng.uniform(-1, 1, fhe.slot_count)

@@ -274,19 +274,6 @@ class TestOnePrimitive:
         assert calls == [False, True, False]
 
 
-class TestTensorCoreStreams:
-    def test_limb_pair_gemms_run_on_sixteen_streams(self, rng):
-        ring_degree = 32
-        primes = generate_ntt_primes(3, 24, ring_degree)
-        engine = create_engine("tensorcore", ring_degree, primes[0])
-        residues = np.stack([rng.integers(0, q, ring_degree) for q in primes])
-        engine.forward_limbs(residues, primes)
-        schedule = engine.last_schedule
-        assert engine.stream_scheduler.stream_count == 16
-        assert len(schedule.per_stream) == len(schedule.assignments) == 16
-        assert sum(len(names) for names in schedule.assignments) > 1
-
-
 class TestPlanner:
     def test_default_engine_registered(self):
         assert DEFAULT_ENGINE in ENGINE_REGISTRY
