@@ -49,6 +49,7 @@ __all__ = [
     "as_ndarray",
     "match_residency",
     "on_handles",
+    "combine_arrays",
     "stack_arrays",
     "concatenate_arrays",
     "block_arrays",
@@ -272,20 +273,26 @@ def on_handles(arity: int):
     return decorate
 
 
-def _combine_float(parts: Sequence[ArrayLike], combine, axis: int):
-    """``combine`` over float64 images, or None when that loses residency.
+def combine_arrays(parts: Sequence[ArrayLike], combine) -> ArrayLike:
+    """``combine(images)`` over the parts' images, float-resident when possible.
 
-    The parts are combined in float64 iff some part is *float-only* (no
-    host image): casting a float-only part to int64 just to join host
-    siblings would break the residency chain the float kernels built, so
-    the host siblings (an encoded plaintext next to ciphertext limbs) are
-    converted instead.  When every part already has a host image, the host
-    combine is the cheaper exact path.
+    ``combine`` takes the list of the parts' images — all float64 or all
+    int64 — and returns one array of reduced residues.  The images are
+    float64 iff some part is *float-only* (no host image): casting a
+    float-only part to int64 just to join host siblings would break the
+    residency chain the float kernels built, so the host siblings (an
+    encoded plaintext next to ciphertext limbs) are converted instead, and
+    the result is a float-only handle.  When every part already has a host
+    image, the host combine is the cheaper exact path, and the result
+    follows :func:`match_residency`.  A float result carries the parts'
+    bound, so ``combine`` rearranges residues or maps them modulo their
+    own primes (an automorphism's ``q - c``).
     """
     from .blas_backend import FloatResidues  # local: avoids import cycle
+    parts = list(parts)
     if all(part._host is not None for part in parts
            if isinstance(part, DeviceBuffer)):
-        return None
+        return match_residency(combine([as_ndarray(p) for p in parts]), *parts)
     images, bound = [], 0
     for part in parts:
         cache = part._float_cache if isinstance(part, DeviceBuffer) else None
@@ -296,8 +303,7 @@ def _combine_float(parts: Sequence[ArrayLike], combine, axis: int):
         else:
             images.append(cache.full())
             bound = max(bound, int(cache.max_value))
-    return DeviceBuffer.from_float(
-        FloatResidues(combine(images, axis=axis), bound))
+    return DeviceBuffer.from_float(FloatResidues(combine(images), bound))
 
 
 def stack_arrays(parts: Sequence[ArrayLike], axis: int = 0) -> ArrayLike:
@@ -312,21 +318,12 @@ def stack_arrays(parts: Sequence[ArrayLike], axis: int = 0) -> ArrayLike:
         shape = list(parts[0].shape)
         shape.insert(axis % (len(shape) + 1), 1)
         return parts[0].reshape(shape)
-    combined = _combine_float(parts, np.stack, axis)
-    if combined is not None:
-        return combined
-    result = np.stack([as_ndarray(p) for p in parts], axis=axis)
-    return match_residency(result, *parts)
+    return combine_arrays(parts, functools.partial(np.stack, axis=axis))
 
 
 def concatenate_arrays(parts: Sequence[ArrayLike], axis: int = 0) -> ArrayLike:
     """``np.concatenate`` over arrays/handles, float-resident when possible."""
-    parts = list(parts)
-    combined = _combine_float(parts, np.concatenate, axis)
-    if combined is not None:
-        return combined
-    result = np.concatenate([as_ndarray(p) for p in parts], axis=axis)
-    return match_residency(result, *parts)
+    return combine_arrays(parts, functools.partial(np.concatenate, axis=axis))
 
 
 def block_arrays(grid: Sequence[Sequence[ArrayLike]]) -> ArrayLike:
@@ -338,9 +335,8 @@ def block_arrays(grid: Sequence[Sequence[ArrayLike]]) -> ArrayLike:
     result.
     """
     grid = [list(row) for row in grid]
-    parts = [part for row in grid for part in row]
 
-    def combine(images, axis=None):
+    def combine(images):
         images = iter(images)
         rows = [[next(images) for _ in row] for row in grid]
         first = rows[0]
@@ -354,10 +350,7 @@ def block_arrays(grid: Sequence[Sequence[ArrayLike]]) -> ArrayLike:
             start = stop
         return out
 
-    combined = _combine_float(parts, combine, None)
-    if combined is not None:
-        return combined
-    return match_residency(combine([as_ndarray(p) for p in parts]), *parts)
+    return combine_arrays([part for row in grid for part in row], combine)
 
 
 def contiguous(value: ArrayLike) -> ArrayLike:

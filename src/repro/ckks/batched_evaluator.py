@@ -54,10 +54,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..backend.residency import concatenate_arrays, stack_arrays
+from ..backend.residency import combine_arrays, concatenate_arrays, stack_arrays
 from ..kernels.automorphism import (
-    apply_automorphism_coeff,
     galois_element_for_rotation,
+    stack_automorphism_coeff,
 )
 from ..kernels.base import KernelName
 from ..numtheory.modular import (
@@ -432,9 +432,11 @@ class BatchedEvaluator:
                rotation_keys: RotationKeySet) -> List[Ciphertext]:
         """HROTATE: cyclically rotate every stream's slots by ``steps``.
 
-        The automorphism is one gather over the stacked ``(2B, L, N)``
-        residues and the key switch runs B-fused; streams are grouped by
-        their active prime chain exactly like the other operations.
+        The automorphism gathers each stream's ``c0`` and ``c1`` straight
+        into its row of one ``(2B, L, N)`` output (every output coefficient
+        reads its source position) and the key switch runs B-fused; streams
+        are grouped by their active prime chain exactly like the other
+        operations.
         """
         ciphertexts = list(ciphertexts)
         if not ciphertexts:
@@ -465,6 +467,14 @@ class BatchedEvaluator:
     def _apply_galois(self, ciphertexts: Sequence[Ciphertext],
                       galois_element: int, switch_key: SwitchKey,
                       kernel: str) -> List[Ciphertext]:
+        """``(c0, c1) -> (c0(X^g), 0) + KeySwitch(c1(X^g))`` for every stream.
+
+        Per chain group, the FrobeniusMap / Conjugate kernel is one exact
+        gather of the ``2B`` components into a ``(2B, L, N)`` output in the
+        image the streams rest in (:func:`~repro.backend.residency.
+        combine_arrays`' rule), recorded once per component; then one
+        B-fused key switch of the ``c1`` rows and one Ele-Add launch.
+        """
         ciphertexts = self._in_domain(ciphertexts, PolyDomain.COEFFICIENT)
         results: List[Optional[Ciphertext]] = [None] * len(ciphertexts)
         for moduli, indices in self._grouped(
@@ -472,13 +482,13 @@ class BatchedEvaluator:
             entries = [ciphertexts[i] for i in indices]
             batch, limbs = len(entries), len(moduli)
             level = entries[0].level
-            # The automorphism is a host-side index gather over the
-            # (2B, L, N) stack, in whatever image it is resident in.
+            # Each component is read once, straight into its output row:
+            # no stacked copy of the inputs in between.
             column = moduli_column(moduli)
-            rotated = self._stack(
-                [ct.c0 for ct in entries] + [ct.c1 for ct in entries]
-            ).map_host(lambda image: apply_automorphism_coeff(
-                image, galois_element, column))
+            rotated = combine_arrays(
+                [ct.c0.buffer for ct in entries] + [ct.c1.buffer for ct in entries],
+                lambda images: stack_automorphism_coeff(
+                    images, galois_element, column))
             self._record(kernel, 2 * batch, limbs)
             switched = self.key_switcher.switch_many(
                 [self._poly(moduli, rotated[batch + j]) for j in range(batch)],

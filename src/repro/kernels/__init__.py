@@ -6,6 +6,7 @@ from .automorphism import (
     apply_automorphism_eval,
     evaluation_permutation,
     galois_element_for_rotation,
+    stack_automorphism_coeff,
 )
 from .base import KernelContext, KernelCounter, KernelName
 
@@ -15,6 +16,7 @@ __all__ = [
     "KernelContext",
     "apply_automorphism_coeff",
     "apply_automorphism_eval",
+    "stack_automorphism_coeff",
     "evaluation_permutation",
     "galois_element_for_rotation",
     "CONJUGATION_EXPONENT",

@@ -3,13 +3,16 @@
 ``apply_automorphism_coeff`` maps ``a(X) -> a(X^g)`` on coefficient vectors
 (the FrobeniusMap/Conjugate kernels of the paper operate on the same ring
 automorphism; in the NTT domain it becomes the pure index permutation the
-paper describes, implemented by ``evaluation_permutation``).
+paper describes, implemented by ``evaluation_permutation``).  Both are
+gathers: output coefficient ``j`` reads its source position, so a whole
+``(B, L, N)`` stack is one ``np.take`` plus, in the coefficient domain,
+the sign passes of the coefficients that wrap past ``X^N``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -17,6 +20,7 @@ __all__ = [
     "galois_element_for_rotation",
     "CONJUGATION_EXPONENT",
     "apply_automorphism_coeff",
+    "stack_automorphism_coeff",
     "evaluation_permutation",
     "apply_automorphism_eval",
 ]
@@ -31,17 +35,58 @@ def galois_element_for_rotation(steps: int, ring_degree: int) -> int:
     return pow(5, steps % (ring_degree // 2), modulus)
 
 
-@lru_cache(maxsize=256)
-def _coefficient_permutation(ring_degree: int, galois_element: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Precompute target indices and wrap-around flags for a coefficient automorphism."""
+@lru_cache(maxsize=512)
+def _coefficient_gather(ring_degree: int, galois_element: int,
+                        dtype: np.dtype) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Source index, sign row and wrap row of a coefficient automorphism.
+
+    Output coefficient ``j`` is input coefficient ``source[j]``, negated
+    where its exponent ``source[j] * g`` passed ``X^N`` an odd number of
+    times: ``sign[j] = -1`` and ``wrapped[j] = 1`` there, ``+1`` / ``0``
+    elsewhere, both in ``dtype`` so applying them converts nothing.  The
+    cached rows are shared by every call, so they are read-only.
+    """
     if galois_element % 2 == 0:
         raise ValueError("Galois elements must be odd")
-    galois_element %= 2 * ring_degree
     indices = np.arange(ring_degree, dtype=np.int64)
     raw_targets = (indices * galois_element) % (2 * ring_degree)
-    wraps = raw_targets >= ring_degree
-    targets = np.where(wraps, raw_targets - ring_degree, raw_targets)
-    return targets, wraps
+    source = np.empty_like(indices)
+    source[raw_targets % ring_degree] = indices
+    wraps = raw_targets[source] >= ring_degree
+    rows = source, np.where(wraps, -1, 1).astype(dtype), wraps.astype(dtype)
+    for row in rows:
+        row.setflags(write=False)
+    return rows
+
+
+def stack_automorphism_coeff(parts: Sequence[np.ndarray], galois_element: int,
+                             modulus) -> np.ndarray:
+    """``np.stack`` of ``a(X^g)`` over ``parts``, gathered straight into its rows.
+
+    Every part is an array of reduced residues of one shape (a polynomial's
+    ``(L, N)`` limbs, say) and one dtype, int64 or float64; ``modulus`` is
+    broadcastable against a part — e.g. the ``(L, 1)`` column of per-limb
+    primes.  Each part is read once, by an ``np.take`` of its source
+    positions into its row of the one ``(len(parts), ...)`` output, then
+    the wrapped positions are negated in place over the whole output:
+    times ``-1``, plus ``q``, and ``q`` (a wrapped zero) back to ``0``.
+    Exact in either dtype (float64 residues stay below ``2^53``), and the
+    output keeps the parts' dtype.
+    """
+    first = parts[0]
+    ring_degree = first.shape[-1]
+    source, sign, wrapped = _coefficient_gather(
+        ring_degree, galois_element % (2 * ring_degree), first.dtype)
+    out = np.empty((len(parts),) + first.shape, dtype=first.dtype)
+    for row, part in zip(out, parts):
+        # ``source`` is a permutation, so "clip" clips nothing; it only
+        # spares ``out=`` the buffered copy of the default mode.
+        np.take(part, source, axis=-1, out=row, mode="clip")
+    modulus = np.asarray(modulus, dtype=out.dtype)
+    out *= sign
+    out += modulus * wrapped
+    np.copyto(out, 0, where=out == modulus)
+    return out
 
 
 def apply_automorphism_coeff(coefficients: np.ndarray, galois_element: int,
@@ -54,17 +99,13 @@ def apply_automorphism_coeff(coefficients: np.ndarray, galois_element: int,
     residue matrix is permuted and negated in one launch.  Reduced
     residues in, reduced residues out, in the dtype they came in: a
     float64 residue image stays one (a coefficient that wraps past ``X^N``
-    becomes ``q - c``, zero stays zero; nothing is multiplied or divided).
+    becomes ``q - c``, zero stays zero).  The one-part case of
+    :func:`stack_automorphism_coeff`.
     """
     coefficients = np.asarray(coefficients)
     if coefficients.dtype != np.float64:
         coefficients = coefficients.astype(np.int64, copy=False)
-    ring_degree = coefficients.shape[-1]
-    targets, wraps = _coefficient_permutation(ring_degree, galois_element % (2 * ring_degree))
-    out = np.empty_like(coefficients)
-    out[..., targets] = np.where(wraps & (coefficients != 0),
-                                 modulus - coefficients, coefficients)
-    return out
+    return stack_automorphism_coeff([coefficients], galois_element, modulus)[0]
 
 
 @lru_cache(maxsize=256)
@@ -85,8 +126,12 @@ def evaluation_permutation(ring_degree: int, galois_element: int) -> np.ndarray:
 
 
 def apply_automorphism_eval(values: np.ndarray, galois_element: int) -> np.ndarray:
-    """Apply the automorphism to an evaluation-domain (NTT) vector."""
-    values = np.asarray(values, dtype=np.int64)
+    """Apply the automorphism to an evaluation-domain (NTT) vector.
+
+    A pure gather along the last axis, in the dtype ``values`` came in
+    (an int64 or a float64 residue image).
+    """
+    values = np.asarray(values)
     ring_degree = values.shape[-1]
     permutation = evaluation_permutation(ring_degree, galois_element % (2 * ring_degree))
-    return values[..., permutation]
+    return np.take(values, permutation, axis=-1)

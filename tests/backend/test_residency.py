@@ -7,9 +7,9 @@ Three layers of coverage:
   invalidation contract;
 * funnel/engine threading — handle in → handle out through every funnel
   and the GEMM engines, bit-identical to the host path on every backend;
-* the acceptance scenario — a fused batched HMULT (B=8, N=4096) on the
-  blas backend stays float-resident and bit-identical to the sequential
-  evaluator with identical kernel counters.
+* the acceptance scenarios — a fused batched HMULT, HROTATE and HCONJ
+  (B=8, N=4096) on the blas backend stay float-resident and bit-identical
+  to the sequential evaluator with identical kernel counters.
 """
 
 import numpy as np
@@ -26,7 +26,7 @@ from repro.backend import (
 )
 from repro.backend.blas_backend import FloatResidues
 from repro.backend.residency import block_arrays, concatenate_arrays, stack_arrays
-from repro.ckks import CkksParameters
+from repro.ckks import Ciphertext, CkksParameters
 from repro.ntt import NttPlanner, available_engines
 from repro.numtheory import generate_ntt_primes
 from repro.numtheory.modular import (
@@ -388,3 +388,78 @@ class TestAcceptance:
         assert fused_counts.snapshot() == sequential_counts.snapshot()
         assert (dict(fused_counts.limb_vectors)
                 == dict(sequential_counts.limb_vectors))
+
+
+def _host_only(ciphertext: Ciphertext) -> Ciphertext:
+    """A twin of ``ciphertext`` whose components hold only an int64 image."""
+    twin = ciphertext.copy()
+    c0, c1 = (RnsPolynomial(poly.ring_degree, poly.moduli, poly.residues, poly.domain)
+              for poly in (twin.c0, twin.c1))
+    return Ciphertext(c0, c1, ciphertext.scale, ciphertext.level)
+
+
+class TestGaloisAcceptance:
+    """The HROTATE / HCONJ twin of :class:`TestAcceptance`: blas, B=8, N=4096.
+
+    The automorphism gathers every stream's components straight into one
+    ``(2B, L, N)`` output, in float64 when a stream is float-only.
+    """
+
+    BATCH = 8
+
+    @staticmethod
+    def _operations(fhe, operation):
+        fhe.ensure_rotation_keys([1])
+        keys = fhe.rotation_keys
+        if operation == "rotate":
+            return (lambda ct: fhe.evaluator.rotate(ct, 1, keys),
+                    lambda cts: fhe.batched_evaluator.rotate(cts, 1, keys))
+        return (lambda ct: fhe.evaluator.conjugate(ct, keys),
+                lambda cts: fhe.batched_evaluator.conjugate(cts, keys))
+
+    def _streams(self, fhe, seed):
+        rng = np.random.default_rng(seed)
+        with use_backend("blas"):
+            streams = [fhe.encrypt(rng.uniform(-1, 1, fhe.slot_count))
+                       for _ in range(self.BATCH)]
+        assert all(ct.c0.buffer.host_image is None for ct in streams)
+        return streams
+
+    @pytest.mark.parametrize("operation", ["rotate", "conjugate"])
+    def test_fused_galois_float_resident_bit_identical(self, accept_fhe, operation):
+        fhe = accept_fhe
+        singular, batched = self._operations(fhe, operation)
+        streams = self._streams(fhe, 37)
+        kernels = fhe.context.kernels
+        with use_backend("blas"):
+            with kernels.capture() as sequential_counts:
+                expected = [singular(ct) for ct in streams]
+            with kernels.capture() as fused_counts:
+                actual = batched(streams)
+        for ciphertext in actual + expected:
+            assert ciphertext.c0.buffer.host_image is None
+            assert ciphertext.c1.buffer.host_image is None
+        for got, want in zip(actual, expected):
+            assert np.array_equal(got.c0.residues, want.c0.residues)
+            assert np.array_equal(got.c1.residues, want.c1.residues)
+            assert got.scale == want.scale and got.level == want.level
+        assert fused_counts.snapshot() == sequential_counts.snapshot()
+        assert (dict(fused_counts.limb_vectors)
+                == dict(sequential_counts.limb_vectors))
+
+    @pytest.mark.parametrize("operation", ["rotate", "conjugate"])
+    def test_mixed_residency_batch_matches_the_host_batch(self, accept_fhe, operation):
+        """One host-int64 stream among float-only ones: the gather runs in
+        float64, and every residue equals the all-host (int64) batch's."""
+        fhe = accept_fhe
+        _, batched = self._operations(fhe, operation)
+        streams = self._streams(fhe, 41)
+        all_host = [_host_only(ct) for ct in streams]
+        mixed = [all_host[0]] + streams[1:]
+        assert mixed[0].c0.buffer.float_cache() is None
+        with use_backend("blas"):
+            want = batched(all_host)
+            got = batched(mixed)
+        for a, b in zip(got, want):
+            assert np.array_equal(a.c0.residues, b.c0.residues)
+            assert np.array_equal(a.c1.residues, b.c1.residues)
