@@ -95,7 +95,7 @@ class TensorFheContext:
         backend (``REPRO_BACKEND`` or :func:`repro.set_active_backend`),
         which is then what the context follows.
         """
-        return resolve_backend(self.context.planner.backend).name
+        return resolve_backend(self.context.backend).name
 
     @property
     def bootstrapper(self) -> Bootstrapper:

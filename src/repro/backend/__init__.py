@@ -1,12 +1,13 @@
 """Pluggable compute backends for the batched modular-GEMM substrate.
 
-Two backends are registered: ``numpy`` (exact chunked int64, the default
-and the test oracle) and ``blas`` (guarded float64, the fast path).  See
+Two backends exist: ``numpy`` (exact chunked int64, the default and the
+test oracle) and ``blas`` (guarded float64, the fast path).  See
 :mod:`repro.backend.base` for the interface contract,
-:mod:`repro.backend.registry` for runtime selection (``REPRO_BACKEND`` env
-var, ``set_active_backend`` or explicit ``backend=`` arguments) and
-:mod:`repro.backend.residency` for the :class:`DeviceBuffer` handles that
-keep a float64 image of an operand across kernel launches.
+:mod:`repro.backend.registry` for runtime selection (a context's
+``backend=`` pin, ``use_backend`` / ``set_active_backend``, the
+``REPRO_BACKEND`` env var) and :mod:`repro.backend.residency` for the
+:class:`DeviceBuffer` handles that keep a float64 image of an operand
+across kernel launches.
 """
 
 from .base import ArrayBackend
@@ -19,7 +20,6 @@ from .registry import (
     available_backends,
     get_active_backend,
     get_backend,
-    register_backend,
     resolve_backend,
     set_active_backend,
     use_backend,
@@ -37,7 +37,6 @@ __all__ = [
     "as_ndarray",
     "BACKEND_ENV_VAR",
     "DEFAULT_BACKEND",
-    "register_backend",
     "available_backends",
     "get_backend",
     "resolve_backend",

@@ -2,8 +2,8 @@
 
 Every hot path of the library — the batched NTT engines, the RNS basis
 conversion, the CKKS element-wise arithmetic — reaches its arithmetic through
-the funnels of :mod:`repro.ntt.gemm_utils` and :mod:`repro.numtheory.modular`,
-and the funnels call the *active* backend.  The paper's kernel layer is a small
+the funnels of :mod:`repro.numtheory.modular`, and the funnels call the
+*active* backend.  The paper's kernel layer is a small
 fixed set of kernels every operation reuses (Table II); this interface is that
 set.  Registered implementations (:mod:`repro.backend.registry`): ``numpy``
 (exact chunked int64, the default and the test oracle) and ``blas``
@@ -31,9 +31,9 @@ kernel            operands                        result
 ================  ==============================  ==================================
 
 Operands are reduced modulo their row's prime (``mat_reduce`` and the rhs of
-``matmul_rows`` excepted) and every modulus is below ``2**31``, so a product of
-two residues fits int64; the funnels keep the object-dtype path for wider
-moduli and never dispatch them.
+``matmul_rows`` excepted).  Moduli may have any width: a kernel is exact for
+every modulus, including those of 2**31 and up where a product of two
+residues no longer fits int64.
 
 *Images a backend may read.*  ``ensure_host()`` is always allowed (a cast
 for a float-only handle).  A float-capable backend may *peek*
@@ -41,10 +41,12 @@ for a float-only handle).  A float-capable backend may *peek*
 handle (``DeviceBuffer.from_float``); it never builds one on an operand, so
 transient intermediates pay no conversion.
 
-*Who guards exactness.*  The backend: a kernel that takes a float path checks
-the 2**53 bound itself (:class:`~repro.numtheory.floatmod.BarrettChain`
-``fits``) and falls back to exact int64 arithmetic when it fails.  Every
-backend returns the same bits.
+*Who guards exactness.*  The backend, and nobody else: a kernel that takes a
+float path checks the 2**53 bound itself
+(:class:`~repro.numtheory.floatmod.BarrettChain` ``fits``) and falls back to
+the numpy kernels when it fails; those switch to Python-integer arithmetic
+where an int64 product could overflow.  Every backend returns the same
+bits, and a caller may call the kernels directly on any chain.
 
 The float kernels
 -----------------
@@ -138,9 +140,9 @@ class ArrayBackend(abc.ABC):
         The fast-basis-conversion shape: operand rows may live in residue
         domains other than ``row_moduli``, so overflow bounds come from the
         operand maxima, not the moduli.  ``operand_bound`` is the caller's
-        precomputed ``max(lhs) * max(rhs)`` (the funnel already has it for
-        its own object-path guard); implementations fall back to scanning
-        when it is absent.
+        upper bound on ``max(lhs) * max(rhs)`` (the basis converter knows
+        one without reading a float-only operand); implementations fall
+        back to scanning when it is absent.
         """
 
     @abc.abstractmethod

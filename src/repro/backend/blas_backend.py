@@ -2,11 +2,12 @@
 
 The limb-batched GEMMs run on BLAS float64 whenever the 2**53 mantissa
 bound keeps them exact — the software analogue of the paper lowering GEMMs
-to low-precision tensor-core arithmetic.  Historically this fast path lived
-ad hoc inside :mod:`repro.ntt.gemm_utils`; it is now a backend in its own
-right, selectable with ``REPRO_BACKEND=blas``, and every launch that the
-mantissa guard rejects falls back to the exact chunked-int64 arithmetic of
-:class:`~repro.backend.numpy_backend.NumpyBackend`.
+to low-precision tensor-core arithmetic.  Selectable with
+``REPRO_BACKEND=blas``; every launch that the mantissa guard rejects falls
+back to the exact arithmetic of
+:class:`~repro.backend.numpy_backend.NumpyBackend` (chunked int64, or
+Python integers where an int64 product could overflow).  The guard is the
+only exactness decision this backend makes, at any modulus width.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ class FloatOperandCache:
         self._split = None
 
     def full(self) -> np.ndarray:
-        """The operand converted to float64 (exact: entries < 2**31 < 2**53)."""
+        """The operand converted to float64 (exact: entries < 2**53)."""
         if self._full is None:
             self._full = self.matrix.astype(np.float64)
         return self._full

@@ -8,6 +8,13 @@ modulo reductions and instead reducing an accumulator occasionally is what
 makes the matrix formulation fast; here it additionally keeps the Python
 implementation exact for arbitrary 30-bit moduli.
 
+This backend is the oracle, so it is exact for *every* modulus: where a
+single product can overflow int64 (a modulus of 2**31 or more, or a
+``matmul_rows`` operand bound of 2**63 or more) its product kernels compute
+in Python integers instead (:func:`_object_product`).  No caller guards
+that; the sum, difference, negation and reduction kernels need no such
+path.
+
 The int64 arithmetic lives in module-level functions on plain arrays;
 :class:`NumpyBackend` binds each to its kernel through one hook,
 :meth:`NumpyBackend._launch`, which picks the operand images and wraps the
@@ -26,6 +33,8 @@ from .residency import DeviceBuffer
 __all__ = ["NumpyBackend", "int64_matmul_limbs", "max_safe_chunk"]
 
 _SAFE_ACCUMULATOR_BITS = 62
+#: From this modulus up a product of two residues can overflow int64.
+_WIDE_MODULUS = 1 << 31
 
 
 def max_safe_chunk(modulus: int) -> int:
@@ -45,12 +54,22 @@ def _moduli_column(moduli, ndim: int) -> np.ndarray:
     return moduli.reshape((moduli.shape[0],) + (1,) * (ndim - 1))
 
 
+def _object_product(product, a: np.ndarray, b: np.ndarray,
+                    column: np.ndarray) -> np.ndarray:
+    """Exact ``product(a, b) % column`` in Python integers, as int64."""
+    wide = product(a.astype(object), b.astype(object)) % column
+    return np.asarray(wide, dtype=np.int64)
+
+
 def int64_matmul_limbs(lhs: np.ndarray, rhs: np.ndarray,
                        moduli: np.ndarray) -> np.ndarray:
     """Exact ``(lhs[i] @ rhs[i]) mod moduli[i]`` on int64 arrays."""
     column = _moduli_column(moduli, 3)
+    modulus = int(column.max())
+    if modulus >= _WIDE_MODULUS:
+        return _object_product(np.matmul, lhs, rhs, column)
     inner = lhs.shape[2]
-    chunk = max_safe_chunk(int(column.max()))
+    chunk = max_safe_chunk(modulus)
     if chunk >= inner:
         return np.matmul(lhs, rhs) % column
     result = np.zeros((lhs.shape[0], lhs.shape[1], rhs.shape[2]), dtype=np.int64)
@@ -69,6 +88,9 @@ def _matmul_rows(lhs: np.ndarray, rhs: np.ndarray, row_moduli: np.ndarray,
     # rows' primes, so the chunk bound comes from the actual maxima.
     per_term = (operand_bound if operand_bound is not None
                 else int(lhs.max(initial=0)) * int(rhs.max(initial=0)))
+    if per_term >= (1 << 63):
+        # Even a chunk of one term would overflow int64.
+        return _object_product(np.matmul, lhs, rhs, column)
     chunk = inner if per_term == 0 else max(
         1, (1 << _SAFE_ACCUMULATOR_BITS) // per_term)
     if chunk >= inner:
@@ -84,7 +106,10 @@ def _matmul_rows(lhs: np.ndarray, rhs: np.ndarray, row_moduli: np.ndarray,
 def _mat_mul(a: np.ndarray, b: np.ndarray, moduli: np.ndarray,
              terms: int = 1) -> np.ndarray:
     column = _moduli_column(moduli, max(a.ndim, b.ndim))
-    out = (a * b) % column
+    if int(column.max()) >= _WIDE_MODULUS:
+        out = _object_product(np.multiply, a, b, column)
+    else:
+        out = (a * b) % column
     if terms > 1:
         # Reduced products: terms * q fits int64 for every word-sized q.
         out = out.sum(axis=1) % column[:, 0]
@@ -124,7 +149,7 @@ def _mat_reduce(matrix: np.ndarray, moduli: np.ndarray) -> np.ndarray:
 
 
 class NumpyBackend(ArrayBackend):
-    """Pure-numpy int64 substrate, exact for all moduli below 2**31."""
+    """Pure-numpy int64 substrate, exact for every modulus (the oracle)."""
 
     name = "numpy"
 

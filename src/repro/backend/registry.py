@@ -1,19 +1,21 @@
 """Backend registry and runtime selection.
 
-Selection precedence, highest first:
+Every kernel launch runs on the *active* backend,
+:func:`get_active_backend`.  Selection precedence, highest first:
 
-1. an explicit ``backend=`` argument (on ``TensorFheContext``,
-   ``CkksContext``, ``NttPlanner`` or any funnel helper) — accepts a
-   registered name or an :class:`~repro.backend.base.ArrayBackend` instance;
-2. a process-wide override installed with :func:`set_active_backend` (or
-   scoped with the :func:`use_backend` context manager);
+1. a context's ``backend=`` pin (``TensorFheContext`` / ``CkksContext``,
+   a registered name or an :class:`~repro.backend.base.ArrayBackend`
+   instance), which the context installs as the override for each of
+   its operations (:func:`repro.ckks.context.pinned`);
+2. an override installed with :func:`set_active_backend` (or scoped with
+   the :func:`use_backend` context manager);
 3. the ``REPRO_BACKEND`` environment variable;
 4. the zero-dependency ``numpy`` default.
 
-Backends register a *class*; one instance per name is created lazily and
-shared process-wide.  Two are registered, ``numpy`` (the int64 oracle)
-and ``blas`` (the float64 fast path); any other name is a ``ValueError``
-that lists them.
+Two backends exist, ``numpy`` (the int64 oracle) and ``blas`` (the float64
+fast path), listed in ``_REGISTRY``; one instance per name is created
+lazily and shared process-wide.  Any other name is a ``ValueError`` that
+lists them.
 
 The override slot itself is a :class:`contextvars.ContextVar`, not a
 module global: concurrent ``asyncio`` tasks (the serving layer's worker
@@ -38,7 +40,6 @@ from .numpy_backend import NumpyBackend
 __all__ = [
     "BACKEND_ENV_VAR",
     "DEFAULT_BACKEND",
-    "register_backend",
     "available_backends",
     "get_backend",
     "resolve_backend",
@@ -54,7 +55,10 @@ DEFAULT_BACKEND = NumpyBackend.name
 
 BackendSpec = Union[None, str, ArrayBackend]
 
-_REGISTRY: Dict[str, Type[ArrayBackend]] = {}
+_REGISTRY: Dict[str, Type[ArrayBackend]] = {
+    NumpyBackend.name: NumpyBackend,
+    BlasFloat64Backend.name: BlasFloat64Backend,
+}
 _INSTANCES: Dict[str, ArrayBackend] = {}
 #: Override installed by :func:`set_active_backend` (None means "resolve
 #: from the environment").  A ``ContextVar`` so concurrent asyncio tasks
@@ -63,18 +67,8 @@ _ACTIVE: ContextVar[Optional[ArrayBackend]] = ContextVar(
     "repro_active_backend", default=None)
 
 
-def register_backend(backend_cls: Type[ArrayBackend]) -> Type[ArrayBackend]:
-    """Register a backend class under its ``name`` (usable as a decorator)."""
-    name = backend_cls.name
-    if not name or name == ArrayBackend.name:
-        raise ValueError("backend class %r needs a concrete name" % backend_cls)
-    _REGISTRY[name] = backend_cls
-    _INSTANCES.pop(name, None)
-    return backend_cls
-
-
 def available_backends() -> Tuple[str, ...]:
-    """Names of the registered backends, in registration order."""
+    """Names of the backends, the default first."""
     return tuple(_REGISTRY)
 
 
@@ -100,7 +94,7 @@ def get_backend(name: str) -> ArrayBackend:
 
 
 def get_active_backend() -> ArrayBackend:
-    """The backend the funnels use when no explicit one is passed."""
+    """The backend every funnel and engine launch runs on."""
     active = _ACTIVE.get()
     if active is not None:
         return active
@@ -137,6 +131,3 @@ def resolve_backend(backend: BackendSpec) -> ArrayBackend:
         return backend
     return get_backend(backend)
 
-
-register_backend(NumpyBackend)
-register_backend(BlasFloat64Backend)

@@ -75,10 +75,13 @@ class BatchScheduler:
              requested: Optional[int] = None) -> BatchPlan:
         """Pick a batch size for the given parameters.
 
-        ``requested`` (e.g. the paper's Table V batch sizes) caps the
-        result; power-of-two sizes are preferred because the workloads pack
-        power-of-two many ciphertexts.
+        ``requested`` (e.g. the paper's Table V batch sizes, at least 1)
+        caps the result; power-of-two sizes are preferred because the
+        workloads pack power-of-two many ciphertexts.
         """
+        if requested is not None and requested < 1:
+            raise ValueError("requested batch size must be at least 1, got %d"
+                             % requested)
         per_op = self.working_set_per_operation(ring_degree, limb_count, components)
         usable = self.vram_bytes * _VRAM_UTILISATION
         vram_limit = max(1, int(usable // per_op))

@@ -30,14 +30,14 @@ def pinned(method):
     """Run a method of a context-holding object on the context's backend.
 
     A context constructed with ``backend=`` pins every launch made on its
-    behalf — NTT GEMMs, element-wise kernels, Conv, the inner product — not
-    only the ones that are handed the pin: the funnels resolve the active
-    backend, and this scope makes the pin the active one for the call.
-    Unpinned contexts follow the process-wide selection untouched.
+    behalf — NTT GEMMs, element-wise kernels, Conv, the inner product: the
+    funnels and engines run on the active backend, and this scope makes the
+    pin the active one for the call.  Unpinned contexts follow the
+    process-wide selection untouched.
     """
     @functools.wraps(method)
     def scoped(self, *args, **kwargs):
-        backend = self.context.planner.backend
+        backend = self.context.backend
         if backend is None:
             return method(self, *args, **kwargs)
         with use_backend(backend):
@@ -62,14 +62,13 @@ class CkksContext:
             special_count=special_count,
             special_bits=parameters.special_prime_bits,
         )
-        # ``backend`` pins the compute substrate of this instance (name /
-        # ArrayBackend instance / None for the process-wide active backend
-        # selected by REPRO_BACKEND).  The engines launch their GEMMs on it
-        # directly, and every operation of the instance's encryptor,
-        # decryptor, evaluator, key generator and bootstrapper runs inside
-        # a :func:`pinned` scope, so element-wise kernels, Conv and the
-        # inner product take it too.
-        self.planner = NttPlanner(parameters.ntt_engine, backend=backend)
+        #: The compute backend this instance is pinned to, resolved once (an
+        #: unknown name raises here), or None to follow the process-wide
+        #: active backend (``use_backend`` / ``REPRO_BACKEND``).  Every
+        #: operation of the instance's encryptor, decryptor, evaluator, key
+        #: generator and bootstrapper runs inside a :func:`pinned` scope.
+        self.backend = None if backend is None else resolve_backend(backend)
+        self.planner = NttPlanner(parameters.ntt_engine)
         self.kernels = KernelContext(self.planner)
         self.encoder = CkksEncoder(parameters)
         self.rng = np.random.default_rng(seed)
@@ -144,5 +143,5 @@ class CkksContext:
         info["ciphertext_primes"] = len(self.basis.ciphertext_primes)
         info["special_primes"] = len(self.basis.special_primes)
         info["log_q"] = round(sum(float(np.log2(q)) for q in self.basis.ciphertext_primes), 1)
-        info["compute_backend"] = resolve_backend(self.planner.backend).name
+        info["compute_backend"] = resolve_backend(self.backend).name
         return info

@@ -202,9 +202,8 @@ class KeyGenerator:
 
         The stored form of a switch key (:mod:`repro.ckks.keys`): the inner
         product then hands ModDown limbs that already carry ``P^{-1}``.
-        One exact funnel pass per component (>= 2**31 moduli take the
-        object path), written back into the stacks of ``rows`` extended
-        limbs per group.
+        One exact funnel pass per component (exact at any modulus width),
+        written back into the stacks of ``rows`` extended limbs per group.
         """
         special_product = self.context.basis.special_product
         inverses = np.asarray([mod_inverse(special_product % q, q) for q in active],

@@ -76,6 +76,8 @@ class CkksParameters:
             raise ValueError("level_count must be at least 1")
         if self.dnum < 1:
             raise ValueError("dnum must be at least 1")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be at least 1")
         check_engine(self.ntt_engine)
 
     # ------------------------------------------------------------------

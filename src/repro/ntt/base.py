@@ -49,23 +49,19 @@ class NttEngine(abc.ABC):
     ``q`` is the prime of the scalar entry points.
 
     Engines are backend-agnostic: the GEMM launches they issue go through
-    the :mod:`repro.ntt.gemm_utils` funnel, which dispatches to the compute
-    backend pinned at construction (``backend=``) or, when none is pinned,
-    to the process-wide active backend (``REPRO_BACKEND`` / numpy).
+    the funnels of :mod:`repro.numtheory.modular`, which run them on the
+    active backend (:func:`~repro.backend.registry.get_active_backend`) —
+    a context's pin, a ``use_backend`` scope, ``REPRO_BACKEND`` or numpy.
     """
 
     #: Short identifier used by the planner and the benchmarks.
     name = "abstract"
 
-    def __init__(self, ring_degree: int, modulus: int, *,
-                 backend=None) -> None:
+    def __init__(self, ring_degree: int, modulus: int) -> None:
         self.ring_degree = ring_degree
         self.modulus = modulus
         #: The shared ``(N, q)`` tables; building them checks q is NTT-friendly.
         self.twiddles = get_twiddle_cache(ring_degree, modulus)
-        #: Pinned backend spec (None / name / instance) forwarded to every
-        #: GEMM funnel call; None tracks the process-wide active backend.
-        self.backend = backend
 
     @abc.abstractmethod
     def _transform_ops(self, stacks, moduli_array: np.ndarray, *,

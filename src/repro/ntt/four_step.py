@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..backend.blas_backend import FloatResidues
-from ..backend.registry import resolve_backend
+from ..backend.registry import get_active_backend
 from ..backend.residency import DeviceBuffer, as_buffer, contiguous, is_buffer
 from ..numtheory import planned
 from ..numtheory.planned import (
@@ -31,9 +31,9 @@ from ..numtheory.planned import (
     wide_columns,
     work_buffers,
 )
+from ..numtheory.modular import mat_mod_mul, modular_matmul_limbs
 from .base import NttEngine
 from .four_step_plan import FourStepPlan
-from .gemm_utils import modular_hadamard_limbs, modular_matmul_limbs
 from .twiddle import get_twiddle_stack, split_degree
 
 __all__ = ["FourStepNtt"]
@@ -44,9 +44,8 @@ class FourStepNtt(NttEngine):
 
     name = "four_step"
 
-    def __init__(self, ring_degree: int, modulus: int, *,
-                 backend=None) -> None:
-        super().__init__(ring_degree, modulus, backend=backend)
+    def __init__(self, ring_degree: int, modulus: int) -> None:
+        super().__init__(ring_degree, modulus)
         self.n1, self.n2 = split_degree(ring_degree)
 
     # -- the whole (B, L, N) stack, 3 launches ---------------------------
@@ -84,7 +83,7 @@ class FourStepNtt(NttEngine):
         The per-stage forms of the float64 pipeline, or ``None`` when the
         launch runs the int64 :meth:`_ops_pipeline`: this engine's GEMM or
         Hadamard hooks are overridden (the tensor-core engine lowers them
-        to INT8 and must keep doing so), the resolved backend's
+        to INT8 and must keep doing so), the active backend's
         ``capabilities()`` do not declare ``float_residency``, or the
         2**53 guard refuses a stage.  Both paths give the same bits.
         """
@@ -95,8 +94,7 @@ class FourStepNtt(NttEngine):
         if (type(self)._gemm_limbs is not FourStepNtt._gemm_limbs
                 or type(self)._hadamard_limbs is not FourStepNtt._hadamard_limbs):
             return None
-        backend = resolve_backend(self.backend)
-        if not backend.capabilities().get("float_residency", False):
+        if not get_active_backend().capabilities().get("float_residency", False):
             return None
         return stack.four_step_plan(inverse)
 
@@ -118,7 +116,7 @@ class FourStepNtt(NttEngine):
         Only polynomials too small for that to pay
         (:data:`~repro.numtheory.planned.RESIDENT_DOUBLES`) come back int64.
         """
-        backend = resolve_backend(self.backend)
+        backend = get_active_backend()
         batch, limbs = stacks.shape[0], stacks.shape[1]
         resident = is_buffer(stacks)
         cache = stacks.float_cache() if resident else None
@@ -209,9 +207,9 @@ class FourStepNtt(NttEngine):
     def _gemm_limbs(self, lhs: DeviceBuffer, rhs: DeviceBuffer,
                     moduli: np.ndarray) -> DeviceBuffer:
         """Limb-batched modular GEMM (one 3-D launch on the active backend)."""
-        return modular_matmul_limbs(lhs, rhs, moduli, backend=self.backend)
+        return modular_matmul_limbs(lhs, rhs, moduli)
 
     def _hadamard_limbs(self, lhs: DeviceBuffer, rhs: DeviceBuffer,
                         moduli: np.ndarray) -> DeviceBuffer:
         """Limb-batched modular Hadamard product."""
-        return modular_hadamard_limbs(lhs, rhs, moduli, backend=self.backend)
+        return mat_mod_mul(lhs, rhs, moduli)

@@ -24,7 +24,6 @@ from typing import Dict, Sequence, Tuple, Type
 
 import numpy as np
 
-from ..backend.registry import get_backend
 from .base import NttEngine
 from .four_step import FourStepNtt
 from .reference import ReferenceNtt
@@ -58,29 +57,22 @@ def check_engine(name: str) -> None:
         )
 
 
-def create_engine(name: str, ring_degree: int, modulus: int, **kwargs) -> NttEngine:
+def create_engine(name: str, ring_degree: int, modulus: int) -> NttEngine:
     """Instantiate engine ``name`` for the given ring degree and modulus."""
     check_engine(name)
-    return ENGINE_REGISTRY[name](ring_degree, modulus, **kwargs)
+    return ENGINE_REGISTRY[name](ring_degree, modulus)
 
 
 class NttPlanner:
     """Caches one engine per ``(N, q)`` pair.
 
-    ``backend`` pins the compute substrate every cached engine launches
-    its GEMMs on: a registered backend name, an
-    :class:`~repro.backend.base.ArrayBackend` instance, or ``None`` to
-    follow the process-wide active backend (``REPRO_BACKEND`` / numpy).
+    The engines launch on the active backend; a context's pin reaches them
+    through its :func:`~repro.ckks.context.pinned` scope.
     """
 
-    def __init__(self, engine_name: str = DEFAULT_ENGINE, *,
-                 backend=None) -> None:
+    def __init__(self, engine_name: str = DEFAULT_ENGINE) -> None:
         check_engine(engine_name)
         self.engine_name = engine_name
-        if isinstance(backend, str):
-            # Fail fast on typos instead of at the first transform.
-            backend = get_backend(backend)
-        self.backend = backend
         self._engines: Dict[Tuple[int, int], NttEngine] = {}
 
     def engine_for(self, ring_degree: int, modulus: int) -> NttEngine:
@@ -88,8 +80,7 @@ class NttPlanner:
         key = (ring_degree, modulus)
         engine = self._engines.get(key)
         if engine is None:
-            engine = create_engine(self.engine_name, ring_degree, modulus,
-                                   backend=self.backend)
+            engine = create_engine(self.engine_name, ring_degree, modulus)
             self._engines[key] = engine
         return engine
 

@@ -22,7 +22,7 @@ from ..backend.blas_backend import FloatOperandCache
 from ..backend.residency import DeviceBuffer
 from ..numtheory.bit_ops import ilog2, is_power_of_two
 from ..numtheory.floatmod import BarrettChain, get_barrett_chain
-from ..numtheory.modular import mod_inverse, mod_pow
+from ..numtheory.modular import mat_mod_scalar_mul, mod_inverse, mod_pow
 from ..numtheory.roots import find_negacyclic_root, root_powers
 from .four_step_plan import FourStepPlan, plan_four_step
 
@@ -161,11 +161,8 @@ def _degree_scaled(matrix: np.ndarray, cache: TwiddleCache) -> np.ndarray:
     the whole ``N^-1`` step of every inverse transform (same bits: the
     scaling commutes with the remaining stages).
     """
-    q = cache.modulus
-    if q < (1 << 31):
-        return (matrix * cache.degree_inverse) % q
-    return np.asarray((matrix.astype(object) * cache.degree_inverse) % q,
-                      dtype=np.int64)
+    return mat_mod_scalar_mul(matrix[None], cache.degree_inverse,
+                              (cache.modulus,))[0]
 
 
 class _PrefixFloatCache(FloatOperandCache):

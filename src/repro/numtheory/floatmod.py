@@ -31,10 +31,8 @@ Two precomputation details make the canonical pass *provably* exact:
 :class:`BarrettChain` packages the constants for a whole RNS prime chain
 (one row per limb, the layout every limb-batched kernel uses) and is cached
 per moduli tuple via :func:`get_barrett_chain`, so funnels and engines
-never recompute reciprocals per call.  The scalar integer
-:class:`~repro.numtheory.modular.BarrettReducer` /
-:class:`~repro.numtheory.modular.MontgomeryReducer` remain the reference
-implementations the tests pin this module against.
+never recompute reciprocals per call.  The tests pin every reduction here
+against Python's ``%`` on the same integers.
 """
 
 from __future__ import annotations

@@ -1,29 +1,26 @@
 """Modular arithmetic primitives used throughout the library.
 
-All NTT and CKKS arithmetic in this reproduction works over prime moduli of
-30 bits or fewer so that a product of two residues fits comfortably in a
-signed 64-bit integer.  This module provides both scalar helpers (pure
-Python integers, used for key generation and reference code) and vectorised
-helpers operating on ``numpy.int64``/``numpy.uint64`` arrays (used by the
-NTT engines and the RNS polynomial layer).
-
-The module also contains software implementations of Barrett and Montgomery
-reduction.  The GPU in the paper has no hardware modulo support, which is
-why TensorFHE goes to great lengths to avoid ``%`` — these scalar classes
-are the *reference* forms of those reductions, kept as the ground truth the
-tests pin the vectorised paths against.  The production float64 variant —
-lazy Barrett on the FMA units, used by the float-resident kernel chains —
-lives in :mod:`repro.numtheory.floatmod`.
+Scalar helpers work on Python integers (key generation, reference code);
+``vec_mod_*`` are their one-prime numpy forms.  The ``mat_mod_*`` and
+``modular_matmul_*`` helpers are the *funnels*: every whole-polynomial
+launch of the library — element-wise CKKS arithmetic, the NTT engines'
+GEMMs, the fast basis conversion — calls one of them, and they call the
+active compute backend (:mod:`repro.backend`).  A funnel owns input
+coercion, shape checks and residency (:func:`~repro.backend.residency.
+on_handles`); the backend owns the arithmetic and its exactness, for
+every modulus.  The GPU in the paper has no hardware modulo support; the
+library's float64 answer to that — lazy Barrett reduction on the FMA units
+— lives in :mod:`repro.numtheory.floatmod`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
-from ..backend.registry import resolve_backend
-from ..backend.residency import DeviceBuffer, on_handles
+from ..backend.registry import get_active_backend
+from ..backend.residency import on_handles
 
 __all__ = [
     "mod_add",
@@ -32,8 +29,6 @@ __all__ = [
     "mod_pow",
     "mod_inverse",
     "mod_neg",
-    "BarrettReducer",
-    "MontgomeryReducer",
     "vec_mod_add",
     "vec_mod_sub",
     "vec_mod_mul",
@@ -45,6 +40,8 @@ __all__ = [
     "mat_mod_neg",
     "mat_mod_mul",
     "mat_mod_scalar_mul",
+    "modular_matmul_limbs",
+    "modular_matmul_rows",
 ]
 
 
@@ -111,80 +108,6 @@ def _extended_gcd(a: int, b: int):
     return old_r, old_x, old_y
 
 
-@dataclass
-class BarrettReducer:
-    """Barrett reduction for a fixed modulus.
-
-    Precomputes ``mu = floor(2**k / q)`` so that a 2w-bit product can be
-    reduced with two multiplications and a conditional subtraction, exactly
-    as the CUDA kernels in the paper's baselines (e.g. 100x [33]) do.
-    """
-
-    modulus: int
-
-    def __post_init__(self) -> None:
-        if self.modulus <= 1:
-            raise ValueError("modulus must be > 1")
-        self.shift = 2 * self.modulus.bit_length()
-        self.mu = (1 << self.shift) // self.modulus
-
-    def reduce(self, value: int) -> int:
-        """Reduce ``value`` (``0 <= value < q**2``) modulo ``q``."""
-        q = self.modulus
-        estimate = (value * self.mu) >> self.shift
-        remainder = value - estimate * q
-        while remainder >= q:
-            remainder -= q
-        return remainder
-
-    def mul(self, a: int, b: int) -> int:
-        """Return ``a * b mod q`` via Barrett reduction."""
-        return self.reduce(a * b)
-
-
-@dataclass
-class MontgomeryReducer:
-    """Montgomery reduction for a fixed odd modulus (reference form).
-
-    Values are kept in the Montgomery domain ``a * R mod q`` with
-    ``R = 2**r``.  This is the scalar reference for the modulus-avoiding
-    arithmetic the fastest CPU/GPU NTT libraries use; the library's hot
-    paths reduce with float64 Barrett instead
-    (:mod:`repro.numtheory.floatmod`), whose per-prime constants are
-    cheaper to apply on FMA units than a domain conversion round-trip.
-    Domain mapping is a plain multiply — ``(a * r) % q`` in, then
-    ``reduce`` (which divides by ``R``) back out — so no dedicated
-    conversion helpers are kept here.
-    """
-
-    modulus: int
-
-    def __post_init__(self) -> None:
-        q = self.modulus
-        if q <= 1:
-            raise ValueError("modulus must be > 1")
-        if q % 2 == 0:
-            raise ValueError("Montgomery reduction requires an odd modulus")
-        self.r_bits = q.bit_length()
-        self.r = 1 << self.r_bits
-        self.r_mask = self.r - 1
-        # q_prime satisfies q * q_prime == -1 (mod R)
-        self.q_prime = (-mod_inverse(q, self.r)) % self.r
-
-    def reduce(self, t: int) -> int:
-        """Montgomery-reduce ``t`` (``0 <= t < q * R``)."""
-        q = self.modulus
-        m = ((t & self.r_mask) * self.q_prime) & self.r_mask
-        u = (t + m * q) >> self.r_bits
-        if u >= q:
-            u -= q
-        return u
-
-    def mul(self, a_mont: int, b_mont: int) -> int:
-        """Multiply two Montgomery-domain values, result in the domain."""
-        return self.reduce(a_mont * b_mont)
-
-
 def _as_int64(values: np.ndarray) -> np.ndarray:
     array = np.asarray(values, dtype=np.int64)
     return array
@@ -240,19 +163,14 @@ def vec_mod_mul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 # operation-level batching the paper's Figure 9/14 argue for, with the limb
 # dimension fused into the launch.  The launches themselves run on the
 # active compute backend (see :mod:`repro.backend`); these wrappers own
-# input coercion and the oversized-moduli exact path.
+# input coercion, the backend owns exactness.
 #
-# Residency: like the GEMM funnels, every helper accepts host arrays *or*
+# Residency: every helper accepts host arrays *or*
 # :class:`~repro.backend.residency.DeviceBuffer` handles through
 # :func:`~repro.backend.residency.on_handles` — handle in → handle out, so a
 # chain of element-wise launches stays float-resident between transforms;
 # plain arrays in → plain array out.
 # ----------------------------------------------------------------------
-
-#: From this bound up a single residue product can overflow int64 and the
-#: funnels take the exact object-dtype path instead of dispatching.
-INT64_SAFE_MODULUS = 1 << 31
-
 
 def moduli_column(moduli) -> np.ndarray:
     """Return ``moduli`` as an int64 ``(limbs, 1)`` broadcast column."""
@@ -272,53 +190,39 @@ def _launch_moduli(moduli):
     return moduli if isinstance(moduli, tuple) else moduli_column(moduli)
 
 
-def object_mat_mul(a: DeviceBuffer, b: DeviceBuffer, moduli,
-                   terms: int = 1) -> DeviceBuffer:
-    """Exact row-wise ``(a * b) mod moduli`` in Python integers."""
-    column = np.asarray(moduli, dtype=np.int64).reshape(
-        (-1,) + (1,) * (max(a.ndim, b.ndim) - 1))
-    product = a.ensure_host().astype(object) * b.ensure_host().astype(object)
-    if terms > 1:
-        product, column = product.sum(axis=1), column[:, 0]
-    return DeviceBuffer(host=np.asarray(product % column, dtype=np.int64))
-
-
 @on_handles(1)
 def mat_mod_reduce(matrix, moduli):
     """Row-wise ``matrix[i] mod moduli[i]``; a one-row matrix broadcasts."""
-    return resolve_backend(None).mat_reduce(matrix, _launch_moduli(moduli))
+    return get_active_backend().mat_reduce(matrix, _launch_moduli(moduli))
 
 
 @on_handles(2)
 def mat_mod_add(a, b, moduli):
     """Row-wise ``(a + b) mod moduli`` without overflow (reduced inputs)."""
-    return resolve_backend(None).mat_add(a, b, _launch_moduli(moduli))
+    return get_active_backend().mat_add(a, b, _launch_moduli(moduli))
 
 
 @on_handles(2)
 def mat_mod_sub(a, b, moduli):
     """Row-wise ``(a - b) mod moduli`` without overflow (reduced inputs)."""
-    return resolve_backend(None).mat_sub(a, b, _launch_moduli(moduli))
+    return get_active_backend().mat_sub(a, b, _launch_moduli(moduli))
 
 
 @on_handles(1)
 def mat_mod_neg(a, moduli):
     """Row-wise ``(-a) mod moduli``."""
-    return resolve_backend(None).mat_neg(a, _launch_moduli(moduli))
+    return get_active_backend().mat_neg(a, _launch_moduli(moduli))
 
 
 @on_handles(2)
 def mat_mod_mul(a, b, moduli, *, terms: int = 1):
     """Row-wise ``(a * b) mod moduli``, summed over ``terms`` (axis 1) first.
 
-    Requires every modulus below 2**31 so products fit in int64 (all moduli
-    from :mod:`repro.numtheory.primes` qualify); larger moduli fall back to
-    exact object arithmetic.
+    The Hada-Mult of the paper; with per-limb moduli and the limb axis
+    leading, also the four-step NTT's twiddle correction.
     """
-    moduli = _launch_moduli(moduli)
-    if int(np.max(moduli)) >= INT64_SAFE_MODULUS:
-        return object_mat_mul(a, b, moduli, terms)
-    return resolve_backend(None).mat_mul(a, b, moduli, terms=terms)
+    return get_active_backend().mat_mul(a, b, _launch_moduli(moduli),
+                                        terms=terms)
 
 
 def mat_mod_scalar_mul(a: np.ndarray, scalars, moduli) -> np.ndarray:
@@ -336,3 +240,46 @@ def mat_mod_scalar_mul(a: np.ndarray, scalars, moduli) -> np.ndarray:
         scalar_array = scalar_array[:, None]
     scalar_column = np.asarray(scalar_array % column, dtype=np.int64)
     return mat_mod_mul(a, scalar_column, moduli)
+
+
+@on_handles(2)
+def modular_matmul_limbs(lhs, rhs, moduli):
+    """Batched modular GEMM: ``out[i] = (lhs[i] @ rhs[i]) mod moduli[i]``.
+
+    ``lhs`` has shape ``(limbs, M, K)`` and ``rhs`` ``(limbs, K, P)``; both
+    must already be reduced modulo their row's prime.  The whole stack is
+    one backend launch.  A reusable operand (a twiddle stack) is passed as
+    a handle with its float64 image attached, which the blas backend picks
+    up instead of converting per call.
+    """
+    if lhs.ndim != 3 or rhs.ndim != 3:
+        raise ValueError(
+            "expected 3-D limb stacks, got %s @ %s" % (lhs.shape, rhs.shape)
+        )
+    if lhs.shape[0] != rhs.shape[0] or lhs.shape[2] != rhs.shape[1]:
+        raise ValueError(
+            "limb stacks do not align: %s @ %s" % (lhs.shape, rhs.shape)
+        )
+    return get_active_backend().matmul_limbs(
+        lhs, rhs, np.asarray(moduli, dtype=np.int64))
+
+
+@on_handles(2)
+def modular_matmul_rows(lhs, rhs, row_moduli, *,
+                        operand_bound: Optional[int] = None):
+    """Row-moduli GEMM: ``out[j] = (lhs[j] @ rhs) mod row_moduli[j]``.
+
+    Used by the fast basis conversion, where every *output* row has its own
+    prime.  Operand entries may live in different residue domains, so the
+    backend bounds its accumulation by the operand maxima instead of the
+    moduli; resident callers pass ``operand_bound`` (any upper bound on
+    ``max(lhs) * max(rhs)``) so no float-only operand is materialised just
+    to scan it.
+    """
+    if lhs.shape[-1] != rhs.shape[0]:
+        raise ValueError(
+            "inner dimensions do not match: %s @ %s" % (lhs.shape, rhs.shape)
+        )
+    return get_active_backend().matmul_rows(
+        lhs, rhs, np.asarray(row_moduli, dtype=np.int64),
+        operand_bound=operand_bound)

@@ -20,8 +20,7 @@ import numpy as np
 
 from ..backend.blas_backend import static_operand
 from ..backend.residency import as_buffer, contiguous, is_buffer
-from ..numtheory.modular import mat_mod_mul, mod_inverse
-from ..ntt.gemm_utils import modular_matmul_rows
+from ..numtheory.modular import mat_mod_mul, mod_inverse, modular_matmul_rows
 from .poly import PolyDomain, RnsPolynomial
 
 __all__ = ["BasisConverter", "convert_basis"]
@@ -62,7 +61,7 @@ class BasisConverter:
         # rows hold ``q_hat mod p_j`` (< max target prime) and the rhs holds
         # source residues (< max source prime).  A looser bound only shrinks
         # the exact accumulation chunks — values are unchanged — and it
-        # spares the funnel an int64 materialisation just to scan a
+        # spares the backend an int64 materialisation just to scan a
         # float-only operand.
         self._resident_bound = ((max(self.target_moduli) - 1)
                                 * (max(self.source_moduli) - 1))
@@ -97,8 +96,7 @@ class BasisConverter:
         batch, source_count, n = stacks.shape
         if batch == 0:
             return np.zeros((0, len(self.target_moduli), n), dtype=np.int64)
-        # The funnel keeps the product exact even for moduli at or above
-        # 2**31.  (S, B, N): stream b occupies columns [b*N, (b+1)*N).
+        # (S, B, N): stream b occupies columns [b*N, (b+1)*N).
         y = mat_mod_mul(as_buffer(stacks).transpose(1, 0, 2), self._q_hat_inv,
                         self.source_moduli)
         converted = modular_matmul_rows(

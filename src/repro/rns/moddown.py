@@ -69,7 +69,7 @@ class ModDown:
 
         The ciphertext limbs of every stream are scaled by ``P^{-1}`` in
         one funnel launch over their limb-major ``(active, B, N)`` view
-        (the funnel keeps >= 2**31 moduli exact); the rest is the tail of
+        (exact at any modulus width); the rest is the tail of
         :meth:`apply_scaled`, so no per-stream loop remains.
         """
         stacks, resident = self._checked(stacks)

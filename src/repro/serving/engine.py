@@ -103,6 +103,11 @@ class ServingConfig:
     def __post_init__(self) -> None:
         if self.max_queue_depth < 1:
             raise ValueError("max_queue_depth must be at least 1")
+        for name in ("max_batch", "tenant_inflight_limit"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError("%s must be at least 1 or None, got %d"
+                                 % (name, value))
 
 
 class ServingEngine:
@@ -332,7 +337,8 @@ class ServingEngine:
         """The scheduler's batch size for ``limb_count`` limbs."""
         plan = self.scheduler.plan(
             self.fhe.context.ring_degree, limb_count,
-            requested=self.config.max_batch or self.fhe.parameters.batch_size)
+            requested=(self.config.max_batch if self.config.max_batch is not None
+                       else self.fhe.parameters.batch_size))
         return max(1, plan.batch_size)
 
     def _planned_batch(self, limb_count: int) -> int:

@@ -4,7 +4,7 @@ Every registered backend must be *bit-identical* to the numpy default on
 the whole funnel — engine-level batched NTTs, RNS polynomial arithmetic,
 and full CKKS operations (NTT / rescale / keyswitch) — and switching the
 backend must not change what the kernel counters record.  The suite also
-pins the selection precedence: explicit ``backend=`` argument, process-wide
+pins the selection precedence: a context's ``backend=`` pin, process-wide
 override, ``REPRO_BACKEND`` environment variable, numpy default.
 """
 
@@ -25,10 +25,11 @@ from repro.backend import (
     set_active_backend,
     use_backend,
 )
+from repro.backend.blas_backend import FloatResidues
 from repro.backend.registry import _REGISTRY, BACKEND_ENV_VAR
+from repro.ckks.context import CkksContext
 from repro.ckks.params import get_preset
 from repro.ntt import NttPlanner, available_engines
-from repro.ntt.gemm_utils import modular_matmul_limbs, modular_matmul_rows
 from repro.numtheory import generate_ntt_primes
 from repro.numtheory.modular import (
     mat_mod_add,
@@ -36,6 +37,8 @@ from repro.numtheory.modular import (
     mat_mod_neg,
     mat_mod_reduce,
     mat_mod_sub,
+    modular_matmul_limbs,
+    modular_matmul_rows,
 )
 from repro.rns import RnsPolynomial
 
@@ -93,7 +96,9 @@ class TestSelection:
                                              r".*registered: numpy, blas$"):
             get_backend(name)
         with pytest.raises(ValueError):
-            NttPlanner("four_step", backend=name)
+            CkksContext(get_preset("toy"), backend=name)
+        with pytest.raises(ValueError):
+            TensorFheContext(get_preset("toy"), backend=name)
 
     def test_unknown_env_var_backend_rejected(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "cuda9000")
@@ -197,7 +202,7 @@ class TestKernelParity:
     #: ``generate_ntt_primes`` bit sizes: primes just above 2**24 (blas
     #: single pass), just above 2**30 — a 31-bit chain, past blas's
     #: single-pass bound (hi/lo split or int64 fallback, per kernel) — and
-    #: just above 2**31 (the funnels' object path; no backend is entered).
+    #: just above 2**31, where an int64 product can overflow.
     CHAINS = (24, 30, 31)
 
     @pytest.fixture(scope="class")
@@ -242,6 +247,43 @@ class TestKernelParity:
         assert np.array_equal(got.ensure_host(), want)
 
 
+class TestKernelsDirect:
+    """Each backend's kernels, called directly, are exact on a 33-bit chain.
+
+    No funnel stands between the caller and the kernel, so the backend
+    itself must notice that an int64 product can overflow.  Every operand
+    kind a kernel may meet: host-only handles, handles with a float image
+    attached, and float-only handles.
+    """
+
+    @staticmethod
+    def _host(x):
+        return DeviceBuffer.wrap(x)
+
+    @staticmethod
+    def _cached(x):
+        return DeviceBuffer.wrap(x).attach_float_cache(FloatOperandCache(x))
+
+    @staticmethod
+    def _float_only(x):
+        return DeviceBuffer.from_float(
+            FloatResidues(x.astype(np.float64), int(x.max(initial=0))))
+
+    @pytest.mark.parametrize("image", ["_host", "_cached", "_float_only"])
+    @pytest.mark.parametrize("kernel", KERNELS)
+    @pytest.mark.parametrize("backend_name", BACKENDS)
+    def test_wide_moduli(self, backend_name, kernel, image, rng):
+        primes = generate_ntt_primes(3, 33, 64)
+        assert min(primes) >= 1 << 32
+        _, operands = _kernel_cases(rng, primes)[kernel]
+        want = _python_reference(kernel, operands, primes)
+        handles = [getattr(self, image)(x) for x in operands]
+        got = getattr(get_backend(backend_name), kernel)(
+            *handles, np.asarray(primes, dtype=np.int64))
+        assert isinstance(got, DeviceBuffer)
+        assert np.array_equal(got.ensure_host(), want)
+
+
 # ----------------------------------------------------------------------
 # Engine-level parity: every backend, every engine, bit-identical
 # ----------------------------------------------------------------------
@@ -252,13 +294,15 @@ class TestEngineParity:
         ring_degree, limbs = 32, 3
         primes = generate_ntt_primes(limbs, 24, ring_degree)
         residues = _residue_matrix(rng, primes, ring_degree)
-        reference = NttPlanner(engine_name, backend="numpy")
-        candidate = NttPlanner(engine_name, backend=backend_name)
-        forward_ref = reference.forward_limbs(ring_degree, primes, residues)
-        forward = candidate.forward_limbs(ring_degree, primes, residues)
-        assert np.array_equal(forward, forward_ref)
-        assert np.array_equal(
-            candidate.inverse_limbs(ring_degree, primes, forward), residues)
+        reference = NttPlanner(engine_name)
+        candidate = NttPlanner(engine_name)
+        with use_backend("numpy"):
+            forward_ref = reference.forward_limbs(ring_degree, primes, residues)
+        with use_backend(backend_name):
+            forward = candidate.forward_limbs(ring_degree, primes, residues)
+            assert np.array_equal(forward, forward_ref)
+            assert np.array_equal(
+                candidate.inverse_limbs(ring_degree, primes, forward), residues)
 
     @pytest.mark.parametrize("backend_name", BACKENDS)
     def test_polynomial_arithmetic_parity(self, backend_name, rng):
@@ -286,8 +330,10 @@ class TestEngineParity:
         primes = generate_ntt_primes(2, 30, 512)
         lhs = np.stack([rng.integers(0, q, (8, 512), dtype=np.int64) for q in primes])
         rhs = np.stack([rng.integers(0, q, (512, 8), dtype=np.int64) for q in primes])
-        got = modular_matmul_limbs(lhs, rhs, primes, backend="blas")
-        expected = modular_matmul_limbs(lhs, rhs, primes, backend="numpy")
+        with use_backend("blas"):
+            got = modular_matmul_limbs(lhs, rhs, primes)
+        with use_backend("numpy"):
+            expected = modular_matmul_limbs(lhs, rhs, primes)
         assert np.array_equal(got, expected)
 
 

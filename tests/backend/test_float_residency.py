@@ -31,10 +31,14 @@ from repro.backend import (
 )
 from repro.backend.blas_backend import FloatResidues
 from repro.ntt import NttPlanner
-from repro.ntt.gemm_utils import modular_hadamard_limbs, modular_matmul_limbs
 from repro.numtheory import generate_ntt_primes
 from repro.numtheory.floatmod import get_barrett_chain
-from repro.numtheory.modular import mat_mod_add, mat_mod_mul, mat_mod_sub
+from repro.numtheory.modular import (
+    mat_mod_add,
+    mat_mod_mul,
+    mat_mod_sub,
+    modular_matmul_limbs,
+)
 from repro.rns.moddown import ModDown
 from repro.rns.poly import RnsPolynomial
 
@@ -181,10 +185,10 @@ class TestBlasFloatNatives:
         """One float-carrying side is enough; the other converts per call."""
         chain, a_int, b_int = data
         moduli = chain.moduli_array
-        want = modular_hadamard_limbs(a_int, b_int, moduli)
+        want = mat_mod_mul(a_int, b_int, moduli)
         with use_backend("blas"):
-            got = modular_hadamard_limbs(self._float_handle(a_int),
-                                         DeviceBuffer.wrap(b_int), moduli)
+            got = mat_mod_mul(self._float_handle(a_int),
+                              DeviceBuffer.wrap(b_int), moduli)
         assert got.host_image is None
         assert np.array_equal(got.ensure_host(), want)
 
@@ -192,10 +196,10 @@ class TestBlasFloatNatives:
         """Neither side resident: the historical int64 native runs."""
         chain, a_int, b_int = data
         moduli = chain.moduli_array
-        want = modular_hadamard_limbs(a_int, b_int, moduli)
+        want = mat_mod_mul(a_int, b_int, moduli)
         with use_backend("blas"):
-            got = modular_hadamard_limbs(DeviceBuffer.wrap(a_int),
-                                         DeviceBuffer.wrap(b_int), moduli)
+            got = mat_mod_mul(DeviceBuffer.wrap(a_int),
+                              DeviceBuffer.wrap(b_int), moduli)
         assert got.host_image is not None
         assert np.array_equal(as_ndarray(got), want)
 
@@ -210,33 +214,33 @@ class TestBlasFloatNatives:
         assert not chain.fits((chain.qmax - 1) ** 2)   # single pass unsafe
         a_int, _ = _residues(rng, chain)
         b_int, _ = _residues(rng, chain)
-        want = modular_hadamard_limbs(a_int, b_int, chain.moduli_array)
+        want = mat_mod_mul(a_int, b_int, chain.moduli_array)
         with use_backend("blas"):
-            got = modular_hadamard_limbs(self._float_handle(a_int),
-                                         self._float_handle(b_int),
-                                         chain.moduli_array)
+            got = mat_mod_mul(self._float_handle(a_int),
+                              self._float_handle(b_int),
+                              chain.moduli_array)
         assert got.host_image is None              # float path produced it
         assert isinstance(got.float_cache(), FloatResidues)
         assert np.array_equal(as_ndarray(got), want)
 
     def test_guard_rejection_falls_back_bit_identical(self, rng):
-        """>= 2**31 moduli: the funnel's exact object path must run.
+        """>= 2**31 moduli: blas's own 2**53 guard decides, bit-identically.
 
-        The float natives never see these chains — the dispatching funnel
-        routes them to object-dtype arithmetic before backend dispatch —
-        and the result is bit-identical with a host image materialised.
+        The guard admits the hi/lo split of a 33-bit product, so the product
+        stays float-only; where it admits no form the numpy kernel computes
+        in Python integers.
         """
         moduli = np.asarray(generate_ntt_primes(2, 33, 64), dtype=np.int64)
         assert int(moduli.max()) >= (1 << 31)
         q_col = moduli[:, None]
         a_int = rng.integers(0, q_col, size=(2, 64))
         b_int = rng.integers(0, q_col, size=(2, 64))
-        want = modular_hadamard_limbs(a_int, b_int, moduli)
+        want = mat_mod_mul(a_int, b_int, moduli)
         with use_backend("blas"):
-            got = modular_hadamard_limbs(self._float_handle(a_int),
-                                         self._float_handle(b_int),
-                                         moduli)
-        assert got.host_image is not None          # exact path produced it
+            got = mat_mod_mul(self._float_handle(a_int),
+                              self._float_handle(b_int),
+                              moduli)
+        assert got.host_image is None              # the split form produced it
         assert np.array_equal(as_ndarray(got), want)
 
     def test_chained_launches_materialise_no_int64(self, data):
@@ -260,12 +264,12 @@ class TestBlasFloatNatives:
         moduli = chain.moduli_array
         twiddle = rng.integers(0, chain.moduli_array[:, None, None],
                                size=(chain.limb_count, 64, 64))
-        lhs_want = modular_hadamard_limbs(a_int, b_int, moduli)
+        lhs_want = mat_mod_mul(a_int, b_int, moduli)
         want = modular_matmul_limbs(lhs_want.reshape(chain.limb_count, 1, 64),
                                     twiddle, moduli)
         with use_backend("blas"):
-            product = modular_hadamard_limbs(self._float_handle(a_int),
-                                             self._float_handle(b_int), moduli)
+            product = mat_mod_mul(self._float_handle(a_int),
+                                  self._float_handle(b_int), moduli)
             lhs = product.reshape(chain.limb_count, 1, 64)
             assert lhs.host_image is None          # the view stayed float
             got = modular_matmul_limbs(
@@ -315,25 +319,29 @@ class TestFourStepFloatPipeline:
 
     def test_forward_ops_parity_with_numpy_engine(self):
         primes, stacks = self._stacks(20)
-        blas = NttPlanner("four_step", backend="blas")
-        reference = NttPlanner("four_step", backend="numpy")
-        got = blas.forward_ops(self.N, primes, stacks)
-        want = reference.forward_ops(self.N, primes, stacks)
+        blas = NttPlanner("four_step")
+        reference = NttPlanner("four_step")
+        with use_backend("blas"):
+            got = blas.forward_ops(self.N, primes, stacks)
+        with use_backend("numpy"):
+            want = reference.forward_ops(self.N, primes, stacks)
         assert isinstance(got, np.ndarray) and got.dtype == np.int64
         assert np.array_equal(got, np.asarray(want))
 
     def test_inverse_roundtrip(self):
         primes, stacks = self._stacks(20)
-        planner = NttPlanner("four_step", backend="blas")
-        forward = planner.forward_ops(self.N, primes, stacks)
-        back = planner.inverse_ops(self.N, primes, forward)
+        planner = NttPlanner("four_step")
+        with use_backend("blas"):
+            forward = planner.forward_ops(self.N, primes, stacks)
+            back = planner.inverse_ops(self.N, primes, forward)
         assert np.array_equal(np.asarray(back), stacks)
 
     @pytest.mark.parametrize("backend", ["blas", "blas-slabbed"], indirect=True)
     def test_handle_in_float_handle_out(self, backend):
         primes, stacks = self._stacks(20)
-        planner = NttPlanner("four_step", backend="blas")
-        want = planner.forward_ops(self.N, primes, stacks)
+        planner = NttPlanner("four_step")
+        with use_backend("blas"):
+            want = planner.forward_ops(self.N, primes, stacks)
         with use_backend(backend):
             got = planner.forward_ops(self.N, primes, DeviceBuffer.wrap(stacks))
         assert isinstance(got, DeviceBuffer)
@@ -352,11 +360,13 @@ class TestFourStepFloatPipeline:
         chain = get_barrett_chain(primes)
         n1 = int(np.sqrt(self.N))
         assert not chain.fits(n1 * (chain.qmax - 1) ** 2)
-        blas = NttPlanner("four_step", backend="blas")
-        plan = blas.engine_for(self.N, primes[0]).float_plan(primes)
+        blas = NttPlanner("four_step")
+        with use_backend("blas"):
+            plan = blas.engine_for(self.N, primes[0]).float_plan(primes)
         assert plan.inner.split
-        reference = NttPlanner("four_step", backend="numpy")
-        want = reference.forward_ops(self.N, primes, stacks)
+        reference = NttPlanner("four_step")
+        with use_backend("numpy"):
+            want = reference.forward_ops(self.N, primes, stacks)
         with use_backend(backend):
             got = blas.forward_ops(self.N, primes, DeviceBuffer.wrap(stacks))
         assert got.host_image is None
@@ -366,10 +376,11 @@ class TestFourStepFloatPipeline:
     def test_results_do_not_alias_engine_scratch(self):
         """Back-to-back launches hand out fresh results, never work buffers."""
         primes, stacks = self._stacks(20)
-        planner = NttPlanner("four_step", backend="blas")
-        first = np.asarray(planner.forward_ops(self.N, primes, stacks))
-        snapshot = first.copy()
-        second = np.asarray(planner.forward_ops(self.N, primes, stacks))
+        planner = NttPlanner("four_step")
+        with use_backend("blas"):
+            first = np.asarray(planner.forward_ops(self.N, primes, stacks))
+            snapshot = first.copy()
+            second = np.asarray(planner.forward_ops(self.N, primes, stacks))
         assert not np.shares_memory(first, second)
         assert np.array_equal(first, snapshot)     # untouched by relaunch
         assert np.array_equal(first, second)
@@ -397,12 +408,15 @@ class TestLimbGemmOnBlas:
         column = np.asarray(primes, dtype=np.int64)[:, None, None]
         lhs = rng.integers(0, column, (self.LIMBS, 16, self.K))
         rhs = rng.integers(0, column, (self.LIMBS, self.K, 8))
-        want = modular_matmul_limbs(lhs, rhs, primes, backend="numpy")
-        got = modular_matmul_limbs(lhs, rhs, primes, backend="blas")
+        with use_backend("numpy"):
+            want = modular_matmul_limbs(lhs, rhs, primes)
+        with use_backend("blas"):
+            got = modular_matmul_limbs(lhs, rhs, primes)
         assert isinstance(got, np.ndarray) and got.dtype == np.int64
         assert np.array_equal(got, want)
-        handle = modular_matmul_limbs(DeviceBuffer.wrap(lhs), DeviceBuffer.wrap(rhs),
-                                      primes, backend="blas")
+        with use_backend("blas"):
+            handle = modular_matmul_limbs(DeviceBuffer.wrap(lhs),
+                                          DeviceBuffer.wrap(rhs), primes)
         assert isinstance(handle, DeviceBuffer)
         assert np.array_equal(handle.ensure_host(), want)
 

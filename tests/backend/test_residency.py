@@ -35,8 +35,8 @@ from repro.numtheory.modular import (
     mat_mod_neg,
     mat_mod_reduce,
     mat_mod_sub,
+    modular_matmul_limbs,
 )
-from repro.ntt.gemm_utils import modular_hadamard_limbs, modular_matmul_limbs
 from repro.rns.poly import RnsPolynomial
 
 
@@ -253,9 +253,9 @@ class TestFunnelThreading:
                                            DeviceBuffer.wrap(rhs), moduli)
             assert isinstance(buf_out, DeviceBuffer)
             assert np.array_equal(as_ndarray(buf_out), host_out)
-            had_host = modular_hadamard_limbs(rhs, rhs, moduli)
-            had_buf = modular_hadamard_limbs(DeviceBuffer.wrap(rhs),
-                                             DeviceBuffer.wrap(rhs), moduli)
+            had_host = mat_mod_mul(rhs, rhs, moduli)
+            had_buf = mat_mod_mul(DeviceBuffer.wrap(rhs),
+                                  DeviceBuffer.wrap(rhs), moduli)
             assert np.array_equal(as_ndarray(had_buf), had_host)
 
     def test_oversized_moduli_object_paths_accept_handles(self, rng):
@@ -269,11 +269,11 @@ class TestFunnelThreading:
                                    DeviceBuffer.wrap(rhs), moduli)
         assert isinstance(got, DeviceBuffer)
         assert np.array_equal(as_ndarray(got), want)
-        want_h = modular_hadamard_limbs(rhs, rhs, moduli)
+        want_h = mat_mod_mul(rhs, rhs, moduli)
         assert np.array_equal(
             want_h, np.asarray((rhs.astype(object) ** 2) % big, dtype=np.int64))
-        got_h = modular_hadamard_limbs(DeviceBuffer.wrap(rhs),
-                                       DeviceBuffer.wrap(rhs), moduli)
+        got_h = mat_mod_mul(DeviceBuffer.wrap(rhs),
+                            DeviceBuffer.wrap(rhs), moduli)
         assert isinstance(got_h, DeviceBuffer)
         assert np.array_equal(as_ndarray(got_h), want_h)
 

@@ -89,6 +89,11 @@ class TestBatchScheduler:
         plan = BatchScheduler(A100).plan(1 << 16, 45, requested=1)
         assert plan.batch_size == 1
 
+    @pytest.mark.parametrize("requested", [0, -3])
+    def test_requested_below_one_is_rejected(self, requested):
+        with pytest.raises(ValueError, match="requested"):
+            BatchScheduler(A100).plan(1 << 13, 10, requested=requested)
+
 
 class TestAnnotationsResolve:
     """Regression for the missing ``Optional`` import in the scheduler.

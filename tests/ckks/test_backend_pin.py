@@ -15,7 +15,8 @@ from repro import CkksParameters, TensorFheContext, use_backend
 from repro.backend import get_active_backend, numpy_backend
 from repro.backend.base import ArrayBackend
 
-INT64_KERNELS = ("_mat_mul", "_mat_add", "_mat_sub", "_mat_neg", "_mat_reduce")
+INT64_KERNELS = ("int64_matmul_limbs", "_matmul_rows", "_mat_mul", "_mat_add",
+                 "_mat_sub", "_mat_neg", "_mat_reduce")
 FLOAT_KERNELS = ("fmatmul", "fhadamard_limbs", "fadd_limbs", "fsub_limbs",
                  "fneg_limbs", "freduce_limbs")
 

@@ -52,6 +52,11 @@ class TestParameters:
         with pytest.raises(ValueError):
             CkksParameters(ring_degree=64, level_count=3, dnum=0)
 
+    @pytest.mark.parametrize("batch_size", [0, -3])
+    def test_batch_size_below_one_is_rejected(self, batch_size):
+        with pytest.raises(ValueError, match="batch_size"):
+            CkksParameters(ring_degree=64, level_count=3, batch_size=batch_size)
+
     @pytest.mark.parametrize("engine", available_engines())
     def test_every_engine_accepted(self, engine):
         params = CkksParameters(ring_degree=64, level_count=3, ntt_engine=engine)

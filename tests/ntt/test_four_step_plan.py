@@ -1,7 +1,8 @@
 """The planned float four-step pipeline: plan, guard arithmetic, parity.
 
-Every case selects ``backend="blas"`` explicitly — the default backend is
-numpy, on which the float pipeline never runs.
+Every case runs on ``blas`` (the module's ``use_backend`` scope) unless it
+selects numpy itself — the default backend is numpy, on which the float
+pipeline never runs.
 """
 
 import numpy as np
@@ -37,8 +38,14 @@ BACKEND = "blas"
 C = canonical
 
 
-def engine_for(ring_degree, primes, backend=BACKEND, name="four_step"):
-    return NttPlanner(name, backend=backend).engine_for(ring_degree, primes[0])
+@pytest.fixture(autouse=True, scope="module")
+def _on_blas():
+    with use_backend(BACKEND):
+        yield
+
+
+def engine_for(ring_degree, primes, name="four_step"):
+    return NttPlanner(name).engine_for(ring_degree, primes[0])
 
 
 def default_extended_basis(ring_degree):
@@ -159,10 +166,10 @@ class TestPlanTable:
         monkeypatch.setattr(
             FourStepNtt, "_ops_pipeline",
             lambda self, *args: calls.append(1) or original(self, *args))
-        engine = engine_for(ring_degree, primes, backend, name)
-        assert engine.float_plan(primes) is None
-        assert engine.float_plan(primes, inverse=True) is None
+        engine = engine_for(ring_degree, primes, name)
         with use_backend(backend):
+            assert engine.float_plan(primes) is None
+            assert engine.float_plan(primes, inverse=True) is None
             back = engine.inverse_ops(engine.forward_ops(stack, primes), primes)
         assert len(calls) == 2
         assert np.array_equal(back, stack)
@@ -270,7 +277,8 @@ class TestGuardArithmetic:
         assert plan.inner == SPLIT_BOTH and plan.outer == C(SPLIT_BOTH)
         stack = random_stack(np.random.default_rng(9), 2, [q], 4096)
         stack[0, 0, :3] = (0, q - 1, 1)
-        want = NttPlanner("four_step", backend="numpy").forward_ops(4096, [q], stack)
+        with use_backend("numpy"):
+            want = NttPlanner("four_step").forward_ops(4096, [q], stack)
         got = engine.forward_ops(stack, [q])
         assert np.array_equal(got, want)
         assert np.array_equal(engine.inverse_ops(got, [q]), stack)
@@ -350,14 +358,17 @@ class TestParity:
         engine = engine_for(self.N, primes)
         assert engine.float_plan(primes) is not None
         reference = NttPlanner("reference")
-        int64 = NttPlanner("four_step", backend="numpy")
+        int64 = NttPlanner("four_step")
+        with use_backend("numpy"):
+            int64_forward = int64.forward_ops(self.N, primes, stack)
+            int64_inverse = int64.inverse_ops(self.N, primes, stack)
         forward = engine.forward_ops(stack, primes)
         assert isinstance(forward, np.ndarray) and forward.dtype == np.int64
         assert np.array_equal(forward, reference.forward_ops(self.N, primes, stack))
-        assert np.array_equal(forward, int64.forward_ops(self.N, primes, stack))
+        assert np.array_equal(forward, int64_forward)
         inverse = engine.inverse_ops(stack, primes)
         assert np.array_equal(inverse, reference.inverse_ops(self.N, primes, stack))
-        assert np.array_equal(inverse, int64.inverse_ops(self.N, primes, stack))
+        assert np.array_equal(inverse, int64_inverse)
         assert np.array_equal(engine.inverse_ops(forward, primes), stack)
 
     @pytest.mark.parametrize("chain", sorted(CHAINS))
@@ -485,7 +496,7 @@ class TestLimbsAreOneOperation:
         ring_degree = 64
         primes = default_extended_basis(ring_degree)
         residues = random_stack(np.random.default_rng(12), 1, primes, ring_degree)[0]
-        engine = engine_for(ring_degree, primes, backend, name)
+        engine = engine_for(ring_degree, primes, name)
         with use_backend(backend):
             forward = engine.forward_limbs(residues, primes)
             assert np.array_equal(

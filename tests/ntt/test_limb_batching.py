@@ -76,7 +76,7 @@ class TestEngineLimbParity:
 
     def test_oversized_moduli_take_exact_path(self, rng):
         """Moduli >= 2**31 must not silently wrap the int64 accumulator."""
-        from repro.ntt.gemm_utils import modular_matmul_limbs
+        from repro.numtheory.modular import modular_matmul_limbs
 
         q = (1 << 33) + 89
         moduli = [q, q - 100]

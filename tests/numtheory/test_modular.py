@@ -1,4 +1,4 @@
-"""Tests for scalar/vector modular arithmetic and software reducers."""
+"""Tests for scalar, vector and matrix modular arithmetic."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.numtheory import (
-    BarrettReducer,
-    MontgomeryReducer,
     mat_mod_add,
     mat_mod_mul,
     mat_mod_neg,
@@ -68,58 +66,6 @@ class TestScalarOps:
     def test_mod_inverse_non_coprime_raises(self):
         with pytest.raises(ValueError):
             mod_inverse(6, 9)
-
-
-class TestBarrett:
-    def test_reduce_matches_modulo(self):
-        reducer = BarrettReducer(SMALL_PRIME)
-        for value in (0, 1, SMALL_PRIME - 1, SMALL_PRIME, SMALL_PRIME ** 2 - 1):
-            assert reducer.reduce(value) == value % SMALL_PRIME
-
-    def test_mul_matches_modulo(self):
-        reducer = BarrettReducer(PRIME)
-        assert reducer.mul(PRIME - 1, PRIME - 2) == (PRIME - 1) * (PRIME - 2) % PRIME
-
-    def test_invalid_modulus(self):
-        with pytest.raises(ValueError):
-            BarrettReducer(1)
-
-    @given(st.integers(min_value=0, max_value=SMALL_PRIME ** 2 - 1))
-    @settings(max_examples=200, deadline=None)
-    def test_reduce_property(self, value):
-        assert BarrettReducer(SMALL_PRIME).reduce(value) == value % SMALL_PRIME
-
-
-class TestMontgomery:
-    # Domain mapping is inlined: (a * r) % q into the Montgomery domain,
-    # reduce() (which divides by R) back out.
-
-    def test_roundtrip(self):
-        reducer = MontgomeryReducer(PRIME)
-        for value in (0, 1, 12345, PRIME - 1):
-            assert reducer.reduce((value * reducer.r) % PRIME) == value
-
-    def test_mul_matches_modulo(self):
-        reducer = MontgomeryReducer(SMALL_PRIME)
-        a, b = 1234, 5678 % SMALL_PRIME
-        a_mont = (a * reducer.r) % SMALL_PRIME
-        b_mont = (b * reducer.r) % SMALL_PRIME
-        product = reducer.reduce(reducer.mul(a_mont, b_mont))
-        assert product == (a * b) % SMALL_PRIME
-
-    def test_even_modulus_rejected(self):
-        with pytest.raises(ValueError):
-            MontgomeryReducer(1 << 10)
-
-    @given(st.integers(min_value=0, max_value=SMALL_PRIME - 1),
-           st.integers(min_value=0, max_value=SMALL_PRIME - 1))
-    @settings(max_examples=100, deadline=None)
-    def test_mul_property(self, a, b):
-        reducer = MontgomeryReducer(SMALL_PRIME)
-        a_mont = (a * reducer.r) % SMALL_PRIME
-        b_mont = (b * reducer.r) % SMALL_PRIME
-        got = reducer.reduce(reducer.mul(a_mont, b_mont))
-        assert got == (a * b) % SMALL_PRIME
 
 
 class TestVectorOps:

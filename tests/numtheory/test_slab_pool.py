@@ -29,9 +29,9 @@ import repro.numtheory.planned as planned
 from repro.backend import DeviceBuffer, get_backend, use_backend
 from repro.backend.blas_backend import FloatResidues, static_operand
 from repro.ntt import NttPlanner
-from repro.ntt.gemm_utils import modular_matmul_limbs
 from repro.numtheory import generate_ntt_primes
 from repro.numtheory.floatmod import get_barrett_chain
+from repro.numtheory.modular import modular_matmul_limbs
 from repro.numtheory.planned import choose_form, slabs
 
 N = 64
@@ -106,15 +106,18 @@ class TestParity:
         sizes = [ops.stop - ops.start for ops, _ in slabs(BATCH, len(primes), N)]
         assert sizes == [2, 2, 2, 1]
         stack = stack_of(len(chain), primes)
-        engine = NttPlanner("four_step", backend="blas").engine_for(N, primes[0])
-        assert engine.float_plan(primes) is not None
-        int64 = NttPlanner("four_step", backend="numpy")
-        check(lambda: engine.forward_ops(stack, primes),
-              int64.forward_ops(N, primes, stack), pool_calls)
-        check(lambda: engine.inverse_ops(stack, primes),
-              int64.inverse_ops(N, primes, stack), pool_calls)
-        # A float-only handle in is read from its image, not staged.
+        engine = NttPlanner("four_step").engine_for(N, primes[0])
+        int64 = NttPlanner("four_step")
+        with use_backend("numpy"):
+            int64_forward = int64.forward_ops(N, primes, stack)
+            int64_inverse = int64.inverse_ops(N, primes, stack)
         with use_backend("blas"):
+            assert engine.float_plan(primes) is not None
+            check(lambda: engine.forward_ops(stack, primes),
+                  int64_forward, pool_calls)
+            check(lambda: engine.inverse_ops(stack, primes),
+                  int64_inverse, pool_calls)
+            # A float-only handle in is read from its image, not staged.
             image = engine.forward_ops(DeviceBuffer.wrap(stack), primes)
             assert image.host_image is None
             check(lambda: engine.inverse_ops(image, primes).ensure_host(),
@@ -160,8 +163,9 @@ class TestParity:
         lhs, rhs = residues(rng, primes, 16, 24), residues(rng, primes, 24, 12)
         want = get_backend("numpy").matmul_limbs(
             DeviceBuffer.wrap(lhs), DeviceBuffer.wrap(rhs), primes)
-        check(lambda: modular_matmul_limbs(lhs, rhs, primes, backend="blas"),
-              want.ensure_host(), pool_calls)
+        with use_backend("blas"):
+            check(lambda: modular_matmul_limbs(lhs, rhs, primes),
+                  want.ensure_host(), pool_calls)
 
     @pytest.mark.parametrize("batch", [1, 2, 8])
     @pytest.mark.parametrize("bits", GEMM_BITS)
@@ -213,10 +217,12 @@ class TestInline:
         primes = CHAINS["q-p"]
         assert len(list(slabs(BATCH, len(primes), N))) == 1
         stack = stack_of(7, primes)
-        engine = NttPlanner("four_step", backend="blas").engine_for(N, primes[0])
-        forward = engine.forward_ops(stack, primes)
-        assert np.array_equal(
-            forward, NttPlanner("four_step", backend="numpy").forward_ops(N, primes, stack))
+        engine = NttPlanner("four_step").engine_for(N, primes[0])
+        with use_backend("blas"):
+            forward = engine.forward_ops(stack, primes)
+        with use_backend("numpy"):
+            assert np.array_equal(
+                forward, NttPlanner("four_step").forward_ops(N, primes, stack))
         a = float_handle(np.moveaxis(stack, 0, 1), max(primes) - 1)
         for kernel in ("mat_mul", "mat_add"):       # both on the float path
             assert getattr(get_backend("blas"), kernel)(a, a, primes).host_image is None
@@ -297,14 +303,15 @@ class TestWorkspace:
 def test_the_pool_restarts_at_a_new_worker_count(pool_calls, monkeypatch):
     primes = CHAINS["p28"]
     stack = stack_of(3, primes)
-    engine = NttPlanner("four_step", backend="blas").engine_for(N, primes[0])
-    want = inline(lambda: engine.forward_ops(stack, primes))
-    executors = []
-    for count in (1, 2, 2):
-        monkeypatch.setattr(planned, "WORKERS", count)
-        assert np.array_equal(engine.forward_ops(stack, primes), want)
-        assert planned._POOL[0] == count
-        executors.append(planned._POOL[1])
+    engine = NttPlanner("four_step").engine_for(N, primes[0])
+    with use_backend("blas"):
+        want = inline(lambda: engine.forward_ops(stack, primes))
+        executors = []
+        for count in (1, 2, 2):
+            monkeypatch.setattr(planned, "WORKERS", count)
+            assert np.array_equal(engine.forward_ops(stack, primes), want)
+            assert planned._POOL[0] == count
+            executors.append(planned._POOL[1])
     first, second, third = executors
     assert second is not first and third is second
     assert first._shutdown and not second._shutdown
@@ -348,17 +355,20 @@ class TestFailures:
         assert sorted(seen) == list(range(16))
 
     def test_two_callers_at_once_both_get_exact_results(self, workers, pool_calls):
-        engine = NttPlanner("four_step", backend="blas").engine_for(N, CHAINS["p28"][0])
+        engine = NttPlanner("four_step").engine_for(N, CHAINS["p28"][0])
         cases = []
         for seed, name in enumerate(("p28", "q-p")):
             primes, stack = CHAINS[name], stack_of(seed, CHAINS[name])
-            cases.append((primes, stack, inline(lambda: engine.forward_ops(stack, primes))))
+            with use_backend("blas"):
+                cases.append((primes, stack,
+                              inline(lambda: engine.forward_ops(stack, primes))))
         wrong = []
 
         def caller(primes, stack, want):
-            for _ in range(20):
-                if not np.array_equal(engine.forward_ops(stack, primes), want):
-                    wrong.append(primes)
+            with use_backend("blas"):
+                for _ in range(20):
+                    if not np.array_equal(engine.forward_ops(stack, primes), want):
+                        wrong.append(primes)
 
         saved = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -383,25 +393,26 @@ def test_a_forked_child_launches_on_its_own_pool(workers, pool_calls):
     """
     primes = CHAINS["p28"]
     stack = stack_of(8, primes)
-    engine = NttPlanner("four_step", backend="blas").engine_for(N, primes[0])
-    want = inline(lambda: engine.forward_ops(stack, primes))
-    assert np.array_equal(engine.forward_ops(stack, primes), want)
-    assert bool(pool_calls) == (workers > 0)
-    with warnings.catch_warnings():
-        # Python 3.12 warns on fork() in a process that has threads.
-        warnings.simplefilter("ignore", DeprecationWarning)
-        pid = os.fork()
-    if pid == 0:
-        status = 1
-        try:
-            signal.alarm(20)
-            if planned._POOL is not None:
-                status = 3
-            elif np.array_equal(engine.forward_ops(stack, primes), want):
-                status = 0
-            else:
-                status = 2
-        finally:
-            os._exit(status)
+    engine = NttPlanner("four_step").engine_for(N, primes[0])
+    with use_backend("blas"):
+        want = inline(lambda: engine.forward_ops(stack, primes))
+        assert np.array_equal(engine.forward_ops(stack, primes), want)
+        assert bool(pool_calls) == (workers > 0)
+        with warnings.catch_warnings():
+            # Python 3.12 warns on fork() in a process that has threads.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                signal.alarm(20)
+                if planned._POOL is not None:
+                    status = 3
+                elif np.array_equal(engine.forward_ops(stack, primes), want):
+                    status = 0
+                else:
+                    status = 2
+            finally:
+                os._exit(status)
     _, status = os.waitpid(pid, 0)
     assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0, status

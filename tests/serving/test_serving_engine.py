@@ -15,6 +15,7 @@ from repro.serving import (
     EngineStopped,
     OpName,
     QueueFull,
+    ServingConfig,
     TenantBusy,
     UnknownOperation,
     UnknownTenant,
@@ -99,6 +100,16 @@ class TestConcurrentCoalescing:
 
 
 class TestBackpressure:
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_max_batch_below_one_is_rejected(self, value):
+        with pytest.raises(ValueError, match="max_batch"):
+            ServingConfig(max_batch=value)
+
+    @pytest.mark.parametrize("value", [0, -3])
+    def test_tenant_inflight_limit_below_one_is_rejected(self, value):
+        with pytest.raises(ValueError, match="tenant_inflight_limit"):
+            ServingConfig(tenant_inflight_limit=value)
+
     async def test_queue_full_is_an_explicit_rejection(self, fhe, serve, rng):
         engine = serve(max_queue_depth=2)
         registry = engine.registry
