@@ -215,15 +215,22 @@ class TensorFheContext:
     def multiply_plain_many(self, ciphertexts: Sequence[Ciphertext],
                             values_streams: Sequence[Sequence[complex]], *,
                             rescale: bool = True) -> list:
-        """Batched CMULT: each stream multiplied by its own slot vector."""
+        """Batched CMULT: each stream multiplied by its own slot vector.
+
+        Streams that pass the same vector object share its encoding at
+        their level (encoding is deterministic: no bit changes).
+        """
         ciphertexts = list(ciphertexts)
         values_streams = list(values_streams)
         if len(ciphertexts) != len(values_streams):
             raise ValueError("need one value vector per ciphertext stream")
-        plaintexts = [
-            self.encryptor.encode(values, level=ciphertext.level)
-            for ciphertext, values in zip(ciphertexts, values_streams)
-        ]
+        encoded = {}
+        plaintexts = []
+        for ciphertext, values in zip(ciphertexts, values_streams):
+            key = (id(values), ciphertext.level)
+            if key not in encoded:
+                encoded[key] = self.encryptor.encode(values, level=ciphertext.level)
+            plaintexts.append(encoded[key])
         products = self._run_batched(self.batched_evaluator.multiply_plain,
                                      ciphertexts, plaintexts)
         if rescale:

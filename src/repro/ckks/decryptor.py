@@ -1,7 +1,9 @@
 """Decryption and decoding.
 
 ``Decryptor.decrypt`` computes ``c0 + c1*s`` over the ciphertext's active
-basis and returns a coefficient-domain plaintext; ``decrypt_to_slots``
+basis and returns a coefficient-domain plaintext; ``s`` is the secret's
+cached static operand of that basis
+(:meth:`~repro.ckks.keys.SecretKey.operand`).  ``decrypt_to_slots``
 additionally CRT-recombines the residues into the float64 values of the
 centred coefficients (:meth:`~repro.numtheory.crt.CrtContext.compose_float`:
 int64 on the chain's two smallest primes, checked against the other limbs,
@@ -17,6 +19,8 @@ import math
 import numpy as np
 
 from ..numtheory.crt import get_crt_context
+from ..numtheory.modular import mat_mod_mul
+from ..rns.poly import PolyDomain, RnsPolynomial
 from .ciphertext import Ciphertext, Plaintext
 from .context import CkksContext, pinned
 from .keys import SecretKey
@@ -36,10 +40,13 @@ class Decryptor:
         """Return the underlying plaintext polynomial ``c0 + c1*s``."""
         planner = self.context.planner
         moduli = ciphertext.moduli
-        secret_eval = self.secret_key.evaluation(self.context, moduli)
         c1_eval = ciphertext.c1.to_evaluation(planner)
-        product = c1_eval.hadamard(secret_eval).to_coefficient(planner)
-        message = ciphertext.c0.add(product)
+        product = RnsPolynomial(
+            c1_eval.ring_degree, moduli,
+            mat_mod_mul(c1_eval.buffer,
+                        self.secret_key.operand(self.context, moduli), moduli),
+            PolyDomain.EVALUATION)
+        message = ciphertext.c0.add(product.to_coefficient(planner))
         return Plaintext(polynomial=message, scale=ciphertext.scale,
                          level=ciphertext.level)
 

@@ -1,15 +1,33 @@
 """Encryption and encoding helpers.
 
-``Encryptor`` turns slot vectors into ciphertexts at the maximum level.
-Both public-key encryption (``c = (v*b + e0 + m, v*a + e1)``) and
-symmetric encryption (``c = (-a*s + e + m, a)``) are provided; the latter
-produces slightly less noise and is handy in tests.
+``Encryptor`` turns slot vectors into ciphertexts at the maximum level, or
+an encoded plaintext into a ciphertext at the plaintext's level.  Both
+public-key encryption (``c = (v*b + e0 + m, v*a + e1)``) and symmetric
+encryption (``c = (-a*s + e + m, a)``; slightly less noise, handy in
+tests) run both components as one launch chain:
+
+* one product in the evaluation domain for the pair: the ephemeral ``v``'s
+  image against the public key's cached ``(L, 2, N)`` operand of the level
+  (:meth:`~repro.ckks.keys.PublicKey.operand`), or ``[-a*s | a]`` against
+  the secret's cached operand;
+* one INTT of the ``(2, L, N)`` pair (it is linear, so the errors and the
+  message need no transform);
+* one add of ``(e0 + m, e1)`` (symmetric: ``(e + m, 0)``), whose two rows
+  are ``c0`` and ``c1``.
+
+The randomness is drawn in a fixed order — the ephemeral (or the mask),
+then the Gaussian errors in one draw — so a seeded context encrypts to the
+same bits on every backend and engine.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
+import numpy as np
+
+from ..backend.residency import stack_arrays
+from ..numtheory.modular import mat_mod_add, mat_mod_mul, mat_mod_neg, moduli_column
 from ..rns.poly import PolyDomain, RnsPolynomial
 from .ciphertext import Ciphertext, Plaintext
 from .context import CkksContext, pinned
@@ -68,7 +86,7 @@ class Encryptor:
 
     @pinned
     def encrypt_plaintext(self, plaintext: Plaintext) -> Ciphertext:
-        """Encrypt an already-encoded plaintext."""
+        """Encrypt an already-encoded plaintext at its own level."""
         if self.public_key is not None:
             return self._encrypt_public(plaintext)
         return self._encrypt_symmetric(plaintext)
@@ -84,46 +102,59 @@ class Encryptor:
     # ------------------------------------------------------------------
     def _encrypt_public(self, plaintext: Plaintext) -> Ciphertext:
         context = self.context
-        planner = context.planner
-        rng = context.rng
-        level = plaintext.level
-        moduli = context.moduli_at_level(level)
+        moduli = context.moduli_at_level(plaintext.level)
         n = context.ring_degree
-        stddev = context.parameters.error_std
-
-        pk_b = self.public_key.b.restrict_to(moduli)
-        pk_a = self.public_key.a.restrict_to(moduli)
-        ephemeral = RnsPolynomial.random_ternary(n, moduli, rng).to_evaluation(planner)
-        error0 = RnsPolynomial.random_gaussian(n, moduli, rng, stddev=stddev)
-        error1 = RnsPolynomial.random_gaussian(n, moduli, rng, stddev=stddev)
-        # Only the products need the evaluation domain: the errors and the
-        # message are added after the INTT (it is linear), so one encryption
-        # is three transforms, not six.
-        message = plaintext.polynomial.to_coefficient(planner)
-        c0 = ephemeral.hadamard(pk_b).to_coefficient(planner).add(error0).add(message)
-        c1 = ephemeral.hadamard(pk_a).to_coefficient(planner).add(error1)
-        return Ciphertext(c0=c0, c1=c1, scale=plaintext.scale, level=level)
+        ternary = RnsPolynomial.random_ternary(n, moduli, context.rng)
+        ephemeral = context.planner.forward_limbs(n, moduli, ternary.buffer)
+        errors = self._errors(2)
+        # v ⊙ (b | a): the (L, 1, N) image broadcasts against the key pair.
+        pair = mat_mod_mul(ephemeral[:, None], self.public_key.operand(moduli),
+                           moduli)
+        return self._finish(plaintext, pair.transpose(1, 0, 2), errors)
 
     def _encrypt_symmetric(self, plaintext: Plaintext) -> Ciphertext:
         if self.secret_key is None:
             raise ValueError("no secret key available for symmetric encryption")
         context = self.context
-        planner = context.planner
-        rng = context.rng
-        level = plaintext.level
-        moduli = context.moduli_at_level(level)
-        n = context.ring_degree
+        moduli = context.moduli_at_level(plaintext.level)
+        mask = RnsPolynomial.random_uniform(context.ring_degree, moduli,
+                                            context.rng).buffer
+        errors = self._errors(1)
+        product = mat_mod_mul(mask, self.secret_key.operand(context, moduli),
+                              moduli)
+        pair = stack_arrays([mat_mod_neg(product, moduli), mask])
+        return self._finish(plaintext, pair, errors)
 
-        mask = RnsPolynomial.random_uniform(n, moduli, rng, domain=PolyDomain.EVALUATION)
-        secret_eval = self.secret_key.evaluation(context, moduli)
-        error = RnsPolynomial.random_gaussian(
-            n, moduli, rng, stddev=context.parameters.error_std)
-        message = plaintext.polynomial.to_coefficient(planner)
-        c0 = (mask.hadamard(secret_eval).negate().to_coefficient(planner)
-              .add(error).add(message))
-        return Ciphertext(
-            c0=c0,
-            c1=mask.to_coefficient(planner),
-            scale=plaintext.scale,
-            level=level,
-        )
+    def _errors(self, count: int) -> np.ndarray:
+        """``(2, N)`` signed Gaussian errors: ``count`` drawn rows, then zeros."""
+        n = self.context.ring_degree
+        errors = np.zeros((2, n), dtype=np.int64)
+        errors[:count] = np.round(self.context.rng.normal(
+            0.0, self.context.parameters.error_std, (count, n)))
+        return errors
+
+    def _finish(self, plaintext: Plaintext, pair, errors: np.ndarray) -> Ciphertext:
+        """``INTT(pair) + (e0 + m, e1)``: the ciphertext of an evaluation pair.
+
+        ``pair`` is the ``(2, L, N)`` evaluation-domain image of both
+        components; one INTT transforms it and one add joins the errors and
+        the message, both over the limb-major view.
+        """
+        context = self.context
+        n = context.ring_degree
+        moduli = context.moduli_at_level(plaintext.level)
+        message = plaintext.polynomial
+        if message.moduli != moduli:
+            raise ValueError("the plaintext's basis is not the chain of its level")
+        if message.domain != PolyDomain.COEFFICIENT:
+            message = message.to_coefficient(context.planner)
+        coefficients = context.planner.inverse_ops(n, moduli, pair)
+        addend = np.empty((2, len(moduli), n), dtype=np.int64)
+        np.add(message.residues, errors[0], out=addend[0])
+        addend[1] = errors[1]
+        np.remainder(addend, moduli_column(moduli), out=addend)
+        components = mat_mod_add(coefficients.transpose(1, 0, 2),
+                                 addend.transpose(1, 0, 2), moduli)
+        c0, c1 = (RnsPolynomial(n, moduli, components[:, row]) for row in (0, 1))
+        return Ciphertext(c0=c0, c1=c1, scale=plaintext.scale,
+                          level=plaintext.level)

@@ -3,7 +3,11 @@
 The secret key is kept as a signed ternary coefficient vector so it can be
 reduced into any RNS basis on demand; its NTT image, which decryption,
 symmetric encryption and key generation all multiply by, is computed once
-over a context's whole extended chain and restricted from there.  Switch
+over a context's whole extended chain and restricted from there.  What
+decryption and encryption multiply by at every call is a cached static
+operand per level: the secret's image over the level's chain, and the
+public pair ``(b, a)`` as one limb-major ``(L, 2, N)`` operand, so a float
+backend splits either into its hi/lo images once.  Switch
 keys (used for relinearization, rotation and conjugation) follow the
 generalized key-switching of the paper: for every level they hold one
 ``(b_j, a_j)`` pair per decomposition group, stored in the evaluation domain
@@ -23,6 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..backend.blas_backend import static_operand
+from ..backend.residency import DeviceBuffer
 from ..rns.poly import RnsPolynomial
 
 __all__ = ["SecretKey", "PublicKey", "SwitchKey", "SwitchKeyLevel", "RotationKeySet"]
@@ -37,6 +42,7 @@ class SecretKey:
     def __post_init__(self) -> None:
         self.coefficients = np.asarray(self.coefficients, dtype=np.int64)
         self._evaluation: Optional[RnsPolynomial] = None
+        self._operands: Dict[Tuple[int, ...], DeviceBuffer] = {}
 
     @property
     def ring_degree(self) -> int:
@@ -60,6 +66,18 @@ class SecretKey:
                 context.planner)
         return self._evaluation.restrict_to(moduli)
 
+    def operand(self, context, moduli: Sequence[int]) -> DeviceBuffer:
+        """:meth:`evaluation` over ``moduli`` as a static ``(L, N)`` operand.
+
+        Built on first use per chain and kept, like the switch keys' levels.
+        """
+        moduli = tuple(int(q) for q in moduli)
+        operand = self._operands.get(moduli)
+        if operand is None:
+            operand = self._operands[moduli] = static_operand(
+                self.evaluation(context, moduli).residues)
+        return operand
+
     @property
     def hamming_weight(self) -> int:
         """Number of non-zero secret coefficients."""
@@ -73,9 +91,28 @@ class PublicKey:
     b: RnsPolynomial
     a: RnsPolynomial
 
+    def __post_init__(self) -> None:
+        self._operands: Dict[Tuple[int, ...], DeviceBuffer] = {}
+
     @property
     def moduli(self):
         return self.b.moduli
+
+    def operand(self, moduli: Sequence[int]) -> DeviceBuffer:
+        """``(b, a)`` over ``moduli`` as one static ``(L, 2, N)`` operand.
+
+        Built on first use per chain and kept.  The memory is ``(2, L, N)``
+        viewed limb-major, so a product against it comes out in the layout
+        the INTT of both components reads.
+        """
+        moduli = tuple(int(q) for q in moduli)
+        operand = self._operands.get(moduli)
+        if operand is None:
+            pair = np.stack([key.restrict_to(moduli).residues
+                             for key in (self.b, self.a)])
+            operand = self._operands[moduli] = static_operand(
+                pair.transpose(1, 0, 2))
+        return operand
 
 
 @dataclass

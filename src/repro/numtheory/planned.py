@@ -474,10 +474,14 @@ def _part(view: np.ndarray, rows: slice, ops: slice) -> np.ndarray:
 
 
 def _like(shape, views) -> np.ndarray:
-    """An empty ``shape`` result in the memory layout of the first full view."""
+    """An empty float64 ``shape`` result in the layout of the first full view.
+
+    The view may be a static operand's int64 matrix: only its layout is
+    taken, never its dtype.
+    """
     for view in views:
         if view.shape == shape:
-            return np.empty_like(view)
+            return np.empty_like(view, dtype=np.float64)
     return np.empty(shape)
 
 

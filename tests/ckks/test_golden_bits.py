@@ -19,19 +19,33 @@ reduction on ``blas``) and 20-bit primes with a 23-bit special prime
 reach: ``Encryptor``, ``Decryptor``, the CRT recombination behind
 ``to_integers`` and the ``forward_limbs`` / ``inverse_limbs`` entry points
 that encryption, decryption and key generation transform through.
+At N = 64 every launch is int64, so ``GOLDEN_FLOAT_BOUNDARY`` (generated
+at 432c447) repeats the encrypt / decrypt digests at N = 4096, L = 8,
+where the launches between the transforms run on the float kernels under
+``blas``.
 
 Regenerate (only when an output is *meant* to change) with
 ``PYTHONPATH=src python tests/ckks/test_golden_bits.py``.
 """
 
 import hashlib
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from repro.api import TensorFheContext
 from repro.backend import use_backend
-from repro.ckks import Ciphertext, CkksParameters, KeySwitcher, Plaintext
+from repro.ckks import (
+    Ciphertext,
+    CkksContext,
+    CkksParameters,
+    Decryptor,
+    Encryptor,
+    KeyGenerator,
+    KeySwitcher,
+    Plaintext,
+)
 from repro.ckks.bootstrap import BootstrapConfig, BsgsLinearTransform, ModRaise
 from repro.rns import RnsPolynomial
 
@@ -88,6 +102,19 @@ GOLDEN_BOUNDARY = {
     },
 }
 
+GOLDEN_FLOAT_BOUNDARY = {
+    "p20": {
+        "encrypt_public": "56b1376fea7e93fd387f7857c8b4ee502e8e13e4b061948b86277467db7ebfe7",
+        "encrypt_symmetric": "94be3f916dec433688534249239fc1681ba03ba7b04e9377f832f09c69262232",
+        "decrypt": "7211b26a2e27a6cc6644cb01bdde053c356f3fde9652134695f34a3cb4891edf",
+    },
+    "p28": {
+        "encrypt_public": "ab03d99fb4c5007f9d53b8b0804537d8b48e730faa5a052da8eca0426d4b1956",
+        "encrypt_symmetric": "fbb8149937079594485d3ca7ddcd3c75d64cb6a66bc8c48158f3e8bcc94cecae",
+        "decrypt": "24cdd653447676d48123ecd0e96d77763b9fc5fd4ab0c935b3b95829a7189000",
+    },
+}
+
 
 def build(chain):
     parameters = CkksParameters(ring_degree=64, level_count=8, dnum=4,
@@ -98,6 +125,19 @@ def build(chain):
                                          double_angle_iterations=1))
     fhe.ensure_rotation_keys(fhe.bootstrapper.required_rotation_steps())
     return fhe
+
+
+def build_float(chain):
+    """The ``ops_p28_b8`` shape with encryption keys only."""
+    parameters = CkksParameters(ring_degree=4096, level_count=8, dnum=4,
+                                **CHAINS[chain])
+    context = CkksContext(parameters, seed=1311)
+    keygen = KeyGenerator(context)
+    secret = keygen.generate_secret_key()
+    public = keygen.generate_public_key(secret)
+    return SimpleNamespace(context=context,
+                           encryptor=Encryptor(context, public, secret),
+                           decryptor=Decryptor(context, secret))
 
 
 def raw_poly(fhe, rng, level):
@@ -230,6 +270,20 @@ def test_boundary_bits_are_frozen(chain, backend):
         assert boundary_digests(fhe) == GOLDEN_BOUNDARY[name]
 
 
+@pytest.fixture(scope="module", params=sorted(CHAINS))
+def float_chain(request):
+    return request.param, build_float(request.param)
+
+
+@pytest.mark.parametrize("backend", ("numpy", "blas"))
+def test_float_boundary_bits_are_frozen(float_chain, backend):
+    name, fhe = float_chain
+    with use_backend(backend):
+        got = boundary_digests(fhe)
+    assert {key: got[key] for key in GOLDEN_FLOAT_BOUNDARY[name]} == \
+        GOLDEN_FLOAT_BOUNDARY[name]
+
+
 if __name__ == "__main__":
     for name in sorted(CHAINS):
         print("    %r: {" % name)
@@ -240,4 +294,10 @@ if __name__ == "__main__":
         print("    %r: {" % name)
         for key, value in boundary_digests(build(name)).items():
             print("        %r: %r," % (key, value))
+        print("    },")
+    for name in sorted(CHAINS):
+        print("    %r: {" % name)
+        digests = boundary_digests(build_float(name))
+        for key in GOLDEN_FLOAT_BOUNDARY[name]:
+            print("        %r: %r," % (key, digests[key]))
         print("    },")

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from repro.api import TensorFheContext
-from repro.ckks import Ciphertext, CkksParameters
+from repro.backend import available_backends, use_backend
+from repro.ckks import Ciphertext, CkksParameters, Encryptor
 from repro.kernels import KernelName
 from repro.ntt import DEFAULT_ENGINE, available_engines
+from repro.rns import PolyDomain, RnsPolynomial
 
 TOLERANCE = 1e-3
 
@@ -57,6 +59,48 @@ class TestEncryptDecrypt:
 
     def test_secret_key_hamming_weight(self, toy_bundle):
         assert toy_bundle.secret_key.hamming_weight <= 8
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("public", [True, False], ids=["public", "symmetric"])
+    def test_a_lower_level_plaintext_encrypts_at_its_level(
+            self, toy_bundle, rng, backend, public):
+        """Bits equal the three-transform composition from the same draws."""
+        context, planner = toy_bundle.context, toy_bundle.context.planner
+        level = context.max_level - 1
+        moduli, n = context.moduli_at_level(level), context.ring_degree
+        encryptor = (toy_bundle.encryptor if public else
+                     Encryptor(context, secret_key=toy_bundle.secret_key))
+        x = toy_bundle.random_slots(rng)
+        plaintext = encryptor.encode(x, level=level)
+        draws = np.random.default_rng()
+        draws.bit_generator.state = context.rng.bit_generator.state
+        with use_backend(backend):
+            ct = encryptor.encrypt_plaintext(plaintext)
+
+            def error():
+                return RnsPolynomial.random_gaussian(
+                    n, moduli, draws, stddev=context.parameters.error_std)
+
+            if public:
+                key = toy_bundle.public_key
+                v = RnsPolynomial.random_ternary(n, moduli, draws).to_evaluation(planner)
+                e0, e1 = error(), error()
+                c0 = v.hadamard(key.b.restrict_to(moduli)).to_coefficient(planner)
+                c0 = c0.add(e0).add(plaintext.polynomial)
+                c1 = v.hadamard(key.a.restrict_to(moduli)).to_coefficient(planner)
+                c1 = c1.add(e1)
+            else:
+                a = RnsPolynomial.random_uniform(n, moduli, draws,
+                                                 domain=PolyDomain.EVALUATION)
+                s = toy_bundle.secret_key.evaluation(context, moduli)
+                c0 = a.hadamard(s).negate().to_coefficient(planner)
+                c0 = c0.add(error()).add(plaintext.polynomial)
+                c1 = a.to_coefficient(planner)
+        assert ct.level == level and ct.moduli == moduli
+        assert ct.c0.domain == ct.c1.domain == PolyDomain.COEFFICIENT
+        assert np.array_equal(ct.c0.residues, c0.residues)
+        assert np.array_equal(ct.c1.residues, c1.residues)
+        assert np.allclose(toy_bundle.decryptor.decrypt_real(ct), x, atol=TOLERANCE)
 
 
 class TestHomomorphicOperations:

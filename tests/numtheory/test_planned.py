@@ -136,6 +136,23 @@ class TestForms:
         want = (x.astype(object) * key.astype(object)).sum(axis=1) % column[:, 0]
         assert np.array_equal(got.ensure_host(), want.astype(np.int64))
 
+    @pytest.mark.parametrize("chain_name", ["p20", "p28"])
+    def test_a_broadcast_x_against_a_full_static_operand(self, rng, chain_name):
+        """The result takes the static side's layout, not its int64 dtype."""
+        primes = CHAINS[chain_name]
+        x, _ = residues(rng, primes, (0, 1, N))
+        key, _ = residues(rng, primes, (0, 2, N))
+        blas, oracle = get_backend("blas"), get_backend("numpy")
+        want = oracle.mat_mul(DeviceBuffer.wrap(x), DeviceBuffer.wrap(key),
+                              primes).ensure_host()
+        pairs = [(float_handle(x, max(primes) - 1), static_operand(key))]
+        pairs.append(pairs[0][::-1])
+        for lhs, rhs in pairs:
+            got = blas.mat_mul(lhs, rhs, primes)
+            assert got.host_image is None
+            assert got.shape == key.shape
+            assert np.array_equal(got.ensure_host(), want)
+
     def test_constants_alone_do_not_pull_a_launch_onto_the_float_path(self, rng):
         primes = CHAINS["p28"]
         x, column = residues(rng, primes, (0, 2, N))
