@@ -11,7 +11,7 @@ across kernel launches.
 """
 
 from .base import ArrayBackend
-from .blas_backend import BlasFloat64Backend, FloatOperandCache
+from .blas_backend import BlasFloat64Backend
 from .numpy_backend import NumpyBackend, max_safe_chunk
 from .residency import DeviceBuffer, as_buffer, as_ndarray, is_buffer
 from .registry import (
@@ -29,7 +29,6 @@ __all__ = [
     "ArrayBackend",
     "NumpyBackend",
     "BlasFloat64Backend",
-    "FloatOperandCache",
     "max_safe_chunk",
     "DeviceBuffer",
     "is_buffer",

@@ -35,11 +35,15 @@ Operands are reduced modulo their row's prime (``mat_reduce`` and the rhs of
 every modulus, including those of 2**31 and up where a product of two
 residues no longer fits int64.
 
-*Images a backend may read.*  ``ensure_host()`` is always allowed (a cast
-for a float-only handle).  A float-capable backend may *peek*
-``float_cache()`` and use an attached float64 image, returning a float-only
-handle (``DeviceBuffer.from_float``); it never builds one on an operand, so
-transient intermediates pay no conversion.
+*Images a backend may read.*  A handle has a kind (see
+:mod:`~repro.backend.residency`): ``host``, ``operand``, ``constant`` or
+``result``.  ``ensure_host()`` is always allowed (a cast for a result).  A
+float-capable backend reads ``full()`` / ``split()`` / ``max_value`` off
+the handles and returns a result (``DeviceBuffer.from_float``); a launch
+goes float only when some operand is :attr:`~repro.backend.residency.
+DeviceBuffer.resident` (an operand or a result), and a ``host`` handle's
+images are built for that launch and not kept, so transient
+intermediates pay no conversion.
 
 *Who guards exactness.*  The backend, and nobody else: a kernel that takes a
 float path checks the 2**53 bound itself
@@ -87,29 +91,12 @@ class ArrayBackend(abc.ABC):
     #: Registry identifier (also what ``REPRO_BACKEND`` selects).
     name = "abstract"
 
-    def capabilities(self) -> dict:
-        """Structured capability report for this backend.
-
-        The report is the single place dispatch layers look when deciding
-        which fast path a backend supports:
-
-        * ``name`` — the registry identifier;
-        * ``float_residency`` — whether float64 residue images are a
-          profitable substrate here.  The engines only plan a float
-          pipeline when this is True *and* the
-          :class:`~repro.numtheory.floatmod.BarrettChain` exactness guard
-          accepts the operand bounds.  The float kernels are plain numpy
-          and correct everywhere — the flag is about profit, not
-          correctness.
-
-        Backends with richer capabilities override and extend the dict
-        (readers must tolerate extra keys and use ``.get`` for optional
-        ones).
-        """
-        return {
-            "name": self.name,
-            "float_residency": False,
-        }
+    #: Whether float64 residue images are a profitable substrate here.  The
+    #: engines only plan a float pipeline when this is True *and* the
+    #: :class:`~repro.numtheory.floatmod.BarrettChain` exactness guard
+    #: accepts the operand bounds.  The float kernels are plain numpy and
+    #: correct everywhere — the flag is about profit, not correctness.
+    float_residency = False
 
     # The benchmark's hook: trace.py's ``backend.copy`` layer wraps these two.
     def to_device(self, array: np.ndarray) -> np.ndarray:
@@ -204,15 +191,19 @@ class ArrayBackend(abc.ABC):
         The planned product of :mod:`repro.numtheory.planned`: per launch
         the cheapest exact form (one pass, or the hi/lo split of ``rhs``),
         run slab by slab; ``None`` when the 2**53 guard admits no form.
-        Either side is a float64 array of canonical residues or a cached
-        operand (``full()`` / ``split()`` / ``max_value``) with its own
-        bound, whose split images are then reused.  ``terms > 1`` sums over
+        Either side is a float64 array of canonical residues of ``chain``
+        (split per slab when it is ``rhs``) or a
+        :class:`~repro.backend.residency.DeviceBuffer` with its own bound,
+        whose cached split images are then reused.  ``terms > 1`` sums over
         the axis after the limb axis before reducing.
         """
-        return _planned().product(
-            chain, lhs if isinstance(lhs, np.ndarray) else lhs.full(),
-            getattr(lhs, "max_value", chain.qmax - 1), rhs,
-            getattr(rhs, "max_value", chain.qmax - 1), terms)
+        bound = chain.qmax - 1
+        if isinstance(lhs, DeviceBuffer):
+            lhs, lhs_max = lhs.full(), lhs.max_value
+        else:
+            lhs_max = bound
+        rhs_max = rhs.max_value if isinstance(rhs, DeviceBuffer) else bound
+        return _planned().product(chain, lhs, lhs_max, rhs, rhs_max, terms)
 
     # Mask-free sum / difference / negation / reduction: the combination
     # lands in the lazy window (-q, 2q), from where one deferred Barrett

@@ -18,75 +18,9 @@ import numpy as np
 
 from .base import _planned
 from .numpy_backend import NumpyBackend
-from .residency import DeviceBuffer
+from .residency import HOST, RESULT, DeviceBuffer
 
-__all__ = ["BlasFloat64Backend", "FloatOperandCache", "FloatResidues",
-           "FLOAT_EXACT_LIMIT", "split_shift", "static_operand"]
-
-#: Largest integer magnitude float64 represents exactly (2**53); products and
-#: partial sums below this bound make a BLAS dgemm bit-exact.
-FLOAT_EXACT_LIMIT = 1 << 53
-
-
-def split_shift(max_value: int) -> int:
-    """The hi/lo split point of an operand whose entries are ``<= max_value``.
-
-    Roughly half the bit-width, so ``hi = x >> shift`` and
-    ``lo = x & (2**shift - 1)`` are both about half as wide as ``x``.
-    Guards that bound a split product before the images exist use this.
-    """
-    return max(1, (int(max_value).bit_length() + 1) // 2)
-
-
-class FloatOperandCache:
-    """Lazily cached float64 forms of a reusable int64 GEMM operand.
-
-    Twiddle stacks are reused across every NTT of an instance, so their
-    float64 image (and, for larger moduli, a high/low split that restores
-    exactness) is built once and cached here.
-    """
-
-    #: Whether the operand is a precomputed constant (:func:`static_operand`).
-    #: A launch goes float for the residues it carries, not for a constant.
-    static = False
-
-    def __init__(self, matrix: np.ndarray, *, static: bool = False) -> None:
-        self.matrix = np.asarray(matrix, dtype=np.int64)
-        self.max_value = int(self.matrix.max(initial=0))
-        self.static = static
-        self._full = None
-        self._split = None
-
-    def full(self) -> np.ndarray:
-        """The operand converted to float64 (exact: entries < 2**53)."""
-        if self._full is None:
-            self._full = self.matrix.astype(np.float64)
-        return self._full
-
-    def split(self):
-        """``(shift, hi, lo)`` with ``matrix == hi * 2**shift + lo``.
-
-        Splitting roughly halves the bit-width of each part, so each of
-        the two partial GEMMs fits the float64 exactness bound for moduli
-        too large for a single pass.
-        """
-        if self._split is None:
-            shift = split_shift(self.max_value)
-            hi = (self.matrix >> shift).astype(np.float64)
-            lo = (self.matrix & ((1 << shift) - 1)).astype(np.float64)
-            self._split = (shift, hi, lo)
-        return self._split
-
-
-def static_operand(matrix: np.ndarray) -> DeviceBuffer:
-    """A reusable int64 operand as a handle with its float cache attached.
-
-    Twiddles, switch keys and the RNS conversion constants are multiplied
-    into every launch of their kind, so their float64 images (full and
-    hi/lo) are built once, on first float use, and found here afterwards.
-    """
-    return DeviceBuffer.wrap(matrix).attach_float_cache(
-        FloatOperandCache(matrix, static=True))
+__all__ = ["BlasFloat64Backend"]
 
 
 def _barrett_chain(moduli):
@@ -98,49 +32,6 @@ def _barrett_chain(moduli):
     from ..numtheory.floatmod import get_barrett_chain
 
     return get_barrett_chain(moduli)
-
-
-class FloatResidues(FloatOperandCache):
-    """A float64-resident residue image whose int64 form is built lazily.
-
-    The output carrier of the float-resident kernel chains: ``values`` are
-    canonical residues already in float64, so ``full()`` is free and the
-    int64 ``matrix`` — which :meth:`~repro.backend.residency.DeviceBuffer.
-    ensure_host` asks for at the host boundary — is a single (exact)
-    truncating cast, deferred until someone actually needs int64.  Between
-    launches nothing int64 exists, which is the point: the chain's Barrett
-    reductions replace every intermediate ``%`` pass.
-    """
-
-    def __init__(self, values: np.ndarray, max_value: int) -> None:
-        self._values = values
-        self._matrix = None
-        self.max_value = int(max_value)
-        self._full = values
-        self._split = None
-
-    @property
-    def matrix(self) -> np.ndarray:
-        if self._matrix is None:
-            out = np.empty(self._values.shape, dtype=np.int64)
-            np.copyto(out, self._values, casting="unsafe")
-            self._matrix = out
-        return self._matrix
-
-    def split(self):
-        """Hi/lo split computed in float64 — never materialises int64.
-
-        Scaling by a power of two only touches the exponent, so the
-        floor/subtract decomposition is bit-exact and the residue image
-        stays float-resident even through split GEMM paths.
-        """
-        if self._split is None:
-            shift = split_shift(self.max_value)
-            pow_f = float(1 << shift)
-            hi = np.floor(self._values * (1.0 / pow_f))
-            lo = self._values - hi * pow_f
-            self._split = (shift, hi, lo)
-        return self._split
 
 
 class BlasFloat64Backend(NumpyBackend):
@@ -157,64 +48,52 @@ class BlasFloat64Backend(NumpyBackend):
     """
 
     name = "blas"
-
-    def capabilities(self) -> dict:
-        report = super().capabilities()
-        report["float_residency"] = True
-        return report
+    float_residency = True
 
     @staticmethod
-    def _images(operands):
-        """The operands' float caches, or None when no residues carry one.
+    def _float_operands(operands) -> bool:
+        """Whether a launch on ``operands`` goes float.
 
-        An operand without an image next to one that has it is converted
-        for this call; when only constants have one (or nothing has) the
-        int64 kernel is at least as cheap as the conversions.
+        It does when some operand's float image carries residues (an
+        operand or a result, :attr:`~repro.backend.residency.DeviceBuffer.
+        resident`); the others are then read as they are, a ``host`` one
+        converted for this call.  When only constants have an image (or
+        nothing has) the int64 kernel is at least as cheap as the
+        conversions.
         """
-        caches = [operand.float_cache() for operand in operands]
-        if (all(cache is None or cache.static for cache in caches)
-                or not all(operands[0].shape)):
-            return None
-        return [FloatOperandCache(operand.ensure_host()) if cache is None
-                else cache for cache, operand in zip(caches, operands)]
+        return (any(operand.resident for operand in operands)
+                and all(operands[0].shape))
 
     def _float_launch(self, kernel, operands, moduli):
         """``kernel(*images, chain)`` on canonical operands, or None."""
-        caches = self._images(operands)
-        if caches is None:
+        if not self._float_operands(operands):
             return None
         chain = _barrett_chain(moduli)
         if not chain.fits(2 * (chain.qmax - 1)):
             return None
         return self._float_result(
-            kernel(*[cache.full() for cache in caches], chain), chain)
+            kernel(*[operand.full() for operand in operands], chain), chain)
 
     @staticmethod
     def _float_result(values: np.ndarray, chain) -> DeviceBuffer:
-        return DeviceBuffer.from_float(FloatResidues(values, chain.qmax - 1))
+        return DeviceBuffer.from_float(values, chain.qmax - 1)
 
     def matmul_limbs(self, lhs: DeviceBuffer, rhs: DeviceBuffer,
                      moduli: np.ndarray) -> DeviceBuffer:
         """The batched GEMM as a planned product against the cached side.
 
-        A twiddle stack on either side is the operand whose hi/lo images
-        are reused (a float-only earlier result only when nothing else is
-        cached); the other side's image is read, or converted for this
-        call.  With no cache at all the (typically smaller) rhs gets one.
+        The operand whose hi/lo images are reused is an operand or
+        constant side where there is one (the rhs if both are), else a
+        result (the lhs if both are), else the (typically smaller) rhs,
+        converted for this call.  The other side's image is read, a
+        ``host`` one converted for this call.
         """
-        lhs_cache, rhs_cache = lhs.float_cache(), rhs.float_cache()
-        if lhs_cache is None and rhs_cache is None:
-            rhs_cache = FloatOperandCache(rhs.ensure_host())
-        left = rhs_cache is None or (lhs_cache is not None
-                                     and isinstance(rhs_cache, FloatResidues))
-        other, other_cache = (rhs, rhs_cache) if left else (lhs, lhs_cache)
+        left = lhs.kind != HOST and (rhs.kind in (HOST, RESULT))
+        operand, other = (lhs, rhs) if left else (rhs, lhs)
         chain = _barrett_chain(moduli)
-        if other_cache is None:
-            # A raw side keeps the conservative modulus bound.
-            x, x_max = other.ensure_host().astype(np.float64), chain.qmax - 1
-        else:
-            x, x_max = other_cache.full(), other_cache.max_value
-        out = _planned().gemm(chain, lhs_cache if left else rhs_cache, x, x_max,
+        # A host side keeps the conservative modulus bound.
+        x_max = chain.qmax - 1 if other.kind == HOST else other.max_value
+        out = _planned().gemm(chain, operand, other.full(), x_max,
                               self.fmatmul, left)
         if out is not None:
             return self._float_result(out, chain)
@@ -222,16 +101,15 @@ class BlasFloat64Backend(NumpyBackend):
 
     def mat_mul(self, a: DeviceBuffer, b: DeviceBuffer,
                 moduli: np.ndarray, *, terms: int = 1) -> DeviceBuffer:
-        caches = self._images((a, b))
-        if caches is not None:
+        if self._float_operands((a, b)):
             chain = _barrett_chain(moduli)
-            x, operand = caches
-            if isinstance(operand, FloatResidues) and not isinstance(x, FloatResidues):
-                x, operand = operand, x
-            # The split side is a static operand where there is one (its
-            # hi/lo images are cached); a transient image is split in cache.
+            # The split side is the cached one where there is one.  A result
+            # is read as canonical residues of this chain and split per slab,
+            # in cache; any other handle brings its bound and cached images.
+            x, operand = ((b, a) if b.kind == RESULT and a.kind != RESULT
+                          else (a, b))
             out = self.fhadamard_limbs(
-                *[side.full() if isinstance(side, FloatResidues) else side
+                *[side.full() if side.kind == RESULT else side
                   for side in (x, operand)], chain, terms=terms)
             if out is not None:
                 return self._float_result(out, chain)
@@ -253,15 +131,14 @@ class BlasFloat64Backend(NumpyBackend):
 
     def mat_reduce(self, matrix: DeviceBuffer,
                    moduli: np.ndarray) -> DeviceBuffer:
-        cache = matrix.float_cache()
-        if cache is not None and all(matrix.shape):
+        if matrix.kind != HOST and all(matrix.shape):
             chain = _barrett_chain(moduli)
             # The operand may hold residues of a *different* basis (the
             # rescale reduces the dropped limb against every surviving
             # prime), so the guard uses the image's own bound.
-            if chain.fits(cache.max_value):
+            if chain.fits(matrix.max_value):
                 return self._float_result(
-                    self.freduce_limbs(cache.full(), chain), chain)
+                    self.freduce_limbs(matrix.full(), chain), chain)
         return super().mat_reduce(matrix, moduli)
 
     def matmul_rows(self, lhs: DeviceBuffer, rhs: DeviceBuffer,
@@ -273,11 +150,10 @@ class BlasFloat64Backend(NumpyBackend):
         ``q_hat mod p_j`` constants, images cached) pair with the output
         moduli, the rhs (float-resident source residues) is shared.
         """
-        lhs_cache, rhs_cache = lhs.float_cache(), rhs.float_cache()
-        if lhs_cache is not None and rhs_cache is not None and rhs.shape[1]:
+        if lhs.kind != HOST and rhs.kind != HOST and rhs.shape[1]:
             chain = _barrett_chain(row_moduli)
-            out = _planned().gemm(chain, lhs_cache, rhs_cache.full(),
-                                  rhs_cache.max_value, self.fmatmul)
+            out = _planned().gemm(chain, lhs, rhs.full(), rhs.max_value,
+                                  self.fmatmul)
             if out is not None:
                 return self._float_result(out, chain)
         return super().matmul_rows(lhs, rhs, row_moduli,

@@ -6,33 +6,52 @@ float64 image: the blas backend runs every launch between transforms on
 float64 residues, and a chain that round-tripped through int64 after each
 launch would pay a cast and a ``%`` pass per step.
 
-:class:`DeviceBuffer` is the residency handle.  It wraps up to two images
-of one int64 residue array:
+:class:`DeviceBuffer` is the one place such an image lives.  A handle holds
+an int64 **host** image (the canonical exact form used at the encode /
+decrypt / serialize boundaries) and/or a **float64** image, an upper bound
+on its entries (:attr:`~DeviceBuffer.max_value`), its cached hi/lo split
+(:meth:`~DeviceBuffer.split`) and a :attr:`~DeviceBuffer.kind`:
 
-* a **host** image — a ``numpy.int64`` ndarray, the canonical exact form
-  used at the encode / decrypt / serialize boundaries; and
-* a **float64 operand** image — the blas backend's residency.  Usually a
-  lazily attached conversion of the host image
-  (:class:`~repro.backend.blas_backend.FloatOperandCache`), but the
-  float-resident kernel chains also produce handles whose *only* image is
-  float64 (:class:`~repro.backend.blas_backend.FloatResidues`, via
-  :meth:`DeviceBuffer.from_float`): the int64 host form is then built on
-  first ``ensure_host()``, so a chain of float-resident launches
-  materialises no int64 intermediates.
+``host``
+    :meth:`DeviceBuffer.wrap` of an int64 array.  Its float images are
+    built for one launch at a time and never kept, so a transient
+    intermediate holds no image it will not use again.
+``operand``
+    :meth:`DeviceBuffer.operand`: a reusable residue array (the twiddle
+    stacks).  Its float64 image and hi/lo split are built from the int64
+    image on first use and kept; like a result, it sends a launch to the
+    float kernels.
+``constant``
+    :meth:`DeviceBuffer.constant`: a precomputed constant (switch keys, RNS
+    conversion constants, BSGS diagonals).  Images are cached like an
+    operand's, but a launch goes float for the residues it carries, not for
+    a constant: a constant alone leaves it on int64.
+``result``
+    :meth:`DeviceBuffer.from_float`: the output of a float kernel, whose
+    only image is float64.  The int64 host form is a single truncating cast
+    on first :meth:`~DeviceBuffer.ensure_host`, so a chain of float-resident
+    launches materialises no int64 intermediates; its split is computed in
+    float64.
+
+:attr:`~DeviceBuffer.resident` says whether a handle's float image sends a
+launch to the float kernels (operands and results).  The split point of an
+image is :func:`split_shift` of its bound.
 
 Invalidation contract
 ---------------------
 The host image is authoritative.  Code that mutates a handle's host array
 in place (the library itself never does — every kernel allocates a fresh
-result) MUST call :meth:`DeviceBuffer.invalidate_device` afterwards so a
-stale float64 operand image is never reused.  Handles produced by
-slicing/reshaping share storage with their parent exactly like numpy
-views; invalidation is per-handle, so mutate-and-share patterns should
-invalidate every live handle onto the same storage.
+result) MUST call :meth:`DeviceBuffer.invalidate_device` afterwards: the
+handle drops its float images and becomes a ``host`` handle.  Handles
+produced by slicing/reshaping share storage with their parent exactly like
+numpy views; invalidation is per-handle, so mutate-and-share patterns
+should invalidate every live handle onto the same storage.
 
 Shape manipulation (``reshape`` / ``transpose`` / indexing /
-``ascontiguous``) applies to whichever image the handle holds, so a
-float-only handle stays float-only through a chain of views.
+``ascontiguous``) applies to the host image where there is one, and gives
+a ``host`` handle; a result stays a float-only result through a chain of
+views.  :meth:`DeviceBuffer.prefix` is the one view that keeps its kind:
+the leading rows of an operand, sharing its images and its bound.
 """
 
 from __future__ import annotations
@@ -44,6 +63,11 @@ import numpy as np
 
 __all__ = [
     "DeviceBuffer",
+    "HOST",
+    "OPERAND",
+    "CONSTANT",
+    "RESULT",
+    "split_shift",
     "is_buffer",
     "as_buffer",
     "as_ndarray",
@@ -56,53 +80,81 @@ __all__ = [
     "contiguous",
 ]
 
+#: The kinds of handle (:attr:`DeviceBuffer.kind`, see the module docstring).
+HOST, OPERAND, CONSTANT, RESULT = "host", "operand", "constant", "result"
+
+
+def split_shift(max_value: int) -> int:
+    """The hi/lo split point of an image whose entries are ``<= max_value``.
+
+    Roughly half the bit-width, so ``hi = x >> shift`` and
+    ``lo = x & (2**shift - 1)`` are both about half as wide as ``x``.
+    Guards that bound a split product before the images exist use this.
+    """
+    return max(1, (int(max_value).bit_length() + 1) // 2)
+
 
 class DeviceBuffer:
-    """Handle to one int64 residue array: a host and/or a float64 image."""
+    """Handle to one residue array: its host and/or float64 image, its kind."""
 
-    __slots__ = ("_host", "_float_cache")
+    __slots__ = ("kind", "_host", "_full", "_split", "_bound", "_parent")
 
     def __init__(self, host: Optional[np.ndarray] = None, *,
-                 float_cache: Optional[object] = None) -> None:
-        if host is None and float_cache is None:
+                 full: Optional[np.ndarray] = None, kind: str = HOST,
+                 bound: Optional[int] = None) -> None:
+        if host is None and full is None:
             raise ValueError("a DeviceBuffer needs at least one image")
+        self.kind = kind
         self._host = host
-        self._float_cache = float_cache
+        self._full = full
+        self._split = None
+        self._bound = bound
+        #: ``(handle, rows)`` for a :meth:`prefix`: where the images come from.
+        self._parent = None
 
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
     def wrap(cls, array) -> "DeviceBuffer":
-        """Wrap ``array`` as a host-resident handle (idempotent)."""
+        """Wrap ``array`` as a ``host`` handle (idempotent)."""
         if isinstance(array, DeviceBuffer):
             return array
         return cls(host=np.asarray(array, dtype=np.int64))
 
     @classmethod
-    def from_float(cls, cache) -> "DeviceBuffer":
-        """Wrap a float64-resident residue image as a handle.
+    def operand(cls, matrix) -> "DeviceBuffer":
+        """A reusable residue array whose float images are built once."""
+        matrix = np.asarray(matrix, dtype=np.int64)
+        return cls(host=matrix, kind=OPERAND, bound=int(matrix.max(initial=0)))
 
-        ``cache`` duck-types ``FloatOperandCache``: ``full()`` returns the
-        float64 values, ``.matrix`` the (lazily built) int64 form and
-        ``.max_value`` an upper bound on the entries.  The int64 host image
-        is only materialised when :meth:`ensure_host` is called — the
-        "no int64 until the host boundary" contract of the float-resident
-        kernel chains.
-        """
-        return cls(float_cache=cache)
+    @classmethod
+    def constant(cls, matrix) -> "DeviceBuffer":
+        """A precomputed constant: cached images, but never a reason to go float."""
+        matrix = np.asarray(matrix, dtype=np.int64)
+        return cls(host=matrix, kind=CONSTANT, bound=int(matrix.max(initial=0)))
+
+    @classmethod
+    def from_float(cls, values: np.ndarray, bound: int) -> "DeviceBuffer":
+        """A float kernel's output: canonical residues ``<= bound`` in float64."""
+        return cls(full=values, kind=RESULT, bound=int(bound))
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
     @property
     def shape(self):
-        image = self._host if self._host is not None else self._float_cache.full()
+        image = self._host if self._host is not None else self._full
         return tuple(image.shape)
 
     @property
     def ndim(self) -> int:
         return len(self.shape)
+
+    @property
+    def resident(self) -> bool:
+        """Whether the float image sends a launch to the float kernels."""
+        return self.kind in (OPERAND, RESULT)
 
     @property
     def host_image(self) -> Optional[np.ndarray]:
@@ -114,61 +166,111 @@ class DeviceBuffer:
         """
         return self._host
 
+    @property
+    def max_value(self) -> int:
+        """An upper bound on the entries (a ``host`` handle scans its image)."""
+        if self._bound is None:
+            return int(self._host.max(initial=0))
+        return self._bound
+
     # ------------------------------------------------------------------
     # Images
     # ------------------------------------------------------------------
     def ensure_host(self) -> np.ndarray:
         """Return the host int64 image, casting the float64 image if absent."""
         if self._host is None:
-            self._host = np.asarray(self._float_cache.matrix, dtype=np.int64)
+            host = np.empty(self._full.shape, dtype=np.int64)
+            np.copyto(host, self._full, casting="unsafe")
+            self._host = host
         return self._host
 
+    def full(self) -> np.ndarray:
+        """The residues as float64 (exact: entries < 2**53)."""
+        if self._full is not None:
+            return self._full
+        if self._parent is not None:
+            parent, rows = self._parent
+            full = parent.full()[:rows]
+        else:
+            full = self._host.astype(np.float64)
+            if self.kind == HOST:
+                return full         # converted for one launch, not kept
+        self._full = full
+        return full
+
+    def split(self):
+        """``(shift, hi, lo)`` with ``residues == hi * 2**shift + lo``.
+
+        Splitting roughly halves the bit-width of each part, so each of
+        the two partial products fits the float64 exactness bound for
+        moduli too large for a single pass.  A result is split in float64
+        (scaling by a power of two only touches the exponent, so the
+        floor/subtract decomposition is exact and no int64 is built); any
+        other handle is cut from its int64 image, without building its full
+        float64 image.
+        """
+        if self._split is not None:
+            return self._split
+        if self._parent is not None:
+            parent, rows = self._parent
+            shift, hi, lo = parent.split()
+            hi, lo = hi[:rows], lo[:rows]
+        elif self.kind == RESULT:
+            shift = split_shift(self._bound)
+            weight = float(1 << shift)
+            hi = np.floor(self._full * (1.0 / weight))
+            lo = self._full - hi * weight
+        else:
+            shift = split_shift(self.max_value)
+            hi = (self._host >> shift).astype(np.float64)
+            lo = (self._host & ((1 << shift) - 1)).astype(np.float64)
+        if self.kind == HOST:
+            return shift, hi, lo    # converted for one launch, not kept
+        self._split = (shift, hi, lo)
+        return self._split
+
     def invalidate_device(self) -> None:
-        """Drop the float64 image after an in-place host mutation.
+        """Drop the float64 images after an in-place host mutation.
 
         Part of the residency contract: the host image is authoritative,
         so whoever writes to it must invalidate the handle before the next
-        kernel launch reads a stale float64 operand cache.
+        kernel launch reads a stale float64 image.  The handle becomes a
+        ``host`` handle.
         """
-        if self._host is None:
-            # Never strand a float-only handle without an image.
-            self.ensure_host()
-        self._float_cache = None
-
-    def attach_float_cache(self, cache) -> "DeviceBuffer":
-        """Attach a prebuilt float64 operand image (blas fast path)."""
-        self._float_cache = cache
-        return self
-
-    def float_cache(self, factory=None):
-        """The attached float64 operand cache, building via ``factory``.
-
-        With no factory this is a peek: reusable operands (twiddle stacks,
-        benchmark-resident inputs) attach a cache explicitly; transient
-        intermediates return None so nobody pays a conversion that would
-        only be used once.
-        """
-        if self._float_cache is None and factory is not None:
-            self._float_cache = factory(self.ensure_host())
-        return self._float_cache
+        self.ensure_host()      # never strand a result without an image
+        self.kind = HOST
+        self._full = self._split = self._bound = self._parent = None
 
     # ------------------------------------------------------------------
     # Shape manipulation on the resident image
     # ------------------------------------------------------------------
     def map_host(self, function) -> "DeviceBuffer":
-        """``function`` applied to the handle's image, kept in its kind.
+        """``function`` applied to the handle's image.
 
         For work that is indifferent to the residue dtype (a view, an
-        index gather, a sign flip): a float-only handle maps its float64
-        image and stays float-only (no int64 materialisation for a view
-        chain), anything else maps the int64 host image.  ``function``
-        returns an array of reduced residues.
+        index gather, a sign flip): a float-only result maps its float64
+        image and stays a result under the same bound (no int64
+        materialisation for a view chain), anything else maps the int64
+        host image into a ``host`` handle.  ``function`` returns an array
+        of reduced residues.
         """
         if self._host is None:
-            cache = self._float_cache
-            return DeviceBuffer(
-                float_cache=type(cache)(function(cache.full()), cache.max_value))
+            return DeviceBuffer.from_float(function(self._full), self._bound)
         return DeviceBuffer(host=function(self._host))
+
+    def prefix(self, rows: int) -> "DeviceBuffer":
+        """The first ``rows`` rows as a handle of this kind and bound.
+
+        Its float images are row slices of this handle's, built here on
+        first use, so a level-prefix operand adds no float storage of its
+        own.  The bound of the whole array is kept: the 2**53 guards only
+        compare against an upper bound, so it can never make a launch
+        inexact.
+        """
+        view = DeviceBuffer(host=self._host[:rows], kind=self.kind,
+                            bound=self.max_value)
+        view._parent = (self, rows)
+        return view
 
     def reshape(self, *shape) -> "DeviceBuffer":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -197,21 +299,22 @@ class DeviceBuffer:
         host image.  ``copy=True`` (``np.array``'s default) is honoured
         with a real copy: the host image is the authoritative storage, so
         handing out an alias as a "copy" would let callers corrupt it
-        without invalidation.
+        without invalidation.  ``copy=False`` promises an alias, so a
+        ``dtype`` other than int64 raises ``ValueError`` (the NumPy 2
+        protocol) instead of returning an unaliased cast.
         """
         host = self.ensure_host()
         if dtype is not None and np.dtype(dtype) != host.dtype:
+            if copy is False:
+                raise ValueError("a %s array of a DeviceBuffer needs a copy"
+                                 % np.dtype(dtype))
             return host.astype(dtype)          # astype always copies
         if copy:
             return host.copy()
         return host
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        where = [name for name, image in (("host", self._host),
-                                          ("float64", self._float_cache))
-                 if image is not None]
-        return "DeviceBuffer(shape=%s, resident=%s)" % (
-            self.shape, "+".join(where))
+        return "DeviceBuffer(shape=%s, kind=%s)" % (self.shape, self.kind)
 
 
 ArrayLike = Union[np.ndarray, DeviceBuffer]
@@ -288,22 +391,14 @@ def combine_arrays(parts: Sequence[ArrayLike], combine) -> ArrayLike:
     bound, so ``combine`` rearranges residues or maps them modulo their
     own primes (an automorphism's ``q - c``).
     """
-    from .blas_backend import FloatResidues  # local: avoids import cycle
     parts = list(parts)
-    if all(part._host is not None for part in parts
+    if all(part.host_image is not None for part in parts
            if isinstance(part, DeviceBuffer)):
         return match_residency(combine([as_ndarray(p) for p in parts]), *parts)
-    images, bound = [], 0
-    for part in parts:
-        cache = part._float_cache if isinstance(part, DeviceBuffer) else None
-        if cache is None:
-            host = as_ndarray(part)
-            images.append(host.astype(np.float64))
-            bound = max(bound, int(host.max(initial=0)))
-        else:
-            images.append(cache.full())
-            bound = max(bound, int(cache.max_value))
-    return DeviceBuffer.from_float(FloatResidues(combine(images), bound))
+    handles = [as_buffer(part) for part in parts]
+    return DeviceBuffer.from_float(
+        combine([handle.full() for handle in handles]),
+        max(handle.max_value for handle in handles))
 
 
 def stack_arrays(parts: Sequence[ArrayLike], axis: int = 0) -> ArrayLike:

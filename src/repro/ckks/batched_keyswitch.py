@@ -211,7 +211,7 @@ class BatchedKeySwitcher:
         multiply-accumulate ``sum_j d_j ⊙ key_j`` over the dnum axis,
         which equals dnum Hada-Mult launches folded by a chain of Ele-Add
         launches bit for bit (and is counted as them).  The key side is
-        the level's static operand, so a float backend reuses its cached
+        the level's constant handle, so a float backend reuses its cached
         hi/lo images.  ``addend``'s term for the component, when given,
         is added to the accumulator's ciphertext-prime rows, and the
         stack is assembled from the row blocks in one copy.

@@ -16,13 +16,13 @@ Execution contract.  The diagonal products run in the evaluation domain:
 * the input is rotated by the baby steps once and all ``n1`` rotations of
   all ``B`` streams are transformed in one fused NTT
   (:func:`baby_rotations`; transforms of the same input share the result);
-* the matrix is a constructor constant, so its diagonals are *cached static
-  operands*: pre-rotated, encoded, transformed in one fused NTT and stacked
+* the matrix is a constructor constant, so its diagonals are *cached constant
+  handles*: pre-rotated, encoded, transformed in one fused NTT and stacked
   per giant step the first time a ``(level, scale)`` is seen, like a switch
   key's per-level operands (precomputation, not in the kernel counters).
   The cache holds one int64 residue per (diagonal, limb, coefficient) —
   ``n * L * N * 8`` bytes per level used — plus the float images a float
-  backend attaches on first use;
+  backend builds on the handles on first use;
 * a giant step is one
   :meth:`~repro.ckks.batched_evaluator.BatchedEvaluator.multiply_plain_sum`
   launch against its stack, and one fused INTT brings every giant group
@@ -39,7 +39,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...backend.blas_backend import static_operand
 from ...backend.residency import DeviceBuffer, stack_arrays
 from ..ciphertext import Ciphertext
 from ..context import CkksContext
@@ -226,7 +225,7 @@ class BsgsLinearTransform:
             operands, start = {}, 0
             for giant, babies in self.groups.items():
                 stop = start + len(babies)
-                operands[giant] = static_operand(
+                operands[giant] = DeviceBuffer.constant(
                     evals[start:stop].transpose(1, 0, 2)[:, :, None])
                 start = stop
             self._operands[key] = operands

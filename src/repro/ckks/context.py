@@ -13,7 +13,6 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..backend.blas_backend import static_operand
 from ..backend.registry import resolve_backend, use_backend
 from ..backend.residency import DeviceBuffer
 from ..kernels.base import KernelContext
@@ -120,7 +119,7 @@ class CkksContext:
         """Cached ``(limbs-1, 1, 1)`` column of ``q_last^{-1} mod q_i``.
 
         ``moduli`` is the basis *before* the rescale (its last prime is the
-        one being dropped).  The column is the static operand of the
+        one being dropped).  The column is the constant handle of the
         evaluator's limb-major RESCALE launch; building it is one-time
         precomputation per level.
         """
@@ -130,7 +129,7 @@ class CkksContext:
         column = self._rescale_inverse_cache.get(key)
         if column is None:
             last = key[-1]
-            column = static_operand(np.asarray(
+            column = DeviceBuffer.constant(np.asarray(
                 [mod_inverse(last % q, q) for q in key[:-1]], dtype=np.int64
             )[:, None, None])
             self._rescale_inverse_cache[key] = column

@@ -2,7 +2,7 @@
 
 ``Decryptor.decrypt`` computes ``c0 + c1*s`` over the ciphertext's active
 basis and returns a coefficient-domain plaintext; ``s`` is the secret's
-cached static operand of that basis
+cached constant handle over that basis
 (:meth:`~repro.ckks.keys.SecretKey.operand`).  ``decrypt_to_slots``
 additionally CRT-recombines the residues into the float64 values of the
 centred coefficients (:meth:`~repro.numtheory.crt.CrtContext.compose_float`:

@@ -97,14 +97,6 @@ class CkksEncoder:
         return evaluations[self.root_exponents] / scale
 
     # ------------------------------------------------------------------
-    def encode_real(self, values: Sequence[float], scale: Optional[float] = None) -> np.ndarray:
-        """Encode a real-valued vector (convenience wrapper)."""
-        return self.encode(np.asarray(values, dtype=np.float64), scale)
-
-    def decode_real(self, coefficients: Sequence[int], scale: Optional[float] = None) -> np.ndarray:
-        """Decode and return only the real parts of the slots."""
-        return self.decode(coefficients, scale).real
-
     def max_encodable_magnitude(self, level_modulus: int, scale: Optional[float] = None) -> float:
         """Largest slot magnitude that keeps coefficients below ``q/2``.
 

@@ -4,8 +4,8 @@ The secret key is kept as a signed ternary coefficient vector so it can be
 reduced into any RNS basis on demand; its NTT image, which decryption,
 symmetric encryption and key generation all multiply by, is computed once
 over a context's whole extended chain and restricted from there.  What
-decryption and encryption multiply by at every call is a cached static
-operand per level: the secret's image over the level's chain, and the
+decryption and encryption multiply by at every call is a cached constant
+handle per level: the secret's image over the level's chain, and the
 public pair ``(b, a)`` as one limb-major ``(L, 2, N)`` operand, so a float
 backend splits either into its hi/lo images once.  Switch
 keys (used for relinearization, rotation and conjugation) follow the
@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..backend.blas_backend import static_operand
 from ..backend.residency import DeviceBuffer
 from ..rns.poly import RnsPolynomial
 
@@ -67,14 +66,14 @@ class SecretKey:
         return self._evaluation.restrict_to(moduli)
 
     def operand(self, context, moduli: Sequence[int]) -> DeviceBuffer:
-        """:meth:`evaluation` over ``moduli`` as a static ``(L, N)`` operand.
+        """:meth:`evaluation` over ``moduli`` as a constant ``(L, N)`` handle.
 
         Built on first use per chain and kept, like the switch keys' levels.
         """
         moduli = tuple(int(q) for q in moduli)
         operand = self._operands.get(moduli)
         if operand is None:
-            operand = self._operands[moduli] = static_operand(
+            operand = self._operands[moduli] = DeviceBuffer.constant(
                 self.evaluation(context, moduli).residues)
         return operand
 
@@ -99,7 +98,7 @@ class PublicKey:
         return self.b.moduli
 
     def operand(self, moduli: Sequence[int]) -> DeviceBuffer:
-        """``(b, a)`` over ``moduli`` as one static ``(L, 2, N)`` operand.
+        """``(b, a)`` over ``moduli`` as one constant ``(L, 2, N)`` handle.
 
         Built on first use per chain and kept.  The memory is ``(2, L, N)``
         viewed limb-major, so a product against it comes out in the layout
@@ -110,7 +109,7 @@ class PublicKey:
         if operand is None:
             pair = np.stack([key.restrict_to(moduli).residues
                              for key in (self.b, self.a)])
-            operand = self._operands[moduli] = static_operand(
+            operand = self._operands[moduli] = DeviceBuffer.constant(
                 pair.transpose(1, 0, 2))
         return operand
 
@@ -125,9 +124,9 @@ class SwitchKeyLevel:
     extended basis, each group's ciphertext-prime rows times ``P^{-1}``
     (the key generator stores them so, in place: there is no unscaled
     copy).  The fused inner product consumes them as ``operands``:
-    the same memory viewed limb-major, ``(L', dnum, 1, N)``, as static
-    operand handles (a float backend caches its images of a level there
-    the first time the level is used).
+    the same memory viewed limb-major, ``(L', dnum, 1, N)``, as constant
+    handles (a float backend caches its images of a level there the first
+    time the level is used).
     """
 
     level: int
@@ -141,7 +140,7 @@ class SwitchKeyLevel:
                 raise ValueError(
                     "one extended-basis slice per decomposition group is required")
         self.operands = tuple(
-            static_operand(stack.reshape(dnum, -1, stack.shape[1])
+            DeviceBuffer.constant(stack.reshape(dnum, -1, stack.shape[1])
                            .transpose(1, 0, 2)[:, :, None])
             for stack in self.stacks)
 

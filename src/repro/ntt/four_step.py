@@ -18,9 +18,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..backend.blas_backend import FloatResidues
 from ..backend.registry import get_active_backend
-from ..backend.residency import DeviceBuffer, as_buffer, contiguous, is_buffer
+from ..backend.residency import HOST, DeviceBuffer, as_buffer, contiguous, is_buffer
 from ..numtheory import planned
 from ..numtheory.planned import (
     hadamard,
@@ -67,12 +66,10 @@ class FourStepNtt(NttEngine):
         plan = self._float_plan(stack, inverse)
         if plan is not None:
             return self._float_pipeline(stacks, stack, plan, inverse)
-        # The twiddle operands are the stack's shared handles (float image
-        # attached), so the launches run on handles.
-        out = self._ops_pipeline(
-            as_buffer(stacks), moduli_array,
-            *(stack.four_step_inverse_buffers() if inverse
-              else stack.four_step_forward_buffers()))
+        # The twiddle operands are the stack's shared operand handles, so
+        # the launches run on handles.
+        out = self._ops_pipeline(as_buffer(stacks), moduli_array,
+                                 *stack.operands(inverse))
         return out if is_buffer(stacks) else out.ensure_host()
 
     # -- the planned float64 pipeline -----------------------------------
@@ -83,9 +80,9 @@ class FourStepNtt(NttEngine):
         The per-stage forms of the float64 pipeline, or ``None`` when the
         launch runs the int64 :meth:`_ops_pipeline`: this engine's GEMM or
         Hadamard hooks are overridden (the tensor-core engine lowers them
-        to INT8 and must keep doing so), the active backend's
-        ``capabilities()`` do not declare ``float_residency``, or the
-        2**53 guard refuses a stage.  Both paths give the same bits.
+        to INT8 and must keep doing so), the active backend does not
+        declare ``float_residency``, or the 2**53 guard refuses a stage.
+        Both paths give the same bits.
         """
         stack = get_twiddle_stack(self.ring_degree, tuple(int(q) for q in moduli))
         return self._float_plan(stack, inverse)
@@ -94,7 +91,7 @@ class FourStepNtt(NttEngine):
         if (type(self)._gemm_limbs is not FourStepNtt._gemm_limbs
                 or type(self)._hadamard_limbs is not FourStepNtt._hadamard_limbs):
             return None
-        if not get_active_backend().capabilities().get("float_residency", False):
+        if not get_active_backend().float_residency:
             return None
         return stack.four_step_plan(inverse)
 
@@ -119,9 +116,9 @@ class FourStepNtt(NttEngine):
         backend = get_active_backend()
         batch, limbs = stacks.shape[0], stacks.shape[1]
         resident = is_buffer(stacks)
-        cache = stacks.float_cache() if resident else None
-        if cache is not None:
-            source = cache.full()
+        imaged = resident and stacks.kind != HOST
+        if imaged:
+            source = stacks.full()
         else:
             source = stacks.ensure_host() if resident else stacks
         source = source.reshape(batch, limbs, self.n1, self.n2)
@@ -141,7 +138,7 @@ class FourStepNtt(NttEngine):
         stages = []
         for form, apply, operand in zip(
                 plan, (gemm_left, hadamard, gemm_right),
-                stack.four_step_operand_caches(inverse)):
+                stack.operands(inverse)):
             images, weight = stage_operand(form, operand)
             stages.append((form, apply,
                            [image[:, None] for image in images], weight))
@@ -154,7 +151,7 @@ class FourStepNtt(NttEngine):
             # One operation per slab leaves the Barrett constants a run of
             # N: laid out full-width, every pass gets numpy's fast loop.
             columns = wide_columns(chain, x.shape)
-            if cache is None:
+            if not imaged:
                 np.copyto(buffers[0], x)
                 x = buffers[0]
             for form, apply, images, weight in stages:
@@ -171,8 +168,7 @@ class FourStepNtt(NttEngine):
         run_slabs(slab, slabs(batch, limbs, self.ring_degree))
         result = result.reshape(batch, limbs, self.ring_degree)
         if as_float:
-            return DeviceBuffer.from_float(
-                FloatResidues(result, stack.barrett_chain.qmax - 1))
+            return DeviceBuffer.from_float(result, stack.barrett_chain.qmax - 1)
         return DeviceBuffer.wrap(result) if resident else result
 
     def _ops_pipeline(self, stacks: DeviceBuffer, moduli_array: np.ndarray,

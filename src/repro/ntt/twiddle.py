@@ -18,7 +18,6 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..backend.blas_backend import FloatOperandCache
 from ..backend.residency import DeviceBuffer
 from ..numtheory.bit_ops import ilog2, is_power_of_two
 from ..numtheory.floatmod import BarrettChain, get_barrett_chain
@@ -165,30 +164,6 @@ def _degree_scaled(matrix: np.ndarray, cache: TwiddleCache) -> np.ndarray:
                               (cache.modulus,))[0]
 
 
-class _PrefixFloatCache(FloatOperandCache):
-    """Zero-copy prefix view of a parent stack's :class:`FloatOperandCache`.
-
-    ``full()``/``split()`` return row slices of the parent's cached float64
-    images, so a level-prefix stack adds no float storage of its own.  The
-    parent's ``max_value`` is kept as a conservative upper bound for the
-    prefix: the 2**53 exactness guards only ever compare against an upper
-    bound, so a larger bound can never make a float launch inexact.
-    """
-
-    def __init__(self, parent: FloatOperandCache, limbs: int) -> None:
-        self._parent = parent
-        self._limbs = limbs
-        self.matrix = parent.matrix[:limbs]
-        self.max_value = parent.max_value
-
-    def full(self) -> np.ndarray:
-        return self._parent.full()[:self._limbs]
-
-    def split(self):
-        shift, hi, lo = self._parent.split()
-        return shift, hi[:self._limbs], lo[:self._limbs]
-
-
 class TwiddleStack:
     """Per-modulus twiddle operands stacked along a leading limb axis.
 
@@ -197,14 +172,15 @@ class TwiddleStack:
     3-D stacks (``W[i]`` is the table for ``moduli[i]``).  Building a stack
     is one-time precomputation (like the twiddle tables themselves) and is
     cached per ``(N, moduli)`` via :func:`get_twiddle_stack`; the hot
-    transform path only indexes the prebuilt arrays.
+    transform path only reads the prebuilt handles.
 
     CKKS levels form prefix chains of one prime sequence, so a stack whose
     moduli are a prefix of an already-built deeper chain is constructed
-    with that chain as ``parent``: every operand (and its float64 image) is
-    then a zero-copy row slice of the parent's arrays instead of a fresh
-    per-prefix copy — for a depth-L chain this cuts the resident stack
-    memory from O(L^2) matrices to O(L).
+    with that chain as ``parent``: every operand is then a
+    :meth:`~repro.backend.residency.DeviceBuffer.prefix` of the parent's —
+    its int64 and float64 images are row slices of the parent's instead of
+    a fresh per-prefix copy — so for a depth-L chain the resident stack
+    memory is O(L) matrices, not O(L^2).
     """
 
     def __init__(self, ring_degree: int, moduli: Tuple[int, ...],
@@ -224,46 +200,38 @@ class TwiddleStack:
         self._parent = parent
         self.caches = tuple(get_twiddle_cache(ring_degree, q) for q in self.moduli)
         self.moduli_array = np.asarray(self.moduli, dtype=np.int64)
-        self._stacks: Dict[str, np.ndarray] = {}
-        self._float_caches: Dict[str, FloatOperandCache] = {}
-        self._buffers: Dict[str, DeviceBuffer] = {}
+        self._operands: Dict[bool, Tuple[DeviceBuffer, ...]] = {}
         self._plans: Dict[bool, Optional[FourStepPlan]] = {}
 
     @property
     def limb_count(self) -> int:
         return len(self.moduli)
 
-    # -- Eq. 9 (four-step) stacks --------------------------------------
-    def four_step_forward(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(W1, W2, W3)`` stacks, each ``(limbs, ...)``, for the forward pass."""
-        return (
-            self._stacked("fs_w1", lambda cache: cache.four_step_forward()[0]),
-            self._stacked("fs_w2", lambda cache: cache.four_step_forward()[1]),
-            self._stacked("fs_w3", lambda cache: cache.four_step_forward()[2]),
-        )
+    def operands(self, inverse: bool) -> Tuple[DeviceBuffer, DeviceBuffer, DeviceBuffer]:
+        """One direction's Eq. 9 stage operands, each ``(limbs, ...)``.
 
-    def four_step_inverse(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(V1, V2 * N^-1, V3)`` stacks for the inverse four-step pass."""
-        return (
-            self._stacked("fs_v1", lambda cache: cache.four_step_inverse()[0]),
-            self._stacked("fs_v2", lambda cache: _degree_scaled(
-                cache.four_step_inverse()[1], cache)),
-            self._stacked("fs_v3", lambda cache: cache.four_step_inverse()[2]),
-        )
-
-    # -- float64 images for the BLAS fast path -------------------------
-    def four_step_operand_caches(self, inverse: bool) -> Tuple[FloatOperandCache, ...]:
-        """Float caches of one direction's stage operands, in stage order.
-
-        ``(W1, W2, W3)`` forward; ``(V1, V2 * N^-1, V3)`` inverse: the GEMM
-        operands and the Hadamard twiddle alike get a reusable float64
-        image (full and hi/lo), built on first use.
+        ``(W1, W2, W3)`` forward; ``(V1, V2 * N^-1, V3)`` inverse.  They are
+        operand handles (:meth:`~repro.backend.residency.DeviceBuffer.
+        operand`): the GEMM operands and the Hadamard twiddle alike build
+        their float64 images (full and hi/lo) once, on first float use, and
+        a blas launch against them goes float.  Twiddles are immutable, so
+        the handles are never invalidated — dropping the stack via
+        :func:`clear_twiddle_stacks` drops the handles with it.
         """
-        if inverse:
-            self.four_step_inverse()
-            return tuple(self._float(key) for key in ("fs_v1", "fs_v2", "fs_v3"))
-        self.four_step_forward()
-        return tuple(self._float(key) for key in ("fs_w1", "fs_w2", "fs_w3"))
+        if inverse not in self._operands:
+            if self._parent is not None:
+                self._operands[inverse] = tuple(
+                    operand.prefix(self.limb_count)
+                    for operand in self._parent.operands(inverse))
+            else:
+                tables = [cache.four_step_inverse() if inverse
+                          else cache.four_step_forward() for cache in self.caches]
+                if inverse:
+                    tables = [(v1, _degree_scaled(v2, cache), v3)
+                              for (v1, v2, v3), cache in zip(tables, self.caches)]
+                self._operands[inverse] = tuple(
+                    DeviceBuffer.operand(np.stack(stage)) for stage in zip(*tables))
+        return self._operands[inverse]
 
     def four_step_plan(self, inverse: bool) -> Optional[FourStepPlan]:
         """Stage forms of the float four-step transform over this chain.
@@ -275,8 +243,7 @@ class TwiddleStack:
         """
         if inverse not in self._plans:
             n1, n2 = split_degree(self.ring_degree)
-            maxima = [cache.max_value
-                      for cache in self.four_step_operand_caches(inverse)]
+            maxima = [operand.max_value for operand in self.operands(inverse)]
             self._plans[inverse] = plan_four_step(self.barrett_chain, n1, n2,
                                                   *maxima)
         return self._plans[inverse]
@@ -293,63 +260,13 @@ class TwiddleStack:
         """
         return get_barrett_chain(self.moduli)
 
-    # -- resident operand handles (the float images of the stacks) -----
-    def four_step_forward_buffers(self) -> Tuple[DeviceBuffer, DeviceBuffer, DeviceBuffer]:
-        """Resident handles onto the ``(W1, W2, W3)`` stacks."""
-        self.four_step_forward()
-        return (self._buffer("fs_w1"), self._buffer("fs_w2"),
-                self._buffer("fs_w3"))
-
-    def four_step_inverse_buffers(self) -> Tuple[DeviceBuffer, DeviceBuffer, DeviceBuffer]:
-        """Resident handles onto the ``(V1, V2, V3)`` stacks."""
-        self.four_step_inverse()
-        return (self._buffer("fs_v1"), self._buffer("fs_v2"),
-                self._buffer("fs_v3"))
-
-    # ------------------------------------------------------------------
-    def _buffer(self, key: str) -> DeviceBuffer:
-        """The shared :class:`DeviceBuffer` wrapping stacked operand ``key``.
-
-        One handle per stack and per process: the blas backend finds the
-        float64 image pre-attached.  Every
-        stacked operand attaches its float cache — the GEMM stacks feed
-        the dgemm fast paths, and the Hadamard twiddles (``fs_w2`` /
-        ``fs_v2``) feed the float-resident element-wise kernels.  Twiddles
-        are immutable, so the handles are never invalidated — dropping the
-        stack via :func:`clear_twiddle_stacks` drops the handles with it.
-        """
-        buf = self._buffers.get(key)
-        if buf is None:
-            buf = DeviceBuffer.wrap(self._stacks[key])
-            buf.attach_float_cache(self._float(key))
-            self._buffers[key] = buf
-        return buf
-
-    def _stacked(self, key: str, extract) -> np.ndarray:
-        if key not in self._stacks:
-            if self._parent is not None:
-                # Zero-copy: the prefix rows of the parent's stacked operand.
-                self._stacks[key] = self._parent._stacked(key, extract)[:self.limb_count]
-            else:
-                self._stacks[key] = np.stack([extract(cache) for cache in self.caches])
-        return self._stacks[key]
-
-    def _float(self, key: str) -> FloatOperandCache:
-        if key not in self._float_caches:
-            if self._parent is not None:
-                self._float_caches[key] = _PrefixFloatCache(
-                    self._parent._float(key), self.limb_count)
-            else:
-                self._float_caches[key] = FloatOperandCache(self._stacks[key])
-        return self._float_caches[key]
-
 
 #: Built stacks per ``(N, moduli)``; consulted for prefix reuse.
 _STACK_CACHE: Dict[Tuple[int, Tuple[int, ...]], TwiddleStack] = {}
 #: Entry bound matching the old ``lru_cache(maxsize=128)``: long-lived
 #: processes sweeping many parameter sets must not accumulate root stacks
-#: forever.  Eviction is FIFO; prefix views stay valid because they hold
-#: numpy views of the root's arrays, not the root stack object.
+#: forever.  Eviction is FIFO; prefix stacks stay valid because they hold
+#: their parent and its handles.
 _STACK_CACHE_LIMIT = 128
 
 

@@ -249,8 +249,8 @@ def modular_matmul_limbs(lhs, rhs, moduli):
     ``lhs`` has shape ``(limbs, M, K)`` and ``rhs`` ``(limbs, K, P)``; both
     must already be reduced modulo their row's prime.  The whole stack is
     one backend launch.  A reusable operand (a twiddle stack) is passed as
-    a handle with its float64 image attached, which the blas backend picks
-    up instead of converting per call.
+    an operand handle, whose float64 images the blas backend builds once
+    instead of converting per call.
     """
     if lhs.ndim != 3 or rhs.ndim != 3:
         raise ValueError(

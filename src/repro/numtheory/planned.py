@@ -51,7 +51,7 @@ from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Tup
 
 import numpy as np
 
-from ..backend.blas_backend import split_shift
+from ..backend.residency import DeviceBuffer, split_shift
 from .floatmod import BROADCAST_RUN, BarrettChain
 
 __all__ = [
@@ -175,15 +175,16 @@ def choose_form(chain: BarrettChain, terms: int, operand_max: int, *,
     return next((form for form, exact in ladder if exact), None)
 
 
-def stage_operand(form: StageForm, cache) -> Tuple[Tuple[np.ndarray, ...], float]:
+def stage_operand(form: StageForm,
+                  operand: DeviceBuffer) -> Tuple[Tuple[np.ndarray, ...], float]:
     """``(images, weight)`` of a cached operand as ``form`` consumes it.
 
     One full float64 image, or the ``(hi, lo)`` pair with the weight
     ``2**shift`` of the high part.
     """
     if not form.split:
-        return (cache.full(),), 1.0
-    shift, hi, lo = cache.split()
+        return (operand.full(),), 1.0
+    shift, hi, lo = operand.split()
     return (hi, lo), float(1 << shift)
 
 
@@ -476,7 +477,7 @@ def _part(view: np.ndarray, rows: slice, ops: slice) -> np.ndarray:
 def _like(shape, views) -> np.ndarray:
     """An empty float64 ``shape`` result in the layout of the first full view.
 
-    The view may be a static operand's int64 matrix: only its layout is
+    The view may be a cached operand's int64 image: only its layout is
     taken, never its dtype.
     """
     for view in views:
@@ -491,18 +492,18 @@ def product(chain: BarrettChain, x: np.ndarray, x_max: int, operand,
 
     ``x`` holds canonical residues up to ``x_max``, limb axis leading and
     the ``terms`` axis second when ``terms > 1``.  ``operand`` is a float64
-    array, split per slab, or a cached static operand (``full()`` /
-    ``split()``) whose images are reused; either side may broadcast
+    array, split per slab, or a :class:`~repro.backend.residency.
+    DeviceBuffer` whose cached images are reused; either side may broadcast
     against the other.  The result has the layout of the full-shape side.
     """
     form = choose_form(chain, terms, operand_max, lazy_input=False,
                        input_max=x_max)
-    static = not isinstance(operand, np.ndarray)
-    values = operand.matrix if static else operand
+    cached = isinstance(operand, DeviceBuffer)
+    values = operand.ensure_host() if cached else operand
     if form is None or values.ndim != x.ndim or x.ndim < 2 + (terms > 1):
         return None
     shape = np.broadcast_shapes(x.shape, values.shape)
-    if static:
+    if cached:
         images, weight = stage_operand(form, operand)
     elif form.split:
         images, weight = (), float(1 << split_shift(operand_max))

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from ..numtheory.crt import CrtContext, get_crt_context
 from ..numtheory.primes import generate_ntt_primes
 
 __all__ = ["RnsBasis", "build_default_basis"]
@@ -84,10 +83,6 @@ class RnsBasis:
     def extended_primes_at_level(self, level: int) -> Tuple[int, ...]:
         """Primes of the extended basis ``C_level ∪ P`` used in key switching."""
         return self.primes_at_level(level) + self.special_primes
-
-    def crt_at_level(self, level: int) -> CrtContext:
-        """CRT context over the level-``level`` ciphertext primes (shared)."""
-        return get_crt_context(self.primes_at_level(level))
 
     def log_total_modulus(self, level: Optional[int] = None) -> float:
         """``log2(P * Q_level)`` — the paper's ``logPQ`` column of Table V."""

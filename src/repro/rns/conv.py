@@ -18,8 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..backend.blas_backend import static_operand
-from ..backend.residency import as_buffer, contiguous, is_buffer
+from ..backend.residency import DeviceBuffer, as_buffer, contiguous, is_buffer
 from ..numtheory.modular import mat_mod_mul, mod_inverse, modular_matmul_rows
 from .poly import PolyDomain, RnsPolynomial
 
@@ -65,12 +64,12 @@ class BasisConverter:
         # float-only operand.
         self._resident_bound = ((max(self.target_moduli) - 1)
                                 * (max(self.source_moduli) - 1))
-        # The constants as static operands (float images cached on first
+        # The constants as constant handles (float images cached on first
         # float use): ``q_hat_inv`` down the limb-major launch, ``q_hat mod
         # p_j`` as the row-GEMM's lhs.
-        self._q_hat_inv = static_operand(
+        self._q_hat_inv = DeviceBuffer.constant(
             np.asarray(self.q_hat_inv, dtype=np.int64)[:, None, None])
-        self._q_hat_buffer = static_operand(self.q_hat_mod_target)
+        self._q_hat_buffer = DeviceBuffer.constant(self.q_hat_mod_target)
 
     def convert_residues_batch(self, stacks: np.ndarray) -> np.ndarray:
         """Convert a ``(B, len(source), N)`` residue stack in fused launches.

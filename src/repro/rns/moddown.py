@@ -26,8 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..backend.blas_backend import static_operand
-from ..backend.residency import as_buffer, is_buffer
+from ..backend.residency import DeviceBuffer, as_buffer, is_buffer
 from ..numtheory.modular import mat_mod_mul, mat_mod_sub, mod_inverse
 from .conv import BasisConverter
 from .poly import PolyDomain, RnsPolynomial
@@ -51,7 +50,7 @@ class ModDown:
                       for q in self.ciphertext_moduli]
         self._converter = BasisConverter(self.special_moduli, self.ciphertext_moduli,
                                          factors=p_inverses)
-        self._p_inverse_column = static_operand(np.asarray(
+        self._p_inverse_column = DeviceBuffer.constant(np.asarray(
             p_inverses, dtype=np.int64)[:, None, None])
 
     def apply(self, polynomial: RnsPolynomial) -> RnsPolynomial:

@@ -20,11 +20,16 @@ Residency
 ---------
 The residue matrix lives behind a
 :class:`~repro.backend.residency.DeviceBuffer` handle (:attr:`buffer`):
-arithmetic and domain conversions thread the handle through the funnels,
-so on the blas backend a chain of kernels keeps the polynomial
-float-resident and only :attr:`residues` (the host image, used at the
-encode / decrypt / serialize boundaries) forces an int64 cast.  The
-host image is authoritative — code that mutates ``poly.residues`` in
+arithmetic and domain conversions thread the handle through the funnels.
+A polynomial built from an int64 matrix holds a ``host`` handle; on the
+blas backend a kernel hands back a ``result`` handle whose only image is
+float64 (``poly.buffer.kind``; ``poly.buffer.resident`` says whether the
+image sends the next launch to the float kernels), so a chain of kernels
+keeps the polynomial float-resident and only :attr:`residues` (the host
+image, used at the encode / decrypt / serialize boundaries) forces an
+int64 cast.  Reusable ``operand`` and ``constant`` handles are the
+twiddles' and the keys', not a polynomial's.  The host image is
+authoritative — code that mutates ``poly.residues`` in
 place must call :meth:`invalidate_resident` before the next kernel uses
 the polynomial (the library itself never mutates residues in place).
 """
@@ -66,12 +71,10 @@ class RnsPolynomial:
     moduli:
         The primes of this polynomial's basis (one row per prime).
     residues:
-        Int64 array of shape ``(len(moduli), ring_degree)``, a
+        Int64 array of shape ``(len(moduli), ring_degree)`` or a
         :class:`~repro.backend.residency.DeviceBuffer` handle of that
-        shape, or a float64 residue image
-        (:class:`~repro.backend.blas_backend.FloatResidues`).  Handles and
-        float images are kept resident — no host materialisation happens
-        here, so a float-resident kernel chain can hand its output
+        shape.  A handle is kept as it is — no host materialisation
+        happens here, so a float-resident kernel chain can hand its result
         straight to a polynomial without casting to int64.
     domain:
         Either :data:`PolyDomain.COEFFICIENT` or :data:`PolyDomain.EVALUATION`.
@@ -81,14 +84,7 @@ class RnsPolynomial:
                  residues, domain: str = PolyDomain.COEFFICIENT) -> None:
         self.ring_degree = ring_degree
         self.moduli = tuple(int(q) for q in moduli)
-        if (not isinstance(residues, DeviceBuffer)
-                and hasattr(residues, "full")
-                and hasattr(residues, "max_value")):
-            # A raw float64 residue image (FloatResidues duck type): wrap
-            # it float-resident so the int64 form stays lazy.
-            self._buffer = DeviceBuffer.from_float(residues)
-        else:
-            self._buffer = DeviceBuffer.wrap(residues)
+        self._buffer = DeviceBuffer.wrap(residues)
         self.domain = domain
         expected = (len(self.moduli), self.ring_degree)
         if self._buffer.shape != expected:
@@ -112,24 +108,15 @@ class RnsPolynomial:
         """The residency handle backing this polynomial's residues."""
         return self._buffer
 
-    @property
-    def float_image(self):
-        """The attached float64 residue image, or None (never builds one).
-
-        A peek for residency-aware callers and tests: float-resident
-        polynomials (outputs of a fused float kernel chain) expose their
-        image here without forcing the int64 cast that :attr:`residues`
-        would perform.
-        """
-        return self._buffer.float_cache()
-
     def invalidate_resident(self) -> None:
         """Drop derived resident images after an in-place host mutation.
 
         The invalidation contract: ``poly.residues`` returns the live host
         array, so in-place writes are visible immediately on host — but a
-        float64 operand image built *before* the write would be stale.  Callers that mutate in place must invalidate; all
-        library kernels allocate fresh outputs and never need to.
+        float64 image built *before* the write would be stale.  Callers
+        that mutate in place must invalidate (the handle becomes a ``host``
+        handle); all library kernels allocate fresh outputs and never need
+        to.
         """
         self._buffer.invalidate_device()
 

@@ -16,7 +16,6 @@ from repro.backend import (
     DEFAULT_BACKEND,
     ArrayBackend,
     DeviceBuffer,
-    FloatOperandCache,
     NumpyBackend,
     available_backends,
     get_active_backend,
@@ -25,7 +24,6 @@ from repro.backend import (
     set_active_backend,
     use_backend,
 )
-from repro.backend.blas_backend import FloatResidues
 from repro.backend.registry import _REGISTRY, BACKEND_ENV_VAR
 from repro.ckks.context import CkksContext
 from repro.ckks.params import get_preset
@@ -131,7 +129,6 @@ KERNELS = ("matmul_limbs", "matmul_rows", "mat_mul", "mat_add", "mat_sub",
 SURFACE = set(KERNELS) | {
     "fmatmul", "fhadamard_limbs", "fadd_limbs", "fsub_limbs", "fneg_limbs",
     "freduce_limbs", "to_device", "from_device"}
-LIFECYCLE = {"capabilities"}
 
 
 def _public_callables(cls):
@@ -142,7 +139,7 @@ def _public_callables(cls):
 class TestKernelSurface:
     def test_array_backend_is_the_documented_15(self):
         assert len(SURFACE) == 15
-        assert _public_callables(ArrayBackend) - LIFECYCLE == SURFACE
+        assert _public_callables(ArrayBackend) == SURFACE
 
     @pytest.mark.parametrize("name", sorted(_REGISTRY))
     def test_no_backend_grows_a_second_family(self, name):
@@ -150,11 +147,11 @@ class TestKernelSurface:
             if cls.__module__.startswith("repro."):
                 public = {n for n in vars(cls) if not n.startswith("_")}
                 assert not [n for n in public if n.endswith("_native")]
-                assert _public_callables(cls) - LIFECYCLE <= SURFACE, cls
+                assert _public_callables(cls) <= SURFACE, cls
                 for gone in ("matmul", "hadamard", "hadamard_limbs", "empty",
                              "synchronize", "fscalar_mul_limbs",
                              "supports_float_residency", "nat_reshape",
-                             "is_available"):
+                             "is_available", "capabilities"):
                     assert not hasattr(cls, gone), (cls, gone)
 
 
@@ -232,12 +229,11 @@ class TestKernelParity:
     @pytest.mark.parametrize("bits", [24, 30])
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_float_image_in_on_blas(self, kernel, bits, chains, rng):
-        """An attached float64 image is read instead of the host image."""
+        """An operand's float64 image is read instead of the host image."""
         primes = chains[bits]
         funnel, operands = _kernel_cases(rng, primes)[kernel]
         want = _python_reference(kernel, operands, primes)
-        carried = [DeviceBuffer.wrap(x).attach_float_cache(FloatOperandCache(x))
-                   for x in operands]
+        carried = [DeviceBuffer.operand(x) for x in operands]
         with use_backend("blas"):
             got = funnel(*carried, primes)
         # The element-wise kernels answer in kind on the single-pass chain:
@@ -251,9 +247,9 @@ class TestKernelsDirect:
     """Each backend's kernels, called directly, are exact on a 33-bit chain.
 
     No funnel stands between the caller and the kernel, so the backend
-    itself must notice that an int64 product can overflow.  Every operand
-    kind a kernel may meet: host-only handles, handles with a float image
-    attached, and float-only handles.
+    itself must notice that an int64 product can overflow.  Every handle
+    kind a kernel may meet: host, operand, constant and (float-only)
+    result handles.
     """
 
     @staticmethod
@@ -262,14 +258,17 @@ class TestKernelsDirect:
 
     @staticmethod
     def _cached(x):
-        return DeviceBuffer.wrap(x).attach_float_cache(FloatOperandCache(x))
+        return DeviceBuffer.operand(x)
+
+    @staticmethod
+    def _constant(x):
+        return DeviceBuffer.constant(x)
 
     @staticmethod
     def _float_only(x):
-        return DeviceBuffer.from_float(
-            FloatResidues(x.astype(np.float64), int(x.max(initial=0))))
+        return DeviceBuffer.from_float(x.astype(np.float64), int(x.max(initial=0)))
 
-    @pytest.mark.parametrize("image", ["_host", "_cached", "_float_only"])
+    @pytest.mark.parametrize("image", ["_host", "_cached", "_constant", "_float_only"])
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("backend_name", BACKENDS)
     def test_wide_moduli(self, backend_name, kernel, image, rng):

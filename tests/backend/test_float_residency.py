@@ -24,12 +24,10 @@ import pytest
 
 from repro.backend import (
     DeviceBuffer,
-    FloatOperandCache,
     as_ndarray,
     get_backend,
     use_backend,
 )
-from repro.backend.blas_backend import FloatResidues
 from repro.ntt import NttPlanner
 from repro.numtheory import generate_ntt_primes
 from repro.numtheory.floatmod import get_barrett_chain
@@ -42,12 +40,12 @@ from repro.numtheory.modular import (
 from repro.rns.moddown import ModDown
 from repro.rns.poly import RnsPolynomial
 
-#: Auto-skip for float-residency coverage: the tests query the structured
-#: ``capabilities()`` report instead of probing backend internals, so a
-#: build whose blas backend cannot promise float residency skips cleanly.
+#: Auto-skip for float-residency coverage: the tests read the backend's
+#: ``float_residency`` flag instead of probing its internals, so a build
+#: whose blas backend cannot promise float residency skips cleanly.
 requires_float_residency = pytest.mark.skipif(
-    not get_backend("blas").capabilities().get("float_residency", False),
-    reason="blas backend does not report float residency",
+    not get_backend("blas").float_residency,
+    reason="blas backend does not declare float residency",
 )
 
 
@@ -118,37 +116,22 @@ class TestFloatKernels:
         assert np.array_equal(got.astype(np.int64), (ints * ints) % q_col)
 
 
-class TestFloatResidues:
+class TestResultHandle:
     def test_lazy_int64_materialisation(self):
         values = np.asarray([[3.0, 7.0], [1.0, 0.0]])
-        cache = FloatResidues(values, 7)
-        assert cache.full() is values          # float image is free
-        first = cache.matrix                    # cast happens here, once
+        buf = DeviceBuffer.from_float(values, 7)
+        assert buf.full() is values            # float image is free
+        assert buf.host_image is None
+        first = buf.ensure_host()               # cast happens here, once
         assert first.dtype == np.int64
-        assert cache.matrix is first
+        assert buf.ensure_host() is first
         assert np.array_equal(first, values.astype(np.int64))
 
 
-class TestCapabilitiesReport:
-    """The structured ``capabilities()`` report."""
-
-    def test_blas_reports_float_residency(self):
-        report = get_backend("blas").capabilities()
-        assert report["name"] == "blas"
-        assert report["float_residency"] is True
-
-    def test_numpy_reports_no_float_residency(self):
-        report = get_backend("numpy").capabilities()
-        assert report["name"] == "numpy"
-        assert report["float_residency"] is False
-
-    def test_report_is_fresh_per_call(self):
-        # Callers may scribble on the returned dict (feature probing);
-        # that must not poison later queries.
-        backend = get_backend("blas")
-        scribbled = backend.capabilities()
-        scribbled["float_residency"] = False
-        assert backend.capabilities()["float_residency"] is True
+def test_float_residency_flag():
+    """blas plans float pipelines, the numpy oracle never does."""
+    assert get_backend("blas").float_residency is True
+    assert get_backend("numpy").float_residency is False
 
 
 @requires_float_residency
@@ -165,7 +148,7 @@ class TestBlasFloatNatives:
         return chain, a_int, b_int
 
     def _float_handle(self, ints):
-        return DeviceBuffer.wrap(ints).attach_float_cache(FloatOperandCache(ints))
+        return DeviceBuffer.operand(ints)
 
     @pytest.mark.parametrize("fn", [mat_mod_mul, mat_mod_add, mat_mod_sub])
     def test_mat_funnels_stay_float_resident(self, data, fn):
@@ -178,7 +161,7 @@ class TestBlasFloatNatives:
             assert isinstance(got, DeviceBuffer)
             # Float-only output: no int64 image exists until the boundary.
             assert got.host_image is None
-            assert isinstance(got.float_cache(), FloatResidues)
+            assert got.kind == "result"
         assert np.array_equal(got.ensure_host(), want)
 
     def test_hadamard_funnel_one_float_side(self, data):
@@ -220,7 +203,7 @@ class TestBlasFloatNatives:
                               self._float_handle(b_int),
                               chain.moduli_array)
         assert got.host_image is None              # float path produced it
-        assert isinstance(got.float_cache(), FloatResidues)
+        assert got.kind == "result"
         assert np.array_equal(as_ndarray(got), want)
 
     def test_guard_rejection_falls_back_bit_identical(self, rng):
@@ -259,7 +242,7 @@ class TestBlasFloatNatives:
         assert np.array_equal(result.ensure_host(), want)
 
     def test_float_output_feeds_batched_gemm(self, data, rng):
-        """FloatResidues output flows into the fully-resident dgemm path."""
+        """A result flows into the fully-resident dgemm path."""
         chain, a_int, b_int = data
         moduli = chain.moduli_array
         twiddle = rng.integers(0, chain.moduli_array[:, None, None],
@@ -282,17 +265,17 @@ class TestFloatHandleViews:
 
     def test_view_chain_stays_float_resident(self):
         values = np.arange(24, dtype=np.float64).reshape(2, 3, 4)
-        buf = DeviceBuffer.from_float(FloatResidues(values, 23))
+        buf = DeviceBuffer.from_float(values, 23)
         view = buf.reshape(6, 4).transpose(1, 0)[:2]
         assert view.host_image is None
         expected = values.reshape(6, 4).transpose(1, 0)[:2]
-        assert np.array_equal(view.float_cache().full(), expected)
+        assert np.array_equal(view.full(), expected)
+        assert view.kind == "result" and view.max_value == 23
         assert np.array_equal(view.ensure_host(),
                               expected.astype(np.int64))
 
     def test_ensure_host_casts_once(self):
-        buf = DeviceBuffer.from_float(
-            FloatResidues(np.asarray([[5.0, 6.0]]), 6))
+        buf = DeviceBuffer.from_float(np.asarray([[5.0, 6.0]]), 6)
         host = buf.ensure_host()
         assert buf.ensure_host() is host and buf.host_image is host
         assert host.dtype == np.int64
@@ -346,7 +329,7 @@ class TestFourStepFloatPipeline:
             got = planner.forward_ops(self.N, primes, DeviceBuffer.wrap(stacks))
         assert isinstance(got, DeviceBuffer)
         assert got.host_image is None              # float-resident output
-        assert isinstance(got.float_cache(), FloatResidues)
+        assert got.kind == "result"
         assert np.array_equal(got.ensure_host(), np.asarray(want))
 
     @pytest.mark.parametrize("backend", ["blas", "blas-slabbed"], indirect=True)
@@ -370,7 +353,7 @@ class TestFourStepFloatPipeline:
         with use_backend(backend):
             got = blas.forward_ops(self.N, primes, DeviceBuffer.wrap(stacks))
         assert got.host_image is None
-        assert isinstance(got.float_cache(), FloatResidues)
+        assert got.kind == "result"
         assert np.array_equal(as_ndarray(got), np.asarray(want))
 
     def test_results_do_not_alias_engine_scratch(self):
@@ -447,8 +430,8 @@ class TestModDownFloatResident:
         extended = np.asarray(primes, dtype=np.int64)[None, :, None]
         stacks = rng.integers(0, extended,
                               size=(self.BATCH, limbs + specials, self.N))
-        handle = DeviceBuffer.from_float(
-            FloatResidues(stacks.astype(np.float64), max(primes) - 1))
+        handle = DeviceBuffer.from_float(stacks.astype(np.float64),
+                                         max(primes) - 1)
         return moddown, stacks, handle
 
     @pytest.mark.parametrize("bits", [20, 30])
@@ -460,7 +443,7 @@ class TestModDownFloatResident:
             got = moddown.apply_batch(handle)
         assert isinstance(got, DeviceBuffer)
         assert got.host_image is None
-        assert isinstance(got.float_cache(), FloatResidues)
+        assert got.kind == "result"
         assert np.array_equal(got.ensure_host(), np.asarray(want))
 
     def test_guard_boundary_falls_back_bit_identical(self):
@@ -483,13 +466,14 @@ class TestPolynomialFloatResidency:
         rng = np.random.default_rng(seed)
         ints = np.stack([rng.integers(0, q, 64, dtype=np.int64)
                          for q in primes])
-        residues = FloatResidues(ints.astype(np.float64), max(primes) - 1)
+        residues = DeviceBuffer.from_float(ints.astype(np.float64),
+                                           max(primes) - 1)
         return RnsPolynomial(64, primes, residues), ints
 
     def test_constructor_accepts_float_residues(self):
         poly, ints = self._poly()
         assert poly.buffer.host_image is None
-        assert isinstance(poly.float_image, FloatResidues)
+        assert poly.buffer.kind == "result" and poly.buffer.resident
         # The int64 view materialises lazily at the boundary and matches.
         assert np.array_equal(poly.residues, ints)
 
@@ -500,7 +484,7 @@ class TestPolynomialFloatResidency:
         with use_backend("blas"):
             total = a.add(b).hadamard(a)
         assert total.buffer.host_image is None
-        assert isinstance(total.float_image, FloatResidues)
+        assert total.buffer.kind == "result"
         want = ((ints_a + ints_b) % column) * ints_a % column
         assert np.array_equal(total.residues, want)
 
@@ -515,11 +499,11 @@ class TestPolynomialFloatResidency:
         a, _ = self._poly(1)
         b, ints_b = self._poly(2)
         q0 = self._primes()[0]
-        assert a.float_image is not None
+        assert a.buffer.resident
         a.residues[0, 0] = 7
         a.invalidate_resident()
-        assert a.float_image is None               # stale image dropped
-        assert a.buffer.float_cache() is None
+        assert a.buffer.kind == "host"             # stale image dropped
+        assert not a.buffer.resident
         with use_backend("blas"):
             total = a.add(b)
         assert total.residues[0, 0] == (7 + ints_b[0, 0]) % q0

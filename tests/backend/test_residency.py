@@ -2,9 +2,9 @@
 
 Three layers of coverage:
 
-* ``DeviceBuffer`` unit semantics — host and float64 images, views and
-  joins that keep each kind of image (and numpy's aliasing), the
-  invalidation contract;
+* ``DeviceBuffer`` unit semantics — the four handle kinds, host and
+  float64 images, views and joins that keep each kind of image (and
+  numpy's aliasing), the invalidation contract;
 * funnel/engine threading — handle in → handle out through every funnel
   and the GEMM engines, bit-identical to the host path on every backend;
 * the acceptance scenarios — a fused batched HMULT, HROTATE and HCONJ
@@ -18,13 +18,11 @@ import pytest
 from repro.api import TensorFheContext
 from repro.backend import (
     DeviceBuffer,
-    FloatOperandCache,
     available_backends,
     as_ndarray,
     get_backend,
     use_backend,
 )
-from repro.backend.blas_backend import FloatResidues
 from repro.backend.residency import block_arrays, concatenate_arrays, stack_arrays
 from repro.ckks import Ciphertext, CkksParameters
 from repro.ntt import NttPlanner, available_engines
@@ -42,8 +40,8 @@ from repro.rns.poly import RnsPolynomial
 
 def _float_only(values: np.ndarray) -> DeviceBuffer:
     """A handle whose only image is float64, like a blas kernel's output."""
-    return DeviceBuffer.from_float(
-        FloatResidues(np.asarray(values, dtype=np.float64), int(values.max())))
+    return DeviceBuffer.from_float(np.asarray(values, dtype=np.float64),
+                                   int(values.max()))
 
 
 class TestDeviceBuffer:
@@ -78,18 +76,62 @@ class TestDeviceBuffer:
         assert buf.ensure_host()[0, 0] == 0
         alias = np.asarray(buf)                    # copy-if-needed: aliases
         assert alias is buf.ensure_host()
+        # copy=False promises an alias: a cast to another dtype cannot be one.
+        with pytest.raises(ValueError):
+            np.asarray(buf, dtype=np.float64, copy=False)
+        assert np.asarray(buf, dtype=np.int64, copy=False) is buf.ensure_host()
 
-    def test_float_cache_attach_and_peek(self):
+    def test_handle_kinds(self):
+        """What each kind keeps, and which ones send a launch float."""
         matrix = np.arange(12, dtype=np.int64).reshape(3, 4)
-        buf = DeviceBuffer.wrap(matrix)
-        assert buf.float_cache() is None           # peek never builds
-        cache = FloatOperandCache(matrix)
-        buf.attach_float_cache(cache)
-        assert buf.float_cache() is cache
-        buf.invalidate_device()                    # invalidation drops it
-        assert buf.float_cache() is None
-        built = buf.float_cache(FloatOperandCache)  # factory builds once
-        assert built is not None and buf.float_cache() is built
+        host = DeviceBuffer.wrap(matrix)
+        operand = DeviceBuffer.operand(matrix)
+        constant = DeviceBuffer.constant(matrix)
+        result = _float_only(matrix)
+        assert [buf.kind for buf in (host, operand, constant, result)] == [
+            "host", "operand", "constant", "result"]
+        assert [buf.resident for buf in (host, operand, constant, result)] == [
+            False, True, False, True]
+        for buf in (host, operand, constant, result):
+            assert buf.max_value == 11
+            assert np.array_equal(buf.full(), matrix)
+            shift, hi, lo = buf.split()
+            assert np.array_equal(hi * 2.0 ** shift + lo, matrix)
+        # A host handle's images are built for one launch and not kept; the
+        # others build theirs once.
+        assert host.full() is not host.full()
+        assert host.split()[1] is not host.split()[1]
+        for buf in (operand, constant, result):
+            assert buf.full() is buf.full() and buf.split() is buf.split()
+        assert result.host_image is None
+
+    def test_an_operand_split_is_cut_from_its_int64_image(self):
+        matrix = np.arange(12, dtype=np.int64).reshape(3, 4) << 20
+        for make in (DeviceBuffer.operand, DeviceBuffer.constant):
+            buf = make(matrix)
+            shift, hi, lo = buf.split()
+            assert buf._full is None                # no full float64 image
+            assert np.array_equal(hi, matrix >> shift)
+
+    def test_invalidation_makes_a_host_handle(self):
+        matrix = np.arange(12, dtype=np.int64).reshape(3, 4)
+        buf = DeviceBuffer.operand(matrix)
+        buf.full()
+        buf.invalidate_device()                    # invalidation drops images
+        assert buf.kind == "host" and not buf.resident
+        matrix[0, 0] = 99                          # the bound is rescanned
+        assert buf.max_value == 99 and buf.full()[0, 0] == 99
+
+    def test_only_a_prefix_view_keeps_the_kind(self):
+        """(The images a prefix shares: tests/ntt/test_twiddle_stack.py.)"""
+        matrix = np.arange(12, dtype=np.int64).reshape(3, 4) << 20
+        for make in (DeviceBuffer.operand, DeviceBuffer.constant):
+            buf = make(matrix)
+            view = buf.prefix(2)
+            assert view.kind == buf.kind and view.max_value == buf.max_value
+            assert np.array_equal(view.ensure_host(), matrix[:2])
+            # Any other view is a host handle: it sends no launch float.
+            assert buf[:2].kind == "host" and buf.reshape(4, 3).kind == "host"
 
     def test_constructor_contracts(self):
         with pytest.raises(ValueError):
@@ -98,7 +140,7 @@ class TestDeviceBuffer:
     def test_invalidate_float_only_handle_keeps_a_host_image(self):
         buf = _float_only(np.arange(5))
         buf.invalidate_device()
-        assert buf.float_cache() is None
+        assert buf.kind == "host"
         assert np.array_equal(buf.ensure_host(), np.arange(5))
 
     def test_identity_residency_on_cpu_backends(self):
@@ -112,7 +154,7 @@ class TestDeviceBuffer:
 
 def _image(buf: DeviceBuffer) -> np.ndarray:
     """The array a handle holds: its host image, else its float64 image."""
-    return buf.host_image if buf.host_image is not None else buf.float_cache().full()
+    return buf.host_image if buf.host_image is not None else buf.full()
 
 
 #: ``view op, numpy op, shares storage with the source`` on a (2, 3, 4) handle.
@@ -139,11 +181,12 @@ class TestViews:
         view_of, numpy_op, aliases = VIEWS[name]
         view = view_of(source)
         assert (view.host_image is None) == (kind == "float")
+        assert view.kind == ("result" if kind == "float" else "host")
         assert np.shares_memory(_image(view), _image(source)) == aliases
         if name == "ascontiguous":
             assert _image(view).flags["C_CONTIGUOUS"]
         if kind == "float":
-            assert view.float_cache().max_value == source.float_cache().max_value
+            assert view.max_value == source.max_value
         assert np.array_equal(view.ensure_host(), numpy_op(values))
 
 
@@ -181,7 +224,7 @@ class TestJoins:
         # One float-only part keeps the join float-only; all-host stays host.
         assert (joined.host_image is None) == (kind != "host")
         if joined.host_image is None:
-            assert joined.float_cache().max_value >= want.max()
+            assert joined.max_value >= want.max()
         assert np.array_equal(joined.ensure_host(), want)
 
     @pytest.mark.parametrize("kind", ["arrays", "host", "float", "mixed"])
@@ -456,7 +499,7 @@ class TestGaloisAcceptance:
         streams = self._streams(fhe, 41)
         all_host = [_host_only(ct) for ct in streams]
         mixed = [all_host[0]] + streams[1:]
-        assert mixed[0].c0.buffer.float_cache() is None
+        assert mixed[0].c0.buffer.kind == "host"
         with use_backend("blas"):
             want = batched(all_host)
             got = batched(mixed)

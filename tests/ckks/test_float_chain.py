@@ -6,11 +6,11 @@ NTT → inner-product fold → ModDown), and the rescale corrections — runs on
 float64 Barrett kernels end to end.  Proven here at full strength:
 
 * **zero intermediate int64 images** — a counter patched into
-  ``FloatResidues.matrix`` records every float→int64 materialisation, and
+  ``DeviceBuffer.ensure_host`` records every float→int64 materialisation, and
   the fused chain performs none (the cast happens only at the
   decrypt/decode boundary, after the chain returns), at 20-bit primes and
   at the default 28/30-bit split widths alike, and every output is still
-  float-only (``host_image`` is None);
+  a float-only result (``host_image`` is None);
 * **bit-identical outputs** — against both the sequential evaluator and
   the numpy backend's int64 path, including the guard-rejection fallback
   on 33-bit chains where every funnel takes its exact object-dtype path.
@@ -23,8 +23,7 @@ import numpy as np
 import pytest
 
 from repro.api import TensorFheContext
-from repro.backend import use_backend
-from repro.backend.blas_backend import FloatResidues
+from repro.backend import DeviceBuffer, use_backend
 from repro.ckks import (
     BatchedEvaluator,
     CkksContext,
@@ -93,14 +92,14 @@ class TestFloatChainAcceptance:
                                                   monkeypatch):
         context, _, relin, lhs, rhs = fhe
         builds = []
-        original = FloatResidues.matrix.fget
+        original = DeviceBuffer.ensure_host
 
         def counting(self):
-            if self._matrix is None:
+            if self.host_image is None:
                 builds.append(1)
             return original(self)
 
-        monkeypatch.setattr(FloatResidues, "matrix", property(counting))
+        monkeypatch.setattr(DeviceBuffer, "ensure_host", counting)
         batched = BatchedEvaluator(context)
         with use_backend(backend):
             out = batched.multiply_and_rescale(lhs, rhs, relin)
@@ -111,7 +110,7 @@ class TestFloatChainAcceptance:
         for ciphertext in out:
             for poly in (ciphertext.c0, ciphertext.c1):
                 assert poly.buffer.host_image is None
-                assert isinstance(poly.float_image, FloatResidues)
+                assert poly.buffer.kind == "result"
 
     @pytest.mark.parametrize("backend", ["blas", "blas-slabbed"], indirect=True)
     def test_bit_identical_to_sequential_and_numpy(self, fhe, backend):
@@ -163,7 +162,7 @@ class TestFloatChainAcceptance:
         _assert_ciphertexts_equal(fused, reference)
         # The guard admits the rescale's forms: its output is float-resident.
         for ciphertext in fused:
-            assert ciphertext.c0.float_image is not None
+            assert ciphertext.c0.buffer.kind == "result"
 
 
 #: The benchmarked shapes, N = 4096, L = 8, dnum = 4: default widths and the

@@ -120,7 +120,7 @@ class TestBatchOneGlue:
         assert stacked.shape == (1,) + poly.buffer.shape
 
         def resident(buffer):   # int64, or float-only on a float backend
-            return (buffer.float_cache().full() if buffer.host_image is None
+            return (buffer.full() if buffer.host_image is None
                     else buffer.host_image)
 
         assert np.shares_memory(resident(stacked), resident(poly.buffer))

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 import repro.numtheory.planned as plan_module
 from repro.backend import DeviceBuffer, as_ndarray, use_backend
-from repro.backend.blas_backend import FloatOperandCache, FloatResidues
 from repro.ntt import (
     NttPlanner,
     available_engines,
@@ -136,9 +135,9 @@ class TestPlanTable:
         clear_twiddle_stacks()
         get_twiddle_stack(64, primes).four_step_plan(False)     # the parent first
         prefix = get_twiddle_stack(64, primes[:3])
-        inner = prefix.four_step_operand_caches(False)[0]
+        inner = prefix.operands(False)[0]
         assert inner.max_value == get_twiddle_stack(
-            64, primes).four_step_operand_caches(False)[0].max_value
+            64, primes).operands(False)[0].max_value
         assert prefix.four_step_plan(False) is not None
 
     def test_plan_is_a_pure_function_of_bounds(self):
@@ -227,7 +226,7 @@ class TestGuardArithmetic:
                 matrix = np.full((1, terms, terms), q, dtype=np.int64)
                 apply = lambda image, x, out: np.matmul(image, x, out=out)
                 shape = (1, 2, terms, 4)
-            cache = FloatOperandCache(matrix)
+            cache = DeviceBuffer.operand(matrix)
             ladder = form_ladder(chain, terms, cache.max_value,
                                  lazy_input=lazy_input)
             assert len(ladder) == len(widest)
@@ -381,13 +380,13 @@ class TestParity:
             got = engine.forward_ops(DeviceBuffer.wrap(stack), primes)
             # At every width the plan admits, split widths included.
             assert isinstance(got, DeviceBuffer) and got.host_image is None
-            assert isinstance(got.float_cache(), FloatResidues)
+            assert got.kind == "result"
             assert np.array_equal(got.ensure_host(), want)
             # A float-only handle is consumed as it is.
             back = engine.inverse_ops(got, primes)
             assert np.array_equal(as_ndarray(back), stack)
-            floats = DeviceBuffer.from_float(
-                FloatResidues(stack.astype(np.float64), max(primes) - 1))
+            floats = DeviceBuffer.from_float(stack.astype(np.float64),
+                                             max(primes) - 1)
             assert np.array_equal(
                 as_ndarray(engine.forward_ops(floats, primes)), want)
 

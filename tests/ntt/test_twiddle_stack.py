@@ -2,9 +2,9 @@
 
 The paper precomputes one twiddle table per ``(N, q)``; the limb-batched
 engines additionally stack those tables per prime *chain*.  CKKS levels are
-prefixes of one chain, so every prefix stack (and its float64 image) must
-be a zero-copy row slice of the deepest cached chain rather than a
-per-prefix copy.
+prefixes of one chain, so every prefix stack's operand handles (and their
+float64 images) must be zero-copy row slices of the deepest cached chain's
+rather than per-prefix copies.
 """
 
 import numpy as np
@@ -28,26 +28,25 @@ def _fresh_stack_cache():
 @pytest.mark.parametrize("inverse", [False, True], ids=["forward", "inverse"])
 def test_prefix_stacks_are_views_of_the_full_chain(inverse):
     full = get_twiddle_stack(RING_DEGREE, CHAIN)
-    owners = full.four_step_inverse() if inverse else full.four_step_forward()
+    owners = full.operands(inverse)
     for depth in (1, 2, 4):
         prefix = get_twiddle_stack(RING_DEGREE, CHAIN[:depth])
-        views = prefix.four_step_inverse() if inverse else prefix.four_step_forward()
-        for view, owner in zip(views, owners):
-            assert np.array_equal(view, owner[:depth])
-            assert np.shares_memory(view, owner)
+        for view, owner in zip(prefix.operands(inverse), owners):
+            assert view.kind == owner.kind == "operand"
+            assert np.array_equal(view.ensure_host(), owner.ensure_host()[:depth])
+            assert np.shares_memory(view.ensure_host(), owner.ensure_host())
 
 
 def test_prefix_float_caches_share_parent_images():
     full = get_twiddle_stack(RING_DEGREE, CHAIN)
     prefix = get_twiddle_stack(RING_DEGREE, CHAIN[:3])
-    for prefix_buf, full_buf in zip(prefix.four_step_forward_buffers(),
-                                    full.four_step_forward_buffers()):
-        full_cache = full_buf.float_cache()
-        prefix_cache = prefix_buf.float_cache()
-        assert np.shares_memory(prefix_cache.full(), full_cache.full())
-        assert np.array_equal(prefix_cache.full(), full_cache.full()[:3])
-        shift, hi, lo = prefix_cache.split()
-        full_shift, full_hi, full_lo = full_cache.split()
+    for prefix_buf, full_buf in zip(prefix.operands(False),
+                                    full.operands(False)):
+        assert prefix_buf.max_value == full_buf.max_value
+        assert np.shares_memory(prefix_buf.full(), full_buf.full())
+        assert np.array_equal(prefix_buf.full(), full_buf.full()[:3])
+        shift, hi, lo = prefix_buf.split()
+        full_shift, full_hi, full_lo = full_buf.split()
         assert shift == full_shift
         assert np.shares_memory(hi, full_hi) and np.shares_memory(lo, full_lo)
         assert np.array_equal(hi, full_hi[:3]) and np.array_equal(lo, full_lo[:3])
@@ -55,11 +54,11 @@ def test_prefix_float_caches_share_parent_images():
 
 def test_prefix_built_before_full_chain_is_standalone():
     prefix = get_twiddle_stack(RING_DEGREE, CHAIN[:2])
-    early = prefix.four_step_forward()
-    full = get_twiddle_stack(RING_DEGREE, CHAIN).four_step_forward()
+    early = prefix.operands(False)
+    full = get_twiddle_stack(RING_DEGREE, CHAIN).operands(False)
     for view, owner in zip(early, full):
-        assert not np.shares_memory(view, owner)
-        assert np.array_equal(view, owner[:2])
+        assert not np.shares_memory(view.ensure_host(), owner.ensure_host())
+        assert np.array_equal(view.ensure_host(), owner.ensure_host()[:2])
 
 
 def test_mismatched_parent_rejected():

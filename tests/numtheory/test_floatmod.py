@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from repro.backend.blas_backend import split_shift
+from repro.backend.residency import split_shift
 from repro.numtheory import generate_ntt_primes
 from repro.numtheory.floatmod import (
     FLOAT_EXACT_LIMIT,

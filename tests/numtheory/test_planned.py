@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 import repro.numtheory.planned as planned
 from repro.backend import DeviceBuffer, get_backend
-from repro.backend.blas_backend import FloatResidues, static_operand
 from repro.numtheory import generate_ntt_primes, is_prime
 from repro.numtheory.floatmod import get_barrett_chain
 from repro.numtheory.planned import DIRECT, SPLIT, choose_form, slabs
@@ -33,7 +32,7 @@ BUDGETS = {"default": (1 << 16, 1 << 12), "ragged": (10 * N, 0), "limb-cut": (2 
 
 
 def float_handle(values, bound):
-    return DeviceBuffer.from_float(FloatResidues(values.astype(np.float64), bound))
+    return DeviceBuffer.from_float(values.astype(np.float64), bound)
 
 
 def residues(rng, primes, shape):
@@ -89,13 +88,13 @@ class TestAgainstTheInt64Oracle:
                     *[DeviceBuffer.wrap(x) for x in operands], primes)
                 assert got.host_image is None, kernel
                 assert np.array_equal(got.ensure_host(), want.ensure_host()), kernel
-            # A static operand shared by the operations, and the
+            # A constant shared by the operations, and the
             # multiply-accumulate over ``terms`` against one.
             key, _ = residues(rng, primes, (0, terms, 1, N))
             x, _ = residues(rng, primes, (0, terms, batch, N))
             want = oracle.mat_mul(DeviceBuffer.wrap(x), DeviceBuffer.wrap(key),
                                   primes, terms=terms).ensure_host()
-            for operand in (static_operand(key), float_handle(key, top)):
+            for operand in (DeviceBuffer.constant(key), float_handle(key, top)):
                 got = blas.mat_mul(float_handle(x, top), operand, primes,
                                    terms=terms)
                 assert got.host_image is None
@@ -130,7 +129,7 @@ class TestForms:
         x, column = residues(rng, primes, (0, terms, 2, N))
         key, _ = residues(rng, primes, (0, terms, 1, N))
         got = get_backend("blas").mat_mul(
-            float_handle(x, chain.qmax - 1), static_operand(key), primes,
+            float_handle(x, chain.qmax - 1), DeviceBuffer.constant(key), primes,
             terms=terms)
         assert got.host_image is not None       # the int64 kernel ran
         want = (x.astype(object) * key.astype(object)).sum(axis=1) % column[:, 0]
@@ -138,14 +137,14 @@ class TestForms:
 
     @pytest.mark.parametrize("chain_name", ["p20", "p28"])
     def test_a_broadcast_x_against_a_full_static_operand(self, rng, chain_name):
-        """The result takes the static side's layout, not its int64 dtype."""
+        """The result takes the constant side's layout, not its int64 dtype."""
         primes = CHAINS[chain_name]
         x, _ = residues(rng, primes, (0, 1, N))
         key, _ = residues(rng, primes, (0, 2, N))
         blas, oracle = get_backend("blas"), get_backend("numpy")
         want = oracle.mat_mul(DeviceBuffer.wrap(x), DeviceBuffer.wrap(key),
                               primes).ensure_host()
-        pairs = [(float_handle(x, max(primes) - 1), static_operand(key))]
+        pairs = [(float_handle(x, max(primes) - 1), DeviceBuffer.constant(key))]
         pairs.append(pairs[0][::-1])
         for lhs, rhs in pairs:
             got = blas.mat_mul(lhs, rhs, primes)
@@ -158,8 +157,8 @@ class TestForms:
         x, column = residues(rng, primes, (0, 2, N))
         scale, _ = residues(rng, primes, (0, 1, 1))
         got = get_backend("blas").mat_mul(
-            DeviceBuffer.wrap(x), static_operand(scale), primes)
-        assert got.host_image is not None and got.float_cache() is None
+            DeviceBuffer.wrap(x), DeviceBuffer.constant(scale), primes)
+        assert got.host_image is not None and got.kind == "host"
         assert np.array_equal(got.ensure_host(), x * scale % column)
 
 
@@ -170,12 +169,12 @@ class TestWorkBuffers:
         blas = get_backend("blas")
         first = blas.mat_add(float_handle(a, max(primes) - 1),
                              float_handle(a, max(primes) - 1), primes)
-        kept = first.float_cache().full().copy()
+        kept = first.full().copy()
         blas.mat_mul(float_handle(a, max(primes) - 1),
                      float_handle(a, max(primes) - 1), primes)
-        assert np.array_equal(first.float_cache().full(), kept)
+        assert np.array_equal(first.full(), kept)
         for buffer in planned.work_buffers((4, 4), (4, 4)):
-            assert not np.shares_memory(buffer, first.float_cache().full())
+            assert not np.shares_memory(buffer, first.full())
 
     @pytest.mark.parametrize("shape", [(3, 5), (2, 3, 4)])
     def test_buffers_are_distinct_views_of_one_block(self, shape):

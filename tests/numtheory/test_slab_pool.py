@@ -27,7 +27,6 @@ import pytest
 
 import repro.numtheory.planned as planned
 from repro.backend import DeviceBuffer, get_backend, use_backend
-from repro.backend.blas_backend import FloatResidues, static_operand
 from repro.ntt import NttPlanner
 from repro.numtheory import generate_ntt_primes
 from repro.numtheory.floatmod import get_barrett_chain
@@ -61,7 +60,7 @@ def stack_of(seed, primes):
 
 
 def float_handle(values, bound):
-    return DeviceBuffer.from_float(FloatResidues(values.astype(np.float64), bound))
+    return DeviceBuffer.from_float(values.astype(np.float64), bound)
 
 
 def inline(launch):
@@ -132,7 +131,7 @@ class TestParity:
         rng = np.random.default_rng(terms)
         x = residues(rng, primes, terms, BATCH, N)
         key = residues(rng, primes, terms, 1 if static else BATCH, N)
-        operand = static_operand(key) if static else float_handle(key, chain.qmax - 1)
+        operand = DeviceBuffer.constant(key) if static else float_handle(key, chain.qmax - 1)
         want = get_backend("numpy").mat_mul(
             DeviceBuffer.wrap(x), DeviceBuffer.wrap(key), primes, terms=terms)
         check(lambda: get_backend("blas").mat_mul(
@@ -149,7 +148,7 @@ class TestParity:
         sides = (matrix, x) if left else (x, matrix)
         want = get_backend("numpy").matmul_limbs(
             *[DeviceBuffer.wrap(side) for side in sides], primes)
-        handles = [static_operand(side) if side is matrix
+        handles = [DeviceBuffer.constant(side) if side is matrix
                    else float_handle(side, max(primes) - 1) for side in sides]
         check(lambda: get_backend("blas").matmul_limbs(
             *handles, primes).ensure_host(), want.ensure_host(), pool_calls)
@@ -178,7 +177,7 @@ class TestParity:
         want = get_backend("numpy").matmul_limbs(
             DeviceBuffer.wrap(matrix), DeviceBuffer.wrap(x), primes)
         check(lambda: get_backend("blas").matmul_limbs(
-            static_operand(matrix), float_handle(x, max(primes) - 1),
+            DeviceBuffer.constant(matrix), float_handle(x, max(primes) - 1),
             primes).ensure_host(), want.ensure_host(), pool_calls)
 
     def test_matmul_rows(self, workers, pool_calls):
@@ -192,7 +191,7 @@ class TestParity:
         want = get_backend("numpy").matmul_rows(
             DeviceBuffer.wrap(constants), DeviceBuffer.wrap(x), target)
         check(lambda: get_backend("blas").matmul_rows(
-            static_operand(constants), float_handle(x, max(source) - 1),
+            DeviceBuffer.constant(constants), float_handle(x, max(source) - 1),
             np.asarray(target, dtype=np.int64)).ensure_host(),
             want.ensure_host(), pool_calls)
 
@@ -277,7 +276,7 @@ class TestWorkspace:
         primes = CHAINS["q-p"]
         rng = np.random.default_rng(4)
         x = float_handle(residues(rng, primes, 8, N), max(primes) - 1)
-        key = static_operand(residues(rng, primes, 1, N))
+        key = DeviceBuffer.constant(residues(rng, primes, 1, N))
         want = get_backend("numpy").mat_mul(
             DeviceBuffer.wrap(x.ensure_host()), key, primes).ensure_host()
         for _ in range(count):
