@@ -13,7 +13,7 @@ across kernel launches.
 from .base import ArrayBackend
 from .blas_backend import BlasFloat64Backend
 from .numpy_backend import NumpyBackend, max_safe_chunk
-from .residency import DeviceBuffer, as_buffer, as_ndarray, is_buffer
+from .residency import DeviceBuffer
 from .registry import (
     BACKEND_ENV_VAR,
     DEFAULT_BACKEND,
@@ -31,9 +31,6 @@ __all__ = [
     "BlasFloat64Backend",
     "max_safe_chunk",
     "DeviceBuffer",
-    "is_buffer",
-    "as_buffer",
-    "as_ndarray",
     "BACKEND_ENV_VAR",
     "DEFAULT_BACKEND",
     "available_backends",

@@ -37,6 +37,16 @@ on its entries (:attr:`~DeviceBuffer.max_value`), its cached hi/lo split
 launch to the float kernels (operands and results).  The split point of an
 image is :func:`split_shift` of its bound.
 
+Calling convention
+------------------
+Array-likes in, :class:`DeviceBuffer` out.  Every residue boundary below
+``RnsPolynomial`` — the funnels, the NTT engines' ``*_ops`` / ``*_limbs``,
+Conv, ModUp and ModDown — wraps its operands once with the idempotent
+:meth:`DeviceBuffer.wrap` and returns a handle, for an empty batch too.
+The scalar ``NttEngine.forward`` / ``inverse`` and ``poly.residues`` are
+the array boundary; anywhere else ``np.asarray(handle)`` reads the host
+image.
+
 Invalidation contract
 ---------------------
 The host image is authoritative.  Code that mutates a handle's host array
@@ -68,16 +78,10 @@ __all__ = [
     "CONSTANT",
     "RESULT",
     "split_shift",
-    "is_buffer",
-    "as_buffer",
-    "as_ndarray",
-    "match_residency",
-    "on_handles",
     "combine_arrays",
     "stack_arrays",
     "concatenate_arrays",
     "block_arrays",
-    "contiguous",
 ]
 
 #: The kinds of handle (:attr:`DeviceBuffer.kind`, see the module docstring).
@@ -320,63 +324,7 @@ class DeviceBuffer:
 ArrayLike = Union[np.ndarray, DeviceBuffer]
 
 
-def is_buffer(value) -> bool:
-    """Whether ``value`` is a residency handle."""
-    return isinstance(value, DeviceBuffer)
-
-
-def as_buffer(value) -> DeviceBuffer:
-    """Coerce an array-or-handle to a handle (host wrap for arrays)."""
-    return DeviceBuffer.wrap(value)
-
-
-def as_ndarray(value) -> np.ndarray:
-    """Coerce an array-or-handle to a host int64 ndarray."""
-    if isinstance(value, DeviceBuffer):
-        return value.ensure_host()
-    return np.asarray(value, dtype=np.int64)
-
-
-def match_residency(result: np.ndarray, *operands) -> ArrayLike:
-    """Wrap a host ``result`` as a handle iff any operand was a handle.
-
-    The funnel convention: handle in → handle out, plain arrays in → plain
-    array out, so existing host call sites are untouched while resident
-    pipelines keep threading handles.
-    """
-    if any(isinstance(op, DeviceBuffer) for op in operands):
-        return DeviceBuffer.wrap(result)
-    return result
-
-
-def on_handles(arity: int):
-    """Decorator: write a funnel once, against handles.
-
-    The decorated function receives its first ``arity`` positional
-    arguments as :class:`DeviceBuffer` handles (plain arrays are wrapped
-    as int64 host handles) and returns a handle.  Callers keep the funnel
-    convention of :func:`match_residency`: the handle comes back as is
-    when any operand was one, and as its host array otherwise.  This is
-    the single array↔handle adaptation of the funnels.
-    """
-    def decorate(funnel):
-        @functools.wraps(funnel)
-        def adapted(*args, **kwargs):
-            handles = list(args)
-            resident = False
-            for index in range(arity):
-                operand = handles[index]
-                if isinstance(operand, DeviceBuffer):
-                    resident = True
-                else:
-                    handles[index] = DeviceBuffer.wrap(operand)
-            out = funnel(*handles, **kwargs)
-            return out if resident else out.ensure_host()
-        return adapted
-    return decorate
-
-
-def combine_arrays(parts: Sequence[ArrayLike], combine) -> ArrayLike:
+def combine_arrays(parts: Sequence[ArrayLike], combine) -> DeviceBuffer:
     """``combine(images)`` over the parts' images, float-resident when possible.
 
     ``combine`` takes the list of the parts' images — all float64 or all
@@ -386,22 +334,21 @@ def combine_arrays(parts: Sequence[ArrayLike], combine) -> ArrayLike:
     residency chain the float kernels built, so the host siblings (an
     encoded plaintext next to ciphertext limbs) are converted instead, and
     the result is a float-only handle.  When every part already has a host
-    image, the host combine is the cheaper exact path, and the result
-    follows :func:`match_residency`.  A float result carries the parts'
-    bound, so ``combine`` rearranges residues or maps them modulo their
-    own primes (an automorphism's ``q - c``).
+    image, the host combine is the cheaper exact path, and the result is a
+    ``host`` handle.  A float result carries the parts' bound, so
+    ``combine`` rearranges residues or maps them modulo their own primes
+    (an automorphism's ``q - c``).
     """
-    parts = list(parts)
-    if all(part.host_image is not None for part in parts
-           if isinstance(part, DeviceBuffer)):
-        return match_residency(combine([as_ndarray(p) for p in parts]), *parts)
-    handles = [as_buffer(part) for part in parts]
+    handles = [DeviceBuffer.wrap(part) for part in parts]
+    if all(handle.host_image is not None for handle in handles):
+        return DeviceBuffer.wrap(
+            combine([handle.host_image for handle in handles]))
     return DeviceBuffer.from_float(
         combine([handle.full() for handle in handles]),
         max(handle.max_value for handle in handles))
 
 
-def stack_arrays(parts: Sequence[ArrayLike], axis: int = 0) -> ArrayLike:
+def stack_arrays(parts: Sequence[ArrayLike], axis: int = 0) -> DeviceBuffer:
     """``np.stack`` over arrays/handles, float-resident when possible.
 
     A single part is returned as a view with the new axis inserted (what
@@ -410,18 +357,19 @@ def stack_arrays(parts: Sequence[ArrayLike], axis: int = 0) -> ArrayLike:
     """
     parts = list(parts)
     if len(parts) == 1:
-        shape = list(parts[0].shape)
+        part = DeviceBuffer.wrap(parts[0])
+        shape = list(part.shape)
         shape.insert(axis % (len(shape) + 1), 1)
-        return parts[0].reshape(shape)
+        return part.reshape(shape)
     return combine_arrays(parts, functools.partial(np.stack, axis=axis))
 
 
-def concatenate_arrays(parts: Sequence[ArrayLike], axis: int = 0) -> ArrayLike:
+def concatenate_arrays(parts: Sequence[ArrayLike], axis: int = 0) -> DeviceBuffer:
     """``np.concatenate`` over arrays/handles, float-resident when possible."""
     return combine_arrays(parts, functools.partial(np.concatenate, axis=axis))
 
 
-def block_arrays(grid: Sequence[Sequence[ArrayLike]]) -> ArrayLike:
+def block_arrays(grid: Sequence[Sequence[ArrayLike]]) -> DeviceBuffer:
     """A grid of 3-D arrays/handles joined in one copy, float-resident when
     possible: a row's parts along axis 1, the rows along axis 0.
 
@@ -447,9 +395,3 @@ def block_arrays(grid: Sequence[Sequence[ArrayLike]]) -> ArrayLike:
 
     return combine_arrays([part for row in grid for part in row], combine)
 
-
-def contiguous(value: ArrayLike) -> ArrayLike:
-    """C-contiguous copy-if-needed on the resident image."""
-    if isinstance(value, DeviceBuffer):
-        return value.ascontiguous()
-    return np.ascontiguousarray(value)

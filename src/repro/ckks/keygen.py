@@ -211,7 +211,7 @@ class KeyGenerator:
         for stack in stacks:
             limbs = stack.reshape(-1, rows, stack.shape[1])[:, :len(active)]
             limbs[...] = mat_mod_mul(limbs.transpose(1, 0, 2), inverses,
-                                     active).transpose(1, 0, 2)
+                                     active).transpose(1, 0, 2).ensure_host()
 
     def _square_secret(self, secret_key: SecretKey):
         """Return a callable producing ``s^2`` in any requested basis."""

@@ -24,6 +24,11 @@ Every engine implements exactly one primitive, :meth:`NttEngine._transform_ops`
 on a validated, non-empty stack; the entry points above are shape adapters
 over it with no transform of their own, so keygen, the scalar callers and
 the evaluator all run the same code.
+
+The ``*_ops`` / ``*_limbs`` entry points take arrays or
+:class:`~repro.backend.residency.DeviceBuffer` handles and always return a
+handle (an empty batch included); ``forward`` / ``inverse`` are the array
+boundary, one vector in and one out.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import abc
 
 import numpy as np
 
-from ..backend.residency import is_buffer
+from ..backend.residency import DeviceBuffer
 from .twiddle import get_twiddle_cache
 
 __all__ = ["NttEngine"]
@@ -64,17 +69,16 @@ class NttEngine(abc.ABC):
         self.twiddles = get_twiddle_cache(ring_degree, modulus)
 
     @abc.abstractmethod
-    def _transform_ops(self, stacks, moduli_array: np.ndarray, *,
-                       inverse: bool):
+    def _transform_ops(self, stacks: DeviceBuffer, moduli_array: np.ndarray,
+                       *, inverse: bool) -> DeviceBuffer:
         """Either direction on a validated, non-empty stack.
 
-        ``stacks`` is a ``(B, L, N)`` array or handle whose row ``[b, i]``
-        is reduced modulo ``moduli_array[i]``; the result is of the same
-        kind.
+        ``stacks`` is a ``(B, L, N)`` handle whose row ``[b, i]`` is
+        reduced modulo ``moduli_array[i]``; the result is a handle.
         """
 
     # -- shape adapters over the one primitive ---------------------------
-    def forward_ops(self, stacks, moduli: Sequence[int]):
+    def forward_ops(self, stacks, moduli: Sequence[int]) -> DeviceBuffer:
         """Forward NTT of a ``(B, L, N)`` stack as fused launches.
 
         ``stacks[b, i]`` is limb ``i`` of operation ``b`` and is reduced
@@ -83,15 +87,15 @@ class NttEngine(abc.ABC):
         """
         return self._ops(stacks, moduli, False)
 
-    def inverse_ops(self, stacks, moduli: Sequence[int]):
+    def inverse_ops(self, stacks, moduli: Sequence[int]) -> DeviceBuffer:
         """Inverse NTT of a ``(B, L, N)`` stack as fused launches."""
         return self._ops(stacks, moduli, True)
 
-    def forward_limbs(self, residues, moduli: Sequence[int]):
+    def forward_limbs(self, residues, moduli: Sequence[int]) -> DeviceBuffer:
         """Forward NTT of all limbs of one polynomial: ``forward_ops`` at B = 1."""
         return self._limbs(residues, moduli, False)
 
-    def inverse_limbs(self, values, moduli: Sequence[int]):
+    def inverse_limbs(self, values, moduli: Sequence[int]) -> DeviceBuffer:
         """Inverse NTT of all limbs of one polynomial: ``inverse_ops`` at B = 1."""
         return self._limbs(values, moduli, True)
 
@@ -103,87 +107,54 @@ class NttEngine(abc.ABC):
         """Transform an evaluation-domain vector back to coefficients."""
         return self._vector(values, True)
 
-    def _ops(self, stacks, moduli, inverse: bool):
-        stacks, moduli_array = self._validate_ops(stacks, moduli)
+    def _ops(self, stacks, moduli, inverse: bool) -> DeviceBuffer:
+        stacks, moduli_array = self._validate_ops(DeviceBuffer.wrap(stacks),
+                                                  moduli)
         if stacks.shape[0] == 0:
-            return stacks
+            return DeviceBuffer.wrap(np.zeros(stacks.shape, dtype=np.int64))
         return self._transform_ops(stacks, moduli_array, inverse=inverse)
 
-    def _limbs(self, residues, moduli, inverse: bool):
-        residues, moduli_array = self._validate_limbs(residues, moduli)
-        stacks = residues.reshape(1, residues.shape[0], self.ring_degree)
-        return self._transform_ops(stacks, moduli_array, inverse=inverse)[0]
-
-    def _vector(self, vector, inverse: bool):
-        # Anything but a length-N vector fails _validate_limbs' shape check.
-        return self._limbs(np.asarray(vector, dtype=np.int64)[None],
-                           (self.modulus,), inverse)[0]
-
-    # -- validation -------------------------------------------------------
-    def _validate_limbs(self, residues: np.ndarray,
-                        moduli: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
-        """Check/reduce a ``(limbs, N)`` residue matrix against its moduli.
-
-        The one-operation case of :meth:`_validate_ops`, which owns the
-        range scan and its trust rules.
-        """
-        if not is_buffer(residues):
-            residues = np.asarray(residues, dtype=np.int64)
-        if len(residues.shape) != 2 or residues.shape[1] != self.ring_degree:
+    def _limbs(self, residues, moduli, inverse: bool) -> DeviceBuffer:
+        residues = DeviceBuffer.wrap(residues)
+        if residues.ndim != 2 or residues.shape[1] != self.ring_degree:
             raise ValueError(
                 "expected a (limbs, %d) residue matrix, got shape %s"
-                % (self.ring_degree, tuple(residues.shape))
+                % (self.ring_degree, residues.shape)
             )
-        view = residues[None]
-        stacks, moduli_array = self._validate_ops(view, moduli)
-        # Untouched: hand back the caller's own handle (its float image).
-        return (residues if stacks is view else stacks[0]), moduli_array
+        return self._ops(residues[None], moduli, inverse)[0]
 
-    def _check_ops_shape(self, stacks: np.ndarray) -> np.ndarray:
-        """Shape-check a ``(B, limbs, N)`` stack (no range scan)."""
-        if is_buffer(stacks):
-            shape = stacks.shape
-            if len(shape) != 3 or shape[2] != self.ring_degree:
-                raise ValueError(
-                    "expected a (B, limbs, %d) stack, got shape %s"
-                    % (self.ring_degree, shape)
-                )
-            return stacks
-        array = np.asarray(stacks, dtype=np.int64)
-        if array.ndim != 3 or array.shape[2] != self.ring_degree:
-            raise ValueError(
-                "expected a (B, limbs, %d) stack, got shape %s"
-                % (self.ring_degree, array.shape)
-            )
-        return array
+    def _vector(self, vector, inverse: bool) -> np.ndarray:
+        # Anything but a length-N vector fails _limbs' shape check.
+        return self._limbs(np.asarray(vector, dtype=np.int64)[None],
+                           (self.modulus,), inverse)[0].ensure_host()
 
-    def _validate_ops(self, stacks: np.ndarray,
-                      moduli: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+    # -- validation -------------------------------------------------------
+    def _validate_ops(self, stacks: DeviceBuffer, moduli: Sequence[int]
+                      ) -> Tuple[DeviceBuffer, np.ndarray]:
         """Check/reduce a ``(B, limbs, N)`` stack against its shared moduli.
 
-        Residency handles with a host image (every user-constructed handle
-        has one) get the same range scan/reduction as plain arrays — the
-        historical contract for out-of-range residues.  Only float-only
+        A handle with a host image (every wrapped array has one) gets a
+        range scan, and out-of-range residues are reduced.  Only float-only
         handles are trusted as reduced: their values were produced by the
         library's own kernels, and scanning them would force an int64 cast.
         """
-        array = self._check_ops_shape(stacks)
-        moduli_array = np.asarray([int(q) for q in moduli], dtype=np.int64)
-        if moduli_array.shape[0] != array.shape[1]:
+        shape = stacks.shape
+        if len(shape) != 3 or shape[2] != self.ring_degree:
             raise ValueError(
-                "got %d moduli for %d limbs"
-                % (moduli_array.shape[0], array.shape[1])
+                "expected a (B, limbs, %d) stack, got shape %s"
+                % (self.ring_degree, shape)
+            )
+        moduli_array = np.asarray([int(q) for q in moduli], dtype=np.int64)
+        if moduli_array.shape[0] != shape[1]:
+            raise ValueError(
+                "got %d moduli for %d limbs" % (moduli_array.shape[0], shape[1])
             )
         # Moduli broadcast over the limb axis (axis 1) of the stack.
         column = moduli_array[None, :, None]
-        if is_buffer(array):
-            host = array.host_image
-            if host is not None and (np.any(host < 0) or np.any(host >= column)):
-                array = type(array).wrap(host % column)
-            return array, moduli_array
-        if np.any(array < 0) or np.any(array >= column):
-            array = array % column
-        return array, moduli_array
+        host = stacks.host_image
+        if host is not None and (np.any(host < 0) or np.any(host >= column)):
+            stacks = DeviceBuffer.wrap(host % column)
+        return stacks, moduli_array
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "%s(N=%d, q=%d)" % (type(self).__name__, self.ring_degree, self.modulus)

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..backend.registry import get_active_backend
-from ..backend.residency import HOST, DeviceBuffer, as_buffer, contiguous, is_buffer
+from ..backend.residency import HOST, DeviceBuffer
 from ..numtheory import planned
 from ..numtheory.planned import (
     hadamard,
@@ -66,11 +66,8 @@ class FourStepNtt(NttEngine):
         plan = self._float_plan(stack, inverse)
         if plan is not None:
             return self._float_pipeline(stacks, stack, plan, inverse)
-        # The twiddle operands are the stack's shared operand handles, so
-        # the launches run on handles.
-        out = self._ops_pipeline(as_buffer(stacks), moduli_array,
-                                 *stack.operands(inverse))
-        return out if is_buffer(stacks) else out.ensure_host()
+        return self._ops_pipeline(stacks, moduli_array,
+                                  *stack.operands(inverse))
 
     # -- the planned float64 pipeline -----------------------------------
     def float_plan(self, moduli: Sequence[int], *,
@@ -95,8 +92,8 @@ class FourStepNtt(NttEngine):
             return None
         return stack.four_step_plan(inverse)
 
-    def _float_pipeline(self, stacks, stack, plan: FourStepPlan,
-                        inverse: bool):
+    def _float_pipeline(self, stacks: DeviceBuffer, stack, plan: FourStepPlan,
+                        inverse: bool) -> DeviceBuffer:
         """The transform as float64 stages, slab by slab.
 
         The perf shape of the paper's tensor-core kernel: the wide twiddle
@@ -107,22 +104,18 @@ class FourStepNtt(NttEngine):
         lands in the result through one merged transpose(+cast); the slabs
         run on every core (:func:`~repro.numtheory.planned.run_slabs`).
 
-        Plain arrays come back as int64 arrays; a handle comes back as a
-        float-only handle, at every width, and a float-only handle in is
-        read as it is — no staging copy, no int64 anywhere in a chain.
-        Only polynomials too small for that to pay
-        (:data:`~repro.numtheory.planned.RESIDENT_DOUBLES`) come back int64.
+        The result is a float-only handle at every width, and a handle
+        with a float image is read as it is — no staging copy, no int64
+        anywhere in a chain.  Only polynomials too small for that to pay
+        (:data:`~repro.numtheory.planned.RESIDENT_DOUBLES`) come back as
+        int64 host handles.
         """
         backend = get_active_backend()
         batch, limbs = stacks.shape[0], stacks.shape[1]
-        resident = is_buffer(stacks)
-        imaged = resident and stacks.kind != HOST
-        if imaged:
-            source = stacks.full()
-        else:
-            source = stacks.ensure_host() if resident else stacks
-        source = source.reshape(batch, limbs, self.n1, self.n2)
-        as_float = resident and limbs * self.ring_degree > planned.RESIDENT_DOUBLES
+        imaged = stacks.kind != HOST
+        source = (stacks.full() if imaged else stacks.ensure_host()).reshape(
+            batch, limbs, self.n1, self.n2)
+        as_float = limbs * self.ring_degree > planned.RESIDENT_DOUBLES
         # (N2, N1) per slice: the column-major flattening of forward().
         result = np.empty((batch, limbs, self.n2, self.n1),
                           dtype=np.float64 if as_float else np.int64)
@@ -169,7 +162,7 @@ class FourStepNtt(NttEngine):
         result = result.reshape(batch, limbs, self.ring_degree)
         if as_float:
             return DeviceBuffer.from_float(result, stack.barrett_chain.qmax - 1)
-        return DeviceBuffer.wrap(result) if resident else result
+        return DeviceBuffer.wrap(result)
 
     def _ops_pipeline(self, stacks: DeviceBuffer, moduli_array: np.ndarray,
                       w1: DeviceBuffer, w2: DeviceBuffer,
@@ -185,19 +178,19 @@ class FourStepNtt(NttEngine):
         # soon as the next exists, so the peak is two steps wide, not four.
         work = self._gemm_limbs(                            # inner NTTs
             w1,
-            contiguous(a_mat.transpose(1, 2, 0, 3)).reshape(
+            a_mat.transpose(1, 2, 0, 3).ascontiguous().reshape(
                 limbs, self.n1, batch * self.n2),
             moduli_array)
         work = self._hadamard_limbs(                        # twiddle correction
             work.reshape(limbs, self.n1, batch, self.n2),
             w2[:, :, None, :], moduli_array)
-        work = contiguous(work.transpose(0, 2, 1, 3)).reshape(
+        work = work.transpose(0, 2, 1, 3).ascontiguous().reshape(
             limbs, batch * self.n1, self.n2)
         work = self._gemm_limbs(work, w3, moduli_array)     # outer DFTs
         # Column-major flattening of every (N1, N2) slice, per operation.
-        return contiguous(
-            work.reshape(limbs, batch, self.n1, self.n2)
-            .transpose(1, 0, 3, 2)).reshape(batch, limbs, self.ring_degree)
+        return (work.reshape(limbs, batch, self.n1, self.n2)
+                .transpose(1, 0, 3, 2).ascontiguous()
+                .reshape(batch, limbs, self.ring_degree))
 
     # -- hooks the tensor-core engine overrides (handles in, handle out) --
     def _gemm_limbs(self, lhs: DeviceBuffer, rhs: DeviceBuffer,

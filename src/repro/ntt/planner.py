@@ -12,18 +12,18 @@ transforms whole RNS polynomials through :meth:`NttPlanner.forward_limbs` /
 polynomial (the engine fuses the limb axis into a batched launch) instead
 of ``limb_count`` per-limb calls.
 
-Residency: every transform entry point accepts either host arrays or
+Residency: every transform entry point takes host arrays or
 :class:`~repro.backend.residency.DeviceBuffer` handles and forwards them
-verbatim — the engines follow the funnel convention (handle in → handle
-out), so a resident polynomial transforms without ever touching host.
+verbatim, and returns a handle — the engines' calling convention (arrays
+or handles in, a handle out), so a resident polynomial transforms without
+ever touching host.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Sequence, Tuple, Type
 
-import numpy as np
-
+from ..backend.residency import DeviceBuffer
 from .base import NttEngine
 from .four_step import FourStepNtt
 from .reference import ReferenceNtt
@@ -88,7 +88,7 @@ class NttPlanner:
     # Limb-batched transforms: one engine call per RNS polynomial.
     # ------------------------------------------------------------------
     def forward_limbs(self, ring_degree: int, moduli: Sequence[int],
-                      residues: np.ndarray) -> np.ndarray:
+                      residues) -> DeviceBuffer:
         """Forward-NTT a whole ``(limbs, N)`` residue matrix in one call.
 
         The engine cached for ``(N, moduli[0])`` executes the batch as
@@ -98,7 +98,7 @@ class NttPlanner:
         return engine.forward_limbs(residues, moduli)
 
     def inverse_limbs(self, ring_degree: int, moduli: Sequence[int],
-                      values: np.ndarray) -> np.ndarray:
+                      values) -> DeviceBuffer:
         """Inverse-NTT a whole ``(limbs, N)`` value matrix in one call."""
         engine = self.engine_for(ring_degree, int(moduli[0]))
         return engine.inverse_limbs(values, moduli)
@@ -107,7 +107,7 @@ class NttPlanner:
     # Operation-batched transforms: one engine call per (B, L, N) stack.
     # ------------------------------------------------------------------
     def forward_ops(self, ring_degree: int, moduli: Sequence[int],
-                    stacks: np.ndarray) -> np.ndarray:
+                    stacks) -> DeviceBuffer:
         """Forward-NTT a whole ``(B, limbs, N)`` stack in one call.
 
         Every operation shares the prime chain ``moduli``; the GEMM
@@ -118,7 +118,7 @@ class NttPlanner:
         return engine.forward_ops(stacks, moduli)
 
     def inverse_ops(self, ring_degree: int, moduli: Sequence[int],
-                    stacks: np.ndarray) -> np.ndarray:
+                    stacks) -> DeviceBuffer:
         """Inverse-NTT a whole ``(B, limbs, N)`` stack in one call."""
         engine = self.engine_for(ring_degree, int(moduli[0]))
         return engine.inverse_ops(stacks, moduli)

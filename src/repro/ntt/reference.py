@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..backend.residency import as_ndarray, match_residency
+from ..backend.residency import DeviceBuffer
 from ..numtheory.modular import mod_inverse
 from .base import NttEngine
 from .twiddle import get_twiddle_cache
@@ -58,10 +58,10 @@ class ReferenceNtt(NttEngine):
     def _transform_ops(self, stacks, moduli_array, *, inverse: bool):
         """Every row on its own, each with its limb's ``psi``."""
         transform = reference_inverse if inverse else reference_forward
-        rows = as_ndarray(stacks)
+        rows = stacks.ensure_host()
         out = np.empty_like(rows)
         for i, q in enumerate(moduli_array.tolist()):
             psi = get_twiddle_cache(self.ring_degree, q).psi
             for b in range(rows.shape[0]):
                 out[b, i] = transform(rows[b, i].tolist(), self.ring_degree, q, psi)
-        return match_residency(out, stacks)
+        return DeviceBuffer.wrap(out)

@@ -161,7 +161,7 @@ def _degree_scaled(matrix: np.ndarray, cache: TwiddleCache) -> np.ndarray:
     scaling commutes with the remaining stages).
     """
     return mat_mod_scalar_mul(matrix[None], cache.degree_inverse,
-                              (cache.modulus,))[0]
+                              (cache.modulus,)).ensure_host()[0]
 
 
 class TwiddleStack:

@@ -5,10 +5,10 @@ Scalar helpers work on Python integers (key generation, reference code);
 ``modular_matmul_*`` helpers are the *funnels*: every whole-polynomial
 launch of the library — element-wise CKKS arithmetic, the NTT engines'
 GEMMs, the fast basis conversion — calls one of them, and they call the
-active compute backend (:mod:`repro.backend`).  A funnel owns input
-coercion, shape checks and residency (:func:`~repro.backend.residency.
-on_handles`); the backend owns the arithmetic and its exactness, for
-every modulus.  The GPU in the paper has no hardware modulo support; the
+active compute backend (:mod:`repro.backend`).  A funnel takes array-likes
+and returns a :class:`~repro.backend.residency.DeviceBuffer` (the calling
+convention of :mod:`repro.backend.residency`) and owns the shape checks;
+the backend owns the arithmetic and its exactness, for every modulus.  The GPU in the paper has no hardware modulo support; the
 library's float64 answer to that — lazy Barrett reduction on the FMA units
 — lives in :mod:`repro.numtheory.floatmod`.
 """
@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from ..backend.registry import get_active_backend
-from ..backend.residency import on_handles
+from ..backend.residency import DeviceBuffer
 
 __all__ = [
     "mod_add",
@@ -139,10 +139,10 @@ def vec_mod_neg(a: np.ndarray, q: int) -> np.ndarray:
 
 
 def vec_mod_mul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """Element-wise ``(a * b) mod q``.
+    """Element-wise ``(a * b) mod q`` for reduced residues.
 
-    Residues must be below 2**31 so that the product fits in int64; all
-    moduli produced by :mod:`repro.numtheory.primes` satisfy this.
+    The int64 product is exact for ``q < 2**31``; a wider modulus falls
+    back to Python-integer arithmetic.
     """
     a = _as_int64(a)
     b = _as_int64(b)
@@ -163,13 +163,13 @@ def vec_mod_mul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
 # operation-level batching the paper's Figure 9/14 argue for, with the limb
 # dimension fused into the launch.  The launches themselves run on the
 # active compute backend (see :mod:`repro.backend`); these wrappers own
-# input coercion, the backend owns exactness.
+# the calling convention, the backend owns exactness.
 #
-# Residency: every helper accepts host arrays *or*
-# :class:`~repro.backend.residency.DeviceBuffer` handles through
-# :func:`~repro.backend.residency.on_handles` — handle in → handle out, so a
-# chain of element-wise launches stays float-resident between transforms;
-# plain arrays in → plain array out.
+# Residency: every helper takes host arrays or
+# :class:`~repro.backend.residency.DeviceBuffer` handles, wraps them once
+# (:meth:`~repro.backend.residency.DeviceBuffer.wrap` is idempotent) and
+# returns a handle, so a chain of element-wise launches stays
+# float-resident between transforms.
 # ----------------------------------------------------------------------
 
 def moduli_column(moduli) -> np.ndarray:
@@ -190,42 +190,42 @@ def _launch_moduli(moduli):
     return moduli if isinstance(moduli, tuple) else moduli_column(moduli)
 
 
-@on_handles(1)
-def mat_mod_reduce(matrix, moduli):
+def mat_mod_reduce(matrix, moduli) -> DeviceBuffer:
     """Row-wise ``matrix[i] mod moduli[i]``; a one-row matrix broadcasts."""
-    return get_active_backend().mat_reduce(matrix, _launch_moduli(moduli))
+    return get_active_backend().mat_reduce(DeviceBuffer.wrap(matrix),
+                                           _launch_moduli(moduli))
 
 
-@on_handles(2)
-def mat_mod_add(a, b, moduli):
+def mat_mod_add(a, b, moduli) -> DeviceBuffer:
     """Row-wise ``(a + b) mod moduli`` without overflow (reduced inputs)."""
-    return get_active_backend().mat_add(a, b, _launch_moduli(moduli))
+    return get_active_backend().mat_add(
+        DeviceBuffer.wrap(a), DeviceBuffer.wrap(b), _launch_moduli(moduli))
 
 
-@on_handles(2)
-def mat_mod_sub(a, b, moduli):
+def mat_mod_sub(a, b, moduli) -> DeviceBuffer:
     """Row-wise ``(a - b) mod moduli`` without overflow (reduced inputs)."""
-    return get_active_backend().mat_sub(a, b, _launch_moduli(moduli))
+    return get_active_backend().mat_sub(
+        DeviceBuffer.wrap(a), DeviceBuffer.wrap(b), _launch_moduli(moduli))
 
 
-@on_handles(1)
-def mat_mod_neg(a, moduli):
+def mat_mod_neg(a, moduli) -> DeviceBuffer:
     """Row-wise ``(-a) mod moduli``."""
-    return get_active_backend().mat_neg(a, _launch_moduli(moduli))
+    return get_active_backend().mat_neg(DeviceBuffer.wrap(a),
+                                        _launch_moduli(moduli))
 
 
-@on_handles(2)
-def mat_mod_mul(a, b, moduli, *, terms: int = 1):
+def mat_mod_mul(a, b, moduli, *, terms: int = 1) -> DeviceBuffer:
     """Row-wise ``(a * b) mod moduli``, summed over ``terms`` (axis 1) first.
 
     The Hada-Mult of the paper; with per-limb moduli and the limb axis
     leading, also the four-step NTT's twiddle correction.
     """
-    return get_active_backend().mat_mul(a, b, _launch_moduli(moduli),
-                                        terms=terms)
+    return get_active_backend().mat_mul(
+        DeviceBuffer.wrap(a), DeviceBuffer.wrap(b), _launch_moduli(moduli),
+        terms=terms)
 
 
-def mat_mod_scalar_mul(a: np.ndarray, scalars, moduli) -> np.ndarray:
+def mat_mod_scalar_mul(a, scalars, moduli) -> DeviceBuffer:
     """Multiply row ``i`` by integer ``scalars[i]`` modulo ``moduli[i]``.
 
     Accepts a single scalar (applied to every row, reduced per-modulus) or
@@ -242,8 +242,7 @@ def mat_mod_scalar_mul(a: np.ndarray, scalars, moduli) -> np.ndarray:
     return mat_mod_mul(a, scalar_column, moduli)
 
 
-@on_handles(2)
-def modular_matmul_limbs(lhs, rhs, moduli):
+def modular_matmul_limbs(lhs, rhs, moduli) -> DeviceBuffer:
     """Batched modular GEMM: ``out[i] = (lhs[i] @ rhs[i]) mod moduli[i]``.
 
     ``lhs`` has shape ``(limbs, M, K)`` and ``rhs`` ``(limbs, K, P)``; both
@@ -252,6 +251,7 @@ def modular_matmul_limbs(lhs, rhs, moduli):
     an operand handle, whose float64 images the blas backend builds once
     instead of converting per call.
     """
+    lhs, rhs = DeviceBuffer.wrap(lhs), DeviceBuffer.wrap(rhs)
     if lhs.ndim != 3 or rhs.ndim != 3:
         raise ValueError(
             "expected 3-D limb stacks, got %s @ %s" % (lhs.shape, rhs.shape)
@@ -264,9 +264,8 @@ def modular_matmul_limbs(lhs, rhs, moduli):
         lhs, rhs, np.asarray(moduli, dtype=np.int64))
 
 
-@on_handles(2)
 def modular_matmul_rows(lhs, rhs, row_moduli, *,
-                        operand_bound: Optional[int] = None):
+                        operand_bound: Optional[int] = None) -> DeviceBuffer:
     """Row-moduli GEMM: ``out[j] = (lhs[j] @ rhs) mod row_moduli[j]``.
 
     Used by the fast basis conversion, where every *output* row has its own
@@ -276,6 +275,7 @@ def modular_matmul_rows(lhs, rhs, row_moduli, *,
     ``max(lhs) * max(rhs)``) so no float-only operand is materialised just
     to scan it.
     """
+    lhs, rhs = DeviceBuffer.wrap(lhs), DeviceBuffer.wrap(rhs)
     if lhs.shape[-1] != rhs.shape[0]:
         raise ValueError(
             "inner dimensions do not match: %s @ %s" % (lhs.shape, rhs.shape)

@@ -1,7 +1,7 @@
 """Residue Number System layer: bases, polynomials, basis conversion, ModUp/ModDown."""
 
 from .basis import RnsBasis, build_default_basis
-from .conv import BasisConverter, convert_basis
+from .conv import BasisConverter
 from .moddown import ModDown
 from .modup import ModUp
 from .poly import PolyDomain, RnsPolynomial
@@ -12,7 +12,6 @@ __all__ = [
     "RnsPolynomial",
     "PolyDomain",
     "BasisConverter",
-    "convert_basis",
     "ModUp",
     "ModDown",
 ]

@@ -18,11 +18,10 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..backend.residency import DeviceBuffer, as_buffer, contiguous, is_buffer
+from ..backend.residency import DeviceBuffer
 from ..numtheory.modular import mat_mod_mul, mod_inverse, modular_matmul_rows
-from .poly import PolyDomain, RnsPolynomial
 
-__all__ = ["BasisConverter", "convert_basis"]
+__all__ = ["BasisConverter"]
 
 
 class BasisConverter:
@@ -56,14 +55,14 @@ class BasisConverter:
             [[h % p * int(f) % p for h in self.q_hat]
              for p, f in zip(self.target_moduli, factors)], dtype=np.int64
         )
-        # Conservative row-GEMM operand bound for resident inputs: the lhs
+        # Conservative row-GEMM operand bound for every input: the lhs
         # rows hold ``q_hat mod p_j`` (< max target prime) and the rhs holds
         # source residues (< max source prime).  A looser bound only shrinks
         # the exact accumulation chunks — values are unchanged — and it
         # spares the backend an int64 materialisation just to scan a
         # float-only operand.
-        self._resident_bound = ((max(self.target_moduli) - 1)
-                                * (max(self.source_moduli) - 1))
+        self._operand_bound = ((max(self.target_moduli) - 1)
+                               * (max(self.source_moduli) - 1))
         # The constants as constant handles (float images cached on first
         # float use): ``q_hat_inv`` down the limb-major launch, ``q_hat mod
         # p_j`` as the row-GEMM's lhs.
@@ -71,7 +70,7 @@ class BasisConverter:
             np.asarray(self.q_hat_inv, dtype=np.int64)[:, None, None])
         self._q_hat_buffer = DeviceBuffer.constant(self.q_hat_mod_target)
 
-    def convert_residues_batch(self, stacks: np.ndarray) -> np.ndarray:
+    def convert_residues_batch(self, stacks) -> DeviceBuffer:
         """Convert a ``(B, len(source), N)`` residue stack in fused launches.
 
         The conversion is two launches — the shape the Conv kernel takes on
@@ -80,47 +79,22 @@ class BasisConverter:
         the limb-major ``(S, B, N)`` view and the row-moduli GEMM ``out_j =
         (q_hat_mod_target[j] @ y) mod p_j`` folds the batch into its free
         dimension — ``(T, S) @ (S, B*N)``.  Its ``(T, B, N)`` result is
-        handed back as the ``(B, T, N)`` view, uncopied.  Residency handles
-        thread straight through both launches (handle in → handle out), and
-        a stream's output does not depend on the batch it was converted in.
+        handed back as the ``(B, T, N)`` view, uncopied.  The stack threads
+        straight through both launches as a handle, and a stream's output
+        does not depend on the batch it was converted in.
         """
-        resident = is_buffer(stacks)
-        if not resident:
-            stacks = np.asarray(stacks, dtype=np.int64)
-        if len(stacks.shape) != 3 or stacks.shape[1] != len(self.source_moduli):
+        stacks = DeviceBuffer.wrap(stacks)
+        if stacks.ndim != 3 or stacks.shape[1] != len(self.source_moduli):
             raise ValueError(
                 "expected a (B, %d, N) residue stack, got shape %s"
                 % (len(self.source_moduli), stacks.shape)
             )
         batch, source_count, n = stacks.shape
-        if batch == 0:
-            return np.zeros((0, len(self.target_moduli), n), dtype=np.int64)
         # (S, B, N): stream b occupies columns [b*N, (b+1)*N).
-        y = mat_mod_mul(as_buffer(stacks).transpose(1, 0, 2), self._q_hat_inv,
+        y = mat_mod_mul(stacks.transpose(1, 0, 2), self._q_hat_inv,
                         self.source_moduli)
         converted = modular_matmul_rows(
-            self._q_hat_buffer, contiguous(y).reshape(source_count, batch * n),
-            self.target_moduli, operand_bound=self._resident_bound)
-        converted = converted.reshape(
+            self._q_hat_buffer, y.ascontiguous().reshape(source_count, batch * n),
+            self.target_moduli, operand_bound=self._operand_bound)
+        return converted.reshape(
             len(self.target_moduli), batch, n).transpose(1, 0, 2)
-        return converted if resident else converted.ensure_host()
-
-    def convert(self, polynomial: RnsPolynomial) -> RnsPolynomial:
-        """Convert an :class:`RnsPolynomial` to the target basis.
-
-        The polynomial must be in the coefficient domain (basis conversion
-        operates on integer residues, not NTT values).
-        """
-        if polynomial.domain != PolyDomain.COEFFICIENT:
-            raise ValueError("basis conversion requires the coefficient domain")
-        if tuple(polynomial.moduli) != self.source_moduli:
-            raise ValueError("polynomial basis does not match the converter's source basis")
-        converted = self.convert_residues_batch(polynomial.buffer[None])[0]
-        return RnsPolynomial(polynomial.ring_degree, self.target_moduli, converted,
-                             PolyDomain.COEFFICIENT)
-
-
-def convert_basis(polynomial: RnsPolynomial, target_moduli: Sequence[int]) -> RnsPolynomial:
-    """One-shot convenience wrapper around :class:`BasisConverter`."""
-    converter = BasisConverter(polynomial.moduli, target_moduli)
-    return converter.convert(polynomial)

@@ -26,10 +26,9 @@ from typing import Sequence
 
 import numpy as np
 
-from ..backend.residency import DeviceBuffer, as_buffer, is_buffer
+from ..backend.residency import DeviceBuffer
 from ..numtheory.modular import mat_mod_mul, mat_mod_sub, mod_inverse
 from .conv import BasisConverter
-from .poly import PolyDomain, RnsPolynomial
 
 __all__ = ["ModDown"]
 
@@ -53,17 +52,7 @@ class ModDown:
         self._p_inverse_column = DeviceBuffer.constant(np.asarray(
             p_inverses, dtype=np.int64)[:, None, None])
 
-    def apply(self, polynomial: RnsPolynomial) -> RnsPolynomial:
-        """Return ``round(polynomial / P)`` in the ciphertext basis (``B = 1``)."""
-        if polynomial.domain != PolyDomain.COEFFICIENT:
-            raise ValueError("ModDown requires the coefficient domain")
-        expected = self.ciphertext_moduli + self.special_moduli
-        if tuple(polynomial.moduli) != expected:
-            raise ValueError("polynomial basis does not match this ModDown instance")
-        return RnsPolynomial(polynomial.ring_degree, self.ciphertext_moduli,
-                             self.apply_batch(polynomial.buffer[None])[0])
-
-    def apply_batch(self, stacks: np.ndarray) -> np.ndarray:
+    def apply_batch(self, stacks) -> DeviceBuffer:
         """ModDown a ``(B, extended, N)`` residue stack to ``(B, active, N)``.
 
         The ciphertext limbs of every stream are scaled by ``P^{-1}`` in
@@ -71,13 +60,13 @@ class ModDown:
         (exact at any modulus width); the rest is the tail of
         :meth:`apply_scaled`, so no per-stream loop remains.
         """
-        stacks, resident = self._checked(stacks)
+        stacks = self._checked(stacks)
         count = len(self.ciphertext_moduli)
         scaled = mat_mod_mul(stacks[:, :count].transpose(1, 0, 2),
                              self._p_inverse_column, self.ciphertext_moduli)
-        return self._tail(scaled, stacks[:, count:], resident)
+        return self._tail(scaled, stacks[:, count:])
 
-    def apply_scaled(self, stacks: np.ndarray) -> np.ndarray:
+    def apply_scaled(self, stacks) -> DeviceBuffer:
         """ModDown a stack whose ciphertext limbs already carry ``P^{-1}``.
 
         ``[x_i * P^{-1} - Conv'([x]_P)_i]_{q_i}`` for a ``(B, extended, N)``
@@ -85,25 +74,23 @@ class ModDown:
         in its special limbs: one batched Conv and one subtraction.  The
         key switch's accumulators arrive in this form.
         """
-        stacks, resident = self._checked(stacks)
+        stacks = self._checked(stacks)
         count = len(self.ciphertext_moduli)
         return self._tail(stacks[:, :count].transpose(1, 0, 2),
-                          stacks[:, count:], resident)
+                          stacks[:, count:])
 
-    def _checked(self, stacks):
-        """``stacks`` as a handle, and whether the caller passed one."""
-        resident = is_buffer(stacks)
-        if not resident:
-            stacks = np.asarray(stacks, dtype=np.int64)
+    def _checked(self, stacks) -> DeviceBuffer:
+        """``stacks`` as a handle, its shape checked."""
+        stacks = DeviceBuffer.wrap(stacks)
         expected_limbs = len(self.ciphertext_moduli) + len(self.special_moduli)
-        if len(stacks.shape) != 3 or stacks.shape[1] != expected_limbs:
+        if stacks.ndim != 3 or stacks.shape[1] != expected_limbs:
             raise ValueError(
                 "expected a (B, %d, N) residue stack, got shape %s"
                 % (expected_limbs, stacks.shape)
             )
-        return as_buffer(stacks), resident
+        return stacks
 
-    def _tail(self, scaled, special, resident: bool):
+    def _tail(self, scaled: DeviceBuffer, special: DeviceBuffer) -> DeviceBuffer:
         """``scaled - Conv'(special)``: the limb-major ``(active, B, N)``
         scaled limbs against the ``(B, K, N)`` special limbs.
 
@@ -112,10 +99,6 @@ class ModDown:
         the stack's residency handle, Conv included, so a float-resident
         operand never materialises int64.
         """
-        if special.shape[0] == 0:
-            return np.zeros((0, len(self.ciphertext_moduli), special.shape[2]),
-                            dtype=np.int64)
         folded = self._converter.convert_residues_batch(special)
-        residues = mat_mod_sub(scaled, folded.transpose(1, 0, 2),
-                               self.ciphertext_moduli).transpose(1, 0, 2)
-        return residues if resident else residues.ensure_host()
+        return mat_mod_sub(scaled, folded.transpose(1, 0, 2),
+                           self.ciphertext_moduli).transpose(1, 0, 2)

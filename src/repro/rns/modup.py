@@ -11,11 +11,8 @@ from __future__ import annotations
 
 from typing import List, Sequence
 
-import numpy as np
-
-from ..backend.residency import is_buffer, stack_arrays
+from ..backend.residency import DeviceBuffer, stack_arrays
 from .conv import BasisConverter
-from .poly import PolyDomain, RnsPolynomial
 
 __all__ = ["ModUp"]
 
@@ -40,16 +37,7 @@ class ModUp:
             else len(self.group_moduli) + missing_index[q]
             for q in self.target_moduli]
 
-    def apply(self, polynomial: RnsPolynomial) -> RnsPolynomial:
-        """Return ``polynomial`` represented in the target basis (``B = 1``)."""
-        if polynomial.domain != PolyDomain.COEFFICIENT:
-            raise ValueError("ModUp requires the coefficient domain")
-        if tuple(polynomial.moduli) != self.group_moduli:
-            raise ValueError("polynomial basis does not match this ModUp instance")
-        return RnsPolynomial(polynomial.ring_degree, self.target_moduli,
-                             self.apply_batch(polynomial.buffer[None])[0])
-
-    def apply_batch(self, stacks: np.ndarray) -> np.ndarray:
+    def apply_batch(self, stacks) -> DeviceBuffer:
         """Raise a ``(B, group, N)`` residue stack to ``(B, target, N)``.
 
         The target tensor is :meth:`rows` assembled in one copy, so the
@@ -58,7 +46,7 @@ class ModUp:
         """
         return stack_arrays(self.rows(stacks), axis=1)
 
-    def rows(self, stacks) -> List:
+    def rows(self, stacks) -> List[DeviceBuffer]:
         """The target rows of a ``(B, group, N)`` stack, uncopied.
 
         Row ``i`` is the ``(B, N)`` residues of every stream modulo
@@ -68,9 +56,8 @@ class ModUp:
         a missing one.  A caller laying out the rows of several groups, or
         only some rows, assembles them itself in one copy.
         """
-        if not is_buffer(stacks):
-            stacks = np.asarray(stacks, dtype=np.int64)
-        if len(stacks.shape) != 3 or stacks.shape[1] != len(self.group_moduli):
+        stacks = DeviceBuffer.wrap(stacks)
+        if stacks.ndim != 3 or stacks.shape[1] != len(self.group_moduli):
             raise ValueError(
                 "expected a (B, %d, N) residue stack, got shape %s"
                 % (len(self.group_moduli), stacks.shape)

@@ -215,16 +215,12 @@ class TestKernelParity:
         funnel, operands = _kernel_cases(rng, primes)[kernel]
         want = _python_reference(kernel, operands, primes)
         with use_backend(backend_name):
-            got = funnel(*operands, primes)
-            assert isinstance(got, np.ndarray) and got.dtype == np.int64
-            assert np.array_equal(got, want)
-            handle = funnel(*[DeviceBuffer.wrap(x) for x in operands], primes)
-            assert isinstance(handle, DeviceBuffer)
-            assert np.array_equal(handle.ensure_host(), want)
-            # One handle among arrays is enough for a handle back.
-            mixed = funnel(DeviceBuffer.wrap(operands[0]), *operands[1:], primes)
-            assert isinstance(mixed, DeviceBuffer)
-            assert np.array_equal(mixed.ensure_host(), want)
+            for got in (funnel(*operands, primes),
+                        funnel(*[DeviceBuffer.wrap(x) for x in operands], primes),
+                        funnel(DeviceBuffer.wrap(operands[0]), *operands[1:],
+                               primes)):
+                assert isinstance(got, DeviceBuffer)
+                assert np.array_equal(got.ensure_host(), want)
 
     @pytest.mark.parametrize("bits", [24, 30])
     @pytest.mark.parametrize("kernel", KERNELS)

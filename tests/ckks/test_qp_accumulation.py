@@ -58,25 +58,32 @@ class KeyMaterial:
                 self.rotation.conjugation_key]
 
 
+def one_stream(entry_point, moduli, polynomial):
+    """``entry_point`` on the ``(1, L, N)`` stack of ``polynomial``."""
+    return RnsPolynomial(polynomial.ring_degree, moduli,
+                         entry_point(polynomial.buffer[None])[0])
+
+
 def classic_switch(context, key, level, polynomial):
     """Algorithm 1 for one stream with an unscaled key: ModUp per group,
-    NTT, inner product, INTT, then ``ModDown.apply`` (Conv, subtract,
-    multiply by ``P^{-1}``)."""
+    NTT, inner product, INTT, then ``ModDown.apply_batch`` at B = 1 (Conv,
+    subtract, multiply by ``P^{-1}``)."""
     planner, degree = context.planner, context.ring_degree
     extended = context.extended_moduli_at_level(level)
     key_level = key.at_level(level)
     rows = len(extended)
     sums = [None, None]
     for j, group in enumerate(key_level.group_moduli):
-        raised = ModUp(group, extended).apply(
-            polynomial.restrict_to(group)).to_evaluation(planner)
+        raised = one_stream(ModUp(group, extended).apply_batch, extended,
+                            polynomial.restrict_to(group)).to_evaluation(planner)
         for c, stack in enumerate(key_level.stacks):
             term = raised.hadamard(RnsPolynomial(
                 degree, extended, stack[j * rows:(j + 1) * rows],
                 PolyDomain.EVALUATION))
             sums[c] = term if sums[c] is None else sums[c].add(term)
     moddown = ModDown(context.moduli_at_level(level), context.basis.special_primes)
-    return [moddown.apply(total.to_coefficient(planner)) for total in sums]
+    return [one_stream(moddown.apply_batch, moddown.ciphertext_moduli,
+                       total.to_coefficient(planner)) for total in sums]
 
 
 def classic_multiply(context, key, lhs, rhs):

@@ -12,7 +12,7 @@ import inspect
 import numpy as np
 import pytest
 
-from repro.backend.residency import as_ndarray, stack_arrays
+from repro.backend.residency import stack_arrays
 from repro.ckks import Ciphertext, evaluator as evaluator_module
 from repro.ckks import keyswitch as keyswitch_module
 from repro.ckks.batched_evaluator import BatchedEvaluator
@@ -99,9 +99,9 @@ class TestSwitchKeyStoredOnce:
         assert key_level is fhe.relinearization_key.at_level(lhs.level)
         # The launch operands are limb-major views of the stored arrays.
         for operand, stack in zip(key_level.operands, key_level.stacks):
-            assert np.shares_memory(as_ndarray(operand), stack)
+            assert np.shares_memory(np.asarray(operand), stack)
             assert np.array_equal(
-                as_ndarray(operand)[:, :, 0].transpose(1, 0, 2).reshape(
+                np.asarray(operand)[:, :, 0].transpose(1, 0, 2).reshape(
                     stack.shape), stack)
 
     def test_misshapen_stack_rejected(self):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend import DeviceBuffer
 from repro.numtheory import generate_ntt_prime, generate_ntt_primes
 from repro.ntt import (
     DEFAULT_ENGINE,
@@ -260,7 +261,8 @@ class TestOnePrimitive:
 
             def _transform_ops(self, stacks, moduli_array, *, inverse):
                 calls.append(inverse)
-                return (-stacks) % moduli_array[None, :, None]
+                return DeviceBuffer.wrap(
+                    (-np.asarray(stacks)) % moduli_array[None, :, None])
 
         q = generate_ntt_prime(20, 8)
         engine = Negate(8, q)

@@ -162,6 +162,6 @@ class TestMatrixOps:
     def test_mat_scalar_mul_huge_scalar(self):
         a = np.ones((3, 4), dtype=np.int64)
         huge = 1 << 200
-        scaled = mat_mod_scalar_mul(a, huge, self.MODULI)
+        scaled = np.asarray(mat_mod_scalar_mul(a, huge, self.MODULI))
         for i, q in enumerate(self.MODULI):
             assert np.all(scaled[i] == huge % q)

@@ -13,7 +13,6 @@ from repro.rns import (
     RnsBasis,
     RnsPolynomial,
     build_default_basis,
-    convert_basis,
 )
 
 RING_DEGREE = 32
@@ -212,6 +211,17 @@ class TestRnsPolynomial:
         assert nonzero == 5
 
 
+def _batch_of_one(entry_point, poly: RnsPolynomial, moduli) -> RnsPolynomial:
+    """``entry_point`` on the ``(1, L, N)`` stack of ``poly``, read back."""
+    return RnsPolynomial(poly.ring_degree, moduli,
+                         np.asarray(entry_point(poly.residues[None]))[0])
+
+
+def _converted(converter: BasisConverter, poly: RnsPolynomial) -> RnsPolynomial:
+    return _batch_of_one(converter.convert_residues_batch, poly,
+                         converter.target_moduli)
+
+
 class TestBasisConversion:
     def test_exact_for_single_prime_source(self, basis, rng):
         """With a single source prime the fast conversion is exact
@@ -220,7 +230,7 @@ class TestBasisConversion:
         target = basis.special_primes
         coefficients = rng.integers(0, 200, RING_DEGREE)
         poly = RnsPolynomial.from_integers(coefficients, source)
-        converted = convert_basis(poly, target)
+        converted = _converted(BasisConverter(source, target), poly)
         expected = RnsPolynomial.from_integers(coefficients, target)
         assert converted == expected
 
@@ -231,7 +241,7 @@ class TestBasisConversion:
         target = basis.special_primes
         target_crt = CrtContext(target)
         poly = _random_poly(rng, source)
-        converted = BasisConverter(source, target).convert(poly)
+        converted = _converted(BasisConverter(source, target), poly)
         source_crt = CrtContext(source)
         for i in range(RING_DEGREE):
             original = source_crt.compose([int(poly.residues[l, i]) for l in range(2)])
@@ -245,11 +255,6 @@ class TestBasisConversion:
         with pytest.raises(ValueError):
             BasisConverter(basis.primes_at_level(1), basis.primes_at_level(2))
 
-    def test_requires_coefficient_domain(self, basis, rng):
-        poly = _random_poly(rng, basis.primes_at_level(0), PolyDomain.EVALUATION)
-        with pytest.raises(ValueError):
-            convert_basis(poly, basis.special_primes)
-
 
 class TestModUpModDown:
     def test_modup_preserves_value_mod_group(self, basis, rng):
@@ -261,7 +266,8 @@ class TestModUpModDown:
             group_product *= q
         coefficients = rng.integers(0, 100, RING_DEGREE)
         poly = RnsPolynomial.from_integers(coefficients, group)
-        raised = ModUp(group, extended).apply(poly)
+        raised = _batch_of_one(ModUp(group, extended).apply_batch, poly,
+                               extended)
         assert raised.moduli == extended
         # Small non-negative values are represented exactly; in general the
         # raised value may differ by a small multiple of the group modulus.
@@ -276,7 +282,8 @@ class TestModUpModDown:
         special_product = basis.special_product
         values = [special_product * v for v in range(-8, RING_DEGREE - 8)]
         poly = RnsPolynomial.from_integers(values, extended)
-        lowered = ModDown(active, basis.special_primes).apply(poly)
+        lowered = _batch_of_one(ModDown(active, basis.special_primes).apply_batch,
+                                poly, active)
         assert lowered.to_integers() == list(range(-8, RING_DEGREE - 8))
 
     def test_moddown_rounding_error_is_small(self, basis, rng):
@@ -287,7 +294,8 @@ class TestModUpModDown:
         noise = rng.integers(-special_product // 4, special_product // 4, RING_DEGREE)
         values = [int(special_product) * int(v) + int(e) for v, e in zip(exact, noise)]
         poly = RnsPolynomial.from_integers(values, extended)
-        lowered = ModDown(active, basis.special_primes).apply(poly)
+        lowered = _batch_of_one(ModDown(active, basis.special_primes).apply_batch,
+                                poly, active)
         recovered = lowered.to_integers()
         for got, want in zip(recovered, exact):
             assert abs(got - want) <= len(basis.special_primes) + 1
@@ -295,4 +303,5 @@ class TestModUpModDown:
     def test_moddown_requires_matching_basis(self, basis, rng):
         poly = _random_poly(rng, basis.primes_at_level(1))
         with pytest.raises(ValueError):
-            ModDown(basis.primes_at_level(1), basis.special_primes).apply(poly)
+            ModDown(basis.primes_at_level(1),
+                    basis.special_primes).apply_batch(poly.residues[None])
