@@ -179,9 +179,9 @@ class TensorFheContext:
         """Refresh one exhausted (level-0) ciphertext to a high level."""
         bootstrapper = self.bootstrapper
         self.ensure_rotation_keys(bootstrapper.required_rotation_steps())
-        return bootstrapper.bootstrap(ciphertext, self.evaluator,
-                                      self.encryptor, self.relinearization_key,
-                                      self.rotation_keys)
+        return bootstrapper.bootstrap_many(
+            [ciphertext], self.batched_evaluator, self.encryptor,
+            self.relinearization_key, self.rotation_keys)[0]
 
     # ------------------------------------------------------------------
     # Batched FHE operations (independent streams, fused launches)
@@ -341,7 +341,7 @@ class TensorFheContext:
         """A multi-tenant :class:`~repro.serving.ServingEngine` over this context.
 
         Keyword arguments are forwarded to the engine constructor
-        (``config=``, ``registry=``, ``scheduler=``).  Imported lazily so
+        (``config=``, ``registry=``).  Imported lazily so
         the api layer stays importable without the serving subsystem.
         """
         from ..serving import ServingEngine

@@ -4,8 +4,10 @@ TensorFHE's execution model is operation-level batching (Section IV-D,
 Figure 9): an FHE operation *is* a ``(B, L, N)`` launch over ``B``
 independent streams, and a lone ciphertext is its ``B = 1`` case.
 :class:`BatchedEvaluator` is that one implementation.  Every method takes
-*streams* of operands, groups them by their active prime chain, and
-executes each group with
+*streams* of operands and is a launch body in one frame,
+:meth:`~BatchedEvaluator._per_chain`, which groups the streams by their
+active prime chain, runs each group as one launch and scatters the
+results back in order.  A launch is
 
 * **one** ``forward_ops``/``inverse_ops`` engine call per transform step —
   a single batched backend GEMM covering every stream and every limb — and
@@ -21,7 +23,9 @@ neither do its counts, with one rule: an operand shared by streams of one
 launch is transformed, and counted, once (HMULT's squares and partners
 that are another stream's operand).  The HMULT key switch and the
 rotation / conjugation paths run through
-:class:`~repro.ckks.batched_keyswitch.BatchedKeySwitcher`.  HMULT hands it
+:class:`~repro.ckks.batched_keyswitch.BatchedKeySwitcher`, stack in and
+stack out: the launch hands it a ``(B, L, N)`` slice of its own output and
+slices the ``(2B, L, N)`` pairs it returns.  HMULT also hands it
 the evaluation-domain image of ``d2`` its tensor product already holds,
 and ``d0``, ``d1`` as an addend: they join the key-switch accumulators in
 the evaluation domain, before their INTT (``ModDown(acc + P·d) =
@@ -50,7 +54,7 @@ the ones the per-diagonal CMULT + HADD chain produces).
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -63,6 +67,7 @@ from ..kernels.base import KernelName
 from ..numtheory.modular import (
     mat_mod_add,
     mat_mod_mul,
+    mat_mod_neg,
     mat_mod_reduce,
     mat_mod_sub,
     moduli_column,
@@ -113,16 +118,23 @@ class BatchedEvaluator:
 
     @pinned
     def negate(self, ciphertexts: Sequence[Ciphertext]) -> List[Ciphertext]:
-        """Negate every stream.
+        """Negate every stream: one launch over the ``c0 | c1`` stack per chain.
 
-        Negation is a pure host-side modular map with no kernel launches,
-        so there is nothing to fuse or to count.
+        Each component keeps its domain (negation is the same map in
+        both).  Not a Table II kernel, so nothing is counted.
         """
-        return [
-            Ciphertext(c0=ciphertext.c0.negate(), c1=ciphertext.c1.negate(),
-                       scale=ciphertext.scale, level=ciphertext.level)
-            for ciphertext in ciphertexts
-        ]
+        def launch(moduli, members):
+            batch = len(members)
+            negated = self._limb_major(mat_mod_neg(self._limb_major(self._stack(
+                [ct.c0 for ct in members] + [ct.c1 for ct in members])), moduli))
+            return [
+                Ciphertext(c0=self._poly(moduli, negated[j], ct.c0.domain),
+                           c1=self._poly(moduli, negated[batch + j], ct.c1.domain),
+                           scale=ct.scale, level=ct.level)
+                for j, ct in enumerate(members)
+            ]
+
+        return self._per_chain(list(ciphertexts), lambda ct: ct.moduli, launch)
 
     # ------------------------------------------------------------------
     # HADD / subtraction (Alg. 5): one Ele-Add launch per component
@@ -149,23 +161,17 @@ class BatchedEvaluator:
             self._check_scales(lhs.scale, rhs.scale)
             pairs.append(self._aligned(lhs, rhs))
 
-        results: List[Optional[Ciphertext]] = [None] * len(pairs)
-        for moduli, indices in self._grouped(p[0].moduli for p in pairs).items():
-            batch, limbs = len(indices), len(moduli)
+        def launch(moduli, members):
             outputs = []
             for component in ("c0", "c1"):
-                left = self._stack([getattr(pairs[i][0], component) for i in indices])
-                right = self._stack([getattr(pairs[i][1], component) for i in indices])
+                left = self._stack([getattr(lhs, component) for lhs, _ in members])
+                right = self._stack([getattr(rhs, component) for _, rhs in members])
                 outputs.append(self._fused(funnel, left, right, moduli))
-                self._record(kernel, batch, limbs)
-            for j, i in enumerate(indices):
-                lhs = pairs[i][0]
-                results[i] = Ciphertext(
-                    c0=self._poly(moduli, outputs[0][j]),
-                    c1=self._poly(moduli, outputs[1][j]),
-                    scale=lhs.scale, level=lhs.level,
-                )
-        return results
+                self._record(kernel, len(members), len(moduli))
+            return self._ciphertexts(moduli, *outputs,
+                                     [lhs.scale for lhs, _ in members])
+
+        return self._per_chain(pairs, lambda entry: entry[0].moduli, launch)
 
     @pinned
     def add_plain(self, ciphertexts: Sequence[Ciphertext],
@@ -177,21 +183,17 @@ class BatchedEvaluator:
             streams.append((self._coefficient(ciphertext),
                             self._plain_at_level(plaintext, ciphertext.level)))
 
-        results: List[Optional[Ciphertext]] = [None] * len(streams)
-        for moduli, indices in self._grouped(s[0].moduli for s in streams).items():
-            batch, limbs = len(indices), len(moduli)
-            left = self._stack([streams[i][0].c0 for i in indices])
-            right = self._stack([streams[i][1] for i in indices])
-            sums = self._fused(mat_mod_add, left, right, moduli)
-            self._record(KernelName.ELE_ADD, batch, limbs)
-            for j, i in enumerate(indices):
-                ciphertext = streams[i][0]
-                results[i] = Ciphertext(
-                    c0=self._poly(moduli, sums[j]),
-                    c1=ciphertext.c1.copy(),
-                    scale=ciphertext.scale, level=ciphertext.level,
-                )
-        return results
+        def launch(moduli, members):
+            sums = self._fused(mat_mod_add,
+                               self._stack([ct.c0 for ct, _ in members]),
+                               self._stack([plain for _, plain in members]),
+                               moduli)
+            self._record(KernelName.ELE_ADD, len(members), len(moduli))
+            return self._ciphertexts(moduli, sums,
+                                     [ct.c1.buffer.copy() for ct, _ in members],
+                                     [ct.scale for ct, _ in members])
+
+        return self._per_chain(streams, lambda entry: entry[0].moduli, launch)
 
     # ------------------------------------------------------------------
     # CMULT (Alg. 3): one NTT / Hadamard / INTT step for all streams
@@ -205,15 +207,14 @@ class BatchedEvaluator:
              self._plain_at_level(plaintext, ciphertext.level))
             for ciphertext, plaintext in self._zipped(ciphertexts, plaintexts)
         ]
-        results: List[Optional[Ciphertext]] = [None] * len(streams)
-        for moduli, indices in self._grouped(s[0].moduli for s in streams).items():
-            entries = [streams[i] for i in indices]
-            batch, limbs = len(entries), len(moduli)
+
+        def launch(moduli, members):
+            batch, limbs = len(members), len(moduli)
             evals = self.context.planner.forward_ops(
                 self.context.ring_degree, moduli, self._stack(
-                    [entry[0].c0 for entry in entries]
-                    + [entry[0].c1 for entry in entries]
-                    + [entry[2] for entry in entries]))
+                    [ct.c0 for ct, _, _ in members]
+                    + [ct.c1 for ct, _, _ in members]
+                    + [plain for _, _, plain in members]))
             self._record(KernelName.NTT, 3 * batch, limbs)
             plain_eval = evals[2 * batch:]
             d0 = self._fused(mat_mod_mul, evals[:batch], plain_eval, moduli)
@@ -223,14 +224,11 @@ class BatchedEvaluator:
             coeff = self.context.planner.inverse_ops(
                 self.context.ring_degree, moduli, concatenate_arrays([d0, d1]))
             self._record(KernelName.INTT, 2 * batch, limbs)
-            for j, (i, (ciphertext, plaintext, _)) in enumerate(zip(indices, entries)):
-                results[i] = Ciphertext(
-                    c0=self._poly(moduli, coeff[j]),
-                    c1=self._poly(moduli, coeff[batch + j]),
-                    scale=ciphertext.scale * plaintext.scale,
-                    level=ciphertext.level,
-                )
-        return results
+            return self._ciphertexts(
+                moduli, coeff[:batch], coeff[batch:],
+                [ct.scale * plaintext.scale for ct, plaintext, _ in members])
+
+        return self._per_chain(streams, lambda entry: entry[0].moduli, launch)
 
     # ------------------------------------------------------------------
     # Evaluation-domain residency: fused domain moves and the plaintext
@@ -279,28 +277,26 @@ class BatchedEvaluator:
                     raise ValueError("the terms of a stream must share its level")
                 self._check_scales(ciphertext.scale, head.scale)
 
-        results: List[Optional[Ciphertext]] = [None] * len(first)
-        for moduli, indices in self._grouped(ct.moduli for ct in first).items():
-            batch, limbs = len(indices), len(moduli)
-            level = first[indices[0]].level
+        def launch(moduli, members):      # members: the term tuple of a stream
+            batch, limbs = len(members), len(moduli)
             # (k * 2B, L, N) → (L, k, 2B, N): limb-major, the summed axis second.
             stacked = self._stack(
-                [getattr(streams[i], component) for streams in term_streams
-                 for component in ("c0", "c1") for i in indices]
+                [getattr(stream[k], component) for k in range(terms)
+                 for component in ("c0", "c1") for stream in members]
             ).reshape(terms, 2 * batch, limbs, -1).transpose(2, 0, 1, 3)
             # One term leaves its (unsummed) axis in place: fold it away.
             sums = self._limb_major(mat_mod_mul(
-                stacked, operand_at(level), moduli, terms=terms
+                stacked, operand_at(limbs - 1), moduli, terms=terms
             ).reshape(limbs, 2 * batch, -1))
             self._record(KernelName.HADAMARD, 2 * terms * batch, limbs)
             self._record(KernelName.ELE_ADD, 2 * (terms - 1) * batch, limbs)
-            for j, i in enumerate(indices):
-                results[i] = Ciphertext(
-                    c0=self._poly(moduli, sums[j], PolyDomain.EVALUATION),
-                    c1=self._poly(moduli, sums[batch + j], PolyDomain.EVALUATION),
-                    scale=first[i].scale * scale, level=level,
-                )
-        return results
+            return self._ciphertexts(
+                moduli, sums[:batch], sums[batch:],
+                [stream[0].scale * scale for stream in members],
+                PolyDomain.EVALUATION)
+
+        return self._per_chain(list(zip(*term_streams)),
+                               lambda terms: terms[0].moduli, launch)
 
     # ------------------------------------------------------------------
     # HMULT (Alg. 2): B ciphertext multiplications with relinearization
@@ -312,12 +308,10 @@ class BatchedEvaluator:
         """HMULT: fused transforms and one fused key switch."""
         pairs = [self._aligned(lhs, rhs)
                  for lhs, rhs in self._zipped(lhs_streams, rhs_streams)]
-        results: List[Optional[Ciphertext]] = [None] * len(pairs)
-        for moduli, indices in self._grouped(p[0].moduli for p in pairs).items():
-            entries = [pairs[i] for i in indices]
-            batch = len(entries)
-            level = entries[0][0].level
-            d2_coeff, d2, d0_d1 = self._tensor_product(entries, moduli)
+
+        def launch(moduli, members):
+            batch = len(members)
+            d2_coeff, d2, d0_d1 = self._tensor_product(members, moduli)
             # Generalized key switching, fused across the B axis: the dnum
             # decomposition of every stream runs as batched ModUp / NTT /
             # inner-product / ModDown launches, ModUp's copies of d2's own
@@ -325,12 +319,13 @@ class BatchedEvaluator:
             # d0 | d1 join the accumulators before their INTT: the switched
             # pair is the product.
             switched = self.key_switcher.switch_many(
-                [self._poly(moduli, d2_coeff[j]) for j in range(batch)],
-                relinearization_key, level, evaluations=d2, addend=d0_d1)
-            for (i, (lhs, rhs)), (c0, c1) in zip(zip(indices, entries), switched):
-                results[i] = Ciphertext(c0=c0, c1=c1,
-                                        scale=lhs.scale * rhs.scale, level=level)
-        return results
+                d2_coeff, relinearization_key, len(moduli) - 1,
+                evaluations=d2, addend=d0_d1)
+            return self._ciphertexts(
+                moduli, switched[:batch], switched[batch:],
+                [lhs.scale * rhs.scale for lhs, rhs in members])
+
+        return self._per_chain(pairs, lambda entry: entry[0].moduli, launch)
 
     def _tensor_product(self, entries, moduli):
         """``d2`` of every aligned pair in both domains, and ``d0``, ``d1``.
@@ -394,16 +389,12 @@ class BatchedEvaluator:
         for ciphertext in ciphertexts:
             if ciphertext.level == 0:
                 raise ValueError("cannot rescale a level-0 ciphertext")
-        ciphertexts = self._in_domain(ciphertexts, PolyDomain.COEFFICIENT)
-        results: List[Optional[Ciphertext]] = [None] * len(ciphertexts)
-        for moduli, indices in self._grouped(
-                ct.moduli for ct in ciphertexts).items():
-            batch, limbs = len(indices), len(moduli)
+
+        def launch(moduli, members):
+            batch, limbs = len(members), len(moduli)
             surviving = moduli[:-1]
-            last_prime = moduli[-1]
-            polys = ([ciphertexts[i].c0 for i in indices]
-                     + [ciphertexts[i].c1 for i in indices])
-            stacks = self._limb_major(self._stack(polys))     # (L, 2B, N)
+            stacks = self._limb_major(self._stack(
+                [ct.c0 for ct in members] + [ct.c1 for ct in members]))  # (L, 2B, N)
             # (c_i - c_last) * q_last^{-1} mod q_i, all streams and limbs
             # in three funnel launches over the (L-1, 2B, N) view — the
             # last limb broadcasts down the surviving ones; the funnel
@@ -414,15 +405,13 @@ class BatchedEvaluator:
             scaled = self._limb_major(mat_mod_mul(
                 diff, self.context.rescale_inverses(moduli), surviving))
             self._record(KernelName.ELE_SUB, 2 * batch, limbs - 1)
-            for j, i in enumerate(indices):
-                ciphertext = ciphertexts[i]
-                results[i] = Ciphertext(
-                    c0=self._poly(surviving, scaled[j]),
-                    c1=self._poly(surviving, scaled[batch + j]),
-                    scale=ciphertext.scale / last_prime,
-                    level=ciphertext.level - 1,
-                )
-        return results
+            return self._ciphertexts(
+                surviving, scaled[:batch], scaled[batch:],
+                [ct.scale / moduli[-1] for ct in members])
+
+        return self._per_chain(
+            self._in_domain(ciphertexts, PolyDomain.COEFFICIENT),
+            lambda ct: ct.moduli, launch)
 
     # ------------------------------------------------------------------
     # HROTATE (Alg. 4) / HCONJ: B automorphisms plus one fused key switch
@@ -473,36 +462,30 @@ class BatchedEvaluator:
         gather of the ``2B`` components into a ``(2B, L, N)`` output in the
         image the streams rest in (:func:`~repro.backend.residency.
         combine_arrays`' rule), recorded once per component; then one
-        B-fused key switch of the ``c1`` rows and one Ele-Add launch.
+        B-fused key switch of its ``c1`` rows, and one Ele-Add launch of
+        the switched ``c0`` rows onto its ``c0`` rows.
         """
-        ciphertexts = self._in_domain(ciphertexts, PolyDomain.COEFFICIENT)
-        results: List[Optional[Ciphertext]] = [None] * len(ciphertexts)
-        for moduli, indices in self._grouped(
-                ct.moduli for ct in ciphertexts).items():
-            entries = [ciphertexts[i] for i in indices]
-            batch, limbs = len(entries), len(moduli)
-            level = entries[0].level
+        def launch(moduli, members):
+            batch, limbs = len(members), len(moduli)
             # Each component is read once, straight into its output row:
             # no stacked copy of the inputs in between.
             column = moduli_column(moduli)
             rotated = combine_arrays(
-                [ct.c0.buffer for ct in entries] + [ct.c1.buffer for ct in entries],
+                [ct.c0.buffer for ct in members] + [ct.c1.buffer for ct in members],
                 lambda images: stack_automorphism_coeff(
                     images, galois_element, column))
             self._record(kernel, 2 * batch, limbs)
             switched = self.key_switcher.switch_many(
-                [self._poly(moduli, rotated[batch + j]) for j in range(batch)],
-                switch_key, level)
-            key_part = self._stack([pair[0] for pair in switched])
-            summed = self._fused(mat_mod_add, rotated[:batch], key_part, moduli)
+                rotated[batch:], switch_key, limbs - 1)
+            summed = self._fused(mat_mod_add, rotated[:batch], switched[:batch],
+                                 moduli)
             self._record(KernelName.ELE_ADD, batch, limbs)
-            for j, (i, ciphertext) in enumerate(zip(indices, entries)):
-                results[i] = Ciphertext(
-                    c0=self._poly(moduli, summed[j]),
-                    c1=switched[j][1],
-                    scale=ciphertext.scale, level=ciphertext.level,
-                )
-        return results
+            return self._ciphertexts(moduli, summed, switched[batch:],
+                                     [ct.scale for ct in members])
+
+        return self._per_chain(
+            self._in_domain(ciphertexts, PolyDomain.COEFFICIENT),
+            lambda ct: ct.moduli, launch)
 
     # ------------------------------------------------------------------
     # Internals
@@ -533,7 +516,7 @@ class BatchedEvaluator:
         """
         ciphertexts = list(ciphertexts)
         polys = [poly for ct in ciphertexts for poly in (ct.c0, ct.c1)]
-        pending = [i for i, poly in enumerate(polys) if poly.domain != domain]
+        pending = [poly for poly in polys if poly.domain != domain]
         if not pending:
             return ciphertexts
         planner = self.context.planner
@@ -541,14 +524,16 @@ class BatchedEvaluator:
             (planner.forward_ops, KernelName.NTT)
             if domain == PolyDomain.EVALUATION
             else (planner.inverse_ops, KernelName.INTT))
-        for moduli, members in self._grouped(
-                polys[i].moduli for i in pending).items():
-            indices = [pending[member] for member in members]
+
+        def launch(moduli, members):
             moved = transform(self.context.ring_degree, moduli,
-                              self._stack([polys[i] for i in indices]))
-            self._record(kernel, len(indices), len(moduli))
-            for j, i in enumerate(indices):
-                polys[i] = self._poly(moduli, moved[j], domain)
+                              self._stack(members))
+            self._record(kernel, len(members), len(moduli))
+            return [self._poly(moduli, moved[j], domain)
+                    for j in range(len(members))]
+
+        moved = iter(self._per_chain(pending, lambda poly: poly.moduli, launch))
+        polys = [poly if poly.domain == domain else next(moved) for poly in polys]
         return [
             ct if polys[2 * i] is ct.c0 and polys[2 * i + 1] is ct.c1
             else Ciphertext(polys[2 * i], polys[2 * i + 1], ct.scale, ct.level)
@@ -597,12 +582,33 @@ class BatchedEvaluator:
         return polynomial.to_coefficient(self.context.planner)
 
     @staticmethod
-    def _grouped(moduli_iter) -> Dict[Tuple[int, ...], List[int]]:
-        """Stream indices grouped by active prime chain, insertion-ordered."""
+    def _per_chain(streams: list, chain_of, launch) -> list:
+        """``launch(moduli, members)`` once per active prime chain.
+
+        The one frame of every operation: ``streams`` are grouped by
+        ``chain_of(stream)`` in order of first appearance, ``launch``
+        returns one result per member of its group, in order, and the
+        results come back in the order of ``streams``.
+        """
         groups: Dict[Tuple[int, ...], List[int]] = {}
-        for index, moduli in enumerate(moduli_iter):
-            groups.setdefault(tuple(moduli), []).append(index)
-        return groups
+        for index, stream in enumerate(streams):
+            groups.setdefault(tuple(chain_of(stream)), []).append(index)
+        results = [None] * len(streams)
+        for moduli, indices in groups.items():
+            outputs = launch(moduli, [streams[i] for i in indices])
+            for index, output in zip(indices, outputs):
+                results[index] = output
+        return results
+
+    def _ciphertexts(self, moduli: Tuple[int, ...], c0s, c1s,
+                     scales: Sequence[float],
+                     domain: str = PolyDomain.COEFFICIENT) -> List[Ciphertext]:
+        """Ciphertext ``j`` from row ``j`` of ``c0s`` and ``c1s`` on ``moduli``."""
+        level = len(moduli) - 1
+        return [Ciphertext(c0=self._poly(moduli, c0s[j], domain),
+                           c1=self._poly(moduli, c1s[j], domain),
+                           scale=scale, level=level)
+                for j, scale in enumerate(scales)]
 
     @staticmethod
     def _stack(polys: Sequence[RnsPolynomial]):

@@ -1,10 +1,14 @@
 """Generalized key switching (paper Algorithm 1) as fused ``(B, ...)`` launches.
 
-``switch_many`` takes ``B`` polynomials ``d`` that are currently paired with
-a foreign secret (``s^2`` after multiplication, ``s(X^g)`` after an
-automorphism) and returns one ciphertext pair ``(c0, c1)`` per stream with
-``c0 + c1*s ≈ d * s_from``.  The stream axis leads every tensor, so one
-ciphertext is the ``B = 1`` case of the same launches:
+``switch_many`` takes the ``(B, L, N)`` stack of ``B`` polynomials ``d``
+that are currently paired with a foreign secret (``s^2`` after
+multiplication, ``s(X^g)`` after an automorphism) and returns one ``(2B, L,
+N)`` handle, the ``c0``s of every stream then their ``c1``s, with ``c0 +
+c1*s ≈ d * s_from`` per stream.  Stack in, stack out: the caller's launch
+feeds it a slice of its own output and slices the result, with no
+per-stream polynomial on either side.  The stream axis leads every tensor,
+so one polynomial is the ``B = 1`` case of the same launches
+(:meth:`~repro.ckks.keyswitch.KeySwitcher.switch`):
 
 * **Dcomp** — the dnum restriction of every stream is a view of the
   ``(B, L, N)`` stack (the groups ``G_j`` are consecutive limb ranges);
@@ -47,14 +51,13 @@ are the Ele-Adds of ``(B, L)`` that add the switched pair.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+import numpy as np
 
-from ..backend.residency import block_arrays, stack_arrays
+from ..backend.residency import DeviceBuffer, block_arrays, stack_arrays
 from ..kernels.base import KernelName
 from ..numtheory.modular import mat_mod_add, mat_mod_mul
 from ..rns.moddown import ModDown
 from ..rns.modup import ModUp
-from ..rns.poly import PolyDomain, RnsPolynomial
 from .context import CkksContext, pinned
 from .keys import SwitchKey
 
@@ -70,40 +73,35 @@ class BatchedKeySwitcher:
         self._moddown_cache = {}
 
     @pinned
-    def switch_many(self, polynomials: Sequence[RnsPolynomial],
-                    switch_key: SwitchKey, level: int, *,
-                    evaluations=None, addend=None
-                    ) -> List[Tuple[RnsPolynomial, RnsPolynomial]]:
-        """Key-switch ``B`` coefficient-domain polynomials at ``level``.
+    def switch_many(self, stacks, switch_key: SwitchKey, level: int, *,
+                    evaluations=None, addend=None) -> DeviceBuffer:
+        """Key-switch the ``(B, L, N)`` coefficient stack ``stacks`` at ``level``.
 
-        All polynomials must live on the level's active basis.  Returns
-        one ``(c0, c1)`` pair per stream, in order.  ``evaluations`` is
-        the caller's evaluation-domain image of the same polynomials,
-        limb-major ``(L, B, N)``, when it holds one (HMULT's tensor
-        product does): ModUp copies each group's own limbs, and their
-        transforms are then copied from it instead of recomputed.
-        ``addend`` is a pair ``(t0, t1)`` of evaluation-domain images on
-        the active basis, each limb-major ``(L, B, N)``, that the caller
-        wants added to the switched pair (HMULT's ``d0``, ``d1``): stream
-        ``j`` then returns ``(t0_j + c0_j, t1_j + c1_j)``, the terms added
-        to the accumulators before their one INTT.
+        ``stacks`` (an array-like or a handle) holds one coefficient-domain
+        polynomial per stream on the level's active basis.  Returns the
+        switched pairs as one ``(2B, L, N)`` handle: rows ``:B`` are the
+        ``c0``s, rows ``B:`` the ``c1``s.  ``evaluations`` is the caller's
+        evaluation-domain image of the same stack, limb-major ``(L, B,
+        N)``, when it holds one (HMULT's tensor product does): ModUp copies
+        each group's own limbs, and their transforms are then copied from
+        it instead of recomputed.  ``addend`` is a pair ``(t0, t1)`` of
+        evaluation-domain images on the active basis, each limb-major
+        ``(L, B, N)``, that the caller wants added to the switched pair
+        (HMULT's ``d0``, ``d1``): stream ``j`` then gets ``(t0_j + c0_j,
+        t1_j + c1_j)``, the terms added to the accumulators before their
+        one INTT.  Zero streams give an empty handle and resolve no key.
         """
-        polynomials = list(polynomials)
-        if not polynomials:
-            return []
-
         context = self.context
-        counter = context.kernels.counter
+        stacks = DeviceBuffer.wrap(stacks)
         active = context.moduli_at_level(level)
         extended = context.extended_moduli_at_level(level)
-        for polynomial in polynomials:
-            if polynomial.domain != PolyDomain.COEFFICIENT:
-                raise ValueError(
-                    "key switching expects coefficient-domain polynomials")
-            if tuple(polynomial.moduli) != active:
-                raise ValueError(
-                    "polynomial basis does not match the requested level")
-        batch = len(polynomials)
+        if (len(stacks.shape) != 3
+                or stacks.shape[1:] != (len(active), context.ring_degree)):
+            raise ValueError(
+                "the stack must be (B, L, N) on the basis of level %d" % level)
+        batch = stacks.shape[0]
+        if not batch:
+            return DeviceBuffer.wrap(np.empty(stacks.shape, dtype=np.int64))
         image = (len(active), batch, context.ring_degree)
         if evaluations is not None and tuple(evaluations.shape) != image:
             raise ValueError("the evaluation image must be (L, B, N)")
@@ -117,19 +115,15 @@ class BatchedKeySwitcher:
         # stream at once.
         coeff = context.planner.inverse_ops(
             context.ring_degree, extended, self._inner_product(
-                self._raise(polynomials, key_level.group_moduli, extended,
+                self._raise(stacks, key_level.group_moduli, extended,
                             evaluations),
                 key_level, extended, addend))
+        counter = context.kernels.counter
         counter.record_batch(KernelName.INTT, 2 * batch, len(extended))
         counter.record_batch(KernelName.CONV, batch, 2 * len(active))
-        lowered = self._moddown_for(active).apply_scaled(coeff)  # (2B, L, N)
-        return [
-            (RnsPolynomial(context.ring_degree, active, lowered[j]),
-             RnsPolynomial(context.ring_degree, active, lowered[batch + j]))
-            for j in range(batch)
-        ]
+        return self._moddown_for(active).apply_scaled(coeff)     # (2B, L, N)
 
-    def _raise(self, polynomials, groups, extended, evaluations):
+    def _raise(self, stacks, groups, extended, evaluations):
         """Dcomp + ModUp + NTT: the ``(L', dnum, B, N)`` inner-product operand.
 
         Slice ``[e, j]`` is limb ``e`` of group ``j``'s raised polynomial
@@ -143,9 +137,8 @@ class BatchedKeySwitcher:
         one name, so its operand dies as soon as the next exists.
         """
         context = self.context
-        batch, dnum, ring_degree = len(polynomials), len(groups), context.ring_degree
-        rows, chain, layout = self._mod_up(polynomials, groups, extended,
-                                           evaluations)
+        batch, dnum, ring_degree = stacks.shape[0], len(groups), context.ring_degree
+        rows, chain, layout = self._mod_up(stacks, groups, extended, evaluations)
         width = len(chain) // dnum
         if chain == chain[:width] * dnum:   # nothing held: E, dnum times
             chain, shape = chain[:width], (batch * dnum, width, ring_degree)
@@ -162,7 +155,7 @@ class BatchedKeySwitcher:
             for row in layout
         ]).reshape(len(extended), dnum, batch, ring_degree)
 
-    def _mod_up(self, polynomials, groups, extended, evaluations):
+    def _mod_up(self, stacks, groups, extended, evaluations):
         """Dcomp + ModUp: the rows to transform, their chain, the layout.
 
         ``rows`` are ``(B, N)`` views of the groups' own limbs and Conv
@@ -173,10 +166,7 @@ class BatchedKeySwitcher:
         the caller's evaluation-domain limb.
         """
         counter = self.context.kernels.counter
-        batch = len(polynomials)
-        # Stream gather through the residency handles: stays float-resident
-        # when a stream is float-only.
-        stacked = stack_arrays([p.buffer for p in polynomials])  # (B, L, N)
+        batch = stacks.shape[0]
         # One batched Conv per decomposition group; the groups are
         # consecutive limb ranges of the active chain, so Dcomp is a view
         # and the group's own limbs are extended limbs start … start + |G_j|.
@@ -188,7 +178,7 @@ class BatchedKeySwitcher:
                     else range(0))
             source = []
             for limb, row in enumerate(self._modup_for(group, extended).rows(
-                    stacked[:, start:start + len(group)])):
+                    stacks[:, start:start + len(group)])):
                 if limb in held:
                     source.append(evaluations[limb])
                 else:

@@ -22,8 +22,9 @@ small relative to ``q0 / Delta``.
 
 :meth:`Bootstrapper.bootstrap_many` runs the whole pipeline for ``B``
 ciphertexts as fused ``(B, L, N)`` / ``(B, dnum, L, N)`` launches through
-a :class:`~repro.ckks.batched_evaluator.BatchedEvaluator`;
-:meth:`Bootstrapper.bootstrap` is its ``B = 1`` spelling.
+a :class:`~repro.ckks.batched_evaluator.BatchedEvaluator`; a lone
+ciphertext is its ``B = 1`` case (``TensorFheContext.bootstrap``), and no
+stage has a one-ciphertext spelling of its own.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from ..batched_evaluator import BatchedEvaluator
 from ..ciphertext import Ciphertext
 from ..context import CkksContext
 from ..encryptor import Encryptor
-from ..evaluator import Evaluator
 from ..keys import RotationKeySet, SwitchKey
 from .dft import CoeffToSlot, SlotToCoeff
 from .mod_raise import ModRaise
@@ -90,13 +90,6 @@ class Bootstrapper:
         return sorted(steps)
 
     # ------------------------------------------------------------------
-    def bootstrap(self, ciphertext: Ciphertext, evaluator: Evaluator,
-                  encryptor: Encryptor, relinearization_key: SwitchKey,
-                  rotation_keys: RotationKeySet) -> Ciphertext:
-        """Run the full pipeline and return a refreshed ciphertext."""
-        return self.bootstrap_many([ciphertext], evaluator.batched, encryptor,
-                                   relinearization_key, rotation_keys)[0]
-
     def bootstrap_many(self, ciphertexts: Sequence[Ciphertext],
                        batched_evaluator: BatchedEvaluator,
                        encryptor: Encryptor, relinearization_key: SwitchKey,

@@ -11,7 +11,11 @@ the Baby-Step Giant-Step (BSGS) algorithm groups the ``n`` diagonals into
 rotations (instead of ``n``) are required — exactly the optimisation the
 paper cites for the homomorphic DFT [14, 59].
 
-Execution contract.  The diagonal products run in the evaluation domain:
+Execution contract.  :meth:`BsgsLinearTransform.apply_many` evaluates the
+transform on ``B`` streams through a
+:class:`~repro.ckks.batched_evaluator.BatchedEvaluator` (a lone ciphertext
+is its ``B = 1`` case), consuming one level; the diagonal products run in
+the evaluation domain:
 
 * the input is rotated by the baby steps once and all ``n1`` rotations of
   all ``B`` streams are transformed in one fused NTT
@@ -43,7 +47,6 @@ from ...backend.residency import DeviceBuffer, stack_arrays
 from ..ciphertext import Ciphertext
 from ..context import CkksContext
 from ..encryptor import Encryptor
-from ..evaluator import Evaluator
 from ..keys import RotationKeySet
 
 __all__ = ["matrix_diagonals", "bsgs_step_counts", "required_rotations",
@@ -144,12 +147,6 @@ class BsgsLinearTransform:
     def baby_steps(self) -> List[int]:
         """The distinct baby steps of the non-zero diagonals (0 included)."""
         return sorted({baby for babies in self.groups.values() for baby in babies})
-
-    def apply(self, ciphertext: Ciphertext, evaluator: Evaluator,
-              encryptor: Encryptor, rotation_keys: RotationKeySet) -> Ciphertext:
-        """Evaluate the transform on ``ciphertext`` (one level consumed)."""
-        return self.apply_many([ciphertext], evaluator.batched, encryptor,
-                               rotation_keys)[0]
 
     def apply_many(self, ciphertexts: Sequence[Ciphertext],
                    batched_evaluator, encryptor: Encryptor,

@@ -8,7 +8,9 @@ true over the integers only up to a multiple of ``q0``:
 
 with ``I`` a small integer polynomial (its size is governed by the secret
 key's Hamming weight).  Removing ``q0 * I`` homomorphically is the job of
-the later EvalMod/sine stage; ModRaise itself is a pure basis extension.
+the later EvalMod/sine stage; ModRaise itself is a pure basis extension,
+one broadcast over the ``(B, L, N)`` stack of ``B`` ciphertexts
+(:meth:`ModRaise.apply_many`; a lone ciphertext is its ``B = 1`` case).
 """
 
 from __future__ import annotations
@@ -31,10 +33,6 @@ class ModRaise:
     def __init__(self, context: CkksContext, target_level: Optional[int] = None) -> None:
         self.context = context
         self.target_level = context.max_level if target_level is None else target_level
-
-    def apply(self, ciphertext: Ciphertext) -> Ciphertext:
-        """Return the same ciphertext re-embedded at ``target_level``."""
-        return self.apply_many([ciphertext])[0]
 
     def apply_many(self, ciphertexts: Sequence[Ciphertext]) -> List[Ciphertext]:
         """Raise ``B`` ciphertexts as one broadcast over the (B, L, N) stack."""

@@ -11,15 +11,15 @@ variable-precision Taylor approximation [8]) at the reduced argument
 Because the exact double angle is ``sin(2a) = 2*sin(a)*cos(a)``, the
 ladder needs *both* series — :class:`SineEvaluator` therefore evaluates
 the sine and cosine polynomials over one shared square-and-multiply power
-ladder (:meth:`SineEvaluator.apply_pair`), so the cosine costs only the
-extra even-power terms, not a second ladder.
+ladder (:meth:`SineEvaluator.apply_pair_many`), so the cosine costs only
+the extra even-power terms, not a second ladder.
 
 The evaluation runs through a
 :class:`~repro.ckks.batched_evaluator.BatchedEvaluator`, so the
 HMULT/CMULT/HADD streams of ``B`` independent ciphertexts are single
 ``(B, L, N)`` launches and the Taylor coefficients are encoded once per
-level instead of once per stream; ``apply`` / ``apply_pair`` are the
-one-ciphertext spellings of ``apply_many`` / ``apply_pair_many``.
+level instead of once per stream.  A lone ciphertext is the ``B = 1``
+case of ``apply_many`` / ``apply_pair_many``; there is no singular spelling.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from ..batched_evaluator import BatchedEvaluator
 from ..ciphertext import Ciphertext
 from ..context import CkksContext
 from ..encryptor import Encryptor
-from ..evaluator import Evaluator
 from ..keys import SwitchKey
 
 __all__ = [
@@ -97,22 +96,6 @@ class SineEvaluator:
     def multiplicative_depth(self) -> int:
         """Levels consumed: one per power-doubling plus one for the sum."""
         return max(1, math.ceil(math.log2(max(2, self.degree)))) + 1
-
-    def apply(self, ciphertext: Ciphertext, evaluator: Evaluator,
-              encryptor: Encryptor, relinearization_key: SwitchKey) -> Ciphertext:
-        """Homomorphically evaluate ``p(ct)`` using cached power ciphertexts."""
-        return self.apply_many([ciphertext], evaluator.batched, encryptor,
-                               relinearization_key)[0]
-
-    def apply_pair(self, ciphertext: Ciphertext, evaluator: Evaluator,
-                   encryptor: Encryptor, relinearization_key: SwitchKey):
-        """Evaluate the sine and cosine series over one shared power ladder.
-
-        Returns ``(sin_ct, cos_ct)``; requires ``cosine_coefficients``.
-        """
-        sin_cts, cos_cts = self.apply_pair_many(
-            [ciphertext], evaluator.batched, encryptor, relinearization_key)
-        return sin_cts[0], cos_cts[0]
 
     # ------------------------------------------------------------------
     # The operation sequence over B fused streams

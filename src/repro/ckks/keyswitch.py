@@ -3,14 +3,16 @@
 The algorithm lives in
 :class:`~repro.ckks.batched_keyswitch.BatchedKeySwitcher`; a lone
 polynomial is its ``B = 1`` case, and :class:`KeySwitcher` is the singular
-spelling of that call.
+spelling of that call: it checks the polynomial's domain and basis, which
+the stack-in, stack-out ``switch_many`` cannot see, and splits the
+``(2, L, N)`` result into the pair.
 """
 
 from __future__ import annotations
 
 from typing import Tuple
 
-from ..rns.poly import RnsPolynomial
+from ..rns.poly import PolyDomain, RnsPolynomial
 from .batched_keyswitch import BatchedKeySwitcher
 from .context import CkksContext
 from .keys import SwitchKey
@@ -28,4 +30,12 @@ class KeySwitcher:
     def switch(self, polynomial: RnsPolynomial, switch_key: SwitchKey,
                level: int) -> Tuple[RnsPolynomial, RnsPolynomial]:
         """Key-switch ``polynomial`` (coefficient domain, level basis)."""
-        return self.batched.switch_many([polynomial], switch_key, level)[0]
+        if polynomial.domain != PolyDomain.COEFFICIENT:
+            raise ValueError(
+                "key switching expects a coefficient-domain polynomial")
+        moduli = self.context.moduli_at_level(level)
+        if polynomial.moduli != moduli:
+            raise ValueError("polynomial basis does not match the requested level")
+        pair = self.batched.switch_many(polynomial.buffer[None], switch_key, level)
+        return tuple(RnsPolynomial(polynomial.ring_degree, moduli, pair[row])
+                     for row in (0, 1))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .modular import mod_inverse
 
-__all__ = ["CrtContext", "compose", "decompose", "get_crt_context"]
+__all__ = ["CrtContext", "get_crt_context"]
 
 #: Bound on the Garner pair's product: below it the centred pair value,
 #: the product ``(rb - ra) * qa^-1`` and ``ra + qa * t`` all fit int64.
@@ -173,13 +173,3 @@ def get_crt_context(moduli: Sequence[int]) -> CrtContext:
     it per call.  The shared context must not be mutated.
     """
     return _cached_context(tuple(int(q) for q in moduli))
-
-
-def decompose(value: int, moduli: Sequence[int]) -> List[int]:
-    """Convenience wrapper around :meth:`CrtContext.decompose`."""
-    return CrtContext(moduli).decompose(value)
-
-
-def compose(residues: Sequence[int], moduli: Sequence[int]) -> int:
-    """Convenience wrapper around :meth:`CrtContext.compose`."""
-    return CrtContext(moduli).compose(residues)

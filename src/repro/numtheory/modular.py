@@ -1,7 +1,8 @@
 """Modular arithmetic primitives used throughout the library.
 
-Scalar helpers work on Python integers (key generation, reference code);
-``vec_mod_*`` are their one-prime numpy forms.  The ``mat_mod_*`` and
+The scalar helpers ``mod_pow`` / ``mod_inverse`` work on Python integers
+(constants, key generation); ``vec_mod_*`` are one-prime numpy forms (the
+per-limb reference).  The ``mat_mod_*`` and
 ``modular_matmul_*`` helpers are the *funnels*: every whole-polynomial
 launch of the library — element-wise CKKS arithmetic, the NTT engines'
 GEMMs, the fast basis conversion — calls one of them, and they call the
@@ -23,12 +24,8 @@ from ..backend.registry import get_active_backend
 from ..backend.residency import DeviceBuffer
 
 __all__ = [
-    "mod_add",
-    "mod_sub",
-    "mod_mul",
     "mod_pow",
     "mod_inverse",
-    "mod_neg",
     "vec_mod_add",
     "vec_mod_sub",
     "vec_mod_mul",
@@ -43,32 +40,6 @@ __all__ = [
     "modular_matmul_limbs",
     "modular_matmul_rows",
 ]
-
-
-def mod_add(a: int, b: int, q: int) -> int:
-    """Return ``(a + b) mod q`` for non-negative residues."""
-    s = a + b
-    if s >= q:
-        s -= q
-    return s
-
-
-def mod_sub(a: int, b: int, q: int) -> int:
-    """Return ``(a - b) mod q`` for non-negative residues."""
-    d = a - b
-    if d < 0:
-        d += q
-    return d
-
-
-def mod_neg(a: int, q: int) -> int:
-    """Return ``(-a) mod q``."""
-    return 0 if a == 0 else q - a
-
-
-def mod_mul(a: int, b: int, q: int) -> int:
-    """Return ``(a * b) mod q`` using Python's arbitrary precision."""
-    return (a * b) % q
 
 
 def mod_pow(base: int, exponent: int, q: int) -> int:

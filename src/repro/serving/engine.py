@@ -55,7 +55,6 @@ from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Callable, Deque, Dict, List, Optional,
                     Sequence, Set, Tuple)
 
-from ..batching.scheduler import BatchScheduler
 from ..ckks.ciphertext import Ciphertext
 from .errors import (
     EngineStopped,
@@ -116,14 +115,13 @@ class ServingEngine:
     def __init__(self, fhe: "TensorFheContext", *,
                  config: Optional[ServingConfig] = None,
                  registry: Optional[KeyRegistry] = None,
-                 scheduler: Optional[BatchScheduler] = None,
                  executor: Optional[Callable[[str, List[OpRequest]],
                                              Sequence[Ciphertext]]] = None) -> None:
         self.fhe = fhe
         self.config = config if config is not None else ServingConfig()
         self.registry = (registry if registry is not None
                          else KeyRegistry(fhe.context, keygen=fhe._keygen))
-        self.scheduler = scheduler if scheduler is not None else fhe.batch_scheduler
+        self.scheduler = fhe.batch_scheduler
         #: The batch executor; replaceable for fault injection in tests.
         self._executor = executor if executor is not None else self._run_op
         self._queue: Deque[OpRequest] = deque()

@@ -5,13 +5,17 @@ planner's four transform entry points on every engine, Conv, ModUp and
 ModDown — takes int64 arrays or handles of any kind and returns a handle,
 for an empty batch too.  Each case calls one boundary with one kind of
 input, on one backend and at one batch size, and compares the handle's host
-image with a numpy oracle.
+image with a numpy oracle.  The key switch keeps the convention one layer
+up: ``BatchedKeySwitcher.switch_many`` takes a ``(B, L, N)`` stack and
+returns the ``(2B, L, N)`` switched pairs as one handle, rows equal to
+per-stream ``KeySwitcher.switch``.
 """
 
 import numpy as np
 import pytest
 
 from repro.backend import DeviceBuffer, available_backends, use_backend
+from repro.ckks import CkksContext, CkksParameters, KeyGenerator, KeySwitcher
 from repro.ntt import NttPlanner, available_engines
 from repro.ntt.reference import reference_forward, reference_inverse
 from repro.ntt.twiddle import get_twiddle_cache
@@ -25,7 +29,7 @@ from repro.numtheory.modular import (
     modular_matmul_limbs,
     modular_matmul_rows,
 )
-from repro.rns import BasisConverter, ModDown, ModUp
+from repro.rns import BasisConverter, ModDown, ModUp, RnsPolynomial
 
 N = 16
 PRIMES = tuple(generate_ntt_primes(5, 20, N))
@@ -186,6 +190,55 @@ def test_handle_out_with_the_oracle_bits(name, batch, kind, backend_name):
     else:
         assert isinstance(got, DeviceBuffer)
         got = got.ensure_host()
+    assert got.dtype == np.int64
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+# -- the key switch: a (B, L, N) stack in, the (2B, L, N) pairs out -------
+@pytest.fixture(scope="module")
+def switching():
+    parameters = CkksParameters(ring_degree=64, level_count=3, dnum=2,
+                                secret_hamming_weight=8)
+    context = CkksContext(parameters, seed=29)
+    keygen = KeyGenerator(context)
+    return context, keygen.generate_relinearization_key(
+        keygen.generate_secret_key())
+
+
+class LevelSpy:
+    """A switch key that counts how often a level is resolved."""
+
+    def __init__(self, key):
+        self.key, self.calls = key, 0
+
+    def at_level(self, level):
+        self.calls += 1
+        return self.key.at_level(level)
+
+
+@pytest.mark.parametrize("backend_name", available_backends())
+@pytest.mark.parametrize("kind", ("array", "host", "result"))
+@pytest.mark.parametrize("batch", BATCHES)
+def test_switch_many_stack_in_stack_out(switching, batch, kind, backend_name):
+    context, key = switching
+    level = context.max_level - 1
+    moduli, degree = context.moduli_at_level(level), context.ring_degree
+    stack = residues(np.random.default_rng(batch), (batch, len(moduli), degree),
+                     moduli, 1)
+    with use_backend("numpy"):
+        single = KeySwitcher(context)
+        pairs = [single.switch(RnsPolynomial(degree, moduli, row), key, level)
+                 for row in stack]
+    want = np.empty((2 * batch, len(moduli), degree), dtype=np.int64)
+    for j, (c0, c1) in enumerate(pairs):
+        want[j], want[batch + j] = c0.residues, c1.residues
+    spy = LevelSpy(key)
+    with use_backend(backend_name):
+        got = single.batched.switch_many(as_kind(kind, stack), spy, level)
+    assert isinstance(got, DeviceBuffer)
+    assert spy.calls == (1 if batch else 0)
+    got = got.ensure_host()
     assert got.dtype == np.int64
     assert got.shape == want.shape
     assert np.array_equal(got, want)

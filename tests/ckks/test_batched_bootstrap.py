@@ -90,8 +90,9 @@ class PlannerSpy:
 def sequential_bootstrap(fhe, streams):
     bootstrapper = fhe.bootstrapper
     return [
-        bootstrapper.bootstrap(ciphertext, fhe.evaluator, fhe.encryptor,
-                               fhe.relinearization_key, fhe.rotation_keys)
+        bootstrapper.bootstrap_many([ciphertext], fhe.batched_evaluator,
+                                    fhe.encryptor, fhe.relinearization_key,
+                                    fhe.rotation_keys)[0]
         for ciphertext in streams
     ]
 

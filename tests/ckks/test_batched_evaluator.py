@@ -21,13 +21,15 @@ operands, shared operands, a hypothesis property over batch composition,
 and the facade chunking.
 """
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.api import TensorFheContext
-from repro.backend import available_backends, use_backend
+from repro.backend import available_backends, residency, use_backend
 from repro.ckks import Ciphertext, CkksParameters
 from repro.kernels import KernelName
 
@@ -413,6 +415,60 @@ class TestTableTwoAtBatchOne:
             {KernelName.FROBENIUS: (2, 2 * limbs),
              KernelName.ELE_ADD: (1, limbs)},
             self.key_switch(limbs, extended, groups))
+
+
+class TestOneLaunchPerChain:
+    """What the per-chain frame saves: funnel launches and residency joins."""
+
+    @pytest.fixture()
+    def joins(self, monkeypatch):
+        """Counts ``combine_arrays`` calls, under every name it is imported as."""
+        original, count = residency.combine_arrays, [0]
+
+        def spying(*args, **kwargs):
+            count[0] += 1
+            return original(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("repro")
+                    and getattr(module, "combine_arrays", None) is original):
+                monkeypatch.setattr(module, "combine_arrays", spying)
+        return count
+
+    @pytest.mark.parametrize("backend_name", available_backends())
+    def test_negate_is_one_launch(self, fhe, rng, monkeypatch, backend_name):
+        streams = [fhe.encrypt(rng.uniform(-1, 1, fhe.slot_count))
+                   for _ in range(3)]
+        # Each component keeps its own domain.
+        held = evaluation_domain(fhe, streams[1])
+        streams[1] = Ciphertext(streams[1].c0, held.c1, held.scale, held.level)
+        calls = []
+        with use_backend(backend_name) as backend:
+            original = backend.mat_neg
+            monkeypatch.setattr(backend, "mat_neg", lambda *args: (
+                calls.append(args[0].shape) or original(*args)))
+            negated = fhe.batched_evaluator.negate(streams)
+            assert len(calls) == 1
+            for got, ciphertext in zip(negated, streams):
+                assert_same_ciphertext(got, Ciphertext(
+                    ciphertext.c0.negate(), ciphertext.c1.negate(),
+                    ciphertext.scale, ciphertext.level))
+
+    @pytest.mark.parametrize("batch", (2, 3))
+    def test_joins_per_operation(self, fhe, rng, joins, batch):
+        """HROTATE: the automorphism, ModUp's transform rows, the inner
+        product's blocks.  HMULT: the tensor product's operands, the key
+        switch's three, the rescale's ``c0 | c1``.  The key switch takes
+        and returns stacks, so nothing in between is joined again."""
+        lhs = [fhe.encrypt(rng.uniform(-1, 1, fhe.slot_count))
+               for _ in range(batch)]
+        rhs = [fhe.encrypt(rng.uniform(-1, 1, fhe.slot_count))
+               for _ in range(batch)]
+        for call, expected in ((lambda: fhe.rotate_many(lhs, 3), 3),
+                               (lambda: fhe.multiply_many(lhs, rhs), 5)):
+            joins[0] = 0
+            call()
+            assert joins[0] == expected
 
 
 class TestFacadeWiring:

@@ -20,9 +20,9 @@ from repro.backend import use_backend
 from repro.backend.residency import stack_arrays
 from repro.ckks import CkksContext, CkksParameters, KeyGenerator
 from repro.ckks.batched_keyswitch import BatchedKeySwitcher
+from repro.ckks.keyswitch import KeySwitcher
 from repro.kernels import KernelName
 from repro.numtheory import planned
-from repro.rns import RnsPolynomial
 
 BATCH_SIZES = (1, 2, 8)
 
@@ -180,22 +180,29 @@ class TestBookkeeping:
         with pytest.raises(ValueError, match="one step count"):
             fhe.rotate_many(streams, [1])
 
-    def test_switch_many_rejects_wrong_domain(self, fhe, rng):
+    def test_switch_rejects_wrong_domain(self, fhe, rng):
         ciphertext = encrypt_streams(fhe, rng, 2)[0]
         eval_poly = ciphertext.c1.to_evaluation(fhe.context.planner)
-        switcher = fhe.batched_evaluator.key_switcher
         with pytest.raises(ValueError, match="coefficient-domain"):
-            switcher.switch_many([eval_poly, eval_poly],
-                                 fhe.relinearization_key,
-                                 ciphertext.level)
+            KeySwitcher(fhe.context).switch(eval_poly, fhe.relinearization_key,
+                                            ciphertext.level)
 
-    def test_switch_many_rejects_wrong_basis(self, fhe, rng):
+    def test_switch_rejects_wrong_basis(self, fhe, rng):
+        ciphertext = encrypt_streams(fhe, rng, 1)[0]
+        with pytest.raises(ValueError, match="basis"):
+            KeySwitcher(fhe.context).switch(ciphertext.c1,
+                                            fhe.relinearization_key,
+                                            ciphertext.level - 1)
+
+    def test_switch_many_rejects_a_stack_off_the_level(self, fhe, rng):
         ciphertext = encrypt_streams(fhe, rng, 1)[0]
         switcher = fhe.batched_evaluator.key_switcher
+        stack = stack_arrays([ciphertext.c1.buffer] * 2)
+        key, level = fhe.relinearization_key, ciphertext.level
         with pytest.raises(ValueError, match="basis"):
-            switcher.switch_many([ciphertext.c1, ciphertext.c1],
-                                 fhe.relinearization_key,
-                                 ciphertext.level - 1)
+            switcher.switch_many(stack, key, level - 1)     # one limb too many
+        with pytest.raises(ValueError, match="basis"):
+            switcher.switch_many(stack[0], key, level)      # no stream axis
 
 
 class TestLaunchCounts:
@@ -266,26 +273,22 @@ def test_own_limb_reuse_is_bit_identical(chain, rng, backend, batch, residency,
     degree, kernels = context.ring_degree, context.kernels
     for level in range(context.max_level + 1):
         moduli = context.moduli_at_level(level)
-        polynomials = [
-            RnsPolynomial(degree, moduli, np.stack(
-                [rng.integers(0, q, degree, dtype=np.int64) for q in moduli]))
-            for _ in range(batch)]
+        stack = np.stack([
+            np.stack([rng.integers(0, q, degree, dtype=np.int64) for q in moduli])
+            for _ in range(batch)])
         with use_backend(backend):
             image = context.planner.forward_ops(
-                degree, moduli, stack_arrays([p.buffer for p in polynomials])
-            ).transpose(1, 0, 2)                                  # (L, B, N)
+                degree, moduli, stack).transpose(1, 0, 2)         # (L, B, N)
             float_path = context.planner.engine_for(
                 degree, moduli[0]).float_plan(moduli) is not None
             assert (image.host_image is None) == (
                 float_path and residency == "float")
             with kernels.capture() as plain_counts:
-                expected = switcher.switch_many(polynomials, relin, level)
+                expected = switcher.switch_many(stack, relin, level)
             with kernels.capture() as reuse_counts:
-                got = switcher.switch_many(polynomials, relin, level,
+                got = switcher.switch_many(stack, relin, level,
                                            evaluations=image)
-        for pair, want in zip(got, expected):
-            for poly, reference in zip(pair, want):
-                assert np.array_equal(poly.residues, reference.residues)
+        assert np.array_equal(np.asarray(got), np.asarray(expected))
         assert reuse_counts.snapshot() == plain_counts.snapshot()
         vectors = dict(plain_counts.limb_vectors)
         vectors[KernelName.NTT] -= batch * len(moduli)
@@ -296,7 +299,7 @@ def test_switch_many_rejects_a_misshapen_image(fhe, rng):
     ciphertext = encrypt_streams(fhe, rng, 1)[0]
     switcher = fhe.batched_evaluator.key_switcher
     with pytest.raises(ValueError, match="evaluation image"):
-        switcher.switch_many([ciphertext.c1, ciphertext.c1],
+        switcher.switch_many(stack_arrays([ciphertext.c1.buffer] * 2),
                              fhe.relinearization_key, ciphertext.level,
                              evaluations=ciphertext.c1.residues[:, None])
 
@@ -307,8 +310,9 @@ def test_switch_many_rejects_a_misshapen_addend(fhe, rng):
     image = ciphertext.c1.residues[:, None]                       # (L, 1, N)
     for addend in ([image], [image, image[:-1]]):
         with pytest.raises(ValueError, match="addend"):
-            switcher.switch_many([ciphertext.c1], fhe.relinearization_key,
-                                 ciphertext.level, addend=addend)
+            switcher.switch_many(ciphertext.c1.buffer[None],
+                                 fhe.relinearization_key, ciphertext.level,
+                                 addend=addend)
 
 
 class TestDegenerateBatches:
@@ -317,8 +321,10 @@ class TestDegenerateBatches:
         assert fhe.batched_evaluator.multiply([], [], key) == []
         assert fhe.batched_evaluator.rotate([], 1, fhe.rotation_keys) == []
         assert fhe.batched_evaluator.conjugate([], fhe.rotation_keys) == []
-        assert fhe.batched_evaluator.key_switcher.switch_many(
-            [], key, fhe.context.max_level) == []
+        level = fhe.context.max_level
+        empty = np.empty((0, level + 1, fhe.context.ring_degree), dtype=np.int64)
+        switched = fhe.batched_evaluator.key_switcher.switch_many(empty, key, level)
+        assert switched.shape == empty.shape
         assert fhe.rotate_many([], 1) == []
         assert fhe.conjugate_many([]) == []
 

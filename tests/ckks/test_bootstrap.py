@@ -55,8 +55,9 @@ class TestBsgsTransform:
                                         np.eye(toy_bundle.slot_count))
         x = toy_bundle.random_slots(rng)
         ct = toy_bundle.encryptor.encrypt(x)
-        out = transform.apply(ct, toy_bundle.evaluator, toy_bundle.encryptor,
-                              toy_bundle.rotation_keys)
+        [out] = transform.apply_many([ct], toy_bundle.evaluator.batched,
+                                toy_bundle.encryptor,
+                                toy_bundle.rotation_keys)
         assert np.allclose(toy_bundle.decryptor.decrypt_real(out), x, atol=1e-2)
 
     def test_random_matrix_matches_reference(self, toy_bundle, rng):
@@ -72,8 +73,9 @@ class TestBsgsTransform:
                 step, toy_bundle.keygen.generate_rotation_key(toy_bundle.secret_key, step))
         x = toy_bundle.random_slots(rng)
         ct = toy_bundle.encryptor.encrypt(x)
-        out = transform.apply(ct, toy_bundle.evaluator, toy_bundle.encryptor,
-                              toy_bundle.rotation_keys)
+        [out] = transform.apply_many([ct], toy_bundle.evaluator.batched,
+                                toy_bundle.encryptor,
+                                toy_bundle.rotation_keys)
         assert np.allclose(toy_bundle.decryptor.decrypt_to_slots(out),
                            transform.reference(x), atol=1e-2)
 
@@ -81,8 +83,9 @@ class TestBsgsTransform:
         transform = BsgsLinearTransform(toy_bundle.context,
                                         np.eye(toy_bundle.slot_count))
         ct = toy_bundle.encryptor.encrypt(toy_bundle.random_slots(rng))
-        out = transform.apply(ct, toy_bundle.evaluator, toy_bundle.encryptor,
-                              toy_bundle.rotation_keys)
+        [out] = transform.apply_many([ct], toy_bundle.evaluator.batched,
+                                toy_bundle.encryptor,
+                                toy_bundle.rotation_keys)
         assert out.level == ct.level - 1
 
     def test_wrong_size_matrix_rejected(self, toy_bundle):
@@ -95,8 +98,8 @@ class TestBsgsTransform:
                                                   toy_bundle.slot_count)))
         ct = toy_bundle.encryptor.encrypt(toy_bundle.random_slots(rng))
         with pytest.raises(ValueError):
-            transform.apply(ct, toy_bundle.evaluator, toy_bundle.encryptor,
-                            toy_bundle.rotation_keys)
+            transform.apply_many([ct], toy_bundle.evaluator.batched,
+                                 toy_bundle.encryptor, toy_bundle.rotation_keys)
 
 
 class TestSineEvaluation:
@@ -114,8 +117,9 @@ class TestSineEvaluation:
         evaluator = SineEvaluator(deep_bundle.context, coefficients)
         x = deep_bundle.random_slots(rng)
         ct = deep_bundle.encryptor.encrypt(x)
-        out = evaluator.apply(ct, deep_bundle.evaluator, deep_bundle.encryptor,
-                              deep_bundle.relinearization_key)
+        [out] = evaluator.apply_many([ct], deep_bundle.evaluator.batched,
+                                     deep_bundle.encryptor,
+                                     deep_bundle.relinearization_key)
         expected = evaluate_polynomial(coefficients, x)
         assert np.allclose(deep_bundle.decryptor.decrypt_real(out), expected, atol=5e-3)
 
@@ -147,8 +151,8 @@ class TestSineEvaluation:
             cosine_coefficients=taylor_cosine_coefficients(7, scale_factor))
         x = deep_bundle.random_slots(rng)
         ct = deep_bundle.encryptor.encrypt(x)
-        sin_ct, cos_ct = evaluator.apply_pair(
-            ct, deep_bundle.evaluator, deep_bundle.encryptor,
+        [sin_ct], [cos_ct] = evaluator.apply_pair_many(
+            [ct], deep_bundle.evaluator.batched, deep_bundle.encryptor,
             deep_bundle.relinearization_key)
         assert np.allclose(
             deep_bundle.decryptor.decrypt_real(sin_ct),
@@ -162,28 +166,28 @@ class TestSineEvaluation:
                                   taylor_sine_coefficients(7, 1.0))
         ct = deep_bundle.encryptor.encrypt(deep_bundle.random_slots(rng))
         with pytest.raises(ValueError):
-            evaluator.apply_pair(ct, deep_bundle.evaluator,
-                                 deep_bundle.encryptor,
-                                 deep_bundle.relinearization_key)
+            evaluator.apply_pair_many([ct], deep_bundle.evaluator.batched,
+                                      deep_bundle.encryptor,
+                                      deep_bundle.relinearization_key)
 
 
 class TestModRaise:
     def test_requires_level_zero(self, toy_bundle, rng):
         ct = toy_bundle.encryptor.encrypt(toy_bundle.random_slots(rng))
         with pytest.raises(ValueError):
-            ModRaise(toy_bundle.context).apply(ct)
+            ModRaise(toy_bundle.context).apply_many([ct])
 
     def test_raised_ciphertext_level(self, toy_bundle, rng):
         ct = toy_bundle.evaluator.drop_to_level(
             toy_bundle.encryptor.encrypt(toy_bundle.random_slots(rng)), 0)
-        raised = ModRaise(toy_bundle.context).apply(ct)
+        [raised] = ModRaise(toy_bundle.context).apply_many([ct])
         assert raised.level == toy_bundle.context.max_level
 
     def test_difference_is_multiple_of_q0(self, toy_bundle, rng):
         """After ModRaise the plaintext differs from the original by q0 * I."""
         ct = toy_bundle.evaluator.drop_to_level(
             toy_bundle.encryptor.encrypt(toy_bundle.random_slots(rng)), 0)
-        raised = ModRaise(toy_bundle.context).apply(ct)
+        [raised] = ModRaise(toy_bundle.context).apply_many([ct])
         q0 = toy_bundle.context.basis.ciphertext_primes[0]
         original = np.asarray([float(c) for c in
                                toy_bundle.decryptor.decrypt(ct).polynomial.to_integers()])

@@ -157,16 +157,6 @@ class TestAgainstTheDiagonalOracle:
             assert np.allclose(fhe.decrypt(got), transform.reference(message),
                                atol=TOLERANCE)
 
-    def test_singular_apply_is_the_batch_of_one(self, fhe, rng):
-        transform = BsgsLinearTransform(
-            fhe.context, matrix_from_offsets([0, 3, 9], fhe.slot_count, 5))
-        ciphertext = fhe.encrypt(rng.uniform(-1, 1, fhe.slot_count))
-        arguments = (fhe.encryptor, fhe.rotation_keys)
-        assert_same_ciphertext(
-            transform.apply(ciphertext, fhe.evaluator, *arguments),
-            oracle_apply_many(transform, [ciphertext], fhe.batched_evaluator,
-                              *arguments)[0])
-
     def test_kernel_counts(self, fhe, rng):
         """Per stream: 2 NTT per baby step, 2 INTT per giant step — not 3 + 2
         per diagonal — and the products and sums of the oracle exactly."""

@@ -36,6 +36,7 @@ import pytest
 
 from repro.api import TensorFheContext
 from repro.backend import use_backend
+from repro.backend.residency import stack_arrays
 from repro.ckks import (
     Ciphertext,
     CkksContext,
@@ -189,6 +190,13 @@ def operations(fhe):
     def each(function, *streams):
         return lambda: [function(*args) for args in zip(*streams)]
 
+    def switched_pairs():
+        batch, moduli = len(flat), flat[0].moduli
+        stack = many.key_switcher.switch_many(
+            stack_arrays([p.buffer for p in flat]), relin, top - 1)
+        return [tuple(RnsPolynomial(context.ring_degree, moduli, stack[row])
+                      for row in (j, batch + j)) for j in range(batch)]
+
     return {
         "add": (each(one.add, lhs, rhs), lambda: many.add(lhs, rhs)),
         "add_plain": (each(one.add_plain, lhs, plains),
@@ -206,11 +214,11 @@ def operations(fhe):
         "conjugate": (each(lambda a: one.conjugate(a, rotation), lhs),
                       lambda: many.conjugate(lhs, rotation)),
         "switch": (each(lambda p: switcher.switch(p, relin, top - 1), flat),
-                   lambda: many.key_switcher.switch_many(flat, relin, top - 1)),
-        "mod_raise": (each(raiser.apply, exhausted),
+                   switched_pairs),
+        "mod_raise": (each(lambda a: raiser.apply_many([a])[0], exhausted),
                       lambda: raiser.apply_many(exhausted)),
-        "bsgs": (each(lambda a: transform.apply(a, one, fhe.encryptor, rotation),
-                      lhs),
+        "bsgs": (each(lambda a: transform.apply_many(
+                     [a], many, fhe.encryptor, rotation)[0], lhs),
                  lambda: transform.apply_many(lhs, many, fhe.encryptor,
                                               rotation)),
         "bootstrap": (each(fhe.bootstrap, exhausted),

@@ -12,12 +12,8 @@ from repro.numtheory import (
     mat_mod_reduce,
     mat_mod_scalar_mul,
     mat_mod_sub,
-    mod_add,
     mod_inverse,
-    mod_mul,
-    mod_neg,
     mod_pow,
-    mod_sub,
     moduli_column,
     vec_mod_add,
     vec_mod_mul,
@@ -30,24 +26,6 @@ SMALL_PRIME = 7681
 
 
 class TestScalarOps:
-    def test_mod_add_wraps(self):
-        assert mod_add(PRIME - 1, 5, PRIME) == 4
-
-    def test_mod_add_no_wrap(self):
-        assert mod_add(3, 4, PRIME) == 7
-
-    def test_mod_sub_wraps(self):
-        assert mod_sub(2, 5, PRIME) == PRIME - 3
-
-    def test_mod_neg_zero(self):
-        assert mod_neg(0, PRIME) == 0
-
-    def test_mod_neg_nonzero(self):
-        assert mod_neg(10, PRIME) == PRIME - 10
-
-    def test_mod_mul_matches_python(self):
-        assert mod_mul(123456789, 987654321, PRIME) == (123456789 * 987654321) % PRIME
-
     def test_mod_pow_positive(self):
         assert mod_pow(3, 20, PRIME) == pow(3, 20, PRIME)
 
