@@ -217,20 +217,25 @@ class TensorFheContext:
                             rescale: bool = True) -> list:
         """Batched CMULT: each stream multiplied by its own slot vector.
 
-        Streams that pass the same vector object share its encoding at
-        their level (encoding is deterministic: no bit changes).
+        The distinct vectors of a level are encoded in one call (one FFT,
+        one reduction into the chain); streams that pass the same vector
+        object share its encoding at their level (encoding is
+        deterministic: no bit changes).
         """
         ciphertexts = list(ciphertexts)
         values_streams = list(values_streams)
         if len(ciphertexts) != len(values_streams):
             raise ValueError("need one value vector per ciphertext stream")
-        encoded = {}
-        plaintexts = []
+        by_level = {}
         for ciphertext, values in zip(ciphertexts, values_streams):
-            key = (id(values), ciphertext.level)
-            if key not in encoded:
-                encoded[key] = self.encryptor.encode(values, level=ciphertext.level)
-            plaintexts.append(encoded[key])
+            by_level.setdefault(ciphertext.level, {})[id(values)] = values
+        encoded = {}
+        for level, vectors in by_level.items():
+            plains = self.encryptor.encode_many(list(vectors.values()), level=level)
+            encoded.update(((key, level), plain)
+                           for key, plain in zip(vectors, plains))
+        plaintexts = [encoded[(id(values), ciphertext.level)]
+                      for ciphertext, values in zip(ciphertexts, values_streams)]
         products = self._run_batched(self.batched_evaluator.multiply_plain,
                                      ciphertexts, plaintexts)
         if rescale:

@@ -19,61 +19,68 @@ and the kernel counters record the per-stream invocations of Table II
 (fusion is invisible to the instrumentation, via
 :meth:`~repro.kernels.base.KernelCounter.record_batch`), so a stream's
 result does not depend on which other streams share its launch, and
-neither do its counts, with one rule: an operand shared by streams of one
-launch is transformed, and counted, once (HMULT's squares and partners
-that are another stream's operand).  The HMULT key switch and the
+neither do its counts, with one rule: a coefficient-domain operand shared
+by streams of one launch is transformed, and counted, once on entry
+(HMULT's squares and partners that are another stream's operand).  The HMULT key switch and the
 rotation / conjugation paths run through
 :class:`~repro.ckks.batched_keyswitch.BatchedKeySwitcher`, stack in and
 stack out: the launch hands it a ``(B, L, N)`` slice of its own output and
-slices the ``(2B, L, N)`` pairs it returns.  HMULT also hands it
-the evaluation-domain image of ``d2`` its tensor product already holds,
-and ``d0``, ``d1`` as an addend: they join the key-switch accumulators in
-the evaluation domain, before their INTT (``ModDown(acc + P·d) =
-ModDown(acc) + d``; the switch keys carry ``P^{-1}`` in their
-ciphertext-prime limbs, and every step is exact mod ``q_i``), so the
-tensor product inverts only ``d2`` and the switched pair is the product.
-Counted: INTT ``(B, L)`` in the tensor product and ``(2B,
-E)`` in the key switch; the two adds are still Ele-Adds of ``(B, L)``,
-made before that INTT.
+slices the ``(2B, L, N)`` evaluation-domain pairs it returns.  HMULT also
+hands it the evaluation-domain image of ``d2`` its tensor product already
+holds, and ``d0``, ``d1`` as an addend: they join the key-switch
+accumulators in the evaluation domain (``ModDown(acc + P·d) = ModDown(acc)
++ d``; the switch keys carry ``P^{-1}`` in their ciphertext-prime limbs,
+and every step is exact mod ``q_i``), so the tensor product inverts only
+``d2``, the one polynomial ModUp needs in coefficients, and the switched
+pair is the product.  HMULT + RESCALE folds the rescale into that ModDown
+(``switch_many(..., rescale=True)``).
 
-Domains.  Ciphertexts rest in the coefficient domain: encryption produces
-it, every operation above returns it, and an evaluation-domain operand is
-brought there on entry with a counted INTT (exact, so nothing downstream
-changes).  The evaluation domain is where a caller *holds* operands it
-will multiply many times: :meth:`BatchedEvaluator.to_evaluation` /
-:meth:`~BatchedEvaluator.to_coefficient` move whole stream lists across in
-one fused transform each, and :meth:`~BatchedEvaluator.multiply_plain_sum`
-is the plaintext inner product ``sum_k ct_k ⊙ pt_k`` on evaluation-domain
-streams against a cached NTT-form operand, with an evaluation-domain
-result.  The BSGS linear transforms of the bootstrap are built from these
-three, so a diagonal costs two Hadamard products instead of CMULT's
-3 NTT + 2 INTT (NTT and INTT are exact and linear mod q: the residues are
-the ones the per-diagonal CMULT + HADD chain produces).
+Domains.  Ciphertexts rest in the evaluation domain: encryption produces
+it, every operation above returns it, and a coefficient-domain operand is
+brought there on entry with a counted NTT (exact, so nothing downstream
+changes).  So CMULT is the plaintext's NTT (none for a constant
+plaintext, which is its own image) and one product, HMULT's tensor
+product multiplies the held images, HROTATE / HCONJ permute them
+(:func:`~repro.kernels.automorphism.stack_automorphism_eval`) and invert
+only ``c1'`` for the key switch (rotations of the same streams by several
+steps share one INTT of ``c1``: :meth:`BatchedEvaluator.rotate_each`),
+and RESCALE inverts the dropped limb and
+transforms its ``L - 1`` residues (:func:`~repro.ckks.batched_keyswitch.
+subtract_correction`); ``tests/ckks/test_resting_domain.py`` pins each
+operation's limb-transforms per stream.  :meth:`BatchedEvaluator.to_evaluation` / :meth:`~BatchedEvaluator.
+to_coefficient` move whole stream lists across in one fused transform
+each, and :meth:`~BatchedEvaluator.multiply_plain_sum` is the plaintext
+inner product ``sum_k ct_k ⊙ pt_k`` against a cached NTT-form operand.  The
+BSGS linear transforms of the bootstrap are built from it, so a diagonal
+costs two Hadamard products and no transform, and their last giant
+rotation takes the sum and the rescale into its key switch
+(:meth:`BatchedEvaluator.rotate_add_rescale`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from ..backend.residency import combine_arrays, concatenate_arrays, stack_arrays
+from ..backend.residency import combine_arrays, stack_arrays
 from ..kernels.automorphism import (
     galois_element_for_rotation,
     stack_automorphism_coeff,
+    stack_automorphism_eval,
 )
 from ..kernels.base import KernelName
 from ..numtheory.modular import (
     mat_mod_add,
     mat_mod_mul,
     mat_mod_neg,
-    mat_mod_reduce,
     mat_mod_sub,
     moduli_column,
 )
 from ..rns.poly import PolyDomain, RnsPolynomial
-from .batched_keyswitch import BatchedKeySwitcher
+from .batched_keyswitch import BatchedKeySwitcher, subtract_correction
 from .ciphertext import Ciphertext, Plaintext
 from .context import CkksContext, pinned
 from .keys import RotationKeySet, SwitchKey
@@ -81,6 +88,19 @@ from .keys import RotationKeySet, SwitchKey
 __all__ = ["BatchedEvaluator", "stream_signature"]
 
 _RELATIVE_SCALE_TOLERANCE = 1e-6
+
+
+def _constant_image(buffer):
+    """The evaluation image of a constant coefficient-domain polynomial.
+
+    Each limb's constant coefficient at every point when every other
+    coefficient is zero, else ``None`` (a float-only handle included).
+    """
+    residues = buffer.host_image
+    # Limb 0 first: it settles a non-constant polynomial in one short scan.
+    if residues is None or np.any(residues[0, 1:]) or np.any(residues[:, 1:]):
+        return None
+    return np.repeat(residues[:, :1], residues.shape[1], axis=1)
 
 
 def stream_signature(ciphertext: Ciphertext) -> Tuple:
@@ -120,21 +140,18 @@ class BatchedEvaluator:
     def negate(self, ciphertexts: Sequence[Ciphertext]) -> List[Ciphertext]:
         """Negate every stream: one launch over the ``c0 | c1`` stack per chain.
 
-        Each component keeps its domain (negation is the same map in
-        both).  Not a Table II kernel, so nothing is counted.
+        Not a Table II kernel, so nothing is counted.
         """
         def launch(moduli, members):
             batch = len(members)
             negated = self._limb_major(mat_mod_neg(self._limb_major(self._stack(
                 [ct.c0 for ct in members] + [ct.c1 for ct in members])), moduli))
-            return [
-                Ciphertext(c0=self._poly(moduli, negated[j], ct.c0.domain),
-                           c1=self._poly(moduli, negated[batch + j], ct.c1.domain),
-                           scale=ct.scale, level=ct.level)
-                for j, ct in enumerate(members)
-            ]
+            return self._ciphertexts(moduli, negated[:batch], negated[batch:],
+                                     [ct.scale for ct in members])
 
-        return self._per_chain(list(ciphertexts), lambda ct: ct.moduli, launch)
+        return self._per_chain(
+            self._in_domain(ciphertexts, PolyDomain.EVALUATION),
+            lambda ct: ct.moduli, launch)
 
     # ------------------------------------------------------------------
     # HADD / subtraction (Alg. 5): one Ele-Add launch per component
@@ -156,10 +173,7 @@ class BatchedEvaluator:
     def _combine(self, lhs_streams: Sequence[Ciphertext],
                  rhs_streams: Sequence[Ciphertext], funnel,
                  kernel: str) -> List[Ciphertext]:
-        pairs = []
-        for lhs, rhs in self._zipped(lhs_streams, rhs_streams):
-            self._check_scales(lhs.scale, rhs.scale)
-            pairs.append(self._aligned(lhs, rhs))
+        pairs = self._aligned(lhs_streams, rhs_streams, check_scales=True)
 
         def launch(moduli, members):
             outputs = []
@@ -177,17 +191,14 @@ class BatchedEvaluator:
     def add_plain(self, ciphertexts: Sequence[Ciphertext],
                   plaintexts: Sequence[Plaintext]) -> List[Ciphertext]:
         """Plaintext addition: one fused Ele-Add over the c0 stack."""
-        streams = []
-        for ciphertext, plaintext in self._zipped(ciphertexts, plaintexts):
+        streams = self._with_plaintexts(ciphertexts, plaintexts)
+        for ciphertext, plaintext in streams:
             self._check_scales(ciphertext.scale, plaintext.scale)
-            streams.append((self._coefficient(ciphertext),
-                            self._plain_at_level(plaintext, ciphertext.level)))
 
         def launch(moduli, members):
             sums = self._fused(mat_mod_add,
                                self._stack([ct.c0 for ct, _ in members]),
-                               self._stack([plain for _, plain in members]),
-                               moduli)
+                               self._plain_images(moduli, members), moduli)
             self._record(KernelName.ELE_ADD, len(members), len(moduli))
             return self._ciphertexts(moduli, sums,
                                      [ct.c1.buffer.copy() for ct, _ in members],
@@ -196,37 +207,34 @@ class BatchedEvaluator:
         return self._per_chain(streams, lambda entry: entry[0].moduli, launch)
 
     # ------------------------------------------------------------------
-    # CMULT (Alg. 3): one NTT / Hadamard / INTT step for all streams
+    # CMULT (Alg. 3): the plaintexts' NTT and one Hadamard launch
     # ------------------------------------------------------------------
     @pinned
     def multiply_plain(self, ciphertexts: Sequence[Ciphertext],
                        plaintexts: Sequence[Plaintext]) -> List[Ciphertext]:
-        """CMULT: multiply each stream by its encoded plaintext."""
-        streams = [
-            (self._coefficient(ciphertext), plaintext,
-             self._plain_at_level(plaintext, ciphertext.level))
-            for ciphertext, plaintext in self._zipped(ciphertexts, plaintexts)
-        ]
+        """CMULT: multiply each stream by its encoded plaintext.
+
+        The ciphertexts are held in the evaluation domain, so a launch
+        transforms only the plaintexts and multiplies ``c0 | c1`` of every
+        stream by them in one product, the plaintext image broadcast over
+        the component axis.
+        """
+        streams = self._with_plaintexts(ciphertexts, plaintexts)
 
         def launch(moduli, members):
             batch, limbs = len(members), len(moduli)
-            evals = self.context.planner.forward_ops(
-                self.context.ring_degree, moduli, self._stack(
-                    [ct.c0 for ct, _, _ in members]
-                    + [ct.c1 for ct, _, _ in members]
-                    + [plain for _, _, plain in members]))
-            self._record(KernelName.NTT, 3 * batch, limbs)
-            plain_eval = evals[2 * batch:]
-            d0 = self._fused(mat_mod_mul, evals[:batch], plain_eval, moduli)
-            d1 = self._fused(mat_mod_mul, evals[batch:2 * batch], plain_eval,
-                             moduli)
+            ring_degree = self.context.ring_degree
+            # (2B, L, N) → (L, 2, B, N) against the (L, 1, B, N) plaintexts.
+            cipher = self._stack(
+                [ct.c0 for ct, _ in members] + [ct.c1 for ct, _ in members]
+            ).reshape(2, batch, limbs, ring_degree).transpose(2, 0, 1, 3)
+            plain = self._limb_major(self._plain_images(moduli, members))
+            products = self._limb_major(mat_mod_mul(
+                cipher, plain[:, None], moduli).reshape(limbs, 2 * batch, -1))
             self._record(KernelName.HADAMARD, 2 * batch, limbs)
-            coeff = self.context.planner.inverse_ops(
-                self.context.ring_degree, moduli, concatenate_arrays([d0, d1]))
-            self._record(KernelName.INTT, 2 * batch, limbs)
             return self._ciphertexts(
-                moduli, coeff[:batch], coeff[batch:],
-                [ct.scale * plaintext.scale for ct, plaintext, _ in members])
+                moduli, products[:batch], products[batch:],
+                [ct.scale * plaintext.scale for ct, plaintext in members])
 
         return self._per_chain(streams, lambda entry: entry[0].moduli, launch)
 
@@ -253,8 +261,9 @@ class BatchedEvaluator:
                            operand_at, scale: float) -> List[Ciphertext]:
         """The plaintext inner product ``sum_k ct_k ⊙ pt_k`` of ``B`` streams.
 
-        ``term_streams[k][b]`` is term ``k`` of stream ``b``, in the
-        evaluation domain; the terms of one stream share its level and
+        ``term_streams[k][b]`` is term ``k`` of stream ``b`` (a
+        coefficient-domain term is transformed on entry); the terms of one
+        stream share its level and
         scale.  ``operand_at(level)`` is the static ``(L, k, 1, N)``
         evaluation-domain image of the ``k`` plaintexts on the chain of
         ``level``, encoded at ``scale``.  Per chain this is one fused
@@ -269,13 +278,14 @@ class BatchedEvaluator:
         terms, first = len(term_streams), term_streams[0]
         for streams in term_streams:
             for head, ciphertext in self._zipped(first, streams):
-                if (ciphertext.c0.domain != PolyDomain.EVALUATION
-                        or ciphertext.c1.domain != PolyDomain.EVALUATION):
-                    raise ValueError(
-                        "the inner product takes evaluation-domain streams")
                 if ciphertext.level != head.level:
                     raise ValueError("the terms of a stream must share its level")
                 self._check_scales(ciphertext.scale, head.scale)
+
+        flat = self._in_domain([ct for streams in term_streams for ct in streams],
+                               PolyDomain.EVALUATION)
+        term_streams = [flat[k * len(first):(k + 1) * len(first)]
+                        for k in range(terms)]
 
         def launch(moduli, members):      # members: the term tuple of a stream
             batch, limbs = len(members), len(moduli)
@@ -292,8 +302,7 @@ class BatchedEvaluator:
             self._record(KernelName.ELE_ADD, 2 * (terms - 1) * batch, limbs)
             return self._ciphertexts(
                 moduli, sums[:batch], sums[batch:],
-                [stream[0].scale * scale for stream in members],
-                PolyDomain.EVALUATION)
+                [stream[0].scale * scale for stream in members])
 
         return self._per_chain(list(zip(*term_streams)),
                                lambda terms: terms[0].moduli, launch)
@@ -305,9 +314,28 @@ class BatchedEvaluator:
     def multiply(self, lhs_streams: Sequence[Ciphertext],
                  rhs_streams: Sequence[Ciphertext],
                  relinearization_key: SwitchKey) -> List[Ciphertext]:
-        """HMULT: fused transforms and one fused key switch."""
-        pairs = [self._aligned(lhs, rhs)
-                 for lhs, rhs in self._zipped(lhs_streams, rhs_streams)]
+        """HMULT: the tensor product and one fused key switch."""
+        return self._multiply(lhs_streams, rhs_streams, relinearization_key,
+                              rescale=False)
+
+    @pinned
+    def multiply_and_rescale(self, lhs_streams: Sequence[Ciphertext],
+                             rhs_streams: Sequence[Ciphertext],
+                             relinearization_key: SwitchKey) -> List[Ciphertext]:
+        """HMULT followed by RESCALE, the rescale folded into ModDown.
+
+        Bit for bit ``rescale(multiply(...))``: the key switch inverts the
+        dropped limb with its special-prime rows, and one forward launch
+        transforms the ``L - 1``-row correction of both steps.
+        """
+        return self._multiply(lhs_streams, rhs_streams, relinearization_key,
+                              rescale=True)
+
+    def _multiply(self, lhs_streams, rhs_streams, relinearization_key,
+                  rescale: bool) -> List[Ciphertext]:
+        pairs = self._aligned(lhs_streams, rhs_streams)
+        if rescale and any(lhs.level == 0 for lhs, _ in pairs):
+            raise ValueError("cannot rescale a level-0 ciphertext")
 
         def launch(moduli, members):
             batch = len(members)
@@ -316,34 +344,35 @@ class BatchedEvaluator:
             # decomposition of every stream runs as batched ModUp / NTT /
             # inner-product / ModDown launches, ModUp's copies of d2's own
             # limbs take their transforms from d2's evaluation image, and
-            # d0 | d1 join the accumulators before their INTT: the switched
-            # pair is the product.
+            # d0 | d1 join the accumulators: the switched pair is the product.
             switched = self.key_switcher.switch_many(
                 d2_coeff, relinearization_key, len(moduli) - 1,
-                evaluations=d2, addend=d0_d1)
-            return self._ciphertexts(
-                moduli, switched[:batch], switched[batch:],
-                [lhs.scale * rhs.scale for lhs, rhs in members])
+                evaluations=d2, addend=d0_d1, rescale=rescale)
+            scales = [lhs.scale * rhs.scale for lhs, rhs in members]
+            if rescale:
+                moduli, scales = moduli[:-1], [scale / moduli[-1] for scale in scales]
+            return self._ciphertexts(moduli, switched[:batch], switched[batch:],
+                                     scales)
 
         return self._per_chain(pairs, lambda entry: entry[0].moduli, launch)
 
     def _tensor_product(self, entries, moduli):
         """``d2`` of every aligned pair in both domains, and ``d0``, ``d1``.
 
-        Each distinct operand polynomial is transformed, and counted, once:
-        a square, or a ciphertext that is an operand of two streams, is one
-        set of rows of the transformed stack, and ``a0 | a1`` / ``b0 | b1``
-        are gathers of it (views when the rows are in order).  Then two
-        launches on their limb-major views: ``a0 ⊙ b0 | a1 ⊙ b1`` as one
-        product over the ``2B`` axis, and ``d1 = a0 ⊙ b1 + a1 ⊙ b0`` as one
-        multiply-accumulate over the pair axis — summed before it is
-        reduced, which equals the two Hada-Mult and one Ele-Add launches it
-        is counted as bit for bit.  Only ``d2 = a1 ⊙ b1`` is inverted
-        (``B·L`` rows): returns its ``(B, L, N)`` coefficient stack, its
-        limb-major ``(L, B, N)`` image, and the limb-major images of ``d0``
-        and ``d1``, which the key switch adds in the evaluation domain.
-        A method of its own so the operand images are released before the
-        key switch allocates.
+        The operands are held in the evaluation domain.  Each distinct
+        operand polynomial is one set of rows of one stack (a square, or a
+        ciphertext that is an operand of two streams, is gathered once),
+        and ``a0 | a1`` / ``b0 | b1`` are gathers of it (views when the
+        rows are in order).  Then two launches on their limb-major views:
+        ``a0 ⊙ b0 | a1 ⊙ b1`` as one product over the ``2B`` axis, and
+        ``d1 = a0 ⊙ b1 + a1 ⊙ b0`` as one multiply-accumulate over the pair
+        axis — summed before it is reduced, which equals the two Hada-Mult
+        and one Ele-Add launches it is counted as bit for bit.  Only ``d2
+        = a1 ⊙ b1`` is inverted (``B·L`` rows), for ModUp: returns its
+        ``(B, L, N)`` coefficient stack, its limb-major ``(L, B, N)``
+        image, and the limb-major images of ``d0`` and ``d1``, which the
+        key switch adds in the evaluation domain.  A method of its own so
+        the operand stack is released before the key switch allocates.
         """
         batch, limbs = len(entries), len(moduli)
         operands = ([lhs.c0 for lhs, _ in entries] + [lhs.c1 for lhs, _ in entries]
@@ -354,9 +383,7 @@ class BatchedEvaluator:
                 row_of[id(poly)] = len(distinct)
                 distinct.append(poly)
         rows = [row_of[id(poly)] for poly in operands]
-        evals = self.context.planner.forward_ops(
-            self.context.ring_degree, moduli, self._stack(distinct))
-        self._record(KernelName.NTT, len(distinct), limbs)
+        evals = self._stack(distinct)
         lhs = self._limb_major(self._rows(evals, rows[:2 * batch]))   # a0 | a1
         rhs = self._limb_major(self._rows(evals, rows[2 * batch:]))   # b0 | b1
         pairs = (limbs, 2, batch, self.context.ring_degree)
@@ -372,45 +399,40 @@ class BatchedEvaluator:
         self._record(KernelName.INTT, batch, limbs)
         return coeff, d2, (outer[:, :batch], cross)
 
-    def multiply_and_rescale(self, lhs_streams: Sequence[Ciphertext],
-                             rhs_streams: Sequence[Ciphertext],
-                             relinearization_key: SwitchKey) -> List[Ciphertext]:
-        """HMULT followed by RESCALE (the common usage pattern)."""
-        return self.rescale(
-            self.multiply(lhs_streams, rhs_streams, relinearization_key))
-
     # ------------------------------------------------------------------
-    # RESCALE (Alg. 6): B level drops, three fused launches per group
+    # RESCALE (Alg. 6): B level drops, one INTT limb and one NTT per group
     # ------------------------------------------------------------------
     @pinned
     def rescale(self, ciphertexts: Sequence[Ciphertext]) -> List[Ciphertext]:
-        """RESCALE: drop the last prime of every stream and divide its scale."""
+        """RESCALE: drop the last prime of every stream and divide its scale.
+
+        Per chain group: one INTT of the last limb of ``c0 | c1`` of every
+        stream, then ``(c_i - NTT([c_last]_{q_i})) * q_last^{-1}`` over the
+        surviving limbs (:func:`~repro.ckks.batched_keyswitch.
+        subtract_correction`: one reduction, one NTT, one subtraction, one
+        product).
+        """
         ciphertexts = list(ciphertexts)
         for ciphertext in ciphertexts:
             if ciphertext.level == 0:
                 raise ValueError("cannot rescale a level-0 ciphertext")
 
         def launch(moduli, members):
-            batch, limbs = len(members), len(moduli)
-            surviving = moduli[:-1]
-            stacks = self._limb_major(self._stack(
-                [ct.c0 for ct in members] + [ct.c1 for ct in members]))  # (L, 2B, N)
-            # (c_i - c_last) * q_last^{-1} mod q_i, all streams and limbs
-            # in three funnel launches over the (L-1, 2B, N) view — the
-            # last limb broadcasts down the surviving ones; the funnel
-            # multiply stays exact for moduli whose residue products
-            # overflow int64.
-            diff = mat_mod_sub(stacks[:-1],
-                               mat_mod_reduce(stacks[-1:], surviving), surviving)
-            scaled = self._limb_major(mat_mod_mul(
-                diff, self.context.rescale_inverses(moduli), surviving))
-            self._record(KernelName.ELE_SUB, 2 * batch, limbs - 1)
+            batch = len(members)
+            stacks = self._stack(
+                [ct.c0 for ct in members] + [ct.c1 for ct in members])  # (2B, L, N)
+            last = self.context.planner.inverse_ops(
+                self.context.ring_degree, moduli[-1:], stacks[:, -1:])
+            self._record(KernelName.INTT, 2 * batch, 1)
+            scaled = subtract_correction(
+                self.context, self._limb_major(stacks), None, moduli,
+                last=self._limb_major(last))
             return self._ciphertexts(
-                surviving, scaled[:batch], scaled[batch:],
+                moduli[:-1], scaled[:batch], scaled[batch:],
                 [ct.scale / moduli[-1] for ct in members])
 
         return self._per_chain(
-            self._in_domain(ciphertexts, PolyDomain.COEFFICIENT),
+            self._in_domain(ciphertexts, PolyDomain.EVALUATION),
             lambda ct: ct.moduli, launch)
 
     # ------------------------------------------------------------------
@@ -421,24 +443,69 @@ class BatchedEvaluator:
                rotation_keys: RotationKeySet) -> List[Ciphertext]:
         """HROTATE: cyclically rotate every stream's slots by ``steps``.
 
-        The automorphism gathers each stream's ``c0`` and ``c1`` straight
-        into its row of one ``(2B, L, N)`` output (every output coefficient
-        reads its source position) and the key switch runs B-fused; streams
-        are grouped by their active prime chain exactly like the other
+        The automorphism gathers each stream's ``ĉ0`` and ``ĉ1`` straight
+        into its row of one ``(2B, L, N)`` output (an index permutation of
+        the evaluation points) and the key switch runs B-fused; streams are
+        grouped by their active prime chain exactly like the other
         operations.
+        """
+        return self.rotate_each(ciphertexts, [steps], rotation_keys)[0]
+
+    @pinned
+    def rotate_each(self, ciphertexts: Sequence[Ciphertext],
+                    steps: Sequence[int],
+                    rotation_keys: RotationKeySet) -> List[List[Ciphertext]]:
+        """HROTATE of the same streams by every entry of ``steps``.
+
+        One list of rotated streams per entry, each bit for bit
+        :meth:`rotate`'s.  The rotations share one INTT of every stream's
+        ``c1`` (the BSGS baby steps, :func:`~repro.ckks.bootstrap.bsgs.
+        baby_rotations`), so ``k`` rotations of a stream record ``k - 1``
+        fewer INTTs than ``k`` calls of :meth:`rotate`.  A step that is a
+        multiple of the slot count gives copies of the streams.
         """
         ciphertexts = list(ciphertexts)
         if not ciphertexts:
             # Zero streams never resolve a key: empty in, empty out.
-            return []
+            return [[] for _ in steps]
+        slot_count = self.context.slot_count
+        steps = [step % slot_count for step in steps]
+        maps = {step: (galois_element_for_rotation(step, self.context.ring_degree),
+                       rotation_keys.for_steps(step), KernelName.FROBENIUS)
+                for step in steps if step}
+        ciphertexts = self._in_domain(ciphertexts, PolyDomain.EVALUATION)
+        rotated = dict(zip(maps, self._apply_galois(
+            ciphertexts, list(maps.values())) if maps else []))
+        return [rotated[step] if step else
+                [ciphertext.copy() for ciphertext in ciphertexts]
+                for step in steps]
+
+    @pinned
+    def rotate_add_rescale(self, ciphertexts: Sequence[Ciphertext], steps: int,
+                           rotation_keys: RotationKeySet,
+                           addends: Sequence[Ciphertext]) -> List[Ciphertext]:
+        """``rescale(add(addends, rotate(ciphertexts, steps)))``, bit for bit.
+
+        The tail of a BSGS transform.  ``addends[j]`` joins stream ``j``'s
+        key-switch accumulators (with its rotated ``ĉ0``) and the rescale
+        folds into ModDown, as in :meth:`multiply_and_rescale`: the dropped
+        limb is inverted with the special-prime rows, and the ``L - 1``-row
+        correction's one forward launch is the rescale's transform too.
+        """
+        ciphertexts = list(ciphertexts)
         steps %= self.context.slot_count
-        if steps == 0:
-            return [ciphertext.copy() for ciphertext in ciphertexts]
+        if not steps:
+            return self.rescale(self.add(addends, ciphertexts))
+        pairs = self._aligned(ciphertexts, addends, check_scales=True)
+        if any(ciphertext.level == 0 for ciphertext, _ in pairs):
+            raise ValueError("cannot rescale a level-0 ciphertext")
         galois_element = galois_element_for_rotation(
             steps, self.context.ring_degree)
-        return self._apply_galois(ciphertexts, galois_element,
-                                  rotation_keys.for_steps(steps),
-                                  KernelName.FROBENIUS)
+        return self._apply_galois(
+            [ciphertext for ciphertext, _ in pairs],
+            [(galois_element, rotation_keys.for_steps(steps),
+              KernelName.FROBENIUS)],
+            addends=[addend for _, addend in pairs])[0]
 
     @pinned
     def conjugate(self, ciphertexts: Sequence[Ciphertext],
@@ -449,43 +516,90 @@ class BatchedEvaluator:
             return []
         if rotation_keys.conjugation_key is None:
             raise ValueError("rotation key set has no conjugation key")
-        return self._apply_galois(ciphertexts, 2 * self.context.ring_degree - 1,
-                                  rotation_keys.conjugation_key,
-                                  KernelName.CONJUGATE)
+        return self._apply_galois(
+            self._in_domain(ciphertexts, PolyDomain.EVALUATION),
+            [(2 * self.context.ring_degree - 1, rotation_keys.conjugation_key,
+              KernelName.CONJUGATE)])[0]
 
-    def _apply_galois(self, ciphertexts: Sequence[Ciphertext],
-                      galois_element: int, switch_key: SwitchKey,
-                      kernel: str) -> List[Ciphertext]:
-        """``(c0, c1) -> (c0(X^g), 0) + KeySwitch(c1(X^g))`` for every stream.
+    def _apply_galois(self, ciphertexts: Sequence[Ciphertext], maps,
+                      addends=None) -> List[List[Ciphertext]]:
+        """``(c0, c1) -> (c0(X^g), 0) + KeySwitch(c1(X^g))`` for every
+        evaluation-domain stream and every ``(g, key, kernel)`` of ``maps``:
+        one list of streams per map.
 
-        Per chain group, the FrobeniusMap / Conjugate kernel is one exact
-        gather of the ``2B`` components into a ``(2B, L, N)`` output in the
-        image the streams rest in (:func:`~repro.backend.residency.
-        combine_arrays`' rule), recorded once per component; then one
-        B-fused key switch of its ``c1`` rows, and one Ele-Add launch of
-        the switched ``c0`` rows onto its ``c0`` rows.
+        Per chain group and map, the FrobeniusMap / Conjugate kernel is
+        one gather of the ``2B`` evaluation-domain components into a ``(2B,
+        L, N)`` output in the image the streams rest in (:func:`~repro.
+        backend.residency.combine_arrays`' rule), recorded once per
+        component; one INTT of its ``c1`` rows for ModUp, whose image the
+        key switch takes as ``evaluations=``; then the B-fused key switch
+        and one Ele-Add launch of the switched ``c0`` rows onto the
+        permuted ``c0`` rows.  Several maps share one INTT of the input
+        ``c1`` rows instead: the automorphism commutes with the transform,
+        so ``c1(X^g)``'s coefficients are a signed gather of ``c1``'s
+        (exact mod ``q_i``); one map keeps the INTT after its gather, which
+        spares the copy of the input rows and the signed gather.  With
+        ``addends`` (one per stream, at its level and scale; one map)
+        the permuted ``c0`` rows and the addends join the key switch's
+        accumulators instead, and the result is rescaled in its ModDown
+        (:meth:`rotate_add_rescale`).
         """
+        entries = [(ct, None) for ct in ciphertexts] if addends is None \
+            else list(zip(ciphertexts, addends))
+
         def launch(moduli, members):
             batch, limbs = len(members), len(moduli)
-            # Each component is read once, straight into its output row:
-            # no stacked copy of the inputs in between.
-            column = moduli_column(moduli)
-            rotated = combine_arrays(
-                [ct.c0.buffer for ct in members] + [ct.c1.buffer for ct in members],
-                lambda images: stack_automorphism_coeff(
-                    images, galois_element, column))
-            self._record(kernel, 2 * batch, limbs)
-            switched = self.key_switcher.switch_many(
-                rotated[batch:], switch_key, limbs - 1)
-            summed = self._fused(mat_mod_add, rotated[:batch], switched[:batch],
-                                 moduli)
-            self._record(KernelName.ELE_ADD, batch, limbs)
-            return self._ciphertexts(moduli, summed, switched[batch:],
-                                     [ct.scale for ct in members])
+            inverse = functools.partial(self.context.planner.inverse_ops,
+                                        self.context.ring_degree, moduli)
+            shared = None
+            if len(maps) > 1:
+                shared = inverse(self._stack([ct.c1 for ct, _ in members]))
+                self._record(KernelName.INTT, batch, limbs)
+            outputs = []
+            for galois_element, switch_key, kernel in maps:
+                # Each component is read once, straight into its output
+                # row: no stacked copy of the inputs in between.
+                rotated = combine_arrays(
+                    [ct.c0.buffer for ct, _ in members]
+                    + [ct.c1.buffer for ct, _ in members],
+                    lambda images: stack_automorphism_eval(images, galois_element))
+                self._record(kernel, 2 * batch, limbs)
+                if shared is None:
+                    permuted = inverse(rotated[batch:])
+                    self._record(KernelName.INTT, batch, limbs)
+                else:
+                    permuted = combine_arrays(
+                        [shared], lambda images: stack_automorphism_coeff(
+                            images[0], galois_element, moduli_column(moduli)))
+                evaluations = self._limb_major(rotated[batch:])
+                if addends is None:
+                    switched = self.key_switcher.switch_many(
+                        permuted, switch_key, limbs - 1, evaluations=evaluations)
+                    summed = self._fused(mat_mod_add, rotated[:batch],
+                                         switched[:batch], moduli)
+                    self._record(KernelName.ELE_ADD, batch, limbs)
+                    outputs.append(self._ciphertexts(
+                        moduli, summed, switched[batch:],
+                        [ct.scale for ct, _ in members]))
+                    continue
+                head = mat_mod_add(self._limb_major(rotated[:batch]),
+                                   self._limb_major(self._stack(
+                                       [addend.c0 for _, addend in members])),
+                                   moduli)
+                self._record(KernelName.ELE_ADD, batch, limbs)
+                switched = self.key_switcher.switch_many(
+                    permuted, switch_key, limbs - 1, evaluations=evaluations,
+                    addend=(head, self._limb_major(self._stack(
+                        [addend.c1 for _, addend in members]))),
+                    rescale=True)
+                outputs.append(self._ciphertexts(
+                    moduli[:-1], switched[:batch], switched[batch:],
+                    [ct.scale / moduli[-1] for ct, _ in members]))
+            return list(zip(*outputs))
 
-        return self._per_chain(
-            self._in_domain(ciphertexts, PolyDomain.COEFFICIENT),
-            lambda ct: ct.moduli, launch)
+        per_stream = self._per_chain(entries, lambda entry: entry[0].moduli,
+                                     launch)
+        return [list(streams) for streams in zip(*per_stream)]
 
     # ------------------------------------------------------------------
     # Internals
@@ -511,14 +625,29 @@ class BatchedEvaluator:
         """``ciphertexts`` with every component in ``domain``.
 
         The components that are not are transformed in one counted engine
-        call per prime chain; a stream already there comes back as itself
-        (the usual case for the coefficient domain).
+        call per prime chain, each distinct polynomial once (one that two
+        streams share stays shared); a stream already there comes back as
+        itself (the usual case for the evaluation domain).
         """
         ciphertexts = list(ciphertexts)
         polys = [poly for ct in ciphertexts for poly in (ct.c0, ct.c1)]
-        pending = [poly for poly in polys if poly.domain != domain]
-        if not pending:
+        if all(poly.domain == domain for poly in polys):
             return ciphertexts
+        moved = {id(poly): image for poly, image
+                 in zip(polys, self._polys_in_domain(polys, domain))
+                 if image is not poly}
+        return [
+            ct if id(ct.c0) not in moved and id(ct.c1) not in moved
+            else Ciphertext(moved.get(id(ct.c0), ct.c0),
+                            moved.get(id(ct.c1), ct.c1), ct.scale, ct.level)
+            for ct in ciphertexts
+        ]
+
+    def _polys_in_domain(self, polys: Sequence[RnsPolynomial],
+                         domain: str) -> List[RnsPolynomial]:
+        """``polys`` in ``domain``: the others transformed as :meth:`_in_domain`
+        says, those already there returned as themselves."""
+        pending = {id(poly): poly for poly in polys if poly.domain != domain}
         planner = self.context.planner
         transform, kernel = (
             (planner.forward_ops, KernelName.NTT)
@@ -532,19 +661,9 @@ class BatchedEvaluator:
             return [self._poly(moduli, moved[j], domain)
                     for j in range(len(members))]
 
-        moved = iter(self._per_chain(pending, lambda poly: poly.moduli, launch))
-        polys = [poly if poly.domain == domain else next(moved) for poly in polys]
-        return [
-            ct if polys[2 * i] is ct.c0 and polys[2 * i + 1] is ct.c1
-            else Ciphertext(polys[2 * i], polys[2 * i + 1], ct.scale, ct.level)
-            for i, ct in enumerate(ciphertexts)
-        ]
-
-    def _coefficient(self, ciphertext: Ciphertext) -> Ciphertext:
-        """``ciphertext`` itself when already coefficient-domain (the usual case)."""
-        if ciphertext.c0.domain == ciphertext.c1.domain == PolyDomain.COEFFICIENT:
-            return ciphertext       # per stream of every op: keep it two compares
-        return self._in_domain([ciphertext], PolyDomain.COEFFICIENT)[0]
+        moved = dict(zip(pending, self._per_chain(
+            list(pending.values()), lambda poly: poly.moduli, launch)))
+        return [moved.get(id(poly), poly) for poly in polys]
 
     def _at_level(self, ciphertext: Ciphertext, level: int) -> Ciphertext:
         """``ciphertext`` on the chain of ``level``; itself when already there.
@@ -564,22 +683,56 @@ class BatchedEvaluator:
             level=level,
         )
 
-    def _aligned(self, lhs: Ciphertext, rhs: Ciphertext):
-        """Both operands at their minimum level, in the coefficient domain."""
-        level = min(lhs.level, rhs.level)
-        return (self._coefficient(self._at_level(lhs, level)),
-                self._coefficient(self._at_level(rhs, level)))
+    def _aligned(self, lhs_streams: Sequence[Ciphertext],
+                 rhs_streams: Sequence[Ciphertext], *,
+                 check_scales: bool = False) -> List[Tuple[Ciphertext, Ciphertext]]:
+        """Every pair at its minimum level, in the evaluation domain."""
+        flat = []
+        for lhs, rhs in self._zipped(lhs_streams, rhs_streams):
+            if check_scales:
+                self._check_scales(lhs.scale, rhs.scale)
+            level = min(lhs.level, rhs.level)
+            flat += [self._at_level(lhs, level), self._at_level(rhs, level)]
+        flat = self._in_domain(flat, PolyDomain.EVALUATION)
+        return list(zip(flat[0::2], flat[1::2]))
 
-    def _plain_at_level(self, plaintext: Plaintext, level: int) -> RnsPolynomial:
-        """An encoded plaintext restricted to the ciphertext's active basis."""
-        moduli = self.context.moduli_at_level(level)
-        polynomial = plaintext.polynomial
-        if tuple(polynomial.moduli) != moduli:
-            polynomial = polynomial.restrict_to(moduli)
-        if polynomial.domain == PolyDomain.COEFFICIENT:
-            return polynomial
-        self._record(KernelName.INTT, 1, polynomial.limb_count)
-        return polynomial.to_coefficient(self.context.planner)
+    def _with_plaintexts(self, ciphertexts: Sequence[Ciphertext],
+                         plaintexts: Sequence[Plaintext]):
+        """``(ciphertext, plaintext)`` pairs, the ciphertexts in the
+        evaluation domain."""
+        ciphertexts, plaintexts = list(ciphertexts), list(plaintexts)
+        self._zipped(ciphertexts, plaintexts)
+        return list(zip(self._in_domain(ciphertexts, PolyDomain.EVALUATION),
+                        plaintexts))
+
+    def _plain_images(self, moduli: Tuple[int, ...], members):
+        """The ``(B, L, N)`` evaluation-domain plaintexts of ``(ciphertext,
+        plaintext)`` members on ``moduli``.
+
+        Each stream's plaintext is restricted to the chain.  One fused NTT
+        transforms the rows that need it, counted per stream (so a
+        stream's counts do not depend on which streams share its
+        encoding).  An evaluation-domain plaintext is its own image, and so
+        is a constant polynomial — an encoded constant vector, whose
+        transform is its constant at every point, exactly: neither is
+        transformed or counted.
+        """
+        polys = [plaintext.polynomial if plaintext.polynomial.moduli == moduli
+                 else plaintext.polynomial.restrict_to(moduli)
+                 for _, plaintext in members]
+        images = [poly.buffer if poly.domain == PolyDomain.EVALUATION
+                  else _constant_image(poly.buffer) for poly in polys]
+        pending = [j for j, image in enumerate(images) if image is None]
+        if pending:
+            moved = self.context.planner.forward_ops(
+                self.context.ring_degree, moduli,
+                self._stack([polys[j] for j in pending]))
+            self._record(KernelName.NTT, len(pending), len(moduli))
+            if len(pending) == len(polys):
+                return moved
+            for row, j in enumerate(pending):
+                images[j] = moved[row]
+        return stack_arrays(images)
 
     @staticmethod
     def _per_chain(streams: list, chain_of, launch) -> list:
@@ -601,12 +754,12 @@ class BatchedEvaluator:
         return results
 
     def _ciphertexts(self, moduli: Tuple[int, ...], c0s, c1s,
-                     scales: Sequence[float],
-                     domain: str = PolyDomain.COEFFICIENT) -> List[Ciphertext]:
-        """Ciphertext ``j`` from row ``j`` of ``c0s`` and ``c1s`` on ``moduli``."""
+                     scales: Sequence[float]) -> List[Ciphertext]:
+        """Evaluation-domain ciphertext ``j`` from row ``j`` of ``c0s`` and
+        ``c1s`` on ``moduli``."""
         level = len(moduli) - 1
-        return [Ciphertext(c0=self._poly(moduli, c0s[j], domain),
-                           c1=self._poly(moduli, c1s[j], domain),
+        return [Ciphertext(c0=self._poly(moduli, c0s[j], PolyDomain.EVALUATION),
+                           c1=self._poly(moduli, c1s[j], PolyDomain.EVALUATION),
                            scale=scale, level=level)
                 for j, scale in enumerate(scales)]
 
@@ -644,7 +797,7 @@ class BatchedEvaluator:
             self._limb_major(lhs), self._limb_major(rhs), moduli))
 
     def _poly(self, moduli: Tuple[int, ...], residues,
-              domain: str = PolyDomain.COEFFICIENT) -> RnsPolynomial:
+              domain: str) -> RnsPolynomial:
         return RnsPolynomial(self.context.ring_degree, moduli, residues, domain)
 
     def _record(self, kernel: str, operations: int, limbs: int) -> None:

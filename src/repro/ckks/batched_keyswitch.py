@@ -3,29 +3,32 @@
 ``switch_many`` takes the ``(B, L, N)`` stack of ``B`` polynomials ``d``
 that are currently paired with a foreign secret (``s^2`` after
 multiplication, ``s(X^g)`` after an automorphism) and returns one ``(2B, L,
-N)`` handle, the ``c0``s of every stream then their ``c1``s, with ``c0 +
-c1*s ≈ d * s_from`` per stream.  Stack in, stack out: the caller's launch
-feeds it a slice of its own output and slices the result, with no
-per-stream polynomial on either side.  The stream axis leads every tensor,
-so one polynomial is the ``B = 1`` case of the same launches
-(:meth:`~repro.ckks.keyswitch.KeySwitcher.switch`):
+N)`` handle in the evaluation domain, the ``c0``s of every stream then
+their ``c1``s, with ``c0 + c1*s ≈ d * s_from`` per stream: ciphertexts rest
+in the evaluation domain, and so does what the key switch hands back.
+Stack in, stack out: the caller's launch feeds it a slice of its own
+output and slices the result, with no per-stream polynomial on either
+side.  The stream axis leads every tensor, so one polynomial is the ``B =
+1`` case of the same launches (:meth:`~repro.ckks.keyswitch.KeySwitcher.switch`):
 
 * **Dcomp** — the dnum restriction of every stream is a view of the
-  ``(B, L, N)`` stack (the groups ``G_j`` are consecutive limb ranges);
-* **ModUp** — one batched Conv per decomposition group produces the
-  complement ``M_j = E \\ G_j`` of the group in the extended basis ``E``
-  (:meth:`~repro.rns.modup.ModUp.rows`), the batch folded into the
-  row-moduli GEMM's free dimension; the group's own limbs are copies of
-  ``d``;
+  ``(B, L, N)`` coefficient stack (the groups ``G_j`` are consecutive limb
+  ranges);
+* **ModUp** — one batched Conv produces the complement ``M_j = E \\ G_j``
+  of every decomposition group in the extended basis ``E`` (a
+  :meth:`~repro.rns.conv.BasisConverter.stacked` converter: one launch
+  pair, its ``q_hat`` matrix block diagonal over the groups), the batch
+  folded into the row-moduli GEMM's free dimension; a group's own limbs
+  are limbs of ``d``;
 * **NTT** — a single :meth:`~repro.ntt.planner.NttPlanner.forward_ops`
-  engine call transforms every row the caller does not already hold in
-  the evaluation domain, laid out in one copy: HMULT hands in the image
-  of ``d`` its tensor product computed, so only the complements are
-  transformed (Han–Ki's hybrid key switching needs no more),
-  ``(B, dnum * E - L, N)`` over their concatenated chain
-  ``M_0 ‖ … ‖ M_{dnum-1}`` (one more cached twiddle stack per level); a
-  rotation or conjugation holds nothing and transforms all ``B * dnum``
-  extended slices over ``E``;
+  engine call transforms the complements, ``(B, dnum * E - L, N)`` over
+  their concatenated chain ``M_0 ‖ … ‖ M_{dnum-1}`` (one more cached
+  twiddle stack per level).  The own limbs' transforms are the caller's
+  image of ``d`` (HMULT's tensor product computed it, a rotation permuted
+  it), so nothing is transformed twice (Han–Ki's hybrid key switching
+  needs no more); a caller without one (a lone polynomial) has ``d``
+  transformed in a launch of its own.  The operand is laid out from both
+  images in one copy;
 * **Inner-product** — one fused multiply-accumulate launch per ``(b, a)``
   component, ``sum_j d_j ⊙ key_j`` over the dnum axis of the limb-major
   ``(L', dnum, B, N)`` operand, reduced once.  The switch keys store their
@@ -33,35 +36,75 @@ so one polynomial is the ``B = 1`` case of the same launches
   the accumulators' Q rows come out already scaled for ModDown.  A
   caller's evaluation-domain ``addend`` (HMULT's ``d0 | d1``) joins those
   Q rows here, one Ele-Add launch per component: ``ModDown(acc + P·d) =
-  ModDown(acc) + d``, so the terms are never inverse-transformed on their
-  own (the QP accumulation of Bossuat et al.'s double hoisting, EUROCRYPT
-  2021).  The ``(2B, L', N)`` stack is assembled in one copy;
-* **ModDown** — both accumulators of every stream return to the ciphertext
-  basis through one ``inverse_ops`` call and ModDown's tail, one batched
-  Conv with ``P^{-1}`` folded into its constants and one subtraction
-  (:meth:`~repro.rns.moddown.ModDown.apply_scaled`).
+  ModDown(acc) + d`` (the QP accumulation of Bossuat et al.'s double
+  hoisting, EUROCRYPT 2021).  The ``(2B, L', N)`` stack is assembled in
+  one copy;
+* **ModDown** — in the evaluation domain: one ``inverse_ops`` call inverts
+  only the special-prime rows of both accumulators of every stream, one
+  batched Conv with ``P^{-1}`` folded into its constants gives the
+  correction (:meth:`~repro.rns.moddown.ModDown.correction`), and one
+  ``forward_ops`` call transforms it for the subtraction from the held Q
+  rows.  Under ``rescale=True`` (HMULT + RESCALE) the same INTT also
+  inverts the dropped limb, whose coefficients ``[y_L]_{q_i}`` join the
+  ``(L - 1)``-row correction, so the rescale costs no transform of its
+  own (Jung et al.'s fused ModDown·rescale, TCHES 2021).
 
+Every step is exact arithmetic mod ``q_i``, so the result is bit for bit
+the forward transform of the coefficient-domain ModDown (and RESCALE).
 The kernel counters record the per-stream invocations and limb-vectors of
 Algorithm 1 (via :meth:`~repro.kernels.base.KernelCounter.record_batch`),
-so one ``B``-stream call counts exactly what ``B`` one-stream calls do;
-the NTT records the rows actually transformed, ``dnum * E - L`` limb-vectors
-per stream when the image of ``d`` is supplied, and an addend's two adds
-are the Ele-Adds of ``(B, L)`` that add the switched pair.
+so one ``B``-stream call counts exactly what ``B`` one-stream calls do:
+NTT ``dnum * E - L`` limb-vectors per stream for ModUp and ``2 L'`` for
+the correction, INTT ``2 K`` (``2 (K + 1)`` when rescaling), and an
+addend's two adds are the Ele-Adds of ``(B, L)`` that add the switched pair.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..backend.residency import DeviceBuffer, block_arrays, stack_arrays
+from ..backend.residency import DeviceBuffer, block_arrays, combine_arrays
 from ..kernels.base import KernelName
-from ..numtheory.modular import mat_mod_add, mat_mod_mul
+from ..numtheory.modular import mat_mod_add, mat_mod_mul, mat_mod_reduce, mat_mod_sub
+from ..rns.conv import BasisConverter
 from ..rns.moddown import ModDown
-from ..rns.modup import ModUp
 from .context import CkksContext, pinned
 from .keys import SwitchKey
 
-__all__ = ["BatchedKeySwitcher"]
+__all__ = ["BatchedKeySwitcher", "subtract_correction"]
+
+
+def subtract_correction(context: CkksContext, held, correction, moduli, *,
+                        last=None) -> DeviceBuffer:
+    """``held - NTT(correction)`` on the chain ``moduli``, or its RESCALE.
+
+    ``held`` is a limb-major ``(L, R, N)`` stack of evaluation-domain rows
+    on ``moduli`` and ``correction`` the limb-major coefficient-domain
+    term to take from them (``None``: nothing).  With ``last``, the
+    ``(1, R, N)`` coefficients of the last limb, the result is the
+    RESCALE ``(held_i - NTT(correction_i + [last]_{q_i})) * q_last^{-1}``
+    on ``moduli[:-1]`` (``correction`` then has ``L - 1`` rows): the
+    coefficient-domain rescale, forward-transformed, since every step is
+    exact mod ``q_i``.  One forward launch transforms the correction of
+    every row; the result is an ``(R, L or L - 1, N)`` evaluation-domain
+    handle.
+    """
+    counter = context.kernels.counter
+    kept = moduli if last is None else moduli[:-1]
+    rows = held.shape[1]
+    # Temporaries are nested in the next step's arguments, so each dies
+    # as soon as it is used.
+    if last is not None:
+        correction = (mat_mod_reduce(last, kept) if correction is None
+                      else mat_mod_add(correction, mat_mod_reduce(last, kept), kept))
+        counter.record_batch(KernelName.ELE_SUB, rows, len(kept))
+    result = mat_mod_sub(held[:len(kept)], context.planner.forward_ops(
+        context.ring_degree, kept, correction.transpose(1, 0, 2)
+    ).transpose(1, 0, 2), kept)
+    counter.record_batch(KernelName.NTT, rows, len(kept))
+    if last is not None:
+        result = mat_mod_mul(result, context.rescale_inverses(moduli), kept)
+    return result.transpose(1, 0, 2)
 
 
 class BatchedKeySwitcher:
@@ -69,27 +112,29 @@ class BatchedKeySwitcher:
 
     def __init__(self, context: CkksContext) -> None:
         self.context = context
-        self._modup_cache = {}
+        self._converter_cache = {}
         self._moddown_cache = {}
 
     @pinned
     def switch_many(self, stacks, switch_key: SwitchKey, level: int, *,
-                    evaluations=None, addend=None) -> DeviceBuffer:
+                    evaluations=None, addend=None,
+                    rescale: bool = False) -> DeviceBuffer:
         """Key-switch the ``(B, L, N)`` coefficient stack ``stacks`` at ``level``.
 
         ``stacks`` (an array-like or a handle) holds one coefficient-domain
         polynomial per stream on the level's active basis.  Returns the
-        switched pairs as one ``(2B, L, N)`` handle: rows ``:B`` are the
-        ``c0``s, rows ``B:`` the ``c1``s.  ``evaluations`` is the caller's
-        evaluation-domain image of the same stack, limb-major ``(L, B,
-        N)``, when it holds one (HMULT's tensor product does): ModUp copies
-        each group's own limbs, and their transforms are then copied from
-        it instead of recomputed.  ``addend`` is a pair ``(t0, t1)`` of
-        evaluation-domain images on the active basis, each limb-major
-        ``(L, B, N)``, that the caller wants added to the switched pair
-        (HMULT's ``d0``, ``d1``): stream ``j`` then gets ``(t0_j + c0_j,
-        t1_j + c1_j)``, the terms added to the accumulators before their
-        one INTT.  Zero streams give an empty handle and resolve no key.
+        switched pairs as one ``(2B, L, N)`` evaluation-domain handle: rows
+        ``:B`` are the ``c0``s, rows ``B:`` the ``c1``s.  ``evaluations``
+        is the caller's evaluation-domain image of the same stack,
+        limb-major ``(L, B, N)``, when it holds one: the transforms of each
+        group's own limbs are then read from it instead of computed.
+        ``addend`` is a pair ``(t0, t1)`` of evaluation-domain images on
+        the active basis, each limb-major ``(L, B, N)``, that the caller
+        wants added to the switched pair (HMULT's ``d0``, ``d1``): stream
+        ``j`` then gets ``(t0_j + c0_j, t1_j + c1_j)``.  ``rescale=True``
+        also drops the last prime of the sum (RESCALE, folded into
+        ModDown): the result is ``(2B, L - 1, N)``.  Zero streams give an
+        empty handle and resolve no key.
         """
         context = self.context
         stacks = DeviceBuffer.wrap(stacks)
@@ -99,6 +144,8 @@ class BatchedKeySwitcher:
                 or stacks.shape[1:] != (len(active), context.ring_degree)):
             raise ValueError(
                 "the stack must be (B, L, N) on the basis of level %d" % level)
+        if rescale and level == 0:
+            raise ValueError("cannot rescale a level-0 ciphertext")
         batch = stacks.shape[0]
         if not batch:
             return DeviceBuffer.wrap(np.empty(stacks.shape, dtype=np.int64))
@@ -111,87 +158,54 @@ class BatchedKeySwitcher:
 
         # Each stage is a method call nested in the next one's arguments,
         # so its temporaries die with it and the next stage's launches
-        # reuse their memory.  INTT + ModDown: both components of every
-        # stream at once.
-        coeff = context.planner.inverse_ops(
-            context.ring_degree, extended, self._inner_product(
-                self._raise(stacks, key_level.group_moduli, extended,
-                            evaluations),
-                key_level, extended, addend))
-        counter = context.kernels.counter
-        counter.record_batch(KernelName.INTT, 2 * batch, len(extended))
-        counter.record_batch(KernelName.CONV, batch, 2 * len(active))
-        return self._moddown_for(active).apply_scaled(coeff)     # (2B, L, N)
+        # reuse their memory.
+        return self._mod_down(self._inner_product(
+            self._raise(stacks, key_level.group_moduli, extended, evaluations),
+            key_level, extended, addend), active, extended, rescale)
 
     def _raise(self, stacks, groups, extended, evaluations):
         """Dcomp + ModUp + NTT: the ``(L', dnum, B, N)`` inner-product operand.
 
         Slice ``[e, j]`` is limb ``e`` of group ``j``'s raised polynomial
-        in the evaluation domain.  ModUp copies the group's own limbs
-        ``G_j`` and converts the complement ``M_j = E \\ G_j``; when the
-        caller holds ``evaluations``, an own limb's image is one of its
-        limbs, so the one forward launch transforms only the complements,
-        ``dnum * E - L`` rows per stream over the concatenated chain ``M_0
-        ‖ … ‖ M_{dnum-1}``.  Without an image every row is transformed,
-        ``(B * dnum, E, N)`` over the extended chain.  Each step rebinds
-        one name, so its operand dies as soon as the next exists.
+        in the evaluation domain.  Group ``j``'s own limbs ``G_j`` (the
+        consecutive range ``s:t`` of the active chain) are limbs of ``d``,
+        whose image ``evaluations`` holds (transformed here, in a launch of
+        its own, when the caller holds none).  Its complement ``M_j = E \\
+        G_j`` is ``E[:s] ‖ E[t:]``; one batched Conv converts every group
+        to its complement and one forward launch transforms them all,
+        ``(B, dnum * E - L, N)`` over their concatenated chain.  The operand
+        is laid out from both images in one copy, block by block.
         """
         context = self.context
-        batch, dnum, ring_degree = stacks.shape[0], len(groups), context.ring_degree
-        rows, chain, layout = self._mod_up(stacks, groups, extended, evaluations)
-        width = len(chain) // dnum
-        if chain == chain[:width] * dnum:   # nothing held: E, dnum times
-            chain, shape = chain[:width], (batch * dnum, width, ring_degree)
-        else:
-            shape = (batch, len(chain), ring_degree)
-        rows = stack_arrays(rows, axis=1).reshape(shape)    # the one copy
-        rows = context.planner.forward_ops(ring_degree, chain, rows).reshape(
-            batch, -1, ring_degree)
+        counter = context.kernels.counter
+        batch, count, ring_degree = stacks.shape
         if evaluations is None:
-            # Every row transformed, group after group: the stack is the layout.
-            return rows.reshape(batch, dnum, -1, ring_degree).transpose(2, 1, 0, 3)
-        return stack_arrays([
-            rows[:, row] if isinstance(row, int) else row
-            for row in layout
-        ]).reshape(len(extended), dnum, batch, ring_degree)
+            evaluations = context.planner.forward_ops(
+                ring_degree, extended[:count], stacks).transpose(1, 0, 2)
+            counter.record_batch(KernelName.NTT, batch, count)
+        converter, bounds = self._converter_for(groups, extended)
+        for start, stop in bounds:
+            missing = len(extended) - stop + start
+            counter.record_batch(KernelName.CONV, batch, missing)
+            counter.record_batch(KernelName.NTT, batch, missing)
+        images = context.planner.forward_ops(
+            ring_degree, converter.target_moduli,
+            converter.convert_residues_batch(stacks))
 
-    def _mod_up(self, stacks, groups, extended, evaluations):
-        """Dcomp + ModUp: the rows to transform, their chain, the layout.
+        def layout(parts):
+            held, complements = parts
+            out = np.empty((len(extended), len(groups), batch, ring_degree),
+                           dtype=complements.dtype)
+            offset = 0
+            for j, (start, stop) in enumerate(bounds):
+                block = complements[:, offset:offset + len(extended) - stop + start]
+                out[:start, j] = block[:, :start].transpose(1, 0, 2)
+                out[start:stop, j] = held[start:stop]
+                out[stop:, j] = block[:, start:].transpose(1, 0, 2)
+                offset += block.shape[1]
+            return out
 
-        ``rows`` are ``(B, N)`` views of the groups' own limbs and Conv
-        outputs, group after group, without the own limbs the caller
-        holds: their chain is ``E`` repeated ``dnum`` times, or the
-        complements ``M_0 ‖ … ‖ M_{dnum-1}``.  ``layout`` names the source
-        of every ``(e, j)`` slice, limb-major: the position of its row, or
-        the caller's evaluation-domain limb.
-        """
-        counter = self.context.kernels.counter
-        batch = stacks.shape[0]
-        # One batched Conv per decomposition group; the groups are
-        # consecutive limb ranges of the active chain, so Dcomp is a view
-        # and the group's own limbs are extended limbs start … start + |G_j|.
-        rows, chain, sources, start = [], [], [], 0
-        for group in groups:
-            counter.record_batch(KernelName.CONV, batch,
-                                 len(extended) - len(group))
-            held = (range(start, start + len(group)) if evaluations is not None
-                    else range(0))
-            source = []
-            for limb, row in enumerate(self._modup_for(group, extended).rows(
-                    stacks[:, start:start + len(group)])):
-                if limb in held:
-                    source.append(evaluations[limb])
-                else:
-                    source.append(len(rows))
-                    rows.append(row)
-                    chain.append(extended[limb])
-            counter.record_batch(KernelName.NTT, batch,
-                                 len(extended) - len(held))
-            sources.append(source)
-            start += len(group)
-        layout = [source[limb] for limb in range(len(extended))
-                  for source in sources]
-        return rows, tuple(chain), layout
+        return combine_arrays([evaluations, images], layout)
 
     def _inner_product(self, slices, key_level, extended, addend):
         """Both key components against every slice: a ``(2B, L', N)`` stack.
@@ -226,14 +240,55 @@ class BatchedKeySwitcher:
             grid.append([block.transpose(1, 0, 2) for block in blocks])
         return block_arrays(grid)
 
+    def _mod_down(self, accumulators, active, extended, rescale) -> DeviceBuffer:
+        """ModDown (and RESCALE) of the ``(2B, L', N)`` accumulators, held
+        in the evaluation domain: a ``(2B, L or L - 1, N)`` handle.
+
+        One INTT of the rows the correction needs (the special primes, and
+        the dropped limb when rescaling), one Conv, and
+        :func:`subtract_correction` for the rest.  The dropped limb's
+        coefficients are ``INTT(acc_last) - Conv'_last`` mod ``q_last``.
+        """
+        context = self.context
+        counter = context.kernels.counter
+        rows, count = accumulators.shape[0], len(active)
+        first = count - 1 if rescale else count
+        tail = context.planner.inverse_ops(
+            context.ring_degree, extended[first:], accumulators[:, first:])
+        counter.record_batch(KernelName.INTT, rows, len(extended) - first)
+        counter.record_batch(KernelName.CONV, rows // 2, 2 * count)
+        correction = self._moddown_for(active).correction(
+            tail[:, count - first:]).transpose(1, 0, 2)     # (L, 2B, N)
+        held = accumulators.transpose(1, 0, 2)[:count]
+        if not rescale:
+            return subtract_correction(context, held, correction, active)
+        last = mat_mod_sub(tail[:, :1].transpose(1, 0, 2), correction[-1:],
+                           active[-1:])
+        return subtract_correction(context, held, correction[:-1], active,
+                                   last=last)
+
     # ------------------------------------------------------------------
-    def _modup_for(self, group, extended) -> ModUp:
-        key = (tuple(group), tuple(extended))
-        instance = self._modup_cache.get(key)
-        if instance is None:
-            instance = ModUp(group, extended)
-            self._modup_cache[key] = instance
-        return instance
+    def _converter_for(self, groups, extended):
+        """ModUp's Conv of every group of a level, and the groups' bounds.
+
+        Group ``j`` is the consecutive range ``s:t`` of the active chain
+        and converts to its complement ``E[:s] ‖ E[t:]``; one
+        :meth:`~repro.rns.conv.BasisConverter.stacked` converter does them
+        all, its targets the complements' concatenated chain.
+        """
+        key = (tuple(map(tuple, groups)), tuple(extended))
+        entry = self._converter_cache.get(key)
+        if entry is None:
+            converters, bounds, start = [], [], 0
+            for group in groups:
+                stop = start + len(group)
+                converters.append(BasisConverter(
+                    group, extended[:start] + extended[stop:]))
+                bounds.append((start, stop))
+                start = stop
+            entry = BasisConverter.stacked(converters), bounds
+            self._converter_cache[key] = entry
+        return entry
 
     def _moddown_for(self, active) -> ModDown:
         key = tuple(active)

@@ -15,11 +15,12 @@ Execution contract.  :meth:`BsgsLinearTransform.apply_many` evaluates the
 transform on ``B`` streams through a
 :class:`~repro.ckks.batched_evaluator.BatchedEvaluator` (a lone ciphertext
 is its ``B = 1`` case), consuming one level; the diagonal products run in
-the evaluation domain:
+the evaluation domain, where ciphertexts rest, so no step moves a stream
+between domains:
 
-* the input is rotated by the baby steps once and all ``n1`` rotations of
-  all ``B`` streams are transformed in one fused NTT
-  (:func:`baby_rotations`; transforms of the same input share the result);
+* the input is rotated by the baby steps once, the rotations sharing
+  one INTT of its ``c1`` (:func:`baby_rotations`; transforms of the same
+  input share the result);
 * the matrix is a constructor constant, so its diagonals are *cached constant
   handles*: pre-rotated, encoded, transformed in one fused NTT and stacked
   per giant step the first time a ``(level, scale)`` is seen, like a switch
@@ -29,8 +30,10 @@ the evaluation domain:
   backend builds on the handles on first use;
 * a giant step is one
   :meth:`~repro.ckks.batched_evaluator.BatchedEvaluator.multiply_plain_sum`
-  launch against its stack, and one fused INTT brings every giant group
-  back before the giant rotations, the adds and the rescale.
+  launch against its stack, followed by the giant rotations and the adds;
+  the last rotated giant step is added and rescaled inside its key switch
+  (:meth:`~repro.ckks.batched_evaluator.BatchedEvaluator.
+  rotate_add_rescale`), so the rescale costs no transform of its own.
 
 NTT and INTT are exact and linear mod q, so every output residue is the one
 the diagonal-by-diagonal CMULT + HADD evaluation produces.
@@ -89,26 +92,22 @@ def required_rotations(dimension: int) -> List[int]:
 def baby_rotations(ciphertexts: Sequence[Ciphertext], steps: Iterable[int],
                    batched_evaluator,
                    rotation_keys: RotationKeySet) -> Dict[int, List[Ciphertext]]:
-    """The streams rotated by every baby step, in the evaluation domain.
+    """The streams rotated by every baby step.
 
-    One fused HROTATE per non-zero step and one fused NTT over all
-    ``len(steps) * B`` rotated streams.  The result feeds
-    :meth:`BsgsLinearTransform.apply_many` as ``babies=``; transforms of the
-    same input pass the union of their :attr:`~BsgsLinearTransform.baby_steps`
-    and share it.
+    One fused HROTATE per non-zero step (step 0 is the streams
+    themselves), all of them sharing one INTT of every stream's ``c1``
+    (:meth:`~repro.ckks.batched_evaluator.BatchedEvaluator.rotate_each`).
+    The result feeds :meth:`BsgsLinearTransform.apply_many` as
+    ``babies=``; transforms of the same input pass the union of their
+    :attr:`~BsgsLinearTransform.baby_steps` and share it.
     """
-    ciphertexts = list(ciphertexts)
-    steps = sorted(set(steps))
-    rotated = [
-        batched_evaluator.rotate(ciphertexts, step, rotation_keys) if step
-        else ciphertexts
-        for step in steps
-    ]
-    evals = batched_evaluator.to_evaluation(
-        [ciphertext for streams in rotated for ciphertext in streams])
-    batch = len(ciphertexts)
-    return {step: evals[index * batch:(index + 1) * batch]
-            for index, step in enumerate(steps)}
+    ciphertexts, steps = list(ciphertexts), sorted(set(steps))
+    rotated = [step for step in steps if step]
+    babies = dict(zip(rotated, batched_evaluator.rotate_each(
+        ciphertexts, rotated, rotation_keys)))
+    if 0 in steps:
+        babies[0] = ciphertexts
+    return babies
 
 
 class BsgsLinearTransform:
@@ -159,8 +158,7 @@ class BsgsLinearTransform:
         least) :attr:`baby_steps`, for callers that apply several
         transforms to one input; by default it is computed here.  Each
         giant step is then one fused multiply-accumulate against its
-        cached diagonal stack, all giant groups return to the coefficient
-        domain in one INTT, and the giant rotations, the adds and the
+        cached diagonal stack, and the giant rotations, the adds and the
         rescale run B-fused.  A stream's result does not depend on which
         streams share its batch.
         """
@@ -172,24 +170,36 @@ class BsgsLinearTransform:
         if babies is None:
             babies = baby_rotations(ciphertexts, self.baby_steps,
                                     batched_evaluator, rotation_keys)
-        inner = batched_evaluator.to_coefficient([
+        inner = [
             ciphertext for giant in self.groups
             for ciphertext in batched_evaluator.multiply_plain_sum(
                 [babies[baby] for baby in self.groups[giant]],
                 lambda level, giant=giant: self._diagonal_operands(
                     level, encryptor)[giant],
                 self.scale)
-        ])
+        ]
         slot_count, batch = self.context.slot_count, len(ciphertexts)
+        # The last rotated giant step is added and rescaled inside its key
+        # switch (modular addition is exact, so the order of the sum moves
+        # no bit).
+        rotated = [index for index, giant in enumerate(self.groups)
+                   if giant % slot_count]
+        last = rotated[-1] if rotated and len(self.groups) > 1 else None
         accumulator = None
         for index, giant in enumerate(self.groups):
             group = inner[index * batch:(index + 1) * batch]
+            if index == last:
+                held, steps = group, giant % slot_count
+                continue
             if giant % slot_count:
                 group = batched_evaluator.rotate(group, giant % slot_count,
                                                  rotation_keys)
             accumulator = group if accumulator is None else \
                 batched_evaluator.add(accumulator, group)
-        return batched_evaluator.rescale(accumulator)
+        if last is None:
+            return batched_evaluator.rescale(accumulator)
+        return batched_evaluator.rotate_add_rescale(
+            held, steps, rotation_keys, accumulator)
 
     def _diagonal_operands(self, level: int,
                            encryptor: Encryptor) -> Dict[int, DeviceBuffer]:

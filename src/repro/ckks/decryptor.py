@@ -1,8 +1,10 @@
 """Decryption and decoding.
 
-``Decryptor.decrypt`` computes ``c0 + c1*s`` over the ciphertext's active
-basis and returns a coefficient-domain plaintext; ``s`` is the secret's
-cached constant handle over that basis
+``Decryptor.decrypt`` computes ``INTT(ĉ0 + ĉ1 ⊙ ŝ)`` over the ciphertext's
+active basis and returns a coefficient-domain plaintext: ciphertexts rest
+in the evaluation domain (a coefficient-domain component is transformed on
+entry), so one product, one add and one INTT make the message; ``ŝ`` is
+the secret's cached constant handle over that basis
 (:meth:`~repro.ckks.keys.SecretKey.operand`).  ``decrypt_to_slots``
 additionally CRT-recombines the residues into the float64 values of the
 centred coefficients (:meth:`~repro.numtheory.crt.CrtContext.compose_float`:
@@ -19,7 +21,7 @@ import math
 import numpy as np
 
 from ..numtheory.crt import get_crt_context
-from ..numtheory.modular import mat_mod_mul
+from ..numtheory.modular import mat_mod_add, mat_mod_mul
 from ..rns.poly import PolyDomain, RnsPolynomial
 from .ciphertext import Ciphertext, Plaintext
 from .context import CkksContext, pinned
@@ -40,13 +42,14 @@ class Decryptor:
         """Return the underlying plaintext polynomial ``c0 + c1*s``."""
         planner = self.context.planner
         moduli = ciphertext.moduli
-        c1_eval = ciphertext.c1.to_evaluation(planner)
-        product = RnsPolynomial(
-            c1_eval.ring_degree, moduli,
-            mat_mod_mul(c1_eval.buffer,
-                        self.secret_key.operand(self.context, moduli), moduli),
-            PolyDomain.EVALUATION)
-        message = ciphertext.c0.add(product.to_coefficient(planner))
+        c0, c1 = (poly if poly.domain == PolyDomain.EVALUATION
+                  else poly.to_evaluation(planner)
+                  for poly in (ciphertext.c0, ciphertext.c1))
+        product = mat_mod_mul(c1.buffer,
+                              self.secret_key.operand(self.context, moduli), moduli)
+        message = RnsPolynomial(
+            c0.ring_degree, moduli, planner.inverse_limbs(
+                c0.ring_degree, moduli, mat_mod_add(c0.buffer, product, moduli)))
         return Plaintext(polynomial=message, scale=ciphertext.scale,
                          level=ciphertext.level)
 

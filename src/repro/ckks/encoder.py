@@ -45,37 +45,48 @@ class CkksEncoder:
         self.conjugate_exponents = (modulus - exponents) % modulus
 
     # ------------------------------------------------------------------
-    def encode(self, values: Sequence[complex], scale: Optional[float] = None) -> np.ndarray:
-        """Encode a slot vector into scaled integer coefficients.
+    def encode(self, values, scale: Optional[float] = None) -> np.ndarray:
+        """Encode a slot vector, or a stack of them, into scaled integer
+        coefficients.
 
-        Shorter inputs are zero-padded; longer inputs are rejected, and so
-        are values whose scaled coefficients are not finite.  The returned
+        ``values`` is one slot vector, or a ``(k, slots)`` stack (any
+        sequence of ``k`` vectors); a stack is encoded in one FFT over
+        ``(k, 2N)`` and one rounding, into ``(k, N)`` coefficients, row
+        ``j`` bit for bit the encoding of vector ``j`` alone.  Shorter
+        vectors are zero-padded; longer ones are rejected, and so are
+        values whose scaled coefficients are not finite.  The returned
         array contains signed integers (the caller reduces them into
         whatever RNS basis it needs): int64 when every coefficient is below
         ``2^62`` in magnitude, otherwise an object array of Python ints.
         """
         scale = self.parameters.scale if scale is None else float(scale)
-        slots = np.zeros(self.slot_count, dtype=np.complex128)
-        values = np.asarray(values, dtype=np.complex128)
-        if values.size > self.slot_count:
-            raise ValueError(
-                "too many values: %d > %d slots" % (values.size, self.slot_count)
-            )
-        slots[: values.size] = values
+        single = len(values) == 0 or np.ndim(values[0]) == 0
+        vectors = [values] if single else values
+        slots = np.zeros((len(vectors), self.slot_count), dtype=np.complex128)
+        for row, vector in zip(slots, vectors):
+            vector = np.asarray(vector, dtype=np.complex128)
+            if vector.size > self.slot_count:
+                raise ValueError(
+                    "too many values: %d > %d slots" % (vector.size, self.slot_count)
+                )
+            row[: vector.size] = vector
         # Spread the slot values (and conjugates) over the odd spectrum of a
         # length-2N transform, then one FFT gives the coefficients.
-        spectrum = np.zeros(2 * self.ring_degree, dtype=np.complex128)
+        spectrum = np.zeros((len(vectors), 2 * self.ring_degree), dtype=np.complex128)
         with np.errstate(over="ignore", invalid="ignore"):
-            spectrum[self.root_exponents] = slots * scale
-            spectrum[self.conjugate_exponents] = np.conj(slots) * scale
+            spectrum[:, self.root_exponents] = slots * scale
+            spectrum[:, self.conjugate_exponents] = np.conj(slots) * scale
             # m_k = (1/N) * sum_a spectrum[a] * exp(-2*pi*i*a*k / 2N)
-            coefficients = np.fft.fft(spectrum)[: self.ring_degree] / self.ring_degree
+            coefficients = (np.fft.fft(spectrum)[:, : self.ring_degree]
+                            / self.ring_degree)
             rounded = np.round(coefficients.real)
         if not np.isfinite(rounded).all():
             raise ValueError("values must be finite")
-        if np.abs(rounded).max() < INT64_COEFFICIENT_LIMIT:
-            return rounded.astype(np.int64)
-        return np.asarray([int(c) for c in rounded], dtype=object)
+        if np.abs(rounded).max() >= INT64_COEFFICIENT_LIMIT:
+            rounded = np.frompyfunc(int, 1, 1)(rounded)
+        else:
+            rounded = rounded.astype(np.int64)
+        return rounded[0] if single else rounded
 
     def decode(self, coefficients: Sequence[int], scale: Optional[float] = None) -> np.ndarray:
         """Decode integer coefficients back into a complex slot vector.

@@ -4,16 +4,16 @@
 an encoded plaintext into a ciphertext at the plaintext's level.  Both
 public-key encryption (``c = (v*b + e0 + m, v*a + e1)``) and symmetric
 encryption (``c = (-a*s + e + m, a)``; slightly less noise, handy in
-tests) run both components as one launch chain:
+tests) run both components as one launch chain and return the ciphertext
+in the evaluation domain, where ciphertexts rest:
 
-* one product in the evaluation domain for the pair: the ephemeral ``v``'s
-  image against the public key's cached ``(L, 2, N)`` operand of the level
+* one NTT of the canonical ``(e0 + m, e1)`` addend (symmetric: ``(e + m,
+  0)``), the ephemeral ``v`` riding in the same launch;
+* one product in the evaluation domain for the pair: ``v``'s image
+  against the public key's cached ``(L, 2, N)`` operand of the level
   (:meth:`~repro.ckks.keys.PublicKey.operand`), or ``[-a*s | a]`` against
   the secret's cached operand;
-* one INTT of the ``(2, L, N)`` pair (it is linear, so the errors and the
-  message need no transform);
-* one add of ``(e0 + m, e1)`` (symmetric: ``(e + m, 0)``), whose two rows
-  are ``c0`` and ``c1``.
+* one add of the addend's image, whose two rows are ``ĉ0`` and ``ĉ1``.
 
 The randomness is drawn in a fixed order — the ephemeral (or the mask),
 then the Gaussian errors in one draw — so a seeded context encrypts to the
@@ -52,14 +52,28 @@ class Encryptor:
     def encode(self, values: Sequence[complex], *, scale: Optional[float] = None,
                level: Optional[int] = None) -> Plaintext:
         """Encode a slot vector into a :class:`Plaintext` at ``level``."""
+        return self.encode_many([values], scale=scale, level=level)[0]
+
+    def encode_many(self, vectors: Sequence[Sequence[complex]], *,
+                    scale: Optional[float] = None,
+                    level: Optional[int] = None) -> List[Plaintext]:
+        """Encode ``k`` slot vectors into plaintexts at ``level``.
+
+        One encoder FFT over the ``(k, 2N)`` stack and one reduction of the
+        ``(k, N)`` coefficients into the level's chain; plaintext ``j`` is
+        bit for bit :meth:`encode` of vector ``j`` (its residues a row of
+        the one ``(k, L, N)`` array).
+        """
         context = self.context
         level = context.max_level if level is None else level
         scale = context.scale if scale is None else scale
-        coefficients = context.encoder.encode(values, scale)
+        coefficients = context.encoder.encode(
+            [np.atleast_1d(vector) for vector in vectors], scale)
         moduli = context.moduli_at_level(level)
-        polynomial = RnsPolynomial.from_integers(coefficients, moduli,
-                                                 context.ring_degree)
-        return Plaintext(polynomial=polynomial, scale=scale, level=level)
+        residues = np.asarray(coefficients[:, None, :] % moduli_column(moduli),
+                              dtype=np.int64)
+        return [Plaintext(polynomial=RnsPolynomial(context.ring_degree, moduli, row),
+                          scale=scale, level=level) for row in residues]
 
     def encode_for_streams(self, values: Sequence[complex],
                            ciphertexts: Sequence[Ciphertext], *,
@@ -103,14 +117,13 @@ class Encryptor:
     def _encrypt_public(self, plaintext: Plaintext) -> Ciphertext:
         context = self.context
         moduli = context.moduli_at_level(plaintext.level)
-        n = context.ring_degree
-        ternary = RnsPolynomial.random_ternary(n, moduli, context.rng)
-        ephemeral = context.planner.forward_limbs(n, moduli, ternary.buffer)
-        errors = self._errors(2)
+        ternary = RnsPolynomial.random_ternary(context.ring_degree, moduli,
+                                               context.rng).residues
+        images = self._transform(plaintext, self._errors(2), ternary)
         # v ⊙ (b | a): the (L, 1, N) image broadcasts against the key pair.
-        pair = mat_mod_mul(ephemeral[:, None], self.public_key.operand(moduli),
+        pair = mat_mod_mul(images[0][:, None], self.public_key.operand(moduli),
                            moduli)
-        return self._finish(plaintext, pair.transpose(1, 0, 2), errors)
+        return self._finish(plaintext, pair.transpose(1, 0, 2), images[1:])
 
     def _encrypt_symmetric(self, plaintext: Plaintext) -> Ciphertext:
         if self.secret_key is None:
@@ -119,11 +132,11 @@ class Encryptor:
         moduli = context.moduli_at_level(plaintext.level)
         mask = RnsPolynomial.random_uniform(context.ring_degree, moduli,
                                             context.rng).buffer
-        errors = self._errors(1)
+        images = self._transform(plaintext, self._errors(1))
         product = mat_mod_mul(mask, self.secret_key.operand(context, moduli),
                               moduli)
         pair = stack_arrays([mat_mod_neg(product, moduli), mask])
-        return self._finish(plaintext, pair, errors)
+        return self._finish(plaintext, pair, images)
 
     def _errors(self, count: int) -> np.ndarray:
         """``(2, N)`` signed Gaussian errors: ``count`` drawn rows, then zeros."""
@@ -133,12 +146,13 @@ class Encryptor:
             0.0, self.context.parameters.error_std, (count, n)))
         return errors
 
-    def _finish(self, plaintext: Plaintext, pair, errors: np.ndarray) -> Ciphertext:
-        """``INTT(pair) + (e0 + m, e1)``: the ciphertext of an evaluation pair.
+    def _transform(self, plaintext: Plaintext, errors: np.ndarray,
+                   ephemeral: Optional[np.ndarray] = None):
+        """One NTT of the ``(e0 + m, e1)`` addend, after ``ephemeral``.
 
-        ``pair`` is the ``(2, L, N)`` evaluation-domain image of both
-        components; one INTT transforms it and one add joins the errors and
-        the message, both over the limb-major view.
+        ``ephemeral`` is an ``(L, N)`` coefficient residue matrix
+        transformed in the same launch (the public key's ``v``), the first
+        row of the image; the addend's two rows are its last two.
         """
         context = self.context
         n = context.ring_degree
@@ -148,13 +162,27 @@ class Encryptor:
             raise ValueError("the plaintext's basis is not the chain of its level")
         if message.domain != PolyDomain.COEFFICIENT:
             message = message.to_coefficient(context.planner)
-        coefficients = context.planner.inverse_ops(n, moduli, pair)
-        addend = np.empty((2, len(moduli), n), dtype=np.int64)
+        rows = np.empty((2 if ephemeral is None else 3, len(moduli), n),
+                        dtype=np.int64)
+        addend = rows[-2:]
+        if ephemeral is not None:
+            rows[0] = ephemeral
         np.add(message.residues, errors[0], out=addend[0])
         addend[1] = errors[1]
         np.remainder(addend, moduli_column(moduli), out=addend)
-        components = mat_mod_add(coefficients.transpose(1, 0, 2),
+        return context.planner.forward_ops(n, moduli, rows)
+
+    def _finish(self, plaintext: Plaintext, pair, addend) -> Ciphertext:
+        """``pair + addend``: the ciphertext of two evaluation-domain images.
+
+        ``pair`` and ``addend`` are ``(2, L, N)`` evaluation-domain images
+        of both components; one add over the limb-major view joins them.
+        """
+        context = self.context
+        moduli = context.moduli_at_level(plaintext.level)
+        components = mat_mod_add(pair.transpose(1, 0, 2),
                                  addend.transpose(1, 0, 2), moduli)
-        c0, c1 = (RnsPolynomial(n, moduli, components[:, row]) for row in (0, 1))
+        c0, c1 = (RnsPolynomial(context.ring_degree, moduli, components[:, row],
+                                PolyDomain.EVALUATION) for row in (0, 1))
         return Ciphertext(c0=c0, c1=c1, scale=plaintext.scale,
                           level=plaintext.level)

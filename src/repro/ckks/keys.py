@@ -14,9 +14,9 @@ generalized key-switching of the paper: for every level they hold one
 over the extended basis ``C_l ∪ P`` as two stacked residue matrices, with
 their ciphertext-prime limbs (``C_l``) multiplied by ``P^{-1} mod q_i``:
 the key-switch inner product then hands ModDown limbs that already carry
-``P^{-1}`` (:meth:`~repro.rns.moddown.ModDown.apply_scaled`), and HMULT can
-add ``d0``, ``d1`` to the accumulators before their INTT.  The special
-limbs are stored as they are.
+``P^{-1}`` (its tail alone remains: :meth:`~repro.rns.moddown.ModDown.
+correction`), and HMULT can add ``d0``, ``d1`` to the accumulators.  The
+special limbs are stored as they are.
 """
 
 from __future__ import annotations
@@ -102,7 +102,7 @@ class PublicKey:
 
         Built on first use per chain and kept.  The memory is ``(2, L, N)``
         viewed limb-major, so a product against it comes out in the layout
-        the INTT of both components reads.
+        the add of both components' addend reads.
         """
         moduli = tuple(int(q) for q in moduli)
         operand = self._operands.get(moduli)

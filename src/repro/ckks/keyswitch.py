@@ -5,7 +5,8 @@ The algorithm lives in
 polynomial is its ``B = 1`` case, and :class:`KeySwitcher` is the singular
 spelling of that call: it checks the polynomial's domain and basis, which
 the stack-in, stack-out ``switch_many`` cannot see, and splits the
-``(2, L, N)`` result into the pair.
+``(2, L, N)`` result into the pair, which is in the evaluation domain like
+every ciphertext component.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ class KeySwitcher:
 
     def switch(self, polynomial: RnsPolynomial, switch_key: SwitchKey,
                level: int) -> Tuple[RnsPolynomial, RnsPolynomial]:
-        """Key-switch ``polynomial`` (coefficient domain, level basis)."""
+        """Key-switch ``polynomial`` (coefficient domain, level basis) into an
+        evaluation-domain pair."""
         if polynomial.domain != PolyDomain.COEFFICIENT:
             raise ValueError(
                 "key switching expects a coefficient-domain polynomial")
@@ -37,5 +39,6 @@ class KeySwitcher:
         if polynomial.moduli != moduli:
             raise ValueError("polynomial basis does not match the requested level")
         pair = self.batched.switch_many(polynomial.buffer[None], switch_key, level)
-        return tuple(RnsPolynomial(polynomial.ring_degree, moduli, pair[row])
+        return tuple(RnsPolynomial(polynomial.ring_degree, moduli, pair[row],
+                                   PolyDomain.EVALUATION)
                      for row in (0, 1))

@@ -7,6 +7,7 @@ from .automorphism import (
     evaluation_permutation,
     galois_element_for_rotation,
     stack_automorphism_coeff,
+    stack_automorphism_eval,
 )
 from .base import KernelContext, KernelCounter, KernelName
 
@@ -17,6 +18,7 @@ __all__ = [
     "apply_automorphism_coeff",
     "apply_automorphism_eval",
     "stack_automorphism_coeff",
+    "stack_automorphism_eval",
     "evaluation_permutation",
     "galois_element_for_rotation",
     "CONJUGATION_EXPONENT",

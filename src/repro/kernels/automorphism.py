@@ -22,6 +22,7 @@ __all__ = [
     "apply_automorphism_coeff",
     "stack_automorphism_coeff",
     "evaluation_permutation",
+    "stack_automorphism_eval",
     "apply_automorphism_eval",
 ]
 
@@ -125,13 +126,30 @@ def evaluation_permutation(ring_degree: int, galois_element: int) -> np.ndarray:
     return source
 
 
+def stack_automorphism_eval(parts: Sequence[np.ndarray],
+                            galois_element: int) -> np.ndarray:
+    """``np.stack`` of the automorphism over evaluation-domain ``parts``.
+
+    A pure gather along the last axis: each part (an int64 or a float64
+    residue image, all of one shape and dtype) is read once, by an
+    ``np.take`` of :func:`evaluation_permutation` straight into its row of
+    the one ``(len(parts), ...)`` output.
+    """
+    first = parts[0]
+    ring_degree = first.shape[-1]
+    permutation = evaluation_permutation(ring_degree,
+                                         galois_element % (2 * ring_degree))
+    out = np.empty((len(parts),) + first.shape, dtype=first.dtype)
+    for row, part in zip(out, parts):
+        np.take(part, permutation, axis=-1, out=row, mode="clip")
+    return out
+
+
 def apply_automorphism_eval(values: np.ndarray, galois_element: int) -> np.ndarray:
     """Apply the automorphism to an evaluation-domain (NTT) vector.
 
     A pure gather along the last axis, in the dtype ``values`` came in
-    (an int64 or a float64 residue image).
+    (an int64 or a float64 residue image); the one-part case of
+    :func:`stack_automorphism_eval`.
     """
-    values = np.asarray(values)
-    ring_degree = values.shape[-1]
-    permutation = evaluation_permutation(ring_degree, galois_element % (2 * ring_degree))
-    return np.take(values, permutation, axis=-1)
+    return stack_automorphism_eval([np.asarray(values)], galois_element)[0]

@@ -152,7 +152,8 @@ class NttEngine(abc.ABC):
         # Moduli broadcast over the limb axis (axis 1) of the stack.
         column = moduli_array[None, :, None]
         host = stacks.host_image
-        if host is not None and (np.any(host < 0) or np.any(host >= column)):
+        # One pass: viewed as unsigned, a negative residue is at least 2**63.
+        if host is not None and (host.view(np.uint64) >= column.view(np.uint64)).any():
             stacks = DeviceBuffer.wrap(host % column)
         return stacks, moduli_array
 

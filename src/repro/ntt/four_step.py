@@ -107,15 +107,17 @@ class FourStepNtt(NttEngine):
         The result is a float-only handle at every width, and a handle
         with a float image is read as it is — no staging copy, no int64
         anywhere in a chain.  Only polynomials too small for that to pay
-        (:data:`~repro.numtheory.planned.RESIDENT_DOUBLES`) come back as
-        int64 host handles.
+        (:data:`~repro.numtheory.planned.RESIDENT_DOUBLES`) on a short ring
+        (below :data:`~repro.numtheory.planned.RESIDENT_RING_DEGREE`) come
+        back as int64 host handles.
         """
         backend = get_active_backend()
         batch, limbs = stacks.shape[0], stacks.shape[1]
         imaged = stacks.kind != HOST
         source = (stacks.full() if imaged else stacks.ensure_host()).reshape(
             batch, limbs, self.n1, self.n2)
-        as_float = limbs * self.ring_degree > planned.RESIDENT_DOUBLES
+        as_float = (limbs * self.ring_degree > planned.RESIDENT_DOUBLES
+                    or self.ring_degree >= planned.RESIDENT_RING_DEGREE)
         # (N2, N1) per slice: the column-major flattening of forward().
         result = np.empty((batch, limbs, self.n2, self.n1),
                           dtype=np.float64 if as_float else np.int64)

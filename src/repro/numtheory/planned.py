@@ -57,6 +57,7 @@ from .floatmod import BROADCAST_RUN, BarrettChain
 __all__ = [
     "SLAB_DOUBLES",
     "RESIDENT_DOUBLES",
+    "RESIDENT_RING_DEGREE",
     "BROADCAST_RUN",
     "StageForm",
     "DIRECT",
@@ -99,6 +100,16 @@ SLAB_DOUBLES = 1 << 16
 #: 1024, L = 4`` 13 %, and from ``N = 4096, L = 8`` up it wins at every
 #: batch size, one stream included.
 RESIDENT_DOUBLES = SLAB_DOUBLES // 4
+
+#: Ring degree from which a transform hands every polynomial back
+#: float-only, one limb included.  Rows this long are not interpreter-bound
+#: at any limb count, and the narrow polynomials at these sizes — a
+#: rescale's dropped limb, the special-prime rows a key switch's ModDown
+#: inverts — feed a Conv or a subtraction whose other operands are float:
+#: kept int64 they sent those launches to the int64 kernels (a ``(16, 2,
+#: 4096)`` ModDown correction 6.5 ms from an int64 handle, 5.8 ms from a
+#: float one).
+RESIDENT_RING_DEGREE = 4096
 
 
 class StageForm(NamedTuple):

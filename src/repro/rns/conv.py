@@ -55,6 +55,37 @@ class BasisConverter:
             [[h % p * int(f) % p for h in self.q_hat]
              for p, f in zip(self.target_moduli, factors)], dtype=np.int64
         )
+        self._bind_constants()
+
+    @classmethod
+    def stacked(cls, converters: Sequence["BasisConverter"]) -> "BasisConverter":
+        """Every converter of ``converters`` as one, for one launch pair.
+
+        Its sources are theirs concatenated and so are its targets; the
+        ``q_hat`` matrix is block diagonal, so each target row reads only
+        its own converter's source limbs and equals that converter's row
+        bit for bit (the zero blocks add nothing to an exact sum).  The
+        sources must be disjoint; a target may repeat, or be another
+        block's source.  The key switch's ModUp converts every
+        decomposition group of a level with one.
+        """
+        self = cls.__new__(cls)
+        self.source_moduli = sum((c.source_moduli for c in converters), ())
+        self.target_moduli = sum((c.target_moduli for c in converters), ())
+        self.q_hat_inv = sum((c.q_hat_inv for c in converters), [])
+        self.q_hat_mod_target = np.zeros(
+            (len(self.target_moduli), len(self.source_moduli)), dtype=np.int64)
+        row = column = 0
+        for converter in converters:
+            rows, columns = converter.q_hat_mod_target.shape
+            self.q_hat_mod_target[row:row + rows,
+                                  column:column + columns] = converter.q_hat_mod_target
+            row, column = row + rows, column + columns
+        self._bind_constants()
+        return self
+
+    def _bind_constants(self) -> None:
+        """The launch constants of :attr:`q_hat_inv` and :attr:`q_hat_mod_target`."""
         # Conservative row-GEMM operand bound for every input: the lhs
         # rows hold ``q_hat mod p_j`` (< max target prime) and the rhs holds
         # source residues (< max source prime).  A looser bound only shrinks

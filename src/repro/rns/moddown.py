@@ -11,11 +11,13 @@ where ``Conv`` is the fast basis conversion from the special basis to the
 ciphertext basis and ``Conv'`` is the same conversion with ``P^{-1}``
 folded into its constants (``q̂_k * P^{-1} mod q_i``).  The second form is
 the one computed: after the ciphertext limbs are scaled by ``P^{-1}``,
-the tail is one Conv and one subtraction.  A caller whose ciphertext limbs
-already carry ``P^{-1}`` runs the tail alone (:meth:`ModDown.apply_scaled`):
-the key switch does, because switch keys store their ciphertext-prime
-limbs times ``P^{-1}`` (:mod:`repro.ckks.keys`).  Every step is exact
-arithmetic mod ``q_i``, so both forms give the same bits.  The result
+the rest is one Conv and one subtraction (:meth:`ModDown.apply_batch`).
+The key switch's ciphertext limbs already carry ``P^{-1}``, because switch
+keys store their ciphertext-prime limbs times ``P^{-1}``
+(:mod:`repro.ckks.keys`), and it holds them in the evaluation domain: it
+takes the Conv term alone (:meth:`ModDown.correction`) and subtracts its
+forward transform.  Every step is exact arithmetic mod ``q_i``, so both
+forms give the same bits.  The result
 equals ``round(x / P)`` up to the small rounding term inherent in the
 approximate conversion.
 """
@@ -57,27 +59,19 @@ class ModDown:
 
         The ciphertext limbs of every stream are scaled by ``P^{-1}`` in
         one funnel launch over their limb-major ``(active, B, N)`` view
-        (exact at any modulus width); the rest is the tail of
-        :meth:`apply_scaled`, so no per-stream loop remains.
+        (exact at any modulus width), one batched Conv folds the special
+        limbs of every stream at once (:meth:`correction`), and the
+        subtraction is one funnel launch, so no per-stream loop remains.
+        The whole step threads the stack's residency handle, Conv
+        included, so a float-resident operand never materialises int64.
         """
         stacks = self._checked(stacks)
         count = len(self.ciphertext_moduli)
         scaled = mat_mod_mul(stacks[:, :count].transpose(1, 0, 2),
                              self._p_inverse_column, self.ciphertext_moduli)
-        return self._tail(scaled, stacks[:, count:])
-
-    def apply_scaled(self, stacks) -> DeviceBuffer:
-        """ModDown a stack whose ciphertext limbs already carry ``P^{-1}``.
-
-        ``[x_i * P^{-1} - Conv'([x]_P)_i]_{q_i}`` for a ``(B, extended, N)``
-        stack holding ``x_i * P^{-1}`` in its ciphertext limbs and ``x``
-        in its special limbs: one batched Conv and one subtraction.  The
-        key switch's accumulators arrive in this form.
-        """
-        stacks = self._checked(stacks)
-        count = len(self.ciphertext_moduli)
-        return self._tail(stacks[:, :count].transpose(1, 0, 2),
-                          stacks[:, count:])
+        return mat_mod_sub(
+            scaled, self.correction(stacks[:, count:]).transpose(1, 0, 2),
+            self.ciphertext_moduli).transpose(1, 0, 2)
 
     def _checked(self, stacks) -> DeviceBuffer:
         """``stacks`` as a handle, its shape checked."""
@@ -90,15 +84,13 @@ class ModDown:
             )
         return stacks
 
-    def _tail(self, scaled: DeviceBuffer, special: DeviceBuffer) -> DeviceBuffer:
-        """``scaled - Conv'(special)``: the limb-major ``(active, B, N)``
-        scaled limbs against the ``(B, K, N)`` special limbs.
+    def correction(self, special) -> DeviceBuffer:
+        """``Conv'(special)``: the ``(B, active, N)`` term ModDown subtracts.
 
-        One batched Conv folds the special limbs of every stream at once
-        and the subtraction is one funnel launch.  The whole step threads
-        the stack's residency handle, Conv included, so a float-resident
-        operand never materialises int64.
+        ``special`` is a ``(B, K, N)`` stack of special-prime limbs in the
+        coefficient domain.  Conv is linear and ``P^{-1}`` is a constant, so
+        a caller holding the ciphertext limbs in the evaluation domain
+        subtracts the forward transform of this term from them instead
+        (the evaluation-domain key switch does).
         """
-        folded = self._converter.convert_residues_batch(special)
-        return mat_mod_sub(scaled, folded.transpose(1, 0, 2),
-                           self.ciphertext_moduli).transpose(1, 0, 2)
+        return self._converter.convert_residues_batch(special)

@@ -9,7 +9,7 @@ the missing primes and plain copying for the primes already present.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 from ..backend.residency import DeviceBuffer, stack_arrays
 from .conv import BasisConverter
@@ -40,21 +40,14 @@ class ModUp:
     def apply_batch(self, stacks) -> DeviceBuffer:
         """Raise a ``(B, group, N)`` residue stack to ``(B, target, N)``.
 
-        The target tensor is :meth:`rows` assembled in one copy, so the
-        whole stream batch mods up without a per-stream loop; residency
-        handles thread through Conv and the assembly.
-        """
-        return stack_arrays(self.rows(stacks), axis=1)
-
-    def rows(self, stacks) -> List[DeviceBuffer]:
-        """The target rows of a ``(B, group, N)`` stack, uncopied.
-
-        Row ``i`` is the ``(B, N)`` residues of every stream modulo
-        ``target_moduli[i]``: a view of the input for a group prime, a view
+        Target row ``i`` is a row of the input for a group prime and a row
         of the one batched Conv result
         (:meth:`~repro.rns.conv.BasisConverter.convert_residues_batch`) for
-        a missing one.  A caller laying out the rows of several groups, or
-        only some rows, assembles them itself in one copy.
+        a missing one; the target tensor is assembled in one copy, so the
+        whole stream batch mods up without a per-stream loop, and residency
+        handles thread through Conv and the assembly.  (The key switch
+        lays out the rows of every group itself, from one Conv of all of
+        them: :meth:`~repro.rns.conv.BasisConverter.stacked`.)
         """
         stacks = DeviceBuffer.wrap(stacks)
         if stacks.ndim != 3 or stacks.shape[1] != len(self.group_moduli):
@@ -66,4 +59,4 @@ class ModUp:
         if self._converter is not None:
             converted = self._converter.convert_residues_batch(stacks)
             rows += [converted[:, i] for i in range(len(self._missing))]
-        return [rows[i] for i in self._gather]
+        return stack_arrays([rows[i] for i in self._gather], axis=1)

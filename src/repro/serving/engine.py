@@ -415,11 +415,10 @@ class ServingEngine:
             return evaluator.multiply(streams, operands,
                                       keys.relinearization_key)
         if op == OpName.MULTIPLY_PLAIN:
-            plaintexts = [
-                request.keys.encryptor.encode(request.values,
-                                              level=request.ciphertext.level)
-                for request in chunk
-            ]
+            # A chunk shares its stream signature (so its level) and every
+            # bundle encodes with the one context: one encode call.
+            plaintexts = keys.encryptor.encode_many(
+                [request.values for request in chunk], level=streams[0].level)
             products = evaluator.multiply_plain(streams, plaintexts)
             if chunk[0].rescale:
                 products = evaluator.rescale(products)

@@ -123,19 +123,28 @@ def _conv(rng, batch):
             conv_oracle(stacks, CHAIN, SPECIAL))
 
 
-def _modup(rows):
+def _modup(rng, batch):
     group, target = CHAIN[:2], CHAIN + SPECIAL
-    modup = ModUp(group, target)
-
-    def build(rng, batch):
-        stacks = residues(rng, (batch, len(group), N), group, 1)
-        want = np.concatenate([stacks, conv_oracle(stacks, group, target[2:])],
-                              axis=1)
-        return [stacks], (modup.rows if rows else modup.apply_batch), want
-    return build
+    stacks = residues(rng, (batch, len(group), N), group, 1)
+    want = np.concatenate([stacks, conv_oracle(stacks, group, target[2:])],
+                          axis=1)
+    return [stacks], ModUp(group, target).apply_batch, want
 
 
-def _moddown(scaled):
+def _stacked_conv(rng, batch):
+    """ModUp's Conv of two groups, each to its complement, as one."""
+    groups = CHAIN[:1], CHAIN[1:]
+    targets = CHAIN[1:] + SPECIAL, CHAIN[:1] + SPECIAL
+    stacks = residues(rng, (batch, len(CHAIN), N), CHAIN, 1)
+    converter = BasisConverter.stacked(
+        [BasisConverter(group, target) for group, target in zip(groups, targets)])
+    want = np.concatenate([conv_oracle(stacks[:, :1], groups[0], targets[0]),
+                           conv_oracle(stacks[:, 1:], groups[1], targets[1])],
+                          axis=1)
+    return [stacks], converter.convert_residues_batch, want
+
+
+def _moddown(correction):
     moddown = ModDown(CHAIN, SPECIAL)
     p_inverse = column([pow(moddown.special_product, -1, q) for q in CHAIN], 3, 1)
 
@@ -143,11 +152,11 @@ def _moddown(scaled):
         stacks = residues(rng, (batch, len(PRIMES), N), PRIMES, 1)
         folded = conv_oracle(stacks[:, len(CHAIN):], SPECIAL, CHAIN)
         q = column(CHAIN, 3, 1)
-        if scaled:
-            want = (stacks[:, :len(CHAIN)] - folded * p_inverse % q) % q
-        else:
-            want = (stacks[:, :len(CHAIN)] - folded) * p_inverse % q
-        return [stacks], (moddown.apply_scaled if scaled else moddown.apply_batch), want
+        if correction:
+            return ([stacks[:, len(CHAIN):]], moddown.correction,
+                    folded * p_inverse % q)
+        want = (stacks[:, :len(CHAIN)] - folded) * p_inverse % q
+        return [stacks], moddown.apply_batch, want
     return build
 
 
@@ -160,10 +169,10 @@ BOUNDARIES = {
     "modular_matmul_limbs": _matmul_limbs,
     "modular_matmul_rows": _matmul_rows,
     "convert_residues_batch": _conv,
-    "ModUp.rows": _modup(rows=True),
-    "ModUp.apply_batch": _modup(rows=False),
-    "ModDown.apply_scaled": _moddown(scaled=True),
-    "ModDown.apply_batch": _moddown(scaled=False),
+    "BasisConverter.stacked": _stacked_conv,
+    "ModUp.apply_batch": _modup,
+    "ModDown.correction": _moddown(correction=True),
+    "ModDown.apply_batch": _moddown(correction=False),
 }
 BOUNDARIES.update({
     "%s.%s_%s" % (engine, ("forward", "inverse")[inverse], ("ops", "limbs")[limbs]):
@@ -184,12 +193,8 @@ def test_handle_out_with_the_oracle_bits(name, batch, kind, backend_name):
     operands, call, want = BOUNDARIES[name](np.random.default_rng(batch), batch)
     with use_backend(backend_name):
         got = call(*[as_kind(kind, operand) for operand in operands])
-    if name == "ModUp.rows":
-        assert all(isinstance(row, DeviceBuffer) for row in got)
-        got = np.stack([row.ensure_host() for row in got], axis=1)
-    else:
-        assert isinstance(got, DeviceBuffer)
-        got = got.ensure_host()
+    assert isinstance(got, DeviceBuffer)
+    got = got.ensure_host()
     assert got.dtype == np.int64
     assert got.shape == want.shape
     assert np.array_equal(got, want)

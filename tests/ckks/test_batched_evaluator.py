@@ -4,19 +4,20 @@ There is one implementation of every CKKS operation, the fused ``(B, L, N)``
 path of ``BatchedEvaluator``; the singular ``Evaluator`` / facade methods
 are its ``B = 1`` case.  A stream's result — residues, scale, level, domain
 — must not depend on which other streams share its launch, and neither
-may the kernel invocations and limb-vectors it records, with one rule: an
-operand shared by streams of one launch is transformed, and counted, once
-(``TestSharedOperands``).  Every other test here runs the operation once
+may the kernel invocations and limb-vectors it records, with one rule: a
+coefficient-domain operand shared by streams of one launch is transformed,
+and counted, once on entry (``TestSharedOperands``).  Every other test here runs the operation once
 over the whole batch and once as a loop of one-stream calls on unshared
 operands and demands identical bits and identical counters.  (That the
 bits are the *right* bits is pinned separately: ``test_golden_bits.py``
 holds their digests, ``TestTableTwoAtBatchOne`` the paper's absolute
-kernel counts.  HMULT's follow from its QP accumulation: the tensor
-product inverts ``(B, L)``, the key switch ``(2B, E)``, and the
-``d0 + KS0`` / ``d1 + KS1`` adds are still Ele-Adds, now made before that
-INTT.)  The suite covers HADD / CMULT / HMULT / RESCALE across
+kernel counts.  Ciphertexts rest in the evaluation domain: the tensor
+product inverts only ``d2`` ``(B, L)``, the key switch inverts its special
+rows ``(2B, K)`` and transforms ModDown's correction ``(2B, L)``, and the
+``d0 + KS0`` / ``d1 + KS1`` adds are still Ele-Adds, made on the
+accumulators.)  The suite covers HADD / CMULT / HMULT / RESCALE across
 every available compute backend (CMULT and HMULT also with blas launches
-cut into slabs), mixed-level grouping, evaluation-domain
+cut into slabs), mixed-level grouping, coefficient-domain
 operands, shared operands, a hypothesis property over batch composition,
 and the facade chunking.
 """
@@ -194,31 +195,31 @@ class TestBookkeeping:
         assert fhe.add_many([], []) == []
 
 
-def evaluation_domain(fhe, ciphertext):
+def coefficient_domain(fhe, ciphertext):
     planner = fhe.context.planner
-    return Ciphertext(ciphertext.c0.to_evaluation(planner),
-                      ciphertext.c1.to_evaluation(planner),
+    return Ciphertext(ciphertext.c0.to_coefficient(planner),
+                      ciphertext.c1.to_coefficient(planner),
                       ciphertext.scale, ciphertext.level)
 
 
-class TestEvaluationDomainOperands:
-    """An evaluation-domain stream is brought to the coefficient domain on
-    entry — one counted INTT per component — and then runs the one path."""
+class TestCoefficientDomainOperands:
+    """A coefficient-domain stream is brought to the evaluation domain on
+    entry — one counted NTT per component — and then runs the one path."""
 
-    def check(self, fhe, operation, ciphertext, extra_intt=2):
+    def check(self, fhe, operation, ciphertext, extra_ntt=2):
         kernels = fhe.context.kernels
         with kernels.capture() as plain_counts:
             expected = operation(ciphertext)
-        with kernels.capture() as eval_counts:
-            actual = operation(evaluation_domain(fhe, ciphertext))
+        with kernels.capture() as coeff_counts:
+            actual = operation(coefficient_domain(fhe, ciphertext))
         # The transform is exact, so normalising changes no bit.
         assert_same_ciphertext(actual, expected)
         limbs = ciphertext.limb_count
         want = plain_counts.snapshot()
-        want[KernelName.INTT] = want.get(KernelName.INTT, 0) + extra_intt
-        assert eval_counts.snapshot() == want
-        assert (eval_counts.limb_vectors[KernelName.INTT]
-                == plain_counts.limb_vectors[KernelName.INTT] + extra_intt * limbs)
+        want[KernelName.NTT] = want.get(KernelName.NTT, 0) + extra_ntt
+        assert coeff_counts.snapshot() == want
+        assert (coeff_counts.limb_vectors[KernelName.NTT]
+                == plain_counts.limb_vectors[KernelName.NTT] + extra_ntt * limbs)
         return actual
 
     def test_multiply(self, fhe, streams):
@@ -247,9 +248,9 @@ class TestEvaluationDomainOperands:
         assert np.allclose(fhe.decrypt_real(rotated),
                            np.roll(fhe.decrypt_real(lhs[0]), -1), atol=2e-3)
 
-    def test_mixed_batch_normalises_only_the_evaluation_stream(self, fhe, streams, rng):
+    def test_mixed_batch_normalises_only_the_coefficient_stream(self, fhe, streams, rng):
         lhs, _ = streams
-        ciphertexts = [evaluation_domain(fhe, lhs[0])] + list(lhs[1:])
+        ciphertexts = [coefficient_domain(fhe, lhs[0])] + list(lhs[1:])
         plaintexts = [
             fhe.encryptor.encode(rng.uniform(-1, 1, fhe.slot_count),
                                  level=ciphertext.level)
@@ -264,12 +265,13 @@ class TestEvaluationDomainOperands:
 
 
 class TestSharedOperands:
-    """An operand shared by streams of one launch is transformed, and
-    counted, once; the bits are those of the same streams on copies."""
+    """A coefficient-domain operand shared by streams of one launch is
+    transformed, and counted, once on entry; the bits are those of the same
+    streams on copies."""
 
     def test_square_equals_product_with_a_copy(self, fhe, streams):
         lhs, _ = streams
-        ciphertext, key = lhs[0], fhe.relinearization_key
+        ciphertext, key = coefficient_domain(fhe, lhs[0]), fhe.relinearization_key
         kernels = fhe.context.kernels
         with kernels.capture() as square_counts:
             square = fhe.batched_evaluator.multiply([ciphertext], [ciphertext], key)
@@ -286,7 +288,7 @@ class TestSharedOperands:
         assert dict(copy_counts.limb_vectors) == vectors
 
     def test_rotated_partners_equal_per_stream_calls_on_copies(self, fhe, streams):
-        lhs, _ = streams
+        lhs = [coefficient_domain(fhe, ciphertext) for ciphertext in streams[0]]
         partners = lhs[1:] + lhs[:1]
         key = fhe.relinearization_key
         kernels = fhe.context.kernels
@@ -295,11 +297,12 @@ class TestSharedOperands:
         for product, left, right in zip(got, lhs, partners):
             assert_same_ciphertext(
                 product, fhe.evaluator.multiply(left.copy(), right.copy(), key))
-        # The partner list holds no new ciphertext: 2 NTTs per stream, not 4.
+        # The partner list holds no new ciphertext: 2 entry NTTs per stream,
+        # not 4, then ModUp's and the correction's.
         limbs, extended, groups = TestTableTwoAtBatchOne.shape(fhe, lhs[0].level)
-        assert counts.snapshot()[KernelName.NTT] == BATCH * (2 + len(groups))
+        assert counts.snapshot()[KernelName.NTT] == BATCH * (2 + len(groups) + 2)
         assert counts.limb_vectors[KernelName.NTT] == BATCH * (
-            2 * limbs + len(groups) * extended - limbs)
+            2 * limbs + len(groups) * extended - limbs + 2 * limbs)
 
 
 class TestTableTwoAtBatchOne:
@@ -320,22 +323,29 @@ class TestTableTwoAtBatchOne:
         return limbs, extended, groups
 
     @staticmethod
-    def key_switch(limbs, extended, groups, held=0):
-        """Algorithm 1: ModUp, NTT, inner product, INTT, ModDown.
+    def key_switch(limbs, extended, groups, held=0, rescale=False):
+        """Algorithm 1: ModUp, NTT, inner product, ModDown in the evaluation
+        domain (INTT of the special rows, Conv, NTT of the correction).
 
         ModUp copies each group's own limbs; ``held`` of the input's limbs
         arrive with their evaluation image, and their copies are not
-        transformed again.
+        transformed again.  ``rescale`` folds RESCALE into ModDown: the
+        dropped limb joins the INTT, the correction covers ``L - 1`` limbs
+        and the rescale's subtraction is recorded.
         """
-        dnum = len(groups)
-        return {
+        dnum, special = len(groups), extended - limbs
+        kept = limbs - 1 if rescale else limbs
+        table = {
             KernelName.CONV: (dnum + 1,
                               sum(extended - size for size in groups) + 2 * limbs),
-            KernelName.NTT: (dnum, dnum * extended - held),
+            KernelName.NTT: (dnum + 2, dnum * extended - held + 2 * kept),
             KernelName.HADAMARD: (2 * dnum, 2 * dnum * extended),
             KernelName.ELE_ADD: (2 * dnum, 2 * dnum * extended),
-            KernelName.INTT: (2, 2 * extended),
+            KernelName.INTT: (2, 2 * (special + limbs - kept)),
         }
+        if rescale:
+            table[KernelName.ELE_SUB] = (2, 2 * kept)
+        return table
 
     @staticmethod
     def plus(*tables):
@@ -364,57 +374,71 @@ class TestTableTwoAtBatchOne:
         values = rng.uniform(-1, 1, fhe.slot_count)
         got = self.recorded(
             fhe, lambda: fhe.multiply_plain(lhs[0], values, rescale=False))
-        assert got == {KernelName.NTT: (3, 3 * limbs),
-                       KernelName.HADAMARD: (2, 2 * limbs),
-                       KernelName.INTT: (2, 2 * limbs)}
+        assert got == {KernelName.NTT: (1, limbs),
+                       KernelName.HADAMARD: (2, 2 * limbs)}
 
     def test_rescale(self, fhe, streams):
+        """The dropped limb is inverted, its residues transformed back."""
         lhs, _ = streams
         limbs, _, _ = self.shape(fhe, lhs[0].level)
         assert self.recorded(fhe, lambda: fhe.rescale(lhs[0])) == {
+            KernelName.INTT: (2, 2),
+            KernelName.NTT: (2, 2 * (limbs - 1)),
             KernelName.ELE_SUB: (2, 2 * (limbs - 1))}
 
     @staticmethod
-    def tensor_product(limbs, operands):
-        """Algorithm 2 around the key switch: NTT of each distinct operand
-        polynomial, four Hada-Mults, the Ele-Add of ``d1``, INTT of ``d2``
-        alone, and the two Ele-Adds of ``d0 + KS0`` / ``d1 + KS1`` — made
-        in the evaluation domain, on the key-switch accumulators before
-        their INTT, so ``d0`` and ``d1`` are never inverted."""
-        return {KernelName.NTT: (operands, operands * limbs),
-                KernelName.HADAMARD: (4, 4 * limbs),
+    def tensor_product(limbs):
+        """Algorithm 2 around the key switch on held evaluation images: four
+        Hada-Mults, the Ele-Add of ``d1``, INTT of ``d2`` alone (for
+        ModUp), and the two Ele-Adds of ``d0 + KS0`` / ``d1 + KS1`` — made
+        on the key-switch accumulators, so ``d0`` and ``d1`` are never
+        inverted."""
+        return {KernelName.HADAMARD: (4, 4 * limbs),
                 KernelName.ELE_ADD: (3, 3 * limbs),
                 KernelName.INTT: (1, limbs)}
 
     def test_hmult(self, fhe, streams):
         """The tensor product holds d2's evaluation image: the key switch
         transforms the ``dnum * E - L`` limbs ModUp does not copy from d2,
-        and inverts ``(2, E)`` for the product, which ``d0 | d1`` joined."""
+        inverts ``(2, K)`` and transforms the ``(2, L)`` correction."""
         lhs, rhs = streams
         limbs, extended, groups = self.shape(fhe, lhs[0].level)
         got = self.recorded(
             fhe, lambda: fhe.multiply(lhs[0], rhs[0], rescale=False))
         assert got == self.plus(
-            self.tensor_product(limbs, 4),
+            self.tensor_product(limbs),
             self.key_switch(limbs, extended, groups, held=limbs))
 
+    def test_hmult_and_rescale(self, fhe, streams):
+        """RESCALE folded into ModDown: ``(2, K + 1)`` inverted, ``(2, L - 1)``
+        transformed, no transform of its own."""
+        lhs, rhs = streams
+        limbs, extended, groups = self.shape(fhe, lhs[0].level)
+        got = self.recorded(fhe, lambda: fhe.multiply(lhs[0], rhs[0]))
+        assert got == self.plus(
+            self.tensor_product(limbs),
+            self.key_switch(limbs, extended, groups, held=limbs, rescale=True))
+
     def test_square(self, fhe, streams):
-        """A square transforms its two operand polynomials once."""
+        """A square of a held ciphertext counts what a product does."""
         lhs, _ = streams
         limbs, extended, groups = self.shape(fhe, lhs[0].level)
         got = self.recorded(
             fhe, lambda: fhe.multiply(lhs[0], lhs[0], rescale=False))
         assert got == self.plus(
-            self.tensor_product(limbs, 2),
+            self.tensor_product(limbs),
             self.key_switch(limbs, extended, groups, held=limbs))
 
     def test_hrotate(self, fhe, streams):
+        """The permuted ``c1'`` is inverted once for ModUp, whose own limbs
+        then copy its image."""
         lhs, _ = streams
         limbs, extended, groups = self.shape(fhe, lhs[0].level)
         assert self.recorded(fhe, lambda: fhe.rotate(lhs[0], 1)) == self.plus(
             {KernelName.FROBENIUS: (2, 2 * limbs),
-             KernelName.ELE_ADD: (1, limbs)},
-            self.key_switch(limbs, extended, groups))
+             KernelName.ELE_ADD: (1, limbs),
+             KernelName.INTT: (1, limbs)},
+            self.key_switch(limbs, extended, groups, held=limbs))
 
 
 class TestOneLaunchPerChain:
@@ -439,9 +463,6 @@ class TestOneLaunchPerChain:
     def test_negate_is_one_launch(self, fhe, rng, monkeypatch, backend_name):
         streams = [fhe.encrypt(rng.uniform(-1, 1, fhe.slot_count))
                    for _ in range(3)]
-        # Each component keeps its own domain.
-        held = evaluation_domain(fhe, streams[1])
-        streams[1] = Ciphertext(streams[1].c0, held.c1, held.scale, held.level)
         calls = []
         with use_backend(backend_name) as backend:
             original = backend.mat_neg
@@ -456,16 +477,19 @@ class TestOneLaunchPerChain:
 
     @pytest.mark.parametrize("batch", (2, 3))
     def test_joins_per_operation(self, fhe, rng, joins, batch):
-        """HROTATE: the automorphism, ModUp's transform rows, the inner
-        product's blocks.  HMULT: the tensor product's operands, the key
-        switch's three, the rescale's ``c0 | c1``.  The key switch takes
-        and returns stacks, so nothing in between is joined again."""
+        """HROTATE: the automorphism, then the key switch's two (ModUp's
+        layout of the held and transformed rows, the inner product's
+        blocks; one Conv of every group needs no join).  HMULT: the tensor
+        product's operands and the key switch's two; the rescale is folded
+        into the key switch.
+        The key switch takes and returns stacks, so nothing in between is
+        joined again."""
         lhs = [fhe.encrypt(rng.uniform(-1, 1, fhe.slot_count))
                for _ in range(batch)]
         rhs = [fhe.encrypt(rng.uniform(-1, 1, fhe.slot_count))
                for _ in range(batch)]
         for call, expected in ((lambda: fhe.rotate_many(lhs, 3), 3),
-                               (lambda: fhe.multiply_many(lhs, rhs), 5)):
+                               (lambda: fhe.multiply_many(lhs, rhs), 3)):
             joins[0] = 0
             call()
             assert joins[0] == expected
@@ -490,6 +514,31 @@ class TestFacadeWiring:
         expected = [fhe.multiply_plain(c, v) for c, v in zip(lhs, values)]
         for got, want in zip(fhe.multiply_plain_many(lhs, values), expected):
             assert_same_ciphertext(got, want)
+
+    def test_multiply_plain_many_encodes_once_per_level(self, fhe, streams, rng,
+                                                        monkeypatch):
+        """The distinct vectors of a level go through one encoder call (one
+        FFT over the stack), a shared vector once; the plaintexts are those
+        of one-vector encodes."""
+        lhs, _ = streams
+        ciphertexts = ([fhe.evaluator.drop_to_level(ct, 1) for ct in lhs[:2]]
+                       + list(lhs[2:]))
+        shared = rng.uniform(-1, 1, fhe.slot_count)
+        values = [rng.uniform(-1, 1, fhe.slot_count), shared, shared, shared,
+                  rng.uniform(-1, 1, fhe.slot_count)]
+        encoder, stacks = fhe.context.encoder, []
+        original = encoder.encode
+        monkeypatch.setattr(encoder, "encode", lambda vectors, scale=None: (
+            stacks.append(len(vectors)), original(vectors, scale))[1])
+        got = fhe.multiply_plain_many(ciphertexts, values, rescale=False)
+        # Level 1: a vector and the shared one; the top: the shared one, once,
+        # and a vector.
+        assert stacks == [2, 2]
+        monkeypatch.setattr(encoder, "encode", original)
+        for product, ciphertext, vector in zip(got, ciphertexts, values):
+            plain = fhe.encryptor.encode(vector, level=ciphertext.level)
+            assert_same_ciphertext(
+                product, fhe.evaluator.multiply_plain(ciphertext, plain))
 
     def test_scheduler_chunks_streams(self, fhe, streams, monkeypatch):
         """The facade slices streams into scheduler-sized batches."""

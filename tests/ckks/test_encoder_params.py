@@ -128,6 +128,29 @@ class TestEncoder:
         with pytest.raises(ValueError):
             encoder.encode(np.ones(encoder.slot_count + 1))
 
+    @pytest.mark.parametrize("ring_degree", [64, 4096])
+    def test_a_stack_encodes_row_by_row(self, ring_degree, rng):
+        """One FFT over ``(k, 2N)`` gives each row the bits of the
+        one-dimensional transform of that row alone."""
+        encoder = CkksEncoder(CkksParameters(ring_degree=ring_degree,
+                                             level_count=3, name="enc-stack"))
+        scale = encoder.parameters.scale
+        stack = (rng.uniform(-1, 1, (5, encoder.slot_count))
+                 + 1j * rng.uniform(-1, 1, (5, encoder.slot_count)))
+        encoded = encoder.encode(stack)
+        assert encoded.shape == (5, ring_degree) and encoded.dtype == np.int64
+        for row, values in zip(encoded, stack):
+            spectrum = np.zeros(2 * ring_degree, dtype=np.complex128)
+            spectrum[encoder.root_exponents] = values * scale
+            spectrum[encoder.conjugate_exponents] = np.conj(values) * scale
+            alone = np.round((np.fft.fft(spectrum)[:ring_degree]
+                              / ring_degree).real).astype(np.int64)
+            assert np.array_equal(row, alone)
+            assert np.array_equal(row, encoder.encode(values))
+        # Rows of different lengths are zero-padded one by one.
+        ragged = encoder.encode([stack[0], stack[1][:3]])
+        assert np.array_equal(ragged[1], encoder.encode(stack[1][:3]))
+
     def test_wrong_coefficient_count_rejected(self, encoder):
         with pytest.raises(ValueError):
             encoder.decode([1, 2, 3])

@@ -24,6 +24,12 @@ at 432c447) repeats the encrypt / decrypt digests at N = 4096, L = 8,
 where the launches between the transforms run on the float kernels under
 ``blas``.
 
+Ciphertexts rest in the evaluation domain, and so do the key switch's
+pairs; the digests are of their coefficient images (:func:`digest` inverts
+each output once and requires it to arrive in the evaluation domain), the
+bits every operation produced while ciphertexts rested in the coefficient
+domain.
+
 Regenerate (only when an output is *meant* to change) with
 ``PYTHONPATH=src python tests/ckks/test_golden_bits.py``.
 """
@@ -48,7 +54,7 @@ from repro.ckks import (
     Plaintext,
 )
 from repro.ckks.bootstrap import BootstrapConfig, BsgsLinearTransform, ModRaise
-from repro.rns import RnsPolynomial
+from repro.rns import PolyDomain, RnsPolynomial
 
 CHAINS = {
     "p28": dict(),
@@ -153,12 +159,20 @@ def raw_ciphertext(fhe, rng, level):
                       fhe.context.scale, level)
 
 
-def digest(outputs):
+def digest(outputs, planner=None):
+    """SHA-256 of ``outputs``: ciphertexts, or tuples of polynomials.
+
+    With a ``planner``, every polynomial must be in the evaluation domain
+    and its coefficient image is hashed; without one, as it is.
+    """
     sha = hashlib.sha256()
     for output in outputs:
         polys = ((output.c0, output.c1) if isinstance(output, Ciphertext)
                  else output)
         for poly in polys:
+            if planner is not None:
+                assert poly.domain == PolyDomain.EVALUATION
+                poly = poly.to_coefficient(planner)
             sha.update(repr((poly.moduli, poly.domain)).encode())
             sha.update(np.ascontiguousarray(poly.residues, dtype="<i8").tobytes())
         if isinstance(output, Ciphertext):
@@ -194,7 +208,8 @@ def operations(fhe):
         batch, moduli = len(flat), flat[0].moduli
         stack = many.key_switcher.switch_many(
             stack_arrays([p.buffer for p in flat]), relin, top - 1)
-        return [tuple(RnsPolynomial(context.ring_degree, moduli, stack[row])
+        return [tuple(RnsPolynomial(context.ring_degree, moduli, stack[row],
+                                    PolyDomain.EVALUATION)
                       for row in (j, batch + j)) for j in range(batch)]
 
     return {
@@ -242,12 +257,14 @@ def boundary_digests(fhe):
     plain = fhe.decryptor.decrypt(public).polynomial
     integers = plain.to_integers(centered=True)
     n, moduli = context.ring_degree, public.c0.moduli
-    forward = context.planner.forward_limbs(n, moduli, public.c0.residues)
+    c0 = public.c0.to_coefficient(context.planner).residues
+    forward = context.planner.forward_limbs(n, moduli, c0)
     back = context.planner.inverse_limbs(n, moduli, forward)
-    assert np.array_equal(back, public.c0.residues)
+    assert np.array_equal(back, c0)
+    assert np.array_equal(forward, public.c0.residues)
     return {
-        "encrypt_public": digest([public]),
-        "encrypt_symmetric": digest([symmetric]),
+        "encrypt_public": digest([public], context.planner),
+        "encrypt_symmetric": digest([symmetric], context.planner),
         "decrypt": digest([(plain,)]),
         "to_integers": hashlib.sha256(repr(integers).encode()).hexdigest(),
         "limbs_round_trip": hashlib.sha256(
@@ -265,9 +282,10 @@ def chain(request):
 @pytest.mark.parametrize("backend", ("numpy", "blas"))
 @pytest.mark.parametrize("mode", ("singular", "many"))
 def test_output_bits_are_frozen(chain, backend, mode):
-    name, ops, _ = chain
+    name, ops, fhe = chain
     with use_backend(backend):
-        got = {op: digest(pair[mode == "many"]()) for op, pair in ops.items()}
+        got = {op: digest(pair[mode == "many"](), fhe.context.planner)
+               for op, pair in ops.items()}
     assert got == GOLDEN[name]
 
 
@@ -295,8 +313,9 @@ def test_float_boundary_bits_are_frozen(float_chain, backend):
 if __name__ == "__main__":
     for name in sorted(CHAINS):
         print("    %r: {" % name)
-        for op, (singular, _) in operations(build(name)).items():
-            print("        %r: %r," % (op, digest(singular())))
+        fhe = build(name)
+        for op, (singular, _) in operations(fhe).items():
+            print("        %r: %r," % (op, digest(singular(), fhe.context.planner)))
         print("    },")
     for name in sorted(CHAINS):
         print("    %r: {" % name)

@@ -8,8 +8,9 @@ ModDown(acc) + d``).  Every step is exact arithmetic mod ``q_i``, so the
 folded path must give the bits of the classic one: an unscaled key,
 ``ModDown.apply_batch`` (Conv, subtract, multiply by ``P^{-1}``) and
 coefficient-domain adds, computed here per stream from the RNS
-primitives.  The classic keys come from the same seed with the fold
-turned off.  Swept: HMULT, square, HROTATE and HCONJ at every level, on
+primitives, against the coefficient images of the evaluation-domain
+results.  The classic keys come from the same seed with the fold turned
+off.  Swept: HMULT, square, HROTATE and HCONJ at every level, on
 every backend, the 20-, 28- and 33-bit chains (the last on the exact
 object-dtype funnel) and B in {1, 2, 8}.
 """
@@ -188,7 +189,10 @@ def test_folded_path_equals_the_classic_one(chain, backend, batch):
                 "rotate": evaluator.rotate(lhs, STEPS, folded.rotation),
                 "conjugate": evaluator.conjugate(lhs, folded.rotation),
             }
+        planner = folded.context.planner
         for name, results in got.items():
-            for result, (c0, c1) in zip(results, want[name]):
-                assert np.array_equal(result.c0.residues, c0.residues), (name, level)
-                assert np.array_equal(result.c1.residues, c1.residues), (name, level)
+            for result, want_pair in zip(results, want[name]):
+                for poly, expected in zip((result.c0, result.c1), want_pair):
+                    assert poly.domain == PolyDomain.EVALUATION
+                    assert np.array_equal(poly.to_coefficient(planner).residues,
+                                          expected.residues), (name, level)

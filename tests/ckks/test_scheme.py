@@ -97,9 +97,9 @@ class TestEncryptDecrypt:
                 c0 = c0.add(error()).add(plaintext.polynomial)
                 c1 = a.to_coefficient(planner)
         assert ct.level == level and ct.moduli == moduli
-        assert ct.c0.domain == ct.c1.domain == PolyDomain.COEFFICIENT
-        assert np.array_equal(ct.c0.residues, c0.residues)
-        assert np.array_equal(ct.c1.residues, c1.residues)
+        assert ct.c0.domain == ct.c1.domain == PolyDomain.EVALUATION
+        assert np.array_equal(ct.c0.to_coefficient(planner).residues, c0.residues)
+        assert np.array_equal(ct.c1.to_coefficient(planner).residues, c1.residues)
         assert np.allclose(toy_bundle.decryptor.decrypt_real(ct), x, atol=TOLERANCE)
 
 

@@ -35,9 +35,11 @@ from repro.ckks import (
 )
 
 
-#: The slab budget of a ``blas-slabbed`` run: ten rows of a degree-64
-#: polynomial, so a toy launch of several operations is cut into slabs.
-TOY_SLAB_DOUBLES = 10 * 64
+#: The slab budget of a ``blas-slabbed`` run: eight rows of a degree-64
+#: polynomial, so a toy launch of several operations is cut into slabs
+#: (the widest launch of a one-stream key switch at N = 64, L = 3, is the
+#: nine complement rows ModUp transforms).
+TOY_SLAB_DOUBLES = 8 * 64
 
 
 @pytest.fixture(params=available_backends() + ("blas-slabbed",))

@@ -391,15 +391,21 @@ class TestParity:
                 np.asarray(engine.forward_ops(floats, primes)), want)
 
     def test_polynomials_too_small_to_pay_come_back_int64(self, monkeypatch):
-        """Residency follows the size of one polynomial, not of the batch."""
+        """Residency follows the size of one polynomial, not of the batch,
+        and a ring of ``RESIDENT_RING_DEGREE`` or more is float-only at any
+        size."""
         primes = CHAINS["p28"](self.N)
         stack = random_stack(np.random.default_rng(5), 8, primes, self.N)
         engine = engine_for(self.N, primes)
         want = NttPlanner("reference").forward_ops(self.N, primes, stack)
         assert plan_module.RESIDENT_DOUBLES == 0        # the suite's fixture
-        for threshold, resident in ((len(primes) * self.N, False),
-                                    (len(primes) * self.N - 1, True)):
+        assert plan_module.RESIDENT_RING_DEGREE > self.N
+        for threshold, ring, resident in (
+                (len(primes) * self.N, self.N + 1, False),
+                (len(primes) * self.N - 1, self.N + 1, True),
+                (len(primes) * self.N, self.N, True)):
             monkeypatch.setattr(plan_module, "RESIDENT_DOUBLES", threshold)
+            monkeypatch.setattr(plan_module, "RESIDENT_RING_DEGREE", ring)
             with use_backend(BACKEND):
                 got = engine.forward_ops(DeviceBuffer.wrap(stack), primes)
             assert (got.host_image is None) == resident

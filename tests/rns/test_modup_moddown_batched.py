@@ -116,7 +116,8 @@ class TestExactness:
     @pytest.mark.parametrize("chain", sorted(CHAINS))
     def test_moddown_matches_bigint_formula(self, rng, chain):
         """Prescale plus tail is ``[(x_i - Conv(x_P)_i) * P^{-1}]_{q_i}``,
-        and ``apply_scaled`` of the prescaled stack gives the same bits."""
+        and the prescaled limbs minus ``correction`` of the special limbs
+        give the same bits."""
         primes = CHAINS[chain]
         active, special = primes[:4], primes[4:]
         moddown = ModDown(active, special)
@@ -136,7 +137,9 @@ class TestExactness:
         scaled[:, :4] = (stacks[:, :4].astype(object)
                          * np.asarray(inverses, dtype=object)[:, None]
                          % np.asarray(active, dtype=object)[:, None])
-        assert np.array_equal(moddown.apply_scaled(scaled), fused)
+        column = np.asarray(active, dtype=np.int64)[:, None]
+        correction = np.asarray(moddown.correction(scaled[:, 4:]))
+        assert np.array_equal((scaled[:, :4] - correction) % column, fused)
 
     def test_wide_moddown_divides_exactly(self):
         """ModDown on a wide chain still computes round(x / P) in batch."""
@@ -165,7 +168,7 @@ class TestShapes:
         empty_extended = np.zeros((0, 4, RING_DEGREE), dtype=np.int64)
         assert moddown.apply_batch(empty_extended).shape == (
             0, 2, RING_DEGREE)
-        assert moddown.apply_scaled(empty_extended).shape == (
+        assert moddown.correction(empty_extended[:, 2:]).shape == (
             0, 2, RING_DEGREE)
 
     def test_wrong_shapes_rejected(self, rng):
