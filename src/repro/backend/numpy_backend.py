@@ -157,11 +157,13 @@ class NumpyBackend(ArrayBackend):
         """Run an int64 array ``kernel`` on the handles' host images.
 
         The one place this backend crosses between handles and arrays: the
-        result is a host-only handle.  blas inherits it as the exact int64
-        fallback of every kernel its float guard refuses.
+        result is a host-only handle of reduced residues
+        (:meth:`~repro.backend.residency.DeviceBuffer.from_kernel`).  blas
+        inherits it as the exact int64 fallback of every kernel its float
+        guard refuses.
         """
-        return DeviceBuffer(
-            host=kernel(*[op.ensure_host() for op in operands], *args))
+        return DeviceBuffer.from_kernel(
+            kernel(*[op.ensure_host() for op in operands], *args))
 
     def matmul_limbs(self, lhs: DeviceBuffer, rhs: DeviceBuffer,
                      moduli: np.ndarray) -> DeviceBuffer:

@@ -35,7 +35,11 @@ on its entries (:attr:`~DeviceBuffer.max_value`), its cached hi/lo split
 
 :attr:`~DeviceBuffer.resident` says whether a handle's float image sends a
 launch to the float kernels (operands and results).  The split point of an
-image is :func:`split_shift` of its bound.
+image is :func:`split_shift` of its bound.  :attr:`~DeviceBuffer.reduced`
+says whether a library kernel made the residues — a result, or a ``host``
+handle from :meth:`DeviceBuffer.from_kernel` (an int64 kernel's output) —
+so that a transform need not range-scan them; views and joins of such
+handles keep it, :meth:`~DeviceBuffer.invalidate_device` drops it.
 
 Calling convention
 ------------------
@@ -101,11 +105,12 @@ def split_shift(max_value: int) -> int:
 class DeviceBuffer:
     """Handle to one residue array: its host and/or float64 image, its kind."""
 
-    __slots__ = ("kind", "_host", "_full", "_split", "_bound", "_parent")
+    __slots__ = ("kind", "_host", "_full", "_split", "_bound", "_parent",
+                 "_made")
 
     def __init__(self, host: Optional[np.ndarray] = None, *,
                  full: Optional[np.ndarray] = None, kind: str = HOST,
-                 bound: Optional[int] = None) -> None:
+                 bound: Optional[int] = None, made: bool = False) -> None:
         if host is None and full is None:
             raise ValueError("a DeviceBuffer needs at least one image")
         self.kind = kind
@@ -115,6 +120,8 @@ class DeviceBuffer:
         self._bound = bound
         #: ``(handle, rows)`` for a :meth:`prefix`: where the images come from.
         self._parent = None
+        #: A library kernel made the residues (see :attr:`reduced`).
+        self._made = made
 
     # ------------------------------------------------------------------
     # Constructors
@@ -141,7 +148,12 @@ class DeviceBuffer:
     @classmethod
     def from_float(cls, values: np.ndarray, bound: int) -> "DeviceBuffer":
         """A float kernel's output: canonical residues ``<= bound`` in float64."""
-        return cls(full=values, kind=RESULT, bound=int(bound))
+        return cls(full=values, kind=RESULT, bound=int(bound), made=True)
+
+    @classmethod
+    def from_kernel(cls, values: np.ndarray) -> "DeviceBuffer":
+        """An int64 kernel's output: a ``host`` handle of canonical residues."""
+        return cls(host=values, made=True)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -159,6 +171,17 @@ class DeviceBuffer:
     def resident(self) -> bool:
         """Whether the float image sends a launch to the float kernels."""
         return self.kind in (OPERAND, RESULT)
+
+    @property
+    def reduced(self) -> bool:
+        """Whether a library kernel made these residues, so they are canonical.
+
+        True for a result and for a :meth:`from_kernel` handle, and for
+        views and joins of such handles; validation trusts it instead of
+        scanning.  A wrapped array is not, and neither is a handle since
+        :meth:`invalidate_device`.
+        """
+        return self._made
 
     @property
     def host_image(self) -> Optional[np.ndarray]:
@@ -244,6 +267,7 @@ class DeviceBuffer:
         self.ensure_host()      # never strand a result without an image
         self.kind = HOST
         self._full = self._split = self._bound = self._parent = None
+        self._made = False
 
     # ------------------------------------------------------------------
     # Shape manipulation on the resident image
@@ -255,12 +279,12 @@ class DeviceBuffer:
         index gather, a sign flip): a float-only result maps its float64
         image and stays a result under the same bound (no int64
         materialisation for a view chain), anything else maps the int64
-        host image into a ``host`` handle.  ``function`` returns an array
-        of reduced residues.
+        host image into a ``host`` handle, :attr:`reduced` if this one is.
+        ``function`` returns an array of reduced residues.
         """
         if self._host is None:
             return DeviceBuffer.from_float(function(self._full), self._bound)
-        return DeviceBuffer(host=function(self._host))
+        return DeviceBuffer(host=function(self._host), made=self._made)
 
     def prefix(self, rows: int) -> "DeviceBuffer":
         """The first ``rows`` rows as a handle of this kind and bound.
@@ -335,14 +359,17 @@ def combine_arrays(parts: Sequence[ArrayLike], combine) -> DeviceBuffer:
     encoded plaintext next to ciphertext limbs) are converted instead, and
     the result is a float-only handle.  When every part already has a host
     image, the host combine is the cheaper exact path, and the result is a
-    ``host`` handle.  A float result carries the parts' bound, so
-    ``combine`` rearranges residues or maps them modulo their own primes
-    (an automorphism's ``q - c``).
+    ``host`` handle, :attr:`~DeviceBuffer.reduced` if every part is.  A
+    float result carries the parts' bound, so ``combine`` rearranges
+    residues or maps them modulo their own primes (an automorphism's
+    ``q - c``).
     """
     handles = [DeviceBuffer.wrap(part) for part in parts]
     if all(handle.host_image is not None for handle in handles):
-        return DeviceBuffer.wrap(
-            combine([handle.host_image for handle in handles]))
+        return DeviceBuffer(
+            host=np.asarray(combine([handle.host_image for handle in handles]),
+                            dtype=np.int64),
+            made=all([handle._made for handle in handles]))
     return DeviceBuffer.from_float(
         combine([handle.full() for handle in handles]),
         max(handle.max_value for handle in handles))

@@ -133,10 +133,13 @@ class NttEngine(abc.ABC):
                       ) -> Tuple[DeviceBuffer, np.ndarray]:
         """Check/reduce a ``(B, limbs, N)`` stack against its shared moduli.
 
-        A handle with a host image (every wrapped array has one) gets a
-        range scan, and out-of-range residues are reduced.  Only float-only
-        handles are trusted as reduced: their values were produced by the
-        library's own kernels, and scanning them would force an int64 cast.
+        A caller's array (wrapped, with a host image) gets a range scan, and
+        out-of-range residues are reduced.  A handle a library kernel made
+        (:attr:`~repro.backend.residency.DeviceBuffer.reduced`: a result,
+        or an int64 kernel's output) is trusted as reduced, as is any
+        float-only handle, which a scan would force to an int64 cast; a
+        handle whose host image was written in place and invalidated is
+        scanned again.
         """
         shape = stacks.shape
         if len(shape) != 3 or shape[2] != self.ring_degree:
@@ -152,10 +155,17 @@ class NttEngine(abc.ABC):
         # Moduli broadcast over the limb axis (axis 1) of the stack.
         column = moduli_array[None, :, None]
         host = stacks.host_image
-        # One pass: viewed as unsigned, a negative residue is at least 2**63.
-        if host is not None and (host.view(np.uint64) >= column.view(np.uint64)).any():
-            stacks = DeviceBuffer.wrap(host % column)
+        if host is not None and not stacks.reduced and _out_of_range(host, column):
+            stacks = DeviceBuffer.from_kernel(host % column)
         return stacks, moduli_array
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "%s(N=%d, q=%d)" % (type(self).__name__, self.ring_degree, self.modulus)
+
+
+def _out_of_range(host: np.ndarray, column: np.ndarray) -> bool:
+    """The range scan: whether some residue lies outside ``[0, q)``.
+
+    One pass: viewed as unsigned, a negative residue is at least 2**63.
+    """
+    return bool((host.view(np.uint64) >= column.view(np.uint64)).any())

@@ -20,19 +20,10 @@ import numpy as np
 
 from ..backend.registry import get_active_backend
 from ..backend.residency import HOST, DeviceBuffer
-from ..numtheory import planned
-from ..numtheory.planned import (
-    hadamard,
-    run_slabs,
-    run_stage,
-    slabs,
-    stage_operand,
-    wide_columns,
-    work_buffers,
-)
+from ..numtheory.planned import run_slabs, run_stage, work_buffers
 from ..numtheory.modular import mat_mod_mul, modular_matmul_limbs
 from .base import NttEngine
-from .four_step_plan import FourStepPlan
+from .four_step_plan import FourStepPlan, LaunchRecipe, SlabRecipe
 from .twiddle import get_twiddle_stack, split_degree
 
 __all__ = ["FourStepNtt"]
@@ -63,9 +54,11 @@ class FourStepNtt(NttEngine):
         ``N^-1``, so both directions are the same three steps.
         """
         stack = get_twiddle_stack(self.ring_degree, tuple(moduli_array.tolist()))
-        plan = self._float_plan(stack, inverse)
-        if plan is not None:
-            return self._float_pipeline(stacks, stack, plan, inverse)
+        backend = self._float_backend()
+        if backend is not None:
+            recipe = stack.launch_recipe(backend, inverse, stacks.shape[0])
+            if recipe is not None:
+                return self._float_pipeline(stacks, recipe)
         return self._ops_pipeline(stacks, moduli_array,
                                   *stack.operands(inverse))
 
@@ -81,20 +74,22 @@ class FourStepNtt(NttEngine):
         declare ``float_residency``, or the 2**53 guard refuses a stage.
         Both paths give the same bits.
         """
+        if self._float_backend() is None:
+            return None
         stack = get_twiddle_stack(self.ring_degree, tuple(int(q) for q in moduli))
-        return self._float_plan(stack, inverse)
+        return stack.four_step_plan(inverse)
 
-    def _float_plan(self, stack, inverse: bool) -> Optional[FourStepPlan]:
+    def _float_backend(self):
+        """The active backend if this engine's launches may go float."""
         if (type(self)._gemm_limbs is not FourStepNtt._gemm_limbs
                 or type(self)._hadamard_limbs is not FourStepNtt._hadamard_limbs):
             return None
-        if not get_active_backend().float_residency:
-            return None
-        return stack.four_step_plan(inverse)
+        backend = get_active_backend()
+        return backend if backend.float_residency else None
 
-    def _float_pipeline(self, stacks: DeviceBuffer, stack, plan: FourStepPlan,
-                        inverse: bool) -> DeviceBuffer:
-        """The transform as float64 stages, slab by slab.
+    def _float_pipeline(self, stacks: DeviceBuffer,
+                        recipe: LaunchRecipe) -> DeviceBuffer:
+        """The transform as float64 stages, run from its launch recipe.
 
         The perf shape of the paper's tensor-core kernel: the wide twiddle
         operand is cut into narrow parts whose partial products are exact
@@ -102,7 +97,15 @@ class FourStepNtt(NttEngine):
         every reduction is a lazy float64 Barrett pass, so no int64 ``%``
         runs.  Each slab goes through all stages while it is in cache and
         lands in the result through one merged transpose(+cast); the slabs
-        run on every core (:func:`~repro.numtheory.planned.run_slabs`).
+        run on every core (:func:`~repro.numtheory.planned.run_slabs`), a
+        launch of one slab inline.  Everything but the data — forms, images
+        viewed per slab, Barrett rows, full-width constants — comes laid
+        out from the recipe (:class:`~repro.ntt.four_step_plan.
+        LaunchRecipe`), so a launch only issues numpy calls; the twiddle
+        stage is one broadcast multiply per image below
+        :data:`~repro.numtheory.planned.BROADCAST_RUN` coefficients and one
+        per operation from there on (:func:`~repro.numtheory.planned.
+        hadamard`).
 
         The result is a float-only handle at every width, and a handle
         with a float image is read as it is — no staging copy, no int64
@@ -111,60 +114,18 @@ class FourStepNtt(NttEngine):
         (below :data:`~repro.numtheory.planned.RESIDENT_RING_DEGREE`) come
         back as int64 host handles.
         """
-        backend = get_active_backend()
         batch, limbs = stacks.shape[0], stacks.shape[1]
         imaged = stacks.kind != HOST
         source = (stacks.full() if imaged else stacks.ensure_host()).reshape(
             batch, limbs, self.n1, self.n2)
-        as_float = (limbs * self.ring_degree > planned.RESIDENT_DOUBLES
-                    or self.ring_degree >= planned.RESIDENT_RING_DEGREE)
         # (N2, N1) per slice: the column-major flattening of forward().
         result = np.empty((batch, limbs, self.n2, self.n1),
-                          dtype=np.float64 if as_float else np.int64)
-
-        def gemm_left(image, x, out):
-            return backend.fmatmul(image, x, out=out)
-
-        def gemm_right(image, x, out):
-            return backend.fmatmul(x, image, out=out)
-
-        # Slabs are limb-major, (limbs, operations, N1, N2), so every
-        # operand image gets the operation axis to broadcast along.
-        stages = []
-        for form, apply, operand in zip(
-                plan, (gemm_left, hadamard, gemm_right),
-                stack.operands(inverse)):
-            images, weight = stage_operand(form, operand)
-            stages.append((form, apply,
-                           [image[:, None] for image in images], weight))
-
-        def slab(piece) -> None:
-            ops, rows = piece
-            chain = stack.barrett_chain.rows(rows)
-            x = source[ops, rows].transpose(1, 0, 2, 3)
-            buffers = work_buffers(*(x.shape,) * 4)
-            # One operation per slab leaves the Barrett constants a run of
-            # N: laid out full-width, every pass gets numpy's fast loop.
-            columns = wide_columns(chain, x.shape)
-            if not imaged:
-                np.copyto(buffers[0], x)
-                x = buffers[0]
-            for form, apply, images, weight in stages:
-                if len(chain.moduli) < limbs:
-                    images = [image[rows] for image in images]
-                x = run_stage(form, apply, images, weight, chain, x,
-                              [b for b in buffers if b is not x], columns)
-            spare = buffers[1] if x is buffers[0] else buffers[0]
-            x = chain.lazy_reduce(x, axis=0, out=spare,       # canonical
-                                  columns=columns)
-            np.copyto(result[ops, rows], x.transpose(1, 0, 3, 2),
-                      casting="unsafe")
-
-        run_slabs(slab, slabs(batch, limbs, self.ring_degree))
+                          dtype=np.float64 if recipe.as_float else np.int64)
+        run_slabs(_run_slab, recipe.slabs, source, result, imaged)
         result = result.reshape(batch, limbs, self.ring_degree)
-        if as_float:
-            return DeviceBuffer.from_float(result, stack.barrett_chain.qmax - 1)
-        return DeviceBuffer.wrap(result)
+        if recipe.as_float:
+            return DeviceBuffer.from_float(result, recipe.bound)
+        return DeviceBuffer.from_kernel(result)
 
     def _ops_pipeline(self, stacks: DeviceBuffer, moduli_array: np.ndarray,
                       w1: DeviceBuffer, w2: DeviceBuffer,
@@ -204,3 +165,21 @@ class FourStepNtt(NttEngine):
                         moduli: np.ndarray) -> DeviceBuffer:
         """Limb-batched modular Hadamard product."""
         return mat_mod_mul(lhs, rhs, moduli)
+
+
+def _run_slab(piece: SlabRecipe, source: np.ndarray, result: np.ndarray,
+              imaged: bool) -> None:
+    """All three stages of one slab, from ``source`` into ``result``."""
+    ops, rows, chain = piece.ops, piece.rows, piece.chain
+    x = source[ops, rows].transpose(1, 0, 2, 3)
+    buffers = work_buffers(*piece.buffers)
+    if not imaged:
+        np.copyto(buffers[0], x)
+        x = buffers[0]
+    for form, apply, images, weight in piece.stages:
+        x = run_stage(form, apply, images, weight, chain, x,
+                      [b for b in buffers if b is not x], piece.columns)
+    spare = buffers[1] if x is buffers[0] else buffers[0]
+    x = chain.lazy_reduce(x, axis=0, out=spare,                 # canonical
+                          columns=piece.columns)
+    np.copyto(result[ops, rows], x.transpose(1, 0, 3, 2), casting="unsafe")

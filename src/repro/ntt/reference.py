@@ -64,4 +64,4 @@ class ReferenceNtt(NttEngine):
             psi = get_twiddle_cache(self.ring_degree, q).psi
             for b in range(rows.shape[0]):
                 out[b, i] = transform(rows[b, i].tolist(), self.ring_degree, q, psi)
-        return DeviceBuffer.wrap(out)
+        return DeviceBuffer.from_kernel(out)

@@ -68,4 +68,4 @@ class TensorCoreNtt(FourStepNtt):
                 partial = np.matmul(left, right).astype(np.int64)
                 weight = np.int64(1 << (SEGMENT_BITS * (i + j))) % column
                 fused = (fused + partial % column * weight) % column
-        return DeviceBuffer(host=fused)
+        return DeviceBuffer.from_kernel(fused)

@@ -12,6 +12,8 @@ limb-batched launches.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
@@ -19,11 +21,12 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from ..backend.residency import DeviceBuffer
+from ..numtheory import planned
 from ..numtheory.bit_ops import ilog2, is_power_of_two
 from ..numtheory.floatmod import BarrettChain, get_barrett_chain
 from ..numtheory.modular import mat_mod_scalar_mul, mod_inverse, mod_pow
 from ..numtheory.roots import find_negacyclic_root, root_powers
-from .four_step_plan import FourStepPlan, plan_four_step
+from .four_step_plan import FourStepPlan, LaunchRecipe, launch_recipe, plan_four_step
 
 __all__ = [
     "TwiddleCache",
@@ -248,6 +251,33 @@ class TwiddleStack:
                                                   *maxima)
         return self._plans[inverse]
 
+    def launch_recipe(self, backend, inverse: bool,
+                      batch: int) -> Optional[LaunchRecipe]:
+        """The float transform of a ``(batch, limbs, N)`` stack, laid out.
+
+        ``None`` when :meth:`four_step_plan` is.  Recipes are kept per
+        stack, direction, batch and backend, and per the slab and residency
+        budgets of :mod:`repro.numtheory.planned` they were laid out under;
+        the most recently used ones stay, up to :data:`_RECIPE_LIMIT` of
+        them and :data:`_RECIPE_BYTES` of full-width constants.
+        """
+        key = (self, backend, inverse, batch, planned.SLAB_DOUBLES,
+               planned.BROADCAST_RUN, planned.RESIDENT_DOUBLES,
+               planned.RESIDENT_RING_DEGREE)
+        with _RECIPE_LOCK:
+            recipe = _RECIPES.get(key)
+            if recipe is not None:
+                _RECIPES.move_to_end(key)
+                return recipe
+        plan = self.four_step_plan(inverse)
+        if plan is None:
+            return None
+        n1, n2 = split_degree(self.ring_degree)
+        recipe = launch_recipe(plan, self.operands(inverse), self.barrett_chain,
+                               backend, batch, n1, n2)
+        _remember_recipe(key, recipe)
+        return recipe
+
     # -- Barrett constants for the float-resident kernels ---------------
     @property
     def barrett_chain(self) -> BarrettChain:
@@ -297,5 +327,42 @@ def get_twiddle_stack(ring_degree: int, moduli) -> TwiddleStack:
 
 
 def clear_twiddle_stacks() -> None:
-    """Drop all cached twiddle stacks (frees the stacked operand memory)."""
+    """Drop all cached twiddle stacks and their launch recipes.
+
+    Frees the stacked operand memory and the recipes' full-width constants.
+    """
+    global _RECIPE_HELD
     _STACK_CACHE.clear()
+    with _RECIPE_LOCK:
+        _RECIPES.clear()
+        _RECIPE_HELD = 0
+
+
+#: Launch recipes of every stack, least recently used first.
+_RECIPES: "OrderedDict[tuple, LaunchRecipe]" = OrderedDict()
+_RECIPE_LOCK = threading.Lock()
+#: Recipes kept at most.  One without full-width constants (a launch whose
+#: slabs are long enough to broadcast them) holds only views of the stack's
+#: images.
+_RECIPE_LIMIT = 64
+#: Bytes of full-width constants the kept recipes may hold together.  A
+#: batched bootstrap at N = 128 lays out 76 recipes, 9.3 MB of constants
+#: if all were kept; under this bound 11 % of its launches rebuild their
+#: recipe (about 20 us each), under twice it 8 %, which cost
+#: ``serving_burst`` 1 MB more peak memory.
+_RECIPE_BYTES = 1 << 20
+#: Bytes the kept recipes hold now.
+_RECIPE_HELD = 0
+
+
+def _remember_recipe(key: tuple, recipe: LaunchRecipe) -> None:
+    """Keep ``recipe``, dropping the least recently used over the bounds."""
+    global _RECIPE_HELD
+    with _RECIPE_LOCK:
+        if key in _RECIPES:
+            return
+        _RECIPES[key] = recipe
+        _RECIPE_HELD += recipe.nbytes
+        while len(_RECIPES) > 1 and (len(_RECIPES) > _RECIPE_LIMIT
+                                     or _RECIPE_HELD > _RECIPE_BYTES):
+            _RECIPE_HELD -= _RECIPES.popitem(last=False)[1].nbytes

@@ -58,14 +58,19 @@ FLOAT_EXACT_LIMIT = 1 << 53
 
 #: numpy runs a ufunc with a broadcast operand through its buffered
 #: iterator when the contiguous run per broadcast value is at most half
-#: its buffer (8192 elements by default), 2.5-3.5x slower per pass than
-#: the same multiply by a scalar (measured, numpy 2.4: ``(8, 4096) *
-#: (8, 1)`` 23 us, ``(8, 4097) * (8, 1)`` 7 us).  The slabs of
-#: :mod:`repro.numtheory.planned` are laid out limb-major so that the
+#: its buffer (8192 elements by default).  For a per-limb constant (a
+#: stride-0 run) that is 2.5-3.5x slower per pass than the same multiply
+#: by a scalar (measured, numpy 2.4: ``(8, 4096) * (8, 1)`` 23 us,
+#: ``(8, 4097) * (8, 1)`` 7 us), so the slabs of
+#: :mod:`repro.numtheory.planned` are laid out limb-major, where the
 #: Barrett constants of one limb span ``operations * N`` elements, and
-#: where even that run is too short (one operation of ``N <= 4096``) the
-#: transforms lay the constants out full-width instead
-#: (:meth:`BarrettChain.wide_columns`).
+#: where even that run is too short the transforms lay the constants out
+#: full-width instead (:meth:`BarrettChain.wide_columns`).  An image
+#: shared by a slab's operations (a twiddle) broadcasts along the
+#: operation axis in runs of ``N``: below this length one broadcast
+#: multiply still beats a multiply per operation (2.3-2.5x at ``N <=
+#: 1024``); from it on (``N = 4096``) the loop wins
+#: (:func:`~repro.numtheory.planned.hadamard`).
 BROADCAST_RUN = np.getbufsize() // 2
 
 
@@ -138,12 +143,14 @@ class BarrettChain:
         on numpy's buffered iterator (``(8, 1, 64, 64)`` pass: 53.8 us
         broadcast, 35.4 us full-width), and a launch that makes many
         passes lays the constants out once and hands them to
-        :meth:`lazy_reduce`.
+        :meth:`lazy_reduce` (the four-step NTT keeps them in its launch
+        recipes, :mod:`repro.ntt.four_step_plan`).
         """
         if not 1 < math.prod(shape[1:]) <= BROADCAST_RUN:
             return None
-        return tuple(np.ascontiguousarray(np.broadcast_to(col, shape))
-                     for col in self.columns(len(shape)))
+        wide = np.empty((2,) + tuple(shape))
+        wide[0], wide[1] = self.columns(len(shape))
+        return wide[0], wide[1]
 
     def rows(self, rows: slice) -> "BarrettChain":
         """The (shared) chain of the limb range ``rows``; itself for all of them."""

@@ -34,9 +34,10 @@ mask.  A slab writes its own part of the result from operand images built
 before the dispatch, so the bits do not depend on which thread ran it.
 :func:`launch` fills a ``(limbs, operations, N)`` result this way for the
 element-wise kernels and :func:`product`, :func:`gemm` cuts the free axis
-of its dgemm, and the four-step NTT hands its stage pipeline to
-:func:`run_slabs`; :func:`product` / :func:`gemm` are the two planned
-products the float paths of the blas backend are made of.
+of its dgemm, and the four-step NTT runs the slabs of its cached launch
+recipe (:mod:`repro.ntt.four_step_plan`) through :func:`run_slabs`;
+:func:`product` / :func:`gemm` are the two planned products the float
+paths of the blas backend are made of.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -72,7 +73,6 @@ __all__ = [
     "WORKERS",
     "run_slabs",
     "work_buffers",
-    "wide_columns",
     "hadamard",
     "accumulate",
     "launch",
@@ -211,28 +211,25 @@ def run_stage(form: StageForm, apply, images, weight: float,
     ``columns`` are the slab's full-width Barrett constants, if laid out.
     """
     p, q, r = scratch[:3]
-
-    def reduce(values, out):
-        return chain.lazy_reduce(values, axis=0, out=out, columns=columns)
-
+    reduce = chain.lazy_reduce
     if form.canonicalise:
-        x = reduce(x, p)
+        x = reduce(x, out=p, columns=columns)
     if not form.split:
-        return reduce(apply(images[0], x, q), r)
+        return reduce(apply(images[0], x, q), out=r, columns=columns)
     high = apply(images[0], x, q)
     low = apply(images[1], x, r)
     # ``x`` is dead from here on, so ``p`` is free whether or not it held it.
-    high = reduce(high, p)
+    high = reduce(high, out=p, columns=columns)
     out = q
     if form.reduce_low:
-        low, out = reduce(low, q), r
+        low, out = reduce(low, out=q, columns=columns), r
     high *= weight
     high += low
-    return reduce(high, out)
+    return reduce(high, out=out, columns=columns)
 
 
 def slabs(batch: int, limbs: int, ring_degree: int,
-          share: int = 1) -> Iterator[Tuple[slice, slice]]:
+          share: int = 1) -> List[Tuple[slice, slice]]:
     """``(operations, limbs)`` slice pairs tiling a ``(B, L, N)`` stack.
 
     Every slab holds about :data:`SLAB_DOUBLES` elements at most (a
@@ -246,10 +243,8 @@ def slabs(batch: int, limbs: int, ring_degree: int,
     ops = min(batch, max(rows // limbs, BROADCAST_RUN // ring_degree + 1))
     width = min(limbs, max(1, rows // ops))
     width = -(-limbs // -(-limbs // width))
-    for op in range(0, batch, ops):
-        for limb in range(0, limbs, width):
-            yield (slice(op, min(op + ops, batch)),
-                   slice(limb, min(limb + width, limbs)))
+    return [(slice(op, min(op + ops, batch)), slice(limb, min(limb + width, limbs)))
+            for op in range(0, batch, ops) for limb in range(0, limbs, width)]
 
 
 class _Workspace(threading.local):
@@ -258,8 +253,6 @@ class _Workspace(threading.local):
     def __init__(self) -> None:
         self.block = np.empty(0)
         self.views = {}
-        #: ``(chain, shape) -> wide columns`` of the last few slab shapes.
-        self.wide = {}
         #: This thread belongs to the slab pool (set by its initializer).
         self.pooled = False
 
@@ -317,8 +310,8 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_drop_pool)
 
 
-def run_slabs(body: Callable, pieces: Iterable) -> None:
-    """``body(piece)`` for every slab of one launch, on every core.
+def run_slabs(body: Callable, pieces: Sequence, *args) -> None:
+    """``body(piece, *args)`` for every slab of one launch, on every core.
 
     The calling thread and up to :data:`WORKERS` pool threads pop the next
     piece from one shared queue until it is empty, so a core the host is
@@ -326,15 +319,15 @@ def run_slabs(body: Callable, pieces: Iterable) -> None:
     parts of the result and take scratch from :func:`work_buffers` only;
     operand images they read are built before the call.  A launch of one
     slab, a launch made on a pool thread and a process with one core run
-    every body inline.  The first exception a body raises is raised here,
-    after every slab has stopped.
+    every body inline, with no queue.  The first exception a body raises
+    is raised here, after every slab has stopped.
     """
-    pieces = deque(pieces)
     helpers = min(WORKERS, len(pieces) - 1)
     if helpers <= 0 or _WORKSPACE.pooled:
         for piece in pieces:
-            body(piece)
+            body(piece, *args)
         return
+    pieces = deque(pieces)
     errors: List[BaseException] = []
 
     def drain() -> None:
@@ -344,7 +337,7 @@ def run_slabs(body: Callable, pieces: Iterable) -> None:
             except IndexError:
                 return
             try:
-                body(piece)
+                body(piece, *args)
             except BaseException as error:      # raised by the caller below
                 errors.append(error)
 
@@ -378,35 +371,19 @@ def work_buffers(*shapes) -> List[np.ndarray]:
     return views
 
 
-def wide_columns(chain: BarrettChain, shape):
-    """``chain.wide_columns(shape)``, remembered for the launches in flight.
-
-    A transform makes ~10 lazy passes per slab and its forward / inverse
-    launches alternate between a few ``(chain, slab shape)`` pairs, so the
-    last :data:`_WIDE_LAYOUTS` layouts are kept per thread (a chain that
-    kept every layout it ever laid out held 15 MB across one bootstrap).
-    """
-    wide = _WORKSPACE.wide
-    key = (chain, shape)
-    if key not in wide:
-        if len(wide) >= _WIDE_LAYOUTS:
-            del wide[next(iter(wide))]
-        wide[key] = chain.wide_columns(shape)
-    return wide[key]
-
-
-#: Full-width constant layouts kept per thread (see :func:`wide_columns`).
-_WIDE_LAYOUTS = 4
-
-
 def hadamard(image: np.ndarray, x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``out = image * x`` on a limb-major slab (operation axis 1).
 
-    An image shared by the slab's operations is multiplied in one
-    operation at a time: broadcasting it would leave runs of ``N`` elements
-    per broadcast value, numpy's slow case (:data:`BROADCAST_RUN`).
+    An image shared by the slab's operations is broadcast along them in one
+    multiply, except where one operation's run of elements reaches
+    :data:`BROADCAST_RUN`: there the broadcast goes through numpy's
+    buffered iterator and one multiply per operation is faster.  Measured
+    per twiddle multiply, numpy 2.4, loop / broadcast: ``(10, 4, 16, 8)``
+    16.8 / 6.6 us, ``(4, 8, 32, 32)`` 37.7 / 16.7 us, ``(8, 2, 64, 64)``
+    48.3 / 60.0 us.
     """
-    if image.shape[1] == 1 < x.shape[1] and image.shape[-1] > 1:
+    if (image.shape[1] == 1 < x.shape[1] and image.shape[-1] > 1
+            and math.prod(x.shape[2:]) >= BROADCAST_RUN):
         for op in range(x.shape[1]):
             np.multiply(x[:, op], image[:, 0], out=out[:, op])
         return out

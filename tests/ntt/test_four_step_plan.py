@@ -5,12 +5,15 @@ selects numpy itself — the default backend is numpy, on which the float
 pipeline never runs.
 """
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.ntt.base as base_module
 import repro.numtheory.planned as plan_module
-from repro.backend import DeviceBuffer, use_backend
+from repro.backend import DeviceBuffer, get_active_backend, use_backend
 from repro.ntt import (
     NttPlanner,
     available_engines,
@@ -336,39 +339,137 @@ def slab_budget(request, monkeypatch):
     return doubles
 
 
+#: Batch of the stack every parity case slices its operations from.
+PARITY_BATCH = 8
+
+
+def reference_rows(ring_degree, primes, stack, rows, inverse):
+    """The reference engine's transform of the ``(operation, limb)`` rows."""
+    planner = NttPlanner("reference")
+    return {(op, limb): (planner.engine_for(ring_degree, primes[limb]).inverse
+                         if inverse else
+                         planner.engine_for(ring_degree, primes[limb]).forward)(
+                             stack[op, limb])
+            for op, limb in rows}
+
+
+@functools.lru_cache(maxsize=None)
+def parity_case(chain, ring_degree):
+    """A ``PARITY_BATCH``-operation stack and what each direction must give.
+
+    ``(primes, stack, {inverse: (int64 pipeline, reference rows)})``: the
+    int64 pipeline on numpy for every row, the quadratic reference engine
+    for every row at ``N = 64`` and beyond it (0.3 s a row at ``N =
+    1024``) for the first row and the last row of the last operation: the
+    first and the last slab of any layout.  Shared by every budget, batch
+    and input kind of the chain and degree.
+    """
+    primes = CHAINS[chain](ring_degree)
+    stack = random_stack(np.random.default_rng(ring_degree), PARITY_BATCH,
+                         primes, ring_degree)
+    stack[0, 0, :2] = (0, primes[0] - 1)
+    if ring_degree == 64:
+        rows = [(op, limb) for op in range(PARITY_BATCH)
+                for limb in range(len(primes))]
+    else:
+        rows = [(0, 0), (PARITY_BATCH - 1, len(primes) - 1)]
+    expected = {}
+    for inverse in (False, True):
+        with use_backend("numpy"):
+            int64 = NttPlanner("four_step")
+            whole = (int64.inverse_ops if inverse else int64.forward_ops)(
+                ring_degree, primes, stack).ensure_host()
+        expected[inverse] = (whole, reference_rows(ring_degree, primes, stack,
+                                                   rows, inverse))
+    return primes, stack, expected
+
+
+@functools.lru_cache(maxsize=None)
+def boundary_case(budget):
+    """A stack of ``budget // (PARITY_BATCH * N)`` limbs plus one, 28-bit.
+
+    ``(N, primes, stack, {(inverse, op, limb): reference row})``: the first
+    row of operation 0 and the last row of the last operation, which sit
+    in the first and the last slab of the wider launch.
+    """
+    ring_degree = 1024 if budget >= PARITY_BATCH * 1024 else 64
+    limbs = budget // (PARITY_BATCH * ring_degree)
+    assert limbs * PARITY_BATCH * ring_degree == budget
+    primes = generate_ntt_primes(limbs + 1, 28, ring_degree)
+    stack = random_stack(np.random.default_rng(limbs), PARITY_BATCH, primes,
+                         ring_degree)
+    rows = [(0, 0), (PARITY_BATCH - 1, limbs)]
+    expected = {}
+    for inverse in (False, True):
+        for (op, limb), row in reference_rows(ring_degree, primes, stack, rows,
+                                              inverse).items():
+            expected[inverse, op, limb] = row
+    return ring_degree, primes, stack, expected
+
+
 class TestParity:
     N = 64
 
+    @pytest.mark.parametrize("inputs", ["int64", "float"])
+    @pytest.mark.parametrize("ring_degree", [64, 128, 1024])
     @pytest.mark.parametrize("chain", sorted(CHAINS))
     @pytest.mark.parametrize("batch", [1, 3, 8])
     def test_both_directions_match_reference_and_int64(self, chain, batch,
+                                                       ring_degree, inputs,
                                                        slab_budget):
-        primes = CHAINS[chain](self.N)
-        if slab_budget == 640:
-            pieces = list(slabs(batch, len(primes), self.N))
+        """The recipe path, int64 or float-only stack in, equals the
+        reference engine and the int64 pipeline in both directions."""
+        primes, whole, expected = parity_case(chain, ring_degree)
+        if slab_budget == 640 and ring_degree == 64:
+            pieces = slabs(batch, len(primes), ring_degree)
             assert pieces[0][0] == slice(0, min(2, batch))
             assert batch == 1 or pieces[-1][0].stop - pieces[-1][0].start == (
                 2 - batch % 2)
         if slab_budget == 128:
             assert all(ops.stop - ops.start == 1 and rows.stop - rows.start <= 2
-                       for ops, rows in slabs(batch, len(primes), self.N))
-        stack = random_stack(np.random.default_rng(batch), batch, primes, self.N)
-        stack[0, 0, :2] = (0, primes[0] - 1)
-        engine = engine_for(self.N, primes)
+                       for ops, rows in slabs(batch, len(primes), ring_degree))
+        stack = whole[:batch]
+        given = (DeviceBuffer.from_float(stack.astype(np.float64), max(primes) - 1)
+                 if inputs == "float" else stack)
+        engine = engine_for(ring_degree, primes)
         assert engine.float_plan(primes) is not None
-        reference = NttPlanner("reference")
-        int64 = NttPlanner("four_step")
-        with use_backend("numpy"):
-            int64_forward = int64.forward_ops(self.N, primes, stack)
-            int64_inverse = int64.inverse_ops(self.N, primes, stack)
-        forward = engine.forward_ops(stack, primes)
-        assert isinstance(forward, DeviceBuffer)
-        assert np.array_equal(forward, reference.forward_ops(self.N, primes, stack))
-        assert np.array_equal(forward, int64_forward)
-        inverse = engine.inverse_ops(stack, primes)
-        assert np.array_equal(inverse, reference.inverse_ops(self.N, primes, stack))
-        assert np.array_equal(inverse, int64_inverse)
+        for inverse in (False, True):
+            int64, reference = expected[inverse]
+            got = (engine.inverse_ops if inverse else engine.forward_ops)(
+                given, primes)
+            assert isinstance(got, DeviceBuffer)
+            got = got.ensure_host()
+            assert np.array_equal(got, int64[:batch])
+            for (op, limb), row in reference.items():
+                if op < batch:
+                    assert np.array_equal(got[op, limb], row)
+        forward = engine.forward_ops(given, primes)
         assert np.array_equal(engine.inverse_ops(forward, primes), stack)
+
+    def test_one_slab_and_one_limb_more_match_reference(self, backend):
+        """A launch of exactly ``SLAB_DOUBLES`` elements runs as one slab
+        and one a limb larger as two, on every backend fixture, and both
+        equal the reference engine and the int64 pipeline."""
+        ring_degree, primes, stack, expected = boundary_case(
+            plan_module.SLAB_DOUBLES)
+        for chain in (primes[:-1], primes):
+            part = stack[:, :len(chain)]
+            engine = engine_for(ring_degree, chain)
+            for inverse in (False, True):
+                with use_backend("numpy"):
+                    want = (engine.inverse_ops if inverse
+                            else engine.forward_ops)(part, chain).ensure_host()
+                with use_backend(backend):
+                    got = (engine.inverse_ops if inverse
+                           else engine.forward_ops)(part, chain).ensure_host()
+                    if get_active_backend().float_residency:
+                        recipe = get_twiddle_stack(ring_degree, chain).launch_recipe(
+                            get_active_backend(), inverse, PARITY_BATCH)
+                        assert len(recipe.slabs) == len(chain) - len(primes) + 2
+                assert np.array_equal(got, want)
+                for (direction, op, limb), row in expected.items():
+                    if direction == inverse and limb < len(chain):
+                        assert np.array_equal(got[op, limb], row)
 
     @pytest.mark.parametrize("chain", sorted(CHAINS))
     def test_a_handle_in_is_a_float_only_handle_out(self, chain, slab_budget):
@@ -427,6 +528,37 @@ class TestParity:
         assert np.array_equal(np.asarray(got), want)
         assert np.array_equal(
             engine.forward_limbs(unreduced[1], primes), want[1])
+
+    def test_kernel_made_handles_skip_the_range_scan_until_invalidated(
+            self, monkeypatch):
+        """Residues a library kernel made are trusted as reduced; a caller's
+        array, and a kernel-made handle written in place and invalidated,
+        are scanned and reduced."""
+        scans = []
+        scan = base_module._out_of_range
+        monkeypatch.setattr(base_module, "_out_of_range",
+                            lambda host, column: scans.append(1) or scan(host, column))
+        primes = CHAINS["p28"](self.N)
+        column = np.asarray(primes, dtype=np.int64)[None, :, None]
+        stack = random_stack(np.random.default_rng(7), 3, primes, self.N)
+        engine = engine_for(self.N, primes)
+        with use_backend("numpy"):
+            made = engine.forward_ops(stack, primes)         # an int64 kernel's
+        assert len(scans) == 1                              # the caller's stack
+        assert made.host_image is not None and made.reduced
+        for view in (made, made[1:], made.reshape(3, len(primes), self.N)):
+            assert view.reduced
+            engine.inverse_ops(view, primes)
+        assert len(scans) == 1
+        host = made.ensure_host()
+        host[1, :, 0] += column[0, :, 0]                     # out of range
+        host[2, :, 1] -= 2 * column[0, :, 0]
+        made.invalidate_device()
+        assert not made.reduced
+        want = engine.inverse_ops(host % column, primes)
+        assert len(scans) == 2
+        assert np.array_equal(engine.inverse_ops(made, primes), want)
+        assert len(scans) == 3
 
     def test_results_do_not_alias_the_work_buffers(self):
         primes = CHAINS["p28"](self.N)

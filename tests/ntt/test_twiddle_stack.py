@@ -7,10 +7,14 @@ float64 images) must be zero-copy row slices of the deepest cached chain's
 rather than per-prefix copies.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from repro.ntt import NttPlanner, clear_twiddle_stacks, get_twiddle_stack
+from repro.backend import use_backend
+from repro.ntt import NttPlanner, clear_twiddle_stacks, get_twiddle_stack, twiddle
 from repro.ntt.twiddle import TwiddleStack
 from repro.numtheory import generate_ntt_primes
 
@@ -86,3 +90,81 @@ def test_transform_parity_through_views(rng):
         assert np.array_equal(values, per_limb)
         assert np.array_equal(
             planner.inverse_limbs(RING_DEGREE, primes, values), residues)
+
+
+def test_launch_recipes_after_a_bootstrap_pass_are_bounded(bootstrap_fhe, rng,
+                                                           monkeypatch):
+    """The recipes a bootstrap pass lays out stay within both bounds, the
+    pass's bits do not depend on them, and clearing the stacks drops them."""
+    fhe = bootstrap_fhe
+    streams = [fhe.evaluator.drop_to_level(
+        fhe.encrypt(rng.uniform(-0.05, 0.05, fhe.slot_count)), 0)
+        for _ in range(2)]
+    with use_backend("numpy"):
+        want = fhe.bootstrap_many(streams)
+    built = []
+    build = twiddle.launch_recipe
+    monkeypatch.setattr(twiddle, "launch_recipe",
+                        lambda *args: built.append(1) or build(*args))
+    limit, budget = 4, 16 << 10
+    monkeypatch.setattr(twiddle, "_RECIPE_LIMIT", limit)
+    monkeypatch.setattr(twiddle, "_RECIPE_BYTES", budget)
+    with use_backend("blas"):
+        got = fhe.bootstrap_many(streams)
+    for refreshed, expected in zip(got, want):
+        assert np.array_equal(refreshed.c0.residues, expected.c0.residues)
+        assert np.array_equal(refreshed.c1.residues, expected.c1.residues)
+    recipes = list(twiddle._RECIPES.values())
+    assert len(set(map(id, recipes))) == len(recipes) > 0
+    assert len(built) > 2 * limit                    # the bounds did evict
+    assert len(recipes) <= limit
+    held = sum(recipe.nbytes for recipe in recipes)
+    assert twiddle._RECIPE_HELD == held
+    assert held <= budget or len(recipes) == 1
+    assert any(recipe.nbytes for recipe in recipes)  # constants were laid out
+    clear_twiddle_stacks()
+    assert not twiddle._RECIPES and twiddle._RECIPE_HELD == 0
+
+
+def test_launch_recipes_stay_consistent_under_concurrent_launches(monkeypatch):
+    """Threads laying out and evicting recipes at once lose no bytes and
+    keep the bounds; every launch still gives the right bits."""
+    monkeypatch.setattr(twiddle, "_RECIPE_LIMIT", 3)
+    monkeypatch.setattr(twiddle, "_RECIPE_BYTES", 8 << 10)
+    planner = NttPlanner("four_step")
+    rng = np.random.default_rng(5)
+    stacks = {batch: np.stack([np.stack([rng.integers(0, q, RING_DEGREE)
+                                         for q in CHAIN]) for _ in range(batch)])
+              for batch in range(1, 7)}
+    with use_backend("numpy"):
+        want = {batch: planner.forward_ops(RING_DEGREE, CHAIN, stack).ensure_host()
+                for batch, stack in stacks.items()}
+    failures = []
+
+    def launches(offset):
+        try:
+            with use_backend("blas"):
+                for round_ in range(30):
+                    batch = 1 + (offset + round_) % 6
+                    got = planner.forward_ops(RING_DEGREE, CHAIN, stacks[batch])
+                    if not np.array_equal(got.ensure_host(), want[batch]):
+                        failures.append(batch)
+        except BaseException as error:      # reported by the main thread
+            failures.append(error)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=launches, args=(offset,))
+                   for offset in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []
+    recipes = list(twiddle._RECIPES.values())
+    assert 0 < len(recipes) <= 3
+    assert twiddle._RECIPE_HELD == sum(recipe.nbytes for recipe in recipes)
