@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .base import _planned
+from .base import _lazy, _planned
 from .numpy_backend import NumpyBackend
 from .residency import HOST, RESULT, DeviceBuffer
 
@@ -41,8 +41,10 @@ class BlasFloat64Backend(NumpyBackend):
     reads the float64 images its handles carry (twiddle-stack and
     switch-key buffers, the float-only outputs of earlier launches), runs
     the planned float kernels of :mod:`repro.numtheory.planned` on them —
-    lazy Barrett on the FMA units, slab by slab — and hands back another
-    float-only handle: no int64 materialisation mid-chain.  A launch none
+    lazy Barrett on the FMA units, slab by slab, planned from the operands'
+    bounds — and hands back another float-only handle whose residues stay
+    lazy: no int64 materialisation and no canonical pass mid-chain.  A
+    launch none
     of whose operands carries an image, or one the 2**53 guard refuses,
     takes the inherited int64 kernel; both give the same bits.
     """
@@ -64,20 +66,6 @@ class BlasFloat64Backend(NumpyBackend):
         return (any(operand.resident for operand in operands)
                 and all(operands[0].shape))
 
-    def _float_launch(self, kernel, operands, moduli):
-        """``kernel(*images, chain)`` on canonical operands, or None."""
-        if not self._float_operands(operands):
-            return None
-        chain = _barrett_chain(moduli)
-        if not chain.fits(2 * (chain.qmax - 1)):
-            return None
-        return self._float_result(
-            kernel(*[operand.full() for operand in operands], chain), chain)
-
-    @staticmethod
-    def _float_result(values: np.ndarray, chain) -> DeviceBuffer:
-        return DeviceBuffer.from_float(values, chain.qmax - 1)
-
     def matmul_limbs(self, lhs: DeviceBuffer, rhs: DeviceBuffer,
                      moduli: np.ndarray) -> DeviceBuffer:
         """The batched GEMM as a planned product against the cached side.
@@ -86,7 +74,7 @@ class BlasFloat64Backend(NumpyBackend):
         constant side where there is one (the rhs if both are), else a
         result (the lhs if both are), else the (typically smaller) rhs,
         converted for this call.  The other side's image is read, a
-        ``host`` one converted for this call.
+        ``host`` one converted for this call, a lazy one under its bound.
         """
         left = lhs.kind != HOST and (rhs.kind in (HOST, RESULT))
         operand, other = (lhs, rhs) if left else (rhs, lhs)
@@ -96,65 +84,76 @@ class BlasFloat64Backend(NumpyBackend):
         out = _planned().gemm(chain, operand, other.full(), x_max,
                               self.fmatmul, left)
         if out is not None:
-            return self._float_result(out, chain)
+            return _lazy(out, chain)
         return super().matmul_limbs(lhs, rhs, moduli)
 
     def mat_mul(self, a: DeviceBuffer, b: DeviceBuffer,
                 moduli: np.ndarray, *, terms: int = 1) -> DeviceBuffer:
         if self._float_operands((a, b)):
-            chain = _barrett_chain(moduli)
             # The split side is the cached one where there is one.  A result
-            # is read as canonical residues of this chain and split per slab,
-            # in cache; any other handle brings its bound and cached images.
+            # is split per slab, in cache; any other handle brings its
+            # cached images.
             x, operand = ((b, a) if b.kind == RESULT and a.kind != RESULT
                           else (a, b))
-            out = self.fhadamard_limbs(
-                *[side.full() if side.kind == RESULT else side
-                  for side in (x, operand)], chain, terms=terms)
+            out = self.fhadamard_limbs(x, operand, _barrett_chain(moduli),
+                                       terms=terms)
             if out is not None:
-                return self._float_result(out, chain)
+                return out
         return super().mat_mul(a, b, moduli, terms=terms)
 
     def mat_add(self, a: DeviceBuffer, b: DeviceBuffer,
                 moduli: np.ndarray) -> DeviceBuffer:
-        out = self._float_launch(self.fadd_limbs, (a, b), moduli)
-        return out if out is not None else super().mat_add(a, b, moduli)
+        return self._float_launch(self.fadd_limbs, super().mat_add, (a, b), moduli)
 
     def mat_sub(self, a: DeviceBuffer, b: DeviceBuffer,
                 moduli: np.ndarray) -> DeviceBuffer:
-        out = self._float_launch(self.fsub_limbs, (a, b), moduli)
-        return out if out is not None else super().mat_sub(a, b, moduli)
+        return self._float_launch(self.fsub_limbs, super().mat_sub, (a, b), moduli)
 
     def mat_neg(self, a: DeviceBuffer, moduli: np.ndarray) -> DeviceBuffer:
-        out = self._float_launch(self.fneg_limbs, (a,), moduli)
-        return out if out is not None else super().mat_neg(a, moduli)
+        return self._float_launch(self.fneg_limbs, super().mat_neg, (a,), moduli)
 
-    def mat_reduce(self, matrix: DeviceBuffer,
-                   moduli: np.ndarray) -> DeviceBuffer:
+    def _float_launch(self, kernel, fallback, operands, moduli) -> DeviceBuffer:
+        """``kernel(*operands, chain)`` where the sum of their bounds (and
+        the pass that may follow) is exact, else the int64 ``fallback``."""
+        if self._float_operands(operands):
+            chain = _barrett_chain(moduli)
+            if chain.fits(sum(operand.max_value for operand in operands)):
+                return kernel(*operands, chain)
+        return fallback(*operands, moduli)
+
+    def mat_reduce(self, matrix: DeviceBuffer, moduli: np.ndarray, *,
+                   source=None) -> DeviceBuffer:
         if matrix.kind != HOST and all(matrix.shape):
             chain = _barrett_chain(moduli)
             # The operand may hold residues of a *different* basis (the
             # rescale reduces the dropped limb against every surviving
             # prime), so the guard uses the image's own bound.
-            if chain.fits(matrix.max_value):
-                return self._float_result(
-                    self.freduce_limbs(matrix.full(), chain), chain)
-        return super().mat_reduce(matrix, moduli)
+            basis = None if source is None else _barrett_chain(source)
+            if chain.fits(matrix.max_value) and (
+                    basis is None or basis.fits(matrix.max_value)):
+                return self.freduce_limbs(matrix, chain, source=basis)
+        return super().mat_reduce(matrix, moduli, source=source)
 
     def matmul_rows(self, lhs: DeviceBuffer, rhs: DeviceBuffer,
                     row_moduli: np.ndarray, *,
-                    operand_bound: Optional[int] = None) -> DeviceBuffer:
+                    operand_bound: Optional[int] = None,
+                    source=None) -> DeviceBuffer:
         """The row-moduli GEMM as a planned product on resident images.
 
         The fast-basis-conversion shape: the lhs rows (precomputed
         ``q_hat mod p_j`` constants, images cached) pair with the output
-        moduli, the rhs (float-resident source residues) is shared.
+        moduli, the rhs (float-resident source residues) is shared; a lazy
+        rhs is made canonical in its ``source`` basis slab by slab, in
+        cache, before the dgemm reads its integers.
         """
-        if lhs.kind != HOST and rhs.kind != HOST and rhs.shape[1]:
+        if (lhs.kind != HOST and rhs.kind != HOST and rhs.shape[1]
+                and (rhs.canonical or source is not None)):
             chain = _barrett_chain(row_moduli)
-            out = _planned().gemm(chain, lhs, rhs.full(), rhs.max_value,
-                                  self.fmatmul)
+            out = _planned().gemm(
+                chain, lhs, rhs.full(), rhs.max_value, self.fmatmul,
+                source=None if source is None else _barrett_chain(source),
+                window=rhs.window)
             if out is not None:
-                return self._float_result(out, chain)
+                return _lazy(out, chain)
         return super().matmul_rows(lhs, rhs, row_moduli,
-                                   operand_bound=operand_bound)
+                                   operand_bound=operand_bound, source=source)

@@ -153,17 +153,19 @@ class NumpyBackend(ArrayBackend):
 
     name = "numpy"
 
-    def _launch(self, kernel, operands, *args) -> DeviceBuffer:
+    def _launch(self, kernel, operands, moduli, *args) -> DeviceBuffer:
         """Run an int64 array ``kernel`` on the handles' host images.
 
-        The one place this backend crosses between handles and arrays: the
-        result is a host-only handle of reduced residues
-        (:meth:`~repro.backend.residency.DeviceBuffer.from_kernel`).  blas
-        inherits it as the exact int64 fallback of every kernel its float
-        guard refuses.
+        The one place this backend crosses between handles and arrays: each
+        operand is read canonical on ``moduli``
+        (:meth:`~repro.backend.residency.DeviceBuffer.host`, which reduces a
+        lazy float image), and the result is a host-only handle of reduced
+        residues (:meth:`~repro.backend.residency.DeviceBuffer.from_kernel`).
+        blas inherits it as the exact int64 fallback of every kernel its
+        float guard refuses.
         """
         return DeviceBuffer.from_kernel(
-            kernel(*[op.ensure_host() for op in operands], *args))
+            kernel(*[op.host(moduli) for op in operands], moduli, *args))
 
     def matmul_limbs(self, lhs: DeviceBuffer, rhs: DeviceBuffer,
                      moduli: np.ndarray) -> DeviceBuffer:
@@ -171,8 +173,11 @@ class NumpyBackend(ArrayBackend):
 
     def matmul_rows(self, lhs: DeviceBuffer, rhs: DeviceBuffer,
                     row_moduli: np.ndarray, *,
-                    operand_bound: Optional[int] = None) -> DeviceBuffer:
-        return self._launch(_matmul_rows, (lhs, rhs), row_moduli, operand_bound)
+                    operand_bound: Optional[int] = None,
+                    source=None) -> DeviceBuffer:
+        rhs = rhs.ensure_host() if source is None else rhs.host(source)
+        return DeviceBuffer.from_kernel(_matmul_rows(
+            lhs.ensure_host(), rhs, row_moduli, operand_bound))
 
     def mat_mul(self, a: DeviceBuffer, b: DeviceBuffer,
                 moduli: np.ndarray, *, terms: int = 1) -> DeviceBuffer:
@@ -189,6 +194,7 @@ class NumpyBackend(ArrayBackend):
     def mat_neg(self, a: DeviceBuffer, moduli: np.ndarray) -> DeviceBuffer:
         return self._launch(_mat_neg, (a,), moduli)
 
-    def mat_reduce(self, matrix: DeviceBuffer,
-                   moduli: np.ndarray) -> DeviceBuffer:
-        return self._launch(_mat_reduce, (matrix,), moduli)
+    def mat_reduce(self, matrix: DeviceBuffer, moduli: np.ndarray, *,
+                   source=None) -> DeviceBuffer:
+        matrix = matrix.host(moduli if source is None else source)
+        return DeviceBuffer.from_kernel(_mat_reduce(matrix, moduli))

@@ -28,10 +28,18 @@ on its entries (:attr:`~DeviceBuffer.max_value`), its cached hi/lo split
     a constant: a constant alone leaves it on int64.
 ``result``
     :meth:`DeviceBuffer.from_float`: the output of a float kernel, whose
-    only image is float64.  The int64 host form is a single truncating cast
-    on first :meth:`~DeviceBuffer.ensure_host`, so a chain of float-resident
-    launches materialises no int64 intermediates; its split is computed in
-    float64.
+    only image is float64 and whose residues are *lazy*: the output of the
+    kernel's last Barrett pass (or a sum of such outputs), congruent
+    integers in the handle's :attr:`~DeviceBuffer.window`.  A chain of
+    float-resident launches materialises no int64 intermediates and spends
+    no pass on canonical residues; its split is computed in float64.
+
+A float image is canonical only where its integer is read.  Every other
+handle holds residues ``[0, q)`` (:data:`CANONICAL`); a consumer of a
+result plans its exactness from its window and its magnitude bound
+(:attr:`~DeviceBuffer.max_value`).  :meth:`~DeviceBuffer.host` reads the
+integers, canonical modulo the primes the caller names;
+:meth:`~DeviceBuffer.ensure_host` of a lazy image raises.
 
 :attr:`~DeviceBuffer.resident` says whether a handle's float image sends a
 launch to the float kernels (operands and results).  The split point of an
@@ -81,6 +89,9 @@ __all__ = [
     "OPERAND",
     "CONSTANT",
     "RESULT",
+    "CANONICAL",
+    "LAZY",
+    "magnitude",
     "split_shift",
     "combine_arrays",
     "stack_arrays",
@@ -90,6 +101,18 @@ __all__ = [
 
 #: The kinds of handle (:attr:`DeviceBuffer.kind`, see the module docstring).
 HOST, OPERAND, CONSTANT, RESULT = "host", "operand", "constant", "result"
+
+#: Residue windows ``(lo, hi)``: row ``i`` holds integers ``x`` with
+#: ``lo * q_i < x < hi * q_i`` (``0 <= x`` where ``lo`` is 0).  Canonical
+#: residues ``[0, q)``, and the output window ``(-q, 2q)`` of one lazy
+#: Barrett pass (:meth:`~repro.numtheory.floatmod.BarrettChain.lazy_reduce`).
+CANONICAL, LAZY = (0, 1), (-1, 2)
+
+
+def magnitude(window, qmax: int) -> int:
+    """The largest ``|x|`` a ``window`` admits on primes up to ``qmax``."""
+    lo, hi = window
+    return max(hi, -lo) * int(qmax) - 1
 
 
 def split_shift(max_value: int) -> int:
@@ -106,11 +129,12 @@ class DeviceBuffer:
     """Handle to one residue array: its host and/or float64 image, its kind."""
 
     __slots__ = ("kind", "_host", "_full", "_split", "_bound", "_parent",
-                 "_made")
+                 "_made", "window")
 
     def __init__(self, host: Optional[np.ndarray] = None, *,
                  full: Optional[np.ndarray] = None, kind: str = HOST,
-                 bound: Optional[int] = None, made: bool = False) -> None:
+                 bound: Optional[int] = None, made: bool = False,
+                 window=CANONICAL) -> None:
         if host is None and full is None:
             raise ValueError("a DeviceBuffer needs at least one image")
         self.kind = kind
@@ -122,6 +146,8 @@ class DeviceBuffer:
         self._parent = None
         #: A library kernel made the residues (see :attr:`reduced`).
         self._made = made
+        #: Where the residues lie (:data:`CANONICAL` but for a lazy result).
+        self.window = tuple(window)
 
     # ------------------------------------------------------------------
     # Constructors
@@ -146,9 +172,11 @@ class DeviceBuffer:
         return cls(host=matrix, kind=CONSTANT, bound=int(matrix.max(initial=0)))
 
     @classmethod
-    def from_float(cls, values: np.ndarray, bound: int) -> "DeviceBuffer":
-        """A float kernel's output: canonical residues ``<= bound`` in float64."""
-        return cls(full=values, kind=RESULT, bound=int(bound), made=True)
+    def from_float(cls, values: np.ndarray, bound: int,
+                   window=LAZY) -> "DeviceBuffer":
+        """A float kernel's output: residues in ``window``, ``|x| <= bound``."""
+        return cls(full=values, kind=RESULT, bound=int(bound), made=True,
+                   window=window)
 
     @classmethod
     def from_kernel(cls, values: np.ndarray) -> "DeviceBuffer":
@@ -173,8 +201,13 @@ class DeviceBuffer:
         return self.kind in (OPERAND, RESULT)
 
     @property
+    def canonical(self) -> bool:
+        """Whether the image holds canonical residues ``[0, q)``."""
+        return self.window == CANONICAL
+
+    @property
     def reduced(self) -> bool:
-        """Whether a library kernel made these residues, so they are canonical.
+        """Whether a library kernel made these residues, so they need no scan.
 
         True for a result and for a :meth:`from_kernel` handle, and for
         views and joins of such handles; validation trusts it instead of
@@ -195,7 +228,7 @@ class DeviceBuffer:
 
     @property
     def max_value(self) -> int:
-        """An upper bound on the entries (a ``host`` handle scans its image)."""
+        """An upper bound on ``|entries|`` (a ``host`` handle scans its image)."""
         if self._bound is None:
             return int(self._host.max(initial=0))
         return self._bound
@@ -204,10 +237,28 @@ class DeviceBuffer:
     # Images
     # ------------------------------------------------------------------
     def ensure_host(self) -> np.ndarray:
-        """Return the host int64 image, casting the float64 image if absent."""
+        """Return the host int64 image, casting a canonical float64 image.
+
+        A lazy image has no int64 form until :meth:`host` names its primes.
+        """
+        if self._host is None and not self.canonical:
+            raise ValueError("a lazy residue image is read through "
+                             "host(moduli), which makes it canonical")
+        return self.host(())
+
+    def host(self, moduli, axis: int = 0) -> np.ndarray:
+        """The canonical int64 image, the limb axis ``axis`` on ``moduli``.
+
+        Where the integers are read: a lazy float image is cast and reduced
+        modulo its rows' primes once, and kept beside it (congruent).
+        """
         if self._host is None:
             host = np.empty(self._full.shape, dtype=np.int64)
             np.copyto(host, self._full, casting="unsafe")
+            if not self.canonical:
+                shape = [1] * self.ndim
+                shape[axis] = -1
+                host %= np.asarray(moduli, dtype=np.int64).reshape(shape)
             self._host = host
         return self._host
 
@@ -268,6 +319,7 @@ class DeviceBuffer:
         self.kind = HOST
         self._full = self._split = self._bound = self._parent = None
         self._made = False
+        self.window = CANONICAL
 
     # ------------------------------------------------------------------
     # Shape manipulation on the resident image
@@ -283,7 +335,8 @@ class DeviceBuffer:
         ``function`` returns an array of reduced residues.
         """
         if self._host is None:
-            return DeviceBuffer.from_float(function(self._full), self._bound)
+            return DeviceBuffer.from_float(function(self._full), self._bound,
+                                           self.window)
         return DeviceBuffer(host=function(self._host), made=self._made)
 
     def prefix(self, rows: int) -> "DeviceBuffer":
@@ -360,9 +413,10 @@ def combine_arrays(parts: Sequence[ArrayLike], combine) -> DeviceBuffer:
     the result is a float-only handle.  When every part already has a host
     image, the host combine is the cheaper exact path, and the result is a
     ``host`` handle, :attr:`~DeviceBuffer.reduced` if every part is.  A
-    float result carries the parts' bound, so ``combine`` rearranges
-    residues or maps them modulo their own primes (an automorphism's
-    ``q - c``).
+    float result carries the parts' bound and the union of their windows,
+    so ``combine`` rearranges residues or maps them modulo their own primes
+    in a way that keeps the window (an automorphism's ``q - c`` keeps both
+    :data:`CANONICAL` and :data:`LAZY`).
     """
     handles = [DeviceBuffer.wrap(part) for part in parts]
     if all(handle.host_image is not None for handle in handles):
@@ -370,9 +424,11 @@ def combine_arrays(parts: Sequence[ArrayLike], combine) -> DeviceBuffer:
             host=np.asarray(combine([handle.host_image for handle in handles]),
                             dtype=np.int64),
             made=all([handle._made for handle in handles]))
+    windows = [handle.window for handle in handles]
     return DeviceBuffer.from_float(
         combine([handle.full() for handle in handles]),
-        max(handle.max_value for handle in handles))
+        max(handle.max_value for handle in handles),
+        (min(lo for lo, _ in windows), max(hi for _, hi in windows)))
 
 
 def stack_arrays(parts: Sequence[ArrayLike], axis: int = 0) -> DeviceBuffer:

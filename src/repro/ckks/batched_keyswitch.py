@@ -95,8 +95,11 @@ def subtract_correction(context: CkksContext, held, correction, moduli, *,
     # Temporaries are nested in the next step's arguments, so each dies
     # as soon as it is used.
     if last is not None:
-        correction = (mat_mod_reduce(last, kept) if correction is None
-                      else mat_mod_add(correction, mat_mod_reduce(last, kept), kept))
+        # The dropped limb's integer [x_L]_{q_L} is what is reduced, so the
+        # reduction makes a lazy image canonical modulo q_L first.
+        dropped = mat_mod_reduce(last, kept, source=moduli[-1:])
+        correction = (dropped if correction is None
+                      else mat_mod_add(correction, dropped, kept))
         counter.record_batch(KernelName.ELE_SUB, rows, len(kept))
     result = mat_mod_sub(held[:len(kept)], context.planner.forward_ops(
         context.ring_degree, kept, correction.transpose(1, 0, 2)

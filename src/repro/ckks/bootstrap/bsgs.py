@@ -227,7 +227,7 @@ class BsgsLinearTransform:
                         np.roll(self.diagonals[giant + baby],
                                 giant % context.slot_count),
                         scale=self.scale, level=level).polynomial.buffer
-                    for giant, baby in slots])).ensure_host()
+                    for giant, baby in slots])).host(moduli, axis=1)
             # Each giant step's operand is a limb-major view of the one stack.
             operands, start = {}, 0
             for giant, babies in self.groups.items():

@@ -56,8 +56,9 @@ class ModRaise:
         held = [j for j, poly in enumerate(polys)
                 if poly.domain == PolyDomain.EVALUATION]
         if held:
-            stacked[held] = np.asarray(context.planner.inverse_ops(
-                n, (base_prime,), stacked[held][:, None]))[:, 0]
+            # The lift reads the integers: canonical on q0.
+            stacked[held] = context.planner.inverse_ops(
+                n, (base_prime,), stacked[held][:, None])[:, 0].host((base_prime,))
             counter.record_batch(KernelName.INTT, len(held), 1)
         # Centre the residues in (-q0/2, q0/2] before re-reducing so the
         # implicit integer polynomial I stays small.  The re-reduction

@@ -50,15 +50,11 @@ class CkksContext:
     def __init__(self, parameters: CkksParameters, *, seed: Optional[int] = None,
                  backend=None) -> None:
         self.parameters = parameters
-        # The generalized key-switching technique requires P >= max_j Q_j
-        # (Section II-B of the paper), i.e. at least as many special primes
-        # as there are ciphertext primes per decomposition group (alpha).
-        special_count = max(parameters.special_prime_count, parameters.alpha)
         self.basis: RnsBasis = build_default_basis(
             parameters.ring_degree,
             parameters.level_count,
             prime_bits=parameters.prime_bits,
-            special_count=special_count,
+            special_count=parameters.special_count,
             special_bits=parameters.special_prime_bits,
         )
         #: The compute backend this instance is pinned to, resolved once (an

@@ -100,12 +100,22 @@ class CkksParameters:
     def log_pq(self) -> int:
         """Approximate ``log2(P * Q)`` (the Table V ``logPQ`` column)."""
         return (self.level_count * self.prime_bits
-                + self.special_prime_count * self.special_prime_bits)
+                + self.special_count * self.special_prime_bits)
 
     @property
     def alpha(self) -> int:
         """Number of primes per key-switching decomposition group."""
         return math.ceil(self.level_count / self.dnum)
+
+    @property
+    def special_count(self) -> int:
+        """The special primes a context makes: ``K``, at least ``alpha``.
+
+        Generalized key switching needs ``P >= max_j Q_j`` (Section II-B of
+        the paper), so a group of ``alpha`` primes needs ``alpha`` special
+        primes of at least their width.
+        """
+        return max(self.special_prime_count, self.alpha)
 
     def describe(self) -> Dict[str, object]:
         """A human-readable summary dictionary (used in reports)."""
@@ -113,7 +123,7 @@ class CkksParameters:
             "name": self.name,
             "N": self.ring_degree,
             "L": self.max_level,
-            "K": self.special_prime_count,
+            "K": self.special_count,
             "dnum": self.dnum,
             "logPQ": self.log_pq,
             "batch_size": self.batch_size,

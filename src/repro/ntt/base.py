@@ -69,12 +69,13 @@ class NttEngine(abc.ABC):
         self.twiddles = get_twiddle_cache(ring_degree, modulus)
 
     @abc.abstractmethod
-    def _transform_ops(self, stacks: DeviceBuffer, moduli_array: np.ndarray,
+    def _transform_ops(self, stacks: DeviceBuffer, moduli: Tuple[int, ...],
                        *, inverse: bool) -> DeviceBuffer:
         """Either direction on a validated, non-empty stack.
 
-        ``stacks`` is a ``(B, L, N)`` handle whose row ``[b, i]`` is
-        reduced modulo ``moduli_array[i]``; the result is a handle.
+        ``stacks`` is a ``(B, L, N)`` handle whose row ``[b, i]`` holds
+        residues (canonical or lazy) modulo ``moduli[i]``, a tuple of Python
+        ints; the result is a handle.
         """
 
     # -- shape adapters over the one primitive ---------------------------
@@ -108,11 +109,10 @@ class NttEngine(abc.ABC):
         return self._vector(values, True)
 
     def _ops(self, stacks, moduli, inverse: bool) -> DeviceBuffer:
-        stacks, moduli_array = self._validate_ops(DeviceBuffer.wrap(stacks),
-                                                  moduli)
+        stacks, moduli = self._validate_ops(DeviceBuffer.wrap(stacks), moduli)
         if stacks.shape[0] == 0:
             return DeviceBuffer.wrap(np.zeros(stacks.shape, dtype=np.int64))
-        return self._transform_ops(stacks, moduli_array, inverse=inverse)
+        return self._transform_ops(stacks, moduli, inverse=inverse)
 
     def _limbs(self, residues, moduli, inverse: bool) -> DeviceBuffer:
         residues = DeviceBuffer.wrap(residues)
@@ -126,14 +126,16 @@ class NttEngine(abc.ABC):
     def _vector(self, vector, inverse: bool) -> np.ndarray:
         # Anything but a length-N vector fails _limbs' shape check.
         return self._limbs(np.asarray(vector, dtype=np.int64)[None],
-                           (self.modulus,), inverse)[0].ensure_host()
+                           (self.modulus,), inverse)[0].host((self.modulus,))
 
     # -- validation -------------------------------------------------------
     def _validate_ops(self, stacks: DeviceBuffer, moduli: Sequence[int]
-                      ) -> Tuple[DeviceBuffer, np.ndarray]:
+                      ) -> Tuple[DeviceBuffer, Tuple[int, ...]]:
         """Check/reduce a ``(B, limbs, N)`` stack against its shared moduli.
 
-        A caller's array (wrapped, with a host image) gets a range scan, and
+        Returns the stack and the moduli as one tuple of Python ints, the
+        form every later step of the launch takes them in.  A caller's
+        array (wrapped, with a host image) gets a range scan, and
         out-of-range residues are reduced.  A handle a library kernel made
         (:attr:`~repro.backend.residency.DeviceBuffer.reduced`: a result,
         or an int64 kernel's output) is trusted as reduced, as is any
@@ -147,17 +149,18 @@ class NttEngine(abc.ABC):
                 "expected a (B, limbs, %d) stack, got shape %s"
                 % (self.ring_degree, shape)
             )
-        moduli_array = np.asarray([int(q) for q in moduli], dtype=np.int64)
-        if moduli_array.shape[0] != shape[1]:
+        moduli = tuple(int(q) for q in moduli)
+        if len(moduli) != shape[1]:
             raise ValueError(
-                "got %d moduli for %d limbs" % (moduli_array.shape[0], shape[1])
+                "got %d moduli for %d limbs" % (len(moduli), shape[1])
             )
-        # Moduli broadcast over the limb axis (axis 1) of the stack.
-        column = moduli_array[None, :, None]
         host = stacks.host_image
-        if host is not None and not stacks.reduced and _out_of_range(host, column):
-            stacks = DeviceBuffer.from_kernel(host % column)
-        return stacks, moduli_array
+        if host is not None and not stacks.reduced:
+            # Moduli broadcast over the limb axis (axis 1) of the stack.
+            column = np.asarray(moduli, dtype=np.int64)[None, :, None]
+            if _out_of_range(host, column):
+                stacks = DeviceBuffer.from_kernel(host % column)
+        return stacks, moduli
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "%s(N=%d, q=%d)" % (type(self).__name__, self.ring_degree, self.modulus)

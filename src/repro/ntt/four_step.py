@@ -14,12 +14,12 @@ as dense GEMMs — the form the tensor-core engine then lowers to INT8.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..backend.registry import get_active_backend
-from ..backend.residency import HOST, DeviceBuffer
+from ..backend.residency import CANONICAL, HOST, LAZY, DeviceBuffer
 from ..numtheory.planned import run_slabs, run_stage, work_buffers
 from ..numtheory.modular import mat_mod_mul, modular_matmul_limbs
 from .base import NttEngine
@@ -39,7 +39,7 @@ class FourStepNtt(NttEngine):
         self.n1, self.n2 = split_degree(ring_degree)
 
     # -- the whole (B, L, N) stack, 3 launches ---------------------------
-    def _transform_ops(self, stacks, moduli_array, *, inverse: bool):
+    def _transform_ops(self, stacks, moduli, *, inverse: bool):
         """Either direction on a validated, staged ``(B, L, N)`` stack.
 
         On a float-capable backend the launch runs the planned float64
@@ -53,31 +53,32 @@ class FourStepNtt(NttEngine):
         all ``B`` operations and all limbs.  The inverse twiddle carries
         ``N^-1``, so both directions are the same three steps.
         """
-        stack = get_twiddle_stack(self.ring_degree, tuple(moduli_array.tolist()))
+        stack = get_twiddle_stack(self.ring_degree, moduli)
         backend = self._float_backend()
         if backend is not None:
-            recipe = stack.launch_recipe(backend, inverse, stacks.shape[0])
+            recipe = stack.launch_recipe(backend, inverse, stacks.shape[0],
+                                         stacks.window)
             if recipe is not None:
                 return self._float_pipeline(stacks, recipe)
-        return self._ops_pipeline(stacks, moduli_array,
-                                  *stack.operands(inverse))
+        return self._ops_pipeline(stacks, moduli, *stack.operands(inverse))
 
     # -- the planned float64 pipeline -----------------------------------
-    def float_plan(self, moduli: Sequence[int], *,
-                   inverse: bool = False) -> Optional[FourStepPlan]:
+    def float_plan(self, moduli: Sequence[int], *, inverse: bool = False,
+                   window=CANONICAL) -> Optional[FourStepPlan]:
         """Which path a transform over ``moduli`` takes on this engine.
 
-        The per-stage forms of the float64 pipeline, or ``None`` when the
-        launch runs the int64 :meth:`_ops_pipeline`: this engine's GEMM or
-        Hadamard hooks are overridden (the tensor-core engine lowers them
-        to INT8 and must keep doing so), the active backend does not
-        declare ``float_residency``, or the 2**53 guard refuses a stage.
-        Both paths give the same bits.
+        The per-stage forms of the float64 pipeline for an input in
+        ``window`` (canonical residues, or a lazy handle's window), or
+        ``None`` when the launch runs the int64 :meth:`_ops_pipeline`: this
+        engine's GEMM or Hadamard hooks are overridden (the tensor-core
+        engine lowers them to INT8 and must keep doing so), the active
+        backend does not declare ``float_residency``, or the 2**53 guard
+        refuses a stage.  Both paths give the same bits.
         """
         if self._float_backend() is None:
             return None
         stack = get_twiddle_stack(self.ring_degree, tuple(int(q) for q in moduli))
-        return stack.four_step_plan(inverse)
+        return stack.four_step_plan(inverse, window)
 
     def _float_backend(self):
         """The active backend if this engine's launches may go float."""
@@ -107,12 +108,14 @@ class FourStepNtt(NttEngine):
         per operation from there on (:func:`~repro.numtheory.planned.
         hadamard`).
 
-        The result is a float-only handle at every width, and a handle
-        with a float image is read as it is — no staging copy, no int64
-        anywhere in a chain.  Only polynomials too small for that to pay
+        The result is a float-only handle of lazy residues at every width,
+        and a handle with a float image is read as it is, lazy or not — no
+        staging copy, no int64 anywhere in a chain.  Only polynomials too
+        small for that to pay
         (:data:`~repro.numtheory.planned.RESIDENT_DOUBLES`) on a short ring
         (below :data:`~repro.numtheory.planned.RESIDENT_RING_DEGREE`) come
-        back as int64 host handles.
+        back as int64 host handles, made canonical by one more pass as
+        they are cast.
         """
         batch, limbs = stacks.shape[0], stacks.shape[1]
         imaged = stacks.kind != HOST
@@ -121,13 +124,14 @@ class FourStepNtt(NttEngine):
         # (N2, N1) per slice: the column-major flattening of forward().
         result = np.empty((batch, limbs, self.n2, self.n1),
                           dtype=np.float64 if recipe.as_float else np.int64)
-        run_slabs(_run_slab, recipe.slabs, source, result, imaged)
+        run_slabs(_run_slab, recipe.slabs, source, result, imaged,
+                  recipe.as_float)
         result = result.reshape(batch, limbs, self.ring_degree)
         if recipe.as_float:
-            return DeviceBuffer.from_float(result, recipe.bound)
+            return DeviceBuffer.from_float(result, recipe.bound, LAZY)
         return DeviceBuffer.from_kernel(result)
 
-    def _ops_pipeline(self, stacks: DeviceBuffer, moduli_array: np.ndarray,
+    def _ops_pipeline(self, stacks: DeviceBuffer, moduli: Tuple[int, ...],
                       w1: DeviceBuffer, w2: DeviceBuffer,
                       w3: DeviceBuffer) -> DeviceBuffer:
         """The three fused launches shared by both transform directions.
@@ -143,13 +147,13 @@ class FourStepNtt(NttEngine):
             w1,
             a_mat.transpose(1, 2, 0, 3).ascontiguous().reshape(
                 limbs, self.n1, batch * self.n2),
-            moduli_array)
+            moduli)
         work = self._hadamard_limbs(                        # twiddle correction
             work.reshape(limbs, self.n1, batch, self.n2),
-            w2[:, :, None, :], moduli_array)
+            w2[:, :, None, :], moduli)
         work = work.transpose(0, 2, 1, 3).ascontiguous().reshape(
             limbs, batch * self.n1, self.n2)
-        work = self._gemm_limbs(work, w3, moduli_array)     # outer DFTs
+        work = self._gemm_limbs(work, w3, moduli)           # outer DFTs
         # Column-major flattening of every (N1, N2) slice, per operation.
         return (work.reshape(limbs, batch, self.n1, self.n2)
                 .transpose(1, 0, 3, 2).ascontiguous()
@@ -168,8 +172,9 @@ class FourStepNtt(NttEngine):
 
 
 def _run_slab(piece: SlabRecipe, source: np.ndarray, result: np.ndarray,
-              imaged: bool) -> None:
-    """All three stages of one slab, from ``source`` into ``result``."""
+              imaged: bool, as_float: bool) -> None:
+    """All three stages of one slab, from ``source`` into ``result``
+    (lazy; an int64 one canonical, by one more pass as it is cast)."""
     ops, rows, chain = piece.ops, piece.rows, piece.chain
     x = source[ops, rows].transpose(1, 0, 2, 3)
     buffers = work_buffers(*piece.buffers)
@@ -179,7 +184,8 @@ def _run_slab(piece: SlabRecipe, source: np.ndarray, result: np.ndarray,
     for form, apply, images, weight in piece.stages:
         x = run_stage(form, apply, images, weight, chain, x,
                       [b for b in buffers if b is not x], piece.columns)
-    spare = buffers[1] if x is buffers[0] else buffers[0]
-    x = chain.lazy_reduce(x, axis=0, out=spare,                 # canonical
-                          columns=piece.columns)
+    if not as_float:
+        spare = buffers[1] if x is buffers[0] else buffers[0]
+        x = chain.lazy_reduce(x, axis=0, out=spare,             # canonical
+                              columns=piece.columns)
     np.copyto(result[ops, rows], x.transpose(1, 0, 3, 2), casting="unsafe")

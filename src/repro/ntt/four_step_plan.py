@@ -6,9 +6,12 @@ inverse transform) and outer GEMM.  Each multiplies residues by one
 precomputed operand and ends in a lazy Barrett pass, in the cheapest form
 of :mod:`repro.numtheory.planned` that is exact for its own bound.
 :func:`plan_four_step` picks them for one ``(n1, n2, chain, operand
-maxima)`` and is a pure function — the plan says which path a launch takes,
-and ``None`` says it takes the int64 pipeline.  The inner GEMM reads
-canonical residues, so for it the canonicalising rungs do not exist.
+maxima, input window)`` and is a pure function — the plan says which path
+a launch takes, and ``None`` says it takes the int64 pipeline.  The inner
+GEMM plans from the input's window: canonical residues leave it three
+rungs, a lazy handle's window five, the twiddle and outer stages plan
+from the pass window of the stage before.  The transform's output is the
+outer stage's lazy output, unreduced.
 
 A :class:`LaunchRecipe` is a plan bound to one slab layout: everything a
 launch over a ``(B, L, N)`` stack needs besides the data — per slab its
@@ -24,6 +27,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
+from ..backend.residency import CANONICAL, LAZY, magnitude
 from ..numtheory import planned
 from ..numtheory.floatmod import BarrettChain
 from ..numtheory.planned import StageForm, choose_form, hadamard, slabs, stage_operand
@@ -41,16 +45,18 @@ class FourStepPlan(NamedTuple):
 
 
 def plan_four_step(chain: BarrettChain, n1: int, n2: int, inner_max: int,
-                   twiddle_max: int, outer_max: int) -> Optional[FourStepPlan]:
+                   twiddle_max: int, outer_max: int,
+                   window=CANONICAL) -> Optional[FourStepPlan]:
     """Stage forms of the ``n1 x n2`` four-step transform over ``chain``.
 
     The ``*_max`` arguments bound the entries of the inner-GEMM, Hadamard
-    and outer-GEMM operands.  ``None`` when some stage has no exact float
-    form: the transform then belongs to the int64 pipeline.
+    and outer-GEMM operands, and ``window`` is where the input's residues
+    lie.  ``None`` when some stage has no exact float form: the transform
+    then belongs to the int64 pipeline.
     """
-    forms = (choose_form(chain, n1, inner_max, lazy_input=False),
-             choose_form(chain, 1, twiddle_max, lazy_input=True),
-             choose_form(chain, n2, outer_max, lazy_input=True))
+    forms = (choose_form(chain, n1, inner_max, window),
+             choose_form(chain, 1, twiddle_max, LAZY),
+             choose_form(chain, n2, outer_max, LAZY))
     return None if None in forms else FourStepPlan(*forms)
 
 
@@ -76,7 +82,7 @@ class LaunchRecipe(NamedTuple):
     slabs: Tuple[SlabRecipe, ...]
     #: Whether the result is a float-only handle (else int64 host).
     as_float: bool
-    #: The bound of a float result: the chain's largest residue.
+    #: The bound of a float result: the pass window's reach on the chain.
     bound: int
 
     @property
@@ -124,4 +130,4 @@ def launch_recipe(plan: FourStepPlan, operands, chain: BarrettChain,
     return LaunchRecipe(tuple(pieces),
                         limbs * degree > planned.RESIDENT_DOUBLES
                         or degree >= planned.RESIDENT_RING_DEGREE,
-                        chain.qmax - 1)
+                        magnitude(LAZY, chain.qmax))

@@ -55,12 +55,12 @@ class ReferenceNtt(NttEngine):
 
     name = "reference"
 
-    def _transform_ops(self, stacks, moduli_array, *, inverse: bool):
+    def _transform_ops(self, stacks, moduli, *, inverse: bool):
         """Every row on its own, each with its limb's ``psi``."""
         transform = reference_inverse if inverse else reference_forward
-        rows = stacks.ensure_host()
+        rows = stacks.host(moduli, axis=1)
         out = np.empty_like(rows)
-        for i, q in enumerate(moduli_array.tolist()):
+        for i, q in enumerate(moduli):
             psi = get_twiddle_cache(self.ring_degree, q).psi
             for b in range(rows.shape[0]):
                 out[b, i] = transform(rows[b, i].tolist(), self.ring_degree, q, psi)

@@ -46,12 +46,12 @@ class TensorCoreNtt(FourStepNtt):
         batched-GEMM launch of the paper — and its partial product is fused
         with weight ``2**(8*(i+j))`` per limb modulus.
 
-        Residency boundary: segmentation reads the operands as int64 host
-        images — the analogue of the paper's explicit INT8 re-quantisation
-        before a tensor-core launch.
+        Residency boundary: segmentation reads the operands as canonical
+        int64 host images — the analogue of the paper's explicit INT8
+        re-quantisation before a tensor-core launch.
         """
-        lhs = lhs.ensure_host()
-        rhs = rhs.ensure_host()
+        lhs = lhs.host(moduli)
+        rhs = rhs.host(moduli)
         if lhs.shape[2] > MAX_INNER:
             raise OverflowError(
                 "s32 accumulator overflow: inner dimension %d exceeds %d "

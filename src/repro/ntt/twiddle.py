@@ -20,7 +20,7 @@ from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from ..backend.residency import DeviceBuffer
+from ..backend.residency import CANONICAL, DeviceBuffer
 from ..numtheory import planned
 from ..numtheory.bit_ops import ilog2, is_power_of_two
 from ..numtheory.floatmod import BarrettChain, get_barrett_chain
@@ -204,7 +204,7 @@ class TwiddleStack:
         self.caches = tuple(get_twiddle_cache(ring_degree, q) for q in self.moduli)
         self.moduli_array = np.asarray(self.moduli, dtype=np.int64)
         self._operands: Dict[bool, Tuple[DeviceBuffer, ...]] = {}
-        self._plans: Dict[bool, Optional[FourStepPlan]] = {}
+        self._plans: Dict[tuple, Optional[FourStepPlan]] = {}
 
     @property
     def limb_count(self) -> int:
@@ -236,32 +236,39 @@ class TwiddleStack:
                     DeviceBuffer.operand(np.stack(stage)) for stage in zip(*tables))
         return self._operands[inverse]
 
-    def four_step_plan(self, inverse: bool) -> Optional[FourStepPlan]:
+    def four_step_plan(self, inverse: bool,
+                       window=CANONICAL) -> Optional[FourStepPlan]:
         """Stage forms of the float four-step transform over this chain.
 
         ``None`` when the 2**53 guard refuses some stage (see
         :func:`~repro.ntt.four_step_plan.plan_four_step`); decided once per
-        stack and direction.  A prefix stack plans with its parent's
-        operand maxima, which are the ones its split images were cut at.
+        stack, direction and input window.  A prefix stack plans with its
+        parent's operand maxima, which are the ones its split images were
+        cut at.
         """
-        if inverse not in self._plans:
+        key = (inverse, tuple(window))
+        if key not in self._plans:
             n1, n2 = split_degree(self.ring_degree)
             maxima = [operand.max_value for operand in self.operands(inverse)]
-            self._plans[inverse] = plan_four_step(self.barrett_chain, n1, n2,
-                                                  *maxima)
-        return self._plans[inverse]
+            self._plans[key] = plan_four_step(self.barrett_chain, n1, n2,
+                                              *maxima, key[1])
+        return self._plans[key]
 
-    def launch_recipe(self, backend, inverse: bool,
-                      batch: int) -> Optional[LaunchRecipe]:
+    def launch_recipe(self, backend, inverse: bool, batch: int,
+                      window=CANONICAL) -> Optional[LaunchRecipe]:
         """The float transform of a ``(batch, limbs, N)`` stack, laid out.
 
         ``None`` when :meth:`four_step_plan` is.  Recipes are kept per
-        stack, direction, batch and backend, and per the slab and residency
-        budgets of :mod:`repro.numtheory.planned` they were laid out under;
-        the most recently used ones stay, up to :data:`_RECIPE_LIMIT` of
-        them and :data:`_RECIPE_BYTES` of full-width constants.
+        stack, direction, batch, plan (input windows of one plan share
+        theirs) and backend, and per the slab and residency budgets of
+        :mod:`repro.numtheory.planned` they were laid out under; the most
+        recently used ones stay, up to :data:`_RECIPE_LIMIT` of them and
+        :data:`_RECIPE_BYTES` of full-width constants.
         """
-        key = (self, backend, inverse, batch, planned.SLAB_DOUBLES,
+        plan = self.four_step_plan(inverse, window)
+        if plan is None:
+            return None
+        key = (self, backend, inverse, batch, plan, planned.SLAB_DOUBLES,
                planned.BROADCAST_RUN, planned.RESIDENT_DOUBLES,
                planned.RESIDENT_RING_DEGREE)
         with _RECIPE_LOCK:
@@ -269,9 +276,6 @@ class TwiddleStack:
             if recipe is not None:
                 _RECIPES.move_to_end(key)
                 return recipe
-        plan = self.four_step_plan(inverse)
-        if plan is None:
-            return None
         n1, n2 = split_degree(self.ring_degree)
         recipe = launch_recipe(plan, self.operands(inverse), self.barrett_chain,
                                backend, batch, n1, n2)
@@ -309,7 +313,8 @@ def get_twiddle_stack(ring_degree: int, moduli) -> TwiddleStack:
     already cached (the common case: the full chain is built at encryption
     level before any rescale), the new stack is a zero-copy view of it.
     """
-    key = (ring_degree, tuple(int(q) for q in moduli))
+    key = (ring_degree, moduli if type(moduli) is tuple
+           else tuple(int(q) for q in moduli))
     stack = _STACK_CACHE.get(key)
     if stack is None:
         parent = None

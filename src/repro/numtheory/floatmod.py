@@ -7,12 +7,15 @@ constants.  This module is that reduction in float64: a *lazy Barrett* pass
     k = floor(x * inv_q);   r = x - k * q
 
 costs one FMA-shaped multiply/subtract pair plus a ``floor`` and lands in
-the half-open window ``(-q, 2q)``; a second pass canonicalises to
-``[0, q)``.  Both passes are bit-exact whenever every intermediate integer
-(``x``, ``k * q``) is representable in the 53-bit mantissa — the same
-guard the float64 GEMM fast paths already use — so the float-resident
-kernel chains built on top of this module agree bit-for-bit with int64
-``%``.
+the open window ``(-q, 2q)``.  That *lazy* residue is what every float
+kernel hands on (Harvey's lazy reduction, applied to whole launches): the
+next launch plans its exactness from the window, and only where an integer
+is read — an int64 image, a basis change — does a second pass (or an int64
+``%``) make it canonical, ``[0, q)``.  Both passes are bit-exact whenever
+every intermediate integer (``x``, ``k * q``) is representable in the
+53-bit mantissa — the same guard the float64 GEMM fast paths already use —
+so the float-resident kernel chains built on top of this module agree
+bit-for-bit with int64 ``%``.
 
 Two precomputation details make the canonical pass *provably* exact:
 

@@ -161,10 +161,16 @@ def _launch_moduli(moduli):
     return moduli if isinstance(moduli, tuple) else moduli_column(moduli)
 
 
-def mat_mod_reduce(matrix, moduli) -> DeviceBuffer:
-    """Row-wise ``matrix[i] mod moduli[i]``; a one-row matrix broadcasts."""
-    return get_active_backend().mat_reduce(DeviceBuffer.wrap(matrix),
-                                           _launch_moduli(moduli))
+def mat_mod_reduce(matrix, moduli, *, source=None) -> DeviceBuffer:
+    """Row-wise ``matrix[i] mod moduli[i]``; a one-row matrix broadcasts.
+
+    ``source`` names the primes ``matrix``'s rows are residues of when
+    they are not ``moduli``: the integer is reduced, so a lazy image is
+    made canonical in that basis first, in the same launch.
+    """
+    return get_active_backend().mat_reduce(
+        DeviceBuffer.wrap(matrix), _launch_moduli(moduli),
+        source=None if source is None else tuple(int(q) for q in source))
 
 
 def mat_mod_add(a, b, moduli) -> DeviceBuffer:
@@ -236,7 +242,8 @@ def modular_matmul_limbs(lhs, rhs, moduli) -> DeviceBuffer:
 
 
 def modular_matmul_rows(lhs, rhs, row_moduli, *,
-                        operand_bound: Optional[int] = None) -> DeviceBuffer:
+                        operand_bound: Optional[int] = None,
+                        source=None) -> DeviceBuffer:
     """Row-moduli GEMM: ``out[j] = (lhs[j] @ rhs) mod row_moduli[j]``.
 
     Used by the fast basis conversion, where every *output* row has its own
@@ -244,7 +251,9 @@ def modular_matmul_rows(lhs, rhs, row_moduli, *,
     backend bounds its accumulation by the operand maxima instead of the
     moduli; resident callers pass ``operand_bound`` (any upper bound on
     ``max(lhs) * max(rhs)``) so no float-only operand is materialised just
-    to scan it.
+    to scan it.  The product reads the integers of ``rhs``: ``source``
+    names the primes of its rows, in which a lazy ``rhs`` is made canonical
+    inside the launch.
     """
     lhs, rhs = DeviceBuffer.wrap(lhs), DeviceBuffer.wrap(rhs)
     if lhs.shape[-1] != rhs.shape[0]:
@@ -253,4 +262,5 @@ def modular_matmul_rows(lhs, rhs, row_moduli, *,
         )
     return get_active_backend().matmul_rows(
         lhs, rhs, np.asarray(row_moduli, dtype=np.int64),
-        operand_bound=operand_bound)
+        operand_bound=operand_bound,
+        source=None if source is None else tuple(int(q) for q in source))

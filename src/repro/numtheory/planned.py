@@ -11,19 +11,23 @@ the data for headroom under the 2**53 mantissa guard:
 rung   what the stage does                                     extra cost
 =====  ======================================================  ===========
 1      ``lazy(T . x)``                                         --
-2      ``x`` canonicalised first                               1 pass
+2      ``x`` made canonical first                              1 pass
 3      ``lazy(lazy(T_hi . x) * 2**s + T_lo . x)``              1 product,
                                                                1.5 passes
-4      rung 3 on a canonicalised ``x``                         + 1 pass
+4      rung 3 on a canonical ``x``                             + 1 pass
 5      rung 4 with ``T_lo . x`` reduced before the add         + 1 pass
 =====  ======================================================  ===========
 
-:func:`form_ladder` checks every rung's real bound with
+A stage plans from its input's window (a canonical ``x`` leaves rungs 1,
+3 and 5; beyond the pass window ``(-q, 2q)`` making it canonical takes two
+passes): :func:`form_ladder` checks every rung's real bound with
 :meth:`~repro.numtheory.floatmod.BarrettChain.fits`, :func:`choose_form`
 returns the first exact one (``None``: the launch belongs to int64), and
-:func:`run_stage` is the kernel all stages and forms share.  ``T . x`` is
-the stage's ``apply``: a dgemm from either side, :func:`hadamard`, or a
-multiply-accumulate over ``terms`` (:func:`accumulate`).
+:func:`run_stage` is the kernel all stages and forms share.  A launch hands
+its last pass's lazy output on as it is; a sum spends no pass inside
+:data:`LAZY_HEADROOM`.  ``T . x`` is the stage's ``apply``: a dgemm from
+either side, :func:`hadamard`, or a multiply-accumulate over ``terms``
+(:func:`accumulate`).
 
 Launches run limb-major, ``(limbs, operations, N)``, cut into independent
 slabs (:func:`slabs`) that go through per-thread work buffers, so the ~20
@@ -52,19 +56,21 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..backend.residency import DeviceBuffer, split_shift
+from ..backend.residency import CANONICAL, LAZY, DeviceBuffer, magnitude, split_shift
 from .floatmod import BROADCAST_RUN, BarrettChain
 
 __all__ = [
     "SLAB_DOUBLES",
     "RESIDENT_DOUBLES",
     "RESIDENT_RING_DEGREE",
+    "LAZY_HEADROOM",
     "BROADCAST_RUN",
     "StageForm",
     "DIRECT",
     "SPLIT",
     "SPLIT_BOTH",
     "canonical",
+    "canonical_passes",
     "form_ladder",
     "choose_form",
     "stage_operand",
@@ -111,48 +117,63 @@ RESIDENT_DOUBLES = SLAB_DOUBLES // 4
 #: float one).
 RESIDENT_RING_DEGREE = 4096
 
+#: Multiples of ``q`` a sum, difference or negation may reach before its
+#: launch spends a pass: the widest window for which the four-step inner
+#: stage of a 28-bit chain at ``N = 4096`` keeps its pass-free rung (``64 *
+#: (lo . 8q)`` stays near ``2**52``).  A product's split has more room.
+LAZY_HEADROOM = 8
+
 
 class StageForm(NamedTuple):
     """How one stage multiplies by its operand (see the module table)."""
 
-    #: One extra lazy pass first: a lazy ``(-q, 2q)`` input becomes ``[0, q)``.
-    canonicalise: bool
+    #: Lazy passes that make the input canonical first (0, 1 or 2).
+    canonicalise: int
     #: The operand as ``hi * 2**shift + lo``: two products, each half as wide.
     split: bool
     #: The low product is reduced as well before the weighted add.
     reduce_low: bool
 
 
-DIRECT = StageForm(False, False, False)
-SPLIT = StageForm(False, True, False)
-SPLIT_BOTH = StageForm(False, True, True)
+DIRECT = StageForm(0, False, False)
+SPLIT = StageForm(0, True, False)
+SPLIT_BOTH = StageForm(0, True, True)
 
 
-def canonical(form: StageForm) -> StageForm:
-    """``form`` preceded by the pass that canonicalises its input."""
-    return form._replace(canonicalise=True)
+def canonical(form: StageForm, passes: int = 1) -> StageForm:
+    """``form`` preceded by the ``passes`` that make its input canonical."""
+    return form._replace(canonicalise=passes)
+
+
+def canonical_passes(window) -> int:
+    """Lazy passes that make residues in ``window`` canonical: 0, 1 from
+    inside the pass window ``(-q, 2q)``, 2 from a wider one."""
+    if tuple(window) == CANONICAL:
+        return 0
+    lo, hi = window
+    return 1 if LAZY[0] <= lo and hi <= LAZY[1] else 2
 
 
 @lru_cache(maxsize=1024)
-def form_ladder(chain: BarrettChain, terms: int, operand_max: int, *,
-                lazy_input: bool, input_max: Optional[int] = None
+def form_ladder(chain: BarrettChain, terms: int, operand_max: int,
+                window=CANONICAL, input_max: Optional[int] = None
                 ) -> Tuple[Tuple[StageForm, bool], ...]:
     """Every rung for one stage, cheapest first, with whether it is exact.
 
-    ``operand_max`` bounds the operand's entries, ``terms`` is the length
-    of the accumulation (1 for an element-wise stage) and ``lazy_input``
-    says whether ``x`` arrives in the lazy window ``(-q, 2q)`` or already
-    canonical (then there is nothing to canonicalise and three rungs are
-    left).  ``input_max`` bounds a canonical ``x`` that holds residues of
-    another basis (default ``qmax - 1``).  A rung is exact when every
-    intermediate it forms passes ``chain.fits``; the answer is memoised,
-    so a repeated launch plans with one dictionary lookup.
+    ``operand_max`` bounds the magnitude of the operand's entries,
+    ``terms`` is the length of the accumulation (1 for an element-wise
+    stage) and ``window`` is where ``x`` arrives (canonical: three rungs).
+    ``input_max`` bounds an ``x`` that is not on this chain's window
+    (default ``qmax - 1``).  A rung is exact when every intermediate it
+    forms passes ``chain.fits``; the answer is memoised, so a repeated
+    launch plans with one dictionary lookup.
     """
     q = chain.qmax
-    lazy_max = 2 * q - 1
+    lazy_max = magnitude(LAZY, q)
     canonical_max = q - 1 if input_max is None else input_max
     shift = split_shift(operand_max)
-    hi_max, lo_max = operand_max >> shift, (1 << shift) - 1
+    # A lazy operand's high part reaches ``-ceil(max / 2**shift)``.
+    hi_max, lo_max = -(-operand_max >> shift), (1 << shift) - 1
     weighted = lazy_max << shift
 
     def single(x_max: int) -> bool:
@@ -167,22 +188,23 @@ def form_ladder(chain: BarrettChain, terms: int, operand_max: int, *,
                 and chain.fits(terms * lo_max * x_max)
                 and chain.fits(weighted + lazy_max))
 
-    if not lazy_input:
+    passes = canonical_passes(window)
+    if not passes:
         return ((DIRECT, single(canonical_max)), (SPLIT, split(canonical_max)),
                 (SPLIT_BOTH, split_both(canonical_max)))
-    return ((DIRECT, single(lazy_max)),
-            (canonical(DIRECT), single(canonical_max)),
-            (SPLIT, split(lazy_max)),
-            (canonical(SPLIT), split(canonical_max)),
-            (canonical(SPLIT_BOTH), split_both(canonical_max)))
+    x_max = magnitude(window, q)
+    return ((DIRECT, single(x_max)),
+            (canonical(DIRECT, passes), single(canonical_max)),
+            (SPLIT, split(x_max)),
+            (canonical(SPLIT, passes), split(canonical_max)),
+            (canonical(SPLIT_BOTH, passes), split_both(canonical_max)))
 
 
-def choose_form(chain: BarrettChain, terms: int, operand_max: int, *,
-                lazy_input: bool, input_max: Optional[int] = None
+def choose_form(chain: BarrettChain, terms: int, operand_max: int,
+                window=CANONICAL, input_max: Optional[int] = None
                 ) -> Optional[StageForm]:
     """The cheapest exact rung of :func:`form_ladder`, or ``None``."""
-    ladder = form_ladder(chain, terms, operand_max, lazy_input=lazy_input,
-                         input_max=input_max)
+    ladder = form_ladder(chain, terms, operand_max, tuple(window), input_max)
     return next((form for form, exact in ladder if exact), None)
 
 
@@ -212,6 +234,8 @@ def run_stage(form: StageForm, apply, images, weight: float,
     """
     p, q, r = scratch[:3]
     reduce = chain.lazy_reduce
+    if form.canonicalise > 1:
+        x = reduce(x, out=q, columns=columns)
     if form.canonicalise:
         x = reduce(x, out=p, columns=columns)
     if not form.split:
@@ -417,22 +441,19 @@ def launch(chain: BarrettChain, result: np.ndarray, body, buffers: int,
            extra=None, share: int = 1) -> np.ndarray:
     """Fill the limb-major ``(limbs, operations, N)`` ``result`` slab by slab.
 
-    ``body(rows, ops, chain, scratch)`` returns one slab's values in the
-    lazy window ``(-q, 2q)``, in one of its scratch arrays — ``buffers`` of
-    the slab's shape, then one per shape ``extra(slab shape)`` names; they
-    are canonicalised on the way into ``result``.  Slabs run through
-    :func:`run_slabs`.
+    ``body(rows, ops, chain, scratch)`` returns one slab's values, lazy, in
+    one of its scratch arrays — ``buffers`` of the slab's shape, then one
+    per shape ``extra(slab shape)`` names; they go into ``result`` as they
+    are.  Slabs run through :func:`run_slabs`.
     """
     limbs, batch, degree = result.shape
 
     def slab(piece) -> None:
         ops, rows = piece
-        part = chain.rows(rows)
         dest = result[rows, ops]
-        scratch = work_buffers(*(dest.shape,) * (buffers + 1),
+        scratch = work_buffers(*(dest.shape,) * buffers,
                                *(extra(dest.shape) if extra else ()))
-        np.copyto(dest, part.lazy_reduce(
-            body(rows, ops, part, scratch[1:]), axis=0, out=scratch[0]))
+        np.copyto(dest, body(rows, ops, chain.rows(rows), scratch))
 
     run_slabs(slab, slabs(batch, limbs, degree, share))
     return result
@@ -476,16 +497,16 @@ def _like(shape, views) -> np.ndarray:
 
 def product(chain: BarrettChain, x: np.ndarray, x_max: int, operand,
             operand_max: int, terms: int = 1) -> Optional[np.ndarray]:
-    """Canonical ``sum_t operand[:, t] * x[:, t] mod q``, or ``None`` if inexact.
+    """Lazy ``sum_t operand[:, t] * x[:, t] mod q``, or ``None`` if inexact.
 
-    ``x`` holds canonical residues up to ``x_max``, limb axis leading and
-    the ``terms`` axis second when ``terms > 1``.  ``operand`` is a float64
-    array, split per slab, or a :class:`~repro.backend.residency.
-    DeviceBuffer` whose cached images are reused; either side may broadcast
-    against the other.  The result has the layout of the full-shape side.
+    ``x`` holds residues of magnitude up to ``x_max``, limb axis leading
+    and the ``terms`` axis second when ``terms > 1``.  ``operand`` is a
+    float64 array of magnitude up to ``operand_max``, split per slab, or a
+    :class:`~repro.backend.residency.DeviceBuffer` whose cached images are
+    reused; either side may broadcast against the other.  The result, in
+    the pass window ``(-q, 2q)``, has the layout of the full-shape side.
     """
-    form = choose_form(chain, terms, operand_max, lazy_input=False,
-                       input_max=x_max)
+    form = choose_form(chain, terms, operand_max, input_max=x_max)
     cached = isinstance(operand, DeviceBuffer)
     values = operand.ensure_host() if cached else operand
     if form is None or values.ndim != x.ndim or x.ndim < 2 + (terms > 1):
@@ -525,18 +546,26 @@ def product(chain: BarrettChain, x: np.ndarray, x_max: int, operand,
 
 
 def gemm(chain: BarrettChain, operand, x: np.ndarray, x_max: int,
-         matmul=np.matmul, left: bool = True) -> Optional[np.ndarray]:
-    """Canonical ``operand @ x`` (``x @ operand`` if not ``left``) mod q.
+         matmul=np.matmul, left: bool = True, *,
+         source: Optional[BarrettChain] = None,
+         window=CANONICAL) -> Optional[np.ndarray]:
+    """Lazy ``operand @ x`` (``x @ operand`` if not ``left``) mod q.
 
     The limb axis leads: a ``(L, M, K)`` stack against ``(L, K, P)``, or —
     the fast-basis-conversion shape — one ``(R, K)`` matrix whose rows pair
     with the chain against a shared ``(K, P)``.  ``operand`` is the cached
-    side, ``x`` a float64 image of residues up to ``x_max`` (any basis);
+    side, ``x`` a float64 image of residues of magnitude up to ``x_max``;
     the free axis of ``x`` runs in slabs and ``matmul(a, b, out=)`` is the
-    dgemm hook.  ``None`` when no form is exact.
+    dgemm hook.  With ``source``, the chain of ``x``'s rows, and the
+    ``window`` they lie in, each slab of ``x`` is made canonical in that
+    basis first, in cache (a conversion sums integers, not classes).
+    ``None`` when no form is exact.
     """
+    passes = canonical_passes(window) if source is not None else 0
+    if passes:
+        x_max = source.qmax - 1
     form = choose_form(chain, x.shape[-2 if left else -1], operand.max_value,
-                       lazy_input=False, input_max=x_max)
+                       input_max=x_max)
     if form is None:
         return None
     images, weight = stage_operand(form, operand)
@@ -551,22 +580,26 @@ def gemm(chain: BarrettChain, operand, x: np.ndarray, x_max: int,
 
     def slab(start: int) -> None:
         dest = result[..., start:start + step]
-        scratch = work_buffers(*(dest.shape,) * 4)
-        lazy = run_stage(form, apply, images, weight, chain,
-                         x[..., start:start + step], scratch[1:])
-        np.copyto(dest, chain.lazy_reduce(lazy, axis=0, out=scratch[0]))
+        piece = x[..., start:start + step]
+        scratch = work_buffers(*(dest.shape,) * 3, *(piece.shape,) * passes)
+        for out in scratch[3:]:
+            piece = source.lazy_reduce(piece, axis=0, out=out)
+        np.copyto(dest, run_stage(form, apply, images, weight, chain, piece,
+                                  scratch))
 
     run_slabs(slab, range(0, result.shape[-1], step))
     return result if left else result.swapaxes(-1, -2)
 
 
-def elementwise(chain: BarrettChain, operands, combine) -> np.ndarray:
-    """Canonical ``combine(*operands) mod q`` on limb-major float images.
+def elementwise(chain: BarrettChain, operands, combine,
+                window=LAZY) -> DeviceBuffer:
+    """``combine(*operands) mod q`` on limb-major float images, as a result.
 
-    ``combine(chain, *slabs, out=)`` must land in the lazy window
-    ``(-q, 2q)``: a sum or difference of canonical residues, a negation,
-    or one lazy pass over wider values.
+    ``combine(chain, *slabs, out=, spare=)`` computes integers congruent to
+    the result, in ``window``, into one of its two scratch arrays.  Beyond
+    :data:`LAZY_HEADROOM` the launch ends in one lazy pass.
     """
+    settle = max(window[1], -window[0]) > LAZY_HEADROOM
     shape = np.broadcast_shapes(
         (chain.limb_count,) + (1,) * (operands[0].ndim - 1),
         *[operand.shape for operand in operands])
@@ -575,7 +608,13 @@ def elementwise(chain: BarrettChain, operands, combine) -> np.ndarray:
                    views)
 
     def body(rows, ops, part, scratch):
-        return combine(part, *[_part(view, rows, ops) for view in views],
-                       out=scratch[0])
+        values = combine(part, *[_part(view, rows, ops) for view in views],
+                         out=scratch[0], spare=scratch[1])
+        if settle:
+            values = part.lazy_reduce(values, out=scratch[values is scratch[0]])
+        return values
 
-    return launch(chain, result, body, 1).reshape(shape)
+    window = LAZY if settle else tuple(window)
+    return DeviceBuffer.from_float(
+        launch(chain, result, body, 2).reshape(shape),
+        magnitude(window, chain.qmax), window)

@@ -109,7 +109,9 @@ class BasisConverter:
         scaled reduction ``y_i = [x_i * q_hat_inv_i]_{q_i}`` runs once over
         the limb-major ``(S, B, N)`` view and the row-moduli GEMM ``out_j =
         (q_hat_mod_target[j] @ y) mod p_j`` folds the batch into its free
-        dimension — ``(T, S) @ (S, B*N)``.  Its ``(T, B, N)`` result is
+        dimension — ``(T, S) @ (S, B*N)``.  The GEMM sums the integers
+        ``y_i``, not their classes, so it makes a lazy ``y`` canonical in
+        the source basis as it reads it.  Its ``(T, B, N)`` result is
         handed back as the ``(B, T, N)`` view, uncopied.  The stack threads
         straight through both launches as a handle, and a stream's output
         does not depend on the batch it was converted in.
@@ -126,6 +128,7 @@ class BasisConverter:
                         self.source_moduli)
         converted = modular_matmul_rows(
             self._q_hat_buffer, y.ascontiguous().reshape(source_count, batch * n),
-            self.target_moduli, operand_bound=self._operand_bound)
+            self.target_moduli, operand_bound=self._operand_bound,
+            source=self.source_moduli)
         return converted.reshape(
             len(self.target_moduli), batch, n).transpose(1, 0, 2)

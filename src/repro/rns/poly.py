@@ -27,10 +27,12 @@ float64 (``poly.buffer.kind``; ``poly.buffer.resident`` says whether the
 image sends the next launch to the float kernels), so a chain of kernels
 keeps the polynomial float-resident and only :attr:`residues` (the host
 image, used at the encode / decrypt / serialize boundaries) forces an
-int64 cast.  Reusable ``operand`` and ``constant`` handles are the
-twiddles' and the keys', not a polynomial's.  The host image is
-authoritative — code that mutates ``poly.residues`` in
-place must call :meth:`invalidate_resident` before the next kernel uses
+int64 cast.  A kernel's float image holds lazy residues, congruent
+integers in a window around ``[0, q)``; :attr:`residues` makes them
+canonical as it casts, the one place a polynomial's integers are read.
+Reusable ``operand`` and ``constant`` handles are the twiddles' and the
+keys', not a polynomial's.  The host image is authoritative — code that
+mutates ``poly.residues`` in place must call :meth:`invalidate_resident` before the next kernel uses
 the polynomial (the library itself never mutates residues in place).
 """
 
@@ -100,8 +102,13 @@ class RnsPolynomial:
     # ------------------------------------------------------------------
     @property
     def residues(self) -> np.ndarray:
-        """The host ``(limbs, N)`` int64 image (materialised on demand)."""
-        return self._buffer.ensure_host()
+        """The canonical host ``(limbs, N)`` int64 image.
+
+        Materialised on demand: a float kernel's lazy image is made
+        canonical modulo :attr:`moduli` as it is cast (where a float image
+        meets its integers).
+        """
+        return self._buffer.host(self.moduli)
 
     @property
     def buffer(self) -> DeviceBuffer:

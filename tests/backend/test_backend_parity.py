@@ -25,6 +25,7 @@ from repro.backend import (
     use_backend,
 )
 from repro.backend.registry import _REGISTRY, BACKEND_ENV_VAR
+from repro.backend.residency import CANONICAL
 from repro.ckks.context import CkksContext
 from repro.ckks.params import get_preset
 from repro.ntt import NttPlanner, available_engines
@@ -220,7 +221,7 @@ class TestKernelParity:
                         funnel(DeviceBuffer.wrap(operands[0]), *operands[1:],
                                primes)):
                 assert isinstance(got, DeviceBuffer)
-                assert np.array_equal(got.ensure_host(), want)
+                assert np.array_equal(got.host(primes), want)
 
     @pytest.mark.parametrize("bits", [24, 30])
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -236,7 +237,7 @@ class TestKernelParity:
         # a float-only handle, no int64 built until someone asks.
         if bits == 24 and kernel.startswith("mat_"):
             assert got.host_image is None
-        assert np.array_equal(got.ensure_host(), want)
+        assert np.array_equal(got.host(primes), want)
 
 
 class TestKernelsDirect:
@@ -262,7 +263,8 @@ class TestKernelsDirect:
 
     @staticmethod
     def _float_only(x):
-        return DeviceBuffer.from_float(x.astype(np.float64), int(x.max(initial=0)))
+        return DeviceBuffer.from_float(x.astype(np.float64), int(x.max(initial=0)),
+                                       CANONICAL)
 
     @pytest.mark.parametrize("image", ["_host", "_cached", "_constant", "_float_only"])
     @pytest.mark.parametrize("kernel", KERNELS)
@@ -276,7 +278,7 @@ class TestKernelsDirect:
         got = getattr(get_backend(backend_name), kernel)(
             *handles, np.asarray(primes, dtype=np.int64))
         assert isinstance(got, DeviceBuffer)
-        assert np.array_equal(got.ensure_host(), want)
+        assert np.array_equal(got.host(primes), want)
 
 
 # ----------------------------------------------------------------------
@@ -295,9 +297,9 @@ class TestEngineParity:
             forward_ref = reference.forward_limbs(ring_degree, primes, residues)
         with use_backend(backend_name):
             forward = candidate.forward_limbs(ring_degree, primes, residues)
-            assert np.array_equal(forward, forward_ref)
-            assert np.array_equal(
-                candidate.inverse_limbs(ring_degree, primes, forward), residues)
+            assert np.array_equal(forward.host(primes), forward_ref)
+            assert np.array_equal(candidate.inverse_limbs(
+                ring_degree, primes, forward).host(primes), residues)
 
     @pytest.mark.parametrize("backend_name", BACKENDS)
     def test_polynomial_arithmetic_parity(self, backend_name, rng):
@@ -329,7 +331,7 @@ class TestEngineParity:
             got = modular_matmul_limbs(lhs, rhs, primes)
         with use_backend("numpy"):
             expected = modular_matmul_limbs(lhs, rhs, primes)
-        assert np.array_equal(got, expected)
+        assert np.array_equal(got.host(primes), expected.ensure_host())
 
 
 # ----------------------------------------------------------------------

@@ -1,5 +1,11 @@
 """The residue calling convention: array-likes in, a ``DeviceBuffer`` out.
 
+A float kernel's handle holds lazy residues; its integers are read through
+``host(moduli)``, which makes them canonical, and nowhere else: the last
+cases pin that ``ensure_host`` refuses a lazy image, that every operation's
+``poly.residues`` is canonical, and that an int64 fallback reading a lazy
+operand gives the float launch's bits.
+
 Below ``RnsPolynomial`` every residue boundary — the seven funnels, the
 planner's four transform entry points on every engine, Conv, ModUp and
 ModDown — takes int64 arrays or handles of any kind and returns a handle,
@@ -14,12 +20,16 @@ per-stream ``KeySwitcher.switch``.
 import numpy as np
 import pytest
 
+from repro.api import TensorFheContext
 from repro.backend import DeviceBuffer, available_backends, use_backend
+from repro.backend.residency import CANONICAL, LAZY
 from repro.ckks import CkksContext, CkksParameters, KeyGenerator, KeySwitcher
 from repro.ntt import NttPlanner, available_engines
 from repro.ntt.reference import reference_forward, reference_inverse
-from repro.ntt.twiddle import get_twiddle_cache
+from repro.ntt.twiddle import clear_twiddle_stacks, get_twiddle_cache
 from repro.numtheory import generate_ntt_primes
+from repro.numtheory.floatmod import BarrettChain
+from repro.numtheory.planned import form_ladder
 from repro.numtheory.modular import (
     mat_mod_add,
     mat_mod_mul,
@@ -44,7 +54,7 @@ def as_kind(kind: str, array: np.ndarray):
         return array
     if kind == "result":
         return DeviceBuffer.from_float(array.astype(np.float64),
-                                       int(array.max(initial=0)))
+                                       int(array.max(initial=0)), CANONICAL)
     return {"host": DeviceBuffer.wrap, "operand": DeviceBuffer.operand,
             "constant": DeviceBuffer.constant}[kind](array)
 
@@ -87,7 +97,7 @@ def _element_wise(funnel, arity, formula, unreduced=False):
         high = [4 * q if unreduced else q for q in CHAIN]
         operands = [residues(rng, shape, high, 0) for _ in range(arity)]
         want = formula(*operands) % column(CHAIN, 3, 0)
-        return operands, lambda *xs: funnel(*xs, CHAIN), want
+        return operands, lambda *xs: funnel(*xs, CHAIN), want, (CHAIN, 0)
     return build
 
 
@@ -95,14 +105,15 @@ def _matmul_limbs(rng, batch):
     lhs = residues(rng, (len(CHAIN), 4, 4), CHAIN, 0)
     rhs = residues(rng, (len(CHAIN), 4, batch * N), CHAIN, 0)
     want = np.matmul(lhs, rhs) % column(CHAIN, 3, 0)
-    return [lhs, rhs], lambda *xs: modular_matmul_limbs(*xs, CHAIN), want
+    return [lhs, rhs], lambda *xs: modular_matmul_limbs(*xs, CHAIN), want, (CHAIN, 0)
 
 
 def _matmul_rows(rng, batch):
     lhs = residues(rng, (len(SPECIAL), len(CHAIN)), SPECIAL, 0)
     rhs = residues(rng, (len(CHAIN), batch * N), CHAIN, 0)
     want = (lhs @ rhs) % column(SPECIAL, 2, 0)
-    return [lhs, rhs], lambda *xs: modular_matmul_rows(*xs, SPECIAL), want
+    return ([lhs, rhs], lambda *xs: modular_matmul_rows(*xs, SPECIAL), want,
+            (SPECIAL, 0))
 
 
 def _transform(engine, limbs, inverse):
@@ -112,7 +123,8 @@ def _transform(engine, limbs, inverse):
     def build(rng, batch):
         shape = (len(CHAIN), N) if limbs else (batch, len(CHAIN), N)
         stacks = residues(rng, shape, CHAIN, len(shape) - 2)
-        return [stacks], lambda x: entry(N, CHAIN, x), ntt_oracle(stacks, inverse)
+        return ([stacks], lambda x: entry(N, CHAIN, x), ntt_oracle(stacks, inverse),
+                (CHAIN, len(shape) - 2))
     return build
 
 
@@ -120,7 +132,7 @@ def _conv(rng, batch):
     stacks = residues(rng, (batch, len(CHAIN), N), CHAIN, 1)
     converter = BasisConverter(CHAIN, SPECIAL)
     return ([stacks], converter.convert_residues_batch,
-            conv_oracle(stacks, CHAIN, SPECIAL))
+            conv_oracle(stacks, CHAIN, SPECIAL), (SPECIAL, 1))
 
 
 def _modup(rng, batch):
@@ -128,7 +140,7 @@ def _modup(rng, batch):
     stacks = residues(rng, (batch, len(group), N), group, 1)
     want = np.concatenate([stacks, conv_oracle(stacks, group, target[2:])],
                           axis=1)
-    return [stacks], ModUp(group, target).apply_batch, want
+    return [stacks], ModUp(group, target).apply_batch, want, (target, 1)
 
 
 def _stacked_conv(rng, batch):
@@ -141,7 +153,8 @@ def _stacked_conv(rng, batch):
     want = np.concatenate([conv_oracle(stacks[:, :1], groups[0], targets[0]),
                            conv_oracle(stacks[:, 1:], groups[1], targets[1])],
                           axis=1)
-    return [stacks], converter.convert_residues_batch, want
+    return [stacks], converter.convert_residues_batch, want, (
+        targets[0] + targets[1], 1)
 
 
 def _moddown(correction):
@@ -154,9 +167,9 @@ def _moddown(correction):
         q = column(CHAIN, 3, 1)
         if correction:
             return ([stacks[:, len(CHAIN):]], moddown.correction,
-                    folded * p_inverse % q)
+                    folded * p_inverse % q, (CHAIN, 1))
         want = (stacks[:, :len(CHAIN)] - folded) * p_inverse % q
-        return [stacks], moddown.apply_batch, want
+        return [stacks], moddown.apply_batch, want, (CHAIN, 1)
     return build
 
 
@@ -190,11 +203,15 @@ CASES = [pytest.param(name, batch, id="%s-B%d" % (name, batch))
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("name,batch", CASES)
 def test_handle_out_with_the_oracle_bits(name, batch, kind, backend_name):
-    operands, call, want = BOUNDARIES[name](np.random.default_rng(batch), batch)
+    operands, call, want, (moduli, axis) = BOUNDARIES[name](
+        np.random.default_rng(batch), batch)
     with use_backend(backend_name):
         got = call(*[as_kind(kind, operand) for operand in operands])
     assert isinstance(got, DeviceBuffer)
-    got = got.ensure_host()
+    # A float kernel's residues are lazy: within its bound, read canonical.
+    if got.host_image is None:
+        assert np.abs(got.full()).max(initial=0) <= got.max_value
+    got = got.host(moduli, axis)
     assert got.dtype == np.int64
     assert got.shape == want.shape
     assert np.array_equal(got, want)
@@ -243,7 +260,128 @@ def test_switch_many_stack_in_stack_out(switching, batch, kind, backend_name):
         got = single.batched.switch_many(as_kind(kind, stack), spy, level)
     assert isinstance(got, DeviceBuffer)
     assert spy.calls == (1 if batch else 0)
-    got = got.ensure_host()
+    got = got.host(moduli, 1)
     assert got.dtype == np.int64
     assert got.shape == want.shape
     assert np.array_equal(got, want)
+
+
+# -- lazy residues: made canonical exactly where their integers are read --
+def test_ensure_host_of_a_lazy_handle_raises():
+    """A float kernel's output has no int64 form until its primes are named."""
+    stacks = residues(np.random.default_rng(3), (2, len(CHAIN), N), CHAIN, 1)
+    with use_backend("blas"):
+        lazy = NttPlanner("four_step").forward_ops(N, CHAIN, stacks)
+    assert lazy.kind == "result" and lazy.window == LAZY and not lazy.canonical
+    with pytest.raises(ValueError, match="host"):
+        lazy.ensure_host()
+    with pytest.raises(ValueError):
+        np.asarray(lazy)
+    assert np.array_equal(lazy.host(CHAIN, 1), ntt_oracle(stacks, False))
+    assert lazy.ensure_host() is lazy.host(CHAIN, 1)     # read once, kept
+
+
+@pytest.fixture(scope="module")
+def toy_fhe():
+    """A blas context at a float-resident toy shape (``RESIDENT_DOUBLES = 0``)."""
+    parameters = CkksParameters(ring_degree=64, level_count=4, dnum=2,
+                                secret_hamming_weight=8)
+    return TensorFheContext(parameters, seed=13, rotation_steps=(1, 2),
+                            backend="blas")
+
+
+def test_every_operation_reads_canonical_residues(toy_fhe):
+    """``poly.residues`` of encrypt's and of every ``BatchedEvaluator`` op's
+    output lies in ``[0, q_i)``, whatever window its float image is in."""
+    fhe = toy_fhe
+    many, relin, rotation = (fhe.batched_evaluator, fhe.relinearization_key,
+                             fhe.rotation_keys)
+    rng = np.random.default_rng(13)
+    values = rng.uniform(-1, 1, (2, fhe.slot_count))
+    cts = [fhe.encrypt(v) for v in values]
+    plains = fhe.encryptor.encode_many(values[::-1])
+    outputs = {
+        "encrypt": cts,
+        "negate": many.negate(cts),
+        "add": many.add(cts, cts[::-1]),
+        "subtract": many.subtract(cts, cts[::-1]),
+        "add_plain": many.add_plain(cts, plains),
+        "multiply_plain": many.multiply_plain(cts, plains),
+        "multiply": many.multiply(cts, cts[::-1], relin),
+        "multiply_and_rescale": many.multiply_and_rescale(cts, cts, relin),
+        "rescale": many.rescale(cts),
+        "rotate": many.rotate(cts, 1, rotation),
+        "rotate_each": sum(many.rotate_each(cts, [1, 2], rotation), []),
+        "rotate_add_rescale": many.rotate_add_rescale(cts, 1, rotation, cts),
+        "conjugate": many.conjugate(cts, rotation),
+        "to_coefficient": many.to_coefficient(cts),
+        "to_evaluation": many.to_evaluation(many.to_coefficient(cts)),
+        "drop_to_level": many.drop_to_level(cts, 1),
+    }
+    lazy = 0
+    for name, streams in outputs.items():
+        for ct in streams:
+            for poly in (ct.c0, ct.c1):
+                lazy += not poly.buffer.canonical
+                column = np.asarray(poly.moduli, dtype=np.int64)[:, None]
+                residues = poly.residues
+                assert residues.dtype == np.int64, name
+                assert np.all((residues >= 0) & (residues < column)), name
+    assert lazy, "no output was a lazy float image"
+
+
+@pytest.fixture
+def refused(monkeypatch):
+    """The 2**53 guard refusing every float launch: the int64 kernels run."""
+    monkeypatch.setattr(BarrettChain, "fits", lambda self, bound: False)
+    form_ladder.cache_clear()
+    clear_twiddle_stacks()
+    yield
+    form_ladder.cache_clear()
+    clear_twiddle_stacks()
+
+
+def lazy_launches():
+    """``(name, launch, moduli, axis)`` over lazy operands of ``CHAIN``."""
+    rng = np.random.default_rng(17)
+    shape = (len(CHAIN), 3, N)
+    a, b = (as_kind("result", residues(rng, shape, CHAIN, 0)) for _ in range(2))
+    with use_backend("blas"):
+        product = mat_mod_mul(a, b, CHAIN)                  # the pass window
+        wide = mat_mod_add(product, product, CHAIN)         # a sum, no pass
+    assert product.window == LAZY and wide.window == (-2, 4)
+    lhs = residues(rng, (len(CHAIN), 4, 3), CHAIN, 0)
+    rows = residues(rng, (len(SPECIAL), len(CHAIN)), SPECIAL, 0)
+    stack = wide.transpose(1, 0, 2)                         # (B, L, N)
+    planner = NttPlanner("four_step")
+    return [
+        ("mat_mul", lambda: mat_mod_mul(wide, product, CHAIN), CHAIN, 0),
+        ("mat_add", lambda: mat_mod_add(wide, product, CHAIN), CHAIN, 0),
+        ("mat_sub", lambda: mat_mod_sub(product, wide, CHAIN), CHAIN, 0),
+        ("mat_neg", lambda: mat_mod_neg(wide, CHAIN), CHAIN, 0),
+        ("mat_reduce", lambda: mat_mod_reduce(wide[-1:], SPECIAL,
+                                              source=CHAIN[-1:]), SPECIAL, 0),
+        ("matmul_limbs", lambda: modular_matmul_limbs(
+            DeviceBuffer.constant(lhs), wide, CHAIN), CHAIN, 0),
+        ("matmul_rows", lambda: modular_matmul_rows(
+            DeviceBuffer.constant(rows), wide.reshape(len(CHAIN), -1), SPECIAL,
+            source=CHAIN), SPECIAL, 0),
+        ("forward_ops", lambda: planner.forward_ops(N, CHAIN, stack), CHAIN, 1),
+        ("inverse_ops", lambda: planner.inverse_ops(N, CHAIN, stack), CHAIN, 1),
+    ]
+
+
+def test_int64_fallback_with_a_lazy_operand_gives_the_float_bits(request):
+    """A launch the guard refuses reads a lazy operand canonical on its
+    primes (or the basis it names): the float launch's bits, canonical."""
+    launches = lazy_launches()
+    with use_backend("blas"):
+        floats = {name: launch() for name, launch, _, _ in launches}
+    assert all(out.host_image is None for out in floats.values())
+    request.getfixturevalue("refused")
+    with use_backend("blas"):
+        for name, launch, moduli, axis in launches:
+            fallback = launch()
+            assert fallback.host_image is not None, name    # the int64 kernel
+            assert np.array_equal(fallback.host(moduli, axis),
+                                  floats[name].host(moduli, axis)), name

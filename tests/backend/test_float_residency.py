@@ -1,5 +1,10 @@
 """Float-resident kernel chains: parity, residency, guard fallback.
 
+A float kernel's residues are lazy (congruent integers inside the result's
+window, ``|x| <= max_value``); every comparison reads them canonical
+through ``host(moduli)``, the boundary where a float image meets its
+integers.
+
 Three layers of coverage for the float64 Barrett pipeline:
 
 * the backend ``f*`` kernels — bit-parity with the int64 ``%`` reference
@@ -27,6 +32,7 @@ from repro.backend import (
     get_backend,
     use_backend,
 )
+from repro.backend.residency import CANONICAL, LAZY
 from repro.ntt import NttPlanner
 from repro.numtheory import generate_ntt_primes
 from repro.numtheory.floatmod import get_barrett_chain
@@ -74,7 +80,8 @@ class TestFloatKernels:
         assert chain.fits((chain.qmax - 1) ** 2)
         got = backend.fhadamard_limbs(a_f, b_f, chain)
         want = (a_int * b_int) % chain.moduli_array[:, None]
-        assert np.array_equal(got.astype(np.int64), want)
+        assert got.window == LAZY
+        assert np.array_equal(got.host(chain.moduli), want)
 
     def test_fadd_fsub_parity(self, backend, rng):
         chain = _chain(27)
@@ -83,18 +90,28 @@ class TestFloatKernels:
         b_int, b_f = _residues(rng, chain)
         add = backend.fadd_limbs(a_f, b_f, chain)
         sub = backend.fsub_limbs(a_f, b_f, chain)
-        assert np.array_equal(add.astype(np.int64), (a_int + b_int) % q_col)
-        assert np.array_equal(sub.astype(np.int64), (a_int - b_int) % q_col)
-        # Results are canonical, so they can feed the next launch directly.
-        assert np.all(add >= 0) and np.all(add < q_col)
-        assert np.all(sub >= 0) and np.all(sub < q_col)
+        # Inside the headroom the sum and the difference take no pass: they
+        # keep their windows and bounds, and read canonical at the boundary.
+        assert add.window == (0, 2) and sub.window == LAZY
+        assert np.all(add.full() >= 0) and np.all(add.full() < 2 * q_col)
+        assert np.all(np.abs(sub.full()) < q_col)        # inside (-q, 2q)
+        assert np.array_equal(add.full(), a_f + b_f)
+        assert np.array_equal(add.host(chain.moduli), (a_int + b_int) % q_col)
+        assert np.array_equal(sub.host(chain.moduli), (a_int - b_int) % q_col)
+        # Past the headroom the launch ends in one lazy pass.
+        wide = DeviceBuffer.from_float(7 * a_f, 7 * (chain.qmax - 1), (0, 7))
+        settled = backend.fadd_limbs(wide, add, chain)
+        assert settled.window == LAZY
+        assert np.all((settled.full() > -q_col) & (settled.full() < 2 * q_col))
+        assert np.array_equal(settled.host(chain.moduli),
+                              (8 * a_int + b_int) % q_col)
 
     def test_freduce_parity(self, backend, rng):
         chain = _chain(20)
         q_col = chain.moduli_array[:, None]
         raw = rng.integers(0, chain.qmax ** 2, size=(chain.limb_count, 64))
         reduced = backend.freduce_limbs(raw.astype(np.float64), chain)
-        assert np.array_equal(reduced.astype(np.int64), raw % q_col)
+        assert np.array_equal(reduced.host(chain.moduli), raw % q_col)
 
     def test_fmatmul_out_contract(self, backend, rng):
         lhs = rng.integers(0, 97, (3, 8, 8)).astype(np.float64)
@@ -111,20 +128,34 @@ class TestFloatKernels:
         ints = rng.integers(0, q_col, size=(2, chain.limb_count, 16))
         floats = ints.astype(np.float64).transpose(1, 0, 2)
         got = backend.fhadamard_limbs(floats, floats, chain).transpose(1, 0, 2)
-        assert got.flags.c_contiguous           # the stack's own layout back
-        assert np.array_equal(got.astype(np.int64), (ints * ints) % q_col)
+        assert got.full().flags.c_contiguous    # the stack's own layout back
+        assert np.array_equal(got.host(chain.moduli, 1), (ints * ints) % q_col)
 
 
 class TestResultHandle:
     def test_lazy_int64_materialisation(self):
         values = np.asarray([[3.0, 7.0], [1.0, 0.0]])
-        buf = DeviceBuffer.from_float(values, 7)
+        buf = DeviceBuffer.from_float(values, 7, CANONICAL)
         assert buf.full() is values            # float image is free
         assert buf.host_image is None
         first = buf.ensure_host()               # cast happens here, once
         assert first.dtype == np.int64
         assert buf.ensure_host() is first
         assert np.array_equal(first, values.astype(np.int64))
+
+    def test_a_lazy_image_is_read_canonical_on_its_primes(self):
+        """Lazy residues cast only through ``host(moduli)``, reduced once."""
+        values = np.asarray([[-4.0, 7.0, 12.0], [1.0, -10.0, 21.0]])
+        buf = DeviceBuffer.from_float(values, 21)
+        assert buf.window == LAZY and not buf.canonical
+        with pytest.raises(ValueError, match="host"):
+            buf.ensure_host()
+        with pytest.raises(ValueError):
+            np.asarray(buf)
+        host = buf.host([7, 11])
+        assert np.array_equal(host, [[3, 0, 5], [1, 1, 10]])
+        assert buf.host([7, 11]) is host and buf.ensure_host() is host
+        assert buf.full() is values             # the float image is kept as is
 
 
 def test_float_residency_flag():
@@ -161,7 +192,7 @@ class TestBlasFloatNatives:
             # Float-only output: no int64 image exists until the boundary.
             assert got.host_image is None
             assert got.kind == "result"
-        assert np.array_equal(got.ensure_host(), want)
+        assert np.array_equal(got.host(column), want)
 
     def test_hadamard_funnel_one_float_side(self, data):
         """One float-carrying side is enough; the other converts per call."""
@@ -172,7 +203,7 @@ class TestBlasFloatNatives:
             got = mat_mod_mul(self._float_handle(a_int),
                               DeviceBuffer.wrap(b_int), moduli)
         assert got.host_image is None
-        assert np.array_equal(got.ensure_host(), want)
+        assert np.array_equal(got.host(moduli), want)
 
     def test_no_float_image_falls_back_to_int64(self, data):
         """Neither side resident: the historical int64 native runs."""
@@ -203,7 +234,7 @@ class TestBlasFloatNatives:
                               chain.moduli_array)
         assert got.host_image is None              # float path produced it
         assert got.kind == "result"
-        assert np.array_equal(np.asarray(got), want)
+        assert np.array_equal(got.host(chain.moduli), want)
 
     def test_guard_rejection_falls_back_bit_identical(self, rng):
         """>= 2**31 moduli: blas's own 2**53 guard decides, bit-identically.
@@ -223,7 +254,7 @@ class TestBlasFloatNatives:
                               self._float_handle(b_int),
                               moduli)
         assert got.host_image is None              # the split form produced it
-        assert np.array_equal(np.asarray(got), want)
+        assert np.array_equal(got.host(moduli), want)
 
     def test_chained_launches_materialise_no_int64(self, data):
         """A mul → add → sub chain stays float-resident end to end."""
@@ -238,7 +269,7 @@ class TestBlasFloatNatives:
             result = mat_mod_sub(total, b, column)
             for stage in (product, total, result):
                 assert stage.host_image is None
-        assert np.array_equal(result.ensure_host(), want)
+        assert np.array_equal(result.host(column), want)
 
     def test_float_output_feeds_batched_gemm(self, data, rng):
         """A result flows into the fully-resident dgemm path."""
@@ -256,7 +287,7 @@ class TestBlasFloatNatives:
             assert lhs.host_image is None          # the view stayed float
             got = modular_matmul_limbs(
                 lhs, self._float_handle(twiddle), moduli)
-        assert np.array_equal(np.asarray(got), np.asarray(want))
+        assert np.array_equal(got.host(moduli), want.host(moduli))
 
 
 class TestFloatHandleViews:
@@ -264,7 +295,7 @@ class TestFloatHandleViews:
 
     def test_view_chain_stays_float_resident(self):
         values = np.arange(24, dtype=np.float64).reshape(2, 3, 4)
-        buf = DeviceBuffer.from_float(values, 23)
+        buf = DeviceBuffer.from_float(values, 23, CANONICAL)
         view = buf.reshape(6, 4).transpose(1, 0)[:2]
         assert view.host_image is None
         expected = values.reshape(6, 4).transpose(1, 0)[:2]
@@ -274,7 +305,7 @@ class TestFloatHandleViews:
                               expected.astype(np.int64))
 
     def test_ensure_host_casts_once(self):
-        buf = DeviceBuffer.from_float(np.asarray([[5.0, 6.0]]), 6)
+        buf = DeviceBuffer.from_float(np.asarray([[5.0, 6.0]]), 6, CANONICAL)
         host = buf.ensure_host()
         assert buf.ensure_host() is host and buf.host_image is host
         assert host.dtype == np.int64
@@ -308,7 +339,7 @@ class TestFourStepFloatPipeline:
         with use_backend("numpy"):
             want = reference.forward_ops(self.N, primes, stacks)
         assert isinstance(got, DeviceBuffer)
-        assert np.array_equal(np.asarray(got), np.asarray(want))
+        assert np.array_equal(got.host(primes, 1), np.asarray(want))
 
     def test_inverse_roundtrip(self):
         primes, stacks = self._stacks(20)
@@ -316,7 +347,7 @@ class TestFourStepFloatPipeline:
         with use_backend("blas"):
             forward = planner.forward_ops(self.N, primes, stacks)
             back = planner.inverse_ops(self.N, primes, forward)
-        assert np.array_equal(np.asarray(back), stacks)
+        assert np.array_equal(back.host(primes, 1), stacks)
 
     @pytest.mark.parametrize("backend", ["blas", "blas-slabbed"], indirect=True)
     def test_handle_in_float_handle_out(self, backend):
@@ -329,7 +360,8 @@ class TestFourStepFloatPipeline:
         assert isinstance(got, DeviceBuffer)
         assert got.host_image is None              # float-resident output
         assert got.kind == "result"
-        assert np.array_equal(got.ensure_host(), np.asarray(want))
+        assert np.array_equal(got.full(), want.full())
+        assert np.array_equal(got.host(primes, 1), want.host(primes, 1))
 
     @pytest.mark.parametrize("backend", ["blas", "blas-slabbed"], indirect=True)
     def test_single_pass_guard_miss_takes_the_split_forms(self, backend):
@@ -353,16 +385,16 @@ class TestFourStepFloatPipeline:
             got = blas.forward_ops(self.N, primes, DeviceBuffer.wrap(stacks))
         assert got.host_image is None
         assert got.kind == "result"
-        assert np.array_equal(np.asarray(got), np.asarray(want))
+        assert np.array_equal(got.host(primes, 1), np.asarray(want))
 
     def test_results_do_not_alias_engine_scratch(self):
         """Back-to-back launches hand out fresh results, never work buffers."""
         primes, stacks = self._stacks(20)
         planner = NttPlanner("four_step")
         with use_backend("blas"):
-            first = np.asarray(planner.forward_ops(self.N, primes, stacks))
+            first = planner.forward_ops(self.N, primes, stacks).full()
             snapshot = first.copy()
-            second = np.asarray(planner.forward_ops(self.N, primes, stacks))
+            second = planner.forward_ops(self.N, primes, stacks).full()
         assert not np.shares_memory(first, second)
         assert np.array_equal(first, snapshot)     # untouched by relaunch
         assert np.array_equal(first, second)
@@ -395,12 +427,12 @@ class TestLimbGemmOnBlas:
         with use_backend("blas"):
             got = modular_matmul_limbs(lhs, rhs, primes)
         assert isinstance(got, DeviceBuffer)
-        assert np.array_equal(np.asarray(got), np.asarray(want))
+        assert np.array_equal(got.host(primes), np.asarray(want))
         with use_backend("blas"):
             handle = modular_matmul_limbs(DeviceBuffer.wrap(lhs),
                                           DeviceBuffer.wrap(rhs), primes)
         assert isinstance(handle, DeviceBuffer)
-        assert np.array_equal(handle.ensure_host(), np.asarray(want))
+        assert np.array_equal(handle.host(primes), np.asarray(want))
 
 
 @requires_float_residency
@@ -443,7 +475,8 @@ class TestModDownFloatResident:
         assert isinstance(got, DeviceBuffer)
         assert got.host_image is None
         assert got.kind == "result"
-        assert np.array_equal(got.ensure_host(), np.asarray(want))
+        assert np.array_equal(got.host(moddown.ciphertext_moduli, 1),
+                              np.asarray(want))
 
     def test_guard_boundary_falls_back_bit_identical(self):
         """>= 2**31 moduli keep ModDown on the exact funnel paths."""
@@ -451,7 +484,8 @@ class TestModDownFloatResident:
         want = moddown.apply_batch(stacks)
         with use_backend("blas"):
             got = moddown.apply_batch(handle)
-        assert np.array_equal(np.asarray(got), np.asarray(want))
+        assert np.array_equal(got.host(moddown.ciphertext_moduli, 1),
+                              np.asarray(want))
 
 
 class TestPolynomialFloatResidency:

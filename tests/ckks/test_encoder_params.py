@@ -1,5 +1,6 @@
 """Tests for CKKS parameters, presets and the canonical-embedding encoder."""
 
+import math
 import warnings
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ckks import CkksParameters, FUNCTIONAL_PARAMETERS, PAPER_PARAMETERS, get_preset
+from repro.ckks import (CkksContext, CkksParameters, FUNCTIONAL_PARAMETERS,
+                        PAPER_PARAMETERS, get_preset)
 from repro.ckks.encoder import CkksEncoder
 from repro.ntt import available_engines
 from repro.numtheory import generate_ntt_primes
@@ -42,7 +44,22 @@ class TestParameters:
         assert params.max_level == 5
         assert params.scale == 2.0 ** 20
         assert params.alpha == 2
-        assert params.log_pq == 6 * params.prime_bits + params.special_prime_bits
+        # alpha = 2 primes per group need two special primes (P >= Q_j).
+        assert params.special_count == 2
+        assert params.log_pq == 6 * params.prime_bits + 2 * params.special_prime_bits
+        assert params.describe()["K"] == 2
+
+    @pytest.mark.parametrize("level_count,dnum,special", [
+        (6, 3, 1), (8, 4, 1), (5, 1, 1), (4, 4, 3), (9, 2, 2)])
+    def test_log_pq_counts_the_primes_a_context_makes(self, level_count, dnum,
+                                                      special):
+        params = CkksParameters(ring_degree=64, level_count=level_count,
+                                dnum=dnum, special_prime_count=special)
+        basis = CkksContext(params, seed=1).basis
+        primes = basis.ciphertext_primes + basis.special_primes
+        assert len(primes) == level_count + params.special_count
+        exact = sum(math.log2(q) for q in primes)
+        assert abs(params.log_pq - exact) <= len(primes)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError):

@@ -258,8 +258,11 @@ def boundary_digests(fhe):
     integers = plain.to_integers(centered=True)
     n, moduli = context.ring_degree, public.c0.moduli
     c0 = public.c0.to_coefficient(context.planner).residues
-    forward = context.planner.forward_limbs(n, moduli, c0)
-    back = context.planner.inverse_limbs(n, moduli, forward)
+    # The limb transforms hand back lazy handles; their integers are read
+    # canonical, through host(moduli).
+    image = context.planner.forward_limbs(n, moduli, c0)
+    back = context.planner.inverse_limbs(n, moduli, image).host(moduli)
+    forward = image.host(moduli)
     assert np.array_equal(back, c0)
     assert np.array_equal(forward, public.c0.residues)
     return {

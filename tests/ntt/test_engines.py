@@ -183,9 +183,10 @@ class TestScalarEntriesAreShapeAdapters:
             (engine.forward, engine.forward_ops, reference.forward),
             (engine.inverse, engine.inverse_ops, reference.inverse),
         ]:
-            fused = ops(rows[:, None, :], [q])
+            fused = ops(rows[:, None, :], [q]).host([q], 1)
             for i, row in enumerate(rows):
-                assert np.array_equal(single(row), ops(row[None, None], [q])[0, 0])
+                assert np.array_equal(single(row),
+                                      ops(row[None, None], [q]).host([q], 1)[0, 0])
                 assert np.array_equal(single(row), fused[i, 0])
                 assert np.array_equal(single(row), oracle(row))
         with pytest.raises(ValueError):
@@ -232,9 +233,9 @@ class TestOnePrimitive:
         engine = create_engine(engine_name, n, chain[0])
         primitive, calls = engine._transform_ops, []
 
-        def spy(stacks, moduli_array, *, inverse):
-            calls.append((tuple(stacks.shape), moduli_array.tolist(), inverse))
-            return primitive(stacks, moduli_array, inverse=inverse)
+        def spy(stacks, moduli, *, inverse):
+            calls.append((tuple(stacks.shape), moduli, inverse))
+            return primitive(stacks, moduli, inverse=inverse)
 
         engine._transform_ops = spy
         shape, inverse = self.ENTRIES[entry]
@@ -248,7 +249,10 @@ class TestOnePrimitive:
             got = getattr(engine, entry)(rows[0], moduli)[None]
         else:
             got = getattr(engine, entry)(rows, moduli)
-        assert calls == [((batch, limbs, n), list(moduli), inverse)]
+        # The moduli reach the primitive as one tuple of Python ints.
+        assert calls == [((batch, limbs, n), tuple(moduli), inverse)]
+        assert all(type(q) is int for q in calls[0][1])
+        got = got if isinstance(got, np.ndarray) else got.host(moduli, 1)
         assert np.array_equal(got, _oracle(rows, moduli, inverse))
 
     def test_primitive_alone_makes_an_engine(self, rng):
@@ -259,10 +263,10 @@ class TestOnePrimitive:
         class Negate(NttEngine):
             name = "negate"
 
-            def _transform_ops(self, stacks, moduli_array, *, inverse):
+            def _transform_ops(self, stacks, moduli, *, inverse):
                 calls.append(inverse)
                 return DeviceBuffer.wrap(
-                    (-np.asarray(stacks)) % moduli_array[None, :, None])
+                    (-np.asarray(stacks)) % np.asarray(moduli)[None, :, None])
 
         q = generate_ntt_prime(20, 8)
         engine = Negate(8, q)

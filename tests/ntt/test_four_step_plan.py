@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 import repro.ntt.base as base_module
 import repro.numtheory.planned as plan_module
 from repro.backend import DeviceBuffer, get_active_backend, use_backend
+from repro.backend.residency import CANONICAL, LAZY
 from repro.ntt import (
     NttPlanner,
     available_engines,
@@ -54,6 +55,11 @@ def default_extended_basis(ring_degree):
     """Three 28-bit ciphertext primes and two 30-bit special primes."""
     return (generate_ntt_primes(3, 28, ring_degree)
             + generate_ntt_primes(2, 30, ring_degree))
+
+
+def ints(handle, primes):
+    """A ``(B, L, N)`` transform's residues, read canonical."""
+    return DeviceBuffer.wrap(handle).host(primes, axis=1)
 
 
 def random_stack(rng, batch, primes, ring_degree):
@@ -174,7 +180,7 @@ class TestPlanTable:
             assert engine.float_plan(primes, inverse=True) is None
             back = engine.inverse_ops(engine.forward_ops(stack, primes), primes)
         assert len(calls) == 2
-        assert np.array_equal(back, stack)
+        assert np.array_equal(ints(back, primes), stack)
         # ... and never when there is one.
         planned = generate_ntt_primes(2, 28, ring_degree)
         engine = engine_for(ring_degree, planned)
@@ -231,7 +237,7 @@ class TestGuardArithmetic:
                 shape = (1, 2, terms, 4)
             cache = DeviceBuffer.operand(matrix)
             ladder = form_ladder(chain, terms, cache.max_value,
-                                 lazy_input=lazy_input)
+                                 LAZY if lazy_input else CANONICAL)
             assert len(ladder) == len(widest)
             for (form, exact), limit in zip(ladder, widest):
                 assert exact == (bits <= limit), (form, bits)
@@ -256,12 +262,12 @@ class TestGuardArithmetic:
     def test_choose_form_takes_the_first_exact_rung(self):
         chain = BarrettChain([(1 << 30) + 1])
         top = 1 << 30
-        assert choose_form(chain, 64, top, lazy_input=False) == SPLIT
-        assert choose_form(chain, 64, top, lazy_input=True) == C(SPLIT)
-        assert choose_form(chain, 1, top, lazy_input=True) == SPLIT
-        assert choose_form(chain, 64, 1 << 15, lazy_input=True) == DIRECT
-        assert choose_form(chain, 64, 1 << 16, lazy_input=True) == C(DIRECT)
-        assert choose_form(chain, 1 << 10, top, lazy_input=True) is None
+        assert choose_form(chain, 64, top) == SPLIT
+        assert choose_form(chain, 64, top, LAZY) == C(SPLIT)
+        assert choose_form(chain, 1, top, LAZY) == SPLIT
+        assert choose_form(chain, 64, 1 << 15, LAZY) == DIRECT
+        assert choose_form(chain, 64, 1 << 16, LAZY) == C(DIRECT)
+        assert choose_form(chain, 1 << 10, top, LAZY) is None
 
     def test_true_31_bit_primes_need_both_partials_reduced(self):
         """Just under 2**31, ``64 * (2**16 - 1) * (q - 1)`` alone nearly fills
@@ -272,8 +278,8 @@ class TestGuardArithmetic:
             q -= step
         assert q.bit_length() == 31 and q > (1 << 31) - (1 << 24)
         chain = BarrettChain([q])
-        assert choose_form(chain, 64, q - 1, lazy_input=False) == SPLIT_BOTH
-        assert choose_form(chain, 64, q - 1, lazy_input=True) == C(SPLIT_BOTH)
+        assert choose_form(chain, 64, q - 1) == SPLIT_BOTH
+        assert choose_form(chain, 64, q - 1, LAZY) == C(SPLIT_BOTH)
         engine = engine_for(4096, [q])
         plan = engine.float_plan([q], inverse=True)
         assert plan.inner == SPLIT_BOTH and plan.outer == C(SPLIT_BOTH)
@@ -282,8 +288,8 @@ class TestGuardArithmetic:
         with use_backend("numpy"):
             want = NttPlanner("four_step").forward_ops(4096, [q], stack)
         got = engine.forward_ops(stack, [q])
-        assert np.array_equal(got, want)
-        assert np.array_equal(engine.inverse_ops(got, [q]), stack)
+        assert np.array_equal(ints(got, [q]), want)
+        assert np.array_equal(ints(engine.inverse_ops(got, [q]), [q]), stack)
 
 
 # ----------------------------------------------------------------------
@@ -438,13 +444,14 @@ class TestParity:
             got = (engine.inverse_ops if inverse else engine.forward_ops)(
                 given, primes)
             assert isinstance(got, DeviceBuffer)
-            got = got.ensure_host()
+            got = ints(got, primes)
             assert np.array_equal(got, int64[:batch])
             for (op, limb), row in reference.items():
                 if op < batch:
                     assert np.array_equal(got[op, limb], row)
         forward = engine.forward_ops(given, primes)
-        assert np.array_equal(engine.inverse_ops(forward, primes), stack)
+        assert np.array_equal(ints(engine.inverse_ops(forward, primes), primes),
+                              stack)
 
     def test_one_slab_and_one_limb_more_match_reference(self, backend):
         """A launch of exactly ``SLAB_DOUBLES`` elements runs as one slab
@@ -460,8 +467,8 @@ class TestParity:
                     want = (engine.inverse_ops if inverse
                             else engine.forward_ops)(part, chain).ensure_host()
                 with use_backend(backend):
-                    got = (engine.inverse_ops if inverse
-                           else engine.forward_ops)(part, chain).ensure_host()
+                    got = ints((engine.inverse_ops if inverse
+                                else engine.forward_ops)(part, chain), chain)
                     if get_active_backend().float_residency:
                         recipe = get_twiddle_stack(ring_degree, chain).launch_recipe(
                             get_active_backend(), inverse, PARITY_BATCH)
@@ -481,15 +488,15 @@ class TestParity:
             got = engine.forward_ops(DeviceBuffer.wrap(stack), primes)
             # At every width the plan admits, split widths included.
             assert isinstance(got, DeviceBuffer) and got.host_image is None
-            assert got.kind == "result"
-            assert np.array_equal(got.ensure_host(), want)
-            # A float-only handle is consumed as it is.
+            assert got.kind == "result" and got.window == LAZY
+            assert np.array_equal(ints(got, primes), want)
+            # A float-only handle is consumed as it is, lazy residues too.
             back = engine.inverse_ops(got, primes)
-            assert np.array_equal(np.asarray(back), stack)
+            assert np.array_equal(ints(back, primes), stack)
             floats = DeviceBuffer.from_float(stack.astype(np.float64),
-                                             max(primes) - 1)
+                                             max(primes) - 1, CANONICAL)
             assert np.array_equal(
-                np.asarray(engine.forward_ops(floats, primes)), want)
+                ints(engine.forward_ops(floats, primes), primes), want)
 
     def test_polynomials_too_small_to_pay_come_back_int64(self, monkeypatch):
         """Residency follows the size of one polynomial, not of the batch,
@@ -510,7 +517,7 @@ class TestParity:
             with use_backend(BACKEND):
                 got = engine.forward_ops(DeviceBuffer.wrap(stack), primes)
             assert (got.host_image is None) == resident
-            assert np.array_equal(got.ensure_host(), want)
+            assert np.array_equal(ints(got, primes), want)
 
     @pytest.mark.parametrize("chain", sorted(CHAINS))
     def test_out_of_range_input_is_reduced_by_the_range_scan_first(self, chain):
@@ -521,13 +528,15 @@ class TestParity:
         unreduced[1, :, 0] -= 7 * column[0, :, 0]
         unreduced[2, :, 1] = column[0, :, 0]            # exactly q
         engine = engine_for(self.N, primes)
-        want = engine.forward_ops(unreduced % column, primes)
-        assert np.array_equal(engine.forward_ops(unreduced, primes), want)
+        want = ints(engine.forward_ops(unreduced % column, primes), primes)
+        assert np.array_equal(ints(engine.forward_ops(unreduced, primes), primes),
+                              want)
         with use_backend(BACKEND):
             got = engine.forward_ops(DeviceBuffer.wrap(unreduced), primes)
-        assert np.array_equal(np.asarray(got), want)
+        assert np.array_equal(ints(got, primes), want)
         assert np.array_equal(
-            engine.forward_limbs(unreduced[1], primes), want[1])
+            ints(engine.forward_limbs(unreduced[1], primes)[None], primes)[0],
+            want[1])
 
     def test_kernel_made_handles_skip_the_range_scan_until_invalidated(
             self, monkeypatch):
@@ -555,9 +564,9 @@ class TestParity:
         host[2, :, 1] -= 2 * column[0, :, 0]
         made.invalidate_device()
         assert not made.reduced
-        want = engine.inverse_ops(host % column, primes)
+        want = ints(engine.inverse_ops(host % column, primes), primes)
         assert len(scans) == 2
-        assert np.array_equal(engine.inverse_ops(made, primes), want)
+        assert np.array_equal(ints(engine.inverse_ops(made, primes), primes), want)
         assert len(scans) == 3
 
     def test_results_do_not_alias_the_work_buffers(self):
@@ -565,10 +574,10 @@ class TestParity:
         stack = random_stack(np.random.default_rng(8), 2, primes, self.N)
         engine = engine_for(self.N, primes)
         first = engine.forward_ops(stack, primes)
-        snapshot = first.copy()
+        snapshot = first.full().copy()
         second = engine.forward_ops(stack[::-1].copy(), primes)
-        assert not np.shares_memory(first, second)
-        assert np.array_equal(first, snapshot)
+        assert not np.shares_memory(first.full(), second.full())
+        assert np.array_equal(first.full(), snapshot)
 
     def test_empty_batch(self):
         primes = CHAINS["p28"](self.N)
@@ -585,8 +594,10 @@ class TestParity:
         assert (engine.n1, engine.n2) == (16, 8)
         forward = engine.forward_ops(stack, primes)
         assert np.array_equal(
-            forward, NttPlanner("reference").forward_ops(128, primes, stack))
-        assert np.array_equal(engine.inverse_ops(forward, primes), stack)
+            ints(forward, primes),
+            NttPlanner("reference").forward_ops(128, primes, stack))
+        assert np.array_equal(ints(engine.inverse_ops(forward, primes), primes),
+                              stack)
 
 
 # ----------------------------------------------------------------------
@@ -618,9 +629,10 @@ class TestWidthProperty:
         reference = NttPlanner("reference")
         forward = engine.forward_ops(stack, primes)
         assert np.array_equal(
-            forward, reference.forward_ops(ring_degree, primes, stack))
+            ints(forward, primes), reference.forward_ops(ring_degree, primes, stack))
         column = np.asarray(primes, dtype=np.int64)[None, :, None]
-        assert np.array_equal(engine.inverse_ops(forward, primes), stack % column)
+        assert np.array_equal(ints(engine.inverse_ops(forward, primes), primes),
+                              stack % column)
 
 
 # ----------------------------------------------------------------------
@@ -635,14 +647,14 @@ class TestLimbsAreOneOperation:
         residues = random_stack(np.random.default_rng(12), 1, primes, ring_degree)[0]
         engine = engine_for(ring_degree, primes, name)
         with use_backend(backend):
-            forward = engine.forward_limbs(residues, primes)
+            forward = engine.forward_limbs(residues, primes).host(primes)
             assert np.array_equal(
-                forward, np.asarray(engine.forward_ops(residues[None], primes))[0])
-            inverse = engine.inverse_limbs(residues, primes)
+                forward, ints(engine.forward_ops(residues[None], primes), primes)[0])
+            inverse = engine.inverse_limbs(residues, primes).host(primes)
             assert np.array_equal(
-                inverse, np.asarray(engine.inverse_ops(residues[None], primes))[0])
+                inverse, ints(engine.inverse_ops(residues[None], primes), primes)[0])
             handle = engine.forward_limbs(DeviceBuffer.wrap(residues), primes)
-        assert np.array_equal(np.asarray(handle), forward)
+        assert np.array_equal(handle.host(primes), forward)
         assert np.array_equal(
             forward, NttPlanner("reference").forward_limbs(ring_degree, primes, residues))
 

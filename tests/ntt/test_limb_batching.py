@@ -29,7 +29,7 @@ class TestEngineLimbParity:
         primes = generate_ntt_primes(limbs, 24, ring_degree)
         engine = create_engine(engine_name, ring_degree, primes[0])
         residues = _residue_matrix(rng, primes, ring_degree)
-        batched = engine.forward_limbs(residues, primes)
+        batched = engine.forward_limbs(residues, primes).host(primes)
         for i, q in enumerate(primes):
             expected = create_engine(engine_name, ring_degree, q).forward(residues[i])
             assert np.array_equal(batched[i], expected)
@@ -40,7 +40,7 @@ class TestEngineLimbParity:
         primes = generate_ntt_primes(limbs, 24, ring_degree)
         engine = create_engine(engine_name, ring_degree, primes[0])
         values = _residue_matrix(rng, primes, ring_degree)
-        batched = engine.inverse_limbs(values, primes)
+        batched = engine.inverse_limbs(values, primes).host(primes)
         for i, q in enumerate(primes):
             expected = create_engine(engine_name, ring_degree, q).inverse(values[i])
             assert np.array_equal(batched[i], expected)
@@ -52,7 +52,8 @@ class TestEngineLimbParity:
         engine = create_engine(engine_name, ring_degree, primes[0])
         residues = _residue_matrix(rng, primes, ring_degree)
         forward = engine.forward_limbs(residues, primes)
-        assert np.array_equal(engine.inverse_limbs(forward, primes), residues)
+        assert np.array_equal(engine.inverse_limbs(forward, primes).host(primes),
+                              residues)
 
     def test_unreduced_input_is_reduced(self, rng):
         ring_degree = 16
@@ -62,8 +63,8 @@ class TestEngineLimbParity:
             rng.integers(-q, q, ring_degree, dtype=np.int64) for q in primes
         ])
         reduced = residues % np.asarray(primes, dtype=np.int64)[:, None]
-        assert np.array_equal(engine.forward_limbs(residues, primes),
-                              engine.forward_limbs(reduced, primes))
+        assert np.array_equal(engine.forward_limbs(residues, primes).host(primes),
+                              engine.forward_limbs(reduced, primes).host(primes))
 
     def test_shape_mismatch_rejected(self):
         ring_degree = 16
@@ -82,7 +83,7 @@ class TestEngineLimbParity:
         moduli = [q, q - 100]
         a = rng.integers(0, q, (2, 4, 6)).astype(np.int64)
         b = rng.integers(0, q, (2, 6, 3)).astype(np.int64)
-        got = modular_matmul_limbs(a, b, moduli)
+        got = modular_matmul_limbs(a, b, moduli).host(moduli)
         expected = np.stack([
             np.asarray((a[i].astype(object) @ b[i].astype(object)) % m,
                        dtype=np.int64)
@@ -97,7 +98,8 @@ class TestEngineLimbParity:
         for engine_name in ("four_step", "tensorcore"):
             engine = create_engine(engine_name, ring_degree, primes[0])
             zeros = np.zeros((2, ring_degree), dtype=np.int64)
-            assert np.array_equal(engine.forward_limbs(zeros, primes), zeros)
+            assert np.array_equal(engine.forward_limbs(zeros, primes).host(primes),
+                                  zeros)
 
 
 class TestPlannerLimbBatching:
@@ -127,8 +129,8 @@ class TestPlannerLimbBatching:
         planner = NttPlanner(engine_name)
         residues = _residue_matrix(rng, primes, ring_degree)
         values = planner.forward_limbs(ring_degree, primes, residues)
-        assert np.array_equal(planner.inverse_limbs(ring_degree, primes, values),
-                              residues)
+        assert np.array_equal(
+            planner.inverse_limbs(ring_degree, primes, values).host(primes), residues)
 
     def test_rns_polynomial_domain_conversion_parity(self, rng):
         """Poly-level conversion equals per-limb engine composition."""

@@ -87,9 +87,9 @@ def test_transform_parity_through_views(rng):
             planner.engine_for(RING_DEGREE, q).forward(residues[i])
             for i, q in enumerate(primes)
         ])
-        assert np.array_equal(values, per_limb)
+        assert np.array_equal(values.host(primes), per_limb)
         assert np.array_equal(
-            planner.inverse_limbs(RING_DEGREE, primes, values), residues)
+            planner.inverse_limbs(RING_DEGREE, primes, values).host(primes), residues)
 
 
 def test_launch_recipes_after_a_bootstrap_pass_are_bounded(bootstrap_fhe, rng,
@@ -147,7 +147,7 @@ def test_launch_recipes_stay_consistent_under_concurrent_launches(monkeypatch):
                 for round_ in range(30):
                     batch = 1 + (offset + round_) % 6
                     got = planner.forward_ops(RING_DEGREE, CHAIN, stacks[batch])
-                    if not np.array_equal(got.ensure_host(), want[batch]):
+                    if not np.array_equal(got.host(CHAIN, 1), want[batch]):
                         failures.append(batch)
         except BaseException as error:      # reported by the main thread
             failures.append(error)

@@ -169,15 +169,15 @@ class TestSplitProduct:
         twenty = chain_for(20)
         top = twenty.qmax - 1
         assert twenty.fits(top ** 2)
-        assert choose_form(twenty, 1, top, lazy_input=False) == DIRECT
+        assert choose_form(twenty, 1, top) == DIRECT
         # 30-bit: single pass overflows 2**53; the split restores exactness.
         thirty = chain_for(30)
         top = thirty.qmax - 1
         assert not thirty.fits(top ** 2)
-        assert choose_form(thirty, 1, top, lazy_input=False) == SPLIT
+        assert choose_form(thirty, 1, top) == SPLIT
         # ~q**1.5 crosses the mantissa around 35-bit moduli: no form left.
         oversized = get_barrett_chain([(1 << 37) + 9])
-        assert choose_form(oversized, 1, 1 << 37, lazy_input=False) is None
+        assert choose_form(oversized, 1, 1 << 37) is None
         wide = np.ones((1, 4))
         assert product(oversized, wide, 1 << 37, wide, 1 << 37) is None
 

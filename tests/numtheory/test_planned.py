@@ -87,7 +87,7 @@ class TestAgainstTheInt64Oracle:
                 want = getattr(oracle, kernel)(
                     *[DeviceBuffer.wrap(x) for x in operands], primes)
                 assert got.host_image is None, kernel
-                assert np.array_equal(got.ensure_host(), want.ensure_host()), kernel
+                assert np.array_equal(got.host(primes), want.ensure_host()), kernel
             # A constant shared by the operations, and the
             # multiply-accumulate over ``terms`` against one.
             key, _ = residues(rng, primes, (0, terms, 1, N))
@@ -98,7 +98,7 @@ class TestAgainstTheInt64Oracle:
                 got = blas.mat_mul(float_handle(x, top), operand, primes,
                                    terms=terms)
                 assert got.host_image is None
-                assert np.array_equal(got.ensure_host(), want)
+                assert np.array_equal(got.host(primes), want)
             exact = (x.astype(object) * key.astype(object)).sum(axis=1) % column
             if terms > 1:
                 assert np.array_equal(want, exact.astype(np.int64))
@@ -111,8 +111,8 @@ class TestForms:
         for name, form in (("p20", DIRECT), ("p23", DIRECT), ("p28", SPLIT),
                            ("p30", SPLIT)):
             chain = get_barrett_chain(CHAINS[name])
-            assert choose_form(chain, 1, chain.qmax - 1, lazy_input=False) == form
-            assert choose_form(chain, 8, chain.qmax - 1, lazy_input=False) in (
+            assert choose_form(chain, 1, chain.qmax - 1) == form
+            assert choose_form(chain, 8, chain.qmax - 1) in (
                 DIRECT, SPLIT)
 
     def test_a_refused_launch_takes_the_int64_kernel_with_equal_bits(self, rng):
@@ -124,8 +124,8 @@ class TestForms:
             q -= 2
         chain = get_barrett_chain(primes)
         terms = 128
-        assert choose_form(chain, terms, chain.qmax - 1, lazy_input=False) is None
-        assert choose_form(chain, 8, chain.qmax - 1, lazy_input=False) is not None
+        assert choose_form(chain, terms, chain.qmax - 1) is None
+        assert choose_form(chain, 8, chain.qmax - 1) is not None
         x, column = residues(rng, primes, (0, terms, 2, N))
         key, _ = residues(rng, primes, (0, terms, 1, N))
         got = get_backend("blas").mat_mul(
@@ -150,7 +150,7 @@ class TestForms:
             got = blas.mat_mul(lhs, rhs, primes)
             assert got.host_image is None
             assert got.shape == key.shape
-            assert np.array_equal(got.ensure_host(), want)
+            assert np.array_equal(got.host(primes), want)
 
     def test_constants_alone_do_not_pull_a_launch_onto_the_float_path(self, rng):
         primes = CHAINS["p28"]

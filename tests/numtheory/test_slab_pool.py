@@ -27,6 +27,7 @@ import pytest
 
 import repro.numtheory.planned as planned
 from repro.backend import DeviceBuffer, get_backend, use_backend
+from repro.backend.residency import CANONICAL
 from repro.ntt import NttPlanner
 from repro.numtheory import generate_ntt_primes
 from repro.numtheory.floatmod import get_barrett_chain
@@ -60,7 +61,8 @@ def stack_of(seed, primes):
 
 
 def float_handle(values, bound):
-    return DeviceBuffer.from_float(values.astype(np.float64), bound)
+    """A float-only handle of canonical residues (of ``values``' bound)."""
+    return DeviceBuffer.from_float(values.astype(np.float64), bound, CANONICAL)
 
 
 def inline(launch):
@@ -90,12 +92,19 @@ def workers(request, monkeypatch, pool_calls):
     return planned.WORKERS
 
 
-def check(launch, want, pool_calls):
-    """``launch()`` equals ``want`` and the inline run, on the pool if any."""
+def image(handle):
+    """The bits a launch left: a result's lazy float image, else its host one."""
+    return handle.full() if handle.host_image is None else handle.host_image
+
+
+def check(launch, want, pool_calls, primes, axis=0):
+    """``launch()`` reads ``want`` canonical on ``primes`` (limb axis
+    ``axis``) and leaves the inline run's bits, on the pool if any."""
     got = launch()
-    assert np.array_equal(got, want)
+    bits = image(got)
+    assert np.array_equal(got.host(primes, axis), np.asarray(want))
     assert bool(pool_calls) == (planned.WORKERS > 0)
-    assert np.array_equal(inline(launch), got)
+    assert np.array_equal(image(inline(launch)), bits)
 
 
 class TestParity:
@@ -113,21 +122,21 @@ class TestParity:
         with use_backend("blas"):
             assert engine.float_plan(primes) is not None
             check(lambda: engine.forward_ops(stack, primes),
-                  int64_forward, pool_calls)
+                  int64_forward, pool_calls, primes, 1)
             check(lambda: engine.inverse_ops(stack, primes),
-                  int64_inverse, pool_calls)
+                  int64_inverse, pool_calls, primes, 1)
             # A float-only handle in is read from its image, not staged.
             image = engine.forward_ops(DeviceBuffer.wrap(stack), primes)
             assert image.host_image is None
-            check(lambda: engine.inverse_ops(image, primes).ensure_host(),
-                  stack, pool_calls)
+            check(lambda: engine.inverse_ops(image, primes),
+                  stack, pool_calls, primes, 1)
 
     @pytest.mark.parametrize("terms", [2, 4], ids=["terms2", "dnum4"])
     @pytest.mark.parametrize("static", [True, False], ids=["static", "transient"])
     def test_product(self, terms, static, workers, pool_calls):
         primes = CHAINS["q-p"]
         chain = get_barrett_chain(primes)
-        assert choose_form(chain, terms, chain.qmax - 1, lazy_input=False).split
+        assert choose_form(chain, terms, chain.qmax - 1).split
         rng = np.random.default_rng(terms)
         x = residues(rng, primes, terms, BATCH, N)
         key = residues(rng, primes, terms, 1 if static else BATCH, N)
@@ -136,7 +145,7 @@ class TestParity:
             DeviceBuffer.wrap(x), DeviceBuffer.wrap(key), primes, terms=terms)
         check(lambda: get_backend("blas").mat_mul(
             float_handle(x, chain.qmax - 1), operand, primes,
-            terms=terms).ensure_host(), want.ensure_host(), pool_calls)
+            terms=terms), want.ensure_host(), pool_calls, primes)
 
     @pytest.mark.parametrize("left", [True, False], ids=["left", "right"])
     def test_gemm(self, left, workers, pool_calls):
@@ -151,7 +160,7 @@ class TestParity:
         handles = [DeviceBuffer.constant(side) if side is matrix
                    else float_handle(side, max(primes) - 1) for side in sides]
         check(lambda: get_backend("blas").matmul_limbs(
-            *handles, primes).ensure_host(), want.ensure_host(), pool_calls)
+            *handles, primes), want.ensure_host(), pool_calls, primes)
 
     @pytest.mark.parametrize("bits", GEMM_BITS)
     def test_limb_axis_gemm(self, bits, workers, pool_calls):
@@ -164,7 +173,7 @@ class TestParity:
             DeviceBuffer.wrap(lhs), DeviceBuffer.wrap(rhs), primes)
         with use_backend("blas"):
             check(lambda: modular_matmul_limbs(lhs, rhs, primes),
-                  want.ensure_host(), pool_calls)
+                  want.ensure_host(), pool_calls, primes)
 
     @pytest.mark.parametrize("batch", [1, 2, 8])
     @pytest.mark.parametrize("bits", GEMM_BITS)
@@ -178,7 +187,7 @@ class TestParity:
             DeviceBuffer.wrap(matrix), DeviceBuffer.wrap(x), primes)
         check(lambda: get_backend("blas").matmul_limbs(
             DeviceBuffer.constant(matrix), float_handle(x, max(primes) - 1),
-            primes).ensure_host(), want.ensure_host(), pool_calls)
+            primes), want.ensure_host(), pool_calls, primes)
 
     def test_matmul_rows(self, workers, pool_calls):
         """The basis conversion: constant rows pair with the output moduli."""
@@ -192,8 +201,8 @@ class TestParity:
             DeviceBuffer.wrap(constants), DeviceBuffer.wrap(x), target)
         check(lambda: get_backend("blas").matmul_rows(
             DeviceBuffer.constant(constants), float_handle(x, max(source) - 1),
-            np.asarray(target, dtype=np.int64)).ensure_host(),
-            want.ensure_host(), pool_calls)
+            np.asarray(target, dtype=np.int64)),
+            want.ensure_host(), pool_calls, target)
 
     @pytest.mark.parametrize("kernel", ["mat_add", "mat_sub", "mat_neg", "mat_reduce"])
     def test_elementwise(self, kernel, workers, pool_calls):
@@ -205,8 +214,8 @@ class TestParity:
         want = getattr(get_backend("numpy"), kernel)(
             *[DeviceBuffer.wrap(x) for x in operands], primes)
         check(lambda: getattr(get_backend("blas"), kernel)(
-            *[float_handle(x, bound) for x in operands], primes).ensure_host(),
-            want.ensure_host(), pool_calls)
+            *[float_handle(x, bound) for x in operands], primes),
+            want.ensure_host(), pool_calls, primes)
 
 
 class TestInline:
@@ -221,7 +230,8 @@ class TestInline:
             forward = engine.forward_ops(stack, primes)
         with use_backend("numpy"):
             assert np.array_equal(
-                forward, NttPlanner("four_step").forward_ops(N, primes, stack))
+                forward.host(primes, 1),
+                NttPlanner("four_step").forward_ops(N, primes, stack))
         a = float_handle(np.moveaxis(stack, 0, 1), max(primes) - 1)
         for kernel in ("mat_mul", "mat_add"):       # both on the float path
             assert getattr(get_backend("blas"), kernel)(a, a, primes).host_image is None
@@ -281,7 +291,7 @@ class TestWorkspace:
             DeviceBuffer.wrap(x.ensure_host()), key, primes).ensure_host()
         for _ in range(count):
             got = get_backend("blas").mat_mul(x, key, primes)
-            assert np.array_equal(got.ensure_host(), want)
+            assert np.array_equal(got.host(primes), want)
 
     def test_repeated_launches_allocate_no_new_block(self, workers, pool_calls,
                                                      blocks):
@@ -304,11 +314,11 @@ def test_the_pool_restarts_at_a_new_worker_count(pool_calls, monkeypatch):
     stack = stack_of(3, primes)
     engine = NttPlanner("four_step").engine_for(N, primes[0])
     with use_backend("blas"):
-        want = inline(lambda: engine.forward_ops(stack, primes))
+        want = inline(lambda: engine.forward_ops(stack, primes)).full()
         executors = []
         for count in (1, 2, 2):
             monkeypatch.setattr(planned, "WORKERS", count)
-            assert np.array_equal(engine.forward_ops(stack, primes), want)
+            assert np.array_equal(engine.forward_ops(stack, primes).full(), want)
             assert planned._POOL[0] == count
             executors.append(planned._POOL[1])
     first, second, third = executors
@@ -360,13 +370,13 @@ class TestFailures:
             primes, stack = CHAINS[name], stack_of(seed, CHAINS[name])
             with use_backend("blas"):
                 cases.append((primes, stack,
-                              inline(lambda: engine.forward_ops(stack, primes))))
+                              inline(lambda: engine.forward_ops(stack, primes)).full()))
         wrong = []
 
         def caller(primes, stack, want):
             with use_backend("blas"):
                 for _ in range(20):
-                    if not np.array_equal(engine.forward_ops(stack, primes), want):
+                    if not np.array_equal(engine.forward_ops(stack, primes).full(), want):
                         wrong.append(primes)
 
         saved = sys.getswitchinterval()
@@ -394,8 +404,8 @@ def test_a_forked_child_launches_on_its_own_pool(workers, pool_calls):
     stack = stack_of(8, primes)
     engine = NttPlanner("four_step").engine_for(N, primes[0])
     with use_backend("blas"):
-        want = inline(lambda: engine.forward_ops(stack, primes))
-        assert np.array_equal(engine.forward_ops(stack, primes), want)
+        want = inline(lambda: engine.forward_ops(stack, primes)).full()
+        assert np.array_equal(engine.forward_ops(stack, primes).full(), want)
         assert bool(pool_calls) == (workers > 0)
         with warnings.catch_warnings():
             # Python 3.12 warns on fork() in a process that has threads.
@@ -407,7 +417,7 @@ def test_a_forked_child_launches_on_its_own_pool(workers, pool_calls):
                 signal.alarm(20)
                 if planned._POOL is not None:
                     status = 3
-                elif np.array_equal(engine.forward_ops(stack, primes), want):
+                elif np.array_equal(engine.forward_ops(stack, primes).full(), want):
                     status = 0
                 else:
                     status = 2
