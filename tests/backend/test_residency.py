@@ -244,6 +244,20 @@ class TestJoins:
         assert (joined.host_image is None) == (kind in ("float", "mixed"))
         assert np.array_equal(joined.ensure_host(), want)
 
+    def test_views_keep_and_joins_widen_a_lazy_window(self):
+        """A view of a lazy result keeps its window and bound; a join takes
+        the widest window and bound of its parts, canonical ones included."""
+        lazy = DeviceBuffer.from_float(np.full((2, 3), -5.0), 13)
+        wide = DeviceBuffer.from_float(np.full((2, 3), 20.0), 27, (-2, 4))
+        assert lazy.window == LAZY
+        view = lazy.transpose(1, 0)[1:]
+        assert view.window == LAZY and view.max_value == 13
+        joined = concatenate_arrays([DeviceBuffer.wrap(np.ones((2, 3), np.int64)),
+                                     lazy, wide], axis=1)
+        assert joined.window == (-2, 4) and joined.max_value == 27
+        assert np.array_equal(joined.host([7, 11]), [[1] * 3 + [2] * 3 + [6] * 3,
+                                                     [1] * 3 + [6] * 3 + [9] * 3])
+
     @pytest.mark.parametrize("kind", ["host", "float"])
     def test_one_part_stack_is_a_view(self, kind):
         parts, arrays = _parts(kind)
