@@ -19,7 +19,6 @@ from .api import TensorFheContext
 from .backend import (
     available_backends,
     get_active_backend,
-    set_active_backend,
     use_backend,
 )
 from .ckks import (
@@ -53,7 +52,6 @@ __all__ = [
     "available_engines",
     "available_backends",
     "get_active_backend",
-    "set_active_backend",
     "use_backend",
     "ServingEngine",
     "ServingConfig",

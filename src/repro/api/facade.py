@@ -92,8 +92,8 @@ class TensorFheContext:
         and the key-switch inner product (see
         :func:`repro.ckks.context.pinned`) — whatever the process-wide
         selection is.  With no pin this reports the process-wide active
-        backend (``REPRO_BACKEND`` or :func:`repro.set_active_backend`),
-        which is then what the context follows.
+        backend (:func:`repro.use_backend` or ``REPRO_BACKEND``), which is
+        then what the context follows.
         """
         return resolve_backend(self.context.backend).name
 
@@ -299,10 +299,10 @@ class TensorFheContext:
             return []
         bootstrapper = self.bootstrapper
         self.ensure_rotation_keys(bootstrapper.required_rotation_steps())
-        # Plan the batch size at the raised level — that is where the
-        # pipeline's working set lives, not at the exhausted input level.
-        raised_level = bootstrapper.mod_raise.target_level
-        size = max(1, self.plan_batch(level=raised_level).batch_size)
+        # Plan the batch size at the raised level, the top of the chain —
+        # that is where the pipeline's working set lives, not at the
+        # exhausted input level.
+        size = max(1, self.plan_batch().batch_size)
         results = []
         for start in range(0, len(ciphertexts), size):
             results.extend(bootstrapper.bootstrap_many(
@@ -332,14 +332,15 @@ class TensorFheContext:
             yield start, min(start + size, len(streams))
 
     # ------------------------------------------------------------------
-    def plan_batch(self, *, level: Optional[int] = None,
-                   requested: Optional[int] = None) -> BatchPlan:
-        """Ask the API layer for the operation-level batch size it would use."""
+    def plan_batch(self, *, level: Optional[int] = None) -> BatchPlan:
+        """The batch size of fused launches at ``level`` (``*_many`` and serving).
+
+        The one policy: the scheduler's device limits, capped by
+        ``parameters.batch_size``.
+        """
         level = self.context.max_level if level is None else level
-        return self.batch_scheduler.plan(
-            self.context.ring_degree, level + 1,
-            requested=requested or self.parameters.batch_size,
-        )
+        return self.batch_scheduler.plan(self.context.ring_degree, level + 1,
+                                         requested=self.parameters.batch_size)
 
     # ------------------------------------------------------------------
     def create_serving_engine(self, **kwargs) -> "ServingEngine":

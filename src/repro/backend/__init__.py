@@ -4,8 +4,8 @@ Two backends exist: ``numpy`` (exact chunked int64, the default and the
 test oracle) and ``blas`` (guarded float64, the fast path).  See
 :mod:`repro.backend.base` for the interface contract,
 :mod:`repro.backend.registry` for runtime selection (a context's
-``backend=`` pin, ``use_backend`` / ``set_active_backend``, the
-``REPRO_BACKEND`` env var) and :mod:`repro.backend.residency` for the
+``backend=`` pin, a ``use_backend`` scope, the ``REPRO_BACKEND`` env
+var) and :mod:`repro.backend.residency` for the
 :class:`DeviceBuffer` handles that keep a float64 image of an operand
 across kernel launches.
 """
@@ -21,7 +21,6 @@ from .registry import (
     get_active_backend,
     get_backend,
     resolve_backend,
-    set_active_backend,
     use_backend,
 )
 
@@ -37,6 +36,5 @@ __all__ = [
     "get_backend",
     "resolve_backend",
     "get_active_backend",
-    "set_active_backend",
     "use_backend",
 ]

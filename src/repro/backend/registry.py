@@ -7,8 +7,7 @@ Every kernel launch runs on the *active* backend,
    a registered name or an :class:`~repro.backend.base.ArrayBackend`
    instance), which the context installs as the override for each of
    its operations (:func:`repro.ckks.context.pinned`);
-2. an override installed with :func:`set_active_backend` (or scoped with
-   the :func:`use_backend` context manager);
+2. the override of the innermost :func:`use_backend` scope;
 3. the ``REPRO_BACKEND`` environment variable;
 4. the zero-dependency ``numpy`` default.
 
@@ -21,9 +20,9 @@ The override slot itself is a :class:`contextvars.ContextVar`, not a
 module global: concurrent ``asyncio`` tasks (the serving layer's worker
 and its clients, for example) each see their own override.  A task
 spawned with ``create_task`` inherits the override active at spawn time,
-and a ``set_active_backend``/``use_backend`` call inside one task can
-never leak into a sibling task.  Synchronous code observes exactly the
-historical process-wide semantics, since it all runs in one context.
+and a ``use_backend`` scope inside one task can never leak into a sibling
+task.  The override is only ever scoped: there is no unscoped setter to
+leave one installed by accident.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ __all__ = [
     "get_backend",
     "resolve_backend",
     "get_active_backend",
-    "set_active_backend",
     "use_backend",
 ]
 
@@ -60,8 +58,8 @@ _REGISTRY: Dict[str, Type[ArrayBackend]] = {
     BlasFloat64Backend.name: BlasFloat64Backend,
 }
 _INSTANCES: Dict[str, ArrayBackend] = {}
-#: Override installed by :func:`set_active_backend` (None means "resolve
-#: from the environment").  A ``ContextVar`` so concurrent asyncio tasks
+#: Override of the innermost :func:`use_backend` scope (None means
+#: "resolve from the environment").  A ``ContextVar`` so concurrent asyncio tasks
 #: cannot observe each other's override.
 _ACTIVE: ContextVar[Optional[ArrayBackend]] = ContextVar(
     "repro_active_backend", default=None)
@@ -101,21 +99,15 @@ def get_active_backend() -> ArrayBackend:
     return get_backend(os.environ.get(BACKEND_ENV_VAR, DEFAULT_BACKEND))
 
 
-def set_active_backend(backend: BackendSpec) -> Optional[ArrayBackend]:
-    """Install a backend override in the current context; returns the previous one.
-
-    ``None`` clears the override, restoring ``REPRO_BACKEND``/default
-    resolution.  The override is context-local: installing it inside an
-    asyncio task affects that task (and tasks it spawns afterwards) only.
-    """
-    previous = _ACTIVE.get()
-    _ACTIVE.set(None if backend is None else resolve_backend(backend))
-    return previous
-
-
 @contextmanager
 def use_backend(backend: BackendSpec) -> Iterator[ArrayBackend]:
-    """Scoped :func:`set_active_backend` (restores the previous override)."""
+    """Make ``backend`` the active one inside the ``with`` block.
+
+    ``None`` clears the override for the block, restoring
+    ``REPRO_BACKEND``/default resolution; the previous override comes
+    back on exit.  The scope is context-local: inside an asyncio task it
+    covers that task (and tasks it spawns meanwhile) only.
+    """
     token = _ACTIVE.set(None if backend is None else resolve_backend(backend))
     try:
         yield get_active_backend()

@@ -92,6 +92,7 @@ __all__ = [
     "CANONICAL",
     "LAZY",
     "magnitude",
+    "fold",
     "split_shift",
     "combine_arrays",
     "stack_arrays",
@@ -113,6 +114,21 @@ def magnitude(window, qmax: int) -> int:
     """The largest ``|x|`` a ``window`` admits on primes up to ``qmax``."""
     lo, hi = window
     return max(hi, -lo) * int(qmax) - 1
+
+
+def fold(out: np.ndarray, wrapped: np.ndarray) -> np.ndarray:
+    """The smaller non-negative of ``out`` and ``wrapped = out ± q``, into ``out``.
+
+    A negative entry is huge when read as unsigned, so the unsigned minimum
+    picks the other one, and of two non-negative ones the smaller:
+    ``out - q`` folds ``[0, 2q)`` onto ``[0, q)``, ``out + q`` folds
+    ``(-q, q)`` onto ``[0, q)`` (and ``(-q, 2q)`` onto ``[0, 2q)``).  No
+    ``where=`` mask, which costs numpy's slow loop (2.4 ms against 0.6 ms
+    per ``(8, 8, 4096)``).
+    """
+    np.minimum(out.view(np.uint64), wrapped.view(np.uint64),
+               out=out.view(np.uint64))
+    return out
 
 
 def split_shift(max_value: int) -> int:
@@ -250,7 +266,9 @@ class DeviceBuffer:
         """The canonical int64 image, the limb axis ``axis`` on ``moduli``.
 
         Where the integers are read: a lazy float image is cast and reduced
-        modulo its rows' primes once, and kept beside it (congruent).
+        modulo its rows' primes once, and kept beside it (congruent).  A
+        window inside :data:`LAZY` needs at most one :func:`fold` from
+        each side; only a wider one pays an int64 ``%``.
         """
         if self._host is None:
             host = np.empty(self._full.shape, dtype=np.int64)
@@ -258,7 +276,16 @@ class DeviceBuffer:
             if not self.canonical:
                 shape = [1] * self.ndim
                 shape[axis] = -1
-                host %= np.asarray(moduli, dtype=np.int64).reshape(shape)
+                column = np.asarray(moduli, dtype=np.int64).reshape(shape)
+                lo, hi = self.window
+                if lo < LAZY[0] or hi > LAZY[1]:
+                    host %= column
+                else:
+                    wrapped = np.empty_like(host)
+                    if lo < 0:
+                        fold(host, np.add(host, column, out=wrapped))
+                    if hi > 1:
+                        fold(host, np.subtract(host, column, out=wrapped))
             self._host = host
         return self._host
 

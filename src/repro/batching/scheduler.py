@@ -59,10 +59,9 @@ class BatchScheduler:
         self.max_resident_threads = (A100_MAX_RESIDENT_THREADS if device is None
                                      else device.max_resident_threads)
 
-    def working_set_per_operation(self, ring_degree: int, limb_count: int,
-                                  components: int = 2) -> float:
-        """Bytes of VRAM one batched operation needs (operands + temps)."""
-        ciphertext_bytes = components * limb_count * ring_degree * _WORD_BYTES
+    def working_set_per_operation(self, ring_degree: int, limb_count: int) -> float:
+        """Bytes of VRAM one batched operation on ciphertexts needs (+ temps)."""
+        ciphertext_bytes = 2 * limb_count * ring_degree * _WORD_BYTES
         return ciphertext_bytes * _INTERMEDIATE_FACTOR
 
     def saturation_batch(self, ring_degree: int, limb_count: int) -> int:
@@ -71,7 +70,7 @@ class BatchScheduler:
         threads_per_op = max(1.0, elements_per_op / 8.0)
         return max(1, int(self.max_resident_threads * 4 // threads_per_op))
 
-    def plan(self, ring_degree: int, limb_count: int, *, components: int = 2,
+    def plan(self, ring_degree: int, limb_count: int, *,
              requested: Optional[int] = None) -> BatchPlan:
         """Pick a batch size for the given parameters.
 
@@ -82,7 +81,7 @@ class BatchScheduler:
         if requested is not None and requested < 1:
             raise ValueError("requested batch size must be at least 1, got %d"
                              % requested)
-        per_op = self.working_set_per_operation(ring_degree, limb_count, components)
+        per_op = self.working_set_per_operation(ring_degree, limb_count)
         usable = self.vram_bytes * _VRAM_UTILISATION
         vram_limit = max(1, int(usable // per_op))
         saturation = self.saturation_batch(ring_degree, limb_count)

@@ -57,7 +57,6 @@ class BootstrapConfig:
 
     taylor_degree: int = 7
     double_angle_iterations: int = 2
-    target_level: Optional[int] = None
 
     @property
     def eval_mod_depth(self) -> int:
@@ -78,7 +77,7 @@ class Bootstrapper:
                  config: Optional[BootstrapConfig] = None) -> None:
         self.context = context
         self.config = config or BootstrapConfig()
-        self.mod_raise = ModRaise(context, self.config.target_level)
+        self.mod_raise = ModRaise(context)
         self.coeff_to_slot = CoeffToSlot(context)
         self.slot_to_coeff = SlotToCoeff(context)
 

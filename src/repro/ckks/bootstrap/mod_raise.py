@@ -9,7 +9,8 @@ true over the integers only up to a multiple of ``q0``:
 with ``I`` a small integer polynomial (its size is governed by the secret
 key's Hamming weight).  Removing ``q0 * I`` homomorphically is the job of
 the later EvalMod/sine stage; ModRaise itself is a basis extension of the
-coefficients, one broadcast over the ``(B, L, N)`` stack of ``B``
+coefficients to the whole chain (level ``L``: the EvalMod and DFT stages
+spend every level above the output, so there is no lower target), one broadcast over the ``(B, L, N)`` stack of ``B``
 ciphertexts (:meth:`ModRaise.apply_many`; a lone ciphertext is its ``B =
 1`` case).  Ciphertexts rest in the evaluation domain, so the level-0
 limb of every component is inverted first (one INTT launch of ``2B``
@@ -19,7 +20,7 @@ raised stack is transformed back in one NTT launch.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -33,11 +34,10 @@ __all__ = ["ModRaise"]
 
 
 class ModRaise:
-    """Raise level-0 ciphertexts back to a (near-)maximal level."""
+    """Raise level-0 ciphertexts back to the top of the chain."""
 
-    def __init__(self, context: CkksContext, target_level: Optional[int] = None) -> None:
+    def __init__(self, context: CkksContext) -> None:
         self.context = context
-        self.target_level = context.max_level if target_level is None else target_level
 
     def apply_many(self, ciphertexts: Sequence[Ciphertext]) -> List[Ciphertext]:
         """Raise ``B`` ciphertexts as one broadcast over the (B, L, N) stack."""
@@ -63,7 +63,8 @@ class ModRaise:
         # Centre the residues in (-q0/2, q0/2] before re-reducing so the
         # implicit integer polynomial I stays small.  The re-reduction
         # over the full chain is one broadcast against the moduli column.
-        target_moduli = context.moduli_at_level(self.target_level)
+        top = context.max_level
+        target_moduli = context.moduli_at_level(top)
         centered = np.where(stacked > base_prime // 2,
                             stacked - base_prime, stacked)
         raised = context.planner.forward_ops(
@@ -77,7 +78,7 @@ class ModRaise:
                 c1=RnsPolynomial(n, target_moduli, raised[batch + j],
                                  PolyDomain.EVALUATION),
                 scale=ct.scale,
-                level=self.target_level,
+                level=top,
             )
             for j, ct in enumerate(ciphertexts)
         ]

@@ -20,7 +20,7 @@ from ..numtheory.modular import mod_inverse
 from ..ntt.planner import NttPlanner
 from ..rns.basis import RnsBasis, build_default_basis
 from .encoder import CkksEncoder
-from .params import CkksParameters, get_preset
+from .params import CkksParameters
 
 __all__ = ["CkksContext", "pinned"]
 
@@ -64,19 +64,12 @@ class CkksContext:
         #: generator and bootstrapper runs inside a :func:`pinned` scope.
         self.backend = None if backend is None else resolve_backend(backend)
         self.planner = NttPlanner(parameters.ntt_engine)
-        self.kernels = KernelContext(self.planner)
+        self.kernels = KernelContext()
         self.encoder = CkksEncoder(parameters)
         self.rng = np.random.default_rng(seed)
         # Per-level q_last^{-1} mod q_i columns used by RESCALE, built once
         # per basis tuple so the evaluator never recomputes mod_inverse.
         self._rescale_inverse_cache: Dict[Tuple[int, ...], DeviceBuffer] = {}
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_preset(cls, name: str, *, seed: Optional[int] = None,
-                    backend=None) -> "CkksContext":
-        """Build a context from a named preset (see :mod:`repro.ckks.params`)."""
-        return cls(get_preset(name), seed=seed, backend=backend)
 
     # ------------------------------------------------------------------
     @property

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..backend.residency import stack_arrays
 from ..numtheory.modular import mat_mod_add, mat_mod_mul, mat_mod_neg, moduli_column
-from ..rns.poly import PolyDomain, RnsPolynomial
+from ..rns.poly import ERROR_STDDEV, PolyDomain, RnsPolynomial
 from .ciphertext import Ciphertext, Plaintext
 from .context import CkksContext, pinned
 from .keys import PublicKey, SecretKey
@@ -142,8 +142,7 @@ class Encryptor:
         """``(2, N)`` signed Gaussian errors: ``count`` drawn rows, then zeros."""
         n = self.context.ring_degree
         errors = np.zeros((2, n), dtype=np.int64)
-        errors[:count] = np.round(self.context.rng.normal(
-            0.0, self.context.parameters.error_std, (count, n)))
+        errors[:count] = np.round(self.context.rng.normal(0.0, ERROR_STDDEV, (count, n)))
         return errors
 
     def _transform(self, plaintext: Plaintext, errors: np.ndarray,

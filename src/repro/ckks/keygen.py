@@ -20,7 +20,7 @@ from ..backend.residency import stack_arrays
 from ..kernels.automorphism import apply_automorphism_coeff, galois_element_for_rotation
 from ..numtheory.crt import CrtContext
 from ..numtheory.modular import mat_mod_mul, mod_inverse, moduli_column
-from ..rns.poly import PolyDomain, RnsPolynomial
+from ..rns.poly import PolyDomain, RnsPolynomial, signed_ternary
 from .context import CkksContext, pinned
 from .keys import PublicKey, RotationKeySet, SecretKey, SwitchKey, SwitchKeyLevel
 
@@ -40,16 +40,8 @@ class KeyGenerator:
     def generate_secret_key(self) -> SecretKey:
         """Sample a (sparse) ternary secret key."""
         parameters = self.context.parameters
-        n = parameters.ring_degree
-        weight = parameters.secret_hamming_weight
-        if weight is None:
-            coefficients = self._rng.integers(-1, 2, n)
-        else:
-            weight = min(weight, n)
-            coefficients = np.zeros(n, dtype=np.int64)
-            positions = self._rng.choice(n, size=weight, replace=False)
-            coefficients[positions] = self._rng.choice([-1, 1], size=weight)
-        return SecretKey(coefficients)
+        return SecretKey(signed_ternary(parameters.ring_degree, self._rng,
+                                        parameters.secret_hamming_weight))
 
     @pinned
     def generate_public_key(self, secret_key: SecretKey) -> PublicKey:
@@ -60,9 +52,7 @@ class KeyGenerator:
         a = RnsPolynomial.random_uniform(n, moduli, self._rng,
                                          domain=PolyDomain.EVALUATION)
         s_eval = secret_key.evaluation(self.context, moduli)
-        error = RnsPolynomial.random_gaussian(
-            n, moduli, self._rng, stddev=self.context.parameters.error_std
-        ).to_evaluation(planner)
+        error = RnsPolynomial.random_gaussian(n, moduli, self._rng).to_evaluation(planner)
         b = a.hadamard(s_eval).negate().add(error)
         return PublicKey(b=b, a=a)
 
@@ -160,8 +150,7 @@ class KeyGenerator:
         for _ in groups:
             masks.append(RnsPolynomial.random_uniform(
                 n, extended, self._rng, domain=PolyDomain.EVALUATION))
-            errors.append(RnsPolynomial.random_gaussian(
-                n, extended, self._rng, stddev=context.parameters.error_std))
+            errors.append(RnsPolynomial.random_gaussian(n, extended, self._rng))
         error_evals = context.planner.forward_ops(
             n, extended, stack_arrays([error.buffer for error in errors]))
 

@@ -39,14 +39,11 @@ class CkksParameters:
     prime_bits:
         Bit width of the ciphertext chain primes (kept close to
         ``scale_bits`` so rescaling preserves the scale).
-    special_prime_count:
-        ``K``, the number of special key-switching primes.
     special_prime_bits:
         Bit width of the special primes.
     dnum:
-        Decomposition number of the generalized key switching.
-    error_std:
-        Standard deviation of the LWE error distribution.
+        Decomposition number of the generalized key switching; it fixes
+        the special-prime count :attr:`special_count` (``K = alpha``).
     secret_hamming_weight:
         Hamming weight of the sparse ternary secret (``None`` = dense).
     ntt_engine:
@@ -60,10 +57,8 @@ class CkksParameters:
     level_count: int
     scale_bits: int = 28
     prime_bits: int = 28
-    special_prime_count: int = 1
     special_prime_bits: int = 30
     dnum: int = 3
-    error_std: float = 3.2
     secret_hamming_weight: Optional[int] = 64
     ntt_engine: str = DEFAULT_ENGINE
     batch_size: int = 128
@@ -109,13 +104,13 @@ class CkksParameters:
 
     @property
     def special_count(self) -> int:
-        """The special primes a context makes: ``K``, at least ``alpha``.
+        """The special primes a context makes: ``K = alpha``.
 
         Generalized key switching needs ``P >= max_j Q_j`` (Section II-B of
         the paper), so a group of ``alpha`` primes needs ``alpha`` special
-        primes of at least their width.
+        primes of at least their width; more would only widen ``PQ``.
         """
-        return max(self.special_prime_count, self.alpha)
+        return self.alpha
 
     def describe(self) -> Dict[str, object]:
         """A human-readable summary dictionary (used in reports)."""
@@ -131,7 +126,7 @@ class CkksParameters:
         }
 
 
-def _paper(name: str, ring_degree: int, level_count: int, special: int,
+def _paper(name: str, ring_degree: int, level_count: int,
            batch_size: int, dnum: int = 5) -> CkksParameters:
     """Build a Table V preset (35-bit-scale class parameters, model use)."""
     return CkksParameters(
@@ -139,7 +134,6 @@ def _paper(name: str, ring_degree: int, level_count: int, special: int,
         level_count=level_count,
         scale_bits=28,
         prime_bits=28,
-        special_prime_count=special,
         special_prime_bits=30,
         dnum=dnum,
         batch_size=batch_size,
@@ -149,11 +143,11 @@ def _paper(name: str, ring_degree: int, level_count: int, special: int,
 
 #: Table V of the paper.  ``level_count`` is ``L + 1``.
 PAPER_PARAMETERS: Dict[str, CkksParameters] = {
-    "default": _paper("default", 1 << 16, 45, 1, 128),
-    "resnet20": _paper("resnet20", 1 << 16, 30, 1, 64),
-    "lr": _paper("lr", 1 << 16, 39, 1, 64),
-    "lstm": _paper("lstm", 1 << 15, 26, 1, 32),
-    "packed_bootstrapping": _paper("packed_bootstrapping", 1 << 16, 58, 1, 32),
+    "default": _paper("default", 1 << 16, 45, 128),
+    "resnet20": _paper("resnet20", 1 << 16, 30, 64),
+    "lr": _paper("lr", 1 << 16, 39, 64),
+    "lstm": _paper("lstm", 1 << 15, 26, 32),
+    "packed_bootstrapping": _paper("packed_bootstrapping", 1 << 16, 58, 32),
 }
 
 #: Reduced-size presets for functional tests and examples.

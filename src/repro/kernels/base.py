@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterator
 
 __all__ = ["KernelName", "KernelCounter", "KernelContext"]
 
@@ -77,11 +77,10 @@ class KernelCounter:
 
 
 class KernelContext:
-    """Shared state for the kernel layer: the NTT planner and the counters."""
+    """Shared state for the kernel layer: the counters of one CKKS context."""
 
-    def __init__(self, planner, counter: Optional[KernelCounter] = None) -> None:
-        self.planner = planner
-        self.counter = counter if counter is not None else KernelCounter()
+    def __init__(self) -> None:
+        self.counter = KernelCounter()
 
     @contextmanager
     def capture(self) -> Iterator[KernelCounter]:

@@ -361,13 +361,22 @@ _RECIPE_HELD = 0
 
 
 def _remember_recipe(key: tuple, recipe: LaunchRecipe) -> None:
-    """Keep ``recipe``, dropping the least recently used over the bounds."""
+    """Keep ``recipe``; over the count bound drop the least recently used
+    recipe, over the byte bound the least recently used one holding bytes
+    (not ``recipe``), so a byte-free recipe never goes for bytes it lacks.
+    """
     global _RECIPE_HELD
     with _RECIPE_LOCK:
         if key in _RECIPES:
             return
         _RECIPES[key] = recipe
         _RECIPE_HELD += recipe.nbytes
-        while len(_RECIPES) > 1 and (len(_RECIPES) > _RECIPE_LIMIT
-                                     or _RECIPE_HELD > _RECIPE_BYTES):
+        while len(_RECIPES) > max(1, _RECIPE_LIMIT):
             _RECIPE_HELD -= _RECIPES.popitem(last=False)[1].nbytes
+        if _RECIPE_HELD > _RECIPE_BYTES:
+            holders = [old for old, kept in _RECIPES.items()
+                       if kept.nbytes and old != key]
+            for old in holders:
+                _RECIPE_HELD -= _RECIPES.pop(old).nbytes
+                if _RECIPE_HELD <= _RECIPE_BYTES:
+                    break

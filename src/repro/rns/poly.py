@@ -53,7 +53,24 @@ from ..numtheory.modular import (
 )
 from ..ntt.planner import NttPlanner
 
-__all__ = ["PolyDomain", "RnsPolynomial"]
+__all__ = ["PolyDomain", "RnsPolynomial", "ERROR_STDDEV", "signed_ternary"]
+
+#: Standard deviation of the LWE error distribution, for every key and
+#: encryption: the 3.2 of the HomomorphicEncryption.org security standard.
+ERROR_STDDEV = 3.2
+
+
+def signed_ternary(ring_degree: int, rng: np.random.Generator,
+                   hamming_weight: Optional[int] = None) -> np.ndarray:
+    """The one ternary sampler (secret keys, ephemerals): ``{-1, 0, 1}``
+    coefficients, ``hamming_weight`` of them non-zero if given."""
+    if hamming_weight is None:
+        return rng.integers(-1, 2, ring_degree)
+    hamming_weight = min(hamming_weight, ring_degree)
+    signed = np.zeros(ring_degree, dtype=np.int64)
+    positions = rng.choice(ring_degree, size=hamming_weight, replace=False)
+    signed[positions] = rng.choice([-1, 1], size=hamming_weight)
+    return signed
 
 
 class PolyDomain:
@@ -187,21 +204,15 @@ class RnsPolynomial:
     def random_ternary(cls, ring_degree: int, moduli: Sequence[int],
                        rng: np.random.Generator, *,
                        hamming_weight: Optional[int] = None) -> "RnsPolynomial":
-        """A ternary polynomial (secret keys); optionally sparse."""
-        if hamming_weight is None:
-            signed = rng.integers(-1, 2, ring_degree)
-        else:
-            hamming_weight = min(hamming_weight, ring_degree)
-            signed = np.zeros(ring_degree, dtype=np.int64)
-            positions = rng.choice(ring_degree, size=hamming_weight, replace=False)
-            signed[positions] = rng.choice([-1, 1], size=hamming_weight)
-        return cls.from_integers(signed, moduli, ring_degree)
+        """A ternary polynomial (:func:`signed_ternary`); optionally sparse."""
+        return cls.from_integers(signed_ternary(ring_degree, rng, hamming_weight),
+                                 moduli, ring_degree)
 
     @classmethod
     def random_gaussian(cls, ring_degree: int, moduli: Sequence[int],
-                        rng: np.random.Generator, *, stddev: float = 3.2) -> "RnsPolynomial":
-        """A small Gaussian error polynomial (LWE noise)."""
-        signed = np.round(rng.normal(0.0, stddev, ring_degree)).astype(np.int64)
+                        rng: np.random.Generator) -> "RnsPolynomial":
+        """A small Gaussian error polynomial (LWE noise, :data:`ERROR_STDDEV`)."""
+        signed = np.round(rng.normal(0.0, ERROR_STDDEV, ring_degree)).astype(np.int64)
         return cls.from_integers(signed, moduli, ring_degree)
 
     # ------------------------------------------------------------------

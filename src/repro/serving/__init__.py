@@ -4,8 +4,9 @@ Concurrent encrypted-operation requests from many tenants are admitted
 into a bounded queue, coalesced by compatibility (operation, key-bundle
 identity, prime chain / level / scale / domain) and executed as B-fused
 :class:`~repro.ckks.batched_evaluator.BatchedEvaluator` launches sized by
-the :class:`~repro.batching.scheduler.BatchScheduler` — dynamic batching,
-as GPU inference servers practice it, for homomorphic operations.
+the facade's batch-size policy (``TensorFheContext.plan_batch``) —
+dynamic batching, as GPU inference servers practice it, for homomorphic
+operations.
 
 Entry points: ``TensorFheContext.create_serving_engine()`` or
 :class:`ServingEngine` directly.

@@ -6,8 +6,10 @@ requests concurrently; the engine coalesces compatible requests — same
 operation and parameters, same key-bundle identity for key-consuming
 ops, same :func:`~repro.ckks.batched_evaluator.stream_signature` — into
 B-fused :class:`~repro.ckks.batched_evaluator.BatchedEvaluator` launches
-sized by the :class:`~repro.batching.scheduler.BatchScheduler`, and
-resolves each request's future with its result.  This is the dynamic-
+sized by the facade's one batch-size policy
+(:meth:`~repro.api.facade.TensorFheContext.plan_batch`: the scheduler's
+device limits capped by ``parameters.batch_size``), and resolves each
+request's future with its result.  This is the dynamic-
 batching pattern GPU inference servers use, applied to FHE operations.
 
 **Flush policy.**  The worker is *work-conserving*: it never holds a free
@@ -15,8 +17,7 @@ executor on a timer while a request is queued.  It wakes on the first
 queued request and yields one event-loop pass per round of new arrivals —
 concurrent clients whose futures resolved together all enqueue within
 that pass — then launches what is there, as soon as a pass brings nobody
-new (``idle``) or the queue reaches the scheduler's planned batch size
-(``full``).  What coalesces is therefore exactly what arrived in the same
+new (``idle``) or the queue reaches the planned batch size (``full``).  What coalesces is therefore exactly what arrived in the same
 pass or while the previous launch was running: a busy executor collects
 company for free, an idle one gains nothing by waiting for it (a fused
 launch is ~1.3x cheaper per stream than a lone one on this substrate, a
@@ -42,9 +43,9 @@ ratio, why each gather flushed, per-operation queue-wait and execute
 latencies, ops/sec and the kernel counters.
 
 **Backend task-safety.**  The worker task snapshots the contextvars
-context active at :meth:`start`, so the backend override selected by the
-owner (``use_backend``/``set_active_backend``) covers every fused launch
-regardless of which client's request triggered the flush.
+context active at :meth:`start`, so the owner's ``use_backend`` scope
+covers every fused launch regardless of which client's request triggered
+the flush (a context's ``backend=`` pin covers them anyway).
 """
 
 from __future__ import annotations
@@ -87,12 +88,10 @@ _LATENCY_WINDOW = 1024
 
 @dataclass
 class ServingConfig:
-    """Tunables of the serving engine."""
+    """Deployment limits of the serving engine (the batch size is planned)."""
 
     #: Bounded admission queue depth; beyond it submissions raise QueueFull.
     max_queue_depth: int = 256
-    #: Cap on the fused batch size; None defers to the scheduler's plan.
-    max_batch: Optional[int] = None
     #: Per-tenant cap on requests admitted but not yet resolved;
     #: None disables the cap.
     tenant_inflight_limit: Optional[int] = 64
@@ -102,11 +101,10 @@ class ServingConfig:
     def __post_init__(self) -> None:
         if self.max_queue_depth < 1:
             raise ValueError("max_queue_depth must be at least 1")
-        for name in ("max_batch", "tenant_inflight_limit"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError("%s must be at least 1 or None, got %d"
-                                 % (name, value))
+        limit = self.tenant_inflight_limit
+        if limit is not None and limit < 1:
+            raise ValueError("tenant_inflight_limit must be at least 1 or None, "
+                             "got %d" % limit)
 
 
 class ServingEngine:
@@ -121,7 +119,6 @@ class ServingEngine:
         self.config = config if config is not None else ServingConfig()
         self.registry = (registry if registry is not None
                          else KeyRegistry(fhe.context, keygen=fhe._keygen))
-        self.scheduler = fhe.batch_scheduler
         #: The batch executor; replaceable for fault injection in tests.
         self._executor = executor if executor is not None else self._run_op
         self._queue: Deque[OpRequest] = deque()
@@ -135,8 +132,8 @@ class ServingEngine:
         self._tenant_health: Dict[str, HealthGate] = {}
         self._stats = _ServingStats()
         #: Planned batch size by limb count, filled only on the launch path
-        #: (the worker's context fixes the backend the plan sizes for);
-        #: parameters, scheduler and ``max_batch`` are fixed once it runs.
+        #: (the worker's context fixes the backend the plan sizes for); the
+        #: facade's parameters and scheduler are fixed once it runs.
         self._planned: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
@@ -332,12 +329,8 @@ class ServingEngine:
         return FLUSH_FULL
 
     def _plan_batch(self, limb_count: int) -> int:
-        """The scheduler's batch size for ``limb_count`` limbs."""
-        plan = self.scheduler.plan(
-            self.fhe.context.ring_degree, limb_count,
-            requested=(self.config.max_batch if self.config.max_batch is not None
-                       else self.fhe.parameters.batch_size))
-        return max(1, plan.batch_size)
+        """The facade's batch size for ``limb_count`` limbs."""
+        return max(1, self.fhe.plan_batch(level=limb_count - 1).batch_size)
 
     def _planned_batch(self, limb_count: int) -> int:
         """:meth:`_plan_batch`, planned once per limb count (worker side)."""

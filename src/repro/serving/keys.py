@@ -80,22 +80,14 @@ class KeyRegistry:
         which is always included) are generated lazily on first use via
         :meth:`ensure_rotation_keys`.
         """
-        self._check_unregistered(tenant)
+        self._check_unregistered(tenant)      # before any key is generated
         keygen = self.keygen
         secret = keygen.generate_secret_key()
         public = keygen.generate_public_key(secret)
-        bundle = TenantKeys(
-            tenant=tenant,
-            key_id="key-%d" % next(self._key_ids),
-            secret_key=secret,
-            public_key=public,
+        return self.adopt(
+            tenant, secret_key=secret, public_key=public,
             relinearization_key=keygen.generate_relinearization_key(secret),
-            rotation_keys=keygen.generate_rotation_keys(secret, rotation_steps),
-            encryptor=Encryptor(self.context, public, secret),
-            decryptor=Decryptor(self.context, secret),
-        )
-        self._bundles[tenant] = bundle
-        return bundle
+            rotation_keys=keygen.generate_rotation_keys(secret, rotation_steps))
 
     def adopt(self, tenant: str, *, secret_key: SecretKey,
               public_key: PublicKey, relinearization_key: SwitchKey,

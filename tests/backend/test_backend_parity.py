@@ -21,7 +21,6 @@ from repro.backend import (
     get_active_backend,
     get_backend,
     resolve_backend,
-    set_active_backend,
     use_backend,
 )
 from repro.backend.registry import _REGISTRY, BACKEND_ENV_VAR
@@ -51,10 +50,9 @@ def _residue_matrix(rng, primes, ring_degree):
 
 @pytest.fixture(autouse=True)
 def _restore_active_backend():
-    """Every test leaves the process-wide backend selection untouched."""
-    previous = set_active_backend(None)
-    yield
-    set_active_backend(previous)
+    """Every test runs with no override and leaves the selection untouched."""
+    with use_backend(None):
+        yield
 
 
 # ----------------------------------------------------------------------
@@ -72,9 +70,8 @@ class TestSelection:
 
     def test_override_beats_env(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "blas")
-        set_active_backend("numpy")
-        assert get_active_backend().name == "numpy"
-        set_active_backend(None)
+        with use_backend("numpy"):
+            assert get_active_backend().name == "numpy"
         assert get_active_backend().name == "blas"
 
     def test_use_backend_restores(self):

@@ -1,6 +1,6 @@
 """Task-safety of the backend override (ContextVar semantics).
 
-The ``set_active_backend``/``use_backend`` override used to live in a
+The ``use_backend`` override used to live in a
 module global, so two concurrent asyncio tasks selecting different
 backends could observe each other's choice mid-operation.  The override
 slot is now a :class:`contextvars.ContextVar`; these tests pin the
@@ -14,7 +14,6 @@ import asyncio
 from repro.backend.registry import (
     get_active_backend,
     get_backend,
-    set_active_backend,
     use_backend,
 )
 
@@ -61,31 +60,37 @@ def test_task_inherits_override_active_at_spawn():
 
 
 def test_override_inside_task_does_not_leak_out():
-    """``set_active_backend`` inside a task is invisible to the caller."""
+    """A ``use_backend`` scope open inside a task is invisible to the caller."""
+    before = get_active_backend().name
+    other = "numpy" if before == "blas" else "blas"
 
-    async def switch() -> str:
-        set_active_backend("blas")
-        return get_active_backend().name
+    async def switch(entered: asyncio.Event, release: asyncio.Event) -> str:
+        with use_backend(other):
+            entered.set()
+            await release.wait()
+            return get_active_backend().name
 
     async def main():
-        inside = await asyncio.create_task(switch())
-        return inside, get_active_backend().name
+        entered, release = asyncio.Event(), asyncio.Event()
+        task = asyncio.create_task(switch(entered, release))
+        await entered.wait()            # the task's scope is open now
+        outside = get_active_backend().name
+        release.set()
+        return await task, outside, get_active_backend().name
 
-    before = get_active_backend().name
-    inside, after = asyncio.run(main())
-    assert inside == "blas"
-    assert after == before
+    inside, outside, after = asyncio.run(main())
+    assert inside == other
+    assert outside == after == before
 
 
 def test_synchronous_semantics_preserved():
-    """Plain sequential code sees the historical set/restore behaviour."""
+    """Plain sequential code sees nested scopes restore in order."""
     baseline = get_active_backend().name
-    previous = set_active_backend("blas")
-    try:
+    with use_backend("blas"):
         assert get_active_backend() is get_backend("blas")
         with use_backend("numpy"):
             assert get_active_backend().name == "numpy"
         assert get_active_backend().name == "blas"
-    finally:
-        set_active_backend(previous)
+        with use_backend(None):
+            assert get_active_backend().name == baseline
     assert get_active_backend().name == baseline

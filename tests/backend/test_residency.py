@@ -258,6 +258,32 @@ class TestJoins:
         assert np.array_equal(joined.host([7, 11]), [[1] * 3 + [2] * 3 + [6] * 3,
                                                      [1] * 3 + [6] * 3 + [9] * 3])
 
+    #: Every window a result can carry up to ``(-q, 2q)``, where ``host``
+    #: folds, and wider ones inside the planned headroom, where it keeps ``%``.
+    WINDOWS = [(0, 1), (0, 2), (-1, 1), (-1, 2), (-2, 2), (0, 3), (-2, 4), (-4, 5)]
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_host_of_a_lazy_image_is_its_remainder(self, window, axis, rng):
+        """``host`` on any window equals ``%`` on the limb axis, its edges
+        (``lo * q + 1`` and ``hi * q - 1``) and both signs of zero included."""
+        moduli = np.asarray([97, 193, (1 << 30) - 35], dtype=np.int64)
+        lo, hi = window
+        shape = [5, 64]
+        shape.insert(axis, len(moduli))
+        column = moduli.reshape([-1 if dim == axis else 1 for dim in range(3)])
+        values = rng.integers(lo * column + 1, hi * column, size=shape)
+        edges = np.moveaxis(values, axis, 0)
+        edges[:, 0, 0] = lo * moduli + 1
+        edges[:, 0, 1] = hi * moduli - 1
+        edges[:, 0, 2] = 0
+        image = values.astype(np.float64)
+        image[image == 0] = -0.0
+        handle = DeviceBuffer.from_float(image, int(np.abs(values).max()), window)
+        got = handle.host(moduli, axis)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, values % column)
+
     @pytest.mark.parametrize("kind", ["host", "float"])
     def test_one_part_stack_is_a_view(self, kind):
         parts, arrays = _parts(kind)

@@ -49,12 +49,11 @@ class TestParameters:
         assert params.log_pq == 6 * params.prime_bits + 2 * params.special_prime_bits
         assert params.describe()["K"] == 2
 
-    @pytest.mark.parametrize("level_count,dnum,special", [
-        (6, 3, 1), (8, 4, 1), (5, 1, 1), (4, 4, 3), (9, 2, 2)])
-    def test_log_pq_counts_the_primes_a_context_makes(self, level_count, dnum,
-                                                      special):
+    @pytest.mark.parametrize("level_count,dnum", [
+        (6, 3), (8, 4), (5, 1), (4, 4), (9, 2)])
+    def test_log_pq_counts_the_primes_a_context_makes(self, level_count, dnum):
         params = CkksParameters(ring_degree=64, level_count=level_count,
-                                dnum=dnum, special_prime_count=special)
+                                dnum=dnum)
         basis = CkksContext(params, seed=1).basis
         primes = basis.ciphertext_primes + basis.special_primes
         assert len(primes) == level_count + params.special_count

@@ -78,8 +78,7 @@ class TestEncryptDecrypt:
             ct = encryptor.encrypt_plaintext(plaintext)
 
             def error():
-                return RnsPolynomial.random_gaussian(
-                    n, moduli, draws, stddev=context.parameters.error_std)
+                return RnsPolynomial.random_gaussian(n, moduli, draws)
 
             if public:
                 key = toy_bundle.public_key

@@ -13,7 +13,7 @@ from repro.kernels import (
     galois_element_for_rotation,
     stack_automorphism_coeff,
 )
-from repro.ntt import NttPlanner, create_engine
+from repro.ntt import create_engine
 from repro.numtheory import generate_ntt_prime
 
 RING_DEGREE = 32
@@ -21,7 +21,7 @@ RING_DEGREE = 32
 
 @pytest.fixture()
 def kernel_context() -> KernelContext:
-    return KernelContext(NttPlanner("four_step"))
+    return KernelContext()
 
 
 class TestAutomorphism:

@@ -9,6 +9,7 @@ rather than per-prefix copies.
 
 import sys
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -120,10 +121,41 @@ def test_launch_recipes_after_a_bootstrap_pass_are_bounded(bootstrap_fhe, rng,
     assert len(recipes) <= limit
     held = sum(recipe.nbytes for recipe in recipes)
     assert twiddle._RECIPE_HELD == held
-    assert held <= budget or len(recipes) == 1
+    # Over the byte bound only when the newest recipe alone holds bytes.
+    assert held <= budget or sum(1 for recipe in recipes if recipe.nbytes) == 1
     assert any(recipe.nbytes for recipe in recipes)  # constants were laid out
     clear_twiddle_stacks()
     assert not twiddle._RECIPES and twiddle._RECIPE_HELD == 0
+
+
+def test_byte_bound_evicts_only_recipes_that_hold_bytes(monkeypatch):
+    """Over the byte bound the least recently used recipe *holding bytes*
+    goes: the byte-free recipes of long-slab launches (B = 8 at N = 4096)
+    stay while one-stream recipes cycle through the bytes.  The count bound
+    still drops the least recently used of all, and a recipe that alone is
+    over the byte bound stays until the next one is kept."""
+    monkeypatch.setattr(twiddle, "_RECIPE_LIMIT", 5)
+    monkeypatch.setattr(twiddle, "_RECIPE_BYTES", 1000)
+
+    def remember(key, nbytes):
+        twiddle._remember_recipe(key, SimpleNamespace(nbytes=nbytes))
+
+    free = [("free", index) for index in range(3)]
+    for key in free:
+        remember(key, 0)
+    remember(("held", 0), 600)
+    remember(("held", 1), 600)
+    assert list(twiddle._RECIPES) == free + [("held", 1)]
+    assert twiddle._RECIPE_HELD == 600
+    remember(("held", 2), 2000)
+    assert list(twiddle._RECIPES) == free + [("held", 2)]
+    assert twiddle._RECIPE_HELD == 2000
+    remember(("free", 3), 0)            # no longer the newest: it goes
+    assert list(twiddle._RECIPES) == free + [("free", 3)]
+    assert twiddle._RECIPE_HELD == 0
+    remember(("free", 4), 0)
+    remember(("free", 5), 0)
+    assert list(twiddle._RECIPES) == free[1:] + [("free", 3), ("free", 4), ("free", 5)]
 
 
 def test_launch_recipes_stay_consistent_under_concurrent_launches(monkeypatch):

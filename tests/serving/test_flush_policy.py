@@ -9,8 +9,9 @@ import asyncio
 
 import pytest
 
+from repro import CkksParameters, TensorFheContext
 from repro.backend import get_active_backend, use_backend
-from repro.serving import OpName
+from repro.serving import OpName, ServingEngine
 
 
 def _encrypt(registry, tenant, values):
@@ -112,33 +113,58 @@ async def test_a_request_apart_in_time_is_not_waited_for(serve, operands):
     assert launched == [1, 1]
 
 
-async def test_plan_memo_matches_the_scheduler_at_every_level(fhe, serve):
-    engine = serve(max_batch=4)
+@pytest.fixture(scope="module")
+def fhe_batch4():
+    """The toy facade's shape with ``batch_size=4``: every plan caps at 4."""
+    parameters = CkksParameters(ring_degree=1 << 6, level_count=3, dnum=3,
+                                secret_hamming_weight=8, batch_size=4)
+    return TensorFheContext(parameters, seed=404)
+
+
+async def test_plan_memo_matches_the_scheduler_at_every_level(fhe_batch4, monkeypatch):
+    fhe = fhe_batch4
+    engine = ServingEngine(fhe)
     calls = []
-    plan = engine.scheduler.plan
+    plan = fhe.batch_scheduler.plan
 
     def counting(*args, **kwargs):
         calls.append(args)
         return plan(*args, **kwargs)
 
-    engine.scheduler.plan = counting
-    try:
-        for _ in range(3):
-            for limbs in range(1, fhe.context.max_level + 2):
-                expected = plan(fhe.context.ring_degree, limbs, requested=4)
-                assert engine._planned_batch(limbs) == max(1, expected.batch_size)
-        assert (engine.diagnostics()["flush_target"]
-                == engine._planned_batch(fhe.context.max_level + 1))
-    finally:
-        del engine.scheduler.plan
+    monkeypatch.setattr(fhe.batch_scheduler, "plan", counting)
+    for _ in range(3):
+        for limbs in range(1, fhe.context.max_level + 2):
+            expected = plan(fhe.context.ring_degree, limbs, requested=4)
+            assert engine._planned_batch(limbs) == expected.batch_size == 4
+    assert (engine.diagnostics()["flush_target"]
+            == engine._planned_batch(fhe.context.max_level + 1))
     assert len(calls) == fhe.context.max_level + 1      # once per limb count
+
+
+async def test_a_full_flush_launches_the_planned_batch(fhe_batch4, rng):
+    """Six requests in one pass under a cap of 4: a full flush, two launches."""
+    launched = []
+
+    def executor(op, chunk):
+        launched.append(len(chunk))
+        return engine._run_op(op, chunk)
+
+    engine = ServingEngine(fhe_batch4, executor=executor)
+    engine.registry.register("alice")
+    lhs, rhs = (_encrypt(engine.registry, "alice",
+                         rng.uniform(-1, 1, fhe_batch4.slot_count))
+                for _ in range(2))
+    async with engine:
+        await asyncio.gather(*[engine.add("alice", lhs, rhs) for _ in range(6)])
+    assert launched == [4, 2]
+    assert engine.diagnostics()["flush_reasons"] == {"full": 1, "idle": 0}
 
 
 async def test_diagnostics_never_fills_the_plan_memo(fhe, serve, operands):
     """The plan follows the worker's backend, not an earlier reader's."""
     engine, launched = _recorded(serve)
     lhs, rhs = operands(engine)
-    plan = engine.scheduler.plan
+    plan = fhe.batch_scheduler.plan
     other = "numpy" if get_active_backend().name == "blas" else "blas"
 
     def by_backend(*args, **kwargs):
@@ -146,7 +172,7 @@ async def test_diagnostics_never_fills_the_plan_memo(fhe, serve, operands):
         planned.batch_size = 2 if get_active_backend().name == other else 4
         return planned
 
-    engine.scheduler.plan = by_backend
+    fhe.batch_scheduler.plan = by_backend
     try:
         with use_backend(other):
             assert engine.diagnostics()["flush_target"] == 2
@@ -157,7 +183,7 @@ async def test_diagnostics_never_fills_the_plan_memo(fhe, serve, operands):
             with use_backend(other):
                 assert engine.diagnostics()["flush_target"] == 4
     finally:
-        del engine.scheduler.plan
+        del fhe.batch_scheduler.plan
     assert launched == [4]
 
 

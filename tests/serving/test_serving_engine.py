@@ -11,11 +11,14 @@ import asyncio
 import numpy as np
 import pytest
 
+from repro import CkksParameters, TensorFheContext
 from repro.serving import (
     EngineStopped,
+    KeyRegistry,
     OpName,
     QueueFull,
     ServingConfig,
+    ServingEngine,
     TenantBusy,
     UnknownOperation,
     UnknownTenant,
@@ -99,11 +102,51 @@ class TestConcurrentCoalescing:
         assert diag["batches"]["per_op"][OpName.MULTIPLY] == 2
 
 
+class TestRegistration:
+    def test_a_duplicate_tenant_is_refused_before_any_key_is_drawn(self, fhe):
+        registry = KeyRegistry(fhe.context, keygen=fhe._keygen)
+        first = registry.register("alice")
+        state = fhe.context.rng.bit_generator.state
+        with pytest.raises(ValueError, match="already registered"):
+            registry.register("alice")
+        assert fhe.context.rng.bit_generator.state == state
+        assert registry.register("bob").key_id != first.key_id
+
+    def test_register_builds_the_bundle_adopt_builds(self, fhe):
+        """``register`` is key generation plus ``adopt``: same fields, same
+        ``key_id`` sequence as adopting the keys it generated."""
+        context = fhe.context
+        registered = KeyRegistry(context, keygen=fhe._keygen)
+        state = context.rng.bit_generator.state
+        bundle = registered.register("alice", rotation_steps=(1,))
+        context.rng.bit_generator.state = state
+        keygen = fhe._keygen
+        secret = keygen.generate_secret_key()
+        public = keygen.generate_public_key(secret)
+        adopted = KeyRegistry(context, keygen=keygen).adopt(
+            "alice", secret_key=secret, public_key=public,
+            relinearization_key=keygen.generate_relinearization_key(secret),
+            rotation_keys=keygen.generate_rotation_keys(secret, (1,)))
+        assert bundle.key_id == adopted.key_id == "key-0"
+        assert np.array_equal(bundle.secret_key.coefficients,
+                              adopted.secret_key.coefficients)
+        assert np.array_equal(bundle.public_key.b.residues,
+                              adopted.public_key.b.residues)
+        assert sorted(bundle.rotation_keys.keys) == sorted(adopted.rotation_keys.keys) == [1]
+        assert bundle.encryptor.public_key is bundle.public_key
+        assert bundle.decryptor.secret_key is bundle.secret_key
+
+
 class TestBackpressure:
-    @pytest.mark.parametrize("value", [0, -3])
-    def test_max_batch_below_one_is_rejected(self, value):
-        with pytest.raises(ValueError, match="max_batch"):
-            ServingConfig(max_batch=value)
+    @pytest.mark.parametrize("batch_size", [1, 2])
+    def test_batch_cap_is_the_parameters_batch_size(self, batch_size):
+        """No serving cap of its own: the engine plans what the facade plans."""
+        parameters = CkksParameters(ring_degree=1 << 6, level_count=3, dnum=3,
+                                    secret_hamming_weight=8, batch_size=batch_size)
+        fhe = TensorFheContext(parameters, seed=404)
+        engine = ServingEngine(fhe)
+        assert (engine.diagnostics()["flush_target"]
+                == fhe.plan_batch().batch_size == batch_size)
 
     @pytest.mark.parametrize("value", [0, -3])
     def test_tenant_inflight_limit_below_one_is_rejected(self, value):
