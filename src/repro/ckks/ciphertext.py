@@ -9,6 +9,7 @@ multiplication, level alignment).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from ..rns.poly import RnsPolynomial
@@ -66,6 +67,4 @@ class Ciphertext:
     def describe(self) -> str:
         """Short human-readable summary (level, scale, degree)."""
         return "Ciphertext(N=%d, level=%d, scale=2^%.1f)" % (
-            self.ring_degree, self.level, float(self.scale).bit_length()
-            if isinstance(self.scale, int) else __import__("math").log2(self.scale),
-        )
+            self.ring_degree, self.level, math.log2(self.scale))

@@ -48,8 +48,9 @@ class Decryptor:
         product = mat_mod_mul(c1.buffer,
                               self.secret_key.operand(self.context, moduli), moduli)
         message = RnsPolynomial(
-            c0.ring_degree, moduli, planner.inverse_limbs(
-                c0.ring_degree, moduli, mat_mod_add(c0.buffer, product, moduli)))
+            c0.ring_degree, moduli, planner.inverse_ops(
+                c0.ring_degree, moduli,
+                mat_mod_add(c0.buffer, product, moduli)[None])[0])
         return Plaintext(polynomial=message, scale=ciphertext.scale,
                          level=ciphertext.level)
 

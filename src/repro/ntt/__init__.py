@@ -3,11 +3,7 @@ the tensor-core kernel of the paper's Fig. 8."""
 
 from .base import NttEngine
 from .four_step import FourStepNtt
-from .negacyclic import (
-    negacyclic_multiply,
-    pointwise_multiply,
-    schoolbook_negacyclic_multiply,
-)
+from .negacyclic import schoolbook_negacyclic_multiply
 from .planner import (
     DEFAULT_ENGINE,
     ENGINE_REGISTRY,
@@ -37,8 +33,6 @@ __all__ = [
     "get_twiddle_stack",
     "clear_twiddle_stacks",
     "split_degree",
-    "negacyclic_multiply",
-    "pointwise_multiply",
     "schoolbook_negacyclic_multiply",
     "NttPlanner",
     "create_engine",

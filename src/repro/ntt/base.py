@@ -10,25 +10,21 @@ lives in the analytical performance model only.
 
 Batched execution model
 -----------------------
-Engines expose the paper's operation-level batching (Section IV-C):
-
-* ``forward_ops`` / ``inverse_ops`` — a ``(B, L, N)`` stack of whole RNS
-  polynomials, every operation sharing the prime chain: the paper's full
-  multi-ciphertext batched execution;
-* ``forward_limbs`` / ``inverse_limbs`` — the limbs of one RNS polynomial,
-  each row with its own prime (the B = 1 case);
-* ``forward`` / ``inverse`` — one vector modulo the engine's own prime
-  (B = 1 and L = 1).
+Engines expose the paper's operation-level batching (Section IV-C) and
+nothing else: ``forward_ops`` / ``inverse_ops`` transform a ``(B, L, N)``
+stack of whole RNS polynomials, every operation sharing the prime chain
+the call names.  One polynomial is the ``(1, L, N)`` stack and one vector
+the ``(1, 1, N)`` stack — B = 1 is not a second code path.
 
 Every engine implements exactly one primitive, :meth:`NttEngine._transform_ops`
-on a validated, non-empty stack; the entry points above are shape adapters
-over it with no transform of their own, so keygen, the scalar callers and
-the evaluator all run the same code.
+on a validated, non-empty stack; the two entry points check the stack and
+hand it over, so keygen, encryption, decryption and the evaluator all run
+the same code.  An engine is keyed by its ring degree alone: the primes
+arrive with each launch.
 
-The ``*_ops`` / ``*_limbs`` entry points take arrays or
+The entry points take arrays or
 :class:`~repro.backend.residency.DeviceBuffer` handles and always return a
-handle (an empty batch included); ``forward`` / ``inverse`` are the array
-boundary, one vector in and one out.
+handle (an empty batch included).
 """
 
 from __future__ import annotations
@@ -40,18 +36,16 @@ import abc
 import numpy as np
 
 from ..backend.residency import DeviceBuffer
-from .twiddle import get_twiddle_cache
 
 __all__ = ["NttEngine"]
 
 
 class NttEngine(abc.ABC):
-    """Negacyclic NTT over ``Z_q[X]/(X^N + 1)`` for one ``(N, q)`` pair.
+    """Negacyclic NTT over ``Z_q[X]/(X^N + 1)`` for one ring degree ``N``.
 
     All engines accept and return coefficient vectors in natural order with
-    entries reduced to ``[0, q)``.  A launch may carry other primes than
-    ``q`` (``forward_limbs`` / ``forward_ops`` take the chain per call);
-    ``q`` is the prime of the scalar entry points.
+    entries reduced to ``[0, q)``, limb ``i`` of a launch modulo the
+    ``i``-th prime of the chain the launch carries.
 
     Engines are backend-agnostic: the GEMM launches they issue go through
     the funnels of :mod:`repro.numtheory.modular`, which run them on the
@@ -62,11 +56,8 @@ class NttEngine(abc.ABC):
     #: Short identifier used by the planner and the benchmarks.
     name = "abstract"
 
-    def __init__(self, ring_degree: int, modulus: int) -> None:
+    def __init__(self, ring_degree: int) -> None:
         self.ring_degree = ring_degree
-        self.modulus = modulus
-        #: The shared ``(N, q)`` tables; building them checks q is NTT-friendly.
-        self.twiddles = get_twiddle_cache(ring_degree, modulus)
 
     @abc.abstractmethod
     def _transform_ops(self, stacks: DeviceBuffer, moduli: Tuple[int, ...],
@@ -78,7 +69,7 @@ class NttEngine(abc.ABC):
         ints; the result is a handle.
         """
 
-    # -- shape adapters over the one primitive ---------------------------
+    # -- the two entry points over the one primitive ---------------------
     def forward_ops(self, stacks, moduli: Sequence[int]) -> DeviceBuffer:
         """Forward NTT of a ``(B, L, N)`` stack as fused launches.
 
@@ -92,41 +83,11 @@ class NttEngine(abc.ABC):
         """Inverse NTT of a ``(B, L, N)`` stack as fused launches."""
         return self._ops(stacks, moduli, True)
 
-    def forward_limbs(self, residues, moduli: Sequence[int]) -> DeviceBuffer:
-        """Forward NTT of all limbs of one polynomial: ``forward_ops`` at B = 1."""
-        return self._limbs(residues, moduli, False)
-
-    def inverse_limbs(self, values, moduli: Sequence[int]) -> DeviceBuffer:
-        """Inverse NTT of all limbs of one polynomial: ``inverse_ops`` at B = 1."""
-        return self._limbs(values, moduli, True)
-
-    def forward(self, coefficients: np.ndarray) -> np.ndarray:
-        """Transform a coefficient vector to the evaluation (NTT) domain."""
-        return self._vector(coefficients, False)
-
-    def inverse(self, values: np.ndarray) -> np.ndarray:
-        """Transform an evaluation-domain vector back to coefficients."""
-        return self._vector(values, True)
-
     def _ops(self, stacks, moduli, inverse: bool) -> DeviceBuffer:
         stacks, moduli = self._validate_ops(DeviceBuffer.wrap(stacks), moduli)
         if stacks.shape[0] == 0:
             return DeviceBuffer.wrap(np.zeros(stacks.shape, dtype=np.int64))
         return self._transform_ops(stacks, moduli, inverse=inverse)
-
-    def _limbs(self, residues, moduli, inverse: bool) -> DeviceBuffer:
-        residues = DeviceBuffer.wrap(residues)
-        if residues.ndim != 2 or residues.shape[1] != self.ring_degree:
-            raise ValueError(
-                "expected a (limbs, %d) residue matrix, got shape %s"
-                % (self.ring_degree, residues.shape)
-            )
-        return self._ops(residues[None], moduli, inverse)[0]
-
-    def _vector(self, vector, inverse: bool) -> np.ndarray:
-        # Anything but a length-N vector fails _limbs' shape check.
-        return self._limbs(np.asarray(vector, dtype=np.int64)[None],
-                           (self.modulus,), inverse)[0].host((self.modulus,))
 
     # -- validation -------------------------------------------------------
     def _validate_ops(self, stacks: DeviceBuffer, moduli: Sequence[int]
@@ -163,7 +124,7 @@ class NttEngine(abc.ABC):
         return stacks, moduli
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return "%s(N=%d, q=%d)" % (type(self).__name__, self.ring_degree, self.modulus)
+        return "%s(N=%d)" % (type(self).__name__, self.ring_degree)
 
 
 def _out_of_range(host: np.ndarray, column: np.ndarray) -> bool:

@@ -34,8 +34,8 @@ class FourStepNtt(NttEngine):
 
     name = "four_step"
 
-    def __init__(self, ring_degree: int, modulus: int) -> None:
-        super().__init__(ring_degree, modulus)
+    def __init__(self, ring_degree: int) -> None:
+        super().__init__(ring_degree)
         self.n1, self.n2 = split_degree(ring_degree)
 
     # -- the whole (B, L, N) stack, 3 launches ---------------------------

@@ -1,32 +1,16 @@
-"""Negacyclic polynomial multiplication built on the NTT engines.
+"""The schoolbook negacyclic product, the oracle of the NTT engines.
 
 Polynomial multiplication in ``Z_q[X]/(X^N + 1)`` is the workhorse of every
 CKKS operation.  With the negacyclic twist folded into the twiddle factors
-(Eq. 3/4 of the paper) it is simply ``INTT(NTT(a) ⊙ NTT(b))``.  A
-schoolbook implementation is provided as the oracle for the tests.
+(Eq. 3/4 of the paper) it is ``INTT(NTT(a) ⊙ NTT(b))``; the quadratic
+definition here is what the tests hold that product against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..numtheory.modular import vec_mod_mul
-from .base import NttEngine
-
-__all__ = ["negacyclic_multiply", "schoolbook_negacyclic_multiply", "pointwise_multiply"]
-
-
-def pointwise_multiply(lhs_ntt: np.ndarray, rhs_ntt: np.ndarray, modulus: int) -> np.ndarray:
-    """Hadamard product of two evaluation-domain vectors."""
-    return vec_mod_mul(lhs_ntt, rhs_ntt, modulus)
-
-
-def negacyclic_multiply(lhs: np.ndarray, rhs: np.ndarray, engine: NttEngine) -> np.ndarray:
-    """Multiply two polynomials modulo ``X^N + 1`` using an NTT engine."""
-    lhs_ntt = engine.forward(np.asarray(lhs, dtype=np.int64))
-    rhs_ntt = engine.forward(np.asarray(rhs, dtype=np.int64))
-    product_ntt = pointwise_multiply(lhs_ntt, rhs_ntt, engine.modulus)
-    return engine.inverse(product_ntt)
+__all__ = ["schoolbook_negacyclic_multiply"]
 
 
 def schoolbook_negacyclic_multiply(lhs, rhs, ring_degree: int, modulus: int) -> np.ndarray:

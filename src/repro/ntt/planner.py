@@ -3,18 +3,20 @@
 The planner is the software analogue of the paper's API layer picking which
 NTT kernel to launch: it instantiates the requested engine (the
 ``reference`` oracle, the ``four_step`` fast path or the ``tensorcore``
-kernel), caches engines per ``(N, q)`` so their twiddle tables are reused,
-and exposes a ``default_engine`` that the CKKS stack uses.
+kernel) once per ring degree; ``DEFAULT_ENGINE`` names the one the
+CKKS stack uses.  The twiddle tables are cached per prime chain in
+:mod:`repro.ntt.twiddle`, not per engine, so one engine serves every
+chain of its ring.
 
-The planner also fronts the limb-batched execution model: the CKKS stack
-transforms whole RNS polynomials through :meth:`NttPlanner.forward_limbs` /
-:meth:`NttPlanner.inverse_limbs`, which resolve to **one** engine call per
-polynomial (the engine fuses the limb axis into a batched launch) instead
-of ``limb_count`` per-limb calls.
+The planner fronts the operation-batched execution model: every transform
+of the CKKS stack is :meth:`NttPlanner.forward_ops` /
+:meth:`NttPlanner.inverse_ops` on a ``(B, L, N)`` stack, **one** engine
+call per stack (the engine fuses the operation and limb axes into batched
+launches).  One polynomial goes in as the ``(1, L, N)`` stack.
 
-Residency: every transform entry point takes host arrays or
-:class:`~repro.backend.residency.DeviceBuffer` handles and forwards them
-verbatim, and returns a handle — the engines' calling convention (arrays
+Residency: both entry points take host arrays or
+:class:`~repro.backend.residency.DeviceBuffer` handles and forward them
+verbatim, and return a handle — the engines' calling convention (arrays
 or handles in, a handle out), so a resident polynomial transforms without
 ever touching host.
 """
@@ -57,14 +59,14 @@ def check_engine(name: str) -> None:
         )
 
 
-def create_engine(name: str, ring_degree: int, modulus: int) -> NttEngine:
-    """Instantiate engine ``name`` for the given ring degree and modulus."""
+def create_engine(name: str, ring_degree: int) -> NttEngine:
+    """Instantiate engine ``name`` for the given ring degree."""
     check_engine(name)
-    return ENGINE_REGISTRY[name](ring_degree, modulus)
+    return ENGINE_REGISTRY[name](ring_degree)
 
 
 class NttPlanner:
-    """Caches one engine per ``(N, q)`` pair.
+    """Caches one engine per ring degree.
 
     The engines launch on the active backend; a context's pin reaches them
     through its :func:`~repro.ckks.context.pinned` scope.
@@ -73,35 +75,15 @@ class NttPlanner:
     def __init__(self, engine_name: str = DEFAULT_ENGINE) -> None:
         check_engine(engine_name)
         self.engine_name = engine_name
-        self._engines: Dict[Tuple[int, int], NttEngine] = {}
+        self._engines: Dict[int, NttEngine] = {}
 
-    def engine_for(self, ring_degree: int, modulus: int) -> NttEngine:
-        """Return (and cache) an engine for ``(N, q)``."""
-        key = (ring_degree, modulus)
-        engine = self._engines.get(key)
+    def engine_for(self, ring_degree: int) -> NttEngine:
+        """Return (and cache) the engine for ring degree ``N``."""
+        engine = self._engines.get(ring_degree)
         if engine is None:
-            engine = create_engine(self.engine_name, ring_degree, modulus)
-            self._engines[key] = engine
+            engine = create_engine(self.engine_name, ring_degree)
+            self._engines[ring_degree] = engine
         return engine
-
-    # ------------------------------------------------------------------
-    # Limb-batched transforms: one engine call per RNS polynomial.
-    # ------------------------------------------------------------------
-    def forward_limbs(self, ring_degree: int, moduli: Sequence[int],
-                      residues) -> DeviceBuffer:
-        """Forward-NTT a whole ``(limbs, N)`` residue matrix in one call.
-
-        The engine cached for ``(N, moduli[0])`` executes the batch as
-        one ``(1, limbs, N)`` launch.
-        """
-        engine = self.engine_for(ring_degree, int(moduli[0]))
-        return engine.forward_limbs(residues, moduli)
-
-    def inverse_limbs(self, ring_degree: int, moduli: Sequence[int],
-                      values) -> DeviceBuffer:
-        """Inverse-NTT a whole ``(limbs, N)`` value matrix in one call."""
-        engine = self.engine_for(ring_degree, int(moduli[0]))
-        return engine.inverse_limbs(values, moduli)
 
     # ------------------------------------------------------------------
     # Operation-batched transforms: one engine call per (B, L, N) stack.
@@ -114,17 +96,15 @@ class NttPlanner:
         engines fuse both the operation and the limb axis into single
         batched launches per transform step.
         """
-        engine = self.engine_for(ring_degree, int(moduli[0]))
-        return engine.forward_ops(stacks, moduli)
+        return self.engine_for(ring_degree).forward_ops(stacks, moduli)
 
     def inverse_ops(self, ring_degree: int, moduli: Sequence[int],
                     stacks) -> DeviceBuffer:
         """Inverse-NTT a whole ``(B, limbs, N)`` stack in one call."""
-        engine = self.engine_for(ring_degree, int(moduli[0]))
-        return engine.inverse_ops(stacks, moduli)
+        return self.engine_for(ring_degree).inverse_ops(stacks, moduli)
 
     def clear(self) -> None:
-        """Drop all cached engines (and their twiddle tables)."""
+        """Drop all cached engines."""
         self._engines.clear()
 
     def __len__(self) -> int:

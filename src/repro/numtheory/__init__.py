@@ -18,10 +18,6 @@ from .modular import (
     modular_matmul_limbs,
     modular_matmul_rows,
     moduli_column,
-    vec_mod_add,
-    vec_mod_mul,
-    vec_mod_neg,
-    vec_mod_sub,
 )
 from .primes import (
     generate_ntt_prime,
@@ -53,10 +49,6 @@ __all__ = [
     "get_barrett_chain",
     "mod_pow",
     "mod_inverse",
-    "vec_mod_add",
-    "vec_mod_sub",
-    "vec_mod_mul",
-    "vec_mod_neg",
     "moduli_column",
     "mat_mod_reduce",
     "mat_mod_add",

@@ -1,11 +1,10 @@
 """Modular arithmetic primitives used throughout the library.
 
 The scalar helpers ``mod_pow`` / ``mod_inverse`` work on Python integers
-(constants, key generation); ``vec_mod_*`` are one-prime numpy forms (the
-per-limb reference).  The ``mat_mod_*`` and
-``modular_matmul_*`` helpers are the *funnels*: every whole-polynomial
-launch of the library — element-wise CKKS arithmetic, the NTT engines'
-GEMMs, the fast basis conversion — calls one of them, and they call the
+(constants, key generation).  The ``mat_mod_*`` and ``modular_matmul_*``
+helpers are the *funnels*: every whole-polynomial launch of the library —
+element-wise CKKS arithmetic, the NTT engines' GEMMs, the fast basis
+conversion — calls one of them, and they call the
 active compute backend (:mod:`repro.backend`).  A funnel takes array-likes
 and returns a :class:`~repro.backend.residency.DeviceBuffer` (the calling
 convention of :mod:`repro.backend.residency`) and owns the shape checks;
@@ -26,10 +25,6 @@ from ..backend.residency import DeviceBuffer
 __all__ = [
     "mod_pow",
     "mod_inverse",
-    "vec_mod_add",
-    "vec_mod_sub",
-    "vec_mod_mul",
-    "vec_mod_neg",
     "moduli_column",
     "mat_mod_reduce",
     "mat_mod_add",
@@ -77,51 +72,6 @@ def _extended_gcd(a: int, b: int):
         old_x, x = x, old_x - quotient * x
         old_y, y = y, old_y - quotient * y
     return old_r, old_x, old_y
-
-
-def _as_int64(values: np.ndarray) -> np.ndarray:
-    array = np.asarray(values, dtype=np.int64)
-    return array
-
-
-def vec_mod_add(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """Element-wise ``(a + b) mod q`` on int64 arrays without overflow."""
-    a = _as_int64(a)
-    b = _as_int64(b)
-    out = a + b
-    np.subtract(out, q, out=out, where=out >= q)
-    return out
-
-
-def vec_mod_sub(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """Element-wise ``(a - b) mod q`` on int64 arrays without overflow."""
-    a = _as_int64(a)
-    b = _as_int64(b)
-    out = a - b
-    np.add(out, q, out=out, where=out < 0)
-    return out
-
-
-def vec_mod_neg(a: np.ndarray, q: int) -> np.ndarray:
-    """Element-wise ``(-a) mod q``."""
-    a = _as_int64(a)
-    out = (q - a) % q
-    return out.astype(np.int64)
-
-
-def vec_mod_mul(a: np.ndarray, b: np.ndarray, q: int) -> np.ndarray:
-    """Element-wise ``(a * b) mod q`` for reduced residues.
-
-    The int64 product is exact for ``q < 2**31``; a wider modulus falls
-    back to Python-integer arithmetic.
-    """
-    a = _as_int64(a)
-    b = _as_int64(b)
-    if q >= (1 << 31):
-        # Fall back to object arithmetic for oversized moduli.
-        product = a.astype(object) * b.astype(object)
-        return np.asarray(product % q, dtype=np.int64)
-    return (a * b) % q
 
 
 # ----------------------------------------------------------------------

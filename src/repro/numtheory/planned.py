@@ -573,7 +573,8 @@ def gemm(chain: BarrettChain, operand, x: np.ndarray, x_max: int,
         images = [image.swapaxes(-1, -2) for image in images]
         x = x.swapaxes(-1, -2)
     result = np.empty(images[0].shape[:-1] + x.shape[-1:])
-    step = max(1, SLAB_DOUBLES // math.prod(result.shape[:-1]))
+    # An empty row axis (an empty batch) still makes one empty slab.
+    step = max(1, SLAB_DOUBLES // max(1, math.prod(result.shape[:-1])))
 
     def apply(image, x, out):
         return matmul(image, x, out=out)

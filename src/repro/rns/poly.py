@@ -10,11 +10,12 @@ Batched execution model
 -----------------------
 The ``(limbs, N)`` matrix is not just storage — it is the execution unit.
 Every arithmetic helper (``add``, ``subtract``, ``negate``, ``hadamard``,
-``scalar_multiply``, ...) is a *single* vectorised 2-D operation with the
-moduli broadcast as a ``(limbs, 1)`` column, and the domain conversions
-hand the whole matrix to the NTT planner's limb-batched transforms.  This
-is the paper's operation-level batching argument applied to the limb axis:
-one fused launch per polynomial instead of ``limb_count`` small kernels.
+``scalar_multiply_per_limb``) is a *single* vectorised 2-D operation with
+the moduli broadcast as a ``(limbs, 1)`` column, and the domain
+conversions hand the whole matrix to the NTT planner as a
+``(1, limbs, N)`` stack.  This is the paper's operation-level batching
+argument applied to the limb axis: one fused launch per polynomial
+instead of ``limb_count`` small kernels.
 
 Residency
 ---------
@@ -152,13 +153,6 @@ class RnsPolynomial:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
-    def zero(cls, ring_degree: int, moduli: Sequence[int],
-             domain: str = PolyDomain.COEFFICIENT) -> "RnsPolynomial":
-        """The all-zero polynomial over ``moduli``."""
-        residues = np.zeros((len(tuple(moduli)), ring_degree), dtype=np.int64)
-        return cls(ring_degree, moduli, residues, domain)
-
-    @classmethod
     def from_integers(cls, coefficients: Iterable[int], moduli: Sequence[int],
                       ring_degree: Optional[int] = None) -> "RnsPolynomial":
         """Build a coefficient-domain polynomial from (possibly signed) integers.
@@ -232,10 +226,6 @@ class RnsPolynomial:
         return RnsPolynomial(self.ring_degree, self.moduli,
                              self._buffer.copy(), self.domain)
 
-    def limb(self, index: int) -> np.ndarray:
-        """Residues of limb ``index``."""
-        return self.residues[index]
-
     def to_integers(self, *, centered: bool = True) -> list:
         """CRT-recombine into big-integer coefficients (coefficient domain only)."""
         self._require_domain(PolyDomain.COEFFICIENT)
@@ -272,11 +262,6 @@ class RnsPolynomial:
         residues = mat_mod_mul(self._buffer, other._buffer, self.moduli)
         return RnsPolynomial(self.ring_degree, self.moduli, residues, self.domain)
 
-    def scalar_multiply(self, scalar: int) -> "RnsPolynomial":
-        """Multiply every residue by an integer scalar."""
-        residues = mat_mod_scalar_mul(self._buffer, int(scalar), self.moduli)
-        return RnsPolynomial(self.ring_degree, self.moduli, residues, self.domain)
-
     def scalar_multiply_per_limb(self, scalars: Sequence[int]) -> "RnsPolynomial":
         """Multiply limb ``i`` by ``scalars[i]`` (used by key generation).
 
@@ -290,14 +275,14 @@ class RnsPolynomial:
         return RnsPolynomial(self.ring_degree, self.moduli, residues, self.domain)
 
     # ------------------------------------------------------------------
-    # Domain conversion (one limb-batched engine call per polynomial)
+    # Domain conversion (one engine call per polynomial, a (1, L, N) stack)
     # ------------------------------------------------------------------
     def to_evaluation(self, planner: NttPlanner) -> "RnsPolynomial":
         """Forward-NTT all limbs in one batched engine call."""
         if self.domain == PolyDomain.EVALUATION:
             return self.copy()
-        residues = planner.forward_limbs(self.ring_degree, self.moduli,
-                                         self._buffer)
+        residues = planner.forward_ops(self.ring_degree, self.moduli,
+                                       self._buffer[None])[0]
         return RnsPolynomial(self.ring_degree, self.moduli, residues,
                              PolyDomain.EVALUATION)
 
@@ -305,8 +290,8 @@ class RnsPolynomial:
         """Inverse-NTT all limbs in one batched engine call."""
         if self.domain == PolyDomain.COEFFICIENT:
             return self.copy()
-        residues = planner.inverse_limbs(self.ring_degree, self.moduli,
-                                         self._buffer)
+        residues = planner.inverse_ops(self.ring_degree, self.moduli,
+                                       self._buffer[None])[0]
         return RnsPolynomial(self.ring_degree, self.moduli, residues,
                              PolyDomain.COEFFICIENT)
 
@@ -325,13 +310,6 @@ class RnsPolynomial:
         return RnsPolynomial(self.ring_degree, moduli,
                              self._buffer[np.asarray(indices, dtype=np.int64)],
                              self.domain)
-
-    def drop_last_limb(self) -> "RnsPolynomial":
-        """Remove the last limb (used by RESCALE)."""
-        if self.limb_count <= 1:
-            raise ValueError("cannot drop the only limb")
-        return RnsPolynomial(self.ring_degree, self.moduli[:-1],
-                             self._buffer[:-1].copy(), self.domain)
 
     # ------------------------------------------------------------------
     def _check_compatible(self, other: "RnsPolynomial") -> None:

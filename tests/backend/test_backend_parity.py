@@ -287,16 +287,16 @@ class TestEngineParity:
     def test_forward_inverse_limbs_match_numpy(self, backend_name, engine_name, rng):
         ring_degree, limbs = 32, 3
         primes = generate_ntt_primes(limbs, 24, ring_degree)
-        residues = _residue_matrix(rng, primes, ring_degree)
+        residues = _residue_matrix(rng, primes, ring_degree)[None]
         reference = NttPlanner(engine_name)
         candidate = NttPlanner(engine_name)
         with use_backend("numpy"):
-            forward_ref = reference.forward_limbs(ring_degree, primes, residues)
+            forward_ref = reference.forward_ops(ring_degree, primes, residues)
         with use_backend(backend_name):
-            forward = candidate.forward_limbs(ring_degree, primes, residues)
-            assert np.array_equal(forward.host(primes), forward_ref)
-            assert np.array_equal(candidate.inverse_limbs(
-                ring_degree, primes, forward).host(primes), residues)
+            forward = candidate.forward_ops(ring_degree, primes, residues)
+            assert np.array_equal(forward.host(primes, 1), forward_ref)
+            assert np.array_equal(candidate.inverse_ops(
+                ring_degree, primes, forward).host(primes, 1), residues)
 
     @pytest.mark.parametrize("backend_name", BACKENDS)
     def test_polynomial_arithmetic_parity(self, backend_name, rng):
@@ -310,7 +310,7 @@ class TestEngineParity:
             b = RnsPolynomial(ring_degree, primes, b_res.copy())
             return [a.add(b).residues, a.subtract(b).residues,
                     a.hadamard(b).residues, a.negate().residues,
-                    a.scalar_multiply(12345).residues]
+                    a.scalar_multiply_per_limb([12345] * limbs).residues]
 
         reference = run()
         with use_backend(backend_name):

@@ -7,9 +7,10 @@ cases pin that ``ensure_host`` refuses a lazy image, that every operation's
 operand gives the float launch's bits.
 
 Below ``RnsPolynomial`` every residue boundary — the seven funnels, the
-planner's four transform entry points on every engine, Conv, ModUp and
+planner's two transform entry points on every engine, Conv, ModUp and
 ModDown — takes int64 arrays or handles of any kind and returns a handle,
-for an empty batch too.  Each case calls one boundary with one kind of
+for an empty batch too.  So do ``RnsPolynomial``'s domain conversions, which
+hand one polynomial to the planner as a ``(1, L, N)`` stack.  Each case calls one boundary with one kind of
 input, on one backend and at one batch size, and compares the handle's host
 image with a numpy oracle.  The key switch keeps the convention one layer
 up: ``BatchedKeySwitcher.switch_many`` takes a ``(B, L, N)`` stack and
@@ -39,7 +40,8 @@ from repro.numtheory.modular import (
     modular_matmul_limbs,
     modular_matmul_rows,
 )
-from repro.rns import BasisConverter, ModDown, ModUp, RnsPolynomial
+from repro.rns import (
+    BasisConverter, ModDown, ModUp, PolyDomain, RnsPolynomial)
 
 N = 16
 PRIMES = tuple(generate_ntt_primes(5, 20, N))
@@ -116,15 +118,29 @@ def _matmul_rows(rng, batch):
             (SPECIAL, 0))
 
 
-def _transform(engine, limbs, inverse):
-    entry = getattr(NttPlanner(engine), "%s_%s" % (
-        ("forward", "inverse")[inverse], ("ops", "limbs")[limbs]))
+def _transform(engine, inverse):
+    planner = NttPlanner(engine)
+    entry = planner.inverse_ops if inverse else planner.forward_ops
 
     def build(rng, batch):
-        shape = (len(CHAIN), N) if limbs else (batch, len(CHAIN), N)
-        stacks = residues(rng, shape, CHAIN, len(shape) - 2)
+        stacks = residues(rng, (batch, len(CHAIN), N), CHAIN, 1)
         return ([stacks], lambda x: entry(N, CHAIN, x), ntt_oracle(stacks, inverse),
-                (CHAIN, len(shape) - 2))
+                (CHAIN, 1))
+    return build
+
+
+def _conversion(engine, inverse):
+    """One polynomial through ``to_coefficient`` / ``to_evaluation``."""
+    planner = NttPlanner(engine)
+    source, convert = ((PolyDomain.EVALUATION, RnsPolynomial.to_coefficient)
+                       if inverse else
+                       (PolyDomain.COEFFICIENT, RnsPolynomial.to_evaluation))
+
+    def build(rng, batch):
+        limbs = residues(rng, (len(CHAIN), N), CHAIN, 0)
+        return ([limbs], lambda x: convert(
+            RnsPolynomial(N, CHAIN, x, source), planner).buffer,
+            ntt_oracle(limbs, inverse), (CHAIN, 0))
     return build
 
 
@@ -188,15 +204,19 @@ BOUNDARIES = {
     "ModDown.apply_batch": _moddown(correction=False),
 }
 BOUNDARIES.update({
-    "%s.%s_%s" % (engine, ("forward", "inverse")[inverse], ("ops", "limbs")[limbs]):
-        _transform(engine, limbs, inverse)
-    for engine in available_engines() for limbs in (False, True)
-    for inverse in (False, True)})
+    "%s.%s_ops" % (engine, ("forward", "inverse")[inverse]):
+        _transform(engine, inverse)
+    for engine in available_engines() for inverse in (False, True)})
+BOUNDARIES.update({
+    "%s.%s" % (engine, ("to_evaluation", "to_coefficient")[inverse]):
+        _conversion(engine, inverse)
+    for engine in available_engines() for inverse in (False, True)})
+#: A domain conversion transforms one polynomial: it has no batch axis.
+ONE_POLYNOMIAL = (".to_evaluation", ".to_coefficient")
 
-#: A ``*_limbs`` entry point transforms one polynomial: it has no batch axis.
 CASES = [pytest.param(name, batch, id="%s-B%d" % (name, batch))
          for name in BOUNDARIES for batch in BATCHES
-         if not name.endswith("_limbs") or batch == 1]
+         if not name.endswith(ONE_POLYNOMIAL) or batch == 1]
 
 
 @pytest.mark.parametrize("backend_name", available_backends())

@@ -376,7 +376,7 @@ class TestFourStepFloatPipeline:
         assert not chain.fits(n1 * (chain.qmax - 1) ** 2)
         blas = NttPlanner("four_step")
         with use_backend("blas"):
-            plan = blas.engine_for(self.N, primes[0]).float_plan(primes)
+            plan = blas.engine_for(self.N).float_plan(primes)
         assert plan.inner.split
         reference = NttPlanner("four_step")
         with use_backend("numpy"):

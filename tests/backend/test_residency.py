@@ -373,11 +373,12 @@ class TestEngineThreading:
     def test_limbs_roundtrip_matches_host(self, engine):
         primes, residues = self._data()
         planner = NttPlanner(engine)
-        host_fwd = planner.forward_limbs(32, primes, residues).host(primes)
-        buf_fwd = planner.forward_limbs(32, primes, DeviceBuffer.wrap(residues))
-        assert np.array_equal(buf_fwd.host(primes), host_fwd)
-        back = planner.inverse_limbs(32, primes, DeviceBuffer.wrap(host_fwd))
-        assert np.array_equal(back.host(primes), residues)
+        stack = residues[None]
+        host_fwd = planner.forward_ops(32, primes, stack).host(primes, 1)
+        buf_fwd = planner.forward_ops(32, primes, DeviceBuffer.wrap(stack))
+        assert np.array_equal(buf_fwd.host(primes, 1), host_fwd)
+        back = planner.inverse_ops(32, primes, DeviceBuffer.wrap(host_fwd))
+        assert np.array_equal(back.host(primes, 1), stack)
 
     def test_unreduced_handle_input_is_normalised(self, engine):
         """Out-of-range residues behind a handle reduce exactly like arrays.
@@ -392,11 +393,11 @@ class TestEngineThreading:
         unreduced = residues + 3 * column          # same residues mod q
         unreduced[0, 0] -= 7 * column[0, 0]        # and a negative entry
         planner = NttPlanner(engine)
-        want = planner.forward_limbs(32, primes, unreduced).host(primes)
-        got = planner.forward_limbs(32, primes, DeviceBuffer.wrap(unreduced))
-        assert np.array_equal(got.host(primes), want)
+        want = planner.forward_ops(32, primes, unreduced[None]).host(primes, 1)
+        got = planner.forward_ops(32, primes, DeviceBuffer.wrap(unreduced[None]))
+        assert np.array_equal(got.host(primes, 1), want)
         assert np.array_equal(
-            want, planner.forward_limbs(32, primes, residues).host(primes))
+            want, planner.forward_ops(32, primes, residues[None]).host(primes, 1))
 
     def test_ops_stack_matches_host(self, engine):
         primes, residues = self._data()

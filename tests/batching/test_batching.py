@@ -44,7 +44,7 @@ class TestOperationBatchingBackends:
         ])
         reference = NttPlanner(engine_name)
         expected = np.stack([
-            reference.forward_limbs(RING_DEGREE, primes, stacks[b]).host(primes)
+            reference.forward_ops(RING_DEGREE, primes, stacks[b:b + 1]).host(primes, 1)[0]
             for b in range(BATCH)
         ])
         with use_backend(backend):

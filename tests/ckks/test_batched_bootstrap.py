@@ -69,7 +69,7 @@ def run_both(fhe, sequential, batched):
 class PlannerSpy:
     """Counts NTT-planner launches (the engine-call count fusion reduces)."""
 
-    METHODS = ("forward_limbs", "inverse_limbs", "forward_ops", "inverse_ops")
+    METHODS = ("forward_ops", "inverse_ops")
 
     def __init__(self, monkeypatch, planner):
         self.calls = 0

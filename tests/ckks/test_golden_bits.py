@@ -17,8 +17,9 @@ reduction on ``blas``) and 20-bit primes with a 23-bit special prime
 
 ``GOLDEN_BOUNDARY`` (generated at e8a0972) covers what raw residues never
 reach: ``Encryptor``, ``Decryptor``, the CRT recombination behind
-``to_integers`` and the ``forward_limbs`` / ``inverse_limbs`` entry points
-that encryption, decryption and key generation transform through.
+``to_integers`` and the one-polynomial ``(1, L, N)`` transforms of
+``forward_ops`` / ``inverse_ops`` that encryption, decryption and key
+generation make.
 At N = 64 every launch is int64, so ``GOLDEN_FLOAT_BOUNDARY`` (generated
 at 432c447) repeats the encrypt / decrypt digests at N = 4096, L = 8,
 where the launches between the transforms run on the float kernels under
@@ -258,10 +259,10 @@ def boundary_digests(fhe):
     integers = plain.to_integers(centered=True)
     n, moduli = context.ring_degree, public.c0.moduli
     c0 = public.c0.to_coefficient(context.planner).residues
-    # The limb transforms hand back lazy handles; their integers are read
+    # The transforms hand back lazy handles; their integers are read
     # canonical, through host(moduli).
-    image = context.planner.forward_limbs(n, moduli, c0)
-    back = context.planner.inverse_limbs(n, moduli, image).host(moduli)
+    image = context.planner.forward_ops(n, moduli, c0[None])[0]
+    back = context.planner.inverse_ops(n, moduli, image[None])[0].host(moduli)
     forward = image.host(moduli)
     assert np.array_equal(back, c0)
     assert np.array_equal(forward, public.c0.residues)

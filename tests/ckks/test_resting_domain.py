@@ -42,9 +42,7 @@ class PlannerRows:
 
     def __init__(self, monkeypatch, planner):
         self.rows = {KernelName.NTT: 0, KernelName.INTT: 0}
-        for name, kernel in (("forward_limbs", KernelName.NTT),
-                             ("forward_ops", KernelName.NTT),
-                             ("inverse_limbs", KernelName.INTT),
+        for name, kernel in (("forward_ops", KernelName.NTT),
                              ("inverse_ops", KernelName.INTT)):
             original = getattr(planner, name)
 

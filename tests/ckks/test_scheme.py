@@ -232,7 +232,8 @@ class TestCiphertextContainer:
     def test_mismatched_components_rejected(self, toy_bundle, rng):
         ct = toy_bundle.encryptor.encrypt(toy_bundle.random_slots(rng))
         with pytest.raises(ValueError):
-            Ciphertext(ct.c0, ct.c1.drop_last_limb(), ct.scale, ct.level)
+            Ciphertext(ct.c0, ct.c1.restrict_to(ct.moduli[:-1]), ct.scale,
+                       ct.level)
 
     def test_copy_is_independent(self, toy_bundle, rng):
         ct = toy_bundle.encryptor.encrypt(toy_bundle.random_slots(rng))
@@ -244,6 +245,10 @@ class TestCiphertextContainer:
     def test_describe(self, toy_bundle, rng):
         ct = toy_bundle.encryptor.encrypt(toy_bundle.random_slots(rng))
         assert "level" in ct.describe()
+        # An integer scale reads the same as the float it equals.
+        exact = Ciphertext(ct.c0, ct.c1, 1 << 28, ct.level).describe()
+        assert "scale=2^28.0" in exact
+        assert exact == Ciphertext(ct.c0, ct.c1, 2.0 ** 28, ct.level).describe()
 
 
 class TestKernelComposition:

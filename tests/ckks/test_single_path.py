@@ -3,8 +3,9 @@
 The fused ``(B, L, N)`` code is the only implementation of every CKKS
 operation; the singular API adapts it.  These tests pin the shape of that
 arrangement (adapters hold no arithmetic, the fused classes hold no twin,
-each switch-key level is stored once) and the glue costs a lone stream is
-spared: no stack copy, no defensive operand copy and no batch plan.
+each switch-key level is stored once), that every transform is a planner
+call, and the glue costs a lone stream is spared: no stack copy, no
+defensive operand copy and no batch plan.
 """
 
 import inspect
@@ -12,12 +13,14 @@ import inspect
 import numpy as np
 import pytest
 
+from repro.api import TensorFheContext
 from repro.backend.residency import stack_arrays
-from repro.ckks import Ciphertext, evaluator as evaluator_module
+from repro.ckks import Ciphertext, CkksParameters, evaluator as evaluator_module
 from repro.ckks import keyswitch as keyswitch_module
 from repro.ckks.batched_evaluator import BatchedEvaluator
 from repro.ckks.batched_keyswitch import BatchedKeySwitcher
 from repro.ckks.keys import SwitchKeyLevel
+from repro.ntt import NttEngine, NttPlanner
 from repro.numtheory import moduli_column
 
 ARITHMETIC_LAYERS = ("repro.numtheory", "repro.kernels", "repro.ntt",
@@ -69,6 +72,42 @@ class TestStructure:
         assert not hasattr(switcher, "key_switcher")
         assert not hasattr(switcher, "_key_stack_cache")
         assert not hasattr(BatchedKeySwitcher, "KEY_STACK_CACHE_SIZE")
+
+
+class TestEveryTransformIsAPlannerCall:
+    """Every NTT a context makes is an ``NttPlanner.forward_ops`` /
+    ``inverse_ops`` call: the engines launch nothing the planner did not
+    hand them, so counts taken at the planner miss no transform."""
+
+    def test_engine_launches_equal_planner_calls(self, monkeypatch, rng):
+        calls = {NttPlanner: 0, NttEngine: 0}
+        for owner in calls:
+            for name in ("forward_ops", "inverse_ops"):
+                def counting(*args, _original=getattr(owner, name), _owner=owner,
+                             **kwargs):
+                    calls[_owner] += 1
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(owner, name, counting)
+
+        def counted(run, *args, **kwargs):
+            calls.update(dict.fromkeys(calls, 0))
+            result = run(*args, **kwargs)
+            assert calls[NttEngine] == calls[NttPlanner] > 0, run
+            return result
+
+        parameters = CkksParameters(ring_degree=64, level_count=3, dnum=2,
+                                    secret_hamming_weight=8)
+        fhe = counted(TensorFheContext, parameters, seed=43)        # keygen
+        planner = fhe.context.planner
+        values = rng.uniform(-1, 1, (2, fhe.slot_count))
+        lhs, rhs = (counted(fhe.encrypt, row) for row in values)
+        product = counted(fhe.multiply, lhs, rhs)                  # and rescale
+        coefficients = counted(product.c0.to_coefficient, planner)
+        evaluations = counted(coefficients.to_evaluation, planner)
+        assert np.array_equal(evaluations.residues, product.c0.residues)
+        slots = counted(fhe.decrypt, product)
+        assert np.allclose(slots.real, values[0] * values[1], atol=1e-2)
 
 
 class TestSwitchKeyStoredOnce:

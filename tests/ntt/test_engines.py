@@ -1,4 +1,4 @@
-"""Tests for all NTT engines: correctness, agreement, shape adapters, planning."""
+"""Tests for all NTT engines: correctness, agreement, entry points, planning."""
 
 import numpy as np
 import pytest
@@ -15,11 +15,12 @@ from repro.ntt import (
     available_engines,
     create_engine,
     get_twiddle_cache,
-    negacyclic_multiply,
     schoolbook_negacyclic_multiply,
     split_degree,
 )
 from repro.ntt.reference import reference_forward, reference_inverse
+
+from ntt_vector import transform_vector
 
 ENGINES = list(available_engines())
 
@@ -61,30 +62,33 @@ class TestEngineCorrectness:
     @pytest.mark.parametrize("ring_degree", [8, 16, 32, 64, 128, 256])
     def test_roundtrip(self, engine_name, ring_degree, rng):
         q = generate_ntt_prime(24, ring_degree)
-        engine = create_engine(engine_name, ring_degree, q)
+        engine = create_engine(engine_name, ring_degree)
         poly = _random_poly(rng, ring_degree, q)
-        assert np.array_equal(engine.inverse(engine.forward(poly)), poly)
+        values = transform_vector(engine, poly, q)
+        assert np.array_equal(
+            transform_vector(engine, values, q, inverse=True), poly)
 
     @pytest.mark.parametrize("engine_name", [e for e in ENGINES if e != "reference"])
     @pytest.mark.parametrize("ring_degree", [8, 16, 32, 64, 128])
     def test_matches_reference(self, engine_name, ring_degree, rng):
         q = generate_ntt_prime(26, ring_degree)
-        reference = create_engine("reference", ring_degree, q)
-        engine = create_engine(engine_name, ring_degree, q)
-        poly = _random_poly(rng, ring_degree, q)
-        assert np.array_equal(engine.forward(poly), reference.forward(poly))
-        values = _random_poly(rng, ring_degree, q)
-        assert np.array_equal(engine.inverse(values), reference.inverse(values))
+        reference = create_engine("reference", ring_degree)
+        engine = create_engine(engine_name, ring_degree)
+        for inverse in (False, True):
+            poly = _random_poly(rng, ring_degree, q)
+            assert np.array_equal(
+                transform_vector(engine, poly, q, inverse=inverse),
+                transform_vector(reference, poly, q, inverse=inverse))
 
     @pytest.mark.parametrize("engine_name", ENGINES)
     def test_forward_of_delta_is_psi_powers(self, engine_name):
         """NTT of X^0 = 1 is the all-ones vector (Eq. 4 with a = delta_0)."""
         ring_degree = 32
         q = generate_ntt_prime(24, ring_degree)
-        engine = create_engine(engine_name, ring_degree, q)
+        engine = create_engine(engine_name, ring_degree)
         delta = np.zeros(ring_degree, dtype=np.int64)
         delta[0] = 1
-        assert np.all(engine.forward(delta) == 1)
+        assert np.all(transform_vector(engine, delta, q) == 1)
 
     @pytest.mark.parametrize("engine_name", ENGINES)
     @pytest.mark.parametrize("power", [1, 16, 31])
@@ -92,24 +96,24 @@ class TestEngineCorrectness:
         """NTT of X^j is ``psi^((2k+1) j)`` at slot k: the twist by psi."""
         ring_degree = 32
         q = generate_ntt_prime(24, ring_degree)
-        engine = create_engine(engine_name, ring_degree, q)
-        psi = engine.twiddles.psi
+        engine = create_engine(engine_name, ring_degree)
+        psi = get_twiddle_cache(ring_degree, q).psi
         monomial = np.zeros(ring_degree, dtype=np.int64)
         monomial[power] = 1
         want = [pow(psi, (2 * k + 1) * power, q) for k in range(ring_degree)]
-        assert engine.forward(monomial).tolist() == want
-        assert np.array_equal(engine.inverse(np.asarray(want, dtype=np.int64)),
+        assert transform_vector(engine, monomial, q).tolist() == want
+        assert np.array_equal(transform_vector(engine, want, q, inverse=True),
                               monomial)
 
     @pytest.mark.parametrize("engine_name", ENGINES)
     def test_linearity(self, engine_name, rng):
         ring_degree = 64
         q = generate_ntt_prime(24, ring_degree)
-        engine = create_engine(engine_name, ring_degree, q)
+        engine = create_engine(engine_name, ring_degree)
         a = _random_poly(rng, ring_degree, q)
         b = _random_poly(rng, ring_degree, q)
-        lhs = engine.forward((a + b) % q)
-        rhs = (engine.forward(a) + engine.forward(b)) % q
+        lhs = transform_vector(engine, (a + b) % q, q)
+        rhs = (transform_vector(engine, a, q) + transform_vector(engine, b, q)) % q
         assert np.array_equal(lhs, rhs)
 
     @pytest.mark.parametrize("engine_name", ENGINES)
@@ -117,17 +121,21 @@ class TestEngineCorrectness:
         """Engines accept unreduced/negative inputs and reduce them."""
         ring_degree = 16
         q = generate_ntt_prime(20, ring_degree)
-        engine = create_engine(engine_name, ring_degree, q)
+        engine = create_engine(engine_name, ring_degree)
         poly = rng.integers(-q, 2 * q, ring_degree, dtype=np.int64)
-        assert np.array_equal(engine.forward(poly), engine.forward(poly % q))
-        assert np.array_equal(engine.inverse(poly), engine.inverse(poly % q))
+        for inverse in (False, True):
+            assert np.array_equal(
+                transform_vector(engine, poly, q, inverse=inverse),
+                transform_vector(engine, poly % q, q, inverse=inverse))
 
     @pytest.mark.parametrize("engine_name", ENGINES)
     def test_wrong_length_rejected(self, engine_name):
         q = generate_ntt_prime(20, 16)
-        engine = create_engine(engine_name, 16, q)
+        engine = create_engine(engine_name, 16)
         with pytest.raises(ValueError):
-            engine.forward(np.zeros(15, dtype=np.int64))
+            engine.forward_ops(np.zeros((1, 1, 15), dtype=np.int64), [q])
+        with pytest.raises(ValueError):
+            engine.forward_ops(np.zeros((1, 16), dtype=np.int64), [q])
 
     @given(st.integers(min_value=0, max_value=7))
     @settings(max_examples=30, deadline=None)
@@ -136,9 +144,16 @@ class TestEngineCorrectness:
         q = generate_ntt_prime(20, ring_degree)
         rng = np.random.default_rng(seed)
         poly = rng.integers(0, q, ring_degree, dtype=np.int64)
-        reference = create_engine("reference", ring_degree, q)
-        four_step = create_engine("four_step", ring_degree, q)
-        assert np.array_equal(four_step.forward(poly), reference.forward(poly))
+        reference = create_engine("reference", ring_degree)
+        four_step = create_engine("four_step", ring_degree)
+        assert np.array_equal(transform_vector(four_step, poly, q),
+                              transform_vector(reference, poly, q))
+
+
+def _ntt_product(engine, a, b, q):
+    """``INTT(NTT(a) ⊙ NTT(b))``: the negacyclic product through ``engine``."""
+    product = transform_vector(engine, a, q) * transform_vector(engine, b, q) % q
+    return transform_vector(engine, product, q, inverse=True)
 
 
 class TestPolynomialMultiplication:
@@ -146,51 +161,48 @@ class TestPolynomialMultiplication:
     def test_negacyclic_multiply_matches_schoolbook(self, engine_name, rng):
         ring_degree = 32
         q = generate_ntt_prime(24, ring_degree)
-        engine = create_engine(engine_name, ring_degree, q)
+        engine = create_engine(engine_name, ring_degree)
         a = _random_poly(rng, ring_degree, q)
         b = _random_poly(rng, ring_degree, q)
         expected = schoolbook_negacyclic_multiply(a, b, ring_degree, q)
-        assert np.array_equal(negacyclic_multiply(a, b, engine), expected)
+        assert np.array_equal(_ntt_product(engine, a, b, q), expected)
 
     @pytest.mark.parametrize("engine_name", ENGINES)
     def test_x_to_n_wraps_negatively(self, engine_name):
         """X^(N/2) * X^(N/2) = X^N = -1 in the negacyclic ring."""
         ring_degree = 16
         q = generate_ntt_prime(20, ring_degree)
-        engine = create_engine(engine_name, ring_degree, q)
+        engine = create_engine(engine_name, ring_degree)
         half = np.zeros(ring_degree, dtype=np.int64)
         half[ring_degree // 2] = 1
-        product = negacyclic_multiply(half, half, engine)
+        product = _ntt_product(engine, half, half, q)
         expected = np.zeros(ring_degree, dtype=np.int64)
         expected[0] = q - 1
         assert np.array_equal(product, expected)
 
 
-class TestScalarEntriesAreShapeAdapters:
-    """``forward`` on any engine is ``forward_ops`` at B = 1 and L = 1:
-    one primitive, whatever the entry point."""
+class TestRowsAreIndependent:
+    """A ``(B, 1, N)`` launch transforms each row as its own ``(1, 1, N)``
+    launch does, and as the Eq. 4 oracle does, also at the width where
+    int64 products overflow."""
 
     @pytest.mark.parametrize("engine_name", ENGINES)
     @pytest.mark.parametrize("bits", [28, 31])
-    def test_scalar_equals_the_ops_launch(self, engine_name, bits, rng):
+    def test_batched_rows_equal_single_launches(self, engine_name, bits, rng):
         ring_degree = 32
         q = generate_ntt_prime(bits, ring_degree)
         assert (q >= 1 << 31) == (bits == 31)     # 31: the object path
-        engine = create_engine(engine_name, ring_degree, q)
-        reference = create_engine("reference", ring_degree, q)
+        engine = create_engine(engine_name, ring_degree)
+        reference = create_engine("reference", ring_degree)
         rows = rng.integers(0, q, (3, ring_degree), dtype=np.int64)
-        for single, ops, oracle in [
-            (engine.forward, engine.forward_ops, reference.forward),
-            (engine.inverse, engine.inverse_ops, reference.inverse),
-        ]:
+        for inverse, ops in [(False, engine.forward_ops),
+                             (True, engine.inverse_ops)]:
             fused = ops(rows[:, None, :], [q]).host([q], 1)
             for i, row in enumerate(rows):
-                assert np.array_equal(single(row),
-                                      ops(row[None, None], [q]).host([q], 1)[0, 0])
-                assert np.array_equal(single(row), fused[i, 0])
-                assert np.array_equal(single(row), oracle(row))
-        with pytest.raises(ValueError):
-            engine.forward(rows)                   # a vector, not a batch
+                single = transform_vector(engine, row, q, inverse=inverse)
+                assert np.array_equal(single, fused[i, 0])
+                assert np.array_equal(
+                    single, transform_vector(reference, row, q, inverse=inverse))
 
 
 def _oracle(rows, moduli, inverse):
@@ -206,31 +218,29 @@ def _oracle(rows, moduli, inverse):
 
 
 class TestOnePrimitive:
-    """Every entry point is a shape adapter over ``_transform_ops``: each
-    call reaches the primitive exactly once, as a ``(B, L, N)`` stack."""
+    """Both entry points hand the primitive ``_transform_ops`` the stack
+    they got: each call reaches it exactly once, as a ``(B, L, N)`` stack,
+    one vector and one polynomial included."""
 
     RING_DEGREE = 16
     CHAIN = tuple(generate_ntt_primes(3, 24, 16))
 
-    # entry point -> (B, L) of the stack it hands the primitive, or None
-    # for the scalar entries, which carry the engine's own prime.
-    ENTRIES = {
-        "forward": (None, False),
-        "inverse": (None, True),
-        "forward_limbs": ((1, 3), False),
-        "inverse_limbs": ((1, 3), True),
-        "forward_ops": ((2, 3), False),
-        "inverse_ops": ((2, 3), True),
-    }
-
     def test_one_abstract_primitive(self):
         assert NttEngine.__abstractmethods__ == frozenset({"_transform_ops"})
 
+    def test_transform_entries_are_the_ops_pair(self):
+        """No engine or planner has another public transform method."""
+        for owner in [NttPlanner] + [ENGINE_REGISTRY[name] for name in ENGINES]:
+            entries = {name for name in dir(owner)
+                       if name.startswith(("forward", "inverse"))}
+            assert entries == {"forward_ops", "inverse_ops"}, owner
+
     @pytest.mark.parametrize("engine_name", ENGINES)
-    @pytest.mark.parametrize("entry", list(ENTRIES))
-    def test_entry_is_one_primitive_call(self, engine_name, entry, rng):
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 3), (2, 3)])
+    def test_entry_is_one_primitive_call(self, engine_name, inverse, shape, rng):
         n, chain = self.RING_DEGREE, self.CHAIN
-        engine = create_engine(engine_name, n, chain[0])
+        engine = create_engine(engine_name, n)
         primitive, calls = engine._transform_ops, []
 
         def spy(stacks, moduli, *, inverse):
@@ -238,25 +248,19 @@ class TestOnePrimitive:
             return primitive(stacks, moduli, inverse=inverse)
 
         engine._transform_ops = spy
-        shape, inverse = self.ENTRIES[entry]
-        moduli = chain if shape else chain[:1]
-        batch, limbs = shape or (1, 1)
+        batch, limbs = shape
+        moduli = chain[:limbs]
         column = np.asarray(moduli, dtype=np.int64)[None, :, None]
         rows = rng.integers(0, column, (batch, limbs, n))
-        if shape is None:
-            got = getattr(engine, entry)(rows[0, 0])[None, None]
-        elif entry.endswith("_limbs"):
-            got = getattr(engine, entry)(rows[0], moduli)[None]
-        else:
-            got = getattr(engine, entry)(rows, moduli)
+        entry = engine.inverse_ops if inverse else engine.forward_ops
+        got = entry(rows, moduli)
         # The moduli reach the primitive as one tuple of Python ints.
         assert calls == [((batch, limbs, n), tuple(moduli), inverse)]
         assert all(type(q) is int for q in calls[0][1])
-        got = got if isinstance(got, np.ndarray) else got.host(moduli, 1)
-        assert np.array_equal(got, _oracle(rows, moduli, inverse))
+        assert np.array_equal(got.host(moduli, 1), _oracle(rows, moduli, inverse))
 
     def test_primitive_alone_makes_an_engine(self, rng):
-        """A subclass defining only the primitive serves every entry point,
+        """A subclass defining only the primitive serves both entry points,
         and an empty operation batch never reaches it."""
         calls = []
 
@@ -269,15 +273,15 @@ class TestOnePrimitive:
                     (-np.asarray(stacks)) % np.asarray(moduli)[None, :, None])
 
         q = generate_ntt_prime(20, 8)
-        engine = Negate(8, q)
+        engine = Negate(8)
         row = rng.integers(1, q, 8)
-        assert np.array_equal(engine.forward(row), q - row)
-        assert np.array_equal(engine.inverse_limbs(row[None], [q]), q - row[None])
         assert np.array_equal(engine.forward_ops(row[None, None], [q]),
+                              q - row[None, None])
+        assert np.array_equal(engine.inverse_ops(row[None, None], [q]),
                               q - row[None, None])
         assert engine.inverse_ops(np.zeros((0, 1, 8), dtype=np.int64), [q]).shape \
             == (0, 1, 8)
-        assert calls == [False, True, False]
+        assert calls == [False, True]
 
 
 class TestPlanner:
@@ -289,9 +293,19 @@ class TestPlanner:
         assert available_engines() == ("reference", "four_step", "tensorcore")
 
     def test_engine_cached(self):
-        q = generate_ntt_prime(20, 32)
         planner = NttPlanner("four_step")
-        assert planner.engine_for(32, q) is planner.engine_for(32, q)
+        assert planner.engine_for(32) is planner.engine_for(32)
+        assert len(planner) == 1
+
+    def test_one_engine_serves_every_chain_of_its_ring(self, rng):
+        """The primes arrive with each launch: two chains that share no
+        prime transform on one engine, and each matches the oracle."""
+        planner = NttPlanner("four_step")
+        primes = generate_ntt_primes(4, 20, 32)
+        for chain in (primes[:2], primes[2:]):
+            rows = rng.integers(0, np.asarray(chain)[None, :, None], (1, 2, 32))
+            got = planner.forward_ops(32, chain, rows).host(chain, 1)
+            assert np.array_equal(got, _oracle(rows, chain, False))
         assert len(planner) == 1
 
     @pytest.mark.parametrize("name", ["does-not-exist", "butterfly", "matrix"])
@@ -299,11 +313,10 @@ class TestPlanner:
         with pytest.raises(ValueError):
             NttPlanner(name)
         with pytest.raises(ValueError):
-            create_engine(name, 32, generate_ntt_prime(20, 32))
+            create_engine(name, 32)
 
     def test_clear(self):
-        q = generate_ntt_prime(20, 32)
         planner = NttPlanner()
-        planner.engine_for(32, q)
+        planner.engine_for(32)
         planner.clear()
         assert len(planner) == 0

@@ -37,6 +37,8 @@ from repro.numtheory.planned import (
     stage_operand,
 )
 
+from ntt_vector import transform_vector
+
 BACKEND = "blas"
 C = canonical
 
@@ -47,8 +49,8 @@ def _on_blas():
         yield
 
 
-def engine_for(ring_degree, primes, name="four_step"):
-    return NttPlanner(name).engine_for(ring_degree, primes[0])
+def engine_for(ring_degree, name="four_step"):
+    return NttPlanner(name).engine_for(ring_degree)
 
 
 def default_extended_basis(ring_degree):
@@ -121,7 +123,7 @@ class TestPlanTable:
     @pytest.mark.parametrize("ring_degree,bits", sorted(PLAN_TABLE))
     def test_single_width_chains(self, ring_degree, bits):
         primes = generate_ntt_primes(2, bits, ring_degree)
-        engine = engine_for(ring_degree, primes)
+        engine = engine_for(ring_degree)
         forward, inverse = expected_plans(PLAN_TABLE[ring_degree, bits])
         assert engine.float_plan(primes) == forward
         assert engine.float_plan(primes, inverse=True) == inverse
@@ -134,7 +136,7 @@ class TestPlanTable:
     def test_default_extended_basis(self, ring_degree, row):
         """29- and 31-bit primes in one chain plan on the wider ones."""
         primes = default_extended_basis(ring_degree)
-        engine = engine_for(ring_degree, primes)
+        engine = engine_for(ring_degree)
         forward, inverse = expected_plans(row)
         assert engine.float_plan(primes) == forward
         assert engine.float_plan(primes, inverse=True) == inverse
@@ -174,7 +176,7 @@ class TestPlanTable:
         monkeypatch.setattr(
             FourStepNtt, "_ops_pipeline",
             lambda self, *args: calls.append(1) or original(self, *args))
-        engine = engine_for(ring_degree, primes, name)
+        engine = engine_for(ring_degree, name)
         with use_backend(backend):
             assert engine.float_plan(primes) is None
             assert engine.float_plan(primes, inverse=True) is None
@@ -183,9 +185,9 @@ class TestPlanTable:
         assert np.array_equal(ints(back, primes), stack)
         # ... and never when there is one.
         planned = generate_ntt_primes(2, 28, ring_degree)
-        engine = engine_for(ring_degree, planned)
+        engine = engine_for(ring_degree)
         assert engine.float_plan(planned) is not None
-        engine.forward_limbs(stack[0] % planned[0], planned)
+        engine.forward_ops(stack[:1] % planned[0], planned)
         engine.inverse_ops(stack % planned[0], planned)
         assert len(calls) == 2
 
@@ -280,7 +282,7 @@ class TestGuardArithmetic:
         chain = BarrettChain([q])
         assert choose_form(chain, 64, q - 1) == SPLIT_BOTH
         assert choose_form(chain, 64, q - 1, LAZY) == C(SPLIT_BOTH)
-        engine = engine_for(4096, [q])
+        engine = engine_for(4096)
         plan = engine.float_plan([q], inverse=True)
         assert plan.inner == SPLIT_BOTH and plan.outer == C(SPLIT_BOTH)
         stack = random_stack(np.random.default_rng(9), 2, [q], 4096)
@@ -351,11 +353,9 @@ PARITY_BATCH = 8
 
 def reference_rows(ring_degree, primes, stack, rows, inverse):
     """The reference engine's transform of the ``(operation, limb)`` rows."""
-    planner = NttPlanner("reference")
-    return {(op, limb): (planner.engine_for(ring_degree, primes[limb]).inverse
-                         if inverse else
-                         planner.engine_for(ring_degree, primes[limb]).forward)(
-                             stack[op, limb])
+    engine = NttPlanner("reference").engine_for(ring_degree)
+    return {(op, limb): transform_vector(engine, stack[op, limb], primes[limb],
+                                         inverse=inverse)
             for op, limb in rows}
 
 
@@ -437,7 +437,7 @@ class TestParity:
         stack = whole[:batch]
         given = (DeviceBuffer.from_float(stack.astype(np.float64), max(primes) - 1)
                  if inputs == "float" else stack)
-        engine = engine_for(ring_degree, primes)
+        engine = engine_for(ring_degree)
         assert engine.float_plan(primes) is not None
         for inverse in (False, True):
             int64, reference = expected[inverse]
@@ -461,7 +461,7 @@ class TestParity:
             plan_module.SLAB_DOUBLES)
         for chain in (primes[:-1], primes):
             part = stack[:, :len(chain)]
-            engine = engine_for(ring_degree, chain)
+            engine = engine_for(ring_degree)
             for inverse in (False, True):
                 with use_backend("numpy"):
                     want = (engine.inverse_ops if inverse
@@ -482,7 +482,7 @@ class TestParity:
     def test_a_handle_in_is_a_float_only_handle_out(self, chain, slab_budget):
         primes = CHAINS[chain](self.N)
         stack = random_stack(np.random.default_rng(4), 3, primes, self.N)
-        engine = engine_for(self.N, primes)
+        engine = engine_for(self.N)
         want = NttPlanner("reference").forward_ops(self.N, primes, stack)
         with use_backend(BACKEND):
             got = engine.forward_ops(DeviceBuffer.wrap(stack), primes)
@@ -504,7 +504,7 @@ class TestParity:
         size."""
         primes = CHAINS["p28"](self.N)
         stack = random_stack(np.random.default_rng(5), 8, primes, self.N)
-        engine = engine_for(self.N, primes)
+        engine = engine_for(self.N)
         want = NttPlanner("reference").forward_ops(self.N, primes, stack)
         assert plan_module.RESIDENT_DOUBLES == 0        # the suite's fixture
         assert plan_module.RESIDENT_RING_DEGREE > self.N
@@ -527,7 +527,7 @@ class TestParity:
         unreduced = stack + 3 * column
         unreduced[1, :, 0] -= 7 * column[0, :, 0]
         unreduced[2, :, 1] = column[0, :, 0]            # exactly q
-        engine = engine_for(self.N, primes)
+        engine = engine_for(self.N)
         want = ints(engine.forward_ops(unreduced % column, primes), primes)
         assert np.array_equal(ints(engine.forward_ops(unreduced, primes), primes),
                               want)
@@ -535,7 +535,7 @@ class TestParity:
             got = engine.forward_ops(DeviceBuffer.wrap(unreduced), primes)
         assert np.array_equal(ints(got, primes), want)
         assert np.array_equal(
-            ints(engine.forward_limbs(unreduced[1], primes)[None], primes)[0],
+            ints(engine.forward_ops(unreduced[1:2], primes), primes)[0],
             want[1])
 
     def test_kernel_made_handles_skip_the_range_scan_until_invalidated(
@@ -550,7 +550,7 @@ class TestParity:
         primes = CHAINS["p28"](self.N)
         column = np.asarray(primes, dtype=np.int64)[None, :, None]
         stack = random_stack(np.random.default_rng(7), 3, primes, self.N)
-        engine = engine_for(self.N, primes)
+        engine = engine_for(self.N)
         with use_backend("numpy"):
             made = engine.forward_ops(stack, primes)         # an int64 kernel's
         assert len(scans) == 1                              # the caller's stack
@@ -572,7 +572,7 @@ class TestParity:
     def test_results_do_not_alias_the_work_buffers(self):
         primes = CHAINS["p28"](self.N)
         stack = random_stack(np.random.default_rng(8), 2, primes, self.N)
-        engine = engine_for(self.N, primes)
+        engine = engine_for(self.N)
         first = engine.forward_ops(stack, primes)
         snapshot = first.full().copy()
         second = engine.forward_ops(stack[::-1].copy(), primes)
@@ -581,7 +581,7 @@ class TestParity:
 
     def test_empty_batch(self):
         primes = CHAINS["p28"](self.N)
-        engine = engine_for(self.N, primes)
+        engine = engine_for(self.N)
         empty = np.zeros((0, len(primes), self.N), dtype=np.int64)
         assert engine.forward_ops(empty, primes).shape == empty.shape
         assert engine.inverse_ops(empty, primes).shape == empty.shape
@@ -590,7 +590,7 @@ class TestParity:
         """N = 128 is 16 x 8: the stage buffers change shape mid-pipeline."""
         primes = default_extended_basis(128)
         stack = random_stack(np.random.default_rng(2), 3, primes, 128)
-        engine = engine_for(128, primes)
+        engine = engine_for(128)
         assert (engine.n1, engine.n2) == (16, 8)
         forward = engine.forward_ops(stack, primes)
         assert np.array_equal(
@@ -624,7 +624,7 @@ class TestWidthProperty:
     @settings(max_examples=40, deadline=None)
     def test_any_admitted_width_matches_the_reference_engine(self, case):
         ring_degree, primes, stack = case
-        engine = engine_for(ring_degree, primes)
+        engine = engine_for(ring_degree)
         assert engine.float_plan(primes) is not None
         reference = NttPlanner("reference")
         forward = engine.forward_ops(stack, primes)
@@ -638,32 +638,32 @@ class TestWidthProperty:
 # ----------------------------------------------------------------------
 # (e) B = 1 is the same code
 # ----------------------------------------------------------------------
-class TestLimbsAreOneOperation:
+class TestOneOperationIsARowOfABatch:
     @pytest.mark.parametrize("name", available_engines())
     @pytest.mark.parametrize("backend", ["numpy", BACKEND])
-    def test_limbs_equal_the_one_operation_stack(self, name, backend):
+    def test_one_operation_equals_its_row_of_a_batch(self, name, backend):
         ring_degree = 64
         primes = default_extended_basis(ring_degree)
-        residues = random_stack(np.random.default_rng(12), 1, primes, ring_degree)[0]
-        engine = engine_for(ring_degree, primes, name)
+        stack = random_stack(np.random.default_rng(12), 3, primes, ring_degree)
+        engine = engine_for(ring_degree, name)
         with use_backend(backend):
-            forward = engine.forward_limbs(residues, primes).host(primes)
-            assert np.array_equal(
-                forward, ints(engine.forward_ops(residues[None], primes), primes)[0])
-            inverse = engine.inverse_limbs(residues, primes).host(primes)
-            assert np.array_equal(
-                inverse, ints(engine.inverse_ops(residues[None], primes), primes)[0])
-            handle = engine.forward_limbs(DeviceBuffer.wrap(residues), primes)
-        assert np.array_equal(handle.host(primes), forward)
-        assert np.array_equal(
-            forward, NttPlanner("reference").forward_limbs(ring_degree, primes, residues))
+            for entry in (engine.forward_ops, engine.inverse_ops):
+                batch = ints(entry(stack, primes), primes)
+                assert np.array_equal(ints(entry(stack[1:2], primes), primes)[0],
+                                      batch[1])
+            forward = ints(engine.forward_ops(stack[:1], primes), primes)
+            handle = engine.forward_ops(DeviceBuffer.wrap(stack[:1]), primes)
+        assert np.array_equal(ints(handle, primes), forward)
+        assert np.array_equal(forward, ints(
+            NttPlanner("reference").forward_ops(ring_degree, primes, stack[:1]),
+            primes))
 
-    def test_limbs_keep_their_shape_errors(self):
+    def test_shape_errors(self):
         primes = generate_ntt_primes(2, 28, 64)
-        engine = engine_for(64, primes)
-        with pytest.raises(ValueError, match=r"expected a \(limbs, 64\) residue matrix"):
-            engine.forward_limbs(np.zeros((2, 32), dtype=np.int64), primes)
+        engine = engine_for(64)
+        with pytest.raises(ValueError, match=r"expected a \(B, limbs, 64\) stack"):
+            engine.forward_ops(np.zeros((1, 2, 32), dtype=np.int64), primes)
         with pytest.raises(ValueError, match="got 2 moduli for 3 limbs"):
-            engine.inverse_limbs(np.zeros((3, 64), dtype=np.int64), primes)
+            engine.inverse_ops(np.zeros((1, 3, 64), dtype=np.int64), primes)
         with pytest.raises(ValueError, match=r"expected a \(B, limbs, 64\) stack"):
             engine.forward_ops(np.zeros((2, 64), dtype=np.int64), primes)

@@ -1,8 +1,9 @@
 """Parity suite for the limb-batched execution paths.
 
-The batched paths (``forward_limbs``/``inverse_limbs`` on every engine, the
-vectorised :class:`RnsPolynomial` arithmetic) must be bit-identical to the
-per-limb reference composition.
+The batched paths (a whole polynomial as the ``(1, L, N)`` stack of every
+engine's ``forward_ops`` / ``inverse_ops``, the vectorised
+:class:`RnsPolynomial` arithmetic) must be bit-identical to the per-limb
+reference composition.
 """
 
 import numpy as np
@@ -11,6 +12,8 @@ import pytest
 from repro.ntt import NttPlanner, available_engines, create_engine
 from repro.numtheory import generate_ntt_primes
 from repro.rns import PolyDomain, RnsPolynomial
+
+from ntt_vector import transform_vector
 
 ENGINES = list(available_engines())
 #: (ring_degree, limb_count) grid exercised by the parity tests; the
@@ -25,55 +28,58 @@ def _residue_matrix(rng, primes, ring_degree):
 class TestEngineLimbParity:
     @pytest.mark.parametrize("engine_name", ENGINES)
     @pytest.mark.parametrize("ring_degree,limbs", SHAPES)
-    def test_forward_limbs_matches_per_limb(self, engine_name, ring_degree, limbs, rng):
+    def test_forward_polynomial_matches_per_limb(self, engine_name, ring_degree,
+                                                 limbs, rng):
         primes = generate_ntt_primes(limbs, 24, ring_degree)
-        engine = create_engine(engine_name, ring_degree, primes[0])
+        engine = create_engine(engine_name, ring_degree)
         residues = _residue_matrix(rng, primes, ring_degree)
-        batched = engine.forward_limbs(residues, primes).host(primes)
+        batched = engine.forward_ops(residues[None], primes)[0].host(primes)
         for i, q in enumerate(primes):
-            expected = create_engine(engine_name, ring_degree, q).forward(residues[i])
+            expected = transform_vector(engine, residues[i], q)
             assert np.array_equal(batched[i], expected)
 
     @pytest.mark.parametrize("engine_name", ENGINES)
     @pytest.mark.parametrize("ring_degree,limbs", SHAPES)
-    def test_inverse_limbs_matches_per_limb(self, engine_name, ring_degree, limbs, rng):
+    def test_inverse_polynomial_matches_per_limb(self, engine_name, ring_degree,
+                                                 limbs, rng):
         primes = generate_ntt_primes(limbs, 24, ring_degree)
-        engine = create_engine(engine_name, ring_degree, primes[0])
+        engine = create_engine(engine_name, ring_degree)
         values = _residue_matrix(rng, primes, ring_degree)
-        batched = engine.inverse_limbs(values, primes).host(primes)
+        batched = engine.inverse_ops(values[None], primes)[0].host(primes)
         for i, q in enumerate(primes):
-            expected = create_engine(engine_name, ring_degree, q).inverse(values[i])
+            expected = transform_vector(engine, values[i], q, inverse=True)
             assert np.array_equal(batched[i], expected)
 
     @pytest.mark.parametrize("engine_name", ENGINES)
     def test_roundtrip(self, engine_name, rng):
         ring_degree, limbs = 32, 4
         primes = generate_ntt_primes(limbs, 24, ring_degree)
-        engine = create_engine(engine_name, ring_degree, primes[0])
+        engine = create_engine(engine_name, ring_degree)
         residues = _residue_matrix(rng, primes, ring_degree)
-        forward = engine.forward_limbs(residues, primes)
-        assert np.array_equal(engine.inverse_limbs(forward, primes).host(primes),
-                              residues)
+        forward = engine.forward_ops(residues[None], primes)
+        assert np.array_equal(engine.inverse_ops(forward, primes).host(primes, 1),
+                              residues[None])
 
     def test_unreduced_input_is_reduced(self, rng):
         ring_degree = 16
         primes = generate_ntt_primes(2, 24, ring_degree)
-        engine = create_engine("four_step", ring_degree, primes[0])
+        engine = create_engine("four_step", ring_degree)
         residues = np.stack([
             rng.integers(-q, q, ring_degree, dtype=np.int64) for q in primes
-        ])
+        ])[None]
         reduced = residues % np.asarray(primes, dtype=np.int64)[:, None]
-        assert np.array_equal(engine.forward_limbs(residues, primes).host(primes),
-                              engine.forward_limbs(reduced, primes).host(primes))
+        assert np.array_equal(engine.forward_ops(residues, primes).host(primes, 1),
+                              engine.forward_ops(reduced, primes).host(primes, 1))
 
     def test_shape_mismatch_rejected(self):
         ring_degree = 16
         primes = generate_ntt_primes(2, 24, ring_degree)
-        engine = create_engine("four_step", ring_degree, primes[0])
+        engine = create_engine("four_step", ring_degree)
         with pytest.raises(ValueError):
-            engine.forward_limbs(np.zeros((2, ring_degree - 1), dtype=np.int64), primes)
+            engine.forward_ops(np.zeros((1, 2, ring_degree - 1), dtype=np.int64),
+                               primes)
         with pytest.raises(ValueError):
-            engine.forward_limbs(np.zeros((3, ring_degree), dtype=np.int64), primes)
+            engine.forward_ops(np.zeros((1, 3, ring_degree), dtype=np.int64), primes)
 
     def test_oversized_moduli_take_exact_path(self, rng):
         """Moduli >= 2**31 must not silently wrap the int64 accumulator."""
@@ -96,9 +102,9 @@ class TestEngineLimbParity:
         ring_degree = 16
         primes = generate_ntt_primes(2, 24, ring_degree)
         for engine_name in ("four_step", "tensorcore"):
-            engine = create_engine(engine_name, ring_degree, primes[0])
-            zeros = np.zeros((2, ring_degree), dtype=np.int64)
-            assert np.array_equal(engine.forward_limbs(zeros, primes).host(primes),
+            engine = create_engine(engine_name, ring_degree)
+            zeros = np.zeros((1, 2, ring_degree), dtype=np.int64)
+            assert np.array_equal(engine.forward_ops(zeros, primes).host(primes, 1),
                                   zeros)
 
 
@@ -109,18 +115,18 @@ class TestPlannerLimbBatching:
         primes = generate_ntt_primes(limbs, 24, ring_degree)
         planner = NttPlanner("four_step")
         calls = []
-        engine = planner.engine_for(ring_degree, primes[0])
-        original = type(engine).forward_limbs
+        engine = planner.engine_for(ring_degree)
+        original = type(engine).forward_ops
 
-        def counting(self, residues, moduli):
-            calls.append(len(tuple(moduli)))
-            return original(self, residues, moduli)
+        def counting(self, stacks, moduli):
+            calls.append(tuple(stacks.shape))
+            return original(self, stacks, moduli)
 
-        monkeypatch.setattr(type(engine), "forward_limbs", counting)
+        monkeypatch.setattr(type(engine), "forward_ops", counting)
         poly = RnsPolynomial(ring_degree, primes,
                              _residue_matrix(rng, primes, ring_degree))
         poly.to_evaluation(planner)
-        assert calls == [limbs]
+        assert calls == [(1, limbs, ring_degree)]
 
     @pytest.mark.parametrize("engine_name", ENGINES)
     def test_planner_roundtrip(self, engine_name, rng):
@@ -128,9 +134,10 @@ class TestPlannerLimbBatching:
         primes = generate_ntt_primes(limbs, 24, ring_degree)
         planner = NttPlanner(engine_name)
         residues = _residue_matrix(rng, primes, ring_degree)
-        values = planner.forward_limbs(ring_degree, primes, residues)
+        values = planner.forward_ops(ring_degree, primes, residues[None])
         assert np.array_equal(
-            planner.inverse_limbs(ring_degree, primes, values).host(primes), residues)
+            planner.inverse_ops(ring_degree, primes, values).host(primes, 1)[0],
+            residues)
 
     def test_rns_polynomial_domain_conversion_parity(self, rng):
         """Poly-level conversion equals per-limb engine composition."""
@@ -141,7 +148,7 @@ class TestPlannerLimbBatching:
                              _residue_matrix(rng, primes, ring_degree))
         evaluated = poly.to_evaluation(planner)
         per_limb = np.stack([
-            planner.engine_for(ring_degree, q).forward(poly.residues[i])
+            transform_vector(planner.engine_for(ring_degree), poly.residues[i], q)
             for i, q in enumerate(primes)
         ])
         assert np.array_equal(evaluated.residues, per_limb)
@@ -163,18 +170,16 @@ class TestCounterRegression:
         return RnsPolynomial(self.RING_DEGREE, primes, residues, domain)
 
     def test_batched_arithmetic_matches_per_limb_reference(self, primes, rng):
-        from repro.numtheory import vec_mod_add, vec_mod_mul, vec_mod_neg, vec_mod_sub
-
         a = self._poly(rng, primes)
         b = self._poly(rng, primes)
         for op, reference in [
-            (a.add(b), vec_mod_add),
-            (a.subtract(b), vec_mod_sub),
-            (a.hadamard(b), vec_mod_mul),
+            (a.add(b), lambda x, y, q: (x + y) % q),
+            (a.subtract(b), lambda x, y, q: (x - y) % q),
+            (a.hadamard(b), lambda x, y, q: x * y % q),   # 24-bit: exact in int64
         ]:
             for i, q in enumerate(primes):
                 assert np.array_equal(op.residues[i],
                                       reference(a.residues[i], b.residues[i], q))
         negated = a.negate()
         for i, q in enumerate(primes):
-            assert np.array_equal(negated.residues[i], vec_mod_neg(a.residues[i], q))
+            assert np.array_equal(negated.residues[i], -a.residues[i] % q)

@@ -19,6 +19,8 @@ from repro.ntt import NttPlanner, clear_twiddle_stacks, get_twiddle_stack, twidd
 from repro.ntt.twiddle import TwiddleStack
 from repro.numtheory import generate_ntt_primes
 
+from ntt_vector import transform_vector
+
 RING_DEGREE = 32
 CHAIN = tuple(generate_ntt_primes(5, 24, RING_DEGREE))
 
@@ -83,14 +85,15 @@ def test_transform_parity_through_views(rng):
         residues = np.stack([
             rng.integers(0, q, RING_DEGREE, dtype=np.int64) for q in primes
         ])
-        values = planner.forward_limbs(RING_DEGREE, primes, residues)
+        values = planner.forward_ops(RING_DEGREE, primes, residues[None])
         per_limb = np.stack([
-            planner.engine_for(RING_DEGREE, q).forward(residues[i])
+            transform_vector(planner.engine_for(RING_DEGREE), residues[i], q)
             for i, q in enumerate(primes)
         ])
-        assert np.array_equal(values.host(primes), per_limb)
+        assert np.array_equal(values.host(primes, 1)[0], per_limb)
         assert np.array_equal(
-            planner.inverse_limbs(RING_DEGREE, primes, values).host(primes), residues)
+            planner.inverse_ops(RING_DEGREE, primes, values).host(primes, 1)[0],
+            residues)
 
 
 def test_launch_recipes_after_a_bootstrap_pass_are_bounded(bootstrap_fhe, rng,

@@ -1,4 +1,4 @@
-"""Tests for scalar, vector and matrix modular arithmetic."""
+"""Tests for scalar and matrix modular arithmetic."""
 
 import numpy as np
 import pytest
@@ -15,10 +15,6 @@ from repro.numtheory import (
     mod_inverse,
     mod_pow,
     moduli_column,
-    vec_mod_add,
-    vec_mod_mul,
-    vec_mod_neg,
-    vec_mod_sub,
 )
 
 PRIME = 998244353  # a classic NTT prime
@@ -46,52 +42,8 @@ class TestScalarOps:
             mod_inverse(6, 9)
 
 
-class TestVectorOps:
-    def test_vec_add_matches_scalar(self, rng):
-        a = rng.integers(0, PRIME, 128)
-        b = rng.integers(0, PRIME, 128)
-        assert np.array_equal(vec_mod_add(a, b, PRIME), (a + b) % PRIME)
-
-    def test_vec_sub_matches_scalar(self, rng):
-        a = rng.integers(0, PRIME, 128)
-        b = rng.integers(0, PRIME, 128)
-        assert np.array_equal(vec_mod_sub(a, b, PRIME), (a - b) % PRIME)
-
-    def test_vec_neg(self, rng):
-        a = rng.integers(0, PRIME, 64)
-        assert np.array_equal(vec_mod_neg(a, PRIME), (-a) % PRIME)
-
-    def test_vec_mul_no_overflow(self, rng):
-        # Products of two ~30-bit residues must be exact in int64.
-        q = (1 << 30) - 35  # a prime-sized modulus near 2^30
-        a = rng.integers(0, q, 256)
-        b = rng.integers(0, q, 256)
-        expected = (a.astype(object) * b.astype(object)) % q
-        assert np.array_equal(vec_mod_mul(a, b, q), np.asarray(expected, dtype=np.int64))
-
-    def test_vec_mul_large_modulus_falls_back(self, rng):
-        q = (1 << 40) + 15
-        a = rng.integers(0, 1 << 35, 16)
-        b = rng.integers(0, 1 << 35, 16)
-        expected = (a.astype(object) * b.astype(object)) % q
-        assert np.array_equal(vec_mod_mul(a, b, q), np.asarray(expected, dtype=np.int64))
-
-    @given(st.lists(st.integers(min_value=0, max_value=SMALL_PRIME - 1),
-                    min_size=1, max_size=32),
-           st.lists(st.integers(min_value=0, max_value=SMALL_PRIME - 1),
-                    min_size=1, max_size=32))
-    @settings(max_examples=100, deadline=None)
-    def test_vec_ops_properties(self, a_list, b_list):
-        size = min(len(a_list), len(b_list))
-        a = np.asarray(a_list[:size], dtype=np.int64)
-        b = np.asarray(b_list[:size], dtype=np.int64)
-        assert np.array_equal(vec_mod_add(a, b, SMALL_PRIME), (a + b) % SMALL_PRIME)
-        assert np.array_equal(vec_mod_sub(a, b, SMALL_PRIME), (a - b) % SMALL_PRIME)
-        assert np.array_equal(vec_mod_mul(a, b, SMALL_PRIME), (a * b) % SMALL_PRIME)
-
-
 class TestMatrixOps:
-    """Matrix-modular helpers: whole (limbs, N) launches vs per-row vec ops."""
+    """Matrix-modular helpers: whole (limbs, N) launches vs the integer formula."""
 
     MODULI = (7681, 12289, 40961)
 
@@ -106,26 +58,52 @@ class TestMatrixOps:
         assert column.shape == (3, 1)
         assert moduli_column(column) is not None  # idempotent on 2-D input
 
-    def test_mat_ops_match_vec_ops(self, rng):
+    def test_mat_ops_match_the_formula(self, rng):
         a, b = self._pair(rng)
-        for mat_op, vec_op in [
-            (mat_mod_add, vec_mod_add),
-            (mat_mod_sub, vec_mod_sub),
-            (mat_mod_mul, vec_mod_mul),
+        for mat_op, formula in [
+            (mat_mod_add, lambda x, y, q: (x + y) % q),
+            (mat_mod_sub, lambda x, y, q: (x - y) % q),
+            (mat_mod_mul, lambda x, y, q: x * y % q),
         ]:
             batched = mat_op(a, b, self.MODULI)
             for i, q in enumerate(self.MODULI):
-                assert np.array_equal(batched[i], vec_op(a[i], b[i], q))
+                assert np.array_equal(batched[i], formula(a[i], b[i], q))
 
     def test_mat_neg_and_reduce(self, rng):
         a, _ = self._pair(rng)
         negated = mat_mod_neg(a, self.MODULI)
         for i, q in enumerate(self.MODULI):
-            assert np.array_equal(negated[i], vec_mod_neg(a[i], q))
+            assert np.array_equal(negated[i], (-a[i]) % q)
         unreduced = a * 3 - 5
         reduced = mat_mod_reduce(unreduced, self.MODULI)
         for i, q in enumerate(self.MODULI):
             assert np.array_equal(reduced[i], unreduced[i] % q)
+
+    @pytest.mark.parametrize("q,bound", [((1 << 30) - 35, (1 << 30) - 35),
+                                         ((1 << 40) + 15, 1 << 35)])
+    def test_mat_mul_is_exact_past_int64_products(self, rng, q, bound):
+        """Products of ~30-bit residues are exact in int64; a 41-bit modulus
+        takes the exact wide path instead of wrapping."""
+        a = rng.integers(0, bound, (1, 256))
+        b = rng.integers(0, bound, (1, 256))
+        expected = (a.astype(object) * b.astype(object)) % q
+        assert np.array_equal(mat_mod_mul(a, b, (q,)).host((q,)),
+                              np.asarray(expected, dtype=np.int64))
+
+    @given(st.lists(st.integers(min_value=0, max_value=SMALL_PRIME - 1),
+                    min_size=1, max_size=32),
+           st.lists(st.integers(min_value=0, max_value=SMALL_PRIME - 1),
+                    min_size=1, max_size=32))
+    @settings(max_examples=100, deadline=None)
+    def test_mat_ops_properties(self, a_list, b_list):
+        q = SMALL_PRIME
+        size = min(len(a_list), len(b_list))
+        a = np.asarray(a_list[:size], dtype=np.int64)[None]
+        b = np.asarray(b_list[:size], dtype=np.int64)[None]
+        for mat_op, formula in [(mat_mod_add, (a + b) % q),
+                                (mat_mod_sub, (a - b) % q),
+                                (mat_mod_mul, (a * b) % q)]:
+            assert np.array_equal(mat_op(a, b, (q,)).host((q,)), formula)
 
     def test_mat_scalar_mul_single_and_per_limb(self, rng):
         a, _ = self._pair(rng)

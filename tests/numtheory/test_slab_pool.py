@@ -114,7 +114,7 @@ class TestParity:
         sizes = [ops.stop - ops.start for ops, _ in slabs(BATCH, len(primes), N)]
         assert sizes == [2, 2, 2, 1]
         stack = stack_of(len(chain), primes)
-        engine = NttPlanner("four_step").engine_for(N, primes[0])
+        engine = NttPlanner("four_step").engine_for(N)
         int64 = NttPlanner("four_step")
         with use_backend("numpy"):
             int64_forward = int64.forward_ops(N, primes, stack)
@@ -225,7 +225,7 @@ class TestInline:
         primes = CHAINS["q-p"]
         assert len(list(slabs(BATCH, len(primes), N))) == 1
         stack = stack_of(7, primes)
-        engine = NttPlanner("four_step").engine_for(N, primes[0])
+        engine = NttPlanner("four_step").engine_for(N)
         with use_backend("blas"):
             forward = engine.forward_ops(stack, primes)
         with use_backend("numpy"):
@@ -312,7 +312,7 @@ class TestWorkspace:
 def test_the_pool_restarts_at_a_new_worker_count(pool_calls, monkeypatch):
     primes = CHAINS["p28"]
     stack = stack_of(3, primes)
-    engine = NttPlanner("four_step").engine_for(N, primes[0])
+    engine = NttPlanner("four_step").engine_for(N)
     with use_backend("blas"):
         want = inline(lambda: engine.forward_ops(stack, primes)).full()
         executors = []
@@ -364,7 +364,7 @@ class TestFailures:
         assert sorted(seen) == list(range(16))
 
     def test_two_callers_at_once_both_get_exact_results(self, workers, pool_calls):
-        engine = NttPlanner("four_step").engine_for(N, CHAINS["p28"][0])
+        engine = NttPlanner("four_step").engine_for(N)
         cases = []
         for seed, name in enumerate(("p28", "q-p")):
             primes, stack = CHAINS[name], stack_of(seed, CHAINS[name])
@@ -402,7 +402,7 @@ def test_a_forked_child_launches_on_its_own_pool(workers, pool_calls):
     """
     primes = CHAINS["p28"]
     stack = stack_of(8, primes)
-    engine = NttPlanner("four_step").engine_for(N, primes[0])
+    engine = NttPlanner("four_step").engine_for(N)
     with use_backend("blas"):
         want = inline(lambda: engine.forward_ops(stack, primes)).full()
         assert np.array_equal(engine.forward_ops(stack, primes).full(), want)
