@@ -70,21 +70,23 @@ class BlasFloat64Backend(NumpyBackend):
                      moduli: np.ndarray) -> DeviceBuffer:
         """The batched GEMM as a planned product against the cached side.
 
-        The operand whose hi/lo images are reused is an operand or
-        constant side where there is one (the rhs if both are), else a
-        result (the lhs if both are), else the (typically smaller) rhs,
-        converted for this call.  The other side's image is read, a
-        ``host`` one converted for this call, a lazy one under its bound.
+        It goes float only as the other kernels do (:meth:`_float_operands`):
+        two host arrays take the int64 kernel.  The operand whose hi/lo
+        images are reused is an operand or constant side where there is
+        one (the rhs if both are), else a result (the lhs if both are).
+        The other side's image is read, a ``host`` one converted for this
+        call, a lazy one under its bound.
         """
-        left = lhs.kind != HOST and (rhs.kind in (HOST, RESULT))
-        operand, other = (lhs, rhs) if left else (rhs, lhs)
-        chain = _barrett_chain(moduli)
-        # A host side keeps the conservative modulus bound.
-        x_max = chain.qmax - 1 if other.kind == HOST else other.max_value
-        out = _planned().gemm(chain, operand, other.full(), x_max,
-                              self.fmatmul, left)
-        if out is not None:
-            return _lazy(out, chain)
+        if self._float_operands((lhs, rhs)):
+            left = lhs.kind != HOST and (rhs.kind in (HOST, RESULT))
+            operand, other = (lhs, rhs) if left else (rhs, lhs)
+            chain = _barrett_chain(moduli)
+            # A host side keeps the conservative modulus bound.
+            x_max = chain.qmax - 1 if other.kind == HOST else other.max_value
+            out = _planned().gemm(chain, operand, other.full(), x_max,
+                                  self.fmatmul, left)
+            if out is not None:
+                return _lazy(out, chain)
         return super().matmul_limbs(lhs, rhs, moduli)
 
     def mat_mul(self, a: DeviceBuffer, b: DeviceBuffer,

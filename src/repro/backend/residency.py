@@ -96,7 +96,6 @@ __all__ = [
     "split_shift",
     "combine_arrays",
     "stack_arrays",
-    "concatenate_arrays",
     "block_arrays",
 ]
 
@@ -474,16 +473,11 @@ def stack_arrays(parts: Sequence[ArrayLike], axis: int = 0) -> DeviceBuffer:
     return combine_arrays(parts, functools.partial(np.stack, axis=axis))
 
 
-def concatenate_arrays(parts: Sequence[ArrayLike], axis: int = 0) -> DeviceBuffer:
-    """``np.concatenate`` over arrays/handles, float-resident when possible."""
-    return combine_arrays(parts, functools.partial(np.concatenate, axis=axis))
-
-
 def block_arrays(grid: Sequence[Sequence[ArrayLike]]) -> DeviceBuffer:
     """A grid of 3-D arrays/handles joined in one copy, float-resident when
     possible: a row's parts along axis 1, the rows along axis 0.
 
-    What two nested :func:`concatenate_arrays` calls compute, without the
+    What two nested ``np.concatenate`` calls compute, without the
     inner copies: each row is concatenated straight into its rows of the
     result.
     """

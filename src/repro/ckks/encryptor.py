@@ -1,39 +1,69 @@
-"""Encryption and encoding helpers.
+"""Encryption and encoding helpers, and the one RLWE sampler.
 
 ``Encryptor`` turns slot vectors into ciphertexts at the maximum level, or
-an encoded plaintext into a ciphertext at the plaintext's level.  Both
-public-key encryption (``c = (v*b + e0 + m, v*a + e1)``) and symmetric
-encryption (``c = (-a*s + e + m, a)``; slightly less noise, handy in
-tests) run both components as one launch chain and return the ciphertext
-in the evaluation domain, where ciphertexts rest:
+an encoded plaintext into a ciphertext at the plaintext's level; both come
+back in the evaluation domain, where ciphertexts rest.
 
-* one NTT of the canonical ``(e0 + m, e1)`` addend (symmetric: ``(e + m,
-  0)``), the ephemeral ``v`` riding in the same launch;
-* one product in the evaluation domain for the pair: ``v``'s image
-  against the public key's cached ``(L, 2, N)`` operand of the level
-  (:meth:`~repro.ckks.keys.PublicKey.operand`), or ``[-a*s | a]`` against
-  the secret's cached operand;
-* one add of the addend's image, whose two rows are ``ĉ0`` and ``ĉ1``.
+* Public-key encryption (``c = (v*b + e0 + m, v*a + e1)``) is one NTT of
+  the canonical ``(e0 + m, e1)`` addend with the ephemeral ``v`` riding in
+  the same launch, one product of ``v``'s image against the public key's
+  cached ``(L, 2, N)`` operand of the level
+  (:meth:`~repro.ckks.keys.PublicKey.operand`) and one add of the addend's
+  image, whose two rows are ``ĉ0`` and ``ĉ1``.
+* Symmetric encryption (``c = (e + m - a*s, a)``; slightly less noise,
+  handy in tests) is one sample of :func:`sample_rlwe` with the message.
 
-The randomness is drawn in a fixed order — the ephemeral (or the mask),
-then the Gaussian errors in one draw — so a seeded context encrypts to the
-same bits on every backend and engine.
+:func:`sample_rlwe` is the only place RLWE samples are made: the public
+key, every level of a switch key (:mod:`repro.ckks.keygen`) and the
+symmetric ciphertext.  The randomness is drawn in a fixed order — the
+ephemeral then both Gaussian errors in one draw, or per sample the mask
+then its error — so a seeded context encrypts to the same bits on every
+backend and engine.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..backend.residency import stack_arrays
-from ..numtheory.modular import mat_mod_add, mat_mod_mul, mat_mod_neg, moduli_column
+from ..backend.residency import DeviceBuffer
+from ..numtheory.modular import mat_mod_add, mat_mod_mul, mat_mod_sub, moduli_column
 from ..rns.poly import ERROR_STDDEV, PolyDomain, RnsPolynomial
 from .ciphertext import Ciphertext, Plaintext
 from .context import CkksContext, pinned
 from .keys import PublicKey, SecretKey
 
-__all__ = ["Encryptor"]
+__all__ = ["Encryptor", "sample_rlwe"]
+
+
+def sample_rlwe(context: CkksContext, moduli: Sequence[int], secret,
+                count: int = 1, message=None) -> Tuple[DeviceBuffer, np.ndarray]:
+    """``count`` RLWE samples ``(ê + m̂ - a⊙ŝ, a)`` over ``moduli``.
+
+    Per sample it draws the uniform mask ``a`` (an evaluation-domain
+    image) limb by limb, then the error ``e = round(N(0, σ))``
+    (:data:`~repro.rns.poly.ERROR_STDDEV`).  Every error, plus
+    ``message`` (coefficient-domain residues that broadcast against the
+    ``(count, L, N)`` errors), goes through one transform launch; one
+    product of the masks against ``secret`` (the ``(L, N)`` image ``ŝ``)
+    and one subtraction finish the samples.  Returns ``b`` (a handle) and
+    ``a`` (int64), both ``(count, L, N)`` in the evaluation domain.
+    """
+    n, rng = context.ring_degree, context.rng
+    masks = np.empty((count, len(moduli), n), dtype=np.int64)
+    errors = np.empty((count, 1, n), dtype=np.int64)
+    for mask, error in zip(masks, errors):
+        for row, q in zip(mask, moduli):
+            row[:] = rng.integers(0, q, n, dtype=np.int64)
+        error[0] = np.round(rng.normal(0.0, ERROR_STDDEV, n))
+    addend = errors if message is None else errors + message
+    images = context.planner.forward_ops(
+        n, moduli, np.remainder(addend, moduli_column(moduli)))
+    product = mat_mod_mul(masks.transpose(1, 0, 2),
+                          DeviceBuffer.wrap(secret)[:, None], moduli)
+    b = mat_mod_sub(images.transpose(1, 0, 2), product, moduli)
+    return b.transpose(1, 0, 2), masks
 
 
 class Encryptor:
@@ -116,72 +146,48 @@ class Encryptor:
     # ------------------------------------------------------------------
     def _encrypt_public(self, plaintext: Plaintext) -> Ciphertext:
         context = self.context
+        n = context.ring_degree
         moduli = context.moduli_at_level(plaintext.level)
-        ternary = RnsPolynomial.random_ternary(context.ring_degree, moduli,
-                                               context.rng).residues
-        images = self._transform(plaintext, self._errors(2), ternary)
-        # v ⊙ (b | a): the (L, 1, N) image broadcasts against the key pair.
+        # One NTT of the ephemeral v and the (e0 + m, e1) addend.
+        rows = np.empty((3, len(moduli), n), dtype=np.int64)
+        rows[0] = RnsPolynomial.random_ternary(n, moduli, context.rng).residues
+        errors = np.round(context.rng.normal(0.0, ERROR_STDDEV, (2, 1, n))
+                          ).astype(np.int64)
+        np.add(self._message(plaintext), errors[0], out=rows[1])
+        rows[2] = errors[1]
+        np.remainder(rows[1:], moduli_column(moduli), out=rows[1:])
+        images = context.planner.forward_ops(n, moduli, rows)
+        # v ⊙ (b | a): the (L, 1, N) image broadcasts against the key pair;
+        # one add over the limb-major view joins the addend's image.
         pair = mat_mod_mul(images[0][:, None], self.public_key.operand(moduli),
                            moduli)
-        return self._finish(plaintext, pair.transpose(1, 0, 2), images[1:])
+        components = mat_mod_add(pair, images[1:].transpose(1, 0, 2), moduli)
+        return self._finish(plaintext, components[:, 0], components[:, 1])
 
     def _encrypt_symmetric(self, plaintext: Plaintext) -> Ciphertext:
         if self.secret_key is None:
             raise ValueError("no secret key available for symmetric encryption")
         context = self.context
         moduli = context.moduli_at_level(plaintext.level)
-        mask = RnsPolynomial.random_uniform(context.ring_degree, moduli,
-                                            context.rng).buffer
-        images = self._transform(plaintext, self._errors(1))
-        product = mat_mod_mul(mask, self.secret_key.operand(context, moduli),
-                              moduli)
-        pair = stack_arrays([mat_mod_neg(product, moduli), mask])
-        return self._finish(plaintext, pair, images)
+        b, a = sample_rlwe(context, moduli,
+                           self.secret_key.operand(context, moduli),
+                           message=self._message(plaintext))
+        return self._finish(plaintext, b[0], a[0])
 
-    def _errors(self, count: int) -> np.ndarray:
-        """``(2, N)`` signed Gaussian errors: ``count`` drawn rows, then zeros."""
-        n = self.context.ring_degree
-        errors = np.zeros((2, n), dtype=np.int64)
-        errors[:count] = np.round(self.context.rng.normal(0.0, ERROR_STDDEV, (count, n)))
-        return errors
-
-    def _transform(self, plaintext: Plaintext, errors: np.ndarray,
-                   ephemeral: Optional[np.ndarray] = None):
-        """One NTT of the ``(e0 + m, e1)`` addend, after ``ephemeral``.
-
-        ``ephemeral`` is an ``(L, N)`` coefficient residue matrix
-        transformed in the same launch (the public key's ``v``), the first
-        row of the image; the addend's two rows are its last two.
-        """
-        context = self.context
-        n = context.ring_degree
-        moduli = context.moduli_at_level(plaintext.level)
+    def _message(self, plaintext: Plaintext) -> np.ndarray:
+        """The plaintext's coefficient-domain ``(L, N)`` residues."""
         message = plaintext.polynomial
-        if message.moduli != moduli:
+        if message.moduli != self.context.moduli_at_level(plaintext.level):
             raise ValueError("the plaintext's basis is not the chain of its level")
         if message.domain != PolyDomain.COEFFICIENT:
-            message = message.to_coefficient(context.planner)
-        rows = np.empty((2 if ephemeral is None else 3, len(moduli), n),
-                        dtype=np.int64)
-        addend = rows[-2:]
-        if ephemeral is not None:
-            rows[0] = ephemeral
-        np.add(message.residues, errors[0], out=addend[0])
-        addend[1] = errors[1]
-        np.remainder(addend, moduli_column(moduli), out=addend)
-        return context.planner.forward_ops(n, moduli, rows)
+            message = message.to_coefficient(self.context.planner)
+        return message.residues
 
-    def _finish(self, plaintext: Plaintext, pair, addend) -> Ciphertext:
-        """``pair + addend``: the ciphertext of two evaluation-domain images.
-
-        ``pair`` and ``addend`` are ``(2, L, N)`` evaluation-domain images
-        of both components; one add over the limb-major view joins them.
-        """
+    def _finish(self, plaintext: Plaintext, c0, c1) -> Ciphertext:
+        """The ciphertext of two evaluation-domain ``(L, N)`` images."""
         context = self.context
         moduli = context.moduli_at_level(plaintext.level)
-        components = mat_mod_add(pair.transpose(1, 0, 2),
-                                 addend.transpose(1, 0, 2), moduli)
-        c0, c1 = (RnsPolynomial(context.ring_degree, moduli, components[:, row],
-                                PolyDomain.EVALUATION) for row in (0, 1))
+        c0, c1 = (RnsPolynomial(context.ring_degree, moduli, image,
+                                PolyDomain.EVALUATION) for image in (c0, c1))
         return Ciphertext(c0=c0, c1=c1, scale=plaintext.scale,
                           level=plaintext.level)

@@ -1,27 +1,33 @@
 """Key generation: secret/public keys and generalized key-switching keys.
 
-Switch keys follow the Han–Ki generalized key switching used by the paper:
-the ciphertext chain at level ``l`` is split into ``dnum`` groups; for each
-group ``j`` the key holds an encryption of ``P * g_j * s_from`` under ``s``
-over the extended basis ``C_l ∪ P``, where ``g_j`` is the CRT
-reconstruction factor of the group (``g_j ≡ 1`` mod the group's primes and
-``≡ 0`` mod the other active primes).  Keys are generated for every level
-at once so the evaluator never needs the secret key, and stored with their
-ciphertext-prime limbs times ``P^{-1}`` (:mod:`repro.ckks.keys`).
+Every public key and switch key is a batch of RLWE samples from the one
+sampler, :func:`~repro.ckks.encryptor.sample_rlwe`.  The public key is one
+sample over the full chain.  Switch keys follow Han–Ki's hybrid key
+switching, used by the paper: the ciphertext chain at level ``l`` is split
+into ``dnum`` groups, and for each group ``j`` the key holds an encryption
+of ``P * g_j * s_from`` under ``s`` over the extended basis ``C_l ∪ P``,
+where ``g_j`` is the CRT reconstruction factor of the group (``g_j ≡ 1``
+mod the group's primes and ``≡ 0`` mod the other active primes).  The
+factor ``P * g_j`` is thus ``P mod q_i`` on the group's primes and 0 on
+every other row, so a level is the sampler with ``count = dnum`` and the
+messages ``s_from`` times an ``(E, dnum, 1)`` factor column, then one
+product that multiplies the ciphertext-prime rows of ``(b | a)`` by
+``P^{-1}`` (the stored form, :mod:`repro.ckks.keys`).  Keys are generated
+for every level at once so the evaluator never needs the secret key.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
 from ..backend.residency import stack_arrays
-from ..kernels.automorphism import apply_automorphism_coeff, galois_element_for_rotation
-from ..numtheory.crt import CrtContext
+from ..kernels.automorphism import galois_element_for_rotation, stack_automorphism_coeff
 from ..numtheory.modular import mat_mod_mul, mod_inverse, moduli_column
 from ..rns.poly import PolyDomain, RnsPolynomial, signed_ternary
 from .context import CkksContext, pinned
+from .encryptor import sample_rlwe
 from .keys import PublicKey, RotationKeySet, SecretKey, SwitchKey, SwitchKeyLevel
 
 __all__ = ["KeyGenerator"]
@@ -45,24 +51,20 @@ class KeyGenerator:
 
     @pinned
     def generate_public_key(self, secret_key: SecretKey) -> PublicKey:
-        """Encryption key ``(b, a) = (-a*s + e, a)`` over the full chain."""
-        moduli = self.context.moduli_at_level(self.context.max_level)
-        planner = self.context.planner
-        n = self.context.ring_degree
-        a = RnsPolynomial.random_uniform(n, moduli, self._rng,
-                                         domain=PolyDomain.EVALUATION)
-        s_eval = secret_key.evaluation(self.context, moduli)
-        error = RnsPolynomial.random_gaussian(n, moduli, self._rng).to_evaluation(planner)
-        b = a.hadamard(s_eval).negate().add(error)
-        return PublicKey(b=b, a=a)
+        """Encryption key ``(b, a) = (e - a*s, a)`` over the full chain."""
+        context = self.context
+        moduli = context.moduli_at_level(context.max_level)
+        b, a = sample_rlwe(context, moduli, secret_key.operand(context, moduli))
+        return PublicKey(*(RnsPolynomial(context.ring_degree, moduli, image[0],
+                                         PolyDomain.EVALUATION) for image in (b, a)))
 
     # ------------------------------------------------------------------
     # Switch keys
     # ------------------------------------------------------------------
     def generate_relinearization_key(self, secret_key: SecretKey) -> SwitchKey:
         """Switch key for ``s^2 -> s`` (used by HMULT)."""
-        s_squared = self._square_secret(secret_key)
-        return self.create_switch_key(s_squared, secret_key, description="relinearization")
+        return self.create_switch_key(self._square_secret(secret_key), secret_key,
+                                      description="relinearization")
 
     def generate_rotation_key(self, secret_key: SecretKey, steps: int) -> SwitchKey:
         """Switch key for ``s(X^g) -> s`` with ``g = 5^steps`` (HROTATE)."""
@@ -103,125 +105,70 @@ class KeyGenerator:
 
     # ------------------------------------------------------------------
     @pinned
-    def create_switch_key(self, source_key_mod: "SecretLike", secret_key: SecretKey,
-                          *, description: str = "switch") -> SwitchKey:
+    def create_switch_key(self, source, secret_key: SecretKey, *,
+                          description: str = "switch") -> SwitchKey:
         """Create a switch key re-encrypting ``source`` under ``secret_key``.
 
-        ``source_key_mod`` is a callable mapping a prime basis to the RNS
-        polynomial of the source secret, in either domain (this lets ``s^2``
-        be computed per basis without ever leaving RNS).
+        ``source`` is the source secret's coefficient-domain ``(E, N)``
+        residues over the whole extended chain; a level's message is a
+        restriction of it.
         """
         context = self.context
-        # One transform of the source key over the whole extended chain; a
-        # level's image is a restriction of it (the NTT is per limb).
-        source_eval = source_key_mod(
-            context.extended_moduli_at_level(context.max_level)
-        ).to_evaluation(context.planner)
         switch_key = SwitchKey(description=description)
         for level in range(context.max_level + 1):
             switch_key.levels[level] = self._switch_key_for_level(
-                source_eval, secret_key, level
-            )
+                source, secret_key, level)
         return switch_key
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _switch_key_for_level(self, source_eval: RnsPolynomial,
-                              secret_key: SecretKey,
+    def _switch_key_for_level(self, source, secret_key: SecretKey,
                               level: int) -> SwitchKeyLevel:
         context = self.context
         n = context.ring_degree
-        active = context.moduli_at_level(level)
+        top = context.extended_moduli_at_level(context.max_level)
         extended = context.extended_moduli_at_level(level)
-        special_product = context.basis.special_product
+        active = len(context.moduli_at_level(level))
         groups = context.decomposition_groups(level)
+        special_product = context.basis.special_product
 
-        active_product = 1
-        for prime in active:
-            active_product *= prime
-
-        s_eval = secret_key.evaluation(context, extended)
-        source_eval = source_eval.restrict_to(extended)
-
-        # Draw group by group — mask, then error — and send the errors of
-        # all groups through one transform launch.
-        masks, errors = [], []
-        for _ in groups:
-            masks.append(RnsPolynomial.random_uniform(
-                n, extended, self._rng, domain=PolyDomain.EVALUATION))
-            errors.append(RnsPolynomial.random_gaussian(n, extended, self._rng))
-        error_evals = context.planner.forward_ops(
-            n, extended, stack_arrays([error.buffer for error in errors]))
-
-        # The (b, a) pairs land group after group in the two stacked
-        # matrices the key is stored as.
-        rows = len(extended)
-        stacks = tuple(np.empty((len(groups) * rows, n), dtype=np.int64)
-                       for _ in range(2))
+        # P * g_j: P mod q_i on group j's primes, 0 on every other row.
+        factors = np.zeros((len(extended), len(groups), 1), dtype=np.int64)
         for index, group in enumerate(groups):
-            group_product = 1
             for prime in group:
-                group_product *= prime
-            complement = active_product // group_product
-            # t = complement^{-1} mod each group prime, CRT-composed.
-            group_crt = CrtContext(group)
-            inverses = [mod_inverse(complement % q, q) for q in group]
-            t_value = group_crt.compose(inverses)
-            factors = []
-            for prime in extended:
-                factor = (special_product % prime) * (complement % prime) % prime
-                factor = factor * (t_value % prime) % prime
-                factors.append(factor)
+                factors[extended.index(prime), index] = special_product % prime
+        rows = source[np.asarray([top.index(prime) for prime in extended])]
+        messages = mat_mod_mul(rows[:, None], factors, extended).host(extended)
+        b, a = sample_rlwe(context, extended,
+                           secret_key.evaluation(context, extended).buffer,
+                           len(groups), messages.transpose(1, 0, 2))
 
-            a_poly = masks[index]
-            error = RnsPolynomial(n, extended, error_evals[index],
-                                  PolyDomain.EVALUATION)
-            payload = source_eval.scalar_multiply_per_limb(factors)
-            b_poly = a_poly.hadamard(s_eval).negate().add(error).add(payload)
-            for stack, poly in zip(stacks, (b_poly, a_poly)):
-                stack[index * rows:(index + 1) * rows] = poly.residues
-        self._fold_p_inverse(stacks, active, rows)
+        # The stored form: the ciphertext-prime rows of (b | a) times P^{-1}.
+        p_inverse = np.ones((len(extended), 1, 1), dtype=np.int64)
+        p_inverse[:active, 0, 0] = [mod_inverse(special_product % prime, prime)
+                                    for prime in extended[:active]]
+        pair = stack_arrays([b, a]).reshape(-1, len(extended), n)
+        folded = mat_mod_mul(pair.transpose(1, 0, 2), p_inverse, extended)
+        stacks = folded.host(extended).transpose(1, 0, 2).reshape(2, -1, n)
         return SwitchKeyLevel(level=level,
                               group_moduli=[tuple(group) for group in groups],
-                              stacks=stacks)
+                              stacks=tuple(stacks))
 
-    def _fold_p_inverse(self, stacks, active, rows: int) -> None:
-        """Multiply the ciphertext-prime rows of every group by ``P^{-1}``.
-
-        The stored form of a switch key (:mod:`repro.ckks.keys`): the inner
-        product then hands ModDown limbs that already carry ``P^{-1}``.
-        One exact funnel pass per component (exact at any modulus width),
-        written back into the stacks of ``rows`` extended limbs per group.
-        """
-        special_product = self.context.basis.special_product
-        inverses = np.asarray([mod_inverse(special_product % q, q) for q in active],
-                              dtype=np.int64)[:, None, None]
-        for stack in stacks:
-            limbs = stack.reshape(-1, rows, stack.shape[1])[:, :len(active)]
-            limbs[...] = mat_mod_mul(limbs.transpose(1, 0, 2), inverses,
-                                     active).transpose(1, 0, 2).ensure_host()
-
-    def _square_secret(self, secret_key: SecretKey):
-        """Return a callable producing ``s^2`` in any requested basis."""
+    @pinned
+    def _square_secret(self, secret_key: SecretKey) -> np.ndarray:
+        """``s^2``'s coefficient residues over the whole extended chain."""
         context = self.context
+        moduli = context.extended_moduli_at_level(context.max_level)
+        image = secret_key.evaluation(context, moduli).buffer
+        square = mat_mod_mul(image, image, moduli)
+        return context.planner.inverse_ops(
+            context.ring_degree, moduli, square[None])[0].host(moduli)
 
-        def build(moduli: Sequence[int]) -> RnsPolynomial:
-            s_eval = secret_key.evaluation(context, moduli)
-            return s_eval.hadamard(s_eval)
-
-        return build
-
-    def _automorphism_secret(self, secret_key: SecretKey, galois_element: int):
-        """Return a callable producing ``s(X^g)`` in any requested basis."""
-        coefficients = secret_key.coefficients
-
-        def build(moduli: Sequence[int]) -> RnsPolynomial:
-            column = moduli_column(moduli)
-            return RnsPolynomial(
-                len(coefficients), moduli,
-                apply_automorphism_coeff(np.mod(coefficients, column),
-                                         galois_element, column),
-                PolyDomain.COEFFICIENT)
-
-        return build
+    def _automorphism_secret(self, secret_key: SecretKey,
+                             galois_element: int) -> np.ndarray:
+        """``s(X^g)``'s coefficient residues over the whole extended chain."""
+        column = moduli_column(
+            self.context.extended_moduli_at_level(self.context.max_level))
+        return stack_automorphism_coeff(
+            [np.mod(secret_key.coefficients, column)], galois_element, column)[0]

@@ -7,7 +7,9 @@ over a context's whole extended chain and restricted from there.  What
 decryption and encryption multiply by at every call is a cached constant
 handle per level: the secret's image over the level's chain, and the
 public pair ``(b, a)`` as one limb-major ``(L, 2, N)`` operand, so a float
-backend splits either into its hi/lo images once.  Switch
+backend splits either into its hi/lo images once.  The public key and
+every switch key are samples of the one RLWE sampler,
+:func:`~repro.ckks.encryptor.sample_rlwe` (:mod:`repro.ckks.keygen`).  Switch
 keys (used for relinearization, rotation and conjugation) follow the
 generalized key-switching of the paper: for every level they hold one
 ``(b_j, a_j)`` pair per decomposition group, stored in the evaluation domain
@@ -122,8 +124,9 @@ class SwitchKeyLevel:
     once, concatenated group after group into the two ``(dnum * L', N)``
     evaluation-domain residue matrices ``stacks = (b, a)`` over the
     extended basis, each group's ciphertext-prime rows times ``P^{-1}``
-    (the key generator stores them so, in place: there is no unscaled
-    copy).  The fused inner product consumes them as ``operands``:
+    (the key generator makes them so, in the same launch for every group:
+    there is no unscaled copy).  The fused inner product consumes them as
+    ``operands``:
     the same memory viewed limb-major, ``(L', dnum, 1, N)``, as constant
     handles (a float backend caches its images of a level there the first
     time the level is used).

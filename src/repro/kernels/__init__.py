@@ -2,8 +2,6 @@
 
 from .automorphism import (
     CONJUGATION_EXPONENT,
-    apply_automorphism_coeff,
-    apply_automorphism_eval,
     evaluation_permutation,
     galois_element_for_rotation,
     stack_automorphism_coeff,
@@ -15,8 +13,6 @@ __all__ = [
     "KernelName",
     "KernelCounter",
     "KernelContext",
-    "apply_automorphism_coeff",
-    "apply_automorphism_eval",
     "stack_automorphism_coeff",
     "stack_automorphism_eval",
     "evaluation_permutation",

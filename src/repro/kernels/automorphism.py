@@ -1,12 +1,14 @@
 """Galois automorphisms of the ring ``Z_q[X]/(X^N + 1)``.
 
-``apply_automorphism_coeff`` maps ``a(X) -> a(X^g)`` on coefficient vectors
-(the FrobeniusMap/Conjugate kernels of the paper operate on the same ring
-automorphism; in the NTT domain it becomes the pure index permutation the
-paper describes, implemented by ``evaluation_permutation``).  Both are
-gathers: output coefficient ``j`` reads its source position, so a whole
-``(B, L, N)`` stack is one ``np.take`` plus, in the coefficient domain,
-the sign passes of the coefficients that wrap past ``X^N``.
+``stack_automorphism_coeff`` maps ``a(X) -> a(X^g)`` on coefficient
+vectors (the FrobeniusMap/Conjugate kernels of the paper operate on the
+same ring automorphism); in the NTT domain it becomes the pure index
+permutation the paper describes, ``stack_automorphism_eval`` of
+``evaluation_permutation``.  Both are gathers over a stack of parts (one
+part is the B = 1 stack): output coefficient ``j`` reads its source
+position, so a whole ``(B, L, N)`` stack is one ``np.take`` per part plus,
+in the coefficient domain, the sign passes of the coefficients that wrap
+past ``X^N``.
 """
 
 from __future__ import annotations
@@ -19,11 +21,9 @@ import numpy as np
 __all__ = [
     "galois_element_for_rotation",
     "CONJUGATION_EXPONENT",
-    "apply_automorphism_coeff",
     "stack_automorphism_coeff",
     "evaluation_permutation",
     "stack_automorphism_eval",
-    "apply_automorphism_eval",
 ]
 
 #: ``X -> X^(2N-1)`` is complex conjugation on the CKKS slots.
@@ -90,25 +90,6 @@ def stack_automorphism_coeff(parts: Sequence[np.ndarray], galois_element: int,
     return out
 
 
-def apply_automorphism_coeff(coefficients: np.ndarray, galois_element: int,
-                             modulus) -> np.ndarray:
-    """Apply ``a(X) -> a(X^g)`` to coefficient vectors modulo ``modulus``.
-
-    ``coefficients`` may carry leading batch axes (the RNS limb axis of a
-    whole polynomial); ``modulus`` is then an array broadcastable against
-    it — e.g. a ``(limbs, 1)`` column of per-limb primes — so the entire
-    residue matrix is permuted and negated in one launch.  Reduced
-    residues in, reduced residues out, in the dtype they came in: a
-    float64 residue image stays one (a coefficient that wraps past ``X^N``
-    becomes ``q - c``, zero stays zero).  The one-part case of
-    :func:`stack_automorphism_coeff`.
-    """
-    coefficients = np.asarray(coefficients)
-    if coefficients.dtype != np.float64:
-        coefficients = coefficients.astype(np.int64, copy=False)
-    return stack_automorphism_coeff([coefficients], galois_element, modulus)[0]
-
-
 @lru_cache(maxsize=256)
 def evaluation_permutation(ring_degree: int, galois_element: int) -> np.ndarray:
     """Index permutation implementing the automorphism in the NTT domain.
@@ -143,13 +124,3 @@ def stack_automorphism_eval(parts: Sequence[np.ndarray],
     for row, part in zip(out, parts):
         np.take(part, permutation, axis=-1, out=row, mode="clip")
     return out
-
-
-def apply_automorphism_eval(values: np.ndarray, galois_element: int) -> np.ndarray:
-    """Apply the automorphism to an evaluation-domain (NTT) vector.
-
-    A pure gather along the last axis, in the dtype ``values`` came in
-    (an int64 or a float64 residue image); the one-part case of
-    :func:`stack_automorphism_eval`.
-    """
-    return stack_automorphism_eval([np.asarray(values)], galois_element)[0]

@@ -3,25 +3,25 @@
 An :class:`RnsPolynomial` stores one element of ``R_Q = Z_Q[X]/(X^N + 1)``
 as a ``(limbs, N)`` int64 matrix — row ``i`` holds the coefficients modulo
 prime ``moduli[i]``.  Polynomials track whether they are in the coefficient
-or the evaluation (NTT) domain; arithmetic helpers enforce matching domains
-and moduli, mirroring the checks a GPU kernel launcher would perform.
+or the evaluation (NTT) domain and in which basis.
 
 Batched execution model
 -----------------------
 The ``(limbs, N)`` matrix is not just storage — it is the execution unit.
-Every arithmetic helper (``add``, ``subtract``, ``negate``, ``hadamard``,
-``scalar_multiply_per_limb``) is a *single* vectorised 2-D operation with
-the moduli broadcast as a ``(limbs, 1)`` column, and the domain
-conversions hand the whole matrix to the NTT planner as a
-``(1, limbs, N)`` stack.  This is the paper's operation-level batching
-argument applied to the limb axis: one fused launch per polynomial
-instead of ``limb_count`` small kernels.
+A polynomial has no arithmetic of its own: its :attr:`~RnsPolynomial.
+buffer` goes to the ``mat_mod_*`` funnels of
+:mod:`repro.numtheory.modular`, usually as a row of a ``(B, limbs, N)``
+stack, each call a *single* vectorised launch with the moduli broadcast as
+a ``(limbs, 1, ...)`` column, and the domain conversions hand the whole
+matrix to the NTT planner as a ``(1, limbs, N)`` stack.  This is the
+paper's operation-level batching argument applied to the limb axis: one
+fused launch per polynomial instead of ``limb_count`` small kernels.
 
 Residency
 ---------
 The residue matrix lives behind a
 :class:`~repro.backend.residency.DeviceBuffer` handle (:attr:`buffer`):
-arithmetic and domain conversions thread the handle through the funnels.
+the funnels and domain conversions thread the handle through.
 A polynomial built from an int64 matrix holds a ``host`` handle; on the
 blas backend a kernel hands back a ``result`` handle whose only image is
 float64 (``poly.buffer.kind``; ``poly.buffer.resident`` says whether the
@@ -45,13 +45,6 @@ import numpy as np
 
 from ..backend.residency import DeviceBuffer
 from ..numtheory.crt import get_crt_context
-from ..numtheory.modular import (
-    mat_mod_add,
-    mat_mod_mul,
-    mat_mod_neg,
-    mat_mod_scalar_mul,
-    mat_mod_sub,
-)
 from ..ntt.planner import NttPlanner
 
 __all__ = ["PolyDomain", "RnsPolynomial", "ERROR_STDDEV", "signed_ternary"]
@@ -182,32 +175,12 @@ class RnsPolynomial:
         return cls(ring_degree, moduli, residues)
 
     @classmethod
-    def random_uniform(cls, ring_degree: int, moduli: Sequence[int],
-                       rng: np.random.Generator,
-                       domain: str = PolyDomain.COEFFICIENT) -> "RnsPolynomial":
-        """A polynomial with independently uniform residues (used for the mask ``a``).
-
-        Drawn limb-by-limb so the stream of variates for a given seed is
-        stable across library versions (tests pin seeds).
-        """
-        moduli = tuple(int(q) for q in moduli)
-        rows = [rng.integers(0, q, ring_degree, dtype=np.int64) for q in moduli]
-        return cls(ring_degree, moduli, np.stack(rows), domain)
-
-    @classmethod
     def random_ternary(cls, ring_degree: int, moduli: Sequence[int],
                        rng: np.random.Generator, *,
                        hamming_weight: Optional[int] = None) -> "RnsPolynomial":
         """A ternary polynomial (:func:`signed_ternary`); optionally sparse."""
         return cls.from_integers(signed_ternary(ring_degree, rng, hamming_weight),
                                  moduli, ring_degree)
-
-    @classmethod
-    def random_gaussian(cls, ring_degree: int, moduli: Sequence[int],
-                        rng: np.random.Generator) -> "RnsPolynomial":
-        """A small Gaussian error polynomial (LWE noise, :data:`ERROR_STDDEV`)."""
-        signed = np.round(rng.normal(0.0, ERROR_STDDEV, ring_degree)).astype(np.int64)
-        return cls.from_integers(signed, moduli, ring_degree)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -231,48 +204,6 @@ class RnsPolynomial:
         self._require_domain(PolyDomain.COEFFICIENT)
         return get_crt_context(self.moduli).compose_array(self.residues,
                                                           centered=centered)
-
-    # ------------------------------------------------------------------
-    # Arithmetic (domain- and basis-checked, single 2-D launches)
-    # ------------------------------------------------------------------
-    def add(self, other: "RnsPolynomial") -> "RnsPolynomial":
-        """Element-wise modular addition (the Ele-Add kernel)."""
-        self._check_compatible(other)
-        residues = mat_mod_add(self._buffer, other._buffer, self.moduli)
-        return RnsPolynomial(self.ring_degree, self.moduli, residues, self.domain)
-
-    def subtract(self, other: "RnsPolynomial") -> "RnsPolynomial":
-        """Element-wise modular subtraction (the Ele-Sub kernel)."""
-        self._check_compatible(other)
-        residues = mat_mod_sub(self._buffer, other._buffer, self.moduli)
-        return RnsPolynomial(self.ring_degree, self.moduli, residues, self.domain)
-
-    def negate(self) -> "RnsPolynomial":
-        residues = mat_mod_neg(self._buffer, self.moduli)
-        return RnsPolynomial(self.ring_degree, self.moduli, residues, self.domain)
-
-    def hadamard(self, other: "RnsPolynomial") -> "RnsPolynomial":
-        """Element-wise modular product (the Hada-Mult kernel).
-
-        Meaningful as polynomial multiplication only in the evaluation
-        domain; callers that need ring multiplication of coefficient-domain
-        polynomials should go through the kernel layer or an NTT engine.
-        """
-        self._check_compatible(other)
-        residues = mat_mod_mul(self._buffer, other._buffer, self.moduli)
-        return RnsPolynomial(self.ring_degree, self.moduli, residues, self.domain)
-
-    def scalar_multiply_per_limb(self, scalars: Sequence[int]) -> "RnsPolynomial":
-        """Multiply limb ``i`` by ``scalars[i]`` (used by key generation).
-
-        Multiplying by a constant polynomial is the same in either domain,
-        so no domain restriction applies.
-        """
-        if len(scalars) != self.limb_count:
-            raise ValueError("need one scalar per limb")
-        residues = mat_mod_scalar_mul(self._buffer, [int(s) for s in scalars],
-                                      self.moduli)
-        return RnsPolynomial(self.ring_degree, self.moduli, residues, self.domain)
 
     # ------------------------------------------------------------------
     # Domain conversion (one engine call per polynomial, a (1, L, N) stack)
@@ -312,16 +243,6 @@ class RnsPolynomial:
                              self.domain)
 
     # ------------------------------------------------------------------
-    def _check_compatible(self, other: "RnsPolynomial") -> None:
-        if self.ring_degree != other.ring_degree:
-            raise ValueError("ring degrees differ")
-        if self.moduli != other.moduli:
-            raise ValueError("RNS bases differ; align levels first")
-        if self.domain != other.domain:
-            raise ValueError(
-                "polynomial domains differ (%s vs %s)" % (self.domain, other.domain)
-            )
-
     def _require_domain(self, domain: str) -> None:
         if self.domain != domain:
             raise ValueError("operation requires the %s domain" % domain)

@@ -34,6 +34,7 @@ from repro.numtheory.modular import (
     mat_mod_mul,
     mat_mod_neg,
     mat_mod_reduce,
+    mat_mod_scalar_mul,
     mat_mod_sub,
     modular_matmul_limbs,
     modular_matmul_rows,
@@ -306,11 +307,12 @@ class TestEngineParity:
         b_res = _residue_matrix(rng, primes, ring_degree)
 
         def run():
-            a = RnsPolynomial(ring_degree, primes, a_res.copy())
-            b = RnsPolynomial(ring_degree, primes, b_res.copy())
-            return [a.add(b).residues, a.subtract(b).residues,
-                    a.hadamard(b).residues, a.negate().residues,
-                    a.scalar_multiply_per_limb([12345] * limbs).residues]
+            a = RnsPolynomial(ring_degree, primes, a_res.copy()).buffer
+            b = RnsPolynomial(ring_degree, primes, b_res.copy()).buffer
+            return [result.host(primes) for result in (
+                mat_mod_add(a, b, primes), mat_mod_sub(a, b, primes),
+                mat_mod_mul(a, b, primes), mat_mod_neg(a, primes),
+                mat_mod_scalar_mul(a, [12345] * limbs, primes))]
 
         reference = run()
         with use_backend(backend_name):

@@ -205,16 +205,30 @@ class TestBlasFloatNatives:
         assert got.host_image is None
         assert np.array_equal(got.host(moduli), want)
 
-    def test_no_float_image_falls_back_to_int64(self, data):
-        """Neither side resident: the historical int64 native runs."""
+    def test_no_float_image_falls_back_to_int64(self, data, rng):
+        """Neither side resident: the historical int64 native runs, for the
+        element-wise product and the batched GEMM of two plain arrays alike;
+        a GEMM against a twiddle operand still goes float."""
         chain, a_int, b_int = data
         moduli = chain.moduli_array
-        want = mat_mod_mul(a_int, b_int, moduli)
+        lhs = a_int.reshape(chain.limb_count, 1, 64)
+        twiddle = rng.integers(0, moduli[:, None, None],
+                               size=(chain.limb_count, 64, 64))
+        with use_backend("numpy"):
+            want = mat_mod_mul(a_int, b_int, moduli)
+            want_gemm = modular_matmul_limbs(lhs, twiddle, moduli).host(moduli)
         with use_backend("blas"):
             got = mat_mod_mul(DeviceBuffer.wrap(a_int),
                               DeviceBuffer.wrap(b_int), moduli)
+            gemm = modular_matmul_limbs(lhs, twiddle, moduli)
+            float_gemm = modular_matmul_limbs(lhs, DeviceBuffer.operand(twiddle),
+                                              moduli)
         assert got.host_image is not None
         assert np.array_equal(np.asarray(got), want)
+        assert gemm.kind == "host"
+        assert np.array_equal(gemm.host(moduli), want_gemm)
+        assert float_gemm.kind == "result"
+        assert np.array_equal(float_gemm.host(moduli), want_gemm)
 
     def test_30bit_products_stay_float_via_split(self, rng):
         """30-bit products break 2**53 single-pass — the hi/lo split holds.
@@ -514,12 +528,14 @@ class TestPolynomialFloatResidency:
         a, ints_a = self._poly(1)
         b, ints_b = self._poly(2)
         column = np.asarray(self._primes(), dtype=np.int64)[:, None]
+        primes = self._primes()
         with use_backend("blas"):
-            total = a.add(b).hadamard(a)
-        assert total.buffer.host_image is None
-        assert total.buffer.kind == "result"
+            total = mat_mod_mul(mat_mod_add(a.buffer, b.buffer, primes),
+                                a.buffer, primes)
+        assert total.host_image is None
+        assert total.kind == "result"
         want = ((ints_a + ints_b) % column) * ints_a % column
-        assert np.array_equal(total.residues, want)
+        assert np.array_equal(total.host(primes), want)
 
     def test_mutation_invalidates_float_image(self):
         """ISSUE 8 regression: mutating ``.residues`` drops the float image.
@@ -538,5 +554,5 @@ class TestPolynomialFloatResidency:
         assert a.buffer.kind == "host"             # stale image dropped
         assert not a.buffer.resident
         with use_backend("blas"):
-            total = a.add(b)
-        assert total.residues[0, 0] == (7 + ints_b[0, 0]) % q0
+            total = mat_mod_add(a.buffer, b.buffer, self._primes())
+        assert total.host(self._primes())[0, 0] == (7 + ints_b[0, 0]) % q0

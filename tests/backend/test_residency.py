@@ -26,7 +26,6 @@ from repro.backend.residency import (
     CANONICAL,
     LAZY,
     block_arrays,
-    concatenate_arrays,
     stack_arrays,
 )
 from repro.ckks import Ciphertext, CkksParameters
@@ -56,17 +55,15 @@ class TestDeviceBuffer:
         assert buf.shape == (2, 3)
         assert buf.ndim == 2
 
-    def test_stack_and_concat_stay_float_resident(self):
+    def test_stack_stays_float_resident(self):
         """One float-only part keeps the join float-only; host parts convert."""
         parts = [DeviceBuffer.wrap(np.full((2, 3), i, dtype=np.int64))
                  for i in range(3)]
         parts[1] = _float_only(np.full((2, 3), 1))
         stacked = stack_arrays(parts)
-        joined = concatenate_arrays(parts)
-        assert stacked.host_image is None and joined.host_image is None
+        assert stacked.host_image is None
         want = [np.full((2, 3), i, dtype=np.int64) for i in range(3)]
         assert np.array_equal(stacked.ensure_host(), np.stack(want))
-        assert np.array_equal(joined.ensure_host(), np.concatenate(want))
 
     def test_numpy_interop_materialises_host(self):
         buf = _float_only(np.arange(4))
@@ -209,17 +206,14 @@ def _parts(kind: str):
 
 
 class TestJoins:
-    """``stack_arrays`` / ``concatenate_arrays`` pick the image to join in."""
+    """``stack_arrays`` / ``block_arrays`` pick the image to join in."""
 
     @pytest.mark.parametrize("axis", [0, 1])
     @pytest.mark.parametrize("kind", ["arrays", "host", "float", "mixed"])
-    @pytest.mark.parametrize("join,numpy_join", [
-        (stack_arrays, np.stack), (concatenate_arrays, np.concatenate)],
-        ids=["stack", "concatenate"])
-    def test_join_matches_numpy(self, join, numpy_join, kind, axis):
+    def test_stack_matches_numpy(self, kind, axis):
         parts, arrays = _parts(kind)
-        joined = join(parts, axis=axis)
-        want = numpy_join(arrays, axis=axis)
+        joined = stack_arrays(parts, axis=axis)
+        want = np.stack(arrays, axis=axis)
         assert isinstance(joined, DeviceBuffer)
         # One float-only part keeps the join float-only; all-host stays host.
         assert (joined.host_image is None) == (kind in ("float", "mixed"))
@@ -252,11 +246,11 @@ class TestJoins:
         assert lazy.window == LAZY
         view = lazy.transpose(1, 0)[1:]
         assert view.window == LAZY and view.max_value == 13
-        joined = concatenate_arrays([DeviceBuffer.wrap(np.ones((2, 3), np.int64)),
-                                     lazy, wide], axis=1)
+        joined = stack_arrays([DeviceBuffer.wrap(np.ones((2, 3), np.int64)),
+                               lazy, wide], axis=1)
         assert joined.window == (-2, 4) and joined.max_value == 27
-        assert np.array_equal(joined.host([7, 11]), [[1] * 3 + [2] * 3 + [6] * 3,
-                                                     [1] * 3 + [6] * 3 + [9] * 3])
+        assert np.array_equal(joined.host([7, 11]), [[[1] * 3, [2] * 3, [6] * 3],
+                                                     [[1] * 3, [6] * 3, [9] * 3]])
 
     #: Every window a result can carry up to ``(-q, 2q)``, where ``host``
     #: folds, and wider ones inside the planned headroom, where it keeps ``%``.

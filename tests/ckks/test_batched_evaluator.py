@@ -33,6 +33,8 @@ from repro.api import TensorFheContext
 from repro.backend import available_backends, residency, use_backend
 from repro.ckks import Ciphertext, CkksParameters
 from repro.kernels import KernelName
+from repro.numtheory.modular import moduli_column
+from repro.rns import RnsPolynomial
 
 BATCH = 5
 
@@ -472,7 +474,10 @@ class TestOneLaunchPerChain:
             assert len(calls) == 1
             for got, ciphertext in zip(negated, streams):
                 assert_same_ciphertext(got, Ciphertext(
-                    ciphertext.c0.negate(), ciphertext.c1.negate(),
+                    *(RnsPolynomial(poly.ring_degree, poly.moduli,
+                                    -poly.residues % moduli_column(poly.moduli),
+                                    poly.domain)
+                      for poly in (ciphertext.c0, ciphertext.c1)),
                     ciphertext.scale, ciphertext.level))
 
     @pytest.mark.parametrize("batch", (2, 3))

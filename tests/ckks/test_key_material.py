@@ -1,0 +1,175 @@
+"""Key material is right by its definition, and a level's groups are one launch.
+
+Every public key and switch key is made of samples of one RLWE sampler
+(:func:`repro.ckks.encryptor.sample_rlwe`), so ``b + a⊙ŝ`` must leave the
+sample's message plus a small error.  For the public key the message is
+zero.  For group ``j`` of a switch-key level it is ``P·ŝ'`` on the group's
+ciphertext-prime rows and zero elsewhere, once the stored ``P^{-1}`` is
+multiplied back out of the ciphertext-prime rows.  What remains must invert
+to one integer polynomial, the same in every limb, with every centred
+coefficient at most 6σ.  The source secrets come from their definitions
+in Python integers: ``s^2`` as a negacyclic product, ``s(X^g)`` by moving
+each coefficient.  Swept: both golden chains and both backends, the public
+key and the relinearization, one rotation and the conjugation key at every
+level and group.
+"""
+
+import numpy as np
+import pytest
+
+from repro.backend import available_backends, use_backend
+from repro.backend.numpy_backend import NumpyBackend
+from repro.ckks import CkksContext, CkksParameters, KeyGenerator
+from repro.kernels.automorphism import galois_element_for_rotation
+from repro.rns.poly import ERROR_STDDEV
+
+#: The chains of ``test_golden_bits.py``.
+CHAINS = {
+    "p28": dict(),
+    "p20": dict(scale_bits=20, prime_bits=20, special_prime_bits=23),
+}
+STEPS = 3
+#: The seven kernels of a backend.
+KERNELS = ("matmul_limbs", "matmul_rows", "mat_mul", "mat_add", "mat_sub",
+           "mat_neg", "mat_reduce")
+
+
+def negacyclic_square(coefficients):
+    """``s^2 mod (X^N + 1)`` in Python integers."""
+    n = len(coefficients)
+    terms = [(i, int(c)) for i, c in enumerate(coefficients) if c]
+    out = [0] * n
+    for i, x in terms:
+        for j, y in terms:
+            if i + j < n:
+                out[i + j] += x * y
+            else:
+                out[i + j - n] -= x * y
+    return out
+
+
+def automorphism(coefficients, galois_element):
+    """``s(X^g) mod (X^N + 1)`` in Python integers."""
+    n = len(coefficients)
+    out = [0] * n
+    for i, c in enumerate(coefficients):
+        exponent = i * galois_element % (2 * n)
+        if exponent < n:
+            out[exponent] += int(c)
+        else:
+            out[exponent - n] -= int(c)
+    return out
+
+
+def image(context, moduli, coefficients):
+    """The evaluation-domain residues of signed integer ``coefficients``."""
+    column = np.asarray(moduli, dtype=object)[:, None]
+    residues = (np.asarray(coefficients, dtype=object)[None] % column).astype(np.int64)
+    with use_backend("numpy"):
+        return context.planner.forward_ops(
+            context.ring_degree, moduli, residues[None])[0].host(moduli)
+
+
+def assert_small_error(context, moduli, residues):
+    """``residues`` (evaluation domain) invert to one small integer polynomial."""
+    with use_backend("numpy"):
+        coefficients = context.planner.inverse_ops(
+            context.ring_degree, moduli, residues.astype(np.int64)[None])[0].host(moduli)
+    column = np.asarray(moduli, dtype=np.int64)[:, None]
+    centred = np.where(coefficients > column // 2, coefficients - column,
+                       coefficients)
+    assert (centred == centred[0]).all()
+    assert 0 < np.abs(centred).max() <= 6 * ERROR_STDDEV
+
+
+def phase(context, secret, moduli, b, a):
+    """``b + a⊙ŝ`` over ``moduli`` in Python integers."""
+    column = np.asarray(moduli, dtype=object)[:, None]
+    s_hat = image(context, moduli, secret.coefficients).astype(object)
+    return (b.astype(object) + a.astype(object) * s_hat) % column
+
+
+@pytest.fixture(scope="module", params=[(chain, backend) for chain in sorted(CHAINS)
+                                        for backend in available_backends()],
+                ids=lambda param: "-".join(param))
+def keys(request):
+    chain, backend = request.param
+    parameters = CkksParameters(ring_degree=64, level_count=8, dnum=4,
+                                secret_hamming_weight=8, **CHAINS[chain])
+    context = CkksContext(parameters, seed=1311)
+    keygen = KeyGenerator(context)
+    secret = keygen.generate_secret_key()
+    with use_backend(backend):
+        public = keygen.generate_public_key(secret)
+        relin = keygen.generate_relinearization_key(secret)
+        rotations = keygen.generate_rotation_keys(secret, [STEPS])
+    n = context.ring_degree
+    sources = {
+        "relinearization": (relin, negacyclic_square(secret.coefficients)),
+        "rotation": (rotations.for_steps(STEPS), automorphism(
+            secret.coefficients, galois_element_for_rotation(STEPS, n))),
+        "conjugation": (rotations.conjugation_key,
+                        automorphism(secret.coefficients, 2 * n - 1)),
+    }
+    return context, secret, public, sources
+
+
+def test_the_public_key_is_an_encryption_of_zero(keys):
+    context, secret, public, _ = keys
+    moduli = public.moduli
+    assert moduli == context.moduli_at_level(context.max_level)
+    assert_small_error(context, moduli, phase(context, secret, moduli,
+                                              public.b.residues, public.a.residues))
+
+
+@pytest.mark.parametrize("name", ["relinearization", "rotation", "conjugation"])
+def test_every_switch_key_group_encrypts_p_times_its_source(keys, name):
+    context, secret, _, sources = keys
+    key, source = sources[name]
+    special_product = context.basis.special_product
+    n = context.ring_degree
+    assert sorted(key.levels) == list(range(context.max_level + 1))
+    for level, key_level in key.levels.items():
+        extended = context.extended_moduli_at_level(level)
+        active = len(context.moduli_at_level(level))
+        column = np.asarray(extended, dtype=object)[:, None]
+        source_hat = image(context, extended, source).astype(object)
+        b, a = (stack.reshape(-1, len(extended), n) for stack in key_level.stacks)
+        assert len(b) == len(key_level.group_moduli)
+        for group, b_j, a_j in zip(key_level.group_moduli, b, a):
+            total = phase(context, secret, extended, b_j, a_j)
+            total[:active] = total[:active] * special_product % column[:active]
+            rows = [extended.index(prime) for prime in group]
+            total[rows] = (total[rows] - special_product * source_hat[rows]) % column[rows]
+            assert_small_error(context, extended, total)
+
+
+@pytest.mark.parametrize("kind", ["relinearization", "rotation"])
+def test_a_levels_groups_are_a_leading_axis(monkeypatch, kind):
+    """One switch key makes the same kernel launches at dnum = 1 and 3,
+    for the same level count."""
+    calls = []
+    for name in KERNELS:
+        original = getattr(NumpyBackend, name)
+
+        def counted(*args, _original=original, **kwargs):
+            calls.append(1)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(NumpyBackend, name, counted)
+    launches = {}
+    for dnum in (1, 3):
+        parameters = CkksParameters(ring_degree=64, level_count=5, dnum=dnum,
+                                    secret_hamming_weight=8)
+        keygen = KeyGenerator(CkksContext(parameters, seed=3))
+        secret = keygen.generate_secret_key()
+        with use_backend("numpy"):
+            # The second key counts: the first builds the chains' twiddles.
+            for _ in range(2):
+                del calls[:]
+                if kind == "relinearization":
+                    keygen.generate_relinearization_key(secret)
+                else:
+                    keygen.generate_rotation_key(secret, 1)
+        launches[dnum] = len(calls)
+    assert launches[1] == launches[3] > 0

@@ -9,8 +9,8 @@ folded path must give the bits of the classic one: an unscaled key,
 ``ModDown.apply_batch`` (Conv, subtract, multiply by ``P^{-1}``) and
 coefficient-domain adds, computed here per stream from the RNS
 primitives, against the coefficient images of the evaluation-domain
-results.  The classic keys come from the same seed with the fold turned
-off.  Swept: HMULT, square, HROTATE and HCONJ at every level, on
+results.  The classic keys are the stored ones with their ciphertext-prime
+rows multiplied back by ``P`` in Python integers.  Swept: HMULT, square, HROTATE and HCONJ at every level, on
 every backend, the 20-, 28- and 33-bit chains (the last on the exact
 object-dtype funnel) and B in {1, 2, 8}.
 """
@@ -21,11 +21,12 @@ import pytest
 from repro.backend import use_backend
 from repro.ckks import Ciphertext, CkksContext, CkksParameters, KeyGenerator
 from repro.ckks.batched_evaluator import BatchedEvaluator
+from repro.ckks.keys import SwitchKey, SwitchKeyLevel
 from repro.kernels.automorphism import (
-    apply_automorphism_coeff,
     galois_element_for_rotation,
+    stack_automorphism_coeff,
 )
-from repro.numtheory.modular import moduli_column
+from repro.numtheory.modular import mat_mod_add, mat_mod_mul, moduli_column
 from repro.rns import ModDown, ModUp, RnsPolynomial
 from repro.rns.poly import PolyDomain
 
@@ -54,9 +55,27 @@ class KeyMaterial:
         self.relin = keygen.generate_relinearization_key(secret)
         self.rotation = keygen.generate_rotation_keys(secret, [STEPS])
 
-    def switch_keys(self):
-        return [self.relin, self.rotation.for_steps(STEPS),
-                self.rotation.conjugation_key]
+
+def unfold(context, key):
+    """The classic key: the stored ciphertext-prime rows times ``P``.
+
+    Python-integer arithmetic: on the 33-bit chain a wrapping int64
+    product would not match.
+    """
+    special_product = context.basis.special_product
+    classic = SwitchKey(description=key.description)
+    for level, key_level in key.levels.items():
+        extended = context.extended_moduli_at_level(level)
+        active = len(context.moduli_at_level(level))
+        column = np.asarray(extended, dtype=object)[:, None]
+        factor = np.asarray([special_product % q for q in extended[:active]]
+                            + [1] * (len(extended) - active), dtype=object)[:, None]
+        stacks = tuple(
+            (stack.reshape(-1, len(extended), context.ring_degree).astype(object)
+             * factor % column).astype(np.int64).reshape(stack.shape)
+            for stack in key_level.stacks)
+        classic.levels[level] = SwitchKeyLevel(level, key_level.group_moduli, stacks)
+    return classic
 
 
 def one_stream(entry_point, moduli, polynomial):
@@ -65,48 +84,62 @@ def one_stream(entry_point, moduli, polynomial):
                          entry_point(polynomial.buffer[None])[0])
 
 
+def coefficient_image(context, moduli, image):
+    """The coefficient-domain polynomial of an evaluation-domain image."""
+    return RnsPolynomial(context.ring_degree, moduli, image,
+                         PolyDomain.EVALUATION).to_coefficient(context.planner)
+
+
+def added(lhs, rhs):
+    """``lhs + rhs``'s residues (two polynomials on one chain)."""
+    return mat_mod_add(lhs.buffer, rhs.buffer, lhs.moduli).host(lhs.moduli)
+
+
 def classic_switch(context, key, level, polynomial):
     """Algorithm 1 for one stream with an unscaled key: ModUp per group,
     NTT, inner product, INTT, then ``ModDown.apply_batch`` at B = 1 (Conv,
     subtract, multiply by ``P^{-1}``)."""
-    planner, degree = context.planner, context.ring_degree
     extended = context.extended_moduli_at_level(level)
     key_level = key.at_level(level)
     rows = len(extended)
     sums = [None, None]
     for j, group in enumerate(key_level.group_moduli):
         raised = one_stream(ModUp(group, extended).apply_batch, extended,
-                            polynomial.restrict_to(group)).to_evaluation(planner)
+                            polynomial.restrict_to(group)).to_evaluation(context.planner)
         for c, stack in enumerate(key_level.stacks):
-            term = raised.hadamard(RnsPolynomial(
-                degree, extended, stack[j * rows:(j + 1) * rows],
-                PolyDomain.EVALUATION))
-            sums[c] = term if sums[c] is None else sums[c].add(term)
+            term = mat_mod_mul(raised.buffer, stack[j * rows:(j + 1) * rows],
+                               extended)
+            sums[c] = term if sums[c] is None else mat_mod_add(sums[c], term,
+                                                               extended)
     moddown = ModDown(context.moduli_at_level(level), context.basis.special_primes)
     return [one_stream(moddown.apply_batch, moddown.ciphertext_moduli,
-                       total.to_coefficient(planner)) for total in sums]
+                       coefficient_image(context, extended, total))
+            for total in sums]
 
 
 def classic_multiply(context, key, lhs, rhs):
     """HMULT with every tensor term inverted and added in the coefficient domain."""
-    planner = context.planner
-    a0, a1, b0, b1 = (poly.to_evaluation(planner)
+    moduli = lhs.c0.moduli
+    a0, a1, b0, b1 = (poly.to_evaluation(context.planner).buffer
                       for poly in (lhs.c0, lhs.c1, rhs.c0, rhs.c1))
-    d0 = a0.hadamard(b0).to_coefficient(planner)
-    d1 = a0.hadamard(b1).add(a1.hadamard(b0)).to_coefficient(planner)
-    d2 = a1.hadamard(b1).to_coefficient(planner)
+    d0, d1, d2 = (coefficient_image(context, moduli, image) for image in (
+        mat_mod_mul(a0, b0, moduli),
+        mat_mod_add(mat_mod_mul(a0, b1, moduli), mat_mod_mul(a1, b0, moduli),
+                    moduli),
+        mat_mod_mul(a1, b1, moduli)))
     ks0, ks1 = classic_switch(context, key, lhs.level, d2)
-    return d0.add(ks0), d1.add(ks1)
+    return added(d0, ks0), added(d1, ks1)
 
 
 def classic_galois(context, key, galois_element, ciphertext):
     """HROTATE / HCONJ: the automorphism, the switch, one coefficient add."""
     moduli = ciphertext.c0.moduli
-    c0, c1 = (RnsPolynomial(context.ring_degree, moduli, apply_automorphism_coeff(
-        poly.residues, galois_element, moduli_column(moduli)))
-        for poly in (ciphertext.c0, ciphertext.c1))
+    c0, c1 = (RnsPolynomial(context.ring_degree, moduli, image)
+              for image in stack_automorphism_coeff(
+                  [ciphertext.c0.residues, ciphertext.c1.residues],
+                  galois_element, moduli_column(moduli)))
     ks0, ks1 = classic_switch(context, key, ciphertext.level, c1)
-    return c0.add(ks0), ks1
+    return added(c0, ks0), ks1.residues
 
 
 def random_ciphertexts(context, rng, level, count):
@@ -123,62 +156,35 @@ def random_ciphertexts(context, rng, level, count):
 
 @pytest.fixture(scope="module", params=sorted(CHAINS))
 def chain(request):
-    """Folded keys, the classic keys of the same seed, and per level eight
-    stream pairs with their classic HMULT / square / HROTATE / HCONJ."""
+    """Stored keys and per level eight stream pairs with the classic HMULT /
+    square / HROTATE / HCONJ of the unfolded keys."""
     folded = KeyMaterial(request.param)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(KeyGenerator, "_fold_p_inverse",
-                      lambda self, stacks, active, rows: None)
-        classic = KeyMaterial(request.param)
     context = folded.context
+    relin, rotation, conjugation_key = (unfold(context, key) for key in (
+        folded.relin, folded.rotation.for_steps(STEPS),
+        folded.rotation.conjugation_key))
     rng = np.random.default_rng(29)
-    rotation = galois_element_for_rotation(STEPS, context.ring_degree)
+    rotation_element = galois_element_for_rotation(STEPS, context.ring_degree)
     conjugation = 2 * context.ring_degree - 1
     cases = {}
     for level in range(context.max_level + 1):
         lhs = random_ciphertexts(context, rng, level, max(BATCH_SIZES))
         rhs = random_ciphertexts(context, rng, level, max(BATCH_SIZES))
         cases[level] = lhs, rhs, {
-            "multiply": [classic_multiply(context, classic.relin, l, r)
+            "multiply": [classic_multiply(context, relin, l, r)
                          for l, r in zip(lhs, rhs)],
-            "square": [classic_multiply(context, classic.relin, l, l)
+            "square": [classic_multiply(context, relin, l, l) for l in lhs],
+            "rotate": [classic_galois(context, rotation, rotation_element, l)
                        for l in lhs],
-            "rotate": [classic_galois(context, classic.rotation.for_steps(STEPS),
-                                      rotation, l) for l in lhs],
-            "conjugate": [classic_galois(context, classic.rotation.conjugation_key,
-                                         conjugation, l) for l in lhs],
+            "conjugate": [classic_galois(context, conjugation_key, conjugation, l)
+                          for l in lhs],
         }
-    return folded, classic, cases
-
-
-def test_keys_store_their_q_limbs_times_p_inverse(chain):
-    """Stored Q limbs = P^{-1} x the classic key, special limbs untouched.
-
-    The reference is Python-integer arithmetic: on the 33-bit chain a
-    wrapping int64 product would not match.
-    """
-    folded, classic, _ = chain
-    context = folded.context
-    special_product = context.basis.special_product
-    for new, old in zip(folded.switch_keys(), classic.switch_keys()):
-        for level, key_level in new.levels.items():
-            active = context.moduli_at_level(level)
-            count, rows = len(active), len(context.extended_moduli_at_level(level))
-            column = np.asarray(active, dtype=object)[:, None]
-            inverses = np.asarray([pow(special_product, -1, q) for q in active],
-                                  dtype=object)[:, None]
-            for stored, plain in zip(key_level.stacks, old.at_level(level).stacks):
-                stored = stored.reshape(-1, rows, context.ring_degree)
-                plain = plain.reshape(-1, rows, context.ring_degree)
-                expected = plain[:, :count].astype(object) * inverses % column
-                assert np.array_equal(stored[:, :count], expected.astype(np.int64))
-                assert np.array_equal(stored[:, count:], plain[:, count:])
-                assert not np.array_equal(stored[:, :count], plain[:, :count])
+    return folded, cases
 
 
 @pytest.mark.parametrize("batch", BATCH_SIZES)
 def test_folded_path_equals_the_classic_one(chain, backend, batch):
-    folded, _, cases = chain
+    folded, cases = chain
     evaluator = BatchedEvaluator(folded.context)
     for level, (lhs, rhs, want) in cases.items():
         lhs, rhs = lhs[:batch], rhs[:batch]
@@ -195,4 +201,4 @@ def test_folded_path_equals_the_classic_one(chain, backend, batch):
                 for poly, expected in zip((result.c0, result.c1), want_pair):
                     assert poly.domain == PolyDomain.EVALUATION
                     assert np.array_equal(poly.to_coefficient(planner).residues,
-                                          expected.residues), (name, level)
+                                          expected), (name, level)

@@ -10,7 +10,9 @@ from repro.backend import available_backends, use_backend
 from repro.ckks import Ciphertext, CkksParameters, Encryptor
 from repro.kernels import KernelName
 from repro.ntt import DEFAULT_ENGINE, available_engines
+from repro.numtheory.modular import mat_mod_add, mat_mod_mul, mat_mod_neg, moduli_column
 from repro.rns import PolyDomain, RnsPolynomial
+from repro.rns.poly import ERROR_STDDEV
 
 TOLERANCE = 1e-3
 
@@ -78,27 +80,39 @@ class TestEncryptDecrypt:
             ct = encryptor.encrypt_plaintext(plaintext)
 
             def error():
-                return RnsPolynomial.random_gaussian(n, moduli, draws)
+                signed = np.round(draws.normal(0.0, ERROR_STDDEV, n)).astype(np.int64)
+                return signed % moduli_column(moduli)
+
+            def coefficients(image):
+                return RnsPolynomial(n, moduli, image, PolyDomain.EVALUATION
+                                     ).to_coefficient(planner).buffer
+
+            def add(*terms):
+                total = terms[0]
+                for term in terms[1:]:
+                    total = mat_mod_add(total, term, moduli)
+                return total.host(moduli)
 
             if public:
                 key = toy_bundle.public_key
-                v = RnsPolynomial.random_ternary(n, moduli, draws).to_evaluation(planner)
+                v = RnsPolynomial.random_ternary(n, moduli, draws).to_evaluation(
+                    planner).buffer
                 e0, e1 = error(), error()
-                c0 = v.hadamard(key.b.restrict_to(moduli)).to_coefficient(planner)
-                c0 = c0.add(e0).add(plaintext.polynomial)
-                c1 = v.hadamard(key.a.restrict_to(moduli)).to_coefficient(planner)
-                c1 = c1.add(e1)
+                c0 = add(coefficients(mat_mod_mul(v, key.b.restrict_to(moduli).buffer,
+                                                  moduli)),
+                         e0, plaintext.polynomial.residues)
+                c1 = add(coefficients(mat_mod_mul(v, key.a.restrict_to(moduli).buffer,
+                                                  moduli)), e1)
             else:
-                a = RnsPolynomial.random_uniform(n, moduli, draws,
-                                                 domain=PolyDomain.EVALUATION)
-                s = toy_bundle.secret_key.evaluation(context, moduli)
-                c0 = a.hadamard(s).negate().to_coefficient(planner)
-                c0 = c0.add(error()).add(plaintext.polynomial)
-                c1 = a.to_coefficient(planner)
+                a = np.stack([draws.integers(0, q, n, dtype=np.int64) for q in moduli])
+                s = toy_bundle.secret_key.evaluation(context, moduli).buffer
+                c0 = add(coefficients(mat_mod_neg(mat_mod_mul(a, s, moduli), moduli)),
+                         error(), plaintext.polynomial.residues)
+                c1 = coefficients(a).host(moduli)
         assert ct.level == level and ct.moduli == moduli
         assert ct.c0.domain == ct.c1.domain == PolyDomain.EVALUATION
-        assert np.array_equal(ct.c0.to_coefficient(planner).residues, c0.residues)
-        assert np.array_equal(ct.c1.to_coefficient(planner).residues, c1.residues)
+        assert np.array_equal(ct.c0.to_coefficient(planner).residues, c0)
+        assert np.array_equal(ct.c1.to_coefficient(planner).residues, c1)
         assert np.allclose(toy_bundle.decryptor.decrypt_real(ct), x, atol=TOLERANCE)
 
 

@@ -7,11 +7,10 @@ from repro.kernels import (
     KernelContext,
     KernelCounter,
     KernelName,
-    apply_automorphism_coeff,
-    apply_automorphism_eval,
     evaluation_permutation,
     galois_element_for_rotation,
     stack_automorphism_coeff,
+    stack_automorphism_eval,
 )
 from repro.ntt import create_engine
 from repro.numtheory import generate_ntt_prime
@@ -19,6 +18,11 @@ from repro.numtheory import generate_ntt_prime
 from ntt_vector import transform_vector
 
 RING_DEGREE = 32
+
+
+def automorphism_coeff(coefficients, galois_element, modulus):
+    """``a(X^g)`` of one part: the B = 1 stack."""
+    return stack_automorphism_coeff([coefficients], galois_element, modulus)[0]
 
 
 @pytest.fixture()
@@ -44,27 +48,27 @@ class TestAutomorphism:
         a = rng.integers(0, q, RING_DEGREE, dtype=np.int64)
         b = rng.integers(0, q, RING_DEGREE, dtype=np.int64)
         g = 5
-        lhs = apply_automorphism_coeff(multiply(a, b), g, q)
-        rhs = multiply(apply_automorphism_coeff(a, g, q),
-                       apply_automorphism_coeff(b, g, q))
+        lhs = automorphism_coeff(multiply(a, b), g, q)
+        rhs = multiply(automorphism_coeff(a, g, q),
+                       automorphism_coeff(b, g, q))
         assert np.array_equal(lhs, rhs)
 
     def test_identity_element(self, rng):
         q = generate_ntt_prime(20, RING_DEGREE)
         a = rng.integers(0, q, RING_DEGREE, dtype=np.int64)
-        assert np.array_equal(apply_automorphism_coeff(a, 1, q), a)
+        assert np.array_equal(automorphism_coeff(a, 1, q), a)
 
     def test_conjugation_is_involution(self, rng):
         q = generate_ntt_prime(20, RING_DEGREE)
         a = rng.integers(0, q, RING_DEGREE, dtype=np.int64)
         g = 2 * RING_DEGREE - 1
         assert np.array_equal(
-            apply_automorphism_coeff(apply_automorphism_coeff(a, g, q), g, q), a)
+            automorphism_coeff(automorphism_coeff(a, g, q), g, q), a)
 
     def test_even_galois_element_rejected(self, rng):
         q = generate_ntt_prime(20, RING_DEGREE)
         with pytest.raises(ValueError):
-            apply_automorphism_coeff(np.zeros(RING_DEGREE, dtype=np.int64), 4, q)
+            automorphism_coeff(np.zeros(RING_DEGREE, dtype=np.int64), 4, q)
 
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
     def test_eval_domain_commutes_with_ntt(self, rng, dtype):
@@ -76,14 +80,14 @@ class TestAutomorphism:
         engine = create_engine("reference", RING_DEGREE)
         a = rng.integers(0, q, RING_DEGREE, dtype=np.int64)
         g = 5
-        lhs = transform_vector(engine, apply_automorphism_coeff(a, g, q), q)
-        rhs = apply_automorphism_eval(
-            transform_vector(engine, a, q).astype(dtype), g)
+        lhs = transform_vector(engine, automorphism_coeff(a, g, q), q)
+        rhs = stack_automorphism_eval(
+            [transform_vector(engine, a, q).astype(dtype)], g)[0]
         assert rhs.dtype == dtype
         assert np.array_equal(lhs, rhs)
-        coefficient_image = apply_automorphism_coeff(a.astype(dtype), g, q)
+        coefficient_image = automorphism_coeff(a.astype(dtype), g, q)
         assert coefficient_image.dtype == dtype
-        assert np.array_equal(coefficient_image, apply_automorphism_coeff(a, g, q))
+        assert np.array_equal(coefficient_image, automorphism_coeff(a, g, q))
 
     def test_evaluation_permutation_is_bijection(self):
         perm = evaluation_permutation(RING_DEGREE, 5)
@@ -137,7 +141,7 @@ class TestAutomorphismOracle:
         for galois_element in range(1, 2 * ring_degree, 2):
             image, expected, column = _oracle_case(
                 rng, ring_degree, galois_element, (17, 20, 24), dtype)
-            got = apply_automorphism_coeff(image, galois_element, column)
+            got = stack_automorphism_coeff(list(image), galois_element, column)
             assert got.dtype == dtype
             assert np.array_equal(got, expected), galois_element
             assert not np.signbit(got).any()
@@ -149,7 +153,7 @@ class TestAutomorphismOracle:
                                               prime_bits, dtype):
         image, expected, column = _oracle_case(
             rng, 4096, galois_element, (prime_bits, prime_bits), dtype)
-        got = apply_automorphism_coeff(image, galois_element, column)
+        got = stack_automorphism_coeff(list(image), galois_element, column)
         assert got.dtype == dtype
         assert np.array_equal(got, expected)
         assert not np.signbit(got).any()
@@ -157,14 +161,14 @@ class TestAutomorphismOracle:
     @pytest.mark.parametrize("dtype", [np.int64, np.float64])
     def test_stack_gathers_each_part_into_its_row(self, rng, dtype):
         """``stack_automorphism_coeff`` over separate parts (strided ones
-        too) equals the kernel on their stack."""
+        too) equals the kernel on their stack as one part."""
         image, expected, column = _oracle_case(rng, 16, 13, (20, 24), dtype)
         parts = [part for part in image]
         parts[1] = np.asfortranarray(parts[1])
         got = stack_automorphism_coeff(parts, 13, column)
         assert got.dtype == dtype
         assert np.array_equal(got, expected)
-        assert np.array_equal(apply_automorphism_coeff(image, 13, column), expected)
+        assert np.array_equal(automorphism_coeff(image, 13, column), expected)
 
 
 class TestCounters:

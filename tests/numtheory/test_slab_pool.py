@@ -164,7 +164,8 @@ class TestParity:
 
     @pytest.mark.parametrize("bits", GEMM_BITS)
     def test_limb_axis_gemm(self, bits, workers, pool_calls):
-        """``(L, M, K) @ (L, K, P)`` from host arrays: slabs of lhs rows."""
+        """``(L, M, K) @ (L, K, P)``, a host array against an operand (two
+        host arrays take the int64 kernel): slabs of lhs rows."""
         primes = generate_ntt_primes(4, bits, N)
         rng = np.random.default_rng(bits)
         # 16 rows in slabs of 13 (SLAB / (4 limbs * 12 columns)).
@@ -172,7 +173,8 @@ class TestParity:
         want = get_backend("numpy").matmul_limbs(
             DeviceBuffer.wrap(lhs), DeviceBuffer.wrap(rhs), primes)
         with use_backend("blas"):
-            check(lambda: modular_matmul_limbs(lhs, rhs, primes),
+            check(lambda: modular_matmul_limbs(lhs, DeviceBuffer.operand(rhs),
+                                               primes),
                   want.ensure_host(), pool_calls, primes)
 
     @pytest.mark.parametrize("batch", [1, 2, 8])
