@@ -156,7 +156,7 @@ class TensorFheContext:
         return self.evaluator.add_plain(ciphertext, plaintext)
 
     def rotate(self, ciphertext: Ciphertext, steps: int) -> Ciphertext:
-        self.ensure_rotation_keys([steps % self.slot_count])
+        self.ensure_rotation_keys([steps])
         return self.evaluator.rotate(ciphertext, steps, self.rotation_keys)
 
     def conjugate(self, ciphertext: Ciphertext) -> Ciphertext:

@@ -14,7 +14,7 @@ back in the evaluation domain, where ciphertexts rest.
   handy in tests) is one sample of :func:`sample_rlwe` with the message.
 
 :func:`sample_rlwe` is the only place RLWE samples are made: the public
-key, every level of a switch key (:mod:`repro.ckks.keygen`) and the
+key, every switch key (:mod:`repro.ckks.keygen`) and the
 symmetric ciphertext.  The randomness is drawn in a fixed order — the
 ephemeral then both Gaussian errors in one draw, or per sample the mask
 then its error — so a seeded context encrypts to the same bits on every

@@ -3,17 +3,17 @@
 Every public key and switch key is a batch of RLWE samples from the one
 sampler, :func:`~repro.ckks.encryptor.sample_rlwe`.  The public key is one
 sample over the full chain.  Switch keys follow Han–Ki's hybrid key
-switching, used by the paper: the ciphertext chain at level ``l`` is split
+switching, used by the paper: the top-level ciphertext chain is split
 into ``dnum`` groups, and for each group ``j`` the key holds an encryption
-of ``P * g_j * s_from`` under ``s`` over the extended basis ``C_l ∪ P``,
+of ``P * g_j * s_from`` under ``s`` over the extended basis ``C_L ∪ P``,
 where ``g_j`` is the CRT reconstruction factor of the group (``g_j ≡ 1``
-mod the group's primes and ``≡ 0`` mod the other active primes).  The
-factor ``P * g_j`` is thus ``P mod q_i`` on the group's primes and 0 on
-every other row, so a level is the sampler with ``count = dnum`` and the
-messages ``s_from`` times an ``(E, dnum, 1)`` factor column, then one
-product that multiplies the ciphertext-prime rows of ``(b | a)`` by
-``P^{-1}`` (the stored form, :mod:`repro.ckks.keys`).  Keys are generated
-for every level at once so the evaluator never needs the secret key.
+mod the group's primes and ``≡ 0`` mod the other primes).  The factor
+``P * g_j`` is thus ``P mod q_i`` on the group's primes and 0 on every
+other row, so a key is the sampler with ``count = dnum`` and the messages
+``s_from`` times an ``(E, dnum, 1)`` factor column, then one product that
+multiplies the ciphertext-prime rows of ``(b | a)`` by ``P^{-1}`` (the
+stored form, :mod:`repro.ckks.keys`).  A lower level is a restriction of
+that one level, so the evaluator never needs the secret key.
 """
 
 from __future__ import annotations
@@ -76,9 +76,8 @@ class KeyGenerator:
     def generate_rotation_keys(self, secret_key: SecretKey,
                                steps: Iterable[int]) -> RotationKeySet:
         """Generate rotation keys for several step counts plus conjugation."""
-        key_set = RotationKeySet()
-        for step in steps:
-            key_set.add(int(step), self.generate_rotation_key(secret_key, int(step)))
+        key_set = RotationKeySet(self.context.slot_count)
+        self.ensure_rotation_keys(secret_key, key_set, steps)
         key_set.conjugation_key = self.generate_conjugation_key(secret_key)
         return key_set
 
@@ -88,20 +87,18 @@ class KeyGenerator:
         conjugated = self._automorphism_secret(secret_key, galois_element)
         return self.create_switch_key(conjugated, secret_key, description="conjugation")
 
-    def ensure_rotation_keys(self, secret_key: SecretKey,
-                             key_set: RotationKeySet,
+    def ensure_rotation_keys(self, secret_key: SecretKey, key_set: RotationKeySet,
                              steps: Iterable[int]) -> None:
         """Lazily add any missing rotation keys for ``steps`` to ``key_set``.
 
-        Steps that are multiples of the slot count rotate by zero and need
-        no key.  Shared by the facade and the serving layer's per-tenant
-        key registry, so lazy generation has one definition.
+        Steps count modulo the slot count: one Galois element, one key;
+        zero needs none.  Shared by the facade and the serving layer's
+        per-tenant key registry, so lazy generation has one definition.
         """
-        slot_count = self.context.slot_count
-        missing = [step for step in steps
-                   if step % slot_count and step not in key_set.keys]
-        for step in missing:
-            key_set.add(step, self.generate_rotation_key(secret_key, step))
+        for step in steps:
+            step = int(step) % self.context.slot_count
+            if step and step not in key_set.keys:
+                key_set.add(step, self.generate_rotation_key(secret_key, step))
 
     # ------------------------------------------------------------------
     @pinned
@@ -110,26 +107,11 @@ class KeyGenerator:
         """Create a switch key re-encrypting ``source`` under ``secret_key``.
 
         ``source`` is the source secret's coefficient-domain ``(E, N)``
-        residues over the whole extended chain; a level's message is a
-        restriction of it.
+        residues over the top extended chain, the one level sampled.
         """
         context = self.context
-        switch_key = SwitchKey(description=description)
-        for level in range(context.max_level + 1):
-            switch_key.levels[level] = self._switch_key_for_level(
-                source, secret_key, level)
-        return switch_key
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-    def _switch_key_for_level(self, source, secret_key: SecretKey,
-                              level: int) -> SwitchKeyLevel:
-        context = self.context
-        n = context.ring_degree
-        top = context.extended_moduli_at_level(context.max_level)
+        n, level = context.ring_degree, context.max_level
         extended = context.extended_moduli_at_level(level)
-        active = len(context.moduli_at_level(level))
         groups = context.decomposition_groups(level)
         special_product = context.basis.special_product
 
@@ -138,23 +120,24 @@ class KeyGenerator:
         for index, group in enumerate(groups):
             for prime in group:
                 factors[extended.index(prime), index] = special_product % prime
-        rows = source[np.asarray([top.index(prime) for prime in extended])]
-        messages = mat_mod_mul(rows[:, None], factors, extended).host(extended)
+        messages = mat_mod_mul(source[:, None], factors, extended).host(extended)
         b, a = sample_rlwe(context, extended,
                            secret_key.evaluation(context, extended).buffer,
                            len(groups), messages.transpose(1, 0, 2))
 
         # The stored form: the ciphertext-prime rows of (b | a) times P^{-1}.
         p_inverse = np.ones((len(extended), 1, 1), dtype=np.int64)
-        p_inverse[:active, 0, 0] = [mod_inverse(special_product % prime, prime)
-                                    for prime in extended[:active]]
+        p_inverse[:level + 1, 0, 0] = [mod_inverse(special_product % prime, prime)
+                                       for prime in extended[:level + 1]]
         pair = stack_arrays([b, a]).reshape(-1, len(extended), n)
         folded = mat_mod_mul(pair.transpose(1, 0, 2), p_inverse, extended)
         stacks = folded.host(extended).transpose(1, 0, 2).reshape(2, -1, n)
-        return SwitchKeyLevel(level=level,
-                              group_moduli=[tuple(group) for group in groups],
-                              stacks=tuple(stacks))
+        return SwitchKey(SwitchKeyLevel(level, list(groups), tuple(stacks)),
+                         description=description)
 
+    # ------------------------------------------------------------------
+    # Internals
+    # ------------------------------------------------------------------
     @pinned
     def _square_secret(self, secret_key: SecretKey) -> np.ndarray:
         """``s^2``'s coefficient residues over the whole extended chain."""

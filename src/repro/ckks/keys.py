@@ -11,14 +11,15 @@ backend splits either into its hi/lo images once.  The public key and
 every switch key are samples of the one RLWE sampler,
 :func:`~repro.ckks.encryptor.sample_rlwe` (:mod:`repro.ckks.keygen`).  Switch
 keys (used for relinearization, rotation and conjugation) follow the
-generalized key-switching of the paper: for every level they hold one
+generalized key-switching of the paper: at the top level they hold one
 ``(b_j, a_j)`` pair per decomposition group, stored in the evaluation domain
-over the extended basis ``C_l ∪ P`` as two stacked residue matrices, with
-their ciphertext-prime limbs (``C_l``) multiplied by ``P^{-1} mod q_i``:
-the key-switch inner product then hands ModDown limbs that already carry
+over the extended basis ``C_L ∪ P`` as two stacked residue matrices, with
+their ciphertext-prime limbs multiplied by ``P^{-1} mod q_i``: the
+key-switch inner product then hands ModDown limbs that already carry
 ``P^{-1}`` (its tail alone remains: :meth:`~repro.rns.moddown.ModDown.
-correction`), and HMULT can add ``d0``, ``d1`` to the accumulators.  The
-special limbs are stored as they are.
+correction`), and HMULT can add ``d0``, ``d1`` to the accumulators.  Both
+factors are per prime, so level ``l``'s key is the top level's rows ``C_l
+∪ P`` of its groups (as in SEAL and Lattigo).
 """
 
 from __future__ import annotations
@@ -147,41 +148,56 @@ class SwitchKeyLevel:
                            .transpose(1, 0, 2)[:, :, None])
             for stack in self.stacks)
 
+    def restrict(self, level: int) -> "SwitchKeyLevel":
+        """``level``'s material: rows ``C_level ∪ P`` of the groups holding
+        its primes, each group cut to them (the lower chain's groups)."""
+        primes, dnum = sum(self.group_moduli, ()), len(self.group_moduli)
+        alpha, rows = len(self.group_moduli[0]), self.stacks[0].shape[0] // dnum
+        groups = [primes[start:min(start + alpha, level + 1)]
+                  for start in range(0, level + 1, alpha)]
+        keep = np.r_[0:level + 1, len(primes):rows]   # C_level, then P
+        return SwitchKeyLevel(level, groups, tuple(
+            stack.reshape(dnum, rows, -1)[:len(groups), keep].reshape(
+                -1, stack.shape[1]) for stack in self.stacks))
+
 
 @dataclass
 class SwitchKey:
-    """A key switching key from some secret ``s_from`` to the canonical ``s``."""
+    """A key switching key from some secret ``s_from`` to the canonical ``s``.
 
-    levels: Dict[int, SwitchKeyLevel] = field(default_factory=dict)
+    ``top`` is the generated material; a lower level is its restriction,
+    cut on first use and kept: one constant handle per level.
+    """
+
+    top: Optional[SwitchKeyLevel] = None
     description: str = "switch"
 
-    def at_level(self, level: int) -> SwitchKeyLevel:
-        try:
-            return self.levels[level]
-        except KeyError:
-            raise KeyError(
-                "no %s key material for level %d (available: %s)"
-                % (self.description, level, sorted(self.levels))
-            ) from None
+    def __post_init__(self) -> None:
+        self._levels = {} if self.top is None else {self.top.level: self.top}
 
-    @property
-    def max_level(self) -> int:
-        return max(self.levels) if self.levels else -1
+    def at_level(self, level: int) -> SwitchKeyLevel:
+        if self.top is None or not 0 <= level <= self.top.level:
+            raise KeyError("no %s key material for level %d"
+                           % (self.description, level))
+        if level not in self._levels:
+            self._levels[level] = self.top.restrict(level)
+        return self._levels[level]
 
 
 @dataclass
 class RotationKeySet:
-    """Rotation (and conjugation) keys indexed by the rotation step count."""
+    """Rotation and conjugation keys; one per step modulo ``slot_count``."""
 
+    slot_count: int
     keys: Dict[int, SwitchKey] = field(default_factory=dict)
     conjugation_key: Optional[SwitchKey] = None
 
     def add(self, steps: int, key: SwitchKey) -> None:
-        self.keys[steps] = key
+        self.keys[steps % self.slot_count] = key
 
     def for_steps(self, steps: int) -> SwitchKey:
         try:
-            return self.keys[steps]
+            return self.keys[steps % self.slot_count]
         except KeyError:
             raise KeyError(
                 "no rotation key for %d steps; generate it with "

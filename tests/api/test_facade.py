@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.api import TensorFheContext
+from repro.ckks import KeyGenerator
 
 TOLERANCE = 2e-3
 
@@ -47,6 +48,24 @@ class TestFacade:
         rotated = fhe.rotate(fhe.encrypt(x), 5)   # 5 was not pre-generated
         assert np.allclose(fhe.decrypt_real(rotated), np.roll(x, -5), atol=TOLERANCE)
         assert 5 in fhe.rotation_keys.keys
+
+    def test_equivalent_steps_share_one_key(self, rng, monkeypatch):
+        """At N = 64, steps -1 and 63 are both step 31: one Galois element,
+        one key, and the one ``rotate(ct, -1)`` reads."""
+        made = []
+        original = KeyGenerator.generate_rotation_key
+
+        def counting(keygen, secret_key, steps):
+            made.append(steps)
+            return original(keygen, secret_key, steps)
+
+        monkeypatch.setattr(KeyGenerator, "generate_rotation_key", counting)
+        fhe = TensorFheContext.from_preset("toy", seed=3, rotation_steps=(-1, 63))
+        x = rng.uniform(-1, 1, fhe.slot_count)
+        rotated = fhe.rotate(fhe.encrypt(x), -1)
+        assert made == [31]
+        assert fhe.rotation_keys.available_steps == [31]
+        assert np.allclose(fhe.decrypt_real(rotated), np.roll(x, 1), atol=TOLERANCE)
 
     def test_conjugate(self, fhe, rng):
         z = rng.uniform(-1, 1, fhe.slot_count) + 1j * rng.uniform(-1, 1, fhe.slot_count)

@@ -342,7 +342,7 @@ class TestDegenerateBatches:
         """
         from repro.ckks import RotationKeySet
 
-        empty_keys = RotationKeySet()
+        empty_keys = RotationKeySet(fhe.slot_count)
         assert fhe.batched_evaluator.rotate([], 7, empty_keys) == []
         assert fhe.batched_evaluator.conjugate([], empty_keys) == []
 

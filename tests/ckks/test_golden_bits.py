@@ -31,8 +31,15 @@ each output once and requires it to arrive in the evaluation domain), the
 bits every operation produced while ciphertexts rested in the coefficient
 domain.
 
+The key-dependent ``GOLDEN`` entries (``multiply``, ``multiply_and_rescale``,
+``rotate``, ``conjugate``, ``switch``, ``bsgs`` and ``bootstrap``) were
+regenerated when switch keys became one top-level sample batch, whose
+lower levels are restrictions: the keys' random draws changed, and
+:func:`test_key_switched_outputs_decrypt_to_the_reference` held.
+
 Regenerate (only when an output is *meant* to change) with
-``PYTHONPATH=src python tests/ckks/test_golden_bits.py``.
+``PYTHONPATH=src python tests/ckks/test_golden_bits.py``, which marks each
+entry as changed or unchanged against the tables here.
 """
 
 import hashlib
@@ -57,6 +64,9 @@ from repro.ckks import (
 from repro.ckks.bootstrap import BootstrapConfig, BsgsLinearTransform, ModRaise
 from repro.rns import PolyDomain, RnsPolynomial
 
+#: The slot tolerance of the scheme tests (``test_scheme.py``).
+TOLERANCE = 1e-3
+
 CHAINS = {
     "p28": dict(),
     "p20": dict(scale_bits=20, prime_bits=20, special_prime_bits=23),
@@ -66,30 +76,30 @@ GOLDEN = {
     "p20": {
         "add": "671339f400b2dcaddfcd69d1b75155b063b361589346217ddc69201c4d302eea",
         "add_plain": "8dc21c27f1781783a5e5d81d9f6f34eca793af90cbea197832e749498db39cc0",
-        "multiply": "ab2dc8aed21d69c425420fb75e1a6ad9d4f41e1662ae0c58fffb3fb1aeb14b93",
-        "multiply_and_rescale": "0303760c67b79fbd72f6223f1a68060cad2116518fe85d5aba2ad2f19cd01357",
+        "multiply": "f3cd14d0dd3ef530023be10c546d3029e43a0b52d7f34ae4819ccd49bcde6210",
+        "multiply_and_rescale": "92bf84471d5dfc93c2cfcb9e0044ea358e7a1627eb3399d9bc794d40c3a0d16d",
         "multiply_plain": "b1cec4a5168e9997236b967a13ffb355f06158342262c824b2c27d597165d37b",
         "rescale": "fa1c792c750eb2ffb93f2280ced13ab2fd8c1993cfc29cbc1dc5caffec7b4f62",
-        "rotate": "7f49e8362d12d49d3cbad938e0780e17c362d01497c91ba52ab25c668ff27619",
-        "conjugate": "857601435819ca7e0dca3a0333658076e8248176c722b21eed30d902475e6e79",
-        "switch": "cebdb2c475d9a15250e643143b7959345c00417b51a9d2cfedd75c4a3708f5b2",
+        "rotate": "f32a1a703b0bd35f1218430e3ff4d09a6921a401521dd3f99ae892a0c0c371ab",
+        "conjugate": "3beb6f7efbcab41f95714c205f5050d4c127a70f378720a174c8c70c2dd94753",
+        "switch": "a7c41a0d31ba5e374efac9d3a9195c0cbffa9ccc14d74d6e787b04d82f797d89",
         "mod_raise": "39a11c54126c968e96a1d9cc989baf7ac32c74b6070b6a4fb783d331bc8cccb5",
-        "bsgs": "a1f058910fd4eb69660b78c3a7272d7e8d07ff8eb326c9bb717506ab36fe6f4b",
-        "bootstrap": "f822ccc55328c50e4e0360d4ccfc9238451700eccfd59ec48f6d01998841021e",
+        "bsgs": "e54dedfa9e1ace926cf0ed07164712ed3d53829dc4d87d49d786e9e749c4a203",
+        "bootstrap": "dcd69acda22c2f5ad4ef8b3d3dbfe5c6e75db9412693a329843d61be0d648aef",
     },
     "p28": {
         "add": "46c839b4e2632471301b5a641ddf77e593feb0161daae4a79447fbc459d90f73",
         "add_plain": "1df5ed1f3503467aa1934ce42af056f18c2191ba664c0e468a2c85b60ccfd124",
-        "multiply": "ebb4abd220d59d7ded6b15ac142117215942f253a290f8e264939c6aa31fe53b",
-        "multiply_and_rescale": "0483c203bcbe0238040e3876728397378a94e7b5dcb2368e869d2752ed9de8aa",
+        "multiply": "6fcb0e712e2eb3247577164144e0f547754954687137e886aca3d5c5018e586c",
+        "multiply_and_rescale": "da12a42ebad6cb3678d8ef2c663555280c6f69d7263530d1ec3cb6cbf37efb0a",
         "multiply_plain": "297a2fa1e4e451f5bdaaae31a529832a155a45f97261951960e49e5ca2f8e7fa",
         "rescale": "aef6415c34ccc57394da36ef35f776c97d89144ec86556641d4f91a3f77c03db",
-        "rotate": "1189ba2670b10d488e936c2986ef715ff0cf440ff55cd5b14da6f27a97f3ca02",
-        "conjugate": "4c303854d571ccbdfc871aea8afa40399973d17a0b0237ee788fc29239080f0d",
-        "switch": "931a8e7637aa54e14fbbe82713f81b2610d9b55c79e20a004daa7bc829d85f3c",
+        "rotate": "abda28e2f5f5611a40a5d86529fc0a83ec8e51ab37657be50481013129668788",
+        "conjugate": "b461e64f9892bd90e98f38c60a88c99da22824bfa82dbd0982c7ea0c40641d98",
+        "switch": "927d7d7d758c270f3227fca2997a6ea202d539dbf5bdb1f0bf7177da40515d9e",
         "mod_raise": "b95b39017a2508b65910b4f0600de161c0605da2b3987984648d58f392babf7c",
-        "bsgs": "285a7dbc7d41a8300dd766d64501633eb7540fd6d937f92699941b38bfad671c",
-        "bootstrap": "a7e684b7ab8c8fbf9a54a62691a5e4a422643b31a36de4b7af9c071d78fb651c",
+        "bsgs": "e9e5dcc60f3552bc356a76ac267d6c25889f5130ae0ec8a280f3a7d598a67b61",
+        "bootstrap": "68ecc3a932718f4e09bb1743651f707b90ce2181f899b1d50d74a92f1f32a682",
     },
 }
 
@@ -300,6 +310,32 @@ def test_boundary_bits_are_frozen(chain, backend):
         assert boundary_digests(fhe) == GOLDEN_BOUNDARY[name]
 
 
+@pytest.mark.parametrize("backend", ("numpy", "blas"))
+def test_key_switched_outputs_decrypt_to_the_reference(chain, backend):
+    """Rotate, conjugate and multiply_and_rescale decrypt to numpy's slot
+    arithmetic at every level: the precision check that holds whenever the
+    keys' random draws, and with them the key-dependent digests, change."""
+    _, _, fhe = chain
+    rng = np.random.default_rng([1311, 4])
+    x, y = (rng.uniform(-1, 1, fhe.slot_count) + 1j * rng.uniform(-1, 1, fhe.slot_count)
+            for _ in range(2))
+    evaluator, encryptor = fhe.evaluator, fhe.encryptor
+    with use_backend(backend):
+        for level in range(fhe.context.max_level + 1):
+            lhs, rhs = (encryptor.encrypt_plaintext(encryptor.encode(v, level=level))
+                        for v in (x, y))
+            want = {"rotate": np.roll(x, -3), "conjugate": np.conj(x)}
+            got = {"rotate": evaluator.rotate(lhs, 3, fhe.rotation_keys),
+                   "conjugate": evaluator.conjugate(lhs, fhe.rotation_keys)}
+            if level:
+                want["multiply_and_rescale"] = x * y
+                got["multiply_and_rescale"] = evaluator.multiply_and_rescale(
+                    lhs, rhs, fhe.relinearization_key)
+            for op, ciphertext in got.items():
+                assert np.allclose(fhe.decrypt(ciphertext), want[op],
+                                   atol=TOLERANCE), (op, level)
+
+
 @pytest.fixture(scope="module", params=sorted(CHAINS))
 def float_chain(request):
     return request.param, build_float(request.param)
@@ -314,21 +350,30 @@ def test_float_boundary_bits_are_frozen(float_chain, backend):
         GOLDEN_FLOAT_BOUNDARY[name]
 
 
+def golden_digests(name):
+    fhe = build(name)
+    return {op: digest(singular(), fhe.context.planner)
+            for op, (singular, _) in operations(fhe).items()}
+
+
+def float_boundary_digests(name):
+    digests = boundary_digests(build_float(name))
+    return {key: digests[key] for key in GOLDEN_FLOAT_BOUNDARY[name]}
+
+
 if __name__ == "__main__":
-    for name in sorted(CHAINS):
-        print("    %r: {" % name)
-        fhe = build(name)
-        for op, (singular, _) in operations(fhe).items():
-            print("        %r: %r," % (op, digest(singular(), fhe.context.planner)))
-        print("    },")
-    for name in sorted(CHAINS):
-        print("    %r: {" % name)
-        for key, value in boundary_digests(build(name)).items():
-            print("        %r: %r," % (key, value))
-        print("    },")
-    for name in sorted(CHAINS):
-        print("    %r: {" % name)
-        digests = boundary_digests(build_float(name))
-        for key in GOLDEN_FLOAT_BOUNDARY[name]:
-            print("        %r: %r," % (key, digests[key]))
-        print("    },")
+    # Each entry is marked against the table above, so a regeneration's
+    # diff comes with the list of what it changed.
+    for label, table, digests_of in (
+            ("GOLDEN", GOLDEN, golden_digests),
+            ("GOLDEN_BOUNDARY", GOLDEN_BOUNDARY,
+             lambda name: boundary_digests(build(name))),
+            ("GOLDEN_FLOAT_BOUNDARY", GOLDEN_FLOAT_BOUNDARY, float_boundary_digests)):
+        print("%s = {" % label)
+        for name in sorted(CHAINS):
+            print("    %r: {" % name)
+            for key, value in digests_of(name).items():
+                mark = "unchanged" if table[name].get(key) == value else "changed"
+                print("        %r: %r,  # %s" % (key, value, mark))
+            print("    },")
+        print("}")

@@ -21,7 +21,7 @@ import pytest
 from repro.backend import use_backend
 from repro.ckks import Ciphertext, CkksContext, CkksParameters, KeyGenerator
 from repro.ckks.batched_evaluator import BatchedEvaluator
-from repro.ckks.keys import SwitchKey, SwitchKeyLevel
+from repro.ckks.keys import SwitchKeyLevel
 from repro.kernels.automorphism import (
     galois_element_for_rotation,
     stack_automorphism_coeff,
@@ -57,14 +57,16 @@ class KeyMaterial:
 
 
 def unfold(context, key):
-    """The classic key: the stored ciphertext-prime rows times ``P``.
+    """The classic key, level by level: the stored ciphertext-prime rows
+    times ``P``.
 
     Python-integer arithmetic: on the 33-bit chain a wrapping int64
     product would not match.
     """
     special_product = context.basis.special_product
-    classic = SwitchKey(description=key.description)
-    for level, key_level in key.levels.items():
+    classic = {}
+    for level in range(context.max_level + 1):
+        key_level = key.at_level(level)
         extended = context.extended_moduli_at_level(level)
         active = len(context.moduli_at_level(level))
         column = np.asarray(extended, dtype=object)[:, None]
@@ -74,7 +76,7 @@ def unfold(context, key):
             (stack.reshape(-1, len(extended), context.ring_degree).astype(object)
              * factor % column).astype(np.int64).reshape(stack.shape)
             for stack in key_level.stacks)
-        classic.levels[level] = SwitchKeyLevel(level, key_level.group_moduli, stacks)
+        classic[level] = SwitchKeyLevel(level, key_level.group_moduli, stacks)
     return classic
 
 
@@ -100,7 +102,7 @@ def classic_switch(context, key, level, polynomial):
     NTT, inner product, INTT, then ``ModDown.apply_batch`` at B = 1 (Conv,
     subtract, multiply by ``P^{-1}``)."""
     extended = context.extended_moduli_at_level(level)
-    key_level = key.at_level(level)
+    key_level = key[level]
     rows = len(extended)
     sums = [None, None]
     for j, group in enumerate(key_level.group_moduli):

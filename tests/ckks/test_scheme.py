@@ -312,8 +312,11 @@ class TestKernelComposition:
 
 class TestKeySwitching:
     def test_relinearization_key_levels(self, toy_bundle):
-        assert set(toy_bundle.relinearization_key.levels) == set(
-            range(toy_bundle.context.max_level + 1))
+        key, top = toy_bundle.relinearization_key, toy_bundle.context.max_level
+        assert [key.at_level(level).level for level in range(top + 1)] == list(
+            range(top + 1))
+        with pytest.raises(KeyError):
+            key.at_level(top + 1)
 
     def test_switch_requires_matching_level(self, toy_bundle, rng):
         from repro.ckks.keyswitch import KeySwitcher

@@ -113,7 +113,8 @@ class TestEveryTransformIsAPlannerCall:
 class TestSwitchKeyStoredOnce:
     def test_levels_hold_the_stacked_form(self, fhe):
         context = fhe.context
-        for level, key_level in fhe.relinearization_key.levels.items():
+        for level in range(context.max_level + 1):
+            key_level = fhe.relinearization_key.at_level(level)
             extended = context.extended_moduli_at_level(level)
             rows = len(key_level.group_moduli) * len(extended)
             bound = np.tile(moduli_column(extended),
