@@ -292,7 +292,10 @@ class TensorFheContext:
         :class:`~repro.ckks.batched_evaluator.BatchedEvaluator`, so every
         HMULT / CMULT / HADD / HROTATE in the pipeline is one fused
         ``(B, ...)`` launch instead of ``B`` scalar ones.  Each stream's
-        result is the one :meth:`bootstrap` gives it alone.
+        result is the one :meth:`bootstrap` gives it alone.  The streams
+        run in chunks of the planned batch size, and a refresh launches up
+        to four times a chunk's streams: CoeffToSlot's four BSGS transforms
+        run their giant steps as one group.
         """
         ciphertexts = list(ciphertexts)
         if not ciphertexts:

@@ -33,6 +33,7 @@ from .residency import DeviceBuffer, fold
 __all__ = ["NumpyBackend", "int64_matmul_limbs", "max_safe_chunk"]
 
 _SAFE_ACCUMULATOR_BITS = 62
+_INT64_MAX = (1 << 63) - 1
 #: From this modulus up a product of two residues can overflow int64.
 _WIDE_MODULUS = 1 << 31
 
@@ -106,14 +107,22 @@ def _matmul_rows(lhs: np.ndarray, rhs: np.ndarray, row_moduli: np.ndarray,
 def _mat_mul(a: np.ndarray, b: np.ndarray, moduli: np.ndarray,
              terms: int = 1) -> np.ndarray:
     column = _moduli_column(moduli, max(a.ndim, b.ndim))
-    if int(column.max()) >= _WIDE_MODULUS:
+    modulus = int(column.max())
+    if modulus >= _WIDE_MODULUS:
         out = _object_product(np.multiply, a, b, column)
-    else:
-        out = (a * b) % column
-    if terms > 1:
-        # Reduced products: terms * q fits int64 for every word-sized q.
-        out = out.sum(axis=1) % column[:, 0]
-    return out
+        return out if terms == 1 else out.sum(axis=1) % column[:, 0]
+    if terms == 1:
+        return (a * b) % column
+    # The exact products of ``run`` terms sum in int64, so a run is reduced
+    # once: 32 terms below 2**29, 8 below 2**30, pairs below 2**31.
+    run = _INT64_MAX // (modulus - 1) ** 2
+    a, b = np.broadcast_arrays(a, b)
+    out = None
+    for start in range(0, terms, run):
+        part = np.multiply(a[:, start:start + run],
+                           b[:, start:start + run]).sum(axis=1) % column[:, 0]
+        out = part if out is None else out + part
+    return out if run >= terms else out % column[:, 0]
 
 
 def _mat_add(a: np.ndarray, b: np.ndarray, moduli: np.ndarray) -> np.ndarray:

@@ -460,7 +460,7 @@ class BatchedEvaluator:
         One list of rotated streams per entry, each bit for bit
         :meth:`rotate`'s.  The rotations share one INTT of every stream's
         ``c1`` (the BSGS baby steps, :func:`~repro.ckks.bootstrap.bsgs.
-        baby_rotations`), so ``k`` rotations of a stream record ``k - 1``
+        apply_group`), so ``k`` rotations of a stream record ``k - 1``
         fewer INTTs than ``k`` calls of :meth:`rotate`.  A step that is a
         multiple of the slot count gives copies of the streams.
         """

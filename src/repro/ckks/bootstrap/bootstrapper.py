@@ -97,7 +97,11 @@ class Bootstrapper:
 
         Every stage runs its per-stream operation sequence through the
         batched evaluator, so a stream's refreshed bits and the kernel
-        counts it adds do not depend on the batch it rode in.
+        counts it adds do not depend on the batch it rode in.  Independent
+        same-level work of a stream shares launches: CoeffToSlot's four
+        BSGS transforms run as one group (its giant steps launch ``4B``
+        streams), EvalMod reduces both coefficient halves as one batch of
+        ``2B``, and SlotToCoeff's two transforms run as one group.
         """
         ciphertexts = list(ciphertexts)
         if not ciphertexts:
@@ -105,12 +109,12 @@ class Bootstrapper:
         raised = self.mod_raise.apply_many(ciphertexts)
         slot_lows, slot_highs = self.coeff_to_slot.apply_many(
             raised, batched_evaluator, encryptor, rotation_keys)
-        reduced_lows = self._eval_mod_many(
-            slot_lows, batched_evaluator, encryptor, relinearization_key)
-        reduced_highs = self._eval_mod_many(
-            slot_highs, batched_evaluator, encryptor, relinearization_key)
+        reduced = self._eval_mod_many(
+            slot_lows + slot_highs, batched_evaluator, encryptor,
+            relinearization_key)
+        batch = len(ciphertexts)
         return self.slot_to_coeff.apply_many(
-            reduced_lows, reduced_highs, batched_evaluator, encryptor,
+            reduced[:batch], reduced[batch:], batched_evaluator, encryptor,
             rotation_keys)
 
     # ------------------------------------------------------------------

@@ -11,16 +11,20 @@ the Baby-Step Giant-Step (BSGS) algorithm groups the ``n`` diagonals into
 rotations (instead of ``n``) are required — exactly the optimisation the
 paper cites for the homomorphic DFT [14, 59].
 
-Execution contract.  :meth:`BsgsLinearTransform.apply_many` evaluates the
-transform on ``B`` streams through a
-:class:`~repro.ckks.batched_evaluator.BatchedEvaluator` (a lone ciphertext
-is its ``B = 1`` case), consuming one level; the diagonal products run in
-the evaluation domain, where ciphertexts rest, so no step moves a stream
-between domains:
+Execution contract.  :func:`apply_group` evaluates a *group* of
+transforms through a :class:`~repro.ckks.batched_evaluator.
+BatchedEvaluator`, each transform on the ``B`` streams of its input (a lone
+ciphertext is the ``B = 1`` case, and :meth:`BsgsLinearTransform.
+apply_many` is the group of one transform), consuming one level.  The
+diagonal products run in the evaluation domain, where ciphertexts rest, so
+no step moves a stream between domains, and independent work of the
+group's transforms shares each launch:
 
-* the input is rotated by the baby steps once, the rotations sharing
-  one INTT of its ``c1`` (:func:`baby_rotations`; transforms of the same
-  input share the result);
+* every distinct input is rotated by the baby steps of the transforms that
+  read it, all inputs in one
+  :meth:`~repro.ckks.batched_evaluator.BatchedEvaluator.rotate_each` over
+  their concatenation, the rotations of a stream sharing one INTT of its
+  ``c1``;
 * the matrix is a constructor constant, so its diagonals are *cached constant
   handles*: pre-rotated, encoded, transformed in one fused NTT and stacked
   per giant step the first time a ``(level, scale)`` is seen, like a switch
@@ -28,21 +32,27 @@ between domains:
   The cache holds one int64 residue per (diagonal, limb, coefficient) —
   ``n * L * N * 8`` bytes per level used — plus the float images a float
   backend builds on the handles on first use;
-* a giant step is one
+* per giant step, each transform's
   :meth:`~repro.ckks.batched_evaluator.BatchedEvaluator.multiply_plain_sum`
-  launch against its stack, followed by the giant rotations and the adds;
-  the last rotated giant step is added and rescaled inside its key switch
-  (:meth:`~repro.ckks.batched_evaluator.BatchedEvaluator.
-  rotate_add_rescale`), so the rescale costs no transform of its own.
+  runs against its own stack, just before the step's one giant rotation
+  and one add over every transform's products (so one step's products are
+  alive at a time); a group of ``T`` transforms launches up to ``T * B``
+  streams there;
+* each transform's last rotated giant step is added and rescaled inside
+  its key switch (:meth:`~repro.ckks.batched_evaluator.BatchedEvaluator.
+  rotate_add_rescale`), one launch for the group, so the rescale costs no
+  transform of its own.
 
 NTT and INTT are exact and linear mod q, so every output residue is the one
-the diagonal-by-diagonal CMULT + HADD evaluation produces.
+the diagonal-by-diagonal CMULT + HADD evaluation produces, and a stream's
+bits and kernel counts do not depend on the group or batch it rides in;
+only the launches do.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,7 +63,7 @@ from ..encryptor import Encryptor
 from ..keys import RotationKeySet
 
 __all__ = ["matrix_diagonals", "bsgs_step_counts", "required_rotations",
-           "baby_rotations", "BsgsLinearTransform"]
+           "apply_group", "BsgsLinearTransform"]
 
 
 def matrix_diagonals(matrix: np.ndarray) -> Dict[int, np.ndarray]:
@@ -87,27 +97,6 @@ def required_rotations(dimension: int) -> List[int]:
         steps.add((i * n1) % dimension)
     steps.discard(0)
     return sorted(steps)
-
-
-def baby_rotations(ciphertexts: Sequence[Ciphertext], steps: Iterable[int],
-                   batched_evaluator,
-                   rotation_keys: RotationKeySet) -> Dict[int, List[Ciphertext]]:
-    """The streams rotated by every baby step.
-
-    One fused HROTATE per non-zero step (step 0 is the streams
-    themselves), all of them sharing one INTT of every stream's ``c1``
-    (:meth:`~repro.ckks.batched_evaluator.BatchedEvaluator.rotate_each`).
-    The result feeds :meth:`BsgsLinearTransform.apply_many` as
-    ``babies=``; transforms of the same input pass the union of their
-    :attr:`~BsgsLinearTransform.baby_steps` and share it.
-    """
-    ciphertexts, steps = list(ciphertexts), sorted(set(steps))
-    rotated = [step for step in steps if step]
-    babies = dict(zip(rotated, batched_evaluator.rotate_each(
-        ciphertexts, rotated, rotation_keys)))
-    if 0 in steps:
-        babies[0] = ciphertexts
-    return babies
 
 
 class BsgsLinearTransform:
@@ -149,57 +138,24 @@ class BsgsLinearTransform:
 
     def apply_many(self, ciphertexts: Sequence[Ciphertext],
                    batched_evaluator, encryptor: Encryptor,
-                   rotation_keys: RotationKeySet, *,
-                   babies: Optional[Dict[int, List[Ciphertext]]] = None
-                   ) -> List[Ciphertext]:
-        """Evaluate the transform on ``B`` streams as fused launches.
-
-        ``babies`` is :func:`baby_rotations` of ``ciphertexts`` over (at
-        least) :attr:`baby_steps`, for callers that apply several
-        transforms to one input; by default it is computed here.  Each
-        giant step is then one fused multiply-accumulate against its
-        cached diagonal stack, and the giant rotations, the adds and the
-        rescale run B-fused.  A stream's result does not depend on which
-        streams share its batch.
-        """
+                   rotation_keys: RotationKeySet) -> List[Ciphertext]:
+        """Evaluate the transform on ``B`` streams: the group of one
+        transform of :func:`apply_group`."""
         ciphertexts = list(ciphertexts)
         if not ciphertexts:
             return []
-        if not self.groups:
-            raise ValueError("the transform matrix is identically zero")
-        if babies is None:
-            babies = baby_rotations(ciphertexts, self.baby_steps,
-                                    batched_evaluator, rotation_keys)
-        inner = [
-            ciphertext for giant in self.groups
-            for ciphertext in batched_evaluator.multiply_plain_sum(
-                [babies[baby] for baby in self.groups[giant]],
-                lambda level, giant=giant: self._diagonal_operands(
-                    level, encryptor)[giant],
-                self.scale)
-        ]
-        slot_count, batch = self.context.slot_count, len(ciphertexts)
-        # The last rotated giant step is added and rescaled inside its key
-        # switch (modular addition is exact, so the order of the sum moves
-        # no bit).
-        rotated = [index for index, giant in enumerate(self.groups)
-                   if giant % slot_count]
-        last = rotated[-1] if rotated and len(self.groups) > 1 else None
-        accumulator = None
-        for index, giant in enumerate(self.groups):
-            group = inner[index * batch:(index + 1) * batch]
-            if index == last:
-                held, steps = group, giant % slot_count
-                continue
-            if giant % slot_count:
-                group = batched_evaluator.rotate(group, giant % slot_count,
-                                                 rotation_keys)
-            accumulator = group if accumulator is None else \
-                batched_evaluator.add(accumulator, group)
-        if last is None:
-            return batched_evaluator.rescale(accumulator)
-        return batched_evaluator.rotate_add_rescale(
-            held, steps, rotation_keys, accumulator)
+        return apply_group([(ciphertexts, (self,))], batched_evaluator,
+                           encryptor, rotation_keys)[0][0]
+
+    def _giant_step(self, giant: int, babies: Dict[int, List[Ciphertext]],
+                    batched_evaluator,
+                    encryptor: Encryptor) -> List[Ciphertext]:
+        """Giant step ``giant`` before its rotation: one multiply-accumulate
+        of the baby rotations against its cached diagonal stack."""
+        return batched_evaluator.multiply_plain_sum(
+            [babies[baby] for baby in self.groups[giant]],
+            lambda level: self._diagonal_operands(level, encryptor)[giant],
+            self.scale)
 
     def _diagonal_operands(self, level: int,
                            encryptor: Encryptor) -> Dict[int, DeviceBuffer]:
@@ -244,3 +200,91 @@ class BsgsLinearTransform:
         values = np.asarray(values, dtype=np.complex128)
         vector[: values.size] = values
         return self.matrix @ vector
+
+
+def apply_group(groups: Sequence[Tuple[Sequence[Ciphertext],
+                                       Sequence[BsgsLinearTransform]]],
+                batched_evaluator, encryptor: Encryptor,
+                rotation_keys: RotationKeySet) -> List[List[List[Ciphertext]]]:
+    """Evaluate transforms of one context on their inputs as fused launches.
+
+    ``groups`` pairs each distinct input (its ``B`` streams) with the
+    transforms applied to it; the result has the same nesting: per input,
+    per transform, the transformed streams.  The inputs' baby rotations
+    are one fused launch (one per distinct set of baby steps); per giant
+    step, each transform's products are one multiply-accumulate against its
+    cached diagonal stack, then one giant rotation and one add run over
+    every transform's products; each transform's last rotated giant step
+    is added and rescaled inside its key switch, one launch for the group
+    (module docstring).  Every stream's result and counts are those of its
+    transform alone.
+    """
+    inputs = [list(streams) for streams, _ in groups]
+    jobs = [(transform, index) for index, (_, transforms) in enumerate(groups)
+            for transform in transforms]
+    for transform, _ in jobs:
+        if not transform.groups:
+            raise ValueError("the transform matrix is identically zero")
+
+    def fused(members, launch, *columns):
+        """``launch`` over the concatenated streams ``columns[k][j]`` of
+        the jobs ``members``, split back per job."""
+        flat = [[ct for j in members for ct in column[j]] for column in columns]
+        out = launch(*flat) if flat[0] else []
+        return dict(zip(members, _split(
+            out, [len(inputs[jobs[j][1]]) for j in members])))
+
+    # Inputs read by transforms of the same baby steps rotate in one launch.
+    babies = [{0: streams} for streams in inputs]
+    by_steps: Dict[Tuple[int, ...], List[int]] = {}
+    for index, (_, transforms) in enumerate(groups):
+        steps = {step for transform in transforms
+                 for step in transform.baby_steps if step}
+        by_steps.setdefault(tuple(sorted(steps)), []).append(index)
+    for steps, members in by_steps.items():
+        rotated = batched_evaluator.rotate_each(
+            [ct for index in members for ct in inputs[index]], steps,
+            rotation_keys) if steps else []
+        for step, streams in zip(steps, rotated):
+            for index, part in zip(members, _split(
+                    streams, [len(inputs[index]) for index in members])):
+                babies[index][step] = part
+    # A transform's last giant step is added and rescaled inside its key
+    # switch (modular addition is exact, so the order of the sum moves no
+    # bit).  Giant steps lie in [0, slots): only step 0 is not rotated.
+    closes = [max(transform.groups) if len(transform.groups) > 1 else None
+              for transform, _ in jobs]
+    sums: Dict[int, List[Ciphertext]] = {}
+    results: Dict[int, List[Ciphertext]] = {}
+    for giant in sorted({giant for transform, _ in jobs
+                         for giant in transform.groups}):
+        members = [j for j, (transform, _) in enumerate(jobs)
+                   if giant in transform.groups]
+        products = {j: jobs[j][0]._giant_step(giant, babies[jobs[j][1]],
+                                              batched_evaluator, encryptor)
+                    for j in members}
+        results.update(fused(
+            [j for j in members if closes[j] == giant],
+            lambda held, addends: batched_evaluator.rotate_add_rescale(
+                held, giant, rotation_keys, addends),
+            products, sums))
+        rest = [j for j in members if closes[j] != giant]
+        if giant:
+            products.update(fused(rest, lambda streams: batched_evaluator.rotate(
+                streams, giant, rotation_keys), products))
+        started = [j for j in rest if j in sums]
+        sums.update({j: products[j] for j in rest if j not in sums})
+        sums.update(fused(started, batched_evaluator.add, sums, products))
+    results.update(fused([j for j in sums if j not in results],
+                         batched_evaluator.rescale, sums))
+    return _split([results[j] for j in range(len(jobs))],
+                  [len(transforms) for _, transforms in groups])
+
+
+def _split(items: Sequence, sizes: Sequence[int]) -> List:
+    """``items`` cut into consecutive runs of ``sizes``."""
+    runs, start = [], 0
+    for size in sizes:
+        runs.append(items[start:start + size])
+        start += size
+    return runs

@@ -9,9 +9,16 @@ square halves ``E0 | E1``:
   (the decoded view of the polynomial) — two BSGS transforms and one add;
 * **CoeffToSlot** is the inverse: using ``t = (1/N)(conj(E)^T z + E^T
   conj(z))`` it produces the two coefficient-half ciphertexts from one
-  ciphertext, with four BSGS transforms and one conjugation.  The two
-  transforms of each input (the ciphertext, its conjugate) share one set
-  of evaluation-domain baby rotations.
+  ciphertext, with four BSGS transforms and one conjugation.
+
+Each stage evaluates its transforms as one group
+(:func:`~repro.ckks.bootstrap.bsgs.apply_group`), so independent work
+shares its launches: CoeffToSlot rotates the ``B`` ciphertexts and their
+``B`` conjugates by the baby steps in one launch (``2B`` streams), runs
+each giant step's rotation and add over the four transforms' ``4B``
+streams, and adds the halves in one launch over ``2B``; SlotToCoeff runs
+its two transforms' steps over ``2B`` streams.  A stream's bits and
+kernel counts are those of its transforms evaluated one by one.
 
 Both stages are exactly the BSGS-based homomorphic DFT the paper invokes
 for its Bootstrap workflow (Figure 6).
@@ -27,7 +34,7 @@ from ..ciphertext import Ciphertext
 from ..context import CkksContext
 from ..encryptor import Encryptor
 from ..keys import RotationKeySet
-from .bsgs import BsgsLinearTransform, baby_rotations
+from .bsgs import BsgsLinearTransform, apply_group
 
 __all__ = ["embedding_matrix", "CoeffToSlot", "SlotToCoeff"]
 
@@ -61,11 +68,11 @@ class SlotToCoeff:
                    coeff_highs: Sequence[Ciphertext], batched_evaluator,
                    encryptor: Encryptor,
                    rotation_keys: RotationKeySet) -> List[Ciphertext]:
-        """Two fused BSGS transforms and one HADD over ``B`` stream pairs."""
-        part0 = self.transform0.apply_many(coeff_lows, batched_evaluator,
-                                           encryptor, rotation_keys)
-        part1 = self.transform1.apply_many(coeff_highs, batched_evaluator,
-                                           encryptor, rotation_keys)
+        """Two BSGS transforms as one group and one HADD over ``B`` stream
+        pairs."""
+        (part0,), (part1,) = apply_group(
+            [(coeff_lows, (self.transform0,)), (coeff_highs, (self.transform1,))],
+            batched_evaluator, encryptor, rotation_keys)
         return batched_evaluator.add(part0, part1)
 
     def reference(self, t0: np.ndarray, t1: np.ndarray) -> np.ndarray:
@@ -97,26 +104,17 @@ class CoeffToSlot:
     def apply_many(self, ciphertexts: Sequence[Ciphertext], batched_evaluator,
                    encryptor: Encryptor, rotation_keys: RotationKeySet
                    ) -> Tuple[List[Ciphertext], List[Ciphertext]]:
-        """One fused HCONJ and four fused BSGS stages over ``B`` streams."""
+        """One fused HCONJ, four BSGS transforms as one group and one HADD
+        over ``B`` streams."""
+        ciphertexts = list(ciphertexts)
         conjugated = batched_evaluator.conjugate(ciphertexts, rotation_keys)
-
-        def transformed(streams, transforms):
-            # Both transforms of an input read one set of baby rotations.
-            babies = baby_rotations(
-                streams, {step for transform in transforms
-                          for step in transform.baby_steps},
-                batched_evaluator, rotation_keys)
-            return [transform.apply_many(streams, batched_evaluator, encryptor,
-                                         rotation_keys, babies=babies)
-                    for transform in transforms]
-
-        low_direct, high_direct = transformed(
-            ciphertexts, (self.transform0_direct, self.transform1_direct))
-        low_conj, high_conj = transformed(
-            conjugated, (self.transform0_conj, self.transform1_conj))
-        lows = batched_evaluator.add(low_direct, low_conj)
-        highs = batched_evaluator.add(high_direct, high_conj)
-        return lows, highs
+        (low_direct, high_direct), (low_conj, high_conj) = apply_group(
+            [(ciphertexts, (self.transform0_direct, self.transform1_direct)),
+             (conjugated, (self.transform0_conj, self.transform1_conj))],
+            batched_evaluator, encryptor, rotation_keys)
+        halves = batched_evaluator.add(low_direct + high_direct,
+                                       low_conj + high_conj)
+        return halves[:len(ciphertexts)], halves[len(ciphertexts):]
 
     def reference(self, slots: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         slots = np.asarray(slots, dtype=np.complex128)

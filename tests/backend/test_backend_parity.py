@@ -279,6 +279,41 @@ class TestKernelsDirect:
         assert np.array_equal(got.host(primes), want)
 
 
+class TestMultiplyAccumulate:
+    """``mat_mul(..., terms=T)`` on int64: the exact products of a run of
+    terms are summed and reduced once per run, ``⌊(2^63 − 1) / (q_max −
+    1)²⌋`` terms a run.  Bit for bit the per-product reduction, on random
+    residues and on the largest ones (``q − 1``, where a run is fullest).
+    """
+
+    #: ``(moduli, terms)``: 29-bit primes (every term in one run), the two
+    #: largest primes below 2**31 with three terms (runs of two: a run
+    #: boundary is crossed) and a 29/31-bit mix (``q_max`` sets the run).
+    CASES = {
+        "p29-one-run": ((268437889, 268438657, 268438913), 8),
+        "p31-runs-of-two": ((2147483647, 2147483629), 3),
+        "mixed": ((268437889, 2147483647, 268438657), 5),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("backend_name", BACKENDS)
+    def test_equals_per_product_reduction(self, backend_name, case, rng):
+        primes, terms = self.CASES[case]
+        column = np.asarray(primes, dtype=np.int64)[:, None, None, None]
+        random = (rng.integers(0, column, (len(primes), terms, 3, 16)),
+                  rng.integers(0, column, (len(primes), terms, 1, 16)))
+        largest = tuple(np.broadcast_to(column - 1, x.shape).copy()
+                        for x in random)
+        wide = np.asarray(primes, dtype=object)[:, None, None]
+        for a, b in (random, largest):
+            products = a.astype(object) * b.astype(object) % column.astype(object)
+            want = np.asarray(products.sum(axis=1) % wide, dtype=np.int64)
+            got = get_backend(backend_name).mat_mul(
+                DeviceBuffer.wrap(a), DeviceBuffer.wrap(b),
+                np.asarray(primes, dtype=np.int64), terms=terms)
+            assert np.array_equal(got.host(primes), want)
+
+
 # ----------------------------------------------------------------------
 # Engine-level parity: every backend, every engine, bit-identical
 # ----------------------------------------------------------------------

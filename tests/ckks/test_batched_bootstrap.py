@@ -18,7 +18,8 @@ import pytest
 
 from repro.api import TensorFheContext
 from repro.backend import use_backend
-from repro.ckks.bootstrap import BootstrapConfig
+from repro.ckks.bootstrap import BootstrapConfig, BsgsLinearTransform
+from repro.ckks.bootstrap.bsgs import apply_group
 from repro.ckks.params import CkksParameters
 
 BATCH_SIZES = (1, 2, 8)
@@ -147,6 +148,24 @@ class TestBatchedBootstrapBookkeeping:
         fused_launches = spy.take()
         assert 0 < fused_launches < sequential_launches
 
+    @pytest.mark.parametrize("batch", (2, 8))
+    def test_refresh_launches_do_not_grow_with_the_batch(self, fhe, rng,
+                                                          monkeypatch, batch):
+        """A refresh is one launch sequence at every B: CoeffToSlot's four
+        BSGS transforms, EvalMod's two halves and SlotToCoeff's two
+        transforms each share their launches, so it makes 24 key-switch
+        launches and 94 planner calls (53 and 206 when each ran on its
+        own)."""
+        _, streams = exhausted_streams(fhe, rng, batch)
+        batched_bootstrap(fhe, streams[:1])     # fills the diagonal caches
+        switcher = fhe.batched_evaluator.key_switcher
+        switches, switch_many = [], switcher.switch_many
+        monkeypatch.setattr(switcher, "switch_many", lambda *a, **k: (
+            switches.append(1), switch_many(*a, **k))[1])
+        spy = PlannerSpy(monkeypatch, fhe.context.planner)
+        batched_bootstrap(fhe, streams)
+        assert (len(switches), spy.take()) == (24, 94)
+
     def test_facade_bootstrap_many_matches_loop(self, fhe, rng):
         """The facade entry point is bit-identical to looping bootstrap()."""
         _, streams = exhausted_streams(fhe, rng, 3)
@@ -154,6 +173,60 @@ class TestBatchedBootstrapBookkeeping:
         actual = fhe.bootstrap_many(streams)
         for got, want in zip(actual, expected):
             assert_same_ciphertext(got, want)
+
+
+def transform_of(fhe, offsets, seed):
+    """A BSGS transform whose non-zero generalized diagonals are ``offsets``."""
+    slots, rows = fhe.slot_count, np.arange(fhe.slot_count)
+    values = np.random.default_rng(seed)
+    matrix = np.zeros((slots, slots), dtype=np.complex128)
+    for offset in offsets:
+        matrix[rows, (rows + offset) % slots] = values.uniform(-1, 1, slots) / slots
+    return BsgsLinearTransform(fhe.context, matrix)
+
+
+class TestTransformGroups:
+    """:func:`apply_group` evaluates transforms as one launch sequence; each
+    transform's streams get the bits its own ``apply_many`` gives, and the
+    group records what the transforms record one by one, less the baby
+    rotations an input's transforms share."""
+
+    @pytest.mark.parametrize("backend_name", ("numpy", "blas"))
+    def test_three_transforms_on_two_inputs(self, fhe, rng, backend_name):
+        slots = fhe.slot_count
+        # Baby steps 0..7 for the first two; giant steps {0, 8, 16, 24},
+        # {0, 8, 24} and {0, 8, 16}, so the transforms close on different
+        # giant steps.
+        dense = transform_of(fhe, range(slots), 1)
+        gapped = transform_of(fhe, [d for d in range(slots) if not 16 <= d < 24], 2)
+        sparse = transform_of(fhe, [0, 1, 9, 18], 3)
+        top = fhe.context.max_level
+        first, second = ([fhe.evaluator.drop_to_level(
+            fhe.encrypt(rng.uniform(-1, 1, slots)), top - index % 2)
+            for index in range(2)] for _ in range(2))
+        many, kernels = fhe.batched_evaluator, fhe.context.kernels
+        arguments = (many, fhe.encryptor, fhe.rotation_keys)
+        with use_backend(backend_name):
+            for transform, streams in ((dense, first), (gapped, first),
+                                       (sparse, second)):
+                transform.apply_many(streams, *arguments)   # fill the caches
+            with kernels.capture() as apart:
+                expected = [dense.apply_many(first, *arguments),
+                            gapped.apply_many(first, *arguments),
+                            sparse.apply_many(second, *arguments)]
+            with kernels.capture() as shared:
+                many.rotate_each(first, range(1, 8), fhe.rotation_keys)
+            with kernels.capture() as together:
+                [[dense_out, gapped_out], [sparse_out]] = apply_group(
+                    [(first, (dense, gapped)), (second, (sparse,))], *arguments)
+        for got_streams, want_streams in zip(
+                (dense_out, gapped_out, sparse_out), expected):
+            assert len(got_streams) == len(want_streams)
+            for got, want in zip(got_streams, want_streams):
+                assert_same_ciphertext(got, want)
+        together.merge(shared)
+        assert together.snapshot() == apart.snapshot()
+        assert dict(together.limb_vectors) == dict(apart.limb_vectors)
 
 
 class TestBootstrapAccuracy:

@@ -21,7 +21,7 @@ from repro.api import TensorFheContext
 from repro.backend import use_backend
 from repro.ckks import Ciphertext, CkksParameters
 from repro.ckks.bootstrap import BsgsLinearTransform
-from repro.ckks.bootstrap.bsgs import baby_rotations
+from repro.ckks.bootstrap.bsgs import apply_group
 from repro.kernels import KernelName
 from repro.rns import PolyDomain, RnsPolynomial
 
@@ -245,11 +245,7 @@ class TestSharedBabies:
             expected = [transform.apply_many(streams, *arguments)
                         for transform in (first, second)]
         with kernels.capture() as together:
-            babies = baby_rotations(
-                streams, set(first.baby_steps) | set(second.baby_steps),
-                fhe.batched_evaluator, fhe.rotation_keys)
-            actual = [transform.apply_many(streams, *arguments, babies=babies)
-                      for transform in (first, second)]
+            [actual] = apply_group([(streams, (first, second))], *arguments)
         for got_streams, want_streams in zip(actual, expected):
             for got, want in zip(got_streams, want_streams):
                 assert_same_ciphertext(got, want)
