@@ -321,7 +321,7 @@ class TensorFheContext:
         results = []
         for start, stop in self._batch_bounds(operand_streams[0]):
             results.extend(operation(
-                *(streams[start:stop] for streams in operand_streams)))
+                *[streams[start:stop] for streams in operand_streams]))
         return results
 
     def _batch_bounds(self, streams: Sequence[Ciphertext]):
@@ -329,7 +329,7 @@ class TensorFheContext:
         if not streams:
             return
         # The deepest stream has the largest working set; let it bound B.
-        level = max(ciphertext.level for ciphertext in streams)
+        level = max([ciphertext.level for ciphertext in streams])
         size = max(1, self.plan_batch(level=level).batch_size)
         for start in range(0, len(streams), size):
             yield start, min(start + size, len(streams))

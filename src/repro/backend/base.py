@@ -72,6 +72,7 @@ kernel calls them: they are what ``benchmarks/e2e/trace.py`` wraps for its
 from __future__ import annotations
 
 import abc
+import functools
 from typing import Optional
 
 import numpy as np
@@ -81,8 +82,10 @@ from .residency import CANONICAL, LAZY, RESULT, DeviceBuffer, magnitude
 __all__ = ["ArrayBackend"]
 
 
+@functools.lru_cache(maxsize=None)
 def _planned():
-    """:mod:`repro.numtheory.planned`, imported late: numtheory imports us."""
+    """:mod:`repro.numtheory.planned`, imported late (numtheory imports us)
+    and once."""
     from ..numtheory import planned
 
     return planned
@@ -272,11 +275,12 @@ def _combined(chain, ufunc, *operands) -> DeviceBuffer:
     ``ufunc`` adds (the negation keeps zero inside).
     """
     handles = [_handle(operand, chain) for operand in operands]
-    windows = [handle.window for handle in handles]
+    lo, hi = handles[-1].window
     if ufunc is not np.add:
-        lo, hi = windows[-1]
-        windows[-1] = (-hi, max(-lo, 1))
+        lo, hi = -hi, max(-lo, 1)
+    for handle in handles[:-1]:
+        lo, hi = lo + handle.window[0], hi + handle.window[1]
     return _planned().elementwise(
         chain, [handle.full() for handle in handles],
         lambda part, *images, out, spare: ufunc(*images, out=out),
-        (sum(lo for lo, _ in windows), sum(hi for _, hi in windows)))
+        (lo, hi))

@@ -63,8 +63,10 @@ class BlasFloat64Backend(NumpyBackend):
         nothing has) the int64 kernel is at least as cheap as the
         conversions.
         """
-        return (any(operand.resident for operand in operands)
-                and all(operands[0].shape))
+        for operand in operands:
+            if operand.resident:
+                return all(operands[0].shape)
+        return False
 
     def matmul_limbs(self, lhs: DeviceBuffer, rhs: DeviceBuffer,
                      moduli: np.ndarray) -> DeviceBuffer:
@@ -119,7 +121,7 @@ class BlasFloat64Backend(NumpyBackend):
         the pass that may follow) is exact, else the int64 ``fallback``."""
         if self._float_operands(operands):
             chain = _barrett_chain(moduli)
-            if chain.fits(sum(operand.max_value for operand in operands)):
+            if chain.fits(sum([operand.max_value for operand in operands])):
                 return kernel(*operands, chain)
         return fallback(*operands, moduli)
 

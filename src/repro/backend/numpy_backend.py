@@ -107,7 +107,7 @@ def _matmul_rows(lhs: np.ndarray, rhs: np.ndarray, row_moduli: np.ndarray,
 def _mat_mul(a: np.ndarray, b: np.ndarray, moduli: np.ndarray,
              terms: int = 1) -> np.ndarray:
     column = _moduli_column(moduli, max(a.ndim, b.ndim))
-    modulus = int(column.max())
+    modulus = int(np.maximum.reduce(column, axis=None))
     if modulus >= _WIDE_MODULUS:
         out = _object_product(np.multiply, a, b, column)
         return out if terms == 1 else out.sum(axis=1) % column[:, 0]
@@ -116,7 +116,8 @@ def _mat_mul(a: np.ndarray, b: np.ndarray, moduli: np.ndarray,
     # The exact products of ``run`` terms sum in int64, so a run is reduced
     # once: 32 terms below 2**29, 8 below 2**30, pairs below 2**31.
     run = _INT64_MAX // (modulus - 1) ** 2
-    a, b = np.broadcast_arrays(a, b)
+    if run < terms and a.shape[1] != b.shape[1]:
+        a, b = np.broadcast_arrays(a, b)
     out = None
     for start in range(0, terms, run):
         part = np.multiply(a[:, start:start + run],

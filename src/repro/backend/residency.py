@@ -69,7 +69,7 @@ produced by slicing/reshaping share storage with their parent exactly like
 numpy views; invalidation is per-handle, so mutate-and-share patterns
 should invalidate every live handle onto the same storage.
 
-Shape manipulation (``reshape`` / ``transpose`` / indexing /
+Shape manipulation (``reshape`` / ``transpose`` / indexing / ``rows`` /
 ``ascontiguous``) applies to the host image where there is one, and gives
 a ``host`` handle; a result stays a float-only result through a chain of
 views.  :meth:`DeviceBuffer.prefix` is the one view that keeps its kind:
@@ -144,7 +144,7 @@ class DeviceBuffer:
     """Handle to one residue array: its host and/or float64 image, its kind."""
 
     __slots__ = ("kind", "_host", "_full", "_split", "_bound", "_parent",
-                 "_made", "window")
+                 "_made", "window", "shape")
 
     def __init__(self, host: Optional[np.ndarray] = None, *,
                  full: Optional[np.ndarray] = None, kind: str = HOST,
@@ -155,6 +155,8 @@ class DeviceBuffer:
         self.kind = kind
         self._host = host
         self._full = full
+        #: The image's shape (a tuple).
+        self.shape = (full if host is None else host).shape
         self._split = None
         self._bound = bound
         #: ``(handle, rows)`` for a :meth:`prefix`: where the images come from.
@@ -186,26 +188,20 @@ class DeviceBuffer:
         matrix = np.asarray(matrix, dtype=np.int64)
         return cls(host=matrix, kind=CONSTANT, bound=int(matrix.max(initial=0)))
 
-    @classmethod
-    def from_float(cls, values: np.ndarray, bound: int,
+    @staticmethod
+    def from_float(values: np.ndarray, bound: int,
                    window=LAZY) -> "DeviceBuffer":
         """A float kernel's output: residues in ``window``, ``|x| <= bound``."""
-        return cls(full=values, kind=RESULT, bound=int(bound), made=True,
-                   window=window)
+        return _made(RESULT, None, values, int(bound), True, tuple(window))
 
-    @classmethod
-    def from_kernel(cls, values: np.ndarray) -> "DeviceBuffer":
+    @staticmethod
+    def from_kernel(values: np.ndarray) -> "DeviceBuffer":
         """An int64 kernel's output: a ``host`` handle of canonical residues."""
-        return cls(host=values, made=True)
+        return _made(HOST, values, None, None, True, CANONICAL)
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def shape(self):
-        image = self._host if self._host is not None else self._full
-        return tuple(image.shape)
-
     @property
     def ndim(self) -> int:
         return len(self.shape)
@@ -350,20 +346,25 @@ class DeviceBuffer:
     # ------------------------------------------------------------------
     # Shape manipulation on the resident image
     # ------------------------------------------------------------------
-    def map_host(self, function) -> "DeviceBuffer":
-        """``function`` applied to the handle's image.
+    def _mapped(self, image: np.ndarray) -> "DeviceBuffer":
+        """A handle on ``image``, a view or map of this handle's image (its
+        host image where there is one, else its float image).
 
-        For work that is indifferent to the residue dtype (a view, an
-        index gather, a sign flip): a float-only result maps its float64
-        image and stays a result under the same bound (no int64
-        materialisation for a view chain), anything else maps the int64
-        host image into a ``host`` handle, :attr:`reduced` if this one is.
-        ``function`` returns an array of reduced residues.
+        For work indifferent to the residue dtype (a view, a gather, a
+        copy): a float-only result stays a result under the same bound and
+        window (no int64 materialisation for a view chain), anything else
+        becomes a ``host`` handle, :attr:`reduced` if this one is.
         """
+        handle = _new(DeviceBuffer)
+        handle.shape = image.shape
         if self._host is None:
-            return DeviceBuffer.from_float(function(self._full), self._bound,
-                                           self.window)
-        return DeviceBuffer(host=function(self._host), made=self._made)
+            handle.kind, handle._host, handle._full = RESULT, None, image
+            handle._bound, handle._made, handle.window = self._bound, True, self.window
+        else:
+            handle.kind, handle._host, handle._full = HOST, image, None
+            handle._bound, handle._made, handle.window = None, self._made, CANONICAL
+        handle._split = handle._parent = None
+        return handle
 
     def prefix(self, rows: int) -> "DeviceBuffer":
         """The first ``rows`` rows as a handle of this kind and bound.
@@ -380,23 +381,40 @@ class DeviceBuffer:
         return view
 
     def reshape(self, *shape) -> "DeviceBuffer":
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return self.map_host(lambda a: a.reshape(shape))
+        host = self._host
+        return self._mapped((self._full if host is None else host).reshape(*shape))
 
     def transpose(self, *axes) -> "DeviceBuffer":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
-        return self.map_host(lambda a: a.transpose(axes))
+        host = self._host
+        return self._mapped((self._full if host is None else host).transpose(*axes))
 
     def ascontiguous(self) -> "DeviceBuffer":
-        return self.map_host(np.ascontiguousarray)
+        host = self._host
+        return self._mapped(np.ascontiguousarray(
+            self._full if host is None else host))
 
     def __getitem__(self, key) -> "DeviceBuffer":
-        return self.map_host(lambda a: a[key])
+        host = self._host
+        return self._mapped((self._full if host is None else host)[key])
+
+    def rows(self) -> list:
+        """``[self[j] for j in range(len(self))]``, in one call."""
+        host, rows = self._host, []
+        kind, bound, made, window = ((RESULT, self._bound, True, self.window)
+                                     if host is None
+                                     else (HOST, None, self._made, CANONICAL))
+        for row in self._full if host is None else host:
+            handle = _new(DeviceBuffer)     # :meth:`_mapped`, inline
+            handle.kind, handle._bound, handle._made, handle.window = (
+                kind, bound, made, window)
+            handle._host, handle._full = (None, row) if host is None else (row, None)
+            handle.shape, handle._split, handle._parent = row.shape, None, None
+            rows.append(handle)
+        return rows
 
     def copy(self) -> "DeviceBuffer":
-        return self.map_host(lambda a: a.copy())
+        host = self._host
+        return self._mapped((self._full if host is None else host).copy())
 
     # ------------------------------------------------------------------
     def __array__(self, dtype=None, copy=None):
@@ -427,6 +445,20 @@ class DeviceBuffer:
 ArrayLike = Union[np.ndarray, DeviceBuffer]
 
 
+def _made(kind, host, full, bound, made, window) -> DeviceBuffer:
+    """A handle with every slot given: the library's own constructor,
+    which skips :meth:`DeviceBuffer.__init__`'s checks."""
+    handle = _new(DeviceBuffer)
+    handle.kind, handle._host, handle._full = kind, host, full
+    handle.shape = (full if host is None else host).shape
+    handle._bound, handle._made, handle.window = bound, made, window
+    handle._split = handle._parent = None
+    return handle
+
+
+_new = object.__new__
+
+
 def combine_arrays(parts: Sequence[ArrayLike], combine) -> DeviceBuffer:
     """``combine(images)`` over the parts' images, float-resident when possible.
 
@@ -444,17 +476,29 @@ def combine_arrays(parts: Sequence[ArrayLike], combine) -> DeviceBuffer:
     in a way that keeps the window (an automorphism's ``q - c`` keeps both
     :data:`CANONICAL` and :data:`LAZY`).
     """
-    handles = [DeviceBuffer.wrap(part) for part in parts]
-    if all(handle.host_image is not None for handle in handles):
-        return DeviceBuffer(
-            host=np.asarray(combine([handle.host_image for handle in handles]),
-                            dtype=np.int64),
-            made=all([handle._made for handle in handles]))
-    windows = [handle.window for handle in handles]
-    return DeviceBuffer.from_float(
-        combine([handle.full() for handle in handles]),
-        max(handle.max_value for handle in handles),
-        (min(lo for lo, _ in windows), max(hi for _, hi in windows)))
+    handles = [part if isinstance(part, DeviceBuffer) else DeviceBuffer.wrap(part)
+               for part in parts]
+    made, lo, hi, hosts = True, 0, 1, []
+    for handle in handles:
+        host = handle._host
+        if host is None:
+            hosts = None
+        elif hosts is not None:
+            hosts.append(host)
+        made = made and handle._made
+        window = handle.window
+        lo, hi = min(lo, window[0]), max(hi, window[1])
+    if hosts is not None:
+        return _made(HOST, np.asarray(combine(hosts), dtype=np.int64), None,
+                     None, made, CANONICAL)
+    bound, images = 0, []
+    for handle in handles:
+        # A result's bound and image are its slots: no call to read them.
+        part = handle._bound
+        bound = max(bound, handle.max_value if part is None else part)
+        image = handle._full
+        images.append(handle.full() if image is None else image)
+    return _made(RESULT, None, combine(images), bound, True, (lo, hi))
 
 
 def stack_arrays(parts: Sequence[ArrayLike], axis: int = 0) -> DeviceBuffer:
@@ -470,7 +514,17 @@ def stack_arrays(parts: Sequence[ArrayLike], axis: int = 0) -> DeviceBuffer:
         shape = list(part.shape)
         shape.insert(axis % (len(shape) + 1), 1)
         return part.reshape(shape)
-    return combine_arrays(parts, functools.partial(np.stack, axis=axis))
+    if axis:
+        return combine_arrays(parts, functools.partial(np.stack, axis=axis))
+    return combine_arrays(parts, _stacked)
+
+
+def _stacked(images) -> np.ndarray:
+    """``np.stack(images)``, each part copied into its row."""
+    out = np.empty((len(images),) + images[0].shape, dtype=images[0].dtype)
+    for row, image in enumerate(images):
+        out[row] = image
+    return out
 
 
 def block_arrays(grid: Sequence[Sequence[ArrayLike]]) -> DeviceBuffer:

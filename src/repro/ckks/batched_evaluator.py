@@ -79,7 +79,7 @@ from ..numtheory.modular import (
     mat_mod_sub,
     moduli_column,
 )
-from ..rns.poly import PolyDomain, RnsPolynomial
+from ..rns.poly import PolyDomain, RnsPolynomial, polynomial_rows
 from .batched_keyswitch import BatchedKeySwitcher, subtract_correction
 from .ciphertext import Ciphertext, Plaintext
 from .context import CkksContext, pinned
@@ -88,6 +88,8 @@ from .keys import RotationKeySet, SwitchKey
 __all__ = ["BatchedEvaluator", "stream_signature"]
 
 _RELATIVE_SCALE_TOLERANCE = 1e-6
+_EVALUATION = PolyDomain.EVALUATION
+_new = object.__new__
 
 
 def _constant_image(buffer):
@@ -98,7 +100,7 @@ def _constant_image(buffer):
     """
     residues = buffer.host_image
     # Limb 0 first: it settles a non-constant polynomial in one short scan.
-    if residues is None or np.any(residues[0, 1:]) or np.any(residues[:, 1:]):
+    if residues is None or residues[0, 1:].any() or residues[:, 1:].any():
         return None
     return np.repeat(residues[:, :1], residues.shape[1], axis=1)
 
@@ -149,12 +151,12 @@ class BatchedEvaluator:
             return self._ciphertexts(moduli, negated[:batch], negated[batch:],
                                      [ct.scale for ct in members])
 
-        return self._per_chain(
-            self._in_domain(ciphertexts, PolyDomain.EVALUATION),
-            lambda ct: ct.moduli, launch)
+        ciphertexts = self._in_domain(ciphertexts, PolyDomain.EVALUATION)
+        return self._per_chain(ciphertexts, [ct.c0.moduli for ct in ciphertexts],
+                               launch)
 
     # ------------------------------------------------------------------
-    # HADD / subtraction (Alg. 5): one Ele-Add launch per component
+    # HADD / subtraction (Alg. 5): one Ele-Add launch over both components
     # ------------------------------------------------------------------
     @pinned
     def add(self, lhs_streams: Sequence[Ciphertext],
@@ -176,16 +178,20 @@ class BatchedEvaluator:
         pairs = self._aligned(lhs_streams, rhs_streams, check_scales=True)
 
         def launch(moduli, members):
-            outputs = []
-            for component in ("c0", "c1"):
-                left = self._stack([getattr(lhs, component) for lhs, _ in members])
-                right = self._stack([getattr(rhs, component) for _, rhs in members])
-                outputs.append(self._fused(funnel, left, right, moduli))
-                self._record(kernel, len(members), len(moduli))
-            return self._ciphertexts(moduli, *outputs,
+            # One launch over the c0 | c1 rows of every pair, counted as
+            # one Ele-Add (Ele-Sub) per component.
+            batch = len(members)
+            out = self._fused(
+                funnel,
+                self._stack([lhs.c0 for lhs, _ in members]
+                            + [lhs.c1 for lhs, _ in members]),
+                self._stack([rhs.c0 for _, rhs in members]
+                            + [rhs.c1 for _, rhs in members]), moduli)
+            self._record(kernel, 2 * batch, len(moduli))
+            return self._ciphertexts(moduli, out[:batch], out[batch:],
                                      [lhs.scale for lhs, _ in members])
 
-        return self._per_chain(pairs, lambda entry: entry[0].moduli, launch)
+        return self._per_chain(pairs, [lhs.c0.moduli for lhs, _ in pairs], launch)
 
     @pinned
     def add_plain(self, ciphertexts: Sequence[Ciphertext],
@@ -204,7 +210,7 @@ class BatchedEvaluator:
                                      [ct.c1.buffer.copy() for ct, _ in members],
                                      [ct.scale for ct, _ in members])
 
-        return self._per_chain(streams, lambda entry: entry[0].moduli, launch)
+        return self._per_chain(streams, [ct.c0.moduli for ct, _ in streams], launch)
 
     # ------------------------------------------------------------------
     # CMULT (Alg. 3): the plaintexts' NTT and one Hadamard launch
@@ -236,7 +242,7 @@ class BatchedEvaluator:
                 moduli, products[:batch], products[batch:],
                 [ct.scale * plaintext.scale for ct, plaintext in members])
 
-        return self._per_chain(streams, lambda entry: entry[0].moduli, launch)
+        return self._per_chain(streams, [ct.c0.moduli for ct, _ in streams], launch)
 
     # ------------------------------------------------------------------
     # Evaluation-domain residency: fused domain moves and the plaintext
@@ -305,7 +311,7 @@ class BatchedEvaluator:
                 [stream[0].scale * scale for stream in members])
 
         return self._per_chain(list(zip(*term_streams)),
-                               lambda terms: terms[0].moduli, launch)
+                               [ct.c0.moduli for ct in term_streams[0]], launch)
 
     # ------------------------------------------------------------------
     # HMULT (Alg. 2): B ciphertext multiplications with relinearization
@@ -334,7 +340,7 @@ class BatchedEvaluator:
     def _multiply(self, lhs_streams, rhs_streams, relinearization_key,
                   rescale: bool) -> List[Ciphertext]:
         pairs = self._aligned(lhs_streams, rhs_streams)
-        if rescale and any(lhs.level == 0 for lhs, _ in pairs):
+        if rescale and 0 in [lhs.level for lhs, _ in pairs]:
             raise ValueError("cannot rescale a level-0 ciphertext")
 
         def launch(moduli, members):
@@ -354,7 +360,7 @@ class BatchedEvaluator:
             return self._ciphertexts(moduli, switched[:batch], switched[batch:],
                                      scales)
 
-        return self._per_chain(pairs, lambda entry: entry[0].moduli, launch)
+        return self._per_chain(pairs, [lhs.c0.moduli for lhs, _ in pairs], launch)
 
     def _tensor_product(self, entries, moduli):
         """``d2`` of every aligned pair in both domains, and ``d0``, ``d1``.
@@ -431,9 +437,9 @@ class BatchedEvaluator:
                 moduli[:-1], scaled[:batch], scaled[batch:],
                 [ct.scale / moduli[-1] for ct in members])
 
-        return self._per_chain(
-            self._in_domain(ciphertexts, PolyDomain.EVALUATION),
-            lambda ct: ct.moduli, launch)
+        ciphertexts = self._in_domain(ciphertexts, PolyDomain.EVALUATION)
+        return self._per_chain(ciphertexts, [ct.c0.moduli for ct in ciphertexts],
+                               launch)
 
     # ------------------------------------------------------------------
     # HROTATE (Alg. 4) / HCONJ: B automorphisms plus one fused key switch
@@ -597,7 +603,7 @@ class BatchedEvaluator:
                     [ct.scale / moduli[-1] for ct, _ in members]))
             return list(zip(*outputs))
 
-        per_stream = self._per_chain(entries, lambda entry: entry[0].moduli,
+        per_stream = self._per_chain(entries, [ct.c0.moduli for ct, _ in entries],
                                      launch)
         return [list(streams) for streams in zip(*per_stream)]
 
@@ -630,9 +636,12 @@ class BatchedEvaluator:
         itself (the usual case for the evaluation domain).
         """
         ciphertexts = list(ciphertexts)
-        polys = [poly for ct in ciphertexts for poly in (ct.c0, ct.c1)]
-        if all(poly.domain == domain for poly in polys):
+        for ct in ciphertexts:
+            if ct.c0.domain != domain or ct.c1.domain != domain:
+                break
+        else:
             return ciphertexts
+        polys = [poly for ct in ciphertexts for poly in (ct.c0, ct.c1)]
         moved = {id(poly): image for poly, image
                  in zip(polys, self._polys_in_domain(polys, domain))
                  if image is not poly}
@@ -655,14 +664,14 @@ class BatchedEvaluator:
             else (planner.inverse_ops, KernelName.INTT))
 
         def launch(moduli, members):
-            moved = transform(self.context.ring_degree, moduli,
-                              self._stack(members))
+            degree = self.context.ring_degree
+            moved = transform(degree, moduli, self._stack(members))
             self._record(kernel, len(members), len(moduli))
-            return [self._poly(moduli, moved[j], domain)
-                    for j in range(len(members))]
+            return polynomial_rows(degree, moduli, moved, domain)
 
+        members = list(pending.values())
         moved = dict(zip(pending, self._per_chain(
-            list(pending.values()), lambda poly: poly.moduli, launch)))
+            members, [poly.moduli for poly in members], launch)))
         return [moved.get(id(poly), poly) for poly in polys]
 
     def _at_level(self, ciphertext: Ciphertext, level: int) -> Ciphertext:
@@ -691,8 +700,10 @@ class BatchedEvaluator:
         for lhs, rhs in self._zipped(lhs_streams, rhs_streams):
             if check_scales:
                 self._check_scales(lhs.scale, rhs.scale)
-            level = min(lhs.level, rhs.level)
-            flat += [self._at_level(lhs, level), self._at_level(rhs, level)]
+            if lhs.level != rhs.level:
+                level = min(lhs.level, rhs.level)
+                lhs, rhs = self._at_level(lhs, level), self._at_level(rhs, level)
+            flat += (lhs, rhs)
         flat = self._in_domain(flat, PolyDomain.EVALUATION)
         return list(zip(flat[0::2], flat[1::2]))
 
@@ -735,17 +746,24 @@ class BatchedEvaluator:
         return stack_arrays(images)
 
     @staticmethod
-    def _per_chain(streams: list, chain_of, launch) -> list:
+    def _per_chain(streams: list, chains: Sequence[Tuple[int, ...]],
+                   launch) -> list:
         """``launch(moduli, members)`` once per active prime chain.
 
-        The one frame of every operation: ``streams`` are grouped by
-        ``chain_of(stream)`` in order of first appearance, ``launch``
-        returns one result per member of its group, in order, and the
-        results come back in the order of ``streams``.
+        The one frame of every operation: ``streams`` are grouped by their
+        chains (``chains[i]`` is stream ``i``'s) in order of first
+        appearance, ``launch`` returns one result per member of its group,
+        in order, and the results come back in the order of ``streams``.
         """
         groups: Dict[Tuple[int, ...], List[int]] = {}
-        for index, stream in enumerate(streams):
-            groups.setdefault(tuple(chain_of(stream)), []).append(index)
+        for index, moduli in enumerate(chains):
+            group = groups.get(moduli)
+            if group is None:
+                groups[moduli] = [index]
+            else:
+                group.append(index)
+        if len(groups) == 1:
+            return launch(chains[0], streams)
         results = [None] * len(streams)
         for moduli, indices in groups.items():
             outputs = launch(moduli, [streams[i] for i in indices])
@@ -755,13 +773,19 @@ class BatchedEvaluator:
 
     def _ciphertexts(self, moduli: Tuple[int, ...], c0s, c1s,
                      scales: Sequence[float]) -> List[Ciphertext]:
-        """Evaluation-domain ciphertext ``j`` from row ``j`` of ``c0s`` and
-        ``c1s`` on ``moduli``."""
-        level = len(moduli) - 1
-        return [Ciphertext(c0=self._poly(moduli, c0s[j], PolyDomain.EVALUATION),
-                           c1=self._poly(moduli, c1s[j], PolyDomain.EVALUATION),
-                           scale=scale, level=level)
-                for j, scale in enumerate(scales)]
+        """Evaluation-domain ciphertext ``j`` from row ``j`` of the ``(B, L,
+        N)`` handles ``c0s`` and ``c1s`` on ``moduli``, a chain the launch
+        already checked, so nothing is validated again."""
+        degree, level = self.context.ring_degree, len(moduli) - 1
+        outputs = []
+        for c0, c1, scale in zip(polynomial_rows(degree, moduli, c0s, _EVALUATION),
+                                 polynomial_rows(degree, moduli, c1s, _EVALUATION),
+                                 scales):
+            ciphertext = _new(Ciphertext)
+            ciphertext.c0, ciphertext.c1 = c0, c1
+            ciphertext.scale, ciphertext.level = scale, level
+            outputs.append(ciphertext)
+        return outputs
 
     @staticmethod
     def _stack(polys: Sequence[RnsPolynomial]):
@@ -795,10 +819,6 @@ class BatchedEvaluator:
         """One funnel launch over two stacked ``(B, L, N)`` operands."""
         return self._limb_major(funnel(
             self._limb_major(lhs), self._limb_major(rhs), moduli))
-
-    def _poly(self, moduli: Tuple[int, ...], residues,
-              domain: str) -> RnsPolynomial:
-        return RnsPolynomial(self.context.ring_degree, moduli, residues, domain)
 
     def _record(self, kernel: str, operations: int, limbs: int) -> None:
         self.context.kernels.counter.record_batch(kernel, operations, limbs)

@@ -61,9 +61,11 @@ addend's two adds are the Ele-Adds of ``(B, L)`` that add the switched pair.
 
 from __future__ import annotations
 
+from typing import Dict, NamedTuple, Tuple
+
 import numpy as np
 
-from ..backend.residency import DeviceBuffer, block_arrays, combine_arrays
+from ..backend.residency import CANONICAL, DeviceBuffer, block_arrays, combine_arrays
 from ..kernels.base import KernelName
 from ..numtheory.modular import mat_mod_add, mat_mod_mul, mat_mod_reduce, mat_mod_sub
 from ..rns.conv import BasisConverter
@@ -115,8 +117,8 @@ class BatchedKeySwitcher:
 
     def __init__(self, context: CkksContext) -> None:
         self.context = context
-        self._converter_cache = {}
-        self._moddown_cache = {}
+        #: One :class:`_LevelPlan` per level switched at.
+        self._plans: Dict[int, _LevelPlan] = {}
 
     @pinned
     def switch_many(self, stacks, switch_key: SwitchKey, level: int, *,
@@ -141,8 +143,8 @@ class BatchedKeySwitcher:
         """
         context = self.context
         stacks = DeviceBuffer.wrap(stacks)
-        active = context.moduli_at_level(level)
-        extended = context.extended_moduli_at_level(level)
+        plan = self._plans.get(level) or self._plan(level)
+        active, extended = plan.active, plan.extended
         if (len(stacks.shape) != 3
                 or stacks.shape[1:] != (len(active), context.ring_degree)):
             raise ValueError(
@@ -162,11 +164,35 @@ class BatchedKeySwitcher:
         # Each stage is a method call nested in the next one's arguments,
         # so its temporaries die with it and the next stage's launches
         # reuse their memory.
-        return self._mod_down(self._inner_product(
-            self._raise(stacks, key_level.group_moduli, extended, evaluations),
-            key_level, extended, addend), active, extended, rescale)
+        return self._mod_down(*self._inner_product(
+            self._raise(stacks, plan, evaluations), key_level, extended, addend),
+            plan, rescale)
 
-    def _raise(self, stacks, groups, extended, evaluations):
+    def _plan(self, level: int) -> "_LevelPlan":
+        """Resolve the key switch at ``level`` once: its chains, ModUp's
+        stacked Conv of every group with the groups' bounds, and ModDown.
+
+        Group ``j`` is the consecutive range ``s:t`` of the active chain
+        and converts to its complement ``E[:s] ‖ E[t:]``; one
+        :meth:`~repro.rns.conv.BasisConverter.stacked` converter does them
+        all, its targets the complements' concatenated chain.
+        """
+        context = self.context
+        active = context.moduli_at_level(level)
+        extended = context.extended_moduli_at_level(level)
+        converters, bounds, start = [], [], 0
+        for group in context.decomposition_groups(level):
+            stop = start + len(group)
+            converters.append(BasisConverter(
+                group, extended[:start] + extended[stop:]))
+            bounds.append((start, stop))
+            start = stop
+        plan = self._plans[level] = _LevelPlan(
+            active, extended, BasisConverter.stacked(converters), tuple(bounds),
+            ModDown(active, context.basis.special_primes))
+        return plan
+
+    def _raise(self, stacks, plan, evaluations):
         """Dcomp + ModUp + NTT: the ``(L', dnum, B, N)`` inner-product operand.
 
         Slice ``[e, j]`` is limb ``e`` of group ``j``'s raised polynomial
@@ -182,11 +208,11 @@ class BatchedKeySwitcher:
         context = self.context
         counter = context.kernels.counter
         batch, count, ring_degree = stacks.shape
+        extended, converter, bounds = plan.extended, plan.converter, plan.bounds
         if evaluations is None:
             evaluations = context.planner.forward_ops(
-                ring_degree, extended[:count], stacks).transpose(1, 0, 2)
+                ring_degree, plan.active, stacks).transpose(1, 0, 2)
             counter.record_batch(KernelName.NTT, batch, count)
-        converter, bounds = self._converter_for(groups, extended)
         for start, stop in bounds:
             missing = len(extended) - stop + start
             counter.record_batch(KernelName.CONV, batch, missing)
@@ -197,7 +223,7 @@ class BatchedKeySwitcher:
 
         def layout(parts):
             held, complements = parts
-            out = np.empty((len(extended), len(groups), batch, ring_degree),
+            out = np.empty((len(extended), len(bounds), batch, ring_degree),
                            dtype=complements.dtype)
             offset = 0
             for j, (start, stop) in enumerate(bounds):
@@ -211,7 +237,8 @@ class BatchedKeySwitcher:
         return combine_arrays([evaluations, images], layout)
 
     def _inner_product(self, slices, key_level, extended, addend):
-        """Both key components against every slice: a ``(2B, L', N)`` stack.
+        """Both key components against every slice: a ``(2B, L', N)`` stack,
+        and the window of its rows no addend joined.
 
         ``slices`` is the limb-major ``(L', dnum, B, N)`` operand, the
         accumulated axis second.  One fused launch per key component: the
@@ -225,12 +252,14 @@ class BatchedKeySwitcher:
         """
         counter = self.context.kernels.counter
         ext_count, dnum, batch = slices.shape[:3]
-        grid = []
+        grid, own = [], CANONICAL
         for component, operand in enumerate(key_level.operands):   # (b, a)
             # One group leaves its (unsummed) axis in place: fold it away.
             accumulator = mat_mod_mul(
                 slices, operand, extended, terms=dnum
             ).reshape(ext_count, batch, -1)
+            own = (min(own[0], accumulator.window[0]),
+                   max(own[1], accumulator.window[1]))
             counter.record_batch(KernelName.HADAMARD, batch * dnum, ext_count)
             counter.record_batch(KernelName.ELE_ADD, batch * dnum, ext_count)
             blocks = [accumulator]
@@ -241,9 +270,9 @@ class BatchedKeySwitcher:
                           accumulator[count:]]
                 counter.record_batch(KernelName.ELE_ADD, batch, count)
             grid.append([block.transpose(1, 0, 2) for block in blocks])
-        return block_arrays(grid)
+        return block_arrays(grid), own
 
-    def _mod_down(self, accumulators, active, extended, rescale) -> DeviceBuffer:
+    def _mod_down(self, accumulators, own, plan, rescale) -> DeviceBuffer:
         """ModDown (and RESCALE) of the ``(2B, L', N)`` accumulators, held
         in the evaluation domain: a ``(2B, L or L - 1, N)`` handle.
 
@@ -251,16 +280,23 @@ class BatchedKeySwitcher:
         the dropped limb when rescaling), one Conv, and
         :func:`subtract_correction` for the rest.  The dropped limb's
         coefficients are ``INTT(acc_last) - Conv'_last`` mod ``q_last``.
+        The special rows lie in the accumulators' ``own`` window (an addend
+        joins only ciphertext-prime rows), so without a dropped limb the
+        INTT plans from it, not from the union the joined stack carries.
         """
         context = self.context
         counter = context.kernels.counter
+        active, extended = plan.active, plan.extended
         rows, count = accumulators.shape[0], len(active)
         first = count - 1 if rescale else count
-        tail = context.planner.inverse_ops(
-            context.ring_degree, extended[first:], accumulators[:, first:])
+        tail = accumulators[:, first:]
+        if not rescale:
+            tail.window = own
+        tail = context.planner.inverse_ops(context.ring_degree, extended[first:],
+                                           tail)
         counter.record_batch(KernelName.INTT, rows, len(extended) - first)
         counter.record_batch(KernelName.CONV, rows // 2, 2 * count)
-        correction = self._moddown_for(active).correction(
+        correction = plan.moddown.correction(
             tail[:, count - first:]).transpose(1, 0, 2)     # (L, 2B, N)
         held = accumulators.transpose(1, 0, 2)[:count]
         if not rescale:
@@ -270,33 +306,14 @@ class BatchedKeySwitcher:
         return subtract_correction(context, held, correction[:-1], active,
                                    last=last)
 
-    # ------------------------------------------------------------------
-    def _converter_for(self, groups, extended):
-        """ModUp's Conv of every group of a level, and the groups' bounds.
 
-        Group ``j`` is the consecutive range ``s:t`` of the active chain
-        and converts to its complement ``E[:s] ‖ E[t:]``; one
-        :meth:`~repro.rns.conv.BasisConverter.stacked` converter does them
-        all, its targets the complements' concatenated chain.
-        """
-        key = (tuple(map(tuple, groups)), tuple(extended))
-        entry = self._converter_cache.get(key)
-        if entry is None:
-            converters, bounds, start = [], [], 0
-            for group in groups:
-                stop = start + len(group)
-                converters.append(BasisConverter(
-                    group, extended[:start] + extended[stop:]))
-                bounds.append((start, stop))
-                start = stop
-            entry = BasisConverter.stacked(converters), bounds
-            self._converter_cache[key] = entry
-        return entry
+class _LevelPlan(NamedTuple):
+    """A key switch at one level, resolved once (:meth:`BatchedKeySwitcher.
+    _plan`)."""
 
-    def _moddown_for(self, active) -> ModDown:
-        key = tuple(active)
-        instance = self._moddown_cache.get(key)
-        if instance is None:
-            instance = ModDown(active, self.context.basis.special_primes)
-            self._moddown_cache[key] = instance
-        return instance
+    active: Tuple[int, ...]
+    extended: Tuple[int, ...]
+    #: ModUp's Conv of every decomposition group, and the groups' bounds.
+    converter: BasisConverter
+    bounds: Tuple[Tuple[int, int], ...]
+    moddown: ModDown

@@ -102,7 +102,16 @@ class Bootstrapper:
         BSGS transforms run as one group (its giant steps launch ``4B``
         streams), EvalMod reduces both coefficient halves as one batch of
         ``2B``, and SlotToCoeff's two transforms run as one group.
+
+        A refresh consumes ``2 + config.eval_mod_depth`` levels below the
+        top of the chain: a chain with fewer raises ``ValueError``.
         """
+        needed = 2 + self.config.eval_mod_depth
+        if needed > self.context.max_level:
+            raise ValueError(
+                "bootstrapping needs %d levels above level 0 (CoeffToSlot, "
+                "EvalMod's %d, SlotToCoeff) but the chain has %d"
+                % (needed, self.config.eval_mod_depth, self.context.max_level))
         ciphertexts = list(ciphertexts)
         if not ciphertexts:
             return []

@@ -112,7 +112,7 @@ class CkksContext:
         evaluator's limb-major RESCALE launch; building it is one-time
         precomputation per level.
         """
-        key = tuple(int(q) for q in moduli)
+        key = moduli if type(moduli) is tuple else tuple(int(q) for q in moduli)
         if len(key) < 2:
             raise ValueError("rescaling requires at least two limbs")
         column = self._rescale_inverse_cache.get(key)

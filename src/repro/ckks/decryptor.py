@@ -22,7 +22,7 @@ import numpy as np
 
 from ..numtheory.crt import get_crt_context
 from ..numtheory.modular import mat_mod_add, mat_mod_mul
-from ..rns.poly import PolyDomain, RnsPolynomial
+from ..rns.poly import PolyDomain, polynomial_rows
 from .ciphertext import Ciphertext, Plaintext
 from .context import CkksContext, pinned
 from .keys import SecretKey
@@ -47,10 +47,9 @@ class Decryptor:
                   for poly in (ciphertext.c0, ciphertext.c1))
         product = mat_mod_mul(c1.buffer,
                               self.secret_key.operand(self.context, moduli), moduli)
-        message = RnsPolynomial(
-            c0.ring_degree, moduli, planner.inverse_ops(
-                c0.ring_degree, moduli,
-                mat_mod_add(c0.buffer, product, moduli)[None])[0])
+        message = polynomial_rows(c0.ring_degree, moduli, planner.inverse_ops(
+            c0.ring_degree, moduli, mat_mod_add(c0.buffer, product, moduli)[None]),
+            PolyDomain.COEFFICIENT)[0]
         return Plaintext(polynomial=message, scale=ciphertext.scale,
                          level=ciphertext.level)
 

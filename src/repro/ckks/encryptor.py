@@ -29,7 +29,7 @@ import numpy as np
 
 from ..backend.residency import DeviceBuffer
 from ..numtheory.modular import mat_mod_add, mat_mod_mul, mat_mod_sub, moduli_column
-from ..rns.poly import ERROR_STDDEV, PolyDomain, RnsPolynomial
+from ..rns.poly import ERROR_STDDEV, PolyDomain, RnsPolynomial, polynomial_rows
 from .ciphertext import Ciphertext, Plaintext
 from .context import CkksContext, pinned
 from .keys import PublicKey, SecretKey
@@ -77,6 +77,16 @@ class Encryptor:
         self.context = context
         self.public_key = public_key
         self.secret_key = secret_key
+        #: ``(moduli, moduli column)`` per level, resolved once.
+        self._chains = {}
+
+    def _chain(self, level: int):
+        """The chain of ``level`` and its int64 column, looked up once."""
+        chain = self._chains.get(level)
+        if chain is None:
+            moduli = self.context.moduli_at_level(level)
+            chain = self._chains[level] = moduli, moduli_column(moduli)
+        return chain
 
     # ------------------------------------------------------------------
     def encode(self, values: Sequence[complex], *, scale: Optional[float] = None,
@@ -99,11 +109,12 @@ class Encryptor:
         scale = context.scale if scale is None else scale
         coefficients = context.encoder.encode(
             [np.atleast_1d(vector) for vector in vectors], scale)
-        moduli = context.moduli_at_level(level)
-        residues = np.asarray(coefficients[:, None, :] % moduli_column(moduli),
-                              dtype=np.int64)
-        return [Plaintext(polynomial=RnsPolynomial(context.ring_degree, moduli, row),
-                          scale=scale, level=level) for row in residues]
+        moduli, column = self._chain(level)
+        residues = np.asarray(coefficients[:, None, :] % column, dtype=np.int64)
+        return [Plaintext(polynomial=poly, scale=scale, level=level)
+                for poly in polynomial_rows(context.ring_degree, moduli,
+                                            DeviceBuffer.wrap(residues),
+                                            PolyDomain.COEFFICIENT)]
 
     def encode_for_streams(self, values: Sequence[complex],
                            ciphertexts: Sequence[Ciphertext], *,
@@ -147,7 +158,7 @@ class Encryptor:
     def _encrypt_public(self, plaintext: Plaintext) -> Ciphertext:
         context = self.context
         n = context.ring_degree
-        moduli = context.moduli_at_level(plaintext.level)
+        moduli, column = self._chain(plaintext.level)
         # One NTT of the ephemeral v and the (e0 + m, e1) addend.
         rows = np.empty((3, len(moduli), n), dtype=np.int64)
         rows[0] = RnsPolynomial.random_ternary(n, moduli, context.rng).residues
@@ -155,7 +166,7 @@ class Encryptor:
                           ).astype(np.int64)
         np.add(self._message(plaintext), errors[0], out=rows[1])
         rows[2] = errors[1]
-        np.remainder(rows[1:], moduli_column(moduli), out=rows[1:])
+        np.remainder(rows[1:], column, out=rows[1:])
         images = context.planner.forward_ops(n, moduli, rows)
         # v ⊙ (b | a): the (L, 1, N) image broadcasts against the key pair;
         # one add over the limb-major view joins the addend's image.
@@ -177,7 +188,7 @@ class Encryptor:
     def _message(self, plaintext: Plaintext) -> np.ndarray:
         """The plaintext's coefficient-domain ``(L, N)`` residues."""
         message = plaintext.polynomial
-        if message.moduli != self.context.moduli_at_level(plaintext.level):
+        if message.moduli != self._chain(plaintext.level)[0]:
             raise ValueError("the plaintext's basis is not the chain of its level")
         if message.domain != PolyDomain.COEFFICIENT:
             message = message.to_coefficient(self.context.planner)
@@ -185,9 +196,8 @@ class Encryptor:
 
     def _finish(self, plaintext: Plaintext, c0, c1) -> Ciphertext:
         """The ciphertext of two evaluation-domain ``(L, N)`` images."""
-        context = self.context
-        moduli = context.moduli_at_level(plaintext.level)
-        c0, c1 = (RnsPolynomial(context.ring_degree, moduli, image,
-                                PolyDomain.EVALUATION) for image in (c0, c1))
+        c0, c1 = polynomial_rows(self.context.ring_degree,
+                                 self._chain(plaintext.level)[0], [c0, c1],
+                                 PolyDomain.EVALUATION)
         return Ciphertext(c0=c0, c1=c1, scale=plaintext.scale,
                           level=plaintext.level)

@@ -82,7 +82,7 @@ def stack_automorphism_coeff(parts: Sequence[np.ndarray], galois_element: int,
     for row, part in zip(out, parts):
         # ``source`` is a permutation, so "clip" clips nothing; it only
         # spares ``out=`` the buffered copy of the default mode.
-        np.take(part, source, axis=-1, out=row, mode="clip")
+        part.take(source, axis=-1, out=row, mode="clip")
     modulus = np.asarray(modulus, dtype=out.dtype)
     out *= sign
     out += modulus * wrapped
@@ -122,5 +122,5 @@ def stack_automorphism_eval(parts: Sequence[np.ndarray],
                                          galois_element % (2 * ring_degree))
     out = np.empty((len(parts),) + first.shape, dtype=first.dtype)
     for row, part in zip(out, parts):
-        np.take(part, permutation, axis=-1, out=row, mode="clip")
+        part.take(permutation, axis=-1, out=row, mode="clip")
     return out

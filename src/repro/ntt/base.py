@@ -85,7 +85,7 @@ class NttEngine(abc.ABC):
 
     def _ops(self, stacks, moduli, inverse: bool) -> DeviceBuffer:
         stacks, moduli = self._validate_ops(DeviceBuffer.wrap(stacks), moduli)
-        if stacks.shape[0] == 0:
+        if not stacks.shape[0]:
             return DeviceBuffer.wrap(np.zeros(stacks.shape, dtype=np.int64))
         return self._transform_ops(stacks, moduli, inverse=inverse)
 
@@ -95,7 +95,8 @@ class NttEngine(abc.ABC):
         """Check/reduce a ``(B, limbs, N)`` stack against its shared moduli.
 
         Returns the stack and the moduli as one tuple of Python ints, the
-        form every later step of the launch takes them in.  A caller's
+        form every later step of the launch takes them in (a tuple, the
+        library's own chains, is taken as it is).  A caller's
         array (wrapped, with a host image) gets a range scan, and
         out-of-range residues are reduced.  A handle a library kernel made
         (:attr:`~repro.backend.residency.DeviceBuffer.reduced`: a result,
@@ -110,7 +111,8 @@ class NttEngine(abc.ABC):
                 "expected a (B, limbs, %d) stack, got shape %s"
                 % (self.ring_degree, shape)
             )
-        moduli = tuple(int(q) for q in moduli)
+        if type(moduli) is not tuple:
+            moduli = tuple(int(q) for q in moduli)
         if len(moduli) != shape[1]:
             raise ValueError(
                 "got %d moduli for %d limbs" % (len(moduli), shape[1])

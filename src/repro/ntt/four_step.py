@@ -178,14 +178,15 @@ def _run_slab(piece: SlabRecipe, source: np.ndarray, result: np.ndarray,
     ops, rows, chain = piece.ops, piece.rows, piece.chain
     x = source[ops, rows].transpose(1, 0, 2, 3)
     buffers = work_buffers(*piece.buffers)
+    columns = chain.wide_columns(piece.buffers[0])
     if not imaged:
-        np.copyto(buffers[0], x)
+        buffers[0][...] = x
         x = buffers[0]
     for form, apply, images, weight in piece.stages:
         x = run_stage(form, apply, images, weight, chain, x,
-                      [b for b in buffers if b is not x], piece.columns)
+                      [b for b in buffers if b is not x], columns)
     if not as_float:
         spare = buffers[1] if x is buffers[0] else buffers[0]
         x = chain.lazy_reduce(x, axis=0, out=spare,             # canonical
-                              columns=piece.columns)
-    np.copyto(result[ops, rows], x.transpose(1, 0, 3, 2), casting="unsafe")
+                              columns=columns)
+    result[ops, rows] = x.transpose(1, 0, 3, 2)      # cast as it is copied

@@ -15,7 +15,7 @@ outer stage's lazy output, unreduced.
 
 A :class:`LaunchRecipe` is a plan bound to one slab layout: everything a
 launch over a ``(B, L, N)`` stack needs besides the data — per slab its
-Barrett rows, its full-width constants and every stage's images already
+Barrett rows, its slab shape and every stage's images already
 viewed for it — so the launch itself only issues numpy calls.
 :func:`launch_recipe` builds one; the twiddle stack caches them
 (:meth:`~repro.ntt.twiddle.TwiddleStack.launch_recipe`).
@@ -69,10 +69,9 @@ class SlabRecipe(NamedTuple):
     chain: BarrettChain
     #: ``(form, apply, images, weight)`` per stage, images ``(rows, 1, ...)``.
     stages: Tuple[Tuple[StageForm, Callable, Tuple[np.ndarray, ...], float], ...]
-    #: Full-width ``(q, inv)`` of the slab shape, or ``None`` (see
+    #: The four work-buffer shapes: the limb-major ``(rows, ops, n1, n2)``,
+    #: whose full-width Barrett constants the launch looks up (see
     #: :meth:`~repro.numtheory.floatmod.BarrettChain.wide_columns`).
-    columns: Optional[Tuple[np.ndarray, np.ndarray]]
-    #: The four work-buffer shapes: the limb-major ``(rows, ops, n1, n2)``.
     buffers: Tuple[Tuple[int, ...], ...]
 
 
@@ -84,12 +83,6 @@ class LaunchRecipe(NamedTuple):
     as_float: bool
     #: The bound of a float result: the pass window's reach on the chain.
     bound: int
-
-    @property
-    def nbytes(self) -> int:
-        """Memory the recipe holds of its own: the full-width constants."""
-        return sum(sum(column.nbytes for column in piece.columns)
-                   for piece in self.slabs if piece.columns is not None)
 
 
 def launch_recipe(plan: FourStepPlan, operands, chain: BarrettChain,
@@ -125,8 +118,7 @@ def launch_recipe(plan: FourStepPlan, operands, chain: BarrettChain,
         # broadcast along.
         stages = tuple((form, apply, tuple(image[rows, None] for image in images),
                         weight) for form, apply, images, weight in staged)
-        pieces.append(SlabRecipe(ops, rows, part, stages,
-                                 part.wide_columns(shape), (shape,) * 4))
+        pieces.append(SlabRecipe(ops, rows, part, stages, (shape,) * 4))
     return LaunchRecipe(tuple(pieces),
                         limbs * degree > planned.RESIDENT_DOUBLES
                         or degree >= planned.RESIDENT_RING_DEGREE,

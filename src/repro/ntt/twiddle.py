@@ -12,8 +12,6 @@ limb-batched launches.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
@@ -205,6 +203,7 @@ class TwiddleStack:
         self.moduli_array = np.asarray(self.moduli, dtype=np.int64)
         self._operands: Dict[bool, Tuple[DeviceBuffer, ...]] = {}
         self._plans: Dict[tuple, Optional[FourStepPlan]] = {}
+        self._recipes: Dict[tuple, LaunchRecipe] = {}
 
     @property
     def limb_count(self) -> int:
@@ -258,28 +257,28 @@ class TwiddleStack:
                       window=CANONICAL) -> Optional[LaunchRecipe]:
         """The float transform of a ``(batch, limbs, N)`` stack, laid out.
 
-        ``None`` when :meth:`four_step_plan` is.  Recipes are kept per
-        stack, direction, batch, plan (input windows of one plan share
-        theirs) and backend, and per the slab and residency budgets of
-        :mod:`repro.numtheory.planned` they were laid out under; the most
-        recently used ones stay, up to :data:`_RECIPE_LIMIT` of them and
-        :data:`_RECIPE_BYTES` of full-width constants.
+        ``None`` when :meth:`four_step_plan` is.  Built on the first launch
+        of its backend, direction, batch and plan (input windows of one plan
+        share theirs) under the slab and residency budgets of
+        :mod:`repro.numtheory.planned` (a patched budget takes effect on the
+        next launch), and kept with the stack from then on.  There are at
+        most directions x batch sizes x plans of them per chain, and their
+        full-width constants are the chain's, shared by every recipe of one
+        slab shape (:meth:`~repro.numtheory.floatmod.BarrettChain.
+        wide_columns`).
         """
         plan = self.four_step_plan(inverse, window)
         if plan is None:
             return None
-        key = (self, backend, inverse, batch, plan, planned.SLAB_DOUBLES,
+        key = (backend, inverse, batch, plan, planned.SLAB_DOUBLES,
                planned.BROADCAST_RUN, planned.RESIDENT_DOUBLES,
                planned.RESIDENT_RING_DEGREE)
-        with _RECIPE_LOCK:
-            recipe = _RECIPES.get(key)
-            if recipe is not None:
-                _RECIPES.move_to_end(key)
-                return recipe
-        n1, n2 = split_degree(self.ring_degree)
-        recipe = launch_recipe(plan, self.operands(inverse), self.barrett_chain,
-                               backend, batch, n1, n2)
-        _remember_recipe(key, recipe)
+        recipe = self._recipes.get(key)
+        if recipe is None:
+            n1, n2 = split_degree(self.ring_degree)
+            recipe = self._recipes[key] = launch_recipe(
+                plan, self.operands(inverse), self.barrett_chain, backend,
+                batch, n1, n2)
         return recipe
 
     # -- Barrett constants for the float-resident kernels ---------------
@@ -334,49 +333,6 @@ def get_twiddle_stack(ring_degree: int, moduli) -> TwiddleStack:
 def clear_twiddle_stacks() -> None:
     """Drop all cached twiddle stacks and their launch recipes.
 
-    Frees the stacked operand memory and the recipes' full-width constants.
+    Frees the stacked operand memory and the recipes with it.
     """
-    global _RECIPE_HELD
     _STACK_CACHE.clear()
-    with _RECIPE_LOCK:
-        _RECIPES.clear()
-        _RECIPE_HELD = 0
-
-
-#: Launch recipes of every stack, least recently used first.
-_RECIPES: "OrderedDict[tuple, LaunchRecipe]" = OrderedDict()
-_RECIPE_LOCK = threading.Lock()
-#: Recipes kept at most.  One without full-width constants (a launch whose
-#: slabs are long enough to broadcast them) holds only views of the stack's
-#: images.
-_RECIPE_LIMIT = 64
-#: Bytes of full-width constants the kept recipes may hold together.  A
-#: batched bootstrap at N = 128 lays out 76 recipes, 9.3 MB of constants
-#: if all were kept; under this bound 11 % of its launches rebuild their
-#: recipe (about 20 us each), under twice it 8 %, which cost
-#: ``serving_burst`` 1 MB more peak memory.
-_RECIPE_BYTES = 1 << 20
-#: Bytes the kept recipes hold now.
-_RECIPE_HELD = 0
-
-
-def _remember_recipe(key: tuple, recipe: LaunchRecipe) -> None:
-    """Keep ``recipe``; over the count bound drop the least recently used
-    recipe, over the byte bound the least recently used one holding bytes
-    (not ``recipe``), so a byte-free recipe never goes for bytes it lacks.
-    """
-    global _RECIPE_HELD
-    with _RECIPE_LOCK:
-        if key in _RECIPES:
-            return
-        _RECIPES[key] = recipe
-        _RECIPE_HELD += recipe.nbytes
-        while len(_RECIPES) > max(1, _RECIPE_LIMIT):
-            _RECIPE_HELD -= _RECIPES.popitem(last=False)[1].nbytes
-        if _RECIPE_HELD > _RECIPE_BYTES:
-            holders = [old for old, kept in _RECIPES.items()
-                       if kept.nbytes and old != key]
-            for old in holders:
-                _RECIPE_HELD -= _RECIPES.pop(old).nbytes
-                if _RECIPE_HELD <= _RECIPE_BYTES:
-                    break

@@ -41,6 +41,8 @@ against Python's ``%`` on the same integers.
 from __future__ import annotations
 
 import math
+import threading
+from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Optional, Tuple
@@ -139,20 +141,29 @@ class BarrettChain:
 
     def wide_columns(self, shape: Tuple[int, ...]
                      ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Fresh full-width ``(q, inv)`` for limb-major arrays of ``shape``.
+        """Full-width ``(q, inv)`` for limb-major arrays of ``shape``, shared.
 
         ``None`` unless one limb's run of elements is at most
         :data:`BROADCAST_RUN`: there the broadcast columns put every pass
         on numpy's buffered iterator (``(8, 1, 64, 64)`` pass: 53.8 us
         broadcast, 35.4 us full-width), and a launch that makes many
         passes lays the constants out once and hands them to
-        :meth:`lazy_reduce` (the four-step NTT keeps them in its launch
-        recipes, :mod:`repro.ntt.four_step_plan`).
+        :meth:`lazy_reduce` (the four-step NTT's slabs look theirs up per
+        launch).  A layout is kept per chain and shape, shared by every
+        launch of that slab shape, while the kept layouts stay within
+        :data:`WIDE_BYTES`, the least recently used going first.
         """
         if not 1 < math.prod(shape[1:]) <= BROADCAST_RUN:
             return None
-        wide = np.empty((2,) + tuple(shape))
+        key = (self.moduli, tuple(shape))
+        with _WIDE_LOCK:
+            wide = _WIDE.get(key)
+            if wide is not None:
+                _WIDE.move_to_end(key)
+                return wide[0], wide[1]
+        wide = np.empty((2,) + key[1])
         wide[0], wide[1] = self.columns(len(shape))
+        _keep_wide(key, wide)
         return wide[0], wide[1]
 
     def rows(self, rows: slice) -> "BarrettChain":
@@ -210,6 +221,33 @@ class BarrettChain:
     # ------------------------------------------------------------------
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "BarrettChain(limbs=%d, qmax=%d)" % (self.limb_count, self.qmax)
+
+
+#: Full-width layouts by ``(moduli, shape)``, least recently used first.
+_WIDE: "OrderedDict[tuple, np.ndarray]" = OrderedDict()
+_WIDE_LOCK = threading.Lock()
+_WIDE_HELD = 0
+#: Bytes the kept layouts may hold together.  A batched bootstrap at
+#: ``N = 128``, ``B = 4`` uses 64 layouts (18.5 MB) and, cycling through
+#: them under this bound, re-lays out about 100 (38 MB) a warm pass: a few
+#: ms at 17 us per 0.44 MB layout in cache, more where fresh pages fault.
+#: 4 MB re-lays out 18 MB and raised its peak memory by 3 MB.  A layout must
+#: be the slab's own contiguous shape: broadcast over the operation axis,
+#: or sliced from a wider one, a pass costs as much as with the columns.
+WIDE_BYTES = 2 << 20
+
+
+def _keep_wide(key: tuple, wide: np.ndarray) -> None:
+    """Keep ``wide`` (the newest) and drop the least recently used beyond
+    :data:`WIDE_BYTES`."""
+    global _WIDE_HELD
+    wide.setflags(write=False)
+    with _WIDE_LOCK:
+        if key not in _WIDE:
+            _WIDE[key] = wide
+            _WIDE_HELD += wide.nbytes
+        while _WIDE_HELD > WIDE_BYTES and len(_WIDE) > 1:
+            _WIDE_HELD -= _WIDE.popitem(last=False)[1].nbytes
 
 
 @lru_cache(maxsize=256)

@@ -120,7 +120,8 @@ def mat_mod_reduce(matrix, moduli, *, source=None) -> DeviceBuffer:
     """
     return get_active_backend().mat_reduce(
         DeviceBuffer.wrap(matrix), _launch_moduli(moduli),
-        source=None if source is None else tuple(int(q) for q in source))
+        source=source if source is None or type(source) is tuple
+        else tuple(int(q) for q in source))
 
 
 def mat_mod_add(a, b, moduli) -> DeviceBuffer:
@@ -187,8 +188,7 @@ def modular_matmul_limbs(lhs, rhs, moduli) -> DeviceBuffer:
         raise ValueError(
             "limb stacks do not align: %s @ %s" % (lhs.shape, rhs.shape)
         )
-    return get_active_backend().matmul_limbs(
-        lhs, rhs, np.asarray(moduli, dtype=np.int64))
+    return get_active_backend().matmul_limbs(lhs, rhs, _launch_moduli(moduli))
 
 
 def modular_matmul_rows(lhs, rhs, row_moduli, *,
@@ -211,6 +211,7 @@ def modular_matmul_rows(lhs, rhs, row_moduli, *,
             "inner dimensions do not match: %s @ %s" % (lhs.shape, rhs.shape)
         )
     return get_active_backend().matmul_rows(
-        lhs, rhs, np.asarray(row_moduli, dtype=np.int64),
+        lhs, rhs, _launch_moduli(row_moduli),
         operand_bound=operand_bound,
-        source=None if source is None else tuple(int(q) for q in source))
+        source=source if source is None or type(source) is tuple
+        else tuple(int(q) for q in source))

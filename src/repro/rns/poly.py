@@ -39,7 +39,7 @@ the polynomial (the library itself never mutates residues in place).
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -47,7 +47,8 @@ from ..backend.residency import DeviceBuffer
 from ..numtheory.crt import get_crt_context
 from ..ntt.planner import NttPlanner
 
-__all__ = ["PolyDomain", "RnsPolynomial", "ERROR_STDDEV", "signed_ternary"]
+__all__ = ["PolyDomain", "RnsPolynomial", "ERROR_STDDEV", "signed_ternary",
+           "polynomial_rows"]
 
 #: Standard deviation of the LWE error distribution, for every key and
 #: encryption: the 3.2 of the HomomorphicEncryption.org security standard.
@@ -65,6 +66,26 @@ def signed_ternary(ring_degree: int, rng: np.random.Generator,
     positions = rng.choice(ring_degree, size=hamming_weight, replace=False)
     signed[positions] = rng.choice([-1, 1], size=hamming_weight)
     return signed
+
+
+def polynomial_rows(ring_degree: int, moduli: Tuple[int, ...], stack,
+                    domain: str) -> List["RnsPolynomial"]:
+    """One polynomial per row of the ``(B, L, N)`` handle ``stack`` (or per
+    handle of a list of ``(L, N)`` ones).
+
+    The library's own outputs: ``moduli`` is already a tuple of Python
+    ints matching the rows, so nothing is converted or checked again.
+    """
+    polys = []
+    for row in stack.rows() if isinstance(stack, DeviceBuffer) else stack:
+        poly = _new(RnsPolynomial)
+        poly.ring_degree, poly.moduli, poly.buffer, poly.domain = (
+            ring_degree, moduli, row, domain)
+        polys.append(poly)
+    return polys
+
+
+_new = object.__new__
 
 
 class PolyDomain:
@@ -97,13 +118,14 @@ class RnsPolynomial:
                  residues, domain: str = PolyDomain.COEFFICIENT) -> None:
         self.ring_degree = ring_degree
         self.moduli = tuple(int(q) for q in moduli)
-        self._buffer = DeviceBuffer.wrap(residues)
+        #: The residency handle backing this polynomial's residues.
+        self.buffer = DeviceBuffer.wrap(residues)
         self.domain = domain
         expected = (len(self.moduli), self.ring_degree)
-        if self._buffer.shape != expected:
+        if self.buffer.shape != expected:
             raise ValueError(
                 "residue matrix has shape %s, expected %s"
-                % (self._buffer.shape, expected)
+                % (self.buffer.shape, expected)
             )
         if self.domain not in (PolyDomain.COEFFICIENT, PolyDomain.EVALUATION):
             raise ValueError("unknown polynomial domain %r" % self.domain)
@@ -119,12 +141,7 @@ class RnsPolynomial:
         canonical modulo :attr:`moduli` as it is cast (where a float image
         meets its integers).
         """
-        return self._buffer.host(self.moduli)
-
-    @property
-    def buffer(self) -> DeviceBuffer:
-        """The residency handle backing this polynomial's residues."""
-        return self._buffer
+        return self.buffer.host(self.moduli)
 
     def invalidate_resident(self) -> None:
         """Drop derived resident images after an in-place host mutation.
@@ -136,7 +153,7 @@ class RnsPolynomial:
         handle); all library kernels allocate fresh outputs and never need
         to.
         """
-        self._buffer.invalidate_device()
+        self.buffer.invalidate_device()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return ("RnsPolynomial(ring_degree=%d, limbs=%d, domain=%r)"
@@ -197,7 +214,7 @@ class RnsPolynomial:
 
     def copy(self) -> "RnsPolynomial":
         return RnsPolynomial(self.ring_degree, self.moduli,
-                             self._buffer.copy(), self.domain)
+                             self.buffer.copy(), self.domain)
 
     def to_integers(self, *, centered: bool = True) -> list:
         """CRT-recombine into big-integer coefficients (coefficient domain only)."""
@@ -213,7 +230,7 @@ class RnsPolynomial:
         if self.domain == PolyDomain.EVALUATION:
             return self.copy()
         residues = planner.forward_ops(self.ring_degree, self.moduli,
-                                       self._buffer[None])[0]
+                                       self.buffer[None])[0]
         return RnsPolynomial(self.ring_degree, self.moduli, residues,
                              PolyDomain.EVALUATION)
 
@@ -222,7 +239,7 @@ class RnsPolynomial:
         if self.domain == PolyDomain.COEFFICIENT:
             return self.copy()
         residues = planner.inverse_ops(self.ring_degree, self.moduli,
-                                       self._buffer[None])[0]
+                                       self.buffer[None])[0]
         return RnsPolynomial(self.ring_degree, self.moduli, residues,
                              PolyDomain.COEFFICIENT)
 
@@ -231,16 +248,15 @@ class RnsPolynomial:
     # ------------------------------------------------------------------
     def restrict_to(self, moduli: Sequence[int]) -> "RnsPolynomial":
         """Keep only the limbs whose primes appear in ``moduli`` (in that order)."""
-        moduli = tuple(int(q) for q in moduli)
         index_of = {q: i for i, q in enumerate(self.moduli)}
         try:
             indices = [index_of[q] for q in moduli]
         except KeyError as missing:
             raise ValueError("prime %s is not a limb of this polynomial" % missing) from None
         # Fancy row gather: a fresh matrix on the resident image.
-        return RnsPolynomial(self.ring_degree, moduli,
-                             self._buffer[np.asarray(indices, dtype=np.int64)],
-                             self.domain)
+        return polynomial_rows(
+            self.ring_degree, tuple([self.moduli[i] for i in indices]),
+            [self.buffer[np.asarray(indices, dtype=np.int64)]], self.domain)[0]
 
     # ------------------------------------------------------------------
     def _require_domain(self, domain: str) -> None:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro import CkksParameters, TensorFheContext
 from repro.ckks.bootstrap import (
     BootstrapConfig,
     Bootstrapper,
@@ -269,3 +270,15 @@ class TestBootstrapper:
         assert np.array_equal(direct.c1.residues, via_drop.c1.residues)
         assert direct.scale == via_drop.scale
         assert direct.level == via_drop.level
+
+
+def test_a_chain_too_short_to_bootstrap_says_so_at_the_bootstrap_call():
+    """The context builds and encrypts; only the refresh raises, naming the
+    levels it needs and the levels the chain has."""
+    fhe = TensorFheContext(CkksParameters(ring_degree=64, level_count=4),
+                           seed=3)
+    exhausted = fhe.evaluator.drop_to_level(
+        fhe.encrypt(np.full(fhe.slot_count, 0.01)), 0)
+    needed = 2 + BootstrapConfig().eval_mod_depth
+    with pytest.raises(ValueError, match="needs %d levels .* has 3" % needed):
+        fhe.bootstrap(exhausted)

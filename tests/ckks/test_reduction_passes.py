@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro import CkksParameters, TensorFheContext
+from repro.ntt.twiddle import TwiddleStack
 from repro.numtheory.floatmod import BarrettChain
 
 #: ``(calls, elements)`` of ``lazy_reduce`` per operation: one stream at
@@ -83,5 +84,35 @@ def test_hadd_stays_one_launch_with_at_most_one_pass(toy, monkeypatch):
     twice = fhe.add(x, x)
     assert seen == [0, 0] and twice.c0.buffer.window == (-4, 8)
     four = fhe.add(twice, twice)                # (-8, 16): past the headroom
-    assert seen == [2, 512] and four.c0.buffer.window == (-1, 2)
+    # One launch over both components: one pass over their 2 x 256 residues.
+    assert seen == [1, 512] and four.c0.buffer.window == (-1, 2)
     np.testing.assert_allclose(fhe.decrypt(four).real, 4 * values[0], atol=1e-2)
+
+
+def test_the_moddown_tail_plans_from_its_own_rows(monkeypatch):
+    """HMULT's ``d0``, ``d1`` join only the ciphertext-prime rows of the key
+    switch's accumulators, so the INTT of the special rows plans from their
+    own window, the pass window: at P28 (31-bit special primes) its inner
+    stage takes one pre-pass, not the two the joined stack's ``(-2, 4)``
+    would cost.  Folding the rescale in adds the dropped limb, a sum with
+    the addend, to that INTT: it plans from ``(-2, 4)``."""
+    parameters = CkksParameters(ring_degree=4096, level_count=8, dnum=4)
+    fhe = TensorFheContext(parameters, seed=1, backend="blas")
+    rng = np.random.default_rng(1)
+    x, y = (fhe.encrypt(rng.uniform(-1, 1, fhe.slot_count)) for _ in range(2))
+    special = set(fhe.context.basis.special_primes)
+    seen = []
+    plan = TwiddleStack.four_step_plan
+
+    def spy(stack, inverse, window=(0, 1)):
+        form = plan(stack, inverse, window)
+        if inverse and special & set(stack.moduli):
+            seen.append((tuple(window), form.inner.canonicalise))
+        return form
+
+    monkeypatch.setattr(TwiddleStack, "four_step_plan", spy)
+    fhe.multiply(x, y, rescale=False)
+    assert seen == [((-1, 2), 1)]
+    seen.clear()
+    fhe.multiply(x, y)
+    assert seen == [((-2, 4), 2)]

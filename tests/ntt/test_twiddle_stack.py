@@ -9,7 +9,6 @@ rather than per-prefix copies.
 
 import sys
 import threading
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,7 +16,7 @@ import pytest
 from repro.backend import use_backend
 from repro.ntt import NttPlanner, clear_twiddle_stacks, get_twiddle_stack, twiddle
 from repro.ntt.twiddle import TwiddleStack
-from repro.numtheory import generate_ntt_primes
+from repro.numtheory import floatmod, generate_ntt_primes
 
 from ntt_vector import transform_vector
 
@@ -96,10 +95,11 @@ def test_transform_parity_through_views(rng):
             residues)
 
 
-def test_launch_recipes_after_a_bootstrap_pass_are_bounded(bootstrap_fhe, rng,
-                                                           monkeypatch):
-    """The recipes a bootstrap pass lays out stay within both bounds, the
-    pass's bits do not depend on them, and clearing the stacks drops them."""
+def test_a_warm_refresh_builds_no_launch_recipe(bootstrap_fhe, rng,
+                                                monkeypatch):
+    """Every recipe a refresh lays out is kept with its stack: a second
+    refresh builds none and gives the same bits, and clearing the stacks
+    drops them."""
     fhe = bootstrap_fhe
     streams = [fhe.evaluator.drop_to_level(
         fhe.encrypt(rng.uniform(-0.05, 0.05, fhe.slot_count)), 0)
@@ -110,62 +110,44 @@ def test_launch_recipes_after_a_bootstrap_pass_are_bounded(bootstrap_fhe, rng,
     build = twiddle.launch_recipe
     monkeypatch.setattr(twiddle, "launch_recipe",
                         lambda *args: built.append(1) or build(*args))
-    limit, budget = 4, 16 << 10
-    monkeypatch.setattr(twiddle, "_RECIPE_LIMIT", limit)
-    monkeypatch.setattr(twiddle, "_RECIPE_BYTES", budget)
     with use_backend("blas"):
+        fhe.bootstrap_many(streams)
+        assert built                                 # the first pass lays out
+        built.clear()
         got = fhe.bootstrap_many(streams)
+        assert not built
+        clear_twiddle_stacks()
+        fhe.bootstrap_many(streams)
+        assert built
     for refreshed, expected in zip(got, want):
         assert np.array_equal(refreshed.c0.residues, expected.c0.residues)
         assert np.array_equal(refreshed.c1.residues, expected.c1.residues)
-    recipes = list(twiddle._RECIPES.values())
-    assert len(set(map(id, recipes))) == len(recipes) > 0
-    assert len(built) > 2 * limit                    # the bounds did evict
-    assert len(recipes) <= limit
-    held = sum(recipe.nbytes for recipe in recipes)
-    assert twiddle._RECIPE_HELD == held
-    # Over the byte bound only when the newest recipe alone holds bytes.
-    assert held <= budget or sum(1 for recipe in recipes if recipe.nbytes) == 1
-    assert any(recipe.nbytes for recipe in recipes)  # constants were laid out
-    clear_twiddle_stacks()
-    assert not twiddle._RECIPES and twiddle._RECIPE_HELD == 0
 
 
-def test_byte_bound_evicts_only_recipes_that_hold_bytes(monkeypatch):
-    """Over the byte bound the least recently used recipe *holding bytes*
-    goes: the byte-free recipes of long-slab launches (B = 8 at N = 4096)
-    stay while one-stream recipes cycle through the bytes.  The count bound
-    still drops the least recently used of all, and a recipe that alone is
-    over the byte bound stays until the next one is kept."""
-    monkeypatch.setattr(twiddle, "_RECIPE_LIMIT", 5)
-    monkeypatch.setattr(twiddle, "_RECIPE_BYTES", 1000)
-
-    def remember(key, nbytes):
-        twiddle._remember_recipe(key, SimpleNamespace(nbytes=nbytes))
-
-    free = [("free", index) for index in range(3)]
-    for key in free:
-        remember(key, 0)
-    remember(("held", 0), 600)
-    remember(("held", 1), 600)
-    assert list(twiddle._RECIPES) == free + [("held", 1)]
-    assert twiddle._RECIPE_HELD == 600
-    remember(("held", 2), 2000)
-    assert list(twiddle._RECIPES) == free + [("held", 2)]
-    assert twiddle._RECIPE_HELD == 2000
-    remember(("free", 3), 0)            # no longer the newest: it goes
-    assert list(twiddle._RECIPES) == free + [("free", 3)]
-    assert twiddle._RECIPE_HELD == 0
-    remember(("free", 4), 0)
-    remember(("free", 5), 0)
-    assert list(twiddle._RECIPES) == free[1:] + [("free", 3), ("free", 4), ("free", 5)]
+def test_recipes_of_one_slab_shape_share_their_constants():
+    """The full-width Barrett constants are laid out per chain and slab
+    shape, not per recipe: both directions and every window read the same
+    ones, and a recipe is kept with its stack."""
+    stack = get_twiddle_stack(RING_DEGREE, CHAIN)
+    with use_backend("blas") as backend:
+        recipes = [stack.launch_recipe(backend, inverse, 3, window)
+                   for inverse in (False, True) for window in ((0, 1), (-1, 2))]
+        again = stack.launch_recipe(backend, False, 3, (0, 1))
+    assert again is recipes[0]
+    pieces = [recipe.slabs[0] for recipe in recipes]
+    assert len({piece.buffers for piece in pieces}) == 1
+    first = pieces[0].chain.wide_columns(pieces[0].buffers[0])
+    assert first is not None
+    for piece in pieces[1:]:
+        assert all(np.shares_memory(mine, theirs) for mine, theirs
+                   in zip(piece.chain.wide_columns(piece.buffers[0]), first))
 
 
 def test_launch_recipes_stay_consistent_under_concurrent_launches(monkeypatch):
-    """Threads laying out and evicting recipes at once lose no bytes and
-    keep the bounds; every launch still gives the right bits."""
-    monkeypatch.setattr(twiddle, "_RECIPE_LIMIT", 3)
-    monkeypatch.setattr(twiddle, "_RECIPE_BYTES", 8 << 10)
+    """Threads laying out recipes, and laying out and evicting their
+    full-width constants, at once: every launch gives the right bits, each
+    batch's recipe is kept and the constants' byte count loses no update."""
+    monkeypatch.setattr(floatmod, "WIDE_BYTES", 8 << 10)
     planner = NttPlanner("four_step")
     rng = np.random.default_rng(5)
     stacks = {batch: np.stack([np.stack([rng.integers(0, q, RING_DEGREE)
@@ -200,6 +182,10 @@ def test_launch_recipes_stay_consistent_under_concurrent_launches(monkeypatch):
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert failures == []
-    recipes = list(twiddle._RECIPES.values())
-    assert 0 < len(recipes) <= 3
-    assert twiddle._RECIPE_HELD == sum(recipe.nbytes for recipe in recipes)
+    with use_backend("blas") as backend:
+        stack = get_twiddle_stack(RING_DEGREE, CHAIN)
+        assert all(stack.launch_recipe(backend, False, batch) is not None
+                   for batch in stacks)
+    kept = list(floatmod._WIDE.values())
+    assert floatmod._WIDE_HELD == sum(wide.nbytes for wide in kept)
+    assert 0 < floatmod._WIDE_HELD <= 8 << 10 or len(kept) == 1
