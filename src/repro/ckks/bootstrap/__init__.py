@@ -1,17 +1,11 @@
 """Bootstrap pipeline: ModRaise, CoeffToSlot, EvalMod (sine), SlotToCoeff."""
 
 from .bootstrapper import BootstrapConfig, Bootstrapper
-from .bsgs import (
-    BsgsLinearTransform,
-    bsgs_step_counts,
-    matrix_diagonals,
-    required_rotations,
-)
+from .bsgs import BsgsLinearTransform, bsgs_step_counts, matrix_diagonals
 from .dft import CoeffToSlot, SlotToCoeff, embedding_matrix
 from .mod_raise import ModRaise
 from .sine_eval import (
     SineEvaluator,
-    evaluate_polynomial,
     taylor_cosine_coefficients,
     taylor_sine_coefficients,
 )
@@ -26,9 +20,7 @@ __all__ = [
     "BsgsLinearTransform",
     "matrix_diagonals",
     "bsgs_step_counts",
-    "required_rotations",
     "SineEvaluator",
     "taylor_sine_coefficients",
     "taylor_cosine_coefficients",
-    "evaluate_polynomial",
 ]

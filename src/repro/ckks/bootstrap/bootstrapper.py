@@ -175,10 +175,3 @@ class Bootstrapper:
             np.full(self.context.slot_count, final_factor), sin_cts)
         return batched_evaluator.rescale(
             batched_evaluator.multiply_plain(sin_cts, plains))
-
-    # ------------------------------------------------------------------
-    def reference_mod(self, values: np.ndarray) -> np.ndarray:
-        """Plaintext reference of the EvalMod stage (for the tests)."""
-        base_prime = self.context.basis.ciphertext_primes[0]
-        values = np.asarray(values, dtype=np.float64)
-        return base_prime / (2 * math.pi) * np.sin(2 * math.pi * values / base_prime)

@@ -62,8 +62,8 @@ from ..context import CkksContext
 from ..encryptor import Encryptor
 from ..keys import RotationKeySet
 
-__all__ = ["matrix_diagonals", "bsgs_step_counts", "required_rotations",
-           "apply_group", "BsgsLinearTransform"]
+__all__ = ["matrix_diagonals", "bsgs_step_counts", "apply_group",
+           "BsgsLinearTransform"]
 
 
 def matrix_diagonals(matrix: np.ndarray) -> Dict[int, np.ndarray]:
@@ -85,18 +85,6 @@ def bsgs_step_counts(dimension: int) -> Sequence[int]:
     n1 = 1 << max(0, int(math.ceil(math.log2(max(1, math.isqrt(dimension))))))
     n2 = -(-dimension // n1)
     return (n1, n2)
-
-
-def required_rotations(dimension: int) -> List[int]:
-    """Rotation step counts a BSGS transform of size ``dimension`` may need."""
-    n1, n2 = bsgs_step_counts(dimension)
-    steps = set()
-    for j in range(1, n1):
-        steps.add(j)
-    for i in range(1, n2):
-        steps.add((i * n1) % dimension)
-    steps.discard(0)
-    return sorted(steps)
 
 
 class BsgsLinearTransform:

@@ -38,7 +38,6 @@ from ..keys import SwitchKey
 __all__ = [
     "taylor_sine_coefficients",
     "taylor_cosine_coefficients",
-    "evaluate_polynomial",
     "SineEvaluator",
 ]
 
@@ -68,14 +67,6 @@ def taylor_cosine_coefficients(degree: int, scale_factor: float) -> List[float]:
     return coefficients
 
 
-def evaluate_polynomial(coefficients: Sequence[float], values: np.ndarray) -> np.ndarray:
-    """Plaintext Horner evaluation (test oracle for the homomorphic path)."""
-    result = np.zeros_like(np.asarray(values, dtype=np.float64))
-    for coefficient in reversed(list(coefficients)):
-        result = result * values + coefficient
-    return result
-
-
 class SineEvaluator:
     """Evaluates fixed-degree polynomials of a ciphertext homomorphically."""
 
@@ -91,11 +82,6 @@ class SineEvaluator:
     @property
     def degree(self) -> int:
         return len(self.coefficients) - 1
-
-    @property
-    def multiplicative_depth(self) -> int:
-        """Levels consumed: one per power-doubling plus one for the sum."""
-        return max(1, math.ceil(math.log2(max(2, self.degree)))) + 1
 
     # ------------------------------------------------------------------
     # The operation sequence over B fused streams

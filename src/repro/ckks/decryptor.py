@@ -11,12 +11,10 @@ centred coefficients (:meth:`~repro.numtheory.crt.CrtContext.compose_float`:
 int64 on the chain's two smallest primes, checked against the other limbs,
 Python integers only for columns too large for that pair) and decodes them
 back into complex slot values.  The result is bit for bit
-``decode(poly.to_integers())``.
+``decode(crt.compose_array(poly.residues))``.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -64,15 +62,3 @@ class Decryptor:
     def decrypt_real(self, ciphertext: Ciphertext) -> np.ndarray:
         """Decrypt and return the real parts of the slots."""
         return self.decrypt_to_slots(ciphertext).real
-
-    def invariant_noise_budget_bits(self, ciphertext: Ciphertext) -> float:
-        """A crude noise estimate: ``log2(Q_level) - log2(max |coefficient|)``.
-
-        Not a formal noise bound, but useful in tests and examples to
-        observe the level/noise budget shrinking as operations are applied.
-        """
-        plaintext = self.decrypt(ciphertext)
-        coefficients = plaintext.polynomial.to_integers(centered=True)
-        magnitude = max(abs(int(c)) for c in coefficients) or 1
-        modulus = self.context.modulus_at_level(ciphertext.level)
-        return float(math.log2(modulus) - math.log2(magnitude))

@@ -15,7 +15,7 @@ returns int64 coefficients (Python ints only above ``2^62``) for
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -106,23 +106,3 @@ class CkksEncoder:
         # m(zeta^a) = sum_k m_k exp(+2*pi*i*a*k / 2N) = (2N * ifft(padded))[a]
         evaluations = np.fft.ifft(padded) * (2 * self.ring_degree)
         return evaluations[self.root_exponents] / scale
-
-    # ------------------------------------------------------------------
-    def max_encodable_magnitude(self, level_modulus: int, scale: Optional[float] = None) -> float:
-        """Largest slot magnitude that keeps coefficients below ``q/2``.
-
-        A rough bound used by input validation in the examples: the
-        coefficients of an encoded vector are bounded by ``scale * max|z| *
-        N`` in the worst case, which must stay below half the level modulus
-        for decryption to recover the message.
-        """
-        scale = self.parameters.scale if scale is None else float(scale)
-        return level_modulus / (2.0 * scale * self.ring_degree)
-
-    def slot_rotation(self, values: Sequence[complex], steps: int) -> List[complex]:
-        """Plaintext slot rotation (the reference behaviour for HROTATE)."""
-        values = list(values)
-        if len(values) != self.slot_count:
-            values = values + [0] * (self.slot_count - len(values))
-        steps %= self.slot_count
-        return values[steps:] + values[:steps]

@@ -203,7 +203,3 @@ class RotationKeySet:
                 "no rotation key for %d steps; generate it with "
                 "KeyGenerator.generate_rotation_keys" % steps
             ) from None
-
-    @property
-    def available_steps(self) -> List[int]:
-        return sorted(self.keys)

@@ -1,9 +1,10 @@
 """NTT engines: the Eq. 4 reference oracle, the four-step GEMM fast path and
-the tensor-core kernel of the paper's Fig. 8."""
+the tensor-core kernel of the paper's Fig. 8.  The schoolbook negacyclic
+product the engines are held against is a test oracle and lives with the
+tests."""
 
 from .base import NttEngine
 from .four_step import FourStepNtt
-from .negacyclic import schoolbook_negacyclic_multiply
 from .planner import (
     DEFAULT_ENGINE,
     ENGINE_REGISTRY,
@@ -33,7 +34,6 @@ __all__ = [
     "get_twiddle_stack",
     "clear_twiddle_stacks",
     "split_degree",
-    "schoolbook_negacyclic_multiply",
     "NttPlanner",
     "create_engine",
     "available_engines",

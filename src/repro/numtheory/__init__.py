@@ -19,28 +19,16 @@ from .modular import (
     modular_matmul_rows,
     moduli_column,
 )
-from .primes import (
-    generate_ntt_prime,
-    generate_ntt_primes,
-    is_prime,
-    next_prime,
-    previous_prime,
-)
+from .primes import generate_ntt_primes, is_prime
 from .roots import (
     factorize,
     find_negacyclic_root,
     find_primitive_root,
     find_root_of_unity,
-    inverse_root_powers,
     root_powers,
 )
 from .crt import CrtContext, get_crt_context
-from .bit_ops import (
-    fuse_segments,
-    ilog2,
-    is_power_of_two,
-    segment_u32,
-)
+from .bit_ops import ilog2, is_power_of_two, segment_u32
 
 __all__ = [
     "FLOAT_EXACT_LIMIT",
@@ -59,20 +47,15 @@ __all__ = [
     "modular_matmul_limbs",
     "modular_matmul_rows",
     "is_prime",
-    "next_prime",
-    "previous_prime",
-    "generate_ntt_prime",
     "generate_ntt_primes",
     "factorize",
     "find_primitive_root",
     "find_root_of_unity",
     "find_negacyclic_root",
     "root_powers",
-    "inverse_root_powers",
     "CrtContext",
     "get_crt_context",
     "is_power_of_two",
     "ilog2",
     "segment_u32",
-    "fuse_segments",
 ]

@@ -1,8 +1,9 @@
 """Bit-level utilities: power-of-two checks and limb segmentation.
 
-``segment_u32`` / ``fuse_segments`` implement the 32-bit → 4 × 8-bit split
-of Figure 7 of the paper, which is what lets the NTT GEMMs run on INT8
-tensor cores without losing precision.
+``segment_u32`` implements the 32-bit → 4 × 8-bit split of Figure 7 of
+the paper, which is what lets the NTT GEMMs run on INT8 tensor cores
+without losing precision; the segments fuse back as
+``sum_s segments[s] << (8 * s)``.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ __all__ = [
     "is_power_of_two",
     "ilog2",
     "segment_u32",
-    "fuse_segments",
 ]
 
 SEGMENT_COUNT = 4
@@ -46,19 +46,3 @@ def segment_u32(matrix: np.ndarray) -> np.ndarray:
     for s in range(SEGMENT_COUNT):
         segments[s] = (values >> (SEGMENT_BITS * s)) & 0xFF
     return segments
-
-
-def fuse_segments(segments: np.ndarray) -> np.ndarray:
-    """Recombine limb matrices produced by :func:`segment_u32`.
-
-    The inverse of the segmentation: ``sum_s segments[s] << (8 * s)``.
-    Accepts any integer dtype for the segments (the GEMM path produces
-    int64 partial sums) and returns ``uint64`` values.
-    """
-    segments = np.asarray(segments)
-    if segments.shape[0] != SEGMENT_COUNT:
-        raise ValueError("expected %d segments" % SEGMENT_COUNT)
-    fused = np.zeros(segments.shape[1:], dtype=np.uint64)
-    for s in range(SEGMENT_COUNT):
-        fused += segments[s].astype(np.uint64) << np.uint64(SEGMENT_BITS * s)
-    return fused

@@ -69,41 +69,13 @@ class CrtContext:
         if qa * qb < GARNER_LIMIT and max(moduli) < (1 << 63):
             self.garner = (ia, ib, qa, qb, mod_inverse(qa % qb, qb))
 
-    def decompose(self, value: int) -> List[int]:
-        """Map an integer to its residues ``value mod q_i``."""
-        return [value % q for q in self.moduli]
-
-    def compose(self, residues: Sequence[int]) -> int:
-        """Map residues back to the unique integer in ``[0, Q)``."""
-        if len(residues) != len(self.moduli):
-            raise ValueError("residue count does not match modulus count")
-        total = 0
-        for residue, quotient, inverse, q in zip(
-            residues, self.quotients, self.quotient_inverses, self.moduli
-        ):
-            total += (residue * inverse % q) * quotient
-        return total % self.modulus_product
-
-    def compose_centered(self, residues: Sequence[int]) -> int:
-        """Compose and map to the centred representative in ``(-Q/2, Q/2]``."""
-        value = self.compose(residues)
-        if value > self.modulus_product // 2:
-            value -= self.modulus_product
-        return value
-
-    def decompose_array(self, values: Sequence[int]) -> np.ndarray:
-        """Decompose a vector of integers into an ``(L, len(values))`` array."""
-        values = [int(v) for v in values]
-        rows = [[value % q for value in values] for q in self.moduli]
-        return np.asarray(rows, dtype=np.int64)
-
     def compose_array(self, residue_matrix: np.ndarray, *, centered: bool = True) -> List[int]:
         """Compose an ``(L, n)`` residue matrix back into ``n`` integers.
 
-        The vectorised form of :meth:`compose` / :meth:`compose_centered`
-        (which stay as the scalar reference): the per-limb multiply by
-        ``q_hat^-1`` runs on the whole matrix, and the big-integer part is
-        one object-dtype multiply, a column sum and one reduction.
+        ``sum_i (r_i * q_hat_i^-1 mod q_i) * q_hat_i mod Q`` per column: the
+        per-limb multiply by ``q_hat^-1`` runs on the whole matrix, and the
+        big-integer part is one object-dtype multiply, a column sum and one
+        reduction.
         """
         matrix = np.asarray(residue_matrix)
         if matrix.shape[0] != len(self.moduli):

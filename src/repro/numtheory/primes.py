@@ -12,13 +12,7 @@ from __future__ import annotations
 
 from typing import List
 
-__all__ = [
-    "is_prime",
-    "next_prime",
-    "previous_prime",
-    "generate_ntt_prime",
-    "generate_ntt_primes",
-]
+__all__ = ["is_prime", "generate_ntt_primes"]
 
 # Witness set proven sufficient for deterministic Miller-Rabin below 3.3e24.
 _MILLER_RABIN_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -53,66 +47,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def next_prime(n: int) -> int:
-    """Return the smallest prime strictly greater than ``n``."""
-    candidate = n + 1
-    if candidate <= 2:
-        return 2
-    if candidate % 2 == 0:
-        candidate += 1
-    while not is_prime(candidate):
-        candidate += 2
-    return candidate
-
-
-def previous_prime(n: int) -> int:
-    """Return the largest prime strictly smaller than ``n``."""
-    if n <= 2:
-        raise ValueError("no prime below 2")
-    candidate = n - 1
-    if candidate == 2:
-        return 2
-    if candidate % 2 == 0:
-        candidate -= 1
-    while candidate > 2 and not is_prime(candidate):
-        candidate -= 2
-    if candidate < 2:
-        raise ValueError("no prime below %d" % n)
-    return candidate
-
-
-def generate_ntt_prime(bits: int, ring_degree: int, *, avoid: set = frozenset()) -> int:
-    """Return a prime ``q ≡ 1 (mod 2*ring_degree)`` with roughly ``bits`` bits.
-
-    Parameters
-    ----------
-    bits:
-        Target bit length of the prime.
-    ring_degree:
-        The polynomial degree ``N``; the prime supports negacyclic NTT of
-        this length.
-    avoid:
-        Primes already in use that must not be returned again.
-    """
-    if bits < 2:
-        raise ValueError("bits must be >= 2")
-    modulus_step = 2 * ring_degree
-    if modulus_step <= 0:
-        raise ValueError("ring_degree must be positive")
-    candidate = (1 << bits) + 1
-    # Align to 1 (mod 2N).
-    candidate -= (candidate - 1) % modulus_step
-    while True:
-        if candidate.bit_length() > bits + 1:
-            raise ValueError(
-                "could not find an NTT-friendly prime of %d bits for N=%d"
-                % (bits, ring_degree)
-            )
-        if candidate not in avoid and is_prime(candidate):
-            return candidate
-        candidate += modulus_step
 
 
 def generate_ntt_primes(count: int, bits: int, ring_degree: int) -> List[int]:

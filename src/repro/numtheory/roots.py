@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from .modular import mod_inverse, mod_pow
+from .modular import mod_pow
 from .primes import is_prime
 
 __all__ = [
@@ -20,7 +20,6 @@ __all__ = [
     "find_root_of_unity",
     "find_negacyclic_root",
     "root_powers",
-    "inverse_root_powers",
 ]
 
 
@@ -93,8 +92,3 @@ def root_powers(root: int, count: int, q: int) -> List[int]:
     for i in range(1, count):
         powers[i] = (powers[i - 1] * root) % q
     return powers
-
-
-def inverse_root_powers(root: int, count: int, q: int) -> List[int]:
-    """Return powers of ``root**-1`` modulo ``q``."""
-    return root_powers(mod_inverse(root, q), count, q)

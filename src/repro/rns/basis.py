@@ -10,7 +10,7 @@ the dnum decomposition of the chain into groups.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..numtheory.primes import generate_ntt_primes
 
@@ -83,16 +83,6 @@ class RnsBasis:
     def extended_primes_at_level(self, level: int) -> Tuple[int, ...]:
         """Primes of the extended basis ``C_level ∪ P`` used in key switching."""
         return self.primes_at_level(level) + self.special_primes
-
-    def log_total_modulus(self, level: Optional[int] = None) -> float:
-        """``log2(P * Q_level)`` — the paper's ``logPQ`` column of Table V."""
-        import math
-
-        level = self.max_level if level is None else level
-        total = 0.0
-        for prime in self.extended_primes_at_level(level):
-            total += math.log2(prime)
-        return total
 
     # ------------------------------------------------------------------
     def decomposition_groups(self, level: int, dnum: int) -> List[Tuple[int, ...]]:

@@ -32,9 +32,9 @@ int64 cast.  A kernel's float image holds lazy residues, congruent
 integers in a window around ``[0, q)``; :attr:`residues` makes them
 canonical as it casts, the one place a polynomial's integers are read.
 Reusable ``operand`` and ``constant`` handles are the twiddles' and the
-keys', not a polynomial's.  The host image is authoritative — code that
-mutates ``poly.residues`` in place must call :meth:`invalidate_resident` before the next kernel uses
-the polynomial (the library itself never mutates residues in place).
+keys', not a polynomial's.  :attr:`residues` is a read-only view, so no
+write through it can leave a float image stale; a new polynomial is built
+from a fresh matrix.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..backend.residency import DeviceBuffer
-from ..numtheory.crt import get_crt_context
 from ..ntt.planner import NttPlanner
 
 __all__ = ["PolyDomain", "RnsPolynomial", "ERROR_STDDEV", "signed_ternary",
@@ -135,25 +134,16 @@ class RnsPolynomial:
     # ------------------------------------------------------------------
     @property
     def residues(self) -> np.ndarray:
-        """The canonical host ``(limbs, N)`` int64 image.
+        """The canonical host ``(limbs, N)`` int64 image, as a read-only view.
 
         Materialised on demand: a float kernel's lazy image is made
         canonical modulo :attr:`moduli` as it is cast (where a float image
-        meets its integers).
+        meets its integers).  A write through the view raises
+        ``ValueError``; the handle's own array stays writeable.
         """
-        return self.buffer.host(self.moduli)
-
-    def invalidate_resident(self) -> None:
-        """Drop derived resident images after an in-place host mutation.
-
-        The invalidation contract: ``poly.residues`` returns the live host
-        array, so in-place writes are visible immediately on host — but a
-        float64 image built *before* the write would be stale.  Callers
-        that mutate in place must invalidate (the handle becomes a ``host``
-        handle); all library kernels allocate fresh outputs and never need
-        to.
-        """
-        self.buffer.invalidate_device()
+        view = self.buffer.host(self.moduli).view()
+        view.flags.writeable = False
+        return view
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return ("RnsPolynomial(ring_degree=%d, limbs=%d, domain=%r)"
@@ -216,12 +206,6 @@ class RnsPolynomial:
         return RnsPolynomial(self.ring_degree, self.moduli,
                              self.buffer.copy(), self.domain)
 
-    def to_integers(self, *, centered: bool = True) -> list:
-        """CRT-recombine into big-integer coefficients (coefficient domain only)."""
-        self._require_domain(PolyDomain.COEFFICIENT)
-        return get_crt_context(self.moduli).compose_array(self.residues,
-                                                          centered=centered)
-
     # ------------------------------------------------------------------
     # Domain conversion (one engine call per polynomial, a (1, L, N) stack)
     # ------------------------------------------------------------------
@@ -259,10 +243,6 @@ class RnsPolynomial:
             [self.buffer[np.asarray(indices, dtype=np.int64)]], self.domain)[0]
 
     # ------------------------------------------------------------------
-    def _require_domain(self, domain: str) -> None:
-        if self.domain != domain:
-            raise ValueError("operation requires the %s domain" % domain)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RnsPolynomial):
             return NotImplemented

@@ -415,7 +415,10 @@ class TestPolynomialResidency:
     def test_buffer_accessors(self):
         poly = self._poly()
         assert isinstance(poly.buffer, DeviceBuffer)
-        assert poly.residues is poly.buffer.ensure_host()
+        # A read-only view of the handle's host image, not a copy.
+        host = poly.buffer.ensure_host()
+        assert poly.residues.base is host and not poly.residues.flags.writeable
+        assert host.flags.writeable
 
     def test_constructor_accepts_handles(self):
         poly = self._poly()

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
 from repro import CkksParameters, TensorFheContext
+from repro.numtheory import get_crt_context
 from repro.ckks.bootstrap import (
     BootstrapConfig,
     Bootstrapper,
@@ -14,9 +16,7 @@ from repro.ckks.bootstrap import (
     SlotToCoeff,
     bsgs_step_counts,
     embedding_matrix,
-    evaluate_polynomial,
     matrix_diagonals,
-    required_rotations,
     taylor_cosine_coefficients,
     taylor_sine_coefficients,
 )
@@ -41,9 +41,13 @@ class TestBsgsHelpers:
             n1, n2 = bsgs_step_counts(dimension)
             assert n1 * n2 >= dimension
 
-    def test_required_rotations_subset_of_dimension(self):
-        steps = required_rotations(32)
-        assert all(0 < step < 32 for step in steps)
+    def test_required_rotations_subset_of_dimension(self, toy_bundle):
+        """Every step is a baby step or a multiple of ``n1``, inside the slots."""
+        slots = toy_bundle.slot_count
+        n1, _ = bsgs_step_counts(slots)
+        steps = Bootstrapper(toy_bundle.context).required_rotation_steps()
+        assert all(0 < step < slots and (step < n1 or step % n1 == 0)
+                   for step in steps)
 
     def test_non_square_matrix_rejected(self):
         with pytest.raises(ValueError):
@@ -107,7 +111,7 @@ class TestSineEvaluation:
     def test_taylor_coefficients_match_sin(self):
         coefficients = taylor_sine_coefficients(15, 1.0)
         xs = np.linspace(-1, 1, 11)
-        assert np.allclose(evaluate_polynomial(coefficients, xs), np.sin(xs), atol=1e-6)
+        assert np.allclose(polyval(xs, coefficients), np.sin(xs), atol=1e-6)
 
     def test_only_odd_terms(self):
         coefficients = taylor_sine_coefficients(9, 2.5)
@@ -121,13 +125,20 @@ class TestSineEvaluation:
         [out] = evaluator.apply_many([ct], deep_bundle.evaluator.batched,
                                      deep_bundle.encryptor,
                                      deep_bundle.relinearization_key)
-        expected = evaluate_polynomial(coefficients, x)
+        expected = polyval(x, coefficients)
         assert np.allclose(deep_bundle.decryptor.decrypt_real(out), expected, atol=5e-3)
 
-    def test_depth_estimate(self):
-        evaluator = SineEvaluator.__new__(SineEvaluator)
-        evaluator.coefficients = taylor_sine_coefficients(7, 1.0)
-        assert evaluator.multiplicative_depth >= 3
+    def test_depth_estimate(self, deep_bundle, rng):
+        """The sine ladder consumes the levels EvalMod's budget gives it."""
+        config = BootstrapConfig(taylor_degree=7, double_angle_iterations=2)
+        evaluator = SineEvaluator(deep_bundle.context,
+                                  taylor_sine_coefficients(7, 1.0))
+        ct = deep_bundle.encryptor.encrypt(deep_bundle.random_slots(rng))
+        [out] = evaluator.apply_many([ct], deep_bundle.evaluator.batched,
+                                     deep_bundle.encryptor,
+                                     deep_bundle.relinearization_key)
+        ladder = config.eval_mod_depth - config.double_angle_iterations - 1
+        assert ct.level - out.level == ladder
 
     def test_empty_polynomial_rejected(self, deep_bundle):
         with pytest.raises(ValueError):
@@ -136,7 +147,7 @@ class TestSineEvaluation:
     def test_cosine_coefficients_match_cos(self):
         coefficients = taylor_cosine_coefficients(14, 1.0)
         xs = np.linspace(-1, 1, 11)
-        assert np.allclose(evaluate_polynomial(coefficients, xs), np.cos(xs),
+        assert np.allclose(polyval(xs, coefficients), np.cos(xs),
                            atol=1e-6)
 
     def test_cosine_only_even_terms(self):
@@ -157,10 +168,10 @@ class TestSineEvaluation:
             deep_bundle.relinearization_key)
         assert np.allclose(
             deep_bundle.decryptor.decrypt_real(sin_ct),
-            evaluate_polynomial(evaluator.coefficients, x), atol=5e-3)
+            polyval(x, evaluator.coefficients), atol=5e-3)
         assert np.allclose(
             deep_bundle.decryptor.decrypt_real(cos_ct),
-            evaluate_polynomial(evaluator.cosine_coefficients, x), atol=5e-3)
+            polyval(x, evaluator.cosine_coefficients), atol=5e-3)
 
     def test_apply_pair_requires_cosine_series(self, deep_bundle, rng):
         evaluator = SineEvaluator(deep_bundle.context,
@@ -190,11 +201,13 @@ class TestModRaise:
             toy_bundle.encryptor.encrypt(toy_bundle.random_slots(rng)), 0)
         [raised] = ModRaise(toy_bundle.context).apply_many([ct])
         q0 = toy_bundle.context.basis.ciphertext_primes[0]
-        original = np.asarray([float(c) for c in
-                               toy_bundle.decryptor.decrypt(ct).polynomial.to_integers()])
-        lifted = np.asarray([float(c) for c in
-                             toy_bundle.decryptor.decrypt(raised).polynomial.to_integers()])
-        multiples = (lifted - original) / q0
+
+        def composed(ciphertext):
+            poly = toy_bundle.decryptor.decrypt(ciphertext).polynomial
+            return np.asarray(get_crt_context(poly.moduli).compose_array(poly.residues),
+                              dtype=np.float64)
+
+        multiples = (composed(raised) - composed(ct)) / q0
         assert np.allclose(multiples, np.round(multiples))
         assert np.max(np.abs(multiples)) <= toy_bundle.secret_key.hamming_weight
 
@@ -225,15 +238,15 @@ class TestHomomorphicDft:
         assert len(SlotToCoeff(toy_bundle.context).rotation_steps()) > 0
 
     def test_rotation_steps_within_required_budget(self, toy_bundle):
-        """Every DFT transform's steps ⊆ required_rotations(slot_count).
+        """Every DFT transform's steps ⊆ ``required_rotation_steps()``.
 
-        ``required_rotations`` is the a-priori key budget callers provision
+        ``required_rotation_steps`` is the key budget callers provision
         from; a transform asking for a step outside it would fail at
         key-switch time with lazily generated key sets.
         """
-        cts = CoeffToSlot(toy_bundle.context)
-        stc = SlotToCoeff(toy_bundle.context)
-        budget = set(required_rotations(toy_bundle.slot_count))
+        bootstrapper = Bootstrapper(toy_bundle.context)
+        cts, stc = bootstrapper.coeff_to_slot, bootstrapper.slot_to_coeff
+        budget = set(bootstrapper.required_rotation_steps())
         transforms = (cts.transform0_direct, cts.transform0_conj,
                       cts.transform1_direct, cts.transform1_conj,
                       stc.transform0, stc.transform1)
@@ -251,8 +264,9 @@ class TestBootstrapper:
         assert len(bootstrapper.required_rotation_steps()) > 0
         q0 = deep_bundle.context.basis.ciphertext_primes[0]
         values = np.asarray([0.0, 1.0, -2.0, 100.0])
-        approx = bootstrapper.reference_mod(values)
-        # For |t| << q0 the scaled sine is close to the identity.
+        approx = q0 / (2 * np.pi) * np.sin(2 * np.pi * values / q0)
+        # For |t| << q0 the scaled sine EvalMod evaluates is close to the
+        # identity.
         assert np.allclose(approx, values, atol=1e-2)
 
     def test_doubling_parity_with_same_level_drop(self, toy_bundle, rng):

@@ -14,7 +14,7 @@ import pytest
 from repro.api import TensorFheContext
 from repro.backend import use_backend
 from repro.ckks import CkksParameters
-from repro.numtheory import CrtContext
+from repro.numtheory import CrtContext, get_crt_context
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +39,8 @@ def ciphertexts(fhe):
 
 def big_integer_slots(fhe, ciphertext):
     plain = fhe.decryptor.decrypt(ciphertext)
-    coefficients = plain.polynomial.to_integers(centered=True)
+    poly = plain.polynomial
+    coefficients = get_crt_context(poly.moduli).compose_array(poly.residues)
     return fhe.context.encoder.decode(coefficients, plain.scale)
 
 
@@ -48,7 +49,8 @@ def pair_overflow(fhe, ciphertext):
     moduli = ciphertext.c0.moduli
     qb, qa = sorted(moduli)[:2]
     plain = fhe.decryptor.decrypt(ciphertext)
-    values = plain.polynomial.to_integers(centered=True)
+    poly = plain.polynomial
+    values = get_crt_context(poly.moduli).compose_array(poly.residues)
     return sum(abs(v) > qa * qb // 2 for v in values)
 
 

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from repro.ckks import (CkksContext, CkksParameters, FUNCTIONAL_PARAMETERS,
                         PAPER_PARAMETERS, get_preset)
 from repro.ckks.encoder import CkksEncoder
+from repro.kernels.automorphism import (galois_element_for_rotation,
+                                        stack_automorphism_coeff)
 from repro.ntt import available_engines
 from repro.numtheory import generate_ntt_primes
 from repro.rns import RnsPolynomial
@@ -185,13 +187,19 @@ class TestEncoder:
         fine = encoder.decode(encoder.encode(values, scale=2.0 ** 30), scale=2.0 ** 30)
         assert np.max(np.abs(fine.real - values)) < np.max(np.abs(coarse.real - values))
 
-    def test_slot_rotation_reference(self, encoder):
-        values = list(range(encoder.slot_count))
-        rotated = encoder.slot_rotation(values, 3)
-        assert rotated[:5] == [3, 4, 5, 6, 7]
-
-    def test_max_encodable_magnitude_positive(self, encoder):
-        assert encoder.max_encodable_magnitude(1 << 60) > 0
+    def test_slot_rotation_reference(self, encoder, rng):
+        """``a(X^(5^k))`` of an encoding decodes to the slots rolled left by
+        ``k``: the encoder's slot order is the one HROTATE's Galois element
+        rotates."""
+        values = rng.uniform(-1, 1, encoder.slot_count)
+        coefficients = encoder.encode(values)
+        modulus = (1 << 61) - 1  # exceeds twice every coefficient's magnitude
+        element = galois_element_for_rotation(3, encoder.ring_degree)
+        (image,) = stack_automorphism_coeff([coefficients % modulus], element, modulus)
+        centered = np.where(image > modulus // 2, image - modulus, image)
+        rotated = encoder.decode(centered.astype(np.float64))
+        assert np.allclose(rotated.real, np.roll(values, -3), atol=1e-6)
+        assert np.allclose(rotated.real[:5], values[3:8], atol=1e-6)
 
     @given(st.integers(min_value=0, max_value=10))
     @settings(max_examples=20, deadline=None)

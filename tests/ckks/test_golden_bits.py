@@ -17,7 +17,7 @@ reduction on ``blas``) and 20-bit primes with a 23-bit special prime
 
 ``GOLDEN_BOUNDARY`` (generated at e8a0972) covers what raw residues never
 reach: ``Encryptor``, ``Decryptor``, the CRT recombination behind
-``to_integers`` and the one-polynomial ``(1, L, N)`` transforms of
+``compose_array`` and the one-polynomial ``(1, L, N)`` transforms of
 ``forward_ops`` / ``inverse_ops`` that encryption, decryption and key
 generation make.
 At N = 64 every launch is int64, so ``GOLDEN_FLOAT_BOUNDARY`` (generated
@@ -62,6 +62,7 @@ from repro.ckks import (
     Plaintext,
 )
 from repro.ckks.bootstrap import BootstrapConfig, BsgsLinearTransform, ModRaise
+from repro.numtheory import get_crt_context
 from repro.rns import PolyDomain, RnsPolynomial
 
 #: The slot tolerance of the scheme tests (``test_scheme.py``).
@@ -266,7 +267,7 @@ def boundary_digests(fhe):
     public = fhe.encryptor.encrypt(slots)
     symmetric = fhe.encryptor.encrypt_symmetric(slots)
     plain = fhe.decryptor.decrypt(public).polynomial
-    integers = plain.to_integers(centered=True)
+    integers = get_crt_context(plain.moduli).compose_array(plain.residues)
     n, moduli = context.ring_degree, public.c0.moduli
     c0 = public.c0.to_coefficient(context.planner).residues
     # The transforms hand back lazy handles; their integers are read

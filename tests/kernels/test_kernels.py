@@ -13,7 +13,7 @@ from repro.kernels import (
     stack_automorphism_eval,
 )
 from repro.ntt import create_engine
-from repro.numtheory import generate_ntt_prime
+from repro.numtheory import generate_ntt_primes
 
 from ntt_vector import transform_vector
 
@@ -37,7 +37,7 @@ class TestAutomorphism:
 
     def test_coeff_automorphism_is_ring_homomorphism(self, rng):
         """phi(a*b) == phi(a)*phi(b) for the negacyclic product."""
-        q = generate_ntt_prime(24, RING_DEGREE)
+        q = generate_ntt_primes(1, 24, RING_DEGREE)[0]
         engine = create_engine("four_step", RING_DEGREE)
 
         def multiply(x, y):
@@ -54,19 +54,19 @@ class TestAutomorphism:
         assert np.array_equal(lhs, rhs)
 
     def test_identity_element(self, rng):
-        q = generate_ntt_prime(20, RING_DEGREE)
+        q = generate_ntt_primes(1, 20, RING_DEGREE)[0]
         a = rng.integers(0, q, RING_DEGREE, dtype=np.int64)
         assert np.array_equal(automorphism_coeff(a, 1, q), a)
 
     def test_conjugation_is_involution(self, rng):
-        q = generate_ntt_prime(20, RING_DEGREE)
+        q = generate_ntt_primes(1, 20, RING_DEGREE)[0]
         a = rng.integers(0, q, RING_DEGREE, dtype=np.int64)
         g = 2 * RING_DEGREE - 1
         assert np.array_equal(
             automorphism_coeff(automorphism_coeff(a, g, q), g, q), a)
 
     def test_even_galois_element_rejected(self, rng):
-        q = generate_ntt_prime(20, RING_DEGREE)
+        q = generate_ntt_primes(1, 20, RING_DEGREE)[0]
         with pytest.raises(ValueError):
             automorphism_coeff(np.zeros(RING_DEGREE, dtype=np.int64), 4, q)
 
@@ -76,7 +76,7 @@ class TestAutomorphism:
 
         Both kernels keep the dtype of the residue image they are given.
         """
-        q = generate_ntt_prime(24, RING_DEGREE)
+        q = generate_ntt_primes(1, 24, RING_DEGREE)[0]
         engine = create_engine("reference", RING_DEGREE)
         a = rng.integers(0, q, RING_DEGREE, dtype=np.int64)
         g = 5
@@ -117,7 +117,7 @@ def _automorphism_oracle(rows, galois_element, moduli):
 def _oracle_case(rng, ring_degree, galois_element, prime_bits, dtype):
     """A ``(2B, L, N)`` image with zeros on wrapped targets, its oracle and
     the modulus column."""
-    moduli = [generate_ntt_prime(bits, ring_degree) for bits in prime_bits]
+    moduli = [generate_ntt_primes(1, bits, ring_degree)[0] for bits in prime_bits]
     column = np.asarray(moduli, dtype=np.int64)[:, None]
     image = rng.integers(0, column, (4, len(moduli), ring_degree))
     exponents = np.arange(ring_degree) * galois_element % (2 * ring_degree)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backend import DeviceBuffer
-from repro.numtheory import generate_ntt_prime, generate_ntt_primes
+from repro.numtheory import generate_ntt_primes
 from repro.ntt import (
     DEFAULT_ENGINE,
     ENGINE_REGISTRY,
@@ -15,12 +15,12 @@ from repro.ntt import (
     available_engines,
     create_engine,
     get_twiddle_cache,
-    schoolbook_negacyclic_multiply,
     split_degree,
 )
 from repro.ntt.reference import reference_forward, reference_inverse
 
 from ntt_vector import transform_vector
+from oracles import schoolbook_negacyclic_multiply
 
 ENGINES = list(available_engines())
 
@@ -45,11 +45,11 @@ class TestTwiddleCache:
             split_degree(100)
 
     def test_cache_is_shared(self):
-        q = generate_ntt_prime(20, 64)
+        q = generate_ntt_primes(1, 20, 64)[0]
         assert get_twiddle_cache(64, q) is get_twiddle_cache(64, q)
 
     def test_four_step_tables_shapes_and_first_column(self):
-        q = generate_ntt_prime(20, 32)
+        q = generate_ntt_primes(1, 20, 32)[0]
         n1, n2 = split_degree(32)
         w1, w2, w3 = get_twiddle_cache(32, q).four_step_forward()
         assert (w1.shape, w2.shape, w3.shape) == ((n1, n1), (n1, n2), (n2, n2))
@@ -61,7 +61,7 @@ class TestEngineCorrectness:
     @pytest.mark.parametrize("engine_name", ENGINES)
     @pytest.mark.parametrize("ring_degree", [8, 16, 32, 64, 128, 256])
     def test_roundtrip(self, engine_name, ring_degree, rng):
-        q = generate_ntt_prime(24, ring_degree)
+        q = generate_ntt_primes(1, 24, ring_degree)[0]
         engine = create_engine(engine_name, ring_degree)
         poly = _random_poly(rng, ring_degree, q)
         values = transform_vector(engine, poly, q)
@@ -71,7 +71,7 @@ class TestEngineCorrectness:
     @pytest.mark.parametrize("engine_name", [e for e in ENGINES if e != "reference"])
     @pytest.mark.parametrize("ring_degree", [8, 16, 32, 64, 128])
     def test_matches_reference(self, engine_name, ring_degree, rng):
-        q = generate_ntt_prime(26, ring_degree)
+        q = generate_ntt_primes(1, 26, ring_degree)[0]
         reference = create_engine("reference", ring_degree)
         engine = create_engine(engine_name, ring_degree)
         for inverse in (False, True):
@@ -84,7 +84,7 @@ class TestEngineCorrectness:
     def test_forward_of_delta_is_psi_powers(self, engine_name):
         """NTT of X^0 = 1 is the all-ones vector (Eq. 4 with a = delta_0)."""
         ring_degree = 32
-        q = generate_ntt_prime(24, ring_degree)
+        q = generate_ntt_primes(1, 24, ring_degree)[0]
         engine = create_engine(engine_name, ring_degree)
         delta = np.zeros(ring_degree, dtype=np.int64)
         delta[0] = 1
@@ -95,7 +95,7 @@ class TestEngineCorrectness:
     def test_forward_of_monomial_is_psi_powers(self, engine_name, power):
         """NTT of X^j is ``psi^((2k+1) j)`` at slot k: the twist by psi."""
         ring_degree = 32
-        q = generate_ntt_prime(24, ring_degree)
+        q = generate_ntt_primes(1, 24, ring_degree)[0]
         engine = create_engine(engine_name, ring_degree)
         psi = get_twiddle_cache(ring_degree, q).psi
         monomial = np.zeros(ring_degree, dtype=np.int64)
@@ -108,7 +108,7 @@ class TestEngineCorrectness:
     @pytest.mark.parametrize("engine_name", ENGINES)
     def test_linearity(self, engine_name, rng):
         ring_degree = 64
-        q = generate_ntt_prime(24, ring_degree)
+        q = generate_ntt_primes(1, 24, ring_degree)[0]
         engine = create_engine(engine_name, ring_degree)
         a = _random_poly(rng, ring_degree, q)
         b = _random_poly(rng, ring_degree, q)
@@ -120,7 +120,7 @@ class TestEngineCorrectness:
     def test_input_reduction(self, engine_name, rng):
         """Engines accept unreduced/negative inputs and reduce them."""
         ring_degree = 16
-        q = generate_ntt_prime(20, ring_degree)
+        q = generate_ntt_primes(1, 20, ring_degree)[0]
         engine = create_engine(engine_name, ring_degree)
         poly = rng.integers(-q, 2 * q, ring_degree, dtype=np.int64)
         for inverse in (False, True):
@@ -130,7 +130,7 @@ class TestEngineCorrectness:
 
     @pytest.mark.parametrize("engine_name", ENGINES)
     def test_wrong_length_rejected(self, engine_name):
-        q = generate_ntt_prime(20, 16)
+        q = generate_ntt_primes(1, 20, 16)[0]
         engine = create_engine(engine_name, 16)
         with pytest.raises(ValueError):
             engine.forward_ops(np.zeros((1, 1, 15), dtype=np.int64), [q])
@@ -141,7 +141,7 @@ class TestEngineCorrectness:
     @settings(max_examples=30, deadline=None)
     def test_fourstep_equals_reference_property(self, seed):
         ring_degree = 16
-        q = generate_ntt_prime(20, ring_degree)
+        q = generate_ntt_primes(1, 20, ring_degree)[0]
         rng = np.random.default_rng(seed)
         poly = rng.integers(0, q, ring_degree, dtype=np.int64)
         reference = create_engine("reference", ring_degree)
@@ -160,7 +160,7 @@ class TestPolynomialMultiplication:
     @pytest.mark.parametrize("engine_name", ENGINES)
     def test_negacyclic_multiply_matches_schoolbook(self, engine_name, rng):
         ring_degree = 32
-        q = generate_ntt_prime(24, ring_degree)
+        q = generate_ntt_primes(1, 24, ring_degree)[0]
         engine = create_engine(engine_name, ring_degree)
         a = _random_poly(rng, ring_degree, q)
         b = _random_poly(rng, ring_degree, q)
@@ -171,7 +171,7 @@ class TestPolynomialMultiplication:
     def test_x_to_n_wraps_negatively(self, engine_name):
         """X^(N/2) * X^(N/2) = X^N = -1 in the negacyclic ring."""
         ring_degree = 16
-        q = generate_ntt_prime(20, ring_degree)
+        q = generate_ntt_primes(1, 20, ring_degree)[0]
         engine = create_engine(engine_name, ring_degree)
         half = np.zeros(ring_degree, dtype=np.int64)
         half[ring_degree // 2] = 1
@@ -190,7 +190,7 @@ class TestRowsAreIndependent:
     @pytest.mark.parametrize("bits", [28, 31])
     def test_batched_rows_equal_single_launches(self, engine_name, bits, rng):
         ring_degree = 32
-        q = generate_ntt_prime(bits, ring_degree)
+        q = generate_ntt_primes(1, bits, ring_degree)[0]
         assert (q >= 1 << 31) == (bits == 31)     # 31: the object path
         engine = create_engine(engine_name, ring_degree)
         reference = create_engine("reference", ring_degree)
@@ -272,7 +272,7 @@ class TestOnePrimitive:
                 return DeviceBuffer.wrap(
                     (-np.asarray(stacks)) % np.asarray(moduli)[None, :, None])
 
-        q = generate_ntt_prime(20, 8)
+        q = generate_ntt_primes(1, 20, 8)[0]
         engine = Negate(8)
         row = rng.integers(1, q, 8)
         assert np.array_equal(engine.forward_ops(row[None, None], [q]),

@@ -11,19 +11,17 @@ from repro.numtheory import (
     find_negacyclic_root,
     find_primitive_root,
     find_root_of_unity,
-    fuse_segments,
-    generate_ntt_prime,
     generate_ntt_primes,
     get_crt_context,
     ilog2,
     is_power_of_two,
     is_prime,
     mod_pow,
-    next_prime,
-    previous_prime,
     root_powers,
     segment_u32,
 )
+
+from oracles import compose, compose_centered
 
 #: Chains for the float composition: one limb, two limbs, eight 20-bit and
 #: eight default 28-bit (bit length 29) primes, a chain the big-integer path
@@ -47,18 +45,9 @@ class TestPrimes:
     def test_is_prime(self, value, expected):
         assert is_prime(value) is expected
 
-    def test_next_prime(self):
-        assert next_prime(13) == 17
-        assert next_prime(1) == 2
-
-    def test_previous_prime(self):
-        assert previous_prime(20) == 19
-        with pytest.raises(ValueError):
-            previous_prime(2)
-
     @pytest.mark.parametrize("ring_degree", [64, 256, 1024])
     def test_generate_ntt_prime_congruence(self, ring_degree):
-        prime = generate_ntt_prime(28, ring_degree)
+        (prime,) = generate_ntt_primes(1, 28, ring_degree)
         assert is_prime(prime)
         assert (prime - 1) % (2 * ring_degree) == 0
 
@@ -69,9 +58,9 @@ class TestPrimes:
             assert (prime - 1) % 256 == 0
 
     def test_generate_avoids_given_primes(self):
-        first = generate_ntt_prime(20, 64)
-        second = generate_ntt_prime(20, 64, avoid={first})
+        first, second = generate_ntt_primes(2, 20, 64)
         assert first != second
+        assert first == generate_ntt_primes(1, 20, 64)[0]
 
 
 class TestRoots:
@@ -85,13 +74,13 @@ class TestRoots:
         assert mod_pow(g, (q - 1) // 2, q) != 1
 
     def test_root_of_unity_order(self):
-        q = generate_ntt_prime(20, 64)
+        q = generate_ntt_primes(1, 20, 64)[0]
         root = find_root_of_unity(128, q)
         assert mod_pow(root, 128, q) == 1
         assert mod_pow(root, 64, q) != 1
 
     def test_negacyclic_root_squares_to_minus_one_at_degree(self):
-        q = generate_ntt_prime(20, 64)
+        q = generate_ntt_primes(1, 20, 64)[0]
         psi = find_negacyclic_root(64, q)
         assert mod_pow(psi, 64, q) == q - 1
 
@@ -107,20 +96,26 @@ class TestRoots:
             find_root_of_unity(64, 97)  # 64 does not divide 96
 
 
+def residue_rows(crt, values):
+    """The ``(L, len(values))`` int64 matrix of ``value % q`` per row."""
+    return np.asarray([[int(v) % q for v in values] for q in crt.moduli],
+                      dtype=np.int64)
+
+
 class TestCrt:
     def test_roundtrip(self):
         crt = CrtContext([97, 193, 257])
         value = 123456
-        assert crt.compose(crt.decompose(value)) == value
+        assert compose(crt, [value % q for q in crt.moduli]) == value
 
     def test_centered_roundtrip(self):
         crt = CrtContext([97, 193])
-        assert crt.compose_centered(crt.decompose(-1234 % (97 * 193))) == -1234
+        assert compose_centered(crt, [-1234 % q for q in crt.moduli]) == -1234
 
     def test_array_roundtrip(self):
         crt = CrtContext([97, 193, 257])
         values = [0, 1, -5 % crt.modulus_product, 123456]
-        matrix = crt.decompose_array(values)
+        matrix = residue_rows(crt, values)
         assert matrix.shape == (3, 4)
         composed = crt.compose_array(matrix, centered=False)
         assert composed == [v % crt.modulus_product for v in values]
@@ -138,7 +133,7 @@ class TestCrt:
         rng = np.random.default_rng(5)
         values = [0, 1, big - 1, half - 1, half, half + 1, half + 2]
         values += [int(v) % big for v in rng.integers(0, 1 << 62, 25)]
-        matrix = crt.decompose_array(values)
+        matrix = residue_rows(crt, values)
         # Edge residues per limb: all zero, all q - 1.
         matrix = np.concatenate(
             [matrix, np.zeros((len(moduli), 1), dtype=np.int64),
@@ -146,9 +141,9 @@ class TestCrt:
         columns = [[int(r) for r in matrix[:, i]] for i in range(matrix.shape[1])]
         if as_object:
             matrix = matrix.astype(object)
-        for centered, scalar in ((True, crt.compose_centered), (False, crt.compose)):
+        for centered, scalar in ((True, compose_centered), (False, compose)):
             got = crt.compose_array(matrix, centered=centered)
-            assert got == [scalar(column) for column in columns]
+            assert got == [scalar(crt, column) for column in columns]
             assert all(type(value) is int for value in got)
         assert crt.compose_array(matrix, centered=False)[:7] == values[:7]
 
@@ -156,7 +151,7 @@ class TestCrt:
         crt = CrtContext([97, 193])
         matrix = np.asarray([[5 + 3 * 97, -1], [7, 193 + 2]], dtype=np.int64)
         assert crt.compose_array(matrix, centered=False) == [
-            crt.compose([5, 7]), crt.compose([96, 2])]
+            compose(crt, [5, 7]), compose(crt, [96, 2])]
 
     def test_compose_array_rejects_wrong_row_count(self):
         with pytest.raises(ValueError):
@@ -185,7 +180,7 @@ class TestCrt:
             st.integers(-pair_half, pair_half),
             st.integers(-half, half)), min_size=1, max_size=24))
         matrix = np.concatenate(
-            [crt.decompose_array(values), np.zeros((len(moduli), 1), dtype=np.int64),
+            [residue_rows(crt, values), np.zeros((len(moduli), 1), dtype=np.int64),
              np.asarray(moduli, dtype=np.int64)[:, None] - 1], axis=1)
         expected = np.asarray([float(v) for v in crt.compose_array(matrix)])
         got = crt.compose_float(matrix)
@@ -196,7 +191,7 @@ class TestCrt:
     def test_compose_float_unreduced_residues_fall_back(self):
         crt = CrtContext(FLOAT_CHAINS["p20_x8"])
         rng = np.random.default_rng(9)
-        matrix = crt.decompose_array([int(v) for v in rng.integers(-1000, 1000, 16)])
+        matrix = residue_rows(crt, rng.integers(-1000, 1000, 16))
         matrix[3, ::2] += crt.moduli[3]
         expected = [float(v) for v in crt.compose_array(matrix)]
         assert crt.compose_float(matrix).tolist() == expected
@@ -217,7 +212,12 @@ class TestCrt:
     @settings(max_examples=100, deadline=None)
     def test_crt_bijection_property(self, value):
         crt = CrtContext([97, 193, 257])
-        assert crt.compose(crt.decompose(value)) == value
+        assert compose(crt, [value % q for q in crt.moduli]) == value
+
+
+def fuse(segments):
+    """``sum_s segments[s] << 8s``: the inverse of :func:`segment_u32`."""
+    return sum(segments[s].astype(np.uint64) << np.uint64(8 * s) for s in range(4))
 
 
 class TestBitOps:
@@ -234,7 +234,7 @@ class TestBitOps:
         matrix = rng.integers(0, 1 << 32, (8, 8), dtype=np.uint64)
         segments = segment_u32(matrix)
         assert segments.shape == (4, 8, 8)
-        assert np.array_equal(fuse_segments(segments), matrix)
+        assert np.array_equal(fuse(segments), matrix)
 
     def test_segment_rejects_oversized(self):
         with pytest.raises(ValueError):
@@ -244,4 +244,4 @@ class TestBitOps:
     @settings(max_examples=200, deadline=None)
     def test_segment_fuse_property(self, value):
         matrix = np.asarray([[value]], dtype=np.uint64)
-        assert int(fuse_segments(segment_u32(matrix))[0, 0]) == value
+        assert int(fuse(segment_u32(matrix))[0, 0]) == value

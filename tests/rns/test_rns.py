@@ -7,6 +7,7 @@ from repro.ntt import NttPlanner
 from repro.numtheory import (
     CrtContext,
     generate_ntt_primes,
+    get_crt_context,
     mat_mod_add,
     mat_mod_mul,
     mat_mod_neg,
@@ -35,6 +36,11 @@ def basis() -> RnsBasis:
 @pytest.fixture(scope="module")
 def planner() -> NttPlanner:
     return NttPlanner("four_step")
+
+
+def _integers(poly, centered=True):
+    """The CRT-composed big-integer coefficients of ``poly``."""
+    return get_crt_context(poly.moduli).compose_array(poly.residues, centered=centered)
 
 
 def _random_poly(rng, moduli, domain=PolyDomain.COEFFICIENT):
@@ -81,15 +87,12 @@ class TestRnsBasis:
         with pytest.raises(ValueError):
             RnsBasis(RING_DEGREE, primes + primes)
 
-    def test_log_total_modulus(self, basis):
-        assert basis.log_total_modulus() > basis.log_total_modulus(0)
-
 
 class TestRnsPolynomial:
     def test_from_integers_roundtrip(self, basis):
         coefficients = list(range(-16, 16))
         poly = RnsPolynomial.from_integers(coefficients, basis.primes_at_level(2))
-        assert poly.to_integers() == coefficients
+        assert _integers(poly) == coefficients
 
     def test_from_integers_array_inputs_match_the_list_path(self, basis, rng):
         """int64, narrower-int, unsigned, float-object and list input agree."""
@@ -135,10 +138,9 @@ class TestRnsPolynomial:
         a = _random_poly(rng, moduli)
         b = _random_poly(rng, moduli)
         total = mat_mod_add(a.buffer, b.buffer, moduli).host(moduli)
-        for i in range(RING_DEGREE):
-            expected = (crt.compose([int(a.residues[l, i]) for l in range(3)])
-                        + crt.compose([int(b.residues[l, i]) for l in range(3)])) % crt.modulus_product
-            assert crt.compose([int(total[l, i]) for l in range(3)]) == expected
+        lhs, rhs = (crt.compose_array(p.residues, centered=False) for p in (a, b))
+        assert crt.compose_array(total, centered=False) == [
+            (x + y) % crt.modulus_product for x, y in zip(lhs, rhs)]
 
     def test_subtract_then_add_is_identity(self, basis, rng):
         moduli = basis.primes_at_level(2)
@@ -190,7 +192,7 @@ class TestRnsPolynomial:
         product = RnsPolynomial(RING_DEGREE, moduli, image,
                                 PolyDomain.EVALUATION).to_coefficient(planner)
         expected = [0, 3] + [0] * (RING_DEGREE - 2)
-        assert product.to_integers(centered=False) == expected
+        assert _integers(product, centered=False) == expected
 
     def test_restrict_and_drop(self, basis, rng):
         moduli = basis.primes_at_level(2)
@@ -245,11 +247,9 @@ class TestBasisConversion:
         target_crt = CrtContext(target)
         poly = _random_poly(rng, source)
         converted = _converted(BasisConverter(source, target), poly)
-        source_crt = CrtContext(source)
-        for i in range(RING_DEGREE):
-            original = source_crt.compose([int(poly.residues[l, i]) for l in range(2)])
-            lifted = target_crt.compose([int(converted.residues[l, i])
-                                         for l in range(len(target))])
+        originals = CrtContext(source).compose_array(poly.residues, centered=False)
+        lifts = target_crt.compose_array(converted.residues, centered=False)
+        for original, lifted in zip(originals, lifts):
             difference = lifted - original
             assert difference % q_product == 0
             assert abs(difference // q_product) <= len(source)
@@ -274,7 +274,7 @@ class TestModUpModDown:
         assert raised.moduli == extended
         # Small non-negative values are represented exactly; in general the
         # raised value may differ by a small multiple of the group modulus.
-        for got, want in zip(raised.to_integers(centered=False),
+        for got, want in zip(_integers(raised, centered=False),
                              [int(c) for c in coefficients]):
             assert (got - want) % group_product == 0
             assert abs(got - want) // group_product <= len(group)
@@ -287,7 +287,7 @@ class TestModUpModDown:
         poly = RnsPolynomial.from_integers(values, extended)
         lowered = _batch_of_one(ModDown(active, basis.special_primes).apply_batch,
                                 poly, active)
-        assert lowered.to_integers() == list(range(-8, RING_DEGREE - 8))
+        assert _integers(lowered) == list(range(-8, RING_DEGREE - 8))
 
     def test_moddown_rounding_error_is_small(self, basis, rng):
         extended = basis.extended_primes_at_level(1)
@@ -299,7 +299,7 @@ class TestModUpModDown:
         poly = RnsPolynomial.from_integers(values, extended)
         lowered = _batch_of_one(ModDown(active, basis.special_primes).apply_batch,
                                 poly, active)
-        recovered = lowered.to_integers()
+        recovered = _integers(lowered)
         for got, want in zip(recovered, exact):
             assert abs(got - want) <= len(basis.special_primes) + 1
 
