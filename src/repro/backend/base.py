@@ -203,7 +203,7 @@ class ArrayBackend(abc.ABC):
         """Lazy ``sum_t lhs[t] * rhs[t] mod q`` of float residue images.
 
         The planned product of :mod:`repro.numtheory.planned`: per launch
-        the cheapest exact form (one pass, or the hi/lo split of ``rhs``)
+        the cheapest exact form (one pass, or ``rhs`` split in two or three)
         for the operands' bounds, run slab by slab; ``None`` when the 2**53
         guard admits no form.  A cached ``rhs`` (an operand, a constant or
         a host handle) brings its split images; a result is split per

@@ -73,7 +73,7 @@ class BlasFloat64Backend(NumpyBackend):
         """The batched GEMM as a planned product against the cached side.
 
         It goes float only as the other kernels do (:meth:`_float_operands`):
-        two host arrays take the int64 kernel.  The operand whose hi/lo
+        two host arrays take the int64 kernel.  The operand whose split
         images are reused is an operand or constant side where there is
         one (the rhs if both are), else a result (the lhs if both are).
         The other side's image is read, a ``host`` one converted for this

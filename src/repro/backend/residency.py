@@ -9,8 +9,8 @@ launch would pay a cast and a ``%`` pass per step.
 :class:`DeviceBuffer` is the one place such an image lives.  A handle holds
 an int64 **host** image (the canonical exact form used at the encode /
 decrypt / serialize boundaries) and/or a **float64** image, an upper bound
-on its entries (:attr:`~DeviceBuffer.max_value`), its cached hi/lo split
-(:meth:`~DeviceBuffer.split`) and a :attr:`~DeviceBuffer.kind`:
+on its entries (:attr:`~DeviceBuffer.max_value`), its cached splits into
+narrower parts (:meth:`~DeviceBuffer.split`) and a :attr:`~DeviceBuffer.kind`:
 
 ``host``
     :meth:`DeviceBuffer.wrap` of an int64 array.  Its float images are
@@ -18,7 +18,7 @@ on its entries (:attr:`~DeviceBuffer.max_value`), its cached hi/lo split
     intermediate holds no image it will not use again.
 ``operand``
     :meth:`DeviceBuffer.operand`: a reusable residue array (the twiddle
-    stacks).  Its float64 image and hi/lo split are built from the int64
+    stacks).  Its float64 image and its splits are built from the int64
     image on first use and kept; like a result, it sends a launch to the
     float kernels.
 ``constant``
@@ -43,11 +43,12 @@ integers, canonical modulo the primes the caller names;
 
 :attr:`~DeviceBuffer.resident` says whether a handle's float image sends a
 launch to the float kernels (operands and results).  The split point of an
-image is :func:`split_shift` of its bound.  :attr:`~DeviceBuffer.reduced`
-says whether a library kernel made the residues — a result, or a ``host``
-handle from :meth:`DeviceBuffer.from_kernel` (an int64 kernel's output) —
-so that a transform need not range-scan them; views and joins of such
-handles keep it, :meth:`~DeviceBuffer.invalidate_device` drops it.
+image cut in ``parts`` is :func:`split_shift` of its bound.
+:attr:`~DeviceBuffer.reduced` says whether a library kernel made the
+residues — a result, or a ``host`` handle from
+:meth:`DeviceBuffer.from_kernel` (an int64 kernel's output) — so that a
+transform need not range-scan them; views and joins of such handles keep
+it, :meth:`~DeviceBuffer.invalidate_device` drops it.
 
 Calling convention
 ------------------
@@ -94,6 +95,7 @@ __all__ = [
     "magnitude",
     "fold",
     "split_shift",
+    "split_image",
     "combine_arrays",
     "stack_arrays",
     "block_arrays",
@@ -130,14 +132,39 @@ def fold(out: np.ndarray, wrapped: np.ndarray) -> np.ndarray:
     return out
 
 
-def split_shift(max_value: int) -> int:
-    """The hi/lo split point of an image whose entries are ``<= max_value``.
+def split_shift(max_value: int, parts: int = 2) -> int:
+    """The split point of an image whose entries are ``<= max_value``.
 
-    Roughly half the bit-width, so ``hi = x >> shift`` and
-    ``lo = x & (2**shift - 1)`` are both about half as wide as ``x``.
-    Guards that bound a split product before the images exist use this.
+    The bit-width over ``parts``, rounded up, so ``x`` cut into ``parts``
+    digits of ``shift`` bits each has every part about ``1 / parts`` as
+    wide as ``x``.  Guards that bound a split product before the images
+    exist use this.
     """
-    return max(1, (int(max_value).bit_length() + 1) // 2)
+    return max(1, -(-int(max_value).bit_length() // parts))
+
+
+def split_image(values: np.ndarray, shift: int, out) -> list:
+    """Cut integer-valued float64 ``values`` into ``len(out)`` digits.
+
+    ``values == sum_j out[j] * 2**(shift * (len(out) - 1 - j))``, the top
+    digit first: every digit but the top one lies in ``[0, 2**shift)``,
+    the top one carries the sign.  Exact in float64: scaling by a power of
+    two only touches the exponent.  ``out`` holds the digits' buffers.
+    """
+    *upper, low = out
+    rest = values
+    for place, digit in zip(range(len(upper), 0, -1), upper):
+        scale = float(1 << (shift * place))
+        np.multiply(rest, 1.0 / scale, out=digit)
+        np.floor(digit, out=digit)
+        if rest is low:         # the remainder so far, already in ``low``
+            rest -= digit * scale
+        else:
+            rest = np.subtract(rest, np.multiply(digit, scale, out=low),
+                               out=low)
+    if rest is not low:         # one part: the values themselves
+        np.copyto(low, rest)
+    return out
 
 
 class DeviceBuffer:
@@ -298,36 +325,38 @@ class DeviceBuffer:
         self._full = full
         return full
 
-    def split(self):
-        """``(shift, hi, lo)`` with ``residues == hi * 2**shift + lo``.
+    def split(self, parts: int = 2):
+        """``(shift, *images)``: the residues cut into ``parts`` digits.
 
-        Splitting roughly halves the bit-width of each part, so each of
-        the two partial products fits the float64 exactness bound for
-        moduli too large for a single pass.  A result is split in float64
-        (scaling by a power of two only touches the exponent, so the
-        floor/subtract decomposition is exact and no int64 is built); any
-        other handle is cut from its int64 image, without building its full
-        float64 image.
+        ``residues == sum_j images[j] * 2**(shift * (parts - 1 - j))``, the
+        top digit first (:func:`split_image`).  Each part is about ``1 /
+        parts`` as wide as the residues, so each partial product fits the
+        float64 exactness bound for moduli too large for a single pass.  A
+        result is split in float64; any other handle is cut from its int64
+        image, without building its full float64 image.  Kept per part
+        count, but for a ``host`` handle.
         """
-        if self._split is not None:
-            return self._split
+        split = self._split and self._split.get(parts)
+        if split is not None:
+            return split
         if self._parent is not None:
             parent, rows = self._parent
-            shift, hi, lo = parent.split()
-            hi, lo = hi[:rows], lo[:rows]
+            shift, *images = parent.split(parts)
+            images = [image[:rows] for image in images]
         elif self.kind == RESULT:
-            shift = split_shift(self._bound)
-            weight = float(1 << shift)
-            hi = np.floor(self._full * (1.0 / weight))
-            lo = self._full - hi * weight
+            shift = split_shift(self._bound, parts)
+            images = split_image(self._full, shift, [
+                np.empty_like(self._full) for _ in range(parts)])
         else:
-            shift = split_shift(self.max_value)
-            hi = (self._host >> shift).astype(np.float64)
-            lo = (self._host & ((1 << shift) - 1)).astype(np.float64)
-        if self.kind == HOST:
-            return shift, hi, lo    # converted for one launch, not kept
-        self._split = (shift, hi, lo)
-        return self._split
+            shift = split_shift(self.max_value, parts)
+            top, mask = shift * (parts - 1), (1 << shift) - 1
+            images = [(self._host >> top).astype(np.float64)] + [
+                ((self._host >> place) & mask).astype(np.float64)
+                for place in range(top - shift, -1, -shift)]
+        split = (shift, *images)
+        if self.kind != HOST:   # a host handle's is made for one launch
+            self._split = {**(self._split or {}), parts: split}
+        return split
 
     def invalidate_device(self) -> None:
         """Drop the float64 images after an in-place host mutation.

@@ -1,7 +1,7 @@
-"""NTT engines: the Eq. 4 reference oracle, the four-step GEMM fast path and
-the tensor-core kernel of the paper's Fig. 8.  The schoolbook negacyclic
-product the engines are held against is a test oracle and lives with the
-tests."""
+"""NTT engines: the Eq. 4 reference oracle and the four-step GEMM fast path,
+whose planned float pipeline cuts wide operands into exact parts (the
+paper's Fig. 7 segmentation).  The schoolbook negacyclic product the
+engines are held against is a test oracle and lives with the tests."""
 
 from .base import NttEngine
 from .four_step import FourStepNtt
@@ -13,7 +13,6 @@ from .planner import (
     create_engine,
 )
 from .reference import ReferenceNtt
-from .tensorcore import TensorCoreNtt
 from .twiddle import (
     TwiddleCache,
     TwiddleStack,
@@ -27,7 +26,6 @@ __all__ = [
     "NttEngine",
     "ReferenceNtt",
     "FourStepNtt",
-    "TensorCoreNtt",
     "TwiddleCache",
     "TwiddleStack",
     "get_twiddle_cache",

@@ -3,10 +3,12 @@
 The paper evaluates three configurations that differ only in how the NTT
 kernel is computed (Table IV): *TensorFHE-NT* (radix-2 butterflies),
 *TensorFHE-CO* (GEMM formulation on CUDA cores) and *TensorFHE* (segmented
-GEMMs on tensor cores).  The functional engines here are the last two —
-``four_step`` and ``tensorcore`` — plus ``reference``, the literal Eq. 4
-oracle every other engine is tested against; the butterfly configuration
-lives in the analytical performance model only.
+GEMMs on tensor cores).  The functional engines here are ``four_step``,
+the GEMM formulation whose planned float pipeline cuts each operand into
+as many exact parts as its width needs (``tensorcore`` names it too), and
+``reference``, the literal Eq. 4 oracle every other engine is tested
+against; the butterfly configuration and the tensor cores' u8 segment
+counts live in the analytical performance model only.
 
 Batched execution model
 -----------------------

@@ -9,7 +9,11 @@ and the negacyclic NTT becomes three small GEMM/Hadamard steps::
     A[k1 + N1*k2] = R[k1, k2] # column-major flattening
 
 This keeps the twiddle matrices at ``O(N)`` size while exposing the work
-as dense GEMMs — the form the tensor-core engine then lowers to INT8.
+as dense GEMMs.  On a float backend the three steps run as planned
+float64 stages (:mod:`repro.ntt.four_step_plan`), each operand cut into
+as many parts as its width needs — the paper's Fig. 7 segmentation, with
+the part count chosen by the 2**53 guard.  The int64 pipeline is the
+numpy oracle's path and the fallback for widths no rung admits.
 """
 
 from __future__ import annotations
@@ -54,8 +58,8 @@ class FourStepNtt(NttEngine):
         ``N^-1``, so both directions are the same three steps.
         """
         stack = get_twiddle_stack(self.ring_degree, moduli)
-        backend = self._float_backend()
-        if backend is not None:
+        backend = get_active_backend()
+        if backend.float_residency:
             recipe = stack.launch_recipe(backend, inverse, stacks.shape[0],
                                          stacks.window)
             if recipe is not None:
@@ -69,24 +73,14 @@ class FourStepNtt(NttEngine):
 
         The per-stage forms of the float64 pipeline for an input in
         ``window`` (canonical residues, or a lazy handle's window), or
-        ``None`` when the launch runs the int64 :meth:`_ops_pipeline`: this
-        engine's GEMM or Hadamard hooks are overridden (the tensor-core
-        engine lowers them to INT8 and must keep doing so), the active
-        backend does not declare ``float_residency``, or the 2**53 guard
-        refuses a stage.  Both paths give the same bits.
+        ``None`` when the launch runs the int64 :meth:`_ops_pipeline`: the
+        active backend does not declare ``float_residency``, or the 2**53
+        guard refuses a stage.  Both paths give the same bits.
         """
-        if self._float_backend() is None:
+        if not get_active_backend().float_residency:
             return None
         stack = get_twiddle_stack(self.ring_degree, tuple(int(q) for q in moduli))
         return stack.four_step_plan(inverse, window)
-
-    def _float_backend(self):
-        """The active backend if this engine's launches may go float."""
-        if (type(self)._gemm_limbs is not FourStepNtt._gemm_limbs
-                or type(self)._hadamard_limbs is not FourStepNtt._hadamard_limbs):
-            return None
-        backend = get_active_backend()
-        return backend if backend.float_residency else None
 
     def _float_pipeline(self, stacks: DeviceBuffer,
                         recipe: LaunchRecipe) -> DeviceBuffer:
@@ -134,41 +128,32 @@ class FourStepNtt(NttEngine):
     def _ops_pipeline(self, stacks: DeviceBuffer, moduli: Tuple[int, ...],
                       w1: DeviceBuffer, w2: DeviceBuffer,
                       w3: DeviceBuffer) -> DeviceBuffer:
-        """The three fused launches shared by both transform directions.
+        """The int64 pipeline: three fused launches, either direction.
 
-        Every reshape/transpose is a resident-image view, so a handle
-        batch flows through all three launches without a host copy.
+        The numpy backend's path, and a float backend's for a chain whose
+        width no rung admits (:meth:`float_plan` is ``None``).  Every
+        reshape/transpose is a resident-image view, so a handle batch flows
+        through all three launches without a host copy.
         """
         batch, limbs = stacks.shape[0], stacks.shape[1]
         a_mat = stacks.reshape(batch, limbs, self.n1, self.n2)
         # One name rebound per step: each step's operand is released as
         # soon as the next exists, so the peak is two steps wide, not four.
-        work = self._gemm_limbs(                            # inner NTTs
+        work = modular_matmul_limbs(                        # inner NTTs
             w1,
             a_mat.transpose(1, 2, 0, 3).ascontiguous().reshape(
                 limbs, self.n1, batch * self.n2),
             moduli)
-        work = self._hadamard_limbs(                        # twiddle correction
+        work = mat_mod_mul(                                 # twiddle correction
             work.reshape(limbs, self.n1, batch, self.n2),
             w2[:, :, None, :], moduli)
         work = work.transpose(0, 2, 1, 3).ascontiguous().reshape(
             limbs, batch * self.n1, self.n2)
-        work = self._gemm_limbs(work, w3, moduli)           # outer DFTs
+        work = modular_matmul_limbs(work, w3, moduli)       # outer DFTs
         # Column-major flattening of every (N1, N2) slice, per operation.
         return (work.reshape(limbs, batch, self.n1, self.n2)
                 .transpose(1, 0, 3, 2).ascontiguous()
                 .reshape(batch, limbs, self.ring_degree))
-
-    # -- hooks the tensor-core engine overrides (handles in, handle out) --
-    def _gemm_limbs(self, lhs: DeviceBuffer, rhs: DeviceBuffer,
-                    moduli: np.ndarray) -> DeviceBuffer:
-        """Limb-batched modular GEMM (one 3-D launch on the active backend)."""
-        return modular_matmul_limbs(lhs, rhs, moduli)
-
-    def _hadamard_limbs(self, lhs: DeviceBuffer, rhs: DeviceBuffer,
-                        moduli: np.ndarray) -> DeviceBuffer:
-        """Limb-batched modular Hadamard product."""
-        return mat_mod_mul(lhs, rhs, moduli)
 
 
 def _run_slab(piece: SlabRecipe, source: np.ndarray, result: np.ndarray,

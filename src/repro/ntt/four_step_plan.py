@@ -8,8 +8,8 @@ of :mod:`repro.numtheory.planned` that is exact for its own bound.
 :func:`plan_four_step` picks them for one ``(n1, n2, chain, operand
 maxima, input window)`` and is a pure function — the plan says which path
 a launch takes, and ``None`` says it takes the int64 pipeline.  The inner
-GEMM plans from the input's window: canonical residues leave it three
-rungs, a lazy handle's window five, the twiddle and outer stages plan
+GEMM plans from the input's window: canonical residues leave it four
+rungs, a lazy handle's window seven, the twiddle and outer stages plan
 from the pass window of the stage before.  The transform's output is the
 outer stage's lazy output, unreduced.
 

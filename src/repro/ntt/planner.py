@@ -2,8 +2,8 @@
 
 The planner is the software analogue of the paper's API layer picking which
 NTT kernel to launch: it instantiates the requested engine (the
-``reference`` oracle, the ``four_step`` fast path or the ``tensorcore``
-kernel) once per ring degree; ``DEFAULT_ENGINE`` names the one the
+``reference`` oracle or the ``four_step`` fast path, which ``tensorcore``
+also names) once per ring degree; ``DEFAULT_ENGINE`` names the one the
 CKKS stack uses.  The twiddle tables are cached per prime chain in
 :mod:`repro.ntt.twiddle`, not per engine, so one engine serves every
 chain of its ring.
@@ -29,14 +29,15 @@ from ..backend.residency import DeviceBuffer
 from .base import NttEngine
 from .four_step import FourStepNtt
 from .reference import ReferenceNtt
-from .tensorcore import TensorCoreNtt
 
 __all__ = ["ENGINE_REGISTRY", "available_engines", "create_engine", "NttPlanner"]
 
 ENGINE_REGISTRY: Dict[str, Type[NttEngine]] = {
     ReferenceNtt.name: ReferenceNtt,
     FourStepNtt.name: FourStepNtt,
-    TensorCoreNtt.name: TensorCoreNtt,
+    # The paper's tensor-core kernel (Fig. 8) is the same segmented GEMM
+    # pipeline: the float plan cuts each operand into exact parts.
+    "tensorcore": FourStepNtt,
 }
 
 #: Engine used by the CKKS stack when none is specified.  The four-step

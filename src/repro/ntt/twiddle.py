@@ -215,7 +215,7 @@ class TwiddleStack:
         ``(W1, W2, W3)`` forward; ``(V1, V2 * N^-1, V3)`` inverse.  They are
         operand handles (:meth:`~repro.backend.residency.DeviceBuffer.
         operand`): the GEMM operands and the Hadamard twiddle alike build
-        their float64 images (full and hi/lo) once, on first float use, and
+        their float64 images (full and split) once, on first float use, and
         a blas launch against them goes float.  Twiddles are immutable, so
         the handles are never invalidated — dropping the stack via
         :func:`clear_twiddle_stacks` drops the handles with it.

@@ -28,7 +28,7 @@ from .roots import (
     root_powers,
 )
 from .crt import CrtContext, get_crt_context
-from .bit_ops import ilog2, is_power_of_two, segment_u32
+from .bit_ops import ilog2, is_power_of_two
 
 __all__ = [
     "FLOAT_EXACT_LIMIT",
@@ -57,5 +57,4 @@ __all__ = [
     "get_crt_context",
     "is_power_of_two",
     "ilog2",
-    "segment_u32",
 ]

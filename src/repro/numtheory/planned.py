@@ -12,15 +12,23 @@ rung   what the stage does                                     extra cost
 =====  ======================================================  ===========
 1      ``lazy(T . x)``                                         --
 2      ``x`` made canonical first                              1 pass
-3      ``lazy(lazy(T_hi . x) * 2**s + T_lo . x)``              1 product,
+3      ``lazy(lazy(T_1 . x) * 2**s + T_0 . x)``                1 product,
                                                                1.5 passes
 4      rung 3 on a canonical ``x``                             + 1 pass
-5      rung 4 with ``T_lo . x`` reduced before the add         + 1 pass
+5      rung 4 with ``T_0 . x`` reduced before the add          + 1 pass
+6      rung 3 with ``T`` cut in three: ``lazy(lazy(lazy(T_2    2 products,
+       . x) * 2**s + T_1 . x) * 2**s + T_0 . x)``              3 passes
+7      rung 6 on a canonical ``x``                             + 1 pass
 =====  ======================================================  ===========
 
-A stage plans from its input's window (a canonical ``x`` leaves rungs 1,
-3 and 5; beyond the pass window ``(-q, 2q)`` making it canonical takes two
-passes): :func:`form_ladder` checks every rung's real bound with
+A form cuts the operand into :attr:`~StageForm.parts` digits of ``s``
+bits (:meth:`~repro.backend.residency.DeviceBuffer.split`) and
+accumulates their products Horner-style, top digit first, with a lazy
+pass after each; each part is a third as wide as ``T`` on rungs 6 and 7,
+so a 31-bit prime fits a 256-term stage there.  A stage plans from its
+input's window (a canonical ``x`` leaves rungs 1, 3, 5 and 6; beyond the
+pass window ``(-q, 2q)`` making it canonical takes two passes):
+:func:`form_ladder` checks every rung's real bound with
 :meth:`~repro.numtheory.floatmod.BarrettChain.fits`, :func:`choose_form`
 returns the first exact one (``None``: the launch belongs to int64), and
 :func:`run_stage` is the kernel all stages and forms share.  A launch hands
@@ -56,7 +64,14 @@ from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..backend.residency import CANONICAL, LAZY, DeviceBuffer, magnitude, split_shift
+from ..backend.residency import (
+    CANONICAL,
+    LAZY,
+    DeviceBuffer,
+    magnitude,
+    split_image,
+    split_shift,
+)
 from .floatmod import BROADCAST_RUN, BarrettChain
 
 __all__ = [
@@ -69,6 +84,7 @@ __all__ = [
     "DIRECT",
     "SPLIT",
     "SPLIT_BOTH",
+    "SPLIT3",
     "canonical",
     "canonical_passes",
     "form_ladder",
@@ -129,15 +145,17 @@ class StageForm(NamedTuple):
 
     #: Lazy passes that make the input canonical first (0, 1 or 2).
     canonicalise: int
-    #: The operand as ``hi * 2**shift + lo``: two products, each half as wide.
-    split: bool
-    #: The low product is reduced as well before the weighted add.
+    #: Digits the operand is cut into, one product each (1: whole).
+    parts: int
+    #: The low product is reduced as well before the weighted add (two
+    #: parts only: ``x`` is dead by then, so its buffer is free).
     reduce_low: bool
 
 
-DIRECT = StageForm(0, False, False)
-SPLIT = StageForm(0, True, False)
-SPLIT_BOTH = StageForm(0, True, True)
+DIRECT = StageForm(0, 1, False)
+SPLIT = StageForm(0, 2, False)
+SPLIT_BOTH = StageForm(0, 2, True)
+SPLIT3 = StageForm(0, 3, False)
 
 
 def canonical(form: StageForm, passes: int = 1) -> StageForm:
@@ -162,42 +180,42 @@ def form_ladder(chain: BarrettChain, terms: int, operand_max: int,
 
     ``operand_max`` bounds the magnitude of the operand's entries,
     ``terms`` is the length of the accumulation (1 for an element-wise
-    stage) and ``window`` is where ``x`` arrives (canonical: three rungs).
-    ``input_max`` bounds an ``x`` that is not on this chain's window
-    (default ``qmax - 1``).  A rung is exact when every intermediate it
-    forms passes ``chain.fits``; the answer is memoised, so a repeated
-    launch plans with one dictionary lookup.
+    stage) and ``window`` is where ``x`` arrives (canonical: four rungs,
+    else seven).  ``input_max`` bounds an ``x`` that is not on this
+    chain's window (default ``qmax - 1``).  A rung is exact when every
+    intermediate it forms passes ``chain.fits``; the answer is memoised,
+    so a repeated launch plans with one dictionary lookup.
     """
     q = chain.qmax
     lazy_max = magnitude(LAZY, q)
     canonical_max = q - 1 if input_max is None else input_max
-    shift = split_shift(operand_max)
-    # A lazy operand's high part reaches ``-ceil(max / 2**shift)``.
-    hi_max, lo_max = -(-operand_max >> shift), (1 << shift) - 1
-    weighted = lazy_max << shift
-
-    def single(x_max: int) -> bool:
-        return chain.fits(terms * operand_max * x_max)
-
-    def split(x_max: int) -> bool:
-        return (chain.fits(terms * hi_max * x_max)
-                and chain.fits(weighted + terms * lo_max * x_max))
-
-    def split_both(x_max: int) -> bool:
-        return (chain.fits(terms * hi_max * x_max)
-                and chain.fits(terms * lo_max * x_max)
-                and chain.fits(weighted + lazy_max))
-
     passes = canonical_passes(window)
-    if not passes:
-        return ((DIRECT, single(canonical_max)), (SPLIT, split(canonical_max)),
-                (SPLIT_BOTH, split_both(canonical_max)))
-    x_max = magnitude(window, q)
-    return ((DIRECT, single(x_max)),
-            (canonical(DIRECT, passes), single(canonical_max)),
-            (SPLIT, split(x_max)),
-            (canonical(SPLIT, passes), split(canonical_max)),
-            (canonical(SPLIT_BOTH, passes), split_both(canonical_max)))
+    x_max = magnitude(window, q) if passes else canonical_max
+    ladder = []
+    for parts in (1, 2, 3):
+        shift = split_shift(operand_max, parts)
+        # The top digit of a lazy operand reaches ``-top_max`` (a ceiling).
+        top_max = -(-operand_max >> (shift * (parts - 1)))
+        low_max, weighted = (1 << shift) - 1, lazy_max << shift
+
+        def exact(x: int, reduce_low: bool = False) -> bool:
+            if not chain.fits(terms * top_max * x):
+                return False
+            if parts == 1:
+                return True
+            if reduce_low:
+                return (chain.fits(terms * low_max * x)
+                        and chain.fits(weighted + lazy_max))
+            return chain.fits(weighted + terms * low_max * x)
+
+        form = StageForm(0, parts, False)
+        ladder.append((form, exact(x_max)))
+        if passes:
+            ladder.append((canonical(form, passes), exact(canonical_max)))
+        if parts == 2:
+            ladder.append((canonical(form._replace(reduce_low=True), passes),
+                           exact(canonical_max, True)))
+    return tuple(ladder)
 
 
 def choose_form(chain: BarrettChain, terms: int, operand_max: int,
@@ -215,13 +233,13 @@ def stage_operand(form: StageForm,
                   operand: DeviceBuffer) -> Tuple[Tuple[np.ndarray, ...], float]:
     """``(images, weight)`` of a cached operand as ``form`` consumes it.
 
-    One full float64 image, or the ``(hi, lo)`` pair with the weight
-    ``2**shift`` of the high part.
+    One full float64 image, or the ``form.parts`` digits, top first, with
+    the weight ``2**shift`` of one digit over the next.
     """
-    if not form.split:
+    if form.parts == 1:
         return (operand.full(),), 1.0
-    shift, hi, lo = operand.split()
-    return (hi, lo), float(1 << shift)
+    shift, *images = operand.split(form.parts)
+    return tuple(images), float(1 << shift)
 
 
 def run_stage(form: StageForm, apply, images, weight: float,
@@ -241,18 +259,17 @@ def run_stage(form: StageForm, apply, images, weight: float,
         x = reduce(x, out=q, columns=columns)
     if form.canonicalise:
         x = reduce(x, out=p, columns=columns)
-    if not form.split:
-        return reduce(apply(images[0], x, q), out=r, columns=columns)
-    high = apply(images[0], x, q)
-    low = apply(images[1], x, r)
-    # ``x`` is dead from here on, so ``p`` is free whether or not it held it.
-    high = reduce(high, out=p, columns=columns)
-    out = q
-    if form.reduce_low:
-        low, out = reduce(low, out=q, columns=columns), r
-    high *= weight
-    high += low
-    return reduce(high, out=out, columns=columns)
+    total = reduce(apply(images[0], x, q), out=r, columns=columns)
+    for image in images[1:]:
+        spare = q if total is r else r
+        part = apply(image, x, spare)
+        if form.reduce_low:
+            # Two parts only: this is the last, so ``x`` is dead, ``p`` free.
+            part = reduce(part, out=p, columns=columns)
+        total *= weight
+        total += part
+        total = reduce(total, out=spare, columns=columns)
+    return total
 
 
 def slabs(batch: int, limbs: int, ring_degree: int,
@@ -523,10 +540,12 @@ def product(chain: BarrettChain, x: np.ndarray, x_max: int, operand,
     if form is None or values.ndim != x.ndim or x.ndim < 2 + (terms > 1):
         return None
     shape = np.broadcast(x, values).shape
+    parts = form.parts
     if cached:
         images, weight = stage_operand(form, operand)
-    elif form.split:
-        images, weight = (), float(1 << split_shift(operand_max))
+    elif parts > 1:
+        shift = split_shift(operand_max, parts)
+        images, weight = (), float(1 << shift)
     else:
         images, weight = (values,), 1.0
     x = _terms_view(x, shape, terms)
@@ -539,20 +558,16 @@ def product(chain: BarrettChain, x: np.ndarray, x_max: int, operand,
         slab_images = [_part(image, rows, ops) for image in images]
         if not slab_images:
             # A transient operand is split here, in cache.
-            piece = _part(values, rows, ops)
-            hi, lo = slab_images = scratch[4:]
-            np.multiply(piece, 1.0 / weight, out=hi)
-            np.floor(hi, out=hi)
-            np.multiply(hi, weight, out=lo)
-            np.subtract(piece, lo, out=lo)
+            slab_images = split_image(_part(values, rows, ops), shift,
+                                      scratch[4:])
         return run_stage(form, accumulate(scratch[3]), slab_images, weight,
                          part, _part(x, rows, ops), scratch)
 
     if images:
         launch(chain, result, body, 4)
     else:
-        launch(chain, result, body, 4, share=1 + terms, extra=lambda slab: (
-            (slab[0], terms) + slab[1:],) * 2)
+        launch(chain, result, body, 4, share=1 + terms * parts // 2,
+               extra=lambda slab: ((slab[0], terms) + slab[1:],) * parts)
     return result.reshape(shape[:1] + shape[2:] if terms > 1 else shape)
 
 

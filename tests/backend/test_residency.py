@@ -26,6 +26,7 @@ from repro.backend.residency import (
     CANONICAL,
     LAZY,
     block_arrays,
+    split_shift,
     stack_arrays,
 )
 from repro.ckks import Ciphertext, CkksParameters
@@ -114,6 +115,30 @@ class TestDeviceBuffer:
             shift, hi, lo = buf.split()
             assert buf._full is None                # no full float64 image
             assert np.array_equal(hi, matrix >> shift)
+
+    @pytest.mark.parametrize("parts", [1, 2, 3])
+    def test_a_split_into_any_part_count_recomposes(self, rng, parts):
+        """Digits top first, all but the top one in ``[0, 2**shift)``, at the
+        width :func:`split_shift` names; a lazy result's top one signed."""
+        q = (1 << 31) - 1
+        matrix = rng.integers(0, q, (3, 64))
+        matrix[0, :2] = (0, q - 1)
+        lazy = matrix.astype(np.float64) - q * rng.integers(-1, 2, matrix.shape)
+        for buf, values in ((DeviceBuffer.wrap(matrix), matrix),
+                            (DeviceBuffer.operand(matrix), matrix),
+                            (DeviceBuffer.from_float(lazy, 2 * q, LAZY), lazy)):
+            shift, *digits = buf.split(parts)
+            assert len(digits) == parts
+            assert shift == split_shift(buf.max_value, parts)
+            recomposed = sum(digit * 2.0 ** (shift * place) for digit, place
+                             in zip(digits, range(parts - 1, -1, -1)))
+            assert np.array_equal(recomposed, values)
+            for digit in digits[1:]:
+                assert np.all((digit >= 0) & (digit < 2 ** shift))
+            assert np.all(np.abs(digits[0]) <= -(-buf.max_value
+                                                 >> (shift * (parts - 1))))
+            if buf.kind != "host":          # kept per part count
+                assert buf.split(parts) is buf.split(parts)
 
     def test_invalidation_makes_a_host_handle(self):
         matrix = np.arange(12, dtype=np.int64).reshape(3, 4)

@@ -165,29 +165,32 @@ class TestFloatChainAcceptance:
             assert ciphertext.c0.buffer.kind == "result"
 
 
-#: The benchmarked shapes, N = 4096, L = 8, dnum = 4: default widths and the
-#: 20-bit chain with its 23-bit special primes.
-DEFAULT_SHAPES = {"p28": dict(),
-                  "p20": dict(scale_bits=20, prime_bits=20, special_prime_bits=23)}
+#: ``(parameters, streams)`` per shape: the benchmarked N = 4096, L = 8,
+#: dnum = 4 with default widths and with the 20-bit chain and its 23-bit
+#: special primes, and the secure ring sizes at L + 1 = 10, dnum = 3 with
+#: default widths.
+DEFAULT_SHAPES = {
+    "p28": (dict(ring_degree=4096, level_count=8, dnum=4), BATCH),
+    "p20": (dict(ring_degree=4096, level_count=8, dnum=4, scale_bits=20,
+                 prime_bits=20, special_prime_bits=23), BATCH),
+    "n8192": (dict(ring_degree=1 << 13, level_count=10, dnum=3), 2),
+    "n16384": (dict(ring_degree=1 << 14, level_count=10, dnum=3), 2),
+}
 
 
 class TestDefaultShapesStayOnTheFloatPipeline:
-    """No transform of a B=8 HMULT / RESCALE / HROTATE falls back to int64.
+    """No transform of keygen, encrypt, HMULT, RESCALE or HROTATE falls back
+    to int64.
 
     The int64 ``_ops_pipeline`` runs on the calling thread only, outside
     the slab pool, so a silent fallback there costs about twice the
-    transform, not the fifth it cost before.  N = 2**13 and 2**14 with the
-    default 30-bit special primes still fall back (ROADMAP item 4).
+    transform, not the fifth it cost before.  At N = 2**13 and 2**14 the
+    four-step stages are 128 wide, and the default 30-bit special primes
+    (bit length 31) plan there only with their GEMM operand cut in three.
     """
 
     @pytest.mark.parametrize("shape", sorted(DEFAULT_SHAPES))
     def test_no_int64_transform(self, shape, monkeypatch):
-        parameters = CkksParameters(ring_degree=4096, level_count=8, dnum=4,
-                                    **DEFAULT_SHAPES[shape])
-        fhe = TensorFheContext(parameters, seed=7, rotation_steps=(1,),
-                               backend="blas")
-        values = np.random.default_rng(7).uniform(-1, 1, (BATCH, fhe.slot_count))
-        cts = [fhe.encrypt(x) for x in values]
         calls = []
         pipeline = FourStepNtt._ops_pipeline
 
@@ -196,7 +199,18 @@ class TestDefaultShapesStayOnTheFloatPipeline:
             return pipeline(self, *args)
 
         monkeypatch.setattr(FourStepNtt, "_ops_pipeline", spy)
+        settings, streams = DEFAULT_SHAPES[shape]
+        fhe = TensorFheContext(CkksParameters(**settings), seed=7,
+                               rotation_steps=(1,), backend="blas")
+        values = np.random.default_rng(7).uniform(-1, 1, (streams, fhe.slot_count))
+        cts = [fhe.encrypt(x) for x in values]
         products = fhe.multiply_many(cts, cts[1:] + cts[:1], rescale=False)
-        fhe.rescale_many(products)
-        fhe.rotate_many(cts, 1)
+        products = fhe.rescale_many(products)
+        rotated = fhe.rotate_many(cts, 1)
         assert calls == []
+        # Wrong bits decrypt to noise of order one; the 20-bit scale alone
+        # leaves a few 1e-2.
+        assert np.abs(fhe.decrypt_real(products[0])
+                      - values[0] * values[1]).max() < 0.1
+        assert np.abs(fhe.decrypt_real(rotated[1])
+                      - np.roll(values[1], -1)).max() < 0.1

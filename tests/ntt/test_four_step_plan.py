@@ -28,6 +28,7 @@ from repro.numtheory.floatmod import BarrettChain
 from repro.numtheory.planned import (
     DIRECT,
     SPLIT,
+    SPLIT3,
     SPLIT_BOTH,
     canonical,
     choose_form,
@@ -73,12 +74,15 @@ def random_stack(rng, batch, primes, ring_degree):
 # ----------------------------------------------------------------------
 # (a) the plan table
 # ----------------------------------------------------------------------
-#: ``(N, prime_bits) -> (inner, twiddle, outer forward, outer inverse)``;
-#: ``generate_ntt_primes(2, bits, N)`` puts the primes just above
-#: ``2**bits``.  The outer form can differ by direction because the plan
-#: reads each operand's real maximum: the 64 distinct entries of an inverse
+#: ``(N, prime_bits) -> (inner, twiddle, outer forward, outer inverse)``,
+#: or ``((forward forms), (inverse forms))`` where the inner forms differ
+#: too; ``generate_ntt_primes(2, bits, N)`` puts the primes just above
+#: ``2**bits``.  The forms can differ by direction because the plan reads
+#: each operand's real maximum: the 64 distinct entries of an inverse
 #: ``V3`` may all sit below the bit that forces the wider split.  The
 #: inverse twiddle is ``V2 * N^-1``: there is no scale stage to plan.
+#: The operand cut in three (``SPLIT3``) admits what two parts cannot:
+#: 31-bit primes at ``N = 2**14`` and wider ones at 4096.
 PLAN_TABLE = {
     (64, 20): (DIRECT, DIRECT, DIRECT, DIRECT),
     (64, 23): (DIRECT, DIRECT, DIRECT, DIRECT),
@@ -97,23 +101,26 @@ PLAN_TABLE = {
     (4096, 28): (SPLIT, SPLIT, SPLIT, SPLIT),
     (4096, 29): (SPLIT, SPLIT, SPLIT, SPLIT),
     (4096, 30): (SPLIT, SPLIT, C(SPLIT), SPLIT),
-    (4096, 31): None,
-    (4096, 33): None,
+    (4096, 31): (SPLIT3, SPLIT, SPLIT3, SPLIT3),
+    (4096, 33): (SPLIT3, SPLIT, SPLIT3, SPLIT3),
     (16384, 20): (DIRECT, DIRECT, DIRECT, DIRECT),
     (16384, 23): (SPLIT, DIRECT, SPLIT, SPLIT),
     (16384, 24): (SPLIT, DIRECT, SPLIT, SPLIT),
     (16384, 26): (SPLIT, C(DIRECT), SPLIT, SPLIT),
     (16384, 28): (SPLIT, SPLIT, SPLIT, SPLIT),
     (16384, 29): (SPLIT, SPLIT, SPLIT, SPLIT),
-    (16384, 30): None,
-    (16384, 31): None,
-    (16384, 33): None,
+    (16384, 30): ((SPLIT, SPLIT, SPLIT3), (SPLIT3, SPLIT, C(SPLIT))),
+    (16384, 31): (SPLIT3, SPLIT, SPLIT3, SPLIT3),
+    (16384, 33): (SPLIT3, SPLIT, C(SPLIT3), SPLIT3),
+    (16384, 36): None,
 }
 
 
 def expected_plans(row):
     if row is None:
         return None, None
+    if len(row) == 2:
+        return FourStepPlan(*row[0]), FourStepPlan(*row[1])
     inner, twiddle, outer_forward, outer_inverse = row
     return (FourStepPlan(inner, twiddle, outer_forward),
             FourStepPlan(inner, twiddle, outer_inverse))
@@ -131,7 +138,11 @@ class TestPlanTable:
     @pytest.mark.parametrize("ring_degree,row", [
         (64, (SPLIT, SPLIT, SPLIT, SPLIT)),
         (4096, (SPLIT, SPLIT, C(SPLIT), SPLIT)),
-        (16384, None),
+        # From 2**13 the stages are 128 wide: the special primes' GEMMs
+        # take three parts where two no longer fit.
+        (8192, ((SPLIT, SPLIT, C(SPLIT)), (SPLIT3, SPLIT, SPLIT))),
+        (16384, ((SPLIT, SPLIT, SPLIT3), (SPLIT3, SPLIT, C(SPLIT)))),
+        (32768, ((SPLIT3, SPLIT, SPLIT3), (SPLIT3, SPLIT, C(SPLIT)))),
     ])
     def test_default_extended_basis(self, ring_degree, row):
         """29- and 31-bit primes in one chain plan on the wider ones."""
@@ -157,17 +168,25 @@ class TestPlanTable:
         assert plan_four_step(chain, 64, 64, top, top, top) == FourStepPlan(
             SPLIT, SPLIT, SPLIT)
         # One stage without an exact form refuses the whole transform.
-        assert plan_four_step(chain, 1 << 12, 64, top, top, top) is None
-        assert plan_four_step(chain, 64, 1 << 12, top, top, top) is None
+        assert plan_four_step(chain, 1 << 16, 64, top, top, top) is None
+        assert plan_four_step(chain, 64, 1 << 16, top, top, top) is None
 
-    @pytest.mark.parametrize("reason", ["guard", "backend", "engine"])
+    @pytest.mark.parametrize("ring_degree", [1 << 13, 1 << 15])
+    @pytest.mark.parametrize("bits", [23, 26, 28, 30])
+    def test_every_prime_up_to_31_bits_plans(self, ring_degree, bits):
+        primes = generate_ntt_primes(2, bits, ring_degree)
+        assert max(primes).bit_length() <= 31
+        engine = engine_for(ring_degree)
+        assert engine.float_plan(primes) is not None
+        assert engine.float_plan(primes, inverse=True) is not None
+
+    @pytest.mark.parametrize("reason", ["guard", "backend"])
     def test_int64_pipeline_runs_exactly_when_the_plan_is_none(self, reason,
                                                                monkeypatch):
         ring_degree = 1024
         bits, backend, name = {
-            "guard": (33, BACKEND, "four_step"),
+            "guard": (36, BACKEND, "four_step"),        # no rung admits 37 bits
             "backend": (28, "numpy", "four_step"),      # no float_residency
-            "engine": (28, BACKEND, "tensorcore"),      # overrides the GEMM hook
         }[reason]
         primes = generate_ntt_primes(2, bits, ring_degree)
         stack = random_stack(np.random.default_rng(3), 2, primes, ring_degree)
@@ -196,12 +215,12 @@ class TestPlanTable:
 # (b) guard arithmetic on worst-case operands
 # ----------------------------------------------------------------------
 #: Widest modulus ``q = 2**bits - 1`` each rung admits, per accumulation
-#: length, with the operand filled with ``q``: canonical input first (three
-#: rungs), then lazy input (five).
+#: length, with the operand filled with ``q``: canonical input first (four
+#: rungs), then lazy input (seven).  The last rungs cut the operand in three.
 WIDEST = {
-    1: ((26, 34, 34), (26, 26, 34, 34, 34)),
-    64: ((23, 30, 31), (23, 23, 30, 30, 31)),
-    128: ((23, 30, 30), (22, 23, 29, 30, 30)),
+    1: ((26, 34, 34, 38), (26, 26, 34, 34, 34, 38, 38)),
+    64: ((23, 30, 31, 34), (23, 23, 30, 30, 31, 33, 34)),
+    128: ((23, 30, 30, 33), (22, 23, 29, 30, 30, 33, 33)),
 }
 
 
@@ -226,7 +245,7 @@ class TestGuardArithmetic:
         """
         widest = WIDEST[terms][lazy_input]
         rows = 3
-        for bits in range(16, 36):
+        for bits in range(16, 40):
             q = (1 << bits) - 1
             chain = BarrettChain([q])
             if terms == 1:
@@ -269,7 +288,9 @@ class TestGuardArithmetic:
         assert choose_form(chain, 1, top, LAZY) == SPLIT
         assert choose_form(chain, 64, 1 << 15, LAZY) == DIRECT
         assert choose_form(chain, 64, 1 << 16, LAZY) == C(DIRECT)
-        assert choose_form(chain, 1 << 10, top, LAZY) is None
+        assert choose_form(chain, 1 << 10, top, LAZY) == SPLIT3
+        assert choose_form(chain, 1 << 11, top, LAZY) == C(SPLIT3)
+        assert choose_form(chain, 1 << 12, top, LAZY) is None
 
     def test_true_31_bit_primes_need_both_partials_reduced(self):
         """Just under 2**31, ``64 * (2**16 - 1) * (q - 1)`` alone nearly fills
@@ -633,6 +654,40 @@ class TestWidthProperty:
         column = np.asarray(primes, dtype=np.int64)[None, :, None]
         assert np.array_equal(ints(engine.inverse_ops(forward, primes), primes),
                               stack % column)
+
+
+class TestThreePartRungs:
+    """Where the stages are 128 and 256 wide, 31-bit and wider primes plan
+    with an operand cut in three (``SPLIT3``, canonical or not), and the
+    float transform, canonical or lazy stack in, has the int64 bits."""
+
+    @pytest.mark.parametrize("inputs", ["int64", "lazy"])
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("log_degree,bits", [(12, 33), (14, 30), (15, 30),
+                                                 (14, 33)])
+    def test_matches_the_int64_pipeline(self, log_degree, bits, inverse,
+                                        inputs):
+        ring_degree = 1 << log_degree
+        primes = generate_ntt_primes(2, bits, ring_degree)
+        rng = np.random.default_rng(log_degree + bits)
+        stack = random_stack(rng, 1, primes, ring_degree)
+        engine = engine_for(ring_degree)
+        window = LAZY if inputs == "lazy" else CANONICAL
+        plan = engine.float_plan(primes, inverse=inverse, window=window)
+        assert 3 in {form.parts for form in plan}
+        with use_backend("numpy"):
+            int64 = engine_for(ring_degree)
+            want = ints((int64.inverse_ops if inverse else int64.forward_ops)(
+                stack, primes), primes)
+        given = stack
+        if inputs == "lazy":
+            column = np.asarray(primes, dtype=np.int64)[None, :, None]
+            lazy = stack - column * rng.integers(-1, 2, stack.shape)
+            given = DeviceBuffer.from_float(lazy.astype(np.float64),
+                                            2 * max(primes), LAZY)
+        got = (engine.inverse_ops if inverse else engine.forward_ops)(
+            given, primes)
+        assert np.array_equal(ints(got, primes), want)
 
 
 # ----------------------------------------------------------------------

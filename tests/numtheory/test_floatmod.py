@@ -23,7 +23,7 @@ from repro.numtheory.floatmod import (
     barrett_inverse,
     get_barrett_chain,
 )
-from repro.numtheory.planned import DIRECT, SPLIT, choose_form, product
+from repro.numtheory.planned import DIRECT, SPLIT, SPLIT3, choose_form, product
 
 N = 4096  # ring degree constraining the NTT primes (q = 1 mod 2N)
 
@@ -175,11 +175,13 @@ class TestSplitProduct:
         top = thirty.qmax - 1
         assert not thirty.fits(top ** 2)
         assert choose_form(thirty, 1, top) == SPLIT
-        # ~q**1.5 crosses the mantissa around 35-bit moduli: no form left.
-        oversized = get_barrett_chain([(1 << 37) + 9])
-        assert choose_form(oversized, 1, 1 << 37) is None
+        # ~q**1.5 crosses the mantissa around 35-bit moduli, the three-part
+        # cut's ~q**(4/3) around 39-bit ones: no form left.
+        assert choose_form(get_barrett_chain([(1 << 37) + 9]), 1, 1 << 37) == SPLIT3
+        oversized = get_barrett_chain([(1 << 39) + 9])
+        assert choose_form(oversized, 1, 1 << 39) is None
         wide = np.ones((1, 4))
-        assert product(oversized, wide, 1 << 37, wide, 1 << 37) is None
+        assert product(oversized, wide, 1 << 39, wide, 1 << 39) is None
 
     @pytest.mark.parametrize("bits", [20, 27, 30])
     def test_product_parity_randomized(self, bits, rng):

@@ -116,8 +116,8 @@ class TestForms:
                 DIRECT, SPLIT)
 
     def test_a_refused_launch_takes_the_int64_kernel_with_equal_bits(self, rng):
-        """31-bit primes, 128 terms: no rung holds the partial sums."""
-        primes, q = [], (1 << 31) - 1
+        """36-bit primes, 128 terms: no rung holds the partial sums."""
+        primes, q = [], (1 << 36) - 1
         while len(primes) < 2:
             if is_prime(q):
                 primes.append(q)

@@ -18,7 +18,6 @@ from repro.numtheory import (
     is_prime,
     mod_pow,
     root_powers,
-    segment_u32,
 )
 
 from oracles import compose, compose_centered
@@ -215,11 +214,6 @@ class TestCrt:
         assert compose(crt, [value % q for q in crt.moduli]) == value
 
 
-def fuse(segments):
-    """``sum_s segments[s] << 8s``: the inverse of :func:`segment_u32`."""
-    return sum(segments[s].astype(np.uint64) << np.uint64(8 * s) for s in range(4))
-
-
 class TestBitOps:
     def test_is_power_of_two(self):
         assert is_power_of_two(1) and is_power_of_two(1024)
@@ -229,19 +223,3 @@ class TestBitOps:
         assert ilog2(1) == 0 and ilog2(4096) == 12
         with pytest.raises(ValueError):
             ilog2(12)
-
-    def test_segment_fuse_roundtrip(self, rng):
-        matrix = rng.integers(0, 1 << 32, (8, 8), dtype=np.uint64)
-        segments = segment_u32(matrix)
-        assert segments.shape == (4, 8, 8)
-        assert np.array_equal(fuse(segments), matrix)
-
-    def test_segment_rejects_oversized(self):
-        with pytest.raises(ValueError):
-            segment_u32(np.asarray([[1 << 33]], dtype=np.uint64))
-
-    @given(st.integers(min_value=0, max_value=(1 << 32) - 1))
-    @settings(max_examples=200, deadline=None)
-    def test_segment_fuse_property(self, value):
-        matrix = np.asarray([[value]], dtype=np.uint64)
-        assert int(fuse(segment_u32(matrix))[0, 0]) == value

@@ -136,7 +136,7 @@ class TestParity:
     def test_product(self, terms, static, workers, pool_calls):
         primes = CHAINS["q-p"]
         chain = get_barrett_chain(primes)
-        assert choose_form(chain, terms, chain.qmax - 1).split
+        assert choose_form(chain, terms, chain.qmax - 1).parts == 2
         rng = np.random.default_rng(terms)
         x = residues(rng, primes, terms, BATCH, N)
         key = residues(rng, primes, terms, 1 if static else BATCH, N)

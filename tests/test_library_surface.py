@@ -130,7 +130,7 @@ def test_scan_flags_a_new_test_only_function(tmp_path):
 REMOVED_FUNCTIONS = ("generate_ntt_prime", "next_prime", "previous_prime",
                      "inverse_root_powers", "fuse_segments",
                      "schoolbook_negacyclic_multiply", "required_rotations",
-                     "evaluate_polynomial")
+                     "evaluate_polynomial", "segment_u32")
 REMOVED_METHODS = ("compose", "compose_centered", "decompose", "decompose_array",
                    "log_total_modulus", "slot_rotation", "max_encodable_magnitude",
                    "invariant_noise_budget_bits", "available_steps",
